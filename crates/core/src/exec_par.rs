@@ -1,17 +1,24 @@
 //! Multi-threaded NOCAP execution: `run_parallel`.
 //!
 //! The partitioning passes of Algorithms 8 and 9 route each record
-//! independently, so [`NocapJoin::run_parallel`] shards both scans across a
+//! independently, so [`NocapJoin::run_parallel`] spreads both scans over a
 //! worker pool (`nocap-par`) and fans the partition-wise probe phase out
 //! over the spilled partition pairs. The engine is built so that, for
 //! every thread count, it produces **the same join output and the same
 //! modeled I/O trace** as the sequential [`NocapJoin::run_with_plan`]:
 //!
-//! * Workers scan disjoint page ranges ([`page_shards`]), so the base scans
-//!   cost exactly `‖R‖ + ‖S‖` sequential reads.
-//! * Every spill partition keeps **one** shared output-buffer page
-//!   ([`SharedWriterSet`]), so a partition receiving `n` records flushes
-//!   exactly `⌈n / b⌉` random writes regardless of arrival order.
+//! * Workers claim page morsels from an atomic cursor ([`PageMorsels`]);
+//!   every page is claimed once, so the base scans cost exactly
+//!   `‖R‖ + ‖S‖` sequential reads, and a slow worker claims fewer morsels
+//!   instead of holding the phase up.
+//! * Every spill partition keeps **one** spill file and one buffered
+//!   writer ([`SharedWriterSet`]). Workers fill private output pages and
+//!   append them to the file only when full; the partial pages are merged
+//!   through the buffered writer before the phase's I/O snapshot. A
+//!   partition receiving `n` records therefore has `⌈n / b⌉ − 1` pages on
+//!   the device when the partition window closes and `finish` writes one
+//!   more — the sequential writer's counts in the sequential executor's
+//!   windows, regardless of arrival order (identity in `nocap_par::shard`).
 //! * Residual destaging uses the deterministic per-partition quotas of
 //!   [`RestGeometry`](crate::exec::RestGeometry): a partition's page-out
 //!   bit depends only on its total record count, never on interleaving.
@@ -23,20 +30,25 @@
 //! budget: the pool reserves the two streaming pages and the plan's fixed
 //! structures exactly as the sequential path does, and the residual budget
 //! is carved into per-partition quotas whose reservations are visible in
-//! the pool. Two knowing simplifications: each worker holds one transient
-//! scan-buffer page (the model charges one logical input page for the
-//! pipeline, as the paper does), and the fanned-out probe phase runs up to
-//! `threads` partition-pair NBJs concurrently, each with the `B − 2`-page
-//! chunk the cost model prescribes — peak physical probe memory is
-//! `threads × B` pages even though the modeled I/O is unchanged. Use fewer
-//! threads when physical memory, not I/O, is the binding constraint.
+//! the pool. Three knowing simplifications, all physical memory the model
+//! does not charge: each worker holds one transient scan-buffer page (the
+//! model charges one logical input page for the pipeline, as the paper
+//! does); each worker holds one private output page per spill partition it
+//! has routed a record to, next to the one output-buffer page per
+//! partition the model charges — at most `threads × m` pages for `m` spill
+//! partitions (≤ 1.3 MB at 2 threads on the benchmark's `zipf_par2`); and
+//! the fanned-out probe phase runs up to `threads` partition-pair NBJs
+//! concurrently, each with the `B − 2`-page chunk the cost model
+//! prescribes — peak physical probe memory is `threads × B` pages even
+//! though the modeled I/O is unchanged. Use fewer threads when physical
+//! memory, not I/O, is the binding constraint.
 
 use std::sync::Mutex;
 
 use nocap_model::pairwise::smart_partition_join;
 use nocap_model::JoinRunReport;
 use nocap_obs::{Obs, Phase};
-use nocap_par::{page_shards, run_workers_obs, sum_tasks_obs, ParallelStager, SharedWriterSet};
+use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet};
 use nocap_stats::StatsCollector;
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
@@ -247,34 +259,38 @@ impl NocapJoin {
             m_disk,
         );
         let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-        let r_shards = page_shards(r.num_pages(), threads);
+        let r_morsels = PageMorsels::new(r, threads);
         let r_partition_span = obs.span(Phase::Partition);
-        let stages = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-            let mut stage = stager.worker_stage();
-            // Per-worker radix write buffers: residual records batch up per
-            // partition and flush into the stager in cache-friendly runs.
-            // Per-partition arrival order within this worker is preserved
-            // and quota destaging depends only on per-partition counts, so
-            // staged contents and spill decisions are unchanged.
-            let mut router = RadixRouter::new(r.layout(), geometry.num_partitions());
-            let mut scan = r.scan_range(r_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
-                for rec in page.record_refs() {
-                    if mem_set.contains(&rec.key()) {
-                        // R is the primary-key side: cached keys are rare, so
-                        // this lock is cold.
-                        lock_unpoisoned(&ht_shared).insert_ref(rec);
-                    } else if let Some(&pid) = disk_map.get(&rec.key()) {
-                        r_disk.push(pid as usize, rec)?;
-                    } else {
-                        let p = geometry.rh.partition_of(rec.key());
-                        router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
+        let (stages, r_disk_locals): (Vec<_>, Vec<_>) =
+            run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+                let mut stage = stager.worker_stage();
+                let mut r_disk_out = r_disk.local();
+                // Per-worker radix write buffers: residual records batch up per
+                // partition and flush into the stager in cache-friendly runs.
+                // Per-partition arrival order within this worker is preserved
+                // and quota destaging depends only on per-partition counts, so
+                // staged contents and spill decisions are unchanged.
+                let mut router = RadixRouter::new(r.layout(), geometry.num_partitions());
+                r_morsels.scan(|page| {
+                    for rec in page.record_refs() {
+                        if mem_set.contains(&rec.key()) {
+                            // R is the primary-key side: cached keys are rare,
+                            // so this lock is cold.
+                            lock_unpoisoned(&ht_shared).insert_ref(rec);
+                        } else if let Some(&pid) = disk_map.get(&rec.key()) {
+                            r_disk_out.push(pid as usize, rec)?;
+                        } else {
+                            let p = geometry.rh.partition_of(rec.key());
+                            router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
+                        }
                     }
-                }
-            }
-            router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
-            Ok(stage)
-        })?;
+                    Ok(())
+                })?;
+                router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
+                Ok((stage, r_disk_out))
+            })?
+            .into_iter()
+            .unzip();
         drop(r_partition_span);
         let spill_span = obs.span(Phase::Spill);
         let rest_build = stager.finish(stages)?;
@@ -282,6 +298,7 @@ impl NocapJoin {
         // adopted immediately, so any later error deletes all spill files.
         let mut spill_guard = SpillGuard::new();
         spill_guard.adopt_all(rest_build.spilled.iter().flatten().cloned());
+        r_disk.merge(r_disk_locals)?;
         let r_disk_handles = r_disk.finish_dense()?;
         spill_guard.adopt_all(r_disk_handles.iter().cloned());
         drop(spill_span);
@@ -315,18 +332,19 @@ impl NocapJoin {
             IoKind::RandWrite,
             &rest_build.pob,
         );
-        let s_shards = page_shards(s.num_pages(), threads);
+        let s_morsels = PageMorsels::new(s, threads);
         let ht_ref = &ht_mem;
         let bloom_ref = &bloom;
         let pob = &rest_build.pob;
         let s_partition_span = obs.span(Phase::Partition);
-        let probe_counts = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
+        let s_workers = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
             let mut output = 0u64;
-            let mut scan = s.scan_range(s_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
+            let mut s_disk_out = s_disk.local();
+            let mut s_rest_out = s_rest.local();
+            s_morsels.scan(|page| {
                 for rec in page.record_refs() {
                     if let Some(&pid) = disk_map.get(&rec.key()) {
-                        s_disk.push(pid as usize, rec)?;
+                        s_disk_out.push(pid as usize, rec)?;
                         continue;
                     }
                     // Bloom-negative keys take the identical `matches == 0`
@@ -343,15 +361,27 @@ impl NocapJoin {
                     }
                     let part = geometry.rh.partition_of(rec.key());
                     if pob[part] {
-                        s_rest.push(part, rec)?;
+                        s_rest_out.push(part, rec)?;
                     }
                     // else: the partition stayed in memory and the key had
                     // no match.
                 }
-            }
-            Ok(output)
+                Ok(())
+            })?;
+            Ok((output, s_disk_out, s_rest_out))
         })?;
-        let mut output: u64 = probe_counts.into_iter().sum();
+        // Tail merge inside the partition window: afterwards every S writer
+        // buffers exactly the one partial page the sequential executor
+        // flushes in the probe window.
+        let mut output = 0u64;
+        let (mut s_disk_locals, mut s_rest_locals) = (Vec::new(), Vec::new());
+        for (count, disk, rest) in s_workers {
+            output += count;
+            s_disk_locals.push(disk);
+            s_rest_locals.push(rest);
+        }
+        s_disk.merge(s_disk_locals)?;
+        s_rest.merge(s_rest_locals)?;
         drop(s_partition_span);
         let partition_io = device.stats().since(&base_stats);
         record_partition_skew(

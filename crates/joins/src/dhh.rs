@@ -20,8 +20,10 @@
 //! destaged the moment its own staged footprint exceeds that share — a
 //! function of the partition's total record count only. The destaged set is
 //! therefore identical for any scan order or thread interleaving, which is
-//! what unblocks a future `DhhJoin::run_parallel`; total staged pages plus
-//! one output buffer per destaged partition still never exceed the budget.
+//! what [`DhhJoin::run_parallel`] stands on; total staged pages plus one
+//! output buffer per destaged partition still never exceed the budget.
+//! (The parallel path additionally holds one private output page per worker
+//! per destaged partition outside the budget — see `nocap_par::shard`.)
 //!
 //! **Skew optimization.** Practical systems (PostgreSQL, Histojoin) add a
 //! small dedicated hash table for the most common values: if the tracked
@@ -38,7 +40,7 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom};
 use nocap_obs::{Obs, Phase};
 use nocap_par::{
-    default_threads, even_caps, page_shards, run_workers_obs, sum_tasks_obs, ParallelStager,
+    default_threads, even_caps, run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager,
     QuotaStager, SharedWriterSet,
 };
 use nocap_stats::StatsSummary;
@@ -351,17 +353,21 @@ impl DhhJoin {
     /// and the full per-phase modeled I/O trace — is **identical** to the
     /// sequential [`run`](Self::run):
     ///
-    /// * both scans are sharded over disjoint page ranges
-    ///   ([`page_shards`]), costing the same `‖R‖ + ‖S‖` sequential reads;
+    /// * both scans claim page morsels from an atomic cursor
+    ///   ([`PageMorsels`]); every page is claimed once, costing the same
+    ///   `‖R‖ + ‖S‖` sequential reads;
     /// * R partitioning drives DHH's modulo router over a
     ///   [`ParallelStager`] with the same per-partition quotas
     ///   ([`even_caps`]) the sequential [`QuotaStager`] uses, so the
     ///   destaged partition set and per-partition spill page counts depend
     ///   only on each partition's total record count — never on thread
     ///   interleaving;
-    /// * every spilled S partition funnels through one shared
-    ///   output-buffer page ([`SharedWriterSet`]), flushing exactly
-    ///   `⌈n / b⌉` pages like the sequential writer;
+    /// * every spilled S partition has one spill file and one buffered
+    ///   writer ([`SharedWriterSet`]); workers fill private output pages,
+    ///   append them only when full, and the partial pages are merged
+    ///   through the buffered writer before the partition window closes —
+    ///   `⌈n / b⌉ − 1` pages in the partition window and one in the probe
+    ///   window, exactly like the sequential writer;
     /// * the spilled partition pairs are claimed from a work queue and
     ///   joined with the same [`smart_partition_join`], whose per-pair I/O
     ///   is independent of claim order.
@@ -427,16 +433,15 @@ impl DhhJoin {
 
         let stager = ParallelStager::new(device.clone(), r.layout(), *spec, caps);
         let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-        let r_shards = page_shards(r.num_pages(), threads);
+        let r_morsels = PageMorsels::new(r, threads);
         let r_partition_span = obs.span(Phase::Partition);
-        let stages = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
+        let stages = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
             let mut stage = stager.worker_stage();
             // Per-worker radix write buffers in front of the stager (see
             // `DhhPartitioner::insert`): per-partition arrival order within
             // this worker is preserved and destaging depends only on counts.
             let mut router = RadixRouter::new(r.layout(), stager.num_partitions());
-            let mut scan = r.scan_range(r_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
+            r_morsels.scan(|page| {
                 for rec in page.record_refs() {
                     if skew_keys.contains(&rec.key()) {
                         // R is the primary-key side: each skew key appears
@@ -447,7 +452,8 @@ impl DhhJoin {
                         router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
                     }
                 }
-            }
+                Ok(())
+            })?;
             router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
             Ok(stage)
         })?;
@@ -482,33 +488,42 @@ impl DhhJoin {
             IoKind::RandWrite,
             &build.pob,
         );
-        let s_shards = page_shards(s.num_pages(), threads);
+        let s_morsels = PageMorsels::new(s, threads);
         let ht_ref = &ht_mem;
         let bloom_ref = &bloom;
         let pob = &build.pob;
         let s_partition_span = obs.span(Phase::Partition);
-        let probe_counts = run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-            let mut output = 0u64;
-            let mut scan = s.scan_range(s_shards[w].clone());
-            while let Some(page) = scan.next_page()? {
-                for rec in page.record_refs() {
-                    let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                        ht_ref.probe_count(rec.key())
-                    } else {
-                        0
-                    };
-                    if matches > 0 {
-                        output += matches;
-                        continue;
+        let (probe_counts, s_locals): (Vec<u64>, Vec<_>) =
+            run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+                let mut output = 0u64;
+                let mut s_out = s_writers.local();
+                s_morsels.scan(|page| {
+                    for rec in page.record_refs() {
+                        let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key()))
+                        {
+                            ht_ref.probe_count(rec.key())
+                        } else {
+                            0
+                        };
+                        if matches > 0 {
+                            output += matches;
+                            continue;
+                        }
+                        let p = (hash_key(rec.key()) % pob.len() as u64) as usize;
+                        if pob[p] {
+                            s_out.push(p, rec)?;
+                        }
                     }
-                    let p = (hash_key(rec.key()) % pob.len() as u64) as usize;
-                    if pob[p] {
-                        s_writers.push(p, rec)?;
-                    }
-                }
-            }
-            Ok(output)
-        })?;
+                    Ok(())
+                })?;
+                Ok((output, s_out))
+            })?
+            .into_iter()
+            .unzip();
+        // Tail merge inside the partition window: afterwards every S writer
+        // buffers exactly the one partial page the sequential executor
+        // flushes in the probe window.
+        s_writers.merge(s_locals)?;
         drop(s_partition_span);
         let mut output: u64 = probe_counts.into_iter().sum();
         let partition_io = device.stats().since(&base);

@@ -11,7 +11,7 @@ use nocap_model::classic_cost::nbj_cost_best;
 use nocap_model::pairwise::nbj_partition_join_filtered;
 use nocap_model::{ghj_cost, JoinRunReport, JoinSpec, ProbeBloom};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{page_shards, run_workers_obs, sum_tasks_obs, SharedWriterSet};
+use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, SharedWriterSet};
 use nocap_storage::device::DeviceRef;
 use nocap_storage::{
     BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, RadixRouter, Relation,
@@ -122,11 +122,18 @@ impl GraceHashJoin {
     ///
     /// GHJ's static hash partitioning has no order-dependent state at all,
     /// so the parallel path is the textbook case for the `nocap-par`
-    /// machinery: workers shard each relation's pages and route into shared
-    /// single-buffer spill writers ([`SharedWriterSet`]), then the
-    /// partition pairs are claimed from a work queue. Output and the full
-    /// I/O trace are identical to [`run`](Self::run) for every thread
-    /// count; `threads == 0` selects [`nocap_par::default_threads`].
+    /// machinery: workers claim page morsels of each relation
+    /// ([`PageMorsels`]) and route every record into a private output page
+    /// per partition, appended to the partition's one spill file only when
+    /// full; the partial pages are merged through the partition's buffered
+    /// writer ([`SharedWriterSet`]), so each partition writes the
+    /// sequential `⌈n / b⌉` pages. The private page already is a
+    /// per-partition write buffer, so no `RadixRouter` sits in front of it.
+    /// Then the partition pairs are claimed from a work queue. Output and
+    /// the full I/O trace are identical to [`run`](Self::run) for every
+    /// thread count; `threads == 0` selects [`nocap_par::default_threads`].
+    /// Physical memory outside the budget: one page per worker per
+    /// partition, `threads × (B − 1)` pages.
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -171,22 +178,19 @@ impl GraceHashJoin {
                     IoKind::RandWrite,
                     num_partitions,
                 );
-                let shards = page_shards(relation.num_pages(), threads);
-                run_workers_obs(threads, obs, Phase::Partition, |w, _wobs| {
-                    // Per-worker radix write buffers: shared-writer pushes
-                    // happen in per-partition runs instead of one lock per
-                    // record; `⌈n/b⌉` flushes per partition are preserved.
-                    let mut router = RadixRouter::new(relation.layout(), num_partitions);
-                    let mut scan = relation.scan_range(shards[w].clone());
-                    while let Some(page) = scan.next_page()? {
+                let morsels = PageMorsels::new(relation, threads);
+                let locals = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+                    let mut out = writers.local();
+                    morsels.scan(|page| {
                         for rec in page.record_refs() {
                             let p = (level_hash(rec.key(), 0) % num_partitions as u64) as usize;
-                            router.push(p, rec, &mut |p, r| writers.push(p, r))?;
+                            out.push(p, rec)?;
                         }
-                    }
-                    router.finish(&mut |p, r| writers.push(p, r))?;
-                    Ok(())
+                        Ok(())
+                    })?;
+                    Ok(out)
                 })?;
+                writers.merge(locals)?;
                 writers.finish_dense()
             };
         let mut spill_guard = SpillGuard::new();

@@ -8,7 +8,8 @@
 //! threads **without changing the modeled I/O or violating the paper's
 //! memory budget**:
 //!
-//! * [`pool`] — a scoped [`run_workers`] fan-out helper, a work-queue
+//! * [`pool`] — a scoped [`run_workers`] fan-out helper (worker 0 is the
+//!   calling thread, `n − 1` threads are spawned), a work-queue
 //!   [`sum_tasks`] helper for the partition-wise probe phase, and
 //!   [`default_threads`] (the `NOCAP_THREADS` environment knob). All
 //!   fan-outs are **fail-clean**: worker panics are caught and surfaced as
@@ -19,12 +20,16 @@
 //!   [`ordered_tasks_obs`]) additionally record per-worker / per-task spans
 //!   through `nocap-obs`, producing the per-worker timelines of the
 //!   chrome://tracing output without perturbing execution.
-//! * [`shard`] — [`page_shards`] splits a relation's pages into contiguous
-//!   per-worker morsels; [`SharedPartitionWriter`] / [`SharedWriterSet`]
-//!   are mutex-protected spill writers that keep the one-output-buffer-page
-//!   -per-partition invariant, so a partition that receives `n` records
-//!   costs exactly `⌈n / b⌉` random writes no matter how many workers fed
-//!   it or in which order.
+//! * [`shard`] — [`PageMorsels`] hands a relation's pages out in
+//!   fixed-length morsels from an atomic cursor ([`page_shards`] is the
+//!   static even split the statistics collector's fixed grid uses);
+//!   [`SharedWriterSet`] is the parallel spill write path: one spill file
+//!   per partition, worker-private output pages ([`LocalWriter`]) that meet
+//!   the partition's lock once per *full page*, and a tail merge of the
+//!   partial pages through the partition's one buffered writer — so a
+//!   partition that receives `n` records costs exactly `⌈n / b⌉` random
+//!   writes, in the sequential writer's phase windows, no matter how many
+//!   workers fed it or in which order.
 //! * [`quota`] — [`even_caps`] carves a page budget into per-partition
 //!   quotas (the deterministic destaging policy shared by the sequential
 //!   and parallel residual partitioners).
@@ -33,7 +38,8 @@
 //!   atomic record count per partition, and quota-triggered destaging whose
 //!   outcome depends only on each partition's total record count — never on
 //!   thread interleaving — which is what makes `run_parallel(n)` produce
-//!   bit-identical I/O counts to the sequential executor.
+//!   bit-identical I/O counts to the sequential executor. Destaged records
+//!   take the same worker-private page path as [`shard`].
 //! * [`quota_stage`] — [`QuotaStager`], the *sequential* twin of the above:
 //!   the quota-destaging mechanism shared by NOCAP's residual partitioner
 //!   and DHH's partitioner (columnar `RecordBatch` staging, zero-copy
@@ -43,7 +49,7 @@
 //! belongs to) stays with the caller, so `nocap` (rounded-hash routing),
 //! GHJ (plain hash), DHH (modulo hash over the shared quota geometry) and
 //! any future operator reuse the same machinery. The same worker pool and
-//! page sharding also drive `nocap-stats`' sharded parallel collection
+//! [`page_shards`] also drive `nocap-stats`' sharded parallel collection
 //! (`StatsCollector::collect_parallel`), whose fixed shard grid plays the
 //! role the per-partition quotas play here: a decomposition fixed by the
 //! data, never by the worker count, so every thread count computes the
@@ -66,5 +72,5 @@ pub use pool::{
 };
 pub use quota::even_caps;
 pub use quota_stage::{QuotaStager, QuotaStagerBuild};
-pub use shard::{page_shards, SharedPartitionWriter, SharedWriterSet};
+pub use shard::{page_shards, LocalWriter, PageMorsels, SharedWriterSet};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

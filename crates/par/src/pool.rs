@@ -2,9 +2,11 @@
 //!
 //! The execution engine only ever needs three shapes of parallelism:
 //!
-//! * **static sharding** ([`run_workers`]): `n` workers, each handed its
+//! * **worker fan-out** ([`run_workers`]): `n` workers, each handed its
 //!   worker id, producing one result each — used for the partitioning
-//!   scans, where worker `w` owns the `w`-th page range of the relation;
+//!   scans, where every worker claims page morsels
+//!   ([`PageMorsels`](crate::shard::PageMorsels)) until the relation is
+//!   exhausted and returns its private state for the coordinator to merge;
 //! * **dynamic work queue** ([`sum_tasks`]): a list of independent tasks
 //!   (spilled partition pairs) claimed from an atomic cursor — used for the
 //!   build/probe phase, where per-partition work is wildly uneven under
@@ -17,6 +19,8 @@
 //!
 //! All are built on `std::thread::scope`, so borrowed state (the shared
 //! hash table, the writer sets, the device) needs no `'static` gymnastics.
+//! Worker 0 always runs on the calling thread — the caller would only block
+//! until the others finish — so a fan-out of `n` spawns `n − 1` threads.
 //!
 //! **Fail-clean contract.** Every fan-out catches worker panics and
 //! converts them to [`StorageError::WorkerPanicked`] (the process never
@@ -74,10 +78,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// If any worker fails, the returned error is the run's **root cause**: the
 /// first error (in wall-clock order) that tripped the internal cancel
 /// token. Worker panics are caught and surfaced as
-/// [`StorageError::WorkerPanicked`] instead of aborting the process. With
-/// `threads == 1` the closure runs on the calling thread — no spawn
-/// overhead, which keeps `run_parallel(1)` an honest baseline for scaling
-/// measurements.
+/// [`StorageError::WorkerPanicked`] instead of aborting the process. Worker
+/// 0 runs on the calling thread and only workers `1..threads` are spawned,
+/// so `threads == 1` has no spawn overhead at all — which keeps
+/// `run_parallel(1)` an honest baseline for scaling measurements.
 pub fn run_workers<T, F>(threads: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,
@@ -93,7 +97,7 @@ where
 /// The first worker error or panic trips the token; workers that return
 /// [`StorageError::Cancelled`] are victims, not causes, and never overwrite
 /// the recorded root cause. Panics are caught per worker (on the spawned
-/// thread *and* on the `threads == 1` inline path) and converted to
+/// threads *and* in worker 0 on the calling thread) and converted to
 /// [`StorageError::WorkerPanicked`].
 pub fn run_workers_cancel<T, F>(threads: usize, token: &CancelToken, f: F) -> Result<Vec<T>>
 where
@@ -118,29 +122,28 @@ where
             }
         }
     };
-    let results: Vec<Result<T>> = if threads == 1 {
-        vec![guarded(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let guarded = &guarded;
-                    scope.spawn(move || guarded(w))
+    // Worker 0 runs on the calling thread, which would otherwise only block
+    // in the scope: one spawn fewer per phase, and `threads == 1` spawns
+    // nothing. `guarded` cannot unwind, so the scope always joins cleanly.
+    let results: Vec<Result<T>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads)
+            .map(|w| {
+                let guarded = &guarded;
+                scope.spawn(move || guarded(w))
+            })
+            .collect();
+        let first = guarded(0);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| {
+                // `guarded` already caught in-closure panics; this only
+                // fires if the thread died outside it (e.g. a panicking
+                // TLS destructor).
+                h.join().unwrap_or_else(|payload| {
+                    Err(StorageError::WorkerPanicked(panic_message(payload)))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    // `guarded` already caught in-closure panics; this only
-                    // fires if the thread died outside it (e.g. a panicking
-                    // TLS destructor).
-                    h.join().unwrap_or_else(|payload| {
-                        Err(StorageError::WorkerPanicked(panic_message(payload)))
-                    })
-                })
-                .collect()
-        })
-    };
+            }))
+            .collect()
+    });
     let mut values = Vec::with_capacity(results.len());
     let mut first_err = None;
     for result in results {
@@ -327,6 +330,55 @@ mod tests {
                 other => panic!("expected WorkerPanicked, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread_and_only_the_rest_are_spawned() {
+        let caller = std::thread::current().id();
+        for threads in [1usize, 2, 3, 8] {
+            // The barrier keeps all workers alive at once, so each needs a
+            // thread of its own.
+            let barrier = std::sync::Barrier::new(threads);
+            let ids = run_workers(threads, |_| {
+                barrier.wait();
+                Ok(std::thread::current().id())
+            })
+            .unwrap();
+            assert_eq!(ids[0], caller, "worker 0 is the caller");
+            let distinct: std::collections::HashSet<_> = ids.iter().collect();
+            assert_eq!(distinct.len(), threads, "{threads} workers, T − 1 spawned");
+            assert!(ids[1..].iter().all(|&id| id != caller));
+        }
+    }
+
+    #[test]
+    fn a_panic_in_worker_zero_on_the_calling_thread_cancels_the_siblings() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::{Duration, Instant};
+        let token = CancelToken::new();
+        let all_running = std::sync::Barrier::new(3);
+        let cancelled_siblings = AtomicUsize::new(0);
+        let err = run_workers_cancel(3, &token, |w, token| -> Result<usize> {
+            all_running.wait();
+            if w == 0 {
+                panic!("worker zero exploded");
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while Instant::now() < deadline {
+                if token.check().is_err() {
+                    cancelled_siblings.fetch_add(1, Ordering::Relaxed);
+                    return Err(StorageError::Cancelled);
+                }
+                std::thread::yield_now();
+            }
+            Ok(w)
+        })
+        .unwrap_err();
+        match err {
+            StorageError::WorkerPanicked(msg) => assert!(msg.contains("exploded"), "{msg}"),
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        assert_eq!(cancelled_siblings.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -7,29 +7,38 @@
 //! record count, charged with the same `hash_table_pages` formula the
 //! sequential partitioner uses. The moment a partition's global staged
 //! footprint exceeds its quota (see [`crate::quota::even_caps`]), the
-//! worker that crossed the threshold flips the partition's page-out bit and
-//! drains its own staged records into the partition's shared spill writer;
-//! other workers drain theirs lazily — on their next touch of the
-//! partition, or at the merge step in [`ParallelStager::finish`].
+//! worker that crossed the threshold flips the partition's page-out bit.
+//! From then on every worker routes the partition's records — first its own
+//! staged ones, on its next touch of the partition — through a *private*
+//! output page, and takes the partition's lock only to append a page that
+//! is already full to the partition's one spill file (the write path of
+//! [`crate::shard`]). Whatever is still pending when the scans end —
+//! partial private pages, staged records of workers that never touched the
+//! partition again — is poured, in worker order, through the partition's
+//! buffered writer by [`ParallelStager::finish`].
 //!
 //! **Why this is deterministic.** The staged count of a partition only
 //! grows until the partition is destaged, so the page-out bit ends up set
 //! if and only if `hash_table_pages(n_p) > cap_p`, where `n_p` is the
 //! partition's total record count — a quantity independent of both the
-//! scan order and the thread interleaving. And because a destaged
-//! partition funnels all `n_p` records through one shared single-buffer
-//! writer, it flushes exactly `⌈n_p / b⌉` pages. Both the destaged *set*
-//! and the *per-partition write counts* therefore match the sequential
-//! executor exactly, for any worker count.
+//! scan order and the thread interleaving. And a destaged partition writes
+//! exactly `⌈n_p / b⌉` pages: every page appended during the scans is
+//! full, and the tail merge in `finish` funnels all pending records
+//! through one buffered writer (the identity is spelled out in
+//! [`crate::shard`]). Both the destaged *set* and the *per-partition write
+//! counts* therefore match the sequential executor exactly, for any worker
+//! count.
 //!
 //! **Why the memory model stays honest.** The staged charge is computed
 //! from the global count with the sequential formula, partitions stay
 //! within their quotas, and the quotas sum to the residual budget — so the
 //! total staged footprint plus one output-buffer page per destaged
 //! partition never exceeds the budget, the same §4.1 invariant the
-//! sequential partitioner maintains. The only transient slack is records
-//! a worker staged in the instant before it observed a concurrent destage;
-//! they are bounded by one insert per worker and drained on first touch.
+//! sequential partitioner maintains. Two physical slacks sit outside the
+//! model: records a worker staged in the instant before it observed a
+//! concurrent destage (bounded by one insert per worker, drained on first
+//! touch), and the private output pages — at most one per worker per
+//! destaged partition, against the one page the model charges.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,21 +50,25 @@ use nocap_storage::{
     RecordLayout, RecordRef, Result, SpillGuard,
 };
 
+use crate::shard::PrivatePages;
+
 struct PartShared {
     /// Records staged globally (stops growing once the partition destages).
     staged_count: AtomicU64,
     /// Page-out bit: set exactly once, by the worker that crossed the quota.
     spilled: AtomicBool,
-    /// The shared spill writer (created by the destaging worker).
+    /// The partition's spill writer (created by whoever appends first).
     writer: Mutex<Option<PartitionWriter>>,
 }
 
 /// Per-worker staging state. Create one per worker with
 /// [`ParallelStager::worker_stage`]; it holds the worker's private staged
-/// records in columnar [`RecordBatch`] arenas, so the staging fast path
-/// touches no lock and performs no per-record allocation.
+/// records in columnar [`RecordBatch`] arenas and, for destaged partitions,
+/// its private output pages — so neither staging nor spilling a record
+/// touches a lock or allocates.
 pub struct WorkerStage {
     staged: Vec<RecordBatch>,
+    out: PrivatePages,
 }
 
 /// What the stager hands back after all workers finished their scans.
@@ -109,6 +122,7 @@ impl ParallelStager {
     pub fn worker_stage(&self) -> WorkerStage {
         WorkerStage {
             staged: vec![RecordBatch::new(self.layout); self.parts.len()],
+            out: PrivatePages::new(self.layout, self.spec.page_size, self.parts.len()),
         }
     }
 
@@ -142,54 +156,59 @@ impl ParallelStager {
     }
 
     /// Routes one borrowed record of partition `p` through worker state
-    /// `stage` — a key push plus payload `memcpy` on the staging fast path.
+    /// `stage` — a key push plus payload `memcpy`, into the staging arena
+    /// or (once the partition is destaged) the worker's private output page.
     pub fn insert(&self, stage: &mut WorkerStage, p: usize, rec: RecordRef<'_>) -> Result<()> {
         let part = &self.parts[p];
         if part.spilled.load(Ordering::Acquire) {
             // Already destaged: drain any of our leftovers, then append.
-            return self.drain_into_writer(stage, p, Some(rec));
+            self.spill_staged(stage, p)?;
+            return self.spill(&mut stage.out, p, rec);
         }
         stage.staged[p].push(rec);
         let n = part.staged_count.fetch_add(1, Ordering::AcqRel) + 1;
         if self.spec.hash_table_pages(n as usize).max(1) > self.caps[p] {
             part.spilled.store(true, Ordering::Release);
-            return self.drain_into_writer(stage, p, None);
+            return self.spill_staged(stage, p);
         }
         Ok(())
     }
 
-    /// Moves the worker's staged records for `p` (plus `extra`, if any)
-    /// into the partition's shared writer, creating it on first use.
-    fn drain_into_writer(
-        &self,
-        stage: &mut WorkerStage,
-        p: usize,
-        extra: Option<RecordRef<'_>>,
-    ) -> Result<()> {
-        let mut guard = lock_unpoisoned(&self.parts[p].writer);
-        let writer = guard.get_or_insert_with(|| {
-            PartitionWriter::new(
-                self.device.clone(),
-                self.layout,
-                self.spec.page_size,
-                IoKind::RandWrite,
-            )
-        });
+    /// Moves the worker's staged records for `p` into its private output
+    /// page.
+    fn spill_staged(&self, stage: &mut WorkerStage, p: usize) -> Result<()> {
         for rec in stage.staged[p].iter() {
-            writer.push_ref(rec)?;
+            self.spill(&mut stage.out, p, rec)?;
         }
         stage.staged[p].clear();
-        if let Some(rec) = extra {
-            writer.push_ref(rec)?;
-        }
         Ok(())
+    }
+
+    /// Appends one record of destaged partition `p` to the worker's private
+    /// page; a full page goes to the partition's file under its lock.
+    fn spill(&self, out: &mut PrivatePages, p: usize, rec: RecordRef<'_>) -> Result<()> {
+        out.push(p, rec, |full| {
+            lock_unpoisoned(&self.parts[p].writer)
+                .get_or_insert_with(|| self.new_writer())
+                .append_full_page(full)
+        })
+    }
+
+    fn new_writer(&self) -> PartitionWriter {
+        PartitionWriter::new(
+            self.device.clone(),
+            self.layout,
+            self.spec.page_size,
+            IoKind::RandWrite,
+        )
     }
 
     /// Merges the per-worker runs: staged records of in-memory partitions
-    /// are concatenated for the caller's hash table; leftovers of destaged
-    /// partitions are flushed into their writers, which are then finished
-    /// into partition handles.
-    pub fn finish(self, mut stages: Vec<WorkerStage>) -> Result<StagerBuild> {
+    /// are concatenated for the caller's hash table; what the workers still
+    /// hold of destaged partitions — staged records first, then the partial
+    /// private page, worker by worker — is poured through the partition's
+    /// buffered writer, which is then finished into a partition handle.
+    pub fn finish(mut self, mut stages: Vec<WorkerStage>) -> Result<StagerBuild> {
         let mut staged_records = RecordBatch::new(self.layout);
         let mut spilled = Vec::with_capacity(self.parts.len());
         let mut pob = Vec::with_capacity(self.parts.len());
@@ -197,23 +216,18 @@ impl ParallelStager {
         // already produced (unfinished writers clean up via their own Drop);
         // on success the caller takes ownership.
         let mut guard = SpillGuard::new();
-        for (p, part) in self.parts.into_iter().enumerate() {
+        for (p, part) in std::mem::take(&mut self.parts).into_iter().enumerate() {
             let is_spilled = part.spilled.load(Ordering::Acquire);
             pob.push(is_spilled);
             if is_spilled {
-                let mut writer = into_inner_unpoisoned(part.writer).unwrap_or_else(|| {
-                    PartitionWriter::new(
-                        self.device.clone(),
-                        self.layout,
-                        self.spec.page_size,
-                        IoKind::RandWrite,
-                    )
-                });
+                let mut writer =
+                    into_inner_unpoisoned(part.writer).unwrap_or_else(|| self.new_writer());
                 for stage in &mut stages {
                     for rec in stage.staged[p].iter() {
                         writer.push_ref(rec)?;
                     }
                     stage.staged[p].clear();
+                    stage.out.pour(p, &mut writer)?;
                 }
                 let handle = writer.finish()?;
                 guard.adopt(handle.clone());
@@ -239,7 +253,7 @@ mod tests {
     use super::*;
     use crate::pool::run_workers;
     use crate::quota::even_caps;
-    use nocap_storage::{Record, SimDevice};
+    use nocap_storage::{FaultDevice, FaultKind, FaultSpec, Record, SimDevice};
 
     fn spec() -> JoinSpec {
         JoinSpec::paper_synthetic(128, 16)
@@ -376,9 +390,38 @@ mod tests {
         let (pob, spill_pages, _) = run_stager(3, 8, 4, &keys);
         assert!(pob[0], "the loaded partition must destage");
         assert!(!pob[1] && !pob[2] && !pob[3]);
-        // All 4 000 records funneled through one shared buffer: exactly
-        // ⌈4000 / b_R⌉ pages.
+        // Three workers' private pages plus the tail merge: exactly the
+        // ⌈4000 / b_R⌉ pages of one sequential writer.
         let b_r = spec().b_r();
         assert_eq!(spill_pages[0], 4_000usize.div_ceil(b_r));
+    }
+
+    #[test]
+    fn an_append_error_after_destaging_leaves_no_live_files() {
+        // Private pages own no file: when a worker's full-page append fails
+        // mid-scan, dropping the stager deletes every spill file.
+        let sim = std::sync::Arc::new(SimDevice::new());
+        let faulty = FaultDevice::new_arc(
+            sim.clone(),
+            vec![FaultSpec::any(FaultKind::PersistentError)
+                .appends()
+                .after(5)],
+        );
+        faulty.arm();
+        let spec = spec();
+        let stager = ParallelStager::new(faulty, spec.r_layout, spec, even_caps(8, 4));
+        let result = run_workers(3, |w| {
+            let mut stage = stager.worker_stage();
+            for k in 0..2_000u64 {
+                let rec = Record::with_fill(k * 3 + w as u64, 120, 0);
+                stager.insert(&mut stage, (k % 4) as usize, rec.as_record_ref())?;
+            }
+            Ok(stage)
+        });
+        assert!(result.is_err(), "the injected append error must surface");
+        assert!(sim.live_files() > 0, "destaging had started");
+        drop(stager);
+        assert_eq!(sim.live_files(), 0);
+        assert_eq!(sim.resident_pages(), 0);
     }
 }

@@ -74,6 +74,28 @@ impl PartitionWriter {
         Ok(())
     }
 
+    /// Appends an already-full page straight to the spill file, bypassing
+    /// the output buffer — the once-per-page entry point of the parallel
+    /// write path, whose workers fill private pages and only meet at the
+    /// partition's file. The buffered page (and therefore what
+    /// [`finish`](Self::finish) still has to flush) is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is not full or holds records of another size: a
+    /// partial page in the middle of the file would break the `⌈n / b⌉`
+    /// page count every reader and the cost model rely on.
+    pub fn append_full_page(&mut self, page: &Page) -> Result<()> {
+        assert!(
+            page.is_full() && page.record_size() == self.page.record_size(),
+            "append_full_page needs a full page of this partition's records"
+        );
+        self.device.append_page(self.file, page, self.write_kind)?;
+        self.pages += 1;
+        self.records += page.record_count();
+        Ok(())
+    }
+
     /// Number of records appended so far.
     pub fn records(&self) -> usize {
         self.records
@@ -380,6 +402,39 @@ mod tests {
         }
         let handle = w.finish().unwrap();
         assert_eq!(handle.pages(), 3); // ⌈10 / 4⌉
+    }
+
+    #[test]
+    fn full_page_appends_bypass_the_buffer_and_keep_the_counts() {
+        let dev = SimDevice::new_ref();
+        let page_size = 4 + 4 * 16; // 4 records per page
+        let mut w = PartitionWriter::new(dev.clone(), layout(), page_size, IoKind::RandWrite);
+        let mut full = Page::empty(page_size, layout());
+        for k in 100..104u64 {
+            assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
+        }
+        w.push(&Record::with_fill(1, 8, 0)).unwrap();
+        w.append_full_page(&full).unwrap();
+        w.push(&Record::with_fill(2, 8, 0)).unwrap();
+        assert_eq!((w.records(), w.flushed_pages()), (6, 1));
+        let handle = w.finish().unwrap();
+        assert_eq!((handle.records(), handle.pages()), (6, 2));
+        assert_eq!(dev.stats().rand_writes, 2);
+        let keys: Vec<u64> = handle
+            .read(IoKind::SeqRead)
+            .map(|r| r.unwrap().key())
+            .collect();
+        assert_eq!(keys, vec![100, 101, 102, 103, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "full page")]
+    fn appending_a_partial_page_is_a_logic_error() {
+        let dev = SimDevice::new_ref();
+        let mut w = PartitionWriter::new(dev, layout(), 128, IoKind::RandWrite);
+        let mut partial = Page::empty(128, layout());
+        partial.push(&Record::with_fill(1, 8, 0)).unwrap();
+        let _ = w.append_full_page(&partial);
     }
 
     #[test]

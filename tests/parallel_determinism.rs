@@ -15,6 +15,10 @@
 //! 3. The thread-safe `BufferPool` never over-commits its budget under a
 //!    barrier-synchronized reserve/release storm, and per-worker quota
 //!    carving conserves pages exactly.
+//! 4. The morsel-claimed scans and worker-private output pages keep those
+//!    pins at an odd worker count and on relations with fewer pages than
+//!    workers, every base page is read exactly once, and two runs of one
+//!    join compare equal as whole reports.
 
 use std::sync::Barrier;
 
@@ -27,7 +31,7 @@ use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, BufferPool, CheckedDevice, DeviceProfile, FaultDevice, FaultPlan, FaultStats,
-    RetryPolicy, RetryStats, SimDevice, TracedDevice,
+    FileDevice, RetryPolicy, RetryStats, SimDevice, TracedDevice,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -180,6 +184,124 @@ fn smj_run_parallel_matches_run_across_workloads_threads_and_budgets() {
             );
         }
     }
+}
+
+#[test]
+fn ghj_run_parallel_matches_run_across_workloads_and_threads() {
+    // GHJ's parallel pass spills *every* record of both relations through
+    // worker-private pages, so it is the densest check of the tail-merge
+    // page identity — including an odd worker count.
+    for (name, workload) in &workload_grid() {
+        let spec = JoinSpec::paper_synthetic(128, 32);
+        let ghj = GraceHashJoin::new(spec);
+        assert_parallel_equivalence(
+            &format!("ghj/{name}"),
+            &[1, 2, 3, 4, 8],
+            || {
+                let wl = generate(workload);
+                let report = ghj.run(&wl.r, &wl.s).expect("sequential run");
+                assert_eq!(
+                    report.output_records,
+                    wl.expected_join_output(),
+                    "{name}: GHJ output must match the correlation table"
+                );
+                report
+            },
+            |threads| {
+                let wl = generate(workload);
+                ghj.run_parallel(&wl.r, &wl.s, threads)
+                    .expect("parallel run")
+            },
+        );
+    }
+}
+
+#[test]
+fn morsel_scans_read_every_base_page_exactly_once() {
+    // Three workers (morsels do not divide evenly) on the grid's relations,
+    // on `SimDevice` and on `FileDevice` defaults, and eight workers on
+    // relations of 2 and 7 pages (fewer pages than workers: some claim
+    // nothing). In every shape the whole report equals the sequential one,
+    // and the partition window — whose only reads are the base scans —
+    // holds exactly ‖R‖ + ‖S‖ sequential reads.
+    let tiny = || {
+        let wl = synthetic::generate(
+            SimDevice::new_ref(),
+            &SyntheticConfig {
+                n_r: 60,
+                n_s: 200,
+                record_bytes: 128,
+                correlation: Correlation::Uniform,
+                mcv_count: 10,
+                seed: 0x9A5,
+            },
+        )
+        .expect("tiny workload");
+        assert!(wl.r.num_pages() < 8 && wl.s.num_pages() < 8);
+        wl.r.device().reset_stats();
+        wl
+    };
+    let zipf = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
+    let on_file = || {
+        let device = FileDevice::builder().build_ref().expect("file device");
+        generate_on(device, &zipf)
+    };
+    let cases: [(&str, usize, usize, &dyn Fn() -> GeneratedWorkload); 3] = [
+        ("grid/T=3", 3, 48, &|| generate(&zipf)),
+        ("file/T=3", 3, 48, &on_file),
+        ("tiny/T=8", 8, 8, &tiny),
+    ];
+    for (label, threads, budget, make) in cases {
+        let spec = JoinSpec::paper_synthetic(128, budget);
+        let nocap = NocapJoin::new(spec, NocapConfig::default());
+        let dhh = DhhJoin::with_defaults(spec);
+        let ghj = GraceHashJoin::new(spec);
+        type Run<'a> = &'a dyn Fn(&GeneratedWorkload, usize) -> JoinRunReport;
+        let runs: [(&str, Run, Run); 3] = [
+            (
+                "nocap",
+                &|wl, _| nocap.run(&wl.r, &wl.s, &wl.mcvs).expect("run"),
+                &|wl, t| nocap.run_parallel(&wl.r, &wl.s, &wl.mcvs, t).expect("par"),
+            ),
+            (
+                "dhh",
+                &|wl, _| dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("run"),
+                &|wl, t| dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, t).expect("par"),
+            ),
+            (
+                "ghj",
+                &|wl, _| ghj.run(&wl.r, &wl.s).expect("run"),
+                &|wl, t| ghj.run_parallel(&wl.r, &wl.s, t).expect("par"),
+            ),
+        ];
+        for (algo, run, run_parallel) in runs {
+            let sequential = run(&make(), 1);
+            let wl = make();
+            let parallel = run_parallel(&wl, threads);
+            assert_eq!(parallel, sequential, "{label}/{algo}: whole report");
+            assert_eq!(
+                parallel.partition_io.seq_reads,
+                (wl.r.num_pages() + wl.s.num_pages()) as u64,
+                "{label}/{algo}: base pages read exactly once"
+            );
+        }
+    }
+}
+
+#[test]
+fn two_runs_of_one_join_on_one_device_compare_equal() {
+    // `JoinRunReport: PartialEq` once compared the wall-clock stopwatch, so
+    // this was never true.
+    let wl = generate(&Workload::Synthetic(Correlation::Zipf { alpha: 1.1 }));
+    let spec = JoinSpec::paper_synthetic(128, 48);
+    let join = NocapJoin::new(spec, NocapConfig::default());
+    let first = join.run(&wl.r, &wl.s, &wl.mcvs).expect("first run");
+    let second = join.run(&wl.r, &wl.s, &wl.mcvs).expect("second run");
+    assert_eq!(first, second);
+    let parallel = join
+        .run_parallel(&wl.r, &wl.s, &wl.mcvs, 2)
+        .expect("parallel run");
+    assert_eq!(first, parallel, "and a parallel run equals both");
 }
 
 #[test]
