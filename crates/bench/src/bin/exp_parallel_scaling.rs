@@ -6,9 +6,10 @@
 //! `StatsCollector::collect_parallel` at 1, 2,
 //! 4 and 8 workers and reports wall-clock speedup relative to one worker,
 //! verifying at every point that the modeled I/O trace and the join output
-//! (or the statistics summary) are identical to the sequential path — the
-//! engine's core contract: parallelism changes *when* the work happens,
-//! never *what* work happens.
+//! (or the statistics summary) are identical to the one-worker baseline —
+//! each join's `run`, which is its `run_parallel` body at `threads = 1` on
+//! the calling thread. The engine's core contract: the worker count changes
+//! *when* the work happens, never *what* work happens.
 //!
 //! On `SimDevice` the partitioning passes are pure CPU (hashing, routing,
 //! page packing), so the speedup measures the engine itself rather than a
@@ -58,8 +59,9 @@ fn scaling_rows<T>(
     }
 }
 
-/// Times `run(threads)` and checks its report against the sequential
-/// baseline, printing one CSV row per thread count.
+/// Times `run(threads)` and checks its report against the one-worker
+/// baseline (`sequential`, the join's `run`), printing one CSV row per
+/// thread count.
 fn scaling_table(
     algo: &str,
     sequential: &JoinRunReport,
@@ -68,7 +70,7 @@ fn scaling_table(
     run: impl Fn(usize) -> JoinRunReport,
 ) {
     println!("# {algo} scaling");
-    println!("threads,wall_secs,speedup_vs_1,total_ios,io_identical_to_sequential");
+    println!("threads,wall_secs,speedup_vs_1,total_ios,io_identical_to_1_worker");
     scaling_rows(
         repeats,
         |threads| {

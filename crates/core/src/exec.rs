@@ -1,16 +1,22 @@
 //! The NOCAP executor: hybrid partitioning (Algorithms 8 and 9) plus the
-//! partition-wise probe phase.
+//! partition-wise probe phase, on `T ≥ 1` workers.
+//!
+//! There is one executor body, [`NocapJoin::run_parallel_with_plan_obs`].
+//! Every other entry point plans and delegates to it; the sequential names
+//! (`run`, `run_with_plan`, `run_with_collected_stats`, `collect_and_run`,
+//! `run_degrading` and their `_obs` variants) pass `threads = 1`, at which
+//! the `nocap-par` fan-outs spawn nothing and the whole join runs on the
+//! calling thread.
 //!
 //! Execution follows the plan produced by [`crate::planner::plan_nocap`]:
 //!
 //! 1. **Partition R** — each R record is routed by key: cached keys go into
 //!    the in-memory hash table, designated keys go to their dedicated spill
-//!    partition, and everything else enters the [`RestPartitioner`], a
-//!    DHH-style partitioner that stages partitions in memory and destages a
+//!    partition, and everything else enters the residual partitioner — the
+//!    rounded hash of §4.2 ([`RestGeometry`]) in front of a DHH-style
+//!    [`ParallelStager`] that stages partitions in memory and destages a
 //!    partition once its staged footprint exceeds its fixed quota of the
-//!    residual budget (see [`RestGeometry`] — the quota policy is what
-//!    makes sequential and parallel execution produce identical I/O).
-//!    Residual routing uses the rounded hash of §4.2.
+//!    residual budget.
 //! 2. **Partition / probe S** — S records with designated keys are spilled
 //!    to the matching S partition; the rest first probe the in-memory hash
 //!    table (producing output immediately) and, on a miss, are spilled only
@@ -18,19 +24,70 @@
 //! 3. **Probe phase** — every spilled (R, S) partition pair is joined with
 //!    the chunk-wise NBJ of [`nocap_model::pairwise`].
 //!
-//! All pages are drawn from a [`BufferPool`] capped at the spec's budget, so
-//! the §4.1 memory breakdown is enforced at run time, not just assumed.
+//! The passes of Algorithms 8 and 9 route each record independently, so
+//! both scans are spread over the workers and the probe phase is fanned
+//! out over the spilled pairs. For **every thread count, one included, the
+//! join output and the per-phase modeled I/O are the same** — pinned as
+//! checked-in numbers by `tests/parallel_determinism.rs`:
+//!
+//! * Workers claim page morsels from an atomic cursor ([`PageMorsels`]);
+//!   every page is claimed once, so the base scans cost exactly
+//!   `‖R‖ + ‖S‖` sequential reads, and a slow worker claims fewer morsels
+//!   instead of holding the phase up.
+//! * Every spill partition keeps **one** spill file and one buffered
+//!   writer ([`SharedWriterSet`]). Workers fill private output pages and
+//!   append them to the file only when full; the partial pages are merged
+//!   through the buffered writer before the phase's I/O snapshot. A
+//!   partition receiving `n` records therefore has `⌈n / b⌉ − 1` pages on
+//!   the device when the partition window closes and `finish` writes one
+//!   more in the probe window, regardless of arrival order (identity in
+//!   `nocap_par::shard`).
+//! * Residual destaging uses the deterministic per-partition quotas of
+//!   [`RestGeometry`]: a partition's page-out bit depends only on its
+//!   total record count, never on scan order or interleaving.
+//! * The probe phase joins the partition pairs with
+//!   [`smart_partition_join`]; each pair's I/O is independent of the order
+//!   pairs are claimed from the work queue.
+//!
+//! All modeled pages are drawn from a [`BufferPool`] capped at the spec's
+//! budget, so the §4.1 memory breakdown is enforced at run time, not just
+//! assumed: the pool reserves the two streaming pages and the plan's fixed
+//! structures, and the residual budget is carved into per-partition quotas
+//! whose reservations are visible in the pool. Three knowing
+//! simplifications, all physical memory the model does not charge: each
+//! worker holds one transient scan-buffer page (the model charges one
+//! logical input page for the pipeline, as the paper does); each worker
+//! holds one private output page per spill partition it has routed a
+//! record to, next to the one output-buffer page per partition the model
+//! charges — at most `threads × m` pages for `m` spill partitions, so up
+//! to `2m` physical output pages at one worker (≤ 1.3 MB at 2 threads on
+//! the benchmark's `zipf_par2`; +4.6 MB of peak RSS for the whole
+//! four-algorithm process on `uniform_roomy`, where `m` reaches 1 665);
+//! and the fanned-out probe phase runs up to `threads` partition-pair NBJs
+//! concurrently, each with the `B − 2`-page chunk the cost model
+//! prescribes — peak physical probe memory is `threads × B` pages even
+//! though the modeled I/O is unchanged. Use fewer threads when physical
+//! memory, not I/O, is the binding constraint.
+//!
+//! **Panics.** Scan and probe tasks run under the pool's `catch_unwind`,
+//! worker 0 — the calling thread — included. A panic inside one therefore
+//! comes back as
+//! [`WorkerPanicked`](nocap_storage::StorageError::WorkerPanicked) from
+//! every entry point, `run` included, instead of unwinding through the
+//! caller.
+
+use std::sync::Mutex;
 
 use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{
     BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom, RoundedHashParams,
 };
 use nocap_obs::{Obs, Phase};
-use nocap_par::QuotaStager;
+use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet};
 use nocap_stats::{StatsCollector, StatsSummary};
 use nocap_storage::{
-    BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, RadixRouter, RecordBatch,
-    RecordLayout, RecordRef, Relation, SpillGuard,
+    into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
+    RadixRouter, Relation, Reservation, SpillGuard,
 };
 
 use crate::plan::NocapPlan;
@@ -71,25 +128,56 @@ impl NocapJoin {
         &self.config
     }
 
-    /// Plans and executes the join of `r ⋈ s` given MCV statistics.
+    /// Plans and executes the join of `r ⋈ s` given MCV statistics, on the
+    /// calling thread: [`run_parallel`](Self::run_parallel) with one worker.
     pub fn run(
         &self,
         r: &Relation,
         s: &Relation,
         mcvs: &[(u64, u64)],
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, mcvs, &Obs::off())
+        self.run_parallel(r, s, mcvs, 1)
     }
 
     /// [`run`](Self::run) with observability: phase spans, skew histograms
-    /// and counters land in the report's `trace` when `obs` is recording.
-    /// The plan is computed before any clock is read — time flows only into
-    /// the obs channel, never into planning or execution decisions.
+    /// and counters land in the report's `trace` when `obs` is recording
+    /// ([`run_parallel_obs`](Self::run_parallel_obs) with one worker, so
+    /// the worker and task spans all belong to worker 0).
     pub fn run_obs(
         &self,
         r: &Relation,
         s: &Relation,
         mcvs: &[(u64, u64)],
+        obs: &Obs,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        self.run_parallel_obs(r, s, mcvs, 1, obs)
+    }
+
+    /// Plans and executes the join of `r ⋈ s` on `threads` worker threads.
+    ///
+    /// `threads == 0` selects [`nocap_par::default_threads`] (the
+    /// `NOCAP_THREADS` environment variable, falling back to the machine's
+    /// parallelism). The result — output cardinality and the full
+    /// per-phase I/O trace — is the same for every thread count.
+    pub fn run_parallel(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        mcvs: &[(u64, u64)],
+        threads: usize,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        self.run_parallel_obs(r, s, mcvs, threads, &Obs::off())
+    }
+
+    /// [`run_parallel`](Self::run_parallel) with observability. The plan is
+    /// computed before any clock is read — time flows only into the obs
+    /// channel, never into planning or execution decisions.
+    pub fn run_parallel_obs(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        mcvs: &[(u64, u64)],
+        threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
         let plan = plan_nocap(
@@ -99,11 +187,13 @@ impl NocapJoin {
             &self.spec,
             &self.config.planner,
         );
-        self.run_with_plan_obs(r, s, &plan, obs)
+        self.run_parallel_with_plan_obs(r, s, &plan, threads, obs)
     }
 
     /// Plans and executes the join purely from a one-pass sketch summary —
-    /// no `CorrelationTable` oracle anywhere on this path.
+    /// no `CorrelationTable` oracle anywhere on this path
+    /// ([`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats)
+    /// with one worker).
     ///
     /// The summary's planner statistics stand in for the exact top-k MCVs
     /// and its exact stream length stands in for `n_S`. On skewed streams
@@ -119,7 +209,7 @@ impl NocapJoin {
         s: &Relation,
         stats: &StatsSummary,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_collected_stats_obs(r, s, stats, &Obs::off())
+        self.run_parallel_with_collected_stats(r, s, stats, 1)
     }
 
     /// The observed variant of
@@ -131,6 +221,34 @@ impl NocapJoin {
         stats: &StatsSummary,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
+        self.run_parallel_with_collected_stats_obs(r, s, stats, 1, obs)
+    }
+
+    /// Plans from a one-pass sketch summary and executes on `threads`
+    /// worker threads (see
+    /// [`run_with_collected_stats`](Self::run_with_collected_stats); the
+    /// summary is the same artifact at every thread count, so the plan,
+    /// the output and the per-phase I/O are too).
+    pub fn run_parallel_with_collected_stats(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        stats: &StatsSummary,
+        threads: usize,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        self.run_parallel_with_collected_stats_obs(r, s, stats, threads, &Obs::off())
+    }
+
+    /// The observed variant of
+    /// [`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats).
+    pub fn run_parallel_with_collected_stats_obs(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        stats: &StatsSummary,
+        threads: usize,
+        obs: &Obs,
+    ) -> nocap_storage::Result<JoinRunReport> {
         let mcvs = stats.planner_mcvs();
         let plan = plan_nocap(
             &mcvs,
@@ -139,23 +257,14 @@ impl NocapJoin {
             &self.spec,
             &self.config.planner,
         );
-        self.run_with_plan_obs(r, s, &plan, obs)
+        self.run_parallel_with_plan_obs(r, s, &plan, threads, obs)
     }
 
-    /// The fully self-contained path: scans S once to collect sketch
-    /// statistics (charged against the spec's buffer budget), then plans
-    /// and executes from that summary alone.
-    ///
-    /// Collection runs through the sharded deterministic collector
-    /// ([`StatsCollector::collect_parallel_with_budget`]) at one thread, so
-    /// this is exactly the `threads = 1` instance of
-    /// [`collect_and_run_parallel`](Self::collect_and_run_parallel): the
-    /// whole sketch-plan-execute pipeline produces identical output, plans
-    /// and per-phase I/O at every thread count. `stats_pages` is the
-    /// per-shard-collector budget; the fixed
-    /// [`STATS_SHARDS`](nocap_stats::STATS_SHARDS)-way shard geometry
-    /// multiplies the resident charge (determinism fixes the number of
-    /// sketch sets by the data, not by the worker count).
+    /// The fully self-contained path on the calling thread
+    /// ([`collect_and_run_parallel`](Self::collect_and_run_parallel) with one
+    /// worker): scans S once to collect sketch statistics (charged against
+    /// the spec's buffer budget), then plans and executes from that summary
+    /// alone.
     ///
     /// The extra sequential scan of S shows up in the device's I/O trace —
     /// statistics are not free, and experiments that account for them should
@@ -169,7 +278,7 @@ impl NocapJoin {
         s: &Relation,
         stats_pages: usize,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.collect_and_run_obs(r, s, stats_pages, &Obs::off())
+        self.collect_and_run_parallel(r, s, stats_pages, 1)
     }
 
     /// The observed variant of [`collect_and_run`](Self::collect_and_run):
@@ -182,9 +291,46 @@ impl NocapJoin {
         stats_pages: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
+        self.collect_and_run_parallel_obs(r, s, stats_pages, 1, obs)
+    }
+
+    /// The fully self-contained pipeline: sharded sketch collection over S
+    /// ([`StatsCollector::collect_parallel_with_budget`]), planning from
+    /// the summary alone, and execution — every stage on `threads` workers.
+    ///
+    /// Because the sharded collector's summary is bit-identical for every
+    /// thread count, the plan — and therefore the executor's output *and*
+    /// per-phase modeled I/O — is identical for every `threads`, including
+    /// the statistics scan itself (each page of S is read exactly once).
+    /// `stats_pages` is the per-shard-collector budget; the fixed
+    /// [`STATS_SHARDS`](nocap_stats::STATS_SHARDS)-way shard geometry
+    /// multiplies the resident charge (determinism fixes the number of
+    /// sketch sets by the data, not by the worker count).
+    pub fn collect_and_run_parallel(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        stats_pages: usize,
+        threads: usize,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        self.collect_and_run_parallel_obs(r, s, stats_pages, threads, &Obs::off())
+    }
+
+    /// The observed variant of
+    /// [`collect_and_run_parallel`](Self::collect_and_run_parallel): the
+    /// sharded sketch pass records a `stats` phase span and per-shard worker
+    /// spans into the same trace as the join.
+    pub fn collect_and_run_parallel_obs(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        stats_pages: usize,
+        threads: usize,
+        obs: &Obs,
+    ) -> nocap_storage::Result<JoinRunReport> {
         // Attach before the sketch pass so stats-phase reads land in the
-        // same I/O trace as the join; the inner attach in `run_with_plan_obs`
-        // nests onto this one.
+        // same I/O trace as the join; the inner attach in
+        // `run_parallel_with_plan_obs` nests onto this one.
         let _io_trace = obs.attach_io(s.device());
         let pool = BufferPool::new(self.spec.buffer_pages);
         let summary = StatsCollector::collect_parallel_with_budget_obs(
@@ -192,11 +338,11 @@ impl NocapJoin {
             stats_pages,
             self.spec.page_size,
             s,
-            1,
+            threads,
             obs,
         )?;
         drop(pool);
-        self.run_with_collected_stats_obs(r, s, &summary, obs)
+        self.run_parallel_with_collected_stats_obs(r, s, &summary, threads, obs)
     }
 
     /// [`run`](Self::run) with graceful degradation: when `admission`
@@ -236,20 +382,19 @@ impl NocapJoin {
         })
     }
 
-    /// Executes the join with an explicit, pre-computed plan.
+    /// Executes the join with an explicit, pre-computed plan on the calling
+    /// thread ([`run_parallel_with_plan`](Self::run_parallel_with_plan) with
+    /// one worker).
     pub fn run_with_plan(
         &self,
         r: &Relation,
         s: &Relation,
         plan: &NocapPlan,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_plan_obs(r, s, plan, &Obs::off())
+        self.run_parallel_with_plan(r, s, plan, 1)
     }
 
-    /// [`run_with_plan`](Self::run_with_plan) with observability. The
-    /// recorder is strictly passive: partition routing, destaging and the
-    /// probe order are fixed by the plan and the data, so an observed run
-    /// produces bit-identical output and modeled I/O to a blind one.
+    /// The observed variant of [`run_with_plan`](Self::run_with_plan).
     pub fn run_with_plan_obs(
         &self,
         r: &Relation,
@@ -257,78 +402,128 @@ impl NocapJoin {
         plan: &NocapPlan,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let spec = &self.spec;
+        self.run_parallel_with_plan_obs(r, s, plan, 1, obs)
+    }
+
+    /// Executes a pre-computed plan on `threads` worker threads (see
+    /// [`run_parallel`](Self::run_parallel)).
+    pub fn run_parallel_with_plan(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        plan: &NocapPlan,
+        threads: usize,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        self.run_parallel_with_plan_obs(r, s, plan, threads, &Obs::off())
+    }
+
+    /// The executor body every entry point ends in:
+    /// [`run_parallel_with_plan`](Self::run_parallel_with_plan) with
+    /// observability — main-thread phase spans around each pass, per-worker
+    /// scan spans, per-task probe spans, partition skew histograms and the
+    /// buffer-pool high-water gauge. The recorder is strictly passive:
+    /// routing, destaging and the probe pairs are fixed by the plan and the
+    /// data, so an observed run produces bit-identical output and modeled
+    /// I/O to a blind one — clocks stay in the obs channel.
+    pub fn run_parallel_with_plan_obs(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        plan: &NocapPlan,
+        threads: usize,
+        obs: &Obs,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        let threads = nocap_par::resolve_threads(threads);
+        let spec = self.spec;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
         let pool = BufferPool::new(spec.buffer_pages);
-        // One page streams the input, one buffers the join output.
+        // One page streams the input, one buffers the join output; then the
+        // plan's fixed structures.
         let _io_pages = pool.reserve(2)?;
-        let _fixed = pool.reserve(plan.fixed_memory_pages(spec).min(pool.available()))?;
+        let _fixed = pool.reserve(plan.fixed_memory_pages(&spec).min(pool.available()))?;
         let rest_budget = pool.available();
-        // The probe-side bloom filter is reserved only after the residual
-        // budget is read, so partition geometry and quotas never shift; an
-        // exhausted pool skips the filter instead of failing.
+        // Reserve the probe-side bloom *after* reading the residual budget
+        // (so partition geometry and quotas never shift) and *before* the
+        // quota carving below consumes every remaining page; an exhausted
+        // pool skips the filter instead of failing. The filter's bits
+        // depend only on the staged key multiset — thread-count invariant.
         let bloom_reservation = self.config.bloom.reserve(&pool);
 
         let timer = obs.run_timer();
         let base_stats = device.stats();
-        // Every spill handle is adopted here the moment it is finished, so
-        // an error anywhere below — partitioning, probing, a faulted device
-        // — deletes all spill files on unwind. The guard also replaces the
-        // old success-path delete loops (deletion is not modeled I/O, so
-        // end-of-scope timing is equivalent).
-        let mut spill_guard = SpillGuard::new();
 
         let mem_set = plan.mem_key_set();
         let disk_map = plan.disk_map();
         let m_disk = plan.num_designated();
 
-        // ---- Phase 1: partition R (Algorithm 8) --------------------------
-        let mut ht_mem = JoinHashTable::new(r.layout(), spec.page_size, spec.fudge);
-        let mut r_disk_writers: Vec<PartitionWriter> = (0..m_disk)
-            .map(|_| {
-                PartitionWriter::new(
-                    device.clone(),
-                    r.layout(),
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-            })
-            .collect();
-        let mut rest = RestPartitioner::new(
-            device.clone(),
-            *spec,
-            r.layout(),
+        let geometry = RestGeometry::new(
+            &spec,
             rest_budget,
             plan.estimated_rest_keys,
             self.config.planner.rh_params,
         );
+        // Make the quota carving visible to the pool: one reservation per
+        // residual partition, together covering exactly the residual budget
+        // (the same even split as `geometry.caps`).
+        let _quotas: Vec<Reservation> = pool.carve_remaining(geometry.num_partitions());
+
+        // ---- Phase 1: partition R (Algorithm 8) --------------------------
+        let stager = ParallelStager::new(device.clone(), r.layout(), spec, geometry.caps.clone());
+        let r_disk = SharedWriterSet::new(
+            device.clone(),
+            r.layout(),
+            spec.page_size,
+            IoKind::RandWrite,
+            m_disk,
+        );
+        let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
+        let r_morsels = PageMorsels::new(r, threads);
         let r_partition_span = obs.span(Phase::Partition);
-        let mut r_scan = r.scan();
-        while let Some(page) = r_scan.next_page()? {
-            for rec in page.record_refs() {
-                if mem_set.contains(&rec.key()) {
-                    ht_mem.insert_ref(rec);
-                } else if let Some(&pid) = disk_map.get(&rec.key()) {
-                    r_disk_writers[pid as usize].push_ref(rec)?;
-                } else {
-                    rest.insert(rec)?;
-                }
-            }
-        }
+        let (stages, r_disk_locals): (Vec<_>, Vec<_>) =
+            run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+                let mut stage = stager.worker_stage();
+                let mut r_disk_out = r_disk.local();
+                // Per-worker radix write buffers: residual records batch up per
+                // partition and flush into the stager in cache-friendly runs.
+                // Per-partition arrival order within this worker is preserved
+                // and quota destaging depends only on per-partition counts, so
+                // staged contents and spill decisions are unchanged.
+                let mut router = RadixRouter::new(r.layout(), geometry.num_partitions());
+                r_morsels.scan(|page| {
+                    for rec in page.record_refs() {
+                        if mem_set.contains(&rec.key()) {
+                            // R is the primary-key side: cached keys are rare,
+                            // so this lock is cold.
+                            lock_unpoisoned(&ht_shared).insert_ref(rec);
+                        } else if let Some(&pid) = disk_map.get(&rec.key()) {
+                            r_disk_out.push(pid as usize, rec)?;
+                        } else {
+                            let p = geometry.rh.partition_of(rec.key());
+                            router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
+                        }
+                    }
+                    Ok(())
+                })?;
+                router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
+                Ok((stage, r_disk_out))
+            })?
+            .into_iter()
+            .unzip();
         drop(r_partition_span);
         let spill_span = obs.span(Phase::Spill);
-        let rest_build = rest.finish_build()?;
+        let rest_build = stager.finish(stages)?;
+        // Every spill handle is adopted here the moment it is finished, so
+        // an error anywhere below — partitioning, probing, a faulted device
+        // — deletes all spill files on unwind (deletion is not modeled
+        // I/O).
+        let mut spill_guard = SpillGuard::new();
         spill_guard.adopt_all(rest_build.spilled.iter().flatten().cloned());
-        let r_disk_handles: Vec<PartitionHandle> = r_disk_writers
-            .into_iter()
-            .map(|w| {
-                let h = w.finish()?;
-                spill_guard.adopt(h.clone());
-                Ok(h)
-            })
-            .collect::<nocap_storage::Result<_>>()?;
+        r_disk.merge(r_disk_locals)?;
+        let r_disk_handles = r_disk.finish_dense()?;
+        spill_guard.adopt_all(r_disk_handles.iter().cloned());
         drop(spill_span);
+        let mut ht_mem = into_inner_unpoisoned(ht_shared);
         {
             let _build_span = obs.span(Phase::Build);
             for rec in rest_build.staged_records.iter() {
@@ -336,7 +531,8 @@ impl NocapJoin {
             }
         }
         // The build side is complete: freeze the table into its vectorized
-        // probe layout and summarize its keys for the probe pre-filter.
+        // probe layout and summarize its keys for the probe pre-filter
+        // (order-invariant bit contents).
         ht_mem.seal();
         let bloom = self
             .config
@@ -344,62 +540,71 @@ impl NocapJoin {
             .build(&ht_mem, &bloom_reservation, spec.page_size);
 
         // ---- Phase 2: partition / probe S (Algorithm 9) -------------------
-        let mut output = 0u64;
-        let mut s_disk_writers: Vec<PartitionWriter> = (0..m_disk)
-            .map(|_| {
-                PartitionWriter::new(
-                    device.clone(),
-                    s.layout(),
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-            })
-            .collect();
-        let mut s_rest_writers: Vec<Option<PartitionWriter>> = rest_build
-            .pob
-            .iter()
-            .map(|&spilled| {
-                spilled.then(|| {
-                    PartitionWriter::new(
-                        device.clone(),
-                        s.layout(),
-                        spec.page_size,
-                        IoKind::RandWrite,
-                    )
-                })
-            })
-            .collect();
+        let s_disk = SharedWriterSet::new(
+            device.clone(),
+            s.layout(),
+            spec.page_size,
+            IoKind::RandWrite,
+            m_disk,
+        );
+        let s_rest = SharedWriterSet::new_masked(
+            device.clone(),
+            s.layout(),
+            spec.page_size,
+            IoKind::RandWrite,
+            &rest_build.pob,
+        );
+        let s_morsels = PageMorsels::new(s, threads);
+        let ht_ref = &ht_mem;
+        let bloom_ref = &bloom;
+        let pob = &rest_build.pob;
         let s_partition_span = obs.span(Phase::Partition);
-        let mut s_scan = s.scan();
-        while let Some(page) = s_scan.next_page()? {
-            for rec in page.record_refs() {
-                if let Some(&pid) = disk_map.get(&rec.key()) {
-                    s_disk_writers[pid as usize].push_ref(rec)?;
-                    continue;
+        let s_workers = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+            let mut output = 0u64;
+            let mut s_disk_out = s_disk.local();
+            let mut s_rest_out = s_rest.local();
+            s_morsels.scan(|page| {
+                for rec in page.record_refs() {
+                    if let Some(&pid) = disk_map.get(&rec.key()) {
+                        s_disk_out.push(pid as usize, rec)?;
+                        continue;
+                    }
+                    // A bloom-negative key takes exactly the `matches == 0`
+                    // route (the filter has no false negatives), so routing
+                    // and modeled I/O are identical with the filter on or
+                    // off.
+                    let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
+                        ht_ref.probe_count(rec.key())
+                    } else {
+                        0
+                    };
+                    if matches > 0 {
+                        output += matches;
+                        continue;
+                    }
+                    let part = geometry.rh.partition_of(rec.key());
+                    if pob[part] {
+                        s_rest_out.push(part, rec)?;
+                    }
+                    // else: the partition stayed in memory and the key had
+                    // no match.
                 }
-                // A bloom-negative key takes exactly the `matches == 0`
-                // route (the filter has no false negatives), so routing and
-                // modeled I/O are identical with the filter on or off.
-                let matches = if bloom.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                    ht_mem.probe_count(rec.key())
-                } else {
-                    0
-                };
-                if matches > 0 {
-                    output += matches;
-                    continue;
-                }
-                let part = rest_build.rh.partition_of(rec.key());
-                if rest_build.pob[part] {
-                    s_rest_writers[part]
-                        .as_mut()
-                        .expect("writer exists for every destaged partition")
-                        .push_ref(rec)?;
-                }
-                // else: the partition stayed in memory and the key had no
-                // match.
-            }
+                Ok(())
+            })?;
+            Ok((output, s_disk_out, s_rest_out))
+        })?;
+        // Tail merge inside the partition window: afterwards every S writer
+        // buffers exactly one partial page, which `finish` flushes in the
+        // probe window.
+        let mut output = 0u64;
+        let (mut s_disk_locals, mut s_rest_locals) = (Vec::new(), Vec::new());
+        for (count, disk, rest) in s_workers {
+            output += count;
+            s_disk_locals.push(disk);
+            s_rest_locals.push(rest);
         }
+        s_disk.merge(s_disk_locals)?;
+        s_rest.merge(s_rest_locals)?;
         drop(s_partition_span);
         let partition_io = device.stats().since(&base_stats);
         record_partition_skew(
@@ -412,26 +617,22 @@ impl NocapJoin {
         // ---- Phase 3: partition-wise joins of everything spilled ----------
         let probe_base = device.stats();
         let probe_span = obs.span(Phase::Probe);
-        let s_disk_handles: Vec<PartitionHandle> = s_disk_writers
-            .into_iter()
-            .map(|w| {
-                let h = w.finish()?;
-                spill_guard.adopt(h.clone());
-                Ok(h)
-            })
-            .collect::<nocap_storage::Result<_>>()?;
+        let s_disk_handles = s_disk.finish_dense()?;
+        spill_guard.adopt_all(s_disk_handles.iter().cloned());
+        let s_rest_handles = s_rest.finish_all()?;
+        spill_guard.adopt_all(s_rest_handles.iter().flatten().cloned());
+        let mut pairs: Vec<(PartitionHandle, PartitionHandle)> = Vec::new();
         for (r_part, s_part) in r_disk_handles.iter().zip(s_disk_handles.iter()) {
-            output += smart_partition_join(r_part, s_part, spec, 1)?;
+            pairs.push((r_part.clone(), s_part.clone()));
         }
-        for (idx, maybe_r) in rest_build.spilled.iter().enumerate() {
-            let Some(r_part) = maybe_r else { continue };
-            let Some(s_writer) = s_rest_writers[idx].take() else {
-                continue;
-            };
-            let s_part = s_writer.finish()?;
-            spill_guard.adopt(s_part.clone());
-            output += smart_partition_join(r_part, &s_part, spec, 1)?;
+        for (maybe_r, maybe_s) in rest_build.spilled.iter().zip(s_rest_handles.iter()) {
+            if let (Some(r_part), Some(s_part)) = (maybe_r, maybe_s) {
+                pairs.push((r_part.clone(), s_part.clone()));
+            }
         }
+        output += sum_tasks_obs(threads, obs, Phase::Probe, pairs.len(), |i| {
+            smart_partition_join(&pairs[i].0, &pairs[i].1, &spec, 1)
+        })?;
         drop(probe_span);
         let probe_io = device.stats().since(&probe_base);
 
@@ -448,11 +649,11 @@ impl NocapJoin {
     }
 }
 
-/// Records the partition-fan-out skew histograms and counters shared by the
-/// sequential and parallel NOCAP executors: per-spilled-partition record and
-/// page counts (designated partitions first, then destaged residuals) plus
-/// the partition-census counters the breakdown tables report.
-pub(crate) fn record_partition_skew<'a>(
+/// Records the partition-fan-out skew histograms and counters: per-spilled
+/// -partition record and page counts (designated partitions first, then
+/// destaged residuals) plus the partition-census counters the breakdown
+/// tables report.
+fn record_partition_skew<'a>(
     obs: &Obs,
     designated: &'a [PartitionHandle],
     spilled_rest: impl Iterator<Item = &'a PartitionHandle> + Clone,
@@ -469,26 +670,25 @@ pub(crate) fn record_partition_skew<'a>(
     obs.count("spilled_rest_partitions", spilled_rest.count() as u64);
 }
 
-/// What the residual partitioner hands back after the R pass.
-pub struct RestBuild {
-    /// Records of partitions that stayed in memory (to be added to the
-    /// in-memory hash table), held in one columnar arena.
-    pub staged_records: RecordBatch,
-    /// Spilled R partitions, indexed by partition id (`None` if that
-    /// partition stayed in memory).
-    pub spilled: Vec<Option<PartitionHandle>>,
-    /// Page-out bits: `true` if the partition was destaged to disk.
-    pub pob: Vec<bool>,
-    /// The router used for R, reused verbatim for S.
-    pub rh: RoundedHash,
-}
-
-/// Geometry of the residual partitioner, shared verbatim by the sequential
-/// [`RestPartitioner`] and the parallel executor
-/// ([`NocapJoin::run_parallel`](crate::exec_par)): partition count, the
-/// rounded-hash router and the per-partition staging quotas. Deriving both
-/// paths from one struct is what makes their partition contents — and
-/// therefore their I/O traces — identical by construction.
+/// Geometry of the residual partitioner: partition count, the rounded-hash
+/// router and the per-partition staging quotas the executor hands to its
+/// [`ParallelStager`]. `tests/zero_copy_equivalence.rs` derives its
+/// straight-line reference executor from the same struct, so the two route
+/// and destage identically by construction.
+///
+/// Partitions start staged in memory. Each owns a fixed quota of staging
+/// pages carved from the residual budget; the moment a partition's staged
+/// footprint exceeds its quota it is destaged to disk (its POB bit is set)
+/// and its memory is reused — every later record of that partition streams
+/// through the spill writer's single output-buffer page.
+///
+/// This replaces the "destage the largest partition when the global budget
+/// overflows" policy of §2.2. The global policy's outcome depends on the
+/// order records arrive, which no sharded scan can reproduce; the quota
+/// policy destages partition `p` iff `hash_table_pages(n_p) > cap_p` — a
+/// function of the partition's total record count only — so every scan
+/// order and thread count destages the same partition set and the §4.1
+/// bound `Σ staged + spilled buffers ≤ m_rest` still holds at all times.
 #[derive(Debug, Clone)]
 pub struct RestGeometry {
     /// The rounded-hash router over the residual partitions.
@@ -522,104 +722,6 @@ impl RestGeometry {
     /// Number of residual partitions.
     pub fn num_partitions(&self) -> usize {
         self.caps.len()
-    }
-}
-
-/// Quota-destaging partitioner for the residual (non-MCV) keys: the
-/// rounded-hash router of [`RestGeometry`] in front of the shared
-/// sequential [`QuotaStager`].
-///
-/// Partitions start staged in memory. Each partition owns a fixed quota of
-/// staging pages carved from the residual budget ([`RestGeometry`]); the
-/// moment a partition's staged footprint exceeds its quota it is destaged
-/// to disk (its POB bit is set) and its memory is reused — every later
-/// record of that partition streams through the spill writer's single
-/// output-buffer page.
-///
-/// This replaces the earlier "destage the largest partition when the global
-/// budget overflows" policy of §2.2. The global policy's outcome depends on
-/// the order records arrive, which no sharded scan can reproduce; the quota
-/// policy destages partition `p` iff `hash_table_pages(n_p) > cap_p` — a
-/// function of the partition's total record count only — so the sequential
-/// and parallel executors destage identical partition sets and the §4.1
-/// bound `Σ staged + spilled buffers ≤ m_rest` still holds at all times.
-pub struct RestPartitioner {
-    geometry: RestGeometry,
-    stager: QuotaStager,
-    /// Cache-line-sized per-partition write buffers in front of the stager:
-    /// records batch up per partition and flush in runs, keeping the hot
-    /// routing loop inside a few cache lines. Per-partition arrival order is
-    /// preserved, so staged contents are byte-identical to direct pushes.
-    router: RadixRouter,
-}
-
-impl RestPartitioner {
-    /// Creates a residual partitioner with `budget_pages` pages of memory and
-    /// an estimate of how many distinct residual keys will arrive (used to
-    /// size the rounded hash).
-    pub fn new(
-        device: nocap_storage::device::DeviceRef,
-        spec: JoinSpec,
-        layout: RecordLayout,
-        budget_pages: usize,
-        estimated_keys: usize,
-        rh_params: RoundedHashParams,
-    ) -> Self {
-        let geometry = RestGeometry::new(&spec, budget_pages, estimated_keys, rh_params);
-        Self::with_geometry(device, spec, layout, geometry)
-    }
-
-    /// Creates a residual partitioner from an explicit geometry.
-    pub fn with_geometry(
-        device: nocap_storage::device::DeviceRef,
-        spec: JoinSpec,
-        layout: RecordLayout,
-        geometry: RestGeometry,
-    ) -> Self {
-        let router = RadixRouter::new(layout, geometry.num_partitions());
-        let stager = QuotaStager::new(device, spec, layout, geometry.caps.clone());
-        RestPartitioner {
-            geometry,
-            stager,
-            router,
-        }
-    }
-
-    /// Number of residual partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.stager.num_partitions()
-    }
-
-    /// Number of partitions destaged to disk so far.
-    pub fn spilled_partitions(&self) -> usize {
-        self.stager.spilled_partitions()
-    }
-
-    /// Current memory use in pages (staged data + spilled output buffers).
-    pub fn pages_in_use(&self) -> usize {
-        self.stager.pages_in_use()
-    }
-
-    /// Routes one borrowed R record to its residual partition (staging is a
-    /// key push plus payload `memcpy` into the partition's arena).
-    pub fn insert(&mut self, rec: RecordRef<'_>) -> nocap_storage::Result<()> {
-        let p = self.geometry.rh.partition_of(rec.key());
-        let stager = &mut self.stager;
-        self.router.push(p, rec, &mut |p, r| stager.insert(p, r))
-    }
-
-    /// Finishes the R pass: remaining staged records go to the caller's
-    /// in-memory hash table, spilled partitions become handles.
-    pub fn finish_build(mut self) -> nocap_storage::Result<RestBuild> {
-        let stager = &mut self.stager;
-        self.router.finish(&mut |p, r| stager.insert(p, r))?;
-        let build = self.stager.finish()?;
-        Ok(RestBuild {
-            staged_records: build.staged_records,
-            spilled: build.spilled,
-            pob: build.pob,
-            rh: self.geometry.rh,
-        })
     }
 }
 
@@ -671,31 +773,46 @@ mod tests {
         (0..n_r).map(counts).sum()
     }
 
+    /// Drives `keys` through the residual partitioner as worker 0 of the
+    /// executor does — [`RestGeometry`]'s router in front of a one-worker
+    /// [`ParallelStager`] — checking the budget after every insert.
+    fn stage_residual_keys(
+        device: &nocap_storage::device::DeviceRef,
+        spec: JoinSpec,
+        budget_pages: usize,
+        keys: u64,
+    ) -> nocap_par::StagerBuild {
+        let geometry = RestGeometry::new(
+            &spec,
+            budget_pages,
+            keys as usize,
+            RoundedHashParams::default(),
+        );
+        let stager =
+            ParallelStager::new(device.clone(), spec.r_layout, spec, geometry.caps.clone());
+        let mut stage = stager.worker_stage();
+        for k in 0..keys {
+            let rec = Record::with_fill(k, 120, 0);
+            stager
+                .insert(&mut stage, geometry.rh.partition_of(k), rec.as_record_ref())
+                .unwrap();
+            assert!(
+                stager.pages_in_use() <= budget_pages,
+                "rest partitioner exceeded its page budget"
+            );
+        }
+        stager.finish(vec![stage]).unwrap()
+    }
+
     #[test]
     fn rest_partitioner_respects_its_budget() {
         let device = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 16);
-        let mut rest = RestPartitioner::new(
-            device.clone(),
-            spec,
-            spec.r_layout,
-            8,
-            5_000,
-            RoundedHashParams::default(),
-        );
-        for k in 0..5_000u64 {
-            let rec = Record::with_fill(k, 120, 0);
-            rest.insert(rec.as_record_ref()).unwrap();
-            assert!(
-                rest.pages_in_use() <= 8,
-                "rest partitioner exceeded its page budget"
-            );
-        }
+        let build = stage_residual_keys(&device, spec, 8, 5_000);
         assert!(
-            rest.spilled_partitions() > 0,
+            build.pob.contains(&true),
             "a 5K-record build cannot stay in 8 pages"
         );
-        let build = rest.finish_build().unwrap();
         let spilled_records: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
         assert_eq!(spilled_records + build.staged_records.len(), 5_000);
     }
@@ -704,20 +821,8 @@ mod tests {
     fn rest_partitioner_stays_in_memory_when_budget_allows() {
         let device = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 256);
-        let mut rest = RestPartitioner::new(
-            device.clone(),
-            spec,
-            spec.r_layout,
-            200,
-            1_000,
-            RoundedHashParams::default(),
-        );
-        for k in 0..1_000u64 {
-            let rec = Record::with_fill(k, 120, 0);
-            rest.insert(rec.as_record_ref()).unwrap();
-        }
-        assert_eq!(rest.spilled_partitions(), 0);
-        let build = rest.finish_build().unwrap();
+        let build = stage_residual_keys(&device, spec, 200, 1_000);
+        assert!(!build.pob.contains(&true));
         assert_eq!(build.staged_records.len(), 1_000);
         assert_eq!(
             device.stats().writes(),
@@ -861,5 +966,117 @@ mod tests {
         let join = NocapJoin::new(spec, NocapConfig::default());
         let report = join.run(&r, &s, &mcvs).unwrap();
         assert_eq!(report.output_records, expected);
+    }
+
+    /// [`build_workload`] on a fresh device with clean I/O counters.
+    fn build(
+        n_r: u64,
+        counts: impl Fn(u64) -> u64,
+        spec: &JoinSpec,
+    ) -> (Relation, Relation, Vec<(u64, u64)>) {
+        let device = SimDevice::new_ref();
+        let workload = build_workload(device.clone(), spec, n_r, counts);
+        device.reset_stats();
+        workload
+    }
+
+    #[test]
+    fn parallel_matches_sequential_io_and_output_exactly() {
+        let spec = JoinSpec::paper_synthetic(128, 48);
+        let counts = |k: u64| if k < 8 { 250 } else { 2 };
+        let join = NocapJoin::new(spec, NocapConfig::default());
+
+        let (r, s, mcvs) = build(3_000, counts, &spec);
+        let sequential = join.run(&r, &s, &mcvs).unwrap();
+        for threads in [1usize, 2, 4] {
+            let (r, s, mcvs) = build(3_000, counts, &spec);
+            let parallel = join.run_parallel(&r, &s, &mcvs, threads).unwrap();
+            assert_eq!(
+                parallel.output_records, sequential.output_records,
+                "output differs at {threads} threads"
+            );
+            assert_eq!(
+                parallel.partition_io, sequential.partition_io,
+                "partition I/O differs at {threads} threads"
+            );
+            assert_eq!(
+                parallel.probe_io, sequential.probe_io,
+                "probe I/O differs at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_join_cleans_up_all_spill_files() {
+        let spec = JoinSpec::paper_synthetic(128, 32);
+        let counts = |k: u64| (k % 5) + 1;
+        let join = NocapJoin::new(spec, NocapConfig::default());
+        let (r, s, mcvs) = build(2_500, counts, &spec);
+        let device = r.device().clone();
+        let report = join.run_parallel(&r, &s, &mcvs, 3).unwrap();
+        assert!(report.output_records > 0);
+        // Only the two base relations should remain on the device.
+        let sim = device;
+        assert_eq!(
+            sim.file_pages(r.file()).unwrap() + sim.file_pages(s.file()).unwrap(),
+            r.num_pages() + s.num_pages()
+        );
+    }
+
+    #[test]
+    fn sketch_pipeline_is_identical_at_every_thread_count() {
+        // collect_and_run_parallel(n) must reproduce collect_and_run (its
+        // n = 1 instance) exactly: the sharded summary is thread-count
+        // invariant, so the plan, the output and the per-phase I/O all are.
+        let spec = JoinSpec::paper_synthetic(128, 48);
+        let counts = |k: u64| if k < 12 { 180 } else { 3 };
+        let join = NocapJoin::new(spec, NocapConfig::default());
+        let (r, s, _) = build(2_500, counts, &spec);
+        let sequential = join.collect_and_run(&r, &s, 4).unwrap();
+        for threads in [1usize, 2, 4, 8] {
+            let (r, s, _) = build(2_500, counts, &spec);
+            let parallel = join.collect_and_run_parallel(&r, &s, 4, threads).unwrap();
+            assert_eq!(
+                parallel.output_records, sequential.output_records,
+                "pipeline output differs at {threads} threads"
+            );
+            assert_eq!(
+                parallel.partition_io, sequential.partition_io,
+                "pipeline partition I/O differs at {threads} threads"
+            );
+            assert_eq!(
+                parallel.probe_io, sequential.probe_io,
+                "pipeline probe I/O differs at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_sketch_collection_reads_s_exactly_once() {
+        let spec = JoinSpec::paper_synthetic(128, 48);
+        let counts = |k: u64| (k % 6) + 1;
+        let join = NocapJoin::new(spec, NocapConfig::default());
+        let (r, s, _) = build(2_000, counts, &spec);
+        let device = r.device().clone();
+        device.reset_stats();
+        let report = join.collect_and_run_parallel(&r, &s, 4, 4).unwrap();
+        let device_ios = device.stats().reads() + device.stats().writes();
+        // The statistics scan costs exactly ||S|| sequential reads on top
+        // of the join's own modeled I/O, sharded or not.
+        assert_eq!(
+            device_ios,
+            report.total_ios() + s.num_pages() as u64,
+            "sharded stats collection must read each S page exactly once"
+        );
+    }
+
+    #[test]
+    fn zero_threads_selects_a_default() {
+        let spec = JoinSpec::paper_synthetic(128, 64);
+        let counts = |_k: u64| 3u64;
+        let join = NocapJoin::new(spec, NocapConfig::default());
+        let (r, s, mcvs) = build(1_000, counts, &spec);
+        let report = join.run_parallel(&r, &s, &mcvs, 0).unwrap();
+        assert_eq!(report.output_records, 3_000);
     }
 }

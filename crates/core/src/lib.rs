@@ -4,7 +4,7 @@
 //! Partitioning, §3) and **NOCAP** (Near-Optimal Correlation-Aware
 //! Partitioning, §4) for primary-key / foreign-key storage-based joins.
 //!
-//! * [`ocap`] — the theoretically I/O-optimal partitioner. Given the full
+//! * [`mod@ocap`] — the theoretically I/O-optimal partitioner. Given the full
 //!   correlation table it finds, via dynamic programming over the canonical
 //!   partitionings of Theorem 3.1, which keys to cache in memory and how to
 //!   cut the remaining keys into partitions so that the per-partition
@@ -21,12 +21,10 @@
 //!   a [`NocapPlan`] against real [`Relation`](nocap_storage::Relation)s on
 //!   a [`BlockDevice`](nocap_storage::BlockDevice), then joins the spilled
 //!   partition pairs, producing a measured
-//!   [`JoinRunReport`](nocap_model::JoinRunReport).
-//! * [`exec_par`] — the multi-threaded entry points
-//!   ([`NocapJoin::run_parallel`]): sharded partitioning scans and a
-//!   fanned-out probe phase on the `nocap-par` worker pool, producing the
-//!   same output and the same modeled I/O as the sequential executor for
-//!   every thread count.
+//!   [`JoinRunReport`](nocap_model::JoinRunReport). One body serves every
+//!   entry point: [`NocapJoin::run`] is [`NocapJoin::run_parallel`] with one
+//!   worker, and for every thread count the output and the per-phase
+//!   modeled I/O are the same.
 //! * [`plan`] — the [`NocapPlan`] data structure shared by the planner and
 //!   the executor.
 //!
@@ -72,7 +70,6 @@
 #![forbid(unsafe_code)]
 
 pub mod exec;
-pub mod exec_par;
 pub mod ocap;
 pub mod plan;
 pub mod planner;

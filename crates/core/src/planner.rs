@@ -12,7 +12,7 @@
 //! subject to the strict §4.1 memory breakdown
 //! `B_HS + B_HT + B_f + m_disk + m_rest ≤ B − 2`. Each candidate split is
 //! costed with the DP of [`crate::ocap::dp`] for the designated keys and
-//! [`g_dhh`](nocap_model::g_dhh) for the residual keys; the cheapest plan
+//! [`g_dhh`] for the residual keys; the cheapest plan
 //! wins.
 //!
 //! The paper sweeps every value of `|K_mem|` and `|K_disk|`; thanks to the

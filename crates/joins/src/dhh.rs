@@ -11,6 +11,15 @@
 //! (staged partition, no match) are dropped. Finally the spilled partition
 //! pairs are joined pairwise.
 //!
+//! **One body.** [`DhhJoin::run_parallel_obs`] is the executor; `run`,
+//! `run_obs` and the sketch-driven variants call it with one worker, at
+//! which the `nocap-par` fan-outs spawn nothing and the join runs on the
+//! calling thread. For every thread count the output and the per-phase
+//! modeled I/O are the same (checked-in numbers in
+//! `tests/parallel_determinism.rs`). A panic inside a scan or probe task
+//! comes back as `StorageError::WorkerPanicked` — worker 0, the calling
+//! thread, runs under the pool's `catch_unwind` too.
+//!
 //! **Destaging policy.** The paper's Algorithm 1 destages *the largest
 //! staged partition* whenever the global budget overflows — a policy whose
 //! outcome depends on the order records arrive, which no sharded scan can
@@ -18,12 +27,12 @@
 //! geometry NOCAP's residual partitioner adopted: every partition owns an
 //! even share of the staging budget ([`nocap_par::even_caps`]) and is
 //! destaged the moment its own staged footprint exceeds that share — a
-//! function of the partition's total record count only. The destaged set is
-//! therefore identical for any scan order or thread interleaving, which is
-//! what [`DhhJoin::run_parallel`] stands on; total staged pages plus one
-//! output buffer per destaged partition still never exceed the budget.
-//! (The parallel path additionally holds one private output page per worker
-//! per destaged partition outside the budget — see `nocap_par::shard`.)
+//! function of the partition's total record count only
+//! ([`ParallelStager`]). The destaged set is therefore identical for any
+//! scan order or thread interleaving; total staged pages plus one output
+//! buffer per destaged partition still never exceed the budget. (Each
+//! worker additionally holds one private output page per destaged partition
+//! outside the budget, at one worker too — see `nocap_par::shard`.)
 //!
 //! **Skew optimization.** Practical systems (PostgreSQL, Histojoin) add a
 //! small dedicated hash table for the most common values: if the tracked
@@ -40,15 +49,13 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom};
 use nocap_obs::{Obs, Phase};
 use nocap_par::{
-    default_threads, even_caps, run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager,
-    QuotaStager, SharedWriterSet,
+    even_caps, resolve_threads, run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager,
+    SharedWriterSet,
 };
 use nocap_stats::StatsSummary;
-use nocap_storage::device::DeviceRef;
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    PartitionWriter, RadixRouter, RecordBatch, RecordLayout, RecordRef, Relation, Reservation,
-    SpillGuard,
+    RadixRouter, Relation, Reservation, SpillGuard,
 };
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
@@ -142,7 +149,7 @@ impl DhhJoin {
         s: &Relation,
         stats: &StatsSummary,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_collected_stats_obs(r, s, stats, &Obs::off())
+        self.run_parallel_with_collected_stats(r, s, stats, 1)
     }
 
     /// [`run_with_collected_stats`](Self::run_with_collected_stats) with an
@@ -154,25 +161,25 @@ impl DhhJoin {
         stats: &StatsSummary,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, &stats.planner_mcvs(), obs)
+        self.run_parallel_with_collected_stats_obs(r, s, stats, 1, obs)
     }
 
-    /// Executes `r ⋈ s`. `mcvs` are the tracked most-common-value statistics
-    /// (`(key, frequency)` pairs); pass an empty slice to disable the skew
-    /// optimization's inputs.
+    /// Executes `r ⋈ s` on the calling thread
+    /// ([`run_parallel`](Self::run_parallel) with one worker). `mcvs` are
+    /// the tracked most-common-value statistics (`(key, frequency)` pairs);
+    /// pass an empty slice to disable the skew optimization's inputs.
     pub fn run(
         &self,
         r: &Relation,
         s: &Relation,
         mcvs: &[(u64, u64)],
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, mcvs, &Obs::off())
+        self.run_parallel(r, s, mcvs, 1)
     }
 
-    /// [`run`](Self::run) with an observability channel: phase spans
-    /// (partition, spill, build, probe), spilled-partition skew histograms,
-    /// and the buffer-pool high-water mark flow into `obs` when recording.
-    /// With `Obs::off()` the execution is byte-identical to `run`.
+    /// [`run`](Self::run) with an observability channel
+    /// ([`run_parallel_obs`](Self::run_parallel_obs) with one worker, so
+    /// every worker and task span belongs to worker 0).
     pub fn run_obs(
         &self,
         r: &Relation,
@@ -180,134 +187,7 @@ impl DhhJoin {
         mcvs: &[(u64, u64)],
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let timer = obs.run_timer();
-        let base = device.stats();
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _io_pages = pool.reserve(2)?;
-
-        // ---- Skew optimization: pick the keys pinned in memory -----------
-        let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
-        let skew_pages = spec.hash_table_pages(skew_keys.len());
-        let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
-
-        // ---- Partition R (Algorithm 1) ------------------------------------
-        let m_dhh = spec
-            .m_dhh(r.num_records())
-            .min(pool.available().saturating_sub(1).max(1));
-        let mut partitioner =
-            DhhPartitioner::new(device.clone(), *spec, r.layout(), pool.available(), m_dhh);
-        // Reserve the probe-side bloom only after the partition geometry has
-        // consumed its budget view; an exhausted pool skips the filter.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        let mut skew_table = JoinHashTable::new(r.layout(), spec.page_size, spec.fudge);
-        let r_partition_span = obs.span(Phase::Partition);
-        let mut r_scan = r.scan();
-        while let Some(page) = r_scan.next_page()? {
-            for rec in page.record_refs() {
-                if skew_keys.contains(&rec.key()) {
-                    skew_table.insert_ref(rec);
-                } else {
-                    partitioner.insert(rec)?;
-                }
-            }
-        }
-        drop(r_partition_span);
-        let build = {
-            let _spill_span = obs.span(Phase::Spill);
-            partitioner.finish()?
-        };
-        // Adopt every spill handle as it is finished so any later error
-        // deletes all spill files on unwind; the guard replaces the old
-        // success-path delete loops (deletion is not modeled I/O).
-        let mut spill_guard = SpillGuard::new();
-        spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
-        let mut ht_mem = skew_table;
-        {
-            let _build_span = obs.span(Phase::Build);
-            for rec in build.staged_records.iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // Freeze the completed build side for vectorized probes and build
-        // the probe pre-filter from its keys.
-        ht_mem.seal();
-        let bloom = self
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Partition / probe S (Algorithm 2) -----------------------------
-        let mut output = 0u64;
-        let mut s_writers: Vec<Option<PartitionWriter>> = build
-            .pob
-            .iter()
-            .map(|&spilled| {
-                spilled.then(|| {
-                    PartitionWriter::new(
-                        device.clone(),
-                        s.layout(),
-                        spec.page_size,
-                        IoKind::RandWrite,
-                    )
-                })
-            })
-            .collect();
-        let s_partition_span = obs.span(Phase::Partition);
-        let mut s_scan = s.scan();
-        while let Some(page) = s_scan.next_page()? {
-            for rec in page.record_refs() {
-                // Bloom-negative keys take the identical `matches == 0`
-                // route (no false negatives), leaving routing and I/O
-                // unchanged.
-                let matches = if bloom.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                    ht_mem.probe_count(rec.key())
-                } else {
-                    0
-                };
-                if matches > 0 {
-                    output += matches;
-                    continue;
-                }
-                let p = (hash_key(rec.key()) % build.pob.len() as u64) as usize;
-                if build.pob[p] {
-                    s_writers[p]
-                        .as_mut()
-                        .expect("spilled partition has an S writer")
-                        .push_ref(rec)?;
-                }
-            }
-        }
-        drop(s_partition_span);
-        let partition_io = device.stats().since(&base);
-        record_dhh_skew(obs, &build.spilled, &build.pob, build.staged_records.len());
-
-        // ---- Probe the spilled partition pairs -----------------------------
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        for (idx, maybe_r) in build.spilled.iter().enumerate() {
-            let Some(r_part) = maybe_r else { continue };
-            let Some(s_writer) = s_writers[idx].take() else {
-                continue;
-            };
-            let s_part = s_writer.finish()?;
-            spill_guard.adopt(s_part.clone());
-            output += smart_partition_join(r_part, &s_part, spec, 1)?;
-        }
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("DHH");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
+        self.run_parallel_obs(r, s, mcvs, 1, obs)
     }
 
     /// [`run`](Self::run) with graceful degradation: when `admission`
@@ -349,32 +229,26 @@ impl DhhJoin {
     ///
     /// `threads == 0` selects [`nocap_par::default_threads`] (the
     /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). For every thread count the result — output cardinality
-    /// and the full per-phase modeled I/O trace — is **identical** to the
-    /// sequential [`run`](Self::run):
+    /// parallelism). The result — output cardinality and the full per-phase
+    /// modeled I/O trace — is **the same for every thread count**:
     ///
     /// * both scans claim page morsels from an atomic cursor
-    ///   ([`PageMorsels`]); every page is claimed once, costing the same
+    ///   ([`PageMorsels`]); every page is claimed once, costing
     ///   `‖R‖ + ‖S‖` sequential reads;
     /// * R partitioning drives DHH's modulo router over a
-    ///   [`ParallelStager`] with the same per-partition quotas
-    ///   ([`even_caps`]) the sequential [`QuotaStager`] uses, so the
-    ///   destaged partition set and per-partition spill page counts depend
-    ///   only on each partition's total record count — never on thread
-    ///   interleaving;
+    ///   [`ParallelStager`] with per-partition quotas ([`even_caps`]), so
+    ///   the destaged partition set and per-partition spill page counts
+    ///   depend only on each partition's total record count — never on scan
+    ///   order or thread interleaving;
     /// * every spilled S partition has one spill file and one buffered
     ///   writer ([`SharedWriterSet`]); workers fill private output pages,
     ///   append them only when full, and the partial pages are merged
     ///   through the buffered writer before the partition window closes —
     ///   `⌈n / b⌉ − 1` pages in the partition window and one in the probe
-    ///   window, exactly like the sequential writer;
+    ///   window;
     /// * the spilled partition pairs are claimed from a work queue and
-    ///   joined with the same [`smart_partition_join`], whose per-pair I/O
-    ///   is independent of claim order.
-    ///
-    /// This gives the paper's strongest baseline the same multi-threaded
-    /// execution surface as NOCAP/GHJ, pinned by the shared differential
-    /// harness in `tests/parallel_determinism.rs`.
+    ///   joined with [`smart_partition_join`], whose per-pair I/O is
+    ///   independent of claim order.
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -385,10 +259,12 @@ impl DhhJoin {
         self.run_parallel_obs(r, s, mcvs, threads, &Obs::off())
     }
 
-    /// [`run_parallel`](Self::run_parallel) with an observability channel:
-    /// in addition to the main-thread phase spans of
-    /// [`run_obs`](Self::run_obs), every worker contributes a per-thread
-    /// timeline (partition passes and claimed probe tasks) to the trace.
+    /// The executor body: [`run_parallel`](Self::run_parallel) with an
+    /// observability channel. Main-thread phase spans (partition, spill,
+    /// build, probe), spilled-partition skew histograms and the buffer-pool
+    /// high-water mark flow into `obs` when recording, and every worker
+    /// contributes a per-thread timeline (partition passes and claimed
+    /// probe tasks). With `Obs::off()` the execution is byte-identical.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -397,11 +273,7 @@ impl DhhJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads);
         let spec = &self.spec;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
@@ -410,22 +282,20 @@ impl DhhJoin {
         let pool = BufferPool::new(spec.buffer_pages);
         let _io_pages = pool.reserve(2)?;
 
-        // ---- Skew optimization: identical key selection to `run` ---------
+        // ---- Skew optimization: pick the keys pinned in memory -----------
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
         let skew_pages = spec.hash_table_pages(skew_keys.len());
         let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
 
-        // ---- Partition R (Algorithm 1, sharded) --------------------------
-        // Same geometry derivation as the sequential path: partition count
-        // and quotas are fixed before any record is routed.
+        // ---- Partition R (Algorithm 1) ------------------------------------
+        // Partition count and quotas are fixed before any record is routed.
         let m_dhh = spec
             .m_dhh(r.num_records())
             .min(pool.available().saturating_sub(1).max(1));
-        let caps = DhhPartitioner::caps(pool.available(), m_dhh);
-        // Reserve the probe-side bloom at the same pool state the sequential
-        // path sees (after the quota geometry is derived, before the carving
-        // below consumes every remaining page), so both paths size the
-        // filter identically.
+        let caps = even_caps(pool.available(), m_dhh);
+        // Reserve the probe-side bloom after the quota geometry is derived
+        // and before the carving below consumes every remaining page; an
+        // exhausted pool skips the filter.
         let bloom_reservation = self.bloom.reserve(&pool);
         // Make the quota carving visible to the pool, one reservation per
         // partition covering exactly the staging budget.
@@ -437,9 +307,10 @@ impl DhhJoin {
         let r_partition_span = obs.span(Phase::Partition);
         let stages = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
             let mut stage = stager.worker_stage();
-            // Per-worker radix write buffers in front of the stager (see
-            // `DhhPartitioner::insert`): per-partition arrival order within
-            // this worker is preserved and destaging depends only on counts.
+            // Per-worker radix write buffers in front of the stager: cache
+            // -line-sized runs per partition. Per-partition arrival order
+            // within this worker is preserved and destaging depends only on
+            // counts, so staged contents and the destaged set are unchanged.
             let mut router = RadixRouter::new(r.layout(), stager.num_partitions());
             r_morsels.scan(|page| {
                 for rec in page.record_refs() {
@@ -462,8 +333,8 @@ impl DhhJoin {
             let _spill_span = obs.span(Phase::Spill);
             stager.finish(stages)?
         };
-        // As in the sequential path: adopt spill handles as they finish so
-        // any later error deletes all spill files on unwind.
+        // Adopt every spill handle as it is finished so any later error
+        // deletes all spill files on unwind (deletion is not modeled I/O).
         let mut spill_guard = SpillGuard::new();
         spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
         let mut ht_mem = into_inner_unpoisoned(ht_shared);
@@ -473,14 +344,15 @@ impl DhhJoin {
                 ht_mem.insert_ref(rec);
             }
         }
-        // Same sealing point as the sequential path; the filter's bits are
-        // multiset-determined, hence thread-count invariant.
+        // Freeze the completed build side for vectorized probes and build
+        // the probe pre-filter from its keys (multiset-determined bits,
+        // hence thread-count invariant).
         ht_mem.seal();
         let bloom = self
             .bloom
             .build(&ht_mem, &bloom_reservation, spec.page_size);
 
-        // ---- Partition / probe S (Algorithm 2, sharded) ------------------
+        // ---- Partition / probe S (Algorithm 2) -----------------------------
         let s_writers = SharedWriterSet::new_masked(
             device.clone(),
             s.layout(),
@@ -499,6 +371,9 @@ impl DhhJoin {
                 let mut s_out = s_writers.local();
                 s_morsels.scan(|page| {
                     for rec in page.record_refs() {
+                        // Bloom-negative keys take the identical
+                        // `matches == 0` route (no false negatives), leaving
+                        // routing and I/O unchanged.
                         let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key()))
                         {
                             ht_ref.probe_count(rec.key())
@@ -521,8 +396,8 @@ impl DhhJoin {
             .into_iter()
             .unzip();
         // Tail merge inside the partition window: afterwards every S writer
-        // buffers exactly the one partial page the sequential executor
-        // flushes in the probe window.
+        // buffers exactly one partial page, which `finish_all` flushes in
+        // the probe window.
         s_writers.merge(s_locals)?;
         drop(s_partition_span);
         let mut output: u64 = probe_counts.into_iter().sum();
@@ -530,8 +405,6 @@ impl DhhJoin {
         record_dhh_skew(obs, &build.spilled, &build.pob, build.staged_records.len());
 
         // ---- Probe the spilled partition pairs, fanned out ---------------
-        // Partial S output-buffer pages flush inside this window, exactly
-        // where the sequential executor flushes them.
         let probe_base = device.stats();
         let probe_span = obs.span(Phase::Probe);
         let s_handles = s_writers.finish_all()?;
@@ -560,11 +433,11 @@ impl DhhJoin {
         Ok(report)
     }
 
-    /// The sketch-driven parallel path: plan the skew optimization from a
-    /// one-pass [`StatsSummary`] (see
+    /// The sketch-driven path on `threads` workers: plan the skew
+    /// optimization from a one-pass [`StatsSummary`] (see
     /// [`run_with_collected_stats`](Self::run_with_collected_stats)) and
-    /// execute on `threads` workers. Output and per-phase I/O are identical
-    /// to the sequential sketch-driven run for every thread count.
+    /// execute. Output and per-phase I/O are the same for every thread
+    /// count.
     pub fn run_parallel_with_collected_stats(
         &self,
         r: &Relation,
@@ -620,8 +493,8 @@ impl DhhJoin {
 
 /// Records DHH's partition-skew profile on the observability channel: size
 /// histograms over the destaged partitions plus staged/spilled counters.
-/// Both execution paths destage the same partition set (quota geometry), so
-/// the recorded skew is identical for any thread count.
+/// The destaged partition set is fixed by the quota geometry, so the
+/// recorded skew is identical for any thread count.
 fn record_dhh_skew(
     obs: &Obs,
     spilled: &[Option<PartitionHandle>],
@@ -645,73 +518,6 @@ fn record_dhh_skew(
         pob.iter().filter(|&&spilled| spilled).count() as u64,
     );
     obs.count("staged_records", staged_records as u64);
-}
-
-/// Outcome of DHH's R-partitioning phase.
-struct DhhBuild {
-    staged_records: RecordBatch,
-    spilled: Vec<Option<PartitionHandle>>,
-    pob: Vec<bool>,
-}
-
-/// The destaging partitioner of Algorithm 1, ported from the paper's
-/// order-dependent "largest partition on global overflow" policy to the
-/// deterministic per-partition quota geometry (see the module docs): a
-/// modulo-hash router in front of the shared sequential
-/// [`QuotaStager`], with every partition owning `even_caps(budget, m)[p]`
-/// staging pages.
-struct DhhPartitioner {
-    stager: QuotaStager,
-    /// Cache-line-sized per-partition write buffers in front of the stager;
-    /// per-partition arrival order is preserved, so staged contents and the
-    /// destaged set are identical to direct pushes.
-    router: RadixRouter,
-}
-
-impl DhhPartitioner {
-    /// The per-partition staging quotas of DHH's quota geometry — shared by
-    /// the sequential partitioner and [`DhhJoin::run_parallel`], so both
-    /// paths destage exactly the same partition set by construction.
-    fn caps(budget_pages: usize, num_partitions: usize) -> Vec<usize> {
-        even_caps(budget_pages.max(1), num_partitions.max(1))
-    }
-
-    fn new(
-        device: DeviceRef,
-        spec: JoinSpec,
-        layout: RecordLayout,
-        budget_pages: usize,
-        num_partitions: usize,
-    ) -> Self {
-        let caps = Self::caps(budget_pages, num_partitions);
-        let router = RadixRouter::new(layout, caps.len());
-        DhhPartitioner {
-            stager: QuotaStager::new(device, spec, layout, caps),
-            router,
-        }
-    }
-
-    #[cfg(test)]
-    fn pages_in_use(&self) -> usize {
-        self.stager.pages_in_use()
-    }
-
-    fn insert(&mut self, rec: RecordRef<'_>) -> nocap_storage::Result<()> {
-        let p = (hash_key(rec.key()) % self.stager.num_partitions() as u64) as usize;
-        let stager = &mut self.stager;
-        self.router.push(p, rec, &mut |p, r| stager.insert(p, r))
-    }
-
-    fn finish(mut self) -> nocap_storage::Result<DhhBuild> {
-        let stager = &mut self.stager;
-        self.router.finish(&mut |p, r| stager.insert(p, r))?;
-        let build = self.stager.finish()?;
-        Ok(DhhBuild {
-            staged_records: build.staged_records,
-            spilled: build.spilled,
-            pob: build.pob,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -834,21 +640,36 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(128, 16);
         let budget = 10usize;
         let parts = 5usize;
-        // Run the same multiset of keys through the partitioner in two very
-        // different orders; the destaged set must not change — that is the
-        // point of the quota port.
+        // Run the same multiset of keys through DHH's R pass — modulo
+        // router, radix buffers, quota stager, as worker 0 of the executor
+        // does — in two very different orders; the destaged set must not
+        // change (that is the point of the quota port), and at one worker
+        // the budget holds exactly after every insert.
         let run = |keys: &[u64]| {
             let device = SimDevice::new_ref();
-            let mut p = DhhPartitioner::new(device.clone(), spec, spec.r_layout, budget, parts);
-            for &k in keys {
-                let rec = Record::with_fill(k, 120, 0);
-                p.insert(rec.as_record_ref()).unwrap();
+            let stager = ParallelStager::new(
+                device.clone(),
+                spec.r_layout,
+                spec,
+                even_caps(budget, parts),
+            );
+            let mut stage = stager.worker_stage();
+            let mut router = RadixRouter::new(spec.r_layout, parts);
+            let mut insert = |p: usize, rec: nocap_storage::RecordRef<'_>| {
+                stager.insert(&mut stage, p, rec)?;
                 assert!(
-                    p.pages_in_use() <= budget,
+                    stager.pages_in_use() <= budget,
                     "staged pages + spill buffers exceeded the budget"
                 );
+                Ok(())
+            };
+            for &k in keys {
+                let rec = Record::with_fill(k, 120, 0);
+                let p = (hash_key(k) % parts as u64) as usize;
+                router.push(p, rec.as_record_ref(), &mut insert).unwrap();
             }
-            let build = p.finish().unwrap();
+            router.finish(&mut insert).unwrap();
+            let build = stager.finish(vec![stage]).unwrap();
             let spilled: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
             assert_eq!(spilled + build.staged_records.len(), keys.len());
             (build.pob, device.stats().total())

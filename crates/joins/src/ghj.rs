@@ -6,16 +6,23 @@
 //! budget the pair is either re-partitioned recursively or — following the
 //! paper's augmentation — handed to chunk-wise NBJ when that is estimated to
 //! be cheaper.
+//!
+//! [`GraceHashJoin::run_parallel_obs`] is the one executor body; `run` and
+//! `run_obs` call it with one worker, at which the `nocap-par` fan-outs
+//! spawn nothing and the join runs on the calling thread (a panic inside a
+//! scan or probe task then comes back as `StorageError::WorkerPanicked`,
+//! because worker 0 runs under the pool's `catch_unwind` too). Output and
+//! per-phase modeled I/O are the same for every thread count — checked-in
+//! numbers in `tests/parallel_determinism.rs`.
 
 use nocap_model::classic_cost::nbj_cost_best;
 use nocap_model::pairwise::nbj_partition_join_filtered;
 use nocap_model::{ghj_cost, JoinRunReport, JoinSpec, ProbeBloom};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, SharedWriterSet};
+use nocap_par::{resolve_threads, run_workers_obs, sum_tasks_obs, PageMorsels, SharedWriterSet};
 use nocap_storage::device::DeviceRef;
 use nocap_storage::{
-    BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, RadixRouter, Relation,
-    SpillGuard,
+    BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, Relation, SpillGuard,
 };
 
 /// SplitMix64 with a per-recursion-level salt so nested partitioning uses an
@@ -54,86 +61,39 @@ impl GraceHashJoin {
         self
     }
 
-    /// Executes `r ⋈ s`.
+    /// Executes `r ⋈ s` on the calling thread
+    /// ([`run_parallel`](Self::run_parallel) with one worker).
     pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
-        self.run_obs(r, s, &Obs::off())
+        self.run_parallel(r, s, 1)
     }
 
-    /// [`run`](Self::run) with observability: partition/probe phase spans
-    /// and per-partition skew histograms land in the report's trace.
+    /// [`run`](Self::run) with observability
+    /// ([`run_parallel_obs`](Self::run_parallel_obs) with one worker).
     pub fn run_obs(
         &self,
         r: &Relation,
         s: &Relation,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let timer = obs.run_timer();
-        let base = device.stats();
-
-        // Partition both inputs once.
-        let num_partitions = spec.buffer_pages.saturating_sub(1).max(2);
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _input_page = pool.reserve(1)?;
-        let _output_buffers = pool.reserve(num_partitions.min(pool.available()))?;
-
-        // Adopt each relation's partitions as they finish so a failure while
-        // partitioning S or probing deletes R's files too; the guard
-        // replaces the old success-path delete loop.
-        let mut spill_guard = SpillGuard::new();
-        let partition_span = obs.span(Phase::Partition);
-        let r_parts = partition_relation_scan(&device, r, spec, num_partitions, 0)?;
-        spill_guard.adopt_all(r_parts.iter().cloned());
-        let s_parts = partition_relation_scan(&device, s, spec, num_partitions, 0)?;
-        spill_guard.adopt_all(s_parts.iter().cloned());
-        drop(partition_span);
-        let partition_io = device.stats().since(&base);
-        record_ghj_skew(obs, &r_parts, &s_parts);
-
-        // Join each pair. The per-chunk probe filters are charged to the
-        // pool for the whole probe phase; an exhausted pool turns the
-        // filter off instead of failing.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        let bloom_cfg = clamp_bloom(&self.bloom, &bloom_reservation);
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let mut output = 0u64;
-        for (r_part, s_part) in r_parts.iter().zip(s_parts.iter()) {
-            output += self.join_pair(&device, r_part, s_part, &bloom_cfg, 1)?;
-        }
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("GHJ");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
+        self.run_parallel_obs(r, s, 1, obs)
     }
 
     /// Executes `r ⋈ s` on `threads` worker threads.
     ///
     /// GHJ's static hash partitioning has no order-dependent state at all,
-    /// so the parallel path is the textbook case for the `nocap-par`
-    /// machinery: workers claim page morsels of each relation
-    /// ([`PageMorsels`]) and route every record into a private output page
-    /// per partition, appended to the partition's one spill file only when
-    /// full; the partial pages are merged through the partition's buffered
-    /// writer ([`SharedWriterSet`]), so each partition writes the
-    /// sequential `⌈n / b⌉` pages. The private page already is a
-    /// per-partition write buffer, so no `RadixRouter` sits in front of it.
-    /// Then the partition pairs are claimed from a work queue. Output and
-    /// the full I/O trace are identical to [`run`](Self::run) for every
-    /// thread count; `threads == 0` selects [`nocap_par::default_threads`].
-    /// Physical memory outside the budget: one page per worker per
-    /// partition, `threads × (B − 1)` pages.
+    /// so it is the textbook case for the `nocap-par` machinery: workers
+    /// claim page morsels of each relation ([`PageMorsels`]) and route
+    /// every record into a private output page per partition, appended to
+    /// the partition's one spill file only when full; the partial pages are
+    /// merged through the partition's buffered writer
+    /// ([`SharedWriterSet`]), so each partition writes `⌈n / b⌉` pages. The
+    /// private page already is a per-partition write buffer, so no
+    /// `RadixRouter` sits in front of it. Then the partition pairs are
+    /// claimed from a work queue. Output and the full I/O trace are the
+    /// same for every thread count; `threads == 0` selects
+    /// [`nocap_par::default_threads`]. Physical memory outside the budget:
+    /// one page per worker per partition, `threads × (B − 1)` pages — at
+    /// one worker too, next to the `B − 1` writer pages the model charges.
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -143,9 +103,10 @@ impl GraceHashJoin {
         self.run_parallel_obs(r, s, threads, &Obs::off())
     }
 
-    /// [`run_parallel`](Self::run_parallel) with observability — phase
-    /// spans, per-worker scan spans, per-task probe spans and partition skew
-    /// histograms, recorded without touching routing or claim order.
+    /// The executor body: [`run_parallel`](Self::run_parallel) with
+    /// observability — phase spans, per-worker scan spans, per-task probe
+    /// spans and partition skew histograms, recorded without touching
+    /// routing or claim order.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -153,11 +114,7 @@ impl GraceHashJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = if threads == 0 {
-            nocap_par::default_threads()
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads);
         let spec = &self.spec;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
@@ -169,42 +126,44 @@ impl GraceHashJoin {
         let _input_page = pool.reserve(1)?;
         let _output_buffers = pool.reserve(num_partitions.min(pool.available()))?;
 
-        let partition_parallel =
-            |relation: &Relation| -> nocap_storage::Result<Vec<PartitionHandle>> {
-                let writers = SharedWriterSet::new(
-                    device.clone(),
-                    relation.layout(),
-                    spec.page_size,
-                    IoKind::RandWrite,
-                    num_partitions,
-                );
-                let morsels = PageMorsels::new(relation, threads);
-                let locals = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-                    let mut out = writers.local();
-                    morsels.scan(|page| {
-                        for rec in page.record_refs() {
-                            let p = (level_hash(rec.key(), 0) % num_partitions as u64) as usize;
-                            out.push(p, rec)?;
-                        }
-                        Ok(())
-                    })?;
-                    Ok(out)
+        let partition = |relation: &Relation| -> nocap_storage::Result<Vec<PartitionHandle>> {
+            let writers = SharedWriterSet::new(
+                device.clone(),
+                relation.layout(),
+                spec.page_size,
+                IoKind::RandWrite,
+                num_partitions,
+            );
+            let morsels = PageMorsels::new(relation, threads);
+            let locals = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+                let mut out = writers.local();
+                morsels.scan(|page| {
+                    for rec in page.record_refs() {
+                        let p = (level_hash(rec.key(), 0) % num_partitions as u64) as usize;
+                        out.push(p, rec)?;
+                    }
+                    Ok(())
                 })?;
-                writers.merge(locals)?;
-                writers.finish_dense()
-            };
+                Ok(out)
+            })?;
+            writers.merge(locals)?;
+            writers.finish_dense()
+        };
+        // Adopt each relation's partitions as they finish so a failure while
+        // partitioning S or probing deletes R's files too.
         let mut spill_guard = SpillGuard::new();
         let partition_span = obs.span(Phase::Partition);
-        let r_parts = partition_parallel(r)?;
+        let r_parts = partition(r)?;
         spill_guard.adopt_all(r_parts.iter().cloned());
-        let s_parts = partition_parallel(s)?;
+        let s_parts = partition(s)?;
         spill_guard.adopt_all(s_parts.iter().cloned());
         drop(partition_span);
         let partition_io = device.stats().since(&base);
         record_ghj_skew(obs, &r_parts, &s_parts);
 
-        // Same probe-filter charge as the sequential path: both executors
-        // see the same pool state here, so the clamped filter is identical.
+        // The per-chunk probe filters are charged to the pool for the whole
+        // probe phase; an exhausted pool turns the filter off instead of
+        // failing.
         let bloom_reservation = self.bloom.reserve(&pool);
         let bloom_cfg = clamp_bloom(&self.bloom, &bloom_reservation);
         let probe_base = device.stats();
@@ -297,49 +256,6 @@ fn record_ghj_skew(obs: &Obs, r_parts: &[PartitionHandle], s_parts: &[PartitionH
     obs.count("partitions", r_parts.len() as u64);
 }
 
-/// Hash-partitions a stored relation into `m` spill partitions.
-fn partition_relation_scan(
-    device: &DeviceRef,
-    relation: &Relation,
-    spec: &JoinSpec,
-    m: usize,
-    level: u32,
-) -> nocap_storage::Result<Vec<PartitionHandle>> {
-    let mut writers: Vec<PartitionWriter> = (0..m)
-        .map(|_| {
-            PartitionWriter::new(
-                device.clone(),
-                relation.layout(),
-                spec.page_size,
-                IoKind::RandWrite,
-            )
-        })
-        .collect();
-    // Cache-line-sized per-partition write buffers in front of the spill
-    // writers: per-partition arrival order is preserved, so partition files
-    // are byte-identical to direct pushes.
-    let mut router = RadixRouter::new(relation.layout(), m);
-    let mut scan = relation.scan();
-    while let Some(page) = scan.next_page()? {
-        for rec in page.record_refs() {
-            let p = (level_hash(rec.key(), level) % m as u64) as usize;
-            router.push(p, rec, &mut |p, r| writers[p].push_ref(r))?;
-        }
-    }
-    router.finish(&mut |p, r| writers[p].push_ref(r))?;
-    // Fail-clean finish: a mid-loop error deletes the handles produced so
-    // far (unfinished writers delete their own files on drop).
-    let mut guard = SpillGuard::new();
-    let mut out = Vec::with_capacity(writers.len());
-    for w in writers {
-        let h = w.finish()?;
-        guard.adopt(h.clone());
-        out.push(h);
-    }
-    let _ = guard.release();
-    Ok(out)
-}
-
 /// Hash-partitions an existing spill partition into `m` sub-partitions
 /// (used by recursive re-partitioning).
 fn partition_handle(
@@ -369,7 +285,8 @@ fn partition_handle(
         }
     }
     let layout = layout.unwrap_or(spec.r_layout);
-    // Fail-clean finish, as in `partition_relation_scan`.
+    // Fail-clean finish: a mid-loop error deletes the handles produced so
+    // far (unfinished writers delete their own files on drop).
     let mut guard = SpillGuard::new();
     let mut out = Vec::with_capacity(writers.len());
     for w in writers {

@@ -9,20 +9,21 @@
 //! losing slightly on latency.
 //!
 //! The whole path runs on the arena record pipeline: run generation sorts
-//! `(key, payload-index)` pairs over a [`RecordBatch`]
-//! (nocap_storage::RecordBatch) arena (no per-record allocation), and the
+//! `(key, payload-index)` pairs over a
+//! [`RecordBatch`](nocap_storage::RecordBatch) arena (no per-record
+//! allocation), and the
 //! fused merge drives two [`LoserTree`]s of page-mode run cursors, reading
 //! only the 8-byte keys — payload bytes never move during the join itself.
 //!
 //! [`SortMergeJoin::run_parallel`] parallelizes run generation: workers
 //! claim chunks of the **fixed** page grid
-//! ([`run_chunks`](nocap_storage::run_chunks) — chunk `i` always covers
+//! ([`run_chunks`] — chunk `i` always covers
 //! pages `[i·(B−1), (i+1)·(B−1))`) from an atomic cursor and sort them
 //! independently; the runs are collected in canonical chunk order, so the
-//! merge cascade and the fused join see exactly the byte sequence the
-//! sequential executor produces. Output and per-phase modeled I/O are
-//! therefore bit-identical to [`run`](SortMergeJoin::run) at every worker
-//! count. (Each worker owns one chunk-sized sort arena, so peak sort memory
+//! merge cascade and the fused join see exactly the byte sequence a
+//! one-worker run produces. Output and per-phase modeled I/O are
+//! therefore bit-identical to [`run`](SortMergeJoin::run) — the same body
+//! at one worker — at every worker count. (Each worker owns one chunk-sized sort arena, so peak sort memory
 //! is `n · (B − 1)` pages at `n` workers — the classic memory/time trade of
 //! parallel run generation; the modeled I/O is unaffected.)
 
@@ -30,7 +31,7 @@ use std::sync::Mutex;
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{default_threads, ordered_tasks_obs};
+use nocap_par::{ordered_tasks_obs, resolve_threads};
 use nocap_storage::sort::{run_chunks, sort_chunk, ExternalSorter, LoserTree, SortScratch};
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, PartitionHandle, Relation, SpillGuard,
@@ -123,7 +124,7 @@ impl SortMergeJoin {
     }
 
     /// Executes `r ⋈ s` with `threads` workers generating sort runs
-    /// concurrently (`0` selects [`default_threads`]).
+    /// concurrently (`0` selects [`nocap_par::default_threads`]).
     ///
     /// Workers claim chunks of the fixed run-generation page grid, so the
     /// join output and the per-phase modeled I/O are bit-identical to
@@ -157,12 +158,7 @@ impl SortMergeJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
-        self.run_inner(r, s, threads, obs)
+        self.run_inner(r, s, resolve_threads(threads), obs)
     }
 
     fn run_inner(

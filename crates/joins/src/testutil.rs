@@ -1,6 +1,10 @@
 //! Shared test support: deterministic workload builders and the
 //! **differential determinism harness** — the run-vs-`run_parallel`
-//! comparator every parallel executor in the workspace is pinned by.
+//! comparator that checks every executor for thread-count invariance.
+//! (`run` is the same body at one worker, so what it pins is invariance;
+//! the absolute numbers are pinned by `tests/parallel_determinism.rs`'
+//! golden table and by the straight-line replicas of
+//! `tests/zero_copy_equivalence.rs`.)
 //!
 //! The module is compiled into the library (not `#[cfg(test)]`) so the
 //! top-level integration suites (`tests/parallel_determinism.rs`,
@@ -20,9 +24,9 @@ pub fn mix(key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Asserts that a parallel executor reproduces its sequential counterpart
-/// **exactly** — identical join output and identical per-phase modeled I/O
-/// — for every thread count in `threads`.
+/// Asserts that an executor at every thread count in `threads` reproduces
+/// its sequential entry point (the same body at one worker) **exactly** —
+/// identical join output and identical per-phase modeled I/O.
 ///
 /// `sequential` runs once to establish the baseline; `parallel(n)` runs for
 /// each entry of `threads`. Both closures are responsible for building

@@ -24,7 +24,7 @@
 //!   is stamped with the issuing worker and innermost phase through
 //!   thread-local marks the recording layer maintains, and [`IoAudit`]
 //!   replays the stream against the engine's modeled per-phase snapshots
-//!   (model audit), the declared [`IoKind`]s (declaration audit) and the
+//!   (model audit), the declared [`IoKind`](nocap_storage::IoKind)s (declaration audit) and the
 //!   [`DeviceProfile`](nocap_storage::DeviceProfile) latency model.
 //! * All timestamps are monotonic-clock offsets from the recorder's epoch.
 //!   **Clocks live only in this channel**: nothing in the engine reads time

@@ -1,49 +1,55 @@
 //! # nocap-par
 //!
-//! The multi-threaded partitioned-join execution engine.
+//! The partitioned-join execution engine, for any number of workers.
 //!
 //! The partitioning passes over R and S are embarrassingly parallel: every
 //! record is routed independently by a hash of its key. This crate provides
-//! the building blocks that let an executor shard those scans across worker
-//! threads **without changing the modeled I/O or violating the paper's
-//! memory budget**:
+//! the building blocks that let an executor shard those scans across `T ≥ 1`
+//! workers **without the modeled I/O depending on `T` or the paper's memory
+//! budget being violated**:
 //!
 //! * [`pool`] — a scoped [`run_workers`] fan-out helper (worker 0 is the
-//!   calling thread, `n − 1` threads are spawned), a work-queue
+//!   calling thread, `n − 1` threads are spawned — at one worker nothing is
+//!   spawned and the fan-out *is* a sequential loop), a work-queue
 //!   [`sum_tasks`] helper for the partition-wise probe phase, and
-//!   [`default_threads`] (the `NOCAP_THREADS` environment knob). All
-//!   fan-outs are **fail-clean**: worker panics are caught and surfaced as
-//!   `StorageError::WorkerPanicked`, and a [`cancel`] token
-//!   ([`CancelToken`]) propagates the first error so siblings stop at their
-//!   next task boundary instead of finishing doomed work. The
-//!   `*_obs` variants ([`run_workers_obs`], [`sum_tasks_obs`],
+//!   [`default_threads`] / [`resolve_threads`] (the `NOCAP_THREADS`
+//!   environment knob, read only when a caller passes `threads = 0`). All
+//!   fan-outs are **fail-clean**: worker panics — worker 0's included —
+//!   are caught and surfaced as `StorageError::WorkerPanicked`, and a
+//!   [`cancel`] token ([`CancelToken`]) propagates the first error so
+//!   siblings stop at their next task boundary instead of finishing doomed
+//!   work. The `*_obs` variants ([`run_workers_obs`], [`sum_tasks_obs`],
 //!   [`ordered_tasks_obs`]) additionally record per-worker / per-task spans
 //!   through `nocap-obs`, producing the per-worker timelines of the
 //!   chrome://tracing output without perturbing execution.
 //! * [`shard`] — [`PageMorsels`] hands a relation's pages out in
 //!   fixed-length morsels from an atomic cursor ([`page_shards`] is the
 //!   static even split the statistics collector's fixed grid uses);
-//!   [`SharedWriterSet`] is the parallel spill write path: one spill file
-//!   per partition, worker-private output pages ([`LocalWriter`]) that meet
+//!   [`SharedWriterSet`] is the spill write path: one spill file per
+//!   partition, worker-private output pages ([`LocalWriter`]) that meet
 //!   the partition's lock once per *full page*, and a tail merge of the
 //!   partial pages through the partition's one buffered writer — so a
 //!   partition that receives `n` records costs exactly `⌈n / b⌉` random
-//!   writes, in the sequential writer's phase windows, no matter how many
-//!   workers fed it or in which order.
+//!   writes, `⌈n / b⌉ − 1` of them before the tail merge's phase window
+//!   closes, no matter how many workers fed it or in which order.
 //! * [`quota`] — [`even_caps`] carves a page budget into per-partition
-//!   quotas (the deterministic destaging policy shared by the sequential
-//!   and parallel residual partitioners).
-//! * [`stage`] — [`ParallelStager`], the concurrent counterpart of the
-//!   DHH-style residual partitioner: per-worker staging buffers, a shared
-//!   atomic record count per partition, and quota-triggered destaging whose
-//!   outcome depends only on each partition's total record count — never on
-//!   thread interleaving — which is what makes `run_parallel(n)` produce
-//!   bit-identical I/O counts to the sequential executor. Destaged records
-//!   take the same worker-private page path as [`shard`].
-//! * [`quota_stage`] — [`QuotaStager`], the *sequential* twin of the above:
-//!   the quota-destaging mechanism shared by NOCAP's residual partitioner
-//!   and DHH's partitioner (columnar `RecordBatch` staging, zero-copy
-//!   inserts), with routing left to the caller.
+//!   quotas (the deterministic destaging policy of NOCAP's residual
+//!   partitioner and of DHH).
+//! * [`stage`] — [`ParallelStager`], the quota-destaging residual stager:
+//!   per-worker staging buffers, a shared atomic record count per
+//!   partition, and quota-triggered destaging whose outcome depends only on
+//!   each partition's total record count — never on scan order or thread
+//!   interleaving — which is what makes every thread count, one included,
+//!   produce bit-identical I/O counts. Destaged records take the same
+//!   worker-private page path as [`shard`].
+//!
+//! There is no separate single-threaded engine: the executors' sequential
+//! `run` entry points call the same bodies with one worker. The cost of
+//! that, at every thread count, is physical memory the §4.1 model does not
+//! charge: each worker holds one private output page per spill partition it
+//! touched, next to the partition writer's own buffer page — up to `T × m`
+//! pages for `m` spill partitions, so up to `2m` physical output pages at
+//! `T = 1` against the `m` the model charges (see [`shard`]).
 //!
 //! The crate is deliberately generic: routing (which partition a record
 //! belongs to) stays with the caller, so `nocap` (rounded-hash routing),
@@ -61,16 +67,14 @@
 pub mod cancel;
 pub mod pool;
 pub mod quota;
-pub mod quota_stage;
 pub mod shard;
 pub mod stage;
 
 pub use cancel::CancelToken;
 pub use pool::{
-    default_threads, ordered_tasks, ordered_tasks_obs, run_workers, run_workers_cancel,
-    run_workers_obs, sum_tasks, sum_tasks_obs,
+    default_threads, ordered_tasks, ordered_tasks_obs, resolve_threads, run_workers,
+    run_workers_cancel, run_workers_obs, sum_tasks, sum_tasks_obs,
 };
 pub use quota::even_caps;
-pub use quota_stage::{QuotaStager, QuotaStagerBuild};
 pub use shard::{page_shards, LocalWriter, PageMorsels, SharedWriterSet};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

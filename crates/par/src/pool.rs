@@ -60,6 +60,19 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// The worker count a `threads` argument stands for: `0` selects
+/// [`default_threads`], anything else is taken as given. Every
+/// `run_parallel`-style entry point resolves its argument here, so the
+/// environment is consulted only when a caller asks for the default — a
+/// sequential `run`, which passes `1`, never reads it.
+pub fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        default_threads()
+    } else {
+        threads
+    }
+}
+
 /// Renders a panic payload into the deterministic part of
 /// [`StorageError::WorkerPanicked`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -80,8 +93,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// token. Worker panics are caught and surfaced as
 /// [`StorageError::WorkerPanicked`] instead of aborting the process. Worker
 /// 0 runs on the calling thread and only workers `1..threads` are spawned,
-/// so `threads == 1` has no spawn overhead at all — which keeps
-/// `run_parallel(1)` an honest baseline for scaling measurements.
+/// so `threads == 1` has no spawn overhead at all — which is what lets the
+/// joins' sequential `run` be this fan-out at one worker.
 pub fn run_workers<T, F>(threads: usize, f: F) -> Result<Vec<T>>
 where
     T: Send,

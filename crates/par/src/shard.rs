@@ -1,17 +1,16 @@
-//! Page morsels and the parallel spill write path.
+//! Page morsels and the spill write path, for any number of workers.
 //!
 //! **Scans.** [`PageMorsels`] hands out a relation's pages in fixed-length
 //! morsels (`min(256, ⌈pages / 8T⌉)` pages) from an atomic cursor;
-//! together the claimed ranges cover every page exactly once, so a parallel scan costs the same `‖R‖` sequential
-//! reads as the single-threaded scan while a slow worker simply claims
-//! fewer morsels instead of holding the phase up. [`page_shards`] is the
+//! together the claimed ranges cover every page exactly once, so a scan
+//! costs `‖R‖` sequential reads at every worker count while a slow worker
+//! simply claims fewer morsels instead of holding the phase up. [`page_shards`] is the
 //! static even split, kept for consumers whose decomposition must not
 //! depend on timing (the statistics collector's fixed shard grid).
 //!
 //! **Writes.** A [`SharedWriterSet`] owns one [`PartitionWriter`] — one
-//! spill file, one output-buffer page — per partition, like the
-//! `Vec<PartitionWriter>` of a sequential join. Workers never push records
-//! into it. Each worker takes a [`LocalWriter`] holding its *own* lazily
+//! spill file, one output-buffer page — per partition. Workers never push
+//! records into it. Each worker takes a [`LocalWriter`] holding its *own* lazily
 //! allocated page per partition, fills those without any synchronisation,
 //! and takes a partition's lock only to append a page that is already full
 //! ([`PartitionWriter::append_full_page`]): once per `b` records instead of
@@ -20,23 +19,30 @@
 //! coordinator [`merge`](SharedWriterSet::merge)s the partial pages, in
 //! worker order, through the partition's buffered writer.
 //!
-//! **Why the page count is the sequential one.** Private pages follow the
-//! sequential writer's lazy rule — a page is flushed only when a record
+//! **Why the page count is one writer's.** Private pages follow
+//! [`PartitionWriter`]'s lazy rule — a page is flushed only when a record
 //! arrives and finds it full — so a worker that routed `n_w ≥ 1` records
 //! to a partition has appended `⌈n_w / b⌉ − 1` pages and still holds
 //! `1..=b` records. Pouring the `P = Σ pending` records through the shared
 //! writer flushes `⌈P / b⌉ − 1` more and leaves `1..=b` buffered. Since
 //! `n = b · Σ(⌈n_w / b⌉ − 1) + P`, the partition has exactly `⌈n / b⌉ − 1`
 //! pages on the device after the merge and `finish` writes exactly one
-//! more: the state a single sequential writer would be in, for any worker
-//! count and any split of the records among workers. Private buffers do
-//! *not* write extra partial pages.
+//! more: the state one [`PartitionWriter`] pushed all `n` records would be
+//! in, for any worker count and any split of the records among workers.
+//! Private buffers do *not* write extra partial pages. The joins take
+//! their partition-phase I/O snapshot after the merge and call `finish` in
+//! the probe window, so the split of a partition's writes between the two
+//! windows is `⌈n / b⌉ − 1` / `1` at every worker count.
 //!
 //! **What it costs.** Up to `workers × partitions touched` pages of
 //! physical memory outside the `BufferPool`, on top of the one modeled
-//! output-buffer page per partition (§4.1). The private pages own no file,
-//! so a failed or cancelled run leaks nothing: the set's writers delete
-//! their files on drop as before.
+//! output-buffer page per partition (§4.1) — and that holds at one worker
+//! too, which is how the joins' sequential `run` executes: up to `2m`
+//! physical output pages for `m` spill partitions where the model charges
+//! `m` (+4.6 MB peak RSS on the benchmark's `uniform_roomy`, where GHJ has
+//! 1 665 partitions). The private pages own no file, so a failed or
+//! cancelled run leaks nothing: the set's writers delete their files on
+//! drop.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -142,7 +148,7 @@ impl PrivatePages {
     }
 
     /// Appends `record` to partition `p`'s private page. If the page is
-    /// already full it first goes to `append_full` (the sequential writer's
+    /// already full it first goes to `append_full` (`PartitionWriter`'s
     /// lazy rule: a full page waits for the record that does not fit).
     pub(crate) fn push(
         &mut self,
@@ -172,13 +178,12 @@ impl PrivatePages {
     }
 }
 
-/// One spill writer per partition, fed by worker-private pages — the
-/// concurrent counterpart of the `Vec<PartitionWriter>` every sequential
-/// partitioning join keeps (see the module docs).
+/// One spill writer per partition, fed by worker-private pages (see the
+/// module docs).
 ///
-/// Entries can be absent (`None`) so the NOCAP S-pass can allocate writers
-/// only for the residual partitions whose page-out bit is set, mirroring
-/// the sequential executor page for page.
+/// Entries can be absent (`None`) so the NOCAP and DHH S-passes allocate
+/// writers — and spill files — only for the partitions whose page-out bit
+/// is set.
 pub struct SharedWriterSet {
     layout: RecordLayout,
     page_size: usize,
@@ -252,7 +257,7 @@ impl SharedWriterSet {
 
     /// Pours the partial pages the workers hand back, in the order given
     /// (worker order), through each partition's buffered writer. Afterwards
-    /// every partition is in exactly the state a sequential writer fed the
+    /// every partition is in exactly the state one `PartitionWriter` fed the
     /// same records would be in: `⌈n / b⌉ − 1` pages on the device, the
     /// last `1..=b` records buffered for `finish`. Call it before the
     /// phase's I/O snapshot.

@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 use nocap_model::McvEstimate;
 use nocap_obs::{Obs, Phase};
-use nocap_par::{default_threads, page_shards, run_workers};
+use nocap_par::{page_shards, resolve_threads, run_workers};
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, Record, Relation, RelationScan,
     Reservation, Result,
@@ -418,11 +418,7 @@ impl StatsCollector {
         obs: &Obs,
         make: impl Fn(usize) -> Result<StatsCollector> + Sync,
     ) -> Result<StatsCollector> {
-        let threads = if threads == 0 {
-            default_threads()
-        } else {
-            threads
-        };
+        let threads = resolve_threads(threads);
         let _stats_span = obs.span(Phase::Stats);
         let num_shards = Self::shard_count(rel);
         obs.count("stats_shards", num_shards as u64);

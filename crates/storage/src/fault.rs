@@ -12,7 +12,7 @@
 //! * **Transient errors** — the next `n` matching ops fail with
 //!   [`StorageError::Io`] *before* reaching the inner device. Because the
 //!   devices count I/O only after validation, a retried transient error
-//!   leaves the modeled [`IoStats`](crate::IoStats) bit-identical to a
+//!   leaves the modeled [`IoStats`] bit-identical to a
 //!   fault-free run — which is what lets the differential fault matrix
 //!   require exact output equality after recovery.
 //! * **Persistent errors** — every matching op from the trigger point on

@@ -12,7 +12,7 @@
 //! **Determinism contract.** Buffering only *delays* sink calls within one
 //! stream: records of the same partition are delivered in exactly their
 //! arrival order, and [`finish`](RadixRouter::finish) drains leftovers in
-//! ascending partition order. Since the quota stagers' destaging decisions
+//! ascending partition order. Since the quota stager's destaging decisions
 //! depend only on per-partition record counts (never on interleaving), and
 //! a spill writer flushes a page after every `b`-th record of its partition
 //! regardless of timing, the staged batches, spill-file contents, page-out
@@ -33,8 +33,8 @@ const PARTITION_BUFFER_BYTES: usize = 1024;
 /// Per-partition batching write buffers in front of a partition sink.
 ///
 /// The sink is any `FnMut(partition, record) -> Result<()>` — a
-/// `QuotaStager::insert`, a `ParallelStager` worker insert, a shared
-/// writer-set push or a plain `PartitionWriter` vector.
+/// `ParallelStager` worker insert (what NOCAP's and DHH's R passes route
+/// into), a writer-set push or a plain `PartitionWriter` vector.
 pub struct RadixRouter {
     cap: usize,
     /// Payload stride, cached off the layout: `push` is the per-record hot

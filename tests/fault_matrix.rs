@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use nocap_suite::joins::{DhhJoin, SortMergeJoin};
+use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::storage::device::DeviceRef;
@@ -328,6 +328,50 @@ fn persistent_faults_fail_cleanly_with_zero_leaked_files_or_pages() {
                 join.name()
             );
         }
+    }
+}
+
+#[test]
+fn a_persistent_fault_fails_run_exactly_like_run_parallel_at_one_worker() {
+    // The sequential entry points have no body of their own: `run` must
+    // meet a persistent schedule exactly as `run_parallel(1)` does — at one
+    // worker the operation order is deterministic, so the same injected
+    // fault surfaces as the same error — and leave nothing behind either.
+    let spec = JoinSpec::paper_synthetic(128, BUDGET_PAGES);
+    let nocap = NocapJoin::new(spec, NocapConfig::default());
+    let dhh = DhhJoin::with_defaults(spec);
+    let ghj = GraceHashJoin::new(spec);
+    type Run<'a> = &'a dyn Fn(&GeneratedWorkload) -> Result<JoinRunReport>;
+    let joins: [(&str, Run, Run); 3] = [
+        ("nocap", &|wl| nocap.run(&wl.r, &wl.s, &wl.mcvs), &|wl| {
+            nocap.run_parallel(&wl.r, &wl.s, &wl.mcvs, 1)
+        }),
+        ("dhh", &|wl| dhh.run(&wl.r, &wl.s, &wl.mcvs), &|wl| {
+            dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, 1)
+        }),
+        ("ghj", &|wl| ghj.run(&wl.r, &wl.s), &|wl| {
+            ghj.run_parallel(&wl.r, &wl.s, 1)
+        }),
+    ];
+    for (i, (name, run, run_parallel_1)) in joins.into_iter().enumerate() {
+        let fail = |join: Run| {
+            let rig = rig(FaultPlan::persistent(0xD15C + i as u64, 300), patient());
+            rig.fault.arm();
+            let err = join(&rig.wl).expect_err("a persistent fault cannot be retried away");
+            assert_eq!(rig.sim.live_files(), 2, "{name}: spill files leaked");
+            assert_eq!(
+                rig.sim.resident_pages(),
+                rig.wl.r.num_pages() + rig.wl.s.num_pages(),
+                "{name}: spill pages leaked"
+            );
+            err
+        };
+        let err = fail(run);
+        assert!(
+            matches!(err, StorageError::Io(_) | StorageError::CorruptPage(_)),
+            "{name}: `run` must surface the injected fault, got: {err}"
+        );
+        assert_eq!(err, fail(run_parallel_1), "{name}");
     }
 }
 

@@ -6,14 +6,15 @@
 //! buffers and flushes them in bursts, so the only thing it may change is
 //! *when* the sink sees a record — never which partition it goes to, the
 //! order within a partition, or the bytes delivered. These tests drive the
-//! same record streams through a [`QuotaStager`] (the residual stager every
-//! executor routes into) both ways and require equal staged batches,
-//! page-out bits, spill-file contents and modeled I/O — across zipf,
-//! uniform and JCC-H workloads, a sweep of partition counts, and streams
-//! whose tails leave every buffer partially filled.
+//! same record streams through a [`ParallelStager`] with one
+//! [`WorkerStage`] (what worker 0 of NOCAP's and DHH's R pass routes into)
+//! both ways and require equal staged batches, page-out bits, spill-file
+//! contents and modeled I/O — across zipf, uniform and JCC-H workloads, a
+//! sweep of partition counts, and streams whose tails leave every buffer
+//! partially filled.
 
 use nocap_suite::model::JoinSpec;
-use nocap_suite::par::{even_caps, QuotaStager};
+use nocap_suite::par::{even_caps, ParallelStager};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::hash::mix64;
 use nocap_suite::storage::{
@@ -57,25 +58,25 @@ fn partition_pass(
 ) -> PassResult {
     let base = device.stats();
     let caps = even_caps(budget_pages, m);
-    let mut stager = QuotaStager::new(device.clone(), *spec, r.layout(), caps);
+    let stager = ParallelStager::new(device.clone(), r.layout(), *spec, caps);
+    let mut stage = stager.worker_stage();
+    let mut sink = |p: usize, rec: RecordRef<'_>| stager.insert(&mut stage, p, rec);
     let mut router = RadixRouter::new(r.layout(), m);
     let mut scan = r.scan();
     while let Some(page) = scan.next_page().unwrap() {
         for rec in page.record_refs() {
             let p = (mix64(rec.key()) % m as u64) as usize;
             if buffered {
-                router
-                    .push(p, rec, &mut |p, rec| stager.insert(p, rec))
-                    .unwrap();
+                router.push(p, rec, &mut sink).unwrap();
             } else {
-                stager.insert(p, rec).unwrap();
+                sink(p, rec).unwrap();
             }
         }
     }
     if buffered {
-        router.finish(&mut |p, rec| stager.insert(p, rec)).unwrap();
+        router.finish(&mut sink).unwrap();
     }
-    let build = stager.finish().unwrap();
+    let build = stager.finish(vec![stage]).unwrap();
     let io = device.stats().since(&base);
     let spilled = build
         .spilled

@@ -3,7 +3,11 @@
 //! pre-refactor record pipelines.
 //!
 //! `legacy_nocap_run` below is a faithful reproduction of the NOCAP
-//! executor as it existed before the zero-copy refactor: records are
+//! executor as it existed before the zero-copy refactor — and, since the
+//! executors were folded into one `threads`-parameterised body each, the
+//! only straight-line single-threaded NOCAP left in the repository, which
+//! makes it the independent check on quota destaging, POB routing and the
+//! phase windows of `NocapJoin::run_parallel_with_plan_obs`: records are
 //! materialized through the owned-record iterator path (`Record::read_from`
 //! per record — one heap allocation each), the in-memory build side is a
 //! `HashMap<u64, Vec<Record>>`, and the residual partitioner stages owned
@@ -20,8 +24,8 @@
 //! the exact output and per-phase I/O of the pre-rewrite SMJ.
 //!
 //! Coverage: skewed (Zipf 1.1), uniform and JCC-H (tuned skew) workloads,
-//! each checked against the sequential `run` and `run_parallel` at 1, 2 and
-//! 4 threads.
+//! each checked against `run` (one worker on the calling thread) and
+//! `run_parallel` at 1, 2 and 4 threads.
 
 use std::collections::HashMap;
 
@@ -37,9 +41,10 @@ use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 /// The pre-refactor NOCAP executor: owned records everywhere, map-of-vecs
-/// build side, `Vec<Record>` staging. Mirrors `NocapJoin::run_with_plan`
-/// line for line, including every buffer-pool reservation, so the residual
-/// budget and the quota geometry are identical.
+/// build side, `Vec<Record>` staging, one `PartitionWriter` per spill
+/// partition. Takes the same buffer-pool reservations as
+/// `NocapJoin::run_parallel_with_plan_obs`, in the same order, so the
+/// residual budget and the quota geometry are identical.
 fn legacy_nocap_run(
     spec: &JoinSpec,
     config: &NocapConfig,
