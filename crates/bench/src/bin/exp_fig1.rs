@@ -5,6 +5,12 @@
 //! cost models: the `g_DHH` estimate for DHH, the planner's estimate for
 //! NOCAP, and the OCAP sweep for the lower bound, all over a memory range
 //! from below √(F·‖R‖) to beyond ‖R‖ (no join is executed).
+//!
+//! `g_DHH` prices NOCAP's own residual partitioner, so the "DHH" curve is
+//! NOCAP planning without statistics: every key residual, one chunk per
+//! partition, even staging quotas (no partially staged build side — the
+//! curve is flat between √(F·‖R‖) and ‖R‖·F) and the light optimizer's
+//! recursion below √(F·‖R‖).
 
 use nocap::{ocap, plan_nocap, OcapConfig, PlannerConfig};
 use nocap_bench::harness::print_series_block;
@@ -48,7 +54,14 @@ fn main() {
         let mut rows = Vec::new();
         for &budget in &budgets {
             let spec = base_spec.with_buffer_pages(budget);
-            let dhh = base_io + g_dhh(n_r, n_s as u64, &spec, budget.saturating_sub(2));
+            let dhh = base_io
+                + g_dhh(
+                    n_r,
+                    n_s as u64,
+                    &spec,
+                    budget.saturating_sub(2),
+                    &PlannerConfig::default().rh_params,
+                );
             let plan = plan_nocap(&mcvs, n_r, n_s as u64, &spec, &PlannerConfig::default());
             let nocap_est = base_io + plan.estimated_extra_io;
             let bound = ocap(&ct, &spec, &OcapConfig::default()).total_io_pages;

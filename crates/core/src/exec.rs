@@ -80,7 +80,8 @@ use std::sync::Mutex;
 
 use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{
-    BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom, RoundedHashParams,
+    rest_partitions, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom,
+    RoundedHashParams,
 };
 use nocap_obs::{Obs, Phase};
 use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet};
@@ -701,7 +702,8 @@ pub struct RestGeometry {
 impl RestGeometry {
     /// Sizes the residual partitioner: the partition count targets one NBJ
     /// chunk (`c*_R`) per partition, clamped so that every partition can own
-    /// at least one page of the residual budget.
+    /// at least one page of the residual budget ([`rest_partitions`], the
+    /// rule the planner's residual estimate prices).
     pub fn new(
         spec: &JoinSpec,
         budget_pages: usize,
@@ -709,9 +711,7 @@ impl RestGeometry {
         rh_params: RoundedHashParams,
     ) -> Self {
         let budget_pages = budget_pages.max(1);
-        let c_star = rh_params.effective_chunk(spec.c_r().max(1));
-        let desired_partitions = estimated_keys.div_ceil(c_star.max(1)).max(1);
-        let num_partitions = desired_partitions.min(budget_pages.saturating_sub(1).max(1));
+        let num_partitions = rest_partitions(estimated_keys, spec, budget_pages, &rh_params);
         let rh = RoundedHash::new(estimated_keys, num_partitions, spec.c_r(), &rh_params);
         RestGeometry {
             rh,
@@ -726,13 +726,13 @@ impl RestGeometry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use nocap_storage::{Record, SimDevice};
     use std::collections::HashMap;
 
     /// Builds R with keys `0..n_r` and S where key `k` appears `ct(k)` times.
-    fn build_workload(
+    pub(crate) fn build_workload(
         device: nocap_storage::device::DeviceRef,
         spec: &JoinSpec,
         n_r: u64,

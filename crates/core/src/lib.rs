@@ -76,7 +76,7 @@ pub mod planner;
 pub mod rounded_hash;
 
 pub use exec::{NocapConfig, NocapJoin, RestGeometry};
-pub use ocap::dp::{partition_dp, DpOptions, DpSolution};
+pub use ocap::dp::{partition_dp, partition_dp_range, DpOptions, DpSolution};
 pub use ocap::{ocap, OcapConfig, OcapSolution};
 pub use plan::NocapPlan;
 pub use planner::{plan_nocap, PlannerConfig};

@@ -94,11 +94,31 @@ pub fn partition_dp(
     c_r: usize,
     options: &DpOptions,
 ) -> DpSolution {
-    let n = ct.len();
+    partition_dp_range(ct, 0, ct.len(), m_max, c_r, options)
+}
+
+/// [`partition_dp`] over the entries `[start, end)` of `ct` only, as if they
+/// were a table of their own: the boundaries are relative to `start` and the
+/// last one equals `end − start`. `CalCost` needs nothing but range sums, so
+/// a caller that costs many sub-ranges of one table (the NOCAP planner)
+/// builds the table and its prefix sums once instead of copying each range
+/// out.
+pub fn partition_dp_range(
+    ct: &CorrelationTable,
+    start: usize,
+    end: usize,
+    m_max: usize,
+    c_r: usize,
+    options: &DpOptions,
+) -> DpSolution {
+    debug_assert!(start <= end && end <= ct.len());
+    let n = end - start;
     if n == 0 || m_max == 0 {
         return DpSolution::empty();
     }
     let c_r = c_r.max(1);
+    // `CalCost` over the range-relative indices `[s, e)`.
+    let cost_of = |s: usize, e: usize| cal_cost(ct, start + s, start + e, c_r);
 
     // Shortcut: every partition pays at least one pass over its S records,
     // so the probe cost is bounded below by Σ CT. If the budget allows one
@@ -115,7 +135,7 @@ pub fn partition_dp(
         }
         boundaries.push(n);
         return DpSolution {
-            cost: ct.range_sum(0, n) as u128,
+            cost: ct.range_sum(start, end) as u128,
             boundaries,
         };
     }
@@ -163,7 +183,7 @@ pub fn partition_dp(
         for j in 1..=max_j {
             if j == 1 {
                 // A single partition has no choice to make.
-                cost[p * width + 1] = cal_cost(ct, 0, i, c_r);
+                cost[p * width + 1] = cost_of(0, i);
                 choice[p * width + 1] = 0;
                 continue;
             }
@@ -188,7 +208,7 @@ pub fn partition_dp(
                 if prev == INF {
                     continue;
                 }
-                let candidate = prev + cal_cost(ct, k, i, c_r);
+                let candidate = prev + cost_of(k, i);
                 if candidate < best {
                     best = candidate;
                     best_q = q;
@@ -213,7 +233,7 @@ pub fn partition_dp(
         // Should not happen for non-empty input, but stay safe: fall back to
         // a single partition.
         return DpSolution {
-            cost: cal_cost(ct, 0, n, c_r),
+            cost: cost_of(0, n),
             boundaries: vec![n],
         };
     }
@@ -321,6 +341,30 @@ mod tests {
                 exact.cost, compressed.cost,
                 "divisible compression changed the optimum (n={n}, m={m}, c_R={c_r})"
             );
+        }
+    }
+
+    #[test]
+    fn sub_range_dp_equals_the_dp_on_a_copied_table() {
+        // Zipf-like ascending counts; every sub-range must be solved exactly
+        // as if it had been copied out into a table of its own — costs and
+        // boundaries, with and without the §3.1.3 speedups.
+        let table = ct((1..=120u64).map(|i| 2_000 / (121 - i)).collect());
+        let pruned_only = DpOptions {
+            divisible_compression: false,
+            weakly_ordered_pruning: true,
+        };
+        for options in [DpOptions::default(), pruned_only, DpOptions::exact()] {
+            for (start, end) in [(0, 120), (0, 37), (37, 120), (50, 51), (13, 97), (60, 60)] {
+                let copied = table.slice(start, end);
+                for (m_max, c_r) in [(1, 7), (3, 7), (4, 10), (12, 10), (5, 200)] {
+                    assert_eq!(
+                        partition_dp_range(&table, start, end, m_max, c_r, &options),
+                        partition_dp(&copied, m_max, c_r, &options),
+                        "[{start}, {end}) m_max={m_max} c_R={c_r} {options:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -17,7 +17,7 @@ pub mod dp;
 
 use nocap_model::{CorrelationTable, JoinSpec};
 
-use dp::{partition_dp, DpOptions, DpSolution};
+use dp::{partition_dp_range, DpOptions};
 
 /// Configuration of the OCAP sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,17 +105,11 @@ pub fn ocap(ct: &CorrelationTable, spec: &JoinSpec, config: &OcapConfig) -> Ocap
         if rest_end < zero_records {
             continue;
         }
-        let rest = ct.slice(zero_records, rest_end);
-        let rest_records = rest.len();
-
-        let solution = if rest_records == 0 {
-            DpSolution::empty()
-        } else {
-            partition_dp(&rest, m_max, c_r, &config.dp)
-        };
+        let rest_records = rest_end - zero_records;
+        let solution = partition_dp_range(ct, zero_records, rest_end, m_max, c_r, &config.dp);
 
         let spilled_r_pages = (rest_records as f64 / b_r).ceil();
-        let spilled_s_pages = (rest.total_matches() as f64 / b_s).ceil();
+        let spilled_s_pages = (ct.range_sum(zero_records, rest_end) as f64 / b_s).ceil();
         let probe = spilled_r_pages + solution.cost as f64 / b_s;
         let partition = mu * (spilled_r_pages + spilled_s_pages);
         let extra = probe + partition;

@@ -8,8 +8,45 @@
 //! tests assert planner decisions without running the join.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use nocap_model::JoinSpec;
+use nocap_storage::hash::mix64;
+
+/// Hasher of the plan's routing tables: one SplitMix64 round per `u64` join
+/// key ([`nocap_storage::hash::mix64`], the hash every router, hash table and
+/// bloom filter of the engine already applies to the same keys) in place of
+/// `std`'s SipHash. Both passes consult the tables once or twice per record,
+/// and a plan designates thousands of keys, so the lookup is on the hot
+/// path; the keys come from the planner's own MCV list, and `mix64` is a
+/// bijection, so distinct keys never share a full hash.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Not reached for `u64` keys (they arrive through `write_u64`).
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(self.0 ^ key);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The cached keys as a set (see [`NocapPlan::mem_key_set`]).
+pub type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
+
+/// `f_disk : key → partition id` (see [`NocapPlan::disk_map`]).
+pub type DiskMap = HashMap<u64, u32, BuildHasherDefault<KeyHasher>>;
 
 /// The hybrid-partitioning plan chosen by NOCAP.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,13 +99,13 @@ impl NocapPlan {
     }
 
     /// The cached keys as a set (for O(1) routing).
-    pub fn mem_key_set(&self) -> HashSet<u64> {
+    pub fn mem_key_set(&self) -> KeySet {
         self.mem_keys.iter().copied().collect()
     }
 
     /// The designated-partition map `f_disk : key → partition id`.
-    pub fn disk_map(&self) -> HashMap<u64, u32> {
-        let mut map = HashMap::new();
+    pub fn disk_map(&self) -> DiskMap {
+        let mut map = DiskMap::with_capacity_and_hasher(self.k_disk(), Default::default());
         for (pid, keys) in self.disk_partitions.iter().enumerate() {
             for &k in keys {
                 map.insert(k, pid as u32);
@@ -129,6 +166,30 @@ mod tests {
         assert_eq!(map.get(&21), Some(&0));
         assert_eq!(map.get(&22), Some(&1));
         assert_eq!(map.get(&10), None);
+    }
+
+    #[test]
+    fn routing_tables_hash_keys_with_the_shared_mix() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        for key in [0u64, 1, 42, 1 << 40, u64::MAX] {
+            assert_eq!(build.hash_one(key), mix64(key));
+        }
+        // Thousands of designated keys, dense and strided, all found again.
+        let plan = NocapPlan {
+            mem_keys: (0..500).collect(),
+            disk_partitions: vec![
+                (500..4_000).collect(),
+                (1..=3_000).map(|i| i << 20).collect(),
+            ],
+            ..sample_plan()
+        };
+        let (mem, disk) = (plan.mem_key_set(), plan.disk_map());
+        assert_eq!((mem.len(), disk.len()), (500, 6_500));
+        assert!((0..500).all(|k| mem.contains(&k)) && !mem.contains(&500));
+        assert_eq!(disk.get(&3_999), Some(&0));
+        assert_eq!(disk.get(&(7 << 20)), Some(&1));
+        assert_eq!(disk.get(&4_000), None);
     }
 
     #[test]

@@ -45,24 +45,8 @@ impl RoundedHash {
     /// overflow threshold.
     pub fn new(n_estimate: usize, m: usize, c_r: usize, params: &RoundedHashParams) -> Self {
         let m = m.max(1);
-        if n_estimate == 0 || c_r == 0 || !params.rh_enabled(n_estimate, m, c_r) {
-            return RoundedHash {
-                buckets: 0,
-                partitions: m as u64,
-            };
-        }
-        let c_star = params.effective_chunk(c_r);
-        let buckets = n_estimate.div_ceil(c_star).max(1) as u64;
-        if buckets <= m as u64 {
-            // Fewer buckets than partitions: rounding cannot spread anything,
-            // fall back to plain hash so no partition stays empty.
-            return RoundedHash {
-                buckets: 0,
-                partitions: m as u64,
-            };
-        }
         RoundedHash {
-            buckets,
+            buckets: params.rounding_buckets(n_estimate, m, c_r) as u64,
             partitions: m as u64,
         }
     }

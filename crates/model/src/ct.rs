@@ -135,8 +135,8 @@ impl CorrelationTable {
     }
 
     /// A sub-table containing only the 0-based ascending index range
-    /// `[start, end)` (used by the NOCAP planner to run the DP on the MCV
-    /// keys below the cached prefix).
+    /// `[start, end)`, with prefix sums of its own. Costing a range needs no
+    /// copy — [`range_sum`](Self::range_sum) on this table is enough.
     pub fn slice(&self, start: usize, end: usize) -> CorrelationTable {
         debug_assert!(start <= end && end <= self.len());
         let sorted = self.sorted[start..end].to_vec();

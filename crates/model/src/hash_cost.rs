@@ -55,6 +55,25 @@ impl RoundedHashParams {
         // Plain hash already nearly fills the last chunk → disable rounding.
         remainder <= self.beta * c_r as f64
     }
+
+    /// Number of chunk-sized buckets (`⌈n / c*_R⌉`) the rounded-hash router
+    /// deals round-robin to `m` partitions for `n` keys, or 0 when it routes
+    /// by plain hash instead: rounding is disabled
+    /// ([`rh_enabled`](Self::rh_enabled)), or there are no more buckets than
+    /// partitions, so rounding could spread nothing and would leave
+    /// partitions empty. The router and the planner's residual estimate
+    /// ([`crate::g_dhh`]) both size partitions from this.
+    pub fn rounding_buckets(&self, n: usize, m: usize, c_r: usize) -> usize {
+        if !self.rh_enabled(n, m, c_r) {
+            return 0;
+        }
+        let buckets = n.div_ceil(self.effective_chunk(c_r));
+        if buckets <= m {
+            0
+        } else {
+            buckets
+        }
+    }
 }
 
 /// Expected per-partition join cost of **plain hash** partitioning the CT

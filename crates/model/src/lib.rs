@@ -15,12 +15,13 @@
 //!   of §3.1.3, and checkers for the three properties of Theorem 3.1
 //!   (consecutive, weakly-ordered, divisible).
 //! * [`classic_cost`] — the Table 1 estimators for NBJ, GHJ and SMJ, plus
-//!   the "light optimizer" that picks the cheapest method for each
-//!   partition-wise join.
+//!   the "light optimizer" that picks NBJ or Grace-style recursion for each
+//!   partition-wise join — run by the executors, priced by the planner.
 //! * [`hash_cost`] — `g_PH` (plain hash) and `g_RH` (rounded hash, §4.2)
 //!   including the Chernoff-bound overflow correction.
 //! * [`dhh_cost`] — `g_DHH`: the estimated extra I/O of handing the residual
-//!   (non-MCV) keys to a DHH/GHJ-style partitioner with a given budget.
+//!   (non-MCV) keys to NOCAP's residual partitioner with a given budget,
+//!   and the partition-count rule that partitioner runs.
 //! * [`degrade`] — the [`BudgetLadder`]: bounded budget degradation under
 //!   memory pressure (`B → ¾B → …`), exploiting the cost model's
 //!   monotonicity in `B` — a smaller budget costs more passes, never
@@ -49,7 +50,7 @@ pub mod spec;
 pub use classic_cost::{best_partition_join, ghj_cost, nbj_cost, smj_cost, PartitionJoinMethod};
 pub use ct::CorrelationTable;
 pub use degrade::{run_degrading, BudgetLadder, DegradationAttempt, DegradedRun};
-pub use dhh_cost::g_dhh;
+pub use dhh_cost::{g_dhh, rest_partitions};
 pub use estimate::McvEstimate;
 pub use hash_cost::{g_ph, g_rh, rounded_passes, RoundedHashParams};
 pub use partitioning::{cal_cost, Partitioning};

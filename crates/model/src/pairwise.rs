@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use nocap_storage::{BloomFilter, IoKind, JoinHashTable, Page, PartitionHandle, RecordRef};
 
+use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
 use crate::report::JoinRunReport;
 use crate::sip::ProbeBloom;
 use crate::spec::JoinSpec;
@@ -180,11 +181,11 @@ fn level_hash(key: u64, level: u32) -> u64 {
     nocap_storage::hash::mix64_seeded(key, nocap_storage::hash::level_seed(level))
 }
 
-/// The paper's light optimizer applied to one spilled partition pair:
-/// join with chunk-wise NBJ, or — when the estimated Table 1 cost says
-/// another partitioning pass is cheaper (the regime below `√(F·‖R‖)`) —
-/// re-partition the pair recursively first, exactly as GHJ/DHH downgrade to
-/// Grace-style recursion.
+/// The paper's light optimizer ([`best_partition_join`]) applied to one
+/// spilled partition pair: join with chunk-wise NBJ, or — when the estimated
+/// Table 1 cost says another partitioning pass is cheaper (the regime below
+/// `√(F·‖R‖)`) — re-partition the pair recursively first, exactly as GHJ/DHH
+/// downgrade to Grace-style recursion.
 pub fn smart_partition_join(
     r_partition: &PartitionHandle,
     s_partition: &PartitionHandle,
@@ -205,9 +206,8 @@ pub fn smart_partition_join(
     if fits || depth >= MAX_DEPTH {
         return nbj_partition_join(r_partition, s_partition, spec, |_, _| {});
     }
-    let nbj = crate::classic_cost::nbj_cost_best(r_partition.pages(), s_partition.pages(), spec);
-    let ghj = crate::classic_cost::ghj_cost(r_partition.pages(), s_partition.pages(), spec);
-    if nbj <= ghj {
+    let (method, _) = best_partition_join(r_partition.pages(), s_partition.pages(), spec);
+    if method == PartitionJoinMethod::Nbj {
         return nbj_partition_join(r_partition, s_partition, spec, |_, _| {});
     }
     // Re-partition both sides and recurse (zero-copy: records route straight

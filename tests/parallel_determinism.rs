@@ -126,7 +126,7 @@ const GOLDEN: [GoldenRow; 24] = [
     ("dhh",   "uniform",    32, 48000, [1743,    0,    0, 1742], [1762,    0, 0, 20]),
     ("ghj",   "uniform",    32, 48000, [1743,    0,    0, 1773], [1773,    0, 0,  0]),
     ("smj",   "uniform",    32, 48000, [1743, 1745, 3486,    0], [   0, 1743, 0,  0]),
-    ("nocap", "uniform",    96, 48000, [1743,    0,    0, 1741], [1744,    0, 0,  3]),
+    ("nocap", "uniform",    96, 48000, [1743,    0,    0, 1655], [1658,    0, 0,  3]),
     ("dhh",   "uniform",    96, 48000, [1743,    0,    0, 1732], [1752,    0, 0, 20]),
     ("ghj",   "uniform",    96, 48000, [1743,    0,    0, 1832], [1832,    0, 0,  0]),
     ("smj",   "uniform",    96, 48000, [1743,    0, 1743,    0], [   0, 1743, 0,  0]),
