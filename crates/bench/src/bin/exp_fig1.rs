@@ -7,9 +7,10 @@
 //! from below √(F·‖R‖) to beyond ‖R‖ (no join is executed).
 //!
 //! `g_DHH` prices NOCAP's own residual partitioner, so the "DHH" curve is
-//! NOCAP planning without statistics: every key residual, one chunk per
-//! partition, even staging quotas (no partially staged build side — the
-//! curve is flat between √(F·‖R‖) and ‖R‖·F) and the light optimizer's
+//! NOCAP planning without statistics: every key residual, resident-first
+//! staging quotas (`nocap_model::staging_quotas` — between √(F·‖R‖) and
+//! ‖R‖·F the leading partitions stay in memory and the curve falls to zero
+//! extra I/O, in steps of one partition) and the light optimizer's
 //! recursion below √(F·‖R‖).
 
 use nocap::{ocap, plan_nocap, OcapConfig, PlannerConfig};

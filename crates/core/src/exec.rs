@@ -16,7 +16,11 @@
 //!    rounded hash of §4.2 ([`RestGeometry`]) in front of a DHH-style
 //!    [`ParallelStager`] that stages partitions in memory and destages a
 //!    partition once its staged footprint exceeds its fixed quota of the
-//!    residual budget.
+//!    residual budget. The quotas are resident-first: as many leading
+//!    partitions as `m_rest` affords get a quota that holds their whole
+//!    expected table, so with `m_rest` between `√(F·‖R‖)` and `F·‖R‖` the
+//!    residual join is a *hybrid* hash join — part of it never touches the
+//!    device.
 //! 2. **Partition / probe S** — S records with designated keys are spilled
 //!    to the matching S partition; the rest first probe the in-memory hash
 //!    table (producing output immediately) and, on a miss, are spilled only
@@ -52,8 +56,10 @@
 //! All modeled pages are drawn from a [`BufferPool`] capped at the spec's
 //! budget, so the §4.1 memory breakdown is enforced at run time, not just
 //! assumed: the pool reserves the two streaming pages and the plan's fixed
-//! structures, and the residual budget is carved into per-partition quotas
-//! whose reservations are visible in the pool. Three knowing
+//! structures, and the residual budget is carved into one reservation per
+//! partition of exactly its quota. Once R is partitioned the quotas shrink
+//! to what the partitions hold, and the probe pre-filter's pages come out
+//! of what that frees — never out of the staging budget. Three knowing
 //! simplifications, all physical memory the model does not charge: each
 //! worker holds one transient scan-buffer page (the model charges one
 //! logical input page for the pipeline, as the paper does); each worker
@@ -80,15 +86,15 @@ use std::sync::Mutex;
 
 use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{
-    rest_partitions, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom,
-    RoundedHashParams,
+    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom,
+    RoundedHashParams, StagingRouter,
 };
 use nocap_obs::{Obs, Phase};
 use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet};
 use nocap_stats::{StatsCollector, StatsSummary};
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, Reservation, SpillGuard,
+    RadixRouter, Relation, SpillGuard,
 };
 
 use crate::plan::NocapPlan;
@@ -444,12 +450,6 @@ impl NocapJoin {
         let _io_pages = pool.reserve(2)?;
         let _fixed = pool.reserve(plan.fixed_memory_pages(&spec).min(pool.available()))?;
         let rest_budget = pool.available();
-        // Reserve the probe-side bloom *after* reading the residual budget
-        // (so partition geometry and quotas never shift) and *before* the
-        // quota carving below consumes every remaining page; an exhausted
-        // pool skips the filter instead of failing. The filter's bits
-        // depend only on the staged key multiset — thread-count invariant.
-        let bloom_reservation = self.config.bloom.reserve(&pool);
 
         let timer = obs.run_timer();
         let base_stats = device.stats();
@@ -464,10 +464,9 @@ impl NocapJoin {
             plan.estimated_rest_keys,
             self.config.planner.rh_params,
         );
-        // Make the quota carving visible to the pool: one reservation per
-        // residual partition, together covering exactly the residual budget
-        // (the same even split as `geometry.caps`).
-        let _quotas: Vec<Reservation> = pool.carve_remaining(geometry.num_partitions());
+        // Make the quotas visible to the pool: one reservation per residual
+        // partition of exactly its quota, together the residual budget.
+        let quotas = pool.carve_quotas(&geometry.caps);
 
         // ---- Phase 1: partition R (Algorithm 8) --------------------------
         let stager = ParallelStager::new(device.clone(), r.layout(), spec, geometry.caps.clone());
@@ -513,7 +512,8 @@ impl NocapJoin {
             .unzip();
         drop(r_partition_span);
         let spill_span = obs.span(Phase::Spill);
-        let rest_build = stager.finish(stages)?;
+        let staged_pages = stager.pages_in_use();
+        let mut rest_build = stager.finish(stages)?;
         // Every spill handle is adopted here the moment it is finished, so
         // an error anywhere below — partitioning, probing, a faulted device
         // — deletes all spill files on unwind (deletion is not modeled
@@ -527,13 +527,22 @@ impl NocapJoin {
         let mut ht_mem = into_inner_unpoisoned(ht_shared);
         {
             let _build_span = obs.span(Phase::Build);
-            for rec in rest_build.staged_records.iter() {
+            // The table takes copies: release the staged batch right away
+            // instead of holding the resident part of R twice.
+            for rec in std::mem::take(&mut rest_build.staged_records).iter() {
                 ht_mem.insert_ref(rec);
             }
         }
-        // The build side is complete: freeze the table into its vectorized
-        // probe layout and summarize its keys for the probe pre-filter
-        // (order-invariant bit contents).
+        // The build side is complete: the quotas shrink to what the
+        // partitions hold now — a resident partition's table, a destaged
+        // one's output page — and the probe pre-filter takes its pages from
+        // what that frees, so it never shifts the partition geometry; with
+        // nothing freed the filter is skipped. Freeze the table into its
+        // vectorized probe layout and summarize its keys for the filter
+        // (order-invariant bit contents, hence thread-count invariant).
+        drop(quotas);
+        let _staged = pool.reserve(staged_pages.min(pool.available()))?;
+        let bloom_reservation = self.config.bloom.reserve(&pool);
         ht_mem.seal();
         let bloom = self
             .config
@@ -690,33 +699,42 @@ fn record_partition_skew<'a>(
 /// function of the partition's total record count only — so every scan
 /// order and thread count destages the same partition set and the §4.1
 /// bound `Σ staged + spilled buffers ≤ m_rest` still holds at all times.
+/// What the global policy achieved — part of R stays in memory whenever
+/// `m_rest` is a sizeable share of its table — the quotas achieve by being
+/// *resident-first*: the leading partitions get quotas that hold their
+/// expected table plus four standard deviations of slack, as many of them
+/// as `m_rest` affords, and the others share the rest
+/// ([`staging_quotas`]). A resident-designated partition that outgrows its
+/// quota anyway is destaged like any other.
 #[derive(Debug, Clone)]
 pub struct RestGeometry {
     /// The rounded-hash router over the residual partitions.
     pub rh: RoundedHash,
     /// Per-partition staging quotas in pages; they sum to the residual
-    /// budget (see [`nocap_par::even_caps`]).
+    /// budget.
     pub caps: Vec<usize>,
 }
 
 impl RestGeometry {
-    /// Sizes the residual partitioner: the partition count targets one NBJ
-    /// chunk (`c*_R`) per partition, clamped so that every partition can own
-    /// at least one page of the residual budget ([`rest_partitions`], the
-    /// rule the planner's residual estimate prices).
+    /// Sizes the residual partitioner for `estimated_keys` keys under
+    /// `budget_pages`: partition count and quotas are [`staging_quotas`]'
+    /// for the rounded-hash router — the geometry the planner's residual
+    /// estimate prices.
     pub fn new(
         spec: &JoinSpec,
         budget_pages: usize,
         estimated_keys: usize,
         rh_params: RoundedHashParams,
     ) -> Self {
-        let budget_pages = budget_pages.max(1);
-        let num_partitions = rest_partitions(estimated_keys, spec, budget_pages, &rh_params);
-        let rh = RoundedHash::new(estimated_keys, num_partitions, spec.c_r(), &rh_params);
-        RestGeometry {
-            rh,
-            caps: nocap_par::even_caps(budget_pages, num_partitions),
-        }
+        let caps = staging_quotas(
+            estimated_keys,
+            spec,
+            budget_pages.max(1),
+            StagingRouter::RoundedHash(&rh_params),
+        )
+        .caps();
+        let rh = RoundedHash::new(estimated_keys, caps.len(), spec.c_r(), &rh_params);
+        RestGeometry { rh, caps }
     }
 
     /// Number of residual partitions.
@@ -829,6 +847,65 @@ pub(crate) mod tests {
             0,
             "nothing should have been written"
         );
+    }
+
+    #[test]
+    fn fixed_reservations_and_staged_pages_stay_within_the_budget_after_every_insert() {
+        // B = 96 against a 198-page table of R: about half of the residual
+        // partitions are resident and fill their quotas. The pool is set up
+        // as the executor sets it up; at one worker the staged footprint is
+        // exact, so what the run holds is the fixed reservations plus
+        // `pages_in_use`.
+        let spec = JoinSpec::paper_synthetic(128, 96);
+        let mcvs: Vec<(u64, u64)> = (0..300).map(|k| (k, 8)).collect();
+        let plan = plan_nocap(&mcvs, 6_000, 48_000, &spec, &PlannerConfig::default());
+        let pool = BufferPool::new(spec.buffer_pages);
+        let _io_pages = pool.reserve(2).unwrap();
+        let _fixed = pool.reserve(plan.fixed_memory_pages(&spec)).unwrap();
+        let fixed = pool.in_use();
+        let geometry = RestGeometry::new(
+            &spec,
+            pool.available(),
+            plan.estimated_rest_keys,
+            RoundedHashParams::default(),
+        );
+        let quotas = pool.carve_quotas(&geometry.caps);
+        let reserved: Vec<usize> = quotas.iter().map(|quota| quota.pages()).collect();
+        assert_eq!(reserved, geometry.caps, "one reservation per quota");
+        assert_eq!(pool.available(), 0, "the quotas are all that was left");
+
+        let device = SimDevice::new_ref();
+        let stager =
+            ParallelStager::new(device.clone(), spec.r_layout, spec, geometry.caps.clone());
+        let mut stage = stager.worker_stage();
+        let (mem_set, disk_map) = (plan.mem_key_set(), plan.disk_map());
+        for k in (0..6_000u64).filter(|k| !mem_set.contains(k) && !disk_map.contains_key(k)) {
+            let rec = Record::with_fill(k, 120, 0);
+            stager
+                .insert(&mut stage, geometry.rh.partition_of(k), rec.as_record_ref())
+                .unwrap();
+            assert!(
+                fixed + stager.pages_in_use() <= spec.buffer_pages,
+                "{fixed} fixed pages + {} staged exceed B",
+                stager.pages_in_use()
+            );
+        }
+        let staged_pages = stager.pages_in_use();
+        let build = stager.finish(vec![stage]).unwrap();
+        let spilled = build.pob.iter().filter(|&&spilled| spilled).count();
+        assert!(
+            (1..build.pob.len()).contains(&spilled),
+            "a mid-regime cell: {spilled} of {} partitions spilled",
+            build.pob.len()
+        );
+        // After the build the quotas shrink to what is held, and the probe
+        // filter takes its pages from what that frees.
+        drop(quotas);
+        let _staged = pool.reserve(staged_pages).unwrap();
+        let bloom = ProbeBloom::default()
+            .reserve(&pool)
+            .expect("slack for a filter");
+        assert_eq!(bloom.pages(), ProbeBloom::default().pages);
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! [`crate::ocap::dp`], run on a sub-range of one ascending table over all
 //! the MCVs that is built once per plan (`CalCost` needs only range sums).
 //! The residual keys are costed with [`g_dhh`], which prices the join the
-//! executor will run on them: its partition count and staging quotas, and
+//! executor will run on them: its partition count and resident-first
+//! staging quotas (a partition that stays in memory costs nothing, so
+//! `m_rest` competes with `K_mem` for the pages of a hybrid hash join), and
 //! its light optimizer's choice between chunk-wise NBJ and Grace-style
 //! recursion for every spilled pair. Both are O(1) in the number of MCVs:
 //! the DP sees `⌈|K_disk| / c_R⌉` cut positions, and is skipped altogether
@@ -36,9 +38,12 @@
 //! candidate down to unit resolution. The optimum is typically a knife edge
 //! — the last key cached before the residual partitions outgrow one chunk
 //! each, the last page taken from `m_rest` before its pairs need another
-//! partitioning pass — which no fixed grid lands on. Planning takes 0.4–1.2
+//! partitioning pass, the last page `m_rest` needs to keep one more residual
+//! partition resident — which no fixed grid lands on. Planning takes 0.8–2.2
 //! ms for 5 000 MCVs on the four workloads of `benchmark/` (`planner.plan_s`
-//! there), under 1 % of the join.
+//! there; the upper end where part of the residual can stay in memory and
+//! [`g_dhh`] weighs up to nine partition counts per call), about 1 % of the
+//! join.
 
 use nocap_model::{g_dhh, CorrelationTable, JoinSpec, RoundedHashParams};
 

@@ -24,15 +24,25 @@
 //! staged partition* whenever the global budget overflows — a policy whose
 //! outcome depends on the order records arrive, which no sharded scan can
 //! reproduce. This implementation uses the same deterministic quota
-//! geometry NOCAP's residual partitioner adopted: every partition owns an
-//! even share of the staging budget ([`nocap_par::even_caps`]) and is
-//! destaged the moment its own staged footprint exceeds that share — a
-//! function of the partition's total record count only
-//! ([`ParallelStager`]). The destaged set is therefore identical for any
-//! scan order or thread interleaving; total staged pages plus one output
-//! buffer per destaged partition still never exceed the budget. (Each
-//! worker additionally holds one private output page per destaged partition
-//! outside the budget, at one worker too — see `nocap_par::shard`.)
+//! geometry as NOCAP's residual partitioner
+//! ([`nocap_model::staging_quotas`], here over the paper's `m_DHH` plain
+//! -hash partitions): every partition owns a fixed quota of the staging
+//! budget and is destaged the moment its own staged footprint exceeds it —
+//! a function of the partition's total record count only
+//! ([`ParallelStager`]). What Algorithm 1 achieves by choosing its victims
+//! late — part of R stays in memory whenever `B` is a sizeable share of
+//! `F·‖R‖` — the quotas achieve by being *resident-first*: the first `s`
+//! partitions get a quota that holds their expected table plus four
+//! standard deviations of their record count, `s` as large as the budget
+//! affords, and the others share what is left, at least the one output
+//! page a destaged partition needs. A resident-designated partition that
+//! outgrows its quota anyway is destaged like any other and costs what it
+//! would have cost without the designation. The destaged set is therefore
+//! identical for any scan order or thread interleaving; total staged pages
+//! plus one output buffer per destaged partition still never exceed the
+//! budget. (Each worker additionally holds one private output page per
+//! destaged partition outside the budget, at one worker too — see
+//! `nocap_par::shard`.)
 //!
 //! **Skew optimization.** Practical systems (PostgreSQL, Histojoin) add a
 //! small dedicated hash table for the most common values: if the tracked
@@ -46,16 +56,17 @@ use std::collections::HashSet;
 use std::sync::Mutex;
 
 use nocap_model::pairwise::smart_partition_join;
-use nocap_model::{BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_model::{
+    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom, StagingRouter,
+};
 use nocap_obs::{Obs, Phase};
 use nocap_par::{
-    even_caps, resolve_threads, run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager,
-    SharedWriterSet,
+    resolve_threads, run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet,
 };
 use nocap_stats::StatsSummary;
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, Reservation, SpillGuard,
+    RadixRouter, Relation, SpillGuard,
 };
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
@@ -236,7 +247,7 @@ impl DhhJoin {
     ///   ([`PageMorsels`]); every page is claimed once, costing
     ///   `‖R‖ + ‖S‖` sequential reads;
     /// * R partitioning drives DHH's modulo router over a
-    ///   [`ParallelStager`] with per-partition quotas ([`even_caps`]), so
+    ///   [`ParallelStager`] with per-partition quotas ([`staging_quotas`]), so
     ///   the destaged partition set and per-partition spill page counts
     ///   depend only on each partition's total record count — never on scan
     ///   order or thread interleaving;
@@ -288,18 +299,21 @@ impl DhhJoin {
         let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
 
         // ---- Partition R (Algorithm 1) ------------------------------------
-        // Partition count and quotas are fixed before any record is routed.
-        let m_dhh = spec
-            .m_dhh(r.num_records())
-            .min(pool.available().saturating_sub(1).max(1));
-        let caps = even_caps(pool.available(), m_dhh);
-        // Reserve the probe-side bloom after the quota geometry is derived
-        // and before the carving below consumes every remaining page; an
-        // exhausted pool skips the filter.
-        let bloom_reservation = self.bloom.reserve(&pool);
-        // Make the quota carving visible to the pool, one reservation per
-        // partition covering exactly the staging budget.
-        let _quotas: Vec<Reservation> = pool.carve_remaining(caps.len());
+        // Partition count and quotas are fixed before any record is routed:
+        // the paper's `m_DHH` partitions, resident-first quotas over every
+        // page that is left.
+        let caps = staging_quotas(
+            r.num_records().saturating_sub(skew_keys.len()),
+            spec,
+            pool.available(),
+            StagingRouter::PlainHash {
+                parts: spec.m_dhh(r.num_records()),
+            },
+        )
+        .caps();
+        // Make the quotas visible to the pool: one reservation per partition
+        // of exactly its quota, together the staging budget.
+        let quotas = pool.carve_quotas(&caps);
 
         let stager = ParallelStager::new(device.clone(), r.layout(), *spec, caps);
         let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
@@ -329,7 +343,8 @@ impl DhhJoin {
             Ok(stage)
         })?;
         drop(r_partition_span);
-        let build = {
+        let staged_pages = stager.pages_in_use();
+        let mut build = {
             let _spill_span = obs.span(Phase::Spill);
             stager.finish(stages)?
         };
@@ -338,15 +353,25 @@ impl DhhJoin {
         let mut spill_guard = SpillGuard::new();
         spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
         let mut ht_mem = into_inner_unpoisoned(ht_shared);
+        let staged_records = build.staged_records.len();
         {
             let _build_span = obs.span(Phase::Build);
-            for rec in build.staged_records.iter() {
+            // The table takes copies: release the staged batch right away
+            // instead of holding the resident part of R twice.
+            for rec in std::mem::take(&mut build.staged_records).iter() {
                 ht_mem.insert_ref(rec);
             }
         }
-        // Freeze the completed build side for vectorized probes and build
-        // the probe pre-filter from its keys (multiset-determined bits,
-        // hence thread-count invariant).
+        // The build side is complete: the quotas shrink to what the
+        // partitions hold now — a resident partition's table, a destaged
+        // one's output page — and the probe pre-filter takes its pages from
+        // what that frees, so it never shifts the partition geometry; with
+        // nothing freed the filter is skipped. Freeze the table for
+        // vectorized probes and build the filter from its keys (multiset
+        // -determined bits, hence thread-count invariant).
+        drop(quotas);
+        let _staged = pool.reserve(staged_pages.min(pool.available()))?;
+        let bloom_reservation = self.bloom.reserve(&pool);
         ht_mem.seal();
         let bloom = self
             .bloom
@@ -402,7 +427,7 @@ impl DhhJoin {
         drop(s_partition_span);
         let mut output: u64 = probe_counts.into_iter().sum();
         let partition_io = device.stats().since(&base);
-        record_dhh_skew(obs, &build.spilled, &build.pob, build.staged_records.len());
+        record_dhh_skew(obs, &build.spilled, &build.pob, staged_records);
 
         // ---- Probe the spilled partition pairs, fanned out ---------------
         let probe_base = device.stats();
@@ -647,12 +672,8 @@ mod tests {
         // the budget holds exactly after every insert.
         let run = |keys: &[u64]| {
             let device = SimDevice::new_ref();
-            let stager = ParallelStager::new(
-                device.clone(),
-                spec.r_layout,
-                spec,
-                even_caps(budget, parts),
-            );
+            let caps = staging_quotas(2_000, &spec, budget, StagingRouter::PlainHash { parts });
+            let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps.caps());
             let mut stage = stager.worker_stage();
             let mut router = RadixRouter::new(spec.r_layout, parts);
             let mut insert = |p: usize, rec: nocap_storage::RecordRef<'_>| {

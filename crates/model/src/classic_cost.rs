@@ -196,7 +196,7 @@ pub fn hashed_pair_cost(pages_r: f64, pages_s: f64, spec: &JoinSpec) -> f64 {
 /// approximation `1 / (1 + e^{1.702·x})`. Its absolute error is just under
 /// 0.01, so a tail that small (`x > 2.7`) is reported as 0 and the caller
 /// skips the case.
-fn normal_tail(x: f64) -> f64 {
+pub(crate) fn normal_tail(x: f64) -> f64 {
     if x > 2.7 {
         return 0.0;
     }

@@ -19,9 +19,11 @@
 //!   partition-wise join — run by the executors, priced by the planner.
 //! * [`hash_cost`] — `g_PH` (plain hash) and `g_RH` (rounded hash, §4.2)
 //!   including the Chernoff-bound overflow correction.
-//! * [`dhh_cost`] — `g_DHH`: the estimated extra I/O of handing the residual
-//!   (non-MCV) keys to NOCAP's residual partitioner with a given budget,
-//!   and the partition-count rule that partitioner runs.
+//! * [`dhh_cost`] — [`staging_quotas`]: the partition count and the
+//!   resident-first staging quotas of a hybrid hash build (NOCAP's residual
+//!   partitioner and DHH both run it), and `g_DHH`: the estimated extra I/O
+//!   of handing the residual (non-MCV) keys to that partitioner with a
+//!   given budget.
 //! * [`degrade`] — the [`BudgetLadder`]: bounded budget degradation under
 //!   memory pressure (`B → ¾B → …`), exploiting the cost model's
 //!   monotonicity in `B` — a smaller budget costs more passes, never
@@ -50,7 +52,7 @@ pub mod spec;
 pub use classic_cost::{best_partition_join, ghj_cost, nbj_cost, smj_cost, PartitionJoinMethod};
 pub use ct::CorrelationTable;
 pub use degrade::{run_degrading, BudgetLadder, DegradationAttempt, DegradedRun};
-pub use dhh_cost::{g_dhh, rest_partitions};
+pub use dhh_cost::{g_dhh, staging_quotas, StagingQuotas, StagingRouter};
 pub use estimate::McvEstimate;
 pub use hash_cost::{g_ph, g_rh, rounded_passes, RoundedHashParams};
 pub use partitioning::{cal_cost, Partitioning};

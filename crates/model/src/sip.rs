@@ -14,10 +14,15 @@
 //!   negative answer only skips probes that would have found nothing; a
 //!   filtered-out record takes exactly the `probe_count == 0` route of the
 //!   unfiltered loop.
-//! * **No modeled-I/O change.** The reservation is taken *after* the
-//!   executor reads its residual budget, so partition geometry, quotas and
-//!   destaging are untouched; when the pool has no spare page the filter is
-//!   simply skipped (never a new out-of-memory path).
+//! * **No modeled-I/O change.** NOCAP and DHH take the reservation *after
+//!   the build pass*, from the pages their staging quotas did not end up
+//!   holding (a resident partition's quota carries a slack, a destaged one
+//!   keeps one output page of its quota), so partition geometry, quotas and
+//!   destaging are the same with the filter on or off and the filter never
+//!   overdraws the budget; when the build left no spare page the filter is
+//!   simply skipped (never a new out-of-memory path). Below `√(F·‖R‖)`,
+//!   where there is one partition per page but one, that leaves the filter
+//!   one page instead of the two it asks for.
 //! * **Thread-count invariant.** Filter bits depend only on the build-side
 //!   key multiset (inserts commute), which is identical for the sequential
 //!   and every parallel execution.
@@ -61,10 +66,10 @@ impl ProbeBloom {
     }
 
     /// Reserves the filter's memory from `pool` at the executor's
-    /// designated reservation point (after the residual budget is read, so
-    /// partition geometry never shifts). Returns `None` — filter skipped —
-    /// when disabled or when the pool has nothing spare; the reservation is
-    /// clamped, never a new out-of-memory path.
+    /// designated reservation point (after the build pass, from what the
+    /// staging quotas freed, so partition geometry never shifts). Returns
+    /// `None` — filter skipped — when disabled or when the pool has nothing
+    /// spare; the reservation is clamped, never a new out-of-memory path.
     pub fn reserve(&self, pool: &BufferPool) -> Option<Reservation> {
         if !self.enabled {
             return None;

@@ -32,16 +32,16 @@
 //!   partition that receives `n` records costs exactly `⌈n / b⌉` random
 //!   writes, `⌈n / b⌉ − 1` of them before the tail merge's phase window
 //!   closes, no matter how many workers fed it or in which order.
-//! * [`quota`] — [`even_caps`] carves a page budget into per-partition
-//!   quotas (the deterministic destaging policy of NOCAP's residual
-//!   partitioner and of DHH).
 //! * [`stage`] — [`ParallelStager`], the quota-destaging residual stager:
 //!   per-worker staging buffers, a shared atomic record count per
 //!   partition, and quota-triggered destaging whose outcome depends only on
 //!   each partition's total record count — never on scan order or thread
 //!   interleaving — which is what makes every thread count, one included,
 //!   produce bit-identical I/O counts. Destaged records take the same
-//!   worker-private page path as [`shard`].
+//!   worker-private page path as [`shard`]. The quotas themselves — the
+//!   deterministic destaging policy of NOCAP's residual partitioner and of
+//!   DHH — come from `nocap_model::staging_quotas`, which the planner's
+//!   residual estimate prices.
 //!
 //! There is no separate single-threaded engine: the executors' sequential
 //! `run` entry points call the same bodies with one worker. The cost of
@@ -66,7 +66,6 @@
 
 pub mod cancel;
 pub mod pool;
-pub mod quota;
 pub mod shard;
 pub mod stage;
 
@@ -75,6 +74,5 @@ pub use pool::{
     default_threads, ordered_tasks, ordered_tasks_obs, resolve_threads, run_workers,
     run_workers_cancel, run_workers_obs, sum_tasks, sum_tasks_obs,
 };
-pub use quota::even_caps;
 pub use shard::{page_shards, LocalWriter, PageMorsels, SharedWriterSet};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

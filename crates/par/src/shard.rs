@@ -54,12 +54,21 @@ use nocap_storage::{
     RecordLayout, RecordRef, Relation, Result, SpillGuard,
 };
 
+/// Splits `total` into `parts` shares that differ by at most one and sum to
+/// exactly `total` (earlier shares take the remainder).
+fn even_split(total: usize, parts: usize) -> impl Iterator<Item = usize> {
+    let parts = parts.max(1);
+    let base = total / parts;
+    let remainder = total % parts;
+    (0..parts).map(move |i| base + usize::from(i < remainder))
+}
+
 /// Splits `0..num_pages` into `workers` contiguous ranges whose lengths
 /// differ by at most one page. Trailing ranges may be empty when there are
 /// fewer pages than workers.
 pub fn page_shards(num_pages: usize, workers: usize) -> Vec<Range<usize>> {
     let mut start = 0usize;
-    crate::quota::even_split(num_pages, workers)
+    even_split(num_pages, workers)
         .map(|len| {
             let shard = start..start + len;
             start += len;
@@ -496,7 +505,7 @@ mod tests {
             for workers in [1usize, 2, 3, 8] {
                 // Even, front-loaded (later workers route nothing) and
                 // back-loaded one-record-each splits of the same n.
-                let even: Vec<usize> = crate::quota::even_split(n, workers).collect();
+                let even: Vec<usize> = even_split(n, workers).collect();
                 let mut front = vec![0; workers];
                 front[0] = n;
                 let mut ragged = vec![0; workers];

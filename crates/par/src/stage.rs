@@ -7,8 +7,13 @@
 //! buffers (one per partition). The *accounting* is shared: a
 //! per-partition atomic record count, charged with the model's
 //! `hash_table_pages` formula. The moment a partition's global staged
-//! footprint exceeds its quota (see [`crate::quota::even_caps`]), the
-//! worker that crossed the threshold flips the partition's page-out bit.
+//! footprint exceeds its quota, the worker that crossed the threshold flips
+//! the partition's page-out bit. The quotas are the caller's — both
+//! executors take them from [`nocap_model::staging_quotas`], which sizes the
+//! leading partitions' quotas to keep them resident (expected table plus a
+//! slack) and splits what is left evenly over the others; the stager treats
+//! every quota alike, so a resident-designated partition that outgrows its
+//! quota is destaged exactly like one that was never meant to stay.
 //! From then on every worker routes the partition's records — first its own
 //! staged ones, on its next touch of the partition — through a *private*
 //! output page, and takes the partition's lock only to append a page that
@@ -102,7 +107,7 @@ pub struct ParallelStager {
 
 impl ParallelStager {
     /// Creates a stager for `caps.len()` partitions; `caps[p]` is partition
-    /// `p`'s staging quota in pages (see [`crate::quota::even_caps`]).
+    /// `p`'s staging quota in pages ([`nocap_model::staging_quotas`]).
     pub fn new(device: DeviceRef, layout: RecordLayout, spec: JoinSpec, caps: Vec<usize>) -> Self {
         let parts = caps
             .iter()
@@ -260,31 +265,26 @@ impl ParallelStager {
 mod tests {
     use super::*;
     use crate::pool::run_workers;
-    use crate::quota::even_caps;
+    use nocap_model::{staging_quotas, StagingRouter};
     use nocap_storage::{FaultDevice, FaultKind, FaultSpec, Record, SimDevice};
 
     fn spec() -> JoinSpec {
         JoinSpec::paper_synthetic(128, 16)
     }
 
-    /// Runs `records` keys through the stager with `threads` workers and a
-    /// plain modulo router, returning (pob, spill page counts, total I/O,
-    /// staged records). The budget pin inside allows one in-flight insert
-    /// per *other* worker, so at one worker it is exact.
+    /// Runs `records` keys through the stager with `threads` workers, the
+    /// quotas `caps` and a plain modulo router, returning (pob, spill page
+    /// counts, total I/O, staged records). The budget pin inside allows one
+    /// in-flight insert per *other* worker, so at one worker it is exact.
     fn run_stager(
         threads: usize,
-        budget: usize,
-        parts: usize,
+        caps: &[usize],
         keys: &[u64],
     ) -> (Vec<bool>, Vec<usize>, u64, usize) {
         let device = SimDevice::new_ref();
         let spec = spec();
-        let stager = ParallelStager::new(
-            device.clone(),
-            spec.r_layout,
-            spec,
-            even_caps(budget, parts),
-        );
+        let (budget, parts) = (caps.iter().sum::<usize>(), caps.len());
+        let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps.to_vec());
         let shard = keys.len().div_ceil(threads);
         let stages = run_workers(threads, |w| {
             let mut stage = stager.worker_stage();
@@ -332,9 +332,10 @@ mod tests {
                 }
             }
         }
-        let baseline = run_stager(1, 12, 8, &keys);
+        let caps = [2, 2, 2, 2, 1, 1, 1, 1];
+        let baseline = run_stager(1, &caps, &keys);
         for threads in [2, 4] {
-            let run = run_stager(threads, 12, 8, &keys);
+            let run = run_stager(threads, &caps, &keys);
             assert_eq!(
                 run.0, baseline.0,
                 "page-out bits differ at {threads} workers"
@@ -349,7 +350,7 @@ mod tests {
     fn partitions_under_quota_stay_in_memory() {
         let keys: Vec<u64> = (0..100).collect();
         for threads in [1, 4] {
-            let (pob, _, ios, staged) = run_stager(threads, 64, 4, &keys);
+            let (pob, _, ios, staged) = run_stager(threads, &[16; 4], &keys);
             assert!(pob.iter().all(|&b| !b), "tiny partitions must stay staged");
             assert_eq!(ios, 0, "nothing should be written");
             assert_eq!(staged, keys.len());
@@ -363,12 +364,16 @@ mod tests {
         // another run: for per-partition totals n_p under quotas cap_p,
         // pob[p] ⇔ hash_table_pages(n_p).max(1) > cap_p, a destaged
         // partition spills ⌈n_p / b⌉ pages, and everything else is staged.
+        // The quotas are the executors': 600 expected keys over 6 plain-hash
+        // partitions under 17 pages — two resident quotas of 5 pages (100
+        // expected records plus 4σ), the other four share 7 pages.
         let spec = spec();
         let parts = 6usize;
-        let budget = 10usize;
-        let caps = even_caps(budget, parts);
-        // Two partitions far over quota, then one exactly at and one record
-        // over the quota of each size (2 pages and 1 page).
+        let caps = staging_quotas(600, &spec, 17, StagingRouter::PlainHash { parts }).caps();
+        assert_eq!(caps, [5, 5, 2, 2, 2, 1]);
+        // One partition exactly at and one a record over its resident
+        // quota, one exactly at and one a record over a shared quota, and
+        // two far over theirs.
         let fits = |cap: usize| {
             (1usize..)
                 .take_while(|&n| spec.hash_table_pages(n) <= cap)
@@ -376,12 +381,12 @@ mod tests {
                 .expect("a page holds a record")
         };
         let counts = [
+            fits(caps[0]),
+            fits(caps[1]) + 1,
             1_200,
+            fits(caps[3]),
+            fits(caps[4]) + 1,
             500,
-            fits(caps[2]),
-            fits(caps[3]) + 1,
-            fits(caps[4]),
-            fits(caps[5]) + 1,
         ];
         let mut keys: Vec<u64> = (0..parts)
             .flat_map(|p| (0..counts[p]).map(move |i| (p + parts * i) as u64))
@@ -391,7 +396,7 @@ mod tests {
         let pob: Vec<bool> = (0..parts)
             .map(|p| spec.hash_table_pages(counts[p]).max(1) > caps[p])
             .collect();
-        assert_eq!(pob, [true, true, false, true, false, true]);
+        assert_eq!(pob, [false, true, true, false, true, true]);
         let destaged = |p: usize| if pob[p] { counts[p] } else { 0 };
         let spill_pages: Vec<usize> = (0..parts)
             .map(|p| destaged(p).div_ceil(spec.b_r()))
@@ -400,7 +405,7 @@ mod tests {
         let staged = keys.len() - (0..parts).map(destaged).sum::<usize>();
         for threads in [1usize, 2, 4] {
             assert_eq!(
-                run_stager(threads, budget, parts, &keys),
+                run_stager(threads, &caps, &keys),
                 (pob.clone(), spill_pages.clone(), ios, staged),
                 "(pob, spill pages, I/O, staged) at {threads} workers"
             );
@@ -411,7 +416,7 @@ mod tests {
     fn oversized_partitions_destage_exactly() {
         // One partition receives everything; its quota cannot hold it.
         let keys: Vec<u64> = (0..4_000).map(|k| k * 4).collect(); // all ≡ 0 mod 4
-        let (pob, spill_pages, ..) = run_stager(3, 8, 4, &keys);
+        let (pob, spill_pages, ..) = run_stager(3, &[2; 4], &keys);
         assert!(pob[0], "the loaded partition must destage");
         assert!(!pob[1] && !pob[2] && !pob[3]);
         // Three workers' private pages plus the tail merge: exactly the
@@ -433,7 +438,7 @@ mod tests {
         );
         faulty.arm();
         let spec = spec();
-        let stager = ParallelStager::new(faulty, spec.r_layout, spec, even_caps(8, 4));
+        let stager = ParallelStager::new(faulty, spec.r_layout, spec, vec![2; 4]);
         let result = run_workers(3, |w| {
             let mut stage = stager.worker_stage();
             for k in 0..2_000u64 {

@@ -16,9 +16,10 @@
 //! The pool is thread-safe: the parallel execution engine (`nocap-par`)
 //! reserves and releases pages from many worker threads against one shared
 //! budget. Per-worker quotas are carved from the global budget either with
-//! [`BufferPool::carve_remaining`] (even split of whatever is left) or by
+//! [`BufferPool::carve_remaining`] (even split of whatever is left), with
+//! [`BufferPool::carve_quotas`] (one quota per given size) or by
 //! [`Reservation::split`]ting an existing reservation, so the sum of all
-//! worker quotas can never exceed *B*.
+//! quotas can never exceed *B*.
 
 use std::sync::{Arc, Mutex};
 
@@ -124,6 +125,28 @@ impl BufferPool {
     pub fn carve_remaining(&self, workers: usize) -> Vec<Reservation> {
         let workers = workers.max(1);
         self.reserve_remaining().split(workers)
+    }
+
+    /// Carves one quota per entry of `pages` out of the remaining budget:
+    /// quota `i` holds exactly `pages[i]` pages. Should the entries sum to
+    /// more than is available — a quota geometry floors every quota at one
+    /// page, even under a budget of none — the last quotas are cut short
+    /// rather than the budget exceeded.
+    pub fn carve_quotas(&self, pages: &[usize]) -> Vec<Reservation> {
+        let mut st = self.lock();
+        let quotas = pages
+            .iter()
+            .map(|&pages| {
+                let pages = pages.min(st.capacity - st.in_use);
+                st.in_use += pages;
+                Reservation {
+                    pool: self.clone(),
+                    pages,
+                }
+            })
+            .collect();
+        st.peak = st.peak.max(st.in_use);
+        quotas
     }
 
     fn release(&self, pages: usize) {
@@ -281,6 +304,22 @@ mod tests {
         assert_eq!(quotas.iter().map(Reservation::pages).sum::<usize>(), 7);
         assert_eq!(pool.available(), 0);
         drop(quotas);
+        assert_eq!(pool.in_use(), 3);
+    }
+
+    #[test]
+    fn carve_quotas_hands_out_exactly_the_sizes_asked_for() {
+        let pool = BufferPool::new(10);
+        let _fixed = pool.reserve(3).unwrap();
+        let quotas = pool.carve_quotas(&[4, 1, 1]);
+        let sizes: Vec<usize> = quotas.iter().map(Reservation::pages).collect();
+        assert_eq!(sizes, [4, 1, 1]);
+        assert_eq!((pool.available(), pool.peak()), (1, 9));
+        // Asking for more than is left cuts the last quotas short.
+        let more = pool.carve_quotas(&[1, 1]);
+        assert_eq!(more[0].pages() + more[1].pages(), 1);
+        assert_eq!(pool.available(), 0);
+        drop((quotas, more));
         assert_eq!(pool.in_use(), 3);
     }
 

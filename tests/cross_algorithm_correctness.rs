@@ -6,7 +6,7 @@ use nocap_suite::joins::{
     naive_join_count, DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, NestedBlockJoin, SortMergeJoin,
 };
 use nocap_suite::model::JoinSpec;
-use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::nocap::{ocap, NocapConfig, NocapJoin, OcapConfig};
 use nocap_suite::storage::SimDevice;
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
@@ -189,5 +189,56 @@ fn skew_makes_the_join_cheaper_for_correlation_aware_algorithms() {
     assert!(
         skewed_ios < uniform_ios,
         "skew should reduce NOCAP's I/O ({skewed_ios} vs {uniform_ios})"
+    );
+}
+
+#[test]
+fn hash_joins_fall_towards_one_pass_as_memory_grows_past_the_sqrt_threshold() {
+    // `examples/memory_sweep`'s geometry (‖R‖ = 534 pages, √(F·‖R‖) ≈ 23):
+    // from B = 48 up part of the residual stays resident, so every doubling
+    // of B must buy NOCAP I/Os — a hybrid hash join's curve, not a Grace
+    // join's flat one — NOCAP must stay at or below DHH, and at B = 384 it
+    // must sit within 1.30 × of the OCAP bound (1.67 × with even quotas).
+    let device = SimDevice::new_ref();
+    let wl = synthetic::generate(
+        device.clone(),
+        &SyntheticConfig {
+            n_r: 8_000,
+            n_s: 64_000,
+            record_bytes: 256,
+            correlation: Correlation::Zipf { alpha: 1.0 },
+            mcv_count: 400,
+            seed: 7,
+        },
+    )
+    .expect("workload generation");
+    let mut previous = u64::MAX;
+    for budget in [48usize, 96, 192, 384] {
+        let spec = JoinSpec::paper_synthetic(256, budget);
+        device.reset_stats();
+        let nocap_ios = NocapJoin::new(spec, NocapConfig::default())
+            .run(&wl.r, &wl.s, &wl.mcvs)
+            .unwrap()
+            .total_ios();
+        device.reset_stats();
+        let dhh_ios = DhhJoin::new(spec, DhhConfig::default())
+            .run(&wl.r, &wl.s, &wl.mcvs)
+            .unwrap()
+            .total_ios();
+        assert!(
+            nocap_ios < previous,
+            "NOCAP at B = {budget}: {nocap_ios} I/Os, {previous} at half the memory"
+        );
+        assert!(
+            nocap_ios <= dhh_ios,
+            "NOCAP ({nocap_ios}) above DHH ({dhh_ios}) at B = {budget}"
+        );
+        previous = nocap_ios;
+    }
+    let spec = JoinSpec::paper_synthetic(256, 384);
+    let bound = ocap(&wl.ct, &spec, &OcapConfig::default()).total_io_pages;
+    assert!(
+        previous as f64 <= 1.30 * bound,
+        "NOCAP at B = 384: {previous} I/Os against an OCAP bound of {bound:.0}"
     );
 }

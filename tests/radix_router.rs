@@ -13,8 +13,8 @@
 //! sweep of partition counts, and streams whose tails leave every buffer
 //! partially filled.
 
-use nocap_suite::model::JoinSpec;
-use nocap_suite::par::{even_caps, ParallelStager};
+use nocap_suite::model::{staging_quotas, JoinSpec, StagingRouter};
+use nocap_suite::par::ParallelStager;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::hash::mix64;
 use nocap_suite::storage::{
@@ -57,7 +57,11 @@ fn partition_pass(
     buffered: bool,
 ) -> PassResult {
     let base = device.stats();
-    let caps = even_caps(budget_pages, m);
+    // The executors' quotas; where they would clamp the partition count
+    // (more partitions than pages) a page per partition instead.
+    let router = StagingRouter::PlainHash { parts: m };
+    let mut caps = staging_quotas(r.num_records(), spec, budget_pages, router).caps();
+    caps.resize(m, 1);
     let stager = ParallelStager::new(device.clone(), r.layout(), *spec, caps);
     let mut stage = stager.worker_stage();
     let mut sink = |p: usize, rec: RecordRef<'_>| stager.insert(&mut stage, p, rec);

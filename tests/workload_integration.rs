@@ -102,8 +102,12 @@ fn job_like_workloads_join_correctly_for_both_joins() {
 fn extreme_skew_lets_dhh_get_close_to_nocap_but_medium_skew_does_not() {
     // Figure 13's qualitative claim, checked end to end on the JCC-H-like
     // generator: the relative gap between DHH and NOCAP is larger under the
-    // tuned (medium) skew than under the original (extreme) skew.
-    let spec = JoinSpec::paper_synthetic(128, 48);
+    // tuned (medium) skew than under the original (extreme) skew. The
+    // budget gives DHH's skew table its first page (2 % of 64): below 50
+    // pages the optimization the claim is about pins nothing, and the two
+    // gaps differ only by which S keys happen to hash to a resident
+    // partition.
+    let spec = JoinSpec::paper_synthetic(128, 64);
     let mut gaps = Vec::new();
     for skew in [JcchSkew::Original, JcchSkew::Tuned] {
         let device = SimDevice::new_ref();
