@@ -25,7 +25,7 @@
 //! answered on equal footing across the whole algorithm lineup.
 
 use nocap::{NocapConfig, NocapJoin};
-use nocap_joins::{DhhConfig, DhhJoin, HistoJoin};
+use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
 use nocap_stats::{StatsCollector, StatsSummary};
 use nocap_storage::{BufferPool, SimDevice};
@@ -152,7 +152,7 @@ fn main() {
 
         let nocap = NocapJoin::new(spec, NocapConfig::default());
         let dhh = DhhJoin::new(spec, DhhConfig::default());
-        let histo = HistoJoin::new(spec);
+        let histo = DhhJoin::histojoin(spec);
         let row =
             |algo: &str, oracle: nocap_model::JoinRunReport, sketch: nocap_model::JoinRunReport| {
                 assert_eq!(

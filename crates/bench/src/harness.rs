@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use nocap::{NocapConfig, NocapJoin, OcapConfig};
-use nocap_joins::{DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, SortMergeJoin};
+use nocap_joins::{DhhConfig, DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_model::{CorrelationTable, JoinRunReport, JoinSpec};
 use nocap_obs::{ExecutionTrace, IoAudit};
 use nocap_storage::device::DeviceRef;
@@ -108,7 +108,7 @@ pub fn run_algorithms(
     }
     if set.histojoin {
         reset(r);
-        let report = HistoJoin::new(*spec)
+        let report = DhhJoin::histojoin(*spec)
             .run(r, s, mcvs)
             .expect("Histojoin run");
         push("Histojoin", report);

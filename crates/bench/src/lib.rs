@@ -8,5 +8,4 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cpu;
 pub mod harness;

@@ -1,101 +1,39 @@
-//! The NOCAP executor: hybrid partitioning (Algorithms 8 and 9) plus the
-//! partition-wise probe phase, on `T ≥ 1` workers.
+//! The NOCAP operator: a plan from [`crate::planner::plan_nocap`], executed
+//! by the hybrid hash join body every skew-aware join in this workspace
+//! runs ([`nocap_par::hybrid_hash_join`]).
 //!
-//! There is one executor body, [`NocapJoin::run_parallel_with_plan_obs`].
-//! Every other entry point plans and delegates to it; the sequential names
-//! (`run`, `run_with_plan`, `run_with_collected_stats`, `collect_and_run`,
-//! `run_degrading` and their `_obs` variants) pass `threads = 1`, at which
-//! the `nocap-par` fan-outs spawn nothing and the whole join runs on the
-//! calling thread.
+//! NOCAP's hybrid partitioning (Algorithms 8 and 9) is DHH's two passes
+//! with three things chosen by the planner instead of fixed: the cached
+//! keys `K_mem` (instead of a 2 % skew table), a possibly non-empty set of
+//! designated spill partitions `K_disk`, and the rounded hash of §4.2 over
+//! the residual keys (instead of a plain one). This module turns a
+//! [`NocapPlan`] into those three inputs — fixed-structure pages,
+//! designated-partition count and the residual geometry ([`RestGeometry`]:
+//! router plus resident-first staging quotas) behind one routing function
+//! that both passes consult — and hands them over. What the body does with
+//! them, why every thread count produces the same output and per-phase
+//! modeled I/O, and which physical memory the §4.1 model does not charge
+//! is documented once, in [`nocap_par::hybrid`].
 //!
-//! Execution follows the plan produced by [`crate::planner::plan_nocap`]:
-//!
-//! 1. **Partition R** — each R record is routed by key: cached keys go into
-//!    the in-memory hash table, designated keys go to their dedicated spill
-//!    partition, and everything else enters the residual partitioner — the
-//!    rounded hash of §4.2 ([`RestGeometry`]) in front of a DHH-style
-//!    [`ParallelStager`] that stages partitions in memory and destages a
-//!    partition once its staged footprint exceeds its fixed quota of the
-//!    residual budget. The quotas are resident-first: as many leading
-//!    partitions as `m_rest` affords get a quota that holds their whole
-//!    expected table, so with `m_rest` between `√(F·‖R‖)` and `F·‖R‖` the
-//!    residual join is a *hybrid* hash join — part of it never touches the
-//!    device.
-//! 2. **Partition / probe S** — S records with designated keys are spilled
-//!    to the matching S partition; the rest first probe the in-memory hash
-//!    table (producing output immediately) and, on a miss, are spilled only
-//!    if their residual partition was destaged (the POB bit of DHH).
-//! 3. **Probe phase** — every spilled (R, S) partition pair is joined with
-//!    the chunk-wise NBJ of [`nocap_model::pairwise`].
-//!
-//! The passes of Algorithms 8 and 9 route each record independently, so
-//! both scans are spread over the workers and the probe phase is fanned
-//! out over the spilled pairs. For **every thread count, one included, the
-//! join output and the per-phase modeled I/O are the same** — pinned as
-//! checked-in numbers by `tests/parallel_determinism.rs`:
-//!
-//! * Workers claim page morsels from an atomic cursor ([`PageMorsels`]);
-//!   every page is claimed once, so the base scans cost exactly
-//!   `‖R‖ + ‖S‖` sequential reads, and a slow worker claims fewer morsels
-//!   instead of holding the phase up.
-//! * Every spill partition keeps **one** spill file and one buffered
-//!   writer ([`SharedWriterSet`]). Workers fill private output pages and
-//!   append them to the file only when full; the partial pages are merged
-//!   through the buffered writer before the phase's I/O snapshot. A
-//!   partition receiving `n` records therefore has `⌈n / b⌉ − 1` pages on
-//!   the device when the partition window closes and `finish` writes one
-//!   more in the probe window, regardless of arrival order (identity in
-//!   `nocap_par::shard`).
-//! * Residual destaging uses the deterministic per-partition quotas of
-//!   [`RestGeometry`]: a partition's page-out bit depends only on its
-//!   total record count, never on scan order or interleaving.
-//! * The probe phase joins the partition pairs with
-//!   [`smart_partition_join`]; each pair's I/O is independent of the order
-//!   pairs are claimed from the work queue.
-//!
-//! All modeled pages are drawn from a [`BufferPool`] capped at the spec's
-//! budget, so the §4.1 memory breakdown is enforced at run time, not just
-//! assumed: the pool reserves the two streaming pages and the plan's fixed
-//! structures, and the residual budget is carved into one reservation per
-//! partition of exactly its quota. Once R is partitioned the quotas shrink
-//! to what the partitions hold, and the probe pre-filter's pages come out
-//! of what that frees — never out of the staging budget. Three knowing
-//! simplifications, all physical memory the model does not charge: each
-//! worker holds one transient scan-buffer page (the model charges one
-//! logical input page for the pipeline, as the paper does); each worker
-//! holds one private output page per spill partition it has routed a
-//! record to, next to the one output-buffer page per partition the model
-//! charges — at most `threads × m` pages for `m` spill partitions, so up
-//! to `2m` physical output pages at one worker (≤ 1.3 MB at 2 threads on
-//! the benchmark's `zipf_par2`; +4.6 MB of peak RSS for the whole
-//! four-algorithm process on `uniform_roomy`, where `m` reaches 1 665);
-//! and the fanned-out probe phase runs up to `threads` partition-pair NBJs
-//! concurrently, each with the `B − 2`-page chunk the cost model
-//! prescribes — peak physical probe memory is `threads × B` pages even
-//! though the modeled I/O is unchanged. Use fewer threads when physical
-//! memory, not I/O, is the binding constraint.
-//!
-//! **Panics.** Scan and probe tasks run under the pool's `catch_unwind`,
-//! worker 0 — the calling thread — included. A panic inside one therefore
-//! comes back as
-//! [`WorkerPanicked`](nocap_storage::StorageError::WorkerPanicked) from
-//! every entry point, `run` included, instead of unwinding through the
-//! caller.
+//! There is one method per kind of input, each in its full
+//! `(…, threads, obs)` form — an MCV list
+//! ([`run_parallel_obs`](NocapJoin::run_parallel_obs)), a sketch summary
+//! ([`run_with_summary`](NocapJoin::run_with_summary)), a statistics page
+//! budget ([`collect_and_run`](NocapJoin::collect_and_run)), an explicit
+//! plan ([`run_with_plan`](NocapJoin::run_with_plan)) and an admission
+//! ladder ([`run_degrading`](NocapJoin::run_degrading)) — plus the blind
+//! and sequential shorthands callers outside this crate use. `threads = 1`
+//! spawns nothing and runs the whole join on the calling thread; pass
+//! `&Obs::off()` to record nothing.
 
-use std::sync::Mutex;
-
-use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{
     staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom,
     RoundedHashParams, StagingRouter,
 };
-use nocap_obs::{Obs, Phase};
-use nocap_par::{run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet};
+use nocap_obs::Obs;
+use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
 use nocap_stats::{StatsCollector, StatsSummary};
-use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, SpillGuard,
-};
+use nocap_storage::{BufferPool, Relation};
 
 use crate::plan::NocapPlan;
 use crate::planner::{plan_nocap, PlannerConfig};
@@ -136,18 +74,18 @@ impl NocapJoin {
     }
 
     /// Plans and executes the join of `r ⋈ s` given MCV statistics, on the
-    /// calling thread: [`run_parallel`](Self::run_parallel) with one worker.
+    /// calling thread: [`run_parallel`](Self::run_parallel) with one worker
+    /// (it never reads `NOCAP_THREADS`).
     pub fn run(
         &self,
         r: &Relation,
         s: &Relation,
         mcvs: &[(u64, u64)],
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel(r, s, mcvs, 1)
+        self.run_parallel_obs(r, s, mcvs, 1, &Obs::off())
     }
 
-    /// [`run`](Self::run) with observability: phase spans, skew histograms
-    /// and counters land in the report's `trace` when `obs` is recording
+    /// [`run`](Self::run) with observability
     /// ([`run_parallel_obs`](Self::run_parallel_obs) with one worker, so
     /// the worker and task spans all belong to worker 0).
     pub fn run_obs(
@@ -160,12 +98,7 @@ impl NocapJoin {
         self.run_parallel_obs(r, s, mcvs, 1, obs)
     }
 
-    /// Plans and executes the join of `r ⋈ s` on `threads` worker threads.
-    ///
-    /// `threads == 0` selects [`nocap_par::default_threads`] (the
-    /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). The result — output cardinality and the full
-    /// per-phase I/O trace — is the same for every thread count.
+    /// [`run_parallel_obs`](Self::run_parallel_obs) without a recorder.
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -176,9 +109,17 @@ impl NocapJoin {
         self.run_parallel_obs(r, s, mcvs, threads, &Obs::off())
     }
 
-    /// [`run_parallel`](Self::run_parallel) with observability. The plan is
-    /// computed before any clock is read — time flows only into the obs
-    /// channel, never into planning or execution decisions.
+    /// Plans and executes the join of `r ⋈ s` given MCV statistics, on
+    /// `threads` worker threads.
+    ///
+    /// `threads == 0` selects [`nocap_par::default_threads`] (the
+    /// `NOCAP_THREADS` environment variable, falling back to the machine's
+    /// parallelism). The result — output cardinality and the full
+    /// per-phase I/O trace — is the same for every thread count. Phase
+    /// spans, skew histograms and counters land in the report's `trace`
+    /// when `obs` is recording; the plan is computed before any clock is
+    /// read — time flows only into the obs channel, never into planning or
+    /// execution decisions.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -194,13 +135,23 @@ impl NocapJoin {
             &self.spec,
             &self.config.planner,
         );
-        self.run_parallel_with_plan_obs(r, s, &plan, threads, obs)
+        self.run_with_plan(r, s, &plan, threads, obs)
+    }
+
+    /// [`run_with_summary`](Self::run_with_summary) on the calling thread,
+    /// without a recorder.
+    pub fn run_with_collected_stats(
+        &self,
+        r: &Relation,
+        s: &Relation,
+        stats: &StatsSummary,
+    ) -> nocap_storage::Result<JoinRunReport> {
+        self.run_with_summary(r, s, stats, 1, &Obs::off())
     }
 
     /// Plans and executes the join purely from a one-pass sketch summary —
-    /// no `CorrelationTable` oracle anywhere on this path
-    /// ([`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats)
-    /// with one worker).
+    /// no `CorrelationTable` oracle anywhere on this path — on `threads`
+    /// workers.
     ///
     /// The summary's planner statistics stand in for the exact top-k MCVs
     /// and its exact stream length stands in for `n_S`. On skewed streams
@@ -209,46 +160,9 @@ impl NocapJoin {
     /// masses, whose per-key estimates are unbiased where SpaceSaving is
     /// noise-dominated. This is the deployable configuration: everything
     /// the planner consumes was produced by `nocap-stats` sketches within a
-    /// bounded page budget.
-    pub fn run_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats(r, s, stats, 1)
-    }
-
-    /// The observed variant of
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats).
-    pub fn run_with_collected_stats_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats_obs(r, s, stats, 1, obs)
-    }
-
-    /// Plans from a one-pass sketch summary and executes on `threads`
-    /// worker threads (see
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats); the
-    /// summary is the same artifact at every thread count, so the plan,
-    /// the output and the per-phase I/O are too).
-    pub fn run_parallel_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats_obs(r, s, stats, threads, &Obs::off())
-    }
-
-    /// The observed variant of
-    /// [`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats).
-    pub fn run_parallel_with_collected_stats_obs(
+    /// bounded page budget. The summary is the same artifact at every
+    /// thread count, so the plan, the output and the per-phase I/O are too.
+    pub fn run_with_summary(
         &self,
         r: &Relation,
         s: &Relation,
@@ -264,46 +178,22 @@ impl NocapJoin {
             &self.spec,
             &self.config.planner,
         );
-        self.run_parallel_with_plan_obs(r, s, &plan, threads, obs)
-    }
-
-    /// The fully self-contained path on the calling thread
-    /// ([`collect_and_run_parallel`](Self::collect_and_run_parallel) with one
-    /// worker): scans S once to collect sketch statistics (charged against
-    /// the spec's buffer budget), then plans and executes from that summary
-    /// alone.
-    ///
-    /// The extra sequential scan of S shows up in the device's I/O trace —
-    /// statistics are not free, and experiments that account for them should
-    /// use this entry point. Requesting more statistics memory than the
-    /// spec's buffer budget can hold fails with
-    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) rather than
-    /// being silently clamped.
-    pub fn collect_and_run(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.collect_and_run_parallel(r, s, stats_pages, 1)
-    }
-
-    /// The observed variant of [`collect_and_run`](Self::collect_and_run):
-    /// the sketch pass shows up as a `stats` phase span alongside the join's
-    /// own phases.
-    pub fn collect_and_run_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.collect_and_run_parallel_obs(r, s, stats_pages, 1, obs)
+        self.run_with_plan(r, s, &plan, threads, obs)
     }
 
     /// The fully self-contained pipeline: sharded sketch collection over S
-    /// ([`StatsCollector::collect_parallel_with_budget`]), planning from
-    /// the summary alone, and execution — every stage on `threads` workers.
+    /// ([`StatsCollector::collect_parallel_with_budget_obs`], charged
+    /// against the spec's buffer budget), planning from the summary alone,
+    /// and execution — every stage on `threads` workers.
+    ///
+    /// The extra sequential scan of S shows up in the device's I/O trace —
+    /// statistics are not free, and experiments that account for them should
+    /// use this entry point — and, when `obs` records, as a `stats` phase
+    /// span with per-shard worker spans in the same trace as the join.
+    /// Requesting more statistics memory than the spec's buffer budget can
+    /// hold fails with
+    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) rather than
+    /// being silently clamped.
     ///
     /// Because the sharded collector's summary is bit-identical for every
     /// thread count, the plan — and therefore the executor's output *and*
@@ -313,21 +203,7 @@ impl NocapJoin {
     /// [`STATS_SHARDS`](nocap_stats::STATS_SHARDS)-way shard geometry
     /// multiplies the resident charge (determinism fixes the number of
     /// sketch sets by the data, not by the worker count).
-    pub fn collect_and_run_parallel(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.collect_and_run_parallel_obs(r, s, stats_pages, threads, &Obs::off())
-    }
-
-    /// The observed variant of
-    /// [`collect_and_run_parallel`](Self::collect_and_run_parallel): the
-    /// sharded sketch pass records a `stats` phase span and per-shard worker
-    /// spans into the same trace as the join.
-    pub fn collect_and_run_parallel_obs(
+    pub fn collect_and_run(
         &self,
         r: &Relation,
         s: &Relation,
@@ -336,8 +212,8 @@ impl NocapJoin {
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
         // Attach before the sketch pass so stats-phase reads land in the
-        // same I/O trace as the join; the inner attach in
-        // `run_parallel_with_plan_obs` nests onto this one.
+        // same I/O trace as the join; the body's own attach nests onto this
+        // one.
         let _io_trace = obs.attach_io(s.device());
         let pool = BufferPool::new(self.spec.buffer_pages);
         let summary = StatsCollector::collect_parallel_with_budget_obs(
@@ -349,11 +225,12 @@ impl NocapJoin {
             obs,
         )?;
         drop(pool);
-        self.run_parallel_with_collected_stats_obs(r, s, &summary, threads, obs)
+        self.run_with_summary(r, s, &summary, threads, obs)
     }
 
-    /// [`run`](Self::run) with graceful degradation: when `admission`
-    /// cannot grant the spec's budget — or planning/execution fails with
+    /// [`run_obs`](Self::run_obs) with graceful degradation: when
+    /// `admission` cannot grant the spec's budget — or planning/execution
+    /// fails with
     /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) — the
     /// budget walks down the [`BudgetLadder`] (`B → ¾B → …`) and the join
     /// is re-planned at the smaller budget, trading passes for memory
@@ -361,18 +238,6 @@ impl NocapJoin {
     /// [`DegradedRun`] and, when `obs` records, in the trace counters
     /// `degradation_steps` / `degraded_budget_pages`.
     pub fn run_degrading(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        admission: &BufferPool,
-        ladder: &BudgetLadder,
-    ) -> nocap_storage::Result<DegradedRun> {
-        self.run_degrading_obs(r, s, mcvs, admission, ladder, &Obs::off())
-    }
-
-    /// The observed variant of [`run_degrading`](Self::run_degrading).
-    pub fn run_degrading_obs(
         &self,
         r: &Relation,
         s: &Relation,
@@ -389,302 +254,51 @@ impl NocapJoin {
         })
     }
 
-    /// Executes the join with an explicit, pre-computed plan on the calling
-    /// thread ([`run_parallel_with_plan`](Self::run_parallel_with_plan) with
-    /// one worker).
+    /// Executes the join with an explicit, pre-computed plan on `threads`
+    /// worker threads — the method every other entry point ends in. The
+    /// plan's cached keys, designated partitions and residual geometry
+    /// become the [`HybridPlan`] of [`hybrid_hash_join`].
     pub fn run_with_plan(
         &self,
         r: &Relation,
         s: &Relation,
         plan: &NocapPlan,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_plan(r, s, plan, 1)
-    }
-
-    /// The observed variant of [`run_with_plan`](Self::run_with_plan).
-    pub fn run_with_plan_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        plan: &NocapPlan,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_plan_obs(r, s, plan, 1, obs)
-    }
-
-    /// Executes a pre-computed plan on `threads` worker threads (see
-    /// [`run_parallel`](Self::run_parallel)).
-    pub fn run_parallel_with_plan(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        plan: &NocapPlan,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_plan_obs(r, s, plan, threads, &Obs::off())
-    }
-
-    /// The executor body every entry point ends in:
-    /// [`run_parallel_with_plan`](Self::run_parallel_with_plan) with
-    /// observability — main-thread phase spans around each pass, per-worker
-    /// scan spans, per-task probe spans, partition skew histograms and the
-    /// buffer-pool high-water gauge. The recorder is strictly passive:
-    /// routing, destaging and the probe pairs are fixed by the plan and the
-    /// data, so an observed run produces bit-identical output and modeled
-    /// I/O to a blind one — clocks stay in the obs channel.
-    pub fn run_parallel_with_plan_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        plan: &NocapPlan,
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = nocap_par::resolve_threads(threads);
-        let spec = self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let pool = BufferPool::new(spec.buffer_pages);
-        // One page streams the input, one buffers the join output; then the
-        // plan's fixed structures.
-        let _io_pages = pool.reserve(2)?;
-        let _fixed = pool.reserve(plan.fixed_memory_pages(&spec).min(pool.available()))?;
-        let rest_budget = pool.available();
-
-        let timer = obs.run_timer();
-        let base_stats = device.stats();
-
-        let mem_set = plan.mem_key_set();
-        let disk_map = plan.disk_map();
-        let m_disk = plan.num_designated();
-
+        let fixed_pages = plan.fixed_memory_pages(&self.spec);
         let geometry = RestGeometry::new(
-            &spec,
-            rest_budget,
+            &self.spec,
+            staging_budget(&self.spec, fixed_pages)?,
             plan.estimated_rest_keys,
             self.config.planner.rh_params,
         );
-        // Make the quotas visible to the pool: one reservation per residual
-        // partition of exactly its quota, together the residual budget.
-        let quotas = pool.carve_quotas(&geometry.caps);
-
-        // ---- Phase 1: partition R (Algorithm 8) --------------------------
-        let stager = ParallelStager::new(device.clone(), r.layout(), spec, geometry.caps.clone());
-        let r_disk = SharedWriterSet::new(
-            device.clone(),
-            r.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            m_disk,
-        );
-        let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-        let r_morsels = PageMorsels::new(r, threads);
-        let r_partition_span = obs.span(Phase::Partition);
-        let (stages, r_disk_locals): (Vec<_>, Vec<_>) =
-            run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-                let mut stage = stager.worker_stage();
-                let mut r_disk_out = r_disk.local();
-                // Per-worker radix write buffers: residual records batch up per
-                // partition and flush into the stager in cache-friendly runs.
-                // Per-partition arrival order within this worker is preserved
-                // and quota destaging depends only on per-partition counts, so
-                // staged contents and spill decisions are unchanged.
-                let mut router = RadixRouter::new(r.layout(), geometry.num_partitions());
-                r_morsels.scan(|page| {
-                    for rec in page.record_refs() {
-                        if mem_set.contains(&rec.key()) {
-                            // R is the primary-key side: cached keys are rare,
-                            // so this lock is cold.
-                            lock_unpoisoned(&ht_shared).insert_ref(rec);
-                        } else if let Some(&pid) = disk_map.get(&rec.key()) {
-                            r_disk_out.push(pid as usize, rec)?;
-                        } else {
-                            let p = geometry.rh.partition_of(rec.key());
-                            router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
-                        }
-                    }
-                    Ok(())
-                })?;
-                router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
-                Ok((stage, r_disk_out))
-            })?
-            .into_iter()
-            .unzip();
-        drop(r_partition_span);
-        let spill_span = obs.span(Phase::Spill);
-        let staged_pages = stager.pages_in_use();
-        let mut rest_build = stager.finish(stages)?;
-        // Every spill handle is adopted here the moment it is finished, so
-        // an error anywhere below — partitioning, probing, a faulted device
-        // — deletes all spill files on unwind (deletion is not modeled
-        // I/O).
-        let mut spill_guard = SpillGuard::new();
-        spill_guard.adopt_all(rest_build.spilled.iter().flatten().cloned());
-        r_disk.merge(r_disk_locals)?;
-        let r_disk_handles = r_disk.finish_dense()?;
-        spill_guard.adopt_all(r_disk_handles.iter().cloned());
-        drop(spill_span);
-        let mut ht_mem = into_inner_unpoisoned(ht_shared);
-        {
-            let _build_span = obs.span(Phase::Build);
-            // The table takes copies: release the staged batch right away
-            // instead of holding the resident part of R twice.
-            for rec in std::mem::take(&mut rest_build.staged_records).iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // The build side is complete: the quotas shrink to what the
-        // partitions hold now — a resident partition's table, a destaged
-        // one's output page — and the probe pre-filter takes its pages from
-        // what that frees, so it never shifts the partition geometry; with
-        // nothing freed the filter is skipped. Freeze the table into its
-        // vectorized probe layout and summarize its keys for the filter
-        // (order-invariant bit contents, hence thread-count invariant).
-        drop(quotas);
-        let _staged = pool.reserve(staged_pages.min(pool.available()))?;
-        let bloom_reservation = self.config.bloom.reserve(&pool);
-        ht_mem.seal();
-        let bloom = self
-            .config
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Phase 2: partition / probe S (Algorithm 9) -------------------
-        let s_disk = SharedWriterSet::new(
-            device.clone(),
-            s.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            m_disk,
-        );
-        let s_rest = SharedWriterSet::new_masked(
-            device.clone(),
-            s.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            &rest_build.pob,
-        );
-        let s_morsels = PageMorsels::new(s, threads);
-        let ht_ref = &ht_mem;
-        let bloom_ref = &bloom;
-        let pob = &rest_build.pob;
-        let s_partition_span = obs.span(Phase::Partition);
-        let s_workers = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-            let mut output = 0u64;
-            let mut s_disk_out = s_disk.local();
-            let mut s_rest_out = s_rest.local();
-            s_morsels.scan(|page| {
-                for rec in page.record_refs() {
-                    if let Some(&pid) = disk_map.get(&rec.key()) {
-                        s_disk_out.push(pid as usize, rec)?;
-                        continue;
-                    }
-                    // A bloom-negative key takes exactly the `matches == 0`
-                    // route (the filter has no false negatives), so routing
-                    // and modeled I/O are identical with the filter on or
-                    // off.
-                    let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                        ht_ref.probe_count(rec.key())
-                    } else {
-                        0
-                    };
-                    if matches > 0 {
-                        output += matches;
-                        continue;
-                    }
-                    let part = geometry.rh.partition_of(rec.key());
-                    if pob[part] {
-                        s_rest_out.push(part, rec)?;
-                    }
-                    // else: the partition stayed in memory and the key had
-                    // no match.
+        let (mem_set, disk_map) = (plan.mem_key_set(), plan.disk_map());
+        let hybrid = HybridPlan {
+            label: "NOCAP",
+            fixed_pages,
+            designated: plan.num_designated(),
+            quotas: geometry.caps,
+            route: |key: u64| {
+                if mem_set.contains(&key) {
+                    Route::Cached
+                } else if let Some(&pid) = disk_map.get(&key) {
+                    Route::Designated(pid as usize)
+                } else {
+                    Route::Residual(geometry.rh.partition_of(key))
                 }
-                Ok(())
-            })?;
-            Ok((output, s_disk_out, s_rest_out))
-        })?;
-        // Tail merge inside the partition window: afterwards every S writer
-        // buffers exactly one partial page, which `finish` flushes in the
-        // probe window.
-        let mut output = 0u64;
-        let (mut s_disk_locals, mut s_rest_locals) = (Vec::new(), Vec::new());
-        for (count, disk, rest) in s_workers {
-            output += count;
-            s_disk_locals.push(disk);
-            s_rest_locals.push(rest);
-        }
-        s_disk.merge(s_disk_locals)?;
-        s_rest.merge(s_rest_locals)?;
-        drop(s_partition_span);
-        let partition_io = device.stats().since(&base_stats);
-        record_partition_skew(
-            obs,
-            &r_disk_handles,
-            rest_build.spilled.iter().flatten(),
-            rest_build.pob.len(),
-        );
-
-        // ---- Phase 3: partition-wise joins of everything spilled ----------
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let s_disk_handles = s_disk.finish_dense()?;
-        spill_guard.adopt_all(s_disk_handles.iter().cloned());
-        let s_rest_handles = s_rest.finish_all()?;
-        spill_guard.adopt_all(s_rest_handles.iter().flatten().cloned());
-        let mut pairs: Vec<(PartitionHandle, PartitionHandle)> = Vec::new();
-        for (r_part, s_part) in r_disk_handles.iter().zip(s_disk_handles.iter()) {
-            pairs.push((r_part.clone(), s_part.clone()));
-        }
-        for (maybe_r, maybe_s) in rest_build.spilled.iter().zip(s_rest_handles.iter()) {
-            if let (Some(r_part), Some(s_part)) = (maybe_r, maybe_s) {
-                pairs.push((r_part.clone(), s_part.clone()));
-            }
-        }
-        output += sum_tasks_obs(threads, obs, Phase::Probe, pairs.len(), |i| {
-            smart_partition_join(&pairs[i].0, &pairs[i].1, &spec, 1)
-        })?;
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("NOCAP");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
+            },
+        };
+        hybrid_hash_join(&self.spec, self.config.bloom, r, s, hybrid, threads, obs)
     }
-}
-
-/// Records the partition-fan-out skew histograms and counters: per-spilled
-/// -partition record and page counts (designated partitions first, then
-/// destaged residuals) plus the partition-census counters the breakdown
-/// tables report.
-fn record_partition_skew<'a>(
-    obs: &Obs,
-    designated: &'a [PartitionHandle],
-    spilled_rest: impl Iterator<Item = &'a PartitionHandle> + Clone,
-    rest_partitions: usize,
-) {
-    if !obs.is_recording() {
-        return;
-    }
-    let handles = || designated.iter().chain(spilled_rest.clone());
-    obs.values("partition_records", handles().map(|h| h.records() as u64));
-    obs.values("partition_pages", handles().map(|h| h.pages() as u64));
-    obs.count("designated_partitions", designated.len() as u64);
-    obs.count("rest_partitions", rest_partitions as u64);
-    obs.count("spilled_rest_partitions", spilled_rest.count() as u64);
 }
 
 /// Geometry of the residual partitioner: partition count, the rounded-hash
-/// router and the per-partition staging quotas the executor hands to its
-/// [`ParallelStager`]. `tests/zero_copy_equivalence.rs` derives its
-/// straight-line reference executor from the same struct, so the two route
-/// and destage identically by construction.
+/// router and the per-partition staging quotas the executor hands to the
+/// hybrid body's [`ParallelStager`](nocap_par::ParallelStager).
+/// `tests/zero_copy_equivalence.rs` derives its straight-line reference
+/// executor from the same struct, so the two route and destage identically
+/// by construction.
 ///
 /// Partitions start staged in memory. Each owns a fixed quota of staging
 /// pages carved from the residual budget; the moment a partition's staged
@@ -746,6 +360,7 @@ impl RestGeometry {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use nocap_par::ParallelStager;
     use nocap_storage::{Record, SimDevice};
     use std::collections::HashMap;
 
@@ -985,7 +600,7 @@ pub(crate) mod tests {
         // Roomy admission: first-try success, same result as a plain run.
         let roomy = nocap_storage::BufferPool::new(256);
         let run = join
-            .run_degrading(&r, &s, &mcvs, &roomy, &BudgetLadder::default())
+            .run_degrading(&r, &s, &mcvs, &roomy, &BudgetLadder::default(), &Obs::off())
             .unwrap();
         assert_eq!(run.steps(), 0);
         assert_eq!(run.budget_pages, 64);
@@ -995,7 +610,7 @@ pub(crate) mod tests {
         // Tight admission (37 pages): 64 and 48 are rejected, 36 runs.
         let tight = nocap_storage::BufferPool::new(37);
         let degraded = join
-            .run_degrading(&r, &s, &mcvs, &tight, &BudgetLadder::default())
+            .run_degrading(&r, &s, &mcvs, &tight, &BudgetLadder::default(), &Obs::off())
             .unwrap();
         assert_eq!(degraded.budget_pages, 36);
         assert_eq!(degraded.steps(), 2);
@@ -1013,7 +628,14 @@ pub(crate) mod tests {
         // Admission below the ladder floor: a clean error, nothing leaked.
         let hopeless = nocap_storage::BufferPool::new(2);
         let err = join
-            .run_degrading(&r, &s, &mcvs, &hopeless, &BudgetLadder::default())
+            .run_degrading(
+                &r,
+                &s,
+                &mcvs,
+                &hopeless,
+                &BudgetLadder::default(),
+                &Obs::off(),
+            )
             .expect_err("the floor cannot be granted");
         assert!(matches!(
             err,
@@ -1102,17 +724,19 @@ pub(crate) mod tests {
 
     #[test]
     fn sketch_pipeline_is_identical_at_every_thread_count() {
-        // collect_and_run_parallel(n) must reproduce collect_and_run (its
-        // n = 1 instance) exactly: the sharded summary is thread-count
-        // invariant, so the plan, the output and the per-phase I/O all are.
+        // collect_and_run at n workers must reproduce its one-worker run
+        // exactly: the sharded summary is thread-count invariant, so the
+        // plan, the output and the per-phase I/O all are.
         let spec = JoinSpec::paper_synthetic(128, 48);
         let counts = |k: u64| if k < 12 { 180 } else { 3 };
         let join = NocapJoin::new(spec, NocapConfig::default());
         let (r, s, _) = build(2_500, counts, &spec);
-        let sequential = join.collect_and_run(&r, &s, 4).unwrap();
+        let sequential = join.collect_and_run(&r, &s, 4, 1, &Obs::off()).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let (r, s, _) = build(2_500, counts, &spec);
-            let parallel = join.collect_and_run_parallel(&r, &s, 4, threads).unwrap();
+            let parallel = join
+                .collect_and_run(&r, &s, 4, threads, &Obs::off())
+                .unwrap();
             assert_eq!(
                 parallel.output_records, sequential.output_records,
                 "pipeline output differs at {threads} threads"
@@ -1136,7 +760,7 @@ pub(crate) mod tests {
         let (r, s, _) = build(2_000, counts, &spec);
         let device = r.device().clone();
         device.reset_stats();
-        let report = join.collect_and_run_parallel(&r, &s, 4, 4).unwrap();
+        let report = join.collect_and_run(&r, &s, 4, 4, &Obs::off()).unwrap();
         let device_ios = device.stats().reads() + device.stats().writes();
         // The statistics scan costs exactly ||S|| sequential reads on top
         // of the join's own modeled I/O, sharded or not.

@@ -465,7 +465,9 @@ mod tests {
 
         let join = NocapJoin::new(s, NocapConfig::default());
         let modeled_secs = |plan: &NocapPlan| {
-            let report = join.run_with_plan(&r, &s_rel, plan).unwrap();
+            let report = join
+                .run_with_plan(&r, &s_rel, plan, 1, &nocap_obs::Obs::off())
+                .unwrap();
             assert_eq!(report.output_records, 160_000);
             report.io_latency_secs(&s.device)
         };

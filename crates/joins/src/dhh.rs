@@ -1,48 +1,34 @@
 //! Dynamic Hybrid Hash join (DHH) — the state-of-the-art baseline
-//! (Algorithms 1 and 2 plus the heuristic skew optimization of §2.2).
+//! (Algorithms 1 and 2 plus the heuristic skew optimization of §2.2) — and
+//! Histojoin, which is DHH under another configuration.
 //!
-//! DHH hash-partitions R into `m_DHH = max(20, ⌈(‖R‖·F − B)/(B − 1)⌉)`
-//! partitions. Every partition starts *staged* in memory; partitions that
-//! outgrow their memory share are destaged to disk and their page-out bit
-//! (POB) is set. After R is consumed, all still-staged partitions are
-//! folded into one in-memory hash table. While partitioning S, records
-//! whose key hits the in-memory table are joined immediately; records
-//! belonging to destaged partitions are spilled; the remaining records
-//! (staged partition, no match) are dropped. Finally the spilled partition
-//! pairs are joined pairwise.
-//!
-//! **One body.** [`DhhJoin::run_parallel_obs`] is the executor; `run`,
-//! `run_obs` and the sketch-driven variants call it with one worker, at
-//! which the `nocap-par` fan-outs spawn nothing and the join runs on the
-//! calling thread. For every thread count the output and the per-phase
-//! modeled I/O are the same (checked-in numbers in
-//! `tests/parallel_determinism.rs`). A panic inside a scan or probe task
-//! comes back as `StorageError::WorkerPanicked` — worker 0, the calling
-//! thread, runs under the pool's `catch_unwind` too.
+//! DHH is a *plan* for the hybrid hash join body that NOCAP runs too
+//! ([`nocap_par::hybrid_hash_join`]; the passes, the determinism argument
+//! and the memory disclosures are documented there): a plain hash
+//! (`mix64 mod m`) over the paper's
+//! `m_DHH = max(20, ⌈(‖R‖·F − B)/(B − 1)⌉)` partitions, no designated
+//! spill partitions, and the skew keys below as the cached set. Where
+//! NOCAP's planner picks its cached keys and partition count per input,
+//! DHH's are fixed by two constants and one formula.
 //!
 //! **Destaging policy.** The paper's Algorithm 1 destages *the largest
 //! staged partition* whenever the global budget overflows — a policy whose
 //! outcome depends on the order records arrive, which no sharded scan can
-//! reproduce. This implementation uses the same deterministic quota
-//! geometry as NOCAP's residual partitioner
-//! ([`nocap_model::staging_quotas`], here over the paper's `m_DHH` plain
-//! -hash partitions): every partition owns a fixed quota of the staging
-//! budget and is destaged the moment its own staged footprint exceeds it —
-//! a function of the partition's total record count only
-//! ([`ParallelStager`]). What Algorithm 1 achieves by choosing its victims
-//! late — part of R stays in memory whenever `B` is a sizeable share of
-//! `F·‖R‖` — the quotas achieve by being *resident-first*: the first `s`
-//! partitions get a quota that holds their expected table plus four
-//! standard deviations of their record count, `s` as large as the budget
-//! affords, and the others share what is left, at least the one output
-//! page a destaged partition needs. A resident-designated partition that
-//! outgrows its quota anyway is destaged like any other and costs what it
-//! would have cost without the designation. The destaged set is therefore
-//! identical for any scan order or thread interleaving; total staged pages
-//! plus one output buffer per destaged partition still never exceed the
-//! budget. (Each worker additionally holds one private output page per
-//! destaged partition outside the budget, at one worker too — see
-//! `nocap_par::shard`.)
+//! reproduce. This implementation gives every partition a fixed quota of
+//! the staging budget instead ([`staging_quotas`] over the `m_DHH` plain
+//! -hash partitions, the geometry NOCAP's residual partitioner uses): a
+//! partition is destaged the moment its own staged footprint exceeds its
+//! quota — a function of its total record count only, so the destaged set
+//! is identical for any scan order or thread interleaving. What
+//! Algorithm 1 achieves by choosing its victims late — part of R stays in
+//! memory whenever `B` is a sizeable share of `F·‖R‖` — the quotas achieve
+//! by being *resident-first*: the first `s` partitions get a quota that
+//! holds their expected table plus four standard deviations of their record
+//! count, `s` as large as the budget affords, and the others share what is
+//! left, at least the one output page a destaged partition needs. A
+//! resident-designated partition that outgrows its quota anyway is destaged
+//! like any other and costs what it would have cost without the
+//! designation.
 //!
 //! **Skew optimization.** Practical systems (PostgreSQL, Histojoin) add a
 //! small dedicated hash table for the most common values: if the tracked
@@ -51,23 +37,25 @@
 //! thresholds are fixed constants in deployed systems (2 % each); they are
 //! constructor parameters here so that Figure 11's sensitivity sweep can be
 //! reproduced.
+//!
+//! **Histojoin** (Cutt & Lawrence) caches the records of the most common
+//! values in the same dedicated table so that the (many) matching S records
+//! never touch disk. The original limits that table to 2 % of the memory
+//! budget and — unlike PostgreSQL's variant — applies the optimization
+//! unconditionally (no frequency trigger). It is therefore
+//! [`DhhJoin::histojoin`]: this executor under [`DhhConfig::histojoin`],
+//! exactly as the paper treats it ("we also compare Histojoin by setting
+//! the trigger frequency threshold as zero"), reporting under its own name.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
-use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{
     staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom, StagingRouter,
 };
-use nocap_obs::{Obs, Phase};
-use nocap_par::{
-    resolve_threads, run_workers_obs, sum_tasks_obs, PageMorsels, ParallelStager, SharedWriterSet,
-};
+use nocap_obs::Obs;
+use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
 use nocap_stats::StatsSummary;
-use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, SpillGuard,
-};
+use nocap_storage::{BufferPool, JoinHashTable, Relation};
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
 use nocap_storage::hash::mix64 as hash_key;
@@ -121,6 +109,8 @@ pub struct DhhJoin {
     spec: JoinSpec,
     config: DhhConfig,
     bloom: ProbeBloom,
+    /// The algorithm name its reports carry.
+    label: &'static str,
 }
 
 impl DhhJoin {
@@ -130,6 +120,16 @@ impl DhhJoin {
             spec,
             config,
             bloom: ProbeBloom::default(),
+            label: "DHH",
+        }
+    }
+
+    /// Creates a Histojoin operator: the paper's configuration (2 %
+    /// skew-table budget, zero trigger threshold), reported as `Histojoin`.
+    pub fn histojoin(spec: JoinSpec) -> Self {
+        DhhJoin {
+            label: "Histojoin",
+            ..DhhJoin::new(spec, DhhConfig::histojoin())
         }
     }
 
@@ -145,47 +145,40 @@ impl DhhJoin {
         DhhJoin::new(spec, DhhConfig::default())
     }
 
-    /// Executes `r ⋈ s` with statistics from a one-pass sketch summary
-    /// instead of the oracle MCV list — the same deployable configuration
-    /// `NocapJoin::run_with_collected_stats` uses, so `exp_stats_accuracy`
-    /// compares every skew-aware algorithm on equal (sketched) footing.
+    /// Executes `r ⋈ s` on the calling thread with statistics from a
+    /// one-pass sketch summary instead of the oracle MCV list — the same
+    /// deployable configuration `NocapJoin::run_with_collected_stats` uses,
+    /// so `exp_stats_accuracy` compares every skew-aware algorithm on equal
+    /// (sketched) footing.
     ///
-    /// The skew optimization consumes [`StatsSummary::planner_mcvs`]: raw
-    /// SpaceSaving counts on skewed streams, histogram-backed masses on
-    /// near-uniform ones (where the raw counts are noise-dominated and
-    /// would trip the 2 % frequency trigger spuriously).
+    /// To DHH a summary is only another MCV list: the skew optimization
+    /// consumes [`StatsSummary::planner_mcvs`] — raw SpaceSaving counts on
+    /// skewed streams, histogram-backed masses on near-uniform ones (where
+    /// the raw counts are noise-dominated and would trip the 2 % frequency
+    /// trigger spuriously). Hand the same list to
+    /// [`run_parallel_obs`](Self::run_parallel_obs) for more workers or a
+    /// recorder.
     pub fn run_with_collected_stats(
         &self,
         r: &Relation,
         s: &Relation,
         stats: &StatsSummary,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats(r, s, stats, 1)
-    }
-
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats) with an
-    /// observability channel.
-    pub fn run_with_collected_stats_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats_obs(r, s, stats, 1, obs)
+        self.run(r, s, &stats.planner_mcvs())
     }
 
     /// Executes `r ⋈ s` on the calling thread
-    /// ([`run_parallel`](Self::run_parallel) with one worker). `mcvs` are
-    /// the tracked most-common-value statistics (`(key, frequency)` pairs);
-    /// pass an empty slice to disable the skew optimization's inputs.
+    /// ([`run_parallel`](Self::run_parallel) with one worker; it never
+    /// reads `NOCAP_THREADS`). `mcvs` are the tracked most-common-value
+    /// statistics (`(key, frequency)` pairs); pass an empty slice to
+    /// disable the skew optimization's inputs.
     pub fn run(
         &self,
         r: &Relation,
         s: &Relation,
         mcvs: &[(u64, u64)],
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel(r, s, mcvs, 1)
+        self.run_parallel_obs(r, s, mcvs, 1, &Obs::off())
     }
 
     /// [`run`](Self::run) with an observability channel
@@ -201,8 +194,8 @@ impl DhhJoin {
         self.run_parallel_obs(r, s, mcvs, 1, obs)
     }
 
-    /// [`run`](Self::run) with graceful degradation: when `admission`
-    /// cannot grant the spec's budget — or execution fails with
+    /// [`run_obs`](Self::run_obs) with graceful degradation: when
+    /// `admission` cannot grant the spec's budget — or execution fails with
     /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) — the
     /// budget walks down the [`BudgetLadder`] (`B → ¾B → …`) and DHH
     /// re-runs with a smaller budget (more partitions spill, more passes),
@@ -215,51 +208,18 @@ impl DhhJoin {
         mcvs: &[(u64, u64)],
         admission: &BufferPool,
         ladder: &BudgetLadder,
-    ) -> nocap_storage::Result<DegradedRun> {
-        self.run_degrading_obs(r, s, mcvs, admission, ladder, &Obs::off())
-    }
-
-    /// The observed variant of [`run_degrading`](Self::run_degrading).
-    pub fn run_degrading_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        admission: &BufferPool,
-        ladder: &BudgetLadder,
         obs: &Obs,
     ) -> nocap_storage::Result<DegradedRun> {
         nocap_model::run_degrading(admission, self.spec.buffer_pages, ladder, obs, |budget| {
-            let degraded = DhhJoin::new(self.spec.with_buffer_pages(budget), self.config)
-                .with_bloom(self.bloom);
+            let degraded = DhhJoin {
+                spec: self.spec.with_buffer_pages(budget),
+                ..*self
+            };
             degraded.run_obs(r, s, mcvs, obs)
         })
     }
 
-    /// Executes `r ⋈ s` on `threads` worker threads.
-    ///
-    /// `threads == 0` selects [`nocap_par::default_threads`] (the
-    /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). The result — output cardinality and the full per-phase
-    /// modeled I/O trace — is **the same for every thread count**:
-    ///
-    /// * both scans claim page morsels from an atomic cursor
-    ///   ([`PageMorsels`]); every page is claimed once, costing
-    ///   `‖R‖ + ‖S‖` sequential reads;
-    /// * R partitioning drives DHH's modulo router over a
-    ///   [`ParallelStager`] with per-partition quotas ([`staging_quotas`]), so
-    ///   the destaged partition set and per-partition spill page counts
-    ///   depend only on each partition's total record count — never on scan
-    ///   order or thread interleaving;
-    /// * every spilled S partition has one spill file and one buffered
-    ///   writer ([`SharedWriterSet`]); workers fill private output pages,
-    ///   append them only when full, and the partial pages are merged
-    ///   through the buffered writer before the partition window closes —
-    ///   `⌈n / b⌉ − 1` pages in the partition window and one in the probe
-    ///   window;
-    /// * the spilled partition pairs are claimed from a work queue and
-    ///   joined with [`smart_partition_join`], whose per-pair I/O is
-    ///   independent of claim order.
+    /// [`run_parallel_obs`](Self::run_parallel_obs) without a recorder.
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -270,12 +230,18 @@ impl DhhJoin {
         self.run_parallel_obs(r, s, mcvs, threads, &Obs::off())
     }
 
-    /// The executor body: [`run_parallel`](Self::run_parallel) with an
-    /// observability channel. Main-thread phase spans (partition, spill,
-    /// build, probe), spilled-partition skew histograms and the buffer-pool
-    /// high-water mark flow into `obs` when recording, and every worker
-    /// contributes a per-thread timeline (partition passes and claimed
-    /// probe tasks). With `Obs::off()` the execution is byte-identical.
+    /// Executes `r ⋈ s` on `threads` worker threads with an observability
+    /// channel — the method every other entry point ends in.
+    ///
+    /// `threads == 0` selects [`nocap_par::default_threads`] (the
+    /// `NOCAP_THREADS` environment variable, falling back to the machine's
+    /// parallelism). The result — output cardinality and the full per-phase
+    /// modeled I/O trace — is **the same for every thread count**, and with
+    /// `Obs::off()` the execution is byte-identical to a recorded one. The
+    /// skew keys are the cached set, the partition count and quotas are
+    /// fixed before any record is routed — the paper's `m_DHH` partitions,
+    /// resident-first quotas over every page that is left — and
+    /// [`hybrid_hash_join`] does the rest.
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -284,206 +250,33 @@ impl DhhJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let threads = resolve_threads(threads);
         let spec = &self.spec;
-        let device = r.device().clone();
-        let _io_trace = obs.attach_io(&device);
-        let timer = obs.run_timer();
-        let base = device.stats();
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _io_pages = pool.reserve(2)?;
-
-        // ---- Skew optimization: pick the keys pinned in memory -----------
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
-        let skew_pages = spec.hash_table_pages(skew_keys.len());
-        let _skew_reservation = pool.reserve(skew_pages.min(pool.available()))?;
-
-        // ---- Partition R (Algorithm 1) ------------------------------------
-        // Partition count and quotas are fixed before any record is routed:
-        // the paper's `m_DHH` partitions, resident-first quotas over every
-        // page that is left.
-        let caps = staging_quotas(
+        let fixed_pages = spec.hash_table_pages(skew_keys.len());
+        let quotas = staging_quotas(
             r.num_records().saturating_sub(skew_keys.len()),
             spec,
-            pool.available(),
+            staging_budget(spec, fixed_pages)?,
             StagingRouter::PlainHash {
                 parts: spec.m_dhh(r.num_records()),
             },
         )
         .caps();
-        // Make the quotas visible to the pool: one reservation per partition
-        // of exactly its quota, together the staging budget.
-        let quotas = pool.carve_quotas(&caps);
-
-        let stager = ParallelStager::new(device.clone(), r.layout(), *spec, caps);
-        let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-        let r_morsels = PageMorsels::new(r, threads);
-        let r_partition_span = obs.span(Phase::Partition);
-        let stages = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-            let mut stage = stager.worker_stage();
-            // Per-worker radix write buffers in front of the stager: cache
-            // -line-sized runs per partition. Per-partition arrival order
-            // within this worker is preserved and destaging depends only on
-            // counts, so staged contents and the destaged set are unchanged.
-            let mut router = RadixRouter::new(r.layout(), stager.num_partitions());
-            r_morsels.scan(|page| {
-                for rec in page.record_refs() {
-                    if skew_keys.contains(&rec.key()) {
-                        // R is the primary-key side: each skew key appears
-                        // once in R, so this lock is cold.
-                        lock_unpoisoned(&ht_shared).insert_ref(rec);
-                    } else {
-                        let p = (hash_key(rec.key()) % stager.num_partitions() as u64) as usize;
-                        router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?;
-                    }
+        let parts = quotas.len() as u64;
+        let plan = HybridPlan {
+            label: self.label,
+            fixed_pages,
+            designated: 0,
+            quotas,
+            route: |key: u64| {
+                if skew_keys.contains(&key) {
+                    Route::Cached
+                } else {
+                    Route::Residual((hash_key(key) % parts) as usize)
                 }
-                Ok(())
-            })?;
-            router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
-            Ok(stage)
-        })?;
-        drop(r_partition_span);
-        let staged_pages = stager.pages_in_use();
-        let mut build = {
-            let _spill_span = obs.span(Phase::Spill);
-            stager.finish(stages)?
+            },
         };
-        // Adopt every spill handle as it is finished so any later error
-        // deletes all spill files on unwind (deletion is not modeled I/O).
-        let mut spill_guard = SpillGuard::new();
-        spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
-        let mut ht_mem = into_inner_unpoisoned(ht_shared);
-        let staged_records = build.staged_records.len();
-        {
-            let _build_span = obs.span(Phase::Build);
-            // The table takes copies: release the staged batch right away
-            // instead of holding the resident part of R twice.
-            for rec in std::mem::take(&mut build.staged_records).iter() {
-                ht_mem.insert_ref(rec);
-            }
-        }
-        // The build side is complete: the quotas shrink to what the
-        // partitions hold now — a resident partition's table, a destaged
-        // one's output page — and the probe pre-filter takes its pages from
-        // what that frees, so it never shifts the partition geometry; with
-        // nothing freed the filter is skipped. Freeze the table for
-        // vectorized probes and build the filter from its keys (multiset
-        // -determined bits, hence thread-count invariant).
-        drop(quotas);
-        let _staged = pool.reserve(staged_pages.min(pool.available()))?;
-        let bloom_reservation = self.bloom.reserve(&pool);
-        ht_mem.seal();
-        let bloom = self
-            .bloom
-            .build(&ht_mem, &bloom_reservation, spec.page_size);
-
-        // ---- Partition / probe S (Algorithm 2) -----------------------------
-        let s_writers = SharedWriterSet::new_masked(
-            device.clone(),
-            s.layout(),
-            spec.page_size,
-            IoKind::RandWrite,
-            &build.pob,
-        );
-        let s_morsels = PageMorsels::new(s, threads);
-        let ht_ref = &ht_mem;
-        let bloom_ref = &bloom;
-        let pob = &build.pob;
-        let s_partition_span = obs.span(Phase::Partition);
-        let (probe_counts, s_locals): (Vec<u64>, Vec<_>) =
-            run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-                let mut output = 0u64;
-                let mut s_out = s_writers.local();
-                s_morsels.scan(|page| {
-                    for rec in page.record_refs() {
-                        // Bloom-negative keys take the identical
-                        // `matches == 0` route (no false negatives), leaving
-                        // routing and I/O unchanged.
-                        let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key()))
-                        {
-                            ht_ref.probe_count(rec.key())
-                        } else {
-                            0
-                        };
-                        if matches > 0 {
-                            output += matches;
-                            continue;
-                        }
-                        let p = (hash_key(rec.key()) % pob.len() as u64) as usize;
-                        if pob[p] {
-                            s_out.push(p, rec)?;
-                        }
-                    }
-                    Ok(())
-                })?;
-                Ok((output, s_out))
-            })?
-            .into_iter()
-            .unzip();
-        // Tail merge inside the partition window: afterwards every S writer
-        // buffers exactly one partial page, which `finish_all` flushes in
-        // the probe window.
-        s_writers.merge(s_locals)?;
-        drop(s_partition_span);
-        let mut output: u64 = probe_counts.into_iter().sum();
-        let partition_io = device.stats().since(&base);
-        record_dhh_skew(obs, &build.spilled, &build.pob, staged_records);
-
-        // ---- Probe the spilled partition pairs, fanned out ---------------
-        let probe_base = device.stats();
-        let probe_span = obs.span(Phase::Probe);
-        let s_handles = s_writers.finish_all()?;
-        spill_guard.adopt_all(s_handles.iter().flatten().cloned());
-        let mut pairs: Vec<(PartitionHandle, PartitionHandle)> = Vec::new();
-        for (maybe_r, maybe_s) in build.spilled.iter().zip(s_handles.iter()) {
-            if let (Some(r_part), Some(s_part)) = (maybe_r, maybe_s) {
-                pairs.push((r_part.clone(), s_part.clone()));
-            }
-        }
-        output += sum_tasks_obs(threads, obs, Phase::Probe, pairs.len(), |i| {
-            smart_partition_join(&pairs[i].0, &pairs[i].1, spec, 1)
-        })?;
-        drop(probe_span);
-        let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every spill file (not counted as I/O).
-        drop(spill_guard);
-
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
-        let mut report = JoinRunReport::new("DHH");
-        report.output_records = output;
-        report.partition_io = partition_io;
-        report.probe_io = probe_io;
-        report.finish_run(timer, obs);
-        Ok(report)
-    }
-
-    /// The sketch-driven path on `threads` workers: plan the skew
-    /// optimization from a one-pass [`StatsSummary`] (see
-    /// [`run_with_collected_stats`](Self::run_with_collected_stats)) and
-    /// execute. Output and per-phase I/O are the same for every thread
-    /// count.
-    pub fn run_parallel_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        threads: usize,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_with_collected_stats_obs(r, s, stats, threads, &Obs::off())
-    }
-
-    /// [`run_parallel_with_collected_stats`](Self::run_parallel_with_collected_stats)
-    /// with an observability channel.
-    pub fn run_parallel_with_collected_stats_obs(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        threads: usize,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_parallel_obs(r, s, &stats.planner_mcvs(), threads, obs)
+        hybrid_hash_join(spec, self.bloom, r, s, plan, threads, obs)
     }
 
     /// Chooses which MCV keys are pinned in the skew hash table.
@@ -516,41 +309,13 @@ impl DhhJoin {
     }
 }
 
-/// Records DHH's partition-skew profile on the observability channel: size
-/// histograms over the destaged partitions plus staged/spilled counters.
-/// The destaged partition set is fixed by the quota geometry, so the
-/// recorded skew is identical for any thread count.
-fn record_dhh_skew(
-    obs: &Obs,
-    spilled: &[Option<PartitionHandle>],
-    pob: &[bool],
-    staged_records: usize,
-) {
-    if !obs.is_recording() {
-        return;
-    }
-    obs.values(
-        "partition_records",
-        spilled.iter().flatten().map(|h| h.records() as u64),
-    );
-    obs.values(
-        "partition_pages",
-        spilled.iter().flatten().map(|h| h.pages() as u64),
-    );
-    obs.count("partitions", pob.len() as u64);
-    obs.count(
-        "spilled_partitions",
-        pob.iter().filter(|&&spilled| spilled).count() as u64,
-    );
-    obs.count("staged_records", staged_records as u64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
     use crate::testutil::{build_workload, mcvs};
-    use nocap_storage::{Record, SimDevice};
+    use nocap_par::ParallelStager;
+    use nocap_storage::{RadixRouter, Record, SimDevice};
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -813,7 +578,7 @@ mod tests {
                 let (r, s, summary) = collect();
                 r.device().reset_stats();
                 DhhJoin::with_defaults(spec)
-                    .run_parallel_with_collected_stats(&r, &s, &summary, threads)
+                    .run_parallel(&r, &s, &summary.planner_mcvs(), threads)
                     .unwrap()
             },
         );
@@ -834,7 +599,14 @@ mod tests {
         // 48 and 36 rejected by a 28-page admission pool; 27 runs.
         let tight = BufferPool::new(28);
         let degraded = join
-            .run_degrading(&r, &s, &stats, &tight, &BudgetLadder::default())
+            .run_degrading(
+                &r,
+                &s,
+                &stats,
+                &tight,
+                &BudgetLadder::default(),
+                &Obs::off(),
+            )
             .unwrap();
         assert_eq!(degraded.budget_pages, 27);
         assert_eq!(degraded.steps(), 2);
@@ -860,5 +632,37 @@ mod tests {
         let high_mass = vec![(1u64, 400u64), (2, 300)];
         let selected = dhh.select_skew_keys(&high_mass, 1_000);
         assert!(selected.contains(&1));
+    }
+
+    #[test]
+    fn histojoin_matches_naive_join() {
+        let dev = SimDevice::new_ref();
+        let spec = JoinSpec::paper_synthetic(128, 48);
+        let counts = |k: u64| if k < 5 { 200 } else { 2 };
+        let (r, s) = build_workload(dev.clone(), &spec, 1_500, counts);
+        let expected = naive_join_count(&r, &s).unwrap();
+        dev.reset_stats();
+        let report = DhhJoin::histojoin(spec)
+            .run(&r, &s, &mcvs(1_500, counts, 75))
+            .unwrap();
+        assert_eq!(report.output_records, expected);
+        assert_eq!(report.algorithm, "Histojoin");
+    }
+
+    #[test]
+    fn histojoin_triggers_even_for_low_skew_mass() {
+        // With a tiny MCV mass PostgreSQL-style DHH skips the skew table but
+        // Histojoin still builds it. Both must stay correct; Histojoin must
+        // not do more I/O than no-skew DHH by more than the skew table's
+        // worth of avoided spills.
+        let dev = SimDevice::new_ref();
+        let spec = JoinSpec::paper_synthetic(128, 40);
+        let counts = |k: u64| if k == 0 { 30 } else { 2 };
+        let (r, s) = build_workload(dev.clone(), &spec, 3_000, counts);
+        let expected = naive_join_count(&r, &s).unwrap();
+        let stats = mcvs(3_000, counts, 50);
+        dev.reset_stats();
+        let histo = DhhJoin::histojoin(spec).run(&r, &s, &stats).unwrap();
+        assert_eq!(histo.output_records, expected);
     }
 }

@@ -15,22 +15,13 @@
 //! per-phase modeled I/O are the same for every thread count — checked-in
 //! numbers in `tests/parallel_determinism.rs`.
 
-use nocap_model::classic_cost::nbj_cost_best;
-use nocap_model::pairwise::nbj_partition_join_filtered;
-use nocap_model::{ghj_cost, JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_model::classic_cost::{best_partition_join, PartitionJoinMethod};
+use nocap_model::pairwise::{nbj_partition_join_filtered, repartition};
+use nocap_model::{JoinRunReport, JoinSpec, ProbeBloom};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{resolve_threads, run_workers_obs, sum_tasks_obs, PageMorsels, SharedWriterSet};
-use nocap_storage::device::DeviceRef;
-use nocap_storage::{
-    BufferPool, IoKind, JoinHashTable, PartitionHandle, PartitionWriter, Relation, SpillGuard,
-};
-
-/// SplitMix64 with a per-recursion-level salt so nested partitioning uses an
-/// independent hash function (the shared workspace hash, pinned bit-for-bit
-/// in `nocap_storage::hash`).
-fn level_hash(key: u64, level: u32) -> u64 {
-    nocap_storage::hash::mix64_seeded(key, nocap_storage::hash::level_seed_salted(level))
-}
+use nocap_par::{resolve_threads, run_workers_obs, sum_tasks, PageMorsels, SharedWriterSet};
+use nocap_storage::hash::{level_seed_salted, mix64_seeded};
+use nocap_storage::{BufferPool, IoKind, JoinHashTable, PartitionHandle, Relation, SpillGuard};
 
 /// Grace Hash Join executor.
 #[derive(Debug, Clone, Copy)]
@@ -139,7 +130,8 @@ impl GraceHashJoin {
                 let mut out = writers.local();
                 morsels.scan(|page| {
                     for rec in page.record_refs() {
-                        let p = (level_hash(rec.key(), 0) % num_partitions as u64) as usize;
+                        let p = (mix64_seeded(rec.key(), level_seed_salted(0))
+                            % num_partitions as u64) as usize;
                         out.push(p, rec)?;
                     }
                     Ok(())
@@ -168,8 +160,8 @@ impl GraceHashJoin {
         let bloom_cfg = clamp_bloom(&self.bloom, &bloom_reservation);
         let probe_base = device.stats();
         let probe_span = obs.span(Phase::Probe);
-        let output = sum_tasks_obs(threads, obs, Phase::Probe, r_parts.len(), |i| {
-            self.join_pair(&device, &r_parts[i], &s_parts[i], &bloom_cfg, 1)
+        let output = sum_tasks(threads, obs, Phase::Probe, r_parts.len(), |i| {
+            self.join_pair(&r_parts[i], &s_parts[i], &bloom_cfg, 1)
         })?;
         drop(probe_span);
         let probe_io = device.stats().since(&probe_base);
@@ -190,7 +182,6 @@ impl GraceHashJoin {
     /// estimated to be cheaper than chunk-wise NBJ.
     fn join_pair(
         &self,
-        device: &DeviceRef,
         r_part: &PartitionHandle,
         s_part: &PartitionHandle,
         bloom: &ProbeBloom,
@@ -207,24 +198,27 @@ impl GraceHashJoin {
         if fits || depth > self.max_depth {
             return nbj_partition_join_filtered(r_part, s_part, spec, bloom, |_, _| {});
         }
-        // The partition is still too large: recurse only if another
-        // partitioning pass is estimated to be cheaper than NBJ.
-        let nbj = nbj_cost_best(r_part.pages(), s_part.pages(), spec);
-        let ghj = ghj_cost(r_part.pages(), s_part.pages(), spec);
-        if nbj <= ghj {
+        // The partition is still too large: recurse only if the light
+        // optimizer estimates another partitioning pass to be cheaper than
+        // NBJ.
+        let (method, _) = best_partition_join(r_part.pages(), s_part.pages(), spec);
+        if method == PartitionJoinMethod::Nbj {
             return nbj_partition_join_filtered(r_part, s_part, spec, bloom, |_, _| {});
         }
         let num_partitions = spec.buffer_pages.saturating_sub(1).max(2);
         // Fail-clean recursion: the sub-partitions are deleted when the
         // guard drops, whether the nested joins succeed or not.
         let mut guard = SpillGuard::new();
-        let r_sub = partition_handle(device, r_part, spec, num_partitions, depth)?;
+        // Level `depth` of GHJ's own recursion: a hash independent of the
+        // one that produced this partition (level 0, the relation pass).
+        let seed = level_seed_salted(depth);
+        let r_sub = repartition(r_part, spec, num_partitions, seed)?;
         guard.adopt_all(r_sub.iter().cloned());
-        let s_sub = partition_handle(device, s_part, spec, num_partitions, depth)?;
+        let s_sub = repartition(s_part, spec, num_partitions, seed)?;
         guard.adopt_all(s_sub.iter().cloned());
         let mut output = 0u64;
         for (rp, sp) in r_sub.iter().zip(s_sub.iter()) {
-            output += self.join_pair(device, rp, sp, bloom, depth + 1)?;
+            output += self.join_pair(rp, sp, bloom, depth + 1)?;
         }
         Ok(output)
     }
@@ -254,52 +248,6 @@ fn record_ghj_skew(obs: &Obs, r_parts: &[PartitionHandle], s_parts: &[PartitionH
         s_parts.iter().map(|h| h.records() as u64),
     );
     obs.count("partitions", r_parts.len() as u64);
-}
-
-/// Hash-partitions an existing spill partition into `m` sub-partitions
-/// (used by recursive re-partitioning).
-fn partition_handle(
-    device: &DeviceRef,
-    handle: &PartitionHandle,
-    spec: &JoinSpec,
-    m: usize,
-    level: u32,
-) -> nocap_storage::Result<Vec<PartitionHandle>> {
-    let mut writers: Vec<Option<PartitionWriter>> = (0..m).map(|_| None).collect();
-    let mut layout = None;
-    let mut reader = handle.read(IoKind::SeqRead);
-    while let Some(page) = reader.next_page()? {
-        let page_layout = page.record_layout();
-        layout.get_or_insert(page_layout);
-        for rec in page.record_refs() {
-            let p = (level_hash(rec.key(), level) % m as u64) as usize;
-            let writer = writers[p].get_or_insert_with(|| {
-                PartitionWriter::new(
-                    device.clone(),
-                    page_layout,
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-            });
-            writer.push_ref(rec)?;
-        }
-    }
-    let layout = layout.unwrap_or(spec.r_layout);
-    // Fail-clean finish: a mid-loop error deletes the handles produced so
-    // far (unfinished writers delete their own files on drop).
-    let mut guard = SpillGuard::new();
-    let mut out = Vec::with_capacity(writers.len());
-    for w in writers {
-        let h = match w {
-            Some(w) => w.finish()?,
-            None => PartitionWriter::new(device.clone(), layout, spec.page_size, IoKind::RandWrite)
-                .finish()?,
-        };
-        guard.adopt(h.clone());
-        out.push(h);
-    }
-    let _ = guard.release();
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@
 //!   PostgreSQL-style skew optimization controlled by two fixed thresholds
 //!   (2 % of memory for the skew hash table, triggered when the MCV mass
 //!   exceeds 2 % of S).
-//! * [`histojoin`] — Histojoin: the MCV-caching skew optimization with a
-//!   zero trigger threshold, as configured in the paper's evaluation.
+//!   Histojoin — the MCV-caching skew optimization with a zero trigger
+//!   threshold, as configured in the paper's evaluation — is this executor
+//!   under [`DhhJoin::histojoin`].
 //!
 //! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), draws its
 //! memory from a [`BufferPool`](nocap_storage::BufferPool) capped at the
@@ -31,7 +32,6 @@
 
 pub mod dhh;
 pub mod ghj;
-pub mod histojoin;
 pub mod naive;
 pub mod nbj;
 pub mod smj;
@@ -40,7 +40,6 @@ pub mod testutil;
 
 pub use dhh::{DhhConfig, DhhJoin};
 pub use ghj::GraceHashJoin;
-pub use histojoin::HistoJoin;
 pub use naive::naive_join_count;
 pub use nbj::NestedBlockJoin;
 pub use smj::{merge_join_runs, SortMergeJoin, SMJ_MIN_BUDGET_PAGES};

@@ -31,7 +31,7 @@ use std::sync::Mutex;
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{ordered_tasks_obs, resolve_threads};
+use nocap_par::{ordered_tasks, resolve_threads};
 use nocap_storage::sort::{run_chunks, sort_chunk, ExternalSorter, LoserTree, SortScratch};
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, PartitionHandle, Relation, SpillGuard,
@@ -240,14 +240,14 @@ fn sorted_runs(
     obs: &Obs,
 ) -> nocap_storage::Result<Vec<PartitionHandle>> {
     let chunks = run_chunks(relation.num_pages(), budget);
-    // `ordered_tasks_obs` drops the already-completed results when a task
+    // `ordered_tasks` drops the already-completed results when a task
     // fails (or siblings are cancelled) — and each result here owns a run
     // file. Adopting every run into a shared guard the moment it is written
     // guarantees a failed fan-out deletes all of them.
     let chunk_guard = Mutex::new(SpillGuard::new());
     let runs = {
         let _run_gen_span = obs.span(Phase::SortRunGen);
-        ordered_tasks_obs(
+        ordered_tasks(
             threads,
             obs,
             Phase::SortRunGen,

@@ -18,7 +18,11 @@
 
 use std::sync::Arc;
 
-use nocap_storage::{BloomFilter, IoKind, JoinHashTable, Page, PartitionHandle, RecordRef};
+use nocap_storage::hash::{level_seed, mix64_seeded};
+use nocap_storage::{
+    BloomFilter, IoKind, JoinHashTable, Page, PartitionHandle, PartitionWriter, RecordRef,
+    SpillGuard,
+};
 
 use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
 use crate::report::JoinRunReport;
@@ -174,11 +178,48 @@ pub fn join_partition_pairs(
     Ok(())
 }
 
-/// SplitMix64 with a per-recursion-level salt so nested re-partitioning uses
-/// an independent hash function from the one that produced the partition
-/// (the shared workspace hash, pinned bit-for-bit in `nocap_storage::hash`).
-fn level_hash(key: u64, level: u32) -> u64 {
-    nocap_storage::hash::mix64_seeded(key, nocap_storage::hash::level_seed(level))
+/// Hash-partitions a spilled partition into `m` sub-partitions by
+/// `mix64_seeded(key, seed)` — one recursion level of Grace-style
+/// re-partitioning. The caller picks the seed per level
+/// (`nocap_storage::hash::level_seed` here, `level_seed_salted` in GHJ's
+/// own recursion), so nested passes use a hash independent of the one that
+/// produced the partition. Zero-copy: records route straight from the
+/// source page into the sub-partition output buffers; a sub-partition's
+/// writer — and its output page — exists only once a record reaches it.
+pub fn repartition(
+    handle: &PartitionHandle,
+    spec: &JoinSpec,
+    m: usize,
+    seed: u64,
+) -> nocap_storage::Result<Vec<PartitionHandle>> {
+    let device = handle.device();
+    let new_writer =
+        |layout| PartitionWriter::new(device.clone(), layout, spec.page_size, IoKind::RandWrite);
+    let mut writers: Vec<Option<PartitionWriter>> = (0..m).map(|_| None).collect();
+    let mut layout = None;
+    let mut reader = handle.read(IoKind::SeqRead);
+    while let Some(page) = reader.next_page()? {
+        let page_layout = page.record_layout();
+        layout.get_or_insert(page_layout);
+        for rec in page.record_refs() {
+            let p = (mix64_seeded(rec.key(), seed) % m as u64) as usize;
+            writers[p]
+                .get_or_insert_with(|| new_writer(page_layout))
+                .push_ref(rec)?;
+        }
+    }
+    let layout = layout.unwrap_or(spec.r_layout);
+    // Fail-clean finish: a mid-loop error deletes the handles produced so
+    // far (unfinished writers delete their own files on drop).
+    let mut guard = SpillGuard::new();
+    let mut out = Vec::with_capacity(writers.len());
+    for w in writers {
+        let h = w.unwrap_or_else(|| new_writer(layout)).finish()?;
+        guard.adopt(h.clone());
+        out.push(h);
+    }
+    let _ = guard.release();
+    Ok(out)
 }
 
 /// The paper's light optimizer ([`best_partition_join`]) applied to one
@@ -210,59 +251,15 @@ pub fn smart_partition_join(
     if method == PartitionJoinMethod::Nbj {
         return nbj_partition_join(r_partition, s_partition, spec, |_, _| {});
     }
-    // Re-partition both sides and recurse (zero-copy: records route straight
-    // from the source page into the sub-partition output buffers).
-    let device = r_partition.device().clone();
+    // Re-partition both sides and recurse. Fail-clean: the sub-partitions
+    // are deleted when the guard drops, whether the nested joins succeed or
+    // not.
     let m = spec.buffer_pages.saturating_sub(1).max(2);
-    let repartition = |handle: &PartitionHandle| -> nocap_storage::Result<Vec<PartitionHandle>> {
-        let mut writers: Vec<Option<nocap_storage::PartitionWriter>> =
-            (0..m).map(|_| None).collect();
-        let mut layout = None;
-        let mut reader = handle.read(IoKind::SeqRead);
-        while let Some(page) = reader.next_page()? {
-            let page_layout = page.record_layout();
-            layout.get_or_insert(page_layout);
-            for rec in page.record_refs() {
-                let p = (level_hash(rec.key(), depth) % m as u64) as usize;
-                let writer = writers[p].get_or_insert_with(|| {
-                    nocap_storage::PartitionWriter::new(
-                        device.clone(),
-                        page_layout,
-                        spec.page_size,
-                        IoKind::RandWrite,
-                    )
-                });
-                writer.push_ref(rec)?;
-            }
-        }
-        let layout = layout.unwrap_or(spec.r_layout);
-        // Fail-clean finish: a mid-loop error deletes the handles produced
-        // so far (unfinished writers delete their own files on drop).
-        let mut guard = nocap_storage::SpillGuard::new();
-        let mut out = Vec::with_capacity(writers.len());
-        for w in writers {
-            let h = match w {
-                Some(w) => w.finish()?,
-                None => nocap_storage::PartitionWriter::new(
-                    device.clone(),
-                    layout,
-                    spec.page_size,
-                    IoKind::RandWrite,
-                )
-                .finish()?,
-            };
-            guard.adopt(h.clone());
-            out.push(h);
-        }
-        let _ = guard.release();
-        Ok(out)
-    };
-    // Fail-clean recursion: the sub-partitions are deleted when the guard
-    // drops, whether the nested joins succeed or not.
-    let mut guard = nocap_storage::SpillGuard::new();
-    let r_sub = repartition(r_partition)?;
+    let seed = level_seed(depth);
+    let mut guard = SpillGuard::new();
+    let r_sub = repartition(r_partition, spec, m, seed)?;
     guard.adopt_all(r_sub.iter().cloned());
-    let s_sub = repartition(s_partition)?;
+    let s_sub = repartition(s_partition, spec, m, seed)?;
     guard.adopt_all(s_sub.iter().cloned());
     let mut output = 0u64;
     for (rp, sp) in r_sub.iter().zip(s_sub.iter()) {

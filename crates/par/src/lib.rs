@@ -11,17 +11,18 @@
 //! * [`pool`] — a scoped [`run_workers`] fan-out helper (worker 0 is the
 //!   calling thread, `n − 1` threads are spawned — at one worker nothing is
 //!   spawned and the fan-out *is* a sequential loop), a work-queue
-//!   [`sum_tasks`] helper for the partition-wise probe phase, and
+//!   [`sum_tasks`] helper for the partition-wise probe phase, its ordered
+//!   sibling [`ordered_tasks`] for sort-run generation, and
 //!   [`default_threads`] / [`resolve_threads`] (the `NOCAP_THREADS`
 //!   environment knob, read only when a caller passes `threads = 0`). All
 //!   fan-outs are **fail-clean**: worker panics — worker 0's included —
 //!   are caught and surfaced as `StorageError::WorkerPanicked`, and a
 //!   [`cancel`] token ([`CancelToken`]) propagates the first error so
 //!   siblings stop at their next task boundary instead of finishing doomed
-//!   work. The `*_obs` variants ([`run_workers_obs`], [`sum_tasks_obs`],
-//!   [`ordered_tasks_obs`]) additionally record per-worker / per-task spans
-//!   through `nocap-obs`, producing the per-worker timelines of the
-//!   chrome://tracing output without perturbing execution.
+//!   work. [`run_workers_obs`], [`sum_tasks`] and [`ordered_tasks`] take an
+//!   `Obs` and record per-worker / per-task spans through `nocap-obs`,
+//!   producing the per-worker timelines of the chrome://tracing output
+//!   without perturbing execution; under `Obs::off()` they record nothing.
 //! * [`shard`] — [`PageMorsels`] hands a relation's pages out in
 //!   fixed-length morsels from an atomic cursor ([`page_shards`] is the
 //!   static even split the statistics collector's fixed grid uses);
@@ -43,6 +44,12 @@
 //!   DHH — come from `nocap_model::staging_quotas`, which the planner's
 //!   residual estimate prices.
 //!
+//! * [`hybrid`] — [`hybrid_hash_join`], the two-pass hybrid hash join made
+//!   of the three modules above. NOCAP, DHH and Histojoin each hand it a
+//!   [`HybridPlan`] — fixed-structure pages, designated partitions, staging
+//!   quotas and one [`Route`] function that both passes consult — and are
+//!   otherwise the same executor.
+//!
 //! There is no separate single-threaded engine: the executors' sequential
 //! `run` entry points call the same bodies with one worker. The cost of
 //! that, at every thread count, is physical memory the §4.1 model does not
@@ -51,10 +58,10 @@
 //! pages for `m` spill partitions, so up to `2m` physical output pages at
 //! `T = 1` against the `m` the model charges (see [`shard`]).
 //!
-//! The crate is deliberately generic: routing (which partition a record
-//! belongs to) stays with the caller, so `nocap` (rounded-hash routing),
-//! GHJ (plain hash), DHH (modulo hash over the shared quota geometry) and
-//! any future operator reuse the same machinery. The same worker pool and
+//! Routing (which partition a record belongs to) stays with the caller, so
+//! `nocap` (rounded-hash routing), GHJ (plain hash), DHH (modulo hash over
+//! the shared quota geometry) and any future operator reuse the same
+//! machinery. The same worker pool and
 //! [`page_shards`] also drive `nocap-stats`' sharded parallel collection
 //! (`StatsCollector::collect_parallel`), whose fixed shard grid plays the
 //! role the per-partition quotas play here: a decomposition fixed by the
@@ -65,14 +72,16 @@
 #![forbid(unsafe_code)]
 
 pub mod cancel;
+pub mod hybrid;
 pub mod pool;
 pub mod shard;
 pub mod stage;
 
 pub use cancel::CancelToken;
+pub use hybrid::{hybrid_hash_join, staging_budget, HybridPlan, Route};
 pub use pool::{
-    default_threads, ordered_tasks, ordered_tasks_obs, resolve_threads, run_workers,
-    run_workers_cancel, run_workers_obs, sum_tasks, sum_tasks_obs,
+    default_threads, ordered_tasks, resolve_threads, run_workers, run_workers_cancel,
+    run_workers_obs, sum_tasks,
 };
 pub use shard::{page_shards, LocalWriter, PageMorsels, SharedWriterSet};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

@@ -203,18 +203,11 @@ where
 /// Tasks are claimed with a relaxed `fetch_add` — claim order is
 /// nondeterministic, which is fine because every consumer of this helper
 /// (the partition-wise probe phase) produces order-independent counts.
-pub fn sum_tasks<F>(threads: usize, count: usize, f: F) -> Result<u64>
-where
-    F: Fn(usize) -> Result<u64> + Sync,
-{
-    sum_tasks_obs(threads, &Obs::off(), Phase::Probe, count, f)
-}
-
-/// [`sum_tasks`] with per-task observability: every claimed task becomes a
-/// span of the given phase tagged with its worker id and task index —
-/// the raw material of the per-worker timelines (a worker's gaps between
-/// task spans are its idle/claim time).
-pub fn sum_tasks_obs<F>(threads: usize, obs: &Obs, phase: Phase, count: usize, f: F) -> Result<u64>
+/// Every claimed task becomes a span of the given phase tagged with its
+/// worker id and task index — the raw material of the per-worker timelines
+/// (a worker's gaps between task spans are its idle/claim time); pass
+/// `&Obs::off()` to record nothing.
+pub fn sum_tasks<F>(threads: usize, obs: &Obs, phase: Phase, count: usize, f: F) -> Result<u64>
 where
     F: Fn(usize) -> Result<u64> + Sync,
 {
@@ -248,19 +241,10 @@ where
 /// staging buffer, …) that is reused across every task the worker claims,
 /// so per-task work can stay allocation-free. This is the fan-out shape of
 /// parallel run generation: tasks are the fixed sort chunks, the result
-/// vector is the canonical run order the merge consumes.
-pub fn ordered_tasks<S, T, F, I>(threads: usize, count: usize, init: I, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> Result<T> + Sync,
-{
-    ordered_tasks_obs(threads, &Obs::off(), Phase::SortRunGen, count, init, f)
-}
-
-/// [`ordered_tasks`] with per-task observability: every claimed task becomes
-/// a span of the given phase tagged with its worker id and task index.
-pub fn ordered_tasks_obs<S, T, F, I>(
+/// vector is the canonical run order the merge consumes. Every claimed task
+/// becomes a span of the given phase tagged with its worker id and task
+/// index; pass `&Obs::off()` to record nothing.
+pub fn ordered_tasks<S, T, F, I>(
     threads: usize,
     obs: &Obs,
     phase: Phase,
@@ -422,7 +406,7 @@ mod tests {
     fn sum_tasks_stops_claiming_after_first_error() {
         use std::sync::atomic::AtomicU64;
         let executed = AtomicU64::new(0);
-        let err = sum_tasks(2, 10_000, |i| {
+        let err = sum_tasks(2, &Obs::off(), Phase::Probe, 10_000, |i| {
             executed.fetch_add(1, Ordering::Relaxed);
             if i == 0 {
                 Err(StorageError::Io("early".into()))
@@ -465,7 +449,7 @@ mod tests {
     fn sum_tasks_covers_every_task_exactly_once() {
         use std::sync::atomic::AtomicU64;
         let hits = AtomicU64::new(0);
-        let total = sum_tasks(4, 100, |i| {
+        let total = sum_tasks(4, &Obs::off(), Phase::Probe, 100, |i| {
             hits.fetch_add(1, Ordering::Relaxed);
             Ok(i as u64)
         })
@@ -476,7 +460,10 @@ mod tests {
 
     #[test]
     fn sum_tasks_with_zero_tasks_is_zero() {
-        assert_eq!(sum_tasks(4, 0, |_| Ok(7)).unwrap(), 0);
+        assert_eq!(
+            sum_tasks(4, &Obs::off(), Phase::Probe, 0, |_| Ok(7)).unwrap(),
+            0
+        );
     }
 
     #[test]
@@ -489,6 +476,8 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let results = ordered_tasks(
                 threads,
+                &Obs::off(),
+                Phase::SortRunGen,
                 50,
                 || 0usize,
                 |state, i| {
@@ -506,6 +495,8 @@ mod tests {
         // Single worker: the per-worker state must see every task.
         let results = ordered_tasks(
             1,
+            &Obs::off(),
+            Phase::SortRunGen,
             10,
             || 0usize,
             |seen, _| {
@@ -521,6 +512,8 @@ mod tests {
     fn ordered_tasks_propagates_errors() {
         let err = ordered_tasks(
             4,
+            &Obs::off(),
+            Phase::SortRunGen,
             20,
             || (),
             |_, i| {
@@ -537,7 +530,8 @@ mod tests {
 
     #[test]
     fn ordered_tasks_with_zero_tasks_is_empty() {
-        let results: Vec<usize> = ordered_tasks(4, 0, || (), |_, i| Ok(i)).unwrap();
+        let results: Vec<usize> =
+            ordered_tasks(4, &Obs::off(), Phase::SortRunGen, 0, || (), |_, i| Ok(i)).unwrap();
         assert!(results.is_empty());
     }
 
@@ -564,7 +558,7 @@ mod tests {
     #[test]
     fn sum_tasks_obs_attributes_every_task_to_a_worker() {
         let obs = Obs::recording();
-        let total = sum_tasks_obs(3, &obs, Phase::Probe, 20, |i| Ok(i as u64)).unwrap();
+        let total = sum_tasks(3, &obs, Phase::Probe, 20, |i| Ok(i as u64)).unwrap();
         assert_eq!(total, (0..20u64).sum());
         let trace = obs.take_trace().unwrap();
         let mut tasks: Vec<usize> = trace.spans.iter().filter_map(|s| s.task).collect();
@@ -577,7 +571,7 @@ mod tests {
     fn ordered_tasks_obs_keeps_task_order_and_spans() {
         let obs = Obs::recording();
         let results =
-            ordered_tasks_obs(4, &obs, Phase::SortRunGen, 15, || (), |_, i| Ok(i * 2)).unwrap();
+            ordered_tasks(4, &obs, Phase::SortRunGen, 15, || (), |_, i| Ok(i * 2)).unwrap();
         assert_eq!(results, (0..15).map(|i| i * 2).collect::<Vec<_>>());
         let trace = obs.take_trace().unwrap();
         assert_eq!(trace.spans.len(), 15);
@@ -586,8 +580,8 @@ mod tests {
 
     #[test]
     fn obs_off_changes_nothing() {
-        let with_obs = sum_tasks_obs(4, &Obs::off(), Phase::Probe, 50, |i| Ok(i as u64)).unwrap();
-        let without = sum_tasks(4, 50, |i| Ok(i as u64)).unwrap();
-        assert_eq!(with_obs, without);
+        let recorded = sum_tasks(4, &Obs::recording(), Phase::Probe, 50, |i| Ok(i as u64)).unwrap();
+        let blind = sum_tasks(4, &Obs::off(), Phase::Probe, 50, |i| Ok(i as u64)).unwrap();
+        assert_eq!(recorded, blind);
     }
 }

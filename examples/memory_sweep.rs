@@ -5,7 +5,7 @@
 //! cargo run --release --example memory_sweep
 //! ```
 
-use nocap_suite::joins::{DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, SortMergeJoin};
+use nocap_suite::joins::{DhhConfig, DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{ocap, NocapConfig, NocapJoin, OcapConfig};
 use nocap_suite::storage::SimDevice;
@@ -40,7 +40,7 @@ fn main() {
             .unwrap()
             .total_ios();
         device.reset_stats();
-        let histo_ios = HistoJoin::new(spec)
+        let histo_ios = DhhJoin::histojoin(spec)
             .run(&wl.r, &wl.s, &wl.mcvs)
             .unwrap()
             .total_ios();

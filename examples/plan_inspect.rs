@@ -10,6 +10,7 @@
 
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, PlannerConfig};
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::{IoKind, SimDevice};
 use nocap_suite::workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -58,7 +59,7 @@ fn main() {
         );
         assert!(plan.fits_budget(&spec));
         let report = NocapJoin::new(spec, NocapConfig::default())
-            .run_with_plan(&wl.r, &wl.s, &plan)
+            .run_with_plan(&wl.r, &wl.s, &plan, 1, &Obs::off())
             .expect("join");
         assert_eq!(report.output_records, wl.expected_join_output());
         // What the run paid beyond the base scans, in the planner's

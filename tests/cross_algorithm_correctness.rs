@@ -3,7 +3,7 @@
 //! the skew-aware executors must actually benefit from skew.
 
 use nocap_suite::joins::{
-    naive_join_count, DhhConfig, DhhJoin, GraceHashJoin, HistoJoin, NestedBlockJoin, SortMergeJoin,
+    naive_join_count, DhhConfig, DhhJoin, GraceHashJoin, NestedBlockJoin, SortMergeJoin,
 };
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{ocap, NocapConfig, NocapJoin, OcapConfig};
@@ -49,7 +49,7 @@ fn all_outputs(wl: &GeneratedWorkload, spec: JoinSpec) -> Vec<(&'static str, u64
     device.reset_stats();
     results.push((
         "Histojoin",
-        HistoJoin::new(spec)
+        DhhJoin::histojoin(spec)
             .run(&wl.r, &wl.s, &wl.mcvs)
             .unwrap()
             .output_records,

@@ -19,6 +19,7 @@ use nocap_suite::joins::{
 };
 use nocap_suite::model::{BudgetLadder, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::Obs;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{BufferPool, SimDevice, StorageError};
@@ -108,10 +109,10 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     for label in ["nocap", "dhh"] {
         let err = match label {
             "nocap" => nocap
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder)
+                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder, &Obs::off())
                 .expect_err("a 2-page pool cannot admit the 5-page floor"),
             _ => dhh
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder)
+                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder, &Obs::off())
                 .expect_err("a 2-page pool cannot admit the 5-page floor"),
         };
         assert!(
@@ -132,10 +133,10 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     for label in ["nocap", "dhh"] {
         let run = match label {
             "nocap" => nocap
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder)
+                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder, &Obs::off())
                 .expect("the ladder must fit a 28-page pool"),
             _ => dhh
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder)
+                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder, &Obs::off())
                 .expect("the ladder must fit a 28-page pool"),
         };
         assert!(

@@ -26,6 +26,7 @@ use nocap_suite::model::{CorrelationTable, JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{
     partition_dp, plan_nocap, DpOptions, NocapConfig, NocapJoin, NocapPlan, PlannerConfig,
 };
+use nocap_suite::obs::Obs;
 use nocap_suite::storage::{IoKind, SimDevice};
 use nocap_suite::workload::{synthetic, Correlation, SyntheticConfig};
 
@@ -106,7 +107,9 @@ fn regret_case_against(correlation: Correlation, budget: usize, against_dhh: boo
     let join = NocapJoin::new(spec, NocapConfig::default());
     let run = |plan: &NocapPlan| -> JoinRunReport {
         assert!(plan.fits_budget(&spec), "{label}: {plan:?}");
-        let report = join.run_with_plan(&wl.r, &wl.s, plan).expect("join");
+        let report = join
+            .run_with_plan(&wl.r, &wl.s, plan, 1, &Obs::off())
+            .expect("join");
         assert_eq!(report.output_records, wl.expected_join_output(), "{label}");
         report
     };

@@ -5,13 +5,24 @@
 
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::{Obs, Phase};
 use nocap_suite::par::page_shards;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
-use nocap_suite::storage::{BufferPool, SimDevice};
+use nocap_suite::storage::device::DeviceRef;
+use nocap_suite::storage::{BufferPool, IoOp, SimDevice, TracedDevice};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 fn workload(correlation: Correlation, n_r: usize, n_s: usize, seed: u64) -> GeneratedWorkload {
-    let device = SimDevice::new_ref();
+    workload_on(SimDevice::new_ref(), correlation, n_r, n_s, seed)
+}
+
+fn workload_on(
+    device: DeviceRef,
+    correlation: Correlation,
+    n_r: usize,
+    n_s: usize,
+    seed: u64,
+) -> GeneratedWorkload {
     synthetic::generate(
         device,
         &SyntheticConfig {
@@ -125,7 +136,9 @@ fn collect_and_run_is_self_contained_and_accounts_the_stats_scan() {
     let join = NocapJoin::new(spec, NocapConfig::default());
 
     device.reset_stats();
-    let report = join.collect_and_run(&wl.r, &wl.s, 4).unwrap();
+    let report = join
+        .collect_and_run(&wl.r, &wl.s, 4, 1, &Obs::off())
+        .unwrap();
     let total_device_ios = device.stats().reads() + device.stats().writes();
 
     // Output correct...
@@ -141,6 +154,75 @@ fn collect_and_run_is_self_contained_and_accounts_the_stats_scan() {
         report.total_ios(),
         wl.s.num_pages()
     );
+}
+
+#[test]
+fn recorded_collect_and_run_traces_the_stats_phase_and_changes_nothing() {
+    // The self-contained pipeline under a recording `Obs` on a traced
+    // device: the sketch pass is one main-thread `stats` span that ends
+    // before the first `partition` span; its traced reads are exactly the
+    // ‖S‖ pages of S (the pipeline's own `attach_io` and the executor's
+    // nested one neither drop nor double an event); and output and
+    // per-phase modeled I/O equal the blind run's.
+    let spec = JoinSpec::paper_synthetic(128, 32);
+    let join = NocapJoin::new(spec, NocapConfig::default());
+    let blind_wl = workload(Correlation::Zipf { alpha: 1.0 }, 2_000, 16_000, 3);
+    let blind = join
+        .collect_and_run(&blind_wl.r, &blind_wl.s, 4, 1, &Obs::off())
+        .unwrap();
+    assert!(blind.trace.is_none());
+
+    for threads in [1usize, 2] {
+        let device = TracedDevice::new_ref(SimDevice::new_ref());
+        let wl = workload_on(device, Correlation::Zipf { alpha: 1.0 }, 2_000, 16_000, 3);
+        let report = join
+            .collect_and_run(&wl.r, &wl.s, 4, threads, &Obs::recording())
+            .unwrap();
+        assert_eq!(report.output_records, blind.output_records, "T = {threads}");
+        assert_eq!(report.partition_io, blind.partition_io, "T = {threads}");
+        assert_eq!(report.probe_io, blind.probe_io, "T = {threads}");
+
+        let trace = report.trace.as_ref().expect("a recording run has a trace");
+        let main_spans = |phase: Phase| {
+            trace
+                .spans
+                .iter()
+                .filter(move |s| s.phase == phase && s.worker.is_none())
+        };
+        let stats_spans: Vec<_> = main_spans(Phase::Stats).collect();
+        assert_eq!(stats_spans.len(), 1, "T = {threads}: one stats pass");
+        let first_partition = main_spans(Phase::Partition)
+            .map(|s| s.start_ns)
+            .min()
+            .expect("the join records its partition passes");
+        assert!(
+            stats_spans[0].end_ns <= first_partition,
+            "T = {threads}: the sketch pass ends before the join starts partitioning"
+        );
+
+        let s_pages = wl.s.num_pages();
+        let stats_events: Vec<_> = trace
+            .io_events
+            .iter()
+            .filter(|e| e.phase == Some(Phase::Stats))
+            .collect();
+        assert_eq!(
+            stats_events.len(),
+            s_pages,
+            "T = {threads}: ‖S‖ stats reads"
+        );
+        assert!(stats_events
+            .iter()
+            .all(|e| e.op == IoOp::Read && e.file == wl.s.file()));
+        let mut pages: Vec<usize> = stats_events.iter().map(|e| e.page).collect();
+        pages.sort_unstable();
+        assert_eq!(pages, (0..s_pages).collect::<Vec<_>>(), "each page once");
+        assert_eq!(
+            trace.io_events.len() as u64,
+            s_pages as u64 + report.total_ios(),
+            "T = {threads}: every traced access is the stats scan's or the join's"
+        );
+    }
 }
 
 #[test]

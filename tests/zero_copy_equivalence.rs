@@ -7,7 +7,7 @@
 //! executors were folded into one `threads`-parameterised body each, the
 //! only straight-line single-threaded NOCAP left in the repository, which
 //! makes it the independent check on quota destaging, POB routing and the
-//! phase windows of `NocapJoin::run_parallel_with_plan_obs`: records are
+//! phase windows of `nocap_par::hybrid_hash_join` under NOCAP's plan: records are
 //! materialized through the owned-record iterator path (`Record::read_from`
 //! per record — one heap allocation each), the in-memory build side is a
 //! `HashMap<u64, Vec<Record>>`, and the residual partitioner stages owned
@@ -19,23 +19,27 @@
 //! `legacy_smj_run` does the same for the external sorter: run generation
 //! through owned `Vec<Record>` chunk buffers with a stable sort, heap-based
 //! (`BinaryHeap<Reverse<(key, run)>>`) merge passes and a fused merge-join
-//! over peekable owned-record merges (`nocap_bench::cpu::LegacySorter` /
-//! `merge_join_legacy`) — pinning the arena sorter + loser-tree rewrite to
-//! the exact output and per-phase I/O of the pre-rewrite SMJ.
+//! over peekable owned-record merges (`LegacySorter` / `merge_join_legacy`
+//! below, moved here unchanged from the retired CPU bench) — pinning the
+//! arena sorter + loser-tree rewrite to the exact output and per-phase I/O
+//! of the pre-rewrite SMJ.
 //!
 //! Coverage: skewed (Zipf 1.1), uniform and JCC-H (tuned skew) workloads,
 //! each checked against `run` (one worker on the calling thread) and
 //! `run_parallel` at 1, 2 and 4 threads.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::iter::Peekable;
 
-use nocap_bench::cpu::{merge_join_legacy, LegacySorter};
 use nocap_suite::joins::SortMergeJoin;
 use nocap_suite::model::pairwise::smart_partition_join;
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
+use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BufferPool, IoKind, IoStats, PartitionHandle, PartitionWriter, Record, Relation,
+    BufferPool, IoKind, IoStats, PartitionHandle, PartitionReader, PartitionWriter, Record,
+    RecordLayout, Relation, Result,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -43,8 +47,8 @@ use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, Synthetic
 /// The pre-refactor NOCAP executor: owned records everywhere, map-of-vecs
 /// build side, `Vec<Record>` staging, one `PartitionWriter` per spill
 /// partition. Takes the same buffer-pool reservations as
-/// `NocapJoin::run_parallel_with_plan_obs`, in the same order, so the
-/// residual budget and the quota geometry are identical.
+/// `NocapJoin::run_with_plan` and the body it calls, in the same order, so
+/// the residual budget and the quota geometry are identical.
 fn legacy_nocap_run(
     spec: &JoinSpec,
     config: &NocapConfig,
@@ -207,6 +211,232 @@ fn legacy_nocap_run(
         h.delete().unwrap();
     }
     (output, partition_io, probe_io)
+}
+
+/// The pre-arena external sorter, reproduced faithfully: owned records are
+/// materialized per scanned record, chunks are buffered in a `Vec<Record>`
+/// and stable-sorted by key, and the multiway merge is a
+/// `BinaryHeap<Reverse<(key, run)>>` over peekable owned-record readers.
+/// Merged runs are written with the default page size and every merge pass
+/// peeks one record off the first non-empty run to recover the layout —
+/// exactly the code the repository shipped before the loser-tree rewrite,
+/// I/O for I/O.
+pub struct LegacySorter {
+    device: DeviceRef,
+    budget_pages: usize,
+}
+
+impl LegacySorter {
+    /// Creates a sorter with the pre-arena implementation.
+    pub fn new(device: DeviceRef, budget_pages: usize) -> Self {
+        assert!(budget_pages >= 3, "external sort needs at least 3 pages");
+        LegacySorter {
+            device,
+            budget_pages,
+        }
+    }
+
+    /// Sorts `relation` into at most `max_final_runs` runs (run generation
+    /// plus heap-based merge passes), legacy path.
+    pub fn sort_to_runs(
+        &mut self,
+        relation: &Relation,
+        max_final_runs: usize,
+    ) -> Result<Vec<PartitionHandle>> {
+        assert!(max_final_runs >= 2, "need at least a two-way final merge");
+        let mut runs = self.generate_runs(relation)?;
+        while runs.len() > max_final_runs {
+            runs = self.merge_pass(runs)?;
+        }
+        Ok(runs)
+    }
+
+    /// Legacy run generation: one owned `Record` allocation per scanned
+    /// record, `Vec<Record>` chunk buffer, stable by-key sort, owned pushes.
+    pub fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<PartitionHandle>> {
+        let per_page = relation.records_per_page();
+        let chunk_records = per_page * (self.budget_pages - 1).max(1);
+        let mut runs = Vec::new();
+        let mut buffer: Vec<Record> = Vec::with_capacity(chunk_records);
+        for rec in relation.scan() {
+            buffer.push(rec?);
+            if buffer.len() == chunk_records {
+                runs.push(self.write_run(relation, &mut buffer)?);
+            }
+        }
+        if !buffer.is_empty() {
+            runs.push(self.write_run(relation, &mut buffer)?);
+        }
+        Ok(runs)
+    }
+
+    fn write_run(&self, relation: &Relation, buffer: &mut Vec<Record>) -> Result<PartitionHandle> {
+        buffer.sort_by_key(Record::key);
+        let mut writer = PartitionWriter::new(
+            self.device.clone(),
+            relation.layout(),
+            relation.page_size(),
+            IoKind::SeqWrite,
+        );
+        for rec in buffer.drain(..) {
+            writer.push(&rec)?;
+        }
+        writer.finish()
+    }
+
+    fn merge_pass(&mut self, runs: Vec<PartitionHandle>) -> Result<Vec<PartitionHandle>> {
+        let fan_in = (self.budget_pages - 1).max(2);
+        let mut next_level = Vec::new();
+        let mut group = Vec::new();
+        let mut layout = None;
+        for run in &runs {
+            if run.records() > 0 {
+                // One-off geometry probe: a random access at the device,
+                // mirroring the arena sorter's declaration.
+                let first = run
+                    .read(IoKind::RandRead)
+                    .next()
+                    .transpose()?
+                    .expect("non-empty run yields a record");
+                layout = Some(first.layout());
+                break;
+            }
+        }
+        let layout = match layout {
+            Some(l) => l,
+            None => return Ok(runs),
+        };
+        let page_size = nocap_suite::storage::DEFAULT_PAGE_SIZE;
+
+        for run in runs {
+            group.push(run);
+            if group.len() == fan_in {
+                next_level.push(self.merge_group(std::mem::take(&mut group), layout, page_size)?);
+            }
+        }
+        if group.len() == 1 {
+            next_level.push(group.pop().expect("single leftover run"));
+        } else if !group.is_empty() {
+            next_level.push(self.merge_group(group, layout, page_size)?);
+        }
+        Ok(next_level)
+    }
+
+    fn merge_group(
+        &self,
+        runs: Vec<PartitionHandle>,
+        layout: RecordLayout,
+        page_size: usize,
+    ) -> Result<PartitionHandle> {
+        let mut writer =
+            PartitionWriter::new(self.device.clone(), layout, page_size, IoKind::SeqWrite);
+        let mut merger = LegacyMergeIterator::new(&runs)?;
+        while let Some(rec) = merger.next().transpose()? {
+            writer.push(&rec)?;
+        }
+        let merged = writer.finish()?;
+        for run in runs {
+            run.delete()?;
+        }
+        Ok(merged)
+    }
+}
+
+/// The pre-loser-tree k-way merge: a binary heap of `(key, run)` pairs over
+/// peekable owned-record partition readers, yielding one freshly allocated
+/// `Record` per merged record.
+pub struct LegacyMergeIterator {
+    readers: Vec<Peekable<PartitionReader>>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl LegacyMergeIterator {
+    /// Builds a merge iterator over `runs` (each must be internally sorted).
+    pub fn new(runs: &[PartitionHandle]) -> Result<Self> {
+        let mut readers: Vec<_> = runs
+            .iter()
+            .map(|r| r.read(IoKind::RandRead).peekable())
+            .collect();
+        let mut heap = BinaryHeap::new();
+        for (idx, reader) in readers.iter_mut().enumerate() {
+            if let Some(first) = reader.peek() {
+                match first {
+                    Ok(rec) => heap.push(Reverse((rec.key(), idx))),
+                    Err(_) => {
+                        // Force the error to surface on first `next()`.
+                        heap.push(Reverse((0, idx)));
+                    }
+                }
+            }
+        }
+        Ok(LegacyMergeIterator { readers, heap })
+    }
+}
+
+impl Iterator for LegacyMergeIterator {
+    type Item = Result<Record>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let Reverse((_, idx)) = self.heap.pop()?;
+        let rec = match self.readers[idx].next() {
+            Some(Ok(rec)) => rec,
+            Some(Err(e)) => return Some(Err(e)),
+            None => return self.next(),
+        };
+        if let Some(peeked) = self.readers[idx].peek() {
+            match peeked {
+                Ok(next_rec) => self.heap.push(Reverse((next_rec.key(), idx))),
+                Err(_) => self.heap.push(Reverse((0, idx))),
+            }
+        }
+        Some(Ok(rec))
+    }
+}
+
+/// The pre-refactor fused merge-join loop: owned records off two
+/// [`LegacyMergeIterator`]s, with the matching S group buffered in a
+/// `Vec<Record>`. Returns the join output count.
+pub fn merge_join_legacy(r_runs: &[PartitionHandle], s_runs: &[PartitionHandle]) -> Result<u64> {
+    let mut r_merge = LegacyMergeIterator::new(r_runs)?.peekable();
+    let mut s_merge = LegacyMergeIterator::new(s_runs)?.peekable();
+    let mut output = 0u64;
+    let mut s_group: Vec<Record> = Vec::new();
+    let mut s_group_key: Option<u64> = None;
+    'outer: loop {
+        let r_rec = match r_merge.next() {
+            Some(rec) => rec?,
+            None => break 'outer,
+        };
+        let key = r_rec.key();
+        if s_group_key != Some(key) {
+            s_group.clear();
+            loop {
+                match s_merge.peek() {
+                    Some(Ok(s_rec)) if s_rec.key() < key => {
+                        s_merge.next();
+                    }
+                    Some(Err(_)) => {
+                        s_merge.next().transpose()?;
+                    }
+                    _ => break,
+                }
+            }
+            loop {
+                match s_merge.peek() {
+                    Some(Ok(s_rec)) if s_rec.key() == key => {
+                        s_group.push(s_merge.next().expect("peeked")?);
+                    }
+                    Some(Err(_)) => {
+                        s_merge.next().transpose()?;
+                    }
+                    _ => break,
+                }
+            }
+            s_group_key = Some(key);
+        }
+        output += s_group.len() as u64;
+    }
+    Ok(output)
 }
 
 /// The pre-rewrite SMJ executor: owned-record run generation (stable
