@@ -45,10 +45,7 @@ fn main() {
         // degenerates).
         let plain_cfg = NocapConfig {
             planner: PlannerConfig {
-                rh_params: RoundedHashParams {
-                    beta: 1e-9,
-                    use_chernoff: false,
-                },
+                rh_params: RoundedHashParams { beta: 1e-9 },
                 ..PlannerConfig::default()
             },
             ..NocapConfig::default()

@@ -27,6 +27,7 @@
 use nocap::{NocapConfig, NocapJoin};
 use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
+use nocap_obs::Obs;
 use nocap_stats::{StatsCollector, StatsSummary};
 use nocap_storage::{BufferPool, SimDevice};
 use nocap_workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -192,7 +193,7 @@ fn main() {
     // ---- Sharded parallel collection: determinism + plan quality ---------
     // The summary folded from the fixed shard grid must be bit-identical at
     // every thread count, and the join it plans must stay as close to the
-    // oracle as the sequential single-sketch collection above.
+    // oracle as the single-collector pass above.
     println!("\n# sharded parallel collection (collect_parallel, 2% of ||R|| budget)");
     println!("correlation,threads,sketch_ios,oracle_ios,ratio,summary_identical_to_1_thread");
     for (name, correlation) in correlations {
@@ -224,6 +225,7 @@ fn main() {
                 spec.page_size,
                 &wl.s,
                 threads,
+                &Obs::off(),
             )
             .expect("sharded collection")
         };

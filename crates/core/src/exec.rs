@@ -182,7 +182,7 @@ impl NocapJoin {
     }
 
     /// The fully self-contained pipeline: sharded sketch collection over S
-    /// ([`StatsCollector::collect_parallel_with_budget_obs`], charged
+    /// ([`StatsCollector::collect_parallel_with_budget`], charged
     /// against the spec's buffer budget), planning from the summary alone,
     /// and execution — every stage on `threads` workers.
     ///
@@ -216,7 +216,7 @@ impl NocapJoin {
         // one.
         let _io_trace = obs.attach_io(s.device());
         let pool = BufferPool::new(self.spec.buffer_pages);
-        let summary = StatsCollector::collect_parallel_with_budget_obs(
+        let summary = StatsCollector::collect_parallel_with_budget(
             &pool,
             stats_pages,
             self.spec.page_size,

@@ -104,10 +104,7 @@ mod tests {
         // 18 "pages" worth of keys, chunk 3, 4 partitions — the Figure 7
         // setup. With β = 1 the router builds 6 buckets over 4 partitions:
         // two partitions receive 2 buckets and two receive 1.
-        let params = RoundedHashParams {
-            beta: 1.0,
-            use_chernoff: false,
-        };
+        let params = RoundedHashParams { beta: 1.0 };
         let n = 18_000usize;
         let c_r = 3_000usize;
         let rh = RoundedHash::new(n, 4, c_r, &params);

@@ -17,8 +17,9 @@
 //! * [`classic_cost`] — the Table 1 estimators for NBJ, GHJ and SMJ, plus
 //!   the "light optimizer" that picks NBJ or Grace-style recursion for each
 //!   partition-wise join — run by the executors, priced by the planner.
-//! * [`hash_cost`] — `g_PH` (plain hash) and `g_RH` (rounded hash, §4.2)
-//!   including the Chernoff-bound overflow correction.
+//! * [`hash_cost`] — [`RoundedHashParams`]: when rounded hash (§4.2)
+//!   applies and how many chunk-sized buckets it deals, shared by the
+//!   router, the staging quotas and `g_DHH`.
 //! * [`dhh_cost`] — [`staging_quotas`]: the partition count and the
 //!   resident-first staging quotas of a hybrid hash build (NOCAP's residual
 //!   partitioner and DHH both run it), and `g_DHH`: the estimated extra I/O
@@ -54,7 +55,7 @@ pub use ct::CorrelationTable;
 pub use degrade::{run_degrading, BudgetLadder, DegradationAttempt, DegradedRun};
 pub use dhh_cost::{g_dhh, staging_quotas, StagingQuotas, StagingRouter};
 pub use estimate::McvEstimate;
-pub use hash_cost::{g_ph, g_rh, rounded_passes, RoundedHashParams};
+pub use hash_cost::RoundedHashParams;
 pub use partitioning::{cal_cost, Partitioning};
 pub use report::JoinRunReport;
 pub use sip::ProbeBloom;

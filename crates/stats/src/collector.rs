@@ -1,17 +1,23 @@
 //! One-pass statistics collection under a page budget.
 //!
-//! [`StatsCollector`] owns one of each sketch — SpaceSaving, Count-Min, KMV
-//! and the fallback histogram — and feeds every observed join key to all
-//! four. Its memory is sized from a **page budget** and, when constructed
-//! through [`StatsCollector::with_budget`], reserved from the same
-//! [`BufferPool`] the join draws from, so collecting statistics is charged
-//! against the operator's memory like any other phase instead of being
-//! assumed free (the oracle `CorrelationTable` path this subsystem
-//! replaces).
+//! [`StatsCollector`] owns the two sketches the planner reads — SpaceSaving
+//! and the fallback histogram — and feeds every observed join key to both.
+//! Its memory is sized from a **page budget** and, when constructed through
+//! [`StatsCollector::with_budget`], reserved from the same [`BufferPool`]
+//! the join draws from, so collecting statistics is charged against the
+//! operator's memory like any other phase instead of being assumed free
+//! (the oracle `CorrelationTable` path this subsystem replaces).
+//!
+//! There is one kind of collector: every component is either an
+//! order-insensitive, exactly mergeable function of the observed key
+//! multiset (stream length, key range, histogram) or carries
+//! merge-preserved error bounds (SpaceSaving), so a relation scan, a
+//! generator's key stream and the shards of
+//! [`StatsCollector::collect_parallel`] all run the same body.
 //!
 //! The produced [`StatsSummary`] is the planner-facing artifact: top-k
-//! [`McvEstimate`]s with error bounds, the exact stream length, a distinct
-//! count estimate and the retained sketches for point queries.
+//! [`McvEstimate`]s with error bounds, the exact stream length, the key
+//! range and the histogram that backs the near-uniform fallback.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -20,12 +26,9 @@ use nocap_model::McvEstimate;
 use nocap_obs::{Obs, Phase};
 use nocap_par::{page_shards, resolve_threads, run_workers};
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, Record, Relation, RelationScan,
-    Reservation, Result,
+    into_inner_unpoisoned, lock_unpoisoned, BufferPool, Relation, RelationScan, Reservation, Result,
 };
 
-use crate::countmin::CountMinSketch;
-use crate::distinct::KmvSketch;
 use crate::histogram::EquiWidthHistogram;
 use crate::spacesaving::SpaceSaving;
 
@@ -34,57 +37,29 @@ use crate::spacesaving::SpaceSaving;
 pub struct StatsConfig {
     /// SpaceSaving counters (the top-k capacity; error ≤ N / counters).
     pub mcv_counters: usize,
-    /// Count-Min width (rounded up to a power of two).
-    pub cm_width: usize,
-    /// Count-Min depth (number of hash rows).
-    pub cm_depth: usize,
-    /// KMV minimum-hash count (distinct-count error ≈ 1/√k).
-    pub kmv_k: usize,
     /// Fallback histogram bucket count.
     pub hist_buckets: usize,
-    /// Key domain `[lo, hi)` of the fallback histogram when it is known
-    /// upfront (catalog knowledge); keys outside clamp to the edge buckets.
-    /// `None` (the default) builds an *adaptive* histogram anchored at 0
-    /// whose bucket width doubles to cover whatever key range the stream
-    /// actually contains.
-    pub key_domain: Option<(u64, u64)>,
 }
 
 impl Default for StatsConfig {
     fn default() -> Self {
         StatsConfig {
             mcv_counters: 1_024,
-            cm_width: 2_048,
-            cm_depth: 4,
-            kmv_k: 256,
             hist_buckets: 64,
-            key_domain: None,
         }
     }
 }
 
 impl StatsConfig {
-    /// Sizes the sketches to fit `bytes` bytes, split 60 % SpaceSaving
-    /// (the planner-critical sketch), 20 % Count-Min, 10 % KMV, 10 %
-    /// histogram. Every component scales down with the budget (no fixed
-    /// floors), so the result fits any `bytes ≥ 256`; below that the
-    /// structural minimum of one-of-each-sketch applies.
+    /// Sizes the sketches to fit `bytes` bytes, split 90 % SpaceSaving (the
+    /// planner-critical sketch) and 10 % histogram. Both scale down with
+    /// the budget (no fixed floors), so the result fits any `bytes ≥ 256`;
+    /// below that the structural minimum of one-of-each-sketch applies.
     pub fn for_budget_bytes(bytes: usize) -> Self {
         let bytes = bytes.max(256);
-        let mcv_counters = (bytes * 6 / 10 / 64).max(1);
-        let cm_depth = if bytes >= 2_048 { 4 } else { 2 };
-        // Round the width *down* to a power of two so the sketch never
-        // exceeds its share of the budget (CountMinSketch rounds up).
-        let cm_width = prev_power_of_two((bytes * 2 / 10 / 8 / cm_depth).max(1));
-        let kmv_k = (bytes / 10 / 24).clamp(2, 4_096);
-        let hist_buckets = (bytes / 10 / 8).clamp(1, 65_536);
         StatsConfig {
-            mcv_counters,
-            cm_width,
-            cm_depth,
-            kmv_k,
-            hist_buckets,
-            key_domain: None,
+            mcv_counters: (bytes * 9 / 10 / 64).max(1),
+            hist_buckets: (bytes / 10 / 8).clamp(1, 65_536),
         }
     }
 
@@ -93,20 +68,13 @@ impl StatsConfig {
         Self::for_budget_bytes(pages.max(1) * page_size.max(64))
     }
 
-    /// Returns a copy with a fixed histogram key domain (instead of the
-    /// default adaptive bucketing).
-    pub fn with_key_domain(mut self, lo: u64, hi: u64) -> Self {
-        self.key_domain = Some((lo, hi));
-        self
-    }
-
     /// Bytes the configured sketches occupy (the accounting the page budget
-    /// is charged by).
+    /// is charged by). Either sketch holds at least one entry.
     pub fn memory_bytes(&self) -> usize {
-        self.mcv_counters * 64
-            + self.cm_width.next_power_of_two() * self.cm_depth * 8
-            + self.kmv_k * 24
-            + self.hist_buckets * 8
+        // Per SpaceSaving counter: the counter itself (24 B), its heap and
+        // slot entries (8 B) and its hash-map entry (~32 B with growth
+        // slack). Per histogram bucket: one `u64` count.
+        self.mcv_counters.max(1) * 64 + self.hist_buckets.max(1) * 8
     }
 
     /// Pages the configured sketches occupy, rounded up.
@@ -115,18 +83,11 @@ impl StatsConfig {
     }
 }
 
-/// Largest power of two `≤ n` (`n ≥ 1`).
-fn prev_power_of_two(n: usize) -> usize {
-    1 << (usize::BITS - 1 - n.max(1).leading_zeros())
-}
-
 /// One-pass streaming statistics collector.
 #[derive(Debug)]
 pub struct StatsCollector {
     config: StatsConfig,
     spacesaving: SpaceSaving,
-    countmin: CountMinSketch,
-    kmv: KmvSketch,
     histogram: EquiWidthHistogram,
     n: u64,
     min_key: Option<u64>,
@@ -139,16 +100,19 @@ pub struct StatsCollector {
 impl StatsCollector {
     /// Creates a collector with explicit sketch sizing and no buffer-pool
     /// charge (for tests and offline analysis).
+    ///
+    /// The histogram is anchored at key 0
+    /// ([`EquiWidthHistogram::adaptive_pinned`]), so every component the
+    /// collector produces is an order-insensitive function of the observed
+    /// key multiset *or* (for SpaceSaving beyond its exact regime) carries
+    /// merge-preserved error bounds: collectors over the parts of a stream
+    /// can be folded with [`merge`](Self::merge) in a fixed order to a
+    /// deterministic [`StatsSummary`], which is what
+    /// [`collect_parallel`](Self::collect_parallel) does with its shards.
     pub fn new(config: StatsConfig) -> Self {
-        let histogram = match config.key_domain {
-            Some((lo, hi)) => EquiWidthHistogram::new(lo, hi, config.hist_buckets),
-            None => EquiWidthHistogram::adaptive(0, config.hist_buckets),
-        };
         StatsCollector {
             spacesaving: SpaceSaving::new(config.mcv_counters),
-            countmin: CountMinSketch::new(config.cm_width, config.cm_depth),
-            kmv: KmvSketch::new(config.kmv_k),
-            histogram,
+            histogram: EquiWidthHistogram::adaptive_pinned(0, config.hist_buckets),
             n: 0,
             min_key: None,
             max_key: None,
@@ -175,31 +139,10 @@ impl StatsCollector {
         Ok(collector)
     }
 
-    /// Creates a **shard** collector: identical sketch sizing to
-    /// [`StatsCollector::new`], but the fallback histogram uses the
-    /// pinned-anchor adaptive mode
-    /// ([`EquiWidthHistogram::adaptive_pinned`]) instead of first-key
-    /// anchoring (unless the config fixes a `key_domain`, which is already
-    /// order-insensitive). Shard collectors are the unit of sharded
-    /// parallel collection: every sketch component they produce is an
-    /// order-insensitive function of the observed key multiset *or* (for
-    /// SpaceSaving beyond its exact regime) carries merge-preserved error
-    /// bounds, so shard summaries can be folded with
-    /// [`merge`](Self::merge) in canonical shard order to a deterministic
-    /// [`StatsSummary`].
-    pub fn new_shard(config: StatsConfig) -> Self {
-        let mut collector = Self::new(config);
-        if config.key_domain.is_none() {
-            collector.histogram = EquiWidthHistogram::adaptive_pinned(0, config.hist_buckets);
-        }
-        collector
-    }
-
     /// Merges another collector's sketches into this one, as if this
     /// collector had also observed every key `other` observed.
     ///
-    /// Exactness per component: the stream length, min/max key, Count-Min
-    /// counters, KMV distinct sketch and (pinned-anchor or fixed-domain)
+    /// Exactness per component: the stream length, min/max key and
     /// histogram merge **exactly** — the merged state equals a single
     /// collector's state over the concatenated stream, for any split and
     /// any merge order. The SpaceSaving summary merges with its error
@@ -208,17 +151,13 @@ impl StatsCollector {
     /// an overestimate with per-key error bounds beyond that.
     ///
     /// # Panics
-    /// If the two collectors were built with different [`StatsConfig`]s, or
-    /// one is a shard collector and the other is not (their histograms
-    /// refuse to merge).
+    /// If the two collectors were built with different [`StatsConfig`]s.
     pub fn merge(&mut self, other: &StatsCollector) {
         assert_eq!(
             self.config, other.config,
             "can only merge collectors with identical sketch configurations"
         );
         self.spacesaving.merge(&other.spacesaving);
-        self.countmin.merge(&other.countmin);
-        self.kmv.merge(&other.kmv);
         self.histogram.merge(&other.histogram);
         self.n += other.n;
         self.min_key = match (self.min_key, other.min_key) {
@@ -245,22 +184,15 @@ impl StatsCollector {
     pub fn observe(&mut self, key: u64) {
         self.n += 1;
         self.spacesaving.offer(key);
-        self.countmin.add(key);
-        self.kmv.insert(key);
         self.histogram.add(key);
         self.min_key = Some(self.min_key.map_or(key, |m| m.min(key)));
         self.max_key = Some(self.max_key.map_or(key, |m| m.max(key)));
     }
 
-    /// Observes one record (its join key).
-    pub fn observe_record(&mut self, record: &Record) {
-        self.observe(record.key());
-    }
-
     /// Consumes an entire relation scan in one pass. This is the intended
     /// entry point: page-granular sequential reads through the zero-copy
     /// page loop (no per-record allocation), every record's key offered to
-    /// every sketch exactly once.
+    /// both sketches exactly once.
     pub fn consume(&mut self, mut scan: RelationScan) -> Result<()> {
         while let Some(page) = scan.next_page()? {
             for rec in page.record_refs() {
@@ -274,13 +206,12 @@ impl StatsCollector {
     /// `nocap-workload` generators produces exactly this shape).
     ///
     /// A generator's stream and a page scan of the loaded relation present
-    /// the same key **multiset**, possibly in different orders. On a
-    /// [shard collector](Self::new_shard) in its exact regime the order
-    /// cannot matter (every component is a function of the multiset), so
-    /// `consume_keys` and [`consume`](Self::consume) agree; on a plain
-    /// streaming collector the first-key histogram anchor and an
-    /// overflowing SpaceSaving sketch are arrival-order sensitive — use
-    /// shard collectors wherever two summaries must be comparable.
+    /// the same key **multiset**, possibly in different orders. In the
+    /// exact regime (distinct keys within `mcv_counters`) the order cannot
+    /// matter — every component is a function of the multiset — so
+    /// `consume_keys` and [`consume`](Self::consume) produce equal
+    /// summaries; only an overflowing SpaceSaving sketch is arrival-order
+    /// sensitive, and its counts keep their error bounds either way.
     pub fn consume_keys<I>(&mut self, keys: I) -> Result<()>
     where
         I: IntoIterator<Item = Result<u64>>,
@@ -295,17 +226,14 @@ impl StatsCollector {
     /// the summary.
     pub fn finish(mut self) -> StatsSummary {
         drop(self.reservation.take());
-        let mcvs = self.spacesaving.top_k(self.spacesaving.capacity());
         StatsSummary {
+            config: self.config,
             n: self.n,
-            mcvs,
+            mcvs: self.spacesaving.top_k(self.spacesaving.capacity()),
             error_guarantee: self.spacesaving.error_guarantee(),
             unmonitored_ceiling: self.spacesaving.min_count(),
-            distinct: self.kmv.estimate(),
             min_key: self.min_key,
             max_key: self.max_key,
-            spacesaving: self.spacesaving,
-            countmin: self.countmin,
             histogram: self.histogram,
         }
     }
@@ -320,11 +248,13 @@ impl StatsCollector {
         STATS_SHARDS.min(rel.num_pages()).max(1)
     }
 
-    /// Sharded parallel statistics collection: scans `rel` with `threads`
-    /// workers (0 selects [`nocap_par::default_threads`]) over the fixed
-    /// shard grid of [`shard_count`](Self::shard_count) contiguous page
-    /// ranges, one [shard collector](Self::new_shard) per shard, and folds
-    /// the shard sketches in canonical shard order.
+    /// Sharded statistics collection: scans `rel` with `threads` workers
+    /// (0 selects [`nocap_par::default_threads`]) over the fixed shard grid
+    /// of [`shard_count`](Self::shard_count) contiguous page ranges, one
+    /// collector per shard, and folds the shard sketches in canonical shard
+    /// order. No recorder and no pool charge; see
+    /// [`collect_parallel_with_budget`](Self::collect_parallel_with_budget)
+    /// for the form a join runs.
     ///
     /// **Determinism.** Each shard's sketch depends only on that shard's
     /// pages, and the fold order is fixed, so the summary is bit-identical
@@ -333,8 +263,8 @@ impl StatsCollector {
     /// thread this *is* sequential collection (the workers run on the
     /// calling thread), so `collect_parallel(_, _, n) ==
     /// collect_parallel(_, _, 1)` for all `n` on every workload; it also
-    /// equals a plain single-collector [`consume`](Self::consume) pass in
-    /// every component except the SpaceSaving counters once the stream's
+    /// equals a single-collector [`consume`](Self::consume) pass in every
+    /// component except the SpaceSaving counters once the stream's
     /// distinct-key count exceeds `mcv_counters` (where single-pass
     /// SpaceSaving is itself arrival-order-dependent; the merged counters
     /// still carry their error bounds).
@@ -346,24 +276,13 @@ impl StatsCollector {
         rel: &Relation,
         threads: usize,
     ) -> Result<StatsSummary> {
-        Self::collect_parallel_obs(config, rel, threads, &Obs::off())
+        Ok(Self::collect_sharded(rel, threads, &Obs::off(), |_| Self::new(config))?.finish())
     }
 
-    /// [`collect_parallel`](Self::collect_parallel) with observability: the
-    /// pass is bracketed by a `stats` phase span and every shard scan
-    /// becomes a per-worker task span. Recording is passive — the shard
-    /// grid, fold order and modeled I/O are untouched.
-    pub fn collect_parallel_obs(
-        config: StatsConfig,
-        rel: &Relation,
-        threads: usize,
-        obs: &Obs,
-    ) -> Result<StatsSummary> {
-        Ok(Self::collect_sharded(rel, threads, obs, |_| Ok(Self::new_shard(config)))?.finish())
-    }
-
-    /// The budgeted variant of [`collect_parallel`](Self::collect_parallel):
-    /// every shard collector reserves `pages` pages (or its real footprint,
+    /// [`collect_parallel`](Self::collect_parallel) under a page budget and
+    /// a recorder — the pass a join runs.
+    ///
+    /// Every shard collector reserves `pages` pages (or its real footprint,
     /// whichever is larger) from `pool` for the lifetime of the pass, so
     /// deterministic sharded collection is charged at its true resident
     /// cost — `shard_count × pages`, independent of the thread count,
@@ -372,20 +291,11 @@ impl StatsCollector {
     /// starts**: an oversubscribed pool fails with
     /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) up front,
     /// not after half the relation was already read.
+    ///
+    /// When `obs` records, the pass is bracketed by a `stats` phase span
+    /// and every shard scan becomes a per-worker task span. Recording is
+    /// passive — the shard grid, fold order and modeled I/O are untouched.
     pub fn collect_parallel_with_budget(
-        pool: &BufferPool,
-        pages: usize,
-        page_size: usize,
-        rel: &Relation,
-        threads: usize,
-    ) -> Result<StatsSummary> {
-        Self::collect_parallel_with_budget_obs(pool, pages, page_size, rel, threads, &Obs::off())
-    }
-
-    /// The observed variant of
-    /// [`collect_parallel_with_budget`](Self::collect_parallel_with_budget);
-    /// see [`collect_parallel_obs`](Self::collect_parallel_obs).
-    pub fn collect_parallel_with_budget_obs(
         pool: &BufferPool,
         pages: usize,
         page_size: usize,
@@ -399,9 +309,9 @@ impl StatsCollector {
             .map(|_| pool.reserve(charge).map(|r| Mutex::new(Some(r))))
             .collect::<Result<_>>()?;
         let collected = Self::collect_sharded(rel, threads, obs, |shard| {
-            let mut collector = Self::new_shard(config);
+            let mut collector = Self::new(config);
             collector.reservation = lock_unpoisoned(&reservations[shard]).take();
-            Ok(collector)
+            collector
         })?;
         Ok(collected.finish())
     }
@@ -416,7 +326,7 @@ impl StatsCollector {
         rel: &Relation,
         threads: usize,
         obs: &Obs,
-        make: impl Fn(usize) -> Result<StatsCollector> + Sync,
+        make: impl Fn(usize) -> StatsCollector + Sync,
     ) -> Result<StatsCollector> {
         let threads = resolve_threads(threads);
         let _stats_span = obs.span(Phase::Stats);
@@ -436,7 +346,7 @@ impl StatsCollector {
                     return Ok(());
                 }
                 let started = wobs.start();
-                let mut collector = make(i)?;
+                let mut collector = make(i);
                 collector.consume(rel.scan_range(grid[i].clone()))?;
                 *lock_unpoisoned(&slots[i]) = Some(collector);
                 wobs.record_task(Phase::Stats, i, started);
@@ -463,25 +373,24 @@ pub const STATS_SHARDS: usize = 8;
 
 /// The planner-facing artifact of one collection pass.
 ///
-/// Equality is *logical*: two summaries compare equal when every
-/// planner-visible artifact matches — stream length, MCV list with error
-/// bounds, distinct estimate, key range, Count-Min counters, histogram
-/// buckets and the canonical SpaceSaving entries. Internal sketch layout
-/// (heap order, counter slots) is ignored, so a summary folded from shard
-/// sketches compares equal to a sequentially collected one whenever they
-/// answer every query identically. The differential determinism suites
-/// pin `collect_parallel`'s thread-count invariance with this.
+/// Equality compares exactly the retained state — the sizing, the stream
+/// length, the MCV list with its error bounds (the SpaceSaving counters in
+/// canonical order), the key range and the histogram buckets. None of it
+/// depends on internal sketch layout (heap order, counter slots), so a
+/// summary folded from shard sketches compares equal to a sequentially
+/// collected one whenever they answer every query identically. The
+/// differential determinism suites pin `collect_parallel`'s thread-count
+/// invariance with this.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSummary {
+    config: StatsConfig,
     n: u64,
+    /// The SpaceSaving counters, count descending, ties by key.
     mcvs: Vec<McvEstimate>,
     error_guarantee: u64,
     unmonitored_ceiling: u64,
-    distinct: f64,
     min_key: Option<u64>,
     max_key: Option<u64>,
-    spacesaving: SpaceSaving,
-    countmin: CountMinSketch,
     histogram: EquiWidthHistogram,
 }
 
@@ -513,11 +422,6 @@ impl StatsSummary {
     /// Upper bound on the frequency of any key *not* in the MCV list.
     pub fn unmonitored_ceiling(&self) -> u64 {
         self.unmonitored_ceiling
-    }
-
-    /// Estimated number of distinct keys (KMV).
-    pub fn distinct_keys(&self) -> f64 {
-        self.distinct
     }
 
     /// Smallest key observed, if any record was seen.
@@ -573,26 +477,15 @@ impl StatsSummary {
             .collect()
     }
 
-    /// Best available frequency estimate for one key: the SpaceSaving
-    /// estimate when monitored, otherwise the Count-Min upper bound capped
-    /// by the unmonitored ceiling.
-    pub fn estimate_frequency(&self, key: u64) -> u64 {
-        match self.spacesaving.estimate(key) {
-            Some((count, _)) => count,
-            None => self.countmin.estimate(key).min(self.unmonitored_ceiling),
-        }
-    }
-
     /// Equi-width fallback estimate for one key (uniformity within bucket).
     pub fn histogram_estimate(&self, key: u64) -> f64 {
         self.histogram.estimate(key)
     }
 
-    /// Resident size of the retained sketches, in bytes.
+    /// Resident size of the sketches this summary was collected with, in
+    /// bytes: [`StatsConfig::memory_bytes`] of the collector's config.
     pub fn memory_bytes(&self) -> usize {
-        self.spacesaving.memory_bytes()
-            + self.countmin.memory_bytes()
-            + self.histogram.memory_bytes()
+        self.config.memory_bytes()
     }
 }
 
@@ -627,7 +520,6 @@ mod tests {
         collector.consume(rel.scan()).unwrap();
         let summary = collector.finish();
         assert_eq!(summary.stream_len() as usize, rel.num_records());
-        assert!(summary.distinct_keys() > 0.0);
         assert_eq!(summary.min_key(), Some(0));
         assert_eq!(summary.max_key(), Some(499));
     }
@@ -656,15 +548,23 @@ mod tests {
     #[test]
     fn sketch_sizing_fits_the_requested_pages() {
         for page_size in [256usize, 512, 1024, 4096, 16_384] {
-            for pages in [1usize, 2, 4, 16, 64, 256] {
+            for pages in (1..=64usize).chain([256]) {
                 let config = StatsConfig::for_budget_pages(pages, page_size);
                 assert!(
                     config.memory_pages(page_size) <= pages,
                     "{pages} x {page_size}-byte budget produced {} pages of sketches",
                     config.memory_pages(page_size)
                 );
+                // SpaceSaving holds 90 % of the bytes: strictly more
+                // counters than a 60 % share (`bytes · 6 / 10 / 64`) buys.
+                assert!(
+                    config.mcv_counters > pages * page_size * 6 / 10 / 64,
+                    "{pages} x {page_size}: {} counters",
+                    config.mcv_counters
+                );
             }
         }
+        assert_eq!(StatsConfig::for_budget_pages(4, 4096).mcv_counters, 230);
     }
 
     #[test]
@@ -704,23 +604,6 @@ mod tests {
         }
         // The hottest key must be identified.
         assert_eq!(summary.mcvs()[0].key, 0);
-    }
-
-    #[test]
-    fn point_queries_fall_back_beyond_the_mcv_list() {
-        let device = SimDevice::new_ref();
-        let rel = skewed_relation(device, 300);
-        let mut collector = StatsCollector::new(StatsConfig {
-            mcv_counters: 16,
-            ..StatsConfig::default()
-        });
-        collector.consume(rel.scan()).unwrap();
-        let summary = collector.finish();
-        // A cold key not in the 16-counter summary still gets a finite,
-        // ceiling-capped estimate.
-        let cold = 299u64;
-        let est = summary.estimate_frequency(cold);
-        assert!(est <= summary.unmonitored_ceiling().max(1));
     }
 
     #[test]
@@ -786,8 +669,8 @@ mod tests {
     #[test]
     fn merge_accumulates_stream_length_and_key_range() {
         let config = StatsConfig::default();
-        let mut a = StatsCollector::new_shard(config);
-        let mut b = StatsCollector::new_shard(config);
+        let mut a = StatsCollector::new(config);
+        let mut b = StatsCollector::new(config);
         for k in 10..60u64 {
             a.observe(k);
         }
@@ -807,10 +690,10 @@ mod tests {
         let config = StatsConfig::default();
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 120);
-        let mut a = StatsCollector::new_shard(config);
+        let mut a = StatsCollector::new(config);
         a.consume(rel.scan()).unwrap();
-        let empty = StatsCollector::new_shard(config);
-        let mut merged = StatsCollector::new_shard(config);
+        let empty = StatsCollector::new(config);
+        let mut merged = StatsCollector::new(config);
         merged.consume(rel.scan()).unwrap();
         merged.merge(&empty);
         assert_eq!(merged.finish(), a.finish());
@@ -819,25 +702,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "identical sketch configurations")]
     fn merging_mismatched_configs_panics() {
-        let mut a = StatsCollector::new_shard(StatsConfig::default());
-        let b = StatsCollector::new_shard(StatsConfig {
+        let mut a = StatsCollector::new(StatsConfig::default());
+        let b = StatsCollector::new(StatsConfig {
             mcv_counters: 7,
             ..StatsConfig::default()
         });
         a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "same origin")]
-    fn merging_a_shard_collector_into_a_streaming_collector_panics() {
-        // The streaming collector's histogram anchors at its first key; the
-        // shard collector's is pinned. Silently mixing the two would break
-        // the determinism guarantee, so the histograms refuse.
-        let mut streaming = StatsCollector::new(StatsConfig::default());
-        streaming.observe(42);
-        let mut shard = StatsCollector::new_shard(StatsConfig::default());
-        shard.observe(7);
-        streaming.merge(&shard);
     }
 
     #[test]
@@ -848,7 +718,7 @@ mod tests {
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 300);
         let config = StatsConfig::default();
-        let mut sequential = StatsCollector::new_shard(config);
+        let mut sequential = StatsCollector::new(config);
         sequential.consume(rel.scan()).unwrap();
         let sequential = sequential.finish();
         for threads in [1usize, 2, 4, 8] {
@@ -896,7 +766,8 @@ mod tests {
         let rel = skewed_relation(device, 300);
         let pool = BufferPool::new(64);
         let summary =
-            StatsCollector::collect_parallel_with_budget(&pool, 4, 4096, &rel, 4).unwrap();
+            StatsCollector::collect_parallel_with_budget(&pool, 4, 4096, &rel, 4, &Obs::off())
+                .unwrap();
         assert_eq!(pool.in_use(), 0, "all shard reservations must be released");
         assert_eq!(
             pool.peak(),
@@ -916,8 +787,15 @@ mod tests {
         for threads in [1usize, 4] {
             let pool = BufferPool::new(16);
             device.reset_stats();
-            let err = StatsCollector::collect_parallel_with_budget(&pool, 4, 4096, &rel, threads)
-                .unwrap_err();
+            let err = StatsCollector::collect_parallel_with_budget(
+                &pool,
+                4,
+                4096,
+                &rel,
+                threads,
+                &Obs::off(),
+            )
+            .unwrap_err();
             assert!(matches!(err, StorageError::OutOfMemory { .. }));
             assert_eq!(pool.in_use(), 0, "failed collection must leak nothing");
             assert_eq!(
@@ -967,9 +845,32 @@ mod tests {
         by_keys
             .consume_keys(rel.scan().map(|r| r.map(|rec| rec.key())))
             .unwrap();
-        let (a, b) = (by_scan.finish(), by_keys.finish());
-        assert_eq!(a.stream_len(), b.stream_len());
-        assert_eq!(a.mcvs(), b.mcvs());
-        assert_eq!(a.distinct_keys(), b.distinct_keys());
+        assert_eq!(by_scan.finish(), by_keys.finish());
+    }
+
+    #[test]
+    fn summary_memory_is_the_config_that_built_it() {
+        let device = SimDevice::new_ref();
+        let rel = skewed_relation(device, 300);
+        let pool = BufferPool::new(64);
+        for pages in [1usize, 4, 7] {
+            let config = StatsConfig::for_budget_pages(pages, 4096);
+            let mut budgeted = StatsCollector::with_budget(&pool, pages, 4096).unwrap();
+            budgeted.consume(rel.scan()).unwrap();
+            let sharded = StatsCollector::collect_parallel_with_budget(
+                &pool,
+                pages,
+                4096,
+                &rel,
+                2,
+                &Obs::off(),
+            )
+            .unwrap();
+            for summary in [budgeted.finish(), sharded] {
+                assert_eq!(summary.memory_bytes(), config.memory_bytes());
+                assert!(summary.memory_bytes() <= pages * 4096);
+                assert!(summary.mcvs().len() <= config.mcv_counters);
+            }
+        }
     }
 }

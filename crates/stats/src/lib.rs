@@ -12,14 +12,12 @@
 //!
 //! * [`spacesaving`] — the SpaceSaving heavy-hitter summary (Metwally et
 //!   al.): `k` counters track the hottest keys with per-key error bounds and
-//!   the global guarantee `error ≤ N / k`.
-//! * [`countmin`] — a Count-Min sketch for per-key frequency point queries
-//!   on keys the SpaceSaving summary does not track (overestimate-only).
-//! * [`distinct`] — a KMV (k-minimum-values) distinct-count estimator, used
-//!   to size the residual partitioner (`n_R − |MCV|` keys).
-//! * [`histogram`] — an equi-width fallback histogram for coarse frequency
-//!   mass over key ranges when nothing better is available.
-//! * [`collector`] — [`StatsCollector`]: wires all four behind a single
+//!   the global guarantee `error ≤ N / k`. This is the planner's MCV list,
+//!   and it gets 90 % of every budget page.
+//! * [`histogram`] — an equi-width fallback histogram, the per-key masses
+//!   the planner falls back to on near-uniform streams, where every
+//!   SpaceSaving count is dominated by its error term.
+//! * [`collector`] — [`StatsCollector`]: wires both behind a single
 //!   one-pass consumer of a [`RelationScan`](nocap_storage::RelationScan),
 //!   sized from a page budget, producing a [`StatsSummary`] whose
 //!   [`McvEstimate`](nocap_model::McvEstimate)s feed the planner directly.
@@ -29,7 +27,7 @@
 //!   bit-identical for every thread count.
 //!
 //! ```
-//! use nocap_stats::{StatsCollector, StatsConfig};
+//! use nocap_stats::StatsCollector;
 //! use nocap_storage::{BufferPool, Record, RecordLayout, Relation, SimDevice};
 //!
 //! // A skewed stream: key 0 appears 500 times, keys 1..100 once each.
@@ -51,37 +49,25 @@
 //! collector.consume(s.scan()).unwrap();
 //! let summary = collector.finish();
 //!
+//! assert_eq!(pool.in_use(), 0); // finish() released the four pages
+//! assert!(summary.memory_bytes() <= 4 * 4096);
+//!
 //! assert_eq!(summary.stream_len(), 599);
 //! let hottest = &summary.mcvs()[0];
 //! assert_eq!(hottest.key, 0);
 //! assert!(hottest.count >= 500);
 //! assert!(hottest.guaranteed_count() <= 500);
+//! // What the planner consumes: (key, count) pairs, hottest first.
+//! assert_eq!(summary.planner_mcvs()[0], (0, 500));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod collector;
-pub mod countmin;
-pub mod distinct;
 pub mod histogram;
 pub mod spacesaving;
 
 pub use collector::{StatsCollector, StatsConfig, StatsSummary, STATS_SHARDS};
-pub use countmin::CountMinSketch;
-pub use distinct::KmvSketch;
 pub use histogram::EquiWidthHistogram;
 pub use spacesaving::SpaceSaving;
-
-/// SplitMix64 finalizer with a seed, the shared hash of every sketch in this
-/// crate. Matches the mixing quality of the partition router in `nocap` while
-/// letting each sketch row draw an independent hash family member.
-#[inline]
-pub(crate) fn mix_with_seed(key: u64, seed: u64) -> u64 {
-    let mut z = key
-        .wrapping_add(seed.wrapping_mul(0xA076_1D64_78BD_642F))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

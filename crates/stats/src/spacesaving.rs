@@ -210,14 +210,6 @@ impl SpaceSaving {
         self.total = total;
     }
 
-    /// Approximate resident size in bytes (counters + heap + index),
-    /// used for buffer-pool page accounting.
-    pub fn memory_bytes(&self) -> usize {
-        // Counter (24 B) + heap and slot entries (8 B) + hash-map entry
-        // (~32 B with growth slack).
-        self.capacity * 64
-    }
-
     /// The monitored counters in canonical order — `(key, count, error)`
     /// sorted by count descending, ties by key ascending (the order
     /// [`top_k`](Self::top_k) reports). Two summaries with the same

@@ -1,21 +1,19 @@
-//! Algebraic properties of the sketch merges — the foundation the sharded
-//! parallel `StatsCollector` stands on.
+//! Algebraic properties of the sketch merges — the foundation sharded
+//! `StatsCollector::collect_parallel` stands on.
 //!
 //! For the merged summary to be a deterministic function of the data (and
 //! not of the shard boundaries or fold order), the component merges must be
 //! commutative and associative, and a sharded collection must fold back to
-//! the single-pass result. The exactly mergeable components — Count-Min
-//! counters, KMV distinct sketch, pinned-anchor histogram, stream length
-//! and key range — satisfy this bit for bit on **any** stream. SpaceSaving
+//! the single-pass result. The exactly mergeable components — the
+//! histogram, stream length and key range — satisfy this bit for bit on
+//! **any** stream. SpaceSaving
 //! is exact while its counters cover the distinct keys and degrades to
 //! merge-preserved error bounds beyond that (Agarwal et al., "Mergeable
 //! Summaries"); both regimes are pinned here on seeded random key streams.
 
 use std::collections::HashMap;
 
-use nocap_stats::{
-    CountMinSketch, EquiWidthHistogram, KmvSketch, SpaceSaving, StatsCollector, StatsConfig,
-};
+use nocap_stats::{EquiWidthHistogram, SpaceSaving, StatsCollector, StatsConfig};
 
 /// SplitMix64 — the workspace's deterministic "seeded random" stream maker.
 fn mix(key: u64) -> u64 {
@@ -44,63 +42,6 @@ fn exact_counts(stream: &[u64]) -> HashMap<u64, u64> {
         *m.entry(k).or_insert(0) += 1;
     }
     m
-}
-
-#[test]
-fn countmin_merge_is_commutative_and_associative() {
-    let streams: Vec<Vec<u64>> = (0..3)
-        .map(|s| seeded_stream(0xC0FE + s, 4_000, 700))
-        .collect();
-    let sketch = |stream: &[u64]| {
-        let mut cm = CountMinSketch::new(256, 4);
-        for &k in stream {
-            cm.add(k);
-        }
-        cm
-    };
-    let (a, b, c) = (
-        sketch(&streams[0]),
-        sketch(&streams[1]),
-        sketch(&streams[2]),
-    );
-    // Commutativity.
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab, ba, "Count-Min merge must be commutative");
-    // Associativity.
-    let mut left = ab;
-    left.merge(&c);
-    let mut bc = b.clone();
-    bc.merge(&c);
-    let mut right = a.clone();
-    right.merge(&bc);
-    assert_eq!(left, right, "Count-Min merge must be associative");
-    // And equal to the concatenated stream's sketch.
-    let whole: Vec<u64> = streams.concat();
-    assert_eq!(left, sketch(&whole), "merge must equal the union stream");
-}
-
-#[test]
-fn kmv_merge_is_commutative_and_equals_the_union() {
-    let a_keys = seeded_stream(1, 5_000, 3_000);
-    let b_keys = seeded_stream(2, 5_000, 3_000);
-    let sketch = |stream: &[u64]| {
-        let mut s = KmvSketch::new(128);
-        for &k in stream {
-            s.insert(k);
-        }
-        s
-    };
-    let (a, b) = (sketch(&a_keys), sketch(&b_keys));
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab, ba, "KMV merge must be commutative");
-    let whole: Vec<u64> = a_keys.iter().chain(b_keys.iter()).copied().collect();
-    assert_eq!(ab, sketch(&whole), "KMV merge must equal the union stream");
 }
 
 #[test]
@@ -254,7 +195,7 @@ fn shards_of(keys: &[u64], cuts: &[usize]) -> Vec<Vec<u64>> {
 }
 
 fn collect_keys(config: StatsConfig, keys: &[u64]) -> StatsCollector {
-    let mut c = StatsCollector::new_shard(config);
+    let mut c = StatsCollector::new(config);
     for &k in keys {
         c.observe(k);
     }
@@ -310,9 +251,9 @@ fn shard_fold_order_does_not_matter_in_the_exact_regime() {
 #[test]
 fn arbitrary_splits_keep_the_exactly_mergeable_components_beyond_the_exact_regime() {
     // 1500 distinct keys vs 64 counters: SpaceSaving overflows, but stream
-    // length, key range, Count-Min counters, the distinct estimate and the
-    // histogram must still fold to the single-pass values exactly, and the
-    // folded MCVs must keep their error bounds.
+    // length, key range and the histogram must still fold to the
+    // single-pass values exactly, and the folded MCVs must keep their error
+    // bounds.
     let keys = seeded_stream(0xFEED, 12_000, 1_500);
     let truth = exact_counts(&keys);
     let config = StatsConfig {
@@ -330,12 +271,7 @@ fn arbitrary_splits_keep_the_exactly_mergeable_components_beyond_the_exact_regim
         assert_eq!(folded.stream_len(), single.stream_len());
         assert_eq!(folded.min_key(), single.min_key());
         assert_eq!(folded.max_key(), single.max_key());
-        assert_eq!(
-            folded.distinct_keys(),
-            single.distinct_keys(),
-            "KMV folds exactly"
-        );
-        // Count-Min and histogram fold exactly: every point query agrees.
+        // The histogram folds exactly: every point query agrees.
         for probe in (0..1_500u64).step_by(13) {
             assert_eq!(
                 folded.histogram_estimate(probe).to_bits(),

@@ -38,9 +38,8 @@
 //! * [`hash`] — the one key-hashing utility every crate shares: SplitMix64
 //!   routing hash, seeded recursion-level hashes, the independent Murmur
 //!   stream and the Fibonacci bucket mapping.
-//! * [`simd`] — the vectorized key-scan kernels behind the hash table and
-//!   bloom filter (`std::simd` on nightly, auto-vectorizable chunked
-//!   scalar on stable — autodetected at build time).
+//! * [`simd`] — the key-scan kernels behind the hash table and bloom
+//!   filter: auto-vectorizable 4-wide chunked scalar loops.
 //! * [`radix`] — software-managed, cache-line-sized per-partition write
 //!   buffers ([`RadixRouter`]) that batch records in front of any
 //!   partition sink without changing per-partition arrival order.
@@ -75,7 +74,6 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![cfg_attr(nocap_simd, feature(portable_simd))]
 
 pub mod block;
 pub mod bloom;

@@ -1,12 +1,9 @@
 //! Vectorized key-scan kernels shared by the hash table, the bloom filter
 //! and the loser tree.
 //!
-//! Two implementations sit behind one signature: explicit
-//! `std::simd::u64x4` lanes when the compiler supports portable SIMD (the
-//! `nocap_simd` cfg, autodetected by `build.rs`), and a 4-wide chunked
-//! scalar loop otherwise — written so the backend can auto-vectorize it.
-//! Both produce identical results on every input; the differential tests
-//! below exercise the active one against a naive reference.
+//! Each kernel is a 4-wide chunked scalar loop, written so the backend can
+//! auto-vectorize it on release builds; the differential tests below
+//! exercise them against a naive reference.
 
 /// How many keys one probe step compares (the SIMD lane width).
 pub const LANES: usize = 4;
@@ -15,25 +12,7 @@ pub const LANES: usize = 4;
 ///
 /// This is the sealed hash table's `probe_count` kernel: a bucket's keys
 /// are contiguous, so multiplicity counting is one linear sweep, `LANES`
-/// keys per step.
-#[cfg(nocap_simd)]
-#[inline]
-pub fn count_matches(keys: &[u64], needle: u64) -> u64 {
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::u64x4;
-    let splat = u64x4::splat(needle);
-    let mut chunks = keys.chunks_exact(LANES);
-    let mut count = 0u64;
-    for chunk in chunks.by_ref() {
-        let lanes = u64x4::from_slice(chunk);
-        count += lanes.simd_eq(splat).to_bitmask().count_ones() as u64;
-    }
-    count + chunks.remainder().iter().filter(|&&k| k == needle).count() as u64
-}
-
-/// Counts how many entries of `keys` equal `needle` (chunked scalar
-/// fallback; the unrolled compare chain auto-vectorizes on release builds).
-#[cfg(not(nocap_simd))]
+/// keys per step (the unrolled compare chain auto-vectorizes).
 #[inline]
 pub fn count_matches(keys: &[u64], needle: u64) -> u64 {
     let mut chunks = keys.chunks_exact(LANES);
@@ -49,34 +28,6 @@ pub fn count_matches(keys: &[u64], needle: u64) -> u64 {
 
 /// Position of the first entry at or after `from` that equals `needle`, or
 /// `None`. The sealed probe iterator's stepper: one call per yielded match.
-#[cfg(nocap_simd)]
-#[inline]
-pub fn next_match(keys: &[u64], from: usize, needle: u64) -> Option<usize> {
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::u64x4;
-    if from >= keys.len() {
-        return None;
-    }
-    let splat = u64x4::splat(needle);
-    let tail = &keys[from..];
-    let mut chunks = tail.chunks_exact(LANES);
-    for (c, chunk) in chunks.by_ref().enumerate() {
-        let mask = u64x4::from_slice(chunk).simd_eq(splat).to_bitmask();
-        if mask != 0 {
-            return Some(from + c * LANES + mask.trailing_zeros() as usize);
-        }
-    }
-    let done = tail.len() - chunks.remainder().len();
-    chunks
-        .remainder()
-        .iter()
-        .position(|&k| k == needle)
-        .map(|i| from + done + i)
-}
-
-/// Position of the first entry at or after `from` that equals `needle`, or
-/// `None` (chunked scalar fallback).
-#[cfg(not(nocap_simd))]
 #[inline]
 pub fn next_match(keys: &[u64], from: usize, needle: u64) -> Option<usize> {
     if from >= keys.len() {
@@ -103,12 +54,6 @@ pub fn next_match(keys: &[u64], from: usize, needle: u64) -> Option<usize> {
         .iter()
         .position(|&k| k == needle)
         .map(|i| from + done + i)
-}
-
-/// Whether the explicit portable-SIMD path is compiled in (diagnostic; the
-/// benches report it so a stable-toolchain run is labelled as such).
-pub fn simd_enabled() -> bool {
-    cfg!(nocap_simd)
 }
 
 #[cfg(test)]

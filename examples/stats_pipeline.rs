@@ -42,10 +42,9 @@ fn main() {
     let scan_ios = device.stats().reads();
     let summary = collector.finish();
     println!(
-        "collected: n = {}, distinct ≈ {:.0}, {} MCV counters, error ≤ {} \
+        "collected: n = {}, {} MCV counters, error ≤ {} \
          ({} pages of sketches, {} page reads)",
         summary.stream_len(),
-        summary.distinct_keys(),
         summary.mcvs().len(),
         summary.error_guarantee(),
         stats_pages,

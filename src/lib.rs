@@ -6,9 +6,9 @@
 //!
 //! * [`storage`] — pages, simulated block devices, buffer pool, spill files.
 //! * [`model`] — correlation tables, join specifications, analytic cost models.
-//! * [`stats`] — bounded-memory streaming statistics (SpaceSaving top-k,
-//!   Count-Min, KMV distinct count, fallback histograms) that replace the
-//!   `CorrelationTable` oracle with one-pass sketch summaries.
+//! * [`stats`] — bounded-memory streaming statistics (SpaceSaving top-k
+//!   and a fallback histogram behind one page-budgeted collector) that
+//!   replace the `CorrelationTable` oracle with one-pass sketch summaries.
 //! * [`obs`] — zero-cost-when-off tracing, metrics and skew profiling:
 //!   phase spans, counters, histograms and chrome://tracing emitters.
 //! * [`par`] — the multi-threaded execution engine: worker pool, sharded

@@ -61,7 +61,14 @@ fn collector_pool_exhaustion_fails_up_front_and_releases_everything() {
     let mut capacity = 0usize;
     while capacity <= 8192 {
         let pool = BufferPool::new(capacity);
-        match StatsCollector::collect_parallel_with_budget(&pool, 4, page_size, &wl.s, 4) {
+        match StatsCollector::collect_parallel_with_budget(
+            &pool,
+            4,
+            page_size,
+            &wl.s,
+            4,
+            &Obs::off(),
+        ) {
             Ok(summary) => {
                 assert_eq!(
                     summary, unbudgeted,

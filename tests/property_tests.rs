@@ -7,7 +7,7 @@
 //! * the correlation table's prefix sums agree with direct summation;
 //! * rounded hash always routes into the configured partition range;
 //! * the `nocap-stats` sketches keep their guarantees (SpaceSaving error
-//!   ≤ N/k, Count-Min overestimate-only, merge associativity).
+//!   ≤ N/k, bounds kept through merges, histogram merge associativity).
 //!
 //! The environment has no crates.io access, so instead of `proptest` these
 //! are explicit property loops over a deterministic case generator: every
@@ -16,7 +16,7 @@
 
 use nocap_suite::model::{CorrelationTable, JoinSpec, Partitioning, RoundedHashParams};
 use nocap_suite::nocap::{partition_dp, plan_nocap, DpOptions, PlannerConfig, RoundedHash};
-use nocap_suite::stats::{CountMinSketch, KmvSketch, SpaceSaving};
+use nocap_suite::stats::{EquiWidthHistogram, SpaceSaving};
 use nocap_suite::storage::page::PAGE_HEADER_BYTES;
 use nocap_suite::storage::{Page, Record, RecordLayout};
 
@@ -266,27 +266,6 @@ fn spacesaving_error_is_bounded_by_n_over_k() {
 }
 
 #[test]
-fn countmin_never_underestimates() {
-    for case in 0..CASES / 4 {
-        let mut g = Gen::new(0x9000 + case);
-        let domain = g.range(100, 5_000);
-        let len = g.usize_range(1_000, 20_000);
-        let stream = skewed_stream(&mut g, domain, len);
-        let truth = exact_counts(&stream);
-        let mut cm = CountMinSketch::new(g.usize_range(32, 1_024), g.usize_range(2, 6));
-        for &k in &stream {
-            cm.add(k);
-        }
-        for (&key, &t) in &truth {
-            assert!(
-                cm.estimate(key) >= t,
-                "case {case}: Count-Min underestimated key {key}"
-            );
-        }
-    }
-}
-
-#[test]
 fn sketch_merges_are_associative() {
     for case in 0..CASES / 4 {
         let mut g = Gen::new(0xA000 + case);
@@ -295,15 +274,21 @@ fn sketch_merges_are_associative() {
             .map(|_| skewed_stream(&mut g, domain, 4_000))
             .collect();
 
-        // Count-Min: merge is cell-wise addition, exactly associative.
-        let cm_of = |s: &[u64]| {
-            let mut cm = CountMinSketch::new(128, 4);
+        // The histogram: merge reconciles the widths and adds bucket-wise,
+        // exactly associative and equal to the concatenated stream's.
+        let buckets = g.usize_range(1, 96);
+        let hist_of = |s: &[u64]| {
+            let mut h = EquiWidthHistogram::adaptive_pinned(0, buckets);
             for &k in s {
-                cm.add(k);
+                h.add(k);
             }
-            cm
+            h
         };
-        let (a, b, c) = (cm_of(&streams[0]), cm_of(&streams[1]), cm_of(&streams[2]));
+        let (a, b, c) = (
+            hist_of(&streams[0]),
+            hist_of(&streams[1]),
+            hist_of(&streams[2]),
+        );
         let mut left = a.clone();
         left.merge(&b);
         left.merge(&c);
@@ -311,30 +296,12 @@ fn sketch_merges_are_associative() {
         bc.merge(&c);
         let mut right = a.clone();
         right.merge(&bc);
-        assert_eq!(left, right, "case {case}: Count-Min merge not associative");
-
-        // KMV: merge is set union truncated to k smallest, exactly
-        // associative as well.
-        let kmv_of = |s: &[u64]| {
-            let mut kmv = KmvSketch::new(64);
-            for &k in s {
-                kmv.insert(k);
-            }
-            kmv
-        };
-        let (ka, kb, kc) = (
-            kmv_of(&streams[0]),
-            kmv_of(&streams[1]),
-            kmv_of(&streams[2]),
+        assert_eq!(left, right, "case {case}: histogram merge not associative");
+        assert_eq!(
+            left,
+            hist_of(&streams.concat()),
+            "case {case}: merged histogram is not the whole stream's"
         );
-        let mut kleft = ka.clone();
-        kleft.merge(&kb);
-        kleft.merge(&kc);
-        let mut kbc = kb.clone();
-        kbc.merge(&kc);
-        let mut kright = ka.clone();
-        kright.merge(&kbc);
-        assert_eq!(kleft, kright, "case {case}: KMV merge not associative");
     }
 }
 

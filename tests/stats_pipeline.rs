@@ -70,6 +70,14 @@ fn sketch_planned_join_is_correct() {
         sketch_run.output_records, oracle_run.output_records,
         "sketch-planned NOCAP must produce the same join output"
     );
+    // 1 422 I/Os is what this run cost at add76f5, where 4 pages bought
+    // 153 counters; the 230 they buy now must not plan a dearer join.
+    assert_eq!(summary.mcvs().len(), 230);
+    assert!(
+        sketch_run.total_ios() <= 1_422,
+        "a 4-page summary planned {} I/Os, above the 1 422 recorded at 153 counters",
+        sketch_run.total_ios()
+    );
 }
 
 #[test]
@@ -247,6 +255,7 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
                 spec.page_size,
                 &wl.s,
                 4,
+                &Obs::off(),
             )
             .expect("sharded collection");
             drop(pool);
@@ -277,18 +286,24 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
 
 #[test]
 fn parallel_and_sequential_collection_plan_identically() {
-    // collect_parallel at any thread count and the (sharded, 1-thread)
-    // collection inside collect_and_run produce the same summary, so the
-    // downstream plan and modeled I/O must be identical too.
+    // Collection at any thread count — T = 1 is sequential collection, and
+    // it is the call collect_and_run makes — produces the same summary, so
+    // the downstream plan and modeled I/O must be identical too.
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 4_000, 32_000, 9);
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
     let device = wl.r.device().clone();
     let run_with_threads = |threads: usize| {
         let pool = BufferPool::new(spec.buffer_pages);
-        let summary =
-            StatsCollector::collect_parallel_with_budget(&pool, 3, spec.page_size, &wl.s, threads)
-                .expect("collection");
+        let summary = StatsCollector::collect_parallel_with_budget(
+            &pool,
+            3,
+            spec.page_size,
+            &wl.s,
+            threads,
+            &Obs::off(),
+        )
+        .expect("collection");
         drop(pool);
         device.reset_stats();
         join.run_with_collected_stats(&wl.r, &wl.s, &summary)
@@ -307,31 +322,39 @@ fn parallel_and_sequential_collection_plan_identically() {
 }
 
 #[test]
-fn shard_summaries_are_insensitive_to_record_and_morsel_order() {
-    // The latent footgun this pins shut: `consume_keys` over a generator's
-    // key stream and a page scan of the loaded relation can present the
-    // same multiset in different orders, and the legacy (first-key
-    // anchored, single-sketch) collector could summarize them differently.
-    // Shard collectors make every component a function of the multiset in
+fn one_collector_is_insensitive_to_order_entry_point_and_thread_count() {
+    // `consume_keys` over a generator's key stream and a page scan of the
+    // loaded relation can present the same multiset in different orders.
+    // Every component of the collector is a function of the multiset in
     // the exact regime (distinct keys within the MCV capacity), so any
-    // record order — and any morsel processing order — must produce the
-    // identical summary.
+    // record order, either entry point, any morsel processing order and
+    // sharded collection at any thread count must produce `==` summaries.
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 800, 6_400, 13);
     let config = StatsConfig::default(); // 1024 counters >= 800 distinct keys
-    let mut by_scan = StatsCollector::new_shard(config);
+    let mut by_scan = StatsCollector::new(config);
     by_scan.consume(wl.s.scan()).unwrap();
     let by_scan = by_scan.finish();
 
-    // Same keys through `consume_keys`, in reversed order.
-    let mut keys: Vec<u64> = wl.stream_keys().map(|k| k.unwrap()).collect();
-    keys.reverse();
-    let mut by_keys = StatsCollector::new_shard(config);
-    by_keys.consume_keys(keys.into_iter().map(Ok)).unwrap();
-    assert_eq!(
-        by_keys.finish(),
-        by_scan,
-        "a reversed key stream must summarize identically to the page scan"
-    );
+    // The same keys through `consume_keys`: forward, reversed, shuffled.
+    let forward: Vec<u64> = wl.stream_keys().map(|k| k.unwrap()).collect();
+    let mut reversed = forward.clone();
+    reversed.reverse();
+    let mut shuffled = forward.clone();
+    shuffled.sort_by_key(|&k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 23);
+    assert_ne!(shuffled, forward, "test premise: a different order");
+    for (order, keys) in [
+        ("forward", forward),
+        ("reversed", reversed),
+        ("shuffled", shuffled),
+    ] {
+        let mut by_keys = StatsCollector::new(config);
+        by_keys.consume_keys(keys.into_iter().map(Ok)).unwrap();
+        assert_eq!(
+            by_keys.finish(),
+            by_scan,
+            "a {order} key stream must summarize identically to the page scan"
+        );
+    }
 
     // Page morsels consumed in shuffled orders into one collector.
     let morsels = page_shards(wl.s.num_pages(), 8);
@@ -340,7 +363,7 @@ fn shard_summaries_are_insensitive_to_record_and_morsel_order() {
         [4, 2, 0, 6, 1, 5, 3, 7],
         [0, 1, 2, 3, 4, 5, 6, 7],
     ] {
-        let mut collector = StatsCollector::new_shard(config);
+        let mut collector = StatsCollector::new(config);
         for &m in &order {
             collector
                 .consume(wl.s.scan_range(morsels[m].clone()))
@@ -350,6 +373,15 @@ fn shard_summaries_are_insensitive_to_record_and_morsel_order() {
             collector.finish(),
             by_scan,
             "morsel order {order:?} must not change the summary"
+        );
+    }
+
+    // Sharded collection: T = 1 is sequential collection.
+    for threads in [1usize, 2, 3, 8] {
+        assert_eq!(
+            StatsCollector::collect_parallel(config, &wl.s, threads).unwrap(),
+            by_scan,
+            "collect_parallel at {threads} threads must equal the single pass"
         );
     }
 }
