@@ -17,6 +17,11 @@
 //!   the two measured latency tables into a **sync comparison** against the
 //!   `osync_on` / `osync_off` analytic profiles — the measured on/off cost
 //!   ratio per I/O kind next to the ratio the paper's device model assumes;
+//! * prints and records, per algorithm, the page memory the **device**
+//!   held — read-ahead frames at their high-water mark and after the join
+//!   returned, write-behind tails at theirs
+//!   ([`FileDevice::resident_pages`]) — the part of a run's physical
+//!   footprint that `B` does not charge and the block layer owns;
 //! * writes the combined audits to `BENCH_io.json` (`--out <path>` to
 //!   relocate), the checked-in record of how far the analytic device model
 //!   sits from a real device here.
@@ -27,7 +32,7 @@ use nocap::{NocapConfig, NocapJoin};
 use nocap_joins::{DhhJoin, SortMergeJoin};
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{IoAudit, Obs, SyncComparison};
-use nocap_storage::{DeviceProfile, FileDevice, SyncPolicy, TracedDevice};
+use nocap_storage::{DeviceProfile, FileDevice, ResidentPages, SyncPolicy, TracedDevice};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 /// Replays a recorded run's device-level event stream through [`IoAudit`],
@@ -101,16 +106,22 @@ fn main() {
     let workload = synthetic::generate(device.clone(), &wl_config).expect("workload generation");
     device.reset_stats();
 
-    let audit_run = |name: &str, run: &dyn Fn(&Obs) -> JoinRunReport| -> (String, IoAudit) {
+    // The base relations' write-behind tails are flushed once, so what the
+    // gauge reads per join below is what that join made the device hold.
+    file_device.flush().expect("flush the base relations");
+    type Audited = (String, IoAudit, ResidentPages);
+    let audit_run = |name: &str, run: &dyn Fn(&Obs) -> JoinRunReport| -> Audited {
         device.reset_stats();
+        file_device.reset_resident_peaks();
         let obs = Obs::recording();
         let report = run(&obs);
+        let memory = file_device.resident_pages();
         assert_eq!(
             report.output_records,
             workload.expected_join_output(),
             "{name}: wrong join output"
         );
-        (name.to_string(), audited(name, &report, profile))
+        (name.to_string(), audited(name, &report, profile), memory)
     };
 
     let audits = [
@@ -128,6 +139,15 @@ fn main() {
                 .expect("SMJ run")
         }),
     ];
+
+    println!("# ---- device-owned memory ({threads} workers, pages) ----");
+    println!("#   algorithm  peak_frame_pages  frames_after_join  peak_write_behind_pages");
+    for (name, _, memory) in &audits {
+        println!(
+            "#   {name:<9}  {:>16}  {:>17}  {:>23}",
+            memory.frames_peak, memory.frames, memory.write_behind_peak
+        );
+    }
 
     // ---- O_SYNC on vs off: measured latency tables ---------------------
     // Two fresh block-layer devices differing only in durability policy:
@@ -175,11 +195,18 @@ fn main() {
          \"record_bytes\": {record_bytes},\n  \"buffer_pages\": {buffer_pages},\n  \
          \"threads\": {threads},\n  \"quick\": {quick}\n }},\n"
     ));
-    for (name, audit) in audits.iter() {
+    for (name, audit, memory) in audits.iter() {
+        let audit_json = audit.to_json();
+        let fields = audit_json
+            .strip_prefix("{\n")
+            .expect("the audit document is a JSON object");
         json.push_str(&format!(
-            " \"{}\": {},\n",
+            " \"{}\": {{\n  \"device_memory\": {{\"peak_frame_pages\": {}, \
+             \"frames_after_join\": {}, \"peak_write_behind_pages\": {}}},\n{fields},\n",
             name.to_lowercase(),
-            audit.to_json()
+            memory.frames_peak,
+            memory.frames,
+            memory.write_behind_peak
         ));
     }
     json.push_str(&format!(" \"sync_comparison\": {}\n", comparison.to_json()));

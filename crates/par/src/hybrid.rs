@@ -60,12 +60,12 @@
 //! model does not charge: each worker holds one transient scan-buffer page
 //! (the model charges one logical input page for the pipeline, as the paper
 //! does); each worker holds one private output page per spill partition it
-//! has routed a record to, next to the one output-buffer page per partition
-//! the model charges — at most `threads × m` pages for `m` spill
-//! partitions, so up to `2m` physical output pages at one worker (≤ 1.3 MB
-//! at 2 threads on the benchmark's `zipf_par2`; +4.6 MB of peak RSS for the
-//! whole four-algorithm process on `uniform_roomy`, where `m` reaches
-//! 1 665); and the fanned-out probe phase runs up to `threads`
+//! has routed a record to — at most `threads × m` pages for `m` spill
+//! partitions, which at one worker is the `m` output-buffer pages the
+//! model charges: the partition writers allocate theirs only when the
+//! merge pours a worker's tail into them, one partition at a time (`m`
+//! plus one transient page; ≤ 1.3 MB at 2 threads on the benchmark's
+//! `zipf_par2`); and the fanned-out probe phase runs up to `threads`
 //! partition-pair NBJs concurrently, each with the `B − 2`-page chunk the
 //! cost model prescribes — peak physical probe memory is `threads × B`
 //! pages even though the modeled I/O is unchanged. Use fewer threads when

@@ -54,9 +54,9 @@
 //! `run` entry points call the same bodies with one worker. The cost of
 //! that, at every thread count, is physical memory the §4.1 model does not
 //! charge: each worker holds one private output page per spill partition it
-//! touched, next to the partition writer's own buffer page — up to `T × m`
-//! pages for `m` spill partitions, so up to `2m` physical output pages at
-//! `T = 1` against the `m` the model charges (see [`shard`]).
+//! touched — up to `T × m` pages for `m` spill partitions. At `T = 1` that
+//! is the `m` the model charges: the partition writers allocate their own
+//! buffer page only when the merge pours a tail into it (see [`shard`]).
 //!
 //! Routing (which partition a record belongs to) stays with the caller, so
 //! `nocap` (rounded-hash routing), GHJ (plain hash), DHH (modulo hash over

@@ -9,7 +9,8 @@
 //! depend on timing (the statistics collector's fixed shard grid).
 //!
 //! **Writes.** A [`SharedWriterSet`] owns one [`PartitionWriter`] — one
-//! spill file, one output-buffer page — per partition. Workers never push
+//! spill file, one output-buffer page once the merge needs it — per
+//! partition. Workers never push
 //! records into it. Each worker takes a [`LocalWriter`] holding its *own* lazily
 //! allocated page per partition, fills those without any synchronisation,
 //! and takes a partition's lock only to append a page that is already full
@@ -34,15 +35,17 @@
 //! the probe window, so the split of a partition's writes between the two
 //! windows is `⌈n / b⌉ − 1` / `1` at every worker count.
 //!
-//! **What it costs.** Up to `workers × partitions touched` pages of
-//! physical memory outside the `BufferPool`, on top of the one modeled
-//! output-buffer page per partition (§4.1) — and that holds at one worker
-//! too, which is how the joins' sequential `run` executes: up to `2m`
-//! physical output pages for `m` spill partitions where the model charges
-//! `m` (+4.6 MB peak RSS on the benchmark's `uniform_roomy`, where GHJ has
-//! 1 665 partitions). The private pages own no file, so a failed or
-//! cancelled run leaks nothing: the set's writers delete their files on
-//! drop.
+//! **What it costs.** Up to `workers × partitions touched` private pages
+//! of physical memory outside the `BufferPool`. A [`PartitionWriter`]
+//! allocates its output-buffer page on the first record *buffered* in it,
+//! and during the scan the set's writers only ever see whole pages, so at
+//! one worker — how the joins' sequential `run` executes — the scan holds
+//! `m` physical output pages for `m` spill partitions, the `m` the model
+//! charges (§4.1). The merge then moves each partition's tail from the
+//! private page into the writer's, one partition at a time: `m` pages plus
+//! the one being poured. At `T` workers it is up to `T × m`. The private
+//! pages own no file, so a failed or cancelled run leaks nothing: the
+//! set's writers delete their files on drop.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -15,14 +15,19 @@
 //!   path.
 //! * **Block/page mapping with read-ahead** — `pages_per_block` pages pack
 //!   into one device block. A `SeqRead` miss fetches the whole containing
-//!   block with a single `pread` into a small per-file frame cache; the
-//!   following sequential pages are served from the frames, so a scan of
-//!   `N` pages issues `N / pages_per_block` syscalls.
+//!   block with a single `pread` into a per-file read-ahead frame; the
+//!   following sequential pages are served from the frame, so a scan of
+//!   `N` pages issues `N / pages_per_block` syscalls. Frames belong to the
+//!   scans inside them, not to the file (see *Read-ahead frames* below).
 //! * **Write-behind coalescing** — appends are buffered per file and
 //!   flushed as one block-sized `pwrite` on the block boundary, on
-//!   [`FileDevice::flush`], on `delete_file`, and on drop. Buffered pages
-//!   are immediately readable (the tail of the file logically includes
-//!   them), so callers cannot observe the buffering.
+//!   [`FileDevice::flush`], and on drop; `delete_file` discards the tail.
+//!   Buffered pages are immediately readable (the tail of the file
+//!   logically includes them), so callers cannot observe the buffering.
+//!   Every live file whose last block has not filled holds up to
+//!   `pages_per_block` pages here until it is flushed or deleted — a spill
+//!   partition for its whole life. That is device memory by design, the
+//!   price of block-sized writes.
 //! * **Durability knobs** — [`SyncPolicy`] selects no syncing,
 //!   `fdatasync`, or full `fsync` per flushed append batch, configured
 //!   through [`FileDeviceBuilder`].
@@ -36,6 +41,38 @@
 //! `nocap-obs` and `tests/block_layer.rs`.
 //!
 //! [`SimDevice`]: crate::SimDevice
+//!
+//! # Read-ahead frames
+//!
+//! A frame lives as long as a scan is inside its block. Every sequential
+//! consumer (`RelationScan`, `PartitionReader`, the sorter's chunk loader,
+//! the morsel scans) reads each page of a block exactly once per pass, so
+//! a frame records which of its slots have been served and is released the
+//! moment the last unserved one goes out — a short tail frame at its own
+//! length, so a file scanned to its end keeps nothing. A join that reads
+//! hundreds of spill partitions once each therefore holds one frame per
+//! scan in flight, not four per file it ever opened.
+//!
+//! *Served-slot marks, not "evict on the last slot".* Two workers share a
+//! block wherever a morsel boundary falls inside it: the one that owns the
+//! block's tail may finish before the one that owns its head has started,
+//! and evicting on the last slot would make the latter fetch the block
+//! again. Counting distinct served slots releases the frame when both are
+//! done, whatever the order.
+//!
+//! *What the FIFO bounds.* Each file keeps at most four frames, oldest
+//! out first. With completed frames gone, that bound applies to frames
+//! somebody left half-read: a scan abandoned mid-block (a failed join, an
+//! early exit), a second pass racing the first over the same pages, or
+//! more concurrent scans of one file than there are slots. A frame pushed
+//! out this way leaves its served marks behind (a few bytes per block),
+//! and a later fetch of the block picks them up — so a scan that outlives
+//! its frame still ends with nothing cached, at the price of the second
+//! `pread`. Frames and parked marks go with the file in `delete_file`.
+//!
+//! [`FileDevice::resident_pages`] reports what the device holds — frame
+//! pages and write-behind pages, current and high-water — so tests and
+//! `exp_io_audit` can pin device-owned memory without reading RSS.
 //!
 //! # Failure accounting and torn-page recovery
 //!
@@ -53,7 +90,7 @@
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::device::{BlockDevice, DeviceRef, FileId};
@@ -66,7 +103,8 @@ use crate::{Result, StorageError};
 /// `id % HANDLE_SHARDS` spreads concurrent create/lookup traffic evenly.
 const HANDLE_SHARDS: usize = 16;
 
-/// Blocks retained per file by the read-ahead frame cache (FIFO eviction).
+/// Part-read frames a file may hold at once (FIFO eviction). Completed
+/// frames are released at once and never count against this.
 const FRAME_CACHE_BLOCKS: usize = 4;
 
 /// Default number of pages packed into one device block (32 KiB blocks at
@@ -277,6 +315,7 @@ impl FileDeviceBuilder {
             next_id: AtomicU64::new(0),
             stats: AtomicIoStats::default(),
             block_stats: AtomicBlockStats::default(),
+            resident: Arc::new(ResidentGauges::default()),
             torn_remaining: AtomicI64::new(self.torn_append_after.map_or(-1, |n| n as i64 + 1)),
             remove_dir_on_drop,
         })
@@ -366,6 +405,53 @@ impl AtomicBlockStats {
     }
 }
 
+/// Page memory the device itself holds, in pages
+/// ([`FileDevice::resident_pages`]) — the counterpart of
+/// [`SimDevice::resident_pages`](crate::SimDevice::resident_pages) for a
+/// device whose files are not process memory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentPages {
+    /// Pages held by read-ahead frames now.
+    pub frames: usize,
+    /// High-water mark of `frames`.
+    pub frames_peak: usize,
+    /// Pages held by write-behind tails now.
+    pub write_behind: usize,
+    /// High-water mark of `write_behind`.
+    pub write_behind_peak: usize,
+}
+
+/// A page count and its high-water mark. Statistics only: `Relaxed`.
+#[derive(Default)]
+struct Gauge {
+    now: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Gauge {
+    fn add(&self, pages: usize) {
+        let now = self.now.fetch_add(pages, Ordering::Relaxed) + pages;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn sub(&self, pages: usize) {
+        self.now.fetch_sub(pages, Ordering::Relaxed);
+    }
+
+    fn reset_peak(&self) {
+        self.peak
+            .store(self.now.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+/// Shared by the device and its file handles, so a handle can give its
+/// pages back when the last reference to it drops.
+#[derive(Default)]
+struct ResidentGauges {
+    frames: Gauge,
+    write_behind: Gauge,
+}
+
 // ---------------------------------------------------------------------------
 // Per-file state
 // ---------------------------------------------------------------------------
@@ -385,16 +471,45 @@ struct AppendState {
     buffered: Vec<Arc<Page>>,
 }
 
-/// One cached read-ahead frame: the decoded pages of one device block.
+/// One read-ahead frame: the decoded pages of one device block and which
+/// of them a reader has been handed since the block was first fetched.
 struct Frame {
     block: usize,
     pages: Vec<Arc<Page>>,
+    served: Vec<bool>,
+}
+
+impl Frame {
+    fn new(block: usize, pages: Vec<Arc<Page>>) -> Self {
+        Frame {
+            block,
+            served: vec![false; pages.len()],
+            pages,
+        }
+    }
+
+    /// Marks `slot` served; `true` once every page of the frame has been.
+    fn serve(&mut self, slot: usize) -> bool {
+        self.served[slot] = true;
+        self.served.iter().all(|&served| served)
+    }
+
+    /// Takes over the marks made on an earlier copy of this block (which
+    /// may be shorter: the file has grown since).
+    fn inherit(&mut self, marks: &[bool]) {
+        for (mine, &theirs) in self.served.iter_mut().zip(marks) {
+            *mine |= theirs;
+        }
+    }
 }
 
 #[derive(Default)]
 struct FrameCache {
-    /// FIFO of at most [`FRAME_CACHE_BLOCKS`] frames.
+    /// FIFO of at most [`FRAME_CACHE_BLOCKS`] frames, every one part-served.
     entries: Vec<Frame>,
+    /// Served marks of the frames the FIFO pushed out, by block, waiting
+    /// for whoever fetches the block again.
+    parked: HashMap<usize, Vec<bool>>,
 }
 
 struct FileHandle {
@@ -404,6 +519,19 @@ struct FileHandle {
     file: RwLock<Option<Arc<File>>>,
     append: Mutex<AppendState>,
     frames: Mutex<FrameCache>,
+    resident: Arc<ResidentGauges>,
+}
+
+impl Drop for FileHandle {
+    /// The handle's frames and write-behind tail are freed with it —
+    /// after `delete_file`, once the last in-flight operation lets go.
+    fn drop(&mut self) {
+        let frames = self.frames.get_mut().unwrap_or_else(|e| e.into_inner());
+        let frame_pages = frames.entries.iter().map(|f| f.pages.len()).sum();
+        self.resident.frames.sub(frame_pages);
+        let append = self.append.get_mut().unwrap_or_else(|e| e.into_inner());
+        self.resident.write_behind.sub(append.buffered.len());
+    }
 }
 
 impl FileHandle {
@@ -450,6 +578,7 @@ pub struct FileDevice {
     next_id: AtomicU64,
     stats: AtomicIoStats,
     block_stats: AtomicBlockStats,
+    resident: Arc<ResidentGauges>,
     /// Torn-write test knob: fires when a decrement observes 1; disabled
     /// at or below 0.
     torn_remaining: AtomicI64,
@@ -498,6 +627,33 @@ impl FileDevice {
     /// Snapshot of the physical syscall-shape counters.
     pub fn block_stats(&self) -> BlockStats {
         self.block_stats.snapshot()
+    }
+
+    /// Page memory the device holds right now and at its high-water mark:
+    /// read-ahead frames and write-behind tails, in pages.
+    pub fn resident_pages(&self) -> ResidentPages {
+        let load = |gauge: &AtomicUsize| gauge.load(Ordering::Relaxed);
+        ResidentPages {
+            frames: load(&self.resident.frames.now),
+            frames_peak: load(&self.resident.frames.peak),
+            write_behind: load(&self.resident.write_behind.now),
+            write_behind_peak: load(&self.resident.write_behind.peak),
+        }
+    }
+
+    /// Restarts both high-water marks of [`resident_pages`](Self::resident_pages)
+    /// from the current counts, so a caller can read one join's peak.
+    pub fn reset_resident_peaks(&self) {
+        self.resident.frames.reset_peak();
+        self.resident.write_behind.reset_peak();
+    }
+
+    /// Number of live (not yet deleted) files.
+    pub fn live_files(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| read_unpoisoned(shard).len())
+            .sum()
     }
 
     /// Path of the backing file for `file`, if the file exists. Tests use
@@ -608,6 +764,7 @@ impl FileDevice {
         self.physical_write(&file, &buf, offset, st.buffered.len())?;
         self.sync_batch(&file)?;
         st.durable_pages += st.buffered.len();
+        self.resident.write_behind.sub(st.buffered.len());
         st.buffered.clear();
         self.block_stats.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -632,11 +789,12 @@ impl FileDevice {
         Page::from_bytes(buf).map(Arc::new)
     }
 
-    /// Read through the per-file frame cache. A hit serves the page from
-    /// the cached frame; a `SeqRead` miss fetches the whole containing
-    /// block (clipped to the durable length) with one `pread` and caches
-    /// it. Random-read misses fall back to a single-page read so a stray
-    /// probe does not evict a hot sequential frame.
+    /// Read through the file's read-ahead frames. A hit serves the page
+    /// from its frame and releases the frame if that was its last unserved
+    /// page; a `SeqRead` miss fetches the whole containing block (clipped
+    /// to the durable length) with one `pread` and keeps it for the pages
+    /// still to come. Random-read misses fall back to a single-page read so
+    /// a stray probe does not push out a frame a scan is inside.
     fn read_via_frames(
         &self,
         handle: &FileHandle,
@@ -649,11 +807,20 @@ impl FileDevice {
         let block = index / ppb;
         let slot = index % ppb;
         {
-            let frames = lock_unpoisoned(&handle.frames);
-            if let Some(frame) = frames.entries.iter().find(|f| f.block == block) {
+            // One lock for the search, the `Arc` clone and the served mark:
+            // a file holds at most FRAME_CACHE_BLOCKS frames, so the search
+            // is a handful of compares, and a per-device map in its place
+            // would put every file's readers on one lock.
+            let mut frames = lock_unpoisoned(&handle.frames);
+            if let Some(at) = frames.entries.iter().position(|f| f.block == block) {
+                let frame = &mut frames.entries[at];
                 if slot < frame.pages.len() {
                     let page = frame.pages[slot].clone();
+                    let finished = frame.serve(slot).then(|| frames.entries.remove(at));
                     drop(frames);
+                    if let Some(frame) = finished {
+                        self.resident.frames.sub(frame.pages.len());
+                    }
                     self.block_stats
                         .readahead_hits
                         .fetch_add(1, Ordering::Relaxed);
@@ -685,12 +852,32 @@ impl FileDevice {
             pages.push(Arc::new(Page::from_bytes(chunk.to_vec())?));
         }
         let page = pages[slot].clone();
+        let mut frame = Frame::new(block, pages);
+        self.resident.frames.add(pages_in_block);
+        let mut released = 0;
         let mut frames = lock_unpoisoned(&handle.frames);
-        frames.entries.retain(|f| f.block != block);
-        if frames.entries.len() >= FRAME_CACHE_BLOCKS {
-            frames.entries.remove(0);
+        // Marks made on an earlier copy of this block carry over: a short
+        // or concurrently fetched frame still here, or one the FIFO pushed
+        // out under a scan that is now back for the rest.
+        if let Some(at) = frames.entries.iter().position(|f| f.block == block) {
+            let old = frames.entries.remove(at);
+            frame.inherit(&old.served);
+            released += old.pages.len();
+        } else if let Some(marks) = frames.parked.remove(&block) {
+            frame.inherit(&marks);
         }
-        frames.entries.push(Frame { block, pages });
+        if frame.serve(slot) {
+            released += frame.pages.len();
+        } else {
+            if frames.entries.len() >= FRAME_CACHE_BLOCKS {
+                let oldest = frames.entries.remove(0);
+                released += oldest.pages.len();
+                frames.parked.insert(oldest.block, oldest.served);
+            }
+            frames.entries.push(frame);
+        }
+        drop(frames);
+        self.resident.frames.sub(released);
         Ok(page)
     }
 }
@@ -718,6 +905,7 @@ impl BlockDevice for FileDevice {
             file: RwLock::new(file),
             append: Mutex::new(AppendState::default()),
             frames: Mutex::new(FrameCache::default()),
+            resident: self.resident.clone(),
         });
         write_unpoisoned(self.shard(id)).insert(id, handle);
         id
@@ -749,6 +937,7 @@ impl BlockDevice for FileDevice {
                 self.flush_locked(&handle, &mut st)?;
             }
             st.buffered.push(Arc::new(page.clone()));
+            self.resident.write_behind.add(1);
             self.block_stats
                 .buffered_appends
                 .fetch_add(1, Ordering::Relaxed);
@@ -802,12 +991,14 @@ impl BlockDevice for FileDevice {
         let handle = write_unpoisoned(self.shard(file))
             .remove(&file)
             .ok_or(StorageError::UnknownFile(file))?;
-        // The write-behind buffer is discarded with the handle — deleting a
-        // file is the one exit path where "flush" means "drop the bytes".
-        if handle.path.exists() {
-            fs::remove_file(&handle.path).map_err(io_err)?;
+        // The write-behind buffer and the read-ahead frames are discarded
+        // with the handle — deleting a file is the one exit path where
+        // "flush" means "drop the bytes". The backing file may never have
+        // been created (the eager open failed and no I/O retried it).
+        match fs::remove_file(&handle.path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(e)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn stats(&self) -> IoStats {
@@ -834,6 +1025,26 @@ mod tests {
 
     fn keys_of(p: &Page) -> Vec<u64> {
         p.records().map(|r| r.key()).collect()
+    }
+
+    /// A device with `ppb`-page blocks holding one flushed file of `pages`
+    /// single-record pages (page `k` holds key `k`), counters reset.
+    fn scanned_file(ppb: usize, pages: u64) -> (FileDevice, FileId) {
+        let dev = FileDevice::builder().pages_per_block(ppb).build().unwrap();
+        let f = dev.create_file();
+        for k in 0..pages {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        dev.flush().unwrap();
+        dev.reset_stats();
+        dev.reset_resident_peaks();
+        (dev, f)
+    }
+
+    fn seq_read(dev: &FileDevice, f: FileId, index: usize) {
+        let p = dev.read_page(f, index, IoKind::SeqRead).unwrap();
+        assert_eq!(keys_of(&p), vec![index as u64]);
     }
 
     #[test]
@@ -904,17 +1115,10 @@ mod tests {
 
     #[test]
     fn sequential_scan_batches_physical_reads() {
-        let dev = FileDevice::builder().pages_per_block(8).build().unwrap();
-        let f = dev.create_file();
-        for k in 0..64u64 {
-            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
-                .unwrap();
-        }
-        dev.flush().unwrap();
-        dev.reset_stats();
-        for k in 0..64u64 {
-            let p = dev.read_page(f, k as usize, IoKind::SeqRead).unwrap();
-            assert_eq!(keys_of(&p), vec![k]);
+        let (dev, f) = scanned_file(8, 64);
+        for k in 0..64 {
+            seq_read(&dev, f, k);
+            assert!(dev.resident_pages().frames <= 8, "one scan, one frame");
         }
         let bs = dev.block_stats();
         assert_eq!(bs.physical_reads, 8, "64 pages / 8-page blocks = 8 preads");
@@ -922,6 +1126,147 @@ mod tests {
         assert_eq!(bs.readahead_hits, 56);
         // Modeled stats are per page, untouched by batching.
         assert_eq!(dev.stats().seq_reads, 64);
+        // Every frame went when its last page did.
+        let resident = dev.resident_pages();
+        assert_eq!(resident.frames, 0, "a finished scan keeps nothing");
+        assert_eq!(resident.frames_peak, 8);
+        assert_eq!((resident.write_behind, resident.write_behind_peak), (0, 0));
+    }
+
+    #[test]
+    fn morsel_scans_sharing_a_block_fetch_it_once_and_end_at_zero() {
+        // Two workers, 12-page morsels over 8-page blocks: block 1 holds
+        // the tail of the first morsel and the head of the second.
+        // Interleaved page by page, the second worker is handed block 1's
+        // last slot (step 3) long before the first arrives there (step 8).
+        let (dev, f) = scanned_file(8, 24);
+        for step in 0..12 {
+            seq_read(&dev, f, step);
+            seq_read(&dev, f, 12 + step);
+            let live_blocks = match step {
+                0..=3 => 2,  // 0 and 1
+                4..=6 => 3,  // the second worker has moved on to block 2
+                7..=10 => 2, // block 0 finished; 1 waits for the first worker
+                _ => 0,      // both finish their blocks on the last step
+            };
+            assert_eq!(dev.resident_pages().frames, 8 * live_blocks, "{step}");
+        }
+        assert_eq!(dev.block_stats().physical_reads, 3, "no block twice");
+        assert_eq!(dev.resident_pages().frames_peak, 24);
+        assert_eq!(dev.stats().seq_reads, 24);
+    }
+
+    #[test]
+    fn two_full_scans_in_lockstep_both_see_every_page() {
+        // Not a pattern the joins produce (each page is read once per
+        // pass), but it must stay correct and bounded: the second reader
+        // of a block's last page finds the frame gone and leaves a
+        // part-served one behind, which the FIFO caps.
+        let (dev, f) = scanned_file(4, 32);
+        for k in 0..32 {
+            seq_read(&dev, f, k);
+            seq_read(&dev, f, k);
+            assert!(dev.resident_pages().frames <= 4 * FRAME_CACHE_BLOCKS);
+        }
+        assert_eq!(dev.stats().seq_reads, 64);
+        assert_eq!(dev.block_stats().physical_reads, 16, "8 blocks, twice");
+        dev.delete_file(f).unwrap();
+        assert_eq!(dev.resident_pages().frames, 0);
+    }
+
+    #[test]
+    fn abandoned_scans_are_bounded_by_the_fifo_and_go_with_the_file() {
+        let (dev, f) = scanned_file(8, 64);
+        // One scan stops three pages into block 1: block 0 is gone, block 1
+        // is the one frame left.
+        for k in 0..11 {
+            seq_read(&dev, f, k);
+        }
+        assert_eq!(dev.resident_pages().frames, 8);
+        // Six more scans each abandon a block of their own.
+        for block in 2..8 {
+            seq_read(&dev, f, block * 8);
+            let frames = dev.resident_pages().frames;
+            assert_eq!(frames, 8 * (block).min(FRAME_CACHE_BLOCKS));
+        }
+        assert_eq!(
+            dev.resident_pages().frames_peak,
+            8 * (FRAME_CACHE_BLOCKS + 1)
+        );
+        // The first scan comes back for the rest of block 1 after the FIFO
+        // pushed its frame out: one more pread, and its marks were kept, so
+        // the refetched frame is released when the block is finished.
+        let preads = dev.block_stats().physical_reads;
+        for k in 11..16 {
+            seq_read(&dev, f, k);
+        }
+        assert_eq!(dev.block_stats().physical_reads, preads + 1);
+        assert_eq!(dev.resident_pages().frames, 8 * (FRAME_CACHE_BLOCKS - 1));
+        dev.delete_file(f).unwrap();
+        assert_eq!(dev.resident_pages().frames, 0, "delete_file drops them");
+    }
+
+    #[test]
+    fn more_scans_than_fifo_slots_still_end_at_zero() {
+        // Six workers, one block each, advancing in lockstep: the FIFO of
+        // four pushes frames out from under scans that are still inside
+        // them. That costs preads (as it always has), but the parked marks
+        // mean every block is still released once its eight pages are out.
+        let (dev, f) = scanned_file(8, 48);
+        for slot in 0..8 {
+            for worker in 0..6 {
+                seq_read(&dev, f, worker * 8 + slot);
+                assert!(dev.resident_pages().frames <= 8 * FRAME_CACHE_BLOCKS);
+            }
+        }
+        assert_eq!(dev.stats().seq_reads, 48);
+        assert_eq!(dev.resident_pages().frames, 0);
+        let handle = dev.handle(f).unwrap();
+        assert!(lock_unpoisoned(&handle.frames).parked.is_empty());
+    }
+
+    #[test]
+    fn short_tail_frame_is_complete_at_its_own_length() {
+        let (dev, f) = scanned_file(4, 6);
+        for k in 0..6 {
+            seq_read(&dev, f, k);
+        }
+        assert_eq!(dev.block_stats().physical_reads, 2);
+        assert_eq!(dev.block_stats().physical_read_pages, 6);
+        assert_eq!(
+            dev.resident_pages().frames,
+            0,
+            "a finished file keeps nothing"
+        );
+        // The file grows afterwards: the new pages are fetched, not
+        // reported out of bounds.
+        for k in 6..8u64 {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        dev.flush().unwrap();
+        seq_read(&dev, f, 6);
+        seq_read(&dev, f, 7);
+    }
+
+    #[test]
+    fn write_behind_gauge_follows_the_tails() {
+        let dev = FileDevice::builder().pages_per_block(4).build().unwrap();
+        let (f, g) = (dev.create_file(), dev.create_file());
+        for k in 0..6u64 {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+            dev.append_page(g, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        // Each file flushed one 4-page block and buffers two pages.
+        let resident = dev.resident_pages();
+        assert_eq!((resident.write_behind, resident.write_behind_peak), (4, 8));
+        dev.flush_file(f).unwrap();
+        assert_eq!(dev.resident_pages().write_behind, 2);
+        dev.delete_file(g).unwrap();
+        assert_eq!(dev.resident_pages().write_behind, 0, "tail discarded");
+        assert_eq!(dev.live_files(), 1);
     }
 
     #[test]
@@ -962,6 +1307,7 @@ mod tests {
         assert_eq!(bs.physical_reads, 16, "random misses stay single-page");
         assert_eq!(bs.readahead_hits, 0);
         assert_eq!(dev.stats().rand_reads, 16);
+        assert_eq!(dev.resident_pages().frames_peak, 0, "and hold no frame");
     }
 
     #[test]
@@ -1120,6 +1466,11 @@ mod tests {
             Err(StorageError::UnknownFile(_))
         ));
         assert!(dev.delete_file(f).is_err());
+        // A backing file that is already gone is not an error: one unlink,
+        // `NotFound` means there was nothing left to remove.
+        let g = dev.create_file();
+        fs::remove_file(dev.backing_path(g).unwrap()).unwrap();
+        dev.delete_file(g).unwrap();
     }
 
     #[test]

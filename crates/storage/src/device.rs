@@ -95,10 +95,10 @@ pub trait BlockDevice: Send + Sync {
 /// the device records how many of each kind happened. Latency is derived
 /// from the trace via [`DeviceProfile`](crate::DeviceProfile).
 ///
-/// Pages are stored as `Arc<Page>` so a read only holds the file-table lock
-/// for a reference-count bump; the page copy handed to the caller is made
-/// *outside* the lock. Reads take the lock in shared mode, so concurrent
-/// scans of the same relation proceed without serializing.
+/// Pages are stored as `Arc<Page>`, so a read holds the file-table lock
+/// for a reference-count bump and copies nothing: the caller shares the
+/// resident page. Reads take the lock in shared mode, so concurrent scans
+/// of the same relation proceed without serializing.
 #[derive(Default)]
 pub struct SimDevice {
     files: RwLock<HashMap<FileId, Vec<Arc<Page>>>>,

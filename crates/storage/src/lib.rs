@@ -94,7 +94,9 @@ pub mod spill;
 pub mod sync;
 pub mod traced;
 
-pub use block::{BlockStats, FileDeviceBuilder, SyncPolicy, DEFAULT_PAGES_PER_BLOCK};
+pub use block::{
+    BlockStats, FileDeviceBuilder, ResidentPages, SyncPolicy, DEFAULT_PAGES_PER_BLOCK,
+};
 pub use bloom::BloomFilter;
 pub use buffer::{BufferPool, Reservation};
 pub use checked::{page_checksum, CheckedDevice, RetryPolicy, RetryStats};

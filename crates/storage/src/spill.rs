@@ -5,8 +5,11 @@
 //! exactly one output-buffer page (that is why a join with `m` disk
 //! partitions needs `m` pages of its budget), and the buffer is flushed to
 //! the device as a **random write** whenever it fills — this is the `μ`-
-//! weighted cost in the paper's model. Reading a partition back during the
-//! probe phase is a sequential scan of its pages.
+//! weighted cost in the paper's model. The page is allocated by the first
+//! record buffered in it: a writer fed only whole pages
+//! ([`PartitionWriter::append_full_page`], the parallel write path's scan)
+//! holds none. Reading a partition back during the probe phase is a
+//! sequential scan of its pages.
 
 use std::sync::Arc;
 
@@ -25,7 +28,10 @@ use crate::Result;
 pub struct PartitionWriter {
     device: DeviceRef,
     file: FileId,
-    page: Page,
+    layout: RecordLayout,
+    page_size: usize,
+    /// The output buffer, absent until the first buffered record.
+    page: Option<Page>,
     write_kind: IoKind,
     records: usize,
     pages: usize,
@@ -48,7 +54,9 @@ impl PartitionWriter {
         PartitionWriter {
             device,
             file,
-            page: Page::empty(page_size, layout),
+            layout,
+            page_size,
+            page: None,
             write_kind,
             records: 0,
             pages: 0,
@@ -65,9 +73,14 @@ impl PartitionWriter {
     /// to the device if full. This is the partition-routing hot path: one
     /// key store plus one payload `memcpy` into the buffer page.
     pub fn push_ref(&mut self, record: RecordRef<'_>) -> Result<()> {
-        if !self.page.push_ref(record)? {
-            self.flush()?;
-            let pushed = self.page.push_ref(record)?;
+        let page = self
+            .page
+            .get_or_insert_with(|| Page::empty(self.page_size, self.layout));
+        if !page.push_ref(record)? {
+            self.device.append_page(self.file, page, self.write_kind)?;
+            self.pages += 1;
+            page.clear();
+            let pushed = page.push_ref(record)?;
             debug_assert!(pushed, "freshly flushed page must accept a record");
         }
         self.records += 1;
@@ -87,7 +100,7 @@ impl PartitionWriter {
     /// page count every reader and the cost model rely on.
     pub fn append_full_page(&mut self, page: &Page) -> Result<()> {
         assert!(
-            page.is_full() && page.record_size() == self.page.record_size(),
+            page.is_full() && page.record_size() == self.layout.record_bytes(),
             "append_full_page needs a full page of this partition's records"
         );
         self.device.append_page(self.file, page, self.write_kind)?;
@@ -110,8 +123,9 @@ impl PartitionWriter {
     /// Flushes the partial output buffer and returns a handle to the
     /// finished partition.
     pub fn finish(mut self) -> Result<PartitionHandle> {
-        if !self.page.is_empty() {
-            self.flush()?;
+        if let Some(page) = self.page.take().filter(|page| !page.is_empty()) {
+            self.device.append_page(self.file, &page, self.write_kind)?;
+            self.pages += 1;
         }
         self.finished = true;
         Ok(PartitionHandle {
@@ -120,14 +134,6 @@ impl PartitionWriter {
             pages: self.pages,
             records: self.records,
         })
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.device
-            .append_page(self.file, &self.page, self.write_kind)?;
-        self.pages += 1;
-        self.page.clear();
-        Ok(())
     }
 }
 
@@ -425,6 +431,23 @@ mod tests {
             .map(|r| r.unwrap().key())
             .collect();
         assert_eq!(keys, vec![100, 101, 102, 103, 1, 2]);
+    }
+
+    #[test]
+    fn the_buffer_page_is_allocated_by_the_first_buffered_record() {
+        let dev = SimDevice::new_ref();
+        let page_size = 4 + 4 * 16;
+        let mut w = PartitionWriter::new(dev, layout(), page_size, IoKind::RandWrite);
+        let mut full = Page::empty(page_size, layout());
+        for k in 0..4u64 {
+            assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
+        }
+        w.append_full_page(&full).unwrap();
+        assert!(w.page.is_none(), "whole pages need no buffer");
+        w.push(&Record::with_fill(9, 8, 0)).unwrap();
+        assert!(w.page.is_some());
+        let handle = w.finish().unwrap();
+        assert_eq!((handle.records(), handle.pages()), (5, 2));
     }
 
     #[test]
