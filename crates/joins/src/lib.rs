@@ -7,10 +7,11 @@
 //!   oracle.
 //! * [`nbj`] — Nested Block Join: stream the inner relation through memory
 //!   in chunks, scanning the outer relation once per chunk.
-//! * [`ghj`] — Grace Hash Join: uniformly hash-partition both relations,
-//!   recursing when a partition still does not fit, then join partition
-//!   pairs (falling back to chunk-wise NBJ exactly like the paper's "GHJ
-//!   augmented to fall back to NBJ").
+//! * [`ghj`] — Grace Hash Join: uniformly hash-partition both relations
+//!   into `B − 1` partitions, then join partition pairs, recursing when a
+//!   partition still does not fit or falling back to chunk-wise NBJ exactly
+//!   like the paper's "GHJ augmented to fall back to NBJ". It is the plan
+//!   for the hybrid body that keeps nothing resident.
 //! * [`smj`] — Sort-Merge Join on the external sorter, fusing the final
 //!   merge pass with the join.
 //! * [`dhh`] — Dynamic Hybrid Hash join (Algorithms 1 and 2): partitions are
@@ -21,6 +22,11 @@
 //!   Histojoin — the MCV-caching skew optimization with a zero trigger
 //!   threshold, as configured in the paper's evaluation — is this executor
 //!   under [`DhhJoin::histojoin`].
+//!
+//! GHJ, DHH and Histojoin are plans ([`nocap_par::HybridPlan`]) for
+//! [`nocap_par::hybrid_hash_join`], the body NOCAP runs too, so the four
+//! hash joins share one partition pass and one pair join
+//! ([`nocap_model::pairwise::smart_partition_join`]).
 //!
 //! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), draws its
 //! memory from a [`BufferPool`](nocap_storage::BufferPool) capped at the

@@ -329,9 +329,10 @@ mod tests {
     #[test]
     fn light_optimizer_never_picks_a_costlier_method() {
         // Costlier by Table 1, that is: `nbj ≤ ghj → NBJ` is the comparison
-        // `smart_partition_join` and GHJ's `join_pair` have always made
-        // inline, and the shared function must agree with it on every pair
-        // of a grid of page counts, ties included.
+        // the pair joins of every hash join made inline before
+        // `smart_partition_join` called this function, and the function
+        // must agree with it on every pair of a grid of page counts, ties
+        // included.
         let sizes = [
             0usize, 1, 2, 7, 38, 39, 40, 77, 150, 920, 1_529, 1_530, 6_400,
         ];

@@ -2,10 +2,13 @@
 //!
 //! After the partitioning phase, GHJ, DHH, Histojoin and NOCAP all face the
 //! same sub-problem: join one spilled R partition with the corresponding S
-//! partition. Following the paper (§3.1.1), the partition-wise join is
+//! partition. All four are plans for one hybrid hash join body, which
+//! hands every spilled pair to [`smart_partition_join`] — this module's
+//! one pair join. Following the paper (§3.1.1), the partition-wise join is
 //! executed as a Nested Block Join — the light optimizer of Table 1 almost
 //! always selects NBJ for these sub-joins because writing anything back to
-//! disk (as GHJ/SMJ would) costs μ/τ-weighted I/Os.
+//! disk (as GHJ/SMJ would) costs μ/τ-weighted I/Os; below `√(F·‖R‖)` it
+//! re-partitions the pair ([`repartition`]) and recurses instead.
 //!
 //! [`nbj_partition_join`] loads the R partition chunk-by-chunk into an
 //! in-memory hash table sized to the full buffer budget and scans the S
@@ -13,20 +16,16 @@
 //! `⌈‖R_j‖·F/(B−2)⌉ · ‖S_j‖` term of the cost model exactly.
 //!
 //! The whole loop is zero-copy: pages are read once, records enter the
-//! chunk table as [`RecordRef`] arena copies and S records probe straight
-//! from their page buffer — no per-record allocation anywhere.
+//! chunk table as [`RecordRef`](nocap_storage::RecordRef) arena copies and
+//! S records count their matches straight from their page buffer — no
+//! per-record allocation anywhere.
 
 use std::sync::Arc;
 
 use nocap_storage::hash::{level_seed, mix64_seeded};
-use nocap_storage::{
-    BloomFilter, IoKind, JoinHashTable, Page, PartitionHandle, PartitionWriter, RecordRef,
-    SpillGuard,
-};
+use nocap_storage::{IoKind, JoinHashTable, Page, PartitionHandle, PartitionWriter, SpillGuard};
 
 use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
-use crate::report::JoinRunReport;
-use crate::sip::ProbeBloom;
 use crate::spec::JoinSpec;
 
 /// Joins one spilled partition pair with chunk-wise NBJ.
@@ -38,28 +37,6 @@ pub fn nbj_partition_join(
     r_partition: &PartitionHandle,
     s_partition: &PartitionHandle,
     spec: &JoinSpec,
-    on_output: impl FnMut(RecordRef<'_>, RecordRef<'_>),
-) -> nocap_storage::Result<u64> {
-    nbj_partition_join_filtered(
-        r_partition,
-        s_partition,
-        spec,
-        &ProbeBloom::off(),
-        on_output,
-    )
-}
-
-/// [`nbj_partition_join`] with a per-chunk Bloom pre-filter over the chunk's
-/// keys: S records that cannot match the resident chunk skip the hash-table
-/// probe entirely. Output and I/O are identical to the unfiltered join (the
-/// filter has no false negatives and touches no pages); the caller charges
-/// the filter's `bloom.pages` to its own buffer pool.
-pub fn nbj_partition_join_filtered(
-    r_partition: &PartitionHandle,
-    s_partition: &PartitionHandle,
-    spec: &JoinSpec,
-    bloom: &ProbeBloom,
-    mut on_output: impl FnMut(RecordRef<'_>, RecordRef<'_>),
 ) -> nocap_storage::Result<u64> {
     if r_partition.is_empty() || s_partition.is_empty() {
         return Ok(0);
@@ -84,30 +61,12 @@ pub fn nbj_partition_join_filtered(
         if table.is_empty() {
             break;
         }
-        // The chunk is complete: freeze it into the vectorized probe layout
-        // and (optionally) summarize its keys for the pre-filter.
         table.seal();
-        let chunk_bloom = (bloom.enabled && bloom.pages > 0).then(|| {
-            BloomFilter::from_keys(
-                table.iter().map(|rec| rec.key()),
-                table.num_records(),
-                bloom.pages,
-                spec.page_size,
-            )
-        });
         // Scan S once for this chunk.
         let mut s_reader = s_partition.read(IoKind::SeqRead);
         while let Some(page) = s_reader.next_page()? {
             for s_rec in page.record_refs() {
-                if let Some(bf) = &chunk_bloom {
-                    if !bf.may_contain(s_rec.key()) {
-                        continue;
-                    }
-                }
-                for r_rec in table.probe(s_rec.key()) {
-                    on_output(r_rec, s_rec);
-                    output += 1;
-                }
+                output += table.probe_count(s_rec.key());
             }
         }
         if loaded < chunk_records {
@@ -165,27 +124,14 @@ impl ChunkLoader {
     }
 }
 
-/// Convenience wrapper: joins a list of partition pairs, accumulating output
-/// counts into `report.output_records`.
-pub fn join_partition_pairs(
-    pairs: &[(PartitionHandle, PartitionHandle)],
-    spec: &JoinSpec,
-    report: &mut JoinRunReport,
-) -> nocap_storage::Result<()> {
-    for (r_part, s_part) in pairs {
-        report.output_records += nbj_partition_join(r_part, s_part, spec, |_, _| {})?;
-    }
-    Ok(())
-}
-
 /// Hash-partitions a spilled partition into `m` sub-partitions by
 /// `mix64_seeded(key, seed)` — one recursion level of Grace-style
-/// re-partitioning. The caller picks the seed per level
-/// (`nocap_storage::hash::level_seed` here, `level_seed_salted` in GHJ's
-/// own recursion), so nested passes use a hash independent of the one that
-/// produced the partition. Zero-copy: records route straight from the
-/// source page into the sub-partition output buffers; a sub-partition's
-/// writer — and its output page — exists only once a record reaches it.
+/// re-partitioning. [`smart_partition_join`] seeds level `d` with
+/// `nocap_storage::hash::level_seed(d)`, so nested passes use a hash
+/// independent of the one that produced the partition. Zero-copy: records
+/// route straight from the source page into the sub-partition output
+/// buffers; a sub-partition's writer — and its output page — exists only
+/// once a record reaches it.
 pub fn repartition(
     handle: &PartitionHandle,
     spec: &JoinSpec,
@@ -225,8 +171,9 @@ pub fn repartition(
 /// The paper's light optimizer ([`best_partition_join`]) applied to one
 /// spilled partition pair: join with chunk-wise NBJ, or — when the estimated
 /// Table 1 cost says another partitioning pass is cheaper (the regime below
-/// `√(F·‖R‖)`) — re-partition the pair recursively first, exactly as GHJ/DHH
-/// downgrade to Grace-style recursion.
+/// `√(F·‖R‖)`) — re-partition the pair recursively first, Grace-style. Every
+/// hash join joins its spilled pairs here, at `depth = 1`; past depth 3 the
+/// pair goes to NBJ unconditionally.
 pub fn smart_partition_join(
     r_partition: &PartitionHandle,
     s_partition: &PartitionHandle,
@@ -245,11 +192,11 @@ pub fn smart_partition_join(
     ) + 2
         <= spec.buffer_pages;
     if fits || depth >= MAX_DEPTH {
-        return nbj_partition_join(r_partition, s_partition, spec, |_, _| {});
+        return nbj_partition_join(r_partition, s_partition, spec);
     }
     let (method, _) = best_partition_join(r_partition.pages(), s_partition.pages(), spec);
     if method == PartitionJoinMethod::Nbj {
-        return nbj_partition_join(r_partition, s_partition, spec, |_, _| {});
+        return nbj_partition_join(r_partition, s_partition, spec);
     }
     // Re-partition both sides and recurse. Fail-clean: the sub-partitions
     // are deleted when the guard drops, whether the nested joins succeed or
@@ -292,7 +239,7 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(64, 64);
         let r = make_partition(dev.clone(), &[1, 2, 3, 4], 56);
         let s = make_partition(dev.clone(), &[2, 2, 3, 9, 9], 56);
-        let out = nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap();
+        let out = nbj_partition_join(&r, &s, &spec).unwrap();
         assert_eq!(out, 3); // key 2 twice + key 3 once
     }
 
@@ -306,7 +253,7 @@ mod tests {
         let r = make_partition(dev.clone(), &r_keys, 504);
         let s = make_partition(dev.clone(), &s_keys, 504);
         dev.reset_stats();
-        let out = nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap();
+        let out = nbj_partition_join(&r, &s, &spec).unwrap();
         assert_eq!(out, 200);
         // S must have been read more than once.
         let s_pages = s.pages() as u64;
@@ -320,7 +267,7 @@ mod tests {
         let r = make_partition(dev.clone(), &[], 56);
         let s = make_partition(dev.clone(), &[1, 2], 56);
         dev.reset_stats();
-        assert_eq!(nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap(), 0);
+        assert_eq!(nbj_partition_join(&r, &s, &spec).unwrap(), 0);
         assert_eq!(dev.stats().total(), 0);
     }
 
@@ -336,7 +283,7 @@ mod tests {
         let s = make_partition(dev.clone(), &keys, 56);
 
         dev.reset_stats();
-        let nbj_out = nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap();
+        let nbj_out = nbj_partition_join(&r, &s, &spec).unwrap();
         let nbj_ios = dev.stats().total();
 
         dev.reset_stats();
@@ -352,53 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn bloom_filtered_join_matches_the_unfiltered_join_exactly() {
-        let dev = SimDevice::new_ref();
-        // Small budget forces several chunks, so per-chunk filters are
-        // actually rebuilt and consulted.
-        let spec = JoinSpec::paper_synthetic(512, 4);
-        let r_keys: Vec<u64> = (0..300).collect();
-        let s_keys: Vec<u64> = (0..600).map(|k| k * 2).collect(); // half miss
-        let r = make_partition(dev.clone(), &r_keys, 504);
-        let s = make_partition(dev.clone(), &s_keys, 504);
-
-        dev.reset_stats();
-        let plain = nbj_partition_join(&r, &s, &spec, |_, _| {}).unwrap();
-        let plain_io = dev.stats().total();
-        dev.reset_stats();
-        let filtered =
-            nbj_partition_join_filtered(&r, &s, &spec, &ProbeBloom::default(), |_, _| {}).unwrap();
-        let filtered_io = dev.stats().total();
-        assert_eq!(filtered, plain, "the pre-filter must not change output");
-        assert_eq!(filtered_io, plain_io, "the pre-filter must not touch I/O");
-        assert_eq!(plain, 150); // even keys 0,2,...,298 each match once
-    }
-
-    #[test]
     fn smart_join_equals_nbj_when_the_partition_fits() {
         let dev = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(64, 64);
         let r = make_partition(dev.clone(), &[1, 2, 3], 56);
         let s = make_partition(dev.clone(), &[1, 3, 3, 7], 56);
         assert_eq!(smart_partition_join(&r, &s, &spec, 1).unwrap(), 3);
-    }
-
-    #[test]
-    fn join_partition_pairs_accumulates_output() {
-        let dev = SimDevice::new_ref();
-        let spec = JoinSpec::paper_synthetic(64, 32);
-        let pairs = vec![
-            (
-                make_partition(dev.clone(), &[1, 2], 56),
-                make_partition(dev.clone(), &[1, 1], 56),
-            ),
-            (
-                make_partition(dev.clone(), &[5], 56),
-                make_partition(dev.clone(), &[5, 5, 5], 56),
-            ),
-        ];
-        let mut report = JoinRunReport::new("pairwise-test");
-        join_partition_pairs(&pairs, &spec, &mut report).unwrap();
-        assert_eq!(report.output_records, 5);
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! §6 of the paper discusses passing a compact summary of the build side
 //! into the probe side so that S records without a partner are rejected
-//! before they cost anything. [`ProbeBloom`] is that knob for the NOCAP,
-//! DHH and GHJ executors: a small [`BloomFilter`] built over the completed
-//! in-memory build table's keys (charged against the executor's
-//! [`BufferPool`]), consulted in the S-pass probe loop before the hash
-//! table.
+//! before they cost anything. [`ProbeBloom`] is that knob for the hybrid
+//! hash join body, set by NOCAP and DHH (GHJ caches nothing and runs it
+//! off): a small [`BloomFilter`] built over the completed in-memory build
+//! table's keys (charged against the executor's [`BufferPool`]), consulted
+//! in the S-pass probe loop before the hash table.
 //!
 //! The filter is a pure CPU optimization with a hard equivalence contract:
 //!

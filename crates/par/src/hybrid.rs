@@ -1,12 +1,18 @@
-//! The two-pass hybrid hash join every skew-aware operator runs.
+//! The two-pass hybrid hash join every hash join runs.
 //!
-//! DHH (Algorithms 1 and 2), Histojoin and NOCAP's hybrid partitioning
-//! (Algorithms 8 and 9) are one operator under different *plans*: which
-//! keys are cached in memory, which get a designated spill partition, how
-//! the rest is hashed and under which staging quotas. [`hybrid_hash_join`]
-//! is that operator; a [`HybridPlan`] is what distinguishes the joins, and
-//! its one [`Route`] function is consulted by both passes, so the two sides
-//! of a join cannot be routed apart.
+//! DHH (Algorithms 1 and 2), Histojoin, NOCAP's hybrid partitioning
+//! (Algorithms 8 and 9) and Grace Hash Join are one operator under four
+//! *plans*: which keys are cached in memory, which get a designated spill
+//! partition, how the rest is hashed and under which staging quotas.
+//! [`hybrid_hash_join`] is that operator; a [`HybridPlan`] is what
+//! distinguishes the joins, and its one [`Route`] function is consulted by
+//! both passes, so the two sides of a join cannot be routed apart.
+//!
+//! | plan | cached | designated | residual |
+//! |---|---|---|---|
+//! | NOCAP | the planner's in-memory keys | the planner's disk-bound MCV groups | rounded-hash rest under staging quotas |
+//! | DHH, Histojoin | the skew keys (2 % of `B`) | none | `m_DHH` plain-hash partitions under staging quotas |
+//! | GHJ | none | every key, `mix64(key) mod (B − 1)` | none |
 //!
 //! 1. **Partition R** — cached keys go into the in-memory hash table,
 //!    designated keys to their spill partition, everything else into a
@@ -22,7 +28,10 @@
 //!    key that misses has no partner anywhere — every R record of that key
 //!    went into the table — and is dropped.
 //! 3. **Probe** — every spilled (R, S) partition pair is joined by the
-//!    light optimizer of [`nocap_model::pairwise`].
+//!    light optimizer of [`nocap_model::pairwise`]
+//!    ([`smart_partition_join`]: chunk-wise NBJ, or Grace-style
+//!    re-partitioning below `√(F·‖R‖)`) — the one pair join of every hash
+//!    join.
 //!
 //! Each pass routes every record independently, so both scans are spread
 //! over the workers and the probe phase is fanned out over the spilled
@@ -39,10 +48,14 @@
 //!   writer ([`SharedWriterSet`]). Workers fill private output pages and
 //!   append them to the file only when full; the partial pages are merged
 //!   through the buffered writer before the phase's I/O snapshot. A
-//!   partition receiving `n` records therefore has `⌈n / b⌉ − 1` pages on
-//!   the device when the partition window closes and `finish` writes one
-//!   more in the probe window, regardless of arrival order (identity in
-//!   [`crate::shard`]).
+//!   partition receiving `n` records therefore costs `⌈n / b⌉` random
+//!   writes regardless of arrival order (identity in [`crate::shard`]).
+//!   The windows they land in differ by side: R's writers are finished
+//!   before the R pass ends, so all of an R partition's pages are
+//!   partition I/O; an S partition has `⌈n / b⌉ − 1` pages on the device
+//!   when the partition window closes, and `finish` writes its last page
+//!   in the probe window — one page of probe I/O per non-empty S
+//!   partition, designated or destaged.
 //! * A residual partition's page-out bit depends only on its total record
 //!   count against its quota, never on scan order or interleaving
 //!   ([`crate::stage`]).

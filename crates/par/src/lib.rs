@@ -45,10 +45,12 @@
 //!   residual estimate prices.
 //!
 //! * [`hybrid`] — [`hybrid_hash_join`], the two-pass hybrid hash join made
-//!   of the three modules above. NOCAP, DHH and Histojoin each hand it a
-//!   [`HybridPlan`] — fixed-structure pages, designated partitions, staging
-//!   quotas and one [`Route`] function that both passes consult — and are
-//!   otherwise the same executor.
+//!   of the three modules above. NOCAP, DHH, Histojoin and GHJ each hand it
+//!   a [`HybridPlan`] — fixed-structure pages, designated partitions,
+//!   staging quotas and one [`Route`] function that both passes consult —
+//!   and are otherwise the same executor, down to the one pair join of the
+//!   probe phase. GHJ is the plan that caches nothing and designates every
+//!   key: the hybrid hash join with nothing resident.
 //!
 //! There is no separate single-threaded engine: the executors' sequential
 //! `run` entry points call the same bodies with one worker. The cost of
@@ -58,10 +60,10 @@
 //! is the `m` the model charges: the partition writers allocate their own
 //! buffer page only when the merge pours a tail into it (see [`shard`]).
 //!
-//! Routing (which partition a record belongs to) stays with the caller, so
-//! `nocap` (rounded-hash routing), GHJ (plain hash), DHH (modulo hash over
-//! the shared quota geometry) and any future operator reuse the same
-//! machinery. The same worker pool and
+//! Routing (which partition a record belongs to) stays with the plan, so
+//! `nocap` (rounded-hash routing), GHJ (plain hash over `B − 1`
+//! partitions), DHH (modulo hash over the shared quota geometry) and any
+//! future operator reuse the same machinery. The same worker pool and
 //! [`page_shards`] also drive `nocap-stats`' sharded parallel collection
 //! (`StatsCollector::collect_parallel`), whose fixed shard grid plays the
 //! role the per-partition quotas play here: a decomposition fixed by the

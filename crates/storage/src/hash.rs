@@ -1,7 +1,7 @@
 //! The one key-hashing utility shared by every crate.
 //!
 //! Historically the rounded-hash router (`nocap::rounded_hash`), DHH's
-//! modulo router, GHJ's level-salted recursion hash and the hash table's
+//! modulo router, the partition-pair recursion hash and the hash table's
 //! Fibonacci bucket mapping each hand-rolled the same SplitMix64 mixing.
 //! They all live here now, with their exact bit-for-bit behaviour pinned by
 //! tests, so routing decisions — and therefore partition contents, spill
@@ -22,7 +22,7 @@
 pub const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The per-level salt multiplier used by the recursive re-partitioning
-/// hashes ([`level_seed`] / [`level_seed_salted`]).
+/// hash ([`level_seed`]).
 pub const LEVEL_SALT: u64 = 0xA24B_AED4_963E_E407;
 
 /// The SplitMix64 finalizer: bijective avalanche mixing of a 64-bit state.
@@ -53,13 +53,6 @@ pub fn mix64_seeded(key: u64, seed: u64) -> u64 {
 #[inline]
 pub fn level_seed(level: u32) -> u64 {
     (level as u64).wrapping_mul(LEVEL_SALT)
-}
-
-/// The seed for recursion level `level` of GHJ's top-level recursion, which
-/// additionally folds the level into the high byte.
-#[inline]
-pub fn level_seed_salted(level: u32) -> u64 {
-    ((level as u64) << 56) | (level as u64).wrapping_mul(LEVEL_SALT)
 }
 
 /// The MurmurHash3 64-bit finalizer over an offset independent of
@@ -93,7 +86,8 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The exact historical GHJ `level_hash`.
+    /// The exact historical GHJ `level_hash`, whose level 0 GHJ still
+    /// routes its relation pass by.
     fn legacy_ghj_level_hash(key: u64, level: u32) -> u64 {
         let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_add(
             (level as u64) << 56 | (level as u64).wrapping_mul(0xA24B_AED4_963E_E407),
@@ -146,12 +140,12 @@ mod tests {
     #[test]
     fn seeded_mix_matches_both_historical_level_hashes() {
         for &k in &PROBE_KEYS {
+            assert_eq!(
+                mix64(k),
+                legacy_ghj_level_hash(k, 0),
+                "GHJ's relation-pass hash diverged at key {k:#x}"
+            );
             for level in 0..6u32 {
-                assert_eq!(
-                    mix64_seeded(k, level_seed_salted(level)),
-                    legacy_ghj_level_hash(k, level),
-                    "GHJ level hash diverged at key {k:#x} level {level}"
-                );
                 assert_eq!(
                     mix64_seeded(k, level_seed(level)),
                     legacy_pairwise_level_hash(k, level),
@@ -165,7 +159,6 @@ mod tests {
     fn level_zero_degenerates_to_the_plain_mix() {
         for &k in &PROBE_KEYS {
             assert_eq!(mix64_seeded(k, level_seed(0)), mix64(k));
-            assert_eq!(mix64_seeded(k, level_seed_salted(0)), mix64(k));
         }
     }
 

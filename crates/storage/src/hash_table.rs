@@ -9,32 +9,37 @@
 //!
 //! # Layout
 //!
-//! The table is arena-backed — no per-record or per-key heap objects:
+//! The table is arena-backed — no per-record or per-key heap objects — and
+//! is built in two steps. Inserting a record is a key push and a payload
+//! `memcpy`:
 //!
 //! ```text
-//! buckets: [ head+1 | 0 ... ]        power-of-two directory, Fibonacci hash
 //! keys:    [ k0, k1, k2, ... ]       unzipped key array (one u64 per record)
-//! next:    [ l0, l1, l2, ... ]       intra-bucket chain links (index + 1)
 //! payloads:[ p0 p1 p2 ............ ] contiguous payload arena (fixed width)
 //! ```
 //!
-//! Inserting a record is a bucket computation (one multiply, one shift), a
-//! key push and a payload `memcpy`; probing walks the bucket chain comparing
-//! keys and yields [`RecordRef`] views straight into the arena. This
-//! replaces the former `HashMap<u64, Vec<Record>>` (SipHash + a `Vec` per
-//! key + a `Box<[u8]>` per record), whose allocations dominated build-side
-//! CPU once I/O was overlapped.
+//! Once the build side is complete, [`seal`](JoinHashTable::seal) runs one
+//! counting sort into `max(16, n.next_power_of_two())` Fibonacci-hashed
+//! buckets, gathering every bucket's keys into one contiguous run plus an
+//! index back into the arena:
 //!
-//! # Sealing
+//! ```text
+//! starts:  [ 0, 2, 2, 3, ... ]       bucket b's run is starts[b]..starts[b+1]
+//! keys:    [ k5, k0, k7, ... ]       keys grouped by bucket
+//! entries: [  5,  0,  7, ... ]       arena index of each grouped key
+//! ```
 //!
-//! A chain walk loads one key per pointer chase, so a probe is a string of
-//! dependent cache misses. Once the build side is complete, callers invoke
-//! [`seal`](JoinHashTable::seal): a counting sort groups every bucket's
-//! keys into one contiguous run (plus an index back into the arena), after
-//! which a probe is a linear sweep compared [`crate::simd::LANES`] keys per
-//! step by the vectorized kernels in [`crate::simd`]. Sealing is optional
-//! and purely an execution detail — results are identical either way, and
-//! a post-seal insert simply drops the packed index until the next seal.
+//! A probe is then a linear sweep of one run, compared
+//! [`crate::simd::LANES`] keys per step by the vectorized kernels in
+//! [`crate::simd`], yielding [`RecordRef`] views straight into the arena.
+//! Probing ([`probe`](JoinHashTable::probe),
+//! [`probe_count`](JoinHashTable::probe_count),
+//! [`contains`](JoinHashTable::contains),
+//! [`num_keys`](JoinHashTable::num_keys)) requires a sealed table and
+//! panics otherwise; an insert after a seal drops the index until the next
+//! seal. This replaces the former `HashMap<u64, Vec<Record>>` (SipHash + a
+//! `Vec` per key + a `Box<[u8]>` per record), whose allocations dominated
+//! build-side CPU once I/O was overlapped.
 //!
 //! The *accounting* is unchanged and deliberately independent of the
 //! physical layout: `pages_required`/`pages_for`/`capacity_for_pages`
@@ -58,14 +63,8 @@ fn fudge_ppm(fudge: f64) -> u128 {
 /// records carrying that key.
 #[derive(Debug, Clone)]
 pub struct JoinHashTable {
-    /// Bucket directory: entry index + 1 of the chain head, 0 = empty.
-    buckets: Vec<u32>,
-    /// log2 shift turning a Fibonacci product into a bucket index.
-    shift: u32,
     /// Unzipped key array, one entry per inserted record.
     keys: Vec<u64>,
-    /// Chain links: `next[i]` is the next entry of `i`'s bucket + 1, 0 = end.
-    next: Vec<u32>,
     /// Contiguous payload arena; entry `i`'s payload starts at
     /// `i × payload_bytes`.
     payloads: Vec<u8>,
@@ -78,9 +77,11 @@ pub struct JoinHashTable {
 }
 
 /// The sealed probe layout: every bucket's keys gathered into one
-/// contiguous run so probes sweep linearly instead of chasing chain links.
+/// contiguous run so probes sweep linearly.
 #[derive(Debug, Clone)]
 struct PackedIndex {
+    /// log2 shift turning a Fibonacci product into a bucket index.
+    shift: u32,
     /// Keys grouped by bucket (insertion order within a bucket).
     keys: Vec<u64>,
     /// `entries[i]` is the arena entry index of `keys[i]`.
@@ -100,35 +101,12 @@ impl JoinHashTable {
             "the fudge factor is a space amplification, F >= 1"
         );
         JoinHashTable {
-            buckets: Vec::new(),
-            shift: 64,
             keys: Vec::new(),
-            next: Vec::new(),
             payloads: Vec::new(),
             packed: None,
             layout,
             page_size,
             fudge,
-        }
-    }
-
-    #[inline]
-    fn bucket_of(&self, key: u64) -> usize {
-        fib_bucket(key, self.shift)
-    }
-
-    /// Doubles the bucket directory and relinks every entry. Amortized O(1)
-    /// per insert; entries themselves (keys/payloads) never move.
-    #[cold]
-    fn grow(&mut self) {
-        let new_len = (self.buckets.len() * 2).max(16);
-        self.shift = 64 - new_len.trailing_zeros();
-        self.buckets.clear();
-        self.buckets.resize(new_len, 0);
-        for i in 0..self.keys.len() {
-            let b = self.bucket_of(self.keys[i]);
-            self.next[i] = self.buckets[b];
-            self.buckets[b] = i as u32 + 1;
         }
     }
 
@@ -138,27 +116,19 @@ impl JoinHashTable {
         self.insert_ref(record.as_record_ref());
     }
 
-    /// Inserts a borrowed record: bucket computation, key push, payload
-    /// `memcpy` into the arena — no allocation beyond amortized arena growth.
+    /// Inserts a borrowed record: a key push and a payload `memcpy` into the
+    /// arena — no allocation beyond amortized arena growth.
     pub fn insert_ref(&mut self, record: RecordRef<'_>) {
         debug_assert_eq!(
             record.payload().len(),
             self.layout.payload_bytes(),
             "record layout must match the table's layout"
         );
-        // Any mutation invalidates the packed probe index; callers re-seal
-        // after the build side is complete.
+        // Any mutation invalidates the probe index; callers re-seal after
+        // the build side is complete.
         self.packed = None;
-        if self.keys.len() == self.buckets.len() {
-            self.grow();
-        }
-        let key = record.key();
-        let b = self.bucket_of(key);
-        let idx = self.keys.len() as u32;
-        self.keys.push(key);
+        self.keys.push(record.key());
         self.payloads.extend_from_slice(record.payload());
-        self.next.push(self.buckets[b]);
-        self.buckets[b] = idx + 1;
     }
 
     #[inline]
@@ -167,22 +137,20 @@ impl JoinHashTable {
         RecordRef::new(self.keys[i], &self.payloads[i * w..(i + 1) * w])
     }
 
-    /// Freezes the current contents into the bucket-contiguous probe layout
-    /// (see the module docs): one counting sort over the entries, after
-    /// which probes sweep a contiguous key run with the vectorized
-    /// [`crate::simd`] kernels instead of chasing chain links.
-    ///
-    /// Idempotent; a later insert drops the index (and the next seal
-    /// rebuilds it). Probe results are identical sealed or not.
+    /// Builds the bucket-contiguous probe index (see the module docs): one
+    /// counting sort of the entries into `max(16, n.next_power_of_two())`
+    /// buckets. Idempotent; a later insert drops the index and the next
+    /// seal rebuilds it.
     pub fn seal(&mut self) {
         if self.packed.is_some() {
             return;
         }
         let n = self.keys.len();
-        let num_buckets = self.buckets.len();
+        let num_buckets = n.next_power_of_two().max(16);
+        let shift = 64 - num_buckets.trailing_zeros();
         let mut starts = vec![0u32; num_buckets + 1];
         for &key in &self.keys {
-            starts[self.bucket_of(key) + 1] += 1;
+            starts[fib_bucket(key, shift) + 1] += 1;
         }
         for b in 0..num_buckets {
             starts[b + 1] += starts[b];
@@ -191,72 +159,84 @@ impl JoinHashTable {
         let mut keys = vec![0u64; n];
         let mut entries = vec![0u32; n];
         for (i, &key) in self.keys.iter().enumerate() {
-            let pos = cursor[self.bucket_of(key)] as usize;
-            cursor[self.bucket_of(key)] += 1;
+            let b = fib_bucket(key, shift);
+            let pos = cursor[b] as usize;
+            cursor[b] += 1;
             keys[pos] = key;
             entries[pos] = i as u32;
         }
         self.packed = Some(PackedIndex {
+            shift,
             keys,
             entries,
             starts,
         });
     }
 
-    /// Whether the packed probe index is currently present.
+    /// Whether the probe index is currently present.
     pub fn is_sealed(&self) -> bool {
         self.packed.is_some()
     }
 
-    /// The packed key run of `key`'s bucket, when sealed.
+    /// The probe index.
+    ///
+    /// # Panics
+    ///
+    /// If the table is not sealed.
     #[inline]
-    fn packed_bucket(&self, key: u64) -> Option<(&PackedIndex, usize, usize)> {
-        let packed = self.packed.as_ref()?;
-        if self.buckets.is_empty() {
-            return Some((packed, 0, 0));
-        }
-        let b = self.bucket_of(key);
-        Some((
+    fn index(&self) -> &PackedIndex {
+        self.packed
+            .as_ref()
+            .expect("JoinHashTable probed before seal(): seal the table after its last insert")
+    }
+
+    /// The probe index and the packed key run of `key`'s bucket.
+    #[inline]
+    fn bucket(&self, key: u64) -> (&PackedIndex, usize, usize) {
+        let packed = self.index();
+        let b = fib_bucket(key, packed.shift);
+        (
             packed,
             packed.starts[b] as usize,
             packed.starts[b + 1] as usize,
-        ))
+        )
     }
 
     /// All records whose key equals `key`, as borrowed views into the arena
-    /// (empty iterator if none). The yield order of duplicate keys is
-    /// unspecified (it differs between the sealed and chained layouts);
-    /// callers must not rely on any particular order.
+    /// (empty iterator if none), in unspecified order.
+    ///
+    /// # Panics
+    ///
+    /// If the table is not sealed.
     pub fn probe(&self, key: u64) -> ProbeIter<'_> {
-        let mode = match self.packed_bucket(key) {
-            Some((_, start, end)) => ProbeMode::Packed { pos: start, end },
-            None => ProbeMode::Chain {
-                cur: if self.buckets.is_empty() {
-                    0
-                } else {
-                    self.buckets[self.bucket_of(key)]
-                },
-            },
-        };
+        let (packed, start, end) = self.bucket(key);
         ProbeIter {
             table: self,
+            keys: &packed.keys[..end],
+            entries: &packed.entries,
             key,
-            mode,
+            pos: start,
         }
     }
 
     /// Number of records whose key equals `key` (the probe-loop fast path:
-    /// counting matches without materializing them). On a sealed table this
-    /// is one vectorized sweep over the bucket's contiguous key run.
+    /// counting matches without materializing them) — one vectorized sweep
+    /// over the bucket's contiguous key run.
+    ///
+    /// # Panics
+    ///
+    /// If the table is not sealed.
     #[inline]
     pub fn probe_count(&self, key: u64) -> u64 {
-        match self.packed_bucket(key) {
-            Some((packed, start, end)) => simd::count_matches(&packed.keys[start..end], key),
-            None => self.probe(key).count() as u64,
-        }
+        let (packed, start, end) = self.bucket(key);
+        simd::count_matches(&packed.keys[start..end], key)
     }
 
     /// Returns `true` if at least one record with `key` is present.
+    ///
+    /// # Panics
+    ///
+    /// If the table is not sealed.
     pub fn contains(&self, key: u64) -> bool {
         self.probe(key).next().is_some()
     }
@@ -266,30 +246,25 @@ impl JoinHashTable {
         self.keys.len()
     }
 
-    /// Number of distinct keys stored.
+    /// Number of distinct keys stored: the entries that are the first of
+    /// their key within their bucket's packed run, counted in place (no
+    /// allocation; quadratic only in a run's length).
     ///
-    /// Computed on demand (O(n) over the entries) so the insert hot path
-    /// stays a pure push + `memcpy`; this is a diagnostic, not an executor
-    /// primitive.
+    /// # Panics
+    ///
+    /// If the table is not sealed.
     pub fn num_keys(&self) -> usize {
-        let mut distinct = 0;
-        for i in 0..self.keys.len() {
-            let key = self.keys[i];
-            // Entry `i` counts iff it is the first chain occurrence of its
-            // key (every entry is reachable from its bucket head).
-            let mut cur = self.buckets[self.bucket_of(key)];
-            loop {
-                let j = (cur - 1) as usize;
-                if self.keys[j] == key {
-                    if j == i {
-                        distinct += 1;
-                    }
-                    break;
-                }
-                cur = self.next[j];
-            }
-        }
-        distinct
+        let packed = self.index();
+        packed
+            .starts
+            .windows(2)
+            .map(|run| {
+                let run = &packed.keys[run[0] as usize..run[1] as usize];
+                (0..run.len())
+                    .filter(|&i| simd::next_match(&run[..i], 0, run[i]).is_none())
+                    .count()
+            })
+            .sum()
     }
 
     /// Returns `true` if no records are stored.
@@ -348,20 +323,15 @@ impl JoinHashTable {
 }
 
 /// Iterator over the records matching one probe key (borrowed views into
-/// the table's arena).
+/// the table's arena): a vectorized sweep of the key's bucket run.
 pub struct ProbeIter<'a> {
     table: &'a JoinHashTable,
+    /// The packed keys up to the end of the probed bucket's run.
+    keys: &'a [u64],
+    entries: &'a [u32],
     key: u64,
-    mode: ProbeMode,
-}
-
-/// How a [`ProbeIter`] steps: chain links on a live table, a vectorized
-/// sweep of the bucket's contiguous key run on a sealed one.
-enum ProbeMode {
-    /// Current chain position: entry index + 1, 0 = end.
-    Chain { cur: u32 },
-    /// Next packed position to inspect and the bucket's end position.
-    Packed { pos: usize, end: usize },
+    /// Next packed position to inspect.
+    pos: usize,
 }
 
 impl<'a> Iterator for ProbeIter<'a> {
@@ -369,28 +339,9 @@ impl<'a> Iterator for ProbeIter<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.mode {
-            ProbeMode::Chain { cur } => {
-                while *cur != 0 {
-                    let i = (*cur - 1) as usize;
-                    *cur = self.table.next[i];
-                    if self.table.keys[i] == self.key {
-                        return Some(self.table.entry(i));
-                    }
-                }
-                None
-            }
-            ProbeMode::Packed { pos, end } => {
-                let packed = self
-                    .table
-                    .packed
-                    .as_ref()
-                    .expect("packed probe iterator requires a sealed table");
-                let hit = simd::next_match(&packed.keys[..*end], *pos, self.key)?;
-                *pos = hit + 1;
-                Some(self.table.entry(packed.entries[hit] as usize))
-            }
-        }
+        let hit = simd::next_match(self.keys, self.pos, self.key)?;
+        self.pos = hit + 1;
+        Some(self.table.entry(self.entries[hit] as usize))
     }
 }
 
@@ -408,6 +359,7 @@ mod tests {
         ht.insert(Record::with_fill(1, 24, 0xA));
         ht.insert(Record::with_fill(1, 24, 0xB));
         ht.insert(Record::with_fill(2, 24, 0xC));
+        ht.seal();
         assert_eq!(ht.probe(1).count(), 2);
         assert_eq!(ht.probe_count(1), 2);
         assert_eq!(ht.probe(2).count(), 1);
@@ -424,6 +376,7 @@ mod tests {
         ht.insert(Record::with_fill(1, 24, 0xA));
         ht.insert(Record::with_fill(1, 24, 0xB));
         ht.insert(Record::with_fill(2, 24, 0xC));
+        ht.seal();
         let mut fills: Vec<u8> = ht.probe(1).map(|r| r.payload()[0]).collect();
         fills.sort_unstable();
         assert_eq!(fills, vec![0xA, 0xB]);
@@ -432,10 +385,18 @@ mod tests {
 
     #[test]
     fn survives_growth_across_many_keys() {
+        // Sealed at the 16-bucket minimum, then grown far past it: the next
+        // seal sizes its directory for the new contents.
         let mut ht = JoinHashTable::new(RecordLayout::new(8), 4096, 1.02);
-        for k in 0..10_000u64 {
+        for k in 0..10u64 {
             ht.insert(Record::new(k, k.to_le_bytes().to_vec()));
         }
+        ht.seal();
+        assert_eq!(ht.num_keys(), 10);
+        for k in 10..10_000u64 {
+            ht.insert(Record::new(k, k.to_le_bytes().to_vec()));
+        }
+        ht.seal();
         assert_eq!(ht.num_records(), 10_000);
         assert_eq!(ht.num_keys(), 10_000);
         for k in (0..10_000u64).step_by(997) {
@@ -548,34 +509,46 @@ mod tests {
         let _ = JoinHashTable::new(layout(), 4096, 0.5);
     }
 
-    /// Differential pin of the tentpole: a sealed table must answer every
-    /// probe identically to the chained layout — same multiplicities, same
-    /// payload multisets — across duplicate-heavy and unique keys.
+    /// Reference check: every probe of a sealed table answers exactly what
+    /// a `HashMap<u64, Vec<payload>>` holding the same records answers —
+    /// same multiplicities, same payload multisets, same distinct-key count
+    /// — across duplicate-heavy and unique keys.
     #[test]
-    fn sealed_probes_match_chained_probes_exactly() {
+    fn sealed_probes_match_a_hashmap_reference() {
+        use std::collections::HashMap;
         let mut ht = JoinHashTable::new(RecordLayout::new(8), 4096, 1.02);
+        let mut reference: HashMap<u64, Vec<Vec<u8>>> = HashMap::new();
         // Heavy duplication: key k appears (k % 5) + 1 times.
         for k in 0..2_000u64 {
             for copy in 0..(k % 5) + 1 {
-                ht.insert(Record::new(k, (k * 10 + copy).to_le_bytes().to_vec()));
+                let payload = (k * 10 + copy).to_le_bytes().to_vec();
+                ht.insert(Record::new(k, payload.clone()));
+                reference.entry(k).or_default().push(payload);
             }
         }
-        let chained: Vec<(u64, Vec<Vec<u8>>)> = (0..2_100u64)
-            .map(|k| {
-                let mut payloads: Vec<Vec<u8>> =
-                    ht.probe(k).map(|r| r.payload().to_vec()).collect();
-                payloads.sort();
-                (ht.probe_count(k), payloads)
-            })
-            .collect();
         ht.seal();
-        assert!(ht.is_sealed());
-        for (k, (count, payloads)) in (0..2_100u64).zip(chained.iter()) {
-            assert_eq!(ht.probe_count(k), *count, "count diverged at key {k}");
+        assert_eq!(ht.num_keys(), reference.len());
+        for k in 0..2_100u64 {
+            let mut expected = reference.get(&k).cloned().unwrap_or_default();
+            expected.sort();
+            assert_eq!(ht.probe_count(k), expected.len() as u64, "count at key {k}");
+            assert_eq!(
+                ht.contains(k),
+                !expected.is_empty(),
+                "membership at key {k}"
+            );
             let mut sealed: Vec<Vec<u8>> = ht.probe(k).map(|r| r.payload().to_vec()).collect();
             sealed.sort();
-            assert_eq!(&sealed, payloads, "payloads diverged at key {k}");
+            assert_eq!(sealed, expected, "payloads at key {k}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "before seal()")]
+    fn probing_an_unsealed_table_panics() {
+        let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
+        ht.insert(Record::with_fill(7, 24, 1));
+        let _ = ht.probe_count(7);
     }
 
     #[test]
@@ -591,7 +564,7 @@ mod tests {
         assert!(ht.is_sealed());
         assert_eq!(ht.probe_count(7), 1);
         assert!(ht.contains(7));
-        assert_eq!(ht.num_keys(), 1, "diagnostics still work sealed");
+        assert_eq!(ht.num_keys(), 1);
     }
 
     #[test]
