@@ -48,7 +48,6 @@ fn main() {
                 rh_params: RoundedHashParams { beta: 1e-9 },
                 ..PlannerConfig::default()
             },
-            ..NocapConfig::default()
         };
         device.reset_stats();
         let plain = NocapJoin::new(spec, plain_cfg)

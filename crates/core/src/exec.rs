@@ -27,8 +27,8 @@
 //! `&Obs::off()` to record nothing.
 
 use nocap_model::{
-    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom,
-    RoundedHashParams, StagingRouter,
+    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, RoundedHashParams,
+    StagingRouter,
 };
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
@@ -44,10 +44,6 @@ use crate::rounded_hash::RoundedHash;
 pub struct NocapConfig {
     /// Planner configuration (grid resolution, rounded-hash parameters).
     pub planner: PlannerConfig,
-    /// Probe-side Bloom pre-filter over the in-memory build table (§6 SIP;
-    /// on by default, a pure CPU optimization — output and modeled I/O are
-    /// identical with the filter on or off).
-    pub bloom: ProbeBloom,
 }
 
 /// The NOCAP join operator.
@@ -273,23 +269,18 @@ impl NocapJoin {
             plan.estimated_rest_keys,
             self.config.planner.rh_params,
         );
-        let (mem_set, disk_map) = (plan.mem_key_set(), plan.disk_map());
+        let routes = plan.route_map();
         let hybrid = HybridPlan {
             label: "NOCAP",
             fixed_pages,
             designated: plan.num_designated(),
             quotas: geometry.caps,
-            route: |key: u64| {
-                if mem_set.contains(&key) {
-                    Route::Cached
-                } else if let Some(&pid) = disk_map.get(&key) {
-                    Route::Designated(pid as usize)
-                } else {
-                    Route::Residual(geometry.rh.partition_of(key))
-                }
+            route: |key: u64| match routes.get(&key) {
+                Some(&route) => route,
+                None => Route::Residual(geometry.rh.partition_of(key)),
             },
         };
-        hybrid_hash_join(&self.spec, self.config.bloom, r, s, hybrid, threads, obs)
+        hybrid_hash_join(&self.spec, r, s, hybrid, threads, obs)
     }
 }
 
@@ -493,8 +484,8 @@ pub(crate) mod tests {
         let stager =
             ParallelStager::new(device.clone(), spec.r_layout, spec, geometry.caps.clone());
         let mut stage = stager.worker_stage();
-        let (mem_set, disk_map) = (plan.mem_key_set(), plan.disk_map());
-        for k in (0..6_000u64).filter(|k| !mem_set.contains(k) && !disk_map.contains_key(k)) {
+        let routes = plan.route_map();
+        for k in (0..6_000u64).filter(|k| !routes.contains_key(k)) {
             let rec = Record::with_fill(k, 120, 0);
             stager
                 .insert(&mut stage, geometry.rh.partition_of(k), rec.as_record_ref())
@@ -505,7 +496,6 @@ pub(crate) mod tests {
                 stager.pages_in_use()
             );
         }
-        let staged_pages = stager.pages_in_use();
         let build = stager.finish(vec![stage]).unwrap();
         let spilled = build.pob.iter().filter(|&&spilled| spilled).count();
         assert!(
@@ -513,14 +503,6 @@ pub(crate) mod tests {
             "a mid-regime cell: {spilled} of {} partitions spilled",
             build.pob.len()
         );
-        // After the build the quotas shrink to what is held, and the probe
-        // filter takes its pages from what that frees.
-        drop(quotas);
-        let _staged = pool.reserve(staged_pages).unwrap();
-        let bloom = ProbeBloom::default()
-            .reserve(&pool)
-            .expect("slack for a filter");
-        assert_eq!(bloom.pages(), ProbeBloom::default().pages);
     }
 
     #[test]

@@ -522,7 +522,7 @@ mod tests {
         let plan = plan_nocap(&mcvs, 10_000, 80_000, &s, &PlannerConfig::default());
         // All designated keys must come from the MCV list and not overlap
         // with the cached keys.
-        let mem = plan.mem_key_set();
+        let mem: std::collections::HashSet<u64> = plan.mem_keys.iter().copied().collect();
         let mcv_keys: std::collections::HashSet<u64> = mcvs.iter().map(|&(k, _)| k).collect();
         for part in &plan.disk_partitions {
             for key in part {

@@ -50,11 +50,12 @@
 use std::collections::HashSet;
 
 use nocap_model::{
-    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, ProbeBloom, StagingRouter,
+    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, StagingRouter,
 };
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
 use nocap_stats::StatsSummary;
+use nocap_storage::hash::BuildKeyHasher;
 use nocap_storage::{BufferPool, JoinHashTable, Relation};
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
@@ -108,7 +109,6 @@ impl DhhConfig {
 pub struct DhhJoin {
     spec: JoinSpec,
     config: DhhConfig,
-    bloom: ProbeBloom,
     /// The algorithm name its reports carry.
     label: &'static str,
 }
@@ -119,7 +119,6 @@ impl DhhJoin {
         DhhJoin {
             spec,
             config,
-            bloom: ProbeBloom::default(),
             label: "DHH",
         }
     }
@@ -131,13 +130,6 @@ impl DhhJoin {
             label: "Histojoin",
             ..DhhJoin::new(spec, DhhConfig::histojoin())
         }
-    }
-
-    /// Overrides the probe-side Bloom pre-filter knob (on by default; a
-    /// pure CPU optimization — output and modeled I/O are unchanged).
-    pub fn with_bloom(mut self, bloom: ProbeBloom) -> Self {
-        self.bloom = bloom;
-        self
     }
 
     /// Creates a DHH operator with the default (PostgreSQL-like) thresholds.
@@ -276,12 +268,13 @@ impl DhhJoin {
                 }
             },
         };
-        hybrid_hash_join(spec, self.bloom, r, s, plan, threads, obs)
+        hybrid_hash_join(spec, r, s, plan, threads, obs)
     }
 
-    /// Chooses which MCV keys are pinned in the skew hash table.
-    fn select_skew_keys(&self, mcvs: &[(u64, u64)], n_s: u64) -> HashSet<u64> {
-        let mut selected = HashSet::new();
+    /// Chooses which MCV keys are pinned in the skew hash table. The set is
+    /// the plan's routing table, hashed like every other one.
+    fn select_skew_keys(&self, mcvs: &[(u64, u64)], n_s: u64) -> HashSet<u64, BuildKeyHasher> {
+        let mut selected = HashSet::default();
         if !self.config.skew_optimization || mcvs.is_empty() || n_s == 0 {
             return selected;
         }

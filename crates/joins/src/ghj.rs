@@ -20,7 +20,7 @@
 //! invariance of output and per-phase modeled I/O, and the physical memory
 //! outside the model are documented on the body.
 
-use nocap_model::{JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, HybridPlan, Route};
 use nocap_storage::hash::mix64;
@@ -85,9 +85,9 @@ impl GraceHashJoin {
             quotas: vec![],
             route: |key: u64| Route::Designated((mix64(key) % m as u64) as usize),
         };
-        // Nothing is cached, so no S record probes the in-memory table and
-        // a probe filter would have nothing to filter.
-        hybrid_hash_join(&self.spec, ProbeBloom::off(), r, s, plan, threads, obs)
+        // Nothing is cached or staged, so the table stays empty and the S
+        // pass routes every record without probing it.
+        hybrid_hash_join(&self.spec, r, s, plan, threads, obs)
     }
 }
 

@@ -21,12 +21,19 @@
 //!    quotas are the caller's ([`nocap_model::staging_quotas`]:
 //!    resident-first, so with a staging budget between `√(F·‖R‖)` and
 //!    `F·‖R‖` part of R never touches the device).
-//! 2. **Partition / probe S** — S records with designated keys are spilled
-//!    to the matching S partition; the rest probe the in-memory table
-//!    (producing output immediately) and, on a miss, are spilled only if
-//!    their residual partition was destaged (the POB bit of DHH). A cached
-//!    key that misses has no partner anywhere — every R record of that key
-//!    went into the table — and is dropped.
+//! 2. **Partition / probe S: probe first, route on a miss** — every S
+//!    record probes the in-memory table once; a hit is all of its output
+//!    (the table holds the cached keys and the resident residual
+//!    partitions, and neither has R records anywhere else) and the record
+//!    is done. Only a miss consults the plan's route: a designated key is
+//!    spilled to the matching S partition, a residual one only if its
+//!    partition was destaged (the POB bit of DHH), and anything else — a
+//!    cached key, or a resident partition — has no partner anywhere and is
+//!    dropped. A designated or destaged key never has R records in the
+//!    table, so every record is spilled, answered or dropped exactly as if
+//!    it had been routed first, and a hit costs no route at all.
+//!    With an empty table (GHJ, or a plan that caches and stages nothing)
+//!    the loop routes directly.
 //! 3. **Probe** — every spilled (R, S) partition pair is joined by the
 //!    light optimizer of [`nocap_model::pairwise`]
 //!    ([`smart_partition_join`]: chunk-wise NBJ, or Grace-style
@@ -66,14 +73,12 @@
 //! budget, so the §4.1 memory breakdown is enforced at run time, not just
 //! assumed: the pool reserves the two streaming pages and the plan's fixed
 //! structures, and what is left ([`staging_budget`]) is carved into one
-//! reservation per residual partition of exactly its quota. Once R is
-//! partitioned the quotas shrink to what the partitions hold, and the probe
-//! pre-filter's pages come out of what that frees — never out of the
-//! staging budget. Three knowing simplifications, all physical memory the
-//! model does not charge: each worker holds one transient scan-buffer page
-//! (the model charges one logical input page for the pipeline, as the paper
-//! does); each worker holds one private output page per spill partition it
-//! has routed a record to — at most `threads × m` pages for `m` spill
+//! reservation per residual partition of exactly its quota. Three knowing
+//! simplifications, all physical memory the model does not charge: each
+//! worker holds one transient scan-buffer page (the model charges one
+//! logical input page for the pipeline, as the paper does); each worker
+//! holds one private output page per spill partition it has routed a
+//! record to — at most `threads × m` pages for `m` spill
 //! partitions, which at one worker is the `m` output-buffer pages the
 //! model charges: the partition writers allocate theirs only when the
 //! merge pours a worker's tail into them, one partition at a time (`m`
@@ -93,7 +98,7 @@
 use std::sync::Mutex;
 
 use nocap_model::pairwise::smart_partition_join;
-use nocap_model::{JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
@@ -115,8 +120,8 @@ pub enum Route {
     /// [`HybridPlan::designated`]) and meet in the probe phase.
     Designated(usize),
     /// Residual partition `p` (of [`HybridPlan::quotas`]): R is staged under
-    /// the partition's quota, S probes the table and follows R to disk only
-    /// if the partition was destaged.
+    /// the partition's quota, S probes the table and, on a miss, follows R
+    /// to disk only if the partition was destaged.
     Residual(usize),
 }
 
@@ -133,7 +138,8 @@ pub struct HybridPlan<F> {
     /// Staging quota per residual partition, in pages, sized on
     /// [`staging_budget`] for the same `fixed_pages`.
     pub quotas: Vec<usize>,
-    /// The routing function both passes consult.
+    /// The routing function both passes consult: once per R record, once
+    /// per S record that misses the in-memory table.
     pub route: F,
 }
 
@@ -161,7 +167,6 @@ pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize) -> Result<usize> {
 /// and modeled I/O to a blind one — clocks stay in the obs channel.
 pub fn hybrid_hash_join<F>(
     spec: &JoinSpec,
-    bloom: ProbeBloom,
     r: &Relation,
     s: &Relation,
     plan: HybridPlan<F>,
@@ -180,7 +185,7 @@ where
     let _fixed = pool.reserve(plan.fixed_pages.min(pool.available()))?;
     // Make the quotas visible to the pool: one reservation per residual
     // partition of exactly its quota, together the staging budget.
-    let quotas = pool.carve_quotas(&plan.quotas);
+    let _quotas = pool.carve_quotas(&plan.quotas);
 
     let timer = obs.run_timer();
     let base_stats = device.stats();
@@ -228,7 +233,6 @@ where
         .unzip();
     drop(r_partition_span);
     let spill_span = obs.span(Phase::Spill);
-    let staged_pages = stager.pages_in_use();
     let mut build = stager.finish(stages)?;
     // Every spill handle is adopted here the moment it is finished, so an
     // error anywhere below — partitioning, probing, a faulted device —
@@ -249,18 +253,9 @@ where
             ht_mem.insert_ref(rec);
         }
     }
-    // The build side is complete: the quotas shrink to what the partitions
-    // hold now — a resident partition's table, a destaged one's output page
-    // — and the probe pre-filter takes its pages from what that frees, so
-    // it never shifts the partition geometry; with nothing freed the filter
-    // is skipped. Freeze the table into its vectorized probe layout and
-    // summarize its keys for the filter (order-invariant bit contents,
-    // hence thread-count invariant).
-    drop(quotas);
-    let _staged = pool.reserve(staged_pages.min(pool.available()))?;
-    let bloom_reservation = bloom.reserve(&pool);
+    // The build side is complete: freeze the table into its vectorized
+    // probe layout.
     ht_mem.seal();
-    let bloom = bloom.build(&ht_mem, &bloom_reservation, spec.page_size);
 
     // ---- Phase 2: partition / probe S (Algorithms 2 / 9) ------------------
     let s_disk = SharedWriterSet::new(
@@ -278,8 +273,7 @@ where
         &build.pob,
     );
     let s_morsels = PageMorsels::new(s, threads);
-    let ht_ref = &ht_mem;
-    let bloom_ref = &bloom;
+    let table = (!ht_mem.is_empty()).then_some(&ht_mem);
     let pob = &build.pob;
     let s_partition_span = obs.span(Phase::Partition);
     let s_workers = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
@@ -288,27 +282,19 @@ where
         let mut s_rest_out = s_rest.local();
         s_morsels.scan(|page| {
             for rec in page.record_refs() {
-                let dest = route(rec.key());
-                if let Route::Designated(p) = dest {
-                    s_disk_out.push(p, rec)?;
-                    continue;
-                }
-                // A bloom-negative key takes exactly the `matches == 0`
-                // route (the filter has no false negatives), so routing and
-                // modeled I/O are identical with the filter on or off.
-                let matches = if bloom_ref.as_ref().is_none_or(|b| b.may_contain(rec.key())) {
-                    ht_ref.probe_count(rec.key())
-                } else {
-                    0
-                };
+                // Probe first: a hit is all of the record's output.
+                let matches = table.map_or(0, |ht| ht.probe_count(rec.key()));
                 if matches > 0 {
                     output += matches;
-                } else if let Route::Residual(p) = dest {
-                    if pob[p] {
-                        s_rest_out.push(p, rec)?;
-                    }
-                    // else: the partition stayed in memory and the key had
-                    // no match.
+                    continue;
+                }
+                // Route on a miss.
+                match route(rec.key()) {
+                    Route::Designated(p) => s_disk_out.push(p, rec)?,
+                    Route::Residual(p) if pob[p] => s_rest_out.push(p, rec)?,
+                    // A cached key or a resident partition: the table held
+                    // every R record of the key, so it has no partner.
+                    Route::Cached | Route::Residual(_) => {}
                 }
             }
             Ok(())
@@ -389,4 +375,113 @@ fn record_partition_skew(
         rest.iter().flatten().count() as u64,
     );
     obs.count("staged_records", staged_records as u64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nocap_storage::hash::mix64;
+    use nocap_storage::{Record, RecordLayout, SimDevice};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const N_R: u64 = 2_000;
+
+    /// R holds the keys `0..N_R` once; S holds each of them three times and
+    /// then `extra` keys R lacks, once each.
+    fn relations(spec: &JoinSpec, extra: u64) -> (Relation, Relation) {
+        let device = SimDevice::new_ref();
+        let load = |layout: RecordLayout, keys: &mut dyn Iterator<Item = u64>| {
+            let payload = layout.payload_bytes();
+            let records = keys.map(|k| Record::with_fill(k, payload, 0));
+            Relation::bulk_load(device.clone(), layout, spec.page_size, records).unwrap()
+        };
+        let r = load(spec.r_layout, &mut (0..N_R));
+        let s = load(
+            spec.s_layout,
+            &mut (0..3).flat_map(|_| 0..N_R).chain(N_R..N_R + extra),
+        );
+        (r, s)
+    }
+
+    /// Runs `plan` with its route wrapped in a call counter and returns the
+    /// join output and the number of calls made.
+    fn count_route_calls(
+        spec: &JoinSpec,
+        r: &Relation,
+        s: &Relation,
+        plan: HybridPlan<impl Fn(u64) -> Route + Sync>,
+        threads: usize,
+    ) -> (u64, usize) {
+        let calls = AtomicUsize::new(0);
+        let counted = HybridPlan {
+            label: plan.label,
+            fixed_pages: plan.fixed_pages,
+            designated: plan.designated,
+            quotas: plan.quotas,
+            route: |key: u64| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                (plan.route)(key)
+            },
+        };
+        let report = hybrid_hash_join(spec, r, s, counted, threads, &Obs::off()).unwrap();
+        (report.output_records, calls.into_inner())
+    }
+
+    #[test]
+    fn with_every_key_cached_the_s_pass_never_routes() {
+        let spec = JoinSpec::paper_synthetic(128, 256);
+        let (r, s) = relations(&spec, 0);
+        for threads in [1, 2] {
+            let plan = HybridPlan {
+                label: "cached",
+                fixed_pages: spec.hash_table_pages(N_R as usize),
+                designated: 0,
+                quotas: vec![],
+                route: |_| Route::Cached,
+            };
+            let (output, calls) = count_route_calls(&spec, &r, &s, plan, threads);
+            assert_eq!(output, 3 * N_R);
+            assert_eq!(
+                calls, N_R as usize,
+                "T={threads}: one route per R record and none per S record"
+            );
+        }
+    }
+
+    #[test]
+    fn the_s_pass_routes_exactly_the_records_that_miss_the_table() {
+        // Keys below 200 are cached, 200..600 designated, and the rest are
+        // hashed over eight residual partitions: the first four with room
+        // to stay resident, the last four destaged by a one-page quota.
+        // S adds 300 keys R lacks.
+        let spec = JoinSpec::paper_synthetic(128, 256);
+        let extra = 300;
+        let (r, s) = relations(&spec, extra);
+        let residual = |key: u64| (mix64(key) % 8) as usize;
+        let route = |key: u64| match key {
+            0..200 => Route::Cached,
+            200..600 => Route::Designated((key % 4) as usize),
+            _ => Route::Residual(residual(key)),
+        };
+        let destaged_keys = (600..N_R).filter(|&k| residual(k) >= 4).count() as u64;
+        // Misses: every designated S record, every S record of a destaged
+        // partition and every key R lacks.
+        let misses = 3 * 400 + 3 * destaged_keys + extra;
+        for threads in [1, 2] {
+            let plan = HybridPlan {
+                label: "mixed",
+                fixed_pages: spec.hash_table_pages(200) + 4,
+                designated: 4,
+                quotas: vec![16, 16, 16, 16, 1, 1, 1, 1],
+                route,
+            };
+            let (output, calls) = count_route_calls(&spec, &r, &s, plan, threads);
+            assert_eq!(output, 3 * N_R);
+            assert_eq!(
+                calls as u64,
+                N_R + misses,
+                "T={threads}: one route per R record and per S record that missed"
+            );
+        }
+    }
 }

@@ -16,6 +16,11 @@
 //!   offset. Used as the second bloom-filter stream, so bloom bit positions
 //!   are independent of the routing hash even though both consume the same
 //!   key.
+//!
+//! [`KeyHasher`] puts [`mix64`] behind `std`'s `Hasher` trait for the
+//! routing tables keyed by join key.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The 64-bit golden-ratio constant (`⌊2^64/φ⌋`, forced odd): the SplitMix64
 /// increment and the multiplier of [`fib_bucket`].
@@ -71,6 +76,38 @@ pub fn murmur_mix64(key: u64) -> u64 {
 #[inline]
 pub fn fib_bucket(key: u64, shift: u32) -> usize {
     (key.wrapping_mul(FIB) >> shift) as usize
+}
+
+/// Hasher of the routing tables the hybrid hash join consults per record
+/// (NOCAP's route map, DHH's skew keys): one [`mix64`] round per `u64` join
+/// key in place of `std`'s SipHash. The tables are looked up once per R
+/// record and once per S record that misses the in-memory table, so the
+/// hash is on the hot path; their keys come from the planner's own MCV
+/// list, and `mix64` is a bijection, so distinct keys never share a full
+/// hash.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+/// The `BuildHasher` of a [`KeyHasher`] table.
+pub type BuildKeyHasher = BuildHasherDefault<KeyHasher>;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Not reached for `u64` keys (they arrive through `write_u64`).
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(self.0 ^ key);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[cfg(test)]
@@ -172,6 +209,14 @@ mod tests {
             (1..4_096u64).any(|k| (mix64(k) ^ murmur_mix64(k)) != first),
             "streams are a constant XOR apart"
         );
+    }
+
+    #[test]
+    fn key_hasher_hashes_a_key_with_the_routing_mix() {
+        use std::hash::BuildHasher;
+        for &k in &PROBE_KEYS {
+            assert_eq!(BuildKeyHasher::default().hash_one(k), mix64(k));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::thread::ThreadId;
 
 use nocap_suite::joins::testutil::assert_parallel_equivalence;
 use nocap_suite::joins::{naive_join_count, DhhJoin, GraceHashJoin, SortMergeJoin};
-use nocap_suite::model::{JoinRunReport, JoinSpec, ProbeBloom};
+use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::{IoAudit, Obs, Phase};
 use nocap_suite::stats::{StatsCollector, StatsConfig};
@@ -477,70 +477,6 @@ fn two_runs_of_one_join_on_one_device_compare_equal() {
         .run_parallel(&wl.r, &wl.s, &wl.mcvs, 2)
         .expect("parallel run");
     assert_eq!(first, parallel, "and a parallel run equals both");
-}
-
-#[test]
-fn probe_bloom_filter_changes_neither_output_nor_modeled_io() {
-    // The probe-side Bloom pre-filter is a pure CPU optimization: a filter
-    // miss takes exactly the `probe_count == 0` route, the reservation is
-    // clamped after the partition geometry is fixed, and the bits depend
-    // only on the build-side key multiset. So for every executor, workload
-    // and thread count, bloom-on and bloom-off runs must be bit-identical
-    // in output and per-phase modeled I/O. (GHJ caches nothing, so no S
-    // record ever probes a table and it runs without the filter.)
-    for (name, workload) in &workload_grid() {
-        let spec = JoinSpec::paper_synthetic(128, 48);
-        let assert_same = |label: &str, on: &JoinRunReport, off: &JoinRunReport| {
-            assert_eq!(
-                on.output_records, off.output_records,
-                "{label}: the bloom filter changed the join output"
-            );
-            assert_eq!(
-                on.partition_io, off.partition_io,
-                "{label}: the bloom filter changed the partition-phase I/O"
-            );
-            assert_eq!(
-                on.probe_io, off.probe_io,
-                "{label}: the bloom filter changed the probe-phase I/O"
-            );
-        };
-
-        // NOCAP: knob on NocapConfig (default on).
-        let on = NocapJoin::new(spec, NocapConfig::default());
-        let off = NocapJoin::new(
-            spec,
-            NocapConfig {
-                bloom: ProbeBloom::off(),
-                ..NocapConfig::default()
-            },
-        );
-        let wl = generate(workload);
-        let off_seq = off.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-off run");
-        let wl = generate(workload);
-        let on_seq = on.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-on run");
-        assert_same(&format!("nocap/{name}/seq"), &on_seq, &off_seq);
-        for threads in [2usize, 4] {
-            let wl = generate(workload);
-            let on_par = on
-                .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-                .expect("bloom-on parallel run");
-            assert_same(&format!("nocap/{name}/n={threads}"), &on_par, &off_seq);
-        }
-
-        // DHH: builder knob (default on).
-        let dhh_on = DhhJoin::with_defaults(spec);
-        let dhh_off = DhhJoin::with_defaults(spec).with_bloom(ProbeBloom::off());
-        let wl = generate(workload);
-        let off_seq = dhh_off.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-off run");
-        let wl = generate(workload);
-        let on_seq = dhh_on.run(&wl.r, &wl.s, &wl.mcvs).expect("bloom-on run");
-        assert_same(&format!("dhh/{name}/seq"), &on_seq, &off_seq);
-        let wl = generate(workload);
-        let on_par = dhh_on
-            .run_parallel(&wl.r, &wl.s, &wl.mcvs, 4)
-            .expect("bloom-on parallel run");
-        assert_same(&format!("dhh/{name}/n=4"), &on_par, &off_seq);
-    }
 }
 
 #[test]

@@ -26,15 +26,17 @@
 //!
 //! Coverage: skewed (Zipf 1.1), uniform and JCC-H (tuned skew) workloads,
 //! each checked against `run` (one worker on the calling thread) and
-//! `run_parallel` at 1, 2 and 4 threads.
+//! `run_parallel` at 1, 2 and 4 threads; and a Zipf workload whose hottest
+//! MCV is an S key R lacks, the one case in which a cached key's S records
+//! miss the in-memory table.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::iter::Peekable;
 
-use nocap_suite::joins::SortMergeJoin;
+use nocap_suite::joins::{naive_join_count, DhhJoin, SortMergeJoin};
 use nocap_suite::model::pairwise::smart_partition_join;
-use nocap_suite::model::JoinSpec;
+use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
@@ -72,8 +74,15 @@ fn legacy_nocap_run(
     let rest_budget = pool.available();
     let base_stats = device.stats();
 
-    let mem_set = plan.mem_key_set();
-    let disk_map = plan.disk_map();
+    // Routing straight from the plan's key lists, not from the route map
+    // the executor builds, so this stays an independent check of it.
+    let mem_set: HashSet<u64> = plan.mem_keys.iter().copied().collect();
+    let disk_map: HashMap<u64, usize> = plan
+        .disk_partitions
+        .iter()
+        .enumerate()
+        .flat_map(|(pid, keys)| keys.iter().map(move |&k| (k, pid)))
+        .collect();
     let m_disk = plan.num_designated();
 
     let geometry = RestGeometry::new(
@@ -104,7 +113,7 @@ fn legacy_nocap_run(
         if mem_set.contains(&rec.key()) {
             ht_mem.entry(rec.key()).or_default().push(rec);
         } else if let Some(&pid) = disk_map.get(&rec.key()) {
-            r_disk_writers[pid as usize].push(&rec).unwrap();
+            r_disk_writers[pid].push(&rec).unwrap();
         } else {
             let p = geometry.rh.partition_of(rec.key());
             if pob[p] {
@@ -170,11 +179,16 @@ fn legacy_nocap_run(
     for rec in s.scan() {
         let rec = rec.unwrap();
         if let Some(&pid) = disk_map.get(&rec.key()) {
-            s_disk_writers[pid as usize].push(&rec).unwrap();
+            s_disk_writers[pid].push(&rec).unwrap();
             continue;
         }
         if let Some(matches) = ht_mem.get(&rec.key()) {
             output += matches.len() as u64;
+            continue;
+        }
+        if mem_set.contains(&rec.key()) {
+            // Every R record of a cached key is in the table: a cached key
+            // that misses has no partner anywhere.
             continue;
         }
         let part = geometry.rh.partition_of(rec.key());
@@ -632,6 +646,103 @@ fn arena_sorter_matches_the_legacy_sorter_pipeline_exactly() {
                 assert_eq!(
                     par.probe_io, legacy_probe,
                     "{name}/B={budget}/n={threads}: fused-merge I/O diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A key S holds and R does not. [`with_ghost_key`] heads the MCV list
+/// with it.
+const GHOST_KEY: u64 = u64::MAX - 7;
+
+/// The Zipf workload with [`GHOST_KEY`] spliced into S as every 17th
+/// record and put at the head of the MCV list: the hottest key the
+/// statistics report has no R record, so a planner that caches it sends S
+/// records to the in-memory table that can only miss.
+fn with_ghost_key() -> GeneratedWorkload {
+    let wl = generate(&Workload::Synthetic(Correlation::Zipf { alpha: 1.1 }), 128);
+    let payload = wl.s.layout().payload_bytes();
+    let mut records = Vec::new();
+    for (i, rec) in wl.s.scan().enumerate() {
+        if i % 16 == 0 {
+            records.push(Record::with_fill(GHOST_KEY, payload, 3));
+        }
+        records.push(rec.expect("scan S"));
+    }
+    let ghosts = (records.len() - wl.s.num_records()) as u64;
+    let device = wl.s.device().clone();
+    let s = Relation::bulk_load(device.clone(), wl.s.layout(), wl.s.page_size(), records)
+        .expect("S with the ghost key");
+    let mcvs = std::iter::once((GHOST_KEY, ghosts))
+        .chain(wl.mcvs.iter().copied())
+        .collect();
+    device.reset_stats();
+    GeneratedWorkload { s, mcvs, ..wl }
+}
+
+#[test]
+fn a_cached_s_key_that_r_lacks_is_dropped_by_every_hybrid_join() {
+    // Synthetic MCVs always exist in R, so this is the one workload where a
+    // cached key's S records miss the table. NOCAP, DHH and Histojoin must
+    // drop them — not spill them to a destaged residual partition — so the
+    // output is the oracle's, NOCAP's per-phase I/O is the reference's, and
+    // every join reports the same at every thread count.
+    let wl = with_ghost_key();
+    assert!(wl
+        .r
+        .scan()
+        .all(|rec| rec.expect("scan R").key() != GHOST_KEY));
+    let expected = naive_join_count(&wl.r, &wl.s).expect("oracle");
+    for budget in [32usize, 96] {
+        let spec = JoinSpec::paper_synthetic(128, budget);
+        let config = NocapConfig::default();
+        let n_s = wl.s.num_records() as u64;
+        let plan = plan_nocap(&wl.mcvs, wl.r.num_records(), n_s, &spec, &config.planner);
+        assert!(
+            plan.mem_keys.contains(&GHOST_KEY),
+            "B={budget}: NOCAP must cache the ghost key for this test to bite"
+        );
+        let (ref_out, ref_part, ref_probe) =
+            legacy_nocap_run(&spec, &config, &wl.r, &wl.s, &wl.mcvs);
+        assert_eq!(ref_out, expected, "B={budget}: the reference is correct");
+
+        let nocap = NocapJoin::new(spec, config);
+        let dhh = DhhJoin::with_defaults(spec);
+        let histojoin = DhhJoin::histojoin(spec);
+        type Run<'a> = &'a dyn Fn(Option<usize>) -> Result<JoinRunReport>;
+        let runs: [(&str, Run); 3] = [
+            ("nocap", &|t| match t {
+                None => nocap.run(&wl.r, &wl.s, &wl.mcvs),
+                Some(n) => nocap.run_parallel(&wl.r, &wl.s, &wl.mcvs, n),
+            }),
+            ("dhh", &|t| match t {
+                None => dhh.run(&wl.r, &wl.s, &wl.mcvs),
+                Some(n) => dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, n),
+            }),
+            ("histojoin", &|t| match t {
+                None => histojoin.run(&wl.r, &wl.s, &wl.mcvs),
+                Some(n) => histojoin.run_parallel(&wl.r, &wl.s, &wl.mcvs, n),
+            }),
+        ];
+        for (algo, run) in runs {
+            let sequential = run(None).expect(algo);
+            assert_eq!(
+                sequential.output_records, expected,
+                "{algo}/B={budget}: join output"
+            );
+            if algo == "nocap" {
+                assert_eq!(
+                    (sequential.partition_io, sequential.probe_io),
+                    (ref_part, ref_probe),
+                    "B={budget}: NOCAP's per-phase I/O diverged from the reference"
+                );
+            }
+            for threads in [1usize, 2, 3, 8] {
+                let parallel = run(Some(threads)).expect(algo);
+                assert_eq!(
+                    parallel, sequential,
+                    "{algo}/B={budget}/T={threads}: whole report"
                 );
             }
         }
