@@ -129,13 +129,18 @@ fn main() {
     };
     let record_bytes = 256;
     let buffer_pages = 96;
+    // SMJ gets a budget of its own, small enough that both inputs cascade
+    // through two levels of several groups each (at `--quick`, R's runs go
+    // 61 → 6 → 1 and S's 485 → 45 → 5), so every run of this bin exercises
+    // the cascade's group fan-out and the fused merge's key-range split.
+    let smj_buffer_pages = 12;
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
     println!(
         "# exp_parallel_scaling: n_R = {n_r}, n_S = {n_s}, {record_bytes}-byte records, \
-         B = {buffer_pages} pages, Zipf(1.0), best of {repeats} runs"
+         B = {buffer_pages} pages (SMJ: {smj_buffer_pages}), Zipf(1.0), best of {repeats} runs"
     );
     println!("# detected available parallelism: {cores} hardware thread(s)");
     println!("# device: {}", device_mode().label());
@@ -199,8 +204,8 @@ fn main() {
             .expect("traced DHH")
     });
 
-    // ---- SMJ (parallel sort-run generation) ---------------------------
-    let smj = SortMergeJoin::new(spec);
+    // ---- SMJ (run generation, cascade groups, fused-merge key ranges) -
+    let smj = SortMergeJoin::new(JoinSpec::paper_synthetic(record_bytes, smj_buffer_pages));
     device.reset_stats();
     let smj_sequential = smj.run(&wl.r, &wl.s).expect("sequential SMJ");
     assert_eq!(smj_sequential.output_records, wl.expected_join_output());

@@ -48,4 +48,4 @@ pub use dhh::{DhhConfig, DhhJoin};
 pub use ghj::GraceHashJoin;
 pub use naive::naive_join_count;
 pub use nbj::NestedBlockJoin;
-pub use smj::{merge_join_runs, SortMergeJoin, SMJ_MIN_BUDGET_PAGES};
+pub use smj::{SortMergeJoin, SMJ_MIN_BUDGET_PAGES};

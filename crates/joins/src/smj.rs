@@ -15,27 +15,50 @@
 //! fused merge drives two [`LoserTree`]s of page-mode run cursors, reading
 //! only the 8-byte keys — payload bytes never move during the join itself.
 //!
-//! [`SortMergeJoin::run_parallel`] parallelizes run generation: workers
-//! claim chunks of the **fixed** page grid
-//! ([`run_chunks`] — chunk `i` always covers
-//! pages `[i·(B−1), (i+1)·(B−1))`) from an atomic cursor and sort them
-//! independently; the runs are collected in canonical chunk order, so the
-//! merge cascade and the fused join see exactly the byte sequence a
-//! one-worker run produces. Output and per-phase modeled I/O are
-//! therefore bit-identical to [`run`](SortMergeJoin::run) — the same body
-//! at one worker — at every worker count. (Each worker owns one chunk-sized sort arena, so peak sort memory
-//! is `n · (B − 1)` pages at `n` workers — the classic memory/time trade of
-//! parallel run generation; the modeled I/O is unaffected.)
+//! [`SortMergeJoin::run_parallel`] runs every phase on its workers, and
+//! each phase's work is cut by the data and the budget, never by the
+//! worker count:
+//!
+//! 1. **Run generation.** Workers claim chunks of the **fixed** page grid
+//!    ([`run_chunks`] — chunk `i` always covers pages
+//!    `[i·(B−1), (i+1)·(B−1))`) from an atomic cursor and sort them
+//!    independently; the runs are collected in canonical chunk order.
+//! 2. **Merge cascade.** Each level cuts its runs into groups of up to
+//!    `B − 1` and the workers claim groups the same way. A group reads
+//!    only its own runs and writes one run, which lands at its group
+//!    index, so every group's I/O and the next level's runs are those of
+//!    a one-worker cascade.
+//! 3. **Fused merge-join.** The final runs recorded the first key of each
+//!    page as they were written; `T − 1` splitter keys at page-weighted
+//!    quantiles of those fences cut the key space into `T` ranges, and
+//!    each worker counts the matches of one range with one loser tree per
+//!    input over its slices of the runs. A page that straddles a splitter
+//!    is read once, before the fan-out, and handed to both sides; every
+//!    other page is read by the one slice that owns it. The merge drains
+//!    S to its end — S keys above R's largest match nothing, but their
+//!    pages are read anyway — so each final-run page is read exactly once
+//!    at every `T`. At `T = 1` there is one slice per run.
+//!
+//! Output and per-phase modeled I/O are therefore bit-identical to
+//! [`run`](SortMergeJoin::run) — the same body at one worker — at every
+//! worker count. The physical memory is not: each worker owns one
+//! chunk-sized sort arena during run generation, and each concurrent group
+//! merge holds up to `B` pages (its input cursors and output page), so a
+//! phase holds up to `T × B` pages at `T` workers — S's two groups on the
+//! benchmark's `zipf_par2` keep both groups' inputs and outputs alive at
+//! once. That is the classic memory/time trade of parallel sorting; the
+//! modeled I/O is unaffected.
 
 use std::sync::Mutex;
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{ordered_tasks, resolve_threads};
-use nocap_storage::sort::{run_chunks, sort_chunk, ExternalSorter, LoserTree, SortScratch};
-use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, PartitionHandle, Relation, SpillGuard,
+use nocap_par::{ordered_tasks, resolve_threads, sum_tasks};
+use nocap_storage::sort::{
+    fence_splitters, run_chunks, sort_chunk, split_runs, ExternalSorter, GroupMerge, LoserTree,
+    RunSlice, SortScratch, SortedRun,
 };
+use nocap_storage::{into_inner_unpoisoned, lock_unpoisoned, Relation, SpillGuard};
 
 /// Smallest buffer budget SMJ accepts, in pages.
 ///
@@ -46,20 +69,15 @@ use nocap_storage::{
 /// configuration error and panic instead of being silently inflated.
 pub const SMJ_MIN_BUDGET_PAGES: usize = 5;
 
-/// Counts the join output of two sets of sorted runs by driving the fused
-/// k-way merge over both: records stream out of the run pages in key order
-/// and only their keys are ever decoded.
+/// Counts the join output of one key range of the sorted runs by driving
+/// the fused k-way merge over both inputs' slices: records stream out of
+/// the run pages in key order and only their keys are ever decoded.
 ///
 /// Duplicate keys on both sides are supported: the S group for a key is
-/// counted once and reused for every R record carrying that key. Exposed so
-/// the CPU-throughput benches can measure the fused merge kernel in
-/// isolation.
-pub fn merge_join_runs(
-    r_runs: &[PartitionHandle],
-    s_runs: &[PartitionHandle],
-) -> nocap_storage::Result<u64> {
-    let mut r_merge = LoserTree::new(r_runs)?;
-    let mut s_merge = LoserTree::new(s_runs)?;
+/// counted once and reused for every R record carrying that key.
+fn merge_join_runs(r_slices: &[RunSlice], s_slices: &[RunSlice]) -> nocap_storage::Result<u64> {
+    let mut r_merge = LoserTree::new(r_slices.iter().cloned())?;
+    let mut s_merge = LoserTree::new(s_slices.iter().cloned())?;
     let mut output = 0u64;
     let mut s_group_key: Option<u64> = None;
     let mut s_group_count = 0u64;
@@ -81,6 +99,10 @@ pub fn merge_join_runs(
         }
         output += s_group_count;
     }
+    // S records above R's largest key match nothing, but their pages are
+    // read all the same: the reads of a range then do not depend on where
+    // the ranges end, so they add up to one read per page at every `T`.
+    while s_merge.next_key()?.is_some() {}
     Ok(output)
 }
 
@@ -123,10 +145,12 @@ impl SortMergeJoin {
         self.run_inner(r, s, 1, obs)
     }
 
-    /// Executes `r ⋈ s` with `threads` workers generating sort runs
-    /// concurrently (`0` selects [`nocap_par::default_threads`]).
+    /// Executes `r ⋈ s` with `threads` workers (`0` selects
+    /// [`nocap_par::default_threads`]) generating sort runs, merging
+    /// cascade groups and merge-joining key ranges concurrently.
     ///
-    /// Workers claim chunks of the fixed run-generation page grid, so the
+    /// Workers claim chunks of the fixed run-generation page grid, groups
+    /// of the fixed cascade and key ranges cut at run-page fences, so the
     /// join output and the per-phase modeled I/O are bit-identical to
     /// [`run`](Self::run) for every thread count.
     ///
@@ -144,8 +168,9 @@ impl SortMergeJoin {
     }
 
     /// [`run_parallel`](Self::run_parallel) with an observability channel:
-    /// every worker's claimed sort chunks appear as tasks on its timeline in
-    /// addition to the main-thread phase spans of [`run_obs`](Self::run_obs).
+    /// every worker's claimed sort chunks, cascade groups and key ranges
+    /// appear as tasks on its timeline in addition to the main-thread phase
+    /// spans of [`run_obs`](Self::run_obs).
     ///
     /// # Panics
     ///
@@ -196,23 +221,31 @@ impl SortMergeJoin {
         // runs too; the guard replaces the old success-path delete loop.
         let mut run_guard = SpillGuard::new();
         let r_runs = sorted_runs(r, budget, r_share, threads, obs)?;
-        run_guard.adopt_all(r_runs.iter().cloned());
+        run_guard.adopt_all(r_runs.iter().map(|run| run.handle().clone()));
         let s_runs = sorted_runs(s, budget, s_share, threads, obs)?;
-        run_guard.adopt_all(s_runs.iter().cloned());
+        run_guard.adopt_all(s_runs.iter().map(|run| run.handle().clone()));
         let partition_io = device.stats().since(&base);
         if obs.is_recording() {
             obs.values(
                 "final_run_pages",
-                r_runs.iter().chain(s_runs.iter()).map(|h| h.pages() as u64),
+                r_runs
+                    .iter()
+                    .chain(&s_runs)
+                    .map(|run| run.handle().pages() as u64),
             );
             obs.count("final_runs", (r_runs.len() + s_runs.len()) as u64);
         }
 
-        // Fused final merge + join.
+        // Fused final merge + join, one key range per worker.
         let probe_base = device.stats();
         let output = {
             let _merge_span = obs.span(Phase::Merge);
-            merge_join_runs(&r_runs, &s_runs)?
+            let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
+            let r_ranges = split_runs(&r_runs, &splitters)?;
+            let s_ranges = split_runs(&s_runs, &splitters)?;
+            sum_tasks(threads, obs, Phase::Merge, r_ranges.len(), |i| {
+                merge_join_runs(&r_ranges[i], &s_ranges[i])
+            })?
         };
         let probe_io = device.stats().since(&probe_base);
 
@@ -229,16 +262,17 @@ impl SortMergeJoin {
 }
 
 /// Generates this relation's sorted runs with `threads` workers claiming
-/// fixed grid chunks in canonical order, then runs the sequential merge
-/// cascade until the runs fit `share` — exactly the artifact
-/// `ExternalSorter::sort_to_runs` produces, at any worker count.
+/// fixed grid chunks in canonical order, then runs the merge cascade until
+/// the runs fit `share`, the workers claiming each level's groups —
+/// exactly the artifact `ExternalSorter::sort_to_runs` produces, at any
+/// worker count.
 fn sorted_runs(
     relation: &Relation,
     budget: usize,
     share: usize,
     threads: usize,
     obs: &Obs,
-) -> nocap_storage::Result<Vec<PartitionHandle>> {
+) -> nocap_storage::Result<Vec<SortedRun>> {
     let chunks = run_chunks(relation.num_pages(), budget);
     // `ordered_tasks` drops the already-completed results when a task
     // fails (or siblings are cancelled) — and each result here owns a run
@@ -255,7 +289,7 @@ fn sorted_runs(
             SortScratch::new,
             |scratch, i| {
                 let run = sort_chunk(relation, chunks[i].clone(), scratch)?;
-                lock_unpoisoned(&chunk_guard).adopt(run.clone());
+                lock_unpoisoned(&chunk_guard).adopt(run.handle().clone());
                 Ok(run)
             },
         )?
@@ -264,12 +298,18 @@ fn sorted_runs(
     // fail-clean), so disarm the run-generation guard.
     let _ = into_inner_unpoisoned(chunk_guard).release();
     if obs.is_recording() {
-        obs.values("run_pages", runs.iter().map(|h| h.pages() as u64));
+        obs.values(
+            "run_pages",
+            runs.iter().map(|run| run.handle().pages() as u64),
+        );
         obs.count("initial_runs", runs.len() as u64);
     }
     let _merge_span = obs.span(Phase::Merge);
+    let groups = |count: usize, merge: &GroupMerge<'_>| {
+        ordered_tasks(threads, obs, Phase::Merge, count, || (), |_, g| merge(g))
+    };
     let mut sorter = ExternalSorter::new(relation.device().clone(), budget);
-    Ok(sorter.merge_to_fan_in(runs, share)?.runs)
+    Ok(sorter.merge_to_fan_in(runs, share, groups)?.runs)
 }
 
 #[cfg(test)]

@@ -44,8 +44,9 @@
 //!   buffers ([`RadixRouter`]) that batch records in front of any
 //!   partition sink without changing per-partition arrival order.
 //! * [`sort`] — external sort (arena-backed run generation over a fixed
-//!   chunk grid + loser-tree multiway merge) used by the sort-merge join
-//!   baseline.
+//!   chunk grid + loser-tree multiway merge, with cascade groups and
+//!   fence-cut key ranges that callers may merge on any number of
+//!   workers) used by the sort-merge join baseline.
 //! * [`traced`] — [`TracedDevice`], a purely observational [`BlockDevice`]
 //!   wrapper that reports every page access (file, page, declared
 //!   [`IoKind`], optional measured latency) to an attached [`IoEventSink`];
@@ -108,7 +109,10 @@ pub use page::{Page, DEFAULT_PAGE_SIZE};
 pub use radix::RadixRouter;
 pub use record::{Record, RecordBatch, RecordLayout, RecordRef};
 pub use relation::{Relation, RelationBuilder, RelationScan};
-pub use sort::{run_chunks, sort_chunk, ExternalSorter, LoserTree, MergeIterator, SortScratch};
+pub use sort::{
+    run_chunks, sort_chunk, ExternalSorter, LoserTree, MergeIterator, RunSlice, SortScratch,
+    SortedRun,
+};
 pub use spill::{PartitionHandle, PartitionReader, PartitionWriter, SpillGuard};
 pub use sync::{into_inner_unpoisoned, lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 pub use traced::{IoEventSink, IoMarkerKind, IoOp, TracedDevice};

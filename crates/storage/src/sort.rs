@@ -19,9 +19,10 @@
 //!   reproduces the stable-by-key order exactly (the tuple order is total),
 //!   so run contents are identical to the pre-arena stable sorter. Payloads
 //!   are moved once, by [`PartitionWriter::push_ref`], when the run spills.
-//! * **Merging** drives a [`LoserTree`] of per-run page-mode cursors
-//!   (`RunCursor`) that yield [`RecordRef`]s straight out of the run pages
-//!   — `log₂ k` key comparisons per record, zero copies, zero allocations.
+//! * **Merging** drives a [`LoserTree`] of page-mode cursors (`RunCursor`)
+//!   that yield [`RecordRef`]s straight out of the run pages — `log₂ k` key
+//!   comparisons per record, zero copies, zero allocations. A cursor walks
+//!   a [`RunSlice`]; a whole run is the one-slice case.
 //!
 //! The chunk grid of run generation ([`run_chunks`]) is **fixed by the data
 //! and the budget, never by the worker count**: chunk `i` covers pages
@@ -31,20 +32,42 @@
 //! every thread count — the same fixed-grid discipline as the sharded
 //! statistics collector.
 //!
+//! The merge phase fans out the same way, at two grains:
+//!
+//! * **Cascade groups.** Each cascade level cuts its runs into groups of up
+//!   to `B − 1` and merges every group on its own: a group reads only its
+//!   runs and writes one run, so groups are independent and the caller's
+//!   fan-out ([`ExternalSorter::merge_to_fan_in`]) may merge them on any
+//!   number of workers. The merged runs land at their group index, so the
+//!   next level sees the same runs in the same order and every I/O count
+//!   is the one-worker count. Concurrent groups each hold up to `B` pages
+//!   (their input cursors plus the output page), `T × B` at `T` workers —
+//!   the same trade as parallel run generation.
+//! * **Key ranges.** Every run records its **fences** — the first key of
+//!   each page — while it is written ([`SortedRun::fences`]), at no I/O.
+//!   [`fence_splitters`] picks splitter keys at page-weighted quantiles of
+//!   the fences and [`split_runs`] cuts every run at them into
+//!   [`RunSlice`]s. Only a page that straddles a splitter has to be read to
+//!   find the cut; `split_runs` reads it once and hands it to the slices on
+//!   both sides, and every other page is read by the one slice that owns
+//!   it. Merging each key range on its own therefore reads every run page
+//!   exactly once, whatever the number of ranges.
+//!
 //! Run files are written sequentially ([`IoKind::SeqWrite`]); merge reads
 //! interleave across runs and are counted as random reads
 //! ([`IoKind::RandRead`]), matching the paper's observation that SMJ's reads
 //! are ≈1.2× slower than GHJ's sequential reads.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::device::DeviceRef;
 use crate::iostats::IoKind;
-use crate::page::Page;
+use crate::page::{records_per_page, Page};
 use crate::record::{Record, RecordBatch, RecordLayout, RecordRef};
 use crate::relation::Relation;
-use crate::spill::{PartitionHandle, PartitionReader, PartitionWriter};
+use crate::spill::{PartitionHandle, PartitionWriter, SpillGuard};
+use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use crate::Result;
 
 /// Splits `0..num_pages` into the fixed run-generation chunk grid: each
@@ -92,6 +115,80 @@ impl SortScratch {
     }
 }
 
+/// A sorted run file and its fences: the first key of each of its pages,
+/// recorded while the run was written.
+#[derive(Clone, Debug)]
+pub struct SortedRun {
+    handle: PartitionHandle,
+    fences: Vec<u64>,
+}
+
+impl SortedRun {
+    /// The run file.
+    pub fn handle(&self) -> &PartitionHandle {
+        &self.handle
+    }
+
+    /// The first key of each page, in page order (non-decreasing).
+    pub fn fences(&self) -> &[u64] {
+        &self.fences
+    }
+
+    /// Number of records in the run.
+    pub fn records(&self) -> usize {
+        self.handle.records()
+    }
+
+    /// Deletes the run file from the device.
+    pub fn delete(self) -> Result<()> {
+        self.handle.delete()
+    }
+}
+
+/// A run being written in key order: a sequential [`PartitionWriter`] that
+/// notes the key of every record that opens a page. Records are fixed-size
+/// and pages are flushed only when full, so a page opens every
+/// `records_per_page` records.
+struct RunWriter {
+    writer: PartitionWriter,
+    fences: Vec<u64>,
+    per_page: usize,
+    /// Records that still fit on the page being filled.
+    room: usize,
+}
+
+impl RunWriter {
+    /// A writer for a run of `records` records; its fences are allocated
+    /// once, at their final size.
+    fn new(device: DeviceRef, layout: RecordLayout, page_size: usize, records: usize) -> Self {
+        let per_page = records_per_page(page_size, layout.record_bytes());
+        RunWriter {
+            writer: PartitionWriter::new(device, layout, page_size, IoKind::SeqWrite),
+            fences: Vec::with_capacity(records.div_ceil(per_page)),
+            per_page,
+            room: 0,
+        }
+    }
+
+    fn push(&mut self, record: RecordRef<'_>) -> Result<()> {
+        if self.room == 0 {
+            self.fences.push(record.key());
+            self.room = self.per_page;
+        }
+        self.room -= 1;
+        self.writer.push_ref(record)
+    }
+
+    fn finish(self) -> Result<SortedRun> {
+        let handle = self.writer.finish()?;
+        debug_assert_eq!(handle.pages(), self.fences.len(), "one fence per page");
+        Ok(SortedRun {
+            handle,
+            fences: self.fences,
+        })
+    }
+}
+
 /// Sorts one chunk of `relation` (a page range from [`run_chunks`]) into a
 /// sorted run file, using `scratch` for the arena and the pair array.
 ///
@@ -104,7 +201,7 @@ pub fn sort_chunk(
     relation: &Relation,
     pages: Range<usize>,
     scratch: &mut SortScratch,
-) -> Result<PartitionHandle> {
+) -> Result<SortedRun> {
     let layout = relation.layout();
     scratch.batch_for(layout);
     scratch.pairs.clear();
@@ -121,16 +218,27 @@ pub fn sort_chunk(
         "sort chunk exceeds the u32 payload-index range"
     );
     scratch.pairs.sort_unstable();
-    let mut writer = PartitionWriter::new(
+    let mut writer = RunWriter::new(
         relation.device().clone(),
         layout,
         relation.page_size(),
-        IoKind::SeqWrite,
+        batch.len(),
     );
     for &(_, idx) in &scratch.pairs {
-        writer.push_ref(batch.get(idx as usize))?;
+        writer.push(batch.get(idx as usize))?;
     }
     writer.finish()
+}
+
+/// One group merge of a cascade level: `merge(g)` merges group `g` into
+/// one run. Each call reads only its group's runs, so calls are independent
+/// and may run concurrently.
+pub type GroupMerge<'a> = dyn Fn(usize) -> Result<SortedRun> + Sync + 'a;
+
+/// The one-worker group fan-out: merges groups `0..groups` in order on the
+/// calling thread.
+pub fn serial_groups(groups: usize, merge: &GroupMerge<'_>) -> Result<Vec<SortedRun>> {
+    (0..groups).map(merge).collect()
 }
 
 /// External sorter with a fixed page budget.
@@ -145,8 +253,8 @@ pub struct ExternalSorter {
 
 /// Outcome of [`ExternalSorter::sort_to_runs`]: the runs plus bookkeeping.
 pub struct SortedRuns {
-    /// Sorted run files, each internally ordered by key.
-    pub runs: Vec<PartitionHandle>,
+    /// Sorted runs, each internally ordered by key.
+    pub runs: Vec<SortedRun>,
     /// Number of intermediate merge passes that were necessary before the
     /// run count fit the merge fan-in (0 when run generation was enough).
     pub merge_passes: usize,
@@ -171,8 +279,8 @@ impl ExternalSorter {
         self.passes
     }
 
-    /// Sorts `relation` into runs, merging intermediate runs until at most
-    /// `max_final_runs` remain, and returns them.
+    /// Sorts `relation` into runs, merging intermediate runs on the calling
+    /// thread until at most `max_final_runs` remain, and returns them.
     ///
     /// `max_final_runs` is typically `B − 1` for a single-relation sort or a
     /// smaller share when two relations are sorted for the same merge join.
@@ -183,24 +291,32 @@ impl ExternalSorter {
     ) -> Result<SortedRuns> {
         let runs = self.generate_runs(relation)?;
         self.passes += 1;
-        self.merge_to_fan_in(runs, max_final_runs)
+        self.merge_to_fan_in(runs, max_final_runs, serial_groups)
     }
 
-    /// Merges already-generated `runs` until at most `max_final_runs` remain.
+    /// Merges already-generated `runs` until at most `max_final_runs`
+    /// remain — the cascade's one level loop.
     ///
-    /// This is the second half of [`sort_to_runs`](Self::sort_to_runs),
-    /// exposed so a parallel executor can generate the runs itself (workers
-    /// claiming [`run_chunks`] in canonical order) and still share the exact
-    /// sequential merge cascade.
-    pub fn merge_to_fan_in(
+    /// `fan_out(groups, merge)` runs one level's `groups` independent group
+    /// merges and returns their runs in group order: [`serial_groups`] on
+    /// the calling thread, or any worker pool that keeps that order (SMJ
+    /// passes `nocap_par::ordered_tasks`). The runs, and every I/O count,
+    /// are the same whichever fan-out merges them, so a parallel executor
+    /// can generate the runs itself (workers claiming [`run_chunks`] in
+    /// canonical order) and still share this exact cascade.
+    pub fn merge_to_fan_in<F>(
         &mut self,
-        mut runs: Vec<PartitionHandle>,
+        mut runs: Vec<SortedRun>,
         max_final_runs: usize,
-    ) -> Result<SortedRuns> {
-        assert!(max_final_runs >= 2, "need at least a two-way final merge");
+        fan_out: F,
+    ) -> Result<SortedRuns>
+    where
+        F: Fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>,
+    {
+        assert!(max_final_runs >= 1, "a cascade leaves at least one run");
         let mut merge_passes = 0;
         while runs.len() > max_final_runs {
-            runs = self.merge_pass(runs)?;
+            runs = self.merge_pass(runs, &fan_out)?;
             merge_passes += 1;
             self.passes += 1;
         }
@@ -209,25 +325,21 @@ impl ExternalSorter {
 
     /// Fully sorts a relation and returns a single run containing all records
     /// in key order (convenience for tests and examples).
-    pub fn sort_fully(&mut self, relation: &Relation) -> Result<PartitionHandle> {
-        let SortedRuns { mut runs, .. } = self.sort_to_runs(relation, 2)?;
-        while runs.len() > 1 {
-            runs = self.merge_pass(runs)?;
-            self.passes += 1;
-        }
+    pub fn sort_fully(&mut self, relation: &Relation) -> Result<SortedRun> {
+        let SortedRuns { mut runs, .. } = self.sort_to_runs(relation, 1)?;
         Ok(runs.pop().expect("at least one run"))
     }
 
     /// Phase 1: sort each chunk of the fixed page grid and write it out as a
     /// run — the sequential walk over [`run_chunks`], one reused scratch.
     /// Fail-clean: a mid-grid error deletes the runs already written.
-    fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<PartitionHandle>> {
+    fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<SortedRun>> {
         let mut scratch = SortScratch::new();
-        let mut guard = crate::SpillGuard::new();
+        let mut guard = SpillGuard::new();
         let mut runs = Vec::new();
         for chunk in run_chunks(relation.num_pages(), self.budget_pages) {
             let run = sort_chunk(relation, chunk, &mut scratch)?;
-            guard.adopt(run.clone());
+            guard.adopt(run.handle.clone());
             runs.push(run);
         }
         let _ = guard.release();
@@ -235,128 +347,287 @@ impl ExternalSorter {
     }
 
     /// Phase 2: one merge pass combining groups of up to `B − 1` runs into
-    /// longer runs. Fail-clean: an error anywhere in the pass deletes both
-    /// the input runs and the merged runs produced so far (double-deleting
-    /// an input a successful group merge already removed is ignored).
-    fn merge_pass(&mut self, runs: Vec<PartitionHandle>) -> Result<Vec<PartitionHandle>> {
-        let mut guard = crate::SpillGuard::new();
-        guard.adopt_all(runs.iter().cloned());
-        let fan_in = (self.budget_pages - 1).max(2);
-        let mut next_level = Vec::new();
-        let mut group = Vec::new();
-        let mut geometry = None;
+    /// longer runs, the groups merged by `fan_out`. A trailing group of one
+    /// run passes through unmerged. Fail-clean: an error anywhere in the
+    /// pass, on any worker, deletes both the input runs and every merged
+    /// run written so far (double-deleting an input a finished group merge
+    /// already removed is ignored).
+    fn merge_pass<F>(&self, runs: Vec<SortedRun>, fan_out: &F) -> Result<Vec<SortedRun>>
+    where
+        F: Fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>,
+    {
+        let mut inputs = SpillGuard::new();
+        inputs.adopt_all(runs.iter().map(|run| run.handle.clone()));
 
         // Figure out layout/page size from the first non-empty run by reading
         // its first page; all runs of one sort share the same geometry. A
         // one-off page fetch is a random access at the device — declaring it
         // sequential would misprice it and trip the I/O declaration audit.
-        for run in &runs {
-            if run.records() > 0 {
-                let page = run
-                    .read(IoKind::RandRead)
-                    .next_page()?
-                    .expect("non-empty run has a page");
-                geometry = Some((page.record_layout(), page.size()));
-                break;
-            }
-        }
-        let (layout, page_size) = match geometry {
-            Some(g) => g,
+        let Some(first) = runs.iter().find(|run| run.records() > 0) else {
             // All runs empty: nothing to merge.
-            None => {
-                let _ = guard.release();
-                return Ok(runs);
-            }
+            let _ = inputs.release();
+            return Ok(runs);
         };
+        let page = first.handle.read_page(0, IoKind::RandRead)?;
+        let (layout, page_size) = (page.record_layout(), page.size());
 
-        for run in runs {
-            group.push(run);
-            if group.len() == fan_in {
-                let merged = self.merge_group(std::mem::take(&mut group), layout, page_size)?;
-                guard.adopt(merged.clone());
-                next_level.push(merged);
-            }
-        }
-        if group.len() == 1 {
-            next_level.push(group.pop().expect("single leftover run"));
-        } else if !group.is_empty() {
-            let merged = self.merge_group(group, layout, page_size)?;
-            guard.adopt(merged.clone());
-            next_level.push(merged);
-        }
-        let _ = guard.release();
+        let groups: Vec<&[SortedRun]> = runs.chunks((self.budget_pages - 1).max(2)).collect();
+        let merged = groups.len() - usize::from(groups.last().is_some_and(|g| g.len() == 1));
+        let outputs = Mutex::new(SpillGuard::new());
+        let mut next_level = fan_out(merged, &|g| {
+            let run = self.merge_group(groups[g], layout, page_size)?;
+            lock_unpoisoned(&outputs).adopt(run.handle.clone());
+            Ok(run)
+        })?;
+        next_level.extend(groups[merged..].iter().flat_map(|g| g.iter().cloned()));
+        let _ = into_inner_unpoisoned(outputs).release();
+        let _ = inputs.release();
         Ok(next_level)
     }
 
     fn merge_group(
         &self,
-        runs: Vec<PartitionHandle>,
+        runs: &[SortedRun],
         layout: RecordLayout,
         page_size: usize,
-    ) -> Result<PartitionHandle> {
+    ) -> Result<SortedRun> {
         // The input runs are consumed whether the merge succeeds (their
-        // records now live in the merged run) or fails (the caller's guard
+        // records now live in the merged run) or fails (the pass's guard
         // is about to delete everything anyway); the writer deletes its own
         // partial output file on drop if `finish` is never reached.
-        let mut guard = crate::SpillGuard::new();
-        guard.adopt_all(runs.iter().cloned());
-        let mut writer =
-            PartitionWriter::new(self.device.clone(), layout, page_size, IoKind::SeqWrite);
-        let mut tree = LoserTree::new(&runs)?;
+        let mut consumed = SpillGuard::new();
+        consumed.adopt_all(runs.iter().map(|run| run.handle.clone()));
+        let records = runs.iter().map(SortedRun::records).sum();
+        let mut writer = RunWriter::new(self.device.clone(), layout, page_size, records);
+        let mut tree = LoserTree::new(runs.iter().map(|run| RunSlice::whole(&run.handle)))?;
         while let Some(rec) = tree.next_ref()? {
-            writer.push_ref(rec)?;
+            writer.push(rec)?;
         }
         let merged = writer.finish()?;
-        drop(guard);
+        drop(consumed);
         Ok(merged)
     }
 }
 
-/// Page-mode cursor over one sorted run: the current page is held as an
+/// The `parts − 1` splitter keys that cut `runs` into `parts` key ranges of
+/// about equal page counts: page-weighted quantiles of the runs' fences.
+/// Empty when `parts ≤ 1` or the runs have no pages. Equal splitters are
+/// allowed; the range between them is empty.
+pub fn fence_splitters<'a>(
+    runs: impl IntoIterator<Item = &'a SortedRun>,
+    parts: usize,
+) -> Vec<u64> {
+    if parts <= 1 {
+        return Vec::new();
+    }
+    let mut fences: Vec<u64> = runs
+        .into_iter()
+        .flat_map(|run| run.fences.iter().copied())
+        .collect();
+    if fences.is_empty() {
+        return Vec::new();
+    }
+    let n = fences.len();
+    // Ascending quantiles: everything left of the previous one is already
+    // smaller, so each selection only partitions what is right of it.
+    let mut done = 0;
+    (1..parts)
+        .map(|i| {
+            let at = i * n / parts;
+            let (_, &mut key, _) = fences[done..].select_nth_unstable(at - done);
+            done = at;
+            key
+        })
+        .collect()
+}
+
+/// The records of one sorted run inside one key range: the in-range part of
+/// a boundary page read by [`split_runs`] (`head`), the pages wholly inside
+/// the range (read by the slice's cursor), then the in-range part of the
+/// boundary page at the range's upper end (`tail`). A whole run is the slice
+/// with all of its pages and no boundary pages.
+#[derive(Clone)]
+pub struct RunSlice {
+    run: PartitionHandle,
+    head: Option<(Arc<Page>, Range<usize>)>,
+    pages: Range<usize>,
+    tail: Option<(Arc<Page>, Range<usize>)>,
+}
+
+impl RunSlice {
+    /// All of `run`, every page left for the cursor to read.
+    pub fn whole(run: &PartitionHandle) -> Self {
+        RunSlice {
+            run: run.clone(),
+            head: None,
+            pages: 0..run.pages(),
+            tail: None,
+        }
+    }
+
+    /// The records of `run` from cut `from` up to cut `to`.
+    fn between(run: &PartitionHandle, from: &Cut, to: &Cut) -> Self {
+        // Both cuts split the same page: the slice is a record range of it.
+        let same_page = from.straddle.is_some() && to.straddle.is_some() && from.page == to.page;
+        let head = from.straddle.as_ref().map(|(page, at)| {
+            let end = match &to.straddle {
+                Some((_, to_at)) if same_page => *to_at,
+                _ => page.record_count(),
+            };
+            (page.clone(), *at..end)
+        });
+        let tail = match &to.straddle {
+            Some((page, at)) if !same_page => Some((page.clone(), 0..*at)),
+            _ => None,
+        };
+        let first = from.page + usize::from(from.straddle.is_some());
+        RunSlice {
+            run: run.clone(),
+            head,
+            pages: first..to.page.max(first),
+            tail,
+        }
+    }
+}
+
+/// Where one splitter `k` cuts one run. Pages before `page` hold only keys
+/// below `k` and pages after it only keys at or above it. With `straddle`
+/// set, page `page` — already read — holds both, and its first record at
+/// or above `k` is record `at`; without, the cut falls right before page
+/// `page` (`0` when `k` is at or below the run's first key; the run's page
+/// count for the end of the run).
+struct Cut {
+    page: usize,
+    straddle: Option<(Arc<Page>, usize)>,
+}
+
+impl SortedRun {
+    /// The cut of splitter `k`, reusing `previous`'s page when the previous
+    /// (smaller or equal) splitter cut the same one.
+    fn cut(&self, k: u64, previous: &Cut) -> Result<Cut> {
+        // Pages whose first key is below `k`; the last of them may hold
+        // keys on both sides of the cut.
+        let below = self.fences.partition_point(|&fence| fence < k);
+        if below == 0 {
+            return Ok(Cut {
+                page: 0,
+                straddle: None,
+            });
+        }
+        let index = below - 1;
+        let page = match &previous.straddle {
+            Some((page, _)) if previous.page == index => page.clone(),
+            _ => self.handle.read_page(index, IoKind::RandRead)?,
+        };
+        let at = page.record_refs().take_while(|rec| rec.key() < k).count();
+        Ok(Cut {
+            page: index,
+            straddle: Some((page, at)),
+        })
+    }
+}
+
+/// Cuts every run at `splitters` (ascending) into `splitters.len() + 1` key
+/// ranges — range `i` holds the keys in `[splitters[i − 1], splitters[i])`,
+/// the outer ranges open-ended — and returns each range's slices, one per
+/// run in run order.
+///
+/// A page that straddles a splitter is read here, once per run, as a
+/// [`IoKind::RandRead`], and shared by the slices on both sides; every other
+/// page is left to the one slice that owns it. Draining every slice of every
+/// range therefore reads each run page exactly once — the same reads as one
+/// merge over the whole runs, however many ranges there are. With no
+/// splitters this reads nothing and returns one range of whole runs.
+pub fn split_runs(runs: &[SortedRun], splitters: &[u64]) -> Result<Vec<Vec<RunSlice>>> {
+    debug_assert!(splitters.is_sorted(), "splitters must ascend");
+    let mut ranges: Vec<Vec<RunSlice>> = (0..=splitters.len())
+        .map(|_| Vec::with_capacity(runs.len()))
+        .collect();
+    for run in runs {
+        let mut from = Cut {
+            page: 0,
+            straddle: None,
+        };
+        for (range, &k) in ranges.iter_mut().zip(splitters) {
+            let to = run.cut(k, &from)?;
+            range.push(RunSlice::between(&run.handle, &from, &to));
+            from = to;
+        }
+        let end = Cut {
+            page: run.handle.pages(),
+            straddle: None,
+        };
+        ranges
+            .last_mut()
+            .expect("one range more than splitters")
+            .push(RunSlice::between(&run.handle, &from, &end));
+    }
+    Ok(ranges)
+}
+
+/// Page-mode cursor over one [`RunSlice`]: the current page is held as an
 /// `Arc<Page>` and records are decoded in place, so advancing costs one key
 /// decode and yielding a record costs nothing but a slice borrow.
 struct RunCursor {
-    reader: PartitionReader,
+    run: PartitionHandle,
+    /// Pages still to read from the device.
+    pages: Range<usize>,
+    /// The slice's boundary page at its upper end, entered after `pages`.
+    tail: Option<(Arc<Page>, Range<usize>)>,
     page: Option<Arc<Page>>,
     pos: usize,
+    /// End of the current page's records in the slice.
+    end: usize,
     key: u64,
 }
 
 impl RunCursor {
-    /// Opens a cursor and primes it on the run's first record (reading the
-    /// first page — the same up-front read the heap-based merge performed).
-    fn new(run: &PartitionHandle) -> Result<Self> {
+    /// Opens a cursor and primes it on the slice's first record (reading
+    /// its first page unless that is a boundary page read already).
+    fn new(slice: RunSlice) -> Result<Self> {
         let mut cursor = RunCursor {
-            reader: run.read(IoKind::RandRead),
+            run: slice.run,
+            pages: slice.pages,
+            tail: slice.tail,
             page: None,
             pos: 0,
+            end: 0,
             key: 0,
         };
-        cursor.load_page()?;
+        match slice.head {
+            Some((page, records)) if !records.is_empty() => cursor.enter(page, records)?,
+            _ => cursor.load_page()?,
+        }
         Ok(cursor)
     }
 
+    fn enter(&mut self, page: Arc<Page>, records: Range<usize>) -> Result<()> {
+        self.key = page.get_ref(records.start)?.key();
+        self.pos = records.start;
+        self.end = records.end;
+        self.page = Some(page);
+        Ok(())
+    }
+
     fn load_page(&mut self) -> Result<()> {
-        loop {
-            match self.reader.next_page()? {
-                Some(page) => {
-                    // Writers never flush empty pages, but skip them anyway.
-                    if page.record_count() > 0 {
-                        self.key = page.get_ref(0)?.key();
-                        self.pos = 0;
-                        self.page = Some(page);
-                        return Ok(());
-                    }
-                }
-                None => {
-                    self.page = None;
-                    return Ok(());
-                }
+        while let Some(index) = self.pages.next() {
+            let page = self.run.read_page(index, IoKind::RandRead)?;
+            // Writers never flush empty pages, but skip them anyway.
+            let count = page.record_count();
+            if count > 0 {
+                return self.enter(page, 0..count);
+            }
+        }
+        match self.tail.take() {
+            Some((page, records)) if !records.is_empty() => self.enter(page, records),
+            _ => {
+                self.page = None;
+                Ok(())
             }
         }
     }
 
-    /// `true` once the run is exhausted.
+    /// `true` once the slice is exhausted.
     fn is_done(&self) -> bool {
         self.page.is_none()
     }
@@ -373,7 +644,7 @@ impl RunCursor {
             return Ok(());
         };
         self.pos += 1;
-        if self.pos < page.record_count() {
+        if self.pos < self.end {
             self.key = page.get_ref(self.pos)?.key();
             return Ok(());
         }
@@ -389,10 +660,11 @@ impl RunCursor {
     }
 }
 
-/// K-way merge over sorted runs via a loser tree (tournament tree), yielding
-/// records in ascending key order with ties broken by run index — the same
-/// total order the previous `BinaryHeap<Reverse<(key, idx)>>` produced, at
-/// `⌈log₂ k⌉` comparisons per record and with no per-record allocation.
+/// K-way merge over sorted run slices via a loser tree (tournament tree),
+/// yielding records in ascending key order with ties broken by slice index
+/// — the same total order the previous `BinaryHeap<Reverse<(key, idx)>>`
+/// produced, at `⌈log₂ k⌉` comparisons per record and with no per-record
+/// allocation.
 ///
 /// Reads interleave across runs and are counted as random reads.
 ///
@@ -421,11 +693,13 @@ pub struct LoserTree {
 }
 
 impl LoserTree {
-    /// Builds a merge over `runs` (each must be internally sorted). Opening
-    /// the tree reads the first page of every non-empty run.
-    pub fn new(runs: &[PartitionHandle]) -> Result<Self> {
-        let cursors = runs
-            .iter()
+    /// Builds a merge over `slices` (each must be internally sorted; a
+    /// whole run is [`RunSlice::whole`]). Opening the tree reads the first
+    /// page of every non-empty slice that does not start on a boundary
+    /// page [`split_runs`] read already.
+    pub fn new(slices: impl IntoIterator<Item = RunSlice>) -> Result<Self> {
+        let cursors = slices
+            .into_iter()
             .map(RunCursor::new)
             .collect::<Result<Vec<_>>>()?;
         let mut tree = LoserTree {
@@ -439,7 +713,7 @@ impl LoserTree {
     }
 
     /// `true` if cursor `a` wins against cursor `b`: exhausted cursors lose
-    /// to live ones, smaller keys win, and equal keys fall back to the run
+    /// to live ones, smaller keys win, and equal keys fall back to the slice
     /// index so the merge order is a total, canonical order.
     fn beats(&self, a: usize, b: usize) -> bool {
         let ca = &self.cursors[a];
@@ -585,7 +859,7 @@ impl MergeIterator {
     /// Builds a merge iterator over `runs` (each must be internally sorted).
     pub fn new(runs: &[PartitionHandle]) -> Result<Self> {
         Ok(MergeIterator {
-            tree: LoserTree::new(runs)?,
+            tree: LoserTree::new(runs.iter().map(RunSlice::whole))?,
         })
     }
 
@@ -630,16 +904,46 @@ mod tests {
         keys
     }
 
+    fn keys_of(run: &PartitionHandle) -> Vec<u64> {
+        run.read(IoKind::SeqRead)
+            .map(|r| r.unwrap().key())
+            .collect()
+    }
+
+    fn handles(runs: &[SortedRun]) -> Vec<PartitionHandle> {
+        runs.iter().map(|run| run.handle().clone()).collect()
+    }
+
+    /// Four 16-byte records per page, so a few keys span several pages.
+    const SMALL_PAGE: usize = crate::page::PAGE_HEADER_BYTES + 4 * 16;
+
+    fn write_run(dev: &DeviceRef, keys: &[u64]) -> SortedRun {
+        let mut writer = RunWriter::new(dev.clone(), RecordLayout::new(8), SMALL_PAGE, keys.len());
+        for &k in keys {
+            writer
+                .push(Record::with_fill(k, 8, 0).as_record_ref())
+                .unwrap();
+        }
+        writer.finish().unwrap()
+    }
+
+    /// Drains one merge over `slices`, returning the keys in merge order.
+    fn merged_keys(slices: impl IntoIterator<Item = RunSlice>) -> Vec<u64> {
+        let mut tree = LoserTree::new(slices).unwrap();
+        let mut keys = Vec::new();
+        while let Some(k) = tree.next_key().unwrap() {
+            keys.push(k);
+        }
+        keys
+    }
+
     #[test]
     fn sort_fully_orders_all_records() {
         let dev = SimDevice::new_ref();
         let rel = build_relation(dev.clone(), &shuffled(5_000));
         let mut sorter = ExternalSorter::new(dev, 4);
         let sorted = sorter.sort_fully(&rel).unwrap();
-        let keys: Vec<u64> = sorted
-            .read(IoKind::SeqRead)
-            .map(|r| r.unwrap().key())
-            .collect();
+        let keys = keys_of(sorted.handle());
         assert_eq!(keys.len(), 5_000);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -654,10 +958,7 @@ mod tests {
         let total: usize = out.runs.iter().map(|r| r.records()).sum();
         assert_eq!(total, 20_000);
         for run in &out.runs {
-            let keys: Vec<u64> = run
-                .read(IoKind::SeqRead)
-                .map(|r| r.unwrap().key())
-                .collect();
+            let keys = keys_of(run.handle());
             assert!(keys.windows(2).all(|w| w[0] <= w[1]), "run must be sorted");
         }
     }
@@ -679,7 +980,7 @@ mod tests {
         let mut sorter = ExternalSorter::new(dev, 3);
         let out = sorter.sort_to_runs(&rel, 8).unwrap();
         assert!(out.runs.len() > 1, "small budget must produce several runs");
-        let merged: Vec<u64> = MergeIterator::new(&out.runs)
+        let merged: Vec<u64> = MergeIterator::new(&handles(&out.runs))
             .unwrap()
             .map(|r| r.unwrap().key())
             .collect();
@@ -723,7 +1024,7 @@ mod tests {
             .flat_map(|(ri, keys)| keys.iter().map(move |&k| (k, ri as u8)))
             .collect();
         expected.sort_by_key(|&(k, ri)| (k, ri));
-        let mut tree = LoserTree::new(&runs).unwrap();
+        let mut tree = LoserTree::new(runs.iter().map(RunSlice::whole)).unwrap();
         let mut got = Vec::new();
         while let Some(rec) = tree.next_ref().unwrap() {
             got.push((rec.key(), rec.payload()[0]));
@@ -744,7 +1045,7 @@ mod tests {
             "run generation writes sequentially"
         );
         assert_eq!(after_runs.rand_writes, 0);
-        let _ = MergeIterator::new(&out.runs)
+        let _ = MergeIterator::new(&handles(&out.runs))
             .unwrap()
             .collect::<Result<Vec<_>>>()
             .unwrap();
@@ -830,6 +1131,7 @@ mod tests {
         let mut scratch = SortScratch::new();
         let run = sort_chunk(&rel, 0..rel.num_pages(), &mut scratch).unwrap();
         let got: Vec<(u64, u64)> = run
+            .handle()
             .read(IoKind::SeqRead)
             .map(|r| {
                 let r = r.unwrap();
@@ -868,10 +1170,7 @@ mod tests {
         // Switching layouts mid-scratch re-creates the arena.
         let run = sort_chunk(&wide, 0..wide.num_pages(), &mut scratch).unwrap();
         assert_eq!(run.records(), 100);
-        let keys: Vec<u64> = run
-            .read(IoKind::SeqRead)
-            .map(|r| r.unwrap().key())
-            .collect();
+        let keys = keys_of(run.handle());
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         run.delete().unwrap();
     }
@@ -891,7 +1190,7 @@ mod tests {
             }
             runs.push(w.finish().unwrap());
         }
-        let mut tree = LoserTree::new(&runs).unwrap();
+        let mut tree = LoserTree::new(runs.iter().map(RunSlice::whole)).unwrap();
         let mut order = Vec::new();
         while let Some(rec) = tree.next_ref().unwrap() {
             order.push((rec.key(), rec.payload()[0]));
@@ -920,8 +1219,9 @@ mod tests {
         let rel = build_relation(dev.clone(), &shuffled(1_000));
         let mut sorter = ExternalSorter::new(dev, 3);
         let out = sorter.sort_to_runs(&rel, 16).unwrap();
-        let mut by_key = LoserTree::new(&out.runs).unwrap();
-        let mut by_ref = LoserTree::new(&out.runs).unwrap();
+        let runs = handles(&out.runs);
+        let mut by_key = LoserTree::new(runs.iter().map(RunSlice::whole)).unwrap();
+        let mut by_ref = LoserTree::new(runs.iter().map(RunSlice::whole)).unwrap();
         loop {
             let peeked = by_key.peek_key().unwrap();
             let k = by_key.next_key().unwrap();
@@ -936,7 +1236,7 @@ mod tests {
 
     #[test]
     fn loser_tree_over_no_runs_is_empty() {
-        let mut tree = LoserTree::new(&[]).unwrap();
+        let mut tree = LoserTree::new(Vec::new()).unwrap();
         assert_eq!(tree.peek_key().unwrap(), None);
         assert_eq!(tree.next_key().unwrap(), None);
         assert!(tree.next_ref().unwrap().is_none());
@@ -982,18 +1282,208 @@ mod tests {
         let rel2 = build_relation(dev2.clone(), &shuffled(6_000));
         dev2.reset_stats();
         let mut scratch = SortScratch::new();
-        let runs: Vec<PartitionHandle> = run_chunks(rel2.num_pages(), 4)
+        let runs: Vec<SortedRun> = run_chunks(rel2.num_pages(), 4)
             .into_iter()
             .map(|c| sort_chunk(&rel2, c, &mut scratch).unwrap())
             .collect();
         let mut sorter2 = ExternalSorter::new(dev2.clone(), 4);
-        let manual = sorter2.merge_to_fan_in(runs, 4).unwrap();
+        let manual = sorter2.merge_to_fan_in(runs, 4, serial_groups).unwrap();
         assert_eq!(dev2.stats(), io_sequential);
         assert_eq!(manual.runs.len(), expected.runs.len());
         assert_eq!(manual.merge_passes, expected.merge_passes);
         for (a, b) in manual.runs.iter().zip(expected.runs.iter()) {
             assert_eq!(a.records(), b.records());
-            assert_eq!(a.pages(), b.pages());
+            assert_eq!(a.fences(), b.fences());
         }
+    }
+
+    #[test]
+    fn fences_are_the_first_key_of_every_page() {
+        // Run generation and every cascade level record them while writing.
+        let dev = SimDevice::new_ref();
+        let rel = Relation::bulk_load(
+            dev.clone(),
+            RecordLayout::new(8),
+            SMALL_PAGE,
+            shuffled(997)
+                .iter()
+                .map(|&k| Record::with_fill(k / 3, 8, 0)),
+        )
+        .unwrap();
+        let mut scratch = SortScratch::new();
+        let chunk = sort_chunk(&rel, 0..5, &mut scratch).unwrap();
+        let mut sorter = ExternalSorter::new(dev, 4);
+        let merged = sorter.sort_to_runs(&rel, 2).unwrap();
+        assert!(merged.merge_passes >= 2);
+        for run in std::iter::once(&chunk).chain(&merged.runs) {
+            let mut reader = run.handle().read(IoKind::SeqRead);
+            let mut first_keys = Vec::new();
+            while let Some(page) = reader.next_page().unwrap() {
+                first_keys.push(page.get_ref(0).unwrap().key());
+            }
+            assert_eq!(run.fences(), first_keys);
+        }
+    }
+
+    #[test]
+    fn the_cascade_is_the_same_whatever_order_or_thread_merges_its_groups() {
+        // Groups read only their own runs: merging them last-to-first, or
+        // each on its own thread, writes the same runs at the same I/O.
+        type FanOut = fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>;
+        let reversed: FanOut = |groups, merge| {
+            let mut runs = (0..groups).rev().map(merge).collect::<Result<Vec<_>>>()?;
+            runs.reverse();
+            Ok(runs)
+        };
+        let threaded: FanOut = |groups, merge| {
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..groups).map(|g| scope.spawn(move || merge(g))).collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            })
+        };
+        let sort = |fan_out: FanOut| {
+            let dev = SimDevice::new_ref();
+            let rel = build_relation(dev.clone(), &shuffled(8_000));
+            dev.reset_stats();
+            let mut scratch = SortScratch::new();
+            let runs = run_chunks(rel.num_pages(), 4)
+                .into_iter()
+                .map(|c| sort_chunk(&rel, c, &mut scratch).unwrap())
+                .collect();
+            let out = ExternalSorter::new(dev.clone(), 4)
+                .merge_to_fan_in(runs, 2, fan_out)
+                .unwrap();
+            let io = dev.stats();
+            let runs: Vec<(Vec<u64>, Vec<u64>)> = out
+                .runs
+                .iter()
+                .map(|run| (keys_of(run.handle()), run.fences().to_vec()))
+                .collect();
+            (runs, out.merge_passes, io)
+        };
+        let serial = sort(serial_groups);
+        assert!(serial.1 >= 2, "at least two cascade levels");
+        assert_eq!(sort(reversed), serial);
+        assert_eq!(sort(threaded), serial);
+    }
+
+    #[test]
+    fn fence_splitters_are_page_weighted_quantiles() {
+        let dev = SimDevice::new_ref();
+        let a = write_run(&dev, &(0..40).collect::<Vec<_>>()); // fences 0, 4, …, 36
+        let b = write_run(&dev, &[100; 8]); // fences 100, 100
+        assert!(fence_splitters([&a, &b], 1).is_empty());
+        assert!(fence_splitters(std::iter::empty(), 4).is_empty());
+        // 12 fences: 0 4 8 … 36 100 100; quartiles at indices 3, 6, 9.
+        assert_eq!(fence_splitters([&a, &b], 4), vec![12, 24, 36]);
+        assert_eq!(fence_splitters([&b, &a], 2), vec![24]);
+        // More parts than pages: repeated splitters, each range well formed.
+        let splitters = fence_splitters([&b], 5);
+        assert_eq!(splitters, vec![100, 100, 100, 100]);
+    }
+
+    /// Splits `runs` at `splitters` and checks the split's contract: each
+    /// range holds exactly the keys between its splitters, the ranges
+    /// together hold every record once, and draining them reads every run
+    /// page exactly once, as a random read. Returns the ranges' keys.
+    fn check_split(dev: &DeviceRef, runs: &[SortedRun], splitters: &[u64]) -> Vec<Vec<u64>> {
+        dev.reset_stats();
+        let ranges = split_runs(runs, splitters).unwrap();
+        assert_eq!(ranges.len(), splitters.len() + 1);
+        let keys: Vec<Vec<u64>> = ranges
+            .iter()
+            .map(|slices| {
+                assert_eq!(slices.len(), runs.len(), "one slice per run");
+                merged_keys(slices.iter().cloned())
+            })
+            .collect();
+        let io = dev.stats();
+        let pages: usize = runs.iter().map(|run| run.handle().pages()).sum();
+        assert_eq!(io.rand_reads as usize, pages, "every page read once");
+        assert_eq!(io.total(), io.rand_reads, "and nothing else");
+        for (i, range) in keys.iter().enumerate() {
+            let lo = if i == 0 { 0 } else { splitters[i - 1] };
+            let hi = splitters.get(i).copied().unwrap_or(u64::MAX);
+            assert!(
+                range.iter().all(|&k| lo <= k && (k < hi || hi == u64::MAX)),
+                "range {i} = [{lo}, {hi}) holds {range:?}"
+            );
+        }
+        let whole = merged_keys(runs.iter().map(|run| RunSlice::whole(run.handle())));
+        assert_eq!(keys.concat(), whole, "the ranges tile the whole merge");
+        keys
+    }
+
+    /// Key 5 spans four pages of the first run and three of the second;
+    /// the third run has no 5 at all.
+    fn edge_runs(dev: &DeviceRef) -> Vec<SortedRun> {
+        vec![
+            write_run(
+                dev,
+                &[1, 2, 3, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 6, 7, 8, 9, 10],
+            ),
+            write_run(dev, &[0, 5, 5, 5, 5, 5, 5, 5, 5, 9, 9, 9, 20]),
+            write_run(dev, &[2, 3, 4, 6]),
+        ]
+    }
+
+    #[test]
+    fn a_slice_can_lie_inside_one_page() {
+        let dev = SimDevice::new_ref();
+        let runs = edge_runs(&dev);
+        // Page 3 of the first run is [5, 6, 7, 8]: both splitters cut it.
+        let keys = check_split(&dev, &runs[..1], &[6, 7]);
+        assert_eq!(keys[1], vec![6]);
+        let ranges = split_runs(&runs[..1], &[6, 7]).unwrap();
+        let inner = &ranges[1][0];
+        assert!(inner.pages.is_empty() && inner.tail.is_none());
+        assert_eq!(inner.head.as_ref().map(|(_, r)| r.clone()), Some(1..2));
+    }
+
+    #[test]
+    fn a_splitter_outside_every_key_leaves_one_side_empty() {
+        let dev = SimDevice::new_ref();
+        let runs = edge_runs(&dev);
+        // Below every key: the cut falls before page 0 and reads nothing.
+        let keys = check_split(&dev, &runs[..1], &[1]);
+        assert!(keys[0].is_empty());
+        let keys = check_split(&dev, &runs, &[0]);
+        assert!(keys[0].is_empty());
+        // Above every key: the last page is the boundary; the right is empty.
+        let keys = check_split(&dev, &runs, &[21]);
+        assert!(keys[1].is_empty());
+        let keys = check_split(&dev, &runs, &[0, 21]);
+        assert!(keys[0].is_empty() && keys[2].is_empty());
+    }
+
+    #[test]
+    fn a_splitter_on_a_key_spanning_pages_in_two_runs_sends_it_right() {
+        let dev = SimDevice::new_ref();
+        let runs = edge_runs(&dev);
+        let keys = check_split(&dev, &runs, &[5]);
+        assert!(keys[0].iter().all(|&k| k < 5));
+        assert_eq!(keys[1].iter().filter(|&&k| k == 5).count(), 18);
+        // Equal splitters make an empty range between them; more splitters
+        // than distinct keys still tile the merge.
+        let keys = check_split(&dev, &runs, &[5, 5, 9]);
+        assert!(keys[1].is_empty());
+        check_split(&dev, &runs, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let splitters = fence_splitters(&runs, 8);
+        check_split(&dev, &runs, &splitters);
+    }
+
+    #[test]
+    fn no_splitters_is_one_range_of_whole_runs_and_reads_nothing_up_front() {
+        let dev = SimDevice::new_ref();
+        let runs = edge_runs(&dev);
+        dev.reset_stats();
+        let ranges = split_runs(&runs, &[]).unwrap();
+        assert_eq!(dev.stats().total(), 0);
+        assert_eq!(ranges.len(), 1);
+        for (slice, run) in ranges[0].iter().zip(&runs) {
+            assert!(slice.head.is_none() && slice.tail.is_none());
+            assert_eq!(slice.pages, 0..run.handle().pages());
+        }
+        check_split(&dev, &runs, &[]);
     }
 }

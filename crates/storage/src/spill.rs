@@ -191,6 +191,11 @@ impl PartitionHandle {
         }
     }
 
+    /// Reads page `index` of the partition (one I/O of `read_kind`).
+    pub(crate) fn read_page(&self, index: usize, read_kind: IoKind) -> Result<Arc<Page>> {
+        self.device.read_page(self.file, index, read_kind)
+    }
+
     /// Reads all records into memory (counts the page reads).
     pub fn read_all(&self, read_kind: IoKind) -> Result<Vec<Record>> {
         let mut out = Vec::with_capacity(self.records);
@@ -238,10 +243,7 @@ impl PartitionReader {
         if self.next_page >= self.handle.pages {
             return Ok(None);
         }
-        let page =
-            self.handle
-                .device
-                .read_page(self.handle.file, self.next_page, self.read_kind)?;
+        let page = self.handle.read_page(self.next_page, self.read_kind)?;
         self.next_page += 1;
         Ok(Some(page))
     }

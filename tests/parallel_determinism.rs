@@ -37,9 +37,9 @@ use nocap_suite::obs::{IoAudit, Obs, Phase};
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, BufferPool, CheckedDevice, DeviceProfile, FaultDevice, FaultPlan, FaultStats,
-    FileDevice, FileId, IoKind, IoStats, Page, Result, RetryPolicy, RetryStats, SimDevice,
-    TracedDevice,
+    BlockDevice, BufferPool, CheckedDevice, DeviceProfile, FaultDevice, FaultKind, FaultPlan,
+    FaultSpec, FaultStats, FileDevice, FileId, IoKind, IoStats, Page, Record, Relation, Result,
+    RetryPolicy, RetryStats, SimDevice, StorageError, TracedDevice,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -105,8 +105,9 @@ fn workload_grid() -> Vec<(&'static str, Workload)> {
 /// `[seq_reads, rand_reads, seq_writes, rand_writes]`.
 type GoldenRow = (&'static str, &'static str, usize, u64, [u64; 4], [u64; 4]);
 
-/// What every join must report on [`workload_grid`] × budgets {32, 96}, on
-/// `SimDevice`, from `run` and from `run_parallel` at any thread count.
+/// What every join must report on [`workload_grid`] × budgets {32, 96} —
+/// SMJ also at 8 — on `SimDevice`, from `run` and from `run_parallel` at
+/// any thread count.
 ///
 /// Recorded at commit e1dd280 — the last one with straight-line sequential
 /// `run` bodies for NOCAP, DHH and GHJ — by calling `run` of each join on
@@ -130,9 +131,14 @@ type GoldenRow = (&'static str, &'static str, usize, u64, [u64; 4], [u64; 4]);
 /// non-empty S partition, here every one of the `B − 1` — move from
 /// partition `rand_writes` to probe `rand_writes` (written `recorded − k`
 /// and `k` below). Every other counter and every total equals the recorded
-/// row.
+/// row. The three B = 8 `smj` rows were recorded at commit 21dc606, whose
+/// cascade merged its groups one after another and whose fused merge ran
+/// on one thread, from its `run`: there R's 28 runs cascade to 4 and then 1
+/// and S's 222 runs to 32 and then 5, so each relation takes two levels of
+/// several groups (B = 32 takes one, B = 96 none) — three full writes and
+/// two full re-reads, plus one geometry probe per level and relation.
 #[rustfmt::skip]
-const GOLDEN: [GoldenRow; 30] = [
+const GOLDEN: [GoldenRow; 33] = [
     ("nocap", "zipf_1.1",   32, 48000, [1743,    0,    0,  532], [ 539,    0, 0,  7]),
     ("dhh",   "zipf_1.1",   32, 48000, [1743,    0,    0, 1741], [1761,    0, 0, 20]),
     ("ghj",   "zipf_1.1",   32, 48000, [1743,    0,    0, 1776 - 31], [1776,    0, 0, 31]),
@@ -163,6 +169,9 @@ const GOLDEN: [GoldenRow; 30] = [
     ("histojoin", "uniform",    96, 48000, [1743, 0, 0, 1201], [1215, 0, 0, 14]),
     ("histojoin", "jcch_tuned", 32, 48000, [1743, 0, 0, 1744], [1764, 0, 0, 20]),
     ("histojoin", "jcch_tuned", 96, 48000, [1743, 0, 0,  981], [ 995, 0, 0, 14]),
+    ("smj",   "zipf_1.1",    8, 48000, [1743, 3490, 5229,    0], [   0, 1743, 0,  0]),
+    ("smj",   "uniform",     8, 48000, [1743, 3490, 5229,    0], [   0, 1743, 0,  0]),
+    ("smj",   "jcch_tuned",  8, 48000, [1743, 3490, 5229,    0], [   0, 1743, 0,  0]),
 ];
 
 /// Checks `run` (`None`) and `run_parallel(n)` (`Some(n)`) of one algorithm
@@ -175,11 +184,15 @@ fn assert_golden(
     let counters = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
     for (name, workload) in &workload_grid() {
         let wl = generate(workload);
-        for budget in [32usize, 96] {
-            let &(.., output, partition_io, probe_io) = GOLDEN
-                .iter()
-                .find(|row| (row.0, row.1, row.2) == (algo, *name, budget))
-                .expect("a golden row for every algorithm, workload and budget");
+        let rows: Vec<_> = GOLDEN
+            .iter()
+            .filter(|row| (row.0, row.1) == (algo, *name))
+            .collect();
+        assert!(
+            rows.iter().any(|row| row.2 == 32) && rows.iter().any(|row| row.2 == 96),
+            "{algo}/{name}: golden rows at B = 32 and B = 96"
+        );
+        for &&(.., budget, output, partition_io, probe_io) in &rows {
             assert_eq!(
                 output,
                 wl.expected_join_output(),
@@ -243,8 +256,11 @@ fn histojoin_run_parallel_matches_run_across_workloads_threads_and_budgets() {
 #[test]
 fn smj_run_parallel_matches_run_across_workloads_threads_and_budgets() {
     // Sort-run generation claims chunks of a page grid fixed by the data
-    // and the budget, so every thread count must reproduce the same
-    // external sort — and therefore the fused merge-join — bit for bit.
+    // and the budget, the cascade claims groups of a level's runs and the
+    // fused merge-join claims key ranges cut at run-page fences, so every
+    // thread count must reproduce the same external sort — and therefore
+    // the fused merge-join — bit for bit. At B = 8 each relation's cascade
+    // takes two levels of several groups each.
     assert_golden("smj", |spec, wl, threads| {
         let smj = SortMergeJoin::new(*spec);
         match threads {
@@ -252,6 +268,120 @@ fn smj_run_parallel_matches_run_across_workloads_threads_and_budgets() {
             Some(n) => smj.run_parallel(&wl.r, &wl.s, n),
         }
     });
+}
+
+#[test]
+fn smj_split_merge_matches_the_oracle_and_the_one_worker_io() {
+    // The fused merge-join splits at page-weighted quantiles of the final
+    // runs' fences. On Zipf 1.1 the heavy keys span many pages of every
+    // run; where every key is equal all splitters are that key and one
+    // range takes everything; where half of S is above R's largest key,
+    // the ranges up there hold S pages only, which the merge still reads.
+    // Every time the output is the oracle's and the per-phase I/O the
+    // one-worker run's.
+    let device = SimDevice::new_ref();
+    let spec = JoinSpec::paper_synthetic(128, 8);
+    let load = |keys: &mut dyn Iterator<Item = u64>| {
+        let payload = spec.r_layout.payload_bytes();
+        Relation::bulk_load(
+            device.clone(),
+            spec.r_layout,
+            spec.page_size,
+            keys.map(|k| Record::with_fill(k, payload, 0)),
+        )
+        .expect("hand-built relation")
+    };
+    let equal = (
+        load(&mut (0..300).map(|_| 42)),
+        load(&mut (0..2_400).map(|_| 42)),
+    );
+    let unmatched = (
+        load(&mut (0..600)),
+        load(&mut (0..4_800u64).map(|i| i.wrapping_mul(0x9E37_79B9) % 1_200)),
+    );
+    let zipf = generate(&Workload::Synthetic(Correlation::Zipf { alpha: 1.1 }));
+    let cases: [(&str, &Relation, &Relation, &[usize]); 3] = [
+        ("zipf_1.1", &zipf.r, &zipf.s, &[8, 32]),
+        ("equal_keys", &equal.0, &equal.1, &[8, 12]),
+        ("s_above_r", &unmatched.0, &unmatched.1, &[8, 12]),
+    ];
+    for (name, r, s, budgets) in cases {
+        let expected = naive_join_count(r, s).expect("oracle");
+        for &budget in budgets {
+            let smj = SortMergeJoin::new(JoinSpec::paper_synthetic(128, budget));
+            let one = smj.run_parallel(r, s, 1).expect("one worker");
+            assert_eq!(one.output_records, expected, "{name}/B={budget}");
+            for threads in [2usize, 3, 8] {
+                let label = format!("{name}/B={budget}/T={threads}");
+                let split = smj.run_parallel(r, s, threads).expect(&label);
+                assert_eq!(split.output_records, expected, "{label}: output");
+                assert_eq!(split.partition_io, one.partition_io, "{label}");
+                assert_eq!(split.probe_io, one.probe_io, "{label}");
+            }
+        }
+    }
+}
+
+/// Runs SMJ at B = 8 on the grid's Zipf 1.1 workload into one armed fault,
+/// placed by `fault_at(‖R‖, ‖S‖)`, and checks it fails cleanly: the
+/// injected error comes back, no spill file or page outlives the join, and
+/// the next run — the fault spent — is correct.
+fn assert_smj_fails_clean(
+    label: &str,
+    threads: usize,
+    fault_at: impl Fn(usize, usize) -> FaultSpec,
+) {
+    let zipf = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
+    let pages = generate(&zipf);
+    let (r_pages, s_pages) = (pages.r.num_pages(), pages.s.num_pages());
+    let sim = Arc::new(SimDevice::new());
+    let fault = FaultDevice::new_arc(sim.clone() as DeviceRef, vec![fault_at(r_pages, s_pages)]);
+    let wl = generate_on(fault.clone() as DeviceRef, &zipf);
+    let smj = SortMergeJoin::new(JoinSpec::paper_synthetic(128, 8));
+    fault.arm();
+    let err = smj
+        .run_parallel(&wl.r, &wl.s, threads)
+        .expect_err("an unretried fault fails the join");
+    assert!(matches!(err, StorageError::Io(_)), "{label}: got {err}");
+    assert_eq!(fault.fault_stats().injected_errors, 1, "{label}");
+    assert_eq!(sim.live_files(), 2, "{label}: spill files leaked");
+    assert_eq!(
+        sim.resident_pages(),
+        r_pages + s_pages,
+        "{label}: pages leaked"
+    );
+    let report = smj.run_parallel(&wl.r, &wl.s, threads).expect(label);
+    assert_eq!(report.output_records, wl.expected_join_output(), "{label}");
+}
+
+#[test]
+fn smj_fails_clean_on_an_append_fault_in_one_of_several_concurrent_group_merges() {
+    // At B = 8 S's 222 runs merge in 32 groups on the first level. Every
+    // SMJ write is a run append: R's three full writes and S's run
+    // generation come first, so the fault lands half-way through that
+    // level, with other groups in flight at T > 1.
+    for threads in [1usize, 2, 3, 8] {
+        assert_smj_fails_clean(&format!("append/T={threads}"), threads, |r, s| {
+            FaultSpec::any(FaultKind::TransientError { failures: 1 })
+                .appends()
+                .after((3 * r + s + s / 2) as u64)
+        });
+    }
+}
+
+#[test]
+fn smj_fails_clean_on_a_read_fault_inside_a_split_fused_merge() {
+    // The cascade's random reads (two re-reads of both inputs plus four
+    // geometry probes at B = 8) come first; the fault lands about half-way
+    // through the fused merge, on whichever worker reads that page.
+    for threads in [1usize, 2, 3, 8] {
+        assert_smj_fails_clean(&format!("read/T={threads}"), threads, |r, s| {
+            FaultSpec::any(FaultKind::TransientError { failures: 1 })
+                .reads()
+                .on_kind(IoKind::RandRead)
+                .after((2 * (r + s) + 4 + (r + s) / 2) as u64)
+        });
+    }
 }
 
 #[test]
