@@ -9,14 +9,9 @@
 //! Scaled-down geometry (see DESIGN.md §2): n_R = 20 K, n_S = 160 K,
 //! 256-byte records. Pass `--quick` to use an even smaller workload.
 
-use nocap::{NocapConfig, NocapJoin};
-use nocap_bench::harness::{
-    base_device, device_mode, fault_stack, faults_seed, io_audit_enabled, maybe_audit_io,
-    ocap_lower_bound, print_fault_summary, print_series_block, run_algorithms, AlgorithmSet,
-};
+use nocap_bench::harness::{ocap_lower_bound, print_series_block, run_algorithms, AlgorithmSet};
 use nocap_model::JoinSpec;
-use nocap_obs::Obs;
-use nocap_storage::DeviceProfile;
+use nocap_storage::{DeviceProfile, SimDevice};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
@@ -27,7 +22,6 @@ fn main() {
         (20_000, 160_000)
     };
     let record_bytes = 256;
-    println!("# exp_fig8: device = {}", device_mode().label());
     let correlations = [
         ("zipf_1.3", Correlation::Zipf { alpha: 1.3 }),
         ("zipf_1.0", Correlation::Zipf { alpha: 1.0 }),
@@ -36,22 +30,6 @@ fn main() {
     ];
 
     for (name, correlation) in correlations {
-        // NOCAP_DEVICE selects the base device (SimDevice or the block-layer
-        // FileDevice); NOCAP_IO_AUDIT additionally wraps it in a tracer so
-        // the audited rerun below sees device-level events. Both wrappers
-        // are pass-through for the sweep.
-        let base = base_device();
-        // NOCAP_FAULTS layers checksums + retry over a seeded errors-only
-        // fault schedule; recovered faults leave the sweep's measured I/O
-        // bit-identical (the #I/Os panel is unchanged), while the latency
-        // panels absorb the checksum layer's real CPU cost.
-        let (device, faults) = match faults_seed() {
-            Some(seed) => {
-                let (device, rig) = fault_stack(base, seed, 2_000);
-                (device, Some(rig))
-            }
-            None => (base, None),
-        };
         let config = SyntheticConfig {
             n_r,
             n_s,
@@ -60,10 +38,8 @@ fn main() {
             mcv_count: n_r / 20,
             seed: 0x0CA9,
         };
-        let workload = synthetic::generate(device, &config).expect("workload generation");
-        if let Some(rig) = &faults {
-            rig.arm();
-        }
+        let workload =
+            synthetic::generate(SimDevice::new_ref(), &config).expect("workload generation");
         let pages_r = JoinSpec::paper_synthetic(record_bytes, 64).pages_r(n_r);
 
         // Sweep from ~0.5·√(F·‖R‖) to ‖R‖ pages, doubling each step.
@@ -142,27 +118,6 @@ fn main() {
             &series[..5],
             &strip_last(&lat_sync_rows),
         );
-
-        // NOCAP_IO_AUDIT: rerun NOCAP once at the tightest budget with the
-        // recorder on and cross-check the device-level event stream against
-        // the cost model's per-phase snapshots.
-        if io_audit_enabled() {
-            let spec = JoinSpec::paper_synthetic(record_bytes, budgets[0]);
-            let join = NocapJoin::new(spec, NocapConfig::default());
-            let obs = Obs::recording();
-            let report = join
-                .run_obs(&workload.r, &workload.s, &workload.mcvs, &obs)
-                .expect("audited NOCAP run");
-            maybe_audit_io(
-                &format!("fig8_{name}_nocap"),
-                &report,
-                &DeviceProfile::osync_off(),
-            );
-        }
-
-        if let Some(rig) = &faults {
-            print_fault_summary(&format!("fig8_{name}"), rig);
-        }
     }
 }
 

@@ -353,13 +353,20 @@ where
 mod tests {
     use super::*;
     use crate::Obs;
+    use nocap_storage::{IoKind, Page, RecordLayout, SimDevice, TracedDevice};
 
     fn sample_trace() -> ExecutionTrace {
         let obs = Obs::recording();
+        let device = TracedDevice::new_ref(SimDevice::new_ref());
+        let _io = obs.attach_io(&device);
         {
             let _p = obs.span(Phase::Partition);
             let mut w = obs.worker(0);
             let t = w.start();
+            // One traced page access, issued on worker 0's thread.
+            let file = device.create_file();
+            let page = Page::empty(256, RecordLayout::new(8));
+            device.append_page(file, &page, IoKind::SeqWrite).unwrap();
             w.record_task(Phase::Probe, 3, t);
         }
         obs.count("spilled_partitions", 4);
@@ -413,6 +420,14 @@ mod tests {
         assert!(chrome.contains("\"tid\": 1"), "worker 0 timeline is tid 1");
         assert!(chrome.contains("\"thread_name\""));
         assert!(chrome.contains("\"args\": {\"task\": 3}"));
+        // Worker w's device I/O runs on lane 1000 + w + 1, named after it,
+        // and every access carries its operation.
+        assert!(chrome.contains("\"tid\": 1001, \"args\": {\"name\": \"io worker 0\"}"));
+        let io_event = chrome
+            .lines()
+            .find(|e| e.contains("\"ph\": \"X\"") && e.contains("\"tid\": 1001,"))
+            .expect("worker 0's I/O lane carries the page access");
+        assert!(io_event.contains("\"op\": "), "{io_event}");
     }
 
     #[test]

@@ -15,11 +15,9 @@
 //!
 //! The pool is thread-safe: the parallel execution engine (`nocap-par`)
 //! reserves and releases pages from many worker threads against one shared
-//! budget. Per-worker quotas are carved from the global budget either with
-//! [`BufferPool::carve_remaining`] (even split of whatever is left), with
-//! [`BufferPool::carve_quotas`] (one quota per given size) or by
-//! [`Reservation::split`]ting an existing reservation, so the sum of all
-//! quotas can never exceed *B*.
+//! budget. Per-worker quotas are carved from the global budget with
+//! [`BufferPool::carve_quotas`] (one quota per given size), so the sum of
+//! all quotas can never exceed *B*.
 
 use std::sync::{Arc, Mutex};
 
@@ -99,34 +97,6 @@ impl BufferPool {
         })
     }
 
-    /// Reserves all currently available pages (possibly zero).
-    ///
-    /// Atomic with respect to concurrent reservations: the pages are taken
-    /// under the same lock that computed how many were available.
-    pub fn reserve_remaining(&self) -> Reservation {
-        let pages = {
-            let mut st = self.lock();
-            let avail = st.capacity - st.in_use;
-            st.in_use = st.capacity;
-            st.peak = st.peak.max(st.in_use);
-            avail
-        };
-        Reservation {
-            pool: self.clone(),
-            pages,
-        }
-    }
-
-    /// Carves the remaining budget into `workers` per-worker quotas whose
-    /// sizes differ by at most one page and whose sum is exactly the number
-    /// of pages that were available. Each quota is an independent
-    /// [`Reservation`] that its worker can grow, shrink and drop on its own;
-    /// together they can never exceed the global budget.
-    pub fn carve_remaining(&self, workers: usize) -> Vec<Reservation> {
-        let workers = workers.max(1);
-        self.reserve_remaining().split(workers)
-    }
-
     /// Carves one quota per entry of `pages` out of the remaining budget:
     /// quota `i` holds exactly `pages[i]` pages. Should the entries sum to
     /// more than is available — a quota geometry floors every quota at one
@@ -167,44 +137,6 @@ impl Reservation {
     /// Number of pages held by this reservation.
     pub fn pages(&self) -> usize {
         self.pages
-    }
-
-    /// Grows the reservation by `extra` pages, failing if the budget would be
-    /// exceeded (the original reservation is unchanged on failure).
-    pub fn grow(&mut self, extra: usize) -> Result<()> {
-        let mut additional = self.pool.reserve(extra)?;
-        // Absorb the new reservation into this one: the pages move here and
-        // the emptied guard drops as a no-op (forgetting it would leak its
-        // pool handle).
-        self.pages += additional.pages;
-        additional.pages = 0;
-        Ok(())
-    }
-
-    /// Shrinks the reservation by `pages` pages (saturating at zero).
-    pub fn shrink(&mut self, pages: usize) {
-        let released = pages.min(self.pages);
-        self.pool.release(released);
-        self.pages -= released;
-    }
-
-    /// Splits the reservation into `parts` reservations whose sizes differ
-    /// by at most one page and sum to the original size. No pages are
-    /// released or acquired in the process — this is how per-worker quotas
-    /// are carved from an already-reserved share of the budget.
-    pub fn split(mut self, parts: usize) -> Vec<Reservation> {
-        let parts = parts.max(1);
-        let base = self.pages / parts;
-        let remainder = self.pages % parts;
-        // The pages move into the children; the emptied parent drops as a
-        // no-op (forgetting it would leak its pool handle).
-        self.pages = 0;
-        (0..parts)
-            .map(|i| Reservation {
-                pool: self.pool.clone(),
-                pages: base + usize::from(i < remainder),
-            })
-            .collect()
     }
 }
 
@@ -253,58 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn grow_and_shrink() {
-        let pool = BufferPool::new(6);
-        let mut r = pool.reserve(2).unwrap();
-        r.grow(3).unwrap();
-        assert_eq!(pool.in_use(), 5);
-        assert_eq!(r.pages(), 5);
-        assert!(r.grow(2).is_err());
-        assert_eq!(pool.in_use(), 5, "failed grow must not change accounting");
-        r.shrink(4);
-        assert_eq!(pool.in_use(), 1);
-        drop(r);
-        assert_eq!(pool.in_use(), 0);
-    }
-
-    #[test]
-    fn reserve_remaining_takes_everything() {
-        let pool = BufferPool::new(7);
-        let _a = pool.reserve(3).unwrap();
-        let rest = pool.reserve_remaining();
-        assert_eq!(rest.pages(), 4);
-        assert_eq!(pool.available(), 0);
-    }
-
-    #[test]
     fn zero_page_reservation_is_fine() {
         let pool = BufferPool::new(0);
         let r = pool.reserve(0).unwrap();
         assert_eq!(r.pages(), 0);
         assert!(pool.reserve(1).is_err());
-    }
-
-    #[test]
-    fn split_preserves_total_and_balances_shares() {
-        let pool = BufferPool::new(11);
-        let r = pool.reserve(11).unwrap();
-        let parts = r.split(4);
-        let sizes: Vec<usize> = parts.iter().map(Reservation::pages).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 2]);
-        assert_eq!(pool.in_use(), 11, "splitting must not change accounting");
-        drop(parts);
-        assert_eq!(pool.in_use(), 0);
-    }
-
-    #[test]
-    fn carve_remaining_hands_out_worker_quotas() {
-        let pool = BufferPool::new(10);
-        let _fixed = pool.reserve(3).unwrap();
-        let quotas = pool.carve_remaining(3);
-        assert_eq!(quotas.iter().map(Reservation::pages).sum::<usize>(), 7);
-        assert_eq!(pool.available(), 0);
-        drop(quotas);
-        assert_eq!(pool.in_use(), 3);
     }
 
     #[test]
@@ -331,10 +216,10 @@ mod tests {
                 let pool = pool.clone();
                 scope.spawn(move || {
                     for i in 0..200 {
-                        if let Ok(mut r) = pool.reserve((t + i) % 9) {
-                            let _ = r.grow(1);
-                            r.shrink(1);
+                        if let Ok(r) = pool.reserve((t + i) % 9) {
+                            let extra = pool.reserve(1);
                             assert!(pool.in_use() <= pool.capacity());
+                            drop((r, extra));
                         }
                     }
                 });

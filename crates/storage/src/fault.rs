@@ -26,9 +26,9 @@
 //!
 //! The wrapper is zero-cost when disarmed: one relaxed atomic load per
 //! operation, no allocation, results bit-identical to the bare inner device.
-//! [`FaultPlan::transient`] and [`FaultPlan::persistent`] derive small
-//! recoverable/fatal schedules from a single `u64` seed (SplitMix64), which
-//! is what the `NOCAP_FAULTS` bench hook and the fault matrix use.
+//! [`FaultPlan::transient`], [`FaultPlan::errors_only`] and
+//! [`FaultPlan::persistent`] derive small recoverable/fatal schedules from a
+//! single `u64` seed (SplitMix64), which is what the fault matrix uses.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -190,8 +190,7 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seeded fault schedules for the differential fault matrix and the
-/// `NOCAP_FAULTS` bench hook.
+/// Seeded fault schedules for the differential fault matrix.
 pub struct FaultPlan;
 
 impl FaultPlan {
@@ -231,10 +230,9 @@ impl FaultPlan {
     /// Like [`FaultPlan::transient`] but without corrupt reads: only
     /// transient errors (which fail *before* the inner device and therefore
     /// leave the modeled [`IoStats`] bit-identical after recovery) and one
-    /// latency spike. This is the schedule the `NOCAP_FAULTS` bench hook
-    /// uses: the experiment binaries assert parallel-vs-sequential I/O
-    /// equality, which recovering a corrupt read — one honest physical
-    /// re-read — would legitimately break.
+    /// latency spike. The fault matrix runs it where it asserts per-phase
+    /// I/O equal to the fault-free run's, which recovering a corrupt read —
+    /// one honest physical re-read — would legitimately break.
     pub fn errors_only(seed: u64, ops_hint: u64) -> Vec<FaultSpec> {
         let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
         let span = ops_hint.max(16);

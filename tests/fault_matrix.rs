@@ -31,8 +31,8 @@ use nocap_suite::storage::{
 };
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
-/// Budget used by every run in the matrix: small enough that all three
-/// executors spill (so the fault schedule can hit spill writes and re-reads,
+/// Budget used by every run in the matrix: small enough that every
+/// executor spills (so the fault schedule can hit spill writes and re-reads,
 /// not just the base-relation scan).
 const BUDGET_PAGES: usize = 48;
 
@@ -69,18 +69,28 @@ fn patient() -> RetryPolicy {
 enum Join {
     Nocap,
     Dhh,
+    Histojoin,
+    Ghj,
     Smj,
 }
 
 impl Join {
-    fn all() -> [Join; 3] {
-        [Join::Nocap, Join::Dhh, Join::Smj]
+    fn all() -> [Join; 5] {
+        [
+            Join::Nocap,
+            Join::Dhh,
+            Join::Histojoin,
+            Join::Ghj,
+            Join::Smj,
+        ]
     }
 
     fn name(&self) -> &'static str {
         match self {
             Join::Nocap => "nocap",
             Join::Dhh => "dhh",
+            Join::Histojoin => "histojoin",
+            Join::Ghj => "ghj",
             Join::Smj => "smj",
         }
     }
@@ -91,6 +101,10 @@ impl Join {
             Join::Nocap => NocapJoin::new(spec, NocapConfig::default())
                 .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
             Join::Dhh => DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
+            Join::Histojoin => {
+                DhhJoin::histojoin(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
+            }
+            Join::Ghj => GraceHashJoin::new(spec).run_parallel(&wl.r, &wl.s, threads),
             Join::Smj => SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, threads),
         }
     }
@@ -120,46 +134,57 @@ fn rig(specs: Vec<FaultSpec>, policy: RetryPolicy) -> FaultRig {
 
 #[test]
 fn transient_schedules_recover_to_the_fault_free_output_at_every_thread_count() {
+    // Two seeded schedules: `transient` mixes errors, corrupt reads and a
+    // latency spike; `errors_only` drops the corrupt reads, so every
+    // injected failure stops before the inner device and the per-phase
+    // modeled I/O must equal the fault-free run's as well.
     for (i, join) in Join::all().iter().enumerate() {
         let base_wl = generate_on(SimDevice::new_ref());
         let baseline = join.run(&base_wl, 1).expect("fault-free baseline");
         let seed = 0xA11CE + i as u64;
-        for threads in [1usize, 2, 4, 8] {
-            let rig = rig(FaultPlan::transient(seed, 400), patient());
-            rig.fault.arm();
-            let report = join
-                .run(&rig.wl, threads)
-                .expect("a recoverable schedule must be retried to success");
-            assert_eq!(
-                report.output_records,
-                rig.wl.expected_join_output(),
-                "{}: wrong output under faults at {threads} threads",
-                join.name()
-            );
-            assert_eq!(
-                report.output_records,
-                baseline.output_records,
-                "{}: faulted run diverged from the fault-free baseline at {threads} threads",
-                join.name()
-            );
-            let fs = rig.fault.fault_stats();
-            assert!(
-                fs.injected_errors + fs.injected_corruptions + fs.injected_delays > 0,
-                "{}: the schedule never fired at {threads} threads — the matrix pinned nothing",
-                join.name()
-            );
-            let rs = rig.checked.retry_stats();
-            assert!(
-                rs.recovered > 0,
-                "{}: injected errors must have been recovered, not avoided",
-                join.name()
-            );
-            assert_eq!(
-                rs.exhausted,
-                0,
-                "{}: no operation may run out of attempts on a recoverable schedule",
-                join.name()
-            );
+        let schedules = [
+            ("transient", FaultPlan::transient(seed, 400)),
+            ("errors_only", FaultPlan::errors_only(seed, 400)),
+        ];
+        for (schedule, specs) in schedules {
+            for threads in [1usize, 2, 4, 8] {
+                let at = format!("{} under {schedule} at {threads} threads", join.name());
+                let rig = rig(specs.clone(), patient());
+                rig.fault.arm();
+                let report = join
+                    .run(&rig.wl, threads)
+                    .expect("a recoverable schedule must be retried to success");
+                assert_eq!(
+                    report.output_records,
+                    rig.wl.expected_join_output(),
+                    "{at}: wrong output"
+                );
+                assert_eq!(
+                    report.output_records, baseline.output_records,
+                    "{at}: faulted run diverged from the fault-free baseline"
+                );
+                if schedule == "errors_only" {
+                    assert_eq!(
+                        (report.partition_io, report.probe_io),
+                        (baseline.partition_io, baseline.probe_io),
+                        "{at}: recovered errors perturbed the per-phase modeled I/O"
+                    );
+                }
+                let fs = rig.fault.fault_stats();
+                assert!(
+                    fs.injected_errors + fs.injected_corruptions + fs.injected_delays > 0,
+                    "{at}: the schedule never fired — the matrix pinned nothing"
+                );
+                let rs = rig.checked.retry_stats();
+                assert!(
+                    rs.recovered > 0,
+                    "{at}: injected errors must have been recovered, not avoided"
+                );
+                assert_eq!(
+                    rs.exhausted, 0,
+                    "{at}: no operation may run out of attempts on a recoverable schedule"
+                );
+            }
         }
     }
 }

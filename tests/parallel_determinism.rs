@@ -1052,10 +1052,13 @@ fn buffer_pool_quota_accounting_survives_a_barrier_stress_test() {
                     // of the test — failures must not corrupt accounting.
                     let ask = (t * 7 + round * 3) % 9;
                     match pool.reserve(ask) {
-                        Ok(mut r) => {
+                        Ok(r) => {
                             assert!(pool.in_use() <= pool.capacity());
-                            if r.grow(2).is_ok() {
-                                r.shrink(1);
+                            // A second reservation on top of the first,
+                            // released before it: nested guards contend too.
+                            if let Ok(extra) = pool.reserve(2) {
+                                assert!(pool.in_use() <= pool.capacity());
+                                drop(extra);
                             }
                             assert!(pool.in_use() <= pool.capacity());
                             drop(r);
@@ -1077,10 +1080,14 @@ fn buffer_pool_quota_accounting_survives_a_barrier_stress_test() {
 fn carved_worker_quotas_conserve_the_budget() {
     let pool = BufferPool::new(37);
     let _fixed = pool.reserve(5).unwrap();
-    let quotas = pool.carve_remaining(6);
-    assert_eq!(quotas.len(), 6);
-    let total: usize = quotas.iter().map(|q| q.pages()).sum();
-    assert_eq!(total, 32, "quotas must cover exactly the remaining budget");
+    // Asks for 36 pages where 32 remain: the last quota is cut short.
+    let quotas = pool.carve_quotas(&[6; 6]);
+    let sizes: Vec<usize> = quotas.iter().map(|q| q.pages()).collect();
+    assert_eq!(
+        sizes,
+        [6, 6, 6, 6, 6, 2],
+        "quotas must never exceed the budget"
+    );
     assert_eq!(pool.available(), 0);
     // Workers release their quotas independently.
     std::thread::scope(|scope| {
