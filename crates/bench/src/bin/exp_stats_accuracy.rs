@@ -20,9 +20,9 @@
 //!
 //! A second table repeats the comparison for every skew-aware algorithm —
 //! NOCAP, DHH (PostgreSQL-style 2 % triggers) and Histojoin — each planned
-//! once from oracle MCVs and once from the same one-pass sketch summary
-//! (`run_with_collected_stats`), so the sketch-vs-oracle question is
-//! answered on equal footing across the whole algorithm lineup.
+//! once from oracle MCVs and once from the MCV list of the same one-pass
+//! sketch summary (`StatsSummary::planner_mcvs`), so the sketch-vs-oracle
+//! question is answered on equal footing across the whole algorithm lineup.
 
 use nocap::{NocapConfig, NocapJoin};
 use nocap_joins::{DhhConfig, DhhJoin};
@@ -167,25 +167,22 @@ fn main() {
                     sketch.total_ios() as f64 / oracle.total_ios().max(1) as f64
                 );
             };
+        let sketched = summary.planner_mcvs();
         device.reset_stats();
         let o = nocap.run(&wl.r, &wl.s, &wl.mcvs).expect("nocap oracle");
         device.reset_stats();
-        let s = nocap
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
-            .expect("nocap sketch");
+        let s = nocap.run(&wl.r, &wl.s, &sketched).expect("nocap sketch");
         row("NOCAP", o, s);
         device.reset_stats();
         let o = dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("dhh oracle");
         device.reset_stats();
-        let s = dhh
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
-            .expect("dhh sketch");
+        let s = dhh.run(&wl.r, &wl.s, &sketched).expect("dhh sketch");
         row("DHH", o, s);
         device.reset_stats();
         let o = histo.run(&wl.r, &wl.s, &wl.mcvs).expect("histojoin oracle");
         device.reset_stats();
         let s = histo
-            .run_with_collected_stats(&wl.r, &wl.s, &summary)
+            .run(&wl.r, &wl.s, &sketched)
             .expect("histojoin sketch");
         row("Histojoin", o, s);
     }

@@ -15,25 +15,24 @@
 //! modeled I/O, and which physical memory the §4.1 model does not charge
 //! is documented once, in [`nocap_par::hybrid`].
 //!
-//! There is one method per kind of input, each in its full
-//! `(…, threads, obs)` form — an MCV list
-//! ([`run_parallel_obs`](NocapJoin::run_parallel_obs)), a sketch summary
-//! ([`run_with_summary`](NocapJoin::run_with_summary)), a statistics page
-//! budget ([`collect_and_run`](NocapJoin::collect_and_run)), an explicit
-//! plan ([`run_with_plan`](NocapJoin::run_with_plan)) and an admission
-//! ladder ([`run_degrading`](NocapJoin::run_degrading)) — plus the blind
-//! and sequential shorthands callers outside this crate use. `threads = 1`
-//! spawns nothing and runs the whole join on the calling thread; pass
-//! `&Obs::off()` to record nothing.
+//! The planner reads one input: the join's correlation skew as a list of
+//! `(key, match count)` MCV pairs, the catalog's or a sketch summary's
+//! ([`StatsSummary::planner_mcvs`]). There are two full entry points, each
+//! in its `(…, threads, obs)` form — an MCV list
+//! ([`run_parallel_obs`](NocapJoin::run_parallel_obs)) and an explicit
+//! plan ([`run_with_plan`](NocapJoin::run_with_plan)) — plus the
+//! sequential and blind shorthands. `threads = 1` spawns nothing and runs
+//! the whole join on the calling thread; pass `&Obs::off()` to record
+//! nothing. A statistics pass is
+//! [`StatsCollector::collect_parallel_with_budget`](nocap_stats::StatsCollector::collect_parallel_with_budget)
+//! before the join, and graceful degradation under admission pressure is
+//! [`nocap_model::run_degrading`] around a join rebuilt at each budget.
 
-use nocap_model::{
-    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, RoundedHashParams,
-    StagingRouter,
-};
+use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, RoundedHashParams, StagingRouter};
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
-use nocap_stats::{StatsCollector, StatsSummary};
-use nocap_storage::{BufferPool, Relation};
+use nocap_stats::StatsSummary;
+use nocap_storage::Relation;
 
 use crate::plan::NocapPlan;
 use crate::planner::{plan_nocap, PlannerConfig};
@@ -134,120 +133,22 @@ impl NocapJoin {
         self.run_with_plan(r, s, &plan, threads, obs)
     }
 
-    /// [`run_with_summary`](Self::run_with_summary) on the calling thread,
-    /// without a recorder.
+    /// Plans and executes the join on the calling thread from a one-pass
+    /// sketch summary instead of an oracle MCV list:
+    /// [`run`](Self::run) with [`StatsSummary::planner_mcvs`] — raw
+    /// SpaceSaving counts on skewed streams, equi-width histogram masses on
+    /// near-uniform ones, where per-key SpaceSaving counts are noise. Hand
+    /// the same list to [`run_parallel_obs`](Self::run_parallel_obs) for
+    /// more workers or a recorder; the summary is the same artifact at
+    /// every thread count, so the plan, the output and the per-phase I/O
+    /// are too.
     pub fn run_with_collected_stats(
         &self,
         r: &Relation,
         s: &Relation,
         stats: &StatsSummary,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_with_summary(r, s, stats, 1, &Obs::off())
-    }
-
-    /// Plans and executes the join purely from a one-pass sketch summary —
-    /// no `CorrelationTable` oracle anywhere on this path — on `threads`
-    /// workers.
-    ///
-    /// The summary's planner statistics stand in for the exact top-k MCVs
-    /// and its exact stream length stands in for `n_S`. On skewed streams
-    /// those statistics are the SpaceSaving counts; on near-uniform streams
-    /// [`StatsSummary::planner_mcvs`] substitutes equi-width histogram
-    /// masses, whose per-key estimates are unbiased where SpaceSaving is
-    /// noise-dominated. This is the deployable configuration: everything
-    /// the planner consumes was produced by `nocap-stats` sketches within a
-    /// bounded page budget. The summary is the same artifact at every
-    /// thread count, so the plan, the output and the per-phase I/O are too.
-    pub fn run_with_summary(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-        threads: usize,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        let mcvs = stats.planner_mcvs();
-        let plan = plan_nocap(
-            &mcvs,
-            r.num_records(),
-            stats.stream_len(),
-            &self.spec,
-            &self.config.planner,
-        );
-        self.run_with_plan(r, s, &plan, threads, obs)
-    }
-
-    /// The fully self-contained pipeline: sharded sketch collection over S
-    /// ([`StatsCollector::collect_parallel_with_budget`], charged
-    /// against the spec's buffer budget), planning from the summary alone,
-    /// and execution — every stage on `threads` workers.
-    ///
-    /// The extra sequential scan of S shows up in the device's I/O trace —
-    /// statistics are not free, and experiments that account for them should
-    /// use this entry point — and, when `obs` records, as a `stats` phase
-    /// span with per-shard worker spans in the same trace as the join.
-    /// Requesting more statistics memory than the spec's buffer budget can
-    /// hold fails with
-    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) rather than
-    /// being silently clamped.
-    ///
-    /// Because the sharded collector's summary is bit-identical for every
-    /// thread count, the plan — and therefore the executor's output *and*
-    /// per-phase modeled I/O — is identical for every `threads`, including
-    /// the statistics scan itself (each page of S is read exactly once).
-    /// `stats_pages` is the per-shard-collector budget; the fixed
-    /// [`STATS_SHARDS`](nocap_stats::STATS_SHARDS)-way shard geometry
-    /// multiplies the resident charge (determinism fixes the number of
-    /// sketch sets by the data, not by the worker count).
-    pub fn collect_and_run(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats_pages: usize,
-        threads: usize,
-        obs: &Obs,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        // Attach before the sketch pass so stats-phase reads land in the
-        // same I/O trace as the join; the body's own attach nests onto this
-        // one.
-        let _io_trace = obs.attach_io(s.device());
-        let pool = BufferPool::new(self.spec.buffer_pages);
-        let summary = StatsCollector::collect_parallel_with_budget(
-            &pool,
-            stats_pages,
-            self.spec.page_size,
-            s,
-            threads,
-            obs,
-        )?;
-        drop(pool);
-        self.run_with_summary(r, s, &summary, threads, obs)
-    }
-
-    /// [`run_obs`](Self::run_obs) with graceful degradation: when
-    /// `admission` cannot grant the spec's budget — or planning/execution
-    /// fails with
-    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) — the
-    /// budget walks down the [`BudgetLadder`] (`B → ¾B → …`) and the join
-    /// is re-planned at the smaller budget, trading passes for memory
-    /// instead of failing. Every step is recorded in the returned
-    /// [`DegradedRun`] and, when `obs` records, in the trace counters
-    /// `degradation_steps` / `degraded_budget_pages`.
-    pub fn run_degrading(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        admission: &BufferPool,
-        ladder: &BudgetLadder,
-        obs: &Obs,
-    ) -> nocap_storage::Result<DegradedRun> {
-        nocap_model::run_degrading(admission, self.spec.buffer_pages, ladder, obs, |budget| {
-            // Re-plan at the degraded budget: a smaller B designates fewer
-            // keys and spills more, but the plan stays feasible.
-            let degraded = NocapJoin::new(self.spec.with_buffer_pages(budget), self.config);
-            degraded.run_obs(r, s, mcvs, obs)
-        })
+        self.run(r, s, &stats.planner_mcvs())
     }
 
     /// Executes the join with an explicit, pre-computed plan on `threads`
@@ -351,8 +252,10 @@ impl RestGeometry {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use nocap_model::BudgetLadder;
     use nocap_par::ParallelStager;
-    use nocap_storage::{Record, SimDevice};
+    use nocap_stats::StatsCollector;
+    use nocap_storage::{BufferPool, IoStats, Record, SimDevice};
     use std::collections::HashMap;
 
     /// Builds R with keys `0..n_r` and S where key `k` appears `ct(k)` times.
@@ -570,55 +473,52 @@ pub(crate) mod tests {
         }
     }
 
+    /// A report's output and per-phase I/O, each phase as
+    /// `[seq_reads, rand_reads, seq_writes, rand_writes]`.
+    fn pinned(report: &JoinRunReport) -> (u64, [u64; 4], [u64; 4]) {
+        let io = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
+        let (partition, probe) = (io(&report.partition_io), io(&report.probe_io));
+        (report.output_records, partition, probe)
+    }
+
     #[test]
     fn run_degrading_trades_memory_for_passes_under_admission_pressure() {
-        use nocap_model::BudgetLadder;
         let device = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 64);
         let counts = |k: u64| if k < 5 { 150 } else { 2 };
         let (r, s, mcvs) = build_workload(device.clone(), &spec, 2_000, counts);
-        let join = NocapJoin::new(spec, NocapConfig::default());
+        // Re-plan at every budget the ladder tries: a smaller B designates
+        // fewer keys and spills more, but the plan stays feasible.
+        let degrading = |admission: &BufferPool| {
+            let ladder = BudgetLadder::default();
+            nocap_model::run_degrading(admission, 64, &ladder, &Obs::off(), |budget| {
+                NocapJoin::new(spec.with_buffer_pages(budget), NocapConfig::default())
+                    .run(&r, &s, &mcvs)
+            })
+        };
 
         // Roomy admission: first-try success, same result as a plain run.
-        let roomy = nocap_storage::BufferPool::new(256);
-        let run = join
-            .run_degrading(&r, &s, &mcvs, &roomy, &BudgetLadder::default(), &Obs::off())
-            .unwrap();
-        assert_eq!(run.steps(), 0);
-        assert_eq!(run.budget_pages, 64);
+        let roomy = BufferPool::new(256);
+        let run = degrading(&roomy).unwrap();
+        assert_eq!((run.budget_pages, run.steps()), (64, 0));
+        assert_eq!(pinned(&run.report), (4_740, [218, 0, 0, 44], [45, 0, 0, 1]));
         assert_eq!(run.report.output_records, expected_output(2_000, counts));
         assert_eq!(roomy.in_use(), 0);
 
         // Tight admission (37 pages): 64 and 48 are rejected, 36 runs.
-        let tight = nocap_storage::BufferPool::new(37);
-        let degraded = join
-            .run_degrading(&r, &s, &mcvs, &tight, &BudgetLadder::default(), &Obs::off())
-            .unwrap();
-        assert_eq!(degraded.budget_pages, 36);
-        assert_eq!(degraded.steps(), 2);
+        let tight = BufferPool::new(37);
+        let degraded = degrading(&tight).unwrap();
+        assert_eq!((degraded.budget_pages, degraded.steps()), (36, 2));
         assert_eq!(
-            degraded.report.output_records,
-            expected_output(2_000, counts),
-            "a degraded run is still correct"
-        );
-        assert!(
-            degraded.report.total_ios() >= run.report.total_ios(),
-            "less memory can never mean less I/O"
+            pinned(&degraded.report),
+            (4_740, [218, 0, 0, 126], [128, 0, 0, 2]),
+            "a degraded run is still correct, and pays for the memory in passes"
         );
         assert_eq!(tight.in_use(), 0);
 
         // Admission below the ladder floor: a clean error, nothing leaked.
-        let hopeless = nocap_storage::BufferPool::new(2);
-        let err = join
-            .run_degrading(
-                &r,
-                &s,
-                &mcvs,
-                &hopeless,
-                &BudgetLadder::default(),
-                &Obs::off(),
-            )
-            .expect_err("the floor cannot be granted");
+        let hopeless = BufferPool::new(2);
+        let err = degrading(&hopeless).expect_err("the floor cannot be granted");
         assert!(matches!(
             err,
             nocap_storage::StorageError::OutOfMemory { .. }
@@ -704,32 +604,45 @@ pub(crate) mod tests {
         );
     }
 
+    /// The statistics pass a deployment runs before the join: a sharded
+    /// sketch of S within 4 pages per shard, charged to the spec's budget,
+    /// then NOCAP planned from the summary alone, both on `threads` workers.
+    fn sketch_and_join(
+        join: &NocapJoin,
+        r: &Relation,
+        s: &Relation,
+        threads: usize,
+    ) -> JoinRunReport {
+        let spec = join.spec();
+        let pool = BufferPool::new(spec.buffer_pages);
+        let summary = StatsCollector::collect_parallel_with_budget(
+            &pool,
+            4,
+            spec.page_size,
+            s,
+            threads,
+            &Obs::off(),
+        )
+        .unwrap();
+        drop(pool);
+        join.run_parallel(r, s, &summary.planner_mcvs(), threads)
+            .unwrap()
+    }
+
     #[test]
     fn sketch_pipeline_is_identical_at_every_thread_count() {
-        // collect_and_run at n workers must reproduce its one-worker run
+        // The pipeline at n workers must reproduce its one-worker run
         // exactly: the sharded summary is thread-count invariant, so the
         // plan, the output and the per-phase I/O all are.
         let spec = JoinSpec::paper_synthetic(128, 48);
         let counts = |k: u64| if k < 12 { 180 } else { 3 };
         let join = NocapJoin::new(spec, NocapConfig::default());
-        let (r, s, _) = build(2_500, counts, &spec);
-        let sequential = join.collect_and_run(&r, &s, 4, 1, &Obs::off()).unwrap();
         for threads in [1usize, 2, 4, 8] {
             let (r, s, _) = build(2_500, counts, &spec);
-            let parallel = join
-                .collect_and_run(&r, &s, 4, threads, &Obs::off())
-                .unwrap();
             assert_eq!(
-                parallel.output_records, sequential.output_records,
-                "pipeline output differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.partition_io, sequential.partition_io,
-                "pipeline partition I/O differs at {threads} threads"
-            );
-            assert_eq!(
-                parallel.probe_io, sequential.probe_io,
-                "pipeline probe I/O differs at {threads} threads"
+                pinned(&sketch_and_join(&join, &r, &s, threads)),
+                (9_624, [392, 0, 0, 218], [221, 0, 0, 3]),
+                "pipeline differs at {threads} threads"
             );
         }
     }
@@ -742,7 +655,8 @@ pub(crate) mod tests {
         let (r, s, _) = build(2_000, counts, &spec);
         let device = r.device().clone();
         device.reset_stats();
-        let report = join.collect_and_run(&r, &s, 4, 4, &Obs::off()).unwrap();
+        let report = sketch_and_join(&join, &r, &s, 4);
+        assert_eq!(pinned(&report), (6_996, [291, 0, 0, 122], [123, 0, 0, 1]));
         let device_ios = device.stats().reads() + device.stats().writes();
         // The statistics scan costs exactly ||S|| sequential reads on top
         // of the join's own modeled I/O, sharded or not.

@@ -46,17 +46,24 @@
 //! [`DhhJoin::histojoin`]: this executor under [`DhhConfig::histojoin`],
 //! exactly as the paper treats it ("we also compare Histojoin by setting
 //! the trigger frequency threshold as zero"), reporting under its own name.
+//!
+//! **Statistics.** Like NOCAP's planner, DHH reads one input besides the
+//! relations: an MCV list, the catalog's or a sketch summary's
+//! ([`StatsSummary::planner_mcvs`](nocap_stats::StatsSummary::planner_mcvs),
+//! whose histogram-backed masses on near-uniform streams keep noisy
+//! SpaceSaving counts from tripping the 2 % trigger). `exp_stats_accuracy`
+//! hands every skew-aware algorithm the same list, so they compare on
+//! equal sketched footing. Graceful degradation under admission pressure
+//! is [`nocap_model::run_degrading`] around an operator rebuilt at each
+//! budget.
 
 use std::collections::HashSet;
 
-use nocap_model::{
-    staging_quotas, BudgetLadder, DegradedRun, JoinRunReport, JoinSpec, StagingRouter,
-};
+use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, StagingRouter};
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
-use nocap_stats::StatsSummary;
 use nocap_storage::hash::BuildKeyHasher;
-use nocap_storage::{BufferPool, JoinHashTable, Relation};
+use nocap_storage::{JoinHashTable, Relation};
 
 /// SplitMix64 hash for partition routing (the shared workspace key hash).
 use nocap_storage::hash::mix64 as hash_key;
@@ -137,28 +144,6 @@ impl DhhJoin {
         DhhJoin::new(spec, DhhConfig::default())
     }
 
-    /// Executes `r ⋈ s` on the calling thread with statistics from a
-    /// one-pass sketch summary instead of the oracle MCV list — the same
-    /// deployable configuration `NocapJoin::run_with_collected_stats` uses,
-    /// so `exp_stats_accuracy` compares every skew-aware algorithm on equal
-    /// (sketched) footing.
-    ///
-    /// To DHH a summary is only another MCV list: the skew optimization
-    /// consumes [`StatsSummary::planner_mcvs`] — raw SpaceSaving counts on
-    /// skewed streams, histogram-backed masses on near-uniform ones (where
-    /// the raw counts are noise-dominated and would trip the 2 % frequency
-    /// trigger spuriously). Hand the same list to
-    /// [`run_parallel_obs`](Self::run_parallel_obs) for more workers or a
-    /// recorder.
-    pub fn run_with_collected_stats(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        stats: &StatsSummary,
-    ) -> nocap_storage::Result<JoinRunReport> {
-        self.run(r, s, &stats.planner_mcvs())
-    }
-
     /// Executes `r ⋈ s` on the calling thread
     /// ([`run_parallel`](Self::run_parallel) with one worker; it never
     /// reads `NOCAP_THREADS`). `mcvs` are the tracked most-common-value
@@ -184,31 +169,6 @@ impl DhhJoin {
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
         self.run_parallel_obs(r, s, mcvs, 1, obs)
-    }
-
-    /// [`run_obs`](Self::run_obs) with graceful degradation: when
-    /// `admission` cannot grant the spec's budget — or execution fails with
-    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) — the
-    /// budget walks down the [`BudgetLadder`] (`B → ¾B → …`) and DHH
-    /// re-runs with a smaller budget (more partitions spill, more passes),
-    /// instead of failing. Every step is recorded in the returned
-    /// [`DegradedRun`].
-    pub fn run_degrading(
-        &self,
-        r: &Relation,
-        s: &Relation,
-        mcvs: &[(u64, u64)],
-        admission: &BufferPool,
-        ladder: &BudgetLadder,
-        obs: &Obs,
-    ) -> nocap_storage::Result<DegradedRun> {
-        nocap_model::run_degrading(admission, self.spec.buffer_pages, ladder, obs, |budget| {
-            let degraded = DhhJoin {
-                spec: self.spec.with_buffer_pages(budget),
-                ..*self
-            };
-            degraded.run_obs(r, s, mcvs, obs)
-        })
     }
 
     /// [`run_parallel_obs`](Self::run_parallel_obs) without a recorder.
@@ -308,7 +268,15 @@ mod tests {
     use crate::naive::naive_join_count;
     use crate::testutil::{build_workload, mcvs};
     use nocap_par::ParallelStager;
-    use nocap_storage::{RadixRouter, Record, SimDevice};
+    use nocap_storage::{IoStats, RadixRouter, Record, SimDevice};
+
+    /// A report's output and per-phase I/O, each phase as
+    /// `[seq_reads, rand_reads, seq_writes, rand_writes]`.
+    fn pinned(report: &JoinRunReport) -> (u64, [u64; 4], [u64; 4]) {
+        let io = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
+        let (partition, probe) = (io(&report.partition_io), io(&report.probe_io));
+        (report.output_records, partition, probe)
+    }
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -405,8 +373,12 @@ mod tests {
             .unwrap();
         dev.reset_stats();
         let sketched = DhhJoin::with_defaults(spec)
-            .run_with_collected_stats(&r, &s, &summary)
+            .run(&r, &s, &summary.planner_mcvs())
             .unwrap();
+        assert_eq!(
+            pinned(&sketched),
+            (7_480, [323, 0, 0, 249], [264, 0, 0, 15])
+        );
         assert_eq!(sketched.output_records, expected);
         assert_eq!(oracle.output_records, expected);
         assert!(
@@ -564,7 +536,7 @@ mod tests {
                 let (r, s, summary) = collect();
                 r.device().reset_stats();
                 DhhJoin::with_defaults(spec)
-                    .run_with_collected_stats(&r, &s, &summary)
+                    .run(&r, &s, &summary.planner_mcvs())
                     .unwrap()
             },
             |threads| {
@@ -587,22 +559,19 @@ mod tests {
         let (r, s) = build_workload(dev.clone(), &spec, 2_000, counts);
         let expected = naive_join_count(&r, &s).unwrap();
         let stats = mcvs(2_000, counts, 100);
-        let join = DhhJoin::with_defaults(spec);
 
         // 48 and 36 rejected by a 28-page admission pool; 27 runs.
         let tight = BufferPool::new(28);
-        let degraded = join
-            .run_degrading(
-                &r,
-                &s,
-                &stats,
-                &tight,
-                &BudgetLadder::default(),
-                &Obs::off(),
-            )
-            .unwrap();
-        assert_eq!(degraded.budget_pages, 27);
-        assert_eq!(degraded.steps(), 2);
+        let ladder = BudgetLadder::default();
+        let degraded = nocap_model::run_degrading(&tight, 48, &ladder, &Obs::off(), |budget| {
+            DhhJoin::with_defaults(spec.with_buffer_pages(budget)).run(&r, &s, &stats)
+        })
+        .unwrap();
+        assert_eq!((degraded.budget_pages, degraded.steps()), (27, 2));
+        assert_eq!(
+            pinned(&degraded.report),
+            (5_584, [246, 0, 0, 239], [258, 0, 0, 19])
+        );
         assert_eq!(degraded.report.output_records, expected);
         assert_eq!(tight.in_use(), 0);
     }

@@ -263,9 +263,8 @@ impl SortMergeJoin {
 
 /// Generates this relation's sorted runs with `threads` workers claiming
 /// fixed grid chunks in canonical order, then runs the merge cascade until
-/// the runs fit `share`, the workers claiming each level's groups —
-/// exactly the artifact `ExternalSorter::sort_to_runs` produces, at any
-/// worker count.
+/// the runs fit `share`, the workers claiming each level's groups. The runs
+/// and every I/O count are the one-worker sort's at any worker count.
 fn sorted_runs(
     relation: &Relation,
     budget: usize,
@@ -308,8 +307,7 @@ fn sorted_runs(
     let groups = |count: usize, merge: &GroupMerge<'_>| {
         ordered_tasks(threads, obs, Phase::Merge, count, || (), |_, g| merge(g))
     };
-    let mut sorter = ExternalSorter::new(relation.device().clone(), budget);
-    Ok(sorter.merge_to_fan_in(runs, share, groups)?.runs)
+    ExternalSorter::new(relation.device().clone(), budget).merge_to_fan_in(runs, share, groups)
 }
 
 #[cfg(test)]

@@ -18,6 +18,13 @@
 //! is never mistaken for a first-try success. Any error other than
 //! `OutOfMemory` aborts the ladder immediately: degradation is a response
 //! to memory pressure, not a generic retry loop.
+//!
+//! The ladder runs over any operator: [`run_degrading`]'s closure rebuilds
+//! the join at the budget it is handed
+//! (`NocapJoin::new(spec.with_buffer_pages(b), config)` re-plans; DHH,
+//! Histojoin, GHJ and SMJ re-size), so every join in the workspace degrades
+//! the same way, and the floor is the largest of their structural
+//! minimums.
 
 use nocap_obs::Obs;
 use nocap_storage::{BufferPool, Result, StorageError};

@@ -11,13 +11,12 @@
 //!   phase. The default ([`Obs::off`]) carries no recorder: every probe is a
 //!   branch on a `None` and touches no clock, so the hot paths cost nothing
 //!   when observability is disabled.
-//! * [`Recorder`] is the sink trait. All methods have no-op defaults, so a
-//!   custom sink (the future join server's live metrics) only implements
-//!   what it needs. The bundled [`TraceRecorder`] accumulates a full
-//!   [`ExecutionTrace`].
+//! * A recording handle ([`Obs::recording`]) writes into one in-memory sink
+//!   that accumulates a full [`ExecutionTrace`], drained by
+//!   [`Obs::take_trace`].
 //! * Worker threads record through [`WorkerObs`], which buffers spans and
 //!   counters in plain per-worker `Vec`s — no locks, no atomics during
-//!   recording — and flushes them into the recorder with a single lock
+//!   recording — and flushes them into the sink with a single lock
 //!   acquisition when the worker finishes.
 //! * Device-level I/O rides the same channel: [`Obs::attach_io`] installs
 //!   an event sink on a `nocap-storage` `TracedDevice`, every page access
@@ -34,11 +33,9 @@
 //!
 //! ## Output
 //!
-//! [`ExecutionTrace`] offers three emitters: [`ExecutionTrace::phase_table`]
-//! (human-readable per-phase wall time and skew summaries),
-//! [`ExecutionTrace::to_json`] (machine-readable), and
-//! [`ExecutionTrace::to_chrome_trace`] (load in `chrome://tracing` or
-//! Perfetto for per-worker timelines).
+//! [`ExecutionTrace`] offers two emitters: [`ExecutionTrace::to_json`]
+//! (machine-readable) and [`ExecutionTrace::to_chrome_trace`] (load in
+//! `chrome://tracing` or Perfetto for per-worker timelines).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,9 +52,7 @@ pub use audit::{
 };
 pub use hist::HistogramSummary;
 pub use io::{io_kind_name, io_marker_name, io_op_name, IoEventRec, IoMarkerRec, IoPhaseMark};
-pub use recorder::{
-    IoTraceGuard, Obs, PhaseSpan, Recorder, RunTimer, SpanStart, TraceRecorder, WorkerObs,
-};
+pub use recorder::{IoTraceGuard, Obs, PhaseSpan, RunTimer, SpanStart, WorkerObs};
 pub use trace::{ExecutionTrace, SpanRec};
 
 /// Execution phases the engine reports spans under.
@@ -89,19 +84,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// All phases in canonical display order.
-    pub const ALL: [Phase; 9] = [
-        Phase::Scan,
-        Phase::Stats,
-        Phase::Partition,
-        Phase::Spill,
-        Phase::Build,
-        Phase::Probe,
-        Phase::SortRunGen,
-        Phase::Merge,
-        Phase::Total,
-    ];
-
     /// Stable snake_case name used in tables and JSON.
     pub fn name(self) -> &'static str {
         match self {

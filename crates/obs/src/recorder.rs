@@ -1,4 +1,5 @@
-//! The recording handles: [`Obs`], [`WorkerObs`] and the [`Recorder`] sink.
+//! The recording handles, [`Obs`] and [`WorkerObs`], and the in-memory sink
+//! they record into.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -11,34 +12,6 @@ use crate::io::{self, IoPhaseMark, IoSinkState, IoWorkerMark, ObsIoSink};
 use crate::trace::{ExecutionTrace, SpanRec};
 use crate::Phase;
 
-/// Sink for observability events.
-///
-/// Every method has a no-op default, so implementations only override what
-/// they consume. Methods take `&self`: a recorder is shared across worker
-/// threads and must synchronize internally (the bundled [`TraceRecorder`]
-/// uses one mutex that workers touch exactly once, at flush time).
-pub trait Recorder: Send + Sync + std::fmt::Debug {
-    /// Records one completed span (main thread or flushed from a worker).
-    fn record_span(&self, _span: SpanRec) {}
-
-    /// Absorbs a worker's buffered spans and counter deltas in one call.
-    fn flush_worker(&self, _spans: Vec<SpanRec>, _counters: Vec<(String, u64)>) {}
-
-    /// Adds `delta` to the named counter.
-    fn add_count(&self, _name: &str, _delta: u64) {}
-
-    /// Feeds observations into the named value histogram.
-    fn record_values(&self, _name: &str, _values: &mut dyn Iterator<Item = u64>) {}
-
-    /// Raises the named gauge to at least `value` (high-water mark).
-    fn gauge_max(&self, _name: &str, _value: u64) {}
-
-    /// Drains the accumulated trace, if this recorder keeps one.
-    fn take_trace(&self) -> Option<ExecutionTrace> {
-        None
-    }
-}
-
 #[derive(Debug, Default)]
 struct TraceState {
     spans: Vec<SpanRec>,
@@ -47,29 +20,25 @@ struct TraceState {
     gauges: std::collections::BTreeMap<String, u64>,
 }
 
-/// The bundled in-memory [`Recorder`]: accumulates spans, counters, value
-/// histograms and gauges into an [`ExecutionTrace`].
+/// The sink a recording [`Obs`] writes into: accumulates spans, counters,
+/// value histograms and gauges into an [`ExecutionTrace`]. Methods take
+/// `&self` because the sink is shared by every worker; one mutex guards it.
 ///
 /// Worker threads never touch the mutex while recording — they buffer into
-/// [`WorkerObs`] and land here once, via [`Recorder::flush_worker`], when
-/// the worker completes.
+/// [`WorkerObs`] and land here once, via `flush_worker`, when the worker
+/// completes.
 #[derive(Debug, Default)]
-pub struct TraceRecorder {
+struct TraceRecorder {
     state: Mutex<TraceState>,
 }
 
 impl TraceRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Recorder for TraceRecorder {
+    /// Records one completed span (main thread or flushed from a worker).
     fn record_span(&self, span: SpanRec) {
         self.state.lock().expect("trace lock").spans.push(span);
     }
 
+    /// Absorbs a worker's buffered spans and counter deltas in one call.
     fn flush_worker(&self, spans: Vec<SpanRec>, counters: Vec<(String, u64)>) {
         let mut st = self.state.lock().expect("trace lock");
         st.spans.extend(spans);
@@ -78,12 +47,14 @@ impl Recorder for TraceRecorder {
         }
     }
 
+    /// Adds `delta` to the named counter.
     fn add_count(&self, name: &str, delta: u64) {
         let mut st = self.state.lock().expect("trace lock");
         *st.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    fn record_values(&self, name: &str, values: &mut dyn Iterator<Item = u64>) {
+    /// Feeds observations into the named value histogram.
+    fn record_values(&self, name: &str, values: impl IntoIterator<Item = u64>) {
         let mut st = self.state.lock().expect("trace lock");
         st.values
             .entry(name.to_string())
@@ -91,13 +62,15 @@ impl Recorder for TraceRecorder {
             .extend(values);
     }
 
+    /// Raises the named gauge to at least `value` (high-water mark).
     fn gauge_max(&self, name: &str, value: u64) {
         let mut st = self.state.lock().expect("trace lock");
         let g = st.gauges.entry(name.to_string()).or_insert(0);
         *g = (*g).max(value);
     }
 
-    fn take_trace(&self) -> Option<ExecutionTrace> {
+    /// Drains the accumulated trace.
+    fn take_trace(&self) -> ExecutionTrace {
         let mut st = self.state.lock().expect("trace lock");
         let st = std::mem::take(&mut *st);
         let mut trace = ExecutionTrace {
@@ -117,13 +90,13 @@ impl Recorder for TraceRecorder {
                 .histograms
                 .insert(name, HistogramSummary::from_values(&mut vals));
         }
-        Some(trace)
+        trace
     }
 }
 
 #[derive(Debug, Clone)]
 struct ObsInner {
-    rec: Arc<dyn Recorder>,
+    rec: Arc<TraceRecorder>,
     epoch: Instant,
     /// Buffers for device-level I/O events, shared by every clone of this
     /// handle so nested [`Obs::attach_io`] scopes reuse one sequence order.
@@ -145,19 +118,14 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// A handle recording into a fresh [`TraceRecorder`]; drain the result
-    /// with [`Obs::take_trace`].
+    /// A handle recording into a fresh in-memory trace; drain it with
+    /// [`Obs::take_trace`]. The epoch for span timestamps is the moment
+    /// this handle is created.
     pub fn recording() -> Self {
-        Obs::with_recorder(Arc::new(TraceRecorder::new()))
-    }
-
-    /// A handle recording into a caller-supplied sink. The epoch for span
-    /// timestamps is the moment this handle is created.
-    pub fn with_recorder(rec: Arc<dyn Recorder>) -> Self {
         let epoch = Instant::now();
         Obs {
             inner: Some(ObsInner {
-                rec,
+                rec: Arc::default(),
                 epoch,
                 io: Arc::new(IoSinkState::new(epoch)),
             }),
@@ -235,8 +203,7 @@ impl Obs {
         I: IntoIterator<Item = u64>,
     {
         if let Some(i) = &self.inner {
-            let mut it = vals.into_iter();
-            i.rec.record_values(name, &mut it);
+            i.rec.record_values(name, vals);
         }
     }
 
@@ -271,10 +238,10 @@ impl Obs {
     ///
     /// Every `_obs` executor entry point calls this on its input device, so
     /// wrapping a workload's device in `TracedDevice` is all it takes to get
-    /// the device-level event stream into the run's [`ExecutionTrace`].
-    /// Attaching snapshots the device counters once, so the event stream
-    /// starts marker-bounded; nested attachments (an executor inside
-    /// `collect_and_run`) share the outer sink. The sink is removed when the
+    /// the device-level event stream into the run's [`ExecutionTrace`]; the
+    /// sharded statistics pass attaches too. Attaching snapshots the device
+    /// counters once, so the event stream starts marker-bounded; nested
+    /// attachments share the outer sink. The sink is removed when the
     /// outermost guard drops.
     pub fn attach_io(&self, device: &DeviceRef) -> IoTraceGuard {
         let Some(i) = self.inner.as_ref() else {
@@ -303,14 +270,14 @@ impl Obs {
         }
     }
 
-    /// Drains the accumulated trace (`None` when off or the sink keeps none).
+    /// Drains the accumulated trace (`None` when off).
     pub fn take_trace(&self) -> Option<ExecutionTrace> {
-        self.inner.as_ref().and_then(|i| {
-            let mut trace = i.rec.take_trace()?;
+        self.inner.as_ref().map(|i| {
+            let mut trace = i.rec.take_trace();
             let (events, markers) = i.io.drain();
             trace.io_events = events;
             trace.io_markers = markers;
-            Some(trace)
+            trace
         })
     }
 }

@@ -1,4 +1,4 @@
-//! The structured trace and its emitters (phase table, JSON, chrome trace).
+//! The structured trace and its emitters (JSON, chrome trace).
 
 use std::collections::BTreeMap;
 
@@ -65,22 +65,6 @@ impl ExecutionTrace {
             .sum()
     }
 
-    /// Per-phase `(phase, span count, wall seconds)` for every phase that
-    /// appears on the coordinating thread, in canonical phase order.
-    pub fn phase_breakdown(&self) -> Vec<(Phase, usize, f64)> {
-        Phase::ALL
-            .iter()
-            .filter_map(|&phase| {
-                let calls = self
-                    .spans
-                    .iter()
-                    .filter(|s| s.phase == phase && s.worker.is_none())
-                    .count();
-                (calls > 0).then(|| (phase, calls, self.phase_secs(phase)))
-            })
-            .collect()
-    }
-
     /// Per-worker `(worker, task-span count, busy seconds)` aggregated over
     /// all worker spans, ascending by worker id.
     pub fn worker_breakdown(&self) -> Vec<(usize, usize, f64)> {
@@ -96,51 +80,6 @@ impl ExecutionTrace {
             .into_iter()
             .map(|(w, (tasks, busy))| (w, tasks, busy))
             .collect()
-    }
-
-    /// Human-readable summary: per-phase wall times, skew histograms
-    /// (p50/p99/max), counters, gauges and per-worker busy time.
-    pub fn phase_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("phase            calls   wall_ms\n");
-        for (phase, calls, secs) in self.phase_breakdown() {
-            out.push_str(&format!(
-                "{:<16} {:>5} {:>9.3}\n",
-                phase.name(),
-                calls,
-                secs * 1e3
-            ));
-        }
-        if !self.histograms.is_empty() {
-            out.push_str(
-                "histogram                    count       p50       p99       max      skew\n",
-            );
-            for (name, h) in &self.histograms {
-                out.push_str(&format!(
-                    "{:<26} {:>7} {:>9} {:>9} {:>9} {:>9.2}\n",
-                    name,
-                    h.count,
-                    h.p50,
-                    h.p99,
-                    h.max,
-                    h.skew()
-                ));
-            }
-        }
-        for (name, v) in &self.counters {
-            out.push_str(&format!("counter {name} = {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            out.push_str(&format!("gauge {name} = {v}\n"));
-        }
-        let workers = self.worker_breakdown();
-        if !workers.is_empty() {
-            out.push_str("worker   tasks   busy_ms\n");
-            for (w, tasks, busy) in workers {
-                out.push_str(&format!("{:<6} {:>7} {:>9.3}\n", w, tasks, busy * 1e3));
-            }
-        }
-        out
     }
 
     /// Machine-readable JSON: spans, counters, histogram summaries, gauges.
@@ -376,26 +315,15 @@ mod tests {
     }
 
     #[test]
-    fn phase_breakdown_excludes_worker_spans() {
+    fn worker_spans_are_not_phase_time() {
         let trace = sample_trace();
-        let phases: Vec<Phase> = trace.phase_breakdown().iter().map(|r| r.0).collect();
-        assert_eq!(phases, vec![Phase::Partition]);
+        assert_eq!(
+            trace.phase_secs(Phase::Probe),
+            0.0,
+            "the probe span is worker 0's, not phase time"
+        );
         assert_eq!(trace.worker_breakdown().len(), 1);
         assert_eq!(trace.worker_breakdown()[0].1, 1, "one task span");
-    }
-
-    #[test]
-    fn phase_table_mentions_everything() {
-        let table = sample_trace().phase_table();
-        for needle in [
-            "partition",
-            "partition_records",
-            "spilled_partitions",
-            "buffer_pool_peak_pages",
-            "worker",
-        ] {
-            assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
-        }
     }
 
     #[test]

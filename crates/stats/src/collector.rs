@@ -292,9 +292,12 @@ impl StatsCollector {
     /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) up front,
     /// not after half the relation was already read.
     ///
-    /// When `obs` records, the pass is bracketed by a `stats` phase span
-    /// and every shard scan becomes a per-worker task span. Recording is
-    /// passive — the shard grid, fold order and modeled I/O are untouched.
+    /// When `obs` records, the pass is bracketed by a `stats` phase span,
+    /// every shard scan becomes a per-worker task span, and — on a
+    /// `TracedDevice`, which the pass attaches `obs` to as every join does
+    /// — each page read lands in the trace's I/O stream under the `stats`
+    /// phase. Recording is passive — the shard grid, fold order and modeled
+    /// I/O are untouched.
     pub fn collect_parallel_with_budget(
         pool: &BufferPool,
         pages: usize,
@@ -304,6 +307,7 @@ impl StatsCollector {
         obs: &Obs,
     ) -> Result<StatsSummary> {
         let config = StatsConfig::for_budget_pages(pages, page_size);
+        let _io_trace = obs.attach_io(rel.device());
         let charge = pages.max(config.memory_pages(page_size));
         let reservations: Vec<Mutex<Option<Reservation>>> = (0..Self::shard_count(rel))
             .map(|_| pool.reserve(charge).map(|r| Mutex::new(Some(r))))

@@ -13,19 +13,19 @@
 //!   (`pread`/`pwrite` via [`std::os::unix::fs::FileExt`]) with no lock
 //!   held — no per-page `open`, no `seek`, no metadata lock on the I/O
 //!   path.
-//! * **Block/page mapping with read-ahead** — `pages_per_block` pages pack
-//!   into one device block. A `SeqRead` miss fetches the whole containing
+//! * **Block/page mapping with read-ahead** — [`DEFAULT_PAGES_PER_BLOCK`]
+//!   pages pack into one device block. A `SeqRead` miss fetches the whole containing
 //!   block with a single `pread` into a per-file read-ahead frame; the
 //!   following sequential pages are served from the frame, so a scan of
-//!   `N` pages issues `N / pages_per_block` syscalls. Frames belong to the
+//!   `N` pages issues `N / 8` syscalls. Frames belong to the
 //!   scans inside them, not to the file (see *Read-ahead frames* below).
 //! * **Write-behind coalescing** — appends are buffered per file and
 //!   flushed as one block-sized `pwrite` on the block boundary, on
 //!   [`FileDevice::flush`], and on drop; `delete_file` discards the tail.
 //!   Buffered pages are immediately readable (the tail of the file
 //!   logically includes them), so callers cannot observe the buffering.
-//!   Every live file whose last block has not filled holds up to
-//!   `pages_per_block` pages here until it is flushed or deleted — a spill
+//!   Every live file whose last block has not filled holds up to a
+//!   block's pages here until it is flushed or deleted — a spill
 //!   partition for its whole life. That is device memory by design, the
 //!   price of block-sized writes.
 //! * **Durability knobs** — [`SyncPolicy`] selects no syncing,
@@ -187,50 +187,27 @@ impl SyncPolicy {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct BlockConfig {
-    pages_per_block: usize,
-    read_ahead: bool,
-    write_behind: bool,
-    sync: SyncPolicy,
-}
-
-/// Builder for [`FileDevice`] exposing the block-layer knobs.
+/// Builder for [`FileDevice`]: its directory, its durability policy and
+/// the torn-write test hook. Blocks are [`DEFAULT_PAGES_PER_BLOCK`] pages,
+/// with read-ahead and write-behind always on.
 ///
 /// ```no_run
 /// use nocap_storage::{FileDeviceBuilder, SyncPolicy};
 /// let dev = FileDeviceBuilder::new()
-///     .pages_per_block(16)
 ///     .sync_policy(SyncPolicy::DataSync)
 ///     .build()
 ///     .unwrap();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FileDeviceBuilder {
     dir: Option<PathBuf>,
-    pages_per_block: usize,
-    read_ahead: bool,
-    write_behind: bool,
     sync: SyncPolicy,
     torn_append_after: Option<u64>,
 }
 
-impl Default for FileDeviceBuilder {
-    fn default() -> Self {
-        FileDeviceBuilder {
-            dir: None,
-            pages_per_block: DEFAULT_PAGES_PER_BLOCK,
-            read_ahead: true,
-            write_behind: true,
-            sync: SyncPolicy::None,
-            torn_append_after: None,
-        }
-    }
-}
-
 impl FileDeviceBuilder {
-    /// Starts from the defaults: fresh temp directory, 8-page blocks,
-    /// read-ahead and write-behind on, [`SyncPolicy::None`].
+    /// Starts from the defaults: a fresh temp directory and
+    /// [`SyncPolicy::None`].
     pub fn new() -> Self {
         FileDeviceBuilder::default()
     }
@@ -240,25 +217,6 @@ impl FileDeviceBuilder {
     /// appends are flushed on drop instead.
     pub fn at_dir(mut self, dir: PathBuf) -> Self {
         self.dir = Some(dir);
-        self
-    }
-
-    /// Pages packed into one device block (read-ahead and write-behind
-    /// granularity). Clamped to at least 1.
-    pub fn pages_per_block(mut self, n: usize) -> Self {
-        self.pages_per_block = n.max(1);
-        self
-    }
-
-    /// Enables or disables the sequential read-ahead frame cache.
-    pub fn read_ahead(mut self, on: bool) -> Self {
-        self.read_ahead = on;
-        self
-    }
-
-    /// Enables or disables write-behind append coalescing.
-    pub fn write_behind(mut self, on: bool) -> Self {
-        self.write_behind = on;
         self
     }
 
@@ -303,12 +261,7 @@ impl FileDeviceBuilder {
         Ok(FileDevice {
             dir,
             prefix,
-            cfg: BlockConfig {
-                pages_per_block: self.pages_per_block,
-                read_ahead: self.read_ahead,
-                write_behind: self.write_behind,
-                sync: self.sync,
-            },
+            sync: self.sync,
             shards: (0..HANDLE_SHARDS)
                 .map(|_| RwLock::new(HashMap::new()))
                 .collect(),
@@ -569,11 +522,12 @@ impl FileHandle {
 /// See the [module documentation](crate::block) for the architecture
 /// (handle cache, read-ahead, write-behind, durability) and the failure
 /// accounting contract. Construct with [`FileDevice::new_temp`],
-/// [`FileDevice::at_dir`], or [`FileDeviceBuilder`] for the full knob set.
+/// [`FileDevice::at_dir`], or [`FileDeviceBuilder`] for a durability
+/// policy.
 pub struct FileDevice {
     dir: PathBuf,
     prefix: String,
-    cfg: BlockConfig,
+    sync: SyncPolicy,
     shards: Vec<RwLock<HashMap<FileId, Arc<FileHandle>>>>,
     next_id: AtomicU64,
     stats: AtomicIoStats,
@@ -609,7 +563,8 @@ impl FileDevice {
         FileDeviceBuilder::new().at_dir(dir).build()
     }
 
-    /// Builder with the full block-layer knob set.
+    /// Builder for a device with a durability policy or a directory of its
+    /// own.
     pub fn builder() -> FileDeviceBuilder {
         FileDeviceBuilder::new()
     }
@@ -621,7 +576,7 @@ impl FileDevice {
 
     /// The device's durability policy.
     pub fn sync_policy(&self) -> SyncPolicy {
-        self.cfg.sync
+        self.sync
     }
 
     /// Snapshot of the physical syscall-shape counters.
@@ -738,7 +693,7 @@ impl FileDevice {
     }
 
     fn sync_batch(&self, file: &File) -> Result<()> {
-        match self.cfg.sync {
+        match self.sync {
             SyncPolicy::None => return Ok(()),
             SyncPolicy::DataSync => file.sync_data().map_err(io_err)?,
             SyncPolicy::Sync => file.sync_all().map_err(io_err)?,
@@ -770,7 +725,7 @@ impl FileDevice {
         Ok(())
     }
 
-    /// Single-page positioned read (no read-ahead).
+    /// Single-page positioned read: a random-read miss.
     fn read_single(
         &self,
         handle: &FileHandle,
@@ -803,7 +758,7 @@ impl FileDevice {
         durable: usize,
         kind: IoKind,
     ) -> Result<Arc<Page>> {
-        let ppb = self.cfg.pages_per_block;
+        let ppb = DEFAULT_PAGES_PER_BLOCK;
         let block = index / ppb;
         let slot = index % ppb;
         {
@@ -929,34 +884,21 @@ impl BlockDevice for FileDevice {
                 page.size()
             )));
         }
-        if self.cfg.write_behind {
-            if st.buffered.len() >= self.cfg.pages_per_block {
-                // Flush *before* inserting: if the flush fails, this append
-                // has touched nothing and counted nothing, so a retry is an
-                // exact re-execution.
-                self.flush_locked(&handle, &mut st)?;
-            }
-            st.buffered.push(Arc::new(page.clone()));
-            self.resident.write_behind.add(1);
-            self.block_stats
-                .buffered_appends
-                .fetch_add(1, Ordering::Relaxed);
-            // Counted at logical acceptance (the page is readable from this
-            // device from now on) — identical to SimDevice semantics.
-            self.stats.record(kind);
-            Ok(st.durable_pages + st.buffered.len() - 1)
-        } else {
-            let offset = (st.durable_pages * st.page_size) as u64;
-            let file_handle = handle.file()?;
-            self.physical_write(&file_handle, page.as_bytes(), offset, 1)?;
-            self.sync_batch(&file_handle)?;
-            st.durable_pages += 1;
-            // Counted only after the write syscall succeeded: failed
-            // operations never reach the disk, so they must not show up in
-            // the modeled trace.
-            self.stats.record(kind);
-            Ok(st.durable_pages - 1)
+        if st.buffered.len() >= DEFAULT_PAGES_PER_BLOCK {
+            // Flush *before* inserting: if the flush fails, this append has
+            // touched nothing and counted nothing, so a retry is an exact
+            // re-execution.
+            self.flush_locked(&handle, &mut st)?;
         }
+        st.buffered.push(Arc::new(page.clone()));
+        self.resident.write_behind.add(1);
+        self.block_stats
+            .buffered_appends
+            .fetch_add(1, Ordering::Relaxed);
+        // Counted at logical acceptance (the page is readable from this
+        // device from now on) — identical to SimDevice semantics.
+        self.stats.record(kind);
+        Ok(st.durable_pages + st.buffered.len() - 1)
     }
 
     fn read_page(&self, file: FileId, index: usize, kind: IoKind) -> Result<Arc<Page>> {
@@ -978,11 +920,7 @@ impl BlockDevice for FileDevice {
             (st.page_size, st.durable_pages)
         };
         // Durable page: positioned read outside every lock.
-        let page = if self.cfg.read_ahead {
-            self.read_via_frames(&handle, index, page_size, durable, kind)?
-        } else {
-            self.read_single(&handle, index, page_size)?
-        };
+        let page = self.read_via_frames(&handle, index, page_size, durable, kind)?;
         self.stats.record(kind);
         Ok(page)
     }
@@ -1027,10 +965,10 @@ mod tests {
         p.records().map(|r| r.key()).collect()
     }
 
-    /// A device with `ppb`-page blocks holding one flushed file of `pages`
-    /// single-record pages (page `k` holds key `k`), counters reset.
-    fn scanned_file(ppb: usize, pages: u64) -> (FileDevice, FileId) {
-        let dev = FileDevice::builder().pages_per_block(ppb).build().unwrap();
+    /// A device holding one flushed file of `pages` single-record pages
+    /// (page `k` holds key `k`), counters reset.
+    fn scanned_file(pages: u64) -> (FileDevice, FileId) {
+        let dev = FileDevice::new_temp().unwrap();
         let f = dev.create_file();
         for k in 0..pages {
             dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
@@ -1082,40 +1020,40 @@ mod tests {
 
     #[test]
     fn write_behind_coalesces_appends_into_block_writes() {
-        let dev = FileDevice::builder().pages_per_block(4).build().unwrap();
+        let dev = FileDevice::new_temp().unwrap();
         let f = dev.create_file();
-        for k in 0..10u64 {
+        for k in 0..20u64 {
             let idx = dev
                 .append_page(f, &page_with(&[k]), IoKind::SeqWrite)
                 .unwrap();
             assert_eq!(idx, k as usize);
         }
-        // Flush-before-insert: appends 5 and 9 each flushed a full 4-page
-        // block first, leaving 2 pages buffered.
+        // Flush-before-insert: appends 9 and 17 each flushed a full 8-page
+        // block first, leaving 4 pages buffered.
         let bs = dev.block_stats();
         assert_eq!(bs.flushes, 2);
         assert_eq!(bs.physical_writes, 2);
-        assert_eq!(bs.physical_write_pages, 8);
-        assert_eq!(bs.buffered_appends, 10);
+        assert_eq!(bs.physical_write_pages, 16);
+        assert_eq!(bs.buffered_appends, 20);
         // Buffered pages are readable before any flush.
-        for k in 0..10u64 {
+        for k in 0..20u64 {
             let p = dev.read_page(f, k as usize, IoKind::RandRead).unwrap();
             assert_eq!(keys_of(&p), vec![k]);
         }
         dev.flush().unwrap();
         let bs = dev.block_stats();
         assert_eq!(bs.flushes, 3);
-        assert_eq!(bs.physical_write_pages, 10);
-        // Backing file is now exactly 10 pages long.
+        assert_eq!(bs.physical_write_pages, 20);
+        // Backing file is now exactly 20 pages long.
         let meta = fs::metadata(dev.backing_path(f).unwrap()).unwrap();
-        assert_eq!(meta.len(), 10 * 256);
-        // Modeled stats saw 10 page appends regardless of syscall shape.
-        assert_eq!(dev.stats().seq_writes, 10);
+        assert_eq!(meta.len(), 20 * 256);
+        // Modeled stats saw 20 page appends regardless of syscall shape.
+        assert_eq!(dev.stats().seq_writes, 20);
     }
 
     #[test]
     fn sequential_scan_batches_physical_reads() {
-        let (dev, f) = scanned_file(8, 64);
+        let (dev, f) = scanned_file(64);
         for k in 0..64 {
             seq_read(&dev, f, k);
             assert!(dev.resident_pages().frames <= 8, "one scan, one frame");
@@ -1139,7 +1077,7 @@ mod tests {
         // the tail of the first morsel and the head of the second.
         // Interleaved page by page, the second worker is handed block 1's
         // last slot (step 3) long before the first arrives there (step 8).
-        let (dev, f) = scanned_file(8, 24);
+        let (dev, f) = scanned_file(24);
         for step in 0..12 {
             seq_read(&dev, f, step);
             seq_read(&dev, f, 12 + step);
@@ -1162,13 +1100,13 @@ mod tests {
         // pass), but it must stay correct and bounded: the second reader
         // of a block's last page finds the frame gone and leaves a
         // part-served one behind, which the FIFO caps.
-        let (dev, f) = scanned_file(4, 32);
-        for k in 0..32 {
+        let (dev, f) = scanned_file(64);
+        for k in 0..64 {
             seq_read(&dev, f, k);
             seq_read(&dev, f, k);
-            assert!(dev.resident_pages().frames <= 4 * FRAME_CACHE_BLOCKS);
+            assert!(dev.resident_pages().frames <= 8 * FRAME_CACHE_BLOCKS);
         }
-        assert_eq!(dev.stats().seq_reads, 64);
+        assert_eq!(dev.stats().seq_reads, 128);
         assert_eq!(dev.block_stats().physical_reads, 16, "8 blocks, twice");
         dev.delete_file(f).unwrap();
         assert_eq!(dev.resident_pages().frames, 0);
@@ -1176,7 +1114,7 @@ mod tests {
 
     #[test]
     fn abandoned_scans_are_bounded_by_the_fifo_and_go_with_the_file() {
-        let (dev, f) = scanned_file(8, 64);
+        let (dev, f) = scanned_file(64);
         // One scan stops three pages into block 1: block 0 is gone, block 1
         // is the one frame left.
         for k in 0..11 {
@@ -1212,7 +1150,7 @@ mod tests {
         // four pushes frames out from under scans that are still inside
         // them. That costs preads (as it always has), but the parked marks
         // mean every block is still released once its eight pages are out.
-        let (dev, f) = scanned_file(8, 48);
+        let (dev, f) = scanned_file(48);
         for slot in 0..8 {
             for worker in 0..6 {
                 seq_read(&dev, f, worker * 8 + slot);
@@ -1227,12 +1165,12 @@ mod tests {
 
     #[test]
     fn short_tail_frame_is_complete_at_its_own_length() {
-        let (dev, f) = scanned_file(4, 6);
-        for k in 0..6 {
+        let (dev, f) = scanned_file(10);
+        for k in 0..10 {
             seq_read(&dev, f, k);
         }
         assert_eq!(dev.block_stats().physical_reads, 2);
-        assert_eq!(dev.block_stats().physical_read_pages, 6);
+        assert_eq!(dev.block_stats().physical_read_pages, 10);
         assert_eq!(
             dev.resident_pages().frames,
             0,
@@ -1240,30 +1178,30 @@ mod tests {
         );
         // The file grows afterwards: the new pages are fetched, not
         // reported out of bounds.
-        for k in 6..8u64 {
+        for k in 10..12u64 {
             dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
                 .unwrap();
         }
         dev.flush().unwrap();
-        seq_read(&dev, f, 6);
-        seq_read(&dev, f, 7);
+        seq_read(&dev, f, 10);
+        seq_read(&dev, f, 11);
     }
 
     #[test]
     fn write_behind_gauge_follows_the_tails() {
-        let dev = FileDevice::builder().pages_per_block(4).build().unwrap();
+        let dev = FileDevice::new_temp().unwrap();
         let (f, g) = (dev.create_file(), dev.create_file());
-        for k in 0..6u64 {
+        for k in 0..12u64 {
             dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
                 .unwrap();
             dev.append_page(g, &page_with(&[k]), IoKind::SeqWrite)
                 .unwrap();
         }
-        // Each file flushed one 4-page block and buffers two pages.
+        // Each file flushed one 8-page block and buffers four pages.
         let resident = dev.resident_pages();
-        assert_eq!((resident.write_behind, resident.write_behind_peak), (4, 8));
+        assert_eq!((resident.write_behind, resident.write_behind_peak), (8, 16));
         dev.flush_file(f).unwrap();
-        assert_eq!(dev.resident_pages().write_behind, 2);
+        assert_eq!(dev.resident_pages().write_behind, 4);
         dev.delete_file(g).unwrap();
         assert_eq!(dev.resident_pages().write_behind, 0, "tail discarded");
         assert_eq!(dev.live_files(), 1);
@@ -1271,28 +1209,31 @@ mod tests {
 
     #[test]
     fn frame_cache_refreshes_short_frames_after_growth() {
-        let dev = FileDevice::builder().pages_per_block(4).build().unwrap();
+        let dev = FileDevice::new_temp().unwrap();
         let f = dev.create_file();
-        for k in 0..6u64 {
+        for k in 0..10u64 {
             dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
                 .unwrap();
         }
         dev.flush().unwrap();
-        // Fill the frame for block 1 while it holds 2 of 4 pages.
-        assert_eq!(keys_of(&dev.read_page(f, 4, IoKind::SeqRead).unwrap()), [4]);
-        for k in 6..8u64 {
+        // Fill the frame for block 1 while it holds 2 of 8 pages.
+        assert_eq!(keys_of(&dev.read_page(f, 8, IoKind::SeqRead).unwrap()), [8]);
+        for k in 10..16u64 {
             dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
                 .unwrap();
         }
         dev.flush().unwrap();
-        // Slot 3 of block 1 predates the frame: it must be refreshed, not
+        // Slot 7 of block 1 predates the frame: it must be refreshed, not
         // reported out of bounds.
-        assert_eq!(keys_of(&dev.read_page(f, 7, IoKind::SeqRead).unwrap()), [7]);
+        assert_eq!(
+            keys_of(&dev.read_page(f, 15, IoKind::SeqRead).unwrap()),
+            [15]
+        );
     }
 
     #[test]
     fn random_reads_do_not_fill_the_frame_cache() {
-        let dev = FileDevice::builder().pages_per_block(8).build().unwrap();
+        let dev = FileDevice::new_temp().unwrap();
         let f = dev.create_file();
         for k in 0..16u64 {
             dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
@@ -1311,78 +1252,41 @@ mod tests {
     }
 
     #[test]
-    fn torn_direct_append_truncates_back_and_counts_nothing() {
-        let dev = FileDevice::builder()
-            .write_behind(false)
-            .torn_append_after(1)
-            .build()
-            .unwrap();
-        let f = dev.create_file();
-        dev.append_page(f, &page_with(&[1]), IoKind::SeqWrite)
-            .unwrap();
-        let err = dev
-            .append_page(f, &page_with(&[2]), IoKind::SeqWrite)
-            .unwrap_err();
-        assert!(matches!(err, StorageError::Io(_)));
-        // The failed append is invisible: not counted, file page-aligned.
-        assert_eq!(dev.stats().seq_writes, 1);
-        assert_eq!(dev.file_pages(f).unwrap(), 1);
-        let len = fs::metadata(dev.backing_path(f).unwrap()).unwrap().len();
-        assert_eq!(len, 256, "torn write must be truncated away");
-        assert_eq!(dev.block_stats().torn_writes_repaired, 1);
-        // The hook fired once; a retried append is an exact re-execution.
-        let idx = dev
-            .append_page(f, &page_with(&[2]), IoKind::SeqWrite)
-            .unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(
-            keys_of(&dev.read_page(f, 1, IoKind::RandRead).unwrap()),
-            [2]
-        );
-    }
-
-    #[test]
     fn torn_flush_retains_buffer_and_retry_recovers() {
-        let dev = FileDevice::builder()
-            .pages_per_block(2)
-            .torn_append_after(0)
-            .build()
-            .unwrap();
+        let dev = FileDevice::builder().torn_append_after(0).build().unwrap();
         let f = dev.create_file();
-        dev.append_page(f, &page_with(&[1]), IoKind::SeqWrite)
-            .unwrap();
-        dev.append_page(f, &page_with(&[2]), IoKind::SeqWrite)
-            .unwrap();
-        // Third append must flush the full 2-page block first; the flush is
-        // torn, so the append fails without counting or buffering page 3.
+        for k in 0..8u64 {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        // The ninth append must flush the full 8-page block first; the
+        // flush is torn, so the append fails without counting or buffering
+        // page 8.
         let err = dev
-            .append_page(f, &page_with(&[3]), IoKind::SeqWrite)
+            .append_page(f, &page_with(&[8]), IoKind::SeqWrite)
             .unwrap_err();
         assert!(matches!(err, StorageError::Io(_)));
-        assert_eq!(dev.stats().seq_writes, 2);
-        assert_eq!(dev.file_pages(f).unwrap(), 2);
+        assert_eq!(dev.stats().seq_writes, 8);
+        assert_eq!(dev.file_pages(f).unwrap(), 8);
         let len = fs::metadata(dev.backing_path(f).unwrap()).unwrap().len();
         assert_eq!(len, 0, "torn flush truncated back to the durable boundary");
+        assert_eq!(dev.block_stats().torn_writes_repaired, 1);
         // Buffered pages survived the failed flush and are still readable.
-        assert_eq!(
-            keys_of(&dev.read_page(f, 0, IoKind::RandRead).unwrap()),
-            [1]
-        );
-        assert_eq!(
-            keys_of(&dev.read_page(f, 1, IoKind::RandRead).unwrap()),
-            [2]
-        );
+        for k in [0u64, 7] {
+            let p = dev.read_page(f, k as usize, IoKind::RandRead).unwrap();
+            assert_eq!(keys_of(&p), [k]);
+        }
         // Retrying the append re-drives the flush, which now succeeds.
         let idx = dev
-            .append_page(f, &page_with(&[3]), IoKind::SeqWrite)
+            .append_page(f, &page_with(&[8]), IoKind::SeqWrite)
             .unwrap();
-        assert_eq!(idx, 2);
+        assert_eq!(idx, 8);
         dev.flush().unwrap();
-        for (i, want) in [1u64, 2, 3].iter().enumerate() {
-            let p = dev.read_page(f, i, IoKind::SeqRead).unwrap();
-            assert_eq!(keys_of(&p), vec![*want]);
+        for k in 0..9u64 {
+            let p = dev.read_page(f, k as usize, IoKind::SeqRead).unwrap();
+            assert_eq!(keys_of(&p), vec![k]);
         }
-        assert_eq!(dev.stats().seq_writes, 3);
+        assert_eq!(dev.stats().seq_writes, 9);
     }
 
     #[test]
@@ -1409,7 +1313,7 @@ mod tests {
 
     #[test]
     fn external_truncation_fails_reads_without_counting() {
-        let dev = FileDevice::builder().read_ahead(false).build().unwrap();
+        let dev = FileDevice::new_temp().unwrap();
         let f = dev.create_file();
         dev.append_page(f, &page_with(&[7]), IoKind::SeqWrite)
             .unwrap();
@@ -1436,13 +1340,10 @@ mod tests {
             (SyncPolicy::DataSync, 2),
             (SyncPolicy::Sync, 2),
         ] {
-            let dev = FileDevice::builder()
-                .pages_per_block(2)
-                .sync_policy(policy)
-                .build()
-                .unwrap();
+            let dev = FileDevice::builder().sync_policy(policy).build().unwrap();
             let f = dev.create_file();
-            for k in 0..3u64 {
+            // The ninth append flushes the first block, `flush` the tail.
+            for k in 0..9u64 {
                 dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
                     .unwrap();
             }
@@ -1475,10 +1376,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_appenders_stay_consistent() {
-        let dev: DeviceRef = FileDevice::builder()
-            .pages_per_block(4)
-            .build_ref()
-            .unwrap();
+        let dev: DeviceRef = FileDevice::builder().build_ref().unwrap();
         let shared = dev.create_file();
         for k in 0..32u64 {
             dev.append_page(shared, &page_with(&[k]), IoKind::SeqWrite)

@@ -16,12 +16,11 @@
 //! positions independent of the SplitMix64 partition routing even though
 //! both consume the same key.
 //!
-//! Memory is reported in pages ([`pages`](BloomFilter::pages)) so the
-//! executor can charge the filter against the buffer budget like the
-//! statistics sketches.
+//! What is left of the API is what the kernel row calls: build a filter
+//! over a key set within a page budget ([`BloomFilter::from_keys`]) and
+//! probe it ([`BloomFilter::may_contain`]).
 
 use crate::hash::{mix64, murmur_mix64};
-use crate::page::DEFAULT_PAGE_SIZE;
 
 /// Bits per block: one 64-byte cache line.
 const BLOCK_BITS: u64 = 512;
@@ -36,65 +35,31 @@ pub struct BloomFilter {
     num_blocks: u64,
     num_hashes: u32,
     inserted: usize,
-    /// Page size used for buffer-pool charging.
-    page_size: usize,
 }
 
 impl BloomFilter {
-    fn with_bits(num_bits: u64, num_hashes: u32, page_size: usize) -> Self {
-        let num_blocks = (num_bits / BLOCK_BITS).max(1);
-        BloomFilter {
-            bits: vec![0u64; num_blocks as usize * BLOCK_WORDS],
-            num_blocks,
-            num_hashes: num_hashes.clamp(1, 16),
-            inserted: 0,
-            page_size,
-        }
-    }
-
-    /// Creates a filter sized for `expected_keys` keys at the given
-    /// false-positive rate (clamped to `[1e-6, 0.5]`), charged at the
-    /// default page size.
-    pub fn with_rate(expected_keys: usize, false_positive_rate: f64) -> Self {
-        let rate = false_positive_rate.clamp(1e-6, 0.5);
-        let n = expected_keys.max(1) as f64;
-        let num_bits = (-(n * rate.ln()) / (std::f64::consts::LN_2.powi(2))).ceil() as u64;
-        let num_bits = num_bits.max(BLOCK_BITS).next_multiple_of(BLOCK_BITS);
-        let num_hashes = ((num_bits as f64 / n) * std::f64::consts::LN_2)
-            .round()
-            .max(1.0) as u32;
-        Self::with_bits(num_bits, num_hashes, DEFAULT_PAGE_SIZE)
-    }
-
-    /// Creates a filter that fits in `pages` pages of the given size,
-    /// choosing the number of hash functions for `expected_keys` keys.
-    /// [`pages`](Self::pages) reports the charge at the same `page_size`.
-    pub fn with_page_budget(expected_keys: usize, pages: usize, page_size: usize) -> Self {
-        let page_size = page_size.max(64);
-        let num_bits = ((pages.max(1) * page_size) * 8) as u64;
+    /// An empty filter of `pages` pages of `page_size` bytes (at least one
+    /// 512-bit block), with the number of hash functions chosen for
+    /// `expected_keys` keys (clamped to `[1, 16]`).
+    fn with_page_budget(expected_keys: usize, pages: usize, page_size: usize) -> Self {
+        let num_bits = ((pages.max(1) * page_size.max(64)) * 8) as u64;
         let n = expected_keys.max(1) as f64;
         let num_hashes = ((num_bits as f64 / n) * std::f64::consts::LN_2)
             .round()
             .clamp(1.0, 16.0) as u32;
-        Self::with_bits(num_bits, num_hashes, page_size)
+        let num_blocks = (num_bits / BLOCK_BITS).max(1);
+        BloomFilter {
+            bits: vec![0u64; num_blocks as usize * BLOCK_WORDS],
+            num_blocks,
+            num_hashes,
+            inserted: 0,
+        }
     }
 
-    /// Creates a filter that fits in `pages` pages with an explicit number
-    /// of hash functions (clamped to `[1, 16]`), bypassing the
-    /// FPR-optimal choice. This is the *speed-tuned* configuration: a
-    /// couple of hashes over a generous bit budget keeps the fill ratio
-    /// low, so negative lookups exit on their first probe bit with
-    /// near-certainty instead of walking an optimally-full block.
-    pub fn with_page_budget_and_hashes(pages: usize, page_size: usize, num_hashes: u32) -> Self {
-        let page_size = page_size.max(64);
-        let num_bits = ((pages.max(1) * page_size) * 8) as u64;
-        Self::with_bits(num_bits, num_hashes, page_size)
-    }
-
-    /// Builds a filter over `keys` within a page budget — the executors'
-    /// one-liner for the probe pre-filter. Bit contents depend only on the
-    /// key *multiset* (inserts commute), so any arrival order produces the
-    /// same filter.
+    /// Builds a filter over `keys` in `pages` pages of `page_size` bytes,
+    /// probing as many bits per key as suit `expected_keys` keys. Bit
+    /// contents depend only on the key *multiset* (inserts commute), so any
+    /// arrival order produces the same filter.
     pub fn from_keys(
         keys: impl IntoIterator<Item = u64>,
         expected_keys: usize,
@@ -111,22 +76,6 @@ impl BloomFilter {
     /// Number of keys inserted so far.
     pub fn inserted(&self) -> usize {
         self.inserted
-    }
-
-    /// Size of the filter in bits (a multiple of the 512-bit block).
-    pub fn num_bits(&self) -> u64 {
-        self.num_blocks * BLOCK_BITS
-    }
-
-    /// Number of hash functions probed per key.
-    pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
-    }
-
-    /// Number of buffer-pool pages the filter occupies (rounded up, at the
-    /// page size it was constructed with).
-    pub fn pages(&self) -> usize {
-        (self.bits.len() * 8).div_ceil(self.page_size).max(1)
     }
 
     /// The block base word and the two intra-block probe streams for `key`.
@@ -146,7 +95,7 @@ impl BloomFilter {
 
     /// Inserts a key: sets `num_hashes` bits, all inside one cache-line
     /// block.
-    pub fn insert(&mut self, key: u64) {
+    fn insert(&mut self, key: u64) {
         let (block, start, step) = self.probe_streams(key);
         for i in 0..self.num_hashes as u64 {
             let bit = start.wrapping_add(i.wrapping_mul(step)) % BLOCK_BITS;
@@ -174,36 +123,32 @@ impl BloomFilter {
             self.bits[block + (bit / 64) as usize] & (1u64 << (bit % 64)) != 0
         })
     }
-
-    /// Measured fill ratio of the bit array (diagnostic).
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.num_bits() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Bits set in the filter.
+    fn set_bits(bf: &BloomFilter) -> u32 {
+        bf.bits.iter().map(|w| w.count_ones()).sum()
+    }
+
     #[test]
     fn no_false_negatives() {
-        let mut bf = BloomFilter::with_rate(10_000, 0.01);
-        for k in 0..10_000u64 {
-            bf.insert(k * 7 + 3);
-        }
-        for k in 0..10_000u64 {
-            assert!(bf.may_contain(k * 7 + 3), "inserted key must always hit");
+        let keys = (0..10_000u64).map(|k| k * 7 + 3);
+        let bf = BloomFilter::from_keys(keys.clone(), 10_000, 3, 4096);
+        for k in keys {
+            assert!(bf.may_contain(k), "inserted key must always hit");
         }
         assert_eq!(bf.inserted(), 10_000);
     }
 
     #[test]
     fn false_positive_rate_is_roughly_as_configured() {
-        let mut bf = BloomFilter::with_rate(20_000, 0.01);
-        for k in 0..20_000u64 {
-            bf.insert(k);
-        }
+        // Six 4 KB pages over 20 000 keys: the bits an unblocked filter
+        // needs for a 1 % false-positive rate.
+        let bf = BloomFilter::from_keys(0..20_000u64, 20_000, 6, 4096);
         let false_positives = (1_000_000u64..1_050_000)
             .filter(|&k| bf.may_contain(k))
             .count();
@@ -218,54 +163,40 @@ mod tests {
 
     #[test]
     fn page_budget_constructor_respects_the_budget() {
-        let bf = BloomFilter::with_page_budget(100_000, 4, 4096);
-        assert!(bf.pages() <= 4);
-        assert_eq!(bf.num_bits(), 4 * 4096 * 8);
+        let bf = BloomFilter::from_keys([], 100_000, 4, 4096);
+        assert_eq!(bf.bits.len() * 64, 4 * 4096 * 8);
     }
 
     #[test]
     fn pages_charge_at_the_constructed_page_size() {
-        // The charge must use the constructed 512-byte page, not
-        // DEFAULT_PAGE_SIZE (the old implementation hardcoded the default
-        // and under-reported small-page filters).
-        let bf = BloomFilter::with_page_budget(1_000, 2, 512);
-        assert_eq!(bf.num_bits(), 2 * 512 * 8);
-        assert_eq!(bf.pages(), 2);
-        let one = BloomFilter::with_page_budget(1_000, 1, 65_536);
-        assert_eq!(one.pages(), 1);
+        // The budget is in pages of the given size, not DEFAULT_PAGE_SIZE.
+        let bf = BloomFilter::from_keys([], 1_000, 2, 512);
+        assert_eq!(bf.bits.len() * 64, 2 * 512 * 8);
+        let one = BloomFilter::from_keys([], 1_000, 1, 65_536);
+        assert_eq!(one.bits.len() * 64, 65_536 * 8);
     }
 
     #[test]
     fn tiny_budgets_degrade_to_one_block() {
-        let bf = BloomFilter::with_page_budget(10, 1, 64);
-        assert_eq!(bf.num_bits(), BLOCK_BITS);
-        assert_eq!(bf.pages(), 1);
-        let mut bf = bf;
-        for k in 0..10u64 {
-            bf.insert(k);
-        }
+        let bf = BloomFilter::from_keys(0..10u64, 10, 1, 64);
+        assert_eq!(bf.num_blocks, 1);
+        assert_eq!(bf.bits.len() * 64, BLOCK_BITS as usize);
         assert!((0..10u64).all(|k| bf.may_contain(k)));
     }
 
     #[test]
     fn empty_filter_rejects_everything() {
-        let bf = BloomFilter::with_rate(100, 0.01);
+        let bf = BloomFilter::from_keys([], 100, 1, 4096);
         assert!(!bf.may_contain(42));
-        assert_eq!(bf.fill_ratio(), 0.0);
+        assert_eq!(set_bits(&bf), 0);
     }
 
     #[test]
-    fn fill_ratio_grows_with_insertions() {
-        let mut bf = BloomFilter::with_rate(1_000, 0.05);
-        let before = bf.fill_ratio();
-        for k in 0..1_000u64 {
-            bf.insert(k);
-        }
-        assert!(bf.fill_ratio() > before);
-        assert!(
-            bf.fill_ratio() < 0.9,
-            "a correctly sized filter is not saturated"
-        );
+    fn insertions_set_bits_without_saturating() {
+        let bf = BloomFilter::from_keys(0..1_000u64, 1_000, 1, 4096);
+        let fill = set_bits(&bf) as f64 / (bf.bits.len() * 64) as f64;
+        assert!(fill > 0.0);
+        assert!(fill < 0.9, "a correctly sized filter is not saturated");
     }
 
     #[test]
@@ -284,11 +215,10 @@ mod tests {
 
     #[test]
     fn all_probe_bits_stay_inside_one_block() {
-        // Insert one key into an otherwise empty filter: every set bit must
-        // live inside a single 8-word block — the cache-line contract.
+        // One key in an otherwise empty filter: every set bit must live
+        // inside a single 8-word block — the cache-line contract.
         for key in [0u64, 1, 42, u64::MAX, 0xDEAD_BEEF] {
-            let mut bf = BloomFilter::with_page_budget(1_000, 4, 4096);
-            bf.insert(key);
+            let bf = BloomFilter::from_keys([key], 1_000, 4, 4096);
             let blocks_touched = bf
                 .bits
                 .chunks(BLOCK_WORDS)

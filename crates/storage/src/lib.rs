@@ -20,9 +20,9 @@
 //!   [`SimDevice`] (in-memory, exact I/O accounting — the default used by all
 //!   experiments) and [`FileDevice`] (real files).
 //! * [`block`] — the real-device block layer behind [`FileDevice`]: a
-//!   sharded open-file-handle cache with positioned reads, block-granular
-//!   read-ahead and write-behind coalescing, torn-page recovery, and
-//!   [`SyncPolicy`] durability knobs via [`FileDeviceBuilder`]. Modeled
+//!   sharded open-file-handle cache with positioned reads, read-ahead and
+//!   write-behind coalescing in 8-page blocks, torn-page recovery, and a
+//!   [`SyncPolicy`] chosen through [`FileDeviceBuilder`]. Modeled
 //!   [`IoStats`] stay per-page and bit-identical to [`SimDevice`];
 //!   [`BlockStats`] reports the physical syscall shape.
 //! * [`buffer`] — a strict page-budget [`BufferPool`]; every join draws its
@@ -38,15 +38,19 @@
 //! * [`hash`] — the one key-hashing utility every crate shares: SplitMix64
 //!   routing hash, seeded recursion-level hashes, the independent Murmur
 //!   stream and the Fibonacci bucket mapping.
-//! * [`simd`] — the key-scan kernels behind the hash table and bloom
-//!   filter: auto-vectorizable 4-wide chunked scalar loops.
+//! * [`simd`] — the key-scan kernels behind the hash table:
+//!   auto-vectorizable 4-wide chunked scalar loops.
+//! * [`bloom`] — a cache-blocked [`BloomFilter`] no executor consults; the
+//!   benchmark's `kernel.bloom_*` rows build and probe it.
 //! * [`radix`] — software-managed, cache-line-sized per-partition write
 //!   buffers ([`RadixRouter`]) that batch records in front of any
 //!   partition sink without changing per-partition arrival order.
-//! * [`sort`] — external sort (arena-backed run generation over a fixed
-//!   chunk grid + loser-tree multiway merge, with cascade groups and
-//!   fence-cut key ranges that callers may merge on any number of
-//!   workers) used by the sort-merge join baseline.
+//! * [`sort`] — the external sort the sort-merge join baseline runs:
+//!   arena-backed run generation over a fixed chunk grid ([`run_chunks`],
+//!   [`sort_chunk`]), a merge cascade whose groups
+//!   ([`ExternalSorter::merge_to_fan_in`]) and fence-cut key ranges the
+//!   caller merges on any number of workers, and the loser-tree multiway
+//!   merge ([`LoserTree`]) under both.
 //! * [`traced`] — [`TracedDevice`], a purely observational [`BlockDevice`]
 //!   wrapper that reports every page access (file, page, declared
 //!   [`IoKind`], optional measured latency) to an attached [`IoEventSink`];
@@ -110,8 +114,7 @@ pub use radix::RadixRouter;
 pub use record::{Record, RecordBatch, RecordLayout, RecordRef};
 pub use relation::{Relation, RelationBuilder, RelationScan};
 pub use sort::{
-    run_chunks, sort_chunk, ExternalSorter, LoserTree, MergeIterator, RunSlice, SortScratch,
-    SortedRun,
+    run_chunks, sort_chunk, ExternalSorter, LoserTree, RunSlice, SortScratch, SortedRun,
 };
 pub use spill::{PartitionHandle, PartitionReader, PartitionWriter, SpillGuard};
 pub use sync::{into_inner_unpoisoned, lock_unpoisoned, read_unpoisoned, write_unpoisoned};

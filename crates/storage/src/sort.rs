@@ -5,9 +5,10 @@
 //! `(1 + #s-passes · (1 + τ)) · (‖R‖ + ‖S‖)`: one initial read, and for every
 //! additional sort pass a sequential write (weighted by τ) plus a read of
 //! every page. Following the paper, the final merge pass is fused with the
-//! join whenever the number of runs fits the merge fan-in, so
-//! [`ExternalSorter::sort_to_runs`] stops as soon as `#runs ≤ fan-in` and
-//! hands the runs to a merge ([`LoserTree`]) that the join drives directly.
+//! join whenever the number of runs fits the merge fan-in, so the merge
+//! cascade ([`ExternalSorter::merge_to_fan_in`]) stops as soon as
+//! `#runs ≤ fan-in` and hands the runs to a merge ([`LoserTree`]) that the
+//! join drives directly.
 //!
 //! Both phases run on the arena record pipeline — no per-record heap
 //! allocation anywhere on the hot path:
@@ -64,7 +65,7 @@ use std::sync::{Arc, Mutex};
 use crate::device::DeviceRef;
 use crate::iostats::IoKind;
 use crate::page::{records_per_page, Page};
-use crate::record::{Record, RecordBatch, RecordLayout, RecordRef};
+use crate::record::{RecordBatch, RecordLayout, RecordRef};
 use crate::relation::Relation;
 use crate::spill::{PartitionHandle, PartitionWriter, SpillGuard};
 use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
@@ -235,29 +236,11 @@ pub fn sort_chunk(
 /// and may run concurrently.
 pub type GroupMerge<'a> = dyn Fn(usize) -> Result<SortedRun> + Sync + 'a;
 
-/// The one-worker group fan-out: merges groups `0..groups` in order on the
-/// calling thread.
-pub fn serial_groups(groups: usize, merge: &GroupMerge<'_>) -> Result<Vec<SortedRun>> {
-    (0..groups).map(merge).collect()
-}
-
-/// External sorter with a fixed page budget.
+/// The merge cascade of an external sort with a fixed page budget.
 pub struct ExternalSorter {
     device: DeviceRef,
-    /// Page budget available for run generation and merging (the paper's B).
+    /// Page budget available for merging (the paper's B).
     budget_pages: usize,
-    /// Statistics: how many full sort passes were performed (the paper's
-    /// `#s-passes`, excluding the fused final merge).
-    passes: usize,
-}
-
-/// Outcome of [`ExternalSorter::sort_to_runs`]: the runs plus bookkeeping.
-pub struct SortedRuns {
-    /// Sorted runs, each internally ordered by key.
-    pub runs: Vec<SortedRun>,
-    /// Number of intermediate merge passes that were necessary before the
-    /// run count fit the merge fan-in (0 when run generation was enough).
-    pub merge_passes: usize,
 }
 
 impl ExternalSorter {
@@ -269,84 +252,35 @@ impl ExternalSorter {
         ExternalSorter {
             device,
             budget_pages,
-            passes: 0,
         }
     }
 
-    /// Number of full passes over the data performed so far (run generation
-    /// counts as one pass; each intermediate merge adds another).
-    pub fn passes(&self) -> usize {
-        self.passes
-    }
-
-    /// Sorts `relation` into runs, merging intermediate runs on the calling
-    /// thread until at most `max_final_runs` remain, and returns them.
-    ///
-    /// `max_final_runs` is typically `B − 1` for a single-relation sort or a
-    /// smaller share when two relations are sorted for the same merge join.
-    pub fn sort_to_runs(
-        &mut self,
-        relation: &Relation,
-        max_final_runs: usize,
-    ) -> Result<SortedRuns> {
-        let runs = self.generate_runs(relation)?;
-        self.passes += 1;
-        self.merge_to_fan_in(runs, max_final_runs, serial_groups)
-    }
-
-    /// Merges already-generated `runs` until at most `max_final_runs`
-    /// remain — the cascade's one level loop.
+    /// Merges `runs` — generated by the caller, one [`sort_chunk`] per
+    /// [`run_chunks`] chunk in canonical order — until at most
+    /// `max_final_runs` remain: the cascade's one level loop.
     ///
     /// `fan_out(groups, merge)` runs one level's `groups` independent group
-    /// merges and returns their runs in group order: [`serial_groups`] on
-    /// the calling thread, or any worker pool that keeps that order (SMJ
-    /// passes `nocap_par::ordered_tasks`). The runs, and every I/O count,
-    /// are the same whichever fan-out merges them, so a parallel executor
-    /// can generate the runs itself (workers claiming [`run_chunks`] in
-    /// canonical order) and still share this exact cascade.
+    /// merges and returns their runs in group order, on the calling thread
+    /// or on any worker pool that keeps that order (SMJ passes
+    /// `nocap_par::ordered_tasks`). The runs, and every I/O count, are the
+    /// same whichever fan-out merges them.
     pub fn merge_to_fan_in<F>(
-        &mut self,
+        &self,
         mut runs: Vec<SortedRun>,
         max_final_runs: usize,
         fan_out: F,
-    ) -> Result<SortedRuns>
+    ) -> Result<Vec<SortedRun>>
     where
         F: Fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>,
     {
         assert!(max_final_runs >= 1, "a cascade leaves at least one run");
-        let mut merge_passes = 0;
         while runs.len() > max_final_runs {
             runs = self.merge_pass(runs, &fan_out)?;
-            merge_passes += 1;
-            self.passes += 1;
         }
-        Ok(SortedRuns { runs, merge_passes })
-    }
-
-    /// Fully sorts a relation and returns a single run containing all records
-    /// in key order (convenience for tests and examples).
-    pub fn sort_fully(&mut self, relation: &Relation) -> Result<SortedRun> {
-        let SortedRuns { mut runs, .. } = self.sort_to_runs(relation, 1)?;
-        Ok(runs.pop().expect("at least one run"))
-    }
-
-    /// Phase 1: sort each chunk of the fixed page grid and write it out as a
-    /// run — the sequential walk over [`run_chunks`], one reused scratch.
-    /// Fail-clean: a mid-grid error deletes the runs already written.
-    fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<SortedRun>> {
-        let mut scratch = SortScratch::new();
-        let mut guard = SpillGuard::new();
-        let mut runs = Vec::new();
-        for chunk in run_chunks(relation.num_pages(), self.budget_pages) {
-            let run = sort_chunk(relation, chunk, &mut scratch)?;
-            guard.adopt(run.handle.clone());
-            runs.push(run);
-        }
-        let _ = guard.release();
         Ok(runs)
     }
 
-    /// Phase 2: one merge pass combining groups of up to `B − 1` runs into
+    /// One merge pass combining groups of up to `B − 1` runs into
     /// longer runs, the groups merged by `fan_out`. A trailing group of one
     /// run passes through unmerged. Fail-clean: an error anywhere in the
     /// pass, on any worker, deletes both the input runs and every merged
@@ -848,44 +782,11 @@ impl LoserTree {
     }
 }
 
-/// Owned-record iterator over a [`LoserTree`] merge — the API edge for
-/// tests, examples and diagnostic consumers that want `Result<Record>`s
-/// (one allocation per record). Hot paths drive the tree directly.
-pub struct MergeIterator {
-    tree: LoserTree,
-}
-
-impl MergeIterator {
-    /// Builds a merge iterator over `runs` (each must be internally sorted).
-    pub fn new(runs: &[PartitionHandle]) -> Result<Self> {
-        Ok(MergeIterator {
-            tree: LoserTree::new(runs.iter().map(RunSlice::whole))?,
-        })
-    }
-
-    /// Peeks at the key of the next record without consuming it.
-    pub fn peek_key(&mut self) -> Result<Option<u64>> {
-        self.tree.peek_key()
-    }
-}
-
-impl Iterator for MergeIterator {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.tree.next_ref() {
-            Ok(Some(rec)) => Some(Ok(rec.to_record())),
-            Ok(None) => None,
-            Err(e) => Some(Err(e)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::SimDevice;
-    use crate::record::RecordLayout;
+    use crate::record::{Record, RecordLayout};
 
     fn build_relation(dev: DeviceRef, keys: &[u64]) -> Relation {
         Relation::bulk_load(
@@ -910,8 +811,28 @@ mod tests {
             .collect()
     }
 
-    fn handles(runs: &[SortedRun]) -> Vec<PartitionHandle> {
-        runs.iter().map(|run| run.handle().clone()).collect()
+    /// The one-worker group fan-out: merges groups `0..groups` in order.
+    fn in_order(groups: usize, merge: &GroupMerge<'_>) -> Result<Vec<SortedRun>> {
+        (0..groups).map(merge).collect()
+    }
+
+    /// Sorts `rel` into at most `max_runs` runs the way SMJ does on one
+    /// worker: one run per chunk of the fixed grid, then the cascade, each
+    /// level's groups merged [`in_order`].
+    fn sort_runs(rel: &Relation, budget: usize, max_runs: usize) -> Vec<SortedRun> {
+        let mut scratch = SortScratch::new();
+        let runs = run_chunks(rel.num_pages(), budget)
+            .into_iter()
+            .map(|chunk| sort_chunk(rel, chunk, &mut scratch).unwrap())
+            .collect();
+        ExternalSorter::new(rel.device().clone(), budget)
+            .merge_to_fan_in(runs, max_runs, in_order)
+            .unwrap()
+    }
+
+    /// Whole-run slices over `runs`, the input of one merge.
+    fn whole(runs: &[SortedRun]) -> impl Iterator<Item = RunSlice> + '_ {
+        runs.iter().map(|run| RunSlice::whole(run.handle()))
     }
 
     /// Four 16-byte records per page, so a few keys span several pages.
@@ -938,26 +859,25 @@ mod tests {
     }
 
     #[test]
-    fn sort_fully_orders_all_records() {
+    fn cascade_to_one_run_orders_all_records() {
         let dev = SimDevice::new_ref();
-        let rel = build_relation(dev.clone(), &shuffled(5_000));
-        let mut sorter = ExternalSorter::new(dev, 4);
-        let sorted = sorter.sort_fully(&rel).unwrap();
-        let keys = keys_of(sorted.handle());
+        let rel = build_relation(dev, &shuffled(5_000));
+        let runs = sort_runs(&rel, 4, 1);
+        assert_eq!(runs.len(), 1);
+        let keys = keys_of(runs[0].handle());
         assert_eq!(keys.len(), 5_000);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
-    fn sort_to_runs_respects_fan_in() {
+    fn cascade_respects_fan_in() {
         let dev = SimDevice::new_ref();
-        let rel = build_relation(dev.clone(), &shuffled(20_000));
-        let mut sorter = ExternalSorter::new(dev, 5);
-        let out = sorter.sort_to_runs(&rel, 4).unwrap();
-        assert!(out.runs.len() <= 4);
-        let total: usize = out.runs.iter().map(|r| r.records()).sum();
+        let rel = build_relation(dev, &shuffled(20_000));
+        let runs = sort_runs(&rel, 5, 4);
+        assert!(runs.len() <= 4);
+        let total: usize = runs.iter().map(|r| r.records()).sum();
         assert_eq!(total, 20_000);
-        for run in &out.runs {
+        for run in &runs {
             let keys = keys_of(run.handle());
             assert!(keys.windows(2).all(|w| w[0] <= w[1]), "run must be sorted");
         }
@@ -967,23 +887,19 @@ mod tests {
     fn single_chunk_needs_one_run_and_no_merge() {
         let dev = SimDevice::new_ref();
         let rel = build_relation(dev.clone(), &shuffled(100));
-        let mut sorter = ExternalSorter::new(dev, 64);
-        let out = sorter.sort_to_runs(&rel, 63).unwrap();
-        assert_eq!(out.runs.len(), 1);
-        assert_eq!(out.merge_passes, 0);
+        dev.reset_stats();
+        let runs = sort_runs(&rel, 64, 63);
+        assert_eq!(runs.len(), 1);
+        assert_eq!(dev.stats().rand_reads, 0, "no cascade read a run");
     }
 
     #[test]
     fn merge_iterator_merges_across_runs() {
         let dev = SimDevice::new_ref();
-        let rel = build_relation(dev.clone(), &shuffled(3_000));
-        let mut sorter = ExternalSorter::new(dev, 3);
-        let out = sorter.sort_to_runs(&rel, 8).unwrap();
-        assert!(out.runs.len() > 1, "small budget must produce several runs");
-        let merged: Vec<u64> = MergeIterator::new(&handles(&out.runs))
-            .unwrap()
-            .map(|r| r.unwrap().key())
-            .collect();
+        let rel = build_relation(dev, &shuffled(3_000));
+        let runs = sort_runs(&rel, 3, 8);
+        assert!(runs.len() > 1, "small budget must produce several runs");
+        let merged = merged_keys(whole(&runs));
         assert_eq!(merged.len(), 3_000);
         assert!(merged.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -1037,18 +953,14 @@ mod tests {
         let dev = SimDevice::new_ref();
         let rel = build_relation(dev.clone(), &shuffled(2_000));
         dev.reset_stats();
-        let mut sorter = ExternalSorter::new(dev.clone(), 3);
-        let out = sorter.sort_to_runs(&rel, 16).unwrap();
+        let runs = sort_runs(&rel, 3, 16);
         let after_runs = dev.stats();
         assert!(
             after_runs.seq_writes > 0,
             "run generation writes sequentially"
         );
         assert_eq!(after_runs.rand_writes, 0);
-        let _ = MergeIterator::new(&handles(&out.runs))
-            .unwrap()
-            .collect::<Result<Vec<_>>>()
-            .unwrap();
+        merged_keys(whole(&runs));
         let after_merge = dev.stats().since(&after_runs);
         assert!(after_merge.rand_reads > 0, "merging reads runs randomly");
         assert_eq!(after_merge.seq_reads, 0);
@@ -1064,13 +976,12 @@ mod tests {
         let dev = SimDevice::new_ref();
         let rel = build_relation(dev.clone(), &shuffled(2_000));
         dev.reset_stats();
-        let mut sorter = ExternalSorter::new(dev.clone(), 3);
-        let out = sorter.sort_to_runs(&rel, 2).unwrap();
+        let runs = sort_runs(&rel, 3, 2);
         let io = dev.stats();
         assert!(
             io.rand_reads > 0,
             "merging down to {} runs requires a cascade",
-            out.runs.len()
+            runs.len()
         );
         assert_eq!(
             io.seq_reads,
@@ -1089,9 +1000,7 @@ mod tests {
             std::iter::empty(),
         )
         .unwrap();
-        let mut sorter = ExternalSorter::new(dev, 4);
-        let out = sorter.sort_to_runs(&rel, 4).unwrap();
-        let total: usize = out.runs.iter().map(|r| r.records()).sum();
+        let total: usize = sort_runs(&rel, 4, 4).iter().map(|r| r.records()).sum();
         assert_eq!(total, 0);
     }
 
@@ -1216,12 +1125,10 @@ mod tests {
     #[test]
     fn loser_tree_key_and_ref_paths_agree_with_peek() {
         let dev = SimDevice::new_ref();
-        let rel = build_relation(dev.clone(), &shuffled(1_000));
-        let mut sorter = ExternalSorter::new(dev, 3);
-        let out = sorter.sort_to_runs(&rel, 16).unwrap();
-        let runs = handles(&out.runs);
-        let mut by_key = LoserTree::new(runs.iter().map(RunSlice::whole)).unwrap();
-        let mut by_ref = LoserTree::new(runs.iter().map(RunSlice::whole)).unwrap();
+        let rel = build_relation(dev, &shuffled(1_000));
+        let runs = sort_runs(&rel, 3, 16);
+        let mut by_key = LoserTree::new(whole(&runs)).unwrap();
+        let mut by_ref = LoserTree::new(whole(&runs)).unwrap();
         loop {
             let peeked = by_key.peek_key().unwrap();
             let k = by_key.next_key().unwrap();
@@ -1255,45 +1162,10 @@ mod tests {
         }
         let full = w.finish().unwrap();
         let runs = vec![empty, full];
-        let keys: Vec<u64> = MergeIterator::new(&runs)
-            .unwrap()
-            .map(|r| r.unwrap().key())
-            .collect();
+        let keys = merged_keys(runs.iter().map(RunSlice::whole));
         assert_eq!(keys, (0..10).collect::<Vec<u64>>());
         for run in runs {
             run.delete().unwrap();
-        }
-    }
-
-    #[test]
-    fn merge_to_fan_in_matches_sort_to_runs() {
-        // Generating runs by hand over the fixed chunk grid and merging via
-        // merge_to_fan_in must reproduce sort_to_runs exactly (same run
-        // count, same contents, same I/O) — the parallel executor's
-        // correctness argument in miniature.
-        let dev = SimDevice::new_ref();
-        let rel = build_relation(dev.clone(), &shuffled(6_000));
-        dev.reset_stats();
-        let mut sorter = ExternalSorter::new(dev.clone(), 4);
-        let expected = sorter.sort_to_runs(&rel, 4).unwrap();
-        let io_sequential = dev.stats();
-
-        let dev2 = SimDevice::new_ref();
-        let rel2 = build_relation(dev2.clone(), &shuffled(6_000));
-        dev2.reset_stats();
-        let mut scratch = SortScratch::new();
-        let runs: Vec<SortedRun> = run_chunks(rel2.num_pages(), 4)
-            .into_iter()
-            .map(|c| sort_chunk(&rel2, c, &mut scratch).unwrap())
-            .collect();
-        let mut sorter2 = ExternalSorter::new(dev2.clone(), 4);
-        let manual = sorter2.merge_to_fan_in(runs, 4, serial_groups).unwrap();
-        assert_eq!(dev2.stats(), io_sequential);
-        assert_eq!(manual.runs.len(), expected.runs.len());
-        assert_eq!(manual.merge_passes, expected.merge_passes);
-        for (a, b) in manual.runs.iter().zip(expected.runs.iter()) {
-            assert_eq!(a.records(), b.records());
-            assert_eq!(a.fences(), b.fences());
         }
     }
 
@@ -1312,10 +1184,12 @@ mod tests {
         .unwrap();
         let mut scratch = SortScratch::new();
         let chunk = sort_chunk(&rel, 0..5, &mut scratch).unwrap();
-        let mut sorter = ExternalSorter::new(dev, 4);
-        let merged = sorter.sort_to_runs(&rel, 2).unwrap();
-        assert!(merged.merge_passes >= 2);
-        for run in std::iter::once(&chunk).chain(&merged.runs) {
+        assert!(
+            run_chunks(rel.num_pages(), 4).len() > 3 * 3,
+            "at least two cascade levels down to two runs"
+        );
+        let merged = sort_runs(&rel, 4, 2);
+        for run in std::iter::once(&chunk).chain(&merged) {
             let mut reader = run.handle().read(IoKind::SeqRead);
             let mut first_keys = Vec::new();
             while let Some(page) = reader.next_page().unwrap() {
@@ -1346,23 +1220,22 @@ mod tests {
             let rel = build_relation(dev.clone(), &shuffled(8_000));
             dev.reset_stats();
             let mut scratch = SortScratch::new();
-            let runs = run_chunks(rel.num_pages(), 4)
+            let runs: Vec<SortedRun> = run_chunks(rel.num_pages(), 4)
                 .into_iter()
                 .map(|c| sort_chunk(&rel, c, &mut scratch).unwrap())
                 .collect();
+            assert!(runs.len() > 3 * 3, "at least two cascade levels");
             let out = ExternalSorter::new(dev.clone(), 4)
                 .merge_to_fan_in(runs, 2, fan_out)
                 .unwrap();
             let io = dev.stats();
             let runs: Vec<(Vec<u64>, Vec<u64>)> = out
-                .runs
                 .iter()
                 .map(|run| (keys_of(run.handle()), run.fences().to_vec()))
                 .collect();
-            (runs, out.merge_passes, io)
+            (runs, io)
         };
-        let serial = sort(serial_groups);
-        assert!(serial.1 >= 2, "at least two cascade levels");
+        let serial = sort(in_order);
         assert_eq!(sort(reversed), serial);
         assert_eq!(sort(threaded), serial);
     }
@@ -1409,8 +1282,11 @@ mod tests {
                 "range {i} = [{lo}, {hi}) holds {range:?}"
             );
         }
-        let whole = merged_keys(runs.iter().map(|run| RunSlice::whole(run.handle())));
-        assert_eq!(keys.concat(), whole, "the ranges tile the whole merge");
+        assert_eq!(
+            keys.concat(),
+            merged_keys(whole(runs)),
+            "the ranges tile the whole merge"
+        );
         keys
     }
 

@@ -2,10 +2,10 @@
 //! read-ahead frame cache and write-behind coalescing buffer must be
 //! *invisible* to the modeled execution.
 //!
-//! 1. Every builder variant (read-ahead and write-behind toggled
-//!    independently, plus a durable `SyncPolicy`) produces the same join
-//!    output and bit-identical modeled [`IoStats`] as `SimDevice` — the
-//!    block layer changes the syscall shape, never the page-level trace.
+//! 1. The default device and one with a durable `SyncPolicy` produce the
+//!    same join output and bit-identical modeled [`IoStats`] as
+//!    `SimDevice` — the block layer changes the syscall shape, never the
+//!    page-level trace.
 //! 2. The acceptance pin: with read-ahead *and* write-behind enabled, the
 //!    device-level event stream of NOCAP, DHH and SMJ at 1/2/4/8 workers
 //!    audits exactly against the engine's per-phase counter snapshots
@@ -136,20 +136,9 @@ fn every_block_layer_variant_matches_sim_device_bit_for_bit() {
     // sync policy adds fsyncs — none of which may change the join output or
     // the modeled per-page counters relative to the in-memory SimDevice.
     type BuilderFn = fn() -> FileDeviceBuilder;
-    let variants: [(&str, BuilderFn); 5] = [
-        ("bare", || {
-            FileDevice::builder().read_ahead(false).write_behind(false)
-        }),
-        ("read_ahead", || {
-            FileDevice::builder().read_ahead(true).write_behind(false)
-        }),
-        ("write_behind", || {
-            FileDevice::builder().read_ahead(false).write_behind(true)
-        }),
-        ("both", || {
-            FileDevice::builder().read_ahead(true).write_behind(true)
-        }),
-        ("both+fdatasync", || {
+    let variants: [(&str, BuilderFn); 2] = [
+        ("default", FileDevice::builder),
+        ("fdatasync", || {
             FileDevice::builder().sync_policy(SyncPolicy::DataSync)
         }),
     ];
@@ -175,11 +164,7 @@ fn every_block_layer_variant_matches_sim_device_bit_for_bit() {
                     join.name()
                 );
                 let bs = file_dev.block_stats();
-                if *variant == "bare" {
-                    assert_eq!(bs.readahead_hits, 0, "{}: no frame cache", join.name());
-                    assert_eq!(bs.buffered_appends, 0, "{}: no coalescing", join.name());
-                }
-                if *variant == "both" {
+                if *variant == "default" {
                     assert!(
                         bs.readahead_hits > 0,
                         "{}: sequential scans must hit the frame cache",

@@ -4,7 +4,8 @@
 //!   front** from a caller-owned [`BufferPool`]; an oversubscribed pool must
 //!   fail with a clean [`StorageError::OutOfMemory`] before any page is
 //!   read, releasing everything it reserved.
-//! * `run_degrading` walks the budget ladder under admission pressure and
+//! * `nocap_model::run_degrading` walks the budget ladder under admission
+//!   pressure, rebuilding the join at each budget it tries, and
 //!   either succeeds at a smaller budget (recorded, correct output) or
 //!   surfaces the final out-of-memory error with the pool fully released.
 //! * Every executor survives a sweep of tiny-but-legal budgets without a
@@ -17,12 +18,12 @@ use std::sync::Arc;
 use nocap_suite::joins::{
     DhhJoin, GraceHashJoin, NestedBlockJoin, SortMergeJoin, SMJ_MIN_BUDGET_PAGES,
 };
-use nocap_suite::model::{BudgetLadder, JoinSpec};
+use nocap_suite::model::{run_degrading, BudgetLadder, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::Obs;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
-use nocap_suite::storage::{BufferPool, SimDevice, StorageError};
+use nocap_suite::storage::{BufferPool, IoStats, SimDevice, StorageError};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 /// One labeled executor invocation of the tiny-budget sweep.
@@ -107,21 +108,31 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     let base_pages = wl.r.num_pages() + wl.s.num_pages();
     let spec = JoinSpec::paper_synthetic(128, 48);
     let ladder = BudgetLadder::default();
-    let nocap = NocapJoin::new(spec, NocapConfig::default());
-    let dhh = DhhJoin::with_defaults(spec);
+    // Each join is rebuilt at every budget the ladder tries.
+    let degrading = |label: &str, admission: &BufferPool| {
+        run_degrading(
+            admission,
+            spec.buffer_pages,
+            &ladder,
+            &Obs::off(),
+            |budget| {
+                let spec = spec.with_buffer_pages(budget);
+                match label {
+                    "nocap" => {
+                        NocapJoin::new(spec, NocapConfig::default()).run(&wl.r, &wl.s, &wl.mcvs)
+                    }
+                    _ => DhhJoin::with_defaults(spec).run(&wl.r, &wl.s, &wl.mcvs),
+                }
+            },
+        )
+    };
 
     // A pool below the ladder's floor can never admit any attempt: the last
     // out-of-memory error surfaces, nothing stays reserved, nothing leaks.
     let hopeless = BufferPool::new(2);
     for label in ["nocap", "dhh"] {
-        let err = match label {
-            "nocap" => nocap
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder, &Obs::off())
-                .expect_err("a 2-page pool cannot admit the 5-page floor"),
-            _ => dhh
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &hopeless, &ladder, &Obs::off())
-                .expect_err("a 2-page pool cannot admit the 5-page floor"),
-        };
+        let err =
+            degrading(label, &hopeless).expect_err("a 2-page pool cannot admit the 5-page floor");
         assert!(
             matches!(err, StorageError::OutOfMemory { .. }),
             "{label}: {err}"
@@ -137,20 +148,25 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     // A tight pool forces real degradation: the run lands on a smaller
     // budget, the trail is recorded, and the output is still exact.
     let tight = BufferPool::new(28);
-    for label in ["nocap", "dhh"] {
-        let run = match label {
-            "nocap" => nocap
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder, &Obs::off())
-                .expect("the ladder must fit a 28-page pool"),
-            _ => dhh
-                .run_degrading(&wl.r, &wl.s, &wl.mcvs, &tight, &ladder, &Obs::off())
-                .expect("the ladder must fit a 28-page pool"),
-        };
-        assert!(
-            run.steps() > 0,
-            "{label}: a 48-page plan in a 28-page pool must degrade"
+    let counters = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
+    for (label, partition_io, probe_io) in [
+        ("nocap", [292, 0, 0, 29], [30, 0, 0, 1]),
+        ("dhh", [292, 0, 0, 265], [282, 0, 0, 17]),
+    ] {
+        let run = degrading(label, &tight).expect("the ladder must fit a 28-page pool");
+        assert_eq!(
+            (run.budget_pages, run.steps()),
+            (27, 2),
+            "{label}: a 48-page plan in a 28-page pool degrades twice"
         );
-        assert!(run.budget_pages <= 28, "{label}");
+        assert_eq!(
+            (
+                counters(&run.report.partition_io),
+                counters(&run.report.probe_io)
+            ),
+            (partition_io, probe_io),
+            "{label}"
+        );
         assert_eq!(
             run.report.output_records,
             wl.expected_join_output(),

@@ -11,8 +11,8 @@
 //!    `run` executes on the calling thread as worker 0 whatever
 //!    `NOCAP_THREADS` says.
 //! 2. The whole sketch-plan-execute pipeline is thread-count invariant:
-//!    `collect_and_run` at n workers reproduces its one-worker run exactly
-//!    (same sharded summary → same plan → same I/O), and
+//!    the sharded sketch pass plus the join at n workers reproduce their
+//!    one-worker run exactly (same summary → same plan → same I/O), and
 //!    `StatsCollector::collect_parallel` yields a bit-identical summary for
 //!    every n on generated workloads.
 //! 3. The thread-safe `BufferPool` never over-commits its budget under a
@@ -650,6 +650,14 @@ fn run_parallel_honors_the_nocap_threads_default() {
     }
 }
 
+/// The report of [`sketch_plan_execute_pipeline_is_thread_count_invariant`]
+/// per [`workload_grid`] entry: output, then partition- and probe-phase I/O.
+const PIPELINE_GOLDEN: [(u64, [u64; 4], [u64; 4]); 3] = [
+    (48_000, [1_743, 0, 0, 558], [565, 0, 0, 7]),
+    (48_000, [1_743, 0, 0, 1_273], [1_276, 0, 0, 3]),
+    (48_000, [1_743, 0, 0, 721], [728, 0, 0, 7]),
+];
+
 #[test]
 fn sketch_plan_execute_pipeline_is_thread_count_invariant() {
     // The whole deployable pipeline — sharded statistics collection,
@@ -657,29 +665,48 @@ fn sketch_plan_execute_pipeline_is_thread_count_invariant() {
     // every thread count, *including* on workloads where the SpaceSaving
     // sketch overflows (the fixed shard grid and canonical fold make the
     // summary n-invariant regardless).
-    for (name, workload) in &workload_grid() {
+    let counters = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
+    for ((name, workload), golden) in workload_grid().iter().zip(PIPELINE_GOLDEN) {
         let spec = JoinSpec::paper_synthetic(128, 64);
         let join = NocapJoin::new(spec, NocapConfig::default());
+        let pipeline = |threads: usize| {
+            let wl = generate(workload);
+            let pool = BufferPool::new(spec.buffer_pages);
+            let summary = StatsCollector::collect_parallel_with_budget(
+                &pool,
+                4,
+                spec.page_size,
+                &wl.s,
+                threads,
+                &Obs::off(),
+            )
+            .expect("sketch pass");
+            drop(pool);
+            let report = join
+                .run_parallel(&wl.r, &wl.s, &summary.planner_mcvs(), threads)
+                .expect("pipeline");
+            assert_eq!(
+                report.output_records,
+                wl.expected_join_output(),
+                "{name}: sketch-planned output must match"
+            );
+            report
+        };
+        let sequential = pipeline(1);
+        assert_eq!(
+            (
+                sequential.output_records,
+                counters(&sequential.partition_io),
+                counters(&sequential.probe_io)
+            ),
+            golden,
+            "{name}"
+        );
         assert_parallel_equivalence(
             &format!("pipeline/{name}"),
             &[1, 2, 4, 8],
-            || {
-                let wl = generate(workload);
-                let report = join
-                    .collect_and_run(&wl.r, &wl.s, 4, 1, &Obs::off())
-                    .expect("pipeline");
-                assert_eq!(
-                    report.output_records,
-                    wl.expected_join_output(),
-                    "{name}: sketch-planned output must match"
-                );
-                report
-            },
-            |threads| {
-                let wl = generate(workload);
-                join.collect_and_run(&wl.r, &wl.s, 4, threads, &Obs::off())
-                    .expect("parallel pipeline")
-            },
+            || pipeline(1),
+            pipeline,
         );
     }
 }
@@ -699,16 +726,27 @@ fn dhh_sketch_pipeline_is_thread_count_invariant() {
         )
         .expect("collection")
     };
+    let sequential = || {
+        let wl = generate(&workload);
+        let summary = summarize(&wl, 1);
+        wl.r.device().reset_stats();
+        dhh.run(&wl.r, &wl.s, &summary.planner_mcvs())
+            .expect("sequential sketch run")
+    };
+    let report = sequential();
+    let counters = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
+    assert_eq!(
+        (
+            report.output_records,
+            counters(&report.partition_io),
+            counters(&report.probe_io)
+        ),
+        (48_000, [1_743, 0, 0, 1_628], [1_646, 0, 0, 18])
+    );
     assert_parallel_equivalence(
         "dhh/sketch-pipeline",
         &[1, 2, 4, 8],
-        || {
-            let wl = generate(&workload);
-            let summary = summarize(&wl, 1);
-            wl.r.device().reset_stats();
-            dhh.run_with_collected_stats(&wl.r, &wl.s, &summary)
-                .expect("sequential sketch run")
-        },
+        sequential,
         |threads| {
             let wl = generate(&workload);
             let summary = summarize(&wl, threads);

@@ -3,13 +3,13 @@
 //! `CorrelationTable` oracle anywhere), execute, and compare against the
 //! oracle-planned run. All seeds are fixed, so these tests are deterministic.
 
-use nocap_suite::model::JoinSpec;
+use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::{Obs, Phase};
 use nocap_suite::par::page_shards;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
-use nocap_suite::storage::{BufferPool, IoOp, SimDevice, TracedDevice};
+use nocap_suite::storage::{BufferPool, IoOp, IoStats, SimDevice, TracedDevice};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 fn workload(correlation: Correlation, n_r: usize, n_s: usize, seed: u64) -> GeneratedWorkload {
@@ -50,6 +50,41 @@ fn collect(
     collector.finish()
 }
 
+/// The statistics pass a deployment runs before the join — a sharded
+/// sketch of S within `pages` pages per shard, charged to the operator's
+/// own budget — then NOCAP planned from the summary alone, both on
+/// `threads` workers and recording into `obs`.
+fn sketch_and_join(
+    join: &NocapJoin,
+    wl: &GeneratedWorkload,
+    pages: usize,
+    threads: usize,
+    obs: &Obs,
+) -> JoinRunReport {
+    let spec = join.spec();
+    let pool = BufferPool::new(spec.buffer_pages);
+    let summary = StatsCollector::collect_parallel_with_budget(
+        &pool,
+        pages,
+        spec.page_size,
+        &wl.s,
+        threads,
+        obs,
+    )
+    .expect("sketch pass");
+    drop(pool);
+    join.run_parallel_obs(&wl.r, &wl.s, &summary.planner_mcvs(), threads, obs)
+        .expect("sketch-planned join")
+}
+
+/// A report's output and per-phase I/O, each phase as
+/// `[seq_reads, rand_reads, seq_writes, rand_writes]`.
+fn pinned(report: &JoinRunReport) -> (u64, [u64; 4], [u64; 4]) {
+    let io = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
+    let (partition, probe) = (io(&report.partition_io), io(&report.probe_io));
+    (report.output_records, partition, probe)
+}
+
 #[test]
 fn sketch_planned_join_is_correct() {
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 3_000, 24_000, 11);
@@ -63,6 +98,10 @@ fn sketch_planned_join_is_correct() {
     let sketch_run = join
         .run_with_collected_stats(&wl.r, &wl.s, &summary)
         .unwrap();
+    assert_eq!(
+        pinned(&sketch_run),
+        (24_000, [872, 0, 0, 245], [247, 0, 0, 2])
+    );
 
     device.reset_stats();
     let oracle_run = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap();
@@ -136,6 +175,10 @@ fn more_sketch_budget_never_hurts_much() {
     }
 }
 
+/// What the sketch pass plus the join report on the Zipf 1.0 workload of
+/// the two tests below, at any thread count.
+const PIPELINE_REPORT: (u64, [u64; 4], [u64; 4]) = (16_000, [582, 0, 0, 175], [180, 0, 0, 5]);
+
 #[test]
 fn collect_and_run_is_self_contained_and_accounts_the_stats_scan() {
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 2_000, 16_000, 3);
@@ -144,19 +187,19 @@ fn collect_and_run_is_self_contained_and_accounts_the_stats_scan() {
     let join = NocapJoin::new(spec, NocapConfig::default());
 
     device.reset_stats();
-    let report = join
-        .collect_and_run(&wl.r, &wl.s, 4, 1, &Obs::off())
-        .unwrap();
+    let report = sketch_and_join(&join, &wl, 4, 1, &Obs::off());
     let total_device_ios = device.stats().reads() + device.stats().writes();
+    assert_eq!(pinned(&report), PIPELINE_REPORT);
 
     // Output correct...
     device.reset_stats();
     let oracle = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap();
     assert_eq!(report.output_records, oracle.output_records);
     // ...and the one-pass statistics scan of S is visible in the I/O trace:
-    // at least ||S|| reads beyond what the join itself reports.
-    assert!(
-        total_device_ios >= report.total_ios() + wl.s.num_pages() as u64,
+    // exactly ||S|| reads beyond what the join itself reports.
+    assert_eq!(
+        total_device_ios,
+        report.total_ios() + wl.s.num_pages() as u64,
         "stats collection must be charged as I/O (device {total_device_ios}, \
          join {}, ||S|| {})",
         report.total_ios(),
@@ -166,30 +209,24 @@ fn collect_and_run_is_self_contained_and_accounts_the_stats_scan() {
 
 #[test]
 fn recorded_collect_and_run_traces_the_stats_phase_and_changes_nothing() {
-    // The self-contained pipeline under a recording `Obs` on a traced
+    // The sketch pass and the join under one recording `Obs` on a traced
     // device: the sketch pass is one main-thread `stats` span that ends
     // before the first `partition` span; its traced reads are exactly the
-    // ‖S‖ pages of S (the pipeline's own `attach_io` and the executor's
-    // nested one neither drop nor double an event); and output and
-    // per-phase modeled I/O equal the blind run's.
+    // ‖S‖ pages of S (the collector's `attach_io` and then the executor's
+    // neither drop nor double an event); and output and per-phase modeled
+    // I/O equal the blind run's.
     let spec = JoinSpec::paper_synthetic(128, 32);
     let join = NocapJoin::new(spec, NocapConfig::default());
     let blind_wl = workload(Correlation::Zipf { alpha: 1.0 }, 2_000, 16_000, 3);
-    let blind = join
-        .collect_and_run(&blind_wl.r, &blind_wl.s, 4, 1, &Obs::off())
-        .unwrap();
+    let blind = sketch_and_join(&join, &blind_wl, 4, 1, &Obs::off());
     assert!(blind.trace.is_none());
+    assert_eq!(pinned(&blind), PIPELINE_REPORT);
 
     for threads in [1usize, 2] {
         let device = TracedDevice::new_ref(SimDevice::new_ref());
         let wl = workload_on(device, Correlation::Zipf { alpha: 1.0 }, 2_000, 16_000, 3);
-        let report = join
-            .collect_and_run(&wl.r, &wl.s, 4, threads, &Obs::recording())
-            .unwrap();
-        assert_eq!(report.output_records, blind.output_records, "T = {threads}");
-        assert_eq!(report.partition_io, blind.partition_io, "T = {threads}");
-        assert_eq!(report.probe_io, blind.probe_io, "T = {threads}");
-
+        let report = sketch_and_join(&join, &wl, 4, threads, &Obs::recording());
+        assert_eq!(pinned(&report), PIPELINE_REPORT, "T = {threads}");
         let trace = report.trace.as_ref().expect("a recording run has a trace");
         let main_spans = |phase: Phase| {
             trace
@@ -286,9 +323,9 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
 
 #[test]
 fn parallel_and_sequential_collection_plan_identically() {
-    // Collection at any thread count — T = 1 is sequential collection, and
-    // it is the call collect_and_run makes — produces the same summary, so
-    // the downstream plan and modeled I/O must be identical too.
+    // Collection at any thread count — T = 1 is sequential collection —
+    // produces the same summary, so the downstream plan and modeled I/O
+    // must be identical too.
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 4_000, 32_000, 9);
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
@@ -310,6 +347,10 @@ fn parallel_and_sequential_collection_plan_identically() {
             .expect("sketch run")
     };
     let baseline = run_with_threads(1);
+    assert_eq!(
+        pinned(&baseline),
+        (32_000, [1_163, 0, 0, 443], [448, 0, 0, 5])
+    );
     for threads in [2usize, 4, 8] {
         let run = run_with_threads(threads);
         assert_eq!(run.output_records, baseline.output_records);
@@ -400,6 +441,10 @@ fn uniform_workloads_need_no_mcvs_to_plan_well() {
     let sketch_run = join
         .run_with_collected_stats(&wl.r, &wl.s, &summary)
         .unwrap();
+    assert_eq!(
+        pinned(&sketch_run),
+        (16_000, [582, 0, 0, 369], [371, 0, 0, 2])
+    );
     device.reset_stats();
     let oracle_run = join.run(&wl.r, &wl.s, &wl.mcvs).unwrap();
     assert_eq!(sketch_run.output_records, oracle_run.output_records);
