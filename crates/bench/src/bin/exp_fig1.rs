@@ -19,29 +19,19 @@ use nocap_model::{g_dhh, JoinSpec};
 use nocap_workload::{extract_mcvs, synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let n_r = 20_000usize;
-    let n_s = 160_000usize;
-    let record_bytes = 256usize;
-
     for (name, correlation) in [
         ("low_skew (zipf 0.7)", Correlation::Zipf { alpha: 0.7 }),
         ("high_skew (zipf 1.3)", Correlation::Zipf { alpha: 1.3 }),
     ] {
-        let config = SyntheticConfig {
-            n_r,
-            n_s,
-            record_bytes,
-            correlation,
-            mcv_count: n_r / 20,
-            seed: 0x0CA9,
-        };
+        let config = SyntheticConfig::scaled_default(correlation);
+        let (n_r, n_s) = (config.n_r, config.n_s);
         let counts = synthetic::correlation_counts(&config);
         let ct = nocap_model::CorrelationTable::from_counts(counts);
         let mcvs = extract_mcvs(&ct, config.mcv_count);
 
-        let base_spec = JoinSpec::paper_synthetic(record_bytes, 64);
+        let base_spec = JoinSpec::paper_synthetic(config.record_bytes, 64);
         let pages_r = base_spec.pages_r(n_r);
-        let pages_s = (n_s).div_ceil(base_spec.b_s());
+        let pages_s = base_spec.pages_s(n_s);
         let base_io = (pages_r + pages_s) as f64;
 
         let mut budgets = Vec::new();
@@ -66,14 +56,10 @@ fn main() {
             let plan = plan_nocap(&mcvs, n_r, n_s as u64, &spec, &PlannerConfig::default());
             let nocap_est = base_io + plan.estimated_extra_io;
             let bound = ocap(&ct, &spec, &OcapConfig::default()).total_io_pages;
-            rows.push((
-                budget.to_string(),
-                vec![Some(dhh), Some(nocap_est), Some(bound)],
-            ));
+            rows.push((budget, vec![dhh, nocap_est, bound]));
         }
         print_series_block(
             &format!("Figure 1 — {name}: estimated total I/O (pages) vs buffer size"),
-            "buffer_pages",
             &series,
             &rows,
         );

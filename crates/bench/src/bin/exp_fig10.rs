@@ -4,87 +4,37 @@
 //! MCVs are extracted; NOCAP, DHH and Histojoin are then run with the noisy
 //! statistics and compared against the exact-statistics run.
 
-use nocap_bench::harness::{print_series_block, run_algorithms, AlgorithmSet};
-use nocap_model::JoinSpec;
+use nocap_bench::harness::{budget_grid, print_series_block, Algo, Cell, Sweep};
 use nocap_storage::{DeviceProfile, SimDevice};
 use nocap_workload::{noisy_mcvs, synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let n_r = 20_000usize;
-    let n_s = 160_000usize;
-    let record_bytes = 256usize;
-    let device_profile = DeviceProfile::osync_off();
-    let sigma = n_s as f64 / n_r as f64;
+    let latency = [Cell::Latency(DeviceProfile::osync_off())];
+    let algos = [Algo::Nocap, Algo::Dhh, Algo::Histojoin];
 
     for (name, correlation) in [
         ("uniform", Correlation::Uniform),
         ("zipf_0.7", Correlation::Zipf { alpha: 0.7 }),
     ] {
-        let device = SimDevice::new_ref();
-        let config = SyntheticConfig {
-            n_r,
-            n_s,
-            record_bytes,
-            correlation,
-            mcv_count: n_r / 20,
-            seed: 0x0CA9,
-        };
-        let mut workload = synthetic::generate(device, &config).expect("workload");
-        let exact = workload.mcvs.clone();
-        let noisy = noisy_mcvs(&workload.ct, config.mcv_count, sigma, 0xF16);
+        let config = SyntheticConfig::scaled_default(correlation);
+        let sigma = config.n_s as f64 / config.n_r as f64;
+        let mut workload = synthetic::generate(SimDevice::new_ref(), &config).expect("workload");
+        let budgets = budget_grid(config.record_bytes, config.n_r, 0.5);
 
-        let set = AlgorithmSet {
-            nocap: true,
-            dhh: true,
-            histojoin: true,
-            ghj: false,
-            smj: false,
-        };
-        let series = ["NOCAP", "DHH", "Histojoin"];
-        let mut exact_rows = Vec::new();
-        let mut noisy_rows = Vec::new();
-        let pages_r = JoinSpec::paper_synthetic(record_bytes, 64).pages_r(n_r);
-        let mut budgets = Vec::new();
-        let mut b = ((pages_r as f64 * 1.02).sqrt() * 0.5).ceil() as usize;
-        while b < pages_r {
-            budgets.push(b);
-            b *= 2;
-        }
-        budgets.push(pages_r);
-
-        for &budget in &budgets {
-            let spec = JoinSpec::paper_synthetic(record_bytes, budget);
-            workload.mcvs = exact.clone();
-            let exact_results = run_algorithms(&workload, &spec, &device_profile, &set);
-            workload.mcvs = noisy.clone();
-            let noisy_results = run_algorithms(&workload, &spec, &device_profile, &set);
-            let find = |rs: &[nocap_bench::harness::Measurement], n: &str| {
-                rs.iter()
-                    .find(|m| m.algorithm == n)
-                    .map(|m| m.total_latency_secs)
-            };
-            exact_rows.push((
-                budget.to_string(),
-                series.iter().map(|&s| find(&exact_results, s)).collect(),
-            ));
-            noisy_rows.push((
-                budget.to_string(),
-                series.iter().map(|&s| find(&noisy_results, s)).collect(),
-            ));
-        }
+        let exact = Sweep::run(&workload, config.record_bytes, &budgets, &algos);
+        workload.mcvs = noisy_mcvs(&workload.ct, config.mcv_count, sigma, 0xF16);
+        let noisy = Sweep::run(&workload, config.record_bytes, &budgets, &algos);
         print_series_block(
             &format!("Figure 10 — correlation = {name}: latency (s) with exact MCVs"),
-            "buffer_pages",
-            &series,
-            &exact_rows,
+            &exact.names(),
+            &exact.panel(&latency),
         );
         print_series_block(
             &format!(
                 "Figure 10 — correlation = {name}: latency (s) with noisy MCVs (sigma = {sigma})"
             ),
-            "buffer_pages",
-            &series,
-            &noisy_rows,
+            &noisy.names(),
+            &noisy.panel(&latency),
         );
     }
 }

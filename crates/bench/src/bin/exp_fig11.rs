@@ -6,37 +6,22 @@
 //! every cell, the fraction of I/Os NOCAP saves relative to that DHH
 //! configuration (the quantity shaded in the paper's heatmap).
 
-use nocap::{NocapConfig, NocapJoin};
+use nocap_bench::harness::Algo;
 use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let n_r = 20_000usize;
-    let n_s = 160_000usize;
-    let record_bytes = 256usize;
-
     let device = SimDevice::new_ref();
-    let config = SyntheticConfig {
-        n_r,
-        n_s,
-        record_bytes,
-        correlation: Correlation::Zipf { alpha: 0.7 },
-        mcv_count: n_r / 20,
-        seed: 0x0CA9,
-    };
+    let config = SyntheticConfig::scaled_default(Correlation::Zipf { alpha: 0.7 });
     let wl = synthetic::generate(device.clone(), &config).expect("workload");
 
     // The paper uses 2 MB and 32 MB budgets for a 1 GB relation; scaled to
     // this workload the equivalent page budgets are ~64 and ~1024 pages.
     for &budget in &[64usize, 1_024] {
-        let spec = JoinSpec::paper_synthetic(record_bytes, budget);
-        device.reset_stats();
-        let nocap_ios = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
-            .expect("NOCAP")
-            .total_ios() as f64;
+        let spec = JoinSpec::paper_synthetic(config.record_bytes, budget);
+        let nocap_ios = Algo::Nocap.run(&wl, &spec).total_ios() as f64;
 
         println!("# Figure 11 — B = {budget} pages: relative I/O reduction of NOCAP vs tuned DHH");
         println!("skew_mem_fraction\\freq_threshold,0.00,0.03,0.06,0.09,0.12");

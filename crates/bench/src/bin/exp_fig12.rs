@@ -5,13 +5,11 @@
 //! I/O-only latency (the paper separates the two because Q12's aggregation
 //! makes the join less I/O-bound).
 
-use nocap_bench::harness::{print_series_block, run_algorithms, AlgorithmSet};
-use nocap_model::JoinSpec;
-use nocap_storage::{DeviceProfile, SimDevice};
+use nocap_bench::harness::print_nocap_vs_dhh;
+use nocap_storage::SimDevice;
 use nocap_workload::tpch::{self, TpchQ12Config};
 
 fn main() {
-    let device_profile = DeviceProfile::aws_i3();
     let panels = [
         ("sf10_sel0.488", TpchQ12Config::scaled_sf10(0.488)),
         ("sf10_sel0.63", TpchQ12Config::scaled_sf10(0.63)),
@@ -20,44 +18,12 @@ fn main() {
     ];
 
     for (name, config) in panels {
-        let device = SimDevice::new_ref();
-        let workload = tpch::generate(device, &config).expect("TPC-H workload");
-        let pages_r = JoinSpec::paper_synthetic(config.record_bytes, 64).pages_r(config.n_orders);
-
-        let mut budgets = Vec::new();
-        let mut b = ((pages_r as f64 * 1.02).sqrt() * 0.6).ceil() as usize;
-        while b < pages_r {
-            budgets.push(b);
-            b *= 2;
-        }
-        budgets.push(pages_r);
-
-        let series = ["NOCAP_total", "NOCAP_io", "DHH_total", "DHH_io"];
-        let mut rows = Vec::new();
-        for &budget in &budgets {
-            let spec = JoinSpec::paper_synthetic(config.record_bytes, budget);
-            let results = run_algorithms(
-                &workload,
-                &spec,
-                &device_profile,
-                &AlgorithmSet::nocap_vs_dhh(),
-            );
-            let find = |n: &str| results.iter().find(|m| m.algorithm == n);
-            rows.push((
-                budget.to_string(),
-                vec![
-                    find("NOCAP").map(|m| m.total_latency_secs),
-                    find("NOCAP").map(|m| m.io_latency_secs),
-                    find("DHH").map(|m| m.total_latency_secs),
-                    find("DHH").map(|m| m.io_latency_secs),
-                ],
-            ));
-        }
-        print_series_block(
+        let workload = tpch::generate(SimDevice::new_ref(), &config).expect("TPC-H workload");
+        print_nocap_vs_dhh(
             &format!("Figure 12 — TPC-H Q12-like, {name}: latency (s) vs buffer size"),
-            "buffer_pages",
-            &series,
-            &rows,
+            &workload,
+            config.record_bytes,
+            config.n_orders,
         );
     }
 }

@@ -6,72 +6,32 @@
 //! to NOCAP; under *medium* skew (tuned JCC-H, cast ⋈ title) the fixed
 //! thresholds leave I/O on the table and NOCAP pulls ahead.
 
-use nocap_bench::harness::{print_series_block, run_algorithms, AlgorithmSet};
-use nocap_model::JoinSpec;
-use nocap_storage::{DeviceProfile, SimDevice};
+use nocap_bench::harness::print_nocap_vs_dhh;
+use nocap_storage::SimDevice;
 use nocap_workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_workload::job::{self, JobConfig, JobJoin};
-use nocap_workload::GeneratedWorkload;
-
-fn sweep(name: &str, workload: &GeneratedWorkload, record_bytes: usize, n_r: usize) {
-    let device_profile = DeviceProfile::aws_i3();
-    let pages_r = JoinSpec::paper_synthetic(record_bytes, 64).pages_r(n_r);
-    let mut budgets = Vec::new();
-    let mut b = ((pages_r as f64 * 1.02).sqrt() * 0.6).ceil() as usize;
-    while b < pages_r {
-        budgets.push(b);
-        b *= 2;
-    }
-    budgets.push(pages_r);
-
-    let series = ["NOCAP_total", "NOCAP_io", "DHH_total", "DHH_io"];
-    let mut rows = Vec::new();
-    for &budget in &budgets {
-        let spec = JoinSpec::paper_synthetic(record_bytes, budget);
-        let results = run_algorithms(
-            workload,
-            &spec,
-            &device_profile,
-            &AlgorithmSet::nocap_vs_dhh(),
-        );
-        let find = |n: &str| results.iter().find(|m| m.algorithm == n);
-        rows.push((
-            budget.to_string(),
-            vec![
-                find("NOCAP").map(|m| m.total_latency_secs),
-                find("NOCAP").map(|m| m.io_latency_secs),
-                find("DHH").map(|m| m.total_latency_secs),
-                find("DHH").map(|m| m.io_latency_secs),
-            ],
-        ));
-    }
-    print_series_block(
-        &format!("Figure 13 — {name}: latency (s) vs buffer size"),
-        "buffer_pages",
-        &series,
-        &rows,
-    );
-}
 
 fn main() {
-    // JCC-H panels.
+    let title = |name: &str| format!("Figure 13 — {name}: latency (s) vs buffer size");
     for (name, skew) in [
         ("JCC-H tuned skew", JcchSkew::Tuned),
         ("JCC-H original skew", JcchSkew::Original),
     ] {
         let config = JcchConfig::scaled(skew);
-        let device = SimDevice::new_ref();
-        let workload = jcch::generate(device, &config).expect("JCC-H workload");
-        sweep(name, &workload, config.record_bytes, config.n_orders);
+        let workload = jcch::generate(SimDevice::new_ref(), &config).expect("JCC-H workload");
+        print_nocap_vs_dhh(
+            &title(name),
+            &workload,
+            config.record_bytes,
+            config.n_orders,
+        );
     }
-    // JOB panels.
     for (name, join) in [
         ("JOB cast_info ⋈ title", JobJoin::CastTitle),
         ("JOB cast_info ⋈ name", JobJoin::CastName),
     ] {
         let config = JobConfig::scaled(join);
-        let device = SimDevice::new_ref();
-        let workload = job::generate(device, &config).expect("JOB workload");
-        sweep(name, &workload, config.record_bytes, config.n_keys);
+        let workload = job::generate(SimDevice::new_ref(), &config).expect("JOB workload");
+        print_nocap_vs_dhh(&title(name), &workload, config.record_bytes, config.n_keys);
     }
 }

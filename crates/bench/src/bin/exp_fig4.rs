@@ -10,26 +10,15 @@ use nocap_model::{JoinSpec, Partitioning};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let n_r = 20_000usize;
-    let n_s = 160_000usize;
-    let record_bytes = 256usize;
-    // Buffer below √(F·‖R‖): ‖R‖ ≈ 1334 pages → √ ≈ 37; use 32 pages.
-    let spec = JoinSpec::paper_synthetic(record_bytes, 32);
-    let c_r = spec.c_r();
-    let m = spec.buffer_pages - 1;
-
     for (name, correlation) in [
         ("uniform", Correlation::Uniform),
         ("zipf_1.0", Correlation::Zipf { alpha: 1.0 }),
     ] {
-        let config = SyntheticConfig {
-            n_r,
-            n_s,
-            record_bytes,
-            correlation,
-            mcv_count: n_r / 20,
-            seed: 0x0CA9,
-        };
+        let config = SyntheticConfig::scaled_default(correlation);
+        // Buffer below √(F·‖R‖): ‖R‖ ≈ 1334 pages → √ ≈ 37; use 32 pages.
+        let spec = JoinSpec::paper_synthetic(config.record_bytes, 32);
+        let c_r = spec.c_r();
+        let m = spec.buffer_pages - 1;
         let counts = synthetic::correlation_counts(&config);
         let ct = nocap_model::CorrelationTable::from_counts(counts);
 

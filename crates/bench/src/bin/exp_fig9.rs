@@ -6,32 +6,19 @@
 //! pays a full extra pass, while rounded hash keeps most partitions
 //! chunk-aligned.
 
-use nocap_bench::harness::{print_series_block, run_algorithms, AlgorithmSet};
+use nocap_bench::harness::{print_series_block, Algo, Cell, Sweep};
 use nocap_model::JoinSpec;
 use nocap_storage::{DeviceProfile, SimDevice};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let n_r = 20_000usize;
-    let n_s = 160_000usize;
-    let record_bytes = 256usize;
-    let device_profile = DeviceProfile::osync_off();
-
     for (name, correlation) in [
         ("uniform", Correlation::Uniform),
         ("zipf_1.0", Correlation::Zipf { alpha: 1.0 }),
     ] {
-        let device = SimDevice::new_ref();
-        let config = SyntheticConfig {
-            n_r,
-            n_s,
-            record_bytes,
-            correlation,
-            mcv_count: n_r / 20,
-            seed: 0x0CA9,
-        };
-        let workload = synthetic::generate(device, &config).expect("workload");
-        let pages_r = JoinSpec::paper_synthetic(record_bytes, 64).pages_r(n_r);
+        let config = SyntheticConfig::scaled_default(correlation);
+        let workload = synthetic::generate(SimDevice::new_ref(), &config).expect("workload");
+        let pages_r = JoinSpec::paper_synthetic(config.record_bytes, 64).pages_r(config.n_r);
         let sqrt_r = ((pages_r as f64) * 1.02_f64).sqrt().ceil() as usize;
 
         // The paper sweeps 128–512 pages for ‖R‖ = 250K (√ ≈ 505); keep the
@@ -40,39 +27,16 @@ fn main() {
             .map(|i| ((0.4 + 0.17 * i as f64) * sqrt_r as f64).round() as usize)
             .collect();
 
-        let series = ["NOCAP", "DHH", "Histojoin", "GHJ", "SMJ"];
-        let mut io_rows = Vec::new();
-        let mut lat_rows = Vec::new();
-        for &budget in &budgets {
-            let spec = JoinSpec::paper_synthetic(record_bytes, budget);
-            let results = run_algorithms(&workload, &spec, &device_profile, &AlgorithmSet::all());
-            let lookup = |n: &str| results.iter().find(|m| m.algorithm == n);
-            io_rows.push((
-                budget.to_string(),
-                series
-                    .iter()
-                    .map(|&s| lookup(s).map(|m| m.ios as f64))
-                    .collect(),
-            ));
-            lat_rows.push((
-                budget.to_string(),
-                series
-                    .iter()
-                    .map(|&s| lookup(s).map(|m| m.total_latency_secs))
-                    .collect(),
-            ));
-        }
+        let sweep = Sweep::run(&workload, config.record_bytes, &budgets, &Algo::ALL);
         print_series_block(
             &format!("Figure 9 — correlation = {name}: #I/Os under limited memory"),
-            "buffer_pages",
-            &series,
-            &io_rows,
+            &sweep.names(),
+            &sweep.panel(&[Cell::Ios]),
         );
         print_series_block(
             &format!("Figure 9 — correlation = {name}: latency (s) under limited memory"),
-            "buffer_pages",
-            &series,
-            &lat_rows,
+            &sweep.names(),
+            &sweep.panel(&[Cell::Latency(DeviceProfile::osync_off())]),
         );
     }
 }

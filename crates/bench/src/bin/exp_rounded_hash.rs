@@ -8,38 +8,24 @@
 //! describes for Figure 9.
 
 use nocap::{NocapConfig, NocapJoin, PlannerConfig};
+use nocap_bench::harness::Algo;
 use nocap_model::{JoinSpec, RoundedHashParams};
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let n_r = 20_000usize;
-    let n_s = 160_000usize;
-    let record_bytes = 256usize;
     let device = SimDevice::new_ref();
-    let config = SyntheticConfig {
-        n_r,
-        n_s,
-        record_bytes,
-        correlation: Correlation::Uniform,
-        mcv_count: n_r / 20,
-        seed: 0x0CA9,
-    };
+    let config = SyntheticConfig::scaled_default(Correlation::Uniform);
     let wl = synthetic::generate(device.clone(), &config).expect("workload");
-    let pages_r = JoinSpec::paper_synthetic(record_bytes, 64).pages_r(n_r);
+    let pages_r = JoinSpec::paper_synthetic(config.record_bytes, 64).pages_r(config.n_r);
     let sqrt_r = ((pages_r as f64) * 1.02_f64).sqrt().ceil() as usize;
 
     println!("# Rounded-hash ablation — uniform correlation, limited memory");
     println!("buffer_pages,rounded_hash_ios,plain_hash_ios,reduction");
     for i in 0..8 {
         let budget = ((0.4 + 0.15 * i as f64) * sqrt_r as f64).round() as usize;
-        let spec = JoinSpec::paper_synthetic(record_bytes, budget);
-
-        device.reset_stats();
-        let rounded = NocapJoin::new(spec, NocapConfig::default())
-            .run(&wl.r, &wl.s, &wl.mcvs)
-            .expect("NOCAP with rounded hash")
-            .total_ios() as f64;
+        let spec = JoinSpec::paper_synthetic(config.record_bytes, budget);
+        let rounded = Algo::Nocap.run(&wl, &spec).total_ios() as f64;
 
         // Force plain hash by disabling rounding (β so small that RH always
         // degenerates).

@@ -593,6 +593,32 @@ mod tests {
     }
 
     #[test]
+    fn plans_the_papers_fifty_thousand_mcv_list() {
+        // The paper's scale (§5.1): k = 50 K tracked MCVs for n_R = 1 M,
+        // n_S = 8 M, 1 KB records, at a small and a large budget. The plan
+        // fits, keeps the hottest key out of the residual partitioner and
+        // prices no more than pure DHH.
+        let (n_r, n_s) = (1_000_000, 8_000_000);
+        let mcvs = skewed_mcvs(50_000, n_s);
+        for buffer_pages in [256usize, 4_096] {
+            let s = JoinSpec::paper_synthetic(1024, buffer_pages);
+            let plan = plan_nocap(&mcvs, n_r, n_s, &s, &PlannerConfig::default());
+            assert!(plan.fits_budget(&s), "B = {buffer_pages}");
+            let hottest_placed =
+                plan.mem_keys.contains(&0) || plan.disk_partitions.iter().any(|p| p.contains(&0));
+            assert!(hottest_placed, "B = {buffer_pages}: key 0 left residual");
+            let dhh = g_dhh(
+                n_r,
+                n_s,
+                &s,
+                buffer_pages - 2,
+                &RoundedHashParams::default(),
+            );
+            assert!(plan.estimated_extra_io <= dhh + 1e-6, "B = {buffer_pages}");
+        }
+    }
+
+    #[test]
     fn empty_mcvs_produce_a_pure_rest_plan() {
         let s = spec(64);
         let plan = plan_nocap(&[], 5_000, 40_000, &s, &PlannerConfig::default());

@@ -53,7 +53,7 @@ use std::sync::Mutex;
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{ordered_tasks, resolve_threads, sum_tasks};
+use nocap_par::{ordered_tasks, resolve_threads};
 use nocap_storage::sort::{
     fence_splitters, run_chunks, sort_chunk, split_runs, ExternalSorter, GroupMerge, LoserTree,
     RunSlice, SortScratch, SortedRun,
@@ -243,9 +243,16 @@ impl SortMergeJoin {
             let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
             let r_ranges = split_runs(&r_runs, &splitters)?;
             let s_ranges = split_runs(&s_runs, &splitters)?;
-            sum_tasks(threads, obs, Phase::Merge, r_ranges.len(), |i| {
-                merge_join_runs(&r_ranges[i], &s_ranges[i])
-            })?
+            ordered_tasks(
+                threads,
+                obs,
+                Phase::Merge,
+                r_ranges.len(),
+                || (),
+                |_, i| merge_join_runs(&r_ranges[i], &s_ranges[i]),
+            )?
+            .into_iter()
+            .sum::<u64>()
         };
         let probe_io = device.stats().since(&probe_base);
 

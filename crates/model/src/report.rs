@@ -20,10 +20,10 @@ pub struct JoinRunReport {
     /// I/Os performed during the probe / partition-wise join phase.
     pub probe_io: IoStats,
     /// Wall time of the whole run in seconds, from the executor's
-    /// whole-run stopwatch ([`finish_run`](Self::finish_run)). Despite the
-    /// name it is not CPU time: on a real device it includes the time spent
-    /// waiting for I/O. Excluded from equality, like `trace`.
-    pub cpu_seconds: f64,
+    /// whole-run stopwatch ([`finish_run`](Self::finish_run)). On a real
+    /// device it includes the time spent waiting for I/O. Excluded from
+    /// equality, like `trace`.
+    pub wall_seconds: f64,
     /// Structured observability trace: per-phase spans, skew histograms and
     /// worker timelines. `None` unless the run was observed with a recording
     /// [`Obs`] handle. Excluded from equality — timing must never
@@ -31,7 +31,7 @@ pub struct JoinRunReport {
     pub trace: Option<ExecutionTrace>,
 }
 
-/// Equality over the deterministic payload only: `cpu_seconds` and `trace`
+/// Equality over the deterministic payload only: `wall_seconds` and `trace`
 /// carry wall-clock data, and two runs of the same join would never compare
 /// equal if either were included.
 impl PartialEq for JoinRunReport {
@@ -51,17 +51,17 @@ impl JoinRunReport {
             output_records: 0,
             partition_io: IoStats::new(),
             probe_io: IoStats::new(),
-            cpu_seconds: 0.0,
+            wall_seconds: 0.0,
             trace: None,
         }
     }
 
     /// Finalizes the report at the end of a run: stops the whole-run
-    /// stopwatch into `cpu_seconds` and attaches the recorded trace, if any.
+    /// stopwatch into `wall_seconds` and attaches the recorded trace, if any.
     /// Every executor ends with this, so the run's wall time is measured
     /// once, consistently, instead of by per-executor stopwatch code.
     pub fn finish_run(&mut self, timer: RunTimer, obs: &Obs) {
-        self.cpu_seconds = timer.stop(obs);
+        self.wall_seconds = timer.stop(obs);
         self.trace = obs.take_trace();
     }
 
@@ -84,7 +84,7 @@ impl JoinRunReport {
     /// run's measured wall time (on `SimDevice`, where I/O takes no real
     /// time, that wall time is the CPU work).
     pub fn total_latency_secs(&self, device: &DeviceProfile) -> f64 {
-        self.io_latency_secs(device) + self.cpu_seconds
+        self.io_latency_secs(device) + self.wall_seconds
     }
 }
 
@@ -104,11 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_adds_cpu_time() {
+    fn latency_adds_wall_time() {
         let mut report = JoinRunReport::new("TEST");
         report.probe_io.record_many(IoKind::SeqRead, 1000);
-        report.cpu_seconds = 0.5;
-        let dev = DeviceProfile::ssd_no_sync();
+        report.wall_seconds = 0.5;
+        let dev = DeviceProfile::osync_off();
         let io_only = report.io_latency_secs(&dev);
         assert!(io_only > 0.0);
         assert!((report.total_latency_secs(&dev) - (io_only + 0.5)).abs() < 1e-12);
@@ -130,9 +130,9 @@ mod tests {
     #[test]
     fn equality_ignores_the_wall_clock_but_not_the_modeled_io() {
         let mut a = JoinRunReport::new("TEST");
-        a.cpu_seconds = 0.25;
+        a.wall_seconds = 0.25;
         let mut b = a.clone();
-        b.cpu_seconds = 0.75;
+        b.wall_seconds = 0.75;
         assert_eq!(a, b, "wall time must not participate in equality");
         b.probe_io.record_many(IoKind::SeqRead, 1);
         assert_ne!(a, b);
@@ -145,6 +145,6 @@ mod tests {
         let mut report = JoinRunReport::new("TEST");
         report.finish_run(timer, &obs);
         assert!(report.trace.is_none());
-        assert!(report.cpu_seconds >= 0.0);
+        assert!(report.wall_seconds >= 0.0);
     }
 }

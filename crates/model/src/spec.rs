@@ -50,7 +50,7 @@ impl JoinSpec {
             s_layout: RecordLayout::new(payload),
             buffer_pages,
             fudge: 1.02,
-            device: DeviceProfile::ssd_no_sync(),
+            device: DeviceProfile::osync_off(),
             key_bytes: 8,
         }
     }

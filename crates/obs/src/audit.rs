@@ -381,24 +381,6 @@ impl IoAudit {
             .collect()
     }
 
-    /// Folded counters of all events attributed to `phase`.
-    pub fn phase_stats(&self, phase: Phase) -> IoStats {
-        self.phase_io
-            .iter()
-            .find(|r| r.phase == Some(phase))
-            .map_or_else(IoStats::new, |r| r.stats)
-    }
-
-    /// Folded counters of the whole event stream.
-    pub fn observed_total(&self) -> IoStats {
-        self.phase_io.iter().map(|r| r.stats).sum()
-    }
-
-    /// Total number of events the audit saw.
-    pub fn total_events(&self) -> usize {
-        self.phase_io.iter().map(|r| r.events).sum()
-    }
-
     fn mean_of(&self, kind: IoKind) -> Option<f64> {
         self.latency
             .iter()
@@ -902,9 +884,18 @@ mod tests {
         assert!(audit.mismatches().is_empty());
         assert_eq!(audit.leading_events, 0);
         assert_eq!(audit.trailing_events, 0);
-        assert_eq!(audit.phase_stats(Phase::Partition), stats(1, 0, 0, 1));
-        assert_eq!(audit.phase_stats(Phase::Probe), stats(1, 0, 0, 0));
-        assert_eq!(audit.observed_total().total(), 3);
+        let phases: Vec<_> = audit
+            .phase_io
+            .iter()
+            .map(|r| (r.phase, r.stats, r.events))
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                (Some(Phase::Partition), stats(1, 0, 0, 1), 2),
+                (Some(Phase::Probe), stats(1, 0, 0, 0), 1),
+            ]
+        );
     }
 
     #[test]

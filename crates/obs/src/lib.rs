@@ -60,7 +60,7 @@ pub use trace::{ExecutionTrace, SpanRec};
 /// The set mirrors the cost-model decomposition used throughout the paper:
 /// scans, statistics collection, partitioning, spill destaging, hash build,
 /// probe, sort run generation and merge, plus a [`Phase::Total`] span that
-/// brackets the whole run (its duration is `JoinRunReport::cpu_seconds`).
+/// brackets the whole run (its duration is `JoinRunReport::wall_seconds`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Sequential relation scan (e.g. NBJ's outer passes).

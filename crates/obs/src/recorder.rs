@@ -261,7 +261,7 @@ impl Obs {
     }
 
     /// Starts the whole-run stopwatch. Unlike phase spans, the timer always
-    /// reads the clock — its elapsed time is `JoinRunReport::cpu_seconds`,
+    /// reads the clock — its elapsed time is `JoinRunReport::wall_seconds`,
     /// which the executors have always measured.
     pub fn run_timer(&self) -> RunTimer {
         RunTimer {

@@ -105,7 +105,7 @@ use nocap_storage::{
     RadixRouter, Relation, Result, SpillGuard,
 };
 
-use crate::pool::{resolve_threads, run_workers_obs, sum_tasks};
+use crate::pool::{ordered_tasks, resolve_threads, run_workers_obs};
 use crate::shard::{PageMorsels, SharedWriterSet};
 use crate::stage::ParallelStager;
 
@@ -333,9 +333,15 @@ where
             pairs.push((r_part.clone(), s_part.clone()));
         }
     }
-    output += sum_tasks(threads, obs, Phase::Probe, pairs.len(), |i| {
-        smart_partition_join(&pairs[i].0, &pairs[i].1, spec, 1)
-    })?;
+    let counts = ordered_tasks(
+        threads,
+        obs,
+        Phase::Probe,
+        pairs.len(),
+        || (),
+        |_, i| smart_partition_join(&pairs[i].0, &pairs[i].1, spec, 1),
+    )?;
+    output += counts.iter().sum::<u64>();
     drop(probe_span);
     let probe_io = device.stats().since(&probe_base);
 

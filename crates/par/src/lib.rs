@@ -11,15 +11,15 @@
 //! * [`pool`] — a scoped [`run_workers`] fan-out helper (worker 0 is the
 //!   calling thread, `n − 1` threads are spawned — at one worker nothing is
 //!   spawned and the fan-out *is* a sequential loop), a work-queue
-//!   [`sum_tasks`] helper for the partition-wise probe phase, its ordered
-//!   sibling [`ordered_tasks`] for sort-run generation, and
+//!   [`ordered_tasks`] helper for the partition-wise probe phase, sort-run
+//!   generation and the SMJ merges, and
 //!   [`default_threads`] / [`resolve_threads`] (the `NOCAP_THREADS`
 //!   environment knob, read only when a caller passes `threads = 0`). All
 //!   fan-outs are **fail-clean**: worker panics — worker 0's included —
 //!   are caught and surfaced as `StorageError::WorkerPanicked`, and a
 //!   [`cancel`] token ([`CancelToken`]) propagates the first error so
 //!   siblings stop at their next task boundary instead of finishing doomed
-//!   work. [`run_workers_obs`], [`sum_tasks`] and [`ordered_tasks`] take an
+//!   work. [`run_workers_obs`] and [`ordered_tasks`] take an
 //!   `Obs` and record per-worker / per-task spans through `nocap-obs`,
 //!   producing the per-worker timelines of the chrome://tracing output
 //!   without perturbing execution; under `Obs::off()` they record nothing.
@@ -83,7 +83,7 @@ pub use cancel::CancelToken;
 pub use hybrid::{hybrid_hash_join, staging_budget, HybridPlan, Route};
 pub use pool::{
     default_threads, ordered_tasks, resolve_threads, run_workers, run_workers_cancel,
-    run_workers_obs, sum_tasks,
+    run_workers_obs,
 };
 pub use shard::{page_shards, LocalWriter, PageMorsels, SharedWriterSet};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

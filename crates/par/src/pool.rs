@@ -7,13 +7,12 @@
 //!   scans, where every worker claims page morsels
 //!   ([`PageMorsels`](crate::shard::PageMorsels)) until the relation is
 //!   exhausted and returns its private state for the coordinator to merge;
-//! * **dynamic work queue** ([`sum_tasks`]): a list of independent tasks
-//!   (spilled partition pairs) claimed from an atomic cursor — used for the
-//!   build/probe phase, where per-partition work is wildly uneven under
-//!   skew and static assignment would leave workers idle;
-//! * **ordered work queue** ([`ordered_tasks`]): the same atomic claiming,
-//!   but results land at their task index — used where downstream
-//!   consumers need the artifacts in canonical order (the sort chunks of
+//! * **work queue** ([`ordered_tasks`]): a list of independent tasks
+//!   claimed from an atomic cursor, results landing at their task index —
+//!   used for the build/probe phase (spilled partition pairs, whose work
+//!   is wildly uneven under skew, so static assignment would leave workers
+//!   idle; the counts are summed) and where downstream consumers need the
+//!   artifacts in canonical order (the sort chunks and merge groups of
 //!   `SortMergeJoin::run_parallel`), with per-worker reusable state so the
 //!   tasks themselves stay allocation-free.
 //!
@@ -198,52 +197,22 @@ where
 }
 
 /// Executes `count` independent tasks on `threads` workers via an atomic
-/// work queue and returns the sum of their `u64` results.
-///
-/// Tasks are claimed with a relaxed `fetch_add` — claim order is
-/// nondeterministic, which is fine because every consumer of this helper
-/// (the partition-wise probe phase) produces order-independent counts.
-/// Every claimed task becomes a span of the given phase tagged with its
-/// worker id and task index — the raw material of the per-worker timelines
-/// (a worker's gaps between task spans are its idle/claim time); pass
-/// `&Obs::off()` to record nothing.
-pub fn sum_tasks<F>(threads: usize, obs: &Obs, phase: Phase, count: usize, f: F) -> Result<u64>
-where
-    F: Fn(usize) -> Result<u64> + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let token = CancelToken::new();
-    let partials = run_workers_cancel(threads.max(1).min(count.max(1)), &token, |w, token| {
-        let mut wobs = obs.worker(w);
-        let _io = obs.io_phase(phase);
-        let mut sum = 0u64;
-        loop {
-            // Task boundary: once a sibling fails, stop claiming work.
-            token.check()?;
-            let task = cursor.fetch_add(1, Ordering::Relaxed);
-            if task >= count {
-                return Ok(sum);
-            }
-            let started = wobs.start();
-            sum += f(task)?;
-            wobs.record_task(phase, task, started);
-        }
-    })?;
-    Ok(partials.into_iter().sum())
-}
-
-/// Executes `count` independent tasks on `threads` workers via an atomic
 /// work queue and returns the results **in task order** — the canonical
 /// order a sequential loop over `0..count` would produce, regardless of
 /// which worker ran which task or when.
 ///
-/// Each worker gets its own mutable state from `init` (a sort scratch, a
-/// staging buffer, …) that is reused across every task the worker claims,
-/// so per-task work can stay allocation-free. This is the fan-out shape of
-/// parallel run generation: tasks are the fixed sort chunks, the result
-/// vector is the canonical run order the merge consumes. Every claimed task
-/// becomes a span of the given phase tagged with its worker id and task
-/// index; pass `&Obs::off()` to record nothing.
+/// Tasks are claimed with a relaxed `fetch_add`, so which worker runs which
+/// task is nondeterministic; only the result order is fixed. Each worker
+/// gets its own mutable state from `init` (a sort scratch, a staging
+/// buffer, …) that is reused across every task the worker claims, so
+/// per-task work can stay allocation-free; `|| ()` when a task needs none.
+/// Run generation and the SMJ cascade use the order (tasks are sort chunks
+/// or merge groups, the results the runs in canonical order); the
+/// partition-wise probe and the fused merge-join sum the counts. Every
+/// claimed task becomes a span of the given phase tagged with its worker
+/// id and task index — the raw material of the per-worker timelines (a
+/// worker's gaps between task spans are its idle/claim time); pass
+/// `&Obs::off()` to record nothing.
 pub fn ordered_tasks<S, T, F, I>(
     threads: usize,
     obs: &Obs,
@@ -403,19 +372,26 @@ mod tests {
     }
 
     #[test]
-    fn sum_tasks_stops_claiming_after_first_error() {
+    fn ordered_tasks_stops_claiming_after_first_error() {
         use std::sync::atomic::AtomicU64;
         let executed = AtomicU64::new(0);
-        let err = sum_tasks(2, &Obs::off(), Phase::Probe, 10_000, |i| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if i == 0 {
-                Err(StorageError::Io("early".into()))
-            } else {
-                // Give the failing task time to trip the token.
-                std::thread::sleep(std::time::Duration::from_micros(50));
-                Ok(1)
-            }
-        })
+        let err = ordered_tasks(
+            2,
+            &Obs::off(),
+            Phase::Probe,
+            10_000,
+            || (),
+            |_, i| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    Err(StorageError::Io("early".into()))
+                } else {
+                    // Give the failing task time to trip the token.
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    Ok(1)
+                }
+            },
+        )
         .unwrap_err();
         assert_eq!(err, StorageError::Io("early".into()));
         assert!(
@@ -446,24 +422,23 @@ mod tests {
     }
 
     #[test]
-    fn sum_tasks_covers_every_task_exactly_once() {
+    fn ordered_tasks_covers_every_task_exactly_once() {
         use std::sync::atomic::AtomicU64;
         let hits = AtomicU64::new(0);
-        let total = sum_tasks(4, &Obs::off(), Phase::Probe, 100, |i| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            Ok(i as u64)
-        })
+        let results = ordered_tasks(
+            4,
+            &Obs::off(),
+            Phase::Probe,
+            100,
+            || (),
+            |_, i| {
+                hits.fetch_add(1, Ordering::Relaxed);
+                Ok(i as u64)
+            },
+        )
         .unwrap();
-        assert_eq!(total, (0..100u64).sum());
+        assert_eq!(results.iter().sum::<u64>(), (0..100u64).sum());
         assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn sum_tasks_with_zero_tasks_is_zero() {
-        assert_eq!(
-            sum_tasks(4, &Obs::off(), Phase::Probe, 0, |_| Ok(7)).unwrap(),
-            0
-        );
     }
 
     #[test]
@@ -556,18 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_tasks_obs_attributes_every_task_to_a_worker() {
-        let obs = Obs::recording();
-        let total = sum_tasks(3, &obs, Phase::Probe, 20, |i| Ok(i as u64)).unwrap();
-        assert_eq!(total, (0..20u64).sum());
-        let trace = obs.take_trace().unwrap();
-        let mut tasks: Vec<usize> = trace.spans.iter().filter_map(|s| s.task).collect();
-        tasks.sort_unstable();
-        assert_eq!(tasks, (0..20).collect::<Vec<_>>(), "one span per task");
-        assert!(trace.spans.iter().all(|s| s.worker.is_some()));
-    }
-
-    #[test]
     fn ordered_tasks_obs_keeps_task_order_and_spans() {
         let obs = Obs::recording();
         let results =
@@ -576,12 +539,18 @@ mod tests {
         let trace = obs.take_trace().unwrap();
         assert_eq!(trace.spans.len(), 15);
         assert!(trace.spans.iter().all(|s| s.phase == Phase::SortRunGen));
+        // One span per task, each tagged with the worker that ran it.
+        let mut tasks: Vec<usize> = trace.spans.iter().filter_map(|s| s.task).collect();
+        tasks.sort_unstable();
+        assert_eq!(tasks, (0..15).collect::<Vec<_>>());
+        assert!(trace.spans.iter().all(|s| s.worker.is_some()));
     }
 
     #[test]
     fn obs_off_changes_nothing() {
-        let recorded = sum_tasks(4, &Obs::recording(), Phase::Probe, 50, |i| Ok(i as u64)).unwrap();
-        let blind = sum_tasks(4, &Obs::off(), Phase::Probe, 50, |i| Ok(i as u64)).unwrap();
-        assert_eq!(recorded, blind);
+        let run = |obs: &Obs| {
+            ordered_tasks(4, obs, Phase::Probe, 50, || (), |_, i| Ok(i as u64)).unwrap()
+        };
+        assert_eq!(run(&Obs::recording()), run(&Obs::off()));
     }
 }

@@ -67,14 +67,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (checksums still verified).
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_micros: 0,
-        }
-    }
-
     fn backoff(&self, retry: u32) {
         if self.backoff_micros > 0 {
             let micros = self.backoff_micros << retry.min(16);

@@ -238,16 +238,6 @@ impl DeviceProfile {
         DeviceProfile::from_asymmetry(25.0, 1.2, 1.14, 1.2)
     }
 
-    /// Alias of [`DeviceProfile::osync_off`] (the original constructor name).
-    pub fn ssd_no_sync() -> Self {
-        DeviceProfile::osync_off()
-    }
-
-    /// Alias of [`DeviceProfile::osync_on`] (the original constructor name).
-    pub fn ssd_sync() -> Self {
-        DeviceProfile::osync_on()
-    }
-
     /// μ, the random-write / sequential-read asymmetry.
     pub fn mu(&self) -> f64 {
         self.rand_write_us / self.seq_read_us
@@ -284,7 +274,7 @@ impl DeviceProfile {
 
 impl Default for DeviceProfile {
     fn default() -> Self {
-        DeviceProfile::ssd_no_sync()
+        DeviceProfile::osync_off()
     }
 }
 
@@ -363,9 +353,7 @@ mod tests {
         let aws = DeviceProfile::aws_i3();
         assert!((aws.mu() - 1.2).abs() < 1e-9);
         assert!((aws.tau() - 1.14).abs() < 1e-9);
-        // The original constructor names stay as aliases.
-        assert_eq!(DeviceProfile::ssd_no_sync(), no_sync);
-        assert_eq!(DeviceProfile::ssd_sync(), sync);
+        assert_eq!(DeviceProfile::default(), no_sync);
     }
 
     #[test]
@@ -387,8 +375,8 @@ mod tests {
     fn sync_profile_is_slower_for_writes() {
         let mut w = IoStats::new();
         w.record_many(IoKind::RandWrite, 50);
-        let no_sync = DeviceProfile::ssd_no_sync().trace_latency_us(&w);
-        let sync = DeviceProfile::ssd_sync().trace_latency_us(&w);
+        let no_sync = DeviceProfile::osync_off().trace_latency_us(&w);
+        let sync = DeviceProfile::osync_on().trace_latency_us(&w);
         assert!(sync > 2.0 * no_sync);
     }
 }

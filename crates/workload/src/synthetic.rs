@@ -92,12 +92,6 @@ impl GeneratedWorkload {
         self.s.scan().map(|r| r.map(|rec| rec.key()))
     }
 
-    /// Like [`stream_keys`](Self::stream_keys) but over the dimension
-    /// relation R (for collecting R-side statistics such as distinct counts).
-    pub fn stream_r_keys(&self) -> impl Iterator<Item = nocap_storage::Result<u64>> {
-        self.r.scan().map(|r| r.map(|rec| rec.key()))
-    }
-
     /// The exact join output cardinality, derived from the correlation
     /// table (every S record matches exactly one R key in this PK–FK
     /// setting). Lets tests and benches verify a join's output without

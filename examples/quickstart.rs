@@ -36,7 +36,7 @@ fn main() {
     // 3. A join spec: 96 pages of memory (≈ 2.6× √‖R‖), the paper's fudge
     //    factor and the no-sync SSD profile.
     let spec = JoinSpec::paper_synthetic(256, 96);
-    let profile = DeviceProfile::ssd_no_sync();
+    let profile = DeviceProfile::osync_off();
 
     // 4. Run NOCAP.
     device.reset_stats();
