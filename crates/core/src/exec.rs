@@ -7,10 +7,13 @@
 //! keys `K_mem` (instead of a 2 % skew table), a possibly non-empty set of
 //! designated spill partitions `K_disk`, and the rounded hash of §4.2 over
 //! the residual keys (instead of a plain one). This module turns a
-//! [`NocapPlan`] into those three inputs — fixed-structure pages,
-//! designated-partition count and the residual geometry ([`RestGeometry`]:
-//! router plus resident-first staging quotas) behind one routing function
-//! that both passes consult — and hands them over. What the body does with
+//! [`NocapPlan`] into the body's inputs — fixed-structure pages, one quota
+//! per partition and one routing function that both passes consult — and
+//! hands them over. The `m_disk` designated partitions come first, at
+//! quota 0 (each is destaged by its first R record, DHH's page-out bit set
+//! from the start); the residual partitions of [`RestGeometry`] (router
+//! plus resident-first staging quotas) follow, their ids offset by
+//! `m_disk`. What the body does with
 //! them, why every thread count produces the same output and per-phase
 //! modeled I/O, and which physical memory the §4.1 model does not charge
 //! is documented once, in [`nocap_par::hybrid`].
@@ -153,8 +156,8 @@ impl NocapJoin {
 
     /// Executes the join with an explicit, pre-computed plan on `threads`
     /// worker threads — the method every other entry point ends in. The
-    /// plan's cached keys, designated partitions and residual geometry
-    /// become the [`HybridPlan`] of [`hybrid_hash_join`].
+    /// plan's cached keys, designated partitions (at quota 0) and residual
+    /// geometry become the [`HybridPlan`] of [`hybrid_hash_join`].
     pub fn run_with_plan(
         &self,
         r: &Relation,
@@ -171,14 +174,16 @@ impl NocapJoin {
             self.config.planner.rh_params,
         );
         let routes = plan.route_map();
+        let m_disk = plan.num_designated();
+        let mut quotas = vec![0; m_disk];
+        quotas.extend(geometry.caps);
         let hybrid = HybridPlan {
             label: "NOCAP",
             fixed_pages,
-            designated: plan.num_designated(),
-            quotas: geometry.caps,
+            quotas,
             route: |key: u64| match routes.get(&key) {
                 Some(&route) => route,
-                None => Route::Residual(geometry.rh.partition_of(key)),
+                None => Route::Partition(m_disk + geometry.rh.partition_of(key)),
             },
         };
         hybrid_hash_join(&self.spec, r, s, hybrid, threads, obs)

@@ -5,7 +5,10 @@
 //! Algorithm 10) from MCV statistics and consumed by the executor
 //! ([`crate::exec::NocapJoin`], Algorithms 8/9). Keeping it as an explicit
 //! value makes plans inspectable (see the `plan_inspect` example) and lets
-//! tests assert planner decisions without running the join.
+//! tests assert planner decisions without running the join. The executor
+//! runs the designated partitions as the first `m_disk` partitions of the
+//! hybrid body's one partition space, each at staging quota 0, and the
+//! residual partitions after them.
 
 use std::collections::HashMap;
 
@@ -67,8 +70,9 @@ impl NocapPlan {
     }
 
     /// The MCV keys' routes in one table: a cached key maps to
-    /// [`Route::Cached`], a designated key to [`Route::Designated`] with
-    /// its partition (`f_disk`); a key absent from the table is residual.
+    /// [`Route::Cached`], a designated key to [`Route::Partition`] with
+    /// its partition (`f_disk`, the first `m_disk` partition ids); a key
+    /// absent from the table is residual.
     /// One lookup routes an R record, and an S record that missed the
     /// in-memory table.
     pub fn route_map(&self) -> RouteMap {
@@ -77,7 +81,7 @@ impl NocapPlan {
             BuildKeyHasher::default(),
         );
         for (pid, keys) in self.disk_partitions.iter().enumerate() {
-            map.extend(keys.iter().map(|&k| (k, Route::Designated(pid))));
+            map.extend(keys.iter().map(|&k| (k, Route::Partition(pid))));
         }
         map.extend(self.mem_keys.iter().map(|&k| (k, Route::Cached)));
         map
@@ -132,9 +136,9 @@ mod tests {
         let plan = sample_plan();
         let map = plan.route_map();
         assert_eq!(map.get(&10), Some(&Route::Cached));
-        assert_eq!(map.get(&20), Some(&Route::Designated(0)));
-        assert_eq!(map.get(&21), Some(&Route::Designated(0)));
-        assert_eq!(map.get(&22), Some(&Route::Designated(1)));
+        assert_eq!(map.get(&20), Some(&Route::Partition(0)));
+        assert_eq!(map.get(&21), Some(&Route::Partition(0)));
+        assert_eq!(map.get(&22), Some(&Route::Partition(1)));
         assert_eq!(map.get(&13), None);
     }
 
@@ -152,8 +156,8 @@ mod tests {
         let map = plan.route_map();
         assert_eq!(map.len(), 7_000);
         assert!((0..500).all(|k| map[&k] == Route::Cached));
-        assert_eq!(map.get(&3_999), Some(&Route::Designated(0)));
-        assert_eq!(map.get(&(7 << 20)), Some(&Route::Designated(1)));
+        assert_eq!(map.get(&3_999), Some(&Route::Partition(0)));
+        assert_eq!(map.get(&(7 << 20)), Some(&Route::Partition(1)));
         assert_eq!(map.get(&4_000), None);
     }
 

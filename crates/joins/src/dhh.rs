@@ -6,8 +6,8 @@
 //! ([`nocap_par::hybrid_hash_join`]; the passes, the determinism argument
 //! and the memory disclosures are documented there): a plain hash
 //! (`mix64 mod m`) over the paper's
-//! `m_DHH = max(20, ⌈(‖R‖·F − B)/(B − 1)⌉)` partitions, no designated
-//! spill partitions, and the skew keys below as the cached set. Where
+//! `m_DHH = max(20, ⌈(‖R‖·F − B)/(B − 1)⌉)` partitions, all under
+//! non-zero staging quotas, and the skew keys below as the cached set. Where
 //! NOCAP's planner picks its cached keys and partition count per input,
 //! DHH's are fixed by two constants and one formula.
 //!
@@ -218,13 +218,12 @@ impl DhhJoin {
         let plan = HybridPlan {
             label: self.label,
             fixed_pages,
-            designated: 0,
             quotas,
             route: |key: u64| {
                 if skew_keys.contains(&key) {
                     Route::Cached
                 } else {
-                    Route::Residual((hash_key(key) % parts) as usize)
+                    Route::Partition((hash_key(key) % parts) as usize)
                 }
             },
         };
@@ -268,7 +267,7 @@ mod tests {
     use crate::naive::naive_join_count;
     use crate::testutil::{build_workload, mcvs};
     use nocap_par::ParallelStager;
-    use nocap_storage::{IoStats, RadixRouter, Record, SimDevice};
+    use nocap_storage::{IoStats, Record, SimDevice};
 
     /// A report's output and per-phase I/O, each phase as
     /// `[seq_reads, rand_reads, seq_writes, rand_writes]`.
@@ -396,30 +395,24 @@ mod tests {
         let budget = 10usize;
         let parts = 5usize;
         // Run the same multiset of keys through DHH's R pass — modulo
-        // router, radix buffers, quota stager, as worker 0 of the executor
-        // does — in two very different orders; the destaged set must not
-        // change (that is the point of the quota port), and at one worker
-        // the budget holds exactly after every insert.
+        // router straight into the quota stager, as worker 0 of the
+        // executor does — in two very different orders; the destaged set
+        // must not change (that is the point of the quota port), and at one
+        // worker the budget holds exactly after every insert.
         let run = |keys: &[u64]| {
             let device = SimDevice::new_ref();
             let caps = staging_quotas(2_000, &spec, budget, StagingRouter::PlainHash { parts });
             let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps.caps());
             let mut stage = stager.worker_stage();
-            let mut router = RadixRouter::new(spec.r_layout, parts);
-            let mut insert = |p: usize, rec: nocap_storage::RecordRef<'_>| {
-                stager.insert(&mut stage, p, rec)?;
+            for &k in keys {
+                let rec = Record::with_fill(k, 120, 0);
+                let p = (hash_key(k) % parts as u64) as usize;
+                stager.insert(&mut stage, p, rec.as_record_ref()).unwrap();
                 assert!(
                     stager.pages_in_use() <= budget,
                     "staged pages + spill buffers exceeded the budget"
                 );
-                Ok(())
-            };
-            for &k in keys {
-                let rec = Record::with_fill(k, 120, 0);
-                let p = (hash_key(k) % parts as u64) as usize;
-                router.push(p, rec.as_record_ref(), &mut insert).unwrap();
             }
-            router.finish(&mut insert).unwrap();
             let build = stager.finish(vec![stage]).unwrap();
             let spilled: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
             assert_eq!(spilled + build.staged_records.len(), keys.len());

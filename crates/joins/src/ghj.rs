@@ -11,10 +11,11 @@
 //! resident — HHJ degenerates to it below `√(F·‖R‖)` (§2.1,
 //! [`JoinSpec::hhj_memory_threshold`]). Here that is literal: GHJ is a
 //! [`HybridPlan`] for [`nocap_par::hybrid_hash_join`], the body NOCAP, DHH
-//! and Histojoin run, with every key routed to designated partition
-//! `mix64(key) mod m`, nothing cached and no residual partitions. The plan's
-//! fixed structures are the `m` output pages, so with the body's two
-//! streaming pages the pool holds all `B` pages. Every partition pair goes
+//! and Histojoin run, with nothing cached and every key routed to
+//! partition `mix64(key) mod m` of `m` quota-0 partitions — each destaged
+//! by its first R record, so nothing is ever staged. The plan's fixed
+//! structures are the `m` output pages, so with the body's two streaming
+//! pages the pool holds all `B` pages. Every partition pair goes
 //! through [`nocap_model::pairwise::smart_partition_join`], the light
 //! optimizer the other hash joins run; the passes, the thread-count
 //! invariance of output and per-phase modeled I/O, and the physical memory
@@ -81,9 +82,8 @@ impl GraceHashJoin {
         let plan = HybridPlan {
             label: "GHJ",
             fixed_pages: m,
-            designated: m,
-            quotas: vec![],
-            route: |key: u64| Route::Designated((mix64(key) % m as u64) as usize),
+            quotas: vec![0; m],
+            route: |key: u64| Route::Partition((mix64(key) % m as u64) as usize),
         };
         // Nothing is cached or staged, so the table stays empty and the S
         // pass routes every record without probing it.

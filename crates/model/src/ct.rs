@@ -10,8 +10,6 @@
 //! that planners can translate "the i-th smallest CT entry" into an actual
 //! join key.
 
-use crate::estimate::McvEstimate;
-
 /// Per-key match counts, sorted ascending, with prefix sums.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrelationTable {
@@ -116,18 +114,6 @@ impl CorrelationTable {
             .collect()
     }
 
-    /// The same top-k view as [`top_k`](Self::top_k), expressed as
-    /// [`McvEstimate`]s. Statistics from the full correlation table are exact,
-    /// so every estimate carries a zero error bound; sketch-derived MCVs (the
-    /// `nocap-stats` crate) produce the same type with non-zero bounds, so
-    /// planners can consume either source uniformly.
-    pub fn top_k_estimates(&self, k: usize) -> Vec<McvEstimate> {
-        self.top_k(k)
-            .into_iter()
-            .map(|(key, count)| McvEstimate::exact(key, count))
-            .collect()
-    }
-
     /// Number of entries with a zero count (R records with no match in S);
     /// the optimal partitioning excludes these entirely (§3.1.1).
     pub fn zero_entries(&self) -> usize {
@@ -159,27 +145,6 @@ impl CorrelationTable {
         let n = self.len();
         let start = n.saturating_sub(k);
         self.range_sum(start, n) as f64 / total as f64
-    }
-
-    /// Mean number of matches per key (n_S / n_R for a dense PK–FK join).
-    pub fn mean_matches(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.total_matches() as f64 / self.len() as f64
-        }
-    }
-
-    /// Estimated per-partition join cost for a *general* (many-to-many) join
-    /// where this table holds the R-side multiplicities and `other` the
-    /// S-side multiplicities for the same ascending key order (§6). The
-    /// error bound of Theorem 3.1 does not apply; exposed for completeness.
-    pub fn general_pairwise_cost(&self, other: &CorrelationTable) -> u128 {
-        self.sorted
-            .iter()
-            .zip(other.sorted.iter())
-            .map(|(&a, &b)| a as u128 * b as u128)
-            .sum()
     }
 }
 
@@ -216,16 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn top_k_estimates_are_exact() {
-        let ct = CorrelationTable::from_pairs(vec![(1, 100), (2, 5), (3, 50)]);
-        let estimates = ct.top_k_estimates(2);
-        assert_eq!(estimates.len(), 2);
-        assert_eq!(estimates[0], McvEstimate::exact(1, 100));
-        assert!(estimates.iter().all(|e| e.is_exact()));
-        assert_eq!(crate::estimate::to_pairs(&estimates), ct.top_k(2));
-    }
-
-    #[test]
     fn zero_entries_counted() {
         let ct = CorrelationTable::from_counts(vec![0, 0, 3, 0, 1]);
         assert_eq!(ct.zero_entries(), 3);
@@ -255,21 +210,11 @@ mod tests {
     }
 
     #[test]
-    fn mean_matches_and_empty_table() {
-        let ct = CorrelationTable::from_counts(vec![2, 4, 6]);
-        assert!((ct.mean_matches() - 4.0).abs() < 1e-9);
+    fn empty_table_has_no_matches() {
         let empty = CorrelationTable::from_counts(Vec::<u64>::new());
         assert!(empty.is_empty());
         assert_eq!(empty.total_matches(), 0);
-        assert_eq!(empty.mean_matches(), 0.0);
+        assert_eq!(empty.top_k_mass(3), 0.0);
         assert_eq!(empty.top_k(3).len(), 0);
-    }
-
-    #[test]
-    fn general_pairwise_cost_multiplies_multiplicities() {
-        let a = CorrelationTable::from_counts(vec![1, 2, 3]);
-        let b = CorrelationTable::from_counts(vec![4, 5, 6]);
-        // sorted: a = 1,2,3 ; b = 4,5,6 → 4 + 10 + 18
-        assert_eq!(a.general_pairwise_cost(&b), 32);
     }
 }

@@ -12,8 +12,9 @@
 //!   with prefix sums for O(1) range queries.
 //! * [`partitioning`] — [`Partitioning`]: an explicit assignment of
 //!   CT-sorted records to partitions, the per-partition join cost `CalCost`
-//!   of §3.1.3, and checkers for the three properties of Theorem 3.1
-//!   (consecutive, weakly-ordered, divisible).
+//!   of §3.1.3, and checkers for two of the three properties of Theorem
+//!   3.1 (consecutive and divisible; the DP prunes by the third, weak
+//!   ordering).
 //! * [`classic_cost`] — the Table 1 estimators for NBJ, GHJ and SMJ, plus
 //!   the "light optimizer" that picks NBJ or Grace-style recursion for each
 //!   partition-wise join — run by the executors, priced by the planner.

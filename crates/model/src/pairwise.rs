@@ -8,7 +8,8 @@
 //! executed as a Nested Block Join — the light optimizer of Table 1 almost
 //! always selects NBJ for these sub-joins because writing anything back to
 //! disk (as GHJ/SMJ would) costs μ/τ-weighted I/Os; below `√(F·‖R‖)` it
-//! re-partitions the pair ([`repartition`]) and recurses instead.
+//! re-partitions the pair ([`repartition`], through the same
+//! [`SpillSet`] write path as the partition passes) and recurses instead.
 //!
 //! [`nbj_partition_join`] loads the R partition chunk-by-chunk into an
 //! in-memory hash table sized to the full buffer budget and scans the S
@@ -23,7 +24,9 @@
 use std::sync::Arc;
 
 use nocap_storage::hash::{level_seed, mix64_seeded};
-use nocap_storage::{IoKind, JoinHashTable, Page, PartitionHandle, PartitionWriter, SpillGuard};
+use nocap_storage::{
+    IoKind, JoinHashTable, Page, PartitionHandle, RecordLayout, SpillGuard, SpillSet,
+};
 
 use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
 use crate::spec::JoinSpec;
@@ -124,48 +127,33 @@ impl ChunkLoader {
     }
 }
 
-/// Hash-partitions a spilled partition into `m` sub-partitions by
-/// `mix64_seeded(key, seed)` — one recursion level of Grace-style
-/// re-partitioning. [`smart_partition_join`] seeds level `d` with
-/// `nocap_storage::hash::level_seed(d)`, so nested passes use a hash
+/// Hash-partitions a spilled partition of `layout` records into `m`
+/// sub-partitions by `mix64_seeded(key, seed)` — one recursion level of
+/// Grace-style re-partitioning. [`smart_partition_join`] seeds level `d`
+/// with `nocap_storage::hash::level_seed(d)`, so nested passes use a hash
 /// independent of the one that produced the partition. Zero-copy: records
-/// route straight from the source page into the sub-partition output
-/// buffers; a sub-partition's writer — and its output page — exists only
-/// once a record reaches it.
+/// route straight from the source page into the sub-partitions' pages of a
+/// [`SpillSet`], the write path of the partition passes; a sub-partition's
+/// file exists only once a record reaches it, and one that receives none
+/// comes back as `None`.
 pub fn repartition(
     handle: &PartitionHandle,
+    layout: RecordLayout,
     spec: &JoinSpec,
     m: usize,
     seed: u64,
-) -> nocap_storage::Result<Vec<PartitionHandle>> {
-    let device = handle.device();
-    let new_writer =
-        |layout| PartitionWriter::new(device.clone(), layout, spec.page_size, IoKind::RandWrite);
-    let mut writers: Vec<Option<PartitionWriter>> = (0..m).map(|_| None).collect();
-    let mut layout = None;
+) -> nocap_storage::Result<Vec<Option<PartitionHandle>>> {
+    let set = SpillSet::new(handle.device().clone(), layout, spec.page_size, m);
+    let mut local = set.local();
     let mut reader = handle.read(IoKind::SeqRead);
     while let Some(page) = reader.next_page()? {
-        let page_layout = page.record_layout();
-        layout.get_or_insert(page_layout);
         for rec in page.record_refs() {
             let p = (mix64_seeded(rec.key(), seed) % m as u64) as usize;
-            writers[p]
-                .get_or_insert_with(|| new_writer(page_layout))
-                .push_ref(rec)?;
+            set.push(&mut local, p, rec)?;
         }
     }
-    let layout = layout.unwrap_or(spec.r_layout);
-    // Fail-clean finish: a mid-loop error deletes the handles produced so
-    // far (unfinished writers delete their own files on drop).
-    let mut guard = SpillGuard::new();
-    let mut out = Vec::with_capacity(writers.len());
-    for w in writers {
-        let h = w.unwrap_or_else(|| new_writer(layout)).finish()?;
-        guard.adopt(h.clone());
-        out.push(h);
-    }
-    let _ = guard.release();
-    Ok(out)
+    set.merge([local])?;
+    set.finish()
 }
 
 /// The paper's light optimizer ([`best_partition_join`]) applied to one
@@ -204,13 +192,15 @@ pub fn smart_partition_join(
     let m = spec.buffer_pages.saturating_sub(1).max(2);
     let seed = level_seed(depth);
     let mut guard = SpillGuard::new();
-    let r_sub = repartition(r_partition, spec, m, seed)?;
-    guard.adopt_all(r_sub.iter().cloned());
-    let s_sub = repartition(s_partition, spec, m, seed)?;
-    guard.adopt_all(s_sub.iter().cloned());
+    let r_sub = repartition(r_partition, spec.r_layout, spec, m, seed)?;
+    guard.adopt_all(r_sub.iter().flatten().cloned());
+    let s_sub = repartition(s_partition, spec.s_layout, spec, m, seed)?;
+    guard.adopt_all(s_sub.iter().flatten().cloned());
     let mut output = 0u64;
-    for (rp, sp) in r_sub.iter().zip(s_sub.iter()) {
-        output += smart_partition_join(rp, sp, spec, depth + 1)?;
+    for pair in r_sub.iter().zip(&s_sub) {
+        if let (Some(rp), Some(sp)) = pair {
+            output += smart_partition_join(rp, sp, spec, depth + 1)?;
+        }
     }
     Ok(output)
 }
@@ -218,7 +208,7 @@ pub fn smart_partition_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocap_storage::{PartitionWriter, Record, RecordLayout, SimDevice};
+    use nocap_storage::{PartitionWriter, Record, SimDevice};
 
     fn make_partition(
         device: nocap_storage::device::DeviceRef,

@@ -13,9 +13,10 @@
 //! Theorem 3.1 says an optimal partitioning can always be brought into a
 //! canonical form: **consecutive** on the sorted CT, **weakly ordered** by
 //! chunk count, and with all but the first partition **divisible** by `c_R`.
-//! This module provides the cost function and checkers for those three
-//! properties; the OCAP dynamic program in the `nocap` crate searches only
-//! canonical partitionings and uses the checkers in its tests.
+//! This module provides the cost function and checkers for the consecutive
+//! and divisible properties; the OCAP dynamic program in the `nocap` crate
+//! searches only canonical partitionings (its pruning relies on weak
+//! ordering) and uses the checkers in its tests.
 
 use crate::ct::CorrelationTable;
 
@@ -194,25 +195,6 @@ impl Partitioning {
         true
     }
 
-    /// Checks the **weakly-ordered** property: partitions, in the order they
-    /// appear on the sorted CT, have non-increasing chunk counts
-    /// `⌈|P_j| / c_R⌉`.
-    pub fn is_weakly_ordered(&self, c_r: usize) -> bool {
-        assert!(c_r > 0);
-        let sizes = self.partition_sizes();
-        let mut order: Vec<usize> = Vec::new();
-        let mut last: Option<u32> = None;
-        for &p in &self.assignment {
-            if last != Some(p) {
-                order.push(p as usize);
-                last = Some(p);
-            }
-        }
-        order
-            .windows(2)
-            .all(|w| sizes[w[0]].div_ceil(c_r) >= sizes[w[1]].div_ceil(c_r))
-    }
-
     /// Checks the **divisible** property: every partition except the first
     /// (in CT order) has a size divisible by `c_R`. Empty partitions are
     /// ignored.
@@ -276,18 +258,6 @@ mod tests {
         assert!(consecutive.is_consecutive());
         let interleaved = Partitioning::from_assignment(vec![0, 1, 0, 1], 2);
         assert!(!interleaved.is_consecutive());
-    }
-
-    #[test]
-    fn weakly_ordered_property_detection() {
-        // Sizes 4, 2, 2 with c_R = 2 → chunk counts 2, 1, 1: ordered.
-        let ordered = Partitioning::from_boundaries(&[4, 6, 8], 8);
-        assert!(ordered.is_weakly_ordered(2));
-        // Sizes 2, 4 with c_R = 2 → chunk counts 1, 2: not ordered.
-        let unordered = Partitioning::from_boundaries(&[2, 6], 6);
-        assert!(!unordered.is_weakly_ordered(2));
-        // With a huge c_R everything collapses to one chunk → ordered.
-        assert!(unordered.is_weakly_ordered(100));
     }
 
     #[test]

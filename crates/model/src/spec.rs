@@ -67,12 +67,6 @@ impl JoinSpec {
         self
     }
 
-    /// Returns a copy with a different fudge factor.
-    pub fn with_fudge(mut self, fudge: f64) -> Self {
-        self.fudge = fudge;
-        self
-    }
-
     /// Records of R per page (`b_R`).
     pub fn b_r(&self) -> usize {
         records_per_page(self.page_size, self.r_layout.record_bytes())
@@ -198,7 +192,7 @@ mod tests {
         let base = JoinSpec::paper_synthetic(256, 64);
         let more_mem = base.with_buffer_pages(128);
         assert!(more_mem.c_r() > base.c_r());
-        let more_fudge = base.with_fudge(2.0);
+        let more_fudge = JoinSpec { fudge: 2.0, ..base };
         assert!(more_fudge.c_r() < base.c_r());
     }
 

@@ -2,38 +2,40 @@
 //!
 //! DHH (Algorithms 1 and 2), Histojoin, NOCAP's hybrid partitioning
 //! (Algorithms 8 and 9) and Grace Hash Join are one operator under four
-//! *plans*: which keys are cached in memory, which get a designated spill
-//! partition, how the rest is hashed and under which staging quotas.
+//! *plans*: which keys are cached in memory, how the rest is hashed over
+//! the partitions, and each partition's staging quota.
 //! [`hybrid_hash_join`] is that operator; a [`HybridPlan`] is what
 //! distinguishes the joins, and its one [`Route`] function is consulted by
-//! both passes, so the two sides of a join cannot be routed apart.
+//! both passes, so the two sides of a join cannot be routed apart. There is
+//! one partition space: a partition that must spill from its first record
+//! — DHH's terms for NOCAP's designated partitions and for every GHJ
+//! partition — is a partition of quota 0.
 //!
-//! | plan | cached | designated | residual |
+//! | plan | cached | quota-0 partitions | staged partitions |
 //! |---|---|---|---|
-//! | NOCAP | the planner's in-memory keys | the planner's disk-bound MCV groups | rounded-hash rest under staging quotas |
+//! | NOCAP | the planner's in-memory keys | the planner's `K_disk` groups | rounded-hash rest under staging quotas |
 //! | DHH, Histojoin | the skew keys (2 % of `B`) | none | `m_DHH` plain-hash partitions under staging quotas |
 //! | GHJ | none | every key, `mix64(key) mod (B − 1)` | none |
 //!
 //! 1. **Partition R** — cached keys go into the in-memory hash table,
-//!    designated keys to their spill partition, everything else into a
-//!    [`ParallelStager`] that stages partitions in memory and destages a
-//!    partition once its staged footprint exceeds its fixed quota. The
+//!    everything else into a [`ParallelStager`] that stages partitions in
+//!    memory and destages a partition once its staged footprint exceeds its
+//!    fixed quota — a quota-0 partition on its first record. The non-zero
 //!    quotas are the caller's ([`nocap_model::staging_quotas`]:
 //!    resident-first, so with a staging budget between `√(F·‖R‖)` and
 //!    `F·‖R‖` part of R never touches the device).
 //! 2. **Partition / probe S: probe first, route on a miss** — every S
 //!    record probes the in-memory table once; a hit is all of its output
-//!    (the table holds the cached keys and the resident residual
-//!    partitions, and neither has R records anywhere else) and the record
-//!    is done. Only a miss consults the plan's route: a designated key is
-//!    spilled to the matching S partition, a residual one only if its
-//!    partition was destaged (the POB bit of DHH), and anything else — a
-//!    cached key, or a resident partition — has no partner anywhere and is
-//!    dropped. A designated or destaged key never has R records in the
-//!    table, so every record is spilled, answered or dropped exactly as if
-//!    it had been routed first, and a hit costs no route at all.
-//!    With an empty table (GHJ, or a plan that caches and stages nothing)
-//!    the loop routes directly.
+//!    (the table holds the cached keys and the resident partitions, and
+//!    neither has R records anywhere else) and the record is done. Only a
+//!    miss consults the plan's route: a key of a destaged partition is
+//!    spilled to the matching S partition (the page-out bit of DHH), and
+//!    anything else — a cached key, or a partition that stayed resident or
+//!    received no R record — has no partner anywhere and is dropped. A
+//!    destaged key never has R records in the table, so every record is
+//!    spilled, answered or dropped exactly as if it had been routed first,
+//!    and a hit costs no route at all. With an empty table (GHJ, or a plan
+//!    that caches and stages nothing) the loop routes directly.
 //! 3. **Probe** — every spilled (R, S) partition pair is joined by the
 //!    light optimizer of [`nocap_model::pairwise`]
 //!    ([`smart_partition_join`]: chunk-wise NBJ, or Grace-style
@@ -51,20 +53,19 @@
 //!   every page is claimed once, so the base scans cost exactly
 //!   `‖R‖ + ‖S‖` sequential reads, and a slow worker claims fewer morsels
 //!   instead of holding the phase up.
-//! * Every spill partition keeps **one** spill file and one buffered
-//!   writer ([`SharedWriterSet`]). Workers fill private output pages and
-//!   append them to the file only when full; the partial pages are merged
-//!   through the buffered writer before the phase's I/O snapshot. A
-//!   partition receiving `n` records therefore costs `⌈n / b⌉` random
-//!   writes regardless of arrival order (identity in [`crate::shard`]).
-//!   The windows they land in differ by side: R's writers are finished
-//!   before the R pass ends, so all of an R partition's pages are
-//!   partition I/O; an S partition has `⌈n / b⌉ − 1` pages on the device
-//!   when the partition window closes, and `finish` writes its last page
-//!   in the probe window — one page of probe I/O per non-empty S
-//!   partition, designated or destaged.
-//! * A residual partition's page-out bit depends only on its total record
-//!   count against its quota, never on scan order or interleaving
+//! * Each side spills through one [`SpillSet`]: one spill file per
+//!   partition, worker-private output pages appended to it only when full,
+//!   and the partial pages merged through one buffered writer before the
+//!   phase's I/O snapshot. A partition receiving `n` records therefore
+//!   costs `⌈n / b⌉` random writes regardless of arrival order (the
+//!   identity is in [`nocap_storage::spill`]). The windows they land in
+//!   differ by side: R's set is finished before the R pass ends, so all of
+//!   an R partition's pages are partition I/O; an S partition has
+//!   `⌈n / b⌉ − 1` pages on the device when the partition window closes,
+//!   and `finish` writes its last page in the probe window — one page of
+//!   probe I/O per non-empty S partition.
+//! * A partition's page-out bit depends only on its total record count
+//!   against its quota, never on scan order or interleaving
 //!   ([`crate::stage`]).
 //! * Each spilled pair's I/O is independent of the order pairs are claimed
 //!   from the work queue.
@@ -73,16 +74,14 @@
 //! budget, so the §4.1 memory breakdown is enforced at run time, not just
 //! assumed: the pool reserves the two streaming pages and the plan's fixed
 //! structures, and what is left ([`staging_budget`]) is carved into one
-//! reservation per residual partition of exactly its quota. Three knowing
+//! reservation per partition of exactly its quota. Three knowing
 //! simplifications, all physical memory the model does not charge: each
 //! worker holds one transient scan-buffer page (the model charges one
 //! logical input page for the pipeline, as the paper does); each worker
 //! holds one private output page per spill partition it has routed a
-//! record to — at most `threads × m` pages for `m` spill
-//! partitions, which at one worker is the `m` output-buffer pages the
-//! model charges: the partition writers allocate theirs only when the
-//! merge pours a worker's tail into them, one partition at a time (`m`
-//! plus one transient page; ≤ 1.3 MB at 2 threads on the benchmark's
+//! record to — at most `threads × m` pages for `m` spill partitions, which
+//! at one worker is the `m` output-buffer pages the model charges (see
+//! [`nocap_storage::spill`]; ≤ 1.3 MB at 2 threads on the benchmark's
 //! `zipf_par2`); and the fanned-out probe phase runs up to `threads`
 //! partition-pair NBJs concurrently, each with the `B − 2`-page chunk the
 //! cost model prescribes — peak physical probe memory is `threads × B`
@@ -101,12 +100,12 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, IoKind, JoinHashTable, PartitionHandle,
-    RadixRouter, Relation, Result, SpillGuard,
+    into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, PartitionHandle, Relation,
+    Result, SpillGuard, SpillSet,
 };
 
 use crate::pool::{ordered_tasks, resolve_threads, run_workers_obs};
-use crate::shard::{PageMorsels, SharedWriterSet};
+use crate::shard::PageMorsels;
 use crate::stage::ParallelStager;
 
 /// Where the records of one join key go. The plan's routing function maps
@@ -116,13 +115,10 @@ pub enum Route {
     /// The key's R records join the in-memory table during the R pass; its
     /// S records only probe that table.
     Cached,
-    /// Both sides spill to designated partition `p` (of
-    /// [`HybridPlan::designated`]) and meet in the probe phase.
-    Designated(usize),
-    /// Residual partition `p` (of [`HybridPlan::quotas`]): R is staged under
-    /// the partition's quota, S probes the table and, on a miss, follows R
-    /// to disk only if the partition was destaged.
-    Residual(usize),
+    /// Partition `p` (of [`HybridPlan::quotas`]): R is staged under the
+    /// partition's quota, S probes the table and, on a miss, follows R to
+    /// disk only if the partition was destaged.
+    Partition(usize),
 }
 
 /// What distinguishes one hybrid hash join from another.
@@ -131,22 +127,21 @@ pub struct HybridPlan<F> {
     pub label: &'static str,
     /// Pages the plan's fixed structures occupy next to the two streaming
     /// pages: the cached keys' table, the routing structures, one output
-    /// page per designated partition.
+    /// page per quota-0 partition.
     pub fixed_pages: usize,
-    /// Number of designated spill partitions.
-    pub designated: usize,
-    /// Staging quota per residual partition, in pages, sized on
-    /// [`staging_budget`] for the same `fixed_pages`.
+    /// Staging quota per partition, in pages. The non-zero quotas are sized
+    /// on [`staging_budget`] for the same `fixed_pages`; a quota-0
+    /// partition is destaged by its first R record.
     pub quotas: Vec<usize>,
     /// The routing function both passes consult: once per R record, once
     /// per S record that misses the in-memory table.
     pub route: F,
 }
 
-/// Pages left for staging the residual partitions once the two streaming
-/// pages (one streams the input, one buffers the join output) and
-/// `fixed_pages` are set aside — the budget a plan's
-/// [`quotas`](HybridPlan::quotas) are sized on. Fails with
+/// Pages left for staging the partitions once the two streaming pages (one
+/// streams the input, one buffers the join output) and `fixed_pages` are
+/// set aside — the budget a plan's [`quotas`](HybridPlan::quotas) are
+/// sized on. Fails with
 /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) when the spec
 /// cannot hold the streaming pages, before any geometry is derived from a
 /// budget no join can run under.
@@ -183,8 +178,8 @@ where
     let pool = BufferPool::new(spec.buffer_pages);
     let _io_pages = pool.reserve(2)?;
     let _fixed = pool.reserve(plan.fixed_pages.min(pool.available()))?;
-    // Make the quotas visible to the pool: one reservation per residual
-    // partition of exactly its quota, together the staging budget.
+    // Make the quotas visible to the pool: one reservation per partition of
+    // exactly its quota, together the staging budget.
     let _quotas = pool.carve_quotas(&plan.quotas);
 
     let timer = obs.run_timer();
@@ -192,45 +187,24 @@ where
 
     // ---- Phase 1: partition R (Algorithms 1 / 8) --------------------------
     let stager = ParallelStager::new(device.clone(), r.layout(), *spec, plan.quotas);
-    let r_disk = SharedWriterSet::new(
-        device.clone(),
-        r.layout(),
-        spec.page_size,
-        IoKind::RandWrite,
-        plan.designated,
-    );
     let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
     let r_morsels = PageMorsels::new(r, threads);
     let r_partition_span = obs.span(Phase::Partition);
-    let (stages, r_disk_locals): (Vec<_>, Vec<_>) =
-        run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-            let mut stage = stager.worker_stage();
-            let mut r_disk_out = r_disk.local();
-            // Per-worker radix write buffers: residual records batch up per
-            // partition and flush into the stager in cache-friendly runs.
-            // Per-partition arrival order within this worker is preserved
-            // and quota destaging depends only on per-partition counts, so
-            // staged contents and spill decisions are unchanged.
-            let mut router = RadixRouter::new(r.layout(), stager.num_partitions());
-            r_morsels.scan(|page| {
-                for rec in page.record_refs() {
-                    match route(rec.key()) {
-                        // R is the primary-key side: cached keys are rare,
-                        // so this lock is cold.
-                        Route::Cached => lock_unpoisoned(&ht_shared).insert_ref(rec),
-                        Route::Designated(p) => r_disk_out.push(p, rec)?,
-                        Route::Residual(p) => {
-                            router.push(p, rec, &mut |p, r| stager.insert(&mut stage, p, r))?
-                        }
-                    }
+    let stages = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
+        let mut stage = stager.worker_stage();
+        r_morsels.scan(|page| {
+            for rec in page.record_refs() {
+                match route(rec.key()) {
+                    // R is the primary-key side: cached keys are rare, so
+                    // this lock is cold.
+                    Route::Cached => lock_unpoisoned(&ht_shared).insert_ref(rec),
+                    Route::Partition(p) => stager.insert(&mut stage, p, rec)?,
                 }
-                Ok(())
-            })?;
-            router.finish(&mut |p, r| stager.insert(&mut stage, p, r))?;
-            Ok((stage, r_disk_out))
-        })?
-        .into_iter()
-        .unzip();
+            }
+            Ok(())
+        })?;
+        Ok(stage)
+    })?;
     drop(r_partition_span);
     let spill_span = obs.span(Phase::Spill);
     let mut build = stager.finish(stages)?;
@@ -239,9 +213,6 @@ where
     // deletes all spill files on unwind (deletion is not modeled I/O).
     let mut spill_guard = SpillGuard::new();
     spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
-    r_disk.merge(r_disk_locals)?;
-    let r_disk_handles = r_disk.finish_dense()?;
-    spill_guard.adopt_all(r_disk_handles.iter().cloned());
     drop(spill_span);
     let mut ht_mem = into_inner_unpoisoned(ht_shared);
     let staged_records = build.staged_records.len();
@@ -258,28 +229,14 @@ where
     ht_mem.seal();
 
     // ---- Phase 2: partition / probe S (Algorithms 2 / 9) ------------------
-    let s_disk = SharedWriterSet::new(
-        device.clone(),
-        s.layout(),
-        spec.page_size,
-        IoKind::RandWrite,
-        plan.designated,
-    );
-    let s_rest = SharedWriterSet::new_masked(
-        device.clone(),
-        s.layout(),
-        spec.page_size,
-        IoKind::RandWrite,
-        &build.pob,
-    );
+    let s_set = SpillSet::new(device.clone(), s.layout(), spec.page_size, build.pob.len());
     let s_morsels = PageMorsels::new(s, threads);
     let table = (!ht_mem.is_empty()).then_some(&ht_mem);
     let pob = &build.pob;
     let s_partition_span = obs.span(Phase::Partition);
     let s_workers = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
         let mut output = 0u64;
-        let mut s_disk_out = s_disk.local();
-        let mut s_rest_out = s_rest.local();
+        let mut s_out = s_set.local();
         s_morsels.scan(|page| {
             for rec in page.record_refs() {
                 // Probe first: a hit is all of the record's output.
@@ -288,58 +245,50 @@ where
                     output += matches;
                     continue;
                 }
-                // Route on a miss.
-                match route(rec.key()) {
-                    Route::Designated(p) => s_disk_out.push(p, rec)?,
-                    Route::Residual(p) if pob[p] => s_rest_out.push(p, rec)?,
-                    // A cached key or a resident partition: the table held
-                    // every R record of the key, so it has no partner.
-                    Route::Cached | Route::Residual(_) => {}
+                // Route on a miss. A cached key or a partition that stayed
+                // resident had every R record of the key in the table, so
+                // the record has no partner.
+                if let Route::Partition(p) = route(rec.key()) {
+                    if pob[p] {
+                        s_set.push(&mut s_out, p, rec)?;
+                    }
                 }
             }
             Ok(())
         })?;
-        Ok((output, s_disk_out, s_rest_out))
+        Ok((output, s_out))
     })?;
     // Tail merge inside the partition window: afterwards every S writer
     // buffers exactly one partial page, which `finish` flushes in the probe
     // window.
-    let mut output = 0u64;
-    let (mut s_disk_locals, mut s_rest_locals) = (Vec::new(), Vec::new());
-    for (count, disk, rest) in s_workers {
-        output += count;
-        s_disk_locals.push(disk);
-        s_rest_locals.push(rest);
-    }
-    s_disk.merge(s_disk_locals)?;
-    s_rest.merge(s_rest_locals)?;
+    let (counts, s_locals): (Vec<u64>, Vec<_>) = s_workers.into_iter().unzip();
+    let mut output = counts.iter().sum::<u64>();
+    s_set.merge(s_locals)?;
     drop(s_partition_span);
     let partition_io = device.stats().since(&base_stats);
-    record_partition_skew(obs, &r_disk_handles, &build.spilled, staged_records);
+    record_partition_skew(obs, &build.spilled, staged_records);
 
     // ---- Phase 3: partition-wise joins of everything spilled --------------
     let probe_base = device.stats();
     let probe_span = obs.span(Phase::Probe);
-    let s_disk_handles = s_disk.finish_dense()?;
-    spill_guard.adopt_all(s_disk_handles.iter().cloned());
-    let s_rest_handles = s_rest.finish_all()?;
-    spill_guard.adopt_all(s_rest_handles.iter().flatten().cloned());
-    let mut pairs: Vec<(PartitionHandle, PartitionHandle)> = Vec::new();
-    for (r_part, s_part) in r_disk_handles.iter().zip(s_disk_handles.iter()) {
-        pairs.push((r_part.clone(), s_part.clone()));
-    }
-    for (maybe_r, maybe_s) in build.spilled.iter().zip(s_rest_handles.iter()) {
-        if let (Some(r_part), Some(s_part)) = (maybe_r, maybe_s) {
-            pairs.push((r_part.clone(), s_part.clone()));
-        }
-    }
+    let s_spilled = s_set.finish()?;
+    spill_guard.adopt_all(s_spilled.iter().flatten().cloned());
+    let pairs: Vec<(&PartitionHandle, &PartitionHandle)> = build
+        .spilled
+        .iter()
+        .zip(&s_spilled)
+        .filter_map(|pair| match pair {
+            (Some(r_part), Some(s_part)) => Some((r_part, s_part)),
+            _ => None,
+        })
+        .collect();
     let counts = ordered_tasks(
         threads,
         obs,
         Phase::Probe,
         pairs.len(),
         || (),
-        |_, i| smart_partition_join(&pairs[i].0, &pairs[i].1, spec, 1),
+        |_, i| smart_partition_join(pairs[i].0, pairs[i].1, spec, 1),
     )?;
     output += counts.iter().sum::<u64>();
     drop(probe_span);
@@ -358,28 +307,19 @@ where
 }
 
 /// Records the partition-fan-out skew histograms and counters: per-spilled
-/// -partition record and page counts (designated partitions first, then
-/// destaged residuals) plus the partition census the breakdown tables
-/// report. The destaged set is fixed by the quota geometry, so the recorded
-/// skew is identical for any thread count.
-fn record_partition_skew(
-    obs: &Obs,
-    designated: &[PartitionHandle],
-    rest: &[Option<PartitionHandle>],
-    staged_records: usize,
-) {
+/// -partition record and page counts, in partition order, plus the
+/// partition census the breakdown tables report. The destaged set is fixed
+/// by the quota geometry, so the recorded skew is identical for any thread
+/// count.
+fn record_partition_skew(obs: &Obs, spilled: &[Option<PartitionHandle>], staged_records: usize) {
     if !obs.is_recording() {
         return;
     }
-    let handles = || designated.iter().chain(rest.iter().flatten());
+    let handles = || spilled.iter().flatten();
     obs.values("partition_records", handles().map(|h| h.records() as u64));
     obs.values("partition_pages", handles().map(|h| h.pages() as u64));
-    obs.count("designated_partitions", designated.len() as u64);
-    obs.count("rest_partitions", rest.len() as u64);
-    obs.count(
-        "spilled_rest_partitions",
-        rest.iter().flatten().count() as u64,
-    );
+    obs.count("spill_partitions", spilled.len() as u64);
+    obs.count("spilled_partitions", handles().count() as u64);
     obs.count("staged_records", staged_records as u64);
 }
 
@@ -422,7 +362,6 @@ mod tests {
         let counted = HybridPlan {
             label: plan.label,
             fixed_pages: plan.fixed_pages,
-            designated: plan.designated,
             quotas: plan.quotas,
             route: |key: u64| {
                 calls.fetch_add(1, Ordering::Relaxed);
@@ -441,7 +380,6 @@ mod tests {
             let plan = HybridPlan {
                 label: "cached",
                 fixed_pages: spec.hash_table_pages(N_R as usize),
-                designated: 0,
                 quotas: vec![],
                 route: |_| Route::Cached,
             };
@@ -456,29 +394,28 @@ mod tests {
 
     #[test]
     fn the_s_pass_routes_exactly_the_records_that_miss_the_table() {
-        // Keys below 200 are cached, 200..600 designated, and the rest are
-        // hashed over eight residual partitions: the first four with room
+        // Keys below 200 are cached, 200..600 go to four quota-0 partitions,
+        // and the rest are hashed over eight more: the first four with room
         // to stay resident, the last four destaged by a one-page quota.
         // S adds 300 keys R lacks.
         let spec = JoinSpec::paper_synthetic(128, 256);
         let extra = 300;
         let (r, s) = relations(&spec, extra);
-        let residual = |key: u64| (mix64(key) % 8) as usize;
+        let hashed = |key: u64| (mix64(key) % 8) as usize;
         let route = |key: u64| match key {
             0..200 => Route::Cached,
-            200..600 => Route::Designated((key % 4) as usize),
-            _ => Route::Residual(residual(key)),
+            200..600 => Route::Partition((key % 4) as usize),
+            _ => Route::Partition(4 + hashed(key)),
         };
-        let destaged_keys = (600..N_R).filter(|&k| residual(k) >= 4).count() as u64;
-        // Misses: every designated S record, every S record of a destaged
-        // partition and every key R lacks.
+        let destaged_keys = (600..N_R).filter(|&k| hashed(k) >= 4).count() as u64;
+        // Misses: every S record of a quota-0 partition, every S record of
+        // a destaged partition and every key R lacks.
         let misses = 3 * 400 + 3 * destaged_keys + extra;
         for threads in [1, 2] {
             let plan = HybridPlan {
                 label: "mixed",
                 fixed_pages: spec.hash_table_pages(200) + 4,
-                designated: 4,
-                quotas: vec![16, 16, 16, 16, 1, 1, 1, 1],
+                quotas: vec![0, 0, 0, 0, 16, 16, 16, 16, 1, 1, 1, 1],
                 route,
             };
             let (output, calls) = count_route_calls(&spec, &r, &s, plan, threads);
@@ -487,6 +424,41 @@ mod tests {
                 calls as u64,
                 N_R + misses,
                 "T={threads}: one route per R record and per S record that missed"
+            );
+        }
+    }
+
+    #[test]
+    fn a_quota_0_partition_without_r_records_spills_no_s_record() {
+        // Partition 0 (quota 0) holds the keys 0..100, partition 1 (quota
+        // 0) the keys N_R.. that only S has, partition 2 (quota 0)
+        // everything else. Partition 1 receives no R record, so it is never
+        // destaged and its S records, which have no partner, are dropped
+        // instead of spilled: S writes exactly the pages of partitions 0
+        // and 2.
+        let spec = JoinSpec::paper_synthetic(128, 256);
+        let extra = 1_000;
+        let (r, s) = relations(&spec, extra);
+        let b_s = spec.b_s();
+        let s_pages = (3 * 100usize).div_ceil(b_s) + (3 * (N_R as usize - 100)).div_ceil(b_s);
+        let r_pages = 100usize.div_ceil(spec.b_r()) + (N_R as usize - 100).div_ceil(spec.b_r());
+        for threads in [1, 2] {
+            let plan = HybridPlan {
+                label: "quota-0",
+                fixed_pages: 3,
+                quotas: vec![0, 0, 0],
+                route: |key: u64| match key {
+                    0..100 => Route::Partition(0),
+                    N_R.. => Route::Partition(1),
+                    _ => Route::Partition(2),
+                },
+            };
+            let report = hybrid_hash_join(&spec, &r, &s, plan, threads, &Obs::off()).unwrap();
+            assert_eq!(report.output_records, 3 * N_R);
+            assert_eq!(
+                report.total_io().writes() as usize,
+                r_pages + s_pages,
+                "T={threads}: no S page for the partition R left empty"
             );
         }
     }

@@ -25,40 +25,38 @@
 //!   without perturbing execution; under `Obs::off()` they record nothing.
 //! * [`shard`] — [`PageMorsels`] hands a relation's pages out in
 //!   fixed-length morsels from an atomic cursor ([`page_shards`] is the
-//!   static even split the statistics collector's fixed grid uses);
-//!   [`SharedWriterSet`] is the spill write path: one spill file per
-//!   partition, worker-private output pages ([`LocalWriter`]) that meet
-//!   the partition's lock once per *full page*, and a tail merge of the
-//!   partial pages through the partition's one buffered writer — so a
-//!   partition that receives `n` records costs exactly `⌈n / b⌉` random
-//!   writes, `⌈n / b⌉ − 1` of them before the tail merge's phase window
-//!   closes, no matter how many workers fed it or in which order.
-//! * [`stage`] — [`ParallelStager`], the quota-destaging residual stager:
+//!   static even split the statistics collector's fixed grid uses).
+//! * [`stage`] — [`ParallelStager`], the quota-destaging stager:
 //!   per-worker staging buffers, a shared atomic record count per
 //!   partition, and quota-triggered destaging whose outcome depends only on
 //!   each partition's total record count — never on scan order or thread
 //!   interleaving — which is what makes every thread count, one included,
-//!   produce bit-identical I/O counts. Destaged records take the same
-//!   worker-private page path as [`shard`]. The quotas themselves — the
-//!   deterministic destaging policy of NOCAP's residual partitioner and of
-//!   DHH — come from `nocap_model::staging_quotas`, which the planner's
-//!   residual estimate prices.
+//!   produce bit-identical I/O counts. Destaged records go through the
+//!   stager's own `nocap_storage::SpillSet`, the spill write path every
+//!   hash join shares: one spill file per partition, worker-private output
+//!   pages that meet the partition's lock once per *full page*, and a tail
+//!   merge of the partial pages through the partition's one buffered
+//!   writer — so a partition that receives `n` records costs exactly
+//!   `⌈n / b⌉` random writes, no matter how many workers fed it or in which
+//!   order. The quotas themselves — the deterministic destaging policy of
+//!   NOCAP's residual partitioner and of DHH — come from
+//!   `nocap_model::staging_quotas`, which the planner's residual estimate
+//!   prices; a quota of 0 destages a partition on its first record.
 //!
 //! * [`hybrid`] — [`hybrid_hash_join`], the two-pass hybrid hash join made
 //!   of the three modules above. NOCAP, DHH, Histojoin and GHJ each hand it
-//!   a [`HybridPlan`] — fixed-structure pages, designated partitions,
-//!   staging quotas and one [`Route`] function that both passes consult —
-//!   and are otherwise the same executor, down to the one pair join of the
-//!   probe phase. GHJ is the plan that caches nothing and designates every
-//!   key: the hybrid hash join with nothing resident.
+//!   a [`HybridPlan`] — fixed-structure pages, one staging quota per
+//!   partition and one [`Route`] function that both passes consult — and
+//!   are otherwise the same executor, down to the one pair join of the
+//!   probe phase. GHJ is the plan that caches nothing and gives every
+//!   partition quota 0: the hybrid hash join with nothing resident.
 //!
 //! There is no separate single-threaded engine: the executors' sequential
 //! `run` entry points call the same bodies with one worker. The cost of
 //! that, at every thread count, is physical memory the §4.1 model does not
 //! charge: each worker holds one private output page per spill partition it
 //! touched — up to `T × m` pages for `m` spill partitions. At `T = 1` that
-//! is the `m` the model charges: the partition writers allocate their own
-//! buffer page only when the merge pours a tail into it (see [`shard`]).
+//! is the `m` the model charges (see `nocap_storage::spill`).
 //!
 //! Routing (which partition a record belongs to) stays with the plan, so
 //! `nocap` (rounded-hash routing), GHJ (plain hash over `B − 1`
@@ -85,5 +83,5 @@ pub use pool::{
     default_threads, ordered_tasks, resolve_threads, run_workers, run_workers_cancel,
     run_workers_obs,
 };
-pub use shard::{page_shards, LocalWriter, PageMorsels, SharedWriterSet};
+pub use shard::{page_shards, PageMorsels};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

@@ -1,27 +1,27 @@
-//! The residual stager: per-worker staging buffers with deterministic,
+//! The stager: per-worker staging buffers with deterministic,
 //! quota-triggered destaging.
 //!
-//! This is the DHH-style partitioner both NOCAP (for its residual keys) and
-//! DHH route their build side into, at every worker count — one worker
-//! included. Each worker stages the records it routes in private, lock-free
-//! buffers (one per partition). The *accounting* is shared: a
-//! per-partition atomic record count, charged with the model's
-//! `hash_table_pages` formula. The moment a partition's global staged
-//! footprint exceeds its quota, the worker that crossed the threshold flips
-//! the partition's page-out bit. The quotas are the caller's — both
-//! executors take them from [`nocap_model::staging_quotas`], which sizes the
-//! leading partitions' quotas to keep them resident (expected table plus a
-//! slack) and splits what is left evenly over the others; the stager treats
-//! every quota alike, so a resident-designated partition that outgrows its
-//! quota is destaged exactly like one that was never meant to stay.
+//! This is the DHH-style partitioner every hash join routes its build side
+//! into, at every worker count — one worker included. Each worker stages
+//! the records it routes in private, lock-free buffers (one per partition).
+//! The *accounting* is shared: a per-partition atomic record count, charged
+//! with the model's `hash_table_pages` formula. The moment a partition's
+//! global staged footprint exceeds its quota, the worker that crossed the
+//! threshold flips the partition's page-out bit. The quotas are the
+//! caller's — the executors take them from [`nocap_model::staging_quotas`],
+//! which sizes the leading partitions' quotas to keep them resident
+//! (expected table plus a slack) and splits what is left evenly over the
+//! others; the stager treats every quota alike, so a resident-designated
+//! partition that outgrows its quota is destaged exactly like one that was
+//! never meant to stay. A partition of quota 0 — each of GHJ's partitions
+//! and NOCAP's `K_disk` groups — is destaged by its first record; its
+//! output page is one of the plan's fixed pages, not part of a quota.
 //! From then on every worker routes the partition's records — first its own
-//! staged ones, on its next touch of the partition — through a *private*
-//! output page, and takes the partition's lock only to append a page that
-//! is already full to the partition's one spill file (the write path of
-//! [`crate::shard`]). Whatever is still pending when the scans end —
-//! partial private pages, staged records of workers that never touched the
-//! partition again — is poured, in worker order, through the partition's
-//! buffered writer by [`ParallelStager::finish`].
+//! staged ones, on its next touch of the partition — through its private
+//! pages of the stager's [`SpillSet`], which appends a page to the
+//! partition's one spill file only when it is full. [`ParallelStager::finish`]
+//! drains what the workers still stage of destaged partitions into their
+//! private pages, merges those in worker order and finishes the set.
 //!
 //! **The closed form.** The staged count of a partition only grows until
 //! the partition is destaged, so for a partition that receives `n_p`
@@ -30,10 +30,8 @@
 //! * `pob[p] ⇔ hash_table_pages(n_p).max(1) > cap_p` — a function of the
 //!   partition's total record count, independent of both the scan order and
 //!   the thread interleaving;
-//! * a destaged partition writes exactly `⌈n_p / b⌉` pages — every page
-//!   appended during the scans is full, and the tail merge in `finish`
-//!   funnels all pending records through one buffered writer (the identity
-//!   is spelled out in [`crate::shard`]);
+//! * a destaged partition writes exactly `⌈n_p / b⌉` pages — the page
+//!   identity of [`SpillSet`];
 //! * every record of a partition that is not destaged is handed back
 //!   staged.
 //!
@@ -43,35 +41,30 @@
 //!
 //! **Why the memory model stays honest.** The staged charge is computed
 //! from the global count, partitions stay within their quotas, and the
-//! quotas sum to the residual budget — so the total staged footprint plus
-//! one output-buffer page per destaged partition never exceeds the budget,
-//! the §4.1 invariant ([`ParallelStager::pages_in_use`]` ≤ budget` after
-//! every insert, exactly, at one worker). Two physical slacks sit outside
-//! the model: records a worker staged in the instant before it observed a
-//! concurrent destage (bounded by one insert per *other* worker, drained on
-//! first touch — none at one worker), and the private output pages — one
-//! per worker per destaged partition, next to the one page of the
-//! partition's buffered writer that the model charges.
+//! quotas sum to the staging budget — so the total staged footprint plus
+//! one output-buffer page per destaged partition of non-zero quota never
+//! exceeds the budget, the §4.1 invariant ([`ParallelStager::pages_in_use`]
+//! `≤ budget` after every insert, exactly, at one worker, when no quota is
+//! 0). Two physical slacks sit outside the model: records a worker staged
+//! in the instant before it observed a concurrent destage (bounded by one
+//! insert per *other* worker, drained on first touch — none at one worker),
+//! and the private output pages — one per worker per destaged partition,
+//! next to the one page of the partition's buffered writer that the model
+//! charges.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use nocap_model::JoinSpec;
 use nocap_storage::device::DeviceRef;
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, IoKind, PartitionHandle, PartitionWriter, RecordBatch,
-    RecordLayout, RecordRef, Result, SpillGuard,
+    LocalPages, PartitionHandle, RecordBatch, RecordLayout, RecordRef, Result, SpillSet,
 };
-
-use crate::shard::PrivatePages;
 
 struct PartShared {
     /// Records staged globally (stops growing once the partition destages).
     staged_count: AtomicU64,
     /// Page-out bit: set exactly once, by the worker that crossed the quota.
     spilled: AtomicBool,
-    /// The partition's spill writer (created by whoever appends first).
-    writer: Mutex<Option<PartitionWriter>>,
 }
 
 /// Per-worker staging state. Create one per worker with
@@ -81,7 +74,7 @@ struct PartShared {
 /// touches a lock or allocates.
 pub struct WorkerStage {
     staged: Vec<RecordBatch>,
-    out: PrivatePages,
+    out: LocalPages,
 }
 
 /// What the stager hands back after all workers finished their scans.
@@ -90,19 +83,19 @@ pub struct StagerBuild {
     /// (destined for the executor's in-memory hash table).
     pub staged_records: RecordBatch,
     /// Spilled partitions by partition id (`None` if the partition stayed
-    /// in memory).
+    /// in memory or received no record).
     pub spilled: Vec<Option<PartitionHandle>>,
     /// Page-out bits, by partition id.
     pub pob: Vec<bool>,
 }
 
-/// Deterministic quota-destaging residual stager (see the module docs).
+/// Deterministic quota-destaging stager (see the module docs).
 pub struct ParallelStager {
-    device: DeviceRef,
     layout: RecordLayout,
     spec: JoinSpec,
     caps: Vec<usize>,
     parts: Vec<PartShared>,
+    set: SpillSet,
 }
 
 impl ParallelStager {
@@ -114,34 +107,30 @@ impl ParallelStager {
             .map(|_| PartShared {
                 staged_count: AtomicU64::new(0),
                 spilled: AtomicBool::new(false),
-                writer: Mutex::new(None),
             })
             .collect();
         ParallelStager {
-            device,
             layout,
             spec,
+            set: SpillSet::new(device, layout, spec.page_size, caps.len()),
             caps,
             parts,
         }
-    }
-
-    /// Number of residual partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
     }
 
     /// Creates the private staging state for one worker.
     pub fn worker_stage(&self) -> WorkerStage {
         WorkerStage {
             staged: vec![RecordBatch::new(self.layout); self.parts.len()],
-            out: PrivatePages::new(self.layout, self.spec.page_size, self.parts.len()),
+            out: self.set.local(),
         }
     }
 
-    /// Pages currently charged against the residual budget: staged records
+    /// Pages currently charged against the staging budget: staged records
     /// (by the model's `hash_table_pages` formula over the global counts)
-    /// plus one output-buffer page per destaged partition.
+    /// plus one output-buffer page per destaged partition. A quota-0
+    /// partition's page is one of the plan's fixed pages, so the total
+    /// exceeds the quotas' sum by the destaged quota-0 partitions.
     pub fn pages_in_use(&self) -> usize {
         self.parts
             .iter()
@@ -160,14 +149,6 @@ impl ParallelStager {
             .sum()
     }
 
-    /// Number of partitions destaged so far.
-    pub fn spilled_partitions(&self) -> usize {
-        self.parts
-            .iter()
-            .filter(|p| p.spilled.load(Ordering::Acquire))
-            .count()
-    }
-
     /// Routes one borrowed record of partition `p` through worker state
     /// `stage` — a key push plus payload `memcpy`, into the staging arena
     /// or (once the partition is destaged) the worker's private output page.
@@ -176,7 +157,7 @@ impl ParallelStager {
         if part.spilled.load(Ordering::Acquire) {
             // Already destaged: drain any of our leftovers, then append.
             self.spill_staged(stage, p)?;
-            return self.spill(&mut stage.out, p, rec);
+            return self.set.push(&mut stage.out, p, rec);
         }
         stage.staged[p].push(rec);
         let n = part.staged_count.fetch_add(1, Ordering::AcqRel) + 1;
@@ -191,71 +172,37 @@ impl ParallelStager {
     /// page.
     fn spill_staged(&self, stage: &mut WorkerStage, p: usize) -> Result<()> {
         for rec in stage.staged[p].iter() {
-            self.spill(&mut stage.out, p, rec)?;
+            self.set.push(&mut stage.out, p, rec)?;
         }
         stage.staged[p].clear();
         Ok(())
     }
 
-    /// Appends one record of destaged partition `p` to the worker's private
-    /// page; a full page goes to the partition's file under its lock.
-    fn spill(&self, out: &mut PrivatePages, p: usize, rec: RecordRef<'_>) -> Result<()> {
-        out.push(p, rec, |full| {
-            lock_unpoisoned(&self.parts[p].writer)
-                .get_or_insert_with(|| self.new_writer())
-                .append_full_page(full)
-        })
-    }
-
-    fn new_writer(&self) -> PartitionWriter {
-        PartitionWriter::new(
-            self.device.clone(),
-            self.layout,
-            self.spec.page_size,
-            IoKind::RandWrite,
-        )
-    }
-
     /// Merges the per-worker runs: staged records of in-memory partitions
     /// are concatenated for the caller's hash table; what the workers still
-    /// hold of destaged partitions — staged records first, then the partial
-    /// private page, worker by worker — is poured through the partition's
-    /// buffered writer, which is then finished into a partition handle.
-    pub fn finish(mut self, mut stages: Vec<WorkerStage>) -> Result<StagerBuild> {
+    /// stage of destaged partitions is drained into their private pages,
+    /// the private pages are merged in worker order, and the spill set is
+    /// finished into one handle per destaged partition.
+    pub fn finish(self, mut stages: Vec<WorkerStage>) -> Result<StagerBuild> {
         let mut staged_records = RecordBatch::new(self.layout);
-        let mut spilled = Vec::with_capacity(self.parts.len());
-        let mut pob = Vec::with_capacity(self.parts.len());
-        // If finishing any partition fails, the guard deletes the handles
-        // already produced (unfinished writers clean up via their own Drop);
-        // on success the caller takes ownership.
-        let mut guard = SpillGuard::new();
-        for (p, part) in std::mem::take(&mut self.parts).into_iter().enumerate() {
-            let is_spilled = part.spilled.load(Ordering::Acquire);
-            pob.push(is_spilled);
-            if is_spilled {
-                let mut writer =
-                    into_inner_unpoisoned(part.writer).unwrap_or_else(|| self.new_writer());
-                for stage in &mut stages {
-                    for rec in stage.staged[p].iter() {
-                        writer.push_ref(rec)?;
-                    }
-                    stage.staged[p].clear();
-                    stage.out.pour(p, &mut writer)?;
-                }
-                let handle = writer.finish()?;
-                guard.adopt(handle.clone());
-                spilled.push(Some(handle));
-            } else {
-                for stage in &mut stages {
+        let pob: Vec<bool> = self
+            .parts
+            .iter()
+            .map(|part| part.spilled.load(Ordering::Acquire))
+            .collect();
+        for (p, &spilled) in pob.iter().enumerate() {
+            for stage in &mut stages {
+                if spilled {
+                    self.spill_staged(stage, p)?;
+                } else {
                     staged_records.append(&mut stage.staged[p]);
                 }
-                spilled.push(None);
             }
         }
-        let _ = guard.release();
+        self.set.merge(stages.into_iter().map(|stage| stage.out))?;
         Ok(StagerBuild {
             staged_records,
-            spilled,
+            spilled: self.set.finish()?,
             pob,
         })
     }

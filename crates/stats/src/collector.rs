@@ -411,12 +411,6 @@ impl StatsSummary {
         &self.mcvs
     }
 
-    /// The `k` hottest MCVs as the `(key, count)` pairs the NOCAP planner
-    /// consumes.
-    pub fn mcv_pairs(&self, k: usize) -> Vec<(u64, u64)> {
-        nocap_model::estimate::to_pairs(&self.mcvs[..k.min(self.mcvs.len())])
-    }
-
     /// The SpaceSaving guarantee: no MCV count overestimates its true
     /// frequency by more than this (`N / counters`).
     pub fn error_guarantee(&self) -> u64 {
@@ -625,7 +619,7 @@ mod tests {
             "a 1/k-skewed stream has provable heavy hitters"
         );
         let planner = summary.planner_mcvs();
-        let raw = summary.mcv_pairs(summary.mcvs().len());
+        let raw = nocap_model::estimate::to_pairs(summary.mcvs());
         assert_eq!(planner, raw, "skewed streams keep raw sketch counts");
     }
 

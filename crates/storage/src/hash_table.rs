@@ -307,14 +307,6 @@ impl JoinHashTable {
         ((b * pages) as u128 * PPM / fudge_ppm(fudge)) as usize
     }
 
-    /// Drains the table, returning every stored record in an unspecified
-    /// order (allocates one `Record` each; API-edge use only).
-    pub fn into_records(self) -> Vec<Record> {
-        (0..self.keys.len())
-            .map(|i| self.entry(i).to_record())
-            .collect()
-    }
-
     /// Iterates over all stored records as borrowed views, in insertion
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = RecordRef<'_>> {
@@ -492,15 +484,13 @@ mod tests {
     }
 
     #[test]
-    fn into_records_returns_everything() {
+    fn iter_returns_everything_in_insertion_order() {
         let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
-        for k in 0..10u64 {
+        for k in (0..10u64).rev() {
             ht.insert(Record::with_fill(k, 24, 0));
         }
-        assert_eq!(ht.iter().count(), 10);
-        let mut keys: Vec<u64> = ht.into_records().iter().map(|r| r.key()).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (0..10).collect::<Vec<u64>>());
+        let keys: Vec<u64> = ht.iter().map(|r| r.key()).collect();
+        assert_eq!(keys, (0..10).rev().collect::<Vec<u64>>());
     }
 
     #[test]

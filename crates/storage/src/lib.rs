@@ -31,7 +31,10 @@
 //! * [`relation`] — a stored table: a sequence of pages on a device plus
 //!   sequential scan support.
 //! * [`spill`] — partition spill files with one-page output buffers
-//!   (random-write accounting), used by every partitioning join.
+//!   (random-write accounting), used by every partitioning join, and
+//!   [`SpillSet`], the one write path every hash join spills a set of
+//!   partitions through: worker-private pages, one file per partition, a
+//!   deterministic tail merge.
 //! * [`hash_table`] — an in-memory build/probe hash table with fudge-factor
 //!   (F) space accounting, a sealed bucket-contiguous probe layout and
 //!   vectorized key compares.
@@ -43,8 +46,9 @@
 //! * [`bloom`] — a cache-blocked [`BloomFilter`] no executor consults; the
 //!   benchmark's `kernel.bloom_*` rows build and probe it.
 //! * [`radix`] — software-managed, cache-line-sized per-partition write
-//!   buffers ([`RadixRouter`]) that batch records in front of any
-//!   partition sink without changing per-partition arrival order.
+//!   buffers ([`RadixRouter`]) that batch records in front of a partition
+//!   sink without changing per-partition arrival order; no executor uses
+//!   them, the benchmark's `kernel.radix_route_mrec_s` row does.
 //! * [`sort`] — the external sort the sort-merge join baseline runs:
 //!   arena-backed run generation over a fixed chunk grid ([`run_chunks`],
 //!   [`sort_chunk`]), a merge cascade whose groups
@@ -116,7 +120,9 @@ pub use relation::{Relation, RelationBuilder, RelationScan};
 pub use sort::{
     run_chunks, sort_chunk, ExternalSorter, LoserTree, RunSlice, SortScratch, SortedRun,
 };
-pub use spill::{PartitionHandle, PartitionReader, PartitionWriter, SpillGuard};
+pub use spill::{
+    LocalPages, PartitionHandle, PartitionReader, PartitionWriter, SpillGuard, SpillSet,
+};
 pub use sync::{into_inner_unpoisoned, lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 pub use traced::{IoEventSink, IoMarkerKind, IoOp, TracedDevice};
 

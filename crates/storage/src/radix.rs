@@ -1,23 +1,22 @@
-//! Software-managed per-partition write buffers — the radix-partitioning
-//! front end of every record router.
+//! Software-managed per-partition write buffers — a radix-partitioning
+//! front end for a record router.
 //!
-//! Routing one record at a time into a partition sink (a spill writer or a
-//! staging arena) touches that partition's metadata and output buffer per
-//! record; with dozens of partitions the accesses stride across the cache.
-//! [`RadixRouter`] batches instead: each partition owns a small fixed-size
-//! buffer (a few cache lines of keys + payload bytes), records are copied
-//! into their partition's buffer, and a full buffer is flushed into the
-//! sink in one burst.
+//! Routing one record at a time into a partition sink touches that
+//! partition's metadata and output buffer per record; with dozens of
+//! partitions the accesses stride across the cache. [`RadixRouter`]
+//! batches instead: each partition owns a small fixed-size buffer (a few
+//! cache lines of keys + payload bytes), records are copied into their
+//! partition's buffer, and a full buffer is flushed into the sink in one
+//! burst. No executor routes through it: an on/off A/B in front of the
+//! hash joins' R-pass stager measured no gain, so only the benchmark's
+//! `kernel.radix_route_mrec_s` row drives it.
 //!
 //! **Determinism contract.** Buffering only *delays* sink calls within one
 //! stream: records of the same partition are delivered in exactly their
 //! arrival order, and [`finish`](RadixRouter::finish) drains leftovers in
-//! ascending partition order. Since the quota stager's destaging decisions
-//! depend only on per-partition record counts (never on interleaving), and
-//! a spill writer flushes a page after every `b`-th record of its partition
-//! regardless of timing, the staged batches, spill-file contents, page-out
-//! bits and modeled I/O are bit-identical to unbuffered routing — pinned by
-//! `tests/radix_router.rs`.
+//! ascending partition order, so a sink whose state depends only on each
+//! partition's record sequence ends in the state unbuffered routing leaves
+//! it in.
 //!
 //! The buffers copy key and payload bytes (they cannot borrow: a
 //! [`RecordRef`] from a scan only lives until the next page is read), so a
@@ -32,9 +31,8 @@ const PARTITION_BUFFER_BYTES: usize = 1024;
 
 /// Per-partition batching write buffers in front of a partition sink.
 ///
-/// The sink is any `FnMut(partition, record) -> Result<()>` — a
-/// `ParallelStager` worker insert (what NOCAP's and DHH's R passes route
-/// into), a writer-set push or a plain `PartitionWriter` vector.
+/// The sink is any `FnMut(partition, record) -> Result<()>`, for example a
+/// counting closure or a vector of `PartitionWriter`s.
 pub struct RadixRouter {
     cap: usize,
     /// Payload stride, cached off the layout: `push` is the per-record hot
