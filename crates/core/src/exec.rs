@@ -345,7 +345,12 @@ pub(crate) mod tests {
             build.pob.contains(&true),
             "a 5K-record build cannot stay in 8 pages"
         );
-        let spilled_records: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
+        let spilled_records: usize = build
+            .spilled
+            .iter()
+            .flatten()
+            .map(|p| p.num_records())
+            .sum();
         assert_eq!(spilled_records + build.staged_records.len(), 5_000);
     }
 

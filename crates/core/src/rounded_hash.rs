@@ -65,11 +65,6 @@ impl RoundedHash {
         self.partitions as usize
     }
 
-    /// Whether rounding is active (false ⇒ plain hash).
-    pub fn is_rounded(&self) -> bool {
-        self.buckets > 0
-    }
-
     /// The partition a key is routed to.
     #[inline]
     pub fn partition_of(&self, key: u64) -> usize {
@@ -89,7 +84,7 @@ mod tests {
     #[test]
     fn plain_hash_spreads_uniformly() {
         let rh = RoundedHash::plain(8);
-        assert!(!rh.is_rounded());
+        assert_eq!(rh.buckets, 0, "plain hash");
         let mut counts = [0usize; 8];
         for k in 0..80_000u64 {
             counts[rh.partition_of(k)] += 1;
@@ -108,7 +103,7 @@ mod tests {
         let n = 18_000usize;
         let c_r = 3_000usize;
         let rh = RoundedHash::new(n, 4, c_r, &params);
-        assert!(rh.is_rounded());
+        assert!(rh.buckets > 0, "rounding is active");
         let mut counts = vec![0usize; 4];
         for k in 0..n as u64 {
             counts[rh.partition_of(k)] += 1;
@@ -127,7 +122,7 @@ mod tests {
     fn degenerates_to_plain_hash_for_few_keys() {
         let params = RoundedHashParams::default();
         let rh = RoundedHash::new(10, 8, 100, &params);
-        assert!(!rh.is_rounded());
+        assert_eq!(rh.buckets, 0, "plain hash");
         assert_eq!(rh.num_partitions(), 8);
     }
 

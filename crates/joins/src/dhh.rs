@@ -100,15 +100,6 @@ impl DhhConfig {
             skew_optimization: true,
         }
     }
-
-    /// Plain DHH without any skew optimization.
-    pub fn no_skew() -> Self {
-        DhhConfig {
-            skew_memory_fraction: 0.0,
-            skew_frequency_threshold: 1.0,
-            skew_optimization: false,
-        }
-    }
 }
 
 /// Dynamic Hybrid Hash join executor.
@@ -269,6 +260,13 @@ mod tests {
     use nocap_par::ParallelStager;
     use nocap_storage::{IoStats, Record, SimDevice};
 
+    /// Plain DHH without any skew optimization.
+    const NO_SKEW: DhhConfig = DhhConfig {
+        skew_memory_fraction: 0.0,
+        skew_frequency_threshold: 1.0,
+        skew_optimization: false,
+    };
+
     /// A report's output and per-phase I/O, each phase as
     /// `[seq_reads, rand_reads, seq_writes, rand_writes]`.
     fn pinned(report: &JoinRunReport) -> (u64, [u64; 4], [u64; 4]) {
@@ -305,9 +303,7 @@ mod tests {
         assert_eq!(with_skew.output_records, expected);
 
         dev.reset_stats();
-        let without_skew = DhhJoin::new(spec, DhhConfig::no_skew())
-            .run(&r, &s, &stats)
-            .unwrap();
+        let without_skew = DhhJoin::new(spec, NO_SKEW).run(&r, &s, &stats).unwrap();
         assert_eq!(without_skew.output_records, expected);
 
         // The skew optimization pins the hottest keys, so it cannot do more
@@ -414,7 +410,12 @@ mod tests {
                 );
             }
             let build = stager.finish(vec![stage]).unwrap();
-            let spilled: usize = build.spilled.iter().flatten().map(|h| h.records()).sum();
+            let spilled: usize = build
+                .spilled
+                .iter()
+                .flatten()
+                .map(|p| p.num_records())
+                .sum();
             assert_eq!(spilled + build.staged_records.len(), keys.len());
             (build.pob, device.stats().total())
         };
@@ -462,14 +463,12 @@ mod tests {
             || {
                 let dev = SimDevice::new_ref();
                 let (r, s) = build_workload(dev, &spec, 3_000, counts);
-                DhhJoin::new(spec, DhhConfig::no_skew())
-                    .run(&r, &s, &stats)
-                    .unwrap()
+                DhhJoin::new(spec, NO_SKEW).run(&r, &s, &stats).unwrap()
             },
             |threads| {
                 let dev = SimDevice::new_ref();
                 let (r, s) = build_workload(dev, &spec, 3_000, counts);
-                DhhJoin::new(spec, DhhConfig::no_skew())
+                DhhJoin::new(spec, NO_SKEW)
                     .run_parallel(&r, &s, &stats, threads)
                     .unwrap()
             },

@@ -4,12 +4,14 @@
 //! chunks of `⌊b_R·(B−2)/F⌋` records (one page is reserved for streaming the
 //! outer relation and one for the join output) and scan the outer relation
 //! once per chunk. Its I/O cost is exactly `‖R‖ + #chunks · ‖S‖`, the first
-//! row of Table 1.
+//! row of Table 1. The chunk loop is [`nested_block_join`], the one every
+//! spilled partition pair of the hash joins runs too; this operator adds
+//! the smaller-side choice, the budget reservation and the report.
 
-use nocap_model::pairwise::ChunkLoader;
+use nocap_model::pairwise::nested_block_join;
 use nocap_model::{JoinRunReport, JoinSpec};
-use nocap_obs::{Obs, Phase};
-use nocap_storage::{BufferPool, JoinHashTable, Relation};
+use nocap_obs::Obs;
+use nocap_storage::{BufferPool, Relation};
 
 /// Nested Block Join executor.
 #[derive(Debug, Clone, Copy)]
@@ -37,54 +39,21 @@ impl NestedBlockJoin {
         s: &Relation,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let (inner, outer, inner_is_r) = if r.num_pages() <= s.num_pages() {
-            (r, s, true)
+        let (inner, outer) = if r.num_pages() <= s.num_pages() {
+            (r, s)
         } else {
-            (s, r, false)
+            (s, r)
         };
-        let spec = &self.spec;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
-        let pool = BufferPool::new(spec.buffer_pages);
+        let pool = BufferPool::new(self.spec.buffer_pages);
+        // The streaming input page and the output page; the chunk table
+        // takes the rest of the budget.
         let _io_pages = pool.reserve(2)?;
-        let chunk_records = JoinHashTable::capacity_for_pages(
-            pool.available(),
-            inner.layout(),
-            spec.page_size,
-            spec.fudge,
-        )
-        .max(1);
 
         let timer = obs.run_timer();
         let base = device.stats();
-        let mut output = 0u64;
-        let mut chunks = 0u64;
-        let mut inner_scan = inner.scan();
-        let mut loader = ChunkLoader::new();
-        loop {
-            let mut table = JoinHashTable::new(inner.layout(), spec.page_size, spec.fudge);
-            let build_span = obs.span(Phase::Build);
-            let loaded = loader.fill(&mut table, chunk_records, || inner_scan.next_page())?;
-            drop(build_span);
-            if table.is_empty() {
-                break;
-            }
-            // Freeze the chunk into the vectorized probe layout.
-            table.seal();
-            chunks += 1;
-            let scan_span = obs.span(Phase::Scan);
-            let mut outer_scan = outer.scan();
-            while let Some(page) = outer_scan.next_page()? {
-                for rec in page.record_refs() {
-                    output += table.probe_count(rec.key());
-                }
-            }
-            drop(scan_span);
-            if loaded < chunk_records {
-                break;
-            }
-        }
-        let _ = inner_is_r;
+        let (output, chunks) = nested_block_join(inner, outer, &self.spec, obs)?;
         obs.count("nbj_chunks", chunks);
         obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
 

@@ -221,9 +221,9 @@ impl SortMergeJoin {
         // runs too; the guard replaces the old success-path delete loop.
         let mut run_guard = SpillGuard::new();
         let r_runs = sorted_runs(r, budget, r_share, threads, obs)?;
-        run_guard.adopt_all(r_runs.iter().map(|run| run.handle().clone()));
+        run_guard.adopt_all(r_runs.iter().map(|run| run.relation().clone()));
         let s_runs = sorted_runs(s, budget, s_share, threads, obs)?;
-        run_guard.adopt_all(s_runs.iter().map(|run| run.handle().clone()));
+        run_guard.adopt_all(s_runs.iter().map(|run| run.relation().clone()));
         let partition_io = device.stats().since(&base);
         if obs.is_recording() {
             obs.values(
@@ -231,7 +231,7 @@ impl SortMergeJoin {
                 r_runs
                     .iter()
                     .chain(&s_runs)
-                    .map(|run| run.handle().pages() as u64),
+                    .map(|run| run.relation().num_pages() as u64),
             );
             obs.count("final_runs", (r_runs.len() + s_runs.len()) as u64);
         }
@@ -295,7 +295,7 @@ fn sorted_runs(
             SortScratch::new,
             |scratch, i| {
                 let run = sort_chunk(relation, chunks[i].clone(), scratch)?;
-                lock_unpoisoned(&chunk_guard).adopt(run.handle().clone());
+                lock_unpoisoned(&chunk_guard).adopt(run.relation().clone());
                 Ok(run)
             },
         )?
@@ -306,7 +306,7 @@ fn sorted_runs(
     if obs.is_recording() {
         obs.values(
             "run_pages",
-            runs.iter().map(|run| run.handle().pages() as u64),
+            runs.iter().map(|run| run.relation().num_pages() as u64),
         );
         obs.count("initial_runs", runs.len() as u64);
     }

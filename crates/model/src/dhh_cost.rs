@@ -570,7 +570,10 @@ mod tests {
     #[test]
     fn spill_cost_reflects_write_asymmetry() {
         let cheap_writes = spec(256);
-        let expensive_writes = spec(256).with_device(nocap_storage::DeviceProfile::osync_on());
+        let expensive_writes = JoinSpec {
+            device: nocap_storage::DeviceProfile::osync_on(),
+            ..spec(256)
+        };
         let a = g(100_000, 800_000, &cheap_writes, 64);
         let b = g(100_000, 800_000, &expensive_writes, 64);
         assert!(b > a, "higher μ must increase the estimated spill cost");

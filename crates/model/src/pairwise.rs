@@ -1,114 +1,118 @@
-//! Partition-wise join execution shared by every partitioning algorithm.
+//! Partition-wise join execution shared by every partitioning algorithm,
+//! and the one Nested Block Join loop.
 //!
 //! After the partitioning phase, GHJ, DHH, Histojoin and NOCAP all face the
 //! same sub-problem: join one spilled R partition with the corresponding S
-//! partition. All four are plans for one hybrid hash join body, which
-//! hands every spilled pair to [`smart_partition_join`] — this module's
-//! one pair join. Following the paper (§3.1.1), the partition-wise join is
-//! executed as a Nested Block Join — the light optimizer of Table 1 almost
-//! always selects NBJ for these sub-joins because writing anything back to
-//! disk (as GHJ/SMJ would) costs μ/τ-weighted I/Os; below `√(F·‖R‖)` it
+//! partition. A spilled partition is a [`Relation`] like the join inputs,
+//! so each pair `(R_j, S_j)` is joined as two smaller relations (§3.1.1).
+//! All four joins are plans for one hybrid hash join body, which hands
+//! every spilled pair to [`smart_partition_join`] — this module's one pair
+//! join. Following the paper, the partition-wise join is executed as a
+//! Nested Block Join — the light optimizer of Table 1 almost always selects
+//! NBJ for these sub-joins because writing anything back to disk (as
+//! GHJ/SMJ would) costs μ/τ-weighted I/Os; below `√(F·‖R‖)` it
 //! re-partitions the pair ([`repartition`], through the same
 //! [`SpillSet`] write path as the partition passes) and recurses instead.
 //!
-//! [`nbj_partition_join`] loads the R partition chunk-by-chunk into an
-//! in-memory hash table sized to the full buffer budget and scans the S
-//! partition once per chunk, which reproduces the
-//! `⌈‖R_j‖·F/(B−2)⌉ · ‖S_j‖` term of the cost model exactly.
+//! [`nested_block_join`] loads its inner relation chunk-by-chunk into an
+//! in-memory hash table sized to the full buffer budget and scans the
+//! outer relation once per chunk, which reproduces the
+//! `⌈‖R_j‖·F/(B−2)⌉ · ‖S_j‖` term of the cost model exactly. A pair joins
+//! with `R_j` as the chunked side; the standalone NBJ operator
+//! (`nocap_joins::NestedBlockJoin`) runs the same loop on the smaller
+//! input.
 //!
 //! The whole loop is zero-copy: pages are read once, records enter the
 //! chunk table as [`RecordRef`](nocap_storage::RecordRef) arena copies and
-//! S records count their matches straight from their page buffer — no
+//! outer records count their matches straight from their page buffer — no
 //! per-record allocation anywhere.
 
 use std::sync::Arc;
 
+use nocap_obs::{Obs, Phase};
 use nocap_storage::hash::{level_seed, mix64_seeded};
-use nocap_storage::{
-    IoKind, JoinHashTable, Page, PartitionHandle, RecordLayout, SpillGuard, SpillSet,
-};
+use nocap_storage::{JoinHashTable, Page, Relation, RelationScan, SpillGuard, SpillSet};
 
 use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
 use crate::spec::JoinSpec;
 
-/// Joins one spilled partition pair with chunk-wise NBJ.
+/// Nested Block Join of `inner ⋈ outer`: loads `inner` chunk by chunk into
+/// a hash table of the budget's `B − 2` pages (one page streams the outer
+/// relation, one holds the output) and scans `outer` once per chunk — the
+/// `‖inner‖ + #chunks · ‖outer‖` reads of Table 1's first row. Each
+/// chunk's fill is a build span of `obs` and each outer pass a scan span.
 ///
-/// Returns the number of output tuples produced. Page reads are charged to
-/// `report.probe_io` through the device the handles live on; the caller is
-/// responsible for snapshotting device stats into the report.
-pub fn nbj_partition_join(
-    r_partition: &PartitionHandle,
-    s_partition: &PartitionHandle,
+/// Returns the number of output tuples and of chunks. An empty side costs
+/// no I/O. Reads are charged to the device the relations live on; the
+/// caller snapshots device stats into its report.
+pub fn nested_block_join(
+    inner: &Relation,
+    outer: &Relation,
     spec: &JoinSpec,
-) -> nocap_storage::Result<u64> {
-    if r_partition.is_empty() || s_partition.is_empty() {
-        return Ok(0);
+    obs: &Obs,
+) -> nocap_storage::Result<(u64, u64)> {
+    if inner.is_empty() || outer.is_empty() {
+        return Ok((0, 0));
     }
-    // Chunk capacity: all pages except one input page and one output page,
-    // deflated by the fudge factor.
     let chunk_records = JoinHashTable::capacity_for_pages(
         spec.buffer_pages.saturating_sub(2).max(1),
-        spec.r_layout,
+        inner.layout(),
         spec.page_size,
         spec.fudge,
     )
     .max(1);
 
-    let mut output = 0u64;
-    let mut reader = r_partition.read(IoKind::SeqRead);
-    let mut loader = ChunkLoader::new();
+    let (mut output, mut chunks) = (0u64, 0u64);
+    let mut loader = ChunkLoader {
+        scan: inner.scan(),
+        pending: None,
+    };
     loop {
-        // Load the next chunk of R into a hash table.
-        let mut table = JoinHashTable::new(spec.r_layout, spec.page_size, spec.fudge);
-        let loaded = loader.fill(&mut table, chunk_records, || reader.next_page())?;
+        let mut table = JoinHashTable::new(inner.layout(), spec.page_size, spec.fudge);
+        let build_span = obs.span(Phase::Build);
+        let loaded = loader.fill(&mut table, chunk_records)?;
+        drop(build_span);
         if table.is_empty() {
             break;
         }
+        // Freeze the chunk into the vectorized probe layout.
         table.seal();
-        // Scan S once for this chunk.
-        let mut s_reader = s_partition.read(IoKind::SeqRead);
-        while let Some(page) = s_reader.next_page()? {
-            for s_rec in page.record_refs() {
-                output += table.probe_count(s_rec.key());
+        chunks += 1;
+        let _scan_span = obs.span(Phase::Scan);
+        let mut outer_scan = outer.scan();
+        while let Some(page) = outer_scan.next_page()? {
+            for rec in page.record_refs() {
+                output += table.probe_count(rec.key());
             }
         }
         if loaded < chunk_records {
             break;
         }
     }
-    Ok(output)
+    Ok((output, chunks))
 }
 
-/// Incrementally fills chunk hash tables from a page stream, resuming a
-/// page whose records straddle a chunk boundary so every page is read
-/// exactly once — the same I/O accounting the owned-record iterator
-/// implementation produced. Shared by [`nbj_partition_join`] and the
-/// standalone NBJ executor.
-#[derive(Default)]
-pub struct ChunkLoader {
+/// Fills chunk hash tables from the inner relation's scan, resuming a page
+/// whose records straddle a chunk boundary so every page is read exactly
+/// once.
+struct ChunkLoader {
+    scan: RelationScan,
     pending: Option<(Arc<Page>, usize)>,
 }
 
 impl ChunkLoader {
-    /// Creates a loader with no pending page.
-    pub fn new() -> Self {
-        ChunkLoader::default()
-    }
-
-    /// Loads up to `chunk_records` records from `next_page` into `table`,
-    /// returning how many were loaded (fewer than `chunk_records` iff the
-    /// page stream is exhausted).
-    pub fn fill(
+    /// Loads up to `chunk_records` records into `table`, returning how many
+    /// were loaded (fewer than `chunk_records` iff the scan is exhausted).
+    fn fill(
         &mut self,
         table: &mut JoinHashTable,
         chunk_records: usize,
-        mut next_page: impl FnMut() -> nocap_storage::Result<Option<Arc<Page>>>,
     ) -> nocap_storage::Result<usize> {
         let mut loaded = 0usize;
         while loaded < chunk_records {
             let (page, start) = match self.pending.take() {
                 Some(resume) => resume,
-                None => match next_page()? {
+                None => match self.scan.next_page()? {
                     Some(page) => (page, 0),
                     None => break,
                 },
@@ -127,8 +131,8 @@ impl ChunkLoader {
     }
 }
 
-/// Hash-partitions a spilled partition of `layout` records into `m`
-/// sub-partitions by `mix64_seeded(key, seed)` — one recursion level of
+/// Hash-partitions a spilled partition into `m` sub-partitions of its own
+/// layout by `mix64_seeded(key, seed)` — one recursion level of
 /// Grace-style re-partitioning. [`smart_partition_join`] seeds level `d`
 /// with `nocap_storage::hash::level_seed(d)`, so nested passes use a hash
 /// independent of the one that produced the partition. Zero-copy: records
@@ -137,16 +141,20 @@ impl ChunkLoader {
 /// file exists only once a record reaches it, and one that receives none
 /// comes back as `None`.
 pub fn repartition(
-    handle: &PartitionHandle,
-    layout: RecordLayout,
+    partition: &Relation,
     spec: &JoinSpec,
     m: usize,
     seed: u64,
-) -> nocap_storage::Result<Vec<Option<PartitionHandle>>> {
-    let set = SpillSet::new(handle.device().clone(), layout, spec.page_size, m);
+) -> nocap_storage::Result<Vec<Option<Relation>>> {
+    let set = SpillSet::new(
+        partition.device().clone(),
+        partition.layout(),
+        spec.page_size,
+        m,
+    );
     let mut local = set.local();
-    let mut reader = handle.read(IoKind::SeqRead);
-    while let Some(page) = reader.next_page()? {
+    let mut scan = partition.scan();
+    while let Some(page) = scan.next_page()? {
         for rec in page.record_refs() {
             let p = (mix64_seeded(rec.key(), seed) % m as u64) as usize;
             set.push(&mut local, p, rec)?;
@@ -163,8 +171,8 @@ pub fn repartition(
 /// hash join joins its spilled pairs here, at `depth = 1`; past depth 3 the
 /// pair goes to NBJ unconditionally.
 pub fn smart_partition_join(
-    r_partition: &PartitionHandle,
-    s_partition: &PartitionHandle,
+    r_partition: &Relation,
+    s_partition: &Relation,
     spec: &JoinSpec,
     depth: u32,
 ) -> nocap_storage::Result<u64> {
@@ -172,19 +180,20 @@ pub fn smart_partition_join(
     if r_partition.is_empty() || s_partition.is_empty() {
         return Ok(0);
     }
+    let nbj = || nested_block_join(r_partition, s_partition, spec, &Obs::off()).map(|(out, _)| out);
     let fits = JoinHashTable::pages_for(
-        r_partition.records(),
-        spec.r_layout,
+        r_partition.num_records(),
+        r_partition.layout(),
         spec.page_size,
         spec.fudge,
     ) + 2
         <= spec.buffer_pages;
     if fits || depth >= MAX_DEPTH {
-        return nbj_partition_join(r_partition, s_partition, spec);
+        return nbj();
     }
-    let (method, _) = best_partition_join(r_partition.pages(), s_partition.pages(), spec);
+    let (method, _) = best_partition_join(r_partition.num_pages(), s_partition.num_pages(), spec);
     if method == PartitionJoinMethod::Nbj {
-        return nbj_partition_join(r_partition, s_partition, spec);
+        return nbj();
     }
     // Re-partition both sides and recurse. Fail-clean: the sub-partitions
     // are deleted when the guard drops, whether the nested joins succeed or
@@ -192,9 +201,9 @@ pub fn smart_partition_join(
     let m = spec.buffer_pages.saturating_sub(1).max(2);
     let seed = level_seed(depth);
     let mut guard = SpillGuard::new();
-    let r_sub = repartition(r_partition, spec.r_layout, spec, m, seed)?;
+    let r_sub = repartition(r_partition, spec, m, seed)?;
     guard.adopt_all(r_sub.iter().flatten().cloned());
-    let s_sub = repartition(s_partition, spec.s_layout, spec, m, seed)?;
+    let s_sub = repartition(s_partition, spec, m, seed)?;
     guard.adopt_all(s_sub.iter().flatten().cloned());
     let mut output = 0u64;
     for pair in r_sub.iter().zip(&s_sub) {
@@ -208,19 +217,23 @@ pub fn smart_partition_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocap_storage::{PartitionWriter, Record, SimDevice};
+    use nocap_storage::{IoKind, Record, RecordLayout, RelationWriter, SimDevice};
 
     fn make_partition(
         device: nocap_storage::device::DeviceRef,
         keys: &[u64],
         payload: usize,
-    ) -> PartitionHandle {
+    ) -> Relation {
         let mut w =
-            PartitionWriter::new(device, RecordLayout::new(payload), 4096, IoKind::RandWrite);
+            RelationWriter::new(device, RecordLayout::new(payload), 4096, IoKind::RandWrite);
         for &k in keys {
             w.push(&Record::with_fill(k, payload, 0)).unwrap();
         }
         w.finish().unwrap()
+    }
+
+    fn nbj(r: &Relation, s: &Relation, spec: &JoinSpec) -> u64 {
+        nested_block_join(r, s, spec, &Obs::off()).unwrap().0
     }
 
     #[test]
@@ -229,7 +242,7 @@ mod tests {
         let spec = JoinSpec::paper_synthetic(64, 64);
         let r = make_partition(dev.clone(), &[1, 2, 3, 4], 56);
         let s = make_partition(dev.clone(), &[2, 2, 3, 9, 9], 56);
-        let out = nbj_partition_join(&r, &s, &spec).unwrap();
+        let out = nbj(&r, &s, &spec);
         assert_eq!(out, 3); // key 2 twice + key 3 once
     }
 
@@ -243,11 +256,11 @@ mod tests {
         let r = make_partition(dev.clone(), &r_keys, 504);
         let s = make_partition(dev.clone(), &s_keys, 504);
         dev.reset_stats();
-        let out = nbj_partition_join(&r, &s, &spec).unwrap();
+        let out = nbj(&r, &s, &spec);
         assert_eq!(out, 200);
         // S must have been read more than once.
-        let s_pages = s.pages() as u64;
-        assert!(dev.stats().seq_reads > r.pages() as u64 + s_pages);
+        let s_pages = s.num_pages() as u64;
+        assert!(dev.stats().seq_reads > r.num_pages() as u64 + s_pages);
     }
 
     #[test]
@@ -257,7 +270,7 @@ mod tests {
         let r = make_partition(dev.clone(), &[], 56);
         let s = make_partition(dev.clone(), &[1, 2], 56);
         dev.reset_stats();
-        assert_eq!(nbj_partition_join(&r, &s, &spec).unwrap(), 0);
+        assert_eq!(nbj(&r, &s, &spec), 0);
         assert_eq!(dev.stats().total(), 0);
     }
 
@@ -273,7 +286,7 @@ mod tests {
         let s = make_partition(dev.clone(), &keys, 56);
 
         dev.reset_stats();
-        let nbj_out = nbj_partition_join(&r, &s, &spec).unwrap();
+        let nbj_out = nbj(&r, &s, &spec);
         let nbj_ios = dev.stats().total();
 
         dev.reset_stats();

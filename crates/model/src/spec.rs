@@ -61,12 +61,6 @@ impl JoinSpec {
         self
     }
 
-    /// Returns a copy with a different device profile.
-    pub fn with_device(mut self, device: DeviceProfile) -> Self {
-        self.device = device;
-        self
-    }
-
     /// Records of R per page (`b_R`).
     pub fn b_r(&self) -> usize {
         records_per_page(self.page_size, self.r_layout.record_bytes())

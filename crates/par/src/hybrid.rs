@@ -36,9 +36,10 @@
 //!    spilled, answered or dropped exactly as if it had been routed first,
 //!    and a hit costs no route at all. With an empty table (GHJ, or a plan
 //!    that caches and stages nothing) the loop routes directly.
-//! 3. **Probe** — every spilled (R, S) partition pair is joined by the
-//!    light optimizer of [`nocap_model::pairwise`]
-//!    ([`smart_partition_join`]: chunk-wise NBJ, or Grace-style
+//! 3. **Probe** — every spilled (R, S) partition pair — two
+//!    [`Relation`]s, like the join's inputs — is joined by the light
+//!    optimizer of [`nocap_model::pairwise`] ([`smart_partition_join`]:
+//!    the chunk loop the standalone NBJ runs too, or Grace-style
 //!    re-partitioning below `√(F·‖R‖)`) — the one pair join of every hash
 //!    join.
 //!
@@ -100,8 +101,8 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, PartitionHandle, Relation,
-    Result, SpillGuard, SpillSet,
+    into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, Relation, Result,
+    SpillGuard, SpillSet,
 };
 
 use crate::pool::{ordered_tasks, resolve_threads, run_workers_obs};
@@ -208,7 +209,7 @@ where
     drop(r_partition_span);
     let spill_span = obs.span(Phase::Spill);
     let mut build = stager.finish(stages)?;
-    // Every spill handle is adopted here the moment it is finished, so an
+    // Every spilled partition is adopted here the moment it is finished, so an
     // error anywhere below — partitioning, probing, a faulted device —
     // deletes all spill files on unwind (deletion is not modeled I/O).
     let mut spill_guard = SpillGuard::new();
@@ -273,7 +274,7 @@ where
     let probe_span = obs.span(Phase::Probe);
     let s_spilled = s_set.finish()?;
     spill_guard.adopt_all(s_spilled.iter().flatten().cloned());
-    let pairs: Vec<(&PartitionHandle, &PartitionHandle)> = build
+    let pairs: Vec<(&Relation, &Relation)> = build
         .spilled
         .iter()
         .zip(&s_spilled)
@@ -311,15 +312,21 @@ where
 /// partition census the breakdown tables report. The destaged set is fixed
 /// by the quota geometry, so the recorded skew is identical for any thread
 /// count.
-fn record_partition_skew(obs: &Obs, spilled: &[Option<PartitionHandle>], staged_records: usize) {
+fn record_partition_skew(obs: &Obs, spilled: &[Option<Relation>], staged_records: usize) {
     if !obs.is_recording() {
         return;
     }
-    let handles = || spilled.iter().flatten();
-    obs.values("partition_records", handles().map(|h| h.records() as u64));
-    obs.values("partition_pages", handles().map(|h| h.pages() as u64));
+    let partitions = || spilled.iter().flatten();
+    obs.values(
+        "partition_records",
+        partitions().map(|p| p.num_records() as u64),
+    );
+    obs.values(
+        "partition_pages",
+        partitions().map(|p| p.num_pages() as u64),
+    );
     obs.count("spill_partitions", spilled.len() as u64);
-    obs.count("spilled_partitions", handles().count() as u64);
+    obs.count("spilled_partitions", partitions().count() as u64);
     obs.count("staged_records", staged_records as u64);
 }
 

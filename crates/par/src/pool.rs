@@ -43,9 +43,9 @@ use crate::cancel::CancelToken;
 /// a positive integer, otherwise the machine's available parallelism,
 /// otherwise 1.
 ///
-/// CI runs the test suite once with `NOCAP_THREADS=4` so the parallel paths
-/// are exercised with real concurrency even where the runner reports a
-/// single core.
+/// CI runs the release test suite at `NOCAP_THREADS` 1, 2 and 8, and the
+/// fault and OOM smoke at 1 and 4, so the parallel paths are exercised
+/// with real concurrency even where the runner reports a single core.
 pub fn default_threads() -> usize {
     if let Ok(v) = std::env::var("NOCAP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

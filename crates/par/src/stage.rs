@@ -56,9 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nocap_model::JoinSpec;
 use nocap_storage::device::DeviceRef;
-use nocap_storage::{
-    LocalPages, PartitionHandle, RecordBatch, RecordLayout, RecordRef, Result, SpillSet,
-};
+use nocap_storage::{LocalPages, RecordBatch, RecordLayout, RecordRef, Relation, Result, SpillSet};
 
 struct PartShared {
     /// Records staged globally (stops growing once the partition destages).
@@ -84,7 +82,7 @@ pub struct StagerBuild {
     pub staged_records: RecordBatch,
     /// Spilled partitions by partition id (`None` if the partition stayed
     /// in memory or received no record).
-    pub spilled: Vec<Option<PartitionHandle>>,
+    pub spilled: Vec<Option<Relation>>,
     /// Page-out bits, by partition id.
     pub pob: Vec<bool>,
 }
@@ -182,7 +180,7 @@ impl ParallelStager {
     /// are concatenated for the caller's hash table; what the workers still
     /// stage of destaged partitions is drained into their private pages,
     /// the private pages are merged in worker order, and the spill set is
-    /// finished into one handle per destaged partition.
+    /// finished into one relation per destaged partition.
     pub fn finish(self, mut stages: Vec<WorkerStage>) -> Result<StagerBuild> {
         let mut staged_records = RecordBatch::new(self.layout);
         let pob: Vec<bool> = self
@@ -249,13 +247,13 @@ mod tests {
         let spill_pages: Vec<usize> = build
             .spilled
             .iter()
-            .map(|h| h.as_ref().map_or(0, PartitionHandle::pages))
+            .map(|h| h.as_ref().map_or(0, Relation::num_pages))
             .collect();
         let total_records: usize = build
             .spilled
             .iter()
             .flatten()
-            .map(PartitionHandle::records)
+            .map(Relation::num_records)
             .sum::<usize>()
             + build.staged_records.len();
         assert_eq!(total_records, keys.len(), "records conserved");

@@ -18,7 +18,8 @@
 //!   the planner falls back to on near-uniform streams, where every
 //!   SpaceSaving count is dominated by its error term.
 //! * [`collector`] — [`StatsCollector`]: wires both behind a single
-//!   one-pass consumer of a [`RelationScan`](nocap_storage::RelationScan),
+//!   one-pass consumer of a [`RelationScan`](nocap_storage::RelationScan)'s
+//!   pages (zero-copy: it reads keys straight from each page),
 //!   sized from a page budget, producing a [`StatsSummary`] whose
 //!   [`McvEstimate`](nocap_model::McvEstimate)s feed the planner directly.
 //!   [`StatsCollector::collect_parallel`] shards the pass across `nocap-par`

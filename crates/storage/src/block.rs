@@ -45,13 +45,13 @@
 //! # Read-ahead frames
 //!
 //! A frame lives as long as a scan is inside its block. Every sequential
-//! consumer (`RelationScan`, `PartitionReader`, the sorter's chunk loader,
-//! the morsel scans) reads each page of a block exactly once per pass, so
-//! a frame records which of its slots have been served and is released the
-//! moment the last unserved one goes out — a short tail frame at its own
-//! length, so a file scanned to its end keeps nothing. A join that reads
-//! hundreds of spill partitions once each therefore holds one frame per
-//! scan in flight, not four per file it ever opened.
+//! consumer (`RelationScan` over inputs and spill partitions, the sorter's
+//! chunk loader, the morsel scans) reads each page of a block exactly once
+//! per pass, so a frame records which of its slots have been served and is
+//! released the moment the last unserved one goes out — a short tail frame
+//! at its own length, so a file scanned to its end keeps nothing. A join
+//! that reads hundreds of spill partitions once each therefore holds one
+//! frame per scan in flight, not four per file it ever opened.
 //!
 //! *Served-slot marks, not "evict on the last slot".* Two workers share a
 //! block wherever a morsel boundary falls inside it: the one that owns the

@@ -30,7 +30,6 @@
 //! [`FaultPlan::persistent`] derive small recoverable/fatal schedules from a
 //! single `u64` seed (SplitMix64), which is what the fault matrix uses.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,8 +81,6 @@ pub enum FaultKind {
 pub struct FaultSpec {
     /// Restrict to one file (`None` = any file).
     pub file: Option<FileId>,
-    /// Restrict to a page-index range (`None` = any page).
-    pub pages: Option<Range<usize>>,
     /// Restrict to one declared I/O kind (`None` = any kind).
     pub kind: Option<IoKind>,
     /// Restrict to reads, appends, or both.
@@ -100,7 +97,6 @@ impl FaultSpec {
     pub fn any(fault: FaultKind) -> Self {
         FaultSpec {
             file: None,
-            pages: None,
             kind: None,
             target: FaultTarget::Any,
             after_ops: 0,
@@ -126,12 +122,6 @@ impl FaultSpec {
         self
     }
 
-    /// Restricts the spec to a page-index range.
-    pub fn on_pages(mut self, pages: Range<usize>) -> Self {
-        self.pages = Some(pages);
-        self
-    }
-
     /// Restricts the spec to one declared I/O kind.
     pub fn on_kind(mut self, kind: IoKind) -> Self {
         self.kind = Some(kind);
@@ -144,7 +134,7 @@ impl FaultSpec {
         self
     }
 
-    fn matches(&self, file: FileId, page: Option<usize>, kind: IoKind, is_read: bool) -> bool {
+    fn matches(&self, file: FileId, kind: IoKind, is_read: bool) -> bool {
         match self.target {
             FaultTarget::Reads if !is_read => return false,
             FaultTarget::Appends if is_read => return false,
@@ -152,11 +142,6 @@ impl FaultSpec {
         }
         if self.file.is_some_and(|f| f != file) {
             return false;
-        }
-        if let (Some(range), Some(p)) = (&self.pages, page) {
-            if !range.contains(&p) {
-                return false;
-            }
         }
         !self.kind.is_some_and(|k| k != kind)
     }
@@ -369,10 +354,10 @@ impl FaultDevice {
 
     /// Evaluates the schedule for one op. Delays are applied inline;
     /// error/corrupt actions are returned (first matching spec wins).
-    fn evaluate(&self, file: FileId, page: Option<usize>, kind: IoKind, is_read: bool) -> Action {
+    fn evaluate(&self, file: FileId, kind: IoKind, is_read: bool) -> Action {
         let mut action = Action::Proceed;
         for armed in &self.specs {
-            if !armed.spec.matches(file, page, kind, is_read) {
+            if !armed.spec.matches(file, kind, is_read) {
                 continue;
             }
             let match_idx = armed.matched.fetch_add(1, Ordering::Relaxed);
@@ -451,7 +436,7 @@ impl BlockDevice for FaultDevice {
         if !self.armed.load(Ordering::Relaxed) {
             return self.inner.append_page(file, page, kind);
         }
-        match self.evaluate(file, None, kind, false) {
+        match self.evaluate(file, kind, false) {
             Action::Fail(msg) => Err(StorageError::Io(msg)),
             _ => self.inner.append_page(file, page, kind),
         }
@@ -461,7 +446,7 @@ impl BlockDevice for FaultDevice {
         if !self.armed.load(Ordering::Relaxed) {
             return self.inner.read_page(file, index, kind);
         }
-        match self.evaluate(file, Some(index), kind, true) {
+        match self.evaluate(file, kind, true) {
             Action::Fail(msg) => Err(StorageError::Io(msg)),
             Action::Corrupt(salt) => {
                 let page = self.inner.read_page(file, index, kind)?;
@@ -586,20 +571,23 @@ mod tests {
             SimDevice::new_ref(),
             vec![FaultSpec::any(FaultKind::PersistentError)
                 .reads()
-                .on_kind(IoKind::RandRead)
-                .on_pages(1..2)],
+                .on_kind(IoKind::RandRead)],
         );
         let f = dev.create_file();
+        let g = dev.create_file();
         dev.append_page(f, &page_with(&[1]), IoKind::RandWrite)
             .unwrap();
-        dev.append_page(f, &page_with(&[2]), IoKind::RandWrite)
+        dev.append_page(g, &page_with(&[2]), IoKind::RandWrite)
             .unwrap();
         dev.arm();
-        // Wrong kind, wrong page: untouched.
-        assert!(dev.read_page(f, 1, IoKind::SeqRead).is_ok());
-        assert!(dev.read_page(f, 0, IoKind::RandRead).is_ok());
-        // Matching read fails.
-        assert!(dev.read_page(f, 1, IoKind::RandRead).is_err());
+        // Wrong kind, or an append: untouched.
+        assert!(dev.read_page(f, 0, IoKind::SeqRead).is_ok());
+        assert!(dev
+            .append_page(g, &page_with(&[3]), IoKind::RandWrite)
+            .is_ok());
+        // Matching reads fail, on any page of any file.
+        assert!(dev.read_page(f, 0, IoKind::RandRead).is_err());
+        assert!(dev.read_page(g, 1, IoKind::RandRead).is_err());
     }
 
     #[test]

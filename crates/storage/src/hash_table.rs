@@ -173,11 +173,6 @@ impl JoinHashTable {
         });
     }
 
-    /// Whether the probe index is currently present.
-    pub fn is_sealed(&self) -> bool {
-        self.packed.is_some()
-    }
-
     /// The probe index.
     ///
     /// # Panics
@@ -545,13 +540,13 @@ mod tests {
     fn seal_is_idempotent_and_inserts_unseal() {
         let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
         ht.seal(); // Sealing an empty table is fine.
-        assert!(ht.is_sealed());
+        assert!(ht.packed.is_some());
         assert_eq!(ht.probe_count(7), 0);
         ht.insert(Record::with_fill(7, 24, 1));
-        assert!(!ht.is_sealed(), "an insert must drop the packed index");
+        assert!(ht.packed.is_none(), "an insert must drop the packed index");
         ht.seal();
         ht.seal();
-        assert!(ht.is_sealed());
+        assert!(ht.packed.is_some());
         assert_eq!(ht.probe_count(7), 1);
         assert!(ht.contains(7));
         assert_eq!(ht.num_keys(), 1);

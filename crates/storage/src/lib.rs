@@ -28,13 +28,14 @@
 //! * [`buffer`] — a strict page-budget [`BufferPool`]; every join draws its
 //!   working memory from one of these so the *B*-page budget of the paper is
 //!   enforced rather than assumed.
-//! * [`relation`] — a stored table: a sequence of pages on a device plus
-//!   sequential scan support.
-//! * [`spill`] — partition spill files with one-page output buffers
-//!   (random-write accounting), used by every partitioning join, and
-//!   [`SpillSet`], the one write path every hash join spills a set of
-//!   partitions through: worker-private pages, one file per partition, a
-//!   deterministic tail merge.
+//! * [`relation`] — the one on-disk record file: a join input, a spill
+//!   partition and a sorted run are all a [`Relation`], written by the one
+//!   [`RelationWriter`] (one-page output buffer, sequential or random
+//!   writes) and read by the one [`RelationScan`].
+//! * [`spill`] — [`SpillSet`], the one write path every hash join spills a
+//!   set of partitions through (worker-private pages, one random-write
+//!   file per partition, a deterministic tail merge), and [`SpillGuard`],
+//!   which deletes spilled relations on every exit path.
 //! * [`hash_table`] — an in-memory build/probe hash table with fudge-factor
 //!   (F) space accounting, a sealed bucket-contiguous probe layout and
 //!   vectorized key compares.
@@ -116,13 +117,11 @@ pub use iostats::{AtomicIoStats, DeviceProfile, IoKind, IoStats};
 pub use page::{Page, DEFAULT_PAGE_SIZE};
 pub use radix::RadixRouter;
 pub use record::{Record, RecordBatch, RecordLayout, RecordRef};
-pub use relation::{Relation, RelationBuilder, RelationScan};
+pub use relation::{Relation, RelationScan, RelationWriter};
 pub use sort::{
     run_chunks, sort_chunk, ExternalSorter, LoserTree, RunSlice, SortScratch, SortedRun,
 };
-pub use spill::{
-    LocalPages, PartitionHandle, PartitionReader, PartitionWriter, SpillGuard, SpillSet,
-};
+pub use spill::{LocalPages, SpillGuard, SpillSet};
 pub use sync::{into_inner_unpoisoned, lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 pub use traced::{IoEventSink, IoMarkerKind, IoOp, TracedDevice};
 

@@ -210,14 +210,6 @@ pub fn records_per_page(page_size: usize, record_bytes: usize) -> usize {
     (page_size.saturating_sub(PAGE_HEADER_BYTES)) / record_bytes
 }
 
-/// Computes the number of pages needed to store `num_records` records of the
-/// given size, i.e. ⌈n / b⌉ with b = [`records_per_page`].
-pub fn pages_for_records(num_records: usize, page_size: usize, record_bytes: usize) -> usize {
-    let per_page = records_per_page(page_size, record_bytes);
-    assert!(per_page > 0, "record does not fit in a page");
-    num_records.div_ceil(per_page)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,15 +293,6 @@ mod tests {
     fn records_per_page_matches_capacity() {
         let p = Page::empty(4096, layout());
         assert_eq!(records_per_page(4096, 32), p.capacity());
-    }
-
-    #[test]
-    fn pages_for_records_rounds_up() {
-        assert_eq!(pages_for_records(0, 4096, 32), 0);
-        assert_eq!(pages_for_records(1, 4096, 32), 1);
-        let per_page = records_per_page(4096, 32);
-        assert_eq!(pages_for_records(per_page, 4096, 32), 1);
-        assert_eq!(pages_for_records(per_page + 1, 4096, 32), 2);
     }
 
     #[test]

@@ -32,7 +32,7 @@ const PARTITION_BUFFER_BYTES: usize = 1024;
 /// Per-partition batching write buffers in front of a partition sink.
 ///
 /// The sink is any `FnMut(partition, record) -> Result<()>`, for example a
-/// counting closure or a vector of `PartitionWriter`s.
+/// counting closure or a vector of `RelationWriter`s.
 pub struct RadixRouter {
     cap: usize,
     /// Payload stride, cached off the layout: `push` is the per-record hot

@@ -9,8 +9,8 @@
 //! Two record representations coexist:
 //!
 //! * [`Record`] — an **owned** record (heap-allocated payload). Lives at API
-//!   edges only: workload generators, test fixtures, diagnostic `read_all`
-//!   helpers and the external sorter, where records genuinely change hands.
+//!   edges only: workload generators, test fixtures, the reference join and
+//!   diagnostic `read_all` helpers, where records genuinely change hands.
 //! * [`RecordRef`] — a **borrowed** view: the decoded `u64` key plus a byte
 //!   slice pointing straight into the page buffer it was read from. This is
 //!   what the hot paths (partition routing, build, probe) move around, so

@@ -1,11 +1,15 @@
-//! Stored relations: a sequence of pages on a block device.
+//! Stored relations: append-only files of fixed-width record pages.
 //!
-//! A [`Relation`] is the storage-level representation of one join input
-//! (the paper's R or S): `‖R‖` pages of fixed-width records on a device.
-//! Relations are created through a [`RelationBuilder`] (bulk load) and read
-//! back through [`RelationScan`], which performs page-granular sequential
-//! reads so that scanning a relation costs exactly `‖R‖` sequential read
-//! I/Os — the same unit the paper's cost model uses.
+//! A [`Relation`] is every record file the joins keep on a device: a join
+//! input (the paper's R or S, `‖R‖` pages), a spill partition (the `R_j` /
+//! `S_j` of a partition-wise join, §3.1.1) and the file of a sorted run.
+//! All of them are written by one [`RelationWriter`] and read back by one
+//! [`RelationScan`], which performs page-granular reads so that scanning a
+//! relation costs exactly `‖R‖` read I/Os — the same unit the paper's cost
+//! model uses. What differs between the three is only the kind each side
+//! declares: a bulk load or a sorted run writes sequentially, a spill
+//! partition's output buffer randomly; a scan reads sequentially, a
+//! multiway merge randomly.
 //!
 //! Bulk loading counts as sequential writes on the device. Experiments that
 //! only want to measure the *join*'s I/O (as the paper does — both input
@@ -33,11 +37,12 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Bulk-loads a relation from an iterator of records.
+    /// Bulk-loads a relation from an iterator of records, one sequential
+    /// write per page.
     ///
     /// All records must conform to `layout`; pages are filled densely so the
     /// resulting page count is `⌈n / b⌉` where `b` is the per-page record
-    /// capacity.
+    /// capacity. A load that fails part-way deletes what it wrote.
     pub fn bulk_load<I>(
         device: DeviceRef,
         layout: RecordLayout,
@@ -47,11 +52,11 @@ impl Relation {
     where
         I: IntoIterator<Item = Record>,
     {
-        let mut builder = RelationBuilder::new(device, layout, page_size);
+        let mut writer = RelationWriter::new(device, layout, page_size, IoKind::SeqWrite);
         for r in records {
-            builder.push(&r)?;
+            writer.push(&r)?;
         }
-        builder.finish()
+        writer.finish()
     }
 
     /// The device this relation lives on.
@@ -84,6 +89,11 @@ impl Relation {
         self.num_pages
     }
 
+    /// Returns `true` if the relation holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.num_records == 0
+    }
+
     /// Records per page (the paper's `b_R` / `b_S`).
     pub fn records_per_page(&self) -> usize {
         records_per_page(self.page_size, self.layout.record_bytes())
@@ -105,6 +115,7 @@ impl Relation {
         let end = pages.end.min(self.num_pages);
         RelationScan {
             relation: self.clone(),
+            kind: IoKind::SeqRead,
             next_page: pages.start.min(end),
             end_page: end,
             current: None,
@@ -112,14 +123,25 @@ impl Relation {
         }
     }
 
+    /// Scans the whole relation, counting one I/O of `kind` per page:
+    /// [`IoKind::RandRead`] for a consumer that interleaves its reads with
+    /// other files' (a multiway merge).
+    pub fn read(&self, kind: IoKind) -> RelationScan {
+        RelationScan {
+            kind,
+            ..self.scan()
+        }
+    }
+
+    /// Reads page `index` (one I/O of `kind`).
+    pub(crate) fn read_page(&self, index: usize, kind: IoKind) -> Result<Arc<Page>> {
+        self.device.read_page(self.file, index, kind)
+    }
+
     /// Reads every record into memory (test/diagnostic helper; still counts
     /// the sequential reads).
     pub fn read_all(&self) -> Result<Vec<Record>> {
-        let mut out = Vec::with_capacity(self.num_records);
-        for rec in self.scan() {
-            out.push(rec?);
-        }
-        Ok(out)
+        self.scan().collect()
     }
 
     /// Deletes the relation's pages from the device.
@@ -140,55 +162,109 @@ impl std::fmt::Debug for Relation {
     }
 }
 
-/// Incremental bulk loader for a [`Relation`].
-pub struct RelationBuilder {
+/// The writer of every [`Relation`]: appends records through a one-page
+/// output buffer, flushing it as one write of the writer's kind whenever it
+/// fills.
+///
+/// The buffer page is allocated by the first record buffered in it: a
+/// writer fed only whole pages ([`append_full_page`](Self::append_full_page))
+/// holds none. The writer owns its file until [`finish`](Self::finish)
+/// hands it over as a [`Relation`]: dropping an unfinished writer (e.g.
+/// while unwinding out of a failed partitioning phase or bulk load) deletes
+/// the file, so error paths can never leak half-written relations.
+pub struct RelationWriter {
     device: DeviceRef,
     file: FileId,
     layout: RecordLayout,
     page_size: usize,
-    page: Page,
+    /// The output buffer, absent until the first buffered record.
+    page: Option<Page>,
+    write_kind: IoKind,
     num_records: usize,
     num_pages: usize,
+    finished: bool,
 }
 
-impl RelationBuilder {
-    /// Starts building a new relation on `device`.
-    pub fn new(device: DeviceRef, layout: RecordLayout, page_size: usize) -> Self {
+impl RelationWriter {
+    /// Creates a new, empty relation file on `device`.
+    ///
+    /// `write_kind` is [`IoKind::SeqWrite`] for bulk loads and sorted runs
+    /// and [`IoKind::RandWrite`] for spill partitions, whose output buffers
+    /// are flushed in arbitrary interleaved order.
+    pub fn new(
+        device: DeviceRef,
+        layout: RecordLayout,
+        page_size: usize,
+        write_kind: IoKind,
+    ) -> Self {
         let file = device.create_file();
-        RelationBuilder {
+        RelationWriter {
             device,
             file,
             layout,
             page_size,
-            page: Page::empty(page_size, layout),
+            page: None,
+            write_kind,
             num_records: 0,
             num_pages: 0,
+            finished: false,
         }
     }
 
-    /// Appends one record.
+    /// Appends a record, flushing the output buffer to the device if full.
     pub fn push(&mut self, record: &Record) -> Result<()> {
         self.push_ref(record.as_record_ref())
     }
 
-    /// Appends one borrowed record (no allocation).
+    /// Appends a borrowed record (no allocation), flushing the output buffer
+    /// to the device if full. This is the partition-routing hot path: one
+    /// key store plus one payload `memcpy` into the buffer page.
     pub fn push_ref(&mut self, record: RecordRef<'_>) -> Result<()> {
-        if !self.page.push_ref(record)? {
-            self.flush_page()?;
-            let pushed = self.page.push_ref(record)?;
-            debug_assert!(pushed, "freshly cleared page must accept a record");
+        let page = self
+            .page
+            .get_or_insert_with(|| Page::empty(self.page_size, self.layout));
+        if !page.push_ref(record)? {
+            self.device.append_page(self.file, page, self.write_kind)?;
+            self.num_pages += 1;
+            page.clear();
+            let pushed = page.push_ref(record)?;
+            debug_assert!(pushed, "freshly flushed page must accept a record");
         }
         self.num_records += 1;
         Ok(())
     }
 
-    /// Flushes the last partial page and returns the finished relation.
+    /// Appends an already-full page straight to the file, bypassing the
+    /// output buffer — the once-per-page entry point of the parallel spill
+    /// path, whose workers fill private pages and only meet at the
+    /// partition's file. The buffered page (and therefore what
+    /// [`finish`](Self::finish) still has to flush) is untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is not full or holds records of another size: a
+    /// partial page in the middle of the file would break the `⌈n / b⌉`
+    /// page count every reader and the cost model rely on.
+    pub fn append_full_page(&mut self, page: &Page) -> Result<()> {
+        assert!(
+            page.is_full() && page.record_size() == self.layout.record_bytes(),
+            "append_full_page needs a full page of this relation's records"
+        );
+        self.device.append_page(self.file, page, self.write_kind)?;
+        self.num_pages += 1;
+        self.num_records += page.record_count();
+        Ok(())
+    }
+
+    /// Flushes the partial output buffer and returns the finished relation.
     pub fn finish(mut self) -> Result<Relation> {
-        if !self.page.is_empty() {
-            self.flush_page()?;
+        if let Some(page) = self.page.take().filter(|page| !page.is_empty()) {
+            self.device.append_page(self.file, &page, self.write_kind)?;
+            self.num_pages += 1;
         }
+        self.finished = true;
         Ok(Relation {
-            device: self.device,
+            device: self.device.clone(),
             file: self.file,
             layout: self.layout,
             page_size: self.page_size,
@@ -196,32 +272,36 @@ impl RelationBuilder {
             num_pages: self.num_pages,
         })
     }
+}
 
-    fn flush_page(&mut self) -> Result<()> {
-        self.device
-            .append_page(self.file, &self.page, IoKind::SeqWrite)?;
-        self.num_pages += 1;
-        self.page.clear();
-        Ok(())
+impl Drop for RelationWriter {
+    fn drop(&mut self) {
+        if !self.finished {
+            // Best effort: a failing delete during unwind must not panic.
+            let _ = self.device.delete_file(self.file);
+        }
     }
 }
 
-/// Record iterator over a stored relation (page-at-a-time sequential reads).
+/// Record iterator over a stored relation (page-at-a-time reads, one I/O of
+/// the scan's kind per page).
 ///
-/// Two consumption modes share the same I/O accounting (one sequential read
-/// per page, each page read exactly once):
+/// Two consumption modes share the same I/O accounting (each page read
+/// exactly once):
 ///
 /// * [`next_page`](Self::next_page) — the **zero-copy** mode: hands back
 ///   each page so the caller iterates [`Page::record_refs`] without any
 ///   per-record allocation. Every hot executor loop uses this.
 /// * the [`Iterator`] impl — the **owned** mode yielding `Result<Record>`
 ///   (one allocation per record); kept for API edges such as
-///   [`Relation::read_all`], statistics collection and the external sorter.
+///   [`Relation::read_all`], the reference join (`naive_join_count`) and a
+///   workload's key stream (`stream_keys`).
 ///
 /// The two modes may be interleaved: the iterator simply drains whatever
 /// page [`next_page`](Self::next_page) would return next.
 pub struct RelationScan {
     relation: Relation,
+    kind: IoKind,
     next_page: usize,
     end_page: usize,
     current: Option<Arc<Page>>,
@@ -229,17 +309,15 @@ pub struct RelationScan {
 }
 
 impl RelationScan {
-    /// Reads the next page of the scan (one sequential read), or `None` when
-    /// the page range is exhausted. The returned page is owned by the caller;
-    /// iterate it with [`Page::record_refs`] for the zero-copy record view.
+    /// Reads the next page of the scan (one I/O of the scan's kind), or
+    /// `None` when the page range is exhausted. The returned page is owned
+    /// by the caller; iterate it with [`Page::record_refs`] for the
+    /// zero-copy record view.
     pub fn next_page(&mut self) -> Result<Option<Arc<Page>>> {
         if self.next_page >= self.end_page {
             return Ok(None);
         }
-        let page =
-            self.relation
-                .device
-                .read_page(self.relation.file, self.next_page, IoKind::SeqRead)?;
+        let page = self.relation.read_page(self.next_page, self.kind)?;
         self.next_page += 1;
         Ok(Some(page))
     }
@@ -288,50 +366,97 @@ mod tests {
             .collect()
     }
 
+    fn layout() -> RecordLayout {
+        RecordLayout::new(8)
+    }
+
+    /// 128-byte pages hold 7 records of 16 bytes (4-byte header).
+    fn small(dev: &DeviceRef, n: usize) -> Relation {
+        Relation::bulk_load(dev.clone(), layout(), 128, records(n, 8)).unwrap()
+    }
+
     #[test]
     fn bulk_load_page_count_matches_formula() {
         let dev = SimDevice::new_ref();
-        let layout = RecordLayout::new(24); // 32-byte records
-        let rel = Relation::bulk_load(dev, layout, 4096, records(1000, 24)).unwrap();
-        let per_page = rel.records_per_page();
-        assert_eq!(rel.num_pages(), 1000usize.div_ceil(per_page));
+        let rel = Relation::bulk_load(dev.clone(), RecordLayout::new(24), 4096, records(1000, 24))
+            .unwrap();
+        assert_eq!(rel.num_pages(), 1000usize.div_ceil(rel.records_per_page()));
         assert_eq!(rel.num_records(), 1000);
+        // The spill path's writer: ⌈10 / 4⌉ pages of 4 records.
+        let page_size = 4 + 4 * 16;
+        let mut w = RelationWriter::new(dev, layout(), page_size, IoKind::RandWrite);
+        for r in records(10, 8) {
+            w.push(&r).unwrap();
+        }
+        assert_eq!(w.finish().unwrap().num_pages(), 3);
     }
 
     #[test]
     fn scan_returns_records_in_load_order() {
         let dev = SimDevice::new_ref();
-        let layout = RecordLayout::new(8);
-        let rel = Relation::bulk_load(dev, layout, 128, records(50, 8)).unwrap();
-        let keys: Vec<u64> = rel.scan().map(|r| r.unwrap().key()).collect();
-        assert_eq!(keys, (0..50).collect::<Vec<u64>>());
+        let loaded = small(&dev, 100);
+        let mut w = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
+        for r in records(100, 8) {
+            w.push_ref(r.as_record_ref()).unwrap();
+        }
+        let spilled = w.finish().unwrap();
+        for rel in [loaded, spilled] {
+            assert_eq!(rel.num_records(), 100);
+            let owned: Vec<u64> = rel.scan().map(|r| r.unwrap().key()).collect();
+            assert_eq!(owned, (0..100).collect::<Vec<u64>>());
+            dev.reset_stats();
+            let mut keys = Vec::new();
+            let mut scan = rel.scan();
+            while let Some(page) = scan.next_page().unwrap() {
+                keys.extend(page.record_refs().map(|rec| rec.key()));
+            }
+            assert_eq!(keys, owned);
+            assert_eq!(dev.stats().seq_reads as usize, rel.num_pages());
+            assert_eq!(dev.stats().writes(), 0);
+        }
     }
 
     #[test]
-    fn scan_costs_one_seq_read_per_page() {
+    fn writes_count_the_writers_kind() {
+        for kind in [IoKind::SeqWrite, IoKind::RandWrite] {
+            let dev = SimDevice::new_ref();
+            let mut w = RelationWriter::new(dev.clone(), layout(), 128, kind);
+            for r in records(64, 8) {
+                w.push(&r).unwrap();
+            }
+            let n = w.finish().unwrap().num_pages() as u64;
+            let io = dev.stats();
+            let expected = match kind {
+                IoKind::SeqWrite => (n, 0),
+                _ => (0, n),
+            };
+            assert_eq!((io.seq_writes, io.rand_writes), expected, "{kind:?}");
+            assert_eq!(io.total(), n, "{kind:?}");
+        }
+        // A bulk load is the sequential case.
         let dev = SimDevice::new_ref();
-        let layout = RecordLayout::new(8);
-        let rel = Relation::bulk_load(dev.clone(), layout, 128, records(64, 8)).unwrap();
-        dev.reset_stats();
-        let _ = rel.read_all().unwrap();
-        assert_eq!(dev.stats().seq_reads as usize, rel.num_pages());
-        assert_eq!(dev.stats().writes(), 0);
-    }
-
-    #[test]
-    fn bulk_load_costs_one_seq_write_per_page() {
-        let dev = SimDevice::new_ref();
-        let layout = RecordLayout::new(8);
-        let rel = Relation::bulk_load(dev.clone(), layout, 128, records(64, 8)).unwrap();
+        let rel = small(&dev, 64);
         assert_eq!(dev.stats().seq_writes as usize, rel.num_pages());
+    }
+
+    #[test]
+    fn reads_count_the_scans_kind() {
+        let dev = SimDevice::new_ref();
+        let rel = small(&dev, 64);
+        dev.reset_stats();
+        assert_eq!(rel.read_all().unwrap().len(), 64);
+        assert_eq!(dev.stats().seq_reads as usize, rel.num_pages());
+        assert_eq!(dev.stats().total(), dev.stats().seq_reads);
+        dev.reset_stats();
+        assert_eq!(rel.read(IoKind::RandRead).count(), 64);
+        assert_eq!(dev.stats().rand_reads as usize, rel.num_pages());
+        assert_eq!(dev.stats().total(), dev.stats().rand_reads);
     }
 
     #[test]
     fn scan_range_covers_exactly_the_requested_pages() {
         let dev = SimDevice::new_ref();
-        let layout = RecordLayout::new(8);
-        // 128-byte pages hold 7 records of 16 bytes (4-byte header).
-        let rel = Relation::bulk_load(dev.clone(), layout, 128, records(50, 8)).unwrap();
+        let rel = small(&dev, 50);
         let per_page = rel.records_per_page();
         dev.reset_stats();
         let keys: Vec<u64> = rel.scan_range(1..3).map(|r| r.unwrap().key()).collect();
@@ -357,47 +482,46 @@ mod tests {
     }
 
     #[test]
-    fn page_mode_scan_visits_every_record_with_one_read_per_page() {
-        let dev = SimDevice::new_ref();
-        let layout = RecordLayout::new(8);
-        let rel = Relation::bulk_load(dev.clone(), layout, 128, records(50, 8)).unwrap();
-        dev.reset_stats();
-        let mut keys = Vec::new();
-        let mut scan = rel.scan();
-        while let Some(page) = scan.next_page().unwrap() {
-            for rec in page.record_refs() {
-                keys.push(rec.key());
-            }
-        }
-        assert_eq!(keys, (0..50).collect::<Vec<u64>>());
-        assert_eq!(dev.stats().seq_reads as usize, rel.num_pages());
-        assert_eq!(dev.stats().writes(), 0);
-    }
-
-    #[test]
     fn empty_relation_is_legal() {
         let dev = SimDevice::new_ref();
-        let rel = Relation::bulk_load(dev, RecordLayout::new(8), 128, std::iter::empty()).unwrap();
-        assert_eq!(rel.num_pages(), 0);
-        assert_eq!(rel.num_records(), 0);
-        assert_eq!(rel.read_all().unwrap().len(), 0);
+        let loaded = small(&dev, 0);
+        let written = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite)
+            .finish()
+            .unwrap();
+        assert_eq!(dev.stats().total(), 0);
+        for rel in [loaded, written] {
+            assert!(rel.is_empty());
+            assert_eq!((rel.num_pages(), rel.num_records()), (0, 0));
+            assert_eq!(rel.read_all().unwrap().len(), 0);
+        }
     }
 
     #[test]
     fn delete_removes_pages_from_device() {
         let dev = SimDevice::new_ref();
-        let sim: &SimDevice = {
-            // keep a typed handle for the assertion below
-            // (DeviceRef is Rc<dyn BlockDevice>, so build another SimDevice handle)
-            // Instead, just check via stats-free resident_pages on a fresh device.
-            &SimDevice::new()
-        };
-        let _ = sim; // silence unused in case of future edits
-        let rel =
-            Relation::bulk_load(dev.clone(), RecordLayout::new(8), 128, records(64, 8)).unwrap();
+        let rel = small(&dev, 64);
         let file = rel.file();
         assert!(dev.file_pages(file).is_ok());
-        rel.delete().unwrap();
+        rel.clone().delete().unwrap();
         assert!(dev.file_pages(file).is_err());
+        // The file is gone: a second delete reports an unknown file.
+        assert!(rel.delete().is_err());
+    }
+
+    #[test]
+    fn the_buffer_page_is_allocated_by_the_first_buffered_record() {
+        let dev = SimDevice::new_ref();
+        let page_size = 4 + 4 * 16;
+        let mut w = RelationWriter::new(dev, layout(), page_size, IoKind::RandWrite);
+        let mut full = Page::empty(page_size, layout());
+        for k in 0..4u64 {
+            assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
+        }
+        w.append_full_page(&full).unwrap();
+        assert!(w.page.is_none(), "whole pages need no buffer");
+        w.push(&Record::with_fill(9, 8, 0)).unwrap();
+        assert!(w.page.is_some());
+        let rel = w.finish().unwrap();
+        assert_eq!((rel.num_records(), rel.num_pages()), (5, 2));
     }
 }

@@ -19,7 +19,7 @@
 //!   Because the pair includes the unique insertion index, the unstable sort
 //!   reproduces the stable-by-key order exactly (the tuple order is total),
 //!   so run contents are identical to the pre-arena stable sorter. Payloads
-//!   are moved once, by [`PartitionWriter::push_ref`], when the run spills.
+//!   are moved once, by [`RelationWriter::push_ref`], when the run spills.
 //! * **Merging** drives a [`LoserTree`] of page-mode cursors (`RunCursor`)
 //!   that yield [`RecordRef`]s straight out of the run pages — `log₂ k` key
 //!   comparisons per record, zero copies, zero allocations. A cursor walks
@@ -54,10 +54,12 @@
 //!   it. Merging each key range on its own therefore reads every run page
 //!   exactly once, whatever the number of ranges.
 //!
-//! Run files are written sequentially ([`IoKind::SeqWrite`]); merge reads
-//! interleave across runs and are counted as random reads
-//! ([`IoKind::RandRead`]), matching the paper's observation that SMJ's reads
-//! are ≈1.2× slower than GHJ's sequential reads.
+//! A run's file is a [`Relation`] like the input's, written by the one
+//! [`RelationWriter`] sequentially ([`IoKind::SeqWrite`]); it carries its
+//! own layout and page size, so the cascade reads nothing but the pages it
+//! merges. Merge reads interleave across runs and are counted as random
+//! reads ([`IoKind::RandRead`]), matching the paper's observation that
+//! SMJ's reads are ≈1.2× slower than GHJ's sequential reads.
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -66,8 +68,8 @@ use crate::device::DeviceRef;
 use crate::iostats::IoKind;
 use crate::page::{records_per_page, Page};
 use crate::record::{RecordBatch, RecordLayout, RecordRef};
-use crate::relation::Relation;
-use crate::spill::{PartitionHandle, PartitionWriter, SpillGuard};
+use crate::relation::{Relation, RelationWriter};
+use crate::spill::SpillGuard;
 use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use crate::Result;
 
@@ -120,14 +122,14 @@ impl SortScratch {
 /// recorded while the run was written.
 #[derive(Clone, Debug)]
 pub struct SortedRun {
-    handle: PartitionHandle,
+    relation: Relation,
     fences: Vec<u64>,
 }
 
 impl SortedRun {
     /// The run file.
-    pub fn handle(&self) -> &PartitionHandle {
-        &self.handle
+    pub fn relation(&self) -> &Relation {
+        &self.relation
     }
 
     /// The first key of each page, in page order (non-decreasing).
@@ -137,21 +139,21 @@ impl SortedRun {
 
     /// Number of records in the run.
     pub fn records(&self) -> usize {
-        self.handle.records()
+        self.relation.num_records()
     }
 
     /// Deletes the run file from the device.
     pub fn delete(self) -> Result<()> {
-        self.handle.delete()
+        self.relation.delete()
     }
 }
 
-/// A run being written in key order: a sequential [`PartitionWriter`] that
+/// A run being written in key order: a sequential [`RelationWriter`] that
 /// notes the key of every record that opens a page. Records are fixed-size
 /// and pages are flushed only when full, so a page opens every
 /// `records_per_page` records.
 struct RunWriter {
-    writer: PartitionWriter,
+    writer: RelationWriter,
     fences: Vec<u64>,
     per_page: usize,
     /// Records that still fit on the page being filled.
@@ -164,7 +166,7 @@ impl RunWriter {
     fn new(device: DeviceRef, layout: RecordLayout, page_size: usize, records: usize) -> Self {
         let per_page = records_per_page(page_size, layout.record_bytes());
         RunWriter {
-            writer: PartitionWriter::new(device, layout, page_size, IoKind::SeqWrite),
+            writer: RelationWriter::new(device, layout, page_size, IoKind::SeqWrite),
             fences: Vec::with_capacity(records.div_ceil(per_page)),
             per_page,
             room: 0,
@@ -181,10 +183,10 @@ impl RunWriter {
     }
 
     fn finish(self) -> Result<SortedRun> {
-        let handle = self.writer.finish()?;
-        debug_assert_eq!(handle.pages(), self.fences.len(), "one fence per page");
+        let run = self.writer.finish()?;
+        debug_assert_eq!(run.num_pages(), self.fences.len(), "one fence per page");
         Ok(SortedRun {
-            handle,
+            relation: run,
             fences: self.fences,
         })
     }
@@ -290,27 +292,18 @@ impl ExternalSorter {
     where
         F: Fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>,
     {
-        let mut inputs = SpillGuard::new();
-        inputs.adopt_all(runs.iter().map(|run| run.handle.clone()));
-
-        // Figure out layout/page size from the first non-empty run by reading
-        // its first page; all runs of one sort share the same geometry. A
-        // one-off page fetch is a random access at the device — declaring it
-        // sequential would misprice it and trip the I/O declaration audit.
-        let Some(first) = runs.iter().find(|run| run.records() > 0) else {
+        if runs.iter().all(|run| run.records() == 0) {
             // All runs empty: nothing to merge.
-            let _ = inputs.release();
             return Ok(runs);
-        };
-        let page = first.handle.read_page(0, IoKind::RandRead)?;
-        let (layout, page_size) = (page.record_layout(), page.size());
-
+        }
+        let mut inputs = SpillGuard::new();
+        inputs.adopt_all(runs.iter().map(|run| run.relation.clone()));
         let groups: Vec<&[SortedRun]> = runs.chunks((self.budget_pages - 1).max(2)).collect();
         let merged = groups.len() - usize::from(groups.last().is_some_and(|g| g.len() == 1));
         let outputs = Mutex::new(SpillGuard::new());
         let mut next_level = fan_out(merged, &|g| {
-            let run = self.merge_group(groups[g], layout, page_size)?;
-            lock_unpoisoned(&outputs).adopt(run.handle.clone());
+            let run = self.merge_group(groups[g])?;
+            lock_unpoisoned(&outputs).adopt(run.relation.clone());
             Ok(run)
         })?;
         next_level.extend(groups[merged..].iter().flat_map(|g| g.iter().cloned()));
@@ -319,21 +312,22 @@ impl ExternalSorter {
         Ok(next_level)
     }
 
-    fn merge_group(
-        &self,
-        runs: &[SortedRun],
-        layout: RecordLayout,
-        page_size: usize,
-    ) -> Result<SortedRun> {
+    fn merge_group(&self, runs: &[SortedRun]) -> Result<SortedRun> {
         // The input runs are consumed whether the merge succeeds (their
         // records now live in the merged run) or fails (the pass's guard
         // is about to delete everything anyway); the writer deletes its own
         // partial output file on drop if `finish` is never reached.
         let mut consumed = SpillGuard::new();
-        consumed.adopt_all(runs.iter().map(|run| run.handle.clone()));
+        consumed.adopt_all(runs.iter().map(|run| run.relation.clone()));
         let records = runs.iter().map(SortedRun::records).sum();
-        let mut writer = RunWriter::new(self.device.clone(), layout, page_size, records);
-        let mut tree = LoserTree::new(runs.iter().map(|run| RunSlice::whole(&run.handle)))?;
+        let first = &runs[0].relation;
+        let mut writer = RunWriter::new(
+            self.device.clone(),
+            first.layout(),
+            first.page_size(),
+            records,
+        );
+        let mut tree = LoserTree::new(runs.iter().map(|run| RunSlice::whole(&run.relation)))?;
         while let Some(rec) = tree.next_ref()? {
             writer.push(rec)?;
         }
@@ -382,7 +376,7 @@ pub fn fence_splitters<'a>(
 /// with all of its pages and no boundary pages.
 #[derive(Clone)]
 pub struct RunSlice {
-    run: PartitionHandle,
+    run: Relation,
     head: Option<(Arc<Page>, Range<usize>)>,
     pages: Range<usize>,
     tail: Option<(Arc<Page>, Range<usize>)>,
@@ -390,17 +384,17 @@ pub struct RunSlice {
 
 impl RunSlice {
     /// All of `run`, every page left for the cursor to read.
-    pub fn whole(run: &PartitionHandle) -> Self {
+    pub fn whole(run: &Relation) -> Self {
         RunSlice {
             run: run.clone(),
             head: None,
-            pages: 0..run.pages(),
+            pages: 0..run.num_pages(),
             tail: None,
         }
     }
 
     /// The records of `run` from cut `from` up to cut `to`.
-    fn between(run: &PartitionHandle, from: &Cut, to: &Cut) -> Self {
+    fn between(run: &Relation, from: &Cut, to: &Cut) -> Self {
         // Both cuts split the same page: the slice is a record range of it.
         let same_page = from.straddle.is_some() && to.straddle.is_some() && from.page == to.page;
         let head = from.straddle.as_ref().map(|(page, at)| {
@@ -451,7 +445,7 @@ impl SortedRun {
         let index = below - 1;
         let page = match &previous.straddle {
             Some((page, _)) if previous.page == index => page.clone(),
-            _ => self.handle.read_page(index, IoKind::RandRead)?,
+            _ => self.relation.read_page(index, IoKind::RandRead)?,
         };
         let at = page.record_refs().take_while(|rec| rec.key() < k).count();
         Ok(Cut {
@@ -484,17 +478,17 @@ pub fn split_runs(runs: &[SortedRun], splitters: &[u64]) -> Result<Vec<Vec<RunSl
         };
         for (range, &k) in ranges.iter_mut().zip(splitters) {
             let to = run.cut(k, &from)?;
-            range.push(RunSlice::between(&run.handle, &from, &to));
+            range.push(RunSlice::between(&run.relation, &from, &to));
             from = to;
         }
         let end = Cut {
-            page: run.handle.pages(),
+            page: run.relation.num_pages(),
             straddle: None,
         };
         ranges
             .last_mut()
             .expect("one range more than splitters")
-            .push(RunSlice::between(&run.handle, &from, &end));
+            .push(RunSlice::between(&run.relation, &from, &end));
     }
     Ok(ranges)
 }
@@ -503,7 +497,7 @@ pub fn split_runs(runs: &[SortedRun], splitters: &[u64]) -> Result<Vec<Vec<RunSl
 /// `Arc<Page>` and records are decoded in place, so advancing costs one key
 /// decode and yielding a record costs nothing but a slice borrow.
 struct RunCursor {
-    run: PartitionHandle,
+    run: Relation,
     /// Pages still to read from the device.
     pages: Range<usize>,
     /// The slice's boundary page at its upper end, entered after `pages`.
@@ -805,10 +799,8 @@ mod tests {
         keys
     }
 
-    fn keys_of(run: &PartitionHandle) -> Vec<u64> {
-        run.read(IoKind::SeqRead)
-            .map(|r| r.unwrap().key())
-            .collect()
+    fn keys_of(run: &Relation) -> Vec<u64> {
+        run.scan().map(|r| r.unwrap().key()).collect()
     }
 
     /// The one-worker group fan-out: merges groups `0..groups` in order.
@@ -832,7 +824,7 @@ mod tests {
 
     /// Whole-run slices over `runs`, the input of one merge.
     fn whole(runs: &[SortedRun]) -> impl Iterator<Item = RunSlice> + '_ {
-        runs.iter().map(|run| RunSlice::whole(run.handle()))
+        runs.iter().map(|run| RunSlice::whole(run.relation()))
     }
 
     /// Four 16-byte records per page, so a few keys span several pages.
@@ -864,7 +856,7 @@ mod tests {
         let rel = build_relation(dev, &shuffled(5_000));
         let runs = sort_runs(&rel, 4, 1);
         assert_eq!(runs.len(), 1);
-        let keys = keys_of(runs[0].handle());
+        let keys = keys_of(runs[0].relation());
         assert_eq!(keys.len(), 5_000);
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -878,7 +870,7 @@ mod tests {
         let total: usize = runs.iter().map(|r| r.records()).sum();
         assert_eq!(total, 20_000);
         for run in &runs {
-            let keys = keys_of(run.handle());
+            let keys = keys_of(run.relation());
             assert!(keys.windows(2).all(|w| w[0] <= w[1]), "run must be sorted");
         }
     }
@@ -921,7 +913,7 @@ mod tests {
         ];
         let mut runs = Vec::new();
         for (ri, keys) in runs_keys.iter().enumerate() {
-            let mut w = crate::spill::PartitionWriter::new(
+            let mut w = RelationWriter::new(
                 dev.clone(),
                 layout,
                 crate::page::DEFAULT_PAGE_SIZE,
@@ -968,11 +960,10 @@ mod tests {
 
     #[test]
     fn merge_cascade_declares_every_read_random() {
-        // The cascade's one-off geometry probe fetches a single page of the
-        // first non-empty run; at the device that access is random, exactly
-        // like the cursor reads that follow. Pinned so the modeled counters
-        // keep matching what the device-level declaration audit observes:
-        // the only sequential reads in a whole sort are the input scan.
+        // Every cascade read is a cursor read interleaved across runs, so
+        // it is declared random. Pinned so the modeled counters keep
+        // matching what the device-level declaration audit observes: the
+        // only sequential reads in a whole sort are the input scan.
         let dev = SimDevice::new_ref();
         let rel = build_relation(dev.clone(), &shuffled(2_000));
         dev.reset_stats();
@@ -1040,8 +1031,8 @@ mod tests {
         let mut scratch = SortScratch::new();
         let run = sort_chunk(&rel, 0..rel.num_pages(), &mut scratch).unwrap();
         let got: Vec<(u64, u64)> = run
-            .handle()
-            .read(IoKind::SeqRead)
+            .relation()
+            .scan()
             .map(|r| {
                 let r = r.unwrap();
                 let mut tag = [0u8; 8];
@@ -1079,7 +1070,7 @@ mod tests {
         // Switching layouts mid-scratch re-creates the arena.
         let run = sort_chunk(&wide, 0..wide.num_pages(), &mut scratch).unwrap();
         assert_eq!(run.records(), 100);
-        let keys = keys_of(run.handle());
+        let keys = keys_of(run.relation());
         assert!(keys.windows(2).all(|w| w[0] <= w[1]));
         run.delete().unwrap();
     }
@@ -1093,7 +1084,7 @@ mod tests {
         let layout = RecordLayout::new(8);
         let mut runs = Vec::new();
         for fill in [1u8, 2] {
-            let mut w = PartitionWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite);
+            let mut w = RelationWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite);
             for k in [5u64, 5, 7, 9] {
                 w.push(&Record::with_fill(k, 8, fill)).unwrap();
             }
@@ -1153,10 +1144,10 @@ mod tests {
     fn loser_tree_handles_single_and_empty_runs() {
         let dev = SimDevice::new_ref();
         let layout = RecordLayout::new(8);
-        let empty = PartitionWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite)
+        let empty = RelationWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite)
             .finish()
             .unwrap();
-        let mut w = PartitionWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite);
+        let mut w = RelationWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite);
         for k in 0..10u64 {
             w.push(&Record::with_fill(k, 8, 0)).unwrap();
         }
@@ -1190,7 +1181,7 @@ mod tests {
         );
         let merged = sort_runs(&rel, 4, 2);
         for run in std::iter::once(&chunk).chain(&merged) {
-            let mut reader = run.handle().read(IoKind::SeqRead);
+            let mut reader = run.relation().scan();
             let mut first_keys = Vec::new();
             while let Some(page) = reader.next_page().unwrap() {
                 first_keys.push(page.get_ref(0).unwrap().key());
@@ -1231,7 +1222,7 @@ mod tests {
             let io = dev.stats();
             let runs: Vec<(Vec<u64>, Vec<u64>)> = out
                 .iter()
-                .map(|run| (keys_of(run.handle()), run.fences().to_vec()))
+                .map(|run| (keys_of(run.relation()), run.fences().to_vec()))
                 .collect();
             (runs, io)
         };
@@ -1271,7 +1262,7 @@ mod tests {
             })
             .collect();
         let io = dev.stats();
-        let pages: usize = runs.iter().map(|run| run.handle().pages()).sum();
+        let pages: usize = runs.iter().map(|run| run.relation().num_pages()).sum();
         assert_eq!(io.rand_reads as usize, pages, "every page read once");
         assert_eq!(io.total(), io.rand_reads, "and nothing else");
         for (i, range) in keys.iter().enumerate() {
@@ -1358,7 +1349,7 @@ mod tests {
         assert_eq!(ranges.len(), 1);
         for (slice, run) in ranges[0].iter().zip(&runs) {
             assert!(slice.head.is_none() && slice.tail.is_none());
-            assert_eq!(slice.pages, 0..run.handle().pages());
+            assert_eq!(slice.pages, 0..run.relation().num_pages());
         }
         check_split(&dev, &runs, &[]);
     }

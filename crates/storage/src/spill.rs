@@ -1,14 +1,14 @@
-//! Spill partitions: append-only record files with a one-page output buffer.
+//! Spill partitions: the one write path of every hash join.
 //!
 //! Every partitioning join (GHJ, DHH, Histojoin, NOCAP) writes records that
-//! cannot stay in memory into per-partition spill files. Each partition owns
+//! cannot stay in memory into per-partition spill files. A spill partition
+//! is a [`Relation`] like the join inputs, written by the one
+//! [`RelationWriter`] with [`IoKind::RandWrite`]: each partition owns
 //! exactly one output-buffer page (that is why a join with `m` disk
 //! partitions needs `m` pages of its budget), and the buffer is flushed to
 //! the device as a **random write** whenever it fills — this is the `μ`-
-//! weighted cost in the paper's model. The page is allocated by the first
-//! record buffered in it: a writer fed only whole pages
-//! ([`PartitionWriter::append_full_page`]) holds none. Reading a partition
-//! back during the probe phase is a sequential scan of its pages.
+//! weighted cost in the paper's model. Reading a partition back during the
+//! probe phase is a sequential scan of its pages.
 //!
 //! **The spill write path.** A [`SpillSet`] is the one way a hash join
 //! writes a set of partitions — R's and S's in the partition passes, and
@@ -17,21 +17,22 @@
 //! Workers never push records into the writers. Each worker holds its own
 //! [`LocalPages`] — one lazily allocated page per partition — fills them
 //! without any synchronisation through [`SpillSet::push`], and takes a
-//! partition's lock only to append a page that is already full: once per
-//! `b` records instead of once per record, and never to copy into a page
-//! another core is also writing. When the scan ends the coordinator
+//! partition's lock only to append a page that is already full
+//! ([`RelationWriter::append_full_page`]): once per `b` records instead of
+//! once per record, and never to copy into a page another core is also
+//! writing. When the scan ends the coordinator
 //! [`merge`](SpillSet::merge)s the workers' partial pages, in worker
 //! order, through each partition's buffered writer.
 //!
-//! **Why the page count is one writer's.** Local pages follow
-//! [`PartitionWriter`]'s lazy rule — a page is flushed only when a record
-//! arrives and finds it full — so a worker that routed `n_w ≥ 1` records
-//! to a partition has appended `⌈n_w / b⌉ − 1` pages and still holds
-//! `1..=b` records. Pouring the `P = Σ pending` records through the shared
-//! writer flushes `⌈P / b⌉ − 1` more and leaves `1..=b` buffered. Since
+//! **Why the page count is one writer's.** Local pages follow the
+//! writer's lazy rule — a page is flushed only when a record arrives and
+//! finds it full — so a worker that routed `n_w ≥ 1` records to a partition
+//! has appended `⌈n_w / b⌉ − 1` pages and still holds `1..=b` records.
+//! Pouring the `P = Σ pending` records through the shared writer flushes
+//! `⌈P / b⌉ − 1` more and leaves `1..=b` buffered. Since
 //! `n = b · Σ(⌈n_w / b⌉ − 1) + P`, the partition has exactly `⌈n / b⌉ − 1`
 //! pages on the device after the merge and [`SpillSet::finish`] writes
-//! exactly one more: the state one [`PartitionWriter`] pushed all `n`
+//! exactly one more: the state one [`RelationWriter`] pushed all `n`
 //! records would be in, for any worker count and any split of the records
 //! among workers. The joins take their partition-phase I/O snapshot after
 //! the merge and finish S's set in the probe window, so the split of an S
@@ -40,7 +41,7 @@
 //! no file, no page, and `finish` reports it as `None`.
 //!
 //! **What it costs.** Up to `workers × partitions touched` local pages of
-//! physical memory outside the `BufferPool`. A [`PartitionWriter`]
+//! physical memory outside the `BufferPool`. A [`RelationWriter`]
 //! allocates its output-buffer page on the first record *buffered* in it,
 //! and during the scan the set's writers only ever see whole pages, so at
 //! one worker — how the joins' sequential `run` executes — the scan holds
@@ -51,286 +52,31 @@
 //! own no file, so a failed or cancelled run leaks nothing: the set's
 //! writers delete their files on drop.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::device::{DeviceRef, FileId};
+use crate::device::DeviceRef;
 use crate::iostats::IoKind;
 use crate::page::Page;
-use crate::record::{Record, RecordLayout, RecordRef};
+use crate::record::{RecordLayout, RecordRef};
+use crate::relation::{Relation, RelationWriter};
 use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use crate::Result;
 
-/// Writer for one spill partition.
+/// RAII owner of finished spill partitions and sorted runs: every adopted
+/// [`Relation`] is deleted when the guard drops, whether the scope exits
+/// normally or by error/unwind.
 ///
-/// The writer owns its spill file until [`finish`](Self::finish) hands it
-/// over as a [`PartitionHandle`]: dropping an unfinished writer (e.g. while
-/// unwinding out of a failed partitioning phase) deletes the file, so error
-/// paths can never leak half-written partitions.
-pub struct PartitionWriter {
-    device: DeviceRef,
-    file: FileId,
-    layout: RecordLayout,
-    page_size: usize,
-    /// The output buffer, absent until the first buffered record.
-    page: Option<Page>,
-    write_kind: IoKind,
-    records: usize,
-    pages: usize,
-    finished: bool,
-}
-
-impl PartitionWriter {
-    /// Creates a new spill partition on `device`.
-    ///
-    /// `write_kind` is almost always [`IoKind::RandWrite`] (partition output
-    /// buffers are flushed in arbitrary interleaved order); the external
-    /// sorter reuses this type with [`IoKind::SeqWrite`] for run files.
-    pub fn new(
-        device: DeviceRef,
-        layout: RecordLayout,
-        page_size: usize,
-        write_kind: IoKind,
-    ) -> Self {
-        let file = device.create_file();
-        PartitionWriter {
-            device,
-            file,
-            layout,
-            page_size,
-            page: None,
-            write_kind,
-            records: 0,
-            pages: 0,
-            finished: false,
-        }
-    }
-
-    /// Appends a record, flushing the output buffer to the device if full.
-    pub fn push(&mut self, record: &Record) -> Result<()> {
-        self.push_ref(record.as_record_ref())
-    }
-
-    /// Appends a borrowed record (no allocation), flushing the output buffer
-    /// to the device if full. This is the partition-routing hot path: one
-    /// key store plus one payload `memcpy` into the buffer page.
-    pub fn push_ref(&mut self, record: RecordRef<'_>) -> Result<()> {
-        let page = self
-            .page
-            .get_or_insert_with(|| Page::empty(self.page_size, self.layout));
-        if !page.push_ref(record)? {
-            self.device.append_page(self.file, page, self.write_kind)?;
-            self.pages += 1;
-            page.clear();
-            let pushed = page.push_ref(record)?;
-            debug_assert!(pushed, "freshly flushed page must accept a record");
-        }
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Appends an already-full page straight to the spill file, bypassing
-    /// the output buffer — the once-per-page entry point of the parallel
-    /// write path, whose workers fill private pages and only meet at the
-    /// partition's file. The buffered page (and therefore what
-    /// [`finish`](Self::finish) still has to flush) is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is not full or holds records of another size: a
-    /// partial page in the middle of the file would break the `⌈n / b⌉`
-    /// page count every reader and the cost model rely on.
-    pub fn append_full_page(&mut self, page: &Page) -> Result<()> {
-        assert!(
-            page.is_full() && page.record_size() == self.layout.record_bytes(),
-            "append_full_page needs a full page of this partition's records"
-        );
-        self.device.append_page(self.file, page, self.write_kind)?;
-        self.pages += 1;
-        self.records += page.record_count();
-        Ok(())
-    }
-
-    /// Number of records appended so far.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
-    /// Flushes the partial output buffer and returns a handle to the
-    /// finished partition.
-    pub fn finish(mut self) -> Result<PartitionHandle> {
-        if let Some(page) = self.page.take().filter(|page| !page.is_empty()) {
-            self.device.append_page(self.file, &page, self.write_kind)?;
-            self.pages += 1;
-        }
-        self.finished = true;
-        Ok(PartitionHandle {
-            device: self.device.clone(),
-            file: self.file,
-            pages: self.pages,
-            records: self.records,
-        })
-    }
-}
-
-impl Drop for PartitionWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Best effort: a failing delete during unwind must not panic.
-            let _ = self.device.delete_file(self.file);
-        }
-    }
-}
-
-/// A finished spill partition (or sorted run) ready to be read back.
-#[derive(Clone)]
-pub struct PartitionHandle {
-    device: DeviceRef,
-    file: FileId,
-    pages: usize,
-    records: usize,
-}
-
-impl PartitionHandle {
-    /// The device this partition lives on.
-    pub fn device(&self) -> &DeviceRef {
-        &self.device
-    }
-
-    /// Number of pages in the partition.
-    pub fn pages(&self) -> usize {
-        self.pages
-    }
-
-    /// Number of records in the partition.
-    pub fn records(&self) -> usize {
-        self.records
-    }
-
-    /// Returns `true` if the partition holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-
-    /// Opens a reader over the partition's records.
-    ///
-    /// `read_kind` is [`IoKind::SeqRead`] for the hash-join probe phase and
-    /// [`IoKind::RandRead`] for multiway-merge consumers that interleave
-    /// reads across many runs.
-    pub fn read(&self, read_kind: IoKind) -> PartitionReader {
-        PartitionReader {
-            handle: self.clone(),
-            read_kind,
-            next_page: 0,
-            current: None,
-            current_pos: 0,
-        }
-    }
-
-    /// Reads page `index` of the partition (one I/O of `read_kind`).
-    pub(crate) fn read_page(&self, index: usize, read_kind: IoKind) -> Result<Arc<Page>> {
-        self.device.read_page(self.file, index, read_kind)
-    }
-
-    /// Reads all records into memory (counts the page reads).
-    pub fn read_all(&self, read_kind: IoKind) -> Result<Vec<Record>> {
-        let mut out = Vec::with_capacity(self.records);
-        for r in self.read(read_kind) {
-            out.push(r?);
-        }
-        Ok(out)
-    }
-
-    /// Deletes the partition's pages from the device.
-    pub fn delete(self) -> Result<()> {
-        self.device.delete_file(self.file)
-    }
-}
-
-impl std::fmt::Debug for PartitionHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PartitionHandle")
-            .field("file", &self.file)
-            .field("pages", &self.pages)
-            .field("records", &self.records)
-            .finish()
-    }
-}
-
-/// Iterator over the records of a finished partition.
-///
-/// Like [`RelationScan`](crate::RelationScan), two consumption modes share
-/// one I/O accounting: [`next_page`](Self::next_page) for the zero-copy
-/// page-at-a-time loops of the probe phase, and the [`Iterator`] impl
-/// yielding owned `Result<Record>` for API edges.
-pub struct PartitionReader {
-    handle: PartitionHandle,
-    read_kind: IoKind,
-    next_page: usize,
-    current: Option<Arc<Page>>,
-    current_pos: usize,
-}
-
-impl PartitionReader {
-    /// Reads the next page of the partition (one I/O of the reader's kind),
-    /// or `None` when exhausted. Iterate the returned page with
-    /// [`Page::record_refs`](crate::Page::record_refs) for zero-copy access.
-    pub fn next_page(&mut self) -> Result<Option<Arc<Page>>> {
-        if self.next_page >= self.handle.pages {
-            return Ok(None);
-        }
-        let page = self.handle.read_page(self.next_page, self.read_kind)?;
-        self.next_page += 1;
-        Ok(Some(page))
-    }
-
-    fn load_next_page(&mut self) -> Result<bool> {
-        match self.next_page()? {
-            Some(page) => {
-                self.current = Some(page);
-                self.current_pos = 0;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-}
-
-impl Iterator for PartitionReader {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(page) = &self.current {
-                if self.current_pos < page.record_count() {
-                    let rec = page.get(self.current_pos);
-                    self.current_pos += 1;
-                    return Some(rec);
-                }
-            }
-            match self.load_next_page() {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
-}
-
-/// RAII owner of finished spill partitions: every adopted
-/// [`PartitionHandle`] is deleted when the guard drops, whether the scope
-/// exits normally or by error/unwind.
-///
-/// Executors adopt each handle the moment it is finished, so no error path
-/// between partitioning and probe can leak spill files. Producers that hand
-/// handles to a caller on success ([`SpillSet::finish`]) instead call
-/// [`release`](Self::release) once all handles exist, transferring cleanup
-/// responsibility upward.
+/// Executors adopt each relation the moment it is finished, so no error
+/// path between partitioning and probe can leak spill files. Producers that
+/// hand relations to a caller on success ([`SpillSet::finish`]) instead
+/// call [`release`](Self::release) once all of them exist, transferring
+/// cleanup responsibility upward.
 ///
 /// Deletion is not an I/O in the paper's cost model, so deferring it to
 /// end-of-scope changes no modeled counter.
 #[derive(Default)]
 pub struct SpillGuard {
-    handles: Vec<PartitionHandle>,
+    relations: Vec<Relation>,
 }
 
 impl SpillGuard {
@@ -339,39 +85,39 @@ impl SpillGuard {
         SpillGuard::default()
     }
 
-    /// Adopts one handle for end-of-scope deletion.
-    pub fn adopt(&mut self, handle: PartitionHandle) {
-        self.handles.push(handle);
+    /// Adopts one relation for end-of-scope deletion.
+    pub fn adopt(&mut self, relation: Relation) {
+        self.relations.push(relation);
     }
 
-    /// Adopts every handle in the iterator.
-    pub fn adopt_all<I: IntoIterator<Item = PartitionHandle>>(&mut self, handles: I) {
-        self.handles.extend(handles);
+    /// Adopts every relation in the iterator.
+    pub fn adopt_all<I: IntoIterator<Item = Relation>>(&mut self, relations: I) {
+        self.relations.extend(relations);
     }
 
-    /// Number of handles currently guarded.
+    /// Number of relations currently guarded.
     pub fn len(&self) -> usize {
-        self.handles.len()
+        self.relations.len()
     }
 
-    /// Returns `true` if no handles are guarded.
+    /// Returns `true` if no relations are guarded.
     pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
+        self.relations.is_empty()
     }
 
-    /// Disarms the guard and returns the handles without deleting them —
+    /// Disarms the guard and returns the relations without deleting them —
     /// the success path of producers that transfer ownership to the caller.
-    pub fn release(mut self) -> Vec<PartitionHandle> {
-        std::mem::take(&mut self.handles)
+    pub fn release(mut self) -> Vec<Relation> {
+        std::mem::take(&mut self.relations)
     }
 }
 
 impl Drop for SpillGuard {
     fn drop(&mut self) {
-        for handle in self.handles.drain(..) {
+        for relation in self.relations.drain(..) {
             // Best effort: the file may be shared with an already-deleted
             // clone, and cleanup during unwind must not panic.
-            let _ = handle.delete();
+            let _ = relation.delete();
         }
     }
 }
@@ -391,7 +137,7 @@ pub struct SpillSet {
     device: DeviceRef,
     layout: RecordLayout,
     page_size: usize,
-    writers: Vec<Mutex<Option<PartitionWriter>>>,
+    writers: Vec<Mutex<Option<RelationWriter>>>,
 }
 
 impl SpillSet {
@@ -419,7 +165,7 @@ impl SpillSet {
 
     /// Appends `record` to partition `p` through the worker's `local`
     /// page. A page that is already full first goes to the partition's
-    /// file under its lock ([`PartitionWriter`]'s lazy rule: a full page
+    /// file under its lock (the writer's lazy rule: a full page
     /// waits for the record that does not fit).
     pub fn push(&self, local: &mut LocalPages, p: usize, record: RecordRef<'_>) -> Result<()> {
         let page = local.pages[p].get_or_insert_with(|| Page::empty(self.page_size, self.layout));
@@ -435,7 +181,7 @@ impl SpillSet {
     /// Pours the partial pages the workers hand back, in the order given
     /// (worker order), through each partition's buffered writer, releasing
     /// each page as it goes. Afterwards every partition is in exactly the
-    /// state one `PartitionWriter` fed the same records would be in:
+    /// state one [`RelationWriter`] fed the same records would be in:
     /// `⌈n / b⌉ − 1` pages on the device, the last `1..=b` records buffered
     /// for [`finish`](Self::finish). Call it before the phase's I/O
     /// snapshot.
@@ -455,10 +201,10 @@ impl SpillSet {
 
     /// Runs `f` on partition `p`'s writer under its lock, creating the
     /// writer — and its file — first if this is the partition's first page.
-    fn writer<T>(&self, p: usize, f: impl FnOnce(&mut PartitionWriter) -> T) -> T {
+    fn writer<T>(&self, p: usize, f: impl FnOnce(&mut RelationWriter) -> T) -> T {
         let mut slot = lock_unpoisoned(&self.writers[p]);
         f(slot.get_or_insert_with(|| {
-            PartitionWriter::new(
+            RelationWriter::new(
                 self.device.clone(),
                 self.layout,
                 self.page_size,
@@ -467,21 +213,21 @@ impl SpillSet {
         }))
     }
 
-    /// Finishes every partition, yielding its handle, or `None` for a
+    /// Finishes every partition, yielding its relation, or `None` for a
     /// partition that received no record.
     ///
-    /// Fail-clean: if any writer fails to finish, the handles produced so
+    /// Fail-clean: if any writer fails to finish, the relations produced so
     /// far are deleted (and the remaining unfinished writers delete their
     /// own files on drop) before the error is returned.
-    pub fn finish(self) -> Result<Vec<Option<PartitionHandle>>> {
+    pub fn finish(self) -> Result<Vec<Option<Relation>>> {
         let mut guard = SpillGuard::new();
         let mut out = Vec::with_capacity(self.writers.len());
         for slot in self.writers {
-            let handle = into_inner_unpoisoned(slot)
-                .map(PartitionWriter::finish)
+            let partition = into_inner_unpoisoned(slot)
+                .map(RelationWriter::finish)
                 .transpose()?;
-            guard.adopt_all(handle.clone());
-            out.push(handle);
+            guard.adopt_all(partition.clone());
+            out.push(partition);
         }
         let _ = guard.release();
         Ok(out)
@@ -490,81 +236,22 @@ impl SpillSet {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::device::{BlockDevice, SimDevice};
     use crate::fault::{FaultDevice, FaultKind, FaultSpec};
+    use crate::record::Record;
 
     fn layout() -> RecordLayout {
         RecordLayout::new(8)
     }
 
     #[test]
-    fn write_read_roundtrip() {
-        let dev = SimDevice::new_ref();
-        let mut w = PartitionWriter::new(dev, layout(), 128, IoKind::RandWrite);
-        for k in 0..100u64 {
-            w.push(&Record::with_fill(k, 8, 0)).unwrap();
-        }
-        let handle = w.finish().unwrap();
-        assert_eq!(handle.records(), 100);
-        let keys: Vec<u64> = handle
-            .read(IoKind::SeqRead)
-            .map(|r| r.unwrap().key())
-            .collect();
-        assert_eq!(keys, (0..100).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn partition_writes_are_random_writes() {
-        let dev = SimDevice::new_ref();
-        let mut w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        for k in 0..64u64 {
-            w.push(&Record::with_fill(k, 8, 0)).unwrap();
-        }
-        let handle = w.finish().unwrap();
-        assert_eq!(dev.stats().rand_writes as usize, handle.pages());
-        assert_eq!(dev.stats().seq_writes, 0);
-    }
-
-    #[test]
-    fn ref_write_and_page_read_match_the_owned_path() {
-        let dev = SimDevice::new_ref();
-        let mut w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        for k in 0..100u64 {
-            let rec = Record::with_fill(k, 8, 3);
-            w.push_ref(rec.as_record_ref()).unwrap();
-        }
-        let handle = w.finish().unwrap();
-        assert_eq!(handle.records(), 100);
-        dev.reset_stats();
-        let mut keys = Vec::new();
-        let mut reader = handle.read(IoKind::SeqRead);
-        while let Some(page) = reader.next_page().unwrap() {
-            for rec in page.record_refs() {
-                keys.push(rec.key());
-            }
-        }
-        assert_eq!(keys, (0..100).collect::<Vec<u64>>());
-        assert_eq!(dev.stats().seq_reads as usize, handle.pages());
-    }
-
-    #[test]
-    fn page_count_matches_record_math() {
-        let dev = SimDevice::new_ref();
-        let page_size = 4 + 4 * 16; // header + 4 records of 16 bytes
-        let mut w = PartitionWriter::new(dev, layout(), page_size, IoKind::RandWrite);
-        for k in 0..10u64 {
-            w.push(&Record::with_fill(k, 8, 0)).unwrap();
-        }
-        let handle = w.finish().unwrap();
-        assert_eq!(handle.pages(), 3); // ⌈10 / 4⌉
-    }
-
-    #[test]
     fn full_page_appends_bypass_the_buffer_and_keep_the_counts() {
         let dev = SimDevice::new_ref();
         let page_size = 4 + 4 * 16; // 4 records per page
-        let mut w = PartitionWriter::new(dev.clone(), layout(), page_size, IoKind::RandWrite);
+        let mut w = RelationWriter::new(dev.clone(), layout(), page_size, IoKind::RandWrite);
         let mut full = Page::empty(page_size, layout());
         for k in 100..104u64 {
             assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
@@ -572,80 +259,34 @@ mod tests {
         w.push(&Record::with_fill(1, 8, 0)).unwrap();
         w.append_full_page(&full).unwrap();
         w.push(&Record::with_fill(2, 8, 0)).unwrap();
-        assert_eq!(w.records(), 6);
         assert_eq!(
             dev.stats().rand_writes,
             1,
             "only the whole page is on the device"
         );
-        let handle = w.finish().unwrap();
-        assert_eq!((handle.records(), handle.pages()), (6, 2));
+        let rel = w.finish().unwrap();
+        assert_eq!((rel.num_records(), rel.num_pages()), (6, 2));
         assert_eq!(dev.stats().rand_writes, 2);
-        let keys: Vec<u64> = handle
-            .read(IoKind::SeqRead)
-            .map(|r| r.unwrap().key())
-            .collect();
+        let keys: Vec<u64> = rel.scan().map(|r| r.unwrap().key()).collect();
         assert_eq!(keys, vec![100, 101, 102, 103, 1, 2]);
-    }
-
-    #[test]
-    fn the_buffer_page_is_allocated_by_the_first_buffered_record() {
-        let dev = SimDevice::new_ref();
-        let page_size = 4 + 4 * 16;
-        let mut w = PartitionWriter::new(dev, layout(), page_size, IoKind::RandWrite);
-        let mut full = Page::empty(page_size, layout());
-        for k in 0..4u64 {
-            assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
-        }
-        w.append_full_page(&full).unwrap();
-        assert!(w.page.is_none(), "whole pages need no buffer");
-        w.push(&Record::with_fill(9, 8, 0)).unwrap();
-        assert!(w.page.is_some());
-        let handle = w.finish().unwrap();
-        assert_eq!((handle.records(), handle.pages()), (5, 2));
     }
 
     #[test]
     #[should_panic(expected = "full page")]
     fn appending_a_partial_page_is_a_logic_error() {
         let dev = SimDevice::new_ref();
-        let mut w = PartitionWriter::new(dev, layout(), 128, IoKind::RandWrite);
+        let mut w = RelationWriter::new(dev, layout(), 128, IoKind::RandWrite);
         let mut partial = Page::empty(128, layout());
         partial.push(&Record::with_fill(1, 8, 0)).unwrap();
         let _ = w.append_full_page(&partial);
     }
 
     #[test]
-    fn empty_partition_has_no_pages() {
-        let dev = SimDevice::new_ref();
-        let w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        let handle = w.finish().unwrap();
-        assert!(handle.is_empty());
-        assert_eq!(handle.pages(), 0);
-        assert_eq!(dev.stats().total(), 0);
-        assert_eq!(handle.read_all(IoKind::SeqRead).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn reading_counts_requested_kind() {
-        let dev = SimDevice::new_ref();
-        let mut w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        for k in 0..32u64 {
-            w.push(&Record::with_fill(k, 8, 0)).unwrap();
-        }
-        let handle = w.finish().unwrap();
-        dev.reset_stats();
-        let _ = handle.read_all(IoKind::RandRead).unwrap();
-        assert_eq!(dev.stats().rand_reads as usize, handle.pages());
-        assert_eq!(dev.stats().seq_reads, 0);
-    }
-
-    #[test]
     fn dropping_an_unfinished_writer_deletes_its_file() {
-        let sim = std::sync::Arc::new(SimDevice::new());
-        let dev: crate::device::DeviceRef = sim.clone();
+        let sim = Arc::new(SimDevice::new());
+        let dev: DeviceRef = sim.clone();
         {
-            let mut w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
+            let mut w = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
             for k in 0..64u64 {
                 w.push(&Record::with_fill(k, 8, 0)).unwrap();
             }
@@ -653,21 +294,33 @@ mod tests {
         }
         assert_eq!(sim.live_files(), 0, "unfinished writer must clean up");
         assert_eq!(sim.resident_pages(), 0);
-        // A finished writer hands ownership to the handle instead.
-        let mut w = PartitionWriter::new(dev, layout(), 128, IoKind::RandWrite);
+        // A bulk load that fails after flushing pages (a record of the
+        // wrong width) drops its sequential writer the same way.
+        let bad = Record::with_fill(64, 16, 0);
+        let loaded = Relation::bulk_load(
+            dev.clone(),
+            layout(),
+            128,
+            (0..64u64).map(|k| Record::with_fill(k, 8, 0)).chain([bad]),
+        );
+        assert!(loaded.is_err());
+        assert!(dev.stats().seq_writes > 0, "pages had been flushed");
+        assert_eq!(sim.live_files(), 0, "a failed bulk load must clean up");
+        assert_eq!(sim.resident_pages(), 0);
+        // A finished writer hands ownership to the relation instead.
+        let mut w = RelationWriter::new(dev, layout(), 128, IoKind::RandWrite);
         w.push(&Record::with_fill(1, 8, 0)).unwrap();
-        let handle = w.finish().unwrap();
+        let rel = w.finish().unwrap();
         assert_eq!(sim.live_files(), 1);
-        handle.delete().unwrap();
+        rel.delete().unwrap();
         assert_eq!(sim.live_files(), 0);
     }
-
     #[test]
     fn spill_guard_deletes_on_drop_and_release_disarms() {
-        let sim = std::sync::Arc::new(SimDevice::new());
+        let sim = Arc::new(SimDevice::new());
         let dev: crate::device::DeviceRef = sim.clone();
         let make = |dev: &crate::device::DeviceRef| {
-            let mut w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
+            let mut w = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
             w.push(&Record::with_fill(1, 8, 0)).unwrap();
             w.finish().unwrap()
         };
@@ -682,23 +335,12 @@ mod tests {
 
         let mut guard = SpillGuard::new();
         guard.adopt(make(&dev));
-        let handles = guard.release();
-        assert_eq!(sim.live_files(), 1, "released handles survive the guard");
-        for h in handles {
-            h.delete().unwrap();
+        let relations = guard.release();
+        assert_eq!(sim.live_files(), 1, "released relations survive the guard");
+        for rel in relations {
+            rel.delete().unwrap();
         }
         assert_eq!(sim.live_files(), 0);
-    }
-
-    #[test]
-    fn delete_releases_file() {
-        let dev = SimDevice::new_ref();
-        let mut w = PartitionWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        w.push(&Record::with_fill(1, 8, 0)).unwrap();
-        let handle = w.finish().unwrap();
-        handle.clone().delete().unwrap();
-        // The file is gone: a second delete reports an unknown file.
-        assert!(handle.delete().is_err());
     }
 
     /// Records per page of the spill-set test pages below.
@@ -709,9 +351,9 @@ mod tests {
         SpillSet::new(device, layout(), PAGE_SIZE, partitions)
     }
 
-    fn sorted_keys(handle: &PartitionHandle) -> Vec<u64> {
-        let mut keys: Vec<u64> = handle
-            .read_all(IoKind::SeqRead)
+    fn sorted_keys(partition: &Relation) -> Vec<u64> {
+        let mut keys: Vec<u64> = partition
+            .read_all()
             .unwrap()
             .iter()
             .map(Record::key)
@@ -730,15 +372,15 @@ mod tests {
         let sequential = {
             let dev = SimDevice::new_ref();
             let mut writer =
-                PartitionWriter::new(dev.clone(), layout(), PAGE_SIZE, IoKind::RandWrite);
+                RelationWriter::new(dev.clone(), layout(), PAGE_SIZE, IoKind::RandWrite);
             for (w, &count) in split.iter().enumerate() {
                 for i in 0..count {
                     writer.push(&Record::with_fill(key(w, i), 8, 0)).unwrap();
                 }
             }
             let before_finish = dev.stats().rand_writes;
-            let handle = writer.finish().unwrap();
-            (before_finish, dev.stats().rand_writes, handle)
+            let partition = writer.finish().unwrap();
+            (before_finish, dev.stats().rand_writes, partition)
         };
 
         let dev = SimDevice::new_ref();
@@ -757,7 +399,7 @@ mod tests {
             .collect();
         set.merge(locals).unwrap();
         let before_finish = dev.stats().rand_writes;
-        let handle = set.finish().unwrap().remove(0);
+        let partition = set.finish().unwrap().remove(0);
 
         let expected_before = n.div_ceil(B).saturating_sub(1) as u64;
         assert_eq!(before_finish, expected_before, "before finish, {split:?}");
@@ -769,13 +411,14 @@ mod tests {
             "after finish, {split:?}"
         );
         assert_eq!(after_finish, sequential.1, "vs sequential, {split:?}");
-        match handle {
-            None => assert_eq!(n, 0, "only an empty partition has no handle"),
-            Some(handle) => {
-                assert_eq!(handle.records(), sequential.2.records(), "{split:?}");
-                assert_eq!(handle.pages(), sequential.2.pages(), "{split:?}");
+        match partition {
+            None => assert_eq!(n, 0, "only an empty partition has no relation"),
+            Some(partition) => {
+                let expected = &sequential.2;
+                assert_eq!(partition.num_records(), expected.num_records(), "{split:?}");
+                assert_eq!(partition.num_pages(), expected.num_pages(), "{split:?}");
                 assert_eq!(
-                    sorted_keys(&handle),
+                    sorted_keys(&partition),
                     sorted_keys(&sequential.2),
                     "multiset, {split:?}"
                 );
@@ -830,12 +473,12 @@ mod tests {
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         set.merge(locals).unwrap();
-        let handle = set.finish().unwrap().remove(0).unwrap();
-        assert_eq!(handle.records(), 4 * per_worker);
+        let partition = set.finish().unwrap().remove(0).unwrap();
+        assert_eq!(partition.num_records(), 4 * per_worker);
         // 1000 records at 4 per page: exactly what one sequential writer
         // would have flushed.
-        assert_eq!(handle.pages(), (4 * per_worker).div_ceil(B));
-        assert_eq!(dev.stats().rand_writes, handle.pages() as u64);
+        assert_eq!(partition.num_pages(), (4 * per_worker).div_ceil(B));
+        assert_eq!(dev.stats().rand_writes, partition.num_pages() as u64);
     }
 
     #[test]
@@ -849,10 +492,10 @@ mod tests {
                 .unwrap();
         }
         set.merge([local]).unwrap();
-        let handles = set.finish().unwrap();
-        for (p, handle) in handles.iter().enumerate() {
+        let partitions = set.finish().unwrap();
+        for (p, partition) in partitions.iter().enumerate() {
             let expected: Vec<u64> = (0..100).filter(|k| k % 4 == p as u64).collect();
-            assert_eq!(sorted_keys(handle.as_ref().unwrap()), expected);
+            assert_eq!(sorted_keys(partition.as_ref().unwrap()), expected);
         }
         assert_eq!(dev.stats().rand_writes, 4 * 25usize.div_ceil(B) as u64);
     }
@@ -876,10 +519,10 @@ mod tests {
             .collect();
         set.merge(locals).unwrap();
         assert_eq!(sim.live_files(), 2, "no file for the empty partition");
-        let handles = set.finish().unwrap();
-        assert_eq!(handles[0].as_ref().unwrap().records(), 1);
-        assert!(handles[1].is_none());
-        assert_eq!(handles[2].as_ref().unwrap().records(), 7);
+        let partitions = set.finish().unwrap();
+        assert_eq!(partitions[0].as_ref().unwrap().num_records(), 1);
+        assert!(partitions[1].is_none());
+        assert_eq!(partitions[2].as_ref().unwrap().num_records(), 7);
         // ⌈1 / 4⌉ + ⌈7 / 4⌉ pages.
         assert_eq!(sim.stats().rand_writes, 3);
     }

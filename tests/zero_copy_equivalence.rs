@@ -40,14 +40,14 @@ use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BufferPool, IoKind, IoStats, PartitionHandle, PartitionReader, PartitionWriter, Record,
-    RecordLayout, Relation, Result,
+    BufferPool, IoKind, IoStats, Record, RecordLayout, Relation, RelationScan, RelationWriter,
+    Result,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 /// The pre-refactor NOCAP executor: owned records everywhere, map-of-vecs
-/// build side, `Vec<Record>` staging, one `PartitionWriter` per spill
+/// build side, `Vec<Record>` staging, one `RelationWriter` per spill
 /// partition. Takes the same buffer-pool reservations as
 /// `NocapJoin::run_with_plan` and the body it calls, in the same order, so
 /// the residual budget and the quota geometry are identical.
@@ -95,9 +95,9 @@ fn legacy_nocap_run(
 
     // ---- Phase 1: partition R (owned records, map build side) -----------
     let mut ht_mem: HashMap<u64, Vec<Record>> = HashMap::new();
-    let mut r_disk_writers: Vec<PartitionWriter> = (0..m_disk)
+    let mut r_disk_writers: Vec<RelationWriter> = (0..m_disk)
         .map(|_| {
-            PartitionWriter::new(
+            RelationWriter::new(
                 device.clone(),
                 r.layout(),
                 spec.page_size,
@@ -106,7 +106,7 @@ fn legacy_nocap_run(
         })
         .collect();
     let mut staged: Vec<Vec<Record>> = vec![Vec::new(); num_rest];
-    let mut rest_writers: Vec<Option<PartitionWriter>> = (0..num_rest).map(|_| None).collect();
+    let mut rest_writers: Vec<Option<RelationWriter>> = (0..num_rest).map(|_| None).collect();
     let mut pob = vec![false; num_rest];
     for rec in r.scan() {
         let rec = rec.unwrap();
@@ -123,7 +123,7 @@ fn legacy_nocap_run(
             staged[p].push(rec);
             if spec.hash_table_pages(staged[p].len()).max(1) > geometry.caps[p] {
                 // Destage: drain the staged records into a fresh writer.
-                let mut writer = PartitionWriter::new(
+                let mut writer = RelationWriter::new(
                     device.clone(),
                     r.layout(),
                     spec.page_size,
@@ -142,20 +142,20 @@ fn legacy_nocap_run(
             ht_mem.entry(rec.key()).or_default().push(rec);
         }
     }
-    let r_disk_handles: Vec<PartitionHandle> = r_disk_writers
+    let r_disk_handles: Vec<Relation> = r_disk_writers
         .into_iter()
         .map(|w| w.finish().unwrap())
         .collect();
-    let rest_handles: Vec<Option<PartitionHandle>> = rest_writers
+    let rest_handles: Vec<Option<Relation>> = rest_writers
         .into_iter()
         .map(|w| w.map(|w| w.finish().unwrap()))
         .collect();
 
     // ---- Phase 2: partition / probe S ------------------------------------
     let mut output = 0u64;
-    let mut s_disk_writers: Vec<PartitionWriter> = (0..m_disk)
+    let mut s_disk_writers: Vec<RelationWriter> = (0..m_disk)
         .map(|_| {
-            PartitionWriter::new(
+            RelationWriter::new(
                 device.clone(),
                 s.layout(),
                 spec.page_size,
@@ -163,11 +163,11 @@ fn legacy_nocap_run(
             )
         })
         .collect();
-    let mut s_rest_writers: Vec<Option<PartitionWriter>> = pob
+    let mut s_rest_writers: Vec<Option<RelationWriter>> = pob
         .iter()
         .map(|&spilled| {
             spilled.then(|| {
-                PartitionWriter::new(
+                RelationWriter::new(
                     device.clone(),
                     s.layout(),
                     spec.page_size,
@@ -200,7 +200,7 @@ fn legacy_nocap_run(
 
     // ---- Phase 3: partition-wise joins ------------------------------------
     let probe_base = device.stats();
-    let s_disk_handles: Vec<PartitionHandle> = s_disk_writers
+    let s_disk_handles: Vec<Relation> = s_disk_writers
         .into_iter()
         .map(|w| w.finish().unwrap())
         .collect();
@@ -231,10 +231,9 @@ fn legacy_nocap_run(
 /// materialized per scanned record, chunks are buffered in a `Vec<Record>`
 /// and stable-sorted by key, and the multiway merge is a
 /// `BinaryHeap<Reverse<(key, run)>>` over peekable owned-record readers.
-/// Merged runs are written with the default page size and every merge pass
-/// peeks one record off the first non-empty run to recover the layout —
-/// exactly the code the repository shipped before the loser-tree rewrite,
-/// I/O for I/O.
+/// Merged runs take their layout and page size from the runs they merge —
+/// otherwise exactly the code the repository shipped before the loser-tree
+/// rewrite, I/O for I/O.
 pub struct LegacySorter {
     device: DeviceRef,
     budget_pages: usize,
@@ -256,7 +255,7 @@ impl LegacySorter {
         &mut self,
         relation: &Relation,
         max_final_runs: usize,
-    ) -> Result<Vec<PartitionHandle>> {
+    ) -> Result<Vec<Relation>> {
         assert!(max_final_runs >= 2, "need at least a two-way final merge");
         let mut runs = self.generate_runs(relation)?;
         while runs.len() > max_final_runs {
@@ -267,7 +266,7 @@ impl LegacySorter {
 
     /// Legacy run generation: one owned `Record` allocation per scanned
     /// record, `Vec<Record>` chunk buffer, stable by-key sort, owned pushes.
-    pub fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<PartitionHandle>> {
+    pub fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<Relation>> {
         let per_page = relation.records_per_page();
         let chunk_records = per_page * (self.budget_pages - 1).max(1);
         let mut runs = Vec::new();
@@ -284,9 +283,9 @@ impl LegacySorter {
         Ok(runs)
     }
 
-    fn write_run(&self, relation: &Relation, buffer: &mut Vec<Record>) -> Result<PartitionHandle> {
+    fn write_run(&self, relation: &Relation, buffer: &mut Vec<Record>) -> Result<Relation> {
         buffer.sort_by_key(Record::key);
-        let mut writer = PartitionWriter::new(
+        let mut writer = RelationWriter::new(
             self.device.clone(),
             relation.layout(),
             relation.page_size(),
@@ -298,29 +297,14 @@ impl LegacySorter {
         writer.finish()
     }
 
-    fn merge_pass(&mut self, runs: Vec<PartitionHandle>) -> Result<Vec<PartitionHandle>> {
+    fn merge_pass(&mut self, runs: Vec<Relation>) -> Result<Vec<Relation>> {
         let fan_in = (self.budget_pages - 1).max(2);
         let mut next_level = Vec::new();
         let mut group = Vec::new();
-        let mut layout = None;
-        for run in &runs {
-            if run.records() > 0 {
-                // One-off geometry probe: a random access at the device,
-                // mirroring the arena sorter's declaration.
-                let first = run
-                    .read(IoKind::RandRead)
-                    .next()
-                    .transpose()?
-                    .expect("non-empty run yields a record");
-                layout = Some(first.layout());
-                break;
-            }
+        if runs.iter().all(Relation::is_empty) {
+            return Ok(runs);
         }
-        let layout = match layout {
-            Some(l) => l,
-            None => return Ok(runs),
-        };
-        let page_size = nocap_suite::storage::DEFAULT_PAGE_SIZE;
+        let (layout, page_size) = (runs[0].layout(), runs[0].page_size());
 
         for run in runs {
             group.push(run);
@@ -338,12 +322,12 @@ impl LegacySorter {
 
     fn merge_group(
         &self,
-        runs: Vec<PartitionHandle>,
+        runs: Vec<Relation>,
         layout: RecordLayout,
         page_size: usize,
-    ) -> Result<PartitionHandle> {
+    ) -> Result<Relation> {
         let mut writer =
-            PartitionWriter::new(self.device.clone(), layout, page_size, IoKind::SeqWrite);
+            RelationWriter::new(self.device.clone(), layout, page_size, IoKind::SeqWrite);
         let mut merger = LegacyMergeIterator::new(&runs)?;
         while let Some(rec) = merger.next().transpose()? {
             writer.push(&rec)?;
@@ -357,16 +341,16 @@ impl LegacySorter {
 }
 
 /// The pre-loser-tree k-way merge: a binary heap of `(key, run)` pairs over
-/// peekable owned-record partition readers, yielding one freshly allocated
+/// peekable owned-record relation scans, yielding one freshly allocated
 /// `Record` per merged record.
 pub struct LegacyMergeIterator {
-    readers: Vec<Peekable<PartitionReader>>,
+    readers: Vec<Peekable<RelationScan>>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
 impl LegacyMergeIterator {
     /// Builds a merge iterator over `runs` (each must be internally sorted).
-    pub fn new(runs: &[PartitionHandle]) -> Result<Self> {
+    pub fn new(runs: &[Relation]) -> Result<Self> {
         let mut readers: Vec<_> = runs
             .iter()
             .map(|r| r.read(IoKind::RandRead).peekable())
@@ -410,7 +394,7 @@ impl Iterator for LegacyMergeIterator {
 /// The pre-refactor fused merge-join loop: owned records off two
 /// [`LegacyMergeIterator`]s, with the matching S group buffered in a
 /// `Vec<Record>`. Returns the join output count.
-pub fn merge_join_legacy(r_runs: &[PartitionHandle], s_runs: &[PartitionHandle]) -> Result<u64> {
+pub fn merge_join_legacy(r_runs: &[Relation], s_runs: &[Relation]) -> Result<u64> {
     let mut r_merge = LegacyMergeIterator::new(r_runs)?.peekable();
     let mut s_merge = LegacyMergeIterator::new(s_runs)?.peekable();
     let mut output = 0u64;
