@@ -11,9 +11,10 @@
 //! The whole path runs on the arena record pipeline: run generation sorts
 //! `(key, payload-index)` pairs over a
 //! [`RecordBatch`](nocap_storage::RecordBatch) arena (no per-record
-//! allocation), and the
-//! fused merge drives two [`LoserTree`]s of page-mode run cursors, reading
-//! only the 8-byte keys — payload bytes never move during the join itself.
+//! allocation), and the fused merge drives two [`LoserTree`]s of page-mode
+//! run cursors that decode each run page's keys once, on entering it, and
+//! compare packed `(key, run)` order keys — payload bytes never move
+//! during the join itself.
 //!
 //! [`SortMergeJoin::run_parallel`] runs every phase on its workers, and
 //! each phase's work is cut by the data and the budget, never by the
@@ -47,7 +48,8 @@
 //! phase holds up to `T × B` pages at `T` workers — S's two groups on the
 //! benchmark's `zipf_par2` keep both groups' inputs and outputs alive at
 //! once. That is the classic memory/time trade of parallel sorting; the
-//! modeled I/O is unaffected.
+//! modeled I/O is unaffected. Every merge cursor's key vector adds up to
+//! `records_per_page × 8` bytes to its page (≈ 3 % at 256-byte records).
 
 use std::sync::Mutex;
 
@@ -321,8 +323,8 @@ fn sorted_runs(
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
-    use crate::testutil::build_workload;
-    use nocap_storage::SimDevice;
+    use crate::testutil::{build_workload, mix};
+    use nocap_storage::{Record, SimDevice};
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -427,6 +429,71 @@ mod tests {
             assert_eq!(parallel.output_records, sequential.output_records);
             assert_eq!(parallel.partition_io, sequential.partition_io);
             assert_eq!(parallel.probe_io, sequential.probe_io);
+        }
+    }
+
+    #[test]
+    fn extreme_keys_and_a_hot_key_on_the_splitters_join_exactly_at_every_thread_count() {
+        // Keys 0 and u64::MAX on both sides, and one key filling about half
+        // of S's pages, so the fence splitters at T = 2 and 3 land on it and
+        // every key-range boundary cuts its duplicates.
+        const HOT: u64 = 250;
+        let dev = SimDevice::new_ref();
+        let spec = JoinSpec::paper_synthetic(128, 8);
+        let load = |keys: Vec<u64>| {
+            let mut shuffled: Vec<(u64, u64)> = keys
+                .into_iter()
+                .enumerate()
+                .map(|(i, key)| (mix(i as u64), key))
+                .collect();
+            shuffled.sort_unstable();
+            let payload = spec.r_layout.payload_bytes();
+            let records = shuffled
+                .into_iter()
+                .map(|(_, key)| Record::with_fill(key, payload, 1));
+            Relation::bulk_load(dev.clone(), spec.r_layout, spec.page_size, records).unwrap()
+        };
+        let r = load(
+            [0; 3]
+                .into_iter()
+                .chain(1..500)
+                .chain([HOT; 20])
+                .chain([u64::MAX; 3])
+                .collect(),
+        );
+        let s = load(
+            [0; 4]
+                .into_iter()
+                .chain((1..500).flat_map(|k| std::iter::repeat_n(k, 1 + k as usize % 2)))
+                .chain([HOT; 1_500])
+                .chain([u64::MAX; 5])
+                .collect(),
+        );
+        let expected = naive_join_count(&r, &s).unwrap();
+        // The final runs the fused merge cuts: B = 8 is a fan-in of 7,
+        // split 2 / 5 between R and S by size.
+        let pages = r.num_pages() + s.num_pages();
+        assert_eq!((7 * r.num_pages() / pages).clamp(2, 5), 2);
+        let r_runs = sorted_runs(&r, 8, 2, 1, &Obs::off()).unwrap();
+        let s_runs = sorted_runs(&s, 8, 5, 1, &Obs::off()).unwrap();
+        for threads in [2, 3] {
+            let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
+            assert!(splitters.iter().all(|&k| k == HOT), "{splitters:?}");
+        }
+        for run in r_runs.into_iter().chain(s_runs) {
+            run.delete().unwrap();
+        }
+        dev.reset_stats();
+        let one = SortMergeJoin::new(spec).run_parallel(&r, &s, 1).unwrap();
+        assert_eq!(one.output_records, expected);
+        for threads in [2, 3] {
+            dev.reset_stats();
+            let report = SortMergeJoin::new(spec)
+                .run_parallel(&r, &s, threads)
+                .unwrap();
+            assert_eq!(report.output_records, expected, "T = {threads}");
+            assert_eq!(report.partition_io, one.partition_io, "T = {threads}");
+            assert_eq!(report.probe_io, one.probe_io, "T = {threads}");
         }
     }
 

@@ -16,6 +16,8 @@
 //! (`record_size`); this mirrors the paper's fixed 1 KB records and keeps the
 //! per-page record count (`b_R`, `b_S`) exact.
 
+use std::ops::Range;
+
 use crate::record::{Record, RecordLayout, RecordRef};
 use crate::{Result, StorageError};
 
@@ -63,10 +65,10 @@ impl Page {
         let page = Page { data };
         let count = page.record_count();
         let rec = page.record_size();
-        if rec == 0 && count > 0 {
-            return Err(StorageError::CorruptPage(
-                "non-empty page with zero record size".to_string(),
-            ));
+        if rec < RecordLayout::KEY_BYTES && count > 0 {
+            return Err(StorageError::CorruptPage(format!(
+                "non-empty page with {rec}-byte records, smaller than the 8-byte key"
+            )));
         }
         if rec > 0 && PAGE_HEADER_BYTES + count * rec > page.data.len() {
             return Err(StorageError::CorruptPage(format!(
@@ -183,6 +185,17 @@ impl Page {
         })
     }
 
+    /// The keys of the records in slots `slots`, decoded in one sweep that
+    /// skips the payloads. Panics if `slots` reaches past the records.
+    pub(crate) fn keys(&self, slots: Range<usize>) -> impl Iterator<Item = u64> + '_ {
+        assert!(slots.end <= self.record_count(), "slots past the records");
+        let size = self.record_size().max(1);
+        self.data[PAGE_HEADER_BYTES + slots.start * size..]
+            .chunks_exact(size)
+            .take(slots.len())
+            .map(|slot| u64::from_le_bytes(slot[..8].try_into().expect("slots hold the key")))
+    }
+
     /// The layout of the records stored in this page.
     pub fn record_layout(&self) -> RecordLayout {
         RecordLayout::new(self.record_size().saturating_sub(RecordLayout::KEY_BYTES))
@@ -287,6 +300,32 @@ mod tests {
         bytes[0..2].copy_from_slice(&100u16.to_le_bytes());
         bytes[2..4].copy_from_slice(&64u16.to_le_bytes());
         assert!(Page::from_bytes(bytes).is_err());
+        // One 4-byte record: a slot too short for its key.
+        let mut bytes = vec![0u8; 16];
+        bytes[0..2].copy_from_slice(&1u16.to_le_bytes());
+        bytes[2..4].copy_from_slice(&4u16.to_le_bytes());
+        assert!(Page::from_bytes(bytes).is_err());
+    }
+
+    #[test]
+    fn keys_decode_a_slot_range_like_the_record_views() {
+        let mut p = Page::empty(256, layout());
+        for key in [5, u64::MAX, 0, 9, 3] {
+            p.push(&Record::with_fill(key, 24, 0xEE)).unwrap();
+        }
+        let all: Vec<u64> = p.record_refs().map(|r| r.key()).collect();
+        assert_eq!(p.keys(0..5).collect::<Vec<_>>(), all);
+        assert_eq!(p.keys(1..3).collect::<Vec<_>>(), all[1..3]);
+        assert_eq!(p.keys(5..5).count(), 0);
+        assert_eq!(Page::empty(256, layout()).keys(0..0).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "slots past the records")]
+    fn keys_past_the_records_panic() {
+        let mut p = Page::empty(256, layout());
+        p.push(&Record::with_fill(1, 24, 0)).unwrap();
+        let _ = p.keys(0..2);
     }
 
     #[test]

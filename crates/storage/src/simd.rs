@@ -1,5 +1,5 @@
-//! Vectorized key-scan kernels shared by the hash table, the bloom filter
-//! and the loser tree.
+//! Vectorized key-scan kernels behind [`JoinHashTable`](crate::JoinHashTable)'s
+//! probes, their only caller.
 //!
 //! Each kernel is a 4-wide chunked scalar loop, written so the backend can
 //! auto-vectorize it on release builds; the differential tests below

@@ -21,9 +21,14 @@
 //!   so run contents are identical to the pre-arena stable sorter. Payloads
 //!   are moved once, by [`RelationWriter::push_ref`], when the run spills.
 //! * **Merging** drives a [`LoserTree`] of page-mode cursors (`RunCursor`)
-//!   that yield [`RecordRef`]s straight out of the run pages — `log₂ k` key
-//!   comparisons per record, zero copies, zero allocations. A cursor walks
-//!   a [`RunSlice`]; a whole run is the one-slice case.
+//!   that yield [`RecordRef`]s straight out of the run pages — zero copies,
+//!   zero allocations. A cursor walks a [`RunSlice`] (a whole run is the
+//!   one-slice case); entering a page decodes the keys of its records in
+//!   the slice into the cursor's one reused `Vec<u64>` in a single sweep,
+//!   so advancing is an index bump, not a load from a cold page. The tree
+//!   keeps every contender as a packed `u128` order key (exhausted bit,
+//!   key, slice index): a match is one integer compare, a replay `⌈log₂ k⌉`
+//!   branch-free min/max steps, and the merge order is (key, slice index).
 //!
 //! The chunk grid of run generation ([`run_chunks`]) is **fixed by the data
 //! and the budget, never by the worker count**: chunk `i` covers pages
@@ -43,7 +48,9 @@
 //!   next level sees the same runs in the same order and every I/O count
 //!   is the one-worker count. Concurrent groups each hold up to `B` pages
 //!   (their input cursors plus the output page), `T × B` at `T` workers —
-//!   the same trade as parallel run generation.
+//!   the same trade as parallel run generation. Each cursor's key vector
+//!   adds up to `records_per_page × 8` bytes beside its page: ≈ 3 % of a
+//!   page at 256-byte records, up to ½ page at 16-byte records.
 //! * **Key ranges.** Every run records its **fences** — the first key of
 //!   each page — while it is written ([`SortedRun::fences`]), at no I/O.
 //!   [`fence_splitters`] picks splitter keys at page-weighted quantiles of
@@ -493,20 +500,25 @@ pub fn split_runs(runs: &[SortedRun], splitters: &[u64]) -> Result<Vec<Vec<RunSl
     Ok(ranges)
 }
 
-/// Page-mode cursor over one [`RunSlice`]: the current page is held as an
-/// `Arc<Page>` and records are decoded in place, so advancing costs one key
-/// decode and yielding a record costs nothing but a slice borrow.
+/// Page-mode cursor over one [`RunSlice`]. Entering a page decodes the keys
+/// of the slice's records on it into `keys` in one sweep; advancing is then
+/// an index bump, and the payloads stay on the held page until
+/// [`current`](Self::current) borrows one.
 struct RunCursor {
     run: Relation,
     /// Pages still to read from the device.
     pages: Range<usize>,
     /// The slice's boundary page at its upper end, entered after `pages`.
     tail: Option<(Arc<Page>, Range<usize>)>,
+    /// The page being merged; `None` once the slice is exhausted.
     page: Option<Arc<Page>>,
-    pos: usize,
-    /// End of the current page's records in the slice.
-    end: usize,
-    key: u64,
+    /// Keys of the slice's records on `page` (empty once exhausted). One
+    /// allocation per cursor, reused for every page.
+    keys: Vec<u64>,
+    /// Slot of `keys[0]` on `page`.
+    first: usize,
+    /// The current record: `keys[at]`, slot `first + at`.
+    at: usize,
 }
 
 impl RunCursor {
@@ -518,23 +530,23 @@ impl RunCursor {
             pages: slice.pages,
             tail: slice.tail,
             page: None,
-            pos: 0,
-            end: 0,
-            key: 0,
+            keys: Vec::new(),
+            first: 0,
+            at: 0,
         };
         match slice.head {
-            Some((page, records)) if !records.is_empty() => cursor.enter(page, records)?,
+            Some((page, records)) if !records.is_empty() => cursor.enter(page, records),
             _ => cursor.load_page()?,
         }
         Ok(cursor)
     }
 
-    fn enter(&mut self, page: Arc<Page>, records: Range<usize>) -> Result<()> {
-        self.key = page.get_ref(records.start)?.key();
-        self.pos = records.start;
-        self.end = records.end;
+    fn enter(&mut self, page: Arc<Page>, records: Range<usize>) {
+        self.keys.clear();
+        self.keys.extend(page.keys(records.clone()));
+        self.first = records.start;
+        self.at = 0;
         self.page = Some(page);
-        Ok(())
     }
 
     fn load_page(&mut self) -> Result<()> {
@@ -543,37 +555,33 @@ impl RunCursor {
             // Writers never flush empty pages, but skip them anyway.
             let count = page.record_count();
             if count > 0 {
-                return self.enter(page, 0..count);
+                self.enter(page, 0..count);
+                return Ok(());
             }
         }
         match self.tail.take() {
             Some((page, records)) if !records.is_empty() => self.enter(page, records),
             _ => {
                 self.page = None;
-                Ok(())
+                self.keys.clear();
             }
         }
+        Ok(())
     }
 
-    /// `true` once the slice is exhausted.
-    fn is_done(&self) -> bool {
-        self.page.is_none()
-    }
-
-    /// Key of the current record (meaningless when done).
-    fn key(&self) -> u64 {
-        self.key
+    /// The cursor's [order key](LoserTree) as slice `index` of its tree.
+    fn order(&self, index: usize) -> u128 {
+        match self.keys.get(self.at) {
+            Some(&key) => (u128::from(key) << 32) | index as u128,
+            None => EXHAUSTED | index as u128,
+        }
     }
 
     /// Moves to the next record, loading the next page when the current one
     /// is drained.
     fn advance(&mut self) -> Result<()> {
-        let Some(page) = &self.page else {
-            return Ok(());
-        };
-        self.pos += 1;
-        if self.pos < self.end {
-            self.key = page.get_ref(self.pos)?.key();
+        self.at += 1;
+        if self.at < self.keys.len() {
             return Ok(());
         }
         self.load_page()
@@ -584,15 +592,23 @@ impl RunCursor {
         self.page
             .as_ref()
             .expect("current() on an exhausted cursor")
-            .get_ref(self.pos)
+            .get_ref(self.first + self.at)
     }
 }
 
+/// The exhausted bit of an order key: above every live `(key, index)`.
+const EXHAUSTED: u128 = 1 << 96;
+
 /// K-way merge over sorted run slices via a loser tree (tournament tree),
-/// yielding records in ascending key order with ties broken by slice index
-/// — the same total order the previous `BinaryHeap<Reverse<(key, idx)>>`
-/// produced, at `⌈log₂ k⌉` comparisons per record and with no per-record
-/// allocation.
+/// yielding records in ascending key order with ties broken by slice index,
+/// at `⌈log₂ k⌉` comparisons per record and with no per-record allocation.
+///
+/// Every contender is one packed `u128` **order key**: the exhausted bit
+/// (bit 96), the current key (bits 32–95) and the slice index (bits 0–31).
+/// Integer order on it is the merge order — live before exhausted, then
+/// key, then slice index — so a match is one compare, a replay is
+/// branch-free min/max steps, and the winner's key and index read straight
+/// off `tree[0]` without touching its cursor.
 ///
 /// Reads interleave across runs and are counted as random reads.
 ///
@@ -602,22 +618,23 @@ impl RunCursor {
 /// the payload bytes at all.
 pub struct LoserTree {
     cursors: Vec<RunCursor>,
-    /// `tree[0]` is the overall winner; `tree[1..k]` hold the loser of each
-    /// internal tournament node.
-    tree: Vec<usize>,
-    /// Cursor whose advance is owed before the next winner is read. Deferring
-    /// the advance lets `next_ref` hand out a borrow of the winner's page
+    /// `tree[0]` is the overall winner's order key; `tree[1..k]` hold the
+    /// order key of each internal tournament node's loser.
+    tree: Vec<u128>,
+    /// The winner's advance is owed before the next winner is read.
+    /// Deferring it lets `next_ref` hand out a borrow of the winner's page
     /// without replaying the tree first.
-    pending: Option<usize>,
-    /// The runner-up: the best cursor among the losers on the current
-    /// winner's leaf-to-root path — by the classic loser-tree argument,
-    /// the second-best cursor overall. Cached by [`replay`](Self::replay)
-    /// whenever the winner's path survives a replay unswapped, it turns
-    /// the common refill case (the advanced winner still wins — long
-    /// duplicate or presorted stretches) into a single batched key compare
-    /// instead of a `⌈log₂ k⌉`-step replay. `None` whenever the path
-    /// changed and the runner-up would have to be recomputed.
-    runner_up: Option<usize>,
+    pending: bool,
+    /// The runner-up's order key: the best of the losers on the current
+    /// winner's leaf-to-root path — by the classic loser-tree argument, the
+    /// second-best cursor overall. Cached by [`replay`](Self::replay)
+    /// whenever the winner's path survives a replay unswapped, it turns the
+    /// common refill case (the advanced winner still wins — long duplicate
+    /// or presorted stretches) into a single compare instead of a
+    /// `⌈log₂ k⌉`-step replay. `0`, which no advanced winner is below,
+    /// whenever the path changed and the runner-up would have to be
+    /// recomputed.
+    runner_up: u128,
 }
 
 impl LoserTree {
@@ -630,149 +647,109 @@ impl LoserTree {
             .into_iter()
             .map(RunCursor::new)
             .collect::<Result<Vec<_>>>()?;
-        let mut tree = LoserTree {
-            cursors,
-            tree: Vec::new(),
-            pending: None,
-            runner_up: None,
-        };
-        tree.build();
-        Ok(tree)
-    }
-
-    /// `true` if cursor `a` wins against cursor `b`: exhausted cursors lose
-    /// to live ones, smaller keys win, and equal keys fall back to the slice
-    /// index so the merge order is a total, canonical order.
-    fn beats(&self, a: usize, b: usize) -> bool {
-        let ca = &self.cursors[a];
-        let cb = &self.cursors[b];
-        (ca.is_done(), ca.key(), a) < (cb.is_done(), cb.key(), b)
-    }
-
-    /// Plays the initial tournament: leaves `k..2k` are the cursors, each
-    /// internal node records its loser, the overall winner lands in
-    /// `tree[0]`.
-    fn build(&mut self) {
-        let k = self.cursors.len();
-        if k == 0 {
-            self.tree = vec![];
-            return;
+        let k = cursors.len();
+        assert!(
+            k <= u32::MAX as usize,
+            "a merge indexes its slices in 32 bits"
+        );
+        // Leaves `k..2k` are the cursors; each internal node keeps its
+        // loser, and `winners[1]` is the overall winner (for `k == 1` the
+        // single leaf itself).
+        let mut winners = vec![EXHAUSTED; 2 * k.max(1)];
+        for (j, cursor) in cursors.iter().enumerate() {
+            winners[k + j] = cursor.order(j);
         }
-        self.tree = vec![usize::MAX; k];
-        let mut winners = vec![0usize; 2 * k];
-        for (leaf, slot) in winners.iter_mut().enumerate().take(2 * k).skip(k) {
-            *slot = leaf - k;
-        }
+        let mut tree = vec![EXHAUSTED; k.max(1)];
         for node in (1..k).rev() {
             let (a, b) = (winners[2 * node], winners[2 * node + 1]);
-            let (w, l) = if self.beats(a, b) { (a, b) } else { (b, a) };
-            winners[node] = w;
-            self.tree[node] = l;
+            winners[node] = a.min(b);
+            tree[node] = a.max(b);
         }
-        // For k == 1 the single leaf sits at index 1 and is the winner.
-        self.tree[0] = winners[1];
+        tree[0] = winners[1];
+        Ok(LoserTree {
+            cursors,
+            tree,
+            pending: false,
+            runner_up: 0,
+        })
     }
 
-    /// Replays the path from cursor `j`'s leaf to the root after `j`
-    /// advanced, restoring the loser-tree invariant in `⌈log₂ k⌉` steps.
+    /// Replays the path from slice `j`'s leaf to the root after `j`
+    /// advanced to order key `order`, restoring the loser-tree invariant in
+    /// `⌈log₂ k⌉` branch-free steps.
     ///
-    /// While the path stays *intact* — no node swaps its loser, i.e. `j`
-    /// wins every match and remains the overall winner — the losers it
-    /// meets are exactly the losers on the winner's path, so the best of
-    /// them is the runner-up and is cached for the batched-refill fast
-    /// path in [`settle`](Self::settle). The first swap changes the path's
-    /// losers (and possibly the winner), so the cache is dropped: a
-    /// streaming top-2 over the visited values would be *wrong* in that
-    /// case, because the true second-best can be a leaf not on `j`'s path
-    /// at all once the winner changes.
-    fn replay(&mut self, j: usize) {
-        let k = self.cursors.len();
-        let mut winner = j;
-        let mut node = (k + j) / 2;
-        let mut runner_up: Option<usize> = None;
-        let mut intact = true;
+    /// If the path stays *intact* — `j` wins every match and remains the
+    /// overall winner — no node changed, so the losers it met are exactly
+    /// the losers on the winner's path, and the best of them is the
+    /// runner-up, cached for the fast path in [`settle`](Self::settle).
+    /// Otherwise the cache is dropped: once the winner changes, the true
+    /// second-best can be a leaf not on `j`'s path at all.
+    fn replay(&mut self, j: usize, order: u128) {
+        let mut winner = order;
+        let mut best_loser = u128::MAX;
+        let mut node = (self.cursors.len() + j) / 2;
         while node >= 1 {
-            if self.beats(self.tree[node], winner) {
-                std::mem::swap(&mut self.tree[node], &mut winner);
-                intact = false;
-            } else if intact {
-                runner_up = Some(match runner_up {
-                    Some(r) if self.beats(r, self.tree[node]) => r,
-                    _ => self.tree[node],
-                });
-            }
+            let loser = self.tree[node];
+            best_loser = best_loser.min(loser);
+            self.tree[node] = loser.max(winner);
+            winner = loser.min(winner);
             node /= 2;
         }
         self.tree[0] = winner;
-        self.runner_up = if intact { runner_up } else { None };
+        self.runner_up = if winner == order { best_loser } else { 0 };
     }
 
     /// Performs the advance owed from the previous `next_*` call, if any.
     ///
-    /// Fast path: when the runner-up is cached, one comparison of the
-    /// advanced winner against it decides whether the whole tree is
-    /// already settled — the runner-up is the best of the other cursors,
-    /// so beating it means beating everyone. The tree and the cache are
-    /// both left untouched (no loser moved), which keeps the fast path
-    /// valid for arbitrarily long winning streaks: duplicate-heavy keys
-    /// and presorted stretches refill in O(1) comparisons per record
-    /// instead of `⌈log₂ k⌉`.
+    /// Fast path: when the advanced winner's order key is below the cached
+    /// runner-up's, it still beats every other cursor, so only `tree[0]`
+    /// changes. No loser moved, which keeps the cache valid for arbitrarily
+    /// long winning streaks: duplicate-heavy keys and presorted stretches
+    /// refill in one compare per record instead of `⌈log₂ k⌉`.
     fn settle(&mut self) -> Result<()> {
-        if let Some(j) = self.pending.take() {
-            self.cursors[j].advance()?;
-            if let Some(r) = self.runner_up {
-                debug_assert_eq!(self.tree[0], j, "only the winner owes an advance");
-                if self.beats(j, r) {
-                    return Ok(());
-                }
+        if std::mem::take(&mut self.pending) {
+            let j = self.tree[0] as u32 as usize;
+            let cursor = &mut self.cursors[j];
+            cursor.advance()?;
+            let order = cursor.order(j);
+            if order < self.runner_up {
+                self.tree[0] = order;
+            } else {
+                self.replay(j, order);
             }
-            self.replay(j);
         }
         Ok(())
     }
 
+    /// Settles the tree and returns the winner's key and slice index, or
+    /// `None` once every slice is exhausted.
+    fn winner(&mut self) -> Result<Option<(u64, usize)>> {
+        self.settle()?;
+        let order = self.tree[0];
+        Ok((order < EXHAUSTED).then_some(((order >> 32) as u64, order as u32 as usize)))
+    }
+
     /// Key of the next record without consuming it.
     pub fn peek_key(&mut self) -> Result<Option<u64>> {
-        self.settle()?;
-        if self.cursors.is_empty() {
-            return Ok(None);
-        }
-        let w = self.tree[0];
-        if self.cursors[w].is_done() {
-            Ok(None)
-        } else {
-            Ok(Some(self.cursors[w].key()))
-        }
+        Ok(self.winner()?.map(|(key, _)| key))
     }
 
     /// Consumes the next record, returning only its key (the counting merge
     /// join's path — payload bytes are never touched).
     pub fn next_key(&mut self) -> Result<Option<u64>> {
-        self.settle()?;
-        if self.cursors.is_empty() {
-            return Ok(None);
-        }
-        let w = self.tree[0];
-        if self.cursors[w].is_done() {
-            return Ok(None);
-        }
-        self.pending = Some(w);
-        Ok(Some(self.cursors[w].key()))
+        let winner = self.winner()?;
+        self.pending = winner.is_some();
+        Ok(winner.map(|(key, _)| key))
     }
 
     /// Consumes the next record, returning a borrowed view straight out of
     /// the winning run's page (valid until the next call on the tree).
     pub fn next_ref(&mut self) -> Result<Option<RecordRef<'_>>> {
-        self.settle()?;
-        if self.cursors.is_empty() {
+        let Some((_, j)) = self.winner()? else {
             return Ok(None);
-        }
-        let w = self.tree[0];
-        if self.cursors[w].is_done() {
-            return Ok(None);
-        }
-        self.pending = Some(w);
-        self.cursors[w].current().map(Some)
+        };
+        self.pending = true;
+        self.cursors[j].current().map(Some)
     }
 }
 
@@ -1337,6 +1314,84 @@ mod tests {
         check_split(&dev, &runs, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         let splitters = fence_splitters(&runs, 8);
         check_split(&dev, &runs, &splitters);
+    }
+
+    /// Seeded property test of the merge over split slices: runs with
+    /// duplicates inside and across them, keys 0 and `u64::MAX`, empty
+    /// runs, and splitters that cut pages mid-way. Whatever mix of
+    /// `next_key`, `peek_key` and `next_ref` drains the ranges, the records
+    /// come out in a stable sort by (key, run index) — so `u64::MAX` never
+    /// reads as an exhausted cursor, and a boundary slice's key vector holds
+    /// exactly its record range.
+    #[test]
+    fn loser_tree_over_split_slices_is_a_stable_sort_by_key_and_run() {
+        const ALPHABET: [u64; 8] = [0, 1, 2, 5, 9, 1_000, u64::MAX - 1, u64::MAX];
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for case in 0..40 {
+            let dev = SimDevice::new_ref();
+            let k = 1 + next(7);
+            let mut runs = Vec::new();
+            let mut expected: Vec<(u64, u32, u32)> = Vec::new();
+            for run in 0..k {
+                let len = if run == case % k { 0 } else { next(30) };
+                let mut keys: Vec<u64> = (0..len).map(|_| ALPHABET[next(ALPHABET.len())]).collect();
+                keys.sort_unstable();
+                let mut writer = RunWriter::new(dev.clone(), RecordLayout::new(8), SMALL_PAGE, len);
+                for (pos, &key) in keys.iter().enumerate() {
+                    let tag = (run as u64) << 32 | pos as u64;
+                    writer
+                        .push(RecordRef::new(key, &tag.to_le_bytes()))
+                        .unwrap();
+                    expected.push((key, run as u32, pos as u32));
+                }
+                runs.push(writer.finish().unwrap());
+            }
+            expected.sort_by_key(|&(key, run, _)| (key, run));
+            let mut splitters: Vec<u64> = (0..next(4))
+                .map(|_| ALPHABET[next(ALPHABET.len())])
+                .collect();
+            splitters.extend(fence_splitters(&runs, 1 + next(4)));
+            splitters.sort_unstable();
+            let mut got = Vec::new();
+            for slices in split_runs(&runs, &splitters).unwrap() {
+                let mut tree = LoserTree::new(slices).unwrap();
+                loop {
+                    let at = got.len();
+                    let record = match next(3) {
+                        0 => tree
+                            .next_key()
+                            .unwrap()
+                            .map(|key| (key, expected[at].1, expected[at].2)),
+                        mode => {
+                            let peeked = if mode == 1 {
+                                tree.peek_key().unwrap()
+                            } else {
+                                None
+                            };
+                            let record = tree.next_ref().unwrap().map(|rec| {
+                                let tag = u64::from_le_bytes(rec.payload().try_into().unwrap());
+                                (rec.key(), (tag >> 32) as u32, tag as u32)
+                            });
+                            if mode == 1 {
+                                assert_eq!(peeked, record.map(|(key, _, _)| key), "case {case}");
+                            }
+                            record
+                        }
+                    };
+                    let Some(record) = record else { break };
+                    got.push(record);
+                }
+            }
+            assert_eq!(got, expected, "case {case}: splitters {splitters:?}");
+        }
     }
 
     #[test]
