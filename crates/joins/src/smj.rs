@@ -42,14 +42,20 @@
 //!
 //! Output and per-phase modeled I/O are therefore bit-identical to
 //! [`run`](SortMergeJoin::run) — the same body at one worker — at every
-//! worker count. The physical memory is not: each worker owns one
+//! worker count. The working memory is not: each worker owns one
 //! chunk-sized sort arena during run generation, and each concurrent group
 //! merge holds up to `B` pages (its input cursors and output page), so a
-//! phase holds up to `T × B` pages at `T` workers — S's two groups on the
-//! benchmark's `zipf_par2` keep both groups' inputs and outputs alive at
-//! once. That is the classic memory/time trade of parallel sorting; the
-//! modeled I/O is unaffected. Every merge cursor's key vector adds up to
-//! `records_per_page × 8` bytes to its page (≈ 3 % at 256-byte records).
+//! phase holds up to `T × B` pages at `T` workers. That is the classic
+//! memory/time trade of parallel sorting; the modeled I/O is unaffected.
+//! Every merge cursor's key vector adds up to `records_per_page × 8` bytes
+//! to its page (≈ 3 % at 256-byte records).
+//!
+//! The device's footprint is the inputs plus one copy of the runs, at
+//! every `T`. Every merge — each cascade group and the fused merge — takes
+//! each run page from the device as it reads it (see
+//! [`nocap_storage::sort`]), so concurrent groups shrink their inputs as
+//! fast as they write their outputs, and the final runs hold no live page
+//! once the fused merge is done.
 
 use std::sync::Mutex;
 
@@ -238,27 +244,12 @@ impl SortMergeJoin {
             obs.count("final_runs", (r_runs.len() + s_runs.len()) as u64);
         }
 
-        // Fused final merge + join, one key range per worker.
         let probe_base = device.stats();
-        let output = {
-            let _merge_span = obs.span(Phase::Merge);
-            let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
-            let r_ranges = split_runs(&r_runs, &splitters)?;
-            let s_ranges = split_runs(&s_runs, &splitters)?;
-            ordered_tasks(
-                threads,
-                obs,
-                Phase::Merge,
-                r_ranges.len(),
-                || (),
-                |_, i| merge_join_runs(&r_ranges[i], &s_ranges[i]),
-            )?
-            .into_iter()
-            .sum::<u64>()
-        };
+        let output = fused_merge_join(&r_runs, &s_runs, threads, obs)?;
         let probe_io = device.stats().since(&probe_base);
 
-        // Dropping the guard deletes every run file (not counted as I/O).
+        // Dropping the guard deletes every run file (not counted as I/O);
+        // the fused merge has already released every page of them.
         drop(run_guard);
 
         let mut report = JoinRunReport::new("SMJ");
@@ -268,6 +259,31 @@ impl SortMergeJoin {
         report.finish_run(timer, obs);
         Ok(report)
     }
+}
+
+/// The fused final merge + join, one key range per worker: `threads − 1`
+/// splitter keys at page-weighted quantiles of the final runs' fences cut
+/// both inputs' runs, and each range's matches are counted on its own.
+/// Every run page is read exactly once and released as it is read.
+fn fused_merge_join(
+    r_runs: &[SortedRun],
+    s_runs: &[SortedRun],
+    threads: usize,
+    obs: &Obs,
+) -> nocap_storage::Result<u64> {
+    let _merge_span = obs.span(Phase::Merge);
+    let splitters = fence_splitters(r_runs.iter().chain(s_runs), threads);
+    let r_ranges = split_runs(r_runs, &splitters)?;
+    let s_ranges = split_runs(s_runs, &splitters)?;
+    let counts = ordered_tasks(
+        threads,
+        obs,
+        Phase::Merge,
+        r_ranges.len(),
+        || (),
+        |_, i| merge_join_runs(&r_ranges[i], &s_ranges[i]),
+    )?;
+    Ok(counts.into_iter().sum())
 }
 
 /// Generates this relation's sorted runs with `threads` workers claiming
@@ -324,7 +340,9 @@ mod tests {
     use super::*;
     use crate::naive::naive_join_count;
     use crate::testutil::{build_workload, mix};
+    use nocap_storage::device::DeviceRef;
     use nocap_storage::{Record, SimDevice};
+    use std::sync::Arc;
 
     #[test]
     fn matches_naive_join_uniform() {
@@ -436,9 +454,12 @@ mod tests {
     fn extreme_keys_and_a_hot_key_on_the_splitters_join_exactly_at_every_thread_count() {
         // Keys 0 and u64::MAX on both sides, and one key filling about half
         // of S's pages, so the fence splitters at T = 2 and 3 land on it and
-        // every key-range boundary cuts its duplicates.
+        // every key-range boundary cuts its duplicates. The merges discard
+        // each run page as they read it, so a page read twice — by two key
+        // ranges, or by a range and the split — fails the join.
         const HOT: u64 = 250;
-        let dev = SimDevice::new_ref();
+        let sim = Arc::new(SimDevice::new());
+        let dev: DeviceRef = sim.clone();
         let spec = JoinSpec::paper_synthetic(128, 8);
         let load = |keys: Vec<u64>| {
             let mut shuffled: Vec<(u64, u64)> = keys
@@ -474,14 +495,23 @@ mod tests {
         // split 2 / 5 between R and S by size.
         let pages = r.num_pages() + s.num_pages();
         assert_eq!((7 * r.num_pages() / pages).clamp(2, 5), 2);
-        let r_runs = sorted_runs(&r, 8, 2, 1, &Obs::off()).unwrap();
-        let s_runs = sorted_runs(&s, 8, 5, 1, &Obs::off()).unwrap();
-        for threads in [2, 3] {
+        for threads in [1, 2, 3] {
+            let r_runs = sorted_runs(&r, 8, 2, threads, &Obs::off()).unwrap();
+            let s_runs = sorted_runs(&s, 8, 5, threads, &Obs::off()).unwrap();
             let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
             assert!(splitters.iter().all(|&k| k == HOT), "{splitters:?}");
-        }
-        for run in r_runs.into_iter().chain(s_runs) {
-            run.delete().unwrap();
+            let output = fused_merge_join(&r_runs, &s_runs, threads, &Obs::off()).unwrap();
+            assert_eq!(output, expected, "T = {threads}");
+            // The run files still exist, but the fused merge released every
+            // page of them: the device holds the two inputs and nothing else.
+            assert_eq!(
+                sim.resident_pages(),
+                r.num_pages() + s.num_pages(),
+                "T = {threads}: run pages outlived the fused merge"
+            );
+            for run in r_runs.into_iter().chain(s_runs) {
+                run.delete().unwrap();
+            }
         }
         dev.reset_stats();
         let one = SortMergeJoin::new(spec).run_parallel(&r, &s, 1).unwrap();

@@ -160,10 +160,11 @@ fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
 
 /// Durability policy applied after each flushed append batch.
 ///
-/// The container has no `O_SYNC` open-flag plumbing without `libc`, so the
-/// classic `O_SYNC` write mode is realized as an explicit sync syscall per
-/// flushed batch — the same per-batch durability barrier, issued after the
-/// `pwrite` instead of via the open flag.
+/// The chosen mechanism is an explicit sync syscall per flushed batch: the
+/// classic `O_SYNC` write mode's durability barrier, issued once after the
+/// batch's `pwrite` instead of on every write. Open flags (`O_SYNC`,
+/// `O_DIRECT` through std's `OpenOptionsExt::custom_flags`) are ROADMAP
+/// item 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// No explicit syncing; the OS page cache decides when bytes hit media.
@@ -925,6 +926,13 @@ impl BlockDevice for FileDevice {
         Ok(page)
     }
 
+    /// A no-op: the device holds no copy of a durable page once its
+    /// read-ahead frame is released, and the disk space comes back at
+    /// [`delete_file`](BlockDevice::delete_file).
+    fn discard_page(&self, _file: FileId, _index: usize) -> Result<()> {
+        Ok(())
+    }
+
     fn delete_file(&self, file: FileId) -> Result<()> {
         let handle = write_unpoisoned(self.shard(file))
             .remove(&file)
@@ -1185,6 +1193,24 @@ mod tests {
         dev.flush().unwrap();
         seq_read(&dev, f, 10);
         seq_read(&dev, f, 11);
+    }
+
+    #[test]
+    fn discarding_a_page_is_a_no_op_on_files() {
+        // Durable pages and a write-behind tail page alike stay readable:
+        // the disk space comes back at `delete_file`.
+        let (dev, f) = scanned_file(3);
+        dev.append_page(f, &page_with(&[3]), IoKind::SeqWrite)
+            .unwrap();
+        dev.reset_stats();
+        for k in 0..4 {
+            dev.discard_page(f, k).unwrap();
+        }
+        assert_eq!(dev.stats().total(), 0);
+        for k in 0..4 {
+            let p = dev.read_page(f, k, IoKind::RandRead).unwrap();
+            assert_eq!(keys_of(&p), vec![k as u64]);
+        }
     }
 
     #[test]

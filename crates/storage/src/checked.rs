@@ -16,7 +16,8 @@
 //!   and [`StorageError::CorruptPage`], the two shapes a flaky device
 //!   produces) are retried up to [`RetryPolicy::max_attempts`] times with
 //!   exponential backoff. Logic errors (`UnknownFile`, `PageOutOfBounds`,
-//!   `OutOfMemory`) are never retried — retrying cannot fix them.
+//!   `DiscardedPage`, `OutOfMemory`) are never retried — retrying cannot
+//!   fix them.
 //!
 //! Because the wrapped devices count I/O only after validation, an injected
 //! error that is retried to success leaves the modeled
@@ -113,7 +114,7 @@ struct AtomicRetryStats {
 pub struct CheckedDevice {
     inner: DeviceRef,
     policy: RetryPolicy,
-    sums: RwLock<HashMap<FileId, Vec<u64>>>,
+    sums: RwLock<HashMap<FileId, Vec<Option<u64>>>>,
     stats: AtomicRetryStats,
 }
 
@@ -157,21 +158,20 @@ impl CheckedDevice {
     }
 
     /// The recorded checksum for a page, if it was written through this
-    /// wrapper.
+    /// wrapper and not discarded since.
     fn expected_sum(&self, file: FileId, index: usize) -> Option<u64> {
         read_unpoisoned(&self.sums)
             .get(&file)
-            .and_then(|v| v.get(index))
-            .copied()
+            .and_then(|v| v.get(index).copied().flatten())
     }
 
     fn record_sum(&self, file: FileId, index: usize, sum: u64) {
         let mut sums = write_unpoisoned(&self.sums);
         let file_sums = sums.entry(file).or_default();
         if file_sums.len() <= index {
-            file_sums.resize(index + 1, 0);
+            file_sums.resize(index + 1, None);
         }
-        file_sums[index] = sum;
+        file_sums[index] = Some(sum);
     }
 
     fn finish_op(&self, failed_attempts: u32, ok: bool) {
@@ -260,6 +260,17 @@ impl BlockDevice for CheckedDevice {
                 }
             }
         }
+    }
+
+    fn discard_page(&self, file: FileId, index: usize) -> Result<()> {
+        self.inner.discard_page(file, index)?;
+        if let Some(sum) = write_unpoisoned(&self.sums)
+            .get_mut(&file)
+            .and_then(|sums| sums.get_mut(index))
+        {
+            *sum = None;
+        }
+        Ok(())
     }
 
     fn delete_file(&self, file: FileId) -> Result<()> {
@@ -399,6 +410,25 @@ mod tests {
         let dev = CheckedDevice::new(sim, RetryPolicy::default());
         assert!(dev.read_page(f, 0, IoKind::SeqRead).is_ok());
         assert_eq!(dev.retry_stats().checksum_failures, 0);
+    }
+
+    #[test]
+    fn discarding_drops_the_checksum_and_the_read_is_not_retried() {
+        let sim = Arc::new(SimDevice::new());
+        let dev = CheckedDevice::new(sim.clone(), quiet_policy(4));
+        let f = dev.create_file();
+        for k in 0..2 {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        dev.discard_page(f, 0).unwrap();
+        assert_eq!(dev.expected_sum(f, 0), None);
+        assert!(dev.expected_sum(f, 1).is_some());
+        assert_eq!(sim.resident_pages(), 1);
+        let err = dev.read_page(f, 0, IoKind::RandRead).unwrap_err();
+        assert!(matches!(err, StorageError::DiscardedPage { .. }), "{err}");
+        assert_eq!(dev.retry_stats().read_retries, 0, "a logic error");
+        assert!(dev.read_page(f, 1, IoKind::RandRead).is_ok());
     }
 
     #[test]

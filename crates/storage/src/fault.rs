@@ -457,6 +457,11 @@ impl BlockDevice for FaultDevice {
         }
     }
 
+    fn discard_page(&self, file: FileId, index: usize) -> Result<()> {
+        // Like deletion, never faulted and never counted against a spec.
+        self.inner.discard_page(file, index)
+    }
+
     fn delete_file(&self, file: FileId) -> Result<()> {
         // Deletion is not in the cost model and never faulted: cleanup paths
         // must stay reliable so error handling can always release files.
@@ -588,6 +593,27 @@ mod tests {
         // Matching reads fail, on any page of any file.
         assert!(dev.read_page(f, 0, IoKind::RandRead).is_err());
         assert!(dev.read_page(g, 1, IoKind::RandRead).is_err());
+    }
+
+    #[test]
+    fn discarding_is_never_faulted_nor_matched() {
+        let sim = Arc::new(SimDevice::new());
+        let dev = FaultDevice::new(
+            sim.clone(),
+            vec![FaultSpec::any(FaultKind::TransientError { failures: 1 })],
+        );
+        let f = dev.create_file();
+        for k in 0..2 {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        dev.arm();
+        dev.discard_page(f, 0).unwrap();
+        assert_eq!(sim.resident_pages(), 1, "forwarded to the inner device");
+        assert_eq!(dev.fault_stats(), FaultStats::default());
+        // The spec's one failure still waits for the first real operation.
+        assert!(dev.read_page(f, 1, IoKind::RandRead).is_err());
+        assert!(dev.read_page(f, 1, IoKind::RandRead).is_ok());
     }
 
     #[test]

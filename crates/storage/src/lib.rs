@@ -144,6 +144,14 @@ pub enum StorageError {
     },
     /// A file id was not known to the device.
     UnknownFile(FileId),
+    /// The page was released with [`BlockDevice::discard_page`] and read
+    /// again.
+    DiscardedPage {
+        /// The file.
+        file: FileId,
+        /// The page index.
+        index: usize,
+    },
     /// The buffer pool could not satisfy a reservation.
     OutOfMemory {
         /// Pages requested.
@@ -181,6 +189,9 @@ impl std::fmt::Display for StorageError {
                 write!(f, "page index {index} out of bounds for file of {len} pages")
             }
             StorageError::UnknownFile(id) => write!(f, "unknown file id {id:?}"),
+            StorageError::DiscardedPage { file, index } => {
+                write!(f, "page {index} of file {file:?} was discarded")
+            }
             StorageError::OutOfMemory {
                 requested,
                 available,

@@ -138,6 +138,12 @@ impl Relation {
         self.device.read_page(self.file, index, kind)
     }
 
+    /// Reads page `index` for the last time (one I/O of `kind`) and
+    /// discards it ([`BlockDevice::take_page`](crate::BlockDevice::take_page)).
+    pub(crate) fn take_page(&self, index: usize, kind: IoKind) -> Result<Arc<Page>> {
+        self.device.take_page(self.file, index, kind)
+    }
+
     /// Reads every record into memory (test/diagnostic helper; still counts
     /// the sequential reads).
     pub fn read_all(&self) -> Result<Vec<Record>> {

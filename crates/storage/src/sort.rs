@@ -30,6 +30,19 @@
 //!   key, slice index): a match is one integer compare, a replay `⌈log₂ k⌉`
 //!   branch-free min/max steps, and the merge order is (key, slice index).
 //!
+//! **A merge consumes its runs.** Every run page is read exactly once, so
+//! a cursor [takes](crate::BlockDevice::take_page) each page — reads it
+//! and discards the device's copy in one step — and the page is freed when
+//! the cursor moves past it (PostgreSQL's `logtape.c` recycles the blocks
+//! of its input tapes during a merge for the same reason). On
+//! [`SimDevice`](crate::SimDevice), where the device's copy is the only
+//! copy, a group merge therefore shrinks its inputs as fast as it grows
+//! its output, and the device holds the sort's data once: the input plus
+//! one copy of the runs, not a group's inputs and its output together
+//! until the group ends. There a run cannot be merged twice — reading a
+//! page a merge has taken is [`StorageError::DiscardedPage`](crate::StorageError)
+//! — so the once-only read is enforced, not just documented.
+//!
 //! The chunk grid of run generation ([`run_chunks`]) is **fixed by the data
 //! and the budget, never by the worker count**: chunk `i` covers pages
 //! `[i·(B−1), (i+1)·(B−1))`. This is what lets
@@ -47,17 +60,19 @@
 //!   number of workers. The merged runs land at their group index, so the
 //!   next level sees the same runs in the same order and every I/O count
 //!   is the one-worker count. Concurrent groups each hold up to `B` pages
-//!   (their input cursors plus the output page), `T × B` at `T` workers —
-//!   the same trade as parallel run generation. Each cursor's key vector
-//!   adds up to `records_per_page × 8` bytes beside its page: ≈ 3 % of a
-//!   page at 256-byte records, up to ½ page at 16-byte records.
+//!   of working memory (their input cursors plus the output page), `T × B`
+//!   at `T` workers — the same trade as parallel run generation; the device
+//!   still holds each run page once, since every group consumes its inputs
+//!   as it writes. Each cursor's key vector adds up to
+//!   `records_per_page × 8` bytes beside its page: ≈ 3 % of a page at
+//!   256-byte records, up to ½ page at 16-byte records.
 //! * **Key ranges.** Every run records its **fences** — the first key of
 //!   each page — while it is written ([`SortedRun::fences`]), at no I/O.
 //!   [`fence_splitters`] picks splitter keys at page-weighted quantiles of
 //!   the fences and [`split_runs`] cuts every run at them into
 //!   [`RunSlice`]s. Only a page that straddles a splitter has to be read to
-//!   find the cut; `split_runs` reads it once and hands it to the slices on
-//!   both sides, and every other page is read by the one slice that owns
+//!   find the cut; `split_runs` takes it once and hands it to the slices on
+//!   both sides, and every other page is taken by the one slice that owns
 //!   it. Merging each key range on its own therefore reads every run page
 //!   exactly once, whatever the number of ranges.
 //!
@@ -452,7 +467,7 @@ impl SortedRun {
         let index = below - 1;
         let page = match &previous.straddle {
             Some((page, _)) if previous.page == index => page.clone(),
-            _ => self.relation.read_page(index, IoKind::RandRead)?,
+            _ => self.relation.take_page(index, IoKind::RandRead)?,
         };
         let at = page.record_refs().take_while(|rec| rec.key() < k).count();
         Ok(Cut {
@@ -467,12 +482,13 @@ impl SortedRun {
 /// the outer ranges open-ended — and returns each range's slices, one per
 /// run in run order.
 ///
-/// A page that straddles a splitter is read here, once per run, as a
-/// [`IoKind::RandRead`], and shared by the slices on both sides; every other
-/// page is left to the one slice that owns it. Draining every slice of every
-/// range therefore reads each run page exactly once — the same reads as one
-/// merge over the whole runs, however many ranges there are. With no
-/// splitters this reads nothing and returns one range of whole runs.
+/// A page that straddles a splitter is taken here (read and discarded, see
+/// the [module docs](self)), once per run, as a [`IoKind::RandRead`], and
+/// shared by the slices on both sides; every other page is left to the one
+/// slice that owns it. Draining every slice of every range therefore reads
+/// each run page exactly once — the same reads as one merge over the whole
+/// runs, however many ranges there are. With no splitters this reads
+/// nothing and returns one range of whole runs.
 pub fn split_runs(runs: &[SortedRun], splitters: &[u64]) -> Result<Vec<Vec<RunSlice>>> {
     debug_assert!(splitters.is_sorted(), "splitters must ascend");
     let mut ranges: Vec<Vec<RunSlice>> = (0..=splitters.len())
@@ -503,7 +519,8 @@ pub fn split_runs(runs: &[SortedRun], splitters: &[u64]) -> Result<Vec<Vec<RunSl
 /// Page-mode cursor over one [`RunSlice`]. Entering a page decodes the keys
 /// of the slice's records on it into `keys` in one sweep; advancing is then
 /// an index bump, and the payloads stay on the held page until
-/// [`current`](Self::current) borrows one.
+/// [`current`](Self::current) borrows one. Pages are taken from the device,
+/// so the held page is freed when the cursor leaves it.
 struct RunCursor {
     run: Relation,
     /// Pages still to read from the device.
@@ -551,7 +568,7 @@ impl RunCursor {
 
     fn load_page(&mut self) -> Result<()> {
         while let Some(index) = self.pages.next() {
-            let page = self.run.read_page(index, IoKind::RandRead)?;
+            let page = self.run.take_page(index, IoKind::RandRead)?;
             // Writers never flush empty pages, but skip them anyway.
             let count = page.record_count();
             if count > 0 {
@@ -610,7 +627,9 @@ const EXHAUSTED: u128 = 1 << 96;
 /// branch-free min/max steps, and the winner's key and index read straight
 /// off `tree[0]` without touching its cursor.
 ///
-/// Reads interleave across runs and are counted as random reads.
+/// Reads interleave across runs and are counted as random reads. The merge
+/// consumes its slices: each page is read once and discarded from the
+/// device as it is read, so the runs cannot be merged again.
 ///
 /// The tree hands out borrowed [`RecordRef`]s (`next_ref`) for consumers
 /// that move payloads (the merge cascade) and bare keys
@@ -756,8 +775,10 @@ impl LoserTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::SimDevice;
+    use crate::device::{BlockDevice, FileId, SimDevice};
+    use crate::iostats::IoStats;
     use crate::record::{Record, RecordLayout};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn build_relation(dev: DeviceRef, keys: &[u64]) -> Relation {
         Relation::bulk_load(
@@ -1094,9 +1115,12 @@ mod tests {
     fn loser_tree_key_and_ref_paths_agree_with_peek() {
         let dev = SimDevice::new_ref();
         let rel = build_relation(dev, &shuffled(1_000));
+        // A merge reads each run page once, so each tree gets its own copy
+        // of the runs.
         let runs = sort_runs(&rel, 3, 16);
+        let twins = sort_runs(&rel, 3, 16);
         let mut by_key = LoserTree::new(whole(&runs)).unwrap();
-        let mut by_ref = LoserTree::new(whole(&runs)).unwrap();
+        let mut by_ref = LoserTree::new(whole(&twins)).unwrap();
         loop {
             let peeked = by_key.peek_key().unwrap();
             let k = by_key.next_key().unwrap();
@@ -1208,6 +1232,85 @@ mod tests {
         assert_eq!(sort(threaded), serial);
     }
 
+    /// A `SimDevice` that keeps the high-water mark of its live pages,
+    /// taken at every append (the only call that adds a page).
+    #[derive(Default)]
+    struct PeakDevice {
+        sim: SimDevice,
+        peak: AtomicUsize,
+    }
+
+    impl BlockDevice for PeakDevice {
+        fn create_file(&self) -> FileId {
+            self.sim.create_file()
+        }
+        fn file_pages(&self, file: FileId) -> Result<usize> {
+            self.sim.file_pages(file)
+        }
+        fn append_page(&self, file: FileId, page: &Page, kind: IoKind) -> Result<usize> {
+            let index = self.sim.append_page(file, page, kind)?;
+            self.peak
+                .fetch_max(self.sim.resident_pages(), Ordering::Relaxed);
+            Ok(index)
+        }
+        fn read_page(&self, file: FileId, index: usize, kind: IoKind) -> Result<Arc<Page>> {
+            self.sim.read_page(file, index, kind)
+        }
+        fn discard_page(&self, file: FileId, index: usize) -> Result<()> {
+            self.sim.discard_page(file, index)
+        }
+        fn delete_file(&self, file: FileId) -> Result<()> {
+            self.sim.delete_file(file)
+        }
+        fn stats(&self) -> IoStats {
+            self.sim.stats()
+        }
+        fn reset_stats(&self) {
+            self.sim.reset_stats()
+        }
+    }
+
+    #[test]
+    fn a_group_merge_never_holds_more_than_the_unmerged_runs_and_the_outputs() {
+        // A group releases each input page as it reads it, and its output
+        // never runs ahead of what it has read, so while it writes, the
+        // device holds no more than when the group began: the input, the
+        // runs not yet merged and the outputs written so far. Holding a
+        // group's inputs until it ends would add the group's output on top.
+        let device = Arc::new(PeakDevice::default());
+        let rel = build_relation(device.clone(), &shuffled(8_000));
+        let mut scratch = SortScratch::new();
+        let runs: Vec<SortedRun> = run_chunks(rel.num_pages(), 4)
+            .into_iter()
+            .map(|c| sort_chunk(&rel, c, &mut scratch).unwrap())
+            .collect();
+        assert!(runs.len() > 3 * 3, "at least two cascade levels");
+        let watched = |groups: usize, merge: &GroupMerge<'_>| {
+            (0..groups)
+                .map(|g| {
+                    let before = device.sim.resident_pages();
+                    device.peak.store(before, Ordering::Relaxed);
+                    let run = merge(g)?;
+                    let peak = device.peak.load(Ordering::Relaxed);
+                    assert!(
+                        peak <= before,
+                        "group {g}: {peak} pages live, {before} before"
+                    );
+                    assert!(device.sim.resident_pages() <= before, "group {g}");
+                    Ok(run)
+                })
+                .collect()
+        };
+        let out = ExternalSorter::new(device.clone(), 4)
+            .merge_to_fan_in(runs, 1, watched)
+            .unwrap();
+        assert_eq!(
+            device.sim.resident_pages(),
+            rel.num_pages() + out[0].relation().num_pages(),
+            "the input and the one final run"
+        );
+    }
+
     #[test]
     fn fence_splitters_are_page_weighted_quantiles() {
         let dev = SimDevice::new_ref();
@@ -1227,7 +1330,16 @@ mod tests {
     /// range holds exactly the keys between its splitters, the ranges
     /// together hold every record once, and draining them reads every run
     /// page exactly once, as a random read. Returns the ranges' keys.
+    ///
+    /// Draining consumes the runs' pages, so callers split fresh runs.
     fn check_split(dev: &DeviceRef, runs: &[SortedRun], splitters: &[u64]) -> Vec<Vec<u64>> {
+        // The whole merge's keys, read by a scan before the merge discards
+        // the pages.
+        let mut all_keys: Vec<u64> = runs
+            .iter()
+            .flat_map(|run| keys_of(run.relation()))
+            .collect();
+        all_keys.sort_unstable();
         dev.reset_stats();
         let ranges = split_runs(runs, splitters).unwrap();
         assert_eq!(ranges.len(), splitters.len() + 1);
@@ -1250,11 +1362,7 @@ mod tests {
                 "range {i} = [{lo}, {hi}) holds {range:?}"
             );
         }
-        assert_eq!(
-            keys.concat(),
-            merged_keys(whole(runs)),
-            "the ranges tile the whole merge"
-        );
+        assert_eq!(keys.concat(), all_keys, "the ranges tile the whole merge");
         keys
     }
 
@@ -1274,11 +1382,10 @@ mod tests {
     #[test]
     fn a_slice_can_lie_inside_one_page() {
         let dev = SimDevice::new_ref();
-        let runs = edge_runs(&dev);
         // Page 3 of the first run is [5, 6, 7, 8]: both splitters cut it.
-        let keys = check_split(&dev, &runs[..1], &[6, 7]);
+        let keys = check_split(&dev, &edge_runs(&dev)[..1], &[6, 7]);
         assert_eq!(keys[1], vec![6]);
-        let ranges = split_runs(&runs[..1], &[6, 7]).unwrap();
+        let ranges = split_runs(&edge_runs(&dev)[..1], &[6, 7]).unwrap();
         let inner = &ranges[1][0];
         assert!(inner.pages.is_empty() && inner.tail.is_none());
         assert_eq!(inner.head.as_ref().map(|(_, r)| r.clone()), Some(1..2));
@@ -1287,31 +1394,30 @@ mod tests {
     #[test]
     fn a_splitter_outside_every_key_leaves_one_side_empty() {
         let dev = SimDevice::new_ref();
-        let runs = edge_runs(&dev);
         // Below every key: the cut falls before page 0 and reads nothing.
-        let keys = check_split(&dev, &runs[..1], &[1]);
+        let keys = check_split(&dev, &edge_runs(&dev)[..1], &[1]);
         assert!(keys[0].is_empty());
-        let keys = check_split(&dev, &runs, &[0]);
+        let keys = check_split(&dev, &edge_runs(&dev), &[0]);
         assert!(keys[0].is_empty());
         // Above every key: the last page is the boundary; the right is empty.
-        let keys = check_split(&dev, &runs, &[21]);
+        let keys = check_split(&dev, &edge_runs(&dev), &[21]);
         assert!(keys[1].is_empty());
-        let keys = check_split(&dev, &runs, &[0, 21]);
+        let keys = check_split(&dev, &edge_runs(&dev), &[0, 21]);
         assert!(keys[0].is_empty() && keys[2].is_empty());
     }
 
     #[test]
     fn a_splitter_on_a_key_spanning_pages_in_two_runs_sends_it_right() {
         let dev = SimDevice::new_ref();
-        let runs = edge_runs(&dev);
-        let keys = check_split(&dev, &runs, &[5]);
+        let keys = check_split(&dev, &edge_runs(&dev), &[5]);
         assert!(keys[0].iter().all(|&k| k < 5));
         assert_eq!(keys[1].iter().filter(|&&k| k == 5).count(), 18);
         // Equal splitters make an empty range between them; more splitters
         // than distinct keys still tile the merge.
-        let keys = check_split(&dev, &runs, &[5, 5, 9]);
+        let keys = check_split(&dev, &edge_runs(&dev), &[5, 5, 9]);
         assert!(keys[1].is_empty());
-        check_split(&dev, &runs, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        check_split(&dev, &edge_runs(&dev), &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let runs = edge_runs(&dev);
         let splitters = fence_splitters(&runs, 8);
         check_split(&dev, &runs, &splitters);
     }

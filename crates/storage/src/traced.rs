@@ -169,6 +169,11 @@ impl BlockDevice for TracedDevice {
         }
     }
 
+    fn discard_page(&self, file: FileId, index: usize) -> Result<()> {
+        // Not an I/O either: no event, so the audit's folds stay exact.
+        self.inner.discard_page(file, index)
+    }
+
     fn delete_file(&self, file: FileId) -> Result<()> {
         // Deletion is not an I/O in the paper's cost model, so it emits no
         // event either.
@@ -297,6 +302,37 @@ mod tests {
             .append_page(FileId(99), &page_with(&[1]), IoKind::SeqWrite)
             .is_err());
         assert!(sink.events.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn discarding_is_forwarded_and_emits_no_event() {
+        // Not an I/O: the model audit's windows fold the events to the
+        // counter deltas, so a discard must add to neither.
+        let sim = Arc::new(SimDevice::new());
+        let dev = TracedDevice::new(sim.clone());
+        let f = dev.create_file();
+        for k in 0..2 {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+        let sink = Arc::new(VecSink::default());
+        dev.set_io_sink(Some(sink.clone()));
+        let before = dev.stats();
+        dev.discard_page(f, 0).unwrap();
+        assert_eq!(sim.resident_pages(), 1, "the inner device released it");
+        assert!(matches!(
+            dev.read_page(f, 0, IoKind::RandRead),
+            Err(crate::StorageError::DiscardedPage { .. })
+        ));
+        assert!(sink.events.lock().unwrap().is_empty());
+        assert_eq!(dev.stats(), before);
+        // Taking a page is a read and a discard: one read event.
+        dev.take_page(f, 1, IoKind::RandRead).unwrap();
+        assert_eq!(
+            *sink.events.lock().unwrap(),
+            vec![(f, 1, IoKind::RandRead, IoOp::Read, None)]
+        );
+        assert_eq!(sim.resident_pages(), 0);
     }
 
     #[test]

@@ -431,6 +431,9 @@ impl BlockDevice for ThreadLogDevice {
         self.log();
         self.inner.read_page(file, index, kind)
     }
+    fn discard_page(&self, file: FileId, index: usize) -> Result<()> {
+        self.inner.discard_page(file, index)
+    }
     fn delete_file(&self, file: FileId) -> Result<()> {
         self.inner.delete_file(file)
     }
