@@ -31,7 +31,6 @@ fn main() {
                 let cfg = DhhConfig {
                     skew_memory_fraction: mem_fraction,
                     skew_frequency_threshold: freq_threshold,
-                    skew_optimization: mem_fraction > 0.0,
                 };
                 device.reset_stats();
                 let dhh_ios = DhhJoin::new(spec, cfg)

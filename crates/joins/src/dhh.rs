@@ -72,13 +72,12 @@ use nocap_storage::hash::mix64 as hash_key;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DhhConfig {
     /// Fraction of the memory budget reserved for the skew-key hash table
-    /// (PostgreSQL and Histojoin use 2 %).
+    /// (PostgreSQL and Histojoin use 2 %). A fraction that leaves less than
+    /// one page of `B` — `0` in particular — disables the skew optimization.
     pub skew_memory_fraction: f64,
     /// Minimum fraction of S that the tracked MCVs must cover before the
     /// skew optimization is triggered (PostgreSQL uses 2 %, Histojoin 0).
     pub skew_frequency_threshold: f64,
-    /// Enables/disables the skew optimization altogether.
-    pub skew_optimization: bool,
 }
 
 impl Default for DhhConfig {
@@ -86,7 +85,6 @@ impl Default for DhhConfig {
         DhhConfig {
             skew_memory_fraction: 0.02,
             skew_frequency_threshold: 0.02,
-            skew_optimization: true,
         }
     }
 }
@@ -97,7 +95,6 @@ impl DhhConfig {
         DhhConfig {
             skew_memory_fraction: 0.02,
             skew_frequency_threshold: 0.0,
-            skew_optimization: true,
         }
     }
 }
@@ -225,7 +222,7 @@ impl DhhJoin {
     /// the plan's routing table, hashed like every other one.
     fn select_skew_keys(&self, mcvs: &[(u64, u64)], n_s: u64) -> HashSet<u64, BuildKeyHasher> {
         let mut selected = HashSet::default();
-        if !self.config.skew_optimization || mcvs.is_empty() || n_s == 0 {
+        if mcvs.is_empty() || n_s == 0 {
             return selected;
         }
         let total_mcv_mass: u64 = mcvs.iter().map(|&(_, c)| c).sum();
@@ -260,11 +257,10 @@ mod tests {
     use nocap_par::ParallelStager;
     use nocap_storage::{IoStats, Record, SimDevice};
 
-    /// Plain DHH without any skew optimization.
+    /// Plain DHH without any skew optimization: no memory for skew keys.
     const NO_SKEW: DhhConfig = DhhConfig {
         skew_memory_fraction: 0.0,
         skew_frequency_threshold: 1.0,
-        skew_optimization: false,
     };
 
     /// A report's output and per-phase I/O, each phase as
@@ -290,7 +286,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_naive_join_skewed_with_and_without_skew_optimization() {
+    fn matches_naive_join_skewed_with_and_without_skew_keys() {
         let dev = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, 48);
         let counts = |k: u64| if k < 8 { 300 } else { 1 };
@@ -453,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_matches_run_without_the_skew_optimization() {
+    fn run_parallel_matches_run_without_skew_keys() {
         let spec = JoinSpec::paper_synthetic(128, 24);
         let counts = |_k: u64| 3u64;
         let stats = mcvs(3_000, counts, 100);
@@ -576,7 +572,6 @@ mod tests {
             DhhConfig {
                 skew_memory_fraction: 0.02,
                 skew_frequency_threshold: 0.5,
-                skew_optimization: true,
             },
         );
         // MCV mass of 10 out of n_S = 1000 < 50 % threshold → no skew keys.

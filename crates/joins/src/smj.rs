@@ -55,7 +55,10 @@
 //! each run page from the device as it reads it (see
 //! [`nocap_storage::sort`]), so concurrent groups shrink their inputs as
 //! fast as they write their outputs, and the final runs hold no live page
-//! once the fused merge is done.
+//! once the fused merge is done. Every run owns its file: a group's input
+//! files are deleted when its merge returns, the final runs' when the
+//! fused merge does, and a failed phase drops — and deletes — every run it
+//! wrote.
 
 use std::sync::Mutex;
 
@@ -63,10 +66,10 @@ use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_par::{ordered_tasks, resolve_threads};
 use nocap_storage::sort::{
-    fence_splitters, run_chunks, sort_chunk, split_runs, ExternalSorter, GroupMerge, LoserTree,
-    RunSlice, SortScratch, SortedRun,
+    fence_splitters, merge_runs, run_chunks, sort_chunk, split_runs, LoserTree, RunSlice,
+    SortScratch, SortedRun,
 };
-use nocap_storage::{into_inner_unpoisoned, lock_unpoisoned, Relation, SpillGuard};
+use nocap_storage::{lock_unpoisoned, Relation};
 
 /// Smallest buffer budget SMJ accepts, in pages.
 ///
@@ -224,14 +227,9 @@ impl SortMergeJoin {
         let s_share = fan_in - r_share;
         debug_assert!(s_share >= 2, "clamp above keeps a two-way S merge");
 
-        // Adopt each relation's final runs as soon as they exist so a
-        // failure while sorting S (or during the fused merge) deletes R's
-        // runs too; the guard replaces the old success-path delete loop.
-        let mut run_guard = SpillGuard::new();
+        // A failure while sorting S drops R's runs, and their files with them.
         let r_runs = sorted_runs(r, budget, r_share, threads, obs)?;
-        run_guard.adopt_all(r_runs.iter().map(|run| run.relation().clone()));
         let s_runs = sorted_runs(s, budget, s_share, threads, obs)?;
-        run_guard.adopt_all(s_runs.iter().map(|run| run.relation().clone()));
         let partition_io = device.stats().since(&base);
         if obs.is_recording() {
             obs.values(
@@ -245,12 +243,8 @@ impl SortMergeJoin {
         }
 
         let probe_base = device.stats();
-        let output = fused_merge_join(&r_runs, &s_runs, threads, obs)?;
+        let output = fused_merge_join(r_runs, s_runs, threads, obs)?;
         let probe_io = device.stats().since(&probe_base);
-
-        // Dropping the guard deletes every run file (not counted as I/O);
-        // the fused merge has already released every page of them.
-        drop(run_guard);
 
         let mut report = JoinRunReport::new("SMJ");
         report.output_records = output;
@@ -264,17 +258,18 @@ impl SortMergeJoin {
 /// The fused final merge + join, one key range per worker: `threads − 1`
 /// splitter keys at page-weighted quantiles of the final runs' fences cut
 /// both inputs' runs, and each range's matches are counted on its own.
-/// Every run page is read exactly once and released as it is read.
+/// Every run page is read exactly once and released as it is read, and
+/// the run files are deleted when the merge returns.
 fn fused_merge_join(
-    r_runs: &[SortedRun],
-    s_runs: &[SortedRun],
+    r_runs: Vec<SortedRun>,
+    s_runs: Vec<SortedRun>,
     threads: usize,
     obs: &Obs,
 ) -> nocap_storage::Result<u64> {
     let _merge_span = obs.span(Phase::Merge);
-    let splitters = fence_splitters(r_runs.iter().chain(s_runs), threads);
-    let r_ranges = split_runs(r_runs, &splitters)?;
-    let s_ranges = split_runs(s_runs, &splitters)?;
+    let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
+    let r_ranges = split_runs(&r_runs, &splitters)?;
+    let s_ranges = split_runs(&s_runs, &splitters)?;
     let counts = ordered_tasks(
         threads,
         obs,
@@ -288,8 +283,11 @@ fn fused_merge_join(
 
 /// Generates this relation's sorted runs with `threads` workers claiming
 /// fixed grid chunks in canonical order, then runs the merge cascade until
-/// the runs fit `share`, the workers claiming each level's groups. The runs
-/// and every I/O count are the one-worker sort's at any worker count.
+/// the runs fit `share`: each level cuts its runs into groups of `B − 1`
+/// (a trailing single run passes through unmerged) and the workers claim
+/// the groups. The runs and every I/O count are the one-worker sort's at
+/// any worker count. A failed task drops every run written so far, and
+/// with it the run's file.
 fn sorted_runs(
     relation: &Relation,
     budget: usize,
@@ -298,12 +296,7 @@ fn sorted_runs(
     obs: &Obs,
 ) -> nocap_storage::Result<Vec<SortedRun>> {
     let chunks = run_chunks(relation.num_pages(), budget);
-    // `ordered_tasks` drops the already-completed results when a task
-    // fails (or siblings are cancelled) — and each result here owns a run
-    // file. Adopting every run into a shared guard the moment it is written
-    // guarantees a failed fan-out deletes all of them.
-    let chunk_guard = Mutex::new(SpillGuard::new());
-    let runs = {
+    let mut runs = {
         let _run_gen_span = obs.span(Phase::SortRunGen);
         ordered_tasks(
             threads,
@@ -311,16 +304,9 @@ fn sorted_runs(
             Phase::SortRunGen,
             chunks.len(),
             SortScratch::new,
-            |scratch, i| {
-                let run = sort_chunk(relation, chunks[i].clone(), scratch)?;
-                lock_unpoisoned(&chunk_guard).adopt(run.relation().clone());
-                Ok(run)
-            },
+            |scratch, i| sort_chunk(relation, chunks[i].clone(), scratch),
         )?
     };
-    // Success: the merge cascade below takes over ownership (it is itself
-    // fail-clean), so disarm the run-generation guard.
-    let _ = into_inner_unpoisoned(chunk_guard).release();
     if obs.is_recording() {
         obs.values(
             "run_pages",
@@ -329,10 +315,26 @@ fn sorted_runs(
         obs.count("initial_runs", runs.len() as u64);
     }
     let _merge_span = obs.span(Phase::Merge);
-    let groups = |count: usize, merge: &GroupMerge<'_>| {
-        ordered_tasks(threads, obs, Phase::Merge, count, || (), |_, g| merge(g))
-    };
-    ExternalSorter::new(relation.device().clone(), budget).merge_to_fan_in(runs, share, groups)
+    let fan_in = budget - 1;
+    while runs.len() > share {
+        let through = runs.split_off(runs.len() - usize::from(runs.len() % fan_in == 1));
+        // Each group merge takes its runs out of its slot by value, so its
+        // input files go as soon as it returns.
+        let mut level = runs.into_iter();
+        let groups: Vec<Mutex<Vec<SortedRun>>> = (0..level.len().div_ceil(fan_in))
+            .map(|_| Mutex::new(level.by_ref().take(fan_in).collect()))
+            .collect();
+        runs = ordered_tasks(
+            threads,
+            obs,
+            Phase::Merge,
+            groups.len(),
+            || (),
+            |_, g| merge_runs(std::mem::take(&mut *lock_unpoisoned(&groups[g]))),
+        )?;
+        runs.extend(through);
+    }
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -500,18 +502,15 @@ mod tests {
             let s_runs = sorted_runs(&s, 8, 5, threads, &Obs::off()).unwrap();
             let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
             assert!(splitters.iter().all(|&k| k == HOT), "{splitters:?}");
-            let output = fused_merge_join(&r_runs, &s_runs, threads, &Obs::off()).unwrap();
+            let output = fused_merge_join(r_runs, s_runs, threads, &Obs::off()).unwrap();
             assert_eq!(output, expected, "T = {threads}");
-            // The run files still exist, but the fused merge released every
-            // page of them: the device holds the two inputs and nothing else.
+            // The fused merge consumed the runs: the device holds the two
+            // inputs and nothing else.
             assert_eq!(
-                sim.resident_pages(),
-                r.num_pages() + s.num_pages(),
-                "T = {threads}: run pages outlived the fused merge"
+                (sim.live_files(), sim.resident_pages()),
+                (2, r.num_pages() + s.num_pages()),
+                "T = {threads}: runs outlived the fused merge"
             );
-            for run in r_runs.into_iter().chain(s_runs) {
-                run.delete().unwrap();
-            }
         }
         dev.reset_stats();
         let one = SortMergeJoin::new(spec).run_parallel(&r, &s, 1).unwrap();

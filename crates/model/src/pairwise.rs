@@ -31,7 +31,7 @@ use std::sync::Arc;
 
 use nocap_obs::{Obs, Phase};
 use nocap_storage::hash::{level_seed, mix64_seeded};
-use nocap_storage::{JoinHashTable, Page, Relation, RelationScan, SpillGuard, SpillSet};
+use nocap_storage::{JoinHashTable, Page, Relation, RelationScan, SpillSet};
 
 use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
 use crate::spec::JoinSpec;
@@ -196,15 +196,11 @@ pub fn smart_partition_join(
         return nbj();
     }
     // Re-partition both sides and recurse. Fail-clean: the sub-partitions
-    // are deleted when the guard drops, whether the nested joins succeed or
-    // not.
+    // are deleted when they drop, whether the nested joins succeed or not.
     let m = spec.buffer_pages.saturating_sub(1).max(2);
     let seed = level_seed(depth);
-    let mut guard = SpillGuard::new();
     let r_sub = repartition(r_partition, spec, m, seed)?;
-    guard.adopt_all(r_sub.iter().flatten().cloned());
     let s_sub = repartition(s_partition, spec, m, seed)?;
-    guard.adopt_all(s_sub.iter().flatten().cloned());
     let mut output = 0u64;
     for pair in r_sub.iter().zip(&s_sub) {
         if let (Some(rp), Some(sp)) = pair {

@@ -12,8 +12,8 @@
 //! Cancellation is **cooperative and boundary-aligned**: workers poll at
 //! task-claim points (between partition pairs, between sort chunks), never
 //! mid-page, so a cancelled run tears down through the same `?`-driven
-//! cleanup paths a plain error would take — RAII spill guards delete files,
-//! reservations release, locks unlock.
+//! cleanup paths a plain error would take — dropped relations delete their
+//! files, reservations release, locks unlock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

@@ -89,6 +89,10 @@
 //! pages even though the modeled I/O is unchanged. Use fewer threads when
 //! physical memory, not I/O, is the binding constraint.
 //!
+//! **Spill files.** Every spilled partition is a [`Relation`] that owns its
+//! file, so the files go when the partitions drop: after the probe phase,
+//! or on the way out of whichever phase fails.
+//!
 //! **Panics.** Scan and probe tasks run under the pool's `catch_unwind`,
 //! worker 0 — the calling thread — included. A panic inside one therefore
 //! comes back as
@@ -101,8 +105,7 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, Relation, Result,
-    SpillGuard, SpillSet,
+    into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, Relation, Result, SpillSet,
 };
 
 use crate::pool::{ordered_tasks, resolve_threads, run_workers_obs};
@@ -208,12 +211,10 @@ where
     })?;
     drop(r_partition_span);
     let spill_span = obs.span(Phase::Spill);
+    // The spilled partitions own their files: an error anywhere below —
+    // partitioning, probing, a faulted device — drops them and deletes the
+    // files (deletion is not modeled I/O).
     let mut build = stager.finish(stages)?;
-    // Every spilled partition is adopted here the moment it is finished, so an
-    // error anywhere below — partitioning, probing, a faulted device —
-    // deletes all spill files on unwind (deletion is not modeled I/O).
-    let mut spill_guard = SpillGuard::new();
-    spill_guard.adopt_all(build.spilled.iter().flatten().cloned());
     drop(spill_span);
     let mut ht_mem = into_inner_unpoisoned(ht_shared);
     let staged_records = build.staged_records.len();
@@ -273,7 +274,6 @@ where
     let probe_base = device.stats();
     let probe_span = obs.span(Phase::Probe);
     let s_spilled = s_set.finish()?;
-    spill_guard.adopt_all(s_spilled.iter().flatten().cloned());
     let pairs: Vec<(&Relation, &Relation)> = build
         .spilled
         .iter()
@@ -295,8 +295,8 @@ where
     drop(probe_span);
     let probe_io = device.stats().since(&probe_base);
 
-    // Dropping the guard deletes every spill file (not counted as I/O).
-    drop(spill_guard);
+    // Dropping the partitions deletes every spill file (not counted as I/O).
+    drop((build.spilled, s_spilled));
 
     obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
     let mut report = JoinRunReport::new(plan.label);

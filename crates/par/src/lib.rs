@@ -8,7 +8,7 @@
 //! workers **without the modeled I/O depending on `T` or the paper's memory
 //! budget being violated**:
 //!
-//! * [`pool`] — a scoped [`run_workers`] fan-out helper (worker 0 is the
+//! * [`pool`] — a scoped [`run_workers_obs`] fan-out helper (worker 0 is the
 //!   calling thread, `n − 1` threads are spawned — at one worker nothing is
 //!   spawned and the fan-out *is* a sequential loop), a work-queue
 //!   [`ordered_tasks`] helper for the partition-wise probe phase, sort-run
@@ -79,9 +79,6 @@ pub mod stage;
 
 pub use cancel::CancelToken;
 pub use hybrid::{hybrid_hash_join, staging_budget, HybridPlan, Route};
-pub use pool::{
-    default_threads, ordered_tasks, resolve_threads, run_workers, run_workers_cancel,
-    run_workers_obs,
-};
+pub use pool::{default_threads, ordered_tasks, resolve_threads, run_workers_obs};
 pub use shard::{page_shards, PageMorsels};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

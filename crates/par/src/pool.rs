@@ -1,8 +1,8 @@
 //! Scoped worker fan-out and work-queue helpers.
 //!
-//! The execution engine only ever needs three shapes of parallelism:
+//! The execution engine only ever needs two shapes of parallelism:
 //!
-//! * **worker fan-out** ([`run_workers`]): `n` workers, each handed its
+//! * **worker fan-out** ([`run_workers_obs`]): `n` workers, each handed its
 //!   worker id, producing one result each — used for the partitioning
 //!   scans, where every worker claims page morsels
 //!   ([`PageMorsels`](crate::shard::PageMorsels)) until the relation is
@@ -13,8 +13,9 @@
 //!   is wildly uneven under skew, so static assignment would leave workers
 //!   idle; the counts are summed) and where downstream consumers need the
 //!   artifacts in canonical order (the sort chunks and merge groups of
-//!   `SortMergeJoin::run_parallel`), with per-worker reusable state so the
-//!   tasks themselves stay allocation-free.
+//!   `SortMergeJoin::run_parallel`, the statistics shards folded in shard
+//!   order), with per-worker reusable state so the tasks themselves stay
+//!   allocation-free.
 //!
 //! All are built on `std::thread::scope`, so borrowed state (the shared
 //! hash table, the writer sets, the device) needs no `'static` gymnastics.
@@ -28,8 +29,9 @@
 //! observe it at their next task boundary and bail with
 //! [`StorageError::Cancelled`], and the caller receives the recorded root
 //! cause — not whichever victim finished last. Cleanup relies on RAII
-//! (spill guards, reservations, poison-tolerant locks), so a cancelled or
-//! panicked run releases everything it acquired.
+//! (relations that delete their files on drop, reservations,
+//! poison-tolerant locks), so a cancelled or panicked run releases
+//! everything it acquired.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,34 +86,21 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `threads` workers, each receiving its worker id `0..threads`, and
-/// collects their results in worker order.
+/// Runs `threads` workers, each receiving its worker id `0..threads` and
+/// `token`, and collects their results in worker order. A worker is
+/// expected to poll [`CancelToken::check`] at its task boundaries, so
+/// sibling workers stop promptly once any worker fails.
 ///
 /// If any worker fails, the returned error is the run's **root cause**: the
-/// first error (in wall-clock order) that tripped the internal cancel
-/// token. Worker panics are caught and surfaced as
+/// first error (in wall-clock order) that tripped the token; workers that
+/// return [`StorageError::Cancelled`] are victims, not causes, and never
+/// overwrite it. Panics are caught per worker (on the spawned threads *and*
+/// in worker 0 on the calling thread) and converted to
 /// [`StorageError::WorkerPanicked`] instead of aborting the process. Worker
 /// 0 runs on the calling thread and only workers `1..threads` are spawned,
 /// so `threads == 1` has no spawn overhead at all — which is what lets the
-/// joins' sequential `run` be this fan-out at one worker.
-pub fn run_workers<T, F>(threads: usize, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    run_workers_cancel(threads, &CancelToken::new(), |w, _| f(w))
-}
-
-/// [`run_workers`] with an explicit [`CancelToken`]: the closure receives
-/// the token and is expected to poll [`CancelToken::check`] at its task
-/// boundaries, so sibling workers stop promptly once any worker fails.
-///
-/// The first worker error or panic trips the token; workers that return
-/// [`StorageError::Cancelled`] are victims, not causes, and never overwrite
-/// the recorded root cause. Panics are caught per worker (on the spawned
-/// threads *and* in worker 0 on the calling thread) and converted to
-/// [`StorageError::WorkerPanicked`].
-pub fn run_workers_cancel<T, F>(threads: usize, token: &CancelToken, f: F) -> Result<Vec<T>>
+/// joins' sequential `run` be a fan-out at one worker.
+fn run_workers_cancel<T, F>(threads: usize, token: &CancelToken, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, &CancelToken) -> Result<T> + Sync,
@@ -176,16 +165,19 @@ where
     }
 }
 
-/// [`run_workers`] with per-worker observability: each worker's whole
-/// closure is bracketed by a span of the given phase under its worker id,
-/// and the closure receives a [`WorkerObs`] to record finer spans and
-/// counters lock-free (flushed when the worker finishes).
+/// Runs `threads` workers, each receiving its worker id `0..threads`, and
+/// collects their results in worker order; the first error or panic is the
+/// run's error (see the [module docs](self)). Each worker's whole closure
+/// is bracketed by a span of the given phase under its worker id, and the
+/// closure receives a [`WorkerObs`] to record finer spans and counters
+/// lock-free (flushed when the worker finishes); under `Obs::off()` it
+/// records nothing.
 pub fn run_workers_obs<T, F>(threads: usize, obs: &Obs, phase: Phase, f: F) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, &mut WorkerObs) -> Result<T> + Sync,
 {
-    run_workers(threads, |w| {
+    run_workers_cancel(threads, &CancelToken::new(), |w, _| {
         let mut wobs = obs.worker(w);
         // Attribute traced device I/O from this worker thread to the phase.
         let _io = obs.io_phase(phase);
@@ -262,13 +254,13 @@ mod tests {
 
     #[test]
     fn run_workers_returns_results_in_worker_order() {
-        let squares = run_workers(4, |w| Ok(w * w)).unwrap();
+        let squares = run_workers_obs(4, &Obs::off(), Phase::Partition, |w, _| Ok(w * w)).unwrap();
         assert_eq!(squares, vec![0, 1, 4, 9]);
     }
 
     #[test]
     fn run_workers_propagates_errors() {
-        let err = run_workers(3, |w| {
+        let err = run_workers_obs(3, &Obs::off(), Phase::Partition, |w, _| {
             if w == 1 {
                 Err(StorageError::Io("boom".into()))
             } else {
@@ -282,12 +274,17 @@ mod tests {
     #[test]
     fn run_workers_catches_panics_at_every_thread_count() {
         for threads in [1usize, 2, 4, 8] {
-            let err = run_workers(threads, |w| -> Result<usize> {
-                if w == 0 {
-                    panic!("task {w} exploded");
-                }
-                Ok(w)
-            })
+            let err = run_workers_obs(
+                threads,
+                &Obs::off(),
+                Phase::Partition,
+                |w, _| -> Result<usize> {
+                    if w == 0 {
+                        panic!("task {w} exploded");
+                    }
+                    Ok(w)
+                },
+            )
             .unwrap_err();
             match err {
                 StorageError::WorkerPanicked(msg) => {
@@ -305,7 +302,7 @@ mod tests {
             // The barrier keeps all workers alive at once, so each needs a
             // thread of its own.
             let barrier = std::sync::Barrier::new(threads);
-            let ids = run_workers(threads, |_| {
+            let ids = run_workers_obs(threads, &Obs::off(), Phase::Partition, |_, _| {
                 barrier.wait();
                 Ok(std::thread::current().id())
             })
@@ -406,7 +403,7 @@ mod tests {
         // tolerant sibling still finishes, and the caller sees one clean
         // WorkerPanicked error.
         let shared = std::sync::Mutex::new(0u64);
-        let err = run_workers(4, |w| -> Result<u64> {
+        let err = run_workers_obs(4, &Obs::off(), Phase::Partition, |w, _| -> Result<u64> {
             if w == 0 {
                 let _guard = shared.lock().unwrap();
                 panic!("poisoning panic");

@@ -102,7 +102,8 @@ impl PageMorsels {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_workers;
+    use crate::pool::run_workers_obs;
+    use nocap_obs::{Obs, Phase};
     use nocap_storage::{Record, RecordLayout, SimDevice};
 
     fn layout() -> RecordLayout {
@@ -169,7 +170,7 @@ mod tests {
         let relation = relation_of(1_000);
         relation.device().reset_stats();
         let morsels = PageMorsels::new(&relation, 4);
-        let seen = run_workers(4, |_| {
+        let seen = run_workers_obs(4, &Obs::off(), Phase::Partition, |_, _| {
             let mut keys = Vec::new();
             morsels.scan(|page| {
                 keys.extend(page.record_refs().map(|r| r.key()));

@@ -209,8 +209,9 @@ impl ParallelStager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_workers;
+    use crate::pool::run_workers_obs;
     use nocap_model::{staging_quotas, StagingRouter};
+    use nocap_obs::{Obs, Phase};
     use nocap_storage::{FaultDevice, FaultKind, FaultSpec, Record, SimDevice};
 
     fn spec() -> JoinSpec {
@@ -231,7 +232,7 @@ mod tests {
         let (budget, parts) = (caps.iter().sum::<usize>(), caps.len());
         let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps.to_vec());
         let shard = keys.len().div_ceil(threads);
-        let stages = run_workers(threads, |w| {
+        let stages = run_workers_obs(threads, &Obs::off(), Phase::Partition, |w, _| {
             let mut stage = stager.worker_stage();
             let lo = (w * shard).min(keys.len());
             let hi = ((w + 1) * shard).min(keys.len());
@@ -384,7 +385,7 @@ mod tests {
         faulty.arm();
         let spec = spec();
         let stager = ParallelStager::new(faulty, spec.r_layout, spec, vec![2; 4]);
-        let result = run_workers(3, |w| {
+        let result = run_workers_obs(3, &Obs::off(), Phase::Partition, |w, _| {
             let mut stage = stager.worker_stage();
             for k in 0..2_000u64 {
                 let rec = Record::with_fill(k * 3 + w as u64, 120, 0);

@@ -19,15 +19,12 @@
 //! [`McvEstimate`]s with error bounds, the exact stream length, the key
 //! range and the histogram that backs the near-uniform fallback.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use nocap_model::McvEstimate;
 use nocap_obs::{Obs, Phase};
-use nocap_par::{page_shards, resolve_threads, run_workers};
-use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, Relation, RelationScan, Reservation, Result,
-};
+use nocap_par::{ordered_tasks, page_shards, resolve_threads};
+use nocap_storage::{lock_unpoisoned, BufferPool, Relation, RelationScan, Reservation, Result};
 
 use crate::histogram::EquiWidthHistogram;
 use crate::spacesaving::SpaceSaving;
@@ -320,51 +317,39 @@ impl StatsCollector {
         Ok(collected.finish())
     }
 
-    /// Scans the fixed shard grid with a worker pool and folds the shard
-    /// collectors in shard order. Workers claim shards from an atomic
-    /// cursor, so any `threads ≤ shards` keeps every worker busy; the fold
-    /// happens after the barrier, in index order, making the result
-    /// independent of which worker scanned which shard. `make` receives the
-    /// shard index it is building a collector for.
+    /// Scans the fixed shard grid on the shared work queue
+    /// ([`ordered_tasks`]) and folds the shard collectors in shard order,
+    /// making the result independent of which worker scanned which shard.
+    /// A failing shard cancels its siblings at their next shard boundary.
+    /// `make` receives the shard index it is building a collector for.
     fn collect_sharded(
         rel: &Relation,
         threads: usize,
         obs: &Obs,
         make: impl Fn(usize) -> StatsCollector + Sync,
     ) -> Result<StatsCollector> {
-        let threads = resolve_threads(threads);
         let _stats_span = obs.span(Phase::Stats);
         let num_shards = Self::shard_count(rel);
         obs.count("stats_shards", num_shards as u64);
         let grid = page_shards(rel.num_pages(), num_shards);
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<StatsCollector>>> =
-            (0..num_shards).map(|_| Mutex::new(None)).collect();
-        run_workers(threads.max(1).min(num_shards), |w| {
-            let mut wobs = obs.worker(w);
-            // Attribute traced device reads from this worker to the stats phase.
-            let _io = obs.io_phase(Phase::Stats);
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= num_shards {
-                    return Ok(());
-                }
-                let started = wobs.start();
+        let shards = ordered_tasks(
+            resolve_threads(threads),
+            obs,
+            Phase::Stats,
+            num_shards,
+            || (),
+            |_, i| {
                 let mut collector = make(i);
                 collector.consume(rel.scan_range(grid[i].clone()))?;
-                *lock_unpoisoned(&slots[i]) = Some(collector);
-                wobs.record_task(Phase::Stats, i, started);
-            }
-        })?;
-        let mut folded: Option<StatsCollector> = None;
-        for slot in slots {
-            let shard = into_inner_unpoisoned(slot).expect("every shard was collected");
-            match folded.as_mut() {
-                None => folded = Some(shard),
-                Some(acc) => acc.merge(&shard),
-            }
+                Ok(collector)
+            },
+        )?;
+        let mut shards = shards.into_iter();
+        let mut folded = shards.next().expect("at least one shard");
+        for shard in shards {
+            folded.merge(&shard);
         }
-        Ok(folded.expect("at least one shard"))
+        Ok(folded)
     }
 }
 

@@ -31,11 +31,11 @@
 //! * [`relation`] — the one on-disk record file: a join input, a spill
 //!   partition and a sorted run are all a [`Relation`], written by the one
 //!   [`RelationWriter`] (one-page output buffer, sequential or random
-//!   writes) and read by the one [`RelationScan`].
+//!   writes) and read by the one [`RelationScan`]. A relation owns its
+//!   file: dropping its last handle deletes it, on every exit path.
 //! * [`spill`] — [`SpillSet`], the one write path every hash join spills a
 //!   set of partitions through (worker-private pages, one random-write
-//!   file per partition, a deterministic tail merge), and [`SpillGuard`],
-//!   which deletes spilled relations on every exit path.
+//!   file per partition, a deterministic tail merge).
 //! * [`hash_table`] — an in-memory build/probe hash table with fudge-factor
 //!   (F) space accounting, a sealed bucket-contiguous probe layout and
 //!   vectorized key compares.
@@ -52,10 +52,10 @@
 //!   them, the benchmark's `kernel.radix_route_mrec_s` row does.
 //! * [`sort`] — the external sort the sort-merge join baseline runs:
 //!   arena-backed run generation over a fixed chunk grid ([`run_chunks`],
-//!   [`sort_chunk`]), a merge cascade whose groups
-//!   ([`ExternalSorter::merge_to_fan_in`]) and fence-cut key ranges the
-//!   caller merges on any number of workers, and the loser-tree multiway
-//!   merge ([`LoserTree`]) under both.
+//!   [`sort_chunk`]), the group merge of a cascade level ([`merge_runs`],
+//!   which consumes its runs), fence-cut key ranges ([`split_runs`](sort::split_runs)) —
+//!   both merged by the caller on any number of workers — and the
+//!   loser-tree multiway merge ([`LoserTree`]) under both.
 //! * [`traced`] — [`TracedDevice`], a purely observational [`BlockDevice`]
 //!   wrapper that reports every page access (file, page, declared
 //!   [`IoKind`], optional measured latency) to an attached [`IoEventSink`];
@@ -118,10 +118,8 @@ pub use page::{Page, DEFAULT_PAGE_SIZE};
 pub use radix::RadixRouter;
 pub use record::{Record, RecordBatch, RecordLayout, RecordRef};
 pub use relation::{Relation, RelationScan, RelationWriter};
-pub use sort::{
-    run_chunks, sort_chunk, ExternalSorter, LoserTree, RunSlice, SortScratch, SortedRun,
-};
-pub use spill::{LocalPages, SpillGuard, SpillSet};
+pub use sort::{merge_runs, run_chunks, sort_chunk, LoserTree, RunSlice, SortScratch, SortedRun};
+pub use spill::{LocalPages, SpillSet};
 pub use sync::{into_inner_unpoisoned, lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 pub use traced::{IoEventSink, IoMarkerKind, IoOp, TracedDevice};
 

@@ -17,6 +17,7 @@
 //! [`BlockDevice::reset_stats`](crate::BlockDevice::reset_stats) after
 //! loading; the experiment harness in `nocap-bench` does exactly that.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::device::{DeviceRef, FileId};
@@ -25,11 +26,59 @@ use crate::page::{records_per_page, Page};
 use crate::record::{Record, RecordLayout, RecordRef};
 use crate::Result;
 
-/// A stored relation: metadata plus the device file holding its pages.
-#[derive(Clone)]
-pub struct Relation {
+/// The device file of one relation, deleted when its last handle drops.
+///
+/// A [`RelationWriter`] holds it from the file's creation and
+/// [`finish`](RelationWriter::finish) shares it among the relation's
+/// clones, scans and run slices, so a file is deleted exactly when nothing
+/// can read it any more — on the success path and on every error or unwind
+/// path alike — unless [`Relation::delete`] deleted it first. Deletion is
+/// not an I/O in the paper's cost model, so when it happens changes no
+/// modeled counter.
+struct OwnedFile {
     device: DeviceRef,
     file: FileId,
+    deleted: AtomicBool,
+}
+
+impl OwnedFile {
+    fn create(device: DeviceRef) -> Self {
+        let file = device.create_file();
+        OwnedFile {
+            device,
+            file,
+            deleted: AtomicBool::new(false),
+        }
+    }
+
+    fn append(&self, page: &Page, kind: IoKind) -> Result<()> {
+        self.device.append_page(self.file, page, kind).map(drop)
+    }
+
+    /// Deletes the file now; the drop then deletes nothing.
+    fn delete(&self) -> Result<()> {
+        self.deleted.store(true, Ordering::Relaxed);
+        self.device.delete_file(self.file)
+    }
+}
+
+impl Drop for OwnedFile {
+    fn drop(&mut self) {
+        if !*self.deleted.get_mut() {
+            // Best effort: a failing delete during unwind must not panic.
+            let _ = self.device.delete_file(self.file);
+        }
+    }
+}
+
+/// A stored relation: metadata plus the device file holding its pages.
+///
+/// Every relation owns its file: clones share it, and dropping the last
+/// handle — relation, [`RelationScan`] or
+/// [`RunSlice`](crate::sort::RunSlice) — deletes it.
+#[derive(Clone)]
+pub struct Relation {
+    file: Arc<OwnedFile>,
     layout: RecordLayout,
     page_size: usize,
     num_records: usize,
@@ -61,12 +110,12 @@ impl Relation {
 
     /// The device this relation lives on.
     pub fn device(&self) -> &DeviceRef {
-        &self.device
+        &self.file.device
     }
 
     /// The device file holding the relation's pages.
     pub fn file(&self) -> FileId {
-        self.file
+        self.file.file
     }
 
     /// Record layout of the relation.
@@ -135,13 +184,13 @@ impl Relation {
 
     /// Reads page `index` (one I/O of `kind`).
     pub(crate) fn read_page(&self, index: usize, kind: IoKind) -> Result<Arc<Page>> {
-        self.device.read_page(self.file, index, kind)
+        self.device().read_page(self.file(), index, kind)
     }
 
     /// Reads page `index` for the last time (one I/O of `kind`) and
     /// discards it ([`BlockDevice::take_page`](crate::BlockDevice::take_page)).
     pub(crate) fn take_page(&self, index: usize, kind: IoKind) -> Result<Arc<Page>> {
-        self.device.take_page(self.file, index, kind)
+        self.device().take_page(self.file(), index, kind)
     }
 
     /// Reads every record into memory (test/diagnostic helper; still counts
@@ -150,16 +199,18 @@ impl Relation {
         self.scan().collect()
     }
 
-    /// Deletes the relation's pages from the device.
+    /// Deletes the relation's file from the device now, whatever other
+    /// handles share it, and returns the device's error if it fails; the
+    /// file is not deleted again when the last handle drops.
     pub fn delete(self) -> Result<()> {
-        self.device.delete_file(self.file)
+        self.file.delete()
     }
 }
 
 impl std::fmt::Debug for Relation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Relation")
-            .field("file", &self.file)
+            .field("file", &self.file())
             .field("num_records", &self.num_records)
             .field("num_pages", &self.num_pages)
             .field("record_bytes", &self.layout.record_bytes())
@@ -175,12 +226,11 @@ impl std::fmt::Debug for Relation {
 /// The buffer page is allocated by the first record buffered in it: a
 /// writer fed only whole pages ([`append_full_page`](Self::append_full_page))
 /// holds none. The writer owns its file until [`finish`](Self::finish)
-/// hands it over as a [`Relation`]: dropping an unfinished writer (e.g.
+/// hands it over to the [`Relation`]: dropping an unfinished writer (e.g.
 /// while unwinding out of a failed partitioning phase or bulk load) deletes
 /// the file, so error paths can never leak half-written relations.
 pub struct RelationWriter {
-    device: DeviceRef,
-    file: FileId,
+    file: OwnedFile,
     layout: RecordLayout,
     page_size: usize,
     /// The output buffer, absent until the first buffered record.
@@ -188,7 +238,6 @@ pub struct RelationWriter {
     write_kind: IoKind,
     num_records: usize,
     num_pages: usize,
-    finished: bool,
 }
 
 impl RelationWriter {
@@ -203,17 +252,14 @@ impl RelationWriter {
         page_size: usize,
         write_kind: IoKind,
     ) -> Self {
-        let file = device.create_file();
         RelationWriter {
-            device,
-            file,
+            file: OwnedFile::create(device),
             layout,
             page_size,
             page: None,
             write_kind,
             num_records: 0,
             num_pages: 0,
-            finished: false,
         }
     }
 
@@ -230,7 +276,7 @@ impl RelationWriter {
             .page
             .get_or_insert_with(|| Page::empty(self.page_size, self.layout));
         if !page.push_ref(record)? {
-            self.device.append_page(self.file, page, self.write_kind)?;
+            self.file.append(page, self.write_kind)?;
             self.num_pages += 1;
             page.clear();
             let pushed = page.push_ref(record)?;
@@ -256,7 +302,7 @@ impl RelationWriter {
             page.is_full() && page.record_size() == self.layout.record_bytes(),
             "append_full_page needs a full page of this relation's records"
         );
-        self.device.append_page(self.file, page, self.write_kind)?;
+        self.file.append(page, self.write_kind)?;
         self.num_pages += 1;
         self.num_records += page.record_count();
         Ok(())
@@ -265,27 +311,16 @@ impl RelationWriter {
     /// Flushes the partial output buffer and returns the finished relation.
     pub fn finish(mut self) -> Result<Relation> {
         if let Some(page) = self.page.take().filter(|page| !page.is_empty()) {
-            self.device.append_page(self.file, &page, self.write_kind)?;
+            self.file.append(&page, self.write_kind)?;
             self.num_pages += 1;
         }
-        self.finished = true;
         Ok(Relation {
-            device: self.device.clone(),
-            file: self.file,
+            file: Arc::new(self.file),
             layout: self.layout,
             page_size: self.page_size,
             num_records: self.num_records,
             num_pages: self.num_pages,
         })
-    }
-}
-
-impl Drop for RelationWriter {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Best effort: a failing delete during unwind must not panic.
-            let _ = self.device.delete_file(self.file);
-        }
     }
 }
 
@@ -364,7 +399,9 @@ impl Iterator for RelationScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::SimDevice;
+    use crate::device::{BlockDevice, SimDevice};
+    use crate::iostats::IoStats;
+    use std::sync::atomic::AtomicUsize;
 
     fn records(n: usize, payload: usize) -> Vec<Record> {
         (0..n as u64)
@@ -512,6 +549,82 @@ mod tests {
         assert!(dev.file_pages(file).is_err());
         // The file is gone: a second delete reports an unknown file.
         assert!(rel.delete().is_err());
+    }
+
+    /// A `SimDevice` that counts `delete_file` calls and can fail them.
+    #[derive(Default)]
+    struct DeleteCounter {
+        sim: SimDevice,
+        deletes: AtomicUsize,
+        fail: AtomicBool,
+    }
+
+    impl BlockDevice for DeleteCounter {
+        fn create_file(&self) -> FileId {
+            self.sim.create_file()
+        }
+        fn file_pages(&self, file: FileId) -> Result<usize> {
+            self.sim.file_pages(file)
+        }
+        fn append_page(&self, file: FileId, page: &Page, kind: IoKind) -> Result<usize> {
+            self.sim.append_page(file, page, kind)
+        }
+        fn read_page(&self, file: FileId, index: usize, kind: IoKind) -> Result<Arc<Page>> {
+            self.sim.read_page(file, index, kind)
+        }
+        fn discard_page(&self, file: FileId, index: usize) -> Result<()> {
+            self.sim.discard_page(file, index)
+        }
+        fn delete_file(&self, file: FileId) -> Result<()> {
+            self.deletes.fetch_add(1, Ordering::Relaxed);
+            if self.fail.load(Ordering::Relaxed) {
+                return Err(crate::StorageError::Io("delete refused".into()));
+            }
+            self.sim.delete_file(file)
+        }
+        fn stats(&self) -> IoStats {
+            self.sim.stats()
+        }
+        fn reset_stats(&self) {
+            self.sim.reset_stats()
+        }
+    }
+
+    #[test]
+    fn a_relation_owns_its_file() {
+        let device = Arc::new(DeleteCounter::default());
+        let dev: DeviceRef = device.clone();
+        let deletes = || device.deletes.load(Ordering::Relaxed);
+        // Dropping the last handle deletes the file; a clone, a scan or a
+        // run slice alone keeps it.
+        for keep in 0..3 {
+            let rel = small(&dev, 20);
+            let handle: Box<dyn std::any::Any> = match keep {
+                0 => Box::new(rel.clone()),
+                1 => Box::new(rel.scan()),
+                _ => Box::new(crate::sort::RunSlice::whole(&rel)),
+            };
+            drop(rel);
+            assert_eq!(device.sim.live_files(), 1, "handle {keep} keeps the file");
+            drop(handle);
+            assert_eq!(device.sim.live_files(), 0, "handle {keep} was the last");
+        }
+        assert_eq!(deletes(), 3);
+        // An unfinished writer deletes its file.
+        let mut writer = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
+        for r in records(20, 8) {
+            writer.push(&r).unwrap();
+        }
+        drop(writer);
+        assert_eq!((device.sim.live_files(), deletes()), (0, 4));
+        // `delete` reports the device's error once; the drop does not
+        // delete again.
+        let rel = small(&dev, 20);
+        device.fail.store(true, Ordering::Relaxed);
+        assert!(rel.clone().delete().is_err());
+        assert_eq!(deletes(), 5);
+        drop(rel);
+        assert_eq!(deletes(), 5, "the owner deletes once");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! additional sort pass a sequential write (weighted by τ) plus a read of
 //! every page. Following the paper, the final merge pass is fused with the
 //! join whenever the number of runs fits the merge fan-in, so the merge
-//! cascade ([`ExternalSorter::merge_to_fan_in`]) stops as soon as
+//! cascade — levels of group merges ([`merge_runs`]) — stops as soon as
 //! `#runs ≤ fan-in` and hands the runs to a merge ([`LoserTree`]) that the
 //! join drives directly.
 //!
@@ -56,8 +56,8 @@
 //! * **Cascade groups.** Each cascade level cuts its runs into groups of up
 //!   to `B − 1` and merges every group on its own: a group reads only its
 //!   runs and writes one run, so groups are independent and the caller's
-//!   fan-out ([`ExternalSorter::merge_to_fan_in`]) may merge them on any
-//!   number of workers. The merged runs land at their group index, so the
+//!   fan-out (SMJ's `sorted_runs`) may merge them on any number of
+//!   workers. The merged runs land at their group index, so the
 //!   next level sees the same runs in the same order and every I/O count
 //!   is the one-worker count. Concurrent groups each hold up to `B` pages
 //!   of working memory (their input cursors plus the output page), `T × B`
@@ -79,20 +79,21 @@
 //! A run's file is a [`Relation`] like the input's, written by the one
 //! [`RelationWriter`] sequentially ([`IoKind::SeqWrite`]); it carries its
 //! own layout and page size, so the cascade reads nothing but the pages it
-//! merges. Merge reads interleave across runs and are counted as random
-//! reads ([`IoKind::RandRead`]), matching the paper's observation that
-//! SMJ's reads are ≈1.2× slower than GHJ's sequential reads.
+//! merges. Like every relation, a run deletes its file when its last handle
+//! drops: [`merge_runs`] takes its runs by value, so a group's input files
+//! go when its merge returns, and a failed sort drops its runs and their
+//! files with them. Merge reads interleave across runs and are counted as
+//! random reads ([`IoKind::RandRead`]), matching the paper's observation
+//! that SMJ's reads are ≈1.2× slower than GHJ's sequential reads.
 
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::device::DeviceRef;
 use crate::iostats::IoKind;
 use crate::page::{records_per_page, Page};
 use crate::record::{RecordBatch, RecordLayout, RecordRef};
 use crate::relation::{Relation, RelationWriter};
-use crate::spill::SpillGuard;
-use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use crate::Result;
 
 /// Splits `0..num_pages` into the fixed run-generation chunk grid: each
@@ -164,7 +165,7 @@ impl SortedRun {
         self.relation.num_records()
     }
 
-    /// Deletes the run file from the device.
+    /// Deletes the run file from the device now (see [`Relation::delete`]).
     pub fn delete(self) -> Result<()> {
         self.relation.delete()
     }
@@ -255,108 +256,28 @@ pub fn sort_chunk(
     writer.finish()
 }
 
-/// One group merge of a cascade level: `merge(g)` merges group `g` into
-/// one run. Each call reads only its group's runs, so calls are independent
-/// and may run concurrently.
-pub type GroupMerge<'a> = dyn Fn(usize) -> Result<SortedRun> + Sync + 'a;
-
-/// The merge cascade of an external sort with a fixed page budget.
-pub struct ExternalSorter {
-    device: DeviceRef,
-    /// Page budget available for merging (the paper's B).
-    budget_pages: usize,
-}
-
-impl ExternalSorter {
-    /// Creates a sorter that may use `budget_pages` pages of memory.
-    ///
-    /// At least 3 pages are required (one input page plus a two-way merge).
-    pub fn new(device: DeviceRef, budget_pages: usize) -> Self {
-        assert!(budget_pages >= 3, "external sort needs at least 3 pages");
-        ExternalSorter {
-            device,
-            budget_pages,
-        }
+/// Merges one group of a cascade level into one run, consuming the group:
+/// each input page is taken from the device as the merge reads it, and the
+/// input files are deleted when the merge returns, whether it succeeds or
+/// fails. A group reads only its own runs, so the groups of a level may be
+/// merged concurrently.
+///
+/// # Panics
+///
+/// Panics if `runs` is empty.
+pub fn merge_runs(runs: Vec<SortedRun>) -> Result<SortedRun> {
+    let first = &runs.first().expect("a group merge needs a run").relation;
+    let mut writer = RunWriter::new(
+        first.device().clone(),
+        first.layout(),
+        first.page_size(),
+        runs.iter().map(SortedRun::records).sum(),
+    );
+    let mut tree = LoserTree::new(runs.iter().map(|run| RunSlice::whole(&run.relation)))?;
+    while let Some(rec) = tree.next_ref()? {
+        writer.push(rec)?;
     }
-
-    /// Merges `runs` — generated by the caller, one [`sort_chunk`] per
-    /// [`run_chunks`] chunk in canonical order — until at most
-    /// `max_final_runs` remain: the cascade's one level loop.
-    ///
-    /// `fan_out(groups, merge)` runs one level's `groups` independent group
-    /// merges and returns their runs in group order, on the calling thread
-    /// or on any worker pool that keeps that order (SMJ passes
-    /// `nocap_par::ordered_tasks`). The runs, and every I/O count, are the
-    /// same whichever fan-out merges them.
-    pub fn merge_to_fan_in<F>(
-        &self,
-        mut runs: Vec<SortedRun>,
-        max_final_runs: usize,
-        fan_out: F,
-    ) -> Result<Vec<SortedRun>>
-    where
-        F: Fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>,
-    {
-        assert!(max_final_runs >= 1, "a cascade leaves at least one run");
-        while runs.len() > max_final_runs {
-            runs = self.merge_pass(runs, &fan_out)?;
-        }
-        Ok(runs)
-    }
-
-    /// One merge pass combining groups of up to `B − 1` runs into
-    /// longer runs, the groups merged by `fan_out`. A trailing group of one
-    /// run passes through unmerged. Fail-clean: an error anywhere in the
-    /// pass, on any worker, deletes both the input runs and every merged
-    /// run written so far (double-deleting an input a finished group merge
-    /// already removed is ignored).
-    fn merge_pass<F>(&self, runs: Vec<SortedRun>, fan_out: &F) -> Result<Vec<SortedRun>>
-    where
-        F: Fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>,
-    {
-        if runs.iter().all(|run| run.records() == 0) {
-            // All runs empty: nothing to merge.
-            return Ok(runs);
-        }
-        let mut inputs = SpillGuard::new();
-        inputs.adopt_all(runs.iter().map(|run| run.relation.clone()));
-        let groups: Vec<&[SortedRun]> = runs.chunks((self.budget_pages - 1).max(2)).collect();
-        let merged = groups.len() - usize::from(groups.last().is_some_and(|g| g.len() == 1));
-        let outputs = Mutex::new(SpillGuard::new());
-        let mut next_level = fan_out(merged, &|g| {
-            let run = self.merge_group(groups[g])?;
-            lock_unpoisoned(&outputs).adopt(run.relation.clone());
-            Ok(run)
-        })?;
-        next_level.extend(groups[merged..].iter().flat_map(|g| g.iter().cloned()));
-        let _ = into_inner_unpoisoned(outputs).release();
-        let _ = inputs.release();
-        Ok(next_level)
-    }
-
-    fn merge_group(&self, runs: &[SortedRun]) -> Result<SortedRun> {
-        // The input runs are consumed whether the merge succeeds (their
-        // records now live in the merged run) or fails (the pass's guard
-        // is about to delete everything anyway); the writer deletes its own
-        // partial output file on drop if `finish` is never reached.
-        let mut consumed = SpillGuard::new();
-        consumed.adopt_all(runs.iter().map(|run| run.relation.clone()));
-        let records = runs.iter().map(SortedRun::records).sum();
-        let first = &runs[0].relation;
-        let mut writer = RunWriter::new(
-            self.device.clone(),
-            first.layout(),
-            first.page_size(),
-            records,
-        );
-        let mut tree = LoserTree::new(runs.iter().map(|run| RunSlice::whole(&run.relation)))?;
-        while let Some(rec) = tree.next_ref()? {
-            writer.push(rec)?;
-        }
-        let merged = writer.finish()?;
-        drop(consumed);
-        Ok(merged)
-    }
+    writer.finish()
 }
 
 /// The `parts − 1` splitter keys that cut `runs` into `parts` key ranges of
@@ -801,23 +722,55 @@ mod tests {
         run.scan().map(|r| r.unwrap().key()).collect()
     }
 
-    /// The one-worker group fan-out: merges groups `0..groups` in order.
-    fn in_order(groups: usize, merge: &GroupMerge<'_>) -> Result<Vec<SortedRun>> {
-        (0..groups).map(merge).collect()
+    /// One cascade level's groups of up to `fan_in` runs, in run order.
+    fn groups(runs: Vec<SortedRun>, fan_in: usize) -> Vec<Vec<SortedRun>> {
+        let mut runs = runs.into_iter();
+        (0..runs.len().div_ceil(fan_in))
+            .map(|_| runs.by_ref().take(fan_in).collect())
+            .collect()
+    }
+
+    /// Merges one cascade group; a trailing single run passes through.
+    fn merge_group(group: Vec<SortedRun>) -> SortedRun {
+        match <[SortedRun; 1]>::try_from(group) {
+            Ok([run]) => run,
+            Err(group) => merge_runs(group).unwrap(),
+        }
+    }
+
+    /// The one-worker level: merges its groups in order.
+    fn in_order(groups: Vec<Vec<SortedRun>>) -> Vec<SortedRun> {
+        groups.into_iter().map(merge_group).collect()
+    }
+
+    /// Merges `runs` level by level, each level's groups of `budget − 1`
+    /// runs merged by `level`, until at most `max_runs` remain.
+    fn cascade(
+        mut runs: Vec<SortedRun>,
+        budget: usize,
+        max_runs: usize,
+        level: impl Fn(Vec<Vec<SortedRun>>) -> Vec<SortedRun>,
+    ) -> Vec<SortedRun> {
+        while runs.len() > max_runs {
+            runs = level(groups(runs, budget - 1));
+        }
+        runs
+    }
+
+    /// One run per chunk of the fixed grid, in chunk order.
+    fn initial_runs(rel: &Relation, budget: usize) -> Vec<SortedRun> {
+        let mut scratch = SortScratch::new();
+        run_chunks(rel.num_pages(), budget)
+            .into_iter()
+            .map(|chunk| sort_chunk(rel, chunk, &mut scratch).unwrap())
+            .collect()
     }
 
     /// Sorts `rel` into at most `max_runs` runs the way SMJ does on one
-    /// worker: one run per chunk of the fixed grid, then the cascade, each
-    /// level's groups merged [`in_order`].
+    /// worker: the initial runs, then the cascade, each level's groups
+    /// merged [`in_order`].
     fn sort_runs(rel: &Relation, budget: usize, max_runs: usize) -> Vec<SortedRun> {
-        let mut scratch = SortScratch::new();
-        let runs = run_chunks(rel.num_pages(), budget)
-            .into_iter()
-            .map(|chunk| sort_chunk(rel, chunk, &mut scratch).unwrap())
-            .collect();
-        ExternalSorter::new(rel.device().clone(), budget)
-            .merge_to_fan_in(runs, max_runs, in_order)
-            .unwrap()
+        cascade(initial_runs(rel, budget), budget, max_runs, in_order)
     }
 
     /// Whole-run slices over `runs`, the input of one merge.
@@ -1195,31 +1148,28 @@ mod tests {
     fn the_cascade_is_the_same_whatever_order_or_thread_merges_its_groups() {
         // Groups read only their own runs: merging them last-to-first, or
         // each on its own thread, writes the same runs at the same I/O.
-        type FanOut = fn(usize, &GroupMerge<'_>) -> Result<Vec<SortedRun>>;
-        let reversed: FanOut = |groups, merge| {
-            let mut runs = (0..groups).rev().map(merge).collect::<Result<Vec<_>>>()?;
+        type Level = fn(Vec<Vec<SortedRun>>) -> Vec<SortedRun>;
+        let reversed: Level = |groups| {
+            let mut runs: Vec<SortedRun> = groups.into_iter().rev().map(merge_group).collect();
             runs.reverse();
-            Ok(runs)
+            runs
         };
-        let threaded: FanOut = |groups, merge| {
+        let threaded: Level = |groups| {
             std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..groups).map(|g| scope.spawn(move || merge(g))).collect();
+                let workers: Vec<_> = groups
+                    .into_iter()
+                    .map(|group| scope.spawn(move || merge_group(group)))
+                    .collect();
                 workers.into_iter().map(|w| w.join().unwrap()).collect()
             })
         };
-        let sort = |fan_out: FanOut| {
+        let sort = |level: Level| {
             let dev = SimDevice::new_ref();
             let rel = build_relation(dev.clone(), &shuffled(8_000));
             dev.reset_stats();
-            let mut scratch = SortScratch::new();
-            let runs: Vec<SortedRun> = run_chunks(rel.num_pages(), 4)
-                .into_iter()
-                .map(|c| sort_chunk(&rel, c, &mut scratch).unwrap())
-                .collect();
+            let runs = initial_runs(&rel, 4);
             assert!(runs.len() > 3 * 3, "at least two cascade levels");
-            let out = ExternalSorter::new(dev.clone(), 4)
-                .merge_to_fan_in(runs, 2, fan_out)
-                .unwrap();
+            let out = cascade(runs, 4, 2, level);
             let io = dev.stats();
             let runs: Vec<(Vec<u64>, Vec<u64>)> = out
                 .iter()
@@ -1279,31 +1229,27 @@ mod tests {
         // group's inputs until it ends would add the group's output on top.
         let device = Arc::new(PeakDevice::default());
         let rel = build_relation(device.clone(), &shuffled(8_000));
-        let mut scratch = SortScratch::new();
-        let runs: Vec<SortedRun> = run_chunks(rel.num_pages(), 4)
-            .into_iter()
-            .map(|c| sort_chunk(&rel, c, &mut scratch).unwrap())
-            .collect();
+        let runs = initial_runs(&rel, 4);
         assert!(runs.len() > 3 * 3, "at least two cascade levels");
-        let watched = |groups: usize, merge: &GroupMerge<'_>| {
-            (0..groups)
-                .map(|g| {
+        let watched = |groups: Vec<Vec<SortedRun>>| {
+            groups
+                .into_iter()
+                .enumerate()
+                .map(|(g, group)| {
                     let before = device.sim.resident_pages();
                     device.peak.store(before, Ordering::Relaxed);
-                    let run = merge(g)?;
+                    let run = merge_group(group);
                     let peak = device.peak.load(Ordering::Relaxed);
                     assert!(
                         peak <= before,
                         "group {g}: {peak} pages live, {before} before"
                     );
                     assert!(device.sim.resident_pages() <= before, "group {g}");
-                    Ok(run)
+                    run
                 })
                 .collect()
         };
-        let out = ExternalSorter::new(device.clone(), 4)
-            .merge_to_fan_in(runs, 1, watched)
-            .unwrap();
+        let out = cascade(runs, 4, 1, watched);
         assert_eq!(
             device.sim.resident_pages(),
             rel.num_pages() + out[0].relation().num_pages(),

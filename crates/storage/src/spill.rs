@@ -49,8 +49,9 @@
 //! charges (§4.1). The merge then moves each partition's tail from the
 //! local page into the writer's, one partition at a time: `m` pages plus
 //! the one being poured. At `T` workers it is up to `T × m`. Local pages
-//! own no file, so a failed or cancelled run leaks nothing: the set's
-//! writers delete their files on drop.
+//! own no file, and every writer and finished partition owns its own, so
+//! a failed or cancelled run leaks nothing: whatever it drops deletes its
+//! file.
 
 use std::sync::Mutex;
 
@@ -61,66 +62,6 @@ use crate::record::{RecordLayout, RecordRef};
 use crate::relation::{Relation, RelationWriter};
 use crate::sync::{into_inner_unpoisoned, lock_unpoisoned};
 use crate::Result;
-
-/// RAII owner of finished spill partitions and sorted runs: every adopted
-/// [`Relation`] is deleted when the guard drops, whether the scope exits
-/// normally or by error/unwind.
-///
-/// Executors adopt each relation the moment it is finished, so no error
-/// path between partitioning and probe can leak spill files. Producers that
-/// hand relations to a caller on success ([`SpillSet::finish`]) instead
-/// call [`release`](Self::release) once all of them exist, transferring
-/// cleanup responsibility upward.
-///
-/// Deletion is not an I/O in the paper's cost model, so deferring it to
-/// end-of-scope changes no modeled counter.
-#[derive(Default)]
-pub struct SpillGuard {
-    relations: Vec<Relation>,
-}
-
-impl SpillGuard {
-    /// Creates an empty guard.
-    pub fn new() -> Self {
-        SpillGuard::default()
-    }
-
-    /// Adopts one relation for end-of-scope deletion.
-    pub fn adopt(&mut self, relation: Relation) {
-        self.relations.push(relation);
-    }
-
-    /// Adopts every relation in the iterator.
-    pub fn adopt_all<I: IntoIterator<Item = Relation>>(&mut self, relations: I) {
-        self.relations.extend(relations);
-    }
-
-    /// Number of relations currently guarded.
-    pub fn len(&self) -> usize {
-        self.relations.len()
-    }
-
-    /// Returns `true` if no relations are guarded.
-    pub fn is_empty(&self) -> bool {
-        self.relations.is_empty()
-    }
-
-    /// Disarms the guard and returns the relations without deleting them —
-    /// the success path of producers that transfer ownership to the caller.
-    pub fn release(mut self) -> Vec<Relation> {
-        std::mem::take(&mut self.relations)
-    }
-}
-
-impl Drop for SpillGuard {
-    fn drop(&mut self) {
-        for relation in self.relations.drain(..) {
-            // Best effort: the file may be shared with an already-deleted
-            // clone, and cleanup during unwind must not panic.
-            let _ = relation.delete();
-        }
-    }
-}
 
 /// One worker's private output pages of a [`SpillSet`], one per partition,
 /// allocated on the partition's first record. They own no file: hand them
@@ -217,19 +158,19 @@ impl SpillSet {
     /// partition that received no record.
     ///
     /// Fail-clean: if any writer fails to finish, the relations produced so
-    /// far are deleted (and the remaining unfinished writers delete their
-    /// own files on drop) before the error is returned.
+    /// far and the writers not yet finished drop, and with them their files.
     pub fn finish(self) -> Result<Vec<Option<Relation>>> {
-        let mut guard = SpillGuard::new();
+        // A loop, not an in-place `collect`: reusing the writers' larger
+        // allocation for the result moved SMJ's peak RSS at two workers on
+        // the benchmark's `zipf_par2` from ≈ 550 to ≈ 600 MB (glibc).
         let mut out = Vec::with_capacity(self.writers.len());
         for slot in self.writers {
-            let partition = into_inner_unpoisoned(slot)
-                .map(RelationWriter::finish)
-                .transpose()?;
-            guard.adopt_all(partition.clone());
-            out.push(partition);
+            out.push(
+                into_inner_unpoisoned(slot)
+                    .map(RelationWriter::finish)
+                    .transpose()?,
+            );
         }
-        let _ = guard.release();
         Ok(out)
     }
 }
@@ -313,33 +254,6 @@ mod tests {
         let rel = w.finish().unwrap();
         assert_eq!(sim.live_files(), 1);
         rel.delete().unwrap();
-        assert_eq!(sim.live_files(), 0);
-    }
-    #[test]
-    fn spill_guard_deletes_on_drop_and_release_disarms() {
-        let sim = Arc::new(SimDevice::new());
-        let dev: crate::device::DeviceRef = sim.clone();
-        let make = |dev: &crate::device::DeviceRef| {
-            let mut w = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-            w.push(&Record::with_fill(1, 8, 0)).unwrap();
-            w.finish().unwrap()
-        };
-        {
-            let mut guard = SpillGuard::new();
-            guard.adopt(make(&dev));
-            guard.adopt_all([make(&dev), make(&dev)]);
-            assert_eq!(guard.len(), 3);
-            assert_eq!(sim.live_files(), 3);
-        }
-        assert_eq!(sim.live_files(), 0, "guard must delete on drop");
-
-        let mut guard = SpillGuard::new();
-        guard.adopt(make(&dev));
-        let relations = guard.release();
-        assert_eq!(sim.live_files(), 1, "released relations survive the guard");
-        for rel in relations {
-            rel.delete().unwrap();
-        }
         assert_eq!(sim.live_files(), 0);
     }
 

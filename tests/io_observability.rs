@@ -1,7 +1,7 @@
 //! Device-level I/O observability guarantees:
 //!
 //! 1. `FileDevice` is safe under concurrent writers and readers: the
-//!    `run_workers` pool appends and reads disjoint files in parallel and
+//!    `run_workers_obs` pool appends and reads disjoint files in parallel and
 //!    every byte round-trips, with the I/O counters conserving the exact
 //!    operation count.
 //! 2. A `FileDevice` rooted at a caller-owned directory (`at_dir`) leaves
@@ -14,7 +14,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nocap_suite::par::run_workers;
+use nocap_suite::obs::{Obs, Phase};
+use nocap_suite::par::run_workers_obs;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, FileDevice, FileId, IoEventSink, IoKind, IoMarkerKind, IoOp, IoStats, Page,
@@ -56,7 +57,10 @@ fn file_device_supports_concurrent_writers_and_readers() {
     const WORKERS: usize = 8;
     const PAGES: usize = 24;
     let device: DeviceRef = Arc::new(FileDevice::new_temp().expect("temp device"));
-    let sums = run_workers(WORKERS, |w| Ok(write_read_sum(&device, w, PAGES))).expect("workers");
+    let sums = run_workers_obs(WORKERS, &Obs::off(), Phase::Partition, |w, _| {
+        Ok(write_read_sum(&device, w, PAGES))
+    })
+    .expect("workers");
     // Every worker owns a disjoint key range, so the sums are predictable.
     for (w, sum) in sums.iter().enumerate() {
         let expected: u64 = (0..PAGES as u64)
@@ -85,7 +89,7 @@ fn file_device_shared_file_reads_race_safely() {
     }
     // All workers hammer the same file at interleaved offsets; reads resolve
     // metadata under the lock but do the syscalls outside it.
-    let sums = run_workers(WORKERS, |w| {
+    let sums = run_workers_obs(WORKERS, &Obs::off(), Phase::Partition, |w, _| {
         let mut sum = 0u64;
         for round in 0..PAGES {
             let idx = (round + w) % PAGES;
@@ -186,8 +190,10 @@ fn traced_sim_device_is_equivalent_to_bare_at_every_thread_count() {
     const PAGES: usize = 16;
     for threads in [1usize, 2, 4, 8] {
         let run = |device: &DeviceRef| -> (Vec<u64>, IoStats) {
-            let sums =
-                run_workers(threads, |w| Ok(write_read_sum(device, w, PAGES))).expect("workers");
+            let sums = run_workers_obs(threads, &Obs::off(), Phase::Partition, |w, _| {
+                Ok(write_read_sum(device, w, PAGES))
+            })
+            .expect("workers");
             (sums, device.stats())
         };
         let bare = SimDevice::new_ref();
