@@ -28,7 +28,7 @@ impl CorrelationTable {
         I: IntoIterator<Item = (u64, u64)>,
     {
         let mut entries: Vec<(u64, u64)> = pairs.into_iter().collect();
-        entries.sort_by_key(|&(key, count)| (count, key));
+        entries.sort_unstable_by_key(|&(key, count)| (count, key));
         let mut sorted = Vec::with_capacity(entries.len());
         let mut keys = Vec::with_capacity(entries.len());
         for (key, count) in entries {
@@ -159,6 +159,31 @@ mod tests {
         assert_eq!(ct.key_at(0), 13);
         assert_eq!(ct.key_at(3), 12);
         assert_eq!(ct.len(), 4);
+    }
+
+    #[test]
+    fn the_unstable_sort_gives_the_stable_sorts_table() {
+        // Ties on count are broken by key, and duplicate pairs are equal
+        // tuples, so no two unequal entries compare equal.
+        let pairs = vec![
+            (7, 2),
+            (3, 2),
+            (9, 0),
+            (3, 2),
+            (1, 5),
+            (4, 2),
+            (9, 0),
+            (2, 5),
+            (8, 1),
+        ];
+        let mut stable = pairs.clone();
+        stable.sort_by_key(|&(key, count)| (count, key));
+        let ct = CorrelationTable::from_pairs(pairs);
+        let table: Vec<(u64, u64)> = (0..ct.len())
+            .map(|i| (ct.key_at(i), ct.counts()[i]))
+            .collect();
+        assert_eq!(table, stable);
+        assert_eq!(ct.total_matches(), 19);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use nocap_model::CorrelationTable;
 use nocap_storage::device::DeviceRef;
-use nocap_storage::{Record, RecordLayout, Relation};
+use nocap_storage::{IoKind, RecordLayout, RecordRef, Relation, RelationWriter, DEFAULT_PAGE_SIZE};
 
 use crate::mcv::extract_mcvs;
 use crate::zipf::ZipfSampler;
@@ -123,7 +123,10 @@ pub fn correlation_counts(config: &SyntheticConfig) -> Vec<u64> {
 ///
 /// `counts[i]` is the number of S records whose foreign key is `i`. R gets
 /// one record per key; S's records are shuffled so that hot keys are not
-/// physically clustered.
+/// physically clustered. Every R payload is filled with byte 1 and every S
+/// payload with byte 2; each relation is written through one sequential
+/// [`RelationWriter`], one page write per page, with every record borrowing
+/// one shared payload buffer, so generation allocates nothing per record.
 pub fn materialize(
     device: DeviceRef,
     counts: &[u64],
@@ -133,33 +136,36 @@ pub fn materialize(
 ) -> nocap_storage::Result<GeneratedWorkload> {
     let payload = record_bytes.saturating_sub(RecordLayout::KEY_BYTES);
     let layout = RecordLayout::new(payload);
-    let page_size = 4096;
-
-    let r = Relation::bulk_load(
-        device.clone(),
-        layout,
-        page_size,
-        (0..counts.len() as u64).map(|k| Record::with_fill(k, payload, 1)),
-    )?;
+    let r = write_relation(&device, layout, 0..counts.len() as u64, 1)?;
 
     let mut s_keys: Vec<u64> = Vec::with_capacity(counts.iter().sum::<u64>() as usize);
     for (key, &count) in counts.iter().enumerate() {
-        for _ in 0..count {
-            s_keys.push(key as u64);
-        }
+        s_keys.extend(std::iter::repeat_n(key as u64, count as usize));
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
     s_keys.shuffle(&mut rng);
-    let s = Relation::bulk_load(
-        device,
-        layout,
-        page_size,
-        s_keys.iter().map(|&k| Record::with_fill(k, payload, 2)),
-    )?;
+    let s = write_relation(&device, layout, s_keys, 2)?;
 
     let ct = CorrelationTable::from_counts(counts.iter().copied());
     let mcvs = extract_mcvs(&ct, mcv_count);
     Ok(GeneratedWorkload { r, s, ct, mcvs })
+}
+
+/// Writes one record per key, every payload byte `fill`, one sequential
+/// write per page.
+fn write_relation(
+    device: &DeviceRef,
+    layout: RecordLayout,
+    keys: impl IntoIterator<Item = u64>,
+    fill: u8,
+) -> nocap_storage::Result<Relation> {
+    let payload = vec![fill; layout.payload_bytes()];
+    let mut writer =
+        RelationWriter::new(device.clone(), layout, DEFAULT_PAGE_SIZE, IoKind::SeqWrite);
+    for key in keys {
+        writer.push_ref(RecordRef::new(key, &payload))?;
+    }
+    writer.finish()
 }
 
 /// Generates the §5.1 synthetic workload.
