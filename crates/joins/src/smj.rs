@@ -270,7 +270,7 @@ fn fused_merge_join(
     let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
     let r_ranges = split_runs(&r_runs, &splitters)?;
     let s_ranges = split_runs(&s_runs, &splitters)?;
-    let counts = ordered_tasks(
+    let (counts, _) = ordered_tasks(
         threads,
         obs,
         Phase::Merge,
@@ -306,6 +306,7 @@ fn sorted_runs(
             SortScratch::new,
             |scratch, i| sort_chunk(relation, chunks[i].clone(), scratch),
         )?
+        .0
     };
     if obs.is_recording() {
         obs.values(
@@ -331,7 +332,8 @@ fn sorted_runs(
             groups.len(),
             || (),
             |_, g| merge_runs(std::mem::take(&mut *lock_unpoisoned(&groups[g]))),
-        )?;
+        )?
+        .0;
         runs.extend(through);
     }
     Ok(runs)

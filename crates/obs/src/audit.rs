@@ -26,8 +26,7 @@
 //!   aggregated per (phase, declared kind) and obviously contradictory
 //!   declarations are flagged.
 //! * **Access-pattern emission** — a per-file page-touch heatmap (text and
-//!   JSON); the per-worker I/O timeline lanes live in
-//!   [`ExecutionTrace::to_chrome_trace`].
+//!   JSON).
 
 use std::collections::BTreeMap;
 

@@ -13,7 +13,7 @@
 //! layer itself: [`Obs::worker`](crate::Obs::worker) marks the calling
 //! thread with the worker id for the lifetime of the `WorkerObs` handle, and
 //! phase spans ([`Obs::span`](crate::Obs::span) on the coordinating thread,
-//! [`Obs::io_phase`](crate::Obs::io_phase) inside worker closures) mark the
+//! [`Obs::io_phase`](crate::Obs::io_phase) around each fan-out worker) mark the
 //! enclosing phase. Marks are save/restore guards, so nested spans attribute
 //! to the innermost phase and everything unwinds correctly when a scope
 //! ends. None of this reads a clock or branches on shared state, and the
@@ -82,22 +82,6 @@ pub fn io_kind_name(kind: IoKind) -> &'static str {
         IoKind::RandRead => "rand_read",
         IoKind::SeqWrite => "seq_write",
         IoKind::RandWrite => "rand_write",
-    }
-}
-
-/// Stable name of an [`IoOp`].
-pub fn io_op_name(op: IoOp) -> &'static str {
-    match op {
-        IoOp::Read => "read",
-        IoOp::Append => "append",
-    }
-}
-
-/// Stable name of an [`IoMarkerKind`].
-pub fn io_marker_name(kind: IoMarkerKind) -> &'static str {
-    match kind {
-        IoMarkerKind::Snapshot => "snapshot",
-        IoMarkerKind::Reset => "reset",
     }
 }
 

@@ -14,10 +14,11 @@
 //! * A recording handle ([`Obs::recording`]) writes into one in-memory sink
 //!   that accumulates a full [`ExecutionTrace`], drained by
 //!   [`Obs::take_trace`].
-//! * Worker threads record through [`WorkerObs`], which buffers spans and
-//!   counters in plain per-worker `Vec`s — no locks, no atomics during
-//!   recording — and flushes them into the sink with a single lock
-//!   acquisition when the worker finishes.
+//! * Worker threads record one span per claimed task through [`WorkerObs`]
+//!   ([`WorkerObs::start`], [`WorkerObs::record_task`]), which buffers them
+//!   in a plain per-worker `Vec` — no locks, no atomics during recording —
+//!   and flushes them into the sink with a single lock acquisition when the
+//!   worker finishes.
 //! * Device-level I/O rides the same channel: [`Obs::attach_io`] installs
 //!   an event sink on a `nocap-storage` `TracedDevice`, every page access
 //!   is stamped with the issuing worker and innermost phase through
@@ -33,9 +34,13 @@
 //!
 //! ## Output
 //!
-//! [`ExecutionTrace`] offers two emitters: [`ExecutionTrace::to_json`]
-//! (machine-readable) and [`ExecutionTrace::to_chrome_trace`] (load in
-//! `chrome://tracing` or Perfetto for per-worker timelines).
+//! [`ExecutionTrace`] is plain data: spans, counters, histogram summaries,
+//! gauges and the device event stream, with [`ExecutionTrace::phase_secs`]
+//! and [`ExecutionTrace::worker_breakdown`] as the aggregates. This crate
+//! writes no trace file; a consumer renders the trace itself (the
+//! benchmark's traced run writes it as a chrome trace). The emitters here
+//! are the audit's reports, [`IoAudit::to_json`] and
+//! [`SyncComparison::to_json`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,7 +56,7 @@ pub use audit::{
     SyncComparisonRow, HEATMAP_BUCKETS,
 };
 pub use hist::HistogramSummary;
-pub use io::{io_kind_name, io_marker_name, io_op_name, IoEventRec, IoMarkerRec, IoPhaseMark};
+pub use io::{io_kind_name, IoEventRec, IoMarkerRec, IoPhaseMark};
 pub use recorder::{IoTraceGuard, Obs, PhaseSpan, RunTimer, SpanStart, WorkerObs};
 pub use trace::{ExecutionTrace, SpanRec};
 

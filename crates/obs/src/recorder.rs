@@ -25,7 +25,7 @@ struct TraceState {
 /// `&self` because the sink is shared by every worker; one mutex guards it.
 ///
 /// Worker threads never touch the mutex while recording — they buffer into
-/// [`WorkerObs`] and land here once, via `flush_worker`, when the worker
+/// [`WorkerObs`] and land here once, via `record_spans`, when the worker
 /// completes.
 #[derive(Debug, Default)]
 struct TraceRecorder {
@@ -38,13 +38,9 @@ impl TraceRecorder {
         self.state.lock().expect("trace lock").spans.push(span);
     }
 
-    /// Absorbs a worker's buffered spans and counter deltas in one call.
-    fn flush_worker(&self, spans: Vec<SpanRec>, counters: Vec<(String, u64)>) {
-        let mut st = self.state.lock().expect("trace lock");
-        st.spans.extend(spans);
-        for (name, delta) in counters {
-            *st.counters.entry(name).or_insert(0) += delta;
-        }
+    /// Absorbs a worker's buffered spans in one call.
+    fn record_spans(&self, spans: Vec<SpanRec>) {
+        self.state.lock().expect("trace lock").spans.extend(spans);
     }
 
     /// Adds `delta` to the named counter.
@@ -171,24 +167,6 @@ impl Obs {
         }
     }
 
-    /// Captures a raw start timestamp for [`WorkerObs`]-style manual spans.
-    pub fn start(&self) -> SpanStart {
-        SpanStart(self.inner.as_ref().map(Self::now_ns))
-    }
-
-    /// Records a main-thread span from a captured start to now.
-    pub fn record(&self, phase: Phase, start: SpanStart) {
-        if let (Some(i), Some(start_ns)) = (self.inner.as_ref(), start.0) {
-            i.rec.record_span(SpanRec {
-                phase,
-                worker: None,
-                task: None,
-                start_ns,
-                end_ns: Self::now_ns(i),
-            });
-        }
-    }
-
     /// Adds `delta` to a named counter.
     pub fn count(&self, name: &str, delta: u64) {
         if let Some(i) = &self.inner {
@@ -226,7 +204,6 @@ impl Obs {
                 obs: i.clone(),
                 worker,
                 spans: Vec::new(),
-                counters: Vec::new(),
                 _mark: io::mark_worker(worker),
             }),
         }
@@ -368,66 +345,36 @@ struct WorkerInner {
     obs: ObsInner,
     worker: usize,
     spans: Vec<SpanRec>,
-    counters: Vec<(String, u64)>,
     /// Attributes traced device I/O on this thread to this worker id.
     _mark: IoWorkerMark,
 }
 
-/// Per-worker recording handle: buffers spans and counters in plain local
-/// vectors (`&mut self`, no synchronization) and flushes them into the
-/// shared recorder with a single lock acquisition on drop.
-#[derive(Debug, Default)]
+/// Per-worker recording handle: buffers task spans in a plain local vector
+/// (`&mut self`, no synchronization) and flushes them into the shared
+/// recorder with a single lock acquisition on drop.
+#[derive(Debug)]
 pub struct WorkerObs {
     inner: Option<WorkerInner>,
 }
 
 impl WorkerObs {
-    /// A disabled worker handle (used by the non-obs entry points).
-    pub fn off() -> Self {
-        WorkerObs { inner: None }
-    }
-
-    /// Whether a recorder is attached.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Captures a span start timestamp (no-op when off).
     pub fn start(&self) -> SpanStart {
         SpanStart(self.inner.as_ref().map(|i| Obs::now_ns(&i.obs)))
     }
 
-    /// Closes a span begun with [`WorkerObs::start`] under this worker's id.
-    pub fn record(&mut self, phase: Phase, start: SpanStart) {
-        self.record_inner(phase, None, start);
-    }
-
-    /// Closes a span attributed to a specific task index (work-queue items).
+    /// Closes a span begun with [`WorkerObs::start`] under this worker's id,
+    /// attributed to work-queue task `task`.
     pub fn record_task(&mut self, phase: Phase, task: usize, start: SpanStart) {
-        self.record_inner(phase, Some(task), start);
-    }
-
-    fn record_inner(&mut self, phase: Phase, task: Option<usize>, start: SpanStart) {
         if let (Some(i), Some(start_ns)) = (self.inner.as_mut(), start.0) {
             let end_ns = Obs::now_ns(&i.obs);
             i.spans.push(SpanRec {
                 phase,
                 worker: Some(i.worker),
-                task,
+                task: Some(task),
                 start_ns,
                 end_ns,
             });
-        }
-    }
-
-    /// Adds `delta` to a named counter (merged into the recorder at flush).
-    pub fn count(&mut self, name: &str, delta: u64) {
-        if let Some(i) = self.inner.as_mut() {
-            if let Some(slot) = i.counters.iter_mut().find(|(n, _)| n == name) {
-                slot.1 += delta;
-            } else {
-                i.counters.push((name.to_string(), delta));
-            }
         }
     }
 }
@@ -435,8 +382,8 @@ impl WorkerObs {
 impl Drop for WorkerObs {
     fn drop(&mut self) {
         if let Some(i) = self.inner.take() {
-            if !i.spans.is_empty() || !i.counters.is_empty() {
-                i.obs.rec.flush_worker(i.spans, i.counters);
+            if !i.spans.is_empty() {
+                i.obs.rec.record_spans(i.spans);
             }
         }
     }
@@ -511,14 +458,11 @@ mod tests {
             let mut w = obs.worker(2);
             let t = w.start();
             w.record_task(Phase::Probe, 7, t);
-            w.count("tasks", 1);
-            w.count("tasks", 1);
         }
         let trace = obs.take_trace().unwrap();
         assert_eq!(trace.spans.len(), 1);
         assert_eq!(trace.spans[0].worker, Some(2));
         assert_eq!(trace.spans[0].task, Some(7));
-        assert_eq!(trace.counters.get("tasks"), Some(&2));
     }
 
     #[test]

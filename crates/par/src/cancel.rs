@@ -1,17 +1,18 @@
-//! First-error cancellation for worker fan-outs.
+//! First-error cancellation for the worker fan-out.
 //!
 //! When one worker fails, its siblings are doing doomed work: their results
 //! will be discarded and any spill files they produce deleted. A
 //! [`CancelToken`] lets the failing worker record the **root cause** (first
 //! error wins, in wall-clock order) and lets every sibling observe the
 //! cancellation with one relaxed atomic load, bailing out at its next task
-//! boundary with [`StorageError::Cancelled`]. The fan-out helpers in
-//! [`pool`](crate::pool) then report the recorded root cause to the caller
-//! instead of whichever sibling happened to notice first.
+//! boundary with [`StorageError::Cancelled`]. The fan-out,
+//! [`ordered_tasks`](crate::pool::ordered_tasks), then reports the
+//! recorded root cause to the caller instead of whichever sibling happened
+//! to notice first.
 //!
 //! Cancellation is **cooperative and boundary-aligned**: workers poll at
-//! task-claim points (between partition pairs, between sort chunks), never
-//! mid-page, so a cancelled run tears down through the same `?`-driven
+//! task-claim points (between page morsels, partition pairs, sort chunks),
+//! never mid-page, so a cancelled run tears down through the same `?`-driven
 //! cleanup paths a plain error would take — dropped relations delete their
 //! files, reservations release, locks unlock.
 
@@ -28,20 +29,20 @@ struct Inner {
 
 /// Shared cancellation flag carrying the first error that tripped it.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken {
+pub(crate) struct CancelToken {
     inner: Arc<Inner>,
 }
 
 impl CancelToken {
     /// Creates a token in the not-cancelled state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CancelToken::default()
     }
 
     /// Trips the token, recording `reason` as the root cause if this is the
     /// first cancellation. [`StorageError::Cancelled`] itself is never
     /// recorded — it marks a victim, not a cause.
-    pub fn cancel(&self, reason: &StorageError) {
+    pub(crate) fn cancel(&self, reason: &StorageError) {
         if matches!(reason, StorageError::Cancelled) {
             self.inner.cancelled.store(true, Ordering::Release);
             return;
@@ -55,13 +56,13 @@ impl CancelToken {
     }
 
     /// Whether the token has been tripped.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.inner.cancelled.load(Ordering::Acquire)
     }
 
     /// Returns `Err(StorageError::Cancelled)` if the token has been tripped
     /// — the one-liner workers call at task boundaries.
-    pub fn check(&self) -> Result<()> {
+    pub(crate) fn check(&self) -> Result<()> {
         if self.is_cancelled() {
             Err(StorageError::Cancelled)
         } else {
@@ -70,7 +71,7 @@ impl CancelToken {
     }
 
     /// The root cause recorded by the first cancellation, if any.
-    pub fn reason(&self) -> Option<StorageError> {
+    pub(crate) fn reason(&self) -> Option<StorageError> {
         lock_unpoisoned(&self.inner.reason).clone()
     }
 }

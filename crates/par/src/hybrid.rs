@@ -50,10 +50,10 @@
 //! modeled I/O are the same** — pinned as checked-in numbers by
 //! `tests/parallel_determinism.rs`:
 //!
-//! * Workers claim page morsels from an atomic cursor ([`PageMorsels`]);
-//!   every page is claimed once, so the base scans cost exactly
-//!   `‖R‖ + ‖S‖` sequential reads, and a slow worker claims fewer morsels
-//!   instead of holding the phase up.
+//! * Each scan is an [`ordered_tasks`] run over the relation's
+//!   [`page_morsels`]; every page is claimed once, so the base scans cost
+//!   exactly `‖R‖ + ‖S‖` sequential reads, and a slow worker claims fewer
+//!   morsels instead of holding the phase up.
 //! * Each side spills through one [`SpillSet`]: one spill file per
 //!   partition, worker-private output pages appended to it only when full,
 //!   and the partial pages merged through one buffered writer before the
@@ -93,9 +93,10 @@
 //! file, so the files go when the partitions drop: after the probe phase,
 //! or on the way out of whichever phase fails.
 //!
-//! **Panics.** Scan and probe tasks run under the pool's `catch_unwind`,
-//! worker 0 — the calling thread — included. A panic inside one therefore
-//! comes back as
+//! **Failures.** Scan morsels and probe pairs are all tasks of the one
+//! fan-out, so a failed read or append stops the sibling workers before
+//! their next morsel or pair, and a panic inside a task — worker 0's, on
+//! the calling thread, included — comes back as
 //! [`WorkerPanicked`](nocap_storage::StorageError::WorkerPanicked) instead
 //! of unwinding through the caller.
 
@@ -108,8 +109,8 @@ use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, Relation, Result, SpillSet,
 };
 
-use crate::pool::{ordered_tasks, resolve_threads, run_workers_obs};
-use crate::shard::PageMorsels;
+use crate::pool::{ordered_tasks, resolve_threads};
+use crate::shard::page_morsels;
 use crate::stage::ParallelStager;
 
 /// Where the records of one join key go. The plan's routing function maps
@@ -158,8 +159,8 @@ pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize) -> Result<usize> {
 /// Executes `r ⋈ s` under `plan` on `threads` workers (`0` selects
 /// [`default_threads`](crate::pool::default_threads)); see the module docs.
 ///
-/// Main-thread phase spans around each pass, per-worker scan spans,
-/// per-task probe spans, partition skew histograms and the buffer-pool
+/// Main-thread phase spans around each pass, per-morsel scan spans,
+/// per-pair probe spans, partition skew histograms and the buffer-pool
 /// high-water gauge flow into `obs` when it records. The recorder is
 /// strictly passive: routing, destaging and the probe pairs are fixed by
 /// the plan and the data, so an observed run produces bit-identical output
@@ -192,23 +193,29 @@ where
     // ---- Phase 1: partition R (Algorithms 1 / 8) --------------------------
     let stager = ParallelStager::new(device.clone(), r.layout(), *spec, plan.quotas);
     let ht_shared = Mutex::new(JoinHashTable::new(r.layout(), spec.page_size, spec.fudge));
-    let r_morsels = PageMorsels::new(r, threads);
+    let r_morsels = page_morsels(r.num_pages(), threads);
     let r_partition_span = obs.span(Phase::Partition);
-    let stages = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-        let mut stage = stager.worker_stage();
-        r_morsels.scan(|page| {
-            for rec in page.record_refs() {
-                match route(rec.key()) {
-                    // R is the primary-key side: cached keys are rare, so
-                    // this lock is cold.
-                    Route::Cached => lock_unpoisoned(&ht_shared).insert_ref(rec),
-                    Route::Partition(p) => stager.insert(&mut stage, p, rec)?,
+    let (_, stages) = ordered_tasks(
+        threads,
+        obs,
+        Phase::Partition,
+        r_morsels.len(),
+        || stager.worker_stage(),
+        |stage, i| {
+            let mut scan = r.scan_range(r_morsels[i].clone());
+            while let Some(page) = scan.next_page()? {
+                for rec in page.record_refs() {
+                    match route(rec.key()) {
+                        // R is the primary-key side: cached keys are rare,
+                        // so this lock is cold.
+                        Route::Cached => lock_unpoisoned(&ht_shared).insert_ref(rec),
+                        Route::Partition(p) => stager.insert(stage, p, rec)?,
+                    }
                 }
             }
             Ok(())
-        })?;
-        Ok(stage)
-    })?;
+        },
+    )?;
     drop(r_partition_span);
     let spill_span = obs.span(Phase::Spill);
     // The spilled partitions own their files: an error anywhere below —
@@ -232,38 +239,43 @@ where
 
     // ---- Phase 2: partition / probe S (Algorithms 2 / 9) ------------------
     let s_set = SpillSet::new(device.clone(), s.layout(), spec.page_size, build.pob.len());
-    let s_morsels = PageMorsels::new(s, threads);
+    let s_morsels = page_morsels(s.num_pages(), threads);
     let table = (!ht_mem.is_empty()).then_some(&ht_mem);
     let pob = &build.pob;
     let s_partition_span = obs.span(Phase::Partition);
-    let s_workers = run_workers_obs(threads, obs, Phase::Partition, |_w, _wobs| {
-        let mut output = 0u64;
-        let mut s_out = s_set.local();
-        s_morsels.scan(|page| {
-            for rec in page.record_refs() {
-                // Probe first: a hit is all of the record's output.
-                let matches = table.map_or(0, |ht| ht.probe_count(rec.key()));
-                if matches > 0 {
-                    output += matches;
-                    continue;
-                }
-                // Route on a miss. A cached key or a partition that stayed
-                // resident had every R record of the key in the table, so
-                // the record has no partner.
-                if let Route::Partition(p) = route(rec.key()) {
-                    if pob[p] {
-                        s_set.push(&mut s_out, p, rec)?;
+    let (counts, s_locals) = ordered_tasks(
+        threads,
+        obs,
+        Phase::Partition,
+        s_morsels.len(),
+        || s_set.local(),
+        |s_out, i| {
+            let mut output = 0u64;
+            let mut scan = s.scan_range(s_morsels[i].clone());
+            while let Some(page) = scan.next_page()? {
+                for rec in page.record_refs() {
+                    // Probe first: a hit is all of the record's output.
+                    let matches = table.map_or(0, |ht| ht.probe_count(rec.key()));
+                    if matches > 0 {
+                        output += matches;
+                        continue;
+                    }
+                    // Route on a miss. A cached key or a partition that
+                    // stayed resident had every R record of the key in the
+                    // table, so the record has no partner.
+                    if let Route::Partition(p) = route(rec.key()) {
+                        if pob[p] {
+                            s_set.push(s_out, p, rec)?;
+                        }
                     }
                 }
             }
-            Ok(())
-        })?;
-        Ok((output, s_out))
-    })?;
+            Ok(output)
+        },
+    )?;
     // Tail merge inside the partition window: afterwards every S writer
     // buffers exactly one partial page, which `finish` flushes in the probe
     // window.
-    let (counts, s_locals): (Vec<u64>, Vec<_>) = s_workers.into_iter().unzip();
     let mut output = counts.iter().sum::<u64>();
     s_set.merge(s_locals)?;
     drop(s_partition_span);
@@ -283,7 +295,7 @@ where
             _ => None,
         })
         .collect();
-    let counts = ordered_tasks(
+    let (counts, _) = ordered_tasks(
         threads,
         obs,
         Phase::Probe,

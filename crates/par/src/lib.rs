@@ -8,23 +8,24 @@
 //! workers **without the modeled I/O depending on `T` or the paper's memory
 //! budget being violated**:
 //!
-//! * [`pool`] — a scoped [`run_workers_obs`] fan-out helper (worker 0 is the
-//!   calling thread, `n − 1` threads are spawned — at one worker nothing is
-//!   spawned and the fan-out *is* a sequential loop), a work-queue
-//!   [`ordered_tasks`] helper for the partition-wise probe phase, sort-run
-//!   generation and the SMJ merges, and
-//!   [`default_threads`] / [`resolve_threads`] (the `NOCAP_THREADS`
-//!   environment knob, read only when a caller passes `threads = 0`). All
-//!   fan-outs are **fail-clean**: worker panics — worker 0's included —
-//!   are caught and surfaced as `StorageError::WorkerPanicked`, and a
-//!   [`cancel`] token ([`CancelToken`]) propagates the first error so
-//!   siblings stop at their next task boundary instead of finishing doomed
-//!   work. [`run_workers_obs`] and [`ordered_tasks`] take an
-//!   `Obs` and record per-worker / per-task spans through `nocap-obs`,
-//!   producing the per-worker timelines of the chrome://tracing output
-//!   without perturbing execution; under `Obs::off()` they record nothing.
-//! * [`shard`] — [`PageMorsels`] hands a relation's pages out in
-//!   fixed-length morsels from an atomic cursor ([`page_shards`] is the
+//! * [`pool`] — [`ordered_tasks`], the one fan-out: a scoped work queue
+//!   whose workers claim tasks from an atomic cursor, each with private
+//!   state handed back in worker order (worker 0 is the calling thread,
+//!   `n − 1` threads are spawned — at one worker nothing is spawned and the
+//!   fan-out *is* a sequential loop). It carries the partition scans, the
+//!   partition-wise probe phase, sort-run generation, the SMJ merges and
+//!   the statistics shards. [`default_threads`] / [`resolve_threads`] read
+//!   the `NOCAP_THREADS` environment knob, only when a caller passes
+//!   `threads = 0`. The fan-out is **fail-clean**: worker panics — worker
+//!   0's included — are caught and surfaced as
+//!   `StorageError::WorkerPanicked`, and a private cancellation token
+//!   propagates the first error so siblings stop before their next task
+//!   instead of finishing doomed work. Every task becomes a span tagged
+//!   with its worker id and task index through `nocap-obs` — the per-worker
+//!   timelines — without perturbing execution; under `Obs::off()` it
+//!   records nothing.
+//! * [`shard`] — [`page_morsels`] cuts a relation's pages into the
+//!   fixed-length morsels the scans claim as tasks ([`page_shards`] is the
 //!   static even split the statistics collector's fixed grid uses).
 //! * [`stage`] — [`ParallelStager`], the quota-destaging stager:
 //!   per-worker staging buffers, a shared atomic record count per
@@ -71,14 +72,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cancel;
+mod cancel;
 pub mod hybrid;
 pub mod pool;
 pub mod shard;
 pub mod stage;
 
-pub use cancel::CancelToken;
 pub use hybrid::{hybrid_hash_join, staging_budget, HybridPlan, Route};
-pub use pool::{default_threads, ordered_tasks, resolve_threads, run_workers_obs};
-pub use shard::{page_shards, PageMorsels};
+pub use pool::{default_threads, ordered_tasks, resolve_threads};
+pub use shard::{page_morsels, page_shards};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

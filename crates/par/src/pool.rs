@@ -1,42 +1,41 @@
-//! Scoped worker fan-out and work-queue helpers.
+//! The one worker fan-out: a scoped work queue.
 //!
-//! The execution engine only ever needs two shapes of parallelism:
+//! Every parallel phase of the engine is the same shape, [`ordered_tasks`]:
+//! a list of independent tasks claimed from an atomic cursor, results
+//! landing at their task index, and each worker's private state handed
+//! back in worker order. The tasks are
 //!
-//! * **worker fan-out** ([`run_workers_obs`]): `n` workers, each handed its
-//!   worker id, producing one result each — used for the partitioning
-//!   scans, where every worker claims page morsels
-//!   ([`PageMorsels`](crate::shard::PageMorsels)) until the relation is
-//!   exhausted and returns its private state for the coordinator to merge;
-//! * **work queue** ([`ordered_tasks`]): a list of independent tasks
-//!   claimed from an atomic cursor, results landing at their task index —
-//!   used for the build/probe phase (spilled partition pairs, whose work
-//!   is wildly uneven under skew, so static assignment would leave workers
-//!   idle; the counts are summed) and where downstream consumers need the
-//!   artifacts in canonical order (the sort chunks and merge groups of
-//!   `SortMergeJoin::run_parallel`, the statistics shards folded in shard
-//!   order), with per-worker reusable state so the tasks themselves stay
-//!   allocation-free.
+//! * page morsels of the partitioning scans
+//!   ([`page_morsels`](crate::shard::page_morsels)), where each worker's
+//!   state — its staging buffers or private spill pages — is what the
+//!   coordinator merges;
+//! * spilled partition pairs of the build/probe phase, whose work is wildly
+//!   uneven under skew, so static assignment would leave workers idle (the
+//!   counts are summed);
+//! * units whose artifacts downstream consumers need in canonical order:
+//!   the sort chunks and merge groups of `SortMergeJoin::run_parallel`, the
+//!   statistics shards folded in shard order.
 //!
-//! All are built on `std::thread::scope`, so borrowed state (the shared
-//! hash table, the writer sets, the device) needs no `'static` gymnastics.
+//! It is built on `std::thread::scope`, so borrowed state (the shared hash
+//! table, the writer sets, the device) needs no `'static` gymnastics.
 //! Worker 0 always runs on the calling thread — the caller would only block
-//! until the others finish — so a fan-out of `n` spawns `n − 1` threads.
+//! until the others finish — so a fan-out of `n` workers spawns `n − 1`
+//! threads.
 //!
-//! **Fail-clean contract.** Every fan-out catches worker panics and
-//! converts them to [`StorageError::WorkerPanicked`] (the process never
-//! aborts because one task misbehaved), and every fan-out runs under a
-//! [`CancelToken`]: the first worker error trips the token, siblings
-//! observe it at their next task boundary and bail with
-//! [`StorageError::Cancelled`], and the caller receives the recorded root
-//! cause — not whichever victim finished last. Cleanup relies on RAII
-//! (relations that delete their files on drop, reservations,
+//! **Fail-clean contract.** The fan-out catches worker panics and converts
+//! them to [`StorageError::WorkerPanicked`] (the process never aborts
+//! because one task misbehaved), and it runs under a cancellation token:
+//! the first failing task trips it, siblings observe it before their next
+//! claim and bail with [`StorageError::Cancelled`], and the caller receives
+//! the recorded root cause — not whichever victim finished last. Cleanup
+//! relies on RAII (relations that delete their files on drop, reservations,
 //! poison-tolerant locks), so a cancelled or panicked run releases
 //! everything it acquired.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nocap_obs::{Obs, Phase, WorkerObs};
+use nocap_obs::{Obs, Phase};
 use nocap_storage::{Result, StorageError};
 
 use crate::cancel::CancelToken;
@@ -86,124 +85,34 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `threads` workers, each receiving its worker id `0..threads` and
-/// `token`, and collects their results in worker order. A worker is
-/// expected to poll [`CancelToken::check`] at its task boundaries, so
-/// sibling workers stop promptly once any worker fails.
-///
-/// If any worker fails, the returned error is the run's **root cause**: the
-/// first error (in wall-clock order) that tripped the token; workers that
-/// return [`StorageError::Cancelled`] are victims, not causes, and never
-/// overwrite it. Panics are caught per worker (on the spawned threads *and*
-/// in worker 0 on the calling thread) and converted to
-/// [`StorageError::WorkerPanicked`] instead of aborting the process. Worker
-/// 0 runs on the calling thread and only workers `1..threads` are spawned,
-/// so `threads == 1` has no spawn overhead at all — which is what lets the
-/// joins' sequential `run` be a fan-out at one worker.
-fn run_workers_cancel<T, F>(threads: usize, token: &CancelToken, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, &CancelToken) -> Result<T> + Sync,
-{
-    let threads = threads.max(1);
-    // Unwind safety: the closure only shares poison-tolerant structures
-    // (sync-helper locks, atomics, the cancel token) whose state mutates at
-    // item granularity, so observing them after a sibling's panic is sound.
-    let guarded = |w: usize| -> Result<T> {
-        match catch_unwind(AssertUnwindSafe(|| f(w, token))) {
-            Ok(Ok(value)) => Ok(value),
-            Ok(Err(err)) => {
-                token.cancel(&err);
-                Err(err)
-            }
-            Err(payload) => {
-                let err = StorageError::WorkerPanicked(panic_message(payload));
-                token.cancel(&err);
-                Err(err)
-            }
-        }
-    };
-    // Worker 0 runs on the calling thread, which would otherwise only block
-    // in the scope: one spawn fewer per phase, and `threads == 1` spawns
-    // nothing. `guarded` cannot unwind, so the scope always joins cleanly.
-    let results: Vec<Result<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..threads)
-            .map(|w| {
-                let guarded = &guarded;
-                scope.spawn(move || guarded(w))
-            })
-            .collect();
-        let first = guarded(0);
-        std::iter::once(first)
-            .chain(handles.into_iter().map(|h| {
-                // `guarded` already caught in-closure panics; this only
-                // fires if the thread died outside it (e.g. a panicking
-                // TLS destructor).
-                h.join().unwrap_or_else(|payload| {
-                    Err(StorageError::WorkerPanicked(panic_message(payload)))
-                })
-            }))
-            .collect()
-    });
-    let mut values = Vec::with_capacity(results.len());
-    let mut first_err = None;
-    for result in results {
-        match result {
-            Ok(v) => values.push(v),
-            Err(e) => {
-                if first_err.is_none() || matches!(first_err, Some(StorageError::Cancelled)) {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    match first_err {
-        None => Ok(values),
-        // Prefer the temporally-first error the token recorded over
-        // whichever failure sits first in worker order.
-        Some(fallback) => Err(token.reason().unwrap_or(fallback)),
-    }
-}
-
-/// Runs `threads` workers, each receiving its worker id `0..threads`, and
-/// collects their results in worker order; the first error or panic is the
-/// run's error (see the [module docs](self)). Each worker's whole closure
-/// is bracketed by a span of the given phase under its worker id, and the
-/// closure receives a [`WorkerObs`] to record finer spans and counters
-/// lock-free (flushed when the worker finishes); under `Obs::off()` it
-/// records nothing.
-pub fn run_workers_obs<T, F>(threads: usize, obs: &Obs, phase: Phase, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, &mut WorkerObs) -> Result<T> + Sync,
-{
-    run_workers_cancel(threads, &CancelToken::new(), |w, _| {
-        let mut wobs = obs.worker(w);
-        // Attribute traced device I/O from this worker thread to the phase.
-        let _io = obs.io_phase(phase);
-        let started = wobs.start();
-        let result = f(w, &mut wobs);
-        wobs.record(phase, started);
-        result
-    })
-}
-
 /// Executes `count` independent tasks on `threads` workers via an atomic
 /// work queue and returns the results **in task order** — the canonical
 /// order a sequential loop over `0..count` would produce, regardless of
-/// which worker ran which task or when.
+/// which worker ran which task or when — together with each worker's state,
+/// **in worker order**.
 ///
 /// Tasks are claimed with a relaxed `fetch_add`, so which worker runs which
 /// task is nondeterministic; only the result order is fixed. Each worker
 /// gets its own mutable state from `init` (a sort scratch, a staging
 /// buffer, …) that is reused across every task the worker claims, so
 /// per-task work can stay allocation-free; `|| ()` when a task needs none.
-/// Run generation and the SMJ cascade use the order (tasks are sort chunks
-/// or merge groups, the results the runs in canonical order); the
-/// partition-wise probe and the fused merge-join sum the counts. Every
-/// claimed task becomes a span of the given phase tagged with its worker
-/// id and task index — the raw material of the per-worker timelines (a
-/// worker's gaps between task spans are its idle/claim time); pass
+/// A worker that claims nothing still returns its fresh state. Run
+/// generation and the SMJ cascade use the order (tasks are sort chunks or
+/// merge groups, the results the runs in canonical order); the partition
+/// scans use the states (tasks are page morsels, the states what each
+/// worker staged or spilled); the partition-wise probe and the fused
+/// merge-join sum the counts.
+///
+/// `min(threads, count)` workers run, at least one: worker 0 on the calling
+/// thread and the rest spawned, so one worker spawns nothing — which is
+/// what lets the joins' sequential `run` be a fan-out at one worker. Every
+/// worker polls the run's cancellation token before it claims a task, so
+/// once any task fails its siblings stop at their next task; the error
+/// returned is the run's root cause (see the [module docs](self)).
+///
+/// Every claimed task becomes a span of the given phase tagged with its
+/// worker id and task index — the raw material of the per-worker timelines
+/// (a worker's gaps between task spans are its idle/claim time); pass
 /// `&Obs::off()` to record nothing.
 pub fn ordered_tasks<S, T, F, I>(
     threads: usize,
@@ -212,59 +121,124 @@ pub fn ordered_tasks<S, T, F, I>(
     count: usize,
     init: I,
     f: F,
-) -> Result<Vec<T>>
+) -> Result<(Vec<T>, Vec<S>)>
 where
+    S: Send,
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> Result<T> + Sync,
 {
     let cursor = AtomicUsize::new(0);
     let token = CancelToken::new();
-    let per_worker = run_workers_cancel(threads.max(1).min(count.max(1)), &token, |w, token| {
+    let worker = |w: usize| -> Result<(Vec<(usize, T)>, S)> {
         let mut wobs = obs.worker(w);
+        // Attribute traced device I/O from this worker thread to the phase.
         let _io = obs.io_phase(phase);
         let mut state = init();
-        let mut done: Vec<(usize, T)> = Vec::new();
+        let mut done = Vec::new();
         loop {
             // Task boundary: once a sibling fails, stop claiming work.
             token.check()?;
             let task = cursor.fetch_add(1, Ordering::Relaxed);
             if task >= count {
-                return Ok(done);
+                return Ok((done, state));
             }
             let started = wobs.start();
             done.push((task, f(&mut state, task)?));
             wobs.record_task(phase, task, started);
         }
-    })?;
+    };
+    // Unwind safety: the tasks only share poison-tolerant structures
+    // (sync-helper locks, atomics, the cancel token) whose state mutates at
+    // item granularity, so observing them after a sibling's panic is sound.
+    let guarded = |w: usize| {
+        let result = catch_unwind(AssertUnwindSafe(|| worker(w)))
+            .unwrap_or_else(|payload| Err(StorageError::WorkerPanicked(panic_message(payload))));
+        if let Err(err) = &result {
+            token.cancel(err);
+        }
+        result
+    };
+    // Worker 0 runs on the calling thread, which would otherwise only block
+    // in the scope. `guarded` cannot unwind, so the scope always joins
+    // cleanly.
+    let workers = threads.max(1).min(count.max(1));
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|w| {
+                let guarded = &guarded;
+                scope.spawn(move || guarded(w))
+            })
+            .collect();
+        let first = guarded(0);
+        std::iter::once(first)
+            .chain(handles.into_iter().map(|h| {
+                // `guarded` already caught in-task panics; this only fires
+                // if the thread died outside it (e.g. a panicking TLS
+                // destructor).
+                h.join().unwrap_or_else(|payload| {
+                    Err(StorageError::WorkerPanicked(panic_message(payload)))
+                })
+            }))
+            .collect()
+    });
     let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for (task, result) in per_worker.into_iter().flatten() {
-        slots[task] = Some(result);
+    let mut states = Vec::with_capacity(workers);
+    for result in results {
+        // The token holds the temporally-first error; a worker that bailed
+        // with `Cancelled` is a victim, whatever its place in worker order.
+        let (done, state) = result.map_err(|err| token.reason().unwrap_or(err))?;
+        for (task, value) in done {
+            slots[task] = Some(value);
+        }
+        states.push(state);
     }
-    Ok(slots
+    let results = slots
         .into_iter()
         .map(|s| s.expect("every task index claimed exactly once"))
-        .collect())
+        .collect();
+    Ok((results, states))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nocap_storage::StorageError;
+    use std::sync::Barrier;
+    use std::time::Duration;
+
+    /// `ordered_tasks` with no per-worker state and no recording.
+    fn tasks<T: Send>(
+        threads: usize,
+        count: usize,
+        f: impl Fn(usize) -> Result<T> + Sync,
+    ) -> Result<Vec<T>> {
+        ordered_tasks(
+            threads,
+            &Obs::off(),
+            Phase::Probe,
+            count,
+            || (),
+            |_, i| f(i),
+        )
+        .map(|(results, _)| results)
+    }
 
     #[test]
     fn run_workers_returns_results_in_worker_order() {
-        let squares = run_workers_obs(4, &Obs::off(), Phase::Partition, |w, _| Ok(w * w)).unwrap();
+        let (squares, states) =
+            ordered_tasks(4, &Obs::off(), Phase::Partition, 4, || (), |_, i| Ok(i * i)).unwrap();
         assert_eq!(squares, vec![0, 1, 4, 9]);
+        assert_eq!(states.len(), 4, "one state per worker, idle ones included");
     }
 
     #[test]
     fn run_workers_propagates_errors() {
-        let err = run_workers_obs(3, &Obs::off(), Phase::Partition, |w, _| {
-            if w == 1 {
+        let err = tasks(3, 3, |i| {
+            if i == 1 {
                 Err(StorageError::Io("boom".into()))
             } else {
-                Ok(w)
+                Ok(i)
             }
         })
         .unwrap_err();
@@ -273,18 +247,11 @@ mod tests {
 
     #[test]
     fn run_workers_catches_panics_at_every_thread_count() {
+        // At one worker the panicking task runs on the calling thread.
         for threads in [1usize, 2, 4, 8] {
-            let err = run_workers_obs(
-                threads,
-                &Obs::off(),
-                Phase::Partition,
-                |w, _| -> Result<usize> {
-                    if w == 0 {
-                        panic!("task {w} exploded");
-                    }
-                    Ok(w)
-                },
-            )
+            let err = tasks(threads, threads, |i| -> Result<usize> {
+                panic!("task {i} exploded");
+            })
             .unwrap_err();
             match err {
                 StorageError::WorkerPanicked(msg) => {
@@ -299,13 +266,20 @@ mod tests {
     fn worker_zero_runs_on_the_calling_thread_and_only_the_rest_are_spawned() {
         let caller = std::thread::current().id();
         for threads in [1usize, 2, 3, 8] {
-            // The barrier keeps all workers alive at once, so each needs a
-            // thread of its own.
-            let barrier = std::sync::Barrier::new(threads);
-            let ids = run_workers_obs(threads, &Obs::off(), Phase::Partition, |_, _| {
-                barrier.wait();
-                Ok(std::thread::current().id())
-            })
+            // Each task waits for all the others, so every worker holds
+            // exactly one and needs a thread of its own.
+            let barrier = Barrier::new(threads);
+            let (_, ids) = ordered_tasks(
+                threads,
+                &Obs::off(),
+                Phase::Partition,
+                threads,
+                || std::thread::current().id(),
+                |_, _| {
+                    barrier.wait();
+                    Ok(())
+                },
+            )
             .unwrap();
             assert_eq!(ids[0], caller, "worker 0 is the caller");
             let distinct: std::collections::HashSet<_> = ids.iter().collect();
@@ -314,81 +288,87 @@ mod tests {
         }
     }
 
+    /// Runs `count` tasks on `threads` workers whose first tasks all meet at
+    /// a barrier — so every worker is running when `first` decides a task's
+    /// fate — and whose later tasks take 100 µs each. Returns the error and
+    /// how many tasks ran.
+    fn fail_among_running_siblings(
+        threads: usize,
+        count: usize,
+        first: impl Fn(usize) -> Result<()> + Sync,
+    ) -> (StorageError, usize) {
+        let all_running = Barrier::new(threads);
+        let ran = AtomicUsize::new(0);
+        let err = ordered_tasks(
+            threads,
+            &Obs::off(),
+            Phase::Partition,
+            count,
+            || true,
+            |is_first, i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if std::mem::take(is_first) {
+                    all_running.wait();
+                    return first(i);
+                }
+                std::thread::sleep(Duration::from_micros(100));
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        (err, ran.into_inner())
+    }
+
     #[test]
     fn a_panic_in_worker_zero_on_the_calling_thread_cancels_the_siblings() {
-        use std::sync::atomic::AtomicUsize;
-        use std::time::{Duration, Instant};
-        let token = CancelToken::new();
-        let all_running = std::sync::Barrier::new(3);
-        let cancelled_siblings = AtomicUsize::new(0);
-        let err = run_workers_cancel(3, &token, |w, token| -> Result<usize> {
-            all_running.wait();
-            if w == 0 {
+        let caller = std::thread::current().id();
+        let count = 10_000;
+        let (err, ran) = fail_among_running_siblings(3, count, |_| {
+            if std::thread::current().id() == caller {
                 panic!("worker zero exploded");
             }
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while Instant::now() < deadline {
-                if token.check().is_err() {
-                    cancelled_siblings.fetch_add(1, Ordering::Relaxed);
-                    return Err(StorageError::Cancelled);
-                }
-                std::thread::yield_now();
-            }
-            Ok(w)
-        })
-        .unwrap_err();
+            Ok(())
+        });
         match err {
             StorageError::WorkerPanicked(msg) => assert!(msg.contains("exploded"), "{msg}"),
             other => panic!("expected WorkerPanicked, got {other:?}"),
         }
-        assert_eq!(cancelled_siblings.load(Ordering::Relaxed), 2);
+        assert!(
+            ran < count,
+            "the siblings stop at a task boundary instead of draining the queue"
+        );
     }
 
     #[test]
     fn run_workers_cancel_reports_root_cause_not_victims() {
-        // Worker 2 fails first (others wait on the token), so the root
-        // cause must be worker 2's error even though worker 0 sits earlier
-        // in worker order and returns Cancelled.
-        let token = CancelToken::new();
-        let err = run_workers_cancel(4, &token, |w, token| -> Result<usize> {
-            if w == 2 {
-                return Err(StorageError::Io("root cause".into()));
+        // Task 2 fails while the other workers keep claiming tasks until
+        // they observe the cancellation and bail with `Cancelled`; the root
+        // cause must win even when the worker that failed sits after a
+        // victim in worker order.
+        let (err, _) = fail_among_running_siblings(4, 10_000, |i| {
+            if i == 2 {
+                Err(StorageError::Io("root cause".into()))
+            } else {
+                Ok(())
             }
-            // Siblings poll until cancelled.
-            for _ in 0..10_000 {
-                if token.is_cancelled() {
-                    return Err(StorageError::Cancelled);
-                }
-                std::thread::yield_now();
-            }
-            Ok(w)
-        })
-        .unwrap_err();
+        });
         assert_eq!(err, StorageError::Io("root cause".into()));
-        assert_eq!(token.reason(), Some(StorageError::Io("root cause".into())));
     }
 
     #[test]
     fn ordered_tasks_stops_claiming_after_first_error() {
         use std::sync::atomic::AtomicU64;
         let executed = AtomicU64::new(0);
-        let err = ordered_tasks(
-            2,
-            &Obs::off(),
-            Phase::Probe,
-            10_000,
-            || (),
-            |_, i| {
-                executed.fetch_add(1, Ordering::Relaxed);
-                if i == 0 {
-                    Err(StorageError::Io("early".into()))
-                } else {
-                    // Give the failing task time to trip the token.
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                    Ok(1)
-                }
-            },
-        )
+        let err = tasks(2, 10_000, |i| {
+            executed.fetch_add(1, Ordering::Relaxed);
+            if i == 0 {
+                Err(StorageError::Io("early".into()))
+            } else {
+                // Give the failing task time to trip the token.
+                std::thread::sleep(Duration::from_micros(50));
+                Ok(1)
+            }
+        })
         .unwrap_err();
         assert_eq!(err, StorageError::Io("early".into()));
         assert!(
@@ -399,16 +379,18 @@ mod tests {
 
     #[test]
     fn a_panicking_worker_does_not_poison_siblings() {
-        // The shared mutex is poisoned by worker 0's panic; a poison-
-        // tolerant sibling still finishes, and the caller sees one clean
-        // WorkerPanicked error.
+        // The shared mutex is poisoned by task 0's panic; the poison-
+        // tolerant siblings, each holding one task, still finish, and the
+        // caller sees one clean WorkerPanicked error.
         let shared = std::sync::Mutex::new(0u64);
-        let err = run_workers_obs(4, &Obs::off(), Phase::Partition, |w, _| -> Result<u64> {
-            if w == 0 {
+        let all_running = Barrier::new(4);
+        let err = tasks(4, 4, |i| -> Result<u64> {
+            all_running.wait();
+            if i == 0 {
                 let _guard = shared.lock().unwrap();
                 panic!("poisoning panic");
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
             let mut guard = nocap_storage::lock_unpoisoned(&shared);
             *guard += 1;
             Ok(*guard)
@@ -422,17 +404,10 @@ mod tests {
     fn ordered_tasks_covers_every_task_exactly_once() {
         use std::sync::atomic::AtomicU64;
         let hits = AtomicU64::new(0);
-        let results = ordered_tasks(
-            4,
-            &Obs::off(),
-            Phase::Probe,
-            100,
-            || (),
-            |_, i| {
-                hits.fetch_add(1, Ordering::Relaxed);
-                Ok(i as u64)
-            },
-        )
+        let results = tasks(4, 100, |i| {
+            hits.fetch_add(1, Ordering::Relaxed);
+            Ok(i as u64)
+        })
         .unwrap();
         assert_eq!(results.iter().sum::<u64>(), (0..100u64).sum());
         assert_eq!(hits.load(Ordering::Relaxed), 100);
@@ -446,7 +421,7 @@ mod tests {
     #[test]
     fn ordered_tasks_returns_results_in_task_order() {
         for threads in [1usize, 2, 4, 8] {
-            let results = ordered_tasks(
+            let (results, states) = ordered_tasks(
                 threads,
                 &Obs::off(),
                 Phase::SortRunGen,
@@ -459,13 +434,14 @@ mod tests {
             )
             .unwrap();
             assert_eq!(results, (0..50).map(|i| i * i).collect::<Vec<_>>());
+            assert_eq!(states.iter().sum::<usize>(), 50, "every task in one state");
         }
     }
 
     #[test]
     fn ordered_tasks_reuses_worker_state() {
         // Single worker: the per-worker state must see every task.
-        let results = ordered_tasks(
+        let (results, states) = ordered_tasks(
             1,
             &Obs::off(),
             Phase::SortRunGen,
@@ -478,59 +454,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(results, (1..=10).collect::<Vec<_>>());
+        assert_eq!(states, vec![10]);
     }
 
     #[test]
     fn ordered_tasks_propagates_errors() {
-        let err = ordered_tasks(
-            4,
-            &Obs::off(),
-            Phase::SortRunGen,
-            20,
-            || (),
-            |_, i| {
-                if i == 13 {
-                    Err(StorageError::Io("boom".into()))
-                } else {
-                    Ok(i)
-                }
-            },
-        )
+        let err = tasks(4, 20, |i| {
+            if i == 13 {
+                Err(StorageError::Io("boom".into()))
+            } else {
+                Ok(i)
+            }
+        })
         .unwrap_err();
         assert!(matches!(err, StorageError::Io(_)));
     }
 
     #[test]
     fn ordered_tasks_with_zero_tasks_is_empty() {
-        let results: Vec<usize> =
+        let (results, states): (Vec<usize>, _) =
             ordered_tasks(4, &Obs::off(), Phase::SortRunGen, 0, || (), |_, i| Ok(i)).unwrap();
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn run_workers_obs_records_one_timeline_per_worker() {
-        let obs = Obs::recording();
-        let results = run_workers_obs(4, &obs, Phase::Partition, |w, wobs| {
-            wobs.count("records_routed", (w + 1) as u64);
-            Ok(w)
-        })
-        .unwrap();
-        assert_eq!(results, vec![0, 1, 2, 3]);
-        let trace = obs.take_trace().unwrap();
-        let mut workers: Vec<usize> = trace.spans.iter().filter_map(|s| s.worker).collect();
-        workers.sort_unstable();
-        assert_eq!(workers, vec![0, 1, 2, 3]);
-        assert!(trace
-            .spans
-            .iter()
-            .all(|s| s.phase == Phase::Partition && s.end_ns >= s.start_ns));
-        assert_eq!(trace.counters.get("records_routed"), Some(&10));
+        assert_eq!(states.len(), 1, "one worker runs, and claims nothing");
     }
 
     #[test]
     fn ordered_tasks_obs_keeps_task_order_and_spans() {
         let obs = Obs::recording();
-        let results =
+        let (results, _) =
             ordered_tasks(4, &obs, Phase::SortRunGen, 15, || (), |_, i| Ok(i * 2)).unwrap();
         assert_eq!(results, (0..15).map(|i| i * 2).collect::<Vec<_>>());
         let trace = obs.take_trace().unwrap();
@@ -540,13 +491,15 @@ mod tests {
         let mut tasks: Vec<usize> = trace.spans.iter().filter_map(|s| s.task).collect();
         tasks.sort_unstable();
         assert_eq!(tasks, (0..15).collect::<Vec<_>>());
-        assert!(trace.spans.iter().all(|s| s.worker.is_some()));
+        assert!(trace.spans.iter().all(|s| s.worker.is_some_and(|w| w < 4)));
     }
 
     #[test]
     fn obs_off_changes_nothing() {
         let run = |obs: &Obs| {
-            ordered_tasks(4, obs, Phase::Probe, 50, || (), |_, i| Ok(i as u64)).unwrap()
+            ordered_tasks(4, obs, Phase::Probe, 50, || (), |_, i| Ok(i as u64))
+                .unwrap()
+                .0
         };
         assert_eq!(run(&Obs::recording()), run(&Obs::off()));
     }

@@ -1,19 +1,16 @@
-//! Page morsels: a relation's scan spread over any number of workers.
+//! Page ranges: a relation's scan spread over any number of workers.
 //!
-//! [`PageMorsels`] hands out a relation's pages in fixed-length morsels
-//! (`min(256, ⌈pages / 8T⌉)` pages) from an atomic cursor; together the
-//! claimed ranges cover every page exactly once, so a scan costs `‖R‖`
-//! sequential reads at every worker count while a slow worker simply
-//! claims fewer morsels instead of holding the phase up. [`page_shards`] is
-//! the static even split, kept for consumers whose decomposition must not
-//! depend on timing (the statistics collector's fixed shard grid). What
-//! the workers write goes through `nocap_storage`'s
-//! [`SpillSet`](nocap_storage::SpillSet).
+//! [`page_morsels`] cuts a relation's pages into fixed-length morsels
+//! (`min(256, ⌈pages / 8T⌉)` pages) that the workers claim as
+//! [`ordered_tasks`](crate::pool::ordered_tasks); together they cover every
+//! page exactly once, so a scan costs `‖R‖` sequential reads at every
+//! worker count while a slow worker simply claims fewer morsels instead of
+//! holding the phase up. [`page_shards`] is the static even split, kept for
+//! consumers whose decomposition must not depend on the worker count (the
+//! statistics collector's fixed shard grid). What the workers write goes
+//! through `nocap_storage`'s [`SpillSet`](nocap_storage::SpillSet).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use nocap_storage::{Page, Relation, Result};
 
 /// Splits `total` into `parts` shares that differ by at most one and sum to
 /// exactly `total` (earlier shares take the remainder).
@@ -56,55 +53,23 @@ fn morsel_len(num_pages: usize, workers: usize) -> usize {
         .clamp(1, MAX_MORSEL_PAGES)
 }
 
-/// A relation's pages handed out in fixed-length morsels from an atomic
-/// cursor. Every page is claimed exactly once.
-pub struct PageMorsels {
-    relation: Relation,
-    next: AtomicUsize,
-    len: usize,
-}
-
-impl PageMorsels {
-    /// Cuts `relation` into morsels for `workers` workers (see the module
-    /// docs for the length rule).
-    pub fn new(relation: &Relation, workers: usize) -> Self {
-        PageMorsels {
-            relation: relation.clone(),
-            next: AtomicUsize::new(0),
-            len: morsel_len(relation.num_pages(), workers),
-        }
-    }
-
-    /// Claims the next unclaimed morsel, or `None` once the relation is
-    /// exhausted.
-    pub fn claim(&self) -> Option<Range<usize>> {
-        // Relaxed: the cursor publishes nothing but itself — the pages it
-        // indexes were written before the workers started.
-        let start = self.next.fetch_add(self.len, Ordering::Relaxed);
-        let end = self.relation.num_pages();
-        (start < end).then(|| start..(start + self.len).min(end))
-    }
-
-    /// One worker's share of the scan: claims morsels until none are left
-    /// and hands every page of each to `on_page`, one sequential read per
-    /// page.
-    pub fn scan(&self, mut on_page: impl FnMut(&Page) -> Result<()>) -> Result<()> {
-        while let Some(morsel) = self.claim() {
-            let mut scan = self.relation.scan_range(morsel);
-            while let Some(page) = scan.next_page()? {
-                on_page(&page)?;
-            }
-        }
-        Ok(())
-    }
+/// Cuts `0..num_pages` into the morsels a scan by `workers` workers hands
+/// out: contiguous ranges of `min(256, ⌈num_pages / 8 · workers⌉)` pages
+/// (the last one shorter), covering every page exactly once.
+pub fn page_morsels(num_pages: usize, workers: usize) -> Vec<Range<usize>> {
+    let len = morsel_len(num_pages, workers);
+    (0..num_pages)
+        .step_by(len)
+        .map(|start| start..(start + len).min(num_pages))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_workers_obs;
+    use crate::pool::ordered_tasks;
     use nocap_obs::{Obs, Phase};
-    use nocap_storage::{Record, RecordLayout, SimDevice};
+    use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
 
     fn layout() -> RecordLayout {
         RecordLayout::new(8)
@@ -144,17 +109,18 @@ mod tests {
     #[test]
     fn morsels_cover_every_page_exactly_once() {
         for (pages, workers) in [(0usize, 2usize), (1, 8), (5, 8), (100, 3), (6_667, 2)] {
-            let relation = relation_of(pages);
-            assert_eq!(relation.num_pages(), pages);
-            let morsels = PageMorsels::new(&relation, workers);
+            let morsels = page_morsels(pages, workers);
+            let len = morsel_len(pages, workers);
             let mut next = 0;
-            while let Some(range) = morsels.claim() {
+            for (i, range) in morsels.iter().enumerate() {
                 assert_eq!(range.start, next, "morsels are contiguous");
                 assert!(!range.is_empty() && range.len() <= MAX_MORSEL_PAGES);
+                if i + 1 < morsels.len() {
+                    assert_eq!(range.len(), len, "only the last morsel is shorter");
+                }
                 next = range.end;
             }
             assert_eq!(next, pages);
-            assert!(morsels.claim().is_none(), "exhaustion is sticky");
         }
         // Length rule: ⌈pages / 8T⌉ capped at 256 — small relations still
         // give every worker something to claim, large ones stay block-aligned.
@@ -163,21 +129,29 @@ mod tests {
         assert_eq!(morsel_len(0, 0), 1);
         assert_eq!(morsel_len(53_334, 2), 256);
         assert_eq!(MAX_MORSEL_PAGES % 8, 0);
+        assert_eq!(page_morsels(100, 3)[0], 0..5);
+        assert_eq!(page_morsels(6_667, 2).len(), 27, "256-page morsels");
     }
 
     #[test]
     fn concurrent_morsel_scans_read_every_page_exactly_once() {
         let relation = relation_of(1_000);
         relation.device().reset_stats();
-        let morsels = PageMorsels::new(&relation, 4);
-        let seen = run_workers_obs(4, &Obs::off(), Phase::Partition, |_, _| {
-            let mut keys = Vec::new();
-            morsels.scan(|page| {
-                keys.extend(page.record_refs().map(|r| r.key()));
+        let morsels = page_morsels(relation.num_pages(), 4);
+        let (_, seen) = ordered_tasks(
+            4,
+            &Obs::off(),
+            Phase::Partition,
+            morsels.len(),
+            Vec::new,
+            |keys, i| {
+                let mut scan = relation.scan_range(morsels[i].clone());
+                while let Some(page) = scan.next_page()? {
+                    keys.extend(page.record_refs().map(|r| r.key()));
+                }
                 Ok(())
-            })?;
-            Ok(keys)
-        })
+            },
+        )
         .unwrap();
         let mut keys: Vec<u64> = seen.into_iter().flatten().collect();
         keys.sort_unstable();

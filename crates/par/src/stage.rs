@@ -209,7 +209,7 @@ impl ParallelStager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::run_workers_obs;
+    use crate::pool::ordered_tasks;
     use nocap_model::{staging_quotas, StagingRouter};
     use nocap_obs::{Obs, Phase};
     use nocap_storage::{FaultDevice, FaultKind, FaultSpec, Record, SimDevice};
@@ -232,17 +232,23 @@ mod tests {
         let (budget, parts) = (caps.iter().sum::<usize>(), caps.len());
         let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps.to_vec());
         let shard = keys.len().div_ceil(threads);
-        let stages = run_workers_obs(threads, &Obs::off(), Phase::Partition, |w, _| {
-            let mut stage = stager.worker_stage();
-            let lo = (w * shard).min(keys.len());
-            let hi = ((w + 1) * shard).min(keys.len());
-            for &k in &keys[lo..hi] {
-                let rec = Record::with_fill(k, 120, 0);
-                stager.insert(&mut stage, (k % parts as u64) as usize, rec.as_record_ref())?;
-                assert!(stager.pages_in_use() < budget + threads, "quota blown");
-            }
-            Ok(stage)
-        })
+        let (_, stages) = ordered_tasks(
+            threads,
+            &Obs::off(),
+            Phase::Partition,
+            threads,
+            || stager.worker_stage(),
+            |stage, w| {
+                let lo = (w * shard).min(keys.len());
+                let hi = ((w + 1) * shard).min(keys.len());
+                for &k in &keys[lo..hi] {
+                    let rec = Record::with_fill(k, 120, 0);
+                    stager.insert(stage, (k % parts as u64) as usize, rec.as_record_ref())?;
+                    assert!(stager.pages_in_use() < budget + threads, "quota blown");
+                }
+                Ok(())
+            },
+        )
         .unwrap();
         let build = stager.finish(stages).unwrap();
         let spill_pages: Vec<usize> = build
@@ -385,14 +391,20 @@ mod tests {
         faulty.arm();
         let spec = spec();
         let stager = ParallelStager::new(faulty, spec.r_layout, spec, vec![2; 4]);
-        let result = run_workers_obs(3, &Obs::off(), Phase::Partition, |w, _| {
-            let mut stage = stager.worker_stage();
-            for k in 0..2_000u64 {
-                let rec = Record::with_fill(k * 3 + w as u64, 120, 0);
-                stager.insert(&mut stage, (k % 4) as usize, rec.as_record_ref())?;
-            }
-            Ok(stage)
-        });
+        let result = ordered_tasks(
+            3,
+            &Obs::off(),
+            Phase::Partition,
+            3,
+            || stager.worker_stage(),
+            |stage, w| {
+                for k in 0..2_000u64 {
+                    let rec = Record::with_fill(k * 3 + w as u64, 120, 0);
+                    stager.insert(stage, (k % 4) as usize, rec.as_record_ref())?;
+                }
+                Ok(())
+            },
+        );
         assert!(result.is_err(), "the injected append error must surface");
         assert!(sim.live_files() > 0, "destaging had started");
         drop(stager);

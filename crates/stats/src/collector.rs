@@ -332,7 +332,7 @@ impl StatsCollector {
         let num_shards = Self::shard_count(rel);
         obs.count("stats_shards", num_shards as u64);
         let grid = page_shards(rel.num_pages(), num_shards);
-        let shards = ordered_tasks(
+        let (shards, _) = ordered_tasks(
             resolve_threads(threads),
             obs,
             Phase::Stats,

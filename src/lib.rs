@@ -10,7 +10,7 @@
 //!   and a fallback histogram behind one page-budgeted collector) that
 //!   replace the `CorrelationTable` oracle with one-pass sketch summaries.
 //! * [`obs`] — zero-cost-when-off tracing, metrics and skew profiling:
-//!   phase spans, counters, histograms and chrome://tracing emitters.
+//!   phase spans, counters, histograms and the device-level I/O audit.
 //! * [`par`] — the multi-threaded execution engine: worker pool, sharded
 //!   spill writers and the deterministic concurrent residual stager behind
 //!   `NocapJoin::run_parallel`.

@@ -24,6 +24,7 @@ use std::sync::Arc;
 use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::par::page_morsels;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, CheckedDevice, FaultDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind,
@@ -352,6 +353,66 @@ fn persistent_faults_fail_cleanly_with_zero_leaked_files_or_pages() {
                 "{}: post-failure rerun produced wrong output at {threads} threads",
                 join.name()
             );
+        }
+    }
+}
+
+#[test]
+fn a_failed_base_read_stops_the_sibling_scans() {
+    // The first read of one input's file fails, with no retry layer to
+    // absorb it. Each partition scan is a run of page-morsel tasks, and a
+    // worker polls for a sibling's failure before it claims a morsel, so
+    // after the failure at most the T − 1 morsels the siblings were already
+    // reading are read — not the rest of the relation.
+    let probe = generate_on(SimDevice::new_ref());
+    let sides = [
+        ("S", probe.s.file(), probe.s.num_pages()),
+        ("R", probe.r.file(), probe.r.num_pages()),
+    ];
+    for (side, file, pages) in sides {
+        for join in [Join::Nocap, Join::Dhh, Join::Histojoin, Join::Ghj] {
+            for threads in [2usize, 4, 8] {
+                let at = format!("{} at {threads} threads, {side} failing", join.name());
+                let sim = Arc::new(SimDevice::new());
+                let fault = FaultDevice::new_arc(
+                    sim.clone() as DeviceRef,
+                    vec![
+                        FaultSpec::any(FaultKind::TransientError { failures: 1 })
+                            .reads()
+                            .on_file(file),
+                        // Counts, without delaying, every later read of the file.
+                        FaultSpec::any(FaultKind::LatencySpike {
+                            micros: 0,
+                            times: u64::MAX,
+                        })
+                        .reads()
+                        .on_file(file)
+                        .after(1),
+                    ],
+                );
+                let wl = generate_on(fault.clone() as DeviceRef);
+                assert_eq!(
+                    (wl.r.file(), wl.s.file()),
+                    (probe.r.file(), probe.s.file()),
+                    "generation assigns the same files on every device"
+                );
+                fault.arm();
+                let err = join
+                    .run(&wl, threads)
+                    .expect_err("an unretried read fault fails the join");
+                assert!(
+                    matches!(&err, StorageError::Io(msg) if msg.contains("injected transient fault")),
+                    "{at}: the join must return the injected error, got: {err}"
+                );
+                assert_eq!(fault.fault_stats().injected_errors, 1, "{at}");
+                let read_after = fault.fault_stats().injected_delays as usize;
+                let bound = (threads - 1) * page_morsels(pages, threads)[0].len();
+                assert!(
+                    read_after <= bound,
+                    "{at}: {read_after} of {pages} pages read after the failure (bound {bound})"
+                );
+                assert_eq!(sim.live_files(), 2, "{at}: spill files leaked");
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Device-level I/O observability guarantees:
 //!
 //! 1. `FileDevice` is safe under concurrent writers and readers: the
-//!    `run_workers_obs` pool appends and reads disjoint files in parallel and
+//!    `ordered_tasks` pool appends and reads disjoint files in parallel and
 //!    every byte round-trips, with the I/O counters conserving the exact
 //!    operation count.
 //! 2. A `FileDevice` rooted at a caller-owned directory (`at_dir`) leaves
@@ -12,10 +12,10 @@
 //!    attached sink sees exactly one event per counted operation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use nocap_suite::obs::{Obs, Phase};
-use nocap_suite::par::run_workers_obs;
+use nocap_suite::par::ordered_tasks;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, FileDevice, FileId, IoEventSink, IoKind, IoMarkerKind, IoOp, IoStats, Page,
@@ -52,15 +52,33 @@ fn write_read_sum(device: &DeviceRef, worker: usize, pages: usize) -> u64 {
     sum
 }
 
+/// Runs `f(w)` for `w` in `0..workers` on `workers` threads at once and
+/// returns the results in `w` order. Every task waits at a barrier until all
+/// have started, so each worker holds exactly one task and the calling
+/// thread cannot drain the queue alone.
+fn concurrently<T: Send>(workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let all_running = Barrier::new(workers);
+    let (results, _) = ordered_tasks(
+        workers,
+        &Obs::off(),
+        Phase::Partition,
+        workers,
+        || (),
+        |_, w| {
+            all_running.wait();
+            Ok(f(w))
+        },
+    )
+    .expect("workers");
+    results
+}
+
 #[test]
 fn file_device_supports_concurrent_writers_and_readers() {
     const WORKERS: usize = 8;
     const PAGES: usize = 24;
     let device: DeviceRef = Arc::new(FileDevice::new_temp().expect("temp device"));
-    let sums = run_workers_obs(WORKERS, &Obs::off(), Phase::Partition, |w, _| {
-        Ok(write_read_sum(&device, w, PAGES))
-    })
-    .expect("workers");
+    let sums = concurrently(WORKERS, |w| write_read_sum(&device, w, PAGES));
     // Every worker owns a disjoint key range, so the sums are predictable.
     for (w, sum) in sums.iter().enumerate() {
         let expected: u64 = (0..PAGES as u64)
@@ -89,16 +107,15 @@ fn file_device_shared_file_reads_race_safely() {
     }
     // All workers hammer the same file at interleaved offsets; reads resolve
     // metadata under the lock but do the syscalls outside it.
-    let sums = run_workers_obs(WORKERS, &Obs::off(), Phase::Partition, |w, _| {
+    let sums = concurrently(WORKERS, |w| {
         let mut sum = 0u64;
         for round in 0..PAGES {
             let idx = (round + w) % PAGES;
             let page = device.read_page(file, idx, IoKind::RandRead).expect("read");
             sum += page.records().map(|r| r.key()).sum::<u64>();
         }
-        Ok(sum)
-    })
-    .expect("workers");
+        sum
+    });
     let expected: u64 = (0..PAGES as u64).sum();
     for (w, sum) in sums.iter().enumerate() {
         assert_eq!(*sum, expected, "worker {w} read torn or misplaced pages");
@@ -190,10 +207,7 @@ fn traced_sim_device_is_equivalent_to_bare_at_every_thread_count() {
     const PAGES: usize = 16;
     for threads in [1usize, 2, 4, 8] {
         let run = |device: &DeviceRef| -> (Vec<u64>, IoStats) {
-            let sums = run_workers_obs(threads, &Obs::off(), Phase::Partition, |w, _| {
-                Ok(write_read_sum(device, w, PAGES))
-            })
-            .expect("workers");
+            let sums = concurrently(threads, |w| write_read_sum(device, w, PAGES));
             (sums, device.stats())
         };
         let bare = SimDevice::new_ref();

@@ -791,13 +791,13 @@ fn collect_parallel_summaries_are_bit_identical_on_generated_workloads() {
 /// sequential baseline against recorder-on parallel runs at 1/2/4/8
 /// workers. Recording must not change the join output or the per-phase
 /// modeled I/O, and every recorded trace must carry the expected
-/// main-thread phases, the listed histograms and one timeline per worker.
+/// main-thread phases, the listed histograms and worker timelines made of
+/// task spans.
 fn assert_recording_is_invisible(
     label: &str,
     baseline: &JoinRunReport,
     expected_phases: &[Phase],
     expected_histograms: &[&str],
-    workers_exact: bool,
     run: impl Fn(usize, &Obs) -> JoinRunReport,
 ) {
     assert!(
@@ -835,22 +835,22 @@ fn assert_recording_is_invisible(
                 "{label}: histogram {hist} missing at {threads} threads"
             );
         }
-        let workers: std::collections::BTreeSet<usize> =
-            trace.spans.iter().filter_map(|s| s.worker).collect();
-        if workers_exact {
-            // Algorithms whose worker closures are span-bracketed record one
-            // timeline per worker no matter how the work is distributed.
-            assert_eq!(
-                workers,
-                (0..threads).collect(),
-                "{label}: every worker must contribute a timeline at {threads} threads"
-            );
-        } else {
-            // Task-claiming algorithms only record workers that won at least
-            // one task, so the set is a non-empty subset of the pool.
+        // Every worker span is one claimed task, so a worker that claimed
+        // nothing records nothing: the recorded workers are a non-empty
+        // subset of the pool.
+        let worker_spans: Vec<_> = trace.spans.iter().filter(|s| s.worker.is_some()).collect();
+        assert!(
+            !worker_spans.is_empty(),
+            "{label}: no worker timeline at {threads} threads"
+        );
+        for span in worker_spans {
             assert!(
-                !workers.is_empty() && workers.iter().all(|&w| w < threads),
-                "{label}: worker ids {workers:?} out of range at {threads} threads"
+                span.task.is_some(),
+                "{label}: a worker span without a task index at {threads} threads: {span:?}"
+            );
+            assert!(
+                span.worker.is_some_and(|w| w < threads),
+                "{label}: worker id out of range at {threads} threads: {span:?}"
             );
         }
     }
@@ -868,7 +868,6 @@ fn nocap_trace_recording_changes_nothing_and_captures_the_execution_shape() {
         &baseline,
         &[Phase::Partition, Phase::Probe, Phase::Total],
         &["partition_records", "partition_pages"],
-        true,
         |threads, obs| {
             let wl = generate(&workload);
             join.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, obs)
@@ -889,7 +888,6 @@ fn dhh_trace_recording_changes_nothing_and_captures_the_execution_shape() {
         &baseline,
         &[Phase::Partition, Phase::Probe, Phase::Total],
         &["partition_records", "partition_pages"],
-        true,
         |threads, obs| {
             let wl = generate(&workload);
             dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, threads, obs)
@@ -910,7 +908,6 @@ fn smj_trace_recording_changes_nothing_and_captures_the_execution_shape() {
         &baseline,
         &[Phase::SortRunGen, Phase::Merge, Phase::Total],
         &["run_pages", "final_run_pages"],
-        false,
         |threads, obs| {
             let wl = generate(&workload);
             smj.run_parallel_obs(&wl.r, &wl.s, threads, obs)
