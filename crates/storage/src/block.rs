@@ -1,36 +1,26 @@
-//! The real-device block layer: a production-grade [`FileDevice`].
+//! The real-device block layer: a production-grade [`FileDevice`]. Unix
+//! only: it uses positioned I/O and keeps unlinked files open.
 //!
-//! The demo-grade `FileDevice` this module replaces re-`open()`ed the
-//! backing file on every page access and held the device-wide metadata
-//! mutex across append syscalls. This implementation is built the way the
-//! ROADMAP's "real block layer" item (and the digby/mkdb exemplars in
-//! SNIPPETS.md) describe:
-//!
-//! * **Sharded open-file-handle cache** — one `File` is opened per
-//!   [`FileId`] when the file is created and kept for its lifetime in a
-//!   sharded `RwLock<HashMap>`; the I/O path resolves the handle under a
-//!   brief shard read-lock and then performs *positioned* reads/writes
-//!   (`pread`/`pwrite` via [`std::os::unix::fs::FileExt`]) with no lock
-//!   held — no per-page `open`, no `seek`, no metadata lock on the I/O
-//!   path.
+//! * **Sharded open-file-handle cache** — one `File` per [`FileId`], kept
+//!   for the file's life in a sharded `RwLock<HashMap>`; the I/O path
+//!   resolves it under a brief shard read-lock, then issues positioned
+//!   `pread`/`pwrite` with no lock held: no per-page `open`, no `seek`.
 //! * **Block/page mapping with read-ahead** — [`DEFAULT_PAGES_PER_BLOCK`]
-//!   pages pack into one device block. A `SeqRead` miss fetches the whole containing
-//!   block with a single `pread` into a per-file read-ahead frame; the
-//!   following sequential pages are served from the frame, so a scan of
-//!   `N` pages issues `N / 8` syscalls. Frames belong to the
+//!   pages make a block. A `SeqRead` miss fetches the whole block with one
+//!   `pread` into a read-ahead frame that serves the following pages, so
+//!   a scan of `N` pages issues `N / 8` syscalls. Frames belong to the
 //!   scans inside them, not to the file (see *Read-ahead frames* below).
-//! * **Write-behind coalescing** — appends are buffered per file and
-//!   flushed as one block-sized `pwrite` on the block boundary, on
+//! * **Write-behind coalescing** — appends buffer per file and go out as
+//!   one block-sized `pwrite` at the block boundary, on
 //!   [`FileDevice::flush`], and on drop; `delete_file` discards the tail.
-//!   Buffered pages are immediately readable (the tail of the file
-//!   logically includes them), so callers cannot observe the buffering.
-//!   Every live file whose last block has not filled holds up to a
-//!   block's pages here until it is flushed or deleted — a spill
-//!   partition for its whole life. That is device memory by design, the
-//!   price of block-sized writes.
+//!   Buffered pages are readable at once. A live file whose last block
+//!   has not filled holds up to a block's pages here until it is flushed
+//!   or deleted: device memory by design, the price of block-sized writes.
 //! * **Durability knobs** — [`SyncPolicy`] selects no syncing,
 //!   `fdatasync`, or full `fsync` per flushed append batch, configured
 //!   through [`FileDeviceBuilder`].
+//! * **Storage reuse** — a deleted file's inode backs the next file
+//!   created (see *Storage reuse* below).
 //!
 //! **The modeled [`IoStats`] are bit-identical to [`SimDevice`]
 //! semantics**: counts are per *page* and recorded exactly when an
@@ -74,6 +64,28 @@
 //! pages and write-behind pages, current and high-water — so tests and
 //! `exp_io_audit` can pin device-owned memory without reading RSS.
 //!
+//! # Storage reuse
+//!
+//! A join creates hundreds of files (a GHJ spill partition per side, an
+//! SMJ run each), and creating one is the dearest thing the device does:
+//! ≈ 0.1 ms per `open(O_CREAT)` on ext4, ≈ 0.5 ms with hundreds open, and
+//! a fresh page costs twice an overwritten cached one. The model prices
+//! none of it. So `delete_file` unlinks the name but keeps the open
+//! inode, and when the handle's last reference drops (nothing can be in
+//! flight on it) puts it on a device-wide free list; `create_file` takes
+//! the most recently freed one and overwrites it from page 0. Old bytes
+//! never show: reads stop at the logical length, frames at the durable
+//! pages.
+//!
+//! *The bound.* A reused inode is cut to its file's durable length when
+//! the file goes, and the free list holds no more bytes than the live
+//! files did at their high-water mark (past that, the inode is closed),
+//! so live plus free descriptors stay within the live high-water mark.
+//! [`FileDevice::recycled_storage`] reports it. *Names.* A live file on
+//! reused storage has no directory entry: [`FileDevice::backing_path`]
+//! is `None` and only [`FileDevice::live_files`] sees it. An `at_dir`
+//! device writes each out under its own name when it drops.
+//!
 //! # Failure accounting and torn-page recovery
 //!
 //! Failed operations never reach the disk, so they must not show up in
@@ -89,8 +101,10 @@
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use crate::device::{BlockDevice, DeviceRef, FileId};
@@ -118,53 +132,14 @@ fn io_err(e: std::io::Error) -> StorageError {
     StorageError::Io(e.to_string())
 }
 
-#[cfg(unix)]
-fn pread(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.read_exact_at(buf, offset)
-}
-
-#[cfg(unix)]
-fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
-    use std::os::unix::fs::FileExt;
-    file.write_all_at(buf, offset)
-}
-
-// Non-unix fallback: positioned I/O emulated with seek + read/write on the
-// shared cursor, serialized by a process-wide lock. Correct but slow; every
-// supported CI target is unix.
-#[cfg(not(unix))]
-static FALLBACK_IO: Mutex<()> = Mutex::new(());
-
-#[cfg(not(unix))]
-fn pread(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-    use std::io::{Read, Seek, SeekFrom};
-    let _guard = lock_unpoisoned(&FALLBACK_IO);
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(buf)
-}
-
-#[cfg(not(unix))]
-fn pwrite(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
-    use std::io::{Seek, SeekFrom, Write};
-    let _guard = lock_unpoisoned(&FALLBACK_IO);
-    let mut f = file;
-    f.seek(SeekFrom::Start(offset))?;
-    f.write_all(buf)
-}
-
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// Durability policy applied after each flushed append batch.
-///
-/// The chosen mechanism is an explicit sync syscall per flushed batch: the
-/// classic `O_SYNC` write mode's durability barrier, issued once after the
-/// batch's `pwrite` instead of on every write. Open flags (`O_SYNC`,
-/// `O_DIRECT` through std's `OpenOptionsExt::custom_flags`) are ROADMAP
-/// item 2.
+/// Durability policy: a sync syscall after each flushed append batch, the
+/// `O_SYNC` barrier issued once per batch `pwrite` instead of per write.
+/// Open flags (`O_SYNC`, `O_DIRECT` through std's
+/// `OpenOptionsExt::custom_flags`) are ROADMAP item 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// No explicit syncing; the OS page cache decides when bytes hit media.
@@ -269,7 +244,7 @@ impl FileDeviceBuilder {
             next_id: AtomicU64::new(0),
             stats: AtomicIoStats::default(),
             block_stats: AtomicBlockStats::default(),
-            resident: Arc::new(ResidentGauges::default()),
+            shared: Arc::default(),
             torn_remaining: AtomicI64::new(self.torn_append_after.map_or(-1, |n| n as i64 + 1)),
             remove_dir_on_drop,
         })
@@ -299,14 +274,10 @@ fn nonce() -> u128 {
 // Physical-layer statistics
 // ---------------------------------------------------------------------------
 
-/// Syscall-shape counters for the block layer.
-///
-/// These are *physical* counts — how many `pread`/`pwrite` syscalls were
-/// issued and how many pages each moved — as opposed to the modeled
-/// per-page [`IoStats`], which the block layer leaves bit-identical to
-/// [`SimDevice`](crate::SimDevice). Tests pin the coalescing behavior
-/// (e.g. a 64-page sequential scan with 8-page blocks issues exactly 8
-/// physical reads) through this snapshot.
+/// Syscall-shape counters for the block layer: how many `pread`/`pwrite`
+/// syscalls were issued and how many pages each moved, as opposed to the
+/// modeled per-page [`IoStats`], which the block layer leaves
+/// bit-identical to [`SimDevice`](crate::SimDevice).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockStats {
     /// `pread` syscalls issued.
@@ -398,12 +369,57 @@ impl Gauge {
     }
 }
 
+/// Deleted files' storage held for reuse ([`FileDevice::recycled_storage`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecycledStorage {
+    /// Unnamed inodes on the free list.
+    pub files: usize,
+    /// Bytes those inodes hold.
+    pub bytes: usize,
+    /// The most `bytes` may reach: the live files' high-water mark.
+    pub bound: usize,
+    /// Files created on reused storage so far.
+    pub reuses: usize,
+}
+
 /// Shared by the device and its file handles, so a handle can give its
-/// pages back when the last reference to it drops.
+/// pages and its storage back when the last reference to it drops.
 #[derive(Default)]
-struct ResidentGauges {
+struct Shared {
     frames: Gauge,
     write_behind: Gauge,
+    /// Durable bytes of the live files; the peak bounds the free list.
+    live_bytes: Gauge,
+    free: Mutex<FreeList>,
+}
+
+/// Deleted files' inodes, most recently freed last, with their lengths.
+#[derive(Default)]
+struct FreeList {
+    files: Vec<(File, usize)>,
+    bytes: usize,
+    reuses: usize,
+}
+
+impl Shared {
+    /// Keeps `file`, `bytes` long, for reuse unless that would take the
+    /// free list past the live files' high-water mark; otherwise it closes.
+    fn recycle(&self, file: File, bytes: usize) {
+        let mut free = lock_unpoisoned(&self.free);
+        if free.bytes + bytes <= self.live_bytes.peak.load(Ordering::Relaxed) {
+            free.bytes += bytes;
+            free.files.push((file, bytes));
+        }
+    }
+
+    /// The most recently freed inode, if any.
+    fn reuse(&self) -> Option<File> {
+        let mut free = lock_unpoisoned(&self.free);
+        let (file, bytes) = free.files.pop()?;
+        free.bytes -= bytes;
+        free.reuses += 1;
+        Some(file)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,23 +484,45 @@ struct FrameCache {
 
 struct FileHandle {
     path: PathBuf,
-    /// The long-lived backing `File`. Opened at `create_file`; `None` only
-    /// if that open failed, in which case the first I/O retries it.
+    /// The storage came off the free list: `path` names no file (until an
+    /// `at_dir` device writes it out on drop).
+    reused: bool,
+    /// The long-lived backing `File`. Opened at `create_file` (or taken
+    /// off the free list); `None` only if that open failed, in which case
+    /// the first I/O retries it.
     file: RwLock<Option<Arc<File>>>,
     append: Mutex<AppendState>,
     frames: Mutex<FrameCache>,
-    resident: Arc<ResidentGauges>,
+    /// Set by `delete_file`: the storage goes to the free list on drop.
+    /// `Relaxed`: the `Arc`'s last decrement orders it before `drop`.
+    deleted: AtomicBool,
+    shared: Arc<Shared>,
 }
 
 impl Drop for FileHandle {
-    /// The handle's frames and write-behind tail are freed with it —
-    /// after `delete_file`, once the last in-flight operation lets go.
+    /// The handle's frames and write-behind tail are freed with it, and a
+    /// deleted file's storage goes to the free list — after `delete_file`,
+    /// once the last in-flight operation lets go.
     fn drop(&mut self) {
         let frames = self.frames.get_mut().unwrap_or_else(|e| e.into_inner());
         let frame_pages = frames.entries.iter().map(|f| f.pages.len()).sum();
-        self.resident.frames.sub(frame_pages);
+        self.shared.frames.sub(frame_pages);
         let append = self.append.get_mut().unwrap_or_else(|e| e.into_inner());
-        self.resident.write_behind.sub(append.buffered.len());
+        self.shared.write_behind.sub(append.buffered.len());
+        let durable = append.durable_pages * append.page_size;
+        self.shared.live_bytes.sub(durable);
+        if !*self.deleted.get_mut() {
+            return;
+        }
+        // Every operation holds the handle while it holds the `File`, so
+        // this is the last reference.
+        let slot = self.file.get_mut().unwrap_or_else(|e| e.into_inner());
+        if let Some(file) = slot.take().and_then(Arc::into_inner) {
+            // A reused inode may run past this file's end: cut it there.
+            if !self.reused || file.set_len(durable as u64).is_ok() {
+                self.shared.recycle(file, durable);
+            }
+        }
     }
 }
 
@@ -512,19 +550,27 @@ impl FileHandle {
         *slot = Some(f.clone());
         Ok(f)
     }
+
+    /// Copies a reused file's durable bytes out under its own name.
+    fn write_out(&self) -> std::io::Result<()> {
+        let Some(file) = read_unpoisoned(&self.file).clone() else {
+            return Ok(());
+        };
+        // Positioned I/O never moved the cursor off byte 0.
+        let st = lock_unpoisoned(&self.append);
+        let durable = (st.durable_pages * st.page_size) as u64;
+        std::io::copy(&mut (&*file).take(durable), &mut File::create(&self.path)?)?;
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
 // FileDevice
 // ---------------------------------------------------------------------------
 
-/// A block device backed by real files — the production block layer.
-///
-/// See the [module documentation](crate::block) for the architecture
-/// (handle cache, read-ahead, write-behind, durability) and the failure
-/// accounting contract. Construct with [`FileDevice::new_temp`],
-/// [`FileDevice::at_dir`], or [`FileDeviceBuilder`] for a durability
-/// policy.
+/// A block device backed by real files; see the
+/// [module documentation](crate::block). Construct with
+/// [`FileDevice::new_temp`], [`FileDevice::at_dir`] or [`FileDeviceBuilder`].
 pub struct FileDevice {
     dir: PathBuf,
     prefix: String,
@@ -533,7 +579,7 @@ pub struct FileDevice {
     next_id: AtomicU64,
     stats: AtomicIoStats,
     block_stats: AtomicBlockStats,
-    resident: Arc<ResidentGauges>,
+    shared: Arc<Shared>,
     /// Torn-write test knob: fires when a decrement observes 1; disabled
     /// at or below 0.
     torn_remaining: AtomicI64,
@@ -547,13 +593,10 @@ impl FileDevice {
         FileDeviceBuilder::new().build()
     }
 
-    /// Creates a device rooted at `dir` (which must exist), with the
-    /// default block-layer configuration. Files are still deleted
-    /// individually through [`BlockDevice::delete_file`]; the directory
-    /// itself is left alone on drop, and buffered appends are flushed on
-    /// drop. Each instance writes under its own filename namespace, so
-    /// several devices (or a reopen after a crash) can share a directory
-    /// without colliding with stale backing files.
+    /// Creates a device rooted at `dir`, which must exist. The directory
+    /// is left alone on drop, and what is live is flushed and named there.
+    /// Each instance writes under its own filename namespace, so several
+    /// devices (or a reopen after a crash) can share a directory.
     pub fn at_dir(dir: PathBuf) -> Result<Self> {
         if !dir.is_dir() {
             return Err(StorageError::Io(format!(
@@ -590,18 +633,30 @@ impl FileDevice {
     pub fn resident_pages(&self) -> ResidentPages {
         let load = |gauge: &AtomicUsize| gauge.load(Ordering::Relaxed);
         ResidentPages {
-            frames: load(&self.resident.frames.now),
-            frames_peak: load(&self.resident.frames.peak),
-            write_behind: load(&self.resident.write_behind.now),
-            write_behind_peak: load(&self.resident.write_behind.peak),
+            frames: load(&self.shared.frames.now),
+            frames_peak: load(&self.shared.frames.peak),
+            write_behind: load(&self.shared.write_behind.now),
+            write_behind_peak: load(&self.shared.write_behind.peak),
         }
     }
 
     /// Restarts both high-water marks of [`resident_pages`](Self::resident_pages)
     /// from the current counts, so a caller can read one join's peak.
     pub fn reset_resident_peaks(&self) {
-        self.resident.frames.reset_peak();
-        self.resident.write_behind.reset_peak();
+        self.shared.frames.reset_peak();
+        self.shared.write_behind.reset_peak();
+    }
+
+    /// The free list of deleted files' storage (see *Storage reuse* in the
+    /// [module documentation](crate::block)).
+    pub fn recycled_storage(&self) -> RecycledStorage {
+        let free = lock_unpoisoned(&self.shared.free);
+        RecycledStorage {
+            files: free.files.len(),
+            bytes: free.bytes,
+            bound: self.shared.live_bytes.peak.load(Ordering::Relaxed),
+            reuses: free.reuses,
+        }
     }
 
     /// Number of live (not yet deleted) files.
@@ -612,12 +667,15 @@ impl FileDevice {
             .sum()
     }
 
-    /// Path of the backing file for `file`, if the file exists. Tests use
-    /// this instead of guessing filenames: each device instance writes
-    /// under a unique namespace.
+    /// Path of the backing file for `file`. Tests use this instead of
+    /// guessing filenames: each device instance writes under a unique
+    /// namespace. `None` if the file does not exist, or if it lives on
+    /// reused storage, which has no directory entry (an `at_dir` device
+    /// gives it one when it drops).
     pub fn backing_path(&self, file: FileId) -> Option<PathBuf> {
         read_unpoisoned(self.shard(file))
             .get(&file)
+            .filter(|h| !h.reused)
             .map(|h| h.path.clone())
     }
 
@@ -667,10 +725,10 @@ impl FileDevice {
             // Injected torn write: a non-aligned prefix lands, then the
             // write "fails" — exactly what a crashed write_all leaves.
             let cut = (buf.len() / 2 + 1).min(buf.len());
-            let _ = pwrite(file, &buf[..cut], offset);
+            let _ = file.write_all_at(&buf[..cut], offset);
             Err(std::io::Error::other("injected torn write"))
         } else {
-            pwrite(file, buf, offset)
+            file.write_all_at(buf, offset)
         };
         if let Err(e) = res {
             let torn = match file.metadata() {
@@ -720,7 +778,8 @@ impl FileDevice {
         self.physical_write(&file, &buf, offset, st.buffered.len())?;
         self.sync_batch(&file)?;
         st.durable_pages += st.buffered.len();
-        self.resident.write_behind.sub(st.buffered.len());
+        self.shared.live_bytes.add(st.buffered.len() * st.page_size);
+        self.shared.write_behind.sub(st.buffered.len());
         st.buffered.clear();
         self.block_stats.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -735,7 +794,8 @@ impl FileDevice {
     ) -> Result<Arc<Page>> {
         let file = handle.file()?;
         let mut buf = vec![0u8; page_size];
-        pread(&file, &mut buf, (index * page_size) as u64).map_err(io_err)?;
+        file.read_exact_at(&mut buf, (index * page_size) as u64)
+            .map_err(io_err)?;
         self.block_stats
             .physical_reads
             .fetch_add(1, Ordering::Relaxed);
@@ -775,7 +835,7 @@ impl FileDevice {
                     let finished = frame.serve(slot).then(|| frames.entries.remove(at));
                     drop(frames);
                     if let Some(frame) = finished {
-                        self.resident.frames.sub(frame.pages.len());
+                        self.shared.frames.sub(frame.pages.len());
                     }
                     self.block_stats
                         .readahead_hits
@@ -796,7 +856,8 @@ impl FileDevice {
         let pages_in_block = ppb.min(durable - start);
         let file = handle.file()?;
         let mut buf = vec![0u8; pages_in_block * page_size];
-        pread(&file, &mut buf, (start * page_size) as u64).map_err(io_err)?;
+        file.read_exact_at(&mut buf, (start * page_size) as u64)
+            .map_err(io_err)?;
         self.block_stats
             .physical_reads
             .fetch_add(1, Ordering::Relaxed);
@@ -809,7 +870,7 @@ impl FileDevice {
         }
         let page = pages[slot].clone();
         let mut frame = Frame::new(block, pages);
-        self.resident.frames.add(pages_in_block);
+        self.shared.frames.add(pages_in_block);
         let mut released = 0;
         let mut frames = lock_unpoisoned(&handle.frames);
         // Marks made on an earlier copy of this block carry over: a short
@@ -833,7 +894,7 @@ impl FileDevice {
             frames.entries.push(frame);
         }
         drop(frames);
-        self.resident.frames.sub(released);
+        self.shared.frames.sub(released);
         Ok(page)
     }
 }
@@ -843,8 +904,14 @@ impl Drop for FileDevice {
         if self.remove_dir_on_drop {
             let _ = fs::remove_dir_all(&self.dir);
         } else {
-            // Persistent directory: make the write-behind tail durable.
+            // Persistent directory: make the write-behind tail durable, and
+            // give every file on reused storage its name.
             let _ = self.flush();
+            for shard in &self.shards {
+                for handle in read_unpoisoned(shard).values().filter(|h| h.reused) {
+                    let _ = handle.write_out();
+                }
+            }
         }
     }
 }
@@ -853,15 +920,20 @@ impl BlockDevice for FileDevice {
     fn create_file(&self) -> FileId {
         let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let path = self.dir.join(format!("{}-f{}.pages", self.prefix, id.0));
-        // Eager open: this is the one open() of the file's lifetime. If it
-        // fails (fd pressure), the handle retries on first I/O.
-        let file = FileHandle::open_backing(&path).ok().map(Arc::new);
+        // A freed inode if there is one; else the eager open, the one
+        // open() of the file's lifetime. If that fails (fd pressure), the
+        // handle retries on first I/O.
+        let file = self.shared.reuse();
+        let reused = file.is_some();
+        let file = file.or_else(|| FileHandle::open_backing(&path).ok());
         let handle = Arc::new(FileHandle {
             path,
-            file: RwLock::new(file),
+            reused,
+            file: RwLock::new(file.map(Arc::new)),
             append: Mutex::new(AppendState::default()),
             frames: Mutex::new(FrameCache::default()),
-            resident: self.resident.clone(),
+            deleted: AtomicBool::new(false),
+            shared: self.shared.clone(),
         });
         write_unpoisoned(self.shard(id)).insert(id, handle);
         id
@@ -892,7 +964,7 @@ impl BlockDevice for FileDevice {
             self.flush_locked(&handle, &mut st)?;
         }
         st.buffered.push(Arc::new(page.clone()));
-        self.resident.write_behind.add(1);
+        self.shared.write_behind.add(1);
         self.block_stats
             .buffered_appends
             .fetch_add(1, Ordering::Relaxed);
@@ -927,8 +999,8 @@ impl BlockDevice for FileDevice {
     }
 
     /// A no-op: the device holds no copy of a durable page once its
-    /// read-ahead frame is released, and the disk space comes back at
-    /// [`delete_file`](BlockDevice::delete_file).
+    /// read-ahead frame is released, and the disk space stays the file's
+    /// until [`delete_file`](BlockDevice::delete_file).
     fn discard_page(&self, _file: FileId, _index: usize) -> Result<()> {
         Ok(())
     }
@@ -939,8 +1011,13 @@ impl BlockDevice for FileDevice {
             .ok_or(StorageError::UnknownFile(file))?;
         // The write-behind buffer and the read-ahead frames are discarded
         // with the handle — deleting a file is the one exit path where
-        // "flush" means "drop the bytes". The backing file may never have
-        // been created (the eager open failed and no I/O retried it).
+        // "flush" means "drop the bytes" — and the storage goes to the free
+        // list. Reused storage has no name; a fresh backing file may never
+        // have been created (the eager open failed and no I/O retried it).
+        handle.deleted.store(true, Ordering::Relaxed);
+        if handle.reused {
+            return Ok(());
+        }
         match fs::remove_file(&handle.path) {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(e)),
             _ => Ok(()),
@@ -978,10 +1055,7 @@ mod tests {
     fn scanned_file(pages: u64) -> (FileDevice, FileId) {
         let dev = FileDevice::new_temp().unwrap();
         let f = dev.create_file();
-        for k in 0..pages {
-            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
-                .unwrap();
-        }
+        append_keys(&dev, f, 0, pages);
         dev.flush().unwrap();
         dev.reset_stats();
         dev.reset_resident_peaks();
@@ -1382,7 +1456,9 @@ mod tests {
     #[test]
     fn delete_file_discards_buffered_pages_and_backing_file() {
         let dev = FileDevice::new_temp().unwrap();
-        let f = dev.create_file();
+        // `g` is created before `f` goes, so it has a backing file of its
+        // own rather than `f`'s unnamed storage.
+        let (f, g) = (dev.create_file(), dev.create_file());
         dev.append_page(f, &page_with(&[1]), IoKind::RandWrite)
             .unwrap();
         let path = dev.backing_path(f).unwrap();
@@ -1395,9 +1471,168 @@ mod tests {
         assert!(dev.delete_file(f).is_err());
         // A backing file that is already gone is not an error: one unlink,
         // `NotFound` means there was nothing left to remove.
-        let g = dev.create_file();
         fs::remove_file(dev.backing_path(g).unwrap()).unwrap();
         dev.delete_file(g).unwrap();
+    }
+
+    /// `pages` single-record pages with keys `first..first + pages`.
+    fn append_keys(dev: &FileDevice, f: FileId, first: u64, pages: u64) {
+        for k in first..first + pages {
+            dev.append_page(f, &page_with(&[k]), IoKind::SeqWrite)
+                .unwrap();
+        }
+    }
+
+    /// The length of the inode under a live file.
+    fn inode_len(dev: &FileDevice, f: FileId) -> u64 {
+        let handle = dev.handle(f).unwrap();
+        let file = read_unpoisoned(&handle.file).clone().unwrap();
+        file.metadata().unwrap().len()
+    }
+
+    #[test]
+    fn reused_storage_never_shows_the_old_bytes() {
+        let (dev, f) = scanned_file(20);
+        dev.delete_file(f).unwrap();
+        assert_eq!(dev.recycled_storage().files, 1);
+        let g = dev.create_file();
+        assert_eq!(dev.recycled_storage().reuses, 1);
+        assert_eq!(dev.backing_path(g), None, "reused storage has no name");
+        assert_eq!(inode_len(&dev, g), 20 * 256, "the old pages are there");
+        append_keys(&dev, g, 100, 3);
+        assert_eq!(dev.file_pages(g).unwrap(), 3);
+        let read = |index, kind| dev.read_page(g, index, kind);
+        let out_of_bounds = |kind| {
+            let err = read(3, kind).unwrap_err();
+            assert!(matches!(
+                err,
+                StorageError::PageOutOfBounds { index: 3, len: 3 }
+            ));
+        };
+        // The write-behind tail, then the same pages once durable.
+        for k in 0..3 {
+            assert_eq!(
+                keys_of(&read(k, IoKind::RandRead).unwrap()),
+                [100 + k as u64]
+            );
+        }
+        out_of_bounds(IoKind::SeqRead);
+        dev.flush().unwrap();
+        let before = dev.block_stats().physical_read_pages;
+        for kind in [IoKind::SeqRead, IoKind::RandRead] {
+            for k in 0..3 {
+                assert_eq!(keys_of(&read(k, kind).unwrap()), [100 + k as u64]);
+            }
+        }
+        assert_eq!(
+            dev.block_stats().physical_read_pages - before,
+            3 + 3,
+            "one frame clipped to the three durable pages, three single reads"
+        );
+        out_of_bounds(IoKind::SeqRead);
+        out_of_bounds(IoKind::RandRead);
+    }
+
+    #[test]
+    fn free_list_stays_within_the_live_high_water_mark() {
+        let dev = FileDevice::new_temp().unwrap();
+        let page = 256;
+        let write = |f, pages| {
+            append_keys(&dev, f, 0, pages);
+            dev.flush_file(f).unwrap();
+        };
+        let free = |files, pages, reuses| RecycledStorage {
+            files,
+            bytes: pages * page,
+            bound: 10 * page,
+            reuses,
+        };
+        // Two live five-page files: the high-water mark is ten pages.
+        let (a, c) = (dev.create_file(), dev.create_file());
+        write(a, 5);
+        write(c, 5);
+        dev.delete_file(a).unwrap();
+        dev.delete_file(c).unwrap();
+        assert_eq!(dev.recycled_storage(), free(2, 10, 0));
+        // `b` takes `c`'s inode and grows to the whole mark; `a`'s five
+        // pages plus `b`'s ten would exceed it, so `b`'s storage is closed.
+        let b = dev.create_file();
+        write(b, 10);
+        dev.delete_file(b).unwrap();
+        assert_eq!(dev.recycled_storage(), free(1, 5, 1));
+        // `d` takes `a`'s five-page inode, writes two pages, and the inode
+        // is cut to those two when `d` goes.
+        let d = dev.create_file();
+        assert_eq!(inode_len(&dev, d), 5 * page as u64);
+        write(d, 2);
+        dev.delete_file(d).unwrap();
+        assert_eq!(dev.recycled_storage(), free(1, 2, 2));
+        let (inode, bytes) = &lock_unpoisoned(&dev.shared.free).files[0];
+        assert_eq!((inode.metadata().unwrap().len(), *bytes), (512, 512));
+    }
+
+    #[test]
+    fn a_torn_flush_on_reused_storage_recovers() {
+        // Three writes for the 20-page file (blocks at appends 9 and 17,
+        // then the flush); the fourth, on the reused inode, is torn.
+        let dev = FileDevice::builder().torn_append_after(3).build().unwrap();
+        let f = dev.create_file();
+        append_keys(&dev, f, 0, 20);
+        dev.flush().unwrap();
+        dev.delete_file(f).unwrap();
+        let g = dev.create_file();
+        assert_eq!(dev.recycled_storage().reuses, 1);
+        append_keys(&dev, g, 100, 8);
+        let err = dev
+            .append_page(g, &page_with(&[108]), IoKind::SeqWrite)
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)));
+        assert_eq!(dev.block_stats().torn_writes_repaired, 1);
+        assert_eq!(dev.file_pages(g).unwrap(), 8);
+        assert_eq!(inode_len(&dev, g), 0, "cut back to the durable boundary");
+        assert_eq!(
+            dev.append_page(g, &page_with(&[108]), IoKind::SeqWrite)
+                .unwrap(),
+            8
+        );
+        dev.flush().unwrap();
+        for k in 0..9 {
+            let p = dev.read_page(g, k, IoKind::SeqRead).unwrap();
+            assert_eq!(keys_of(&p), [100 + k as u64]);
+        }
+        assert!(dev.read_page(g, 9, IoKind::RandRead).is_err());
+    }
+
+    #[test]
+    fn an_at_dir_device_names_its_reused_files_when_it_drops() {
+        let host = FileDevice::new_temp().unwrap();
+        let dir = host.dir().join("kept");
+        let dev = FileDevice::builder().at_dir(dir.clone()).build().unwrap();
+        let f = dev.create_file();
+        append_keys(&dev, f, 0, 20);
+        dev.flush().unwrap();
+        dev.delete_file(f).unwrap();
+        // Ten pages on `f`'s storage: one block durable, two buffered.
+        let g = dev.create_file();
+        append_keys(&dev, g, 100, 10);
+        assert_eq!(dev.backing_path(g), None);
+        let path = dev.handle(g).unwrap().path.clone();
+        drop(dev);
+        let left: Vec<PathBuf> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(
+            left,
+            std::slice::from_ref(&path),
+            "g under its own name, f gone"
+        );
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 10 * 256, "exactly g's pages");
+        for (k, chunk) in bytes.chunks_exact(256).enumerate() {
+            let p = Page::from_bytes(chunk.to_vec()).unwrap();
+            assert_eq!(keys_of(&p), [100 + k as u64]);
+        }
     }
 
     #[test]

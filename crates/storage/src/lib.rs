@@ -105,7 +105,8 @@ pub mod sync;
 pub mod traced;
 
 pub use block::{
-    BlockStats, FileDeviceBuilder, ResidentPages, SyncPolicy, DEFAULT_PAGES_PER_BLOCK,
+    BlockStats, FileDeviceBuilder, RecycledStorage, ResidentPages, SyncPolicy,
+    DEFAULT_PAGES_PER_BLOCK,
 };
 pub use bloom::BloomFilter;
 pub use buffer::{BufferPool, Reservation};

@@ -18,10 +18,14 @@
 //!    schedule at 1/4/8 workers with the fault-free output and an exact
 //!    audit, and a `CheckedDevice` alone retries a *real* torn block flush
 //!    to success.
+//! 5. Spill files on reused storage have no directory entry, so only
+//!    `FileDevice::live_files` can see one leak: every join, run twice on
+//!    one `at_dir` device, leaves the base relations and nothing else by
+//!    both counts.
 //!
 //! [`IoStats`]: nocap_suite::storage::IoStats
 
-use nocap_suite::joins::{DhhJoin, SortMergeJoin};
+use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::{IoAudit, Obs};
@@ -411,4 +415,59 @@ fn checked_device_retries_a_real_torn_block_flush_to_success() {
             "page {k} lost or corrupted across the torn flush"
         );
     }
+}
+
+#[test]
+fn joins_on_reused_storage_leave_only_the_base_relations() {
+    let dir = std::env::temp_dir().join(format!(
+        "nocap-block-reuse-{}-{:x}",
+        std::process::id(),
+        0x2E05u32
+    ));
+    let device = FileDevice::builder()
+        .at_dir(dir.clone())
+        .build_arc()
+        .expect("device");
+    let wl = generate_on(device.clone() as DeviceRef);
+    let spec = JoinSpec::paper_synthetic(128, BUDGET_PAGES);
+    let joins: [(&str, &dyn Fn() -> Result<JoinRunReport>); 4] = [
+        ("nocap", &|| {
+            NocapJoin::new(spec, NocapConfig::default()).run_parallel(&wl.r, &wl.s, &wl.mcvs, 0)
+        }),
+        ("dhh", &|| {
+            DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, 0)
+        }),
+        ("ghj", &|| {
+            GraceHashJoin::new(spec).run_parallel(&wl.r, &wl.s, 0)
+        }),
+        ("smj", &|| {
+            SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, 0)
+        }),
+    ];
+    let entries = || std::fs::read_dir(&dir).expect("read dir").count();
+    let mut first_pass = Vec::new();
+    for pass in 0..2 {
+        let reuses = device.recycled_storage().reuses;
+        for (at, (name, join)) in joins.iter().enumerate() {
+            device.reset_stats();
+            let report = join().expect(name);
+            assert_eq!(device.live_files(), 2, "{name}, pass {pass}: live files");
+            assert_eq!(entries(), 2, "{name}, pass {pass}: directory entries");
+            if pass == 0 {
+                first_pass.push((report, device.stats()));
+            } else {
+                assert_eq!(
+                    (report, device.stats()),
+                    first_pass[at],
+                    "{name}: output and I/O on reused storage"
+                );
+            }
+        }
+        assert!(
+            device.recycled_storage().reuses > reuses,
+            "pass {pass} created its spill files on reused storage"
+        );
+    }
+    drop(device);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
