@@ -2,7 +2,7 @@
 //!
 //! Runs one NOCAP, one DHH and one SMJ join on a temporary-directory
 //! `FileDevice` (the block layer: handle cache, read-ahead, write-behind)
-//! wrapped in a latency-measuring `TracedDevice`, replays the captured
+//! wrapped in a `TracedDevice`, replays the captured
 //! device-level event stream through `IoAudit`, and:
 //!
 //! * asserts the **model audit** is exact — every marker window's folded
@@ -23,8 +23,8 @@
 //!   ([`FileDevice::resident_pages`]) — the part of a run's physical
 //!   footprint that `B` does not charge and the block layer owns;
 //! * writes the combined audits to `BENCH_io.json` (`--out <path>` to
-//!   relocate), the checked-in record of how far the analytic device model
-//!   sits from a real device here.
+//!   relocate; the file is git-ignored), a record of how far the analytic
+//!   device model sits from the real device it ran on.
 //!
 //! Pass `--quick` for a smaller workload (the CI smoke setting).
 

@@ -57,8 +57,8 @@ pub struct IoEventRec {
     pub kind: IoKind,
     /// Whether the access was a read or an append.
     pub op: IoOp,
-    /// Measured wall time of the device call, when the traced device was
-    /// built with latency measurement (`TracedDevice::with_latency`).
+    /// Measured wall time of the device call; a `TracedDevice` always
+    /// reports one.
     pub latency_ns: Option<u64>,
 }
 

@@ -212,7 +212,7 @@ mod tests {
     use crate::pool::ordered_tasks;
     use nocap_model::{staging_quotas, StagingRouter};
     use nocap_obs::{Obs, Phase};
-    use nocap_storage::{FaultDevice, FaultKind, FaultSpec, Record, SimDevice};
+    use nocap_storage::{FaultKind, FaultSpec, Record, SimDevice, TracedDevice};
 
     fn spec() -> JoinSpec {
         JoinSpec::paper_synthetic(128, 16)
@@ -382,12 +382,11 @@ mod tests {
         // Private pages own no file: when a worker's full-page append fails
         // mid-scan, dropping the stager deletes every spill file.
         let sim = std::sync::Arc::new(SimDevice::new());
-        let faulty = FaultDevice::new_arc(
-            sim.clone(),
-            vec![FaultSpec::any(FaultKind::PersistentError)
+        let faulty = std::sync::Arc::new(TracedDevice::new(sim.clone()).with_faults(vec![
+            FaultSpec::any(FaultKind::PersistentError)
                 .appends()
-                .after(5)],
-        );
+                .after(5),
+        ]));
         faulty.arm();
         let spec = spec();
         let stager = ParallelStager::new(faulty, spec.r_layout, spec, vec![2; 4]);

@@ -94,7 +94,7 @@
 //! truncates the backing file back to the durable page boundary
 //! (`ftruncate` to `durable_pages * page_size`), so a torn page can never
 //! shift later appends to misaligned offsets — this is what makes
-//! [`CheckedDevice`](crate::CheckedDevice)'s bounded retry safe on real
+//! [`TracedDevice`](crate::TracedDevice)'s bounded retry safe on real
 //! files. A failed block flush *retains* the write-behind buffer (the
 //! pages stay readable and stay counted); re-driving the append retries
 //! the flush.
@@ -145,8 +145,6 @@ pub enum SyncPolicy {
     /// No explicit syncing; the OS page cache decides when bytes hit media.
     #[default]
     None,
-    /// `fdatasync` (data, not metadata) after every flushed append batch.
-    DataSync,
     /// Full `fsync` (data + metadata) after every flushed append batch —
     /// the moral equivalent of `O_SYNC` appends.
     Sync,
@@ -157,7 +155,6 @@ impl SyncPolicy {
     pub fn label(&self) -> &'static str {
         match self {
             SyncPolicy::None => "none",
-            SyncPolicy::DataSync => "fdatasync",
             SyncPolicy::Sync => "fsync",
         }
     }
@@ -170,7 +167,7 @@ impl SyncPolicy {
 /// ```no_run
 /// use nocap_storage::{FileDeviceBuilder, SyncPolicy};
 /// let dev = FileDeviceBuilder::new()
-///     .sync_policy(SyncPolicy::DataSync)
+///     .sync_policy(SyncPolicy::Sync)
 ///     .build()
 ///     .unwrap();
 /// ```
@@ -294,7 +291,7 @@ pub struct BlockStats {
     pub buffered_appends: u64,
     /// Write-behind batches flushed to disk.
     pub flushes: u64,
-    /// Explicit sync syscalls issued ([`SyncPolicy::DataSync`]/[`SyncPolicy::Sync`]).
+    /// Explicit sync syscalls issued ([`SyncPolicy::Sync`]).
     pub syncs: u64,
     /// Failed physical writes repaired by truncating back to the durable
     /// page boundary.
@@ -754,7 +751,6 @@ impl FileDevice {
     fn sync_batch(&self, file: &File) -> Result<()> {
         match self.sync {
             SyncPolicy::None => return Ok(()),
-            SyncPolicy::DataSync => file.sync_data().map_err(io_err)?,
             SyncPolicy::Sync => file.sync_all().map_err(io_err)?,
         }
         self.block_stats.syncs.fetch_add(1, Ordering::Relaxed);
@@ -1435,11 +1431,7 @@ mod tests {
 
     #[test]
     fn sync_policies_issue_sync_syscalls_per_batch() {
-        for (policy, expect_syncs) in [
-            (SyncPolicy::None, 0),
-            (SyncPolicy::DataSync, 2),
-            (SyncPolicy::Sync, 2),
-        ] {
+        for (policy, expect_syncs) in [(SyncPolicy::None, 0), (SyncPolicy::Sync, 2)] {
             let dev = FileDevice::builder().sync_policy(policy).build().unwrap();
             let f = dev.create_file();
             // The ninth append flushes the first block, `flush` the tail.

@@ -56,17 +56,14 @@
 //!   which consumes its runs), fence-cut key ranges ([`split_runs`](sort::split_runs)) —
 //!   both merged by the caller on any number of workers — and the
 //!   loser-tree multiway merge ([`LoserTree`]) under both.
-//! * [`traced`] — [`TracedDevice`], a purely observational [`BlockDevice`]
-//!   wrapper that reports every page access (file, page, declared
-//!   [`IoKind`], optional measured latency) to an attached [`IoEventSink`];
-//!   the substrate of the modeled-vs-observed I/O audit in `nocap-obs`.
-//! * [`fault`] — [`FaultDevice`], a deterministic fault-injection wrapper
-//!   (transient/persistent errors, bit-flip corruption, latency spikes)
-//!   driven by a seeded schedule; the substrate of the differential fault
-//!   matrix.
-//! * [`checked`] — [`CheckedDevice`], out-of-band per-page checksums
-//!   verified on every read plus a bounded [`RetryPolicy`] that re-drives
-//!   transient failures.
+//! * [`traced`] — [`TracedDevice`], the one [`BlockDevice`] wrapper: it
+//!   reports every page access (file, page, declared [`IoKind`], measured
+//!   latency) to an attached [`IoEventSink`] — the substrate of the
+//!   modeled-vs-observed I/O audit in `nocap-obs` — and, when configured,
+//!   injects a deterministic seeded fault schedule ([`FaultSpec`],
+//!   [`FaultPlan`]) and re-drives failures under a bounded [`RetryPolicy`]
+//!   with out-of-band page checksums; the substrate of the differential
+//!   fault matrix.
 //! * [`sync`] — poison-tolerant lock helpers shared by every crate, so one
 //!   panicked worker cannot cascade panics through shared state.
 //!
@@ -88,9 +85,7 @@
 pub mod block;
 pub mod bloom;
 pub mod buffer;
-pub mod checked;
 pub mod device;
-pub mod fault;
 pub mod hash;
 pub mod hash_table;
 pub mod iostats;
@@ -110,9 +105,7 @@ pub use block::{
 };
 pub use bloom::BloomFilter;
 pub use buffer::{BufferPool, Reservation};
-pub use checked::{page_checksum, CheckedDevice, RetryPolicy, RetryStats};
 pub use device::{BlockDevice, FileDevice, FileId, SimDevice};
-pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultSpec, FaultStats, FaultTarget};
 pub use hash_table::{JoinHashTable, ProbeIter};
 pub use iostats::{AtomicIoStats, DeviceProfile, IoKind, IoStats};
 pub use page::{Page, DEFAULT_PAGE_SIZE};
@@ -122,7 +115,10 @@ pub use relation::{Relation, RelationScan, RelationWriter};
 pub use sort::{merge_runs, run_chunks, sort_chunk, LoserTree, RunSlice, SortScratch, SortedRun};
 pub use spill::{LocalPages, SpillSet};
 pub use sync::{into_inner_unpoisoned, lock_unpoisoned, read_unpoisoned, write_unpoisoned};
-pub use traced::{IoEventSink, IoMarkerKind, IoOp, TracedDevice};
+pub use traced::{
+    FaultKind, FaultPlan, FaultSpec, FaultStats, FaultTarget, IoEventSink, IoMarkerKind, IoOp,
+    RetryPolicy, RetryStats, TracedDevice,
+};
 
 /// Errors produced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -181,8 +181,8 @@ mod tests {
 
     use super::*;
     use crate::device::{BlockDevice, SimDevice};
-    use crate::fault::{FaultDevice, FaultKind, FaultSpec};
     use crate::record::Record;
+    use crate::traced::{FaultKind, FaultSpec, TracedDevice};
 
     fn layout() -> RecordLayout {
         RecordLayout::new(8)
@@ -445,12 +445,11 @@ mod tests {
     fn an_append_error_in_one_worker_leaves_no_live_files() {
         let sim = Arc::new(SimDevice::new());
         // The third full-page append fails, and so does every one after it.
-        let faulty = FaultDevice::new_arc(
-            sim.clone(),
-            vec![FaultSpec::any(FaultKind::PersistentError)
+        let faulty = Arc::new(TracedDevice::new(sim.clone()).with_faults(vec![
+            FaultSpec::any(FaultKind::PersistentError)
                 .appends()
-                .after(2)],
-        );
+                .after(2),
+        ]));
         faulty.arm();
         let set = spill_set(faulty, 3);
         let results: Vec<Result<LocalPages>> = std::thread::scope(|scope| {

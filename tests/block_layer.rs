@@ -13,11 +13,10 @@
 //!    declarations).
 //! 3. The write-behind tail is flushed on every exit path — explicit
 //!    `flush`/`flush_file`, device drop — and discarded on `delete_file`.
-//! 4. The full fault-tolerance stack (engine → `CheckedDevice` →
-//!    `FaultDevice` → `TracedDevice` → `FileDevice`) recovers a transient
-//!    schedule at 1/4/8 workers with the fault-free output and an exact
-//!    audit, and a `CheckedDevice` alone retries a *real* torn block flush
-//!    to success.
+//! 4. A `TracedDevice` over `FileDevice` with a fault schedule and a retry
+//!    policy recovers a transient schedule at 1/4/8 workers with the
+//!    fault-free output and an exact audit, and one with a retry policy
+//!    alone retries a *real* torn block flush to success.
 //! 5. Spill files on reused storage have no directory entry, so only
 //!    `FileDevice::live_files` can see one leak: every join, run twice on
 //!    one `at_dir` device, leaves the base relations and nothing else by
@@ -25,15 +24,16 @@
 //!
 //! [`IoStats`]: nocap_suite::storage::IoStats
 
+use std::sync::Arc;
+
 use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::{IoAudit, Obs};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, CheckedDevice, DeviceProfile, FaultDevice, FaultKind, FaultSpec, FileDevice,
-    FileDeviceBuilder, IoKind, Page, Record, RecordLayout, Result, RetryPolicy, SimDevice,
-    SyncPolicy, TracedDevice,
+    BlockDevice, DeviceProfile, FaultKind, FaultSpec, FileDevice, FileDeviceBuilder, IoKind, Page,
+    Record, RecordLayout, Result, RetryPolicy, SimDevice, SyncPolicy, TracedDevice,
 };
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
@@ -142,8 +142,8 @@ fn every_block_layer_variant_matches_sim_device_bit_for_bit() {
     type BuilderFn = fn() -> FileDeviceBuilder;
     let variants: [(&str, BuilderFn); 2] = [
         ("default", FileDevice::builder),
-        ("fdatasync", || {
-            FileDevice::builder().sync_policy(SyncPolicy::DataSync)
+        ("fsync", || {
+            FileDevice::builder().sync_policy(SyncPolicy::Sync)
         }),
     ];
     for join in Join::all() {
@@ -201,7 +201,7 @@ fn block_layer_device_audits_exactly_for_every_join_at_every_thread_count() {
         let base_wl = generate_audit_workload(SimDevice::new_ref());
         let baseline = join.run(&base_wl, 1).expect("sim baseline");
         for threads in [1usize, 2, 4, 8] {
-            let device = TracedDevice::new_ref(
+            let device = TracedDevice::with_latency_ref(
                 FileDevice::builder().build_arc().expect("file device") as DeviceRef,
             );
             let wl = generate_audit_workload(device.clone());
@@ -310,8 +310,8 @@ fn write_behind_tail_is_flushed_on_every_exit_path() {
 
 #[test]
 fn full_stack_over_the_block_layer_recovers_and_audits_exactly() {
-    // engine → CheckedDevice → FaultDevice → TracedDevice → FileDevice: a
-    // transient error schedule is absorbed by the retry layer while the
+    // engine → TracedDevice (retry, faults, trace) → FileDevice: a
+    // transient error schedule is absorbed by the retry loop while the
     // recorder watches the *successful* operations only, so the audit stays
     // exact and the modeled counters stay fault-free.
     let schedule = || {
@@ -328,19 +328,16 @@ fn full_stack_over_the_block_layer_recovers_and_audits_exactly() {
     let baseline = Join::Nocap.run(&base_wl, 1).expect("sim baseline");
     let base_stats = base_wl.r.device().stats();
     for threads in [1usize, 4, 8] {
-        let traced = TracedDevice::new_ref(
-            FileDevice::builder().build_arc().expect("file device") as DeviceRef
-        );
-        let fault = FaultDevice::new_arc(traced, schedule());
-        let checked = CheckedDevice::new_arc(
-            fault.clone() as DeviceRef,
-            RetryPolicy {
-                max_attempts: 8,
-                backoff_micros: 0,
-            },
+        let checked = Arc::new(
+            TracedDevice::new(FileDevice::builder().build_arc().expect("file device") as DeviceRef)
+                .with_faults(schedule())
+                .with_retry(RetryPolicy {
+                    max_attempts: 8,
+                    backoff_micros: 0,
+                }),
         );
         let wl = generate_on(checked.clone() as DeviceRef);
-        fault.arm();
+        checked.arm();
         let obs = Obs::recording();
         let report = Join::Nocap.run_obs(&wl, threads, &obs);
         assert_eq!(
@@ -352,7 +349,7 @@ fn full_stack_over_the_block_layer_recovers_and_audits_exactly() {
             base_stats,
             "full-stack modeled I/O diverged at {threads} threads"
         );
-        assert_eq!(fault.fault_stats().injected_errors, 5);
+        assert_eq!(checked.fault_stats().injected_errors, 5);
         let rs = checked.retry_stats();
         assert!(rs.recovered > 0, "the schedule must actually be recovered");
         assert_eq!(rs.exhausted, 0);
@@ -372,19 +369,18 @@ fn full_stack_over_the_block_layer_recovers_and_audits_exactly() {
 fn checked_device_retries_a_real_torn_block_flush_to_success() {
     // torn_append_after(1): the second physical write is torn mid-block.
     // The block layer truncates the partial block away and fails the append
-    // that triggered the flush *without counting it*; CheckedDevice's retry
+    // that triggered the flush *without counting it*; the retry policy
     // then re-drives that append, whose flush re-writes the whole batch.
     let file_dev = FileDevice::builder()
         .torn_append_after(1)
         .build_arc()
         .expect("file device");
-    let checked = CheckedDevice::new_arc(
-        file_dev.clone() as DeviceRef,
+    let checked = Arc::new(TracedDevice::new(file_dev.clone() as DeviceRef).with_retry(
         RetryPolicy {
             max_attempts: 4,
             backoff_micros: 0,
         },
-    );
+    ));
     let f = checked.create_file();
     const PAGES: usize = 20; // several 8-page blocks: the torn write lands mid-file
     for k in 0..PAGES as u64 {

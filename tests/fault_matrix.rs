@@ -1,6 +1,6 @@
-//! The differential fault matrix: every join executor against the full
-//! fault-tolerance stack (engine → `CheckedDevice` → `FaultDevice` →
-//! `SimDevice`), pinned both ways:
+//! The differential fault matrix: every join executor against a
+//! `TracedDevice` over `SimDevice` with a fault schedule and a retry
+//! policy (checksums and bounded retry), pinned both ways:
 //!
 //! * **Recoverable schedules** (transient errors, corrupt reads, latency
 //!   spikes) must be absorbed by checksums and bounded retry: the run
@@ -27,8 +27,8 @@ use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::par::page_morsels;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, CheckedDevice, FaultDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind,
-    Page, Record, RecordLayout, Result, RetryPolicy, SimDevice, StorageError,
+    BlockDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind, Page, Record, RecordLayout,
+    Result, RetryPolicy, SimDevice, StorageError, TracedDevice,
 };
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
@@ -111,26 +111,24 @@ impl Join {
     }
 }
 
-/// The full stack, with concrete handles kept at every layer so tests can
-/// arm the schedule and read the fault/retry/leak oracles.
+/// The faulted device, with concrete handles kept on it and on the base
+/// device so tests can arm the schedule and read the fault/retry/leak
+/// oracles.
 struct FaultRig {
     sim: Arc<SimDevice>,
-    fault: Arc<FaultDevice>,
-    checked: Arc<CheckedDevice>,
+    dev: Arc<TracedDevice>,
     wl: GeneratedWorkload,
 }
 
 fn rig(specs: Vec<FaultSpec>, policy: RetryPolicy) -> FaultRig {
     let sim = Arc::new(SimDevice::new());
-    let fault = FaultDevice::new_arc(sim.clone() as DeviceRef, specs);
-    let checked = CheckedDevice::new_arc(fault.clone() as DeviceRef, policy);
-    let wl = generate_on(checked.clone() as DeviceRef);
-    FaultRig {
-        sim,
-        fault,
-        checked,
-        wl,
-    }
+    let dev = Arc::new(
+        TracedDevice::new(sim.clone() as DeviceRef)
+            .with_faults(specs)
+            .with_retry(policy),
+    );
+    let wl = generate_on(dev.clone() as DeviceRef);
+    FaultRig { sim, dev, wl }
 }
 
 #[test]
@@ -151,7 +149,7 @@ fn transient_schedules_recover_to_the_fault_free_output_at_every_thread_count() 
             for threads in [1usize, 2, 4, 8] {
                 let at = format!("{} under {schedule} at {threads} threads", join.name());
                 let rig = rig(specs.clone(), patient());
-                rig.fault.arm();
+                rig.dev.arm();
                 let report = join
                     .run(&rig.wl, threads)
                     .expect("a recoverable schedule must be retried to success");
@@ -171,12 +169,12 @@ fn transient_schedules_recover_to_the_fault_free_output_at_every_thread_count() 
                         "{at}: recovered errors perturbed the per-phase modeled I/O"
                     );
                 }
-                let fs = rig.fault.fault_stats();
+                let fs = rig.dev.fault_stats();
                 assert!(
                     fs.injected_errors + fs.injected_corruptions + fs.injected_delays > 0,
                     "{at}: the schedule never fired — the matrix pinned nothing"
                 );
-                let rs = rig.checked.retry_stats();
+                let rs = rig.dev.retry_stats();
                 assert!(
                     rs.recovered > 0,
                     "{at}: injected errors must have been recovered, not avoided"
@@ -216,7 +214,7 @@ fn error_only_schedules_leave_output_and_modeled_io_bit_identical() {
         let base_stats = base_wl.r.device().stats();
         for threads in [1usize, 4] {
             let rig = rig(schedule(), patient());
-            rig.fault.arm();
+            rig.dev.arm();
             let report = join
                 .run(&rig.wl, threads)
                 .expect("transient errors must be retried to success");
@@ -239,19 +237,19 @@ fn error_only_schedules_leave_output_and_modeled_io_bit_identical() {
                 join.name()
             );
             assert_eq!(
-                rig.checked.stats(),
+                rig.dev.stats(),
                 base_stats,
                 "{}: injected errors leaked into the device counters at {threads} threads",
                 join.name()
             );
-            let fs = rig.fault.fault_stats();
+            let fs = rig.dev.fault_stats();
             assert_eq!(
                 fs.injected_errors,
                 7,
                 "{}: all three windows (3+2+2) must fire in full",
                 join.name()
             );
-            let rs = rig.checked.retry_stats();
+            let rs = rig.dev.retry_stats();
             assert_eq!(rs.read_retries, 5, "{}", join.name());
             assert_eq!(rs.append_retries, 2, "{}", join.name());
             assert_eq!(rs.checksum_failures, 0, "{}", join.name());
@@ -262,8 +260,8 @@ fn error_only_schedules_leave_output_and_modeled_io_bit_identical() {
 
 #[test]
 fn corruption_is_caught_by_checksums_and_retried_to_the_correct_output() {
-    // Bit-flips on reads: the FaultDevice flips one body bit in a private
-    // copy, the CheckedDevice's out-of-band checksum catches every flip, and
+    // Bit-flips on reads: the fault schedule flips one body bit in a private
+    // copy, the device's out-of-band checksum catches every flip, and
     // an honest re-read recovers. Output must be exact; the re-reads make
     // the physical counters legitimately larger, so they are not compared.
     let schedule = || {
@@ -279,7 +277,7 @@ fn corruption_is_caught_by_checksums_and_retried_to_the_correct_output() {
     for join in Join::all() {
         for threads in [1usize, 4] {
             let rig = rig(schedule(), patient());
-            rig.fault.arm();
+            rig.dev.arm();
             let report = join
                 .run(&rig.wl, threads)
                 .expect("corrupted reads must be caught and re-driven");
@@ -289,14 +287,14 @@ fn corruption_is_caught_by_checksums_and_retried_to_the_correct_output() {
                 "{}: corruption reached the join output at {threads} threads",
                 join.name()
             );
-            let fs = rig.fault.fault_stats();
+            let fs = rig.dev.fault_stats();
             assert_eq!(
                 fs.injected_corruptions,
                 3,
                 "{}: both corruption windows (2+1) must fire in full",
                 join.name()
             );
-            let rs = rig.checked.retry_stats();
+            let rs = rig.dev.retry_stats();
             assert_eq!(
                 rs.checksum_failures,
                 3,
@@ -316,7 +314,7 @@ fn persistent_faults_fail_cleanly_with_zero_leaked_files_or_pages() {
         for threads in [1usize, 2, 4, 8] {
             let rig = rig(FaultPlan::persistent(seed, 300), patient());
             let base_pages = rig.wl.r.num_pages() + rig.wl.s.num_pages();
-            rig.fault.arm();
+            rig.dev.arm();
             let err = join
                 .run(&rig.wl, threads)
                 .expect_err("a persistent read fault cannot be retried away");
@@ -343,7 +341,7 @@ fn persistent_faults_fail_cleanly_with_zero_leaked_files_or_pages() {
             // The engine and device must remain fully serviceable: once the
             // fault clears, the same relations join correctly (locks are not
             // poisoned, no partial state lingers).
-            rig.fault.disarm();
+            rig.dev.disarm();
             let report = join
                 .run(&rig.wl, threads)
                 .expect("the engine must survive a failed run intact");
@@ -374,22 +372,21 @@ fn a_failed_base_read_stops_the_sibling_scans() {
             for threads in [2usize, 4, 8] {
                 let at = format!("{} at {threads} threads, {side} failing", join.name());
                 let sim = Arc::new(SimDevice::new());
-                let fault = FaultDevice::new_arc(
-                    sim.clone() as DeviceRef,
+                let fault = Arc::new(TracedDevice::new(sim.clone() as DeviceRef).with_faults(
                     vec![
-                        FaultSpec::any(FaultKind::TransientError { failures: 1 })
-                            .reads()
-                            .on_file(file),
-                        // Counts, without delaying, every later read of the file.
-                        FaultSpec::any(FaultKind::LatencySpike {
-                            micros: 0,
-                            times: u64::MAX,
-                        })
+                    FaultSpec::any(FaultKind::TransientError { failures: 1 })
                         .reads()
-                        .on_file(file)
-                        .after(1),
-                    ],
-                );
+                        .on_file(file),
+                    // Counts, without delaying, every later read of the file.
+                    FaultSpec::any(FaultKind::LatencySpike {
+                        micros: 0,
+                        times: u64::MAX,
+                    })
+                    .reads()
+                    .on_file(file)
+                    .after(1),
+                ],
+                ));
                 let wl = generate_on(fault.clone() as DeviceRef);
                 assert_eq!(
                     (wl.r.file(), wl.s.file()),
@@ -442,7 +439,7 @@ fn a_persistent_fault_fails_run_exactly_like_run_parallel_at_one_worker() {
     for (i, (name, run, run_parallel_1)) in joins.into_iter().enumerate() {
         let fail = |join: Run| {
             let rig = rig(FaultPlan::persistent(0xD15C + i as u64, 300), patient());
-            rig.fault.arm();
+            rig.dev.arm();
             let err = join(&rig.wl).expect_err("a persistent fault cannot be retried away");
             assert_eq!(rig.sim.live_files(), 2, "{name}: spill files leaked");
             assert_eq!(
@@ -490,7 +487,7 @@ fn fault_device_over_file_device_keeps_modeled_io_bit_identical_to_sim() {
             // torn_append_after(75): workload generation issues exactly 72
             // coalesced physical writes, so the injected torn write lands
             // inside the join run's own spill traffic (wherever it lands,
-            // CheckedDevice must absorb it without perturbing the modeled
+            // the retry policy must absorb it without perturbing the modeled
             // counters).
             let file_dev = Arc::new(
                 FileDevice::builder()
@@ -498,10 +495,13 @@ fn fault_device_over_file_device_keeps_modeled_io_bit_identical_to_sim() {
                     .build()
                     .expect("file device"),
             );
-            let fault = FaultDevice::new_arc(file_dev.clone() as DeviceRef, schedule());
-            let checked = CheckedDevice::new_arc(fault.clone() as DeviceRef, patient());
-            let wl = generate_on(checked.clone() as DeviceRef);
-            fault.arm();
+            let dev = Arc::new(
+                TracedDevice::new(file_dev.clone() as DeviceRef)
+                    .with_faults(schedule())
+                    .with_retry(patient()),
+            );
+            let wl = generate_on(dev.clone() as DeviceRef);
+            dev.arm();
             let report = join
                 .run(&wl, threads)
                 .expect("transient faults over a real device must be retried to success");
@@ -512,14 +512,14 @@ fn fault_device_over_file_device_keeps_modeled_io_bit_identical_to_sim() {
                 join.name()
             );
             assert_eq!(
-                checked.stats(),
+                dev.stats(),
                 base_stats,
                 "{}: FileDevice modeled I/O diverged from SimDevice under faults \
                  at {threads} threads (phantom I/Os counted?)",
                 join.name()
             );
             assert_eq!(
-                fault.fault_stats().injected_errors,
+                dev.fault_stats().injected_errors,
                 7,
                 "{}: all three windows (3+2+2) must fire in full",
                 join.name()
@@ -530,7 +530,7 @@ fn fault_device_over_file_device_keeps_modeled_io_bit_identical_to_sim() {
                 "{}: the injected torn write must fire and be repaired",
                 join.name()
             );
-            let rs = checked.retry_stats();
+            let rs = dev.retry_stats();
             assert!(rs.recovered > 0, "{}", join.name());
             assert_eq!(rs.exhausted, 0, "{}", join.name());
         }
@@ -552,13 +552,12 @@ fn file_device_on_disk_bit_flip_is_caught_and_service_restored_after_repair() {
 
     let file_dev = Arc::new(FileDevice::new_temp().expect("temp device"));
     let dir = file_dev.dir().clone();
-    let checked = CheckedDevice::new_arc(
-        file_dev.clone() as DeviceRef,
+    let checked = Arc::new(TracedDevice::new(file_dev.clone() as DeviceRef).with_retry(
         RetryPolicy {
             max_attempts: 3,
             backoff_micros: 0,
         },
-    );
+    ));
     let f = checked.create_file();
     let pages: Vec<Page> = (0..3)
         .map(|p| page_with(&[p * 100 + 1, p * 100 + 2, p * 100 + 3]))

@@ -214,7 +214,7 @@ fn traced_sim_device_is_equivalent_to_bare_at_every_thread_count() {
         let (bare_sums, bare_stats) = run(&bare);
 
         // Untraced wrapper: no sink attached, pure pass-through.
-        let untraced = TracedDevice::new_ref(SimDevice::new_ref());
+        let untraced = TracedDevice::with_latency_ref(SimDevice::new_ref());
         let (untraced_sums, untraced_stats) = run(&untraced);
         assert_eq!(untraced_sums, bare_sums, "untraced diverged at {threads}");
         assert_eq!(untraced_stats, bare_stats, "untraced stats at {threads}");
@@ -222,7 +222,7 @@ fn traced_sim_device_is_equivalent_to_bare_at_every_thread_count() {
         // Traced wrapper: a live sink must not perturb data or counters,
         // and must see exactly one event per counted operation.
         let sink = Arc::new(CountingSink::default());
-        let traced = TracedDevice::new_ref(SimDevice::new_ref());
+        let traced = TracedDevice::with_latency_ref(SimDevice::new_ref());
         traced.set_io_sink(Some(sink.clone()));
         let (traced_sums, traced_stats) = run(&traced);
         traced.set_io_sink(None);

@@ -37,9 +37,9 @@ use nocap_suite::obs::{IoAudit, Obs, Phase};
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, BufferPool, CheckedDevice, DeviceProfile, FaultDevice, FaultKind, FaultPlan,
-    FaultSpec, FaultStats, FileDevice, FileId, IoKind, IoStats, Page, Record, Relation, Result,
-    RetryPolicy, RetryStats, SimDevice, StorageError, TracedDevice,
+    BlockDevice, BufferPool, DeviceProfile, FaultKind, FaultPlan, FaultSpec, FaultStats,
+    FileDevice, FileId, IoKind, IoStats, Page, Record, Relation, Result, RetryPolicy, RetryStats,
+    SimDevice, StorageError, TracedDevice,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -339,7 +339,9 @@ fn assert_smj_fails_clean(
     let pages = generate(&zipf);
     let (r_pages, s_pages) = (pages.r.num_pages(), pages.s.num_pages());
     let sim = Arc::new(SimDevice::new());
-    let fault = FaultDevice::new_arc(sim.clone() as DeviceRef, vec![fault_at(r_pages, s_pages)]);
+    let fault = Arc::new(
+        TracedDevice::new(sim.clone() as DeviceRef).with_faults(vec![fault_at(r_pages, s_pages)]),
+    );
     let wl = generate_on(fault.clone() as DeviceRef, &zipf);
     let smj = SortMergeJoin::new(JoinSpec::paper_synthetic(128, 8));
     fault.arm();
@@ -930,7 +932,7 @@ fn assert_traced_run_audits_exactly(
     run: impl Fn(&GeneratedWorkload, usize, &Obs) -> JoinRunReport,
 ) {
     for threads in [1usize, 2, 4, 8] {
-        let device = TracedDevice::new_ref(SimDevice::new_ref());
+        let device = TracedDevice::with_latency_ref(SimDevice::new_ref());
         let wl = generate_on(device, workload);
         let obs = Obs::recording();
         let traced = run(&wl, threads, &obs);
@@ -1044,8 +1046,8 @@ fn smj_traced_device_runs_are_identical_and_audit_exactly() {
 
 #[test]
 fn disarmed_fault_and_checksum_layers_are_invisible_to_the_determinism_pins() {
-    // The fault-tolerance stack compiled in but switched off must be free:
-    // a disarmed FaultDevice plus a CheckedDevice produce bit-identical
+    // The fault schedule compiled in but switched off must be free: a
+    // disarmed schedule plus a retry policy produce bit-identical
     // output, per-phase modeled I/O and device counters at every thread
     // count, with zero fault or retry activity — so the rest of this file's
     // pins hold unchanged with the layers in place.
@@ -1057,8 +1059,11 @@ fn disarmed_fault_and_checksum_layers_are_invisible_to_the_determinism_pins() {
     let base_stats = wl.r.device().stats();
     for threads in [1usize, 2, 4, 8] {
         let sim = std::sync::Arc::new(SimDevice::new());
-        let fault = FaultDevice::new_arc(sim.clone() as DeviceRef, FaultPlan::persistent(7, 200));
-        let checked = CheckedDevice::new_arc(fault.clone() as DeviceRef, RetryPolicy::default());
+        let checked = Arc::new(
+            TracedDevice::new(sim.clone() as DeviceRef)
+                .with_faults(FaultPlan::persistent(7, 200))
+                .with_retry(RetryPolicy::default()),
+        );
         let wl = generate_on(checked.clone() as DeviceRef, &workload);
         let report = join
             .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
@@ -1071,7 +1076,7 @@ fn disarmed_fault_and_checksum_layers_are_invisible_to_the_determinism_pins() {
             base_stats,
             "disarmed wrappers must not perturb the device counters"
         );
-        assert_eq!(fault.fault_stats(), FaultStats::default());
+        assert_eq!(checked.fault_stats(), FaultStats::default());
         assert_eq!(checked.retry_stats(), RetryStats::default());
     }
 }

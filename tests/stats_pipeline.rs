@@ -223,7 +223,7 @@ fn recorded_collect_and_run_traces_the_stats_phase_and_changes_nothing() {
     assert_eq!(pinned(&blind), PIPELINE_REPORT);
 
     for threads in [1usize, 2] {
-        let device = TracedDevice::new_ref(SimDevice::new_ref());
+        let device = TracedDevice::with_latency_ref(SimDevice::new_ref());
         let wl = workload_on(device, Correlation::Zipf { alpha: 1.0 }, 2_000, 16_000, 3);
         let report = sketch_and_join(&join, &wl, 4, threads, &Obs::recording());
         assert_eq!(pinned(&report), PIPELINE_REPORT, "T = {threads}");
