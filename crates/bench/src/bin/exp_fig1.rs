@@ -14,11 +14,12 @@
 //! recursion below √(F·‖R‖).
 
 use nocap::{ocap, plan_nocap, OcapConfig, PlannerConfig};
-use nocap_bench::harness::print_series_block;
+use nocap_bench::harness::{print_series_block, Flags};
 use nocap_model::{g_dhh, JoinSpec};
 use nocap_workload::{extract_mcvs, synthetic, Correlation, SyntheticConfig};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     for (name, correlation) in [
         ("low_skew (zipf 0.7)", Correlation::Zipf { alpha: 0.7 }),
         ("high_skew (zipf 1.3)", Correlation::Zipf { alpha: 1.3 }),

@@ -4,11 +4,12 @@
 //! MCVs are extracted; NOCAP, DHH and Histojoin are then run with the noisy
 //! statistics and compared against the exact-statistics run.
 
-use nocap_bench::harness::{budget_grid, print_series_block, Algo, Cell, Sweep};
+use nocap_bench::harness::{budget_grid, print_series_block, Algo, Cell, Flags, Sweep};
 use nocap_storage::{DeviceProfile, SimDevice};
 use nocap_workload::{noisy_mcvs, synthetic, Correlation, SyntheticConfig};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     let latency = [Cell::Latency(DeviceProfile::osync_off())];
     let algos = [Algo::Nocap, Algo::Dhh, Algo::Histojoin];
 

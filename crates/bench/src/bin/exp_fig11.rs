@@ -6,13 +6,14 @@
 //! every cell, the fraction of I/Os NOCAP saves relative to that DHH
 //! configuration (the quantity shaded in the paper's heatmap).
 
-use nocap_bench::harness::Algo;
+use nocap_bench::harness::{Algo, Flags};
 use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     let device = SimDevice::new_ref();
     let config = SyntheticConfig::scaled_default(Correlation::Zipf { alpha: 0.7 });
     let wl = synthetic::generate(device.clone(), &config).expect("workload");

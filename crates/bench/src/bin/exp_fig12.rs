@@ -5,11 +5,12 @@
 //! I/O-only latency (the paper separates the two because Q12's aggregation
 //! makes the join less I/O-bound).
 
-use nocap_bench::harness::print_nocap_vs_dhh;
+use nocap_bench::harness::{print_nocap_vs_dhh, Flags};
 use nocap_storage::SimDevice;
 use nocap_workload::tpch::{self, TpchQ12Config};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     let panels = [
         ("sf10_sel0.488", TpchQ12Config::scaled_sf10(0.488)),
         ("sf10_sel0.63", TpchQ12Config::scaled_sf10(0.63)),

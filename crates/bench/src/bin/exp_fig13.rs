@@ -6,12 +6,13 @@
 //! to NOCAP; under *medium* skew (tuned JCC-H, cast ⋈ title) the fixed
 //! thresholds leave I/O on the table and NOCAP pulls ahead.
 
-use nocap_bench::harness::print_nocap_vs_dhh;
+use nocap_bench::harness::{print_nocap_vs_dhh, Flags};
 use nocap_storage::SimDevice;
 use nocap_workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_workload::job::{self, JobConfig, JobJoin};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     let title = |name: &str| format!("Figure 13 — {name}: latency (s) vs buffer size");
     for (name, skew) in [
         ("JCC-H tuned skew", JcchSkew::Tuned),

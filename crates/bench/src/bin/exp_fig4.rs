@@ -6,10 +6,12 @@
 //! `(ct_sorted_index, ct_value, ghj_passes, optimal_passes)`.
 
 use nocap::{partition_dp, DpOptions};
+use nocap_bench::harness::Flags;
 use nocap_model::{JoinSpec, Partitioning};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     for (name, correlation) in [
         ("uniform", Correlation::Uniform),
         ("zipf_1.0", Correlation::Zipf { alpha: 1.0 }),

@@ -11,13 +11,13 @@
 //! 256-byte records. Pass `--quick` to use an even smaller workload.
 
 use nocap::{ocap, OcapConfig};
-use nocap_bench::harness::{budget_grid, print_series_block, Algo, Cell, Sweep};
+use nocap_bench::harness::{budget_grid, print_series_block, Algo, Cell, Flags, Sweep};
 use nocap_model::JoinSpec;
 use nocap_storage::{DeviceProfile, SimDevice};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Flags::from_args(&["--quick"], &[]).has("--quick");
     let correlations = [
         ("zipf_1.3", Correlation::Zipf { alpha: 1.3 }),
         ("zipf_1.0", Correlation::Zipf { alpha: 1.0 }),

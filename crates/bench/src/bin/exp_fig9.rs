@@ -6,12 +6,13 @@
 //! pays a full extra pass, while rounded hash keeps most partitions
 //! chunk-aligned.
 
-use nocap_bench::harness::{print_series_block, Algo, Cell, Sweep};
+use nocap_bench::harness::{print_series_block, Algo, Cell, Flags, Sweep};
 use nocap_model::JoinSpec;
 use nocap_storage::{DeviceProfile, SimDevice};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     for (name, correlation) in [
         ("uniform", Correlation::Uniform),
         ("zipf_1.0", Correlation::Zipf { alpha: 1.0 }),

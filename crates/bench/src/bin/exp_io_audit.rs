@@ -8,27 +8,29 @@
 //! * asserts the **model audit** is exact — every marker window's folded
 //!   event counts equal the engine's own `IoStats` snapshot deltas, with no
 //!   events outside the windows;
-//! * prints the **declaration audit** (declared `IoKind` vs observed access
-//!   pattern per phase) and fails on any flagged contradiction;
-//! * prints the measured-vs-modeled **latency table** with the empirical
-//!   μ/τ asymmetries of this container's filesystem, and each phase's model
-//!   error under the `osync_off` profile;
+//! * asserts the **declaration audit** (declared `IoKind` vs observed
+//!   access pattern per phase) flags no contradiction;
 //! * reruns NOCAP under `SyncPolicy::Sync` vs `SyncPolicy::None` and joins
 //!   the two measured latency tables into a **sync comparison** against the
 //!   `osync_on` / `osync_off` analytic profiles — the measured on/off cost
 //!   ratio per I/O kind next to the ratio the paper's device model assumes;
-//! * prints and records, per algorithm, the page memory the **device**
-//!   held — read-ahead frames at their high-water mark and after the join
+//! * records, per algorithm, the page memory the **device** held —
+//!   read-ahead frames at their high-water mark and after the join
 //!   returned, write-behind tails at theirs
 //!   ([`FileDevice::resident_pages`]) — the part of a run's physical
 //!   footprint that `B` does not charge and the block layer owns;
-//! * writes the combined audits to `BENCH_io.json` (`--out <path>` to
-//!   relocate; the file is git-ignored), a record of how far the analytic
-//!   device model sits from the real device it ran on.
+//! * writes the audits — per-phase tables, declarations, the
+//!   measured-vs-modeled latency table with the empirical μ/τ of the
+//!   filesystem it ran on, page-touch heatmaps — the device memory and the
+//!   sync comparison to `BENCH_io.json` (`--out <path>` to relocate; the
+//!   file is git-ignored).
 //!
-//! Pass `--quick` for a smaller workload (the CI smoke setting).
+//! It prints one verdict line per audit and the path of the JSON. Pass
+//! `--quick` for a smaller workload (the CI smoke setting); any other
+//! argument is rejected.
 
 use nocap::{NocapConfig, NocapJoin};
+use nocap_bench::harness::Flags;
 use nocap_joins::{DhhJoin, SortMergeJoin};
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{IoAudit, Obs, SyncComparison};
@@ -36,17 +38,15 @@ use nocap_storage::{DeviceProfile, FileDevice, ResidentPages, SyncPolicy, Traced
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 /// Replays a recorded run's device-level event stream through [`IoAudit`],
-/// prints the report and asserts the model and declaration audits are exact.
+/// asserts the model and declaration audits are exact and prints the
+/// verdict.
 fn audited(name: &str, report: &JoinRunReport, profile: DeviceProfile) -> IoAudit {
     let trace = report.trace.as_ref().expect("recording attaches a trace");
     let audit = IoAudit::from_trace(trace, profile);
-    println!("# ---- {name} ----");
-    for line in audit.report_text().lines() {
-        println!("#   {line}");
-    }
     assert!(
         audit.mismatches().is_empty(),
-        "{name}: traced events disagree with the engine's modeled I/O"
+        "{name}: traced events disagree with the engine's modeled I/O: {:?}",
+        audit.mismatches()
     );
     assert_eq!(audit.leading_events, 0, "{name}: events before any marker");
     assert_eq!(
@@ -55,20 +55,21 @@ fn audited(name: &str, report: &JoinRunReport, profile: DeviceProfile) -> IoAudi
     );
     assert!(
         audit.flagged_declarations().is_empty(),
-        "{name}: declared I/O kinds contradict the observed access patterns"
+        "{name}: declared I/O kinds contradict the observed access patterns: {:?}",
+        audit.flagged_declarations()
+    );
+    println!(
+        "# {name}: model audit exact over {} window(s) and {} event(s), no flagged declaration",
+        audit.windows.len(),
+        trace.io_events.len()
     );
     audit
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| "BENCH_io.json".to_string())
-    };
+    let flags = Flags::from_args(&["--quick"], &["--out"]);
+    let quick = flags.has("--quick");
+    let out = flags.value("--out").unwrap_or("BENCH_io.json");
     let (n_r, n_s) = if quick {
         (6_000, 48_000)
     } else {
@@ -91,16 +92,10 @@ fn main() {
     let dhh = DhhJoin::with_defaults(spec);
     let smj = SortMergeJoin::new(spec);
 
-    println!(
-        "# exp_io_audit: n_R = {n_r}, n_S = {n_s}, {record_bytes}-byte records, \
-         B = {buffer_pages} pages, {threads} workers, FileDevice (temp dir)"
-    );
-
     // A real device behind a latency-measuring tracer: every page access is
     // timed around the actual syscalls (or the write-behind buffer insert —
     // the block layer coalesces appends into one pwrite per block).
     let file_device = FileDevice::builder().build_arc().expect("temp FileDevice");
-    println!("# device dir: {}", file_device.dir().display());
     let device = TracedDevice::with_latency_ref(file_device.clone());
 
     let workload = synthetic::generate(device.clone(), &wl_config).expect("workload generation");
@@ -140,15 +135,6 @@ fn main() {
         }),
     ];
 
-    println!("# ---- device-owned memory ({threads} workers, pages) ----");
-    println!("#   algorithm  peak_frame_pages  frames_after_join  peak_write_behind_pages");
-    for (name, _, memory) in &audits {
-        println!(
-            "#   {name:<9}  {:>16}  {:>17}  {:>23}",
-            memory.frames_peak, memory.frames, memory.write_behind_peak
-        );
-    }
-
     // ---- O_SYNC on vs off: measured latency tables ---------------------
     // Two fresh block-layer devices differing only in durability policy:
     // `SyncPolicy::None` (audited against the osync_off profile) and
@@ -173,20 +159,11 @@ fn main() {
             SyncPolicy::None => assert_eq!(syncs, 0, "SyncPolicy::None must not sync"),
             _ => assert!(syncs > 0, "durable policies must issue sync syscalls"),
         }
-        println!(
-            "# sync policy {}: {} sync syscall(s) across generation + run",
-            policy.label(),
-            syncs
-        );
         audited(&format!("NOCAP / SyncPolicy::{policy:?}"), &report, profile)
     };
     let off_audit = sync_run(SyncPolicy::None, DeviceProfile::osync_off());
     let on_audit = sync_run(SyncPolicy::Sync, DeviceProfile::osync_on());
     let comparison = SyncComparison::between(&off_audit, &on_audit);
-    println!("# ---- O_SYNC on vs off ----");
-    for line in comparison.report_text().lines() {
-        println!("#   {line}");
-    }
 
     // ---- BENCH_io.json -------------------------------------------------
     let mut json = String::from("{\n");
@@ -211,7 +188,6 @@ fn main() {
     }
     json.push_str(&format!(" \"sync_comparison\": {}\n", comparison.to_json()));
     json.push_str("}\n");
-    std::fs::write(&out, json).expect("write BENCH_io.json");
+    std::fs::write(out, json).expect("write BENCH_io.json");
     println!("# wrote {out}");
-    println!("# model audit exact for NOCAP, DHH and SMJ: every traced window matches the engine");
 }

@@ -8,12 +8,13 @@
 //! describes for Figure 9.
 
 use nocap::{NocapConfig, NocapJoin, PlannerConfig};
-use nocap_bench::harness::Algo;
+use nocap_bench::harness::{Algo, Flags};
 use nocap_model::{JoinSpec, RoundedHashParams};
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
+    Flags::from_args(&[], &[]);
     let device = SimDevice::new_ref();
     let config = SyntheticConfig::scaled_default(Correlation::Uniform);
     let wl = synthetic::generate(device.clone(), &config).expect("workload");

@@ -25,6 +25,7 @@
 //! question is answered on equal footing across the whole algorithm lineup.
 
 use nocap::{NocapConfig, NocapJoin};
+use nocap_bench::harness::Flags;
 use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
 use nocap_obs::Obs;
@@ -64,7 +65,7 @@ fn mcv_accuracy(summary: &StatsSummary, oracle: &[(u64, u64)], probe: usize) -> 
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = Flags::from_args(&["--quick"], &[]).has("--quick");
     let (n_r, n_s) = if quick {
         (5_000, 40_000)
     } else {

@@ -6,6 +6,7 @@
 //! reproduction's check that the cost model used throughout §3 matches the
 //! storage engine it reasons about.
 
+use nocap_bench::harness::Flags;
 use nocap_joins::{GraceHashJoin, NestedBlockJoin, SortMergeJoin};
 use nocap_model::classic_cost::nbj_cost_best;
 use nocap_model::{ghj_cost, smj_cost, JoinSpec};
@@ -21,6 +22,7 @@ fn normalized(report: &nocap_model::JoinRunReport, spec: &JoinSpec) -> f64 {
 }
 
 fn main() {
+    Flags::from_args(&[], &[]);
     let n_r = 8_000usize;
     let n_s = 64_000usize;
     let record_bytes = 256usize;

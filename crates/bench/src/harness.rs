@@ -1,6 +1,8 @@
 //! Shared experiment-harness helpers: the paper's five joins as one list,
-//! the budget sweep behind every latency-vs-budget figure, and the CSV
-//! block every figure prints.
+//! the budget sweep behind every latency-vs-budget figure, the CSV block
+//! every figure prints, and the one command-line parser every bin runs.
+
+use std::collections::BTreeMap;
 
 use nocap::{NocapConfig, NocapJoin};
 use nocap_joins::{DhhConfig, DhhJoin, GraceHashJoin, SortMergeJoin};
@@ -187,6 +189,64 @@ pub fn print_series_block(title: &str, series_names: &[&str], rows: &[(usize, Ve
     println!();
 }
 
+/// The flags a bin was started with, checked against the ones it knows:
+/// switches (`--quick`) and valued flags (`--out <path>`).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Flags(BTreeMap<&'static str, Option<String>>);
+
+impl Flags {
+    /// Parses `args` (the arguments after the program name) against a bin's
+    /// `switches` and `valued` flags. Fails on any other argument, and on a
+    /// valued flag without its value.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        switches: &[&'static str],
+        valued: &[&'static str],
+    ) -> Result<Flags, String> {
+        let mut flags = Flags::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if let Some(&switch) = switches.iter().find(|&&s| s == arg) {
+                flags.0.insert(switch, None);
+            } else if let Some(&flag) = valued.iter().find(|&&v| v == arg) {
+                let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                flags.0.insert(flag, Some(value));
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// [`parse`](Self::parse) over the process's arguments. On an error it
+    /// prints the error and a usage line to stderr and exits with status 2.
+    pub fn from_args(switches: &[&'static str], valued: &[&'static str]) -> Flags {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        Self::parse(args, switches, valued).unwrap_or_else(|err| {
+            let name = std::path::Path::new(&program).file_name();
+            let usage: Vec<String> = name
+                .map(|n| n.to_string_lossy().into_owned())
+                .into_iter()
+                .chain(switches.iter().map(|s| format!("[{s}]")))
+                .chain(valued.iter().map(|v| format!("[{v} <value>]")))
+                .collect();
+            eprintln!("{err}\nusage: {}", usage.join(" "));
+            std::process::exit(2)
+        })
+    }
+
+    /// Whether the switch was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.0.contains_key(switch)
+    }
+
+    /// The value of a valued flag, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.0.get(flag)?.as_deref()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,5 +313,33 @@ mod tests {
         assert_eq!(rows[0].1[2], 20.0);
         assert!(rows[0].1[3] > rows[0].1[1]);
         assert_eq!(sweep.names(), ["NOCAP", "DHH"]);
+    }
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        let args = args.iter().map(|a| a.to_string());
+        Flags::parse(args, &["--quick"], &["--out"])
+    }
+
+    #[test]
+    fn flags_accept_the_known_switches_and_valued_flags() {
+        let none = parse(&[]).unwrap();
+        assert!(!none.has("--quick"));
+        assert_eq!(none.value("--out"), None);
+        let both = parse(&["--quick", "--out", "io.json"]).unwrap();
+        assert!(both.has("--quick"));
+        assert_eq!(both.value("--out"), Some("io.json"));
+        assert_eq!(parse(&["--out", "io.json", "--quick"]).unwrap(), both);
+    }
+
+    #[test]
+    fn flags_reject_unknown_arguments_and_missing_values() {
+        assert_eq!(
+            parse(&["--quick", "--ios-only"]),
+            Err("unknown argument \"--ios-only\"".to_string())
+        );
+        assert!(parse(&["quick"]).is_err());
+        assert_eq!(parse(&["--out"]), Err("--out needs a value".to_string()));
+        let no_flags = Flags::parse(["--quick".to_string()], &[], &[]);
+        assert!(no_flags.is_err(), "a bin without flags takes none");
     }
 }

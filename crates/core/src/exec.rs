@@ -113,11 +113,15 @@ impl NocapJoin {
     /// `threads == 0` selects [`nocap_par::default_threads`] (the
     /// `NOCAP_THREADS` environment variable, falling back to the machine's
     /// parallelism). The result — output cardinality and the full
-    /// per-phase I/O trace — is the same for every thread count. Phase
-    /// spans, skew histograms and counters land in the report's `trace`
-    /// when `obs` is recording; the plan is computed before any clock is
-    /// read — time flows only into the obs channel, never into planning or
-    /// execution decisions.
+    /// per-phase I/O trace — is the same for every thread count. Phase and
+    /// task spans and the traced device's I/O events land in the report's
+    /// `trace` when `obs` is recording; the plan is computed before any
+    /// clock is read — time flows only into the obs channel, never into
+    /// planning or execution decisions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` and `s` live on two devices ([`hybrid_hash_join`]).
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -501,7 +505,7 @@ pub(crate) mod tests {
         // fewer keys and spills more, but the plan stays feasible.
         let degrading = |admission: &BufferPool| {
             let ladder = BudgetLadder::default();
-            nocap_model::run_degrading(admission, 64, &ladder, &Obs::off(), |budget| {
+            nocap_model::run_degrading(admission, 64, &ladder, |budget| {
                 NocapJoin::new(spec.with_buffer_pages(budget), NocapConfig::default())
                     .run(&r, &s, &mcvs)
             })

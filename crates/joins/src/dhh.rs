@@ -182,6 +182,10 @@ impl DhhJoin {
     /// fixed before any record is routed — the paper's `m_DHH` partitions,
     /// resident-first quotas over every page that is left — and
     /// [`hybrid_hash_join`] does the rest.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` and `s` live on two devices ([`hybrid_hash_join`]).
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -551,7 +555,7 @@ mod tests {
         // 48 and 36 rejected by a 28-page admission pool; 27 runs.
         let tight = BufferPool::new(28);
         let ladder = BudgetLadder::default();
-        let degraded = nocap_model::run_degrading(&tight, 48, &ladder, &Obs::off(), |budget| {
+        let degraded = nocap_model::run_degrading(&tight, 48, &ladder, |budget| {
             DhhJoin::with_defaults(spec.with_buffer_pages(budget)).run(&r, &s, &stats)
         })
         .unwrap();

@@ -71,6 +71,10 @@ impl GraceHashJoin {
     /// [`run_parallel`](Self::run_parallel) with observability — the
     /// method every other entry point ends in: GHJ's plan handed to
     /// [`hybrid_hash_join`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` and `s` live on two devices ([`hybrid_hash_join`]).
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -120,6 +124,15 @@ mod tests {
         dev.reset_stats();
         let report = GraceHashJoin::new(spec).run(&r, &s).unwrap();
         assert_eq!(report.output_records, expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "R and S must live on one device")]
+    fn inputs_on_two_devices_panic() {
+        let spec = JoinSpec::paper_synthetic(128, 16);
+        let (r, _) = build_workload(SimDevice::new_ref(), &spec, 100, |_| 1);
+        let (_, s) = build_workload(SimDevice::new_ref(), &spec, 100, |_| 1);
+        let _ = GraceHashJoin::new(spec).run(&r, &s);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! spilled partition pair of the hash joins runs too; this operator adds
 //! the smaller-side choice, the budget reservation and the report.
 
+use std::sync::Arc;
+
 use nocap_model::pairwise::nested_block_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::Obs;
@@ -26,6 +28,11 @@ impl NestedBlockJoin {
     }
 
     /// Executes `r ⋈ s`, chunking whichever input is smaller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` and `s` live on two devices: the join counts its I/O
+    /// on `r`'s.
     pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
         self.run_obs(r, s, &Obs::off())
     }
@@ -33,12 +40,20 @@ impl NestedBlockJoin {
     /// [`run`](Self::run) with an observability channel: each chunk's hash
     /// table fill shows up as a build span and each outer pass as a scan
     /// span, so the trace makes NBJ's `#chunks · ‖S‖` cost structure visible.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Self::run).
     pub fn run_obs(
         &self,
         r: &Relation,
         s: &Relation,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
+        assert!(
+            std::ptr::addr_eq(Arc::as_ptr(r.device()), Arc::as_ptr(s.device())),
+            "R and S must live on one device"
+        );
         let (inner, outer) = if r.num_pages() <= s.num_pages() {
             (r, s)
         } else {
@@ -53,9 +68,7 @@ impl NestedBlockJoin {
 
         let timer = obs.run_timer();
         let base = device.stats();
-        let (output, chunks) = nested_block_join(inner, outer, &self.spec, obs)?;
-        obs.count("nbj_chunks", chunks);
-        obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
+        let output = nested_block_join(inner, outer, &self.spec, obs)?;
 
         let mut report = JoinRunReport::new("NBJ");
         report.output_records = output;

@@ -60,7 +60,7 @@
 //! fused merge does, and a failed phase drops — and deletes — every run it
 //! wrote.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
@@ -134,19 +134,21 @@ impl SortMergeJoin {
     /// # Panics
     ///
     /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
+    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
+    /// join counts its I/O on, and writes every run to, `r`'s device).
     pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
         self.run_inner(r, s, 1, &Obs::off())
     }
 
-    /// [`run`](Self::run) with an observability channel: run-generation and
-    /// merge-cascade spans, run-size histograms, and the fused merge-join
-    /// span flow into `obs` when recording.
+    /// [`run`](Self::run) with an observability channel: run-generation,
+    /// merge-cascade and fused merge-join spans flow into `obs` when
+    /// recording.
     ///
     /// # Panics
     ///
     /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
+    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
+    /// join counts its I/O on, and writes every run to, `r`'s device).
     pub fn run_obs(
         &self,
         r: &Relation,
@@ -168,7 +170,8 @@ impl SortMergeJoin {
     /// # Panics
     ///
     /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
+    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
+    /// join counts its I/O on, and writes every run to, `r`'s device).
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -186,7 +189,8 @@ impl SortMergeJoin {
     /// # Panics
     ///
     /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`].
+    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
+    /// join counts its I/O on, and writes every run to, `r`'s device).
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -204,6 +208,10 @@ impl SortMergeJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
+        assert!(
+            std::ptr::addr_eq(Arc::as_ptr(r.device()), Arc::as_ptr(s.device())),
+            "R and S must live on one device"
+        );
         let spec = &self.spec;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
@@ -231,16 +239,6 @@ impl SortMergeJoin {
         let r_runs = sorted_runs(r, budget, r_share, threads, obs)?;
         let s_runs = sorted_runs(s, budget, s_share, threads, obs)?;
         let partition_io = device.stats().since(&base);
-        if obs.is_recording() {
-            obs.values(
-                "final_run_pages",
-                r_runs
-                    .iter()
-                    .chain(&s_runs)
-                    .map(|run| run.relation().num_pages() as u64),
-            );
-            obs.count("final_runs", (r_runs.len() + s_runs.len()) as u64);
-        }
 
         let probe_base = device.stats();
         let output = fused_merge_join(r_runs, s_runs, threads, obs)?;
@@ -308,13 +306,6 @@ fn sorted_runs(
         )?
         .0
     };
-    if obs.is_recording() {
-        obs.values(
-            "run_pages",
-            runs.iter().map(|run| run.relation().num_pages() as u64),
-        );
-        obs.count("initial_runs", runs.len() as u64);
-    }
     let _merge_span = obs.span(Phase::Merge);
     let fan_in = budget - 1;
     while runs.len() > share {
@@ -431,6 +422,15 @@ mod tests {
         let dev = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(128, SMJ_MIN_BUDGET_PAGES - 1);
         let (r, s) = build_workload(dev.clone(), &spec, 100, |_| 1);
+        let _ = SortMergeJoin::new(spec).run(&r, &s);
+    }
+
+    #[test]
+    #[should_panic(expected = "R and S must live on one device")]
+    fn inputs_on_two_devices_panic() {
+        let spec = JoinSpec::paper_synthetic(128, 16);
+        let (r, _) = build_workload(SimDevice::new_ref(), &spec, 100, |_| 1);
+        let (_, s) = build_workload(SimDevice::new_ref(), &spec, 100, |_| 1);
         let _ = SortMergeJoin::new(spec).run(&r, &s);
     }
 

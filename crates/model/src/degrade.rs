@@ -12,12 +12,10 @@
 //! … down to a floor, holding an admission reservation for the attempted
 //! budget for the lifetime of each attempt.
 //!
-//! Every step is recorded — in the returned [`DegradedRun::attempts`] and,
-//! when observability is on, as `degradation_steps` /
-//! `degraded_budget_pages` counters in the run's trace — so a degraded run
-//! is never mistaken for a first-try success. Any error other than
-//! `OutOfMemory` aborts the ladder immediately: degradation is a response
-//! to memory pressure, not a generic retry loop.
+//! Every step is recorded in the returned [`DegradedRun::attempts`], so a
+//! degraded run is never mistaken for a first-try success. Any error other
+//! than `OutOfMemory` aborts the ladder immediately: degradation is a
+//! response to memory pressure, not a generic retry loop.
 //!
 //! The ladder runs over any operator: [`run_degrading`]'s closure rebuilds
 //! the join at the budget it is handed
@@ -26,7 +24,6 @@
 //! the same way, and the floor is the largest of their structural
 //! minimums.
 
-use nocap_obs::Obs;
 use nocap_storage::{BufferPool, Result, StorageError};
 
 use crate::report::JoinRunReport;
@@ -116,14 +113,11 @@ impl DegradedRun {
 /// (or the floor rejected), the last out-of-memory error is returned and
 /// the admission pool holds nothing.
 ///
-/// On success the degradation trail is recorded on `obs` as counters
-/// (`degradation_steps`, `degraded_budget_pages`) and returned in the
-/// [`DegradedRun`].
+/// On success the degradation trail is returned in the [`DegradedRun`].
 pub fn run_degrading(
     admission: &BufferPool,
     initial_budget: usize,
     ladder: &BudgetLadder,
-    obs: &Obs,
     mut run: impl FnMut(usize) -> Result<JoinRunReport>,
 ) -> Result<DegradedRun> {
     let mut budget = initial_budget.max(ladder.floor_pages);
@@ -132,13 +126,11 @@ pub fn run_degrading(
         let oom = match admission.reserve(budget) {
             Ok(_reservation) => match run(budget) {
                 Ok(report) => {
-                    obs.count("degradation_steps", attempts.len() as u64);
-                    obs.count("degraded_budget_pages", budget as u64);
                     return Ok(DegradedRun {
                         report,
                         budget_pages: budget,
                         attempts,
-                    });
+                    })
                 }
                 Err(err @ StorageError::OutOfMemory { .. }) => err,
                 Err(other) => return Err(other),
@@ -178,7 +170,7 @@ mod tests {
     #[test]
     fn first_try_success_takes_no_steps() {
         let admission = BufferPool::new(64);
-        let run = run_degrading(&admission, 32, &BudgetLadder::default(), &Obs::off(), |b| {
+        let run = run_degrading(&admission, 32, &BudgetLadder::default(), |b| {
             assert_eq!(b, 32);
             Ok(dummy_report())
         })
@@ -194,7 +186,7 @@ mod tests {
         // 48 → 36 → 27 → 20 before the reservation succeeds.
         let admission = BufferPool::new(20);
         let mut budgets = Vec::new();
-        let run = run_degrading(&admission, 48, &BudgetLadder::default(), &Obs::off(), |b| {
+        let run = run_degrading(&admission, 48, &BudgetLadder::default(), |b| {
             budgets.push(b);
             Ok(dummy_report())
         })
@@ -213,7 +205,7 @@ mod tests {
     fn runtime_oom_degrades_and_records_each_attempt() {
         let admission = BufferPool::new(256);
         let mut calls = 0usize;
-        let run = run_degrading(&admission, 64, &BudgetLadder::default(), &Obs::off(), |b| {
+        let run = run_degrading(&admission, 64, &BudgetLadder::default(), |b| {
             calls += 1;
             if calls < 3 {
                 Err(oom(b, 0))
@@ -234,7 +226,7 @@ mod tests {
     fn ladder_exhaustion_surfaces_the_last_oom_cleanly() {
         let admission = BufferPool::new(256);
         let ladder = BudgetLadder::default();
-        let err = run_degrading(&admission, 64, &ladder, &Obs::off(), |b| Err(oom(b, 0)))
+        let err = run_degrading(&admission, 64, &ladder, |b| Err(oom(b, 0)))
             .expect_err("every rung fails");
         assert!(matches!(err, StorageError::OutOfMemory { .. }));
         assert_eq!(admission.in_use(), 0, "no reservation leaks on failure");
@@ -245,7 +237,7 @@ mod tests {
         // Budget already at the floor: one attempt, then the error.
         let admission = BufferPool::new(2);
         let mut calls = 0usize;
-        let err = run_degrading(&admission, 5, &BudgetLadder::default(), &Obs::off(), |_| {
+        let err = run_degrading(&admission, 5, &BudgetLadder::default(), |_| {
             calls += 1;
             Ok(dummy_report())
         })
@@ -258,16 +250,10 @@ mod tests {
     fn non_oom_errors_abort_the_ladder_immediately() {
         let admission = BufferPool::new(256);
         let mut calls = 0usize;
-        let err = run_degrading(
-            &admission,
-            64,
-            &BudgetLadder::default(),
-            &Obs::off(),
-            |_| {
-                calls += 1;
-                Err(StorageError::Io("disk on fire".into()))
-            },
-        )
+        let err = run_degrading(&admission, 64, &BudgetLadder::default(), |_| {
+            calls += 1;
+            Err(StorageError::Io("disk on fire".into()))
+        })
         .expect_err("I/O errors are not memory pressure");
         assert_eq!(err, StorageError::Io("disk on fire".into()));
         assert_eq!(calls, 1);

@@ -42,17 +42,16 @@ use crate::spec::JoinSpec;
 /// `‖inner‖ + #chunks · ‖outer‖` reads of Table 1's first row. Each
 /// chunk's fill is a build span of `obs` and each outer pass a scan span.
 ///
-/// Returns the number of output tuples and of chunks. An empty side costs
-/// no I/O. Reads are charged to the device the relations live on; the
+/// Returns the number of output tuples. An empty side costs no I/O. Reads are charged to the device the relations live on; the
 /// caller snapshots device stats into its report.
 pub fn nested_block_join(
     inner: &Relation,
     outer: &Relation,
     spec: &JoinSpec,
     obs: &Obs,
-) -> nocap_storage::Result<(u64, u64)> {
+) -> nocap_storage::Result<u64> {
     if inner.is_empty() || outer.is_empty() {
-        return Ok((0, 0));
+        return Ok(0);
     }
     let chunk_records = JoinHashTable::capacity_for_pages(
         spec.buffer_pages.saturating_sub(2).max(1),
@@ -62,7 +61,7 @@ pub fn nested_block_join(
     )
     .max(1);
 
-    let (mut output, mut chunks) = (0u64, 0u64);
+    let mut output = 0u64;
     let mut loader = ChunkLoader {
         scan: inner.scan(),
         pending: None,
@@ -77,7 +76,6 @@ pub fn nested_block_join(
         }
         // Freeze the chunk into the vectorized probe layout.
         table.seal();
-        chunks += 1;
         let _scan_span = obs.span(Phase::Scan);
         let mut outer_scan = outer.scan();
         while let Some(page) = outer_scan.next_page()? {
@@ -89,7 +87,7 @@ pub fn nested_block_join(
             break;
         }
     }
-    Ok((output, chunks))
+    Ok(output)
 }
 
 /// Fills chunk hash tables from the inner relation's scan, resuming a page
@@ -180,7 +178,7 @@ pub fn smart_partition_join(
     if r_partition.is_empty() || s_partition.is_empty() {
         return Ok(0);
     }
-    let nbj = || nested_block_join(r_partition, s_partition, spec, &Obs::off()).map(|(out, _)| out);
+    let nbj = || nested_block_join(r_partition, s_partition, spec, &Obs::off());
     let fits = JoinHashTable::pages_for(
         r_partition.num_records(),
         r_partition.layout(),
@@ -229,7 +227,7 @@ mod tests {
     }
 
     fn nbj(r: &Relation, s: &Relation, spec: &JoinSpec) -> u64 {
-        nested_block_join(r, s, spec, &Obs::off()).unwrap().0
+        nested_block_join(r, s, spec, &Obs::off()).unwrap()
     }
 
     #[test]

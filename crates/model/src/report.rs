@@ -24,8 +24,8 @@ pub struct JoinRunReport {
     /// device it includes the time spent waiting for I/O. Excluded from
     /// equality, like `trace`.
     pub wall_seconds: f64,
-    /// Structured observability trace: per-phase spans, skew histograms and
-    /// worker timelines. `None` unless the run was observed with a recording
+    /// Structured observability trace: per-phase spans, worker timelines
+    /// and the traced device's I/O events. `None` unless the run was observed with a recording
     /// [`Obs`] handle. Excluded from equality — timing must never
     /// participate in determinism comparisons.
     pub trace: Option<ExecutionTrace>,
@@ -118,7 +118,6 @@ mod tests {
     fn equality_ignores_the_trace() {
         let obs = Obs::recording();
         let timer = obs.run_timer();
-        obs.count("probe_hits", 3);
         let mut observed = JoinRunReport::new("TEST");
         observed.finish_run(timer, &obs);
         assert!(observed.trace.is_some(), "recording run must carry a trace");

@@ -25,8 +25,7 @@
 //!   at the same or next page offset). The observed sequential fraction is
 //!   aggregated per (phase, declared kind) and obviously contradictory
 //!   declarations are flagged.
-//! * **Access-pattern emission** — a per-file page-touch heatmap (text and
-//!   JSON).
+//! * **Access-pattern emission** — a per-file page-touch heatmap (JSON).
 
 use std::collections::BTreeMap;
 
@@ -80,10 +79,15 @@ pub struct PhaseIoRow {
 }
 
 impl PhaseIoRow {
+    /// The summed measured latency, microseconds — only when every event
+    /// carried one.
+    fn measured(&self) -> Option<f64> {
+        (self.measured_events == self.events && self.events > 0).then_some(self.measured_us)
+    }
+
     /// measured / predicted latency ratio, when both sides exist.
     pub fn model_error(&self) -> Option<f64> {
-        (self.measured_events == self.events && self.events > 0 && self.predicted_us > 0.0)
-            .then(|| self.measured_us / self.predicted_us)
+        Some(self.measured()? / self.predicted_us).filter(|_| self.predicted_us > 0.0)
     }
 }
 
@@ -100,16 +104,6 @@ pub struct DeclarationRow {
     pub sequential: usize,
     /// Set when the declaration contradicts the observed pattern.
     pub flag: Option<String>,
-}
-
-impl DeclarationRow {
-    /// Fraction of accesses observed sequential.
-    pub fn sequential_fraction(&self) -> f64 {
-        if self.events == 0 {
-            return 0.0;
-        }
-        self.sequential as f64 / self.events as f64
-    }
 }
 
 /// Measured vs predicted latency of one [`IoKind`].
@@ -402,141 +396,8 @@ impl IoAudit {
         Some(self.mean_of(IoKind::RandRead)? / self.mean_of(IoKind::SeqRead)?)
     }
 
-    /// Human-readable audit report: model-audit verdict, per-phase table,
-    /// declaration table, latency table and the file heatmaps.
-    pub fn report_text(&self) -> String {
-        let mut out = String::new();
-        let mismatches = self.mismatches().len();
-        out.push_str(&format!(
-            "model audit: {} window(s), {} mismatch(es), {} leading / {} trailing event(s)\n",
-            self.windows.len(),
-            mismatches,
-            self.leading_events,
-            self.trailing_events
-        ));
-        for (i, w) in self.windows.iter().enumerate() {
-            if !w.matches() {
-                out.push_str(&format!(
-                    "  MISMATCH window {i}: folded {} != counters {}\n",
-                    w.folded, w.expected
-                ));
-            }
-        }
-        out.push_str(
-            "phase        events  seq_r  rand_r  seq_w  rand_w  predicted_ms  measured_ms\n",
-        );
-        for r in &self.phase_io {
-            let measured = if r.measured_events == r.events && r.events > 0 {
-                format!("{:>12.3}", r.measured_us / 1e3)
-            } else {
-                format!("{:>12}", "-")
-            };
-            out.push_str(&format!(
-                "{:<12} {:>6} {:>6} {:>7} {:>6} {:>7} {:>13.3} {}\n",
-                r.phase.map_or("(none)", |p| p.name()),
-                r.events,
-                r.stats.seq_reads,
-                r.stats.rand_reads,
-                r.stats.seq_writes,
-                r.stats.rand_writes,
-                r.predicted_us / 1e3,
-                measured
-            ));
-        }
-        out.push_str("declaration audit (phase, declared kind, observed sequential fraction):\n");
-        for d in &self.declarations {
-            out.push_str(&format!(
-                "  {:<12} {:<10} {:>6} events {:>5.1}% sequential{}\n",
-                d.phase.map_or("(none)", |p| p.name()),
-                io_kind_name(d.kind),
-                d.events,
-                d.sequential_fraction() * 100.0,
-                d.flag
-                    .as_deref()
-                    .map_or(String::new(), |f| format!("  ** {f}"))
-            ));
-        }
-        if !self.latency.is_empty() {
-            out.push_str("latency (measured vs profile):\n");
-            out.push_str("  kind        events   mean_us  predicted_us     ratio\n");
-            for l in &self.latency {
-                out.push_str(&format!(
-                    "  {:<10} {:>7} {:>9.3} {:>13.3} {:>9.3}\n",
-                    io_kind_name(l.kind),
-                    l.events,
-                    l.mean_us,
-                    l.predicted_us,
-                    l.mean_us / l.predicted_us
-                ));
-            }
-            let mut ratios = Vec::new();
-            if let Some(mu) = self.empirical_mu() {
-                ratios.push(format!("mu = {:.3} (model {:.3})", mu, self.profile.mu()));
-            }
-            if let Some(tau) = self.empirical_tau() {
-                ratios.push(format!(
-                    "tau = {:.3} (model {:.3})",
-                    tau,
-                    self.profile.tau()
-                ));
-            }
-            if let Some(rr) = self.empirical_rand_read_ratio() {
-                ratios.push(format!("rand_read/seq_read = {rr:.3}"));
-            }
-            if !ratios.is_empty() {
-                out.push_str(&format!("  empirical {}\n", ratios.join(", ")));
-            }
-        }
-        out.push_str(&self.heatmap_text());
-        out
-    }
-
-    /// Text heatmap: one line per file, page-touch density over the file's
-    /// page range (dark = hot). Shows the busiest files only — a spilling
-    /// join touches hundreds of partition files; the JSON carries them all.
-    pub fn heatmap_text(&self) -> String {
-        const RAMP: &[u8] = b" .:-=+*#%@";
-        const MAX_FILES: usize = 12;
-        let mut busiest: Vec<&FileHeatmap> = self.heatmaps.iter().collect();
-        busiest.sort_by_key(|h| std::cmp::Reverse(h.reads + h.writes));
-        let shown = busiest.len().min(MAX_FILES);
-        let mut out = String::from("page-touch heatmap (per file, '@' = hottest bucket):\n");
-        for h in &busiest[..shown] {
-            let peak = h.buckets.iter().copied().max().unwrap_or(0).max(1);
-            let cells: String = h
-                .buckets
-                .iter()
-                .map(|&b| {
-                    let i = (b * (RAMP.len() as u64 - 1)).div_ceil(peak) as usize;
-                    RAMP[i.min(RAMP.len() - 1)] as char
-                })
-                .collect();
-            out.push_str(&format!(
-                "  file {:>4}  {:>7} pages  {:>8} r {:>8} w  [{}]\n",
-                h.file.0, h.pages, h.reads, h.writes, cells
-            ));
-        }
-        if busiest.len() > shown {
-            out.push_str(&format!(
-                "  ... and {} more file(s) (full set in the JSON audit)\n",
-                busiest.len() - shown
-            ));
-        }
-        out
-    }
-
     /// The full audit as a JSON document.
     pub fn to_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        fn opt_f(v: Option<f64>) -> String {
-            v.map_or_else(|| "null".to_string(), f)
-        }
         fn stats_fields(s: &IoStats) -> String {
             format!(
                 "\"seq_reads\": {}, \"rand_reads\": {}, \"seq_writes\": {}, \"rand_writes\": {}",
@@ -546,12 +407,12 @@ impl IoAudit {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"profile\": {{\"seq_read_us\": {}, \"rand_read_us\": {}, \"seq_write_us\": {}, \"rand_write_us\": {}, \"mu\": {}, \"tau\": {}}},\n",
-            f(self.profile.seq_read_us),
-            f(self.profile.rand_read_us),
-            f(self.profile.seq_write_us),
-            f(self.profile.rand_write_us),
-            f(self.profile.mu()),
-            f(self.profile.tau())
+            json_num(self.profile.seq_read_us),
+            json_num(self.profile.rand_read_us),
+            json_num(self.profile.seq_write_us),
+            json_num(self.profile.rand_write_us),
+            json_num(self.profile.mu()),
+            json_num(self.profile.tau())
         ));
         out.push_str(&format!(
             "  \"model_audit\": {{\"windows\": {}, \"mismatches\": {}, \"leading_events\": {}, \"trailing_events\": {}}},\n",
@@ -571,13 +432,9 @@ impl IoAudit {
                     .map_or_else(|| "null".to_string(), |p| json_str(p.name())),
                 r.events,
                 stats_fields(&r.stats),
-                f(r.predicted_us),
-                if r.measured_events == r.events && r.events > 0 {
-                    f(r.measured_us)
-                } else {
-                    "null".to_string()
-                },
-                opt_f(r.model_error())
+                json_num(r.predicted_us),
+                json_opt(r.measured()),
+                json_opt(r.model_error())
             ));
         }
         out.push_str("\n  ],\n  \"declarations\": [");
@@ -606,15 +463,15 @@ impl IoAudit {
                 "\n    {{\"kind\": {}, \"events\": {}, \"mean_us\": {}, \"predicted_us\": {}}}",
                 json_str(io_kind_name(l.kind)),
                 l.events,
-                f(l.mean_us),
-                f(l.predicted_us)
+                json_num(l.mean_us),
+                json_num(l.predicted_us)
             ));
         }
         out.push_str(&format!(
             "\n  ],\n  \"empirical\": {{\"mu\": {}, \"tau\": {}, \"rand_read_ratio\": {}}},\n",
-            opt_f(self.empirical_mu()),
-            opt_f(self.empirical_tau()),
-            opt_f(self.empirical_rand_read_ratio())
+            json_opt(self.empirical_mu()),
+            json_opt(self.empirical_tau()),
+            json_opt(self.empirical_rand_read_ratio())
         ));
         out.push_str("  \"heatmaps\": [");
         for (i, h) in self.heatmaps.iter().enumerate() {
@@ -634,6 +491,20 @@ impl IoAudit {
         out.push_str("\n  ]\n}\n");
         out
     }
+}
+
+/// A JSON number with three decimals, `null` when not finite.
+fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.3}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// [`json_num`] of a present value, `null` otherwise.
+fn json_opt(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), json_num)
 }
 
 /// One row of a durability (sync-on vs sync-off) latency comparison.
@@ -711,48 +582,8 @@ impl SyncComparison {
         }
     }
 
-    /// Human-readable comparison table.
-    pub fn report_text(&self) -> String {
-        let mut out =
-            String::from("sync-off vs sync-on latency (measured means vs the two profiles):\n");
-        out.push_str("  kind        off_us     on_us  on/off  model_on/off\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "  {:<10} {:>7.3} {:>9.3} {:>7.3} {:>13.3}\n",
-                io_kind_name(r.kind),
-                r.off_mean_us,
-                r.on_mean_us,
-                r.measured_ratio(),
-                r.predicted_ratio()
-            ));
-        }
-        let opt = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |x| format!("{x:.3}"));
-        out.push_str(&format!(
-            "  empirical mu {} -> {} (model {:.3} -> {:.3}), tau {} -> {} (model {:.3} -> {:.3})\n",
-            opt(self.mu.0),
-            opt(self.mu.1),
-            self.model_mu.0,
-            self.model_mu.1,
-            opt(self.tau.0),
-            opt(self.tau.1),
-            self.model_tau.0,
-            self.model_tau.1
-        ));
-        out
-    }
-
     /// The comparison as a JSON object.
     pub fn to_json(&self) -> String {
-        fn f(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        fn opt_f(v: Option<f64>) -> String {
-            v.map_or_else(|| "null".to_string(), f)
-        }
         let mut out = String::from("{\n    \"kinds\": [");
         for (i, r) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -763,12 +594,12 @@ impl SyncComparison {
                  \"measured_ratio\": {}, \"off_predicted_us\": {}, \"on_predicted_us\": {}, \
                  \"predicted_ratio\": {}}}",
                 json_str(io_kind_name(r.kind)),
-                f(r.off_mean_us),
-                f(r.on_mean_us),
-                f(r.measured_ratio()),
-                f(r.off_predicted_us),
-                f(r.on_predicted_us),
-                f(r.predicted_ratio())
+                json_num(r.off_mean_us),
+                json_num(r.on_mean_us),
+                json_num(r.measured_ratio()),
+                json_num(r.off_predicted_us),
+                json_num(r.on_predicted_us),
+                json_num(r.predicted_ratio())
             ));
         }
         out.push_str(&format!(
@@ -776,14 +607,14 @@ impl SyncComparison {
              \"empirical_tau\": {{\"off\": {}, \"on\": {}}},\n    \
              \"model_mu\": {{\"off\": {}, \"on\": {}}},\n    \
              \"model_tau\": {{\"off\": {}, \"on\": {}}}\n  }}",
-            opt_f(self.mu.0),
-            opt_f(self.mu.1),
-            opt_f(self.tau.0),
-            opt_f(self.tau.1),
-            f(self.model_mu.0),
-            f(self.model_mu.1),
-            f(self.model_tau.0),
-            f(self.model_tau.1)
+            json_opt(self.mu.0),
+            json_opt(self.mu.1),
+            json_opt(self.tau.0),
+            json_opt(self.tau.1),
+            json_num(self.model_mu.0),
+            json_num(self.model_mu.1),
+            json_num(self.model_tau.0),
+            json_num(self.model_tau.1)
         ));
         out
     }
@@ -910,7 +741,6 @@ mod tests {
         };
         let audit = IoAudit::from_trace(&trace, DeviceProfile::osync_off());
         assert_eq!(audit.mismatches().len(), 1);
-        assert!(audit.report_text().contains("MISMATCH"));
     }
 
     #[test]
@@ -987,7 +817,7 @@ mod tests {
             .find(|d| d.phase == Some(Phase::Scan))
             .unwrap();
         assert!(scan.flag.is_none());
-        assert!(scan.sequential_fraction() > 0.8);
+        assert!(scan.sequential as f64 > 0.8 * scan.events as f64);
     }
 
     #[test]
@@ -1068,8 +898,6 @@ mod tests {
         // must grow by the same factor.
         assert!((cmp.mu.1.unwrap() / cmp.mu.0.unwrap() - 4.0).abs() < 1e-9);
         assert!((cmp.tau.1.unwrap() / cmp.tau.0.unwrap() - 4.0).abs() < 1e-9);
-        let text = cmp.report_text();
-        assert!(text.contains("on/off"), "{text}");
         let json = cmp.to_json();
         assert!(json.contains("\"measured_ratio\""), "{json}");
         assert!(json.contains("\"empirical_mu\""), "{json}");
@@ -1100,7 +928,6 @@ mod tests {
         assert_eq!(h.pages, 200);
         assert_eq!(h.reads, 200);
         assert_eq!(h.buckets.iter().sum::<u64>(), 200);
-        assert!(audit.heatmap_text().contains("file    5"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Value histograms summarised as nearest-rank percentiles.
 
-/// Summary of a recorded value distribution (partition sizes, run lengths,
-/// task durations): count, min, median, tail and total.
+/// Summary of a value distribution (e.g. device call latencies): count,
+/// min, median, tail and total.
 ///
 /// Percentiles use the nearest-rank definition — `p` is the smallest
 /// recorded value such that at least `p`% of observations are ≤ it — which
@@ -38,29 +38,6 @@ impl HistogramSummary {
             sum: vals.iter().sum(),
         }
     }
-
-    /// Mean observation (0 for an empty summary).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Max-to-median skew ratio — the paper's intuition for "one partition
-    /// is `skew()`× the typical one". 1.0 for uniform fan-outs.
-    pub fn skew(&self) -> f64 {
-        if self.p50 == 0 {
-            if self.max == 0 {
-                1.0
-            } else {
-                self.max as f64
-            }
-        } else {
-            self.max as f64 / self.p50 as f64
-        }
-    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice.
@@ -85,7 +62,6 @@ mod tests {
         assert_eq!(h.p99, 99);
         assert_eq!(h.max, 100);
         assert_eq!(h.sum, 5050);
-        assert!((h.mean() - 50.5).abs() < 1e-12);
     }
 
     #[test]
@@ -93,14 +69,12 @@ mod tests {
         let mut vals = vec![42];
         let h = HistogramSummary::from_values(&mut vals);
         assert_eq!((h.min, h.p50, h.p99, h.max), (42, 42, 42, 42));
-        assert!((h.skew() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_summary_is_all_zero() {
         let h = HistogramSummary::from_values(&mut Vec::new());
         assert_eq!(h, HistogramSummary::default());
-        assert_eq!(h.mean(), 0.0);
     }
 
     #[test]
@@ -111,7 +85,6 @@ mod tests {
         let h = HistogramSummary::from_values(&mut vals);
         assert_eq!(h.p50, 10);
         assert_eq!(h.max, 1000);
-        assert!(h.skew() > 99.0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! # nocap-obs
 //!
 //! Zero-cost-when-off observability for the NOCAP execution engine:
-//! monotonic-clock phase spans, named counters, value histograms and
-//! per-worker task timelines, recorded deterministically *alongside* a run
-//! and never feeding back into it.
+//! monotonic-clock phase spans, per-worker task timelines and the traced
+//! device's I/O events, recorded deterministically *alongside* a run and
+//! never feeding back into it. It records only what a reader uses: the
+//! paper's figures are I/O counts and per-phase latency.
 //!
 //! ## Design
 //!
@@ -34,13 +35,14 @@
 //!
 //! ## Output
 //!
-//! [`ExecutionTrace`] is plain data: spans, counters, histogram summaries,
-//! gauges and the device event stream, with [`ExecutionTrace::phase_secs`]
-//! and [`ExecutionTrace::worker_breakdown`] as the aggregates. This crate
-//! writes no trace file; a consumer renders the trace itself (the
-//! benchmark's traced run writes it as a chrome trace). The emitters here
-//! are the audit's reports, [`IoAudit::to_json`] and
-//! [`SyncComparison::to_json`].
+//! [`ExecutionTrace`] is plain data: spans and the device event and marker
+//! streams, with [`ExecutionTrace::phase_secs`] and
+//! [`ExecutionTrace::worker_breakdown`] as the aggregates.
+//! [`HistogramSummary`] condenses a value list (the benchmark's device
+//! latency percentiles). This crate writes no trace file; a consumer
+//! renders the trace itself (the benchmark's traced run writes it as a
+//! chrome trace). Each audit has one rendering, its JSON:
+//! [`IoAudit::to_json`] and [`SyncComparison::to_json`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

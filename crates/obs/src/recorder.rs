@@ -7,92 +7,17 @@ use std::time::Instant;
 
 use nocap_storage::device::DeviceRef;
 
-use crate::hist::HistogramSummary;
 use crate::io::{self, IoPhaseMark, IoSinkState, IoWorkerMark, ObsIoSink};
 use crate::trace::{ExecutionTrace, SpanRec};
 use crate::Phase;
 
-#[derive(Debug, Default)]
-struct TraceState {
-    spans: Vec<SpanRec>,
-    counters: std::collections::BTreeMap<String, u64>,
-    values: std::collections::BTreeMap<String, Vec<u64>>,
-    gauges: std::collections::BTreeMap<String, u64>,
-}
-
-/// The sink a recording [`Obs`] writes into: accumulates spans, counters,
-/// value histograms and gauges into an [`ExecutionTrace`]. Methods take
-/// `&self` because the sink is shared by every worker; one mutex guards it.
-///
-/// Worker threads never touch the mutex while recording — they buffer into
-/// [`WorkerObs`] and land here once, via `record_spans`, when the worker
-/// completes.
-#[derive(Debug, Default)]
-struct TraceRecorder {
-    state: Mutex<TraceState>,
-}
-
-impl TraceRecorder {
-    /// Records one completed span (main thread or flushed from a worker).
-    fn record_span(&self, span: SpanRec) {
-        self.state.lock().expect("trace lock").spans.push(span);
-    }
-
-    /// Absorbs a worker's buffered spans in one call.
-    fn record_spans(&self, spans: Vec<SpanRec>) {
-        self.state.lock().expect("trace lock").spans.extend(spans);
-    }
-
-    /// Adds `delta` to the named counter.
-    fn add_count(&self, name: &str, delta: u64) {
-        let mut st = self.state.lock().expect("trace lock");
-        *st.counters.entry(name.to_string()).or_insert(0) += delta;
-    }
-
-    /// Feeds observations into the named value histogram.
-    fn record_values(&self, name: &str, values: impl IntoIterator<Item = u64>) {
-        let mut st = self.state.lock().expect("trace lock");
-        st.values
-            .entry(name.to_string())
-            .or_default()
-            .extend(values);
-    }
-
-    /// Raises the named gauge to at least `value` (high-water mark).
-    fn gauge_max(&self, name: &str, value: u64) {
-        let mut st = self.state.lock().expect("trace lock");
-        let g = st.gauges.entry(name.to_string()).or_insert(0);
-        *g = (*g).max(value);
-    }
-
-    /// Drains the accumulated trace.
-    fn take_trace(&self) -> ExecutionTrace {
-        let mut st = self.state.lock().expect("trace lock");
-        let st = std::mem::take(&mut *st);
-        let mut trace = ExecutionTrace {
-            spans: st.spans,
-            counters: st.counters,
-            histograms: Default::default(),
-            gauges: st.gauges,
-            ..Default::default()
-        };
-        // Canonical span order: by start time, then phase, so the emitted
-        // trace is stable regardless of worker flush order.
-        trace
-            .spans
-            .sort_by_key(|s| (s.start_ns, s.worker, s.task, s.phase));
-        for (name, mut vals) in st.values {
-            trace
-                .histograms
-                .insert(name, HistogramSummary::from_values(&mut vals));
-        }
-        trace
-    }
-}
-
 #[derive(Debug, Clone)]
 struct ObsInner {
-    rec: Arc<TraceRecorder>,
+    /// The completed spans, shared by every clone and every worker. Main
+    /// thread spans land one at a time; worker threads never touch the
+    /// mutex while recording — they buffer into [`WorkerObs`] and land
+    /// here once, when the worker completes.
+    spans: Arc<Mutex<Vec<SpanRec>>>,
     epoch: Instant,
     /// Buffers for device-level I/O events, shared by every clone of this
     /// handle so nested [`Obs::attach_io`] scopes reuse one sequence order.
@@ -121,16 +46,11 @@ impl Obs {
         let epoch = Instant::now();
         Obs {
             inner: Some(ObsInner {
-                rec: Arc::default(),
+                spans: Arc::default(),
                 epoch,
                 io: Arc::new(IoSinkState::new(epoch)),
             }),
         }
-    }
-
-    /// Whether a recorder is attached.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
     }
 
     fn now_ns(inner: &ObsInner) -> u64 {
@@ -164,31 +84,6 @@ impl Obs {
             io::mark_phase(phase)
         } else {
             IoPhaseMark::inactive()
-        }
-    }
-
-    /// Adds `delta` to a named counter.
-    pub fn count(&self, name: &str, delta: u64) {
-        if let Some(i) = &self.inner {
-            i.rec.add_count(name, delta);
-        }
-    }
-
-    /// Feeds observations into a named value histogram (p50/p99/max skew
-    /// summaries). The iterator is not consumed when recording is off.
-    pub fn values<I>(&self, name: &str, vals: I)
-    where
-        I: IntoIterator<Item = u64>,
-    {
-        if let Some(i) = &self.inner {
-            i.rec.record_values(name, vals);
-        }
-    }
-
-    /// Raises a named gauge to at least `value` (high-water mark).
-    pub fn gauge_max(&self, name: &str, value: u64) {
-        if let Some(i) = &self.inner {
-            i.rec.gauge_max(name, value);
         }
     }
 
@@ -250,11 +145,16 @@ impl Obs {
     /// Drains the accumulated trace (`None` when off).
     pub fn take_trace(&self) -> Option<ExecutionTrace> {
         self.inner.as_ref().map(|i| {
-            let mut trace = i.rec.take_trace();
-            let (events, markers) = i.io.drain();
-            trace.io_events = events;
-            trace.io_markers = markers;
-            trace
+            let mut spans = std::mem::take(&mut *i.spans.lock().expect("trace lock"));
+            // Canonical order, so the trace is stable regardless of worker
+            // flush order.
+            spans.sort_by_key(|s| (s.start_ns, s.worker, s.task, s.phase));
+            let (io_events, io_markers) = i.io.drain();
+            ExecutionTrace {
+                spans,
+                io_events,
+                io_markers,
+            }
         })
     }
 }
@@ -299,7 +199,7 @@ impl Drop for PhaseSpan {
     fn drop(&mut self) {
         if let Some((i, phase, start_ns)) = self.inner.take() {
             let end_ns = Obs::now_ns(&i);
-            i.rec.record_span(SpanRec {
+            i.spans.lock().expect("trace lock").push(SpanRec {
                 phase,
                 worker: None,
                 task: None,
@@ -328,7 +228,7 @@ impl RunTimer {
     pub fn stop(self, obs: &Obs) -> f64 {
         let secs = self.started.elapsed().as_secs_f64();
         if let (Some(i), Some(start_ns)) = (obs.inner.as_ref(), self.start_ns) {
-            i.rec.record_span(SpanRec {
+            i.spans.lock().expect("trace lock").push(SpanRec {
                 phase: Phase::Total,
                 worker: None,
                 task: None,
@@ -383,7 +283,7 @@ impl Drop for WorkerObs {
     fn drop(&mut self) {
         if let Some(i) = self.inner.take() {
             if !i.spans.is_empty() {
-                i.obs.rec.record_spans(i.spans);
+                i.obs.spans.lock().expect("trace lock").extend(i.spans);
             }
         }
     }
@@ -396,35 +296,13 @@ mod tests {
     #[test]
     fn off_handle_records_nothing() {
         let obs = Obs::off();
-        assert!(!obs.is_recording());
         {
             let _s = obs.span(Phase::Partition);
-            obs.count("c", 5);
-            obs.values("h", [1, 2, 3]);
-            obs.gauge_max("g", 9);
             let mut w = obs.worker(0);
             let t = w.start();
             w.record_task(Phase::Probe, 3, t);
         }
         assert!(obs.take_trace().is_none());
-    }
-
-    #[test]
-    fn values_does_not_consume_iterator_when_off() {
-        let obs = Obs::off();
-        let mut pulled = 0u64;
-        obs.values(
-            "h",
-            std::iter::from_fn(|| {
-                pulled += 1;
-                Some(pulled)
-            })
-            .take(10),
-        );
-        assert_eq!(
-            pulled, 0,
-            "lazy skew iterators must stay untouched when off"
-        );
     }
 
     #[test]
@@ -485,19 +363,9 @@ mod tests {
     #[test]
     fn take_trace_drains_once() {
         let obs = Obs::recording();
-        obs.count("x", 1);
-        assert!(obs.take_trace().is_some());
+        drop(obs.span(Phase::Build));
+        assert_eq!(obs.take_trace().unwrap().spans.len(), 1);
         let second = obs.take_trace().unwrap();
-        assert!(second.spans.is_empty() && second.counters.is_empty());
-    }
-
-    #[test]
-    fn gauge_keeps_high_water_mark() {
-        let obs = Obs::recording();
-        obs.gauge_max("pool_peak", 5);
-        obs.gauge_max("pool_peak", 12);
-        obs.gauge_max("pool_peak", 3);
-        let trace = obs.take_trace().unwrap();
-        assert_eq!(trace.gauges.get("pool_peak"), Some(&12));
+        assert!(second.spans.is_empty());
     }
 }

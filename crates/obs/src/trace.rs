@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::hist::HistogramSummary;
 use crate::io::{IoEventRec, IoMarkerRec};
 use crate::Phase;
 
@@ -33,18 +32,12 @@ impl SpanRec {
     }
 }
 
-/// Structured result of one recorded run: spans, counters, histogram
-/// summaries and gauges, drained from a recorder via `Obs::take_trace`.
+/// Structured result of one recorded run: spans and the device event
+/// stream, drained from a recorder via `Obs::take_trace`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExecutionTrace {
     /// All recorded spans, sorted by start time.
     pub spans: Vec<SpanRec>,
-    /// Named monotonic counters.
-    pub counters: BTreeMap<String, u64>,
-    /// Named value-distribution summaries (skew histograms).
-    pub histograms: BTreeMap<String, HistogramSummary>,
-    /// Named high-water-mark gauges.
-    pub gauges: BTreeMap<String, u64>,
     /// Device-level I/O events captured through `Obs::attach_io` on a
     /// `TracedDevice`, in global sequence order. Empty when no traced device
     /// was attached.
@@ -85,7 +78,7 @@ impl ExecutionTrace {
     }
 }
 
-/// JSON string literal with the escapes that can occur in metric names.
+/// JSON string literal with the escapes a name or a flag message can need.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -100,7 +100,7 @@
 //! [`WorkerPanicked`](nocap_storage::StorageError::WorkerPanicked) instead
 //! of unwinding through the caller.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{JoinRunReport, JoinSpec};
@@ -159,12 +159,16 @@ pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize) -> Result<usize> {
 /// Executes `r ⋈ s` under `plan` on `threads` workers (`0` selects
 /// [`default_threads`](crate::pool::default_threads)); see the module docs.
 ///
-/// Main-thread phase spans around each pass, per-morsel scan spans,
-/// per-pair probe spans, partition skew histograms and the buffer-pool
-/// high-water gauge flow into `obs` when it records. The recorder is
+/// Main-thread phase spans around each pass, per-morsel scan spans and
+/// per-pair probe spans flow into `obs` when it records. The recorder is
 /// strictly passive: routing, destaging and the probe pairs are fixed by
 /// the plan and the data, so an observed run produces bit-identical output
 /// and modeled I/O to a blind one — clocks stay in the obs channel.
+///
+/// # Panics
+///
+/// Panics if `r` and `s` live on two devices: the join counts its I/O on,
+/// and spills both sides to, `r`'s device.
 pub fn hybrid_hash_join<F>(
     spec: &JoinSpec,
     r: &Relation,
@@ -176,6 +180,10 @@ pub fn hybrid_hash_join<F>(
 where
     F: Fn(u64) -> Route + Sync,
 {
+    assert!(
+        std::ptr::addr_eq(Arc::as_ptr(r.device()), Arc::as_ptr(s.device())),
+        "R and S must live on one device"
+    );
     let threads = resolve_threads(threads);
     let route = &plan.route;
     let device = r.device().clone();
@@ -224,7 +232,6 @@ where
     let mut build = stager.finish(stages)?;
     drop(spill_span);
     let mut ht_mem = into_inner_unpoisoned(ht_shared);
-    let staged_records = build.staged_records.len();
     {
         let _build_span = obs.span(Phase::Build);
         // The table takes copies: release the staged batch right away
@@ -280,7 +287,6 @@ where
     s_set.merge(s_locals)?;
     drop(s_partition_span);
     let partition_io = device.stats().since(&base_stats);
-    record_partition_skew(obs, &build.spilled, staged_records);
 
     // ---- Phase 3: partition-wise joins of everything spilled --------------
     let probe_base = device.stats();
@@ -310,36 +316,12 @@ where
     // Dropping the partitions deletes every spill file (not counted as I/O).
     drop((build.spilled, s_spilled));
 
-    obs.gauge_max("buffer_pool_peak_pages", pool.peak() as u64);
     let mut report = JoinRunReport::new(plan.label);
     report.output_records = output;
     report.partition_io = partition_io;
     report.probe_io = probe_io;
     report.finish_run(timer, obs);
     Ok(report)
-}
-
-/// Records the partition-fan-out skew histograms and counters: per-spilled
-/// -partition record and page counts, in partition order, plus the
-/// partition census the breakdown tables report. The destaged set is fixed
-/// by the quota geometry, so the recorded skew is identical for any thread
-/// count.
-fn record_partition_skew(obs: &Obs, spilled: &[Option<Relation>], staged_records: usize) {
-    if !obs.is_recording() {
-        return;
-    }
-    let partitions = || spilled.iter().flatten();
-    obs.values(
-        "partition_records",
-        partitions().map(|p| p.num_records() as u64),
-    );
-    obs.values(
-        "partition_pages",
-        partitions().map(|p| p.num_pages() as u64),
-    );
-    obs.count("spill_partitions", spilled.len() as u64);
-    obs.count("spilled_partitions", partitions().count() as u64);
-    obs.count("staged_records", staged_records as u64);
 }
 
 #[cfg(test)]

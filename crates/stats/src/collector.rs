@@ -330,7 +330,6 @@ impl StatsCollector {
     ) -> Result<StatsCollector> {
         let _stats_span = obs.span(Phase::Stats);
         let num_shards = Self::shard_count(rel);
-        obs.count("stats_shards", num_shards as u64);
         let grid = page_shards(rel.num_pages(), num_shards);
         let (shards, _) = ordered_tasks(
             resolve_threads(threads),

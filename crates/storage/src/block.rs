@@ -16,9 +16,9 @@
 //!   Buffered pages are readable at once. A live file whose last block
 //!   has not filled holds up to a block's pages here until it is flushed
 //!   or deleted: device memory by design, the price of block-sized writes.
-//! * **Durability knobs** — [`SyncPolicy`] selects no syncing,
-//!   `fdatasync`, or full `fsync` per flushed append batch, configured
-//!   through [`FileDeviceBuilder`].
+//! * **Durability knobs** — [`SyncPolicy`] selects no syncing or a full
+//!   `fsync` per flushed append batch, configured through
+//!   [`FileDeviceBuilder`].
 //! * **Storage reuse** — a deleted file's inode backs the next file
 //!   created (see *Storage reuse* below).
 //!
@@ -148,16 +148,6 @@ pub enum SyncPolicy {
     /// Full `fsync` (data + metadata) after every flushed append batch —
     /// the moral equivalent of `O_SYNC` appends.
     Sync,
-}
-
-impl SyncPolicy {
-    /// Short human-readable label (used by bench output).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SyncPolicy::None => "none",
-            SyncPolicy::Sync => "fsync",
-        }
-    }
 }
 
 /// Builder for [`FileDevice`]: its directory, its durability policy and

@@ -222,18 +222,18 @@ fn block_layer_device_audits_exactly_for_every_join_at_every_thread_count() {
             let audit = IoAudit::from_trace(trace, DeviceProfile::default());
             assert!(
                 audit.mismatches().is_empty(),
-                "{}: model audit mismatched on the block layer at {threads} threads\n{}",
+                "{}: model audit mismatched on the block layer at {threads} threads: {:?}",
                 join.name(),
-                audit.report_text()
+                audit.mismatches()
             );
             assert_eq!(audit.leading_events, 0, "{}", join.name());
             assert_eq!(audit.trailing_events, 0, "{}", join.name());
             assert!(
                 audit.flagged_declarations().is_empty(),
                 "{}: declared I/O kinds contradict observed access patterns \
-                 at {threads} threads\n{}",
+                 at {threads} threads: {:?}",
                 join.name(),
-                audit.report_text()
+                audit.flagged_declarations()
             );
         }
     }
@@ -357,8 +357,8 @@ fn full_stack_over_the_block_layer_recovers_and_audits_exactly() {
         let audit = IoAudit::from_trace(trace, DeviceProfile::default());
         assert!(
             audit.mismatches().is_empty(),
-            "audit mismatched under the full stack at {threads} threads\n{}",
-            audit.report_text()
+            "audit mismatched under the full stack at {threads} threads: {:?}",
+            audit.mismatches()
         );
         assert_eq!(audit.leading_events, 0);
         assert_eq!(audit.trailing_events, 0);

@@ -110,21 +110,13 @@ fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
     let ladder = BudgetLadder::default();
     // Each join is rebuilt at every budget the ladder tries.
     let degrading = |label: &str, admission: &BufferPool| {
-        run_degrading(
-            admission,
-            spec.buffer_pages,
-            &ladder,
-            &Obs::off(),
-            |budget| {
-                let spec = spec.with_buffer_pages(budget);
-                match label {
-                    "nocap" => {
-                        NocapJoin::new(spec, NocapConfig::default()).run(&wl.r, &wl.s, &wl.mcvs)
-                    }
-                    _ => DhhJoin::with_defaults(spec).run(&wl.r, &wl.s, &wl.mcvs),
-                }
-            },
-        )
+        run_degrading(admission, spec.buffer_pages, &ladder, |budget| {
+            let spec = spec.with_buffer_pages(budget);
+            match label {
+                "nocap" => NocapJoin::new(spec, NocapConfig::default()).run(&wl.r, &wl.s, &wl.mcvs),
+                _ => DhhJoin::with_defaults(spec).run(&wl.r, &wl.s, &wl.mcvs),
+            }
+        })
     };
 
     // A pool below the ladder's floor can never admit any attempt: the last
