@@ -72,8 +72,7 @@ impl NocapJoin {
     }
 
     /// Plans and executes the join of `r ⋈ s` given MCV statistics, on the
-    /// calling thread: [`run_parallel`](Self::run_parallel) with one worker
-    /// (it never reads `NOCAP_THREADS`).
+    /// calling thread: [`run_parallel`](Self::run_parallel) with one worker.
     pub fn run(
         &self,
         r: &Relation,
@@ -110,14 +109,13 @@ impl NocapJoin {
     /// Plans and executes the join of `r ⋈ s` given MCV statistics, on
     /// `threads` worker threads.
     ///
-    /// `threads == 0` selects [`nocap_par::default_threads`] (the
-    /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). The result — output cardinality and the full
-    /// per-phase I/O trace — is the same for every thread count. Phase and
-    /// task spans and the traced device's I/O events land in the report's
-    /// `trace` when `obs` is recording; the plan is computed before any
-    /// clock is read — time flows only into the obs channel, never into
-    /// planning or execution decisions.
+    /// `threads == 0` runs as one worker (see [`nocap_par::ordered_tasks`]).
+    /// The result — output cardinality and the full per-phase I/O trace —
+    /// is the same for every thread count. Phase and task spans and the
+    /// traced device's I/O events land in the report's `trace` when `obs`
+    /// is recording; the plan is computed before any clock is read — time
+    /// flows only into the obs channel, never into planning or execution
+    /// decisions.
     ///
     /// # Panics
     ///
@@ -682,12 +680,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn zero_threads_selects_a_default() {
+    fn zero_workers_run_as_one() {
         let spec = JoinSpec::paper_synthetic(128, 64);
         let counts = |_k: u64| 3u64;
         let join = NocapJoin::new(spec, NocapConfig::default());
         let (r, s, mcvs) = build(1_000, counts, &spec);
         let report = join.run_parallel(&r, &s, &mcvs, 0).unwrap();
         assert_eq!(report.output_records, 3_000);
+        assert_eq!(report, join.run(&r, &s, &mcvs).unwrap());
     }
 }

@@ -133,10 +133,9 @@ impl DhhJoin {
     }
 
     /// Executes `r ⋈ s` on the calling thread
-    /// ([`run_parallel`](Self::run_parallel) with one worker; it never
-    /// reads `NOCAP_THREADS`). `mcvs` are the tracked most-common-value
-    /// statistics (`(key, frequency)` pairs); pass an empty slice to
-    /// disable the skew optimization's inputs.
+    /// ([`run_parallel`](Self::run_parallel) with one worker). `mcvs` are
+    /// the tracked most-common-value statistics (`(key, frequency)` pairs);
+    /// pass an empty slice to disable the skew optimization's inputs.
     pub fn run(
         &self,
         r: &Relation,
@@ -173,15 +172,14 @@ impl DhhJoin {
     /// Executes `r ⋈ s` on `threads` worker threads with an observability
     /// channel — the method every other entry point ends in.
     ///
-    /// `threads == 0` selects [`nocap_par::default_threads`] (the
-    /// `NOCAP_THREADS` environment variable, falling back to the machine's
-    /// parallelism). The result — output cardinality and the full per-phase
-    /// modeled I/O trace — is **the same for every thread count**, and with
-    /// `Obs::off()` the execution is byte-identical to a recorded one. The
-    /// skew keys are the cached set, the partition count and quotas are
-    /// fixed before any record is routed — the paper's `m_DHH` partitions,
-    /// resident-first quotas over every page that is left — and
-    /// [`hybrid_hash_join`] does the rest.
+    /// `threads == 0` runs as one worker (see [`nocap_par::ordered_tasks`]).
+    /// The result — output cardinality and the full per-phase modeled I/O
+    /// trace — is **the same for every thread count**, and with `Obs::off()`
+    /// the execution is byte-identical to a recorded one. The skew keys are
+    /// the cached set, the partition count and quotas are fixed before any
+    /// record is routed — the paper's `m_DHH` partitions, resident-first
+    /// quotas over every page that is left — and [`hybrid_hash_join`] does
+    /// the rest.
     ///
     /// # Panics
     ///
@@ -477,16 +475,16 @@ mod tests {
 
     #[test]
     fn run_parallel_zero_threads_selects_a_default_and_stays_correct() {
-        let dev = SimDevice::new_ref();
+        // The default is one worker: the report is `run`'s.
         let spec = JoinSpec::paper_synthetic(128, 64);
         let counts = |k: u64| (k % 4) + 1;
-        let (r, s) = build_workload(dev.clone(), &spec, 1_500, counts);
+        let (r, s) = build_workload(SimDevice::new_ref(), &spec, 1_500, counts);
         let expected = naive_join_count(&r, &s).unwrap();
-        dev.reset_stats();
-        let report = DhhJoin::with_defaults(spec)
-            .run_parallel(&r, &s, &mcvs(1_500, counts, 50), 0)
-            .unwrap();
+        let mcvs = mcvs(1_500, counts, 50);
+        let join = DhhJoin::with_defaults(spec);
+        let report = join.run_parallel(&r, &s, &mcvs, 0).unwrap();
         assert_eq!(report.output_records, expected);
+        assert_eq!(report, join.run(&r, &s, &mcvs).unwrap());
     }
 
     #[test]

@@ -56,8 +56,8 @@ impl GraceHashJoin {
         self.run_parallel_obs(r, s, 1, obs)
     }
 
-    /// Executes `r ⋈ s` on `threads` worker threads (`0` selects
-    /// [`nocap_par::default_threads`]); output and the full per-phase I/O
+    /// Executes `r ⋈ s` on `threads` worker threads (`0` runs as one, see
+    /// [`nocap_par::ordered_tasks`]); output and the full per-phase I/O
     /// trace are the same for every thread count.
     pub fn run_parallel(
         &self,

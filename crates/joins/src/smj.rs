@@ -64,7 +64,7 @@ use std::sync::{Arc, Mutex};
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
-use nocap_par::{ordered_tasks, resolve_threads};
+use nocap_par::ordered_tasks;
 use nocap_storage::sort::{
     fence_splitters, merge_runs, run_chunks, sort_chunk, split_runs, LoserTree, RunSlice,
     SortScratch, SortedRun,
@@ -158,9 +158,9 @@ impl SortMergeJoin {
         self.run_inner(r, s, 1, obs)
     }
 
-    /// Executes `r ⋈ s` with `threads` workers (`0` selects
-    /// [`nocap_par::default_threads`]) generating sort runs, merging
-    /// cascade groups and merge-joining key ranges concurrently.
+    /// Executes `r ⋈ s` with `threads` workers (`0` runs as one, see
+    /// [`ordered_tasks`]) generating sort runs, merging cascade groups and
+    /// merge-joining key ranges concurrently.
     ///
     /// Workers claim chunks of the fixed run-generation page grid, groups
     /// of the fixed cascade and key ranges cut at run-page fences, so the
@@ -198,7 +198,7 @@ impl SortMergeJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        self.run_inner(r, s, resolve_threads(threads), obs)
+        self.run_inner(r, s, threads, obs)
     }
 
     fn run_inner(
@@ -529,16 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_zero_threads_selects_a_default_and_stays_correct() {
-        let dev = SimDevice::new_ref();
+    fn run_parallel_zero_workers_run_as_one() {
         let spec = JoinSpec::paper_synthetic(128, 16);
-        let (r, s) = build_workload(dev.clone(), &spec, 1_200, |_| 2);
-        dev.reset_stats();
-        let sequential = SortMergeJoin::new(spec).run(&r, &s).unwrap();
-        dev.reset_stats();
-        let defaulted = SortMergeJoin::new(spec).run_parallel(&r, &s, 0).unwrap();
-        assert_eq!(defaulted.output_records, sequential.output_records);
-        assert_eq!(defaulted.partition_io, sequential.partition_io);
-        assert_eq!(defaulted.probe_io, sequential.probe_io);
+        let (r, s) = build_workload(SimDevice::new_ref(), &spec, 1_200, |_| 2);
+        let join = SortMergeJoin::new(spec);
+        assert_eq!(
+            join.run_parallel(&r, &s, 0).unwrap(),
+            join.run(&r, &s).unwrap()
+        );
     }
 }

@@ -109,7 +109,7 @@ use nocap_storage::{
     into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, Relation, Result, SpillSet,
 };
 
-use crate::pool::{ordered_tasks, resolve_threads};
+use crate::pool::ordered_tasks;
 use crate::shard::page_morsels;
 use crate::stage::ParallelStager;
 
@@ -156,8 +156,8 @@ pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize) -> Result<usize> {
     Ok(pool.available().saturating_sub(fixed_pages))
 }
 
-/// Executes `r ⋈ s` under `plan` on `threads` workers (`0` selects
-/// [`default_threads`](crate::pool::default_threads)); see the module docs.
+/// Executes `r ⋈ s` under `plan` on `threads` workers (`0` runs as one, see
+/// [`ordered_tasks`]); see the module docs.
 ///
 /// Main-thread phase spans around each pass, per-morsel scan spans and
 /// per-pair probe spans flow into `obs` when it records. The recorder is
@@ -184,7 +184,6 @@ where
         std::ptr::addr_eq(Arc::as_ptr(r.device()), Arc::as_ptr(s.device())),
         "R and S must live on one device"
     );
-    let threads = resolve_threads(threads);
     let route = &plan.route;
     let device = r.device().clone();
     let _io_trace = obs.attach_io(&device);

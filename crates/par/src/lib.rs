@@ -14,10 +14,8 @@
 //!   `n − 1` threads are spawned — at one worker nothing is spawned and the
 //!   fan-out *is* a sequential loop). It carries the partition scans, the
 //!   partition-wise probe phase, sort-run generation, the SMJ merges and
-//!   the statistics shards. [`default_threads`] / [`resolve_threads`] read
-//!   the `NOCAP_THREADS` environment knob, only when a caller passes
-//!   `threads = 0`. The fan-out is **fail-clean**: worker panics — worker
-//!   0's included — are caught and surfaced as
+//!   the statistics shards. The fan-out is **fail-clean**: worker panics —
+//!   worker 0's included — are caught and surfaced as
 //!   `StorageError::WorkerPanicked`, and a private cancellation token
 //!   propagates the first error so siblings stop before their next task
 //!   instead of finishing doomed work. Every task becomes a span tagged
@@ -79,6 +77,6 @@ pub mod shard;
 pub mod stage;
 
 pub use hybrid::{hybrid_hash_join, staging_budget, HybridPlan, Route};
-pub use pool::{default_threads, ordered_tasks, resolve_threads};
+pub use pool::ordered_tasks;
 pub use shard::{page_morsels, page_shards};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

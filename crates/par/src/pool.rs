@@ -40,39 +40,6 @@ use nocap_storage::{Result, StorageError};
 
 use crate::cancel::CancelToken;
 
-/// Default worker count: the `NOCAP_THREADS` environment variable if set to
-/// a positive integer, otherwise the machine's available parallelism,
-/// otherwise 1.
-///
-/// CI runs the release test suite at `NOCAP_THREADS` 1, 2 and 8, and the
-/// fault and OOM smoke at 1 and 4, so the parallel paths are exercised
-/// with real concurrency even where the runner reports a single core.
-pub fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("NOCAP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// The worker count a `threads` argument stands for: `0` selects
-/// [`default_threads`], anything else is taken as given. Every
-/// `run_parallel`-style entry point resolves its argument here, so the
-/// environment is consulted only when a caller asks for the default — a
-/// sequential `run`, which passes `1`, never reads it.
-pub fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    }
-}
-
 /// Renders a panic payload into the deterministic part of
 /// [`StorageError::WorkerPanicked`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -105,7 +72,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// `min(threads, count)` workers run, at least one: worker 0 on the calling
 /// thread and the rest spawned, so one worker spawns nothing — which is
-/// what lets the joins' sequential `run` be a fan-out at one worker. Every
+/// what lets the joins' sequential `run` be a fan-out at one worker — and
+/// `threads = 0` runs as one worker, like `1`. The library reads no
+/// environment: the worker count is always the caller's argument. Every
 /// worker polls the run's cancellation token before it claims a task, so
 /// once any task fails its siblings stop at their next task; the error
 /// returned is the run's root cause (see the [module docs](self)).
@@ -411,11 +380,6 @@ mod tests {
         .unwrap();
         assert_eq!(results.iter().sum::<u64>(), (0..100u64).sum());
         assert_eq!(hits.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::Mutex;
 
 use nocap_model::McvEstimate;
 use nocap_obs::{Obs, Phase};
-use nocap_par::{ordered_tasks, page_shards, resolve_threads};
+use nocap_par::{ordered_tasks, page_shards};
 use nocap_storage::{lock_unpoisoned, BufferPool, Relation, RelationScan, Reservation, Result};
 
 use crate::histogram::EquiWidthHistogram;
@@ -246,7 +246,7 @@ impl StatsCollector {
     }
 
     /// Sharded statistics collection: scans `rel` with `threads` workers
-    /// (0 selects [`nocap_par::default_threads`]) over the fixed shard grid
+    /// (`0` runs as one, see [`ordered_tasks`]) over the fixed shard grid
     /// of [`shard_count`](Self::shard_count) contiguous page ranges, one
     /// collector per shard, and folds the shard sketches in canonical shard
     /// order. No recorder and no pool charge; see
@@ -332,7 +332,7 @@ impl StatsCollector {
         let num_shards = Self::shard_count(rel);
         let grid = page_shards(rel.num_pages(), num_shards);
         let (shards, _) = ordered_tasks(
-            resolve_threads(threads),
+            threads,
             obs,
             Phase::Stats,
             num_shards,
@@ -376,6 +376,7 @@ pub struct StatsSummary {
     /// The SpaceSaving counters, count descending, ties by key.
     mcvs: Vec<McvEstimate>,
     error_guarantee: u64,
+    /// Upper bound on the frequency of any key *not* in the MCV list.
     unmonitored_ceiling: u64,
     min_key: Option<u64>,
     max_key: Option<u64>,
@@ -399,11 +400,6 @@ impl StatsSummary {
     /// frequency by more than this (`N / counters`).
     pub fn error_guarantee(&self) -> u64 {
         self.error_guarantee
-    }
-
-    /// Upper bound on the frequency of any key *not* in the MCV list.
-    pub fn unmonitored_ceiling(&self) -> u64 {
-        self.unmonitored_ceiling
     }
 
     /// Smallest key observed, if any record was seen.

@@ -86,23 +86,15 @@ impl SpaceSaving {
 
     /// Observes one occurrence of `key`.
     pub fn offer(&mut self, key: u64) {
-        self.offer_weighted(key, 1);
-    }
-
-    /// Observes `weight` occurrences of `key`.
-    pub fn offer_weighted(&mut self, key: u64, weight: u64) {
-        if weight == 0 {
-            return;
-        }
-        self.total += weight;
+        self.total += 1;
         if let Some(&i) = self.index.get(&key) {
-            self.counters[i as usize].count += weight;
+            self.counters[i as usize].count += 1;
             self.sift_down(self.slot_of[i as usize] as usize);
         } else if self.counters.len() < self.capacity {
             let i = self.counters.len() as u32;
             self.counters.push(Counter {
                 key,
-                count: weight,
+                count: 1,
                 err: 0,
             });
             self.heap.push(i);
@@ -118,7 +110,7 @@ impl SpaceSaving {
             let floor = evicted.count;
             evicted.key = key;
             evicted.err = floor;
-            evicted.count = floor + weight;
+            evicted.count = floor + 1;
             self.index.insert(key, i);
             self.sift_down(0);
         }

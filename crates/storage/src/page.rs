@@ -196,11 +196,6 @@ impl Page {
             .map(|slot| u64::from_le_bytes(slot[..8].try_into().expect("slots hold the key")))
     }
 
-    /// The layout of the records stored in this page.
-    pub fn record_layout(&self) -> RecordLayout {
-        RecordLayout::new(self.record_size().saturating_sub(RecordLayout::KEY_BYTES))
-    }
-
     /// Removes all records (the record size is preserved).
     pub fn clear(&mut self) {
         self.set_record_count(0);
@@ -353,7 +348,6 @@ mod tests {
         let p0 = views[0].payload().as_ptr() as usize;
         assert!(p0 > base && p0 < base + borrowed.size());
         assert_eq!(borrowed.get_ref(1).unwrap().to_record(), r2);
-        assert_eq!(borrowed.record_layout(), layout());
     }
 
     #[test]

@@ -426,29 +426,36 @@ fn joins_on_reused_storage_leave_only_the_base_relations() {
         .expect("device");
     let wl = generate_on(device.clone() as DeviceRef);
     let spec = JoinSpec::paper_synthetic(128, BUDGET_PAGES);
-    let joins: [(&str, &dyn Fn() -> Result<JoinRunReport>); 4] = [
-        ("nocap", &|| {
-            NocapJoin::new(spec, NocapConfig::default()).run_parallel(&wl.r, &wl.s, &wl.mcvs, 0)
+    type Join<'a> = &'a dyn Fn(usize) -> Result<JoinRunReport>;
+    let joins: [(&str, Join); 4] = [
+        ("nocap", &|t| {
+            NocapJoin::new(spec, NocapConfig::default()).run_parallel(&wl.r, &wl.s, &wl.mcvs, t)
         }),
-        ("dhh", &|| {
-            DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, 0)
+        ("dhh", &|t| {
+            DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, t)
         }),
-        ("ghj", &|| {
-            GraceHashJoin::new(spec).run_parallel(&wl.r, &wl.s, 0)
+        ("ghj", &|t| {
+            GraceHashJoin::new(spec).run_parallel(&wl.r, &wl.s, t)
         }),
-        ("smj", &|| {
-            SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, 0)
+        ("smj", &|t| {
+            SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, t)
         }),
     ];
+    let runs = || {
+        [1, 2, 8]
+            .into_iter()
+            .flat_map(|t| joins.iter().map(move |j| (t, j)))
+    };
     let entries = || std::fs::read_dir(&dir).expect("read dir").count();
     let mut first_pass = Vec::new();
     for pass in 0..2 {
         let reuses = device.recycled_storage().reuses;
-        for (at, (name, join)) in joins.iter().enumerate() {
+        for (at, (threads, (name, join))) in runs().enumerate() {
+            let name = format!("{name} at T = {threads}, pass {pass}");
             device.reset_stats();
-            let report = join().expect(name);
-            assert_eq!(device.live_files(), 2, "{name}, pass {pass}: live files");
-            assert_eq!(entries(), 2, "{name}, pass {pass}: directory entries");
+            let report = join(threads).expect(&name);
+            assert_eq!(device.live_files(), 2, "{name}: live files");
+            assert_eq!(entries(), 2, "{name}: directory entries");
             if pass == 0 {
                 first_pass.push((report, device.stats()));
             } else {

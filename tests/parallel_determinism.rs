@@ -8,8 +8,8 @@
 //!    NOCAP, DHH and Histojoin share theirs), so these are absolute pins —
 //!    recorded from the straight-line sequential executors the bodies
 //!    replaced — not comparisons between two calls of one function.
-//!    `run` executes on the calling thread as worker 0 whatever
-//!    `NOCAP_THREADS` says.
+//!    `run`, and `run_parallel` at zero workers, execute on the calling
+//!    thread as worker 0.
 //! 2. The whole sketch-plan-execute pipeline is thread-count invariant:
 //!    the sharded sketch pass plus the join at n workers reproduce their
 //!    one-worker run exactly (same summary → same plan → same I/O), and
@@ -448,11 +448,10 @@ impl BlockDevice for ThreadLogDevice {
 }
 
 #[test]
-fn run_is_worker_zero_on_the_calling_thread_whatever_nocap_threads_says() {
-    // `run` passes one worker explicitly and never reads NOCAP_THREADS: CI
-    // runs this suite with the variable set to 2 and to 8, where a `run`
-    // that resolved its thread count from the environment would record
-    // spans of workers 1.. and touch the device from spawned threads.
+fn run_is_worker_zero_on_the_calling_thread() {
+    // `run` passes one worker, and a worker count of 0 runs as one: either
+    // way nothing is spawned. A run that fanned out would record spans of
+    // workers 1.. and touch the device from spawned threads.
     let device = Arc::new(ThreadLogDevice::default());
     let wl = generate_on(
         device.clone(),
@@ -463,10 +462,17 @@ fn run_is_worker_zero_on_the_calling_thread_whatever_nocap_threads_says() {
     let dhh = DhhJoin::with_defaults(spec);
     let ghj = GraceHashJoin::new(spec);
     type RunObs<'a> = &'a dyn Fn(&Obs) -> Result<JoinRunReport>;
-    let runs: [(&str, RunObs); 3] = [
+    let runs: [(&str, RunObs); 6] = [
         ("nocap", &|obs| nocap.run_obs(&wl.r, &wl.s, &wl.mcvs, obs)),
         ("dhh", &|obs| dhh.run_obs(&wl.r, &wl.s, &wl.mcvs, obs)),
         ("ghj", &|obs| ghj.run_obs(&wl.r, &wl.s, obs)),
+        ("nocap/T=0", &|obs| {
+            nocap.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 0, obs)
+        }),
+        ("dhh/T=0", &|obs| {
+            dhh.run_parallel_obs(&wl.r, &wl.s, &wl.mcvs, 0, obs)
+        }),
+        ("ghj/T=0", &|obs| ghj.run_parallel_obs(&wl.r, &wl.s, 0, obs)),
     ];
     for (algo, run_obs) in runs {
         device.io_threads.lock().unwrap().clear();
@@ -619,44 +625,24 @@ fn two_runs_of_one_join_on_one_device_compare_equal() {
 }
 
 #[test]
-fn run_parallel_honors_the_nocap_threads_default() {
-    // threads = 0 routes through default_threads() (NOCAP_THREADS or the
-    // machine's parallelism); the result must still be byte-identical.
-    let workload = Workload::Synthetic(Correlation::Zipf { alpha: 1.1 });
+fn zero_workers_run_as_one() {
+    // A worker count of 0 runs as one worker: the whole report is `run`'s.
+    let wl = generate(&Workload::Synthetic(Correlation::Zipf { alpha: 1.1 }));
     let spec = JoinSpec::paper_synthetic(128, 48);
     let join = NocapJoin::new(spec, NocapConfig::default());
     let dhh = DhhJoin::with_defaults(spec);
-    for (label, sequential, defaulted) in [
-        (
-            "nocap",
-            {
-                let wl = generate(&workload);
-                join.run(&wl.r, &wl.s, &wl.mcvs).expect("run")
-            },
-            {
-                let wl = generate(&workload);
-                join.run_parallel(&wl.r, &wl.s, &wl.mcvs, 0).expect("par")
-            },
-        ),
-        (
-            "dhh",
-            {
-                let wl = generate(&workload);
-                dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("run")
-            },
-            {
-                let wl = generate(&workload);
-                dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, 0).expect("par")
-            },
-        ),
-    ] {
-        assert_eq!(
-            defaulted.output_records, sequential.output_records,
-            "{label}"
-        );
-        assert_eq!(defaulted.partition_io, sequential.partition_io, "{label}");
-        assert_eq!(defaulted.probe_io, sequential.probe_io, "{label}");
-    }
+    assert_eq!(
+        join.run_parallel(&wl.r, &wl.s, &wl.mcvs, 0)
+            .expect("nocap par"),
+        join.run(&wl.r, &wl.s, &wl.mcvs).expect("nocap run"),
+        "nocap"
+    );
+    assert_eq!(
+        dhh.run_parallel(&wl.r, &wl.s, &wl.mcvs, 0)
+            .expect("dhh par"),
+        dhh.run(&wl.r, &wl.s, &wl.mcvs).expect("dhh run"),
+        "dhh"
+    );
 }
 
 /// The report of [`sketch_plan_execute_pipeline_is_thread_count_invariant`]
