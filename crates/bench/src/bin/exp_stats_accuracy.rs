@@ -29,16 +29,14 @@ use nocap_bench::harness::Flags;
 use nocap_joins::{DhhConfig, DhhJoin};
 use nocap_model::JoinSpec;
 use nocap_obs::Obs;
-use nocap_stats::{StatsCollector, StatsSummary};
-use nocap_storage::{BufferPool, SimDevice};
+use nocap_stats::{StatsCollector, StatsConfig, StatsSummary};
+use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
-/// Collects within the *operator's* budget: the sketch pages are reserved
-/// from a pool capped at `spec.buffer_pages`, exactly as a deployment would.
+/// Collects over the generator's key stream with sketches sized for
+/// `pages` pages of the operator's page size.
 fn collect(wl: &GeneratedWorkload, spec: &JoinSpec, pages: usize) -> StatsSummary {
-    let pool = BufferPool::new(spec.buffer_pages);
-    let mut collector =
-        StatsCollector::with_budget(&pool, pages, spec.page_size).expect("stats budget");
+    let mut collector = StatsCollector::new(StatsConfig::for_budget_pages(pages, spec.page_size));
     collector
         .consume_keys(wl.stream_keys())
         .expect("stats scan");
@@ -216,9 +214,8 @@ fn main() {
             .total_ios();
 
         let collect_par = |threads: usize| {
-            let pool = BufferPool::new(spec.buffer_pages);
             StatsCollector::collect_parallel_with_budget(
-                &pool,
+                spec.buffer_pages,
                 budget,
                 spec.page_size,
                 &wl.s,

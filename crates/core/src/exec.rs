@@ -28,8 +28,7 @@
 //! the whole join on the calling thread; pass `&Obs::off()` to record
 //! nothing. A statistics pass is
 //! [`StatsCollector::collect_parallel_with_budget`](nocap_stats::StatsCollector::collect_parallel_with_budget)
-//! before the join, and graceful degradation under admission pressure is
-//! [`nocap_model::run_degrading`] around a join rebuilt at each budget.
+//! before the join.
 
 use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, RoundedHashParams, StagingRouter};
 use nocap_obs::Obs;
@@ -259,10 +258,9 @@ impl RestGeometry {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use nocap_model::BudgetLadder;
     use nocap_par::ParallelStager;
     use nocap_stats::StatsCollector;
-    use nocap_storage::{BufferPool, IoStats, Record, SimDevice};
+    use nocap_storage::{IoStats, Record, SimDevice};
     use std::collections::HashMap;
 
     /// Builds R with keys `0..n_r` and S where key `k` appears `ct(k)` times.
@@ -373,27 +371,26 @@ pub(crate) mod tests {
     #[test]
     fn fixed_reservations_and_staged_pages_stay_within_the_budget_after_every_insert() {
         // B = 96 against a 198-page table of R: about half of the residual
-        // partitions are resident and fill their quotas. The pool is set up
-        // as the executor sets it up; at one worker the staged footprint is
-        // exact, so what the run holds is the fixed reservations plus
-        // `pages_in_use`.
+        // partitions are resident and fill their quotas. The budget is split
+        // as the executor splits it; at one worker the staged footprint is
+        // exact, so what the run holds is the two streaming pages, the
+        // plan's fixed pages and `pages_in_use`.
         let spec = JoinSpec::paper_synthetic(128, 96);
         let mcvs: Vec<(u64, u64)> = (0..300).map(|k| (k, 8)).collect();
         let plan = plan_nocap(&mcvs, 6_000, 48_000, &spec, &PlannerConfig::default());
-        let pool = BufferPool::new(spec.buffer_pages);
-        let _io_pages = pool.reserve(2).unwrap();
-        let _fixed = pool.reserve(plan.fixed_memory_pages(&spec)).unwrap();
-        let fixed = pool.in_use();
+        let fixed_pages = plan.fixed_memory_pages(&spec);
         let geometry = RestGeometry::new(
             &spec,
-            pool.available(),
+            staging_budget(&spec, fixed_pages).unwrap(),
             plan.estimated_rest_keys,
             RoundedHashParams::default(),
         );
-        let quotas = pool.carve_quotas(&geometry.caps);
-        let reserved: Vec<usize> = quotas.iter().map(|quota| quota.pages()).collect();
-        assert_eq!(reserved, geometry.caps, "one reservation per quota");
-        assert_eq!(pool.available(), 0, "the quotas are all that was left");
+        assert_eq!(
+            geometry.caps.iter().sum::<usize>(),
+            spec.buffer_pages - 2 - fixed_pages,
+            "the quotas are all that is left"
+        );
+        let fixed = 2 + fixed_pages;
 
         let device = SimDevice::new_ref();
         let stager =
@@ -494,51 +491,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn run_degrading_trades_memory_for_passes_under_admission_pressure() {
-        let device = SimDevice::new_ref();
-        let spec = JoinSpec::paper_synthetic(128, 64);
-        let counts = |k: u64| if k < 5 { 150 } else { 2 };
-        let (r, s, mcvs) = build_workload(device.clone(), &spec, 2_000, counts);
-        // Re-plan at every budget the ladder tries: a smaller B designates
-        // fewer keys and spills more, but the plan stays feasible.
-        let degrading = |admission: &BufferPool| {
-            let ladder = BudgetLadder::default();
-            nocap_model::run_degrading(admission, 64, &ladder, |budget| {
-                NocapJoin::new(spec.with_buffer_pages(budget), NocapConfig::default())
-                    .run(&r, &s, &mcvs)
-            })
-        };
-
-        // Roomy admission: first-try success, same result as a plain run.
-        let roomy = BufferPool::new(256);
-        let run = degrading(&roomy).unwrap();
-        assert_eq!((run.budget_pages, run.steps()), (64, 0));
-        assert_eq!(pinned(&run.report), (4_740, [218, 0, 0, 44], [45, 0, 0, 1]));
-        assert_eq!(run.report.output_records, expected_output(2_000, counts));
-        assert_eq!(roomy.in_use(), 0);
-
-        // Tight admission (37 pages): 64 and 48 are rejected, 36 runs.
-        let tight = BufferPool::new(37);
-        let degraded = degrading(&tight).unwrap();
-        assert_eq!((degraded.budget_pages, degraded.steps()), (36, 2));
-        assert_eq!(
-            pinned(&degraded.report),
-            (4_740, [218, 0, 0, 126], [128, 0, 0, 2]),
-            "a degraded run is still correct, and pays for the memory in passes"
-        );
-        assert_eq!(tight.in_use(), 0);
-
-        // Admission below the ladder floor: a clean error, nothing leaked.
-        let hopeless = BufferPool::new(2);
-        let err = degrading(&hopeless).expect_err("the floor cannot be granted");
-        assert!(matches!(
-            err,
-            nocap_storage::StorageError::OutOfMemory { .. }
-        ));
-        assert_eq!(hopeless.in_use(), 0);
-    }
-
-    #[test]
     fn output_counts_match_a_reference_hash_join() {
         // Cross-check against a straightforward in-memory join.
         let device = SimDevice::new_ref();
@@ -617,8 +569,9 @@ pub(crate) mod tests {
     }
 
     /// The statistics pass a deployment runs before the join: a sharded
-    /// sketch of S within 4 pages per shard, charged to the spec's budget,
-    /// then NOCAP planned from the summary alone, both on `threads` workers.
+    /// sketch of S within 4 pages per shard, checked against the spec's
+    /// budget, then NOCAP planned from the summary alone, both on `threads`
+    /// workers.
     fn sketch_and_join(
         join: &NocapJoin,
         r: &Relation,
@@ -626,9 +579,8 @@ pub(crate) mod tests {
         threads: usize,
     ) -> JoinRunReport {
         let spec = join.spec();
-        let pool = BufferPool::new(spec.buffer_pages);
         let summary = StatsCollector::collect_parallel_with_budget(
-            &pool,
+            spec.buffer_pages,
             4,
             spec.page_size,
             s,
@@ -636,7 +588,6 @@ pub(crate) mod tests {
             &Obs::off(),
         )
         .unwrap();
-        drop(pool);
         join.run_parallel(r, s, &summary.planner_mcvs(), threads)
             .unwrap()
     }

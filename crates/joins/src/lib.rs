@@ -28,10 +28,12 @@
 //! hash joins share one partition pass and one pair join
 //! ([`nocap_model::pairwise::smart_partition_join`]).
 //!
-//! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), draws its
-//! memory from a [`BufferPool`](nocap_storage::BufferPool) capped at the
-//! spec's budget and returns a [`JoinRunReport`](nocap_model::JoinRunReport)
-//! with the measured I/O trace.
+//! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), sizes its
+//! structures on the spec's budget of *B* pages — the hash joins through
+//! [`nocap_par::staging_budget`], which refuses a budget below the two
+//! streaming pages before any I/O — and returns a
+//! [`JoinRunReport`](nocap_model::JoinRunReport) with the measured I/O
+//! trace.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

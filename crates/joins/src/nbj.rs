@@ -6,14 +6,15 @@
 //! once per chunk. Its I/O cost is exactly `‖R‖ + #chunks · ‖S‖`, the first
 //! row of Table 1. The chunk loop is [`nested_block_join`], the one every
 //! spilled partition pair of the hash joins runs too; this operator adds
-//! the smaller-side choice, the budget reservation and the report.
+//! the smaller-side choice, the budget check and the report.
 
 use std::sync::Arc;
 
 use nocap_model::pairwise::nested_block_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::Obs;
-use nocap_storage::{BufferPool, Relation};
+use nocap_par::staging_budget;
+use nocap_storage::Relation;
 
 /// Nested Block Join executor.
 #[derive(Debug, Clone, Copy)]
@@ -61,10 +62,9 @@ impl NestedBlockJoin {
         };
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
-        let pool = BufferPool::new(self.spec.buffer_pages);
         // The streaming input page and the output page; the chunk table
         // takes the rest of the budget.
-        let _io_pages = pool.reserve(2)?;
+        staging_budget(&self.spec, 0)?;
 
         let timer = obs.run_timer();
         let base = device.stats();

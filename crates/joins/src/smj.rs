@@ -334,8 +334,9 @@ fn sorted_runs(
 mod tests {
     use super::*;
     use crate::naive::naive_join_count;
-    use crate::testutil::{build_workload, mix};
+    use crate::testutil::build_workload;
     use nocap_storage::device::DeviceRef;
+    use nocap_storage::hash::mix64;
     use nocap_storage::{Record, SimDevice};
     use std::sync::Arc;
 
@@ -469,7 +470,7 @@ mod tests {
             let mut shuffled: Vec<(u64, u64)> = keys
                 .into_iter()
                 .enumerate()
-                .map(|(i, key)| (mix(i as u64), key))
+                .map(|(i, key)| (mix64(i as u64), key))
                 .collect();
             shuffled.sort_unstable();
             let payload = spec.r_layout.payload_bytes();

@@ -14,15 +14,8 @@
 
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_storage::device::DeviceRef;
+use nocap_storage::hash::mix64;
 use nocap_storage::{Record, Relation};
-
-/// SplitMix64, used for deterministic shuffling in tests.
-pub fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Asserts that an executor at every thread count in `threads` reproduces
 /// its sequential entry point (the same body at one worker) **exactly** —
@@ -81,7 +74,7 @@ pub fn build_workload(
             s_keys.push(k.wrapping_add(rep << 32)); // temporary tag for shuffling
         }
     }
-    s_keys.sort_by_key(|&tagged| mix(tagged));
+    s_keys.sort_by_key(|&tagged| mix64(tagged));
     let s = Relation::bulk_load(
         device,
         spec.s_layout,

@@ -25,11 +25,11 @@
 //!   resident-first staging quotas of a hybrid hash build (NOCAP's residual
 //!   partitioner and DHH both run it), and `g_DHH`: the estimated extra I/O
 //!   of handing the residual (non-MCV) keys to that partitioner with a
-//!   given budget.
-//! * [`degrade`] — the [`BudgetLadder`]: bounded budget degradation under
-//!   memory pressure (`B → ¾B → …`), exploiting the cost model's
-//!   monotonicity in `B` — a smaller budget costs more passes, never
-//!   correctness.
+//!   given budget. The quotas sum to the staging budget they are handed
+//!   (floored at one page), so with the plan's fixed pages and the two
+//!   streaming pages they restate the §4.1 memory identity: *B* is
+//!   enforced by this arithmetic and by the run-time stager that keeps to
+//!   the quotas, not by an accountant.
 //!
 //! Costs in this crate are *estimates* expressed in normalized page I/Os
 //! (one sequential page read = 1). The executors in `nocap` and
@@ -41,7 +41,6 @@
 
 pub mod classic_cost;
 pub mod ct;
-pub mod degrade;
 pub mod dhh_cost;
 pub mod estimate;
 pub mod hash_cost;
@@ -53,7 +52,6 @@ pub mod spec;
 
 pub use classic_cost::{best_partition_join, ghj_cost, nbj_cost, smj_cost, PartitionJoinMethod};
 pub use ct::CorrelationTable;
-pub use degrade::{run_degrading, BudgetLadder, DegradationAttempt, DegradedRun};
 pub use dhh_cost::{g_dhh, staging_quotas, StagingQuotas, StagingRouter};
 pub use estimate::McvEstimate;
 pub use hash_cost::RoundedHashParams;

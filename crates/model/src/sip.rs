@@ -20,7 +20,7 @@
 /// Bloom kernel row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeBloom {
-    /// Pages of buffer-pool memory the filter occupied.
+    /// Pages of the join's budget the filter occupied.
     pub pages: usize,
 }
 

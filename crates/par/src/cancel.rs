@@ -14,7 +14,7 @@
 //! task-claim points (between page morsels, partition pairs, sort chunks),
 //! never mid-page, so a cancelled run tears down through the same `?`-driven
 //! cleanup paths a plain error would take — dropped relations delete their
-//! files, reservations release, locks unlock.
+//! files, locks unlock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

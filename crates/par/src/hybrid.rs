@@ -71,23 +71,25 @@
 //! * Each spilled pair's I/O is independent of the order pairs are claimed
 //!   from the work queue.
 //!
-//! All modeled pages are drawn from a [`BufferPool`] capped at the spec's
-//! budget, so the §4.1 memory breakdown is enforced at run time, not just
-//! assumed: the pool reserves the two streaming pages and the plan's fixed
-//! structures, and what is left ([`staging_budget`]) is carved into one
-//! reservation per partition of exactly its quota. Three knowing
-//! simplifications, all physical memory the model does not charge: each
-//! worker holds one transient scan-buffer page (the model charges one
-//! logical input page for the pipeline, as the paper does); each worker
-//! holds one private output page per spill partition it has routed a
-//! record to — at most `threads × m` pages for `m` spill partitions, which
-//! at one worker is the `m` output-buffer pages the model charges (see
-//! [`nocap_storage::spill`]; ≤ 1.3 MB at 2 threads on the benchmark's
-//! `zipf_par2`); and the fanned-out probe phase runs up to `threads`
-//! partition-pair NBJs concurrently, each with the `B − 2`-page chunk the
-//! cost model prescribes — peak physical probe memory is `threads × B`
-//! pages even though the modeled I/O is unchanged. Use fewer threads when
-//! physical memory, not I/O, is the binding constraint.
+//! The §4.1 memory breakdown is the plan's arithmetic: two streaming
+//! pages, the plan's fixed structures, and what is left
+//! ([`staging_budget`]) split into one quota per partition, which the
+//! stager keeps to at run time by destaging a partition that outgrows its
+//! quota. A budget below the two streaming pages fails with
+//! [`OutOfMemory`](StorageError::OutOfMemory) before any I/O. Three
+//! knowing simplifications, all physical memory the model does not
+//! charge: each worker holds one transient scan-buffer page (the model
+//! charges one logical input page for the pipeline, as the paper does);
+//! each worker holds one private output page per spill partition it has
+//! routed a record to — at most `threads × m` pages for `m` spill
+//! partitions, which at one worker is the `m` output-buffer pages the
+//! model charges (see [`nocap_storage::spill`]; ≤ 1.3 MB at 2 threads on
+//! the benchmark's `zipf_par2`); and the fanned-out probe phase runs up
+//! to `threads` partition-pair NBJs concurrently, each with the
+//! `B − 2`-page chunk the cost model prescribes — peak physical probe
+//! memory is `threads × B` pages even though the modeled I/O is
+//! unchanged. Use fewer threads when physical memory, not I/O, is the
+//! binding constraint.
 //!
 //! **Spill files.** Every spilled partition is a [`Relation`] that owns its
 //! file, so the files go when the partitions drop: after the probe phase,
@@ -106,7 +108,7 @@ use nocap_model::pairwise::smart_partition_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, BufferPool, JoinHashTable, Relation, Result, SpillSet,
+    into_inner_unpoisoned, lock_unpoisoned, JoinHashTable, Relation, Result, SpillSet, StorageError,
 };
 
 use crate::pool::ordered_tasks;
@@ -151,9 +153,14 @@ pub struct HybridPlan<F> {
 /// cannot hold the streaming pages, before any geometry is derived from a
 /// budget no join can run under.
 pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize) -> Result<usize> {
-    let pool = BufferPool::new(spec.buffer_pages);
-    let _io_pages = pool.reserve(2)?;
-    Ok(pool.available().saturating_sub(fixed_pages))
+    let beside_io = spec
+        .buffer_pages
+        .checked_sub(2)
+        .ok_or(StorageError::OutOfMemory {
+            requested: 2,
+            available: spec.buffer_pages,
+        })?;
+    Ok(beside_io.saturating_sub(fixed_pages))
 }
 
 /// Executes `r ⋈ s` under `plan` on `threads` workers (`0` runs as one, see
@@ -187,12 +194,9 @@ where
     let route = &plan.route;
     let device = r.device().clone();
     let _io_trace = obs.attach_io(&device);
-    let pool = BufferPool::new(spec.buffer_pages);
-    let _io_pages = pool.reserve(2)?;
-    let _fixed = pool.reserve(plan.fixed_pages.min(pool.available()))?;
-    // Make the quotas visible to the pool: one reservation per partition of
-    // exactly its quota, together the staging budget.
-    let _quotas = pool.carve_quotas(&plan.quotas);
+    // The quotas were sized on the staging budget; this only refuses a
+    // budget without room for the two streaming pages, before any I/O.
+    staging_budget(spec, plan.fixed_pages)?;
 
     let timer = obs.run_timer();
     let base_stats = device.stats();

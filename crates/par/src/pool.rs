@@ -28,7 +28,7 @@
 //! the first failing task trips it, siblings observe it before their next
 //! claim and bail with [`StorageError::Cancelled`], and the caller receives
 //! the recorded root cause — not whichever victim finished last. Cleanup
-//! relies on RAII (relations that delete their files on drop, reservations,
+//! relies on RAII (relations that delete their files on drop,
 //! poison-tolerant locks), so a cancelled or panicked run releases
 //! everything it acquired.
 
@@ -113,7 +113,16 @@ where
                 return Ok((done, state));
             }
             let started = wobs.start();
-            done.push((task, f(&mut state, task)?));
+            match f(&mut state, task) {
+                Ok(value) => done.push((task, value)),
+                // Trip the token before this worker's state and finished
+                // results drop, so siblings stop claiming work now rather
+                // than after the teardown.
+                Err(err) => {
+                    token.cancel(&err);
+                    return Err(err);
+                }
+            }
             wobs.record_task(phase, task, started);
         }
     };
@@ -123,6 +132,8 @@ where
     let guarded = |w: usize| {
         let result = catch_unwind(AssertUnwindSafe(|| worker(w)))
             .unwrap_or_else(|payload| Err(StorageError::WorkerPanicked(panic_message(payload))));
+        // A panic never reaches the loop's error arm: trip the token for it
+        // here (for an error the loop already has; the first one wins).
         if let Err(err) = &result {
             token.cancel(err);
         }
@@ -173,7 +184,8 @@ where
 mod tests {
     use super::*;
     use nocap_storage::StorageError;
-    use std::sync::Barrier;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Barrier, Condvar, Mutex, PoisonError};
     use std::time::Duration;
 
     /// `ordered_tasks` with no per-worker state and no recording.
@@ -343,6 +355,71 @@ mod tests {
         assert!(
             executed.load(Ordering::Relaxed) < 10_000,
             "siblings should stop at a task boundary instead of draining the queue"
+        );
+    }
+
+    #[test]
+    fn a_failing_task_stops_its_siblings_before_its_worker_state_drops() {
+        // A worker's state (staged batches, spill pages) can take a while
+        // to drop. Here the failing worker's state waits until the sibling
+        // has stopped: unless the token trips at the failing task, before
+        // that teardown, the sibling keeps claiming tasks until the wait
+        // times out.
+        #[derive(Debug)]
+        struct Stage<'a> {
+            failed: bool,
+            sibling_stopped: &'a (Mutex<bool>, Condvar),
+            stopped_first: &'a AtomicBool,
+        }
+        impl Drop for Stage<'_> {
+            fn drop(&mut self) {
+                let (stopped, cvar) = self.sibling_stopped;
+                let mut guard = nocap_storage::lock_unpoisoned(stopped);
+                if self.failed {
+                    let (guard, _) = cvar
+                        .wait_timeout_while(guard, Duration::from_secs(5), |stopped| !*stopped)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    self.stopped_first.store(*guard, Ordering::SeqCst);
+                } else {
+                    *guard = true;
+                    cvar.notify_all();
+                }
+            }
+        }
+        let all_running = Barrier::new(2);
+        let sibling_stopped = (Mutex::new(false), Condvar::new());
+        let stopped_first = AtomicBool::new(false);
+        let err = ordered_tasks(
+            2,
+            &Obs::off(),
+            Phase::Partition,
+            1_000_000,
+            || Stage {
+                failed: false,
+                sibling_stopped: &sibling_stopped,
+                stopped_first: &stopped_first,
+            },
+            |stage, i| {
+                // Tasks 0 and 1 go to different workers: whichever claims
+                // one waits here until the other worker claims the other.
+                if i < 2 {
+                    all_running.wait();
+                }
+                if i == 0 {
+                    stage.failed = true;
+                    return Err(StorageError::Io("failing task".into()));
+                }
+                // Slow enough that the sibling cannot drain the queue
+                // within the wait.
+                std::thread::sleep(Duration::from_micros(100));
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert_eq!(err, StorageError::Io("failing task".into()));
+        assert!(
+            stopped_first.into_inner(),
+            "the sibling kept claiming tasks until the failing worker's state had dropped"
         );
     }
 

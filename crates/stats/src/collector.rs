@@ -2,11 +2,13 @@
 //!
 //! [`StatsCollector`] owns the two sketches the planner reads — SpaceSaving
 //! and the fallback histogram — and feeds every observed join key to both.
-//! Its memory is sized from a **page budget** and, when constructed through
-//! [`StatsCollector::with_budget`], reserved from the same [`BufferPool`]
-//! the join draws from, so collecting statistics is charged against the
-//! operator's memory like any other phase instead of being assumed free
-//! (the oracle `CorrelationTable` path this subsystem replaces).
+//! Its memory is sized from a **page budget**
+//! ([`StatsConfig::for_budget_pages`]), and the pass a join runs,
+//! [`StatsCollector::collect_parallel_with_budget`], refuses up front to
+//! hold more shard sketches than the join's *B* pages, so collecting
+//! statistics is charged against the operator's memory like any other
+//! phase instead of being assumed free (the oracle `CorrelationTable` path
+//! this subsystem replaces).
 //!
 //! There is one kind of collector: every component is either an
 //! order-insensitive, exactly mergeable function of the observed key
@@ -19,12 +21,10 @@
 //! [`McvEstimate`]s with error bounds, the exact stream length, the key
 //! range and the histogram that backs the near-uniform fallback.
 
-use std::sync::Mutex;
-
 use nocap_model::McvEstimate;
 use nocap_obs::{Obs, Phase};
 use nocap_par::{ordered_tasks, page_shards};
-use nocap_storage::{lock_unpoisoned, BufferPool, Relation, RelationScan, Reservation, Result};
+use nocap_storage::{Relation, RelationScan, Result, StorageError};
 
 use crate::histogram::EquiWidthHistogram;
 use crate::spacesaving::SpaceSaving;
@@ -89,14 +89,11 @@ pub struct StatsCollector {
     n: u64,
     min_key: Option<u64>,
     max_key: Option<u64>,
-    /// Holds the page budget against the join's buffer pool for the lifetime
-    /// of the collection pass.
-    reservation: Option<Reservation>,
 }
 
 impl StatsCollector {
-    /// Creates a collector with explicit sketch sizing and no buffer-pool
-    /// charge (for tests and offline analysis).
+    /// Creates a collector with explicit sketch sizing;
+    /// [`StatsConfig::for_budget_pages`] sizes one for a page budget.
     ///
     /// The histogram is anchored at key 0
     /// ([`EquiWidthHistogram::adaptive_pinned`]), so every component the
@@ -113,27 +110,8 @@ impl StatsCollector {
             n: 0,
             min_key: None,
             max_key: None,
-            reservation: None,
             config,
         }
-    }
-
-    /// Creates a collector sized for `pages` pages, **reserving the
-    /// sketches' footprint from `pool`** for the lifetime of the collection
-    /// pass. Fails with
-    /// [`StorageError::OutOfMemory`](nocap_storage::StorageError::OutOfMemory)
-    /// if the pool cannot spare it — statistics collection must not
-    /// silently exceed the operator's memory budget.
-    pub fn with_budget(pool: &BufferPool, pages: usize, page_size: usize) -> Result<Self> {
-        let config = StatsConfig::for_budget_pages(pages, page_size);
-        // For every realistic geometry the footprint fits the request; only
-        // degenerate page sizes (under ~256 bytes, where even one-of-each
-        // sketch outgrows a page) need more, and then the *actual* footprint
-        // is what gets reserved — never charged less than used.
-        let reservation = pool.reserve(pages.max(config.memory_pages(page_size)))?;
-        let mut collector = Self::new(config);
-        collector.reservation = Some(reservation);
-        Ok(collector)
     }
 
     /// Merges another collector's sketches into this one, as if this
@@ -219,10 +197,8 @@ impl StatsCollector {
         Ok(())
     }
 
-    /// Finishes the pass: releases the buffer-pool reservation and returns
-    /// the summary.
-    pub fn finish(mut self) -> StatsSummary {
-        drop(self.reservation.take());
+    /// Finishes the pass and returns the summary.
+    pub fn finish(self) -> StatsSummary {
         StatsSummary {
             config: self.config,
             n: self.n,
@@ -249,7 +225,7 @@ impl StatsCollector {
     /// (`0` runs as one, see [`ordered_tasks`]) over the fixed shard grid
     /// of [`shard_count`](Self::shard_count) contiguous page ranges, one
     /// collector per shard, and folds the shard sketches in canonical shard
-    /// order. No recorder and no pool charge; see
+    /// order. No recorder and no budget check; see
     /// [`collect_parallel_with_budget`](Self::collect_parallel_with_budget)
     /// for the form a join runs.
     ///
@@ -273,21 +249,22 @@ impl StatsCollector {
         rel: &Relation,
         threads: usize,
     ) -> Result<StatsSummary> {
-        Ok(Self::collect_sharded(rel, threads, &Obs::off(), |_| Self::new(config))?.finish())
+        Ok(Self::collect_sharded(rel, threads, &Obs::off(), config)?.finish())
     }
 
     /// [`collect_parallel`](Self::collect_parallel) under a page budget and
     /// a recorder — the pass a join runs.
     ///
-    /// Every shard collector reserves `pages` pages (or its real footprint,
-    /// whichever is larger) from `pool` for the lifetime of the pass, so
+    /// Every shard collector is charged `pages` pages (or its real
+    /// footprint, whichever is larger: only page sizes under ~256 bytes,
+    /// where even one-of-each sketch outgrows a page, need more), so
     /// deterministic sharded collection is charged at its true resident
     /// cost — `shard_count × pages`, independent of the thread count,
     /// because the shard geometry (not the worker count) fixes how many
-    /// sketch sets exist. All shard budgets are reserved **before the scan
-    /// starts**: an oversubscribed pool fails with
-    /// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) up front,
-    /// not after half the relation was already read.
+    /// sketch sets exist. The charge is checked against `budget_pages`
+    /// **before the scan starts**: a pass that exceeds it fails with
+    /// [`OutOfMemory`](StorageError::OutOfMemory) up front, not after half
+    /// the relation was already read.
     ///
     /// When `obs` records, the pass is bracketed by a `stats` phase span,
     /// every shard scan becomes a per-worker task span, and — on a
@@ -296,7 +273,7 @@ impl StatsCollector {
     /// phase. Recording is passive — the shard grid, fold order and modeled
     /// I/O are untouched.
     pub fn collect_parallel_with_budget(
-        pool: &BufferPool,
+        budget_pages: usize,
         pages: usize,
         page_size: usize,
         rel: &Relation,
@@ -304,29 +281,27 @@ impl StatsCollector {
         obs: &Obs,
     ) -> Result<StatsSummary> {
         let config = StatsConfig::for_budget_pages(pages, page_size);
+        let charge = Self::shard_count(rel) * pages.max(config.memory_pages(page_size));
+        if charge > budget_pages {
+            return Err(StorageError::OutOfMemory {
+                requested: charge,
+                available: budget_pages,
+            });
+        }
         let _io_trace = obs.attach_io(rel.device());
-        let charge = pages.max(config.memory_pages(page_size));
-        let reservations: Vec<Mutex<Option<Reservation>>> = (0..Self::shard_count(rel))
-            .map(|_| pool.reserve(charge).map(|r| Mutex::new(Some(r))))
-            .collect::<Result<_>>()?;
-        let collected = Self::collect_sharded(rel, threads, obs, |shard| {
-            let mut collector = Self::new(config);
-            collector.reservation = lock_unpoisoned(&reservations[shard]).take();
-            collector
-        })?;
-        Ok(collected.finish())
+        Ok(Self::collect_sharded(rel, threads, obs, config)?.finish())
     }
 
     /// Scans the fixed shard grid on the shared work queue
-    /// ([`ordered_tasks`]) and folds the shard collectors in shard order,
-    /// making the result independent of which worker scanned which shard.
-    /// A failing shard cancels its siblings at their next shard boundary.
-    /// `make` receives the shard index it is building a collector for.
+    /// ([`ordered_tasks`]), one `config`-sized collector per shard, and
+    /// folds the shard collectors in shard order, making the result
+    /// independent of which worker scanned which shard. A failing shard
+    /// cancels its siblings at their next shard boundary.
     fn collect_sharded(
         rel: &Relation,
         threads: usize,
         obs: &Obs,
-        make: impl Fn(usize) -> StatsCollector + Sync,
+        config: StatsConfig,
     ) -> Result<StatsCollector> {
         let _stats_span = obs.span(Phase::Stats);
         let num_shards = Self::shard_count(rel);
@@ -338,7 +313,7 @@ impl StatsCollector {
             num_shards,
             || (),
             |_, i| {
-                let mut collector = make(i);
+                let mut collector = Self::new(config);
                 collector.consume(rel.scan_range(grid[i].clone()))?;
                 Ok(collector)
             },
@@ -503,27 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_charged_to_the_pool_and_released() {
-        let device = SimDevice::new_ref();
-        let rel = skewed_relation(device, 200);
-        let pool = BufferPool::new(32);
-        let mut collector = StatsCollector::with_budget(&pool, 8, 4096).unwrap();
-        assert_eq!(pool.in_use(), 8, "collection must hold its pages");
-        collector.consume(rel.scan()).unwrap();
-        let summary = collector.finish();
-        assert_eq!(pool.in_use(), 0, "finish must release the reservation");
-        assert!(!summary.mcvs().is_empty());
-    }
-
-    #[test]
-    fn over_budget_collection_is_rejected() {
-        let pool = BufferPool::new(4);
-        let err = StatsCollector::with_budget(&pool, 8, 4096).unwrap_err();
-        assert!(matches!(err, StorageError::OutOfMemory { .. }));
-        assert_eq!(pool.in_use(), 0);
-    }
-
-    #[test]
     fn sketch_sizing_fits_the_requested_pages() {
         for page_size in [256usize, 512, 1024, 4096, 16_384] {
             for pages in (1..=64usize).chain([256]) {
@@ -548,19 +502,30 @@ mod tests {
     #[test]
     fn tiny_budgets_and_small_pages_do_not_panic_or_undercharge() {
         // Regression: the old fixed sizing floors (~2 KB) exceeded one small
-        // page, tripping a debug assert and under-reserving in release.
-        let pool = BufferPool::new(16);
-        let collector = StatsCollector::with_budget(&pool, 1, 1024).unwrap();
-        assert_eq!(pool.in_use(), 1, "1 KB of sketches must fit one 1 KB page");
-        assert!(collector.config().memory_bytes() <= 1024);
-        drop(collector);
+        // page, tripping a debug assert and under-charging in release.
+        let config = StatsConfig::for_budget_pages(1, 1024);
+        assert_eq!(
+            config.memory_pages(1024),
+            1,
+            "1 KB of sketches must fit one 1 KB page"
+        );
+        assert!(config.memory_bytes() <= 1024);
         // Degenerate page size: the structural minimum (~232 B of sketches)
-        // spans several 64-byte pages; the reservation covers the real
-        // footprint instead of silently exceeding the single requested page.
-        let collector = StatsCollector::with_budget(&pool, 1, 64).unwrap();
-        let config = collector.config();
-        assert_eq!(pool.in_use(), config.memory_pages(64));
-        assert!(pool.in_use() >= 1);
+        // spans several 64-byte pages; the charge covers the real footprint
+        // instead of silently exceeding the single requested page.
+        let footprint = StatsConfig::for_budget_pages(1, 64).memory_pages(64);
+        assert!(footprint > 1);
+        let device = SimDevice::new_ref();
+        let rel = skewed_relation(device, 300);
+        let shards = StatsCollector::shard_count(&rel);
+        let collect = |budget_pages| {
+            StatsCollector::collect_parallel_with_budget(budget_pages, 1, 64, &rel, 2, &Obs::off())
+        };
+        assert!(collect(shards * footprint).is_ok());
+        assert!(matches!(
+            collect(shards * footprint - 1),
+            Err(StorageError::OutOfMemory { .. })
+        ));
     }
 
     #[test]
@@ -742,16 +707,11 @@ mod tests {
     fn collect_parallel_with_budget_charges_every_shard_and_releases() {
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 300);
-        let pool = BufferPool::new(64);
+        assert_eq!(StatsCollector::shard_count(&rel), 8);
+        // Every shard collector's 4 pages are charged: 8 x 4 pages fit.
         let summary =
-            StatsCollector::collect_parallel_with_budget(&pool, 4, 4096, &rel, 4, &Obs::off())
+            StatsCollector::collect_parallel_with_budget(8 * 4, 4, 4096, &rel, 4, &Obs::off())
                 .unwrap();
-        assert_eq!(pool.in_use(), 0, "all shard reservations must be released");
-        assert_eq!(
-            pool.peak(),
-            4 * StatsCollector::shard_count(&rel),
-            "every shard collector's pages must have been charged"
-        );
         assert!(!summary.mcvs().is_empty());
     }
 
@@ -760,13 +720,12 @@ mod tests {
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device.clone(), 300);
         assert_eq!(StatsCollector::shard_count(&rel), 8);
-        // 8 shards x 4 pages = 32 needed; a 16-page pool must fail before
-        // any page is read, with nothing leaked, at every thread count.
+        // 8 shards x 4 pages = 32 needed; one page less must fail before
+        // any page is read, at every thread count.
         for threads in [1usize, 4] {
-            let pool = BufferPool::new(16);
             device.reset_stats();
             let err = StatsCollector::collect_parallel_with_budget(
-                &pool,
+                8 * 4 - 1,
                 4,
                 4096,
                 &rel,
@@ -774,12 +733,17 @@ mod tests {
                 &Obs::off(),
             )
             .unwrap_err();
-            assert!(matches!(err, StorageError::OutOfMemory { .. }));
-            assert_eq!(pool.in_use(), 0, "failed collection must leak nothing");
+            assert_eq!(
+                err,
+                StorageError::OutOfMemory {
+                    requested: 32,
+                    available: 31
+                }
+            );
             assert_eq!(
                 device.stats().reads(),
                 0,
-                "an oversubscribed pool must fail up front, not mid-scan"
+                "an oversubscribed budget must fail up front, not mid-scan"
             );
         }
     }
@@ -830,20 +794,13 @@ mod tests {
     fn summary_memory_is_the_config_that_built_it() {
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 300);
-        let pool = BufferPool::new(64);
         for pages in [1usize, 4, 7] {
             let config = StatsConfig::for_budget_pages(pages, 4096);
-            let mut budgeted = StatsCollector::with_budget(&pool, pages, 4096).unwrap();
+            let mut budgeted = StatsCollector::new(config);
             budgeted.consume(rel.scan()).unwrap();
-            let sharded = StatsCollector::collect_parallel_with_budget(
-                &pool,
-                pages,
-                4096,
-                &rel,
-                2,
-                &Obs::off(),
-            )
-            .unwrap();
+            let sharded =
+                StatsCollector::collect_parallel_with_budget(64, pages, 4096, &rel, 2, &Obs::off())
+                    .unwrap();
             for summary in [budgeted.finish(), sharded] {
                 assert_eq!(summary.memory_bytes(), config.memory_bytes());
                 assert!(summary.memory_bytes() <= pages * 4096);

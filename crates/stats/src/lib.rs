@@ -7,8 +7,8 @@
 //! those statistics from a full [`CorrelationTable`](nocap_model::ct) — an
 //! oracle that would never fit the memory budget of a real system. This
 //! crate produces the same statistics in **one streaming pass** over the
-//! fact relation with sketches whose memory is charged, in pages, against
-//! the join's own [`BufferPool`](nocap_storage::BufferPool):
+//! fact relation with sketches sized, in pages, from a budget the caller
+//! carves out of the join's *B*:
 //!
 //! * [`spacesaving`] — the SpaceSaving heavy-hitter summary (Metwally et
 //!   al.): `k` counters track the hottest keys with per-key error bounds and
@@ -28,8 +28,8 @@
 //!   bit-identical for every thread count.
 //!
 //! ```
-//! use nocap_stats::StatsCollector;
-//! use nocap_storage::{BufferPool, Record, RecordLayout, Relation, SimDevice};
+//! use nocap_stats::{StatsCollector, StatsConfig};
+//! use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
 //!
 //! // A skewed stream: key 0 appears 500 times, keys 1..100 once each.
 //! let device = SimDevice::new_ref();
@@ -44,13 +44,13 @@
 //! )
 //! .unwrap();
 //!
-//! // Collect within a 4-page budget charged to the pool.
-//! let pool = BufferPool::new(64);
-//! let mut collector = StatsCollector::with_budget(&pool, 4, 4096).unwrap();
+//! // Collect within a 4-page budget.
+//! let config = StatsConfig::for_budget_pages(4, 4096);
+//! let mut collector = StatsCollector::new(config);
 //! collector.consume(s.scan()).unwrap();
 //! let summary = collector.finish();
 //!
-//! assert_eq!(pool.in_use(), 0); // finish() released the four pages
+//! assert_eq!(config.memory_pages(4096), 4);
 //! assert!(summary.memory_bytes() <= 4 * 4096);
 //!
 //! assert_eq!(summary.stream_len(), 599);

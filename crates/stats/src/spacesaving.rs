@@ -16,7 +16,7 @@
 //! The classic stream-summary structure is replaced by an indexed binary
 //! min-heap over the counters — `offer` is O(log capacity) and the layout is
 //! three flat vectors plus one key index, which keeps the per-counter memory
-//! footprint small and measurable for the buffer-pool accounting.
+//! footprint small and measurable for the page-budget accounting.
 
 use std::collections::HashMap;
 

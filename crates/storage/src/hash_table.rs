@@ -3,9 +3,9 @@
 //! The paper's memory model charges an in-memory hash table `F` times the
 //! raw size of the records it stores (`F` is the *fudge factor*, 1.02 in all
 //! experiments). [`JoinHashTable`] keeps that accounting explicit: callers
-//! ask [`pages_required`](JoinHashTable::pages_required) how many buffer-pool
-//! pages the table occupies and reserve them from the
-//! [`BufferPool`](crate::BufferPool) before inserting.
+//! ask [`pages_required`](JoinHashTable::pages_required) how many pages of
+//! the budget the table occupies and size their plan's other structures on
+//! what is left.
 //!
 //! # Layout
 //!

@@ -25,9 +25,6 @@
 //!   [`SyncPolicy`] chosen through [`FileDeviceBuilder`]. Modeled
 //!   [`IoStats`] stay per-page and bit-identical to [`SimDevice`];
 //!   [`BlockStats`] reports the physical syscall shape.
-//! * [`buffer`] — a strict page-budget [`BufferPool`]; every join draws its
-//!   working memory from one of these so the *B*-page budget of the paper is
-//!   enforced rather than assumed.
 //! * [`relation`] — the one on-disk record file: a join input, a spill
 //!   partition and a sorted run are all a [`Relation`], written by the one
 //!   [`RelationWriter`] (one-page output buffer, sequential or random
@@ -73,18 +70,19 @@
 //!
 //! The whole layer is **thread-safe**: [`BlockDevice`] requires
 //! `Send + Sync` (devices use interior locking — an `RwLock`ed page store
-//! and lock-free atomic I/O counters in [`SimDevice`]), [`BufferPool`] is a
-//! mutex-protected shared accountant, and [`DeviceRef`](device::DeviceRef)
-//! is an `Arc`. This is what lets the `nocap-par` execution engine shard
-//! partitioning scans across worker threads while the I/O trace and the
-//! *B*-page budget stay exact.
+//! and lock-free atomic I/O counters in [`SimDevice`]), and
+//! [`DeviceRef`](device::DeviceRef) is an `Arc`. This is what lets the
+//! `nocap-par` execution engine shard partitioning scans across worker
+//! threads while the I/O trace stays exact. The *B*-page budget is not
+//! this crate's to enforce: it is the plan's arithmetic
+//! (`nocap_par::staging_budget`, `nocap_model::staging_quotas`), which the
+//! engine's staging quotas hold at run time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod block;
 pub mod bloom;
-pub mod buffer;
 pub mod device;
 pub mod hash;
 pub mod hash_table;
@@ -104,7 +102,6 @@ pub use block::{
     DEFAULT_PAGES_PER_BLOCK,
 };
 pub use bloom::BloomFilter;
-pub use buffer::{BufferPool, Reservation};
 pub use device::{BlockDevice, FileDevice, FileId, SimDevice};
 pub use hash_table::{JoinHashTable, ProbeIter};
 pub use iostats::{AtomicIoStats, DeviceProfile, IoKind, IoStats};
@@ -147,11 +144,13 @@ pub enum StorageError {
         /// The page index.
         index: usize,
     },
-    /// The buffer pool could not satisfy a reservation.
+    /// The page budget *B* cannot hold what the operation needs: a join
+    /// budget below its two streaming pages, or a statistics pass whose
+    /// shard sketches exceed the pages it was given.
     OutOfMemory {
         /// Pages requested.
         requested: usize,
-        /// Pages still available.
+        /// Pages the budget holds.
         available: usize,
     },
     /// An I/O error from the underlying operating system (only produced by
@@ -192,7 +191,7 @@ impl std::fmt::Display for StorageError {
                 available,
             } => write!(
                 f,
-                "buffer pool exhausted: requested {requested} pages, {available} available"
+                "page budget exhausted: requested {requested} pages, {available} available"
             ),
             StorageError::Io(msg) => write!(f, "I/O error: {msg}"),
             StorageError::CorruptPage(msg) => write!(f, "corrupt page: {msg}"),

@@ -41,7 +41,7 @@
 //! no file, no page, and `finish` reports it as `None`.
 //!
 //! **What it costs.** Up to `workers × partitions touched` local pages of
-//! physical memory outside the `BufferPool`. A [`RelationWriter`]
+//! physical memory, which nothing counts at run time. A [`RelationWriter`]
 //! allocates its output-buffer page on the first record *buffered* in it,
 //! and during the scan the set's writers only ever see whole pages, so at
 //! one worker — how the joins' sequential `run` executes — the scan holds

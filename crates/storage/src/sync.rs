@@ -3,9 +3,9 @@
 //! A `std` mutex is *poisoned* when a thread panics while holding it, and
 //! every later `lock()` returns `Err` forever after. Before the fault-
 //! tolerance work, each such site `expect`ed — so one panicking worker
-//! cascaded into a panic in every sibling that touched the same stager,
-//! writer set, or buffer pool, and the whole process aborted instead of
-//! reporting one clean error.
+//! cascaded into a panic in every sibling that touched the same stager
+//! or writer set, and the whole process aborted instead of reporting one
+//! clean error.
 //!
 //! Every shared structure in this codebase mutates its guarded state at
 //! *item* granularity (push one record, bump one counter, flush one page):

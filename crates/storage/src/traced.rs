@@ -57,6 +57,7 @@ use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::device::{BlockDevice, DeviceRef, FileId};
+use crate::hash;
 use crate::iostats::{IoKind, IoStats};
 use crate::page::{Page, PAGE_HEADER_BYTES};
 use crate::sync::{read_unpoisoned, write_unpoisoned};
@@ -213,14 +214,11 @@ impl FaultSpec {
     }
 }
 
-/// SplitMix64 — the same construction the DHH partitioner uses for key
-/// hashing; good enough to scatter schedule parameters from one seed.
+/// The SplitMix64 generator: steps the state by [`FIB`](hash::FIB) and
+/// finalizes it — good enough to scatter schedule parameters from one seed.
 fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(hash::FIB);
+    hash::splitmix64(*state)
 }
 
 /// Seeded fault schedules for the differential fault matrix.
@@ -247,7 +245,7 @@ impl FaultPlan {
     }
 
     /// [`FaultPlan::transient`] plus one persistent read error, so the run
-    /// must fail — cleanly, with no leaked files or reservations.
+    /// must fail — cleanly, with no leaked files.
     pub fn persistent(seed: u64, ops_hint: u64) -> Vec<FaultSpec> {
         let mut specs = Self::transient(seed, ops_hint);
         let mut state = seed ^ 0xA5A5_1234_DEAD_BEEF;

@@ -9,8 +9,8 @@
 
 use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
-use nocap_suite::stats::StatsCollector;
-use nocap_suite::storage::{BufferPool, SimDevice};
+use nocap_suite::stats::{StatsCollector, StatsConfig};
+use nocap_suite::storage::SimDevice;
 use nocap_suite::workload::{synthetic, Correlation, SyntheticConfig};
 
 fn main() {
@@ -28,13 +28,12 @@ fn main() {
     let workload = synthetic::generate(device.clone(), &config).expect("generate workload");
     let spec = JoinSpec::paper_synthetic(256, 96);
 
-    // 2. One streaming pass over S under a small page budget, charged to a
-    //    buffer pool exactly like a join phase would be. 8 pages = 32 KB of
-    //    sketches for a 20 MB fact relation.
+    // 2. One streaming pass over S under a small page budget, sized like a
+    //    join phase's structures are. 8 pages = 32 KB of sketches for a
+    //    20 MB fact relation.
     let stats_pages = 8;
-    let pool = BufferPool::new(spec.buffer_pages);
     let mut collector =
-        StatsCollector::with_budget(&pool, stats_pages, spec.page_size).expect("stats budget");
+        StatsCollector::new(StatsConfig::for_budget_pages(stats_pages, spec.page_size));
     device.reset_stats();
     collector
         .consume_keys(workload.stream_keys())

@@ -4,7 +4,7 @@
 //! individual crates under stable module names so that examples and
 //! downstream users can depend on a single crate:
 //!
-//! * [`storage`] — pages, simulated block devices, buffer pool, spill files.
+//! * [`storage`] — pages, simulated block devices, spill files.
 //! * [`model`] — correlation tables, join specifications, analytic cost models.
 //! * [`stats`] — bounded-memory streaming statistics (SpaceSaving top-k
 //!   and a fallback histogram behind one page-budgeted collector) that

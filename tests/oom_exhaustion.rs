@@ -1,13 +1,13 @@
-//! Out-of-memory behavior at every externally budgeted entry point:
+//! Out-of-memory behavior at every externally budgeted entry point. The
+//! page budget *B* is the plan's arithmetic, checked before any I/O:
 //!
-//! * The budgeted statistics collector reserves all shard budgets **up
-//!   front** from a caller-owned [`BufferPool`]; an oversubscribed pool must
+//! * The budgeted statistics collector checks all shard budgets **up
+//!   front** against the caller's page count; a pass that exceeds it must
 //!   fail with a clean [`StorageError::OutOfMemory`] before any page is
-//!   read, releasing everything it reserved.
-//! * `nocap_model::run_degrading` walks the budget ladder under admission
-//!   pressure, rebuilding the join at each budget it tries, and
-//!   either succeeds at a smaller budget (recorded, correct output) or
-//!   surfaces the final out-of-memory error with the pool fully released.
+//!   read.
+//! * Below the two streaming pages (`B < 2`) every hash join and NBJ fail
+//!   with `OutOfMemory { requested: 2, available: B }`, having counted no
+//!   I/O and left only R and S on the device.
 //! * Every executor survives a sweep of tiny-but-legal budgets without a
 //!   panic and without leaking a single spill file or page — shrinking `B`
 //!   buys passes, never failure.
@@ -18,15 +18,15 @@ use std::sync::Arc;
 use nocap_suite::joins::{
     DhhJoin, GraceHashJoin, NestedBlockJoin, SortMergeJoin, SMJ_MIN_BUDGET_PAGES,
 };
-use nocap_suite::model::{run_degrading, BudgetLadder, JoinSpec};
+use nocap_suite::model::JoinSpec;
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::obs::Obs;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
-use nocap_suite::storage::{BufferPool, IoStats, SimDevice, StorageError};
+use nocap_suite::storage::{BlockDevice, IoStats, SimDevice, StorageError};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
-/// One labeled executor invocation of the tiny-budget sweep.
+/// One labeled executor invocation of the budget tests.
 type SweepRun<'a> = (
     &'a str,
     Box<dyn Fn() -> nocap_suite::storage::Result<u64> + 'a>,
@@ -51,7 +51,7 @@ fn generate(n_r: usize, n_s: usize) -> (Arc<SimDevice>, GeneratedWorkload) {
 
 #[test]
 fn collector_pool_exhaustion_fails_up_front_and_releases_everything() {
-    let (_sim, wl) = generate(1_000, 8_000);
+    let (sim, wl) = generate(1_000, 8_000);
     let page_size = 4096;
     let unbudgeted =
         StatsCollector::collect_parallel(StatsConfig::for_budget_pages(4, page_size), &wl.s, 4)
@@ -59,11 +59,11 @@ fn collector_pool_exhaustion_fails_up_front_and_releases_everything() {
 
     let mut saw_oom = false;
     let mut saw_ok = false;
-    let mut capacity = 0usize;
-    while capacity <= 8192 {
-        let pool = BufferPool::new(capacity);
+    let mut budget = 0usize;
+    while budget <= 8192 {
+        sim.reset_stats();
         match StatsCollector::collect_parallel_with_budget(
-            &pool,
+            budget,
             4,
             page_size,
             &wl.s,
@@ -80,20 +80,20 @@ fn collector_pool_exhaustion_fails_up_front_and_releases_everything() {
             Err(err) => {
                 assert!(
                     matches!(err, StorageError::OutOfMemory { .. }),
-                    "an oversubscribed pool must fail with OutOfMemory, got: {err}"
+                    "an oversubscribed budget must fail with OutOfMemory, got: {err}"
+                );
+                assert_eq!(
+                    sim.stats(),
+                    IoStats::default(),
+                    "budget {budget}: the collector must fail before reading a page"
                 );
                 saw_oom = true;
             }
         }
-        assert_eq!(
-            pool.in_use(),
-            0,
-            "capacity {capacity}: the collector must release every page it reserved"
-        );
         if saw_ok {
             break;
         }
-        capacity = (capacity * 2).max(1);
+        budget = (budget * 2).max(1);
     }
     assert!(saw_oom, "the sweep never exercised the exhaustion path");
     assert!(
@@ -102,70 +102,91 @@ fn collector_pool_exhaustion_fails_up_front_and_releases_everything() {
     );
 }
 
+/// Every executor at `spec`'s budget, each run returning its output count.
+fn executors(spec: JoinSpec, wl: &GeneratedWorkload) -> Vec<SweepRun<'_>> {
+    vec![
+        (
+            "nocap",
+            Box::new(move || {
+                NocapJoin::new(spec, NocapConfig::default())
+                    .run(&wl.r, &wl.s, &wl.mcvs)
+                    .map(|r| r.output_records)
+            }),
+        ),
+        (
+            "dhh",
+            Box::new(move || {
+                DhhJoin::with_defaults(spec)
+                    .run(&wl.r, &wl.s, &wl.mcvs)
+                    .map(|r| r.output_records)
+            }),
+        ),
+        (
+            "histojoin",
+            Box::new(move || {
+                DhhJoin::histojoin(spec)
+                    .run(&wl.r, &wl.s, &wl.mcvs)
+                    .map(|r| r.output_records)
+            }),
+        ),
+        (
+            "ghj",
+            Box::new(move || {
+                GraceHashJoin::new(spec)
+                    .run(&wl.r, &wl.s)
+                    .map(|r| r.output_records)
+            }),
+        ),
+        (
+            "smj",
+            Box::new(move || {
+                SortMergeJoin::new(spec)
+                    .run(&wl.r, &wl.s)
+                    .map(|r| r.output_records)
+            }),
+        ),
+        (
+            "nbj",
+            Box::new(move || {
+                NestedBlockJoin::new(spec)
+                    .run(&wl.r, &wl.s)
+                    .map(|r| r.output_records)
+            }),
+        ),
+    ]
+}
+
 #[test]
-fn degrading_runs_absorb_admission_pressure_or_fail_clean() {
+fn budgets_below_the_streaming_pages_fail_before_any_io() {
     let (sim, wl) = generate(1_000, 8_000);
     let base_pages = wl.r.num_pages() + wl.s.num_pages();
-    let spec = JoinSpec::paper_synthetic(128, 48);
-    let ladder = BudgetLadder::default();
-    // Each join is rebuilt at every budget the ladder tries.
-    let degrading = |label: &str, admission: &BufferPool| {
-        run_degrading(admission, spec.buffer_pages, &ladder, |budget| {
-            let spec = spec.with_buffer_pages(budget);
-            match label {
-                "nocap" => NocapJoin::new(spec, NocapConfig::default()).run(&wl.r, &wl.s, &wl.mcvs),
-                _ => DhhJoin::with_defaults(spec).run(&wl.r, &wl.s, &wl.mcvs),
-            }
-        })
-    };
-
-    // A pool below the ladder's floor can never admit any attempt: the last
-    // out-of-memory error surfaces, nothing stays reserved, nothing leaks.
-    let hopeless = BufferPool::new(2);
-    for label in ["nocap", "dhh"] {
-        let err =
-            degrading(label, &hopeless).expect_err("a 2-page pool cannot admit the 5-page floor");
-        assert!(
-            matches!(err, StorageError::OutOfMemory { .. }),
-            "{label}: {err}"
-        );
-        assert_eq!(hopeless.in_use(), 0, "{label}: admission pool not released");
-        assert_eq!(
-            sim.resident_pages(),
-            base_pages,
-            "{label}: pages leaked by a rejected run"
-        );
-    }
-
-    // A tight pool forces real degradation: the run lands on a smaller
-    // budget, the trail is recorded, and the output is still exact.
-    let tight = BufferPool::new(28);
-    let counters = |io: &IoStats| [io.seq_reads, io.rand_reads, io.seq_writes, io.rand_writes];
-    for (label, partition_io, probe_io) in [
-        ("nocap", [292, 0, 0, 29], [30, 0, 0, 1]),
-        ("dhh", [292, 0, 0, 265], [282, 0, 0, 17]),
-    ] {
-        let run = degrading(label, &tight).expect("the ladder must fit a 28-page pool");
-        assert_eq!(
-            (run.budget_pages, run.steps()),
-            (27, 2),
-            "{label}: a 48-page plan in a 28-page pool degrades twice"
-        );
-        assert_eq!(
-            (
-                counters(&run.report.partition_io),
-                counters(&run.report.probe_io)
-            ),
-            (partition_io, probe_io),
-            "{label}"
-        );
-        assert_eq!(
-            run.report.output_records,
-            wl.expected_join_output(),
-            "{label}: degraded run produced wrong output"
-        );
-        assert_eq!(tight.in_use(), 0, "{label}: admission pool not released");
-        assert_eq!(sim.resident_pages(), base_pages, "{label}: pages leaked");
+    for budget in [0usize, 1] {
+        let spec = JoinSpec::paper_synthetic(128, budget);
+        // SMJ asserts its own, larger minimum (`SMJ_MIN_BUDGET_PAGES`).
+        let runs = executors(spec, &wl)
+            .into_iter()
+            .filter(|(label, _)| *label != "smj");
+        for (label, run) in runs {
+            sim.reset_stats();
+            assert_eq!(
+                run(),
+                Err(StorageError::OutOfMemory {
+                    requested: 2,
+                    available: budget
+                }),
+                "{label} at budget {budget}"
+            );
+            assert_eq!(
+                sim.stats(),
+                IoStats::default(),
+                "{label}: I/O counted at budget {budget}"
+            );
+            assert_eq!(
+                (sim.live_files(), sim.resident_pages()),
+                (2, base_pages),
+                "{label}: more than R and S left on the device at budget {budget}"
+            );
+        }
     }
 }
 
@@ -177,49 +198,7 @@ fn tiny_budget_sweeps_never_panic_and_never_leak() {
     assert!(budgets[0] >= SMJ_MIN_BUDGET_PAGES);
     for &budget in &budgets {
         let spec = JoinSpec::paper_synthetic(128, budget);
-        let runs: Vec<SweepRun> = vec![
-            (
-                "nocap",
-                Box::new(|| {
-                    NocapJoin::new(spec, NocapConfig::default())
-                        .run(&wl.r, &wl.s, &wl.mcvs)
-                        .map(|r| r.output_records)
-                }),
-            ),
-            (
-                "dhh",
-                Box::new(|| {
-                    DhhJoin::with_defaults(spec)
-                        .run(&wl.r, &wl.s, &wl.mcvs)
-                        .map(|r| r.output_records)
-                }),
-            ),
-            (
-                "ghj",
-                Box::new(|| {
-                    GraceHashJoin::new(spec)
-                        .run(&wl.r, &wl.s)
-                        .map(|r| r.output_records)
-                }),
-            ),
-            (
-                "smj",
-                Box::new(|| {
-                    SortMergeJoin::new(spec)
-                        .run(&wl.r, &wl.s)
-                        .map(|r| r.output_records)
-                }),
-            ),
-            (
-                "nbj",
-                Box::new(|| {
-                    NestedBlockJoin::new(spec)
-                        .run(&wl.r, &wl.s)
-                        .map(|r| r.output_records)
-                }),
-            ),
-        ];
-        for (label, run) in runs {
+        for (label, run) in executors(spec, &wl) {
             let outcome = catch_unwind(AssertUnwindSafe(run))
                 .unwrap_or_else(|_| panic!("{label} panicked at budget {budget}"));
             let output = outcome.unwrap_or_else(|err| {

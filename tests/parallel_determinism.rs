@@ -15,18 +15,15 @@
 //!    one-worker run exactly (same summary → same plan → same I/O), and
 //!    `StatsCollector::collect_parallel` yields a bit-identical summary for
 //!    every n on generated workloads.
-//! 3. The thread-safe `BufferPool` never over-commits its budget under a
-//!    barrier-synchronized reserve/release storm, and per-worker quota
-//!    carving conserves pages exactly.
-//! 4. The morsel-claimed scans and worker-private output pages keep those
+//! 3. The morsel-claimed scans and worker-private output pages keep those
 //!    pins at an odd worker count and on relations with fewer pages than
 //!    workers, every base page is read exactly once, and two runs of one
 //!    join compare equal as whole reports.
-//! 5. Below `√(F·‖R‖)`, where the shared pair join re-partitions, NOCAP,
+//! 4. Below `√(F·‖R‖)`, where the shared pair join re-partitions, NOCAP,
 //!    DHH and GHJ match the oracle with one report at every thread count.
 
 use std::collections::{BTreeSet, HashSet};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use nocap_suite::joins::testutil::assert_parallel_equivalence;
@@ -37,9 +34,9 @@ use nocap_suite::obs::{IoAudit, Obs, Phase};
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, BufferPool, DeviceProfile, FaultKind, FaultPlan, FaultSpec, FaultStats,
-    FileDevice, FileId, IoKind, IoStats, Page, Record, Relation, Result, RetryPolicy, RetryStats,
-    SimDevice, StorageError, TracedDevice,
+    BlockDevice, DeviceProfile, FaultKind, FaultPlan, FaultSpec, FaultStats, FileDevice, FileId,
+    IoKind, IoStats, Page, Record, Relation, Result, RetryPolicy, RetryStats, SimDevice,
+    StorageError, TracedDevice,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -666,9 +663,8 @@ fn sketch_plan_execute_pipeline_is_thread_count_invariant() {
         let join = NocapJoin::new(spec, NocapConfig::default());
         let pipeline = |threads: usize| {
             let wl = generate(workload);
-            let pool = BufferPool::new(spec.buffer_pages);
             let summary = StatsCollector::collect_parallel_with_budget(
-                &pool,
+                spec.buffer_pages,
                 4,
                 spec.page_size,
                 &wl.s,
@@ -676,7 +672,6 @@ fn sketch_plan_execute_pipeline_is_thread_count_invariant() {
                 &Obs::off(),
             )
             .expect("sketch pass");
-            drop(pool);
             let report = join
                 .run_parallel(&wl.r, &wl.s, &summary.planner_mcvs(), threads)
                 .expect("pipeline");
@@ -1054,68 +1049,4 @@ fn disarmed_fault_and_checksum_layers_are_invisible_to_the_determinism_pins() {
         assert_eq!(checked.fault_stats(), FaultStats::default());
         assert_eq!(checked.retry_stats(), RetryStats::default());
     }
-}
-
-#[test]
-fn buffer_pool_quota_accounting_survives_a_barrier_stress_test() {
-    const THREADS: usize = 8;
-    const ROUNDS: usize = 60;
-    let pool = BufferPool::new(THREADS * 4);
-    let barrier = Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let pool = pool.clone();
-            let barrier = &barrier;
-            scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    // Line everyone up so every round contends for real.
-                    barrier.wait();
-                    // Deterministic per-thread pattern; over-asking is part
-                    // of the test — failures must not corrupt accounting.
-                    let ask = (t * 7 + round * 3) % 9;
-                    match pool.reserve(ask) {
-                        Ok(r) => {
-                            assert!(pool.in_use() <= pool.capacity());
-                            // A second reservation on top of the first,
-                            // released before it: nested guards contend too.
-                            if let Ok(extra) = pool.reserve(2) {
-                                assert!(pool.in_use() <= pool.capacity());
-                                drop(extra);
-                            }
-                            assert!(pool.in_use() <= pool.capacity());
-                            drop(r);
-                        }
-                        Err(_) => {
-                            assert!(pool.in_use() <= pool.capacity());
-                        }
-                    }
-                    barrier.wait();
-                }
-            });
-        }
-    });
-    assert_eq!(pool.in_use(), 0, "all reservations must be released");
-    assert!(pool.peak() <= pool.capacity(), "budget was over-committed");
-}
-
-#[test]
-fn carved_worker_quotas_conserve_the_budget() {
-    let pool = BufferPool::new(37);
-    let _fixed = pool.reserve(5).unwrap();
-    // Asks for 36 pages where 32 remain: the last quota is cut short.
-    let quotas = pool.carve_quotas(&[6; 6]);
-    let sizes: Vec<usize> = quotas.iter().map(|q| q.pages()).collect();
-    assert_eq!(
-        sizes,
-        [6, 6, 6, 6, 6, 2],
-        "quotas must never exceed the budget"
-    );
-    assert_eq!(pool.available(), 0);
-    // Workers release their quotas independently.
-    std::thread::scope(|scope| {
-        for quota in quotas {
-            scope.spawn(move || drop(quota));
-        }
-    });
-    assert_eq!(pool.in_use(), 5, "only the fixed reservation remains");
 }

@@ -9,7 +9,7 @@ use nocap_suite::obs::{Obs, Phase};
 use nocap_suite::par::page_shards;
 use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
-use nocap_suite::storage::{BufferPool, IoOp, IoStats, SimDevice, TracedDevice};
+use nocap_suite::storage::{IoOp, IoStats, SimDevice, TracedDevice};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 fn workload(correlation: Correlation, n_r: usize, n_s: usize, seed: u64) -> GeneratedWorkload {
@@ -37,22 +37,20 @@ fn workload_on(
     .expect("workload generation")
 }
 
-/// Collects a sketch summary over S with `pages` pages reserved from a pool
-/// capped at the operator's own buffer budget.
+/// Collects a sketch summary over S with sketches sized for `pages` pages.
 fn collect(
     wl: &GeneratedWorkload,
     spec: &JoinSpec,
     pages: usize,
 ) -> nocap_suite::stats::StatsSummary {
-    let pool = BufferPool::new(spec.buffer_pages);
-    let mut collector = StatsCollector::with_budget(&pool, pages, spec.page_size).unwrap();
+    let mut collector = StatsCollector::new(StatsConfig::for_budget_pages(pages, spec.page_size));
     collector.consume_keys(wl.stream_keys()).unwrap();
     collector.finish()
 }
 
 /// The statistics pass a deployment runs before the join — a sharded
-/// sketch of S within `pages` pages per shard, charged to the operator's
-/// own budget — then NOCAP planned from the summary alone, both on
+/// sketch of S within `pages` pages per shard, checked against the
+/// operator's own budget — then NOCAP planned from the summary alone, both on
 /// `threads` workers and recording into `obs`.
 fn sketch_and_join(
     join: &NocapJoin,
@@ -62,9 +60,8 @@ fn sketch_and_join(
     obs: &Obs,
 ) -> JoinRunReport {
     let spec = join.spec();
-    let pool = BufferPool::new(spec.buffer_pages);
     let summary = StatsCollector::collect_parallel_with_budget(
-        &pool,
+        spec.buffer_pages,
         pages,
         spec.page_size,
         &wl.s,
@@ -72,7 +69,6 @@ fn sketch_and_join(
         obs,
     )
     .expect("sketch pass");
-    drop(pool);
     join.run_parallel_obs(&wl.r, &wl.s, &summary.planner_mcvs(), threads, obs)
         .expect("sketch-planned join")
 }
@@ -285,9 +281,8 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
             let wl = workload(Correlation::Zipf { alpha }, n_r, 48_000, 42);
             let spec = JoinSpec::paper_synthetic(128, buffer_pages);
             let pages = (spec.pages_r(n_r) / 50).max(2);
-            let pool = BufferPool::new(spec.buffer_pages);
             let summary = StatsCollector::collect_parallel_with_budget(
-                &pool,
+                spec.buffer_pages,
                 pages,
                 spec.page_size,
                 &wl.s,
@@ -295,7 +290,6 @@ fn sketch_planning_stays_within_the_pr1_bound_across_a_seeded_grid_under_collect
                 &Obs::off(),
             )
             .expect("sharded collection");
-            drop(pool);
 
             let device = wl.r.device().clone();
             let join = NocapJoin::new(spec, NocapConfig::default());
@@ -331,9 +325,8 @@ fn parallel_and_sequential_collection_plan_identically() {
     let join = NocapJoin::new(spec, NocapConfig::default());
     let device = wl.r.device().clone();
     let run_with_threads = |threads: usize| {
-        let pool = BufferPool::new(spec.buffer_pages);
         let summary = StatsCollector::collect_parallel_with_budget(
-            &pool,
+            spec.buffer_pages,
             3,
             spec.page_size,
             &wl.s,
@@ -341,7 +334,6 @@ fn parallel_and_sequential_collection_plan_identically() {
             &Obs::off(),
         )
         .expect("collection");
-        drop(pool);
         device.reset_stats();
         join.run_with_collected_stats(&wl.r, &wl.s, &summary)
             .expect("sketch run")

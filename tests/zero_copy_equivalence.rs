@@ -40,17 +40,17 @@ use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BufferPool, IoKind, IoStats, Record, RecordLayout, Relation, RelationScan, RelationWriter,
-    Result,
+    IoKind, IoStats, Record, RecordLayout, Relation, RelationScan, RelationWriter, Result,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
 /// The pre-refactor NOCAP executor: owned records everywhere, map-of-vecs
 /// build side, `Vec<Record>` staging, one `RelationWriter` per spill
-/// partition. Takes the same buffer-pool reservations as
-/// `NocapJoin::run_with_plan` and the body it calls, in the same order, so
-/// the residual budget and the quota geometry are identical.
+/// partition. Splits the budget as `NocapJoin::run_with_plan` does — two
+/// streaming pages, the plan's fixed pages, the rest for the residual
+/// partitions — so the residual budget and the quota geometry are
+/// identical.
 fn legacy_nocap_run(
     spec: &JoinSpec,
     config: &NocapConfig,
@@ -66,12 +66,7 @@ fn legacy_nocap_run(
         &config.planner,
     );
     let device = r.device().clone();
-    let pool = BufferPool::new(spec.buffer_pages);
-    let _io_pages = pool.reserve(2).unwrap();
-    let _fixed = pool
-        .reserve(plan.fixed_memory_pages(spec).min(pool.available()))
-        .unwrap();
-    let rest_budget = pool.available();
+    let rest_budget = (spec.buffer_pages - 2).saturating_sub(plan.fixed_memory_pages(spec));
     let base_stats = device.stats();
 
     // Routing straight from the plan's key lists, not from the route map
