@@ -5,7 +5,7 @@
 //! Prints, per correlation, a down-sampled table of
 //! `(ct_sorted_index, ct_value, ghj_passes, optimal_passes)`.
 
-use nocap::{partition_dp, DpOptions};
+use nocap::partition_dp;
 use nocap_bench::harness::Flags;
 use nocap_model::{JoinSpec, Partitioning};
 use nocap_workload::{synthetic, Correlation, SyntheticConfig};
@@ -29,7 +29,7 @@ fn main() {
         let ghj_passes = ghj.passes_per_record(c_r);
 
         // Optimal: the OCAP DP without caching (the Figure 4 setting).
-        let dp = partition_dp(&ct, m, c_r, &DpOptions::default());
+        let dp = partition_dp(&ct, m, c_r);
         let optimal = Partitioning::from_boundaries(&dp.boundaries, ct.len());
         let opt_passes = optimal.passes_per_record(c_r);
 

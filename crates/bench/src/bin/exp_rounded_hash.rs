@@ -33,7 +33,6 @@ fn main() {
         let plain_cfg = NocapConfig {
             planner: PlannerConfig {
                 rh_params: RoundedHashParams { beta: 1e-9 },
-                ..PlannerConfig::default()
             },
         };
         device.reset_stats();

@@ -33,13 +33,11 @@ use nocap_stats::{StatsCollector, StatsConfig, StatsSummary};
 use nocap_storage::SimDevice;
 use nocap_workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
-/// Collects over the generator's key stream with sketches sized for
-/// `pages` pages of the operator's page size.
+/// Collects over one scan of S with sketches sized for `pages` pages of
+/// the operator's page size.
 fn collect(wl: &GeneratedWorkload, spec: &JoinSpec, pages: usize) -> StatsSummary {
     let mut collector = StatsCollector::new(StatsConfig::for_budget_pages(pages, spec.page_size));
-    collector
-        .consume_keys(wl.stream_keys())
-        .expect("stats scan");
+    collector.consume(wl.s.scan()).expect("stats scan");
     collector.finish()
 }
 

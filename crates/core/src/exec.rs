@@ -170,7 +170,7 @@ impl NocapJoin {
         let fixed_pages = plan.fixed_memory_pages(&self.spec);
         let geometry = RestGeometry::new(
             &self.spec,
-            staging_budget(&self.spec, fixed_pages)?,
+            staging_budget(&self.spec, fixed_pages, plan.estimated_rest_keys)?,
             plan.estimated_rest_keys,
             self.config.planner.rh_params,
         );
@@ -241,7 +241,7 @@ impl RestGeometry {
         let caps = staging_quotas(
             estimated_keys,
             spec,
-            budget_pages.max(1),
+            budget_pages,
             StagingRouter::RoundedHash(&rh_params),
         )
         .caps();
@@ -260,7 +260,7 @@ pub(crate) mod tests {
     use super::*;
     use nocap_par::ParallelStager;
     use nocap_stats::StatsCollector;
-    use nocap_storage::{IoStats, Record, SimDevice};
+    use nocap_storage::{IoStats, RecordRef, SimDevice, StorageError};
     use std::collections::HashMap;
 
     /// Builds R with keys `0..n_r` and S where key `k` appears `ct(k)` times.
@@ -270,12 +270,12 @@ pub(crate) mod tests {
         n_r: u64,
         counts: impl Fn(u64) -> u64,
     ) -> (Relation, Relation, Vec<(u64, u64)>) {
-        let payload = spec.r_layout.payload_bytes();
+        let r_payload = vec![1; spec.r_layout.payload_bytes()];
         let r = Relation::bulk_load(
             device.clone(),
             spec.r_layout,
             spec.page_size,
-            (0..n_r).map(|k| Record::with_fill(k, payload, 1)),
+            (0..n_r).map(|k| RecordRef::new(k, &r_payload)),
         )
         .unwrap();
         // Interleave S keys so hot keys are not clustered.
@@ -288,11 +288,12 @@ pub(crate) mod tests {
         // Deterministic shuffle.
         let salt = s_keys.len() as u64;
         s_keys.sort_by_key(|&k| crate::rounded_hash::mix_key(k.wrapping_add(salt)));
+        let s_payload = vec![2; spec.s_layout.payload_bytes()];
         let s = Relation::bulk_load(
             device.clone(),
             spec.s_layout,
             spec.page_size,
-            s_keys.iter().map(|&k| Record::with_fill(k, payload, 2)),
+            s_keys.iter().map(|&k| RecordRef::new(k, &s_payload)),
         )
         .unwrap();
         let mut mcv: Vec<(u64, u64)> = (0..n_r).map(|k| (k, counts(k))).collect();
@@ -324,9 +325,9 @@ pub(crate) mod tests {
             ParallelStager::new(device.clone(), spec.r_layout, spec, geometry.caps.clone());
         let mut stage = stager.worker_stage();
         for k in 0..keys {
-            let rec = Record::with_fill(k, 120, 0);
+            let rec = RecordRef::new(k, &[0; 120]);
             stager
-                .insert(&mut stage, geometry.rh.partition_of(k), rec.as_record_ref())
+                .insert(&mut stage, geometry.rh.partition_of(k), rec)
                 .unwrap();
             assert!(
                 stager.pages_in_use() <= budget_pages,
@@ -374,47 +375,71 @@ pub(crate) mod tests {
         // partitions are resident and fill their quotas. The budget is split
         // as the executor splits it; at one worker the staged footprint is
         // exact, so what the run holds is the two streaming pages, the
-        // plan's fixed pages and `pages_in_use`.
-        let spec = JoinSpec::paper_synthetic(128, 96);
+        // plan's fixed pages and `pages_in_use`. The same plan also runs
+        // at the B that leaves it one staging page, which stages every
+        // residual record, and at the B its fixed pages fill, which
+        // `staging_budget` refuses.
+        let plan_spec = JoinSpec::paper_synthetic(128, 96);
         let mcvs: Vec<(u64, u64)> = (0..300).map(|k| (k, 8)).collect();
-        let plan = plan_nocap(&mcvs, 6_000, 48_000, &spec, &PlannerConfig::default());
-        let fixed_pages = plan.fixed_memory_pages(&spec);
-        let geometry = RestGeometry::new(
-            &spec,
-            staging_budget(&spec, fixed_pages).unwrap(),
-            plan.estimated_rest_keys,
-            RoundedHashParams::default(),
-        );
-        assert_eq!(
-            geometry.caps.iter().sum::<usize>(),
-            spec.buffer_pages - 2 - fixed_pages,
-            "the quotas are all that is left"
-        );
+        let plan = plan_nocap(&mcvs, 6_000, 48_000, &plan_spec, &PlannerConfig::default());
+        let fixed_pages = plan.fixed_memory_pages(&plan_spec);
         let fixed = 2 + fixed_pages;
-
-        let device = SimDevice::new_ref();
-        let stager =
-            ParallelStager::new(device.clone(), spec.r_layout, spec, geometry.caps.clone());
-        let mut stage = stager.worker_stage();
-        let routes = plan.route_map();
-        for k in (0..6_000u64).filter(|k| !routes.contains_key(k)) {
-            let rec = Record::with_fill(k, 120, 0);
-            stager
-                .insert(&mut stage, geometry.rh.partition_of(k), rec.as_record_ref())
-                .unwrap();
-            assert!(
-                fixed + stager.pages_in_use() <= spec.buffer_pages,
-                "{fixed} fixed pages + {} staged exceed B",
-                stager.pages_in_use()
+        assert!(plan.estimated_rest_keys > 0);
+        for staging in [plan_spec.buffer_pages - fixed, 1, 0] {
+            let spec = JoinSpec {
+                buffer_pages: fixed + staging,
+                ..plan_spec
+            };
+            let budget = staging_budget(&spec, fixed_pages, plan.estimated_rest_keys);
+            if staging == 0 {
+                assert_eq!(
+                    budget,
+                    Err(StorageError::OutOfMemory {
+                        requested: fixed + 1,
+                        available: fixed
+                    })
+                );
+                continue;
+            }
+            let geometry = RestGeometry::new(
+                &spec,
+                budget.unwrap(),
+                plan.estimated_rest_keys,
+                RoundedHashParams::default(),
             );
+            assert_eq!(
+                geometry.caps.iter().sum::<usize>(),
+                staging,
+                "the quotas are all that is left"
+            );
+
+            let device = SimDevice::new_ref();
+            let stager =
+                ParallelStager::new(device.clone(), spec.r_layout, spec, geometry.caps.clone());
+            let mut stage = stager.worker_stage();
+            let routes = plan.route_map();
+            for k in (0..6_000u64).filter(|k| !routes.contains_key(k)) {
+                let rec = RecordRef::new(k, &[0; 120]);
+                stager
+                    .insert(&mut stage, geometry.rh.partition_of(k), rec)
+                    .unwrap();
+                assert!(
+                    fixed + stager.pages_in_use() <= spec.buffer_pages,
+                    "B = {}: {fixed} fixed pages + {} staged exceed B",
+                    spec.buffer_pages,
+                    stager.pages_in_use()
+                );
+            }
+            let build = stager.finish(vec![stage]).unwrap();
+            let spilled = build.pob.iter().filter(|&&spilled| spilled).count();
+            if staging > 1 {
+                assert!(
+                    (1..build.pob.len()).contains(&spilled),
+                    "a mid-regime cell: {spilled} of {} partitions spilled",
+                    build.pob.len()
+                );
+            }
         }
-        let build = stager.finish(vec![stage]).unwrap();
-        let spilled = build.pob.iter().filter(|&&spilled| spilled).count();
-        assert!(
-            (1..build.pob.len()).contains(&spilled),
-            "a mid-regime cell: {spilled} of {} partitions spilled",
-            build.pob.len()
-        );
     }
 
     #[test]
@@ -497,16 +522,19 @@ pub(crate) mod tests {
         let spec = JoinSpec::paper_synthetic(128, 32);
         let counts = |k: u64| (crate::rounded_hash::mix_key(k) % 7).max(1);
         let (r, s, mcvs) = build_workload(device.clone(), &spec, 1_500, counts);
-        let mut reference: HashMap<u64, u64> = HashMap::new();
-        for rec in r.read_all().unwrap() {
-            *reference.entry(rec.key()).or_insert(0) += 0;
-        }
-        let mut expected = 0u64;
-        for rec in s.read_all().unwrap() {
-            if reference.contains_key(&rec.key()) {
-                expected += 1;
+        let keys = |rel: &Relation| {
+            let mut scan = rel.scan();
+            let mut keys = Vec::new();
+            while let Some(page) = scan.next_page().unwrap() {
+                keys.extend(page.record_refs().map(|rec| rec.key()));
             }
+            keys
+        };
+        let mut reference: HashMap<u64, u64> = HashMap::new();
+        for key in keys(&r) {
+            *reference.entry(key).or_insert(0) += 1;
         }
+        let expected: u64 = keys(&s).iter().filter_map(|k| reference.get(k)).sum();
         device.reset_stats();
         let join = NocapJoin::new(spec, NocapConfig::default());
         let report = join.run(&r, &s, &mcvs).unwrap();

@@ -31,7 +31,7 @@
 //! ```
 //! use nocap::{NocapConfig, NocapJoin};
 //! use nocap_model::{CorrelationTable, JoinSpec};
-//! use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
+//! use nocap_storage::{RecordLayout, RecordRef, Relation, SimDevice};
 //!
 //! // A tiny skewed workload: key 0 matches 50 S records, the others 1 each.
 //! let device = SimDevice::new_ref();
@@ -40,7 +40,7 @@
 //!     device.clone(),
 //!     RecordLayout::new(56),
 //!     spec.page_size,
-//!     (0..100u64).map(|k| Record::with_fill(k, 56, 1)),
+//!     (0..100u64).map(|k| RecordRef::new(k, &[1; 56])),
 //! )
 //! .unwrap();
 //! let s_keys = (0..100u64).flat_map(|k| {
@@ -50,7 +50,7 @@
 //!     device.clone(),
 //!     RecordLayout::new(56),
 //!     spec.page_size,
-//!     s_keys.map(|k| Record::with_fill(k, 56, 2)),
+//!     s_keys.map(|k| RecordRef::new(k, &[2; 56])),
 //! )
 //! .unwrap();
 //!
@@ -76,7 +76,7 @@ pub mod planner;
 pub mod rounded_hash;
 
 pub use exec::{NocapConfig, NocapJoin, RestGeometry};
-pub use ocap::dp::{partition_dp, partition_dp_range, DpOptions, DpSolution};
+pub use ocap::dp::{partition_dp, partition_dp_range, DpSolution};
 pub use ocap::{ocap, OcapConfig, OcapSolution};
 pub use plan::NocapPlan;
 pub use planner::{plan_nocap, PlannerConfig};

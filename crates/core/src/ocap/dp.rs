@@ -13,47 +13,36 @@
 //! * **divisible** — all partitions except the first have sizes divisible by
 //!   `c_R`, so candidate cut points can be restricted to
 //!   `{n mod c_R, n mod c_R + c_R, …, n}`
-//!   ([`DpOptions::divisible_compression`]), shrinking the state space from
+//!   (divisible compression), shrinking the state space from
 //!   `n` to `⌈n/c_R⌉` positions;
 //! * **weakly ordered** — partition chunk-counts never increase along the
 //!   sorted CT, which bounds how far back the previous cut can lie
-//!   ([`DpOptions::weakly_ordered_pruning`]).
+//!   (weakly-ordered pruning).
 //!
-//! The exact (uncompressed, unpruned) DP is kept available for the tests,
-//! which cross-check it against a brute-force search over *all*
-//! partitionings on tiny inputs — this is the empirical verification of
-//! Theorem 3.1 in this reproduction.
+//! [`partition_dp`] and [`partition_dp_range`] always apply both. The exact
+//! (uncompressed, unpruned) DP stays private, for the tests, which
+//! cross-check it against a brute-force search over *all* partitionings on
+//! tiny inputs — this is the empirical verification of Theorem 3.1 in this
+//! reproduction — and check that the speedups keep its optimum.
 
 use nocap_model::{cal_cost, CorrelationTable};
 
-/// Knobs controlling which of §3.1.3's speedups are applied.
+/// Which of §3.1.3's speedups a solve applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DpOptions {
+struct Speedups {
     /// Restrict cut points to multiples of `c_R` (plus the ragged first
     /// partition), per the divisible property.
-    pub divisible_compression: bool,
+    divisible_compression: bool,
     /// Bound the inner search using the weakly-ordered property.
-    pub weakly_ordered_pruning: bool,
+    weakly_ordered_pruning: bool,
 }
 
-impl Default for DpOptions {
-    fn default() -> Self {
-        DpOptions {
-            divisible_compression: true,
-            weakly_ordered_pruning: true,
-        }
-    }
-}
-
-impl DpOptions {
-    /// The exact dynamic program: every record index is a candidate cut and
-    /// no pruning is applied. Quadratic in `n` — use only on small inputs.
-    pub fn exact() -> Self {
-        DpOptions {
-            divisible_compression: false,
-            weakly_ordered_pruning: false,
-        }
-    }
+impl Speedups {
+    /// Both speedups: what every caller outside the tests runs.
+    const ALL: Speedups = Speedups {
+        divisible_compression: true,
+        weakly_ordered_pruning: true,
+    };
 }
 
 /// Result of the dynamic program.
@@ -88,13 +77,8 @@ const INF: u128 = u128::MAX;
 ///
 /// Returns the cheapest solution over every partition count `1..=m_max`.
 /// An empty `ct` yields [`DpSolution::empty`].
-pub fn partition_dp(
-    ct: &CorrelationTable,
-    m_max: usize,
-    c_r: usize,
-    options: &DpOptions,
-) -> DpSolution {
-    partition_dp_range(ct, 0, ct.len(), m_max, c_r, options)
+pub fn partition_dp(ct: &CorrelationTable, m_max: usize, c_r: usize) -> DpSolution {
+    partition_dp_range(ct, 0, ct.len(), m_max, c_r)
 }
 
 /// [`partition_dp`] over the entries `[start, end)` of `ct` only, as if they
@@ -109,7 +93,18 @@ pub fn partition_dp_range(
     end: usize,
     m_max: usize,
     c_r: usize,
-    options: &DpOptions,
+) -> DpSolution {
+    solve(ct, start, end, m_max, c_r, Speedups::ALL)
+}
+
+/// [`partition_dp_range`] with the speedups `options` applies.
+fn solve(
+    ct: &CorrelationTable,
+    start: usize,
+    end: usize,
+    m_max: usize,
+    c_r: usize,
+    options: Speedups,
 ) -> DpSolution {
     debug_assert!(start <= end && end <= ct.len());
     let n = end - start;
@@ -262,6 +257,21 @@ mod tests {
     use crate::ocap::brute::brute_force_optimal;
     use nocap_model::Partitioning;
 
+    /// The exact dynamic program: every record index is a candidate cut
+    /// and no pruning is applied. Quadratic in `n`.
+    const EXACT: Speedups = Speedups {
+        divisible_compression: false,
+        weakly_ordered_pruning: false,
+    };
+    const PRUNED_ONLY: Speedups = Speedups {
+        divisible_compression: false,
+        weakly_ordered_pruning: true,
+    };
+
+    fn exact_dp(table: &CorrelationTable, m_max: usize, c_r: usize) -> DpSolution {
+        solve(table, 0, table.len(), m_max, c_r, EXACT)
+    }
+
     fn ct(counts: Vec<u64>) -> CorrelationTable {
         CorrelationTable::from_counts(counts)
     }
@@ -269,19 +279,16 @@ mod tests {
     #[test]
     fn empty_and_degenerate_inputs() {
         let empty = ct(vec![]);
-        assert_eq!(
-            partition_dp(&empty, 4, 3, &DpOptions::default()),
-            DpSolution::empty()
-        );
+        assert_eq!(partition_dp(&empty, 4, 3), DpSolution::empty());
         let one = ct(vec![7]);
-        let sol = partition_dp(&one, 0, 3, &DpOptions::default());
+        let sol = partition_dp(&one, 0, 3);
         assert_eq!(sol, DpSolution::empty());
     }
 
     #[test]
     fn single_partition_cost_is_cal_cost() {
         let table = ct(vec![1, 2, 3, 4, 5]);
-        let sol = partition_dp(&table, 1, 2, &DpOptions::exact());
+        let sol = exact_dp(&table, 1, 2);
         assert_eq!(sol.boundaries, vec![5]);
         assert_eq!(sol.cost, cal_cost(&table, 0, 5, 2));
     }
@@ -297,7 +304,7 @@ mod tests {
         ];
         for (counts, m, c_r) in cases {
             let table = ct(counts.clone());
-            let dp = partition_dp(&table, m, c_r, &DpOptions::exact());
+            let dp = exact_dp(&table, m, c_r);
             let brute = brute_force_optimal(&table, m, c_r);
             assert_eq!(
                 dp.cost, brute,
@@ -320,23 +327,15 @@ mod tests {
         for &(n, m, c_r) in &[(40usize, 5usize, 4usize), (60, 6, 6), (30, 8, 3)] {
             let counts: Vec<u64> = (0..n).map(|_| next()).collect();
             let table = ct(counts);
-            let exact = partition_dp(&table, m, c_r, &DpOptions::exact());
-            let pruned = partition_dp(
-                &table,
-                m,
-                c_r,
-                &DpOptions {
-                    divisible_compression: false,
-                    weakly_ordered_pruning: true,
-                },
-            );
+            let exact = exact_dp(&table, m, c_r);
+            let pruned = solve(&table, 0, n, m, c_r, PRUNED_ONLY);
             assert_eq!(
                 exact.cost, pruned.cost,
                 "weakly-ordered pruning changed the optimum"
             );
             // Divisible compression restricts the search space per Theorem
             // 3.1; by the theorem its optimum is the same.
-            let compressed = partition_dp(&table, m, c_r, &DpOptions::default());
+            let compressed = partition_dp(&table, m, c_r);
             assert_eq!(
                 exact.cost, compressed.cost,
                 "divisible compression changed the optimum (n={n}, m={m}, c_R={c_r})"
@@ -350,17 +349,13 @@ mod tests {
         // as if it had been copied out into a table of its own — costs and
         // boundaries, with and without the §3.1.3 speedups.
         let table = ct((1..=120u64).map(|i| 2_000 / (121 - i)).collect());
-        let pruned_only = DpOptions {
-            divisible_compression: false,
-            weakly_ordered_pruning: true,
-        };
-        for options in [DpOptions::default(), pruned_only, DpOptions::exact()] {
+        for options in [Speedups::ALL, PRUNED_ONLY, EXACT] {
             for (start, end) in [(0, 120), (0, 37), (37, 120), (50, 51), (13, 97), (60, 60)] {
                 let copied = table.slice(start, end);
                 for (m_max, c_r) in [(1, 7), (3, 7), (4, 10), (12, 10), (5, 200)] {
                     assert_eq!(
-                        partition_dp_range(&table, start, end, m_max, c_r, &options),
-                        partition_dp(&copied, m_max, c_r, &options),
+                        solve(&table, start, end, m_max, c_r, options),
+                        solve(&copied, 0, copied.len(), m_max, c_r, options),
                         "[{start}, {end}) m_max={m_max} c_R={c_r} {options:?}"
                     );
                 }
@@ -376,7 +371,7 @@ mod tests {
         }
         let table = ct(counts);
         let c_r = 16;
-        let sol = partition_dp(&table, 8, c_r, &DpOptions::default());
+        let sol = partition_dp(&table, 8, c_r);
         // Rebuild a Partitioning from the boundaries and check the canonical
         // properties from Theorem 3.1.
         let p = Partitioning::from_boundaries(&sol.boundaries, table.len());
@@ -396,7 +391,7 @@ mod tests {
         counts.extend(vec![1000u64; 10]);
         let table = ct(counts);
         let c_r = 10;
-        let sol = partition_dp(&table, 10, c_r, &DpOptions::default());
+        let sol = partition_dp(&table, 10, c_r);
         let p = Partitioning::from_boundaries(&sol.boundaries, table.len());
         let sizes = p.partition_sizes();
         let sums = p.partition_match_sums(&table);
@@ -423,7 +418,7 @@ mod tests {
         let c_r = 25;
         let mut prev = u128::MAX;
         for m in 1..=8 {
-            let sol = partition_dp(&table, m, c_r, &DpOptions::default());
+            let sol = partition_dp(&table, m, c_r);
             assert!(
                 sol.cost <= prev,
                 "allowing more partitions must not increase cost"
@@ -438,7 +433,7 @@ mod tests {
         // chunk-aligned split.
         let table = ct(vec![4u64; 120]);
         let c_r = 30;
-        let sol = partition_dp(&table, 4, c_r, &DpOptions::default());
+        let sol = partition_dp(&table, 4, c_r);
         assert_eq!(sol.num_partitions(), 4);
         // 4 partitions of exactly one chunk each → every S record scanned once.
         assert_eq!(sol.cost, table.total_matches() as u128);

@@ -17,7 +17,7 @@ pub mod dp;
 
 use nocap_model::{CorrelationTable, JoinSpec};
 
-use dp::{partition_dp_range, DpOptions};
+use dp::partition_dp_range;
 
 /// Configuration of the OCAP sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,8 +26,6 @@ pub struct OcapConfig {
     /// `0` selects an automatic stride of about `c_R / 64` (the sweep is an
     /// offline analysis; finer strides only sharpen the curve marginally).
     pub cache_stride: usize,
-    /// Dynamic-program options (pruning / compression).
-    pub dp: DpOptions,
 }
 
 /// The optimal hybrid partitioning found by OCAP.
@@ -106,7 +104,7 @@ pub fn ocap(ct: &CorrelationTable, spec: &JoinSpec, config: &OcapConfig) -> Ocap
             continue;
         }
         let rest_records = rest_end - zero_records;
-        let solution = partition_dp_range(ct, zero_records, rest_end, m_max, c_r, &config.dp);
+        let solution = partition_dp_range(ct, zero_records, rest_end, m_max, c_r);
 
         let spilled_r_pages = (rest_records as f64 / b_r).ceil();
         let spilled_s_pages = (ct.range_sum(zero_records, rest_end) as f64 / b_s).ceil();
@@ -173,14 +171,7 @@ mod tests {
         let ct = uniform_ct(1_000, 4);
         // Budget large enough that c_R > n: every record can be cached.
         let s = spec(4_096);
-        let sol = ocap(
-            &ct,
-            &s,
-            &OcapConfig {
-                cache_stride: 1,
-                dp: DpOptions::default(),
-            },
-        );
+        let sol = ocap(&ct, &s, &OcapConfig { cache_stride: 1 });
         assert_eq!(sol.cached_records, 1_000);
         assert!(
             sol.extra_io_pages < 1.0,

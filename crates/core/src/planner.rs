@@ -33,7 +33,7 @@
 //!
 //! **Coarse to fine.** The paper sweeps every value of `|K_mem|` and
 //! `|K_disk|`. Here a coarse pass costs an evenly spaced
-//! [`grid_points`](PlannerConfig::grid_points)² grid over the whole space,
+//! 48 × 48 grid over the whole space,
 //! and a fine pass then searches within one coarse step of its best
 //! candidate down to unit resolution. The optimum is typically a knife edge
 //! — the last key cached before the residual partitions outgrow one chunk
@@ -47,35 +47,24 @@
 
 use nocap_model::{g_dhh, CorrelationTable, JoinSpec, RoundedHashParams};
 
-use crate::ocap::dp::{partition_dp_range, DpOptions};
+use crate::ocap::dp::partition_dp_range;
 use crate::plan::NocapPlan;
 
 /// Planner configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlannerConfig {
-    /// Resolution of the coarse pass: the number of evenly spaced values it
-    /// tries for the count of selected MCVs and, for each, for `|K_mem|`
-    /// (endpoints are always included). The fine pass refines the best of
-    /// them to unit resolution whatever this is; a larger value only makes
-    /// it less likely that the coarse pass settles in the wrong basin, at a
-    /// quadratically higher planning time.
-    pub grid_points: usize,
     /// Rounded-hash parameters used when estimating the residual cost and
     /// later by the executor.
     pub rh_params: RoundedHashParams,
-    /// Dynamic-program options for the designated-key partitioning.
-    pub dp: DpOptions,
 }
 
-impl Default for PlannerConfig {
-    fn default() -> Self {
-        PlannerConfig {
-            grid_points: 48,
-            rh_params: RoundedHashParams::default(),
-            dp: DpOptions::default(),
-        }
-    }
-}
+/// Resolution of the coarse pass: the number of evenly spaced values it
+/// tries for the count of selected MCVs and, for each, for `|K_mem|`
+/// (endpoints are always included). The fine pass refines the best of them
+/// to unit resolution whatever this is; a larger value only makes it less
+/// likely that the coarse pass settles in the wrong basin, at a
+/// quadratically higher planning time.
+const GRID_POINTS: usize = 48;
 
 /// Upper bound on the rounds of the fine pass.
 const FINE_ROUNDS: usize = 4;
@@ -232,8 +221,7 @@ impl Search<'_> {
                 // Cost of the designated partitions: DP over the i2 selected
                 // counts (a sub-range of the ascending table) into j
                 // partitions.
-                dp_cost = partition_dp_range(&self.ct, start, end, j, self.c_r, &self.config.dp)
-                    .cost as f64;
+                dp_cost = partition_dp_range(&self.ct, start, end, j, self.c_r).cost as f64;
             }
             let cost = cost_with(dp_cost);
             if self.best.is_none_or(|b| cost < b.cost) {
@@ -254,6 +242,18 @@ pub fn plan_nocap(
     n_s: u64,
     spec: &JoinSpec,
     config: &PlannerConfig,
+) -> NocapPlan {
+    plan_on_grid(mcvs, n_r, n_s, spec, config, GRID_POINTS)
+}
+
+/// [`plan_nocap`] with a coarse pass of `grid_points` values per axis.
+fn plan_on_grid(
+    mcvs: &[(u64, u64)],
+    n_r: usize,
+    n_s: u64,
+    spec: &JoinSpec,
+    config: &PlannerConfig,
+    grid_points: usize,
 ) -> NocapPlan {
     let mut ranked: Vec<(u64, u64)> = mcvs.to_vec();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -281,8 +281,8 @@ pub fn plan_nocap(
 
     // Coarse pass: an evenly spaced grid over the whole space — the number
     // `t` of MCVs taken out of the residual, and how many of them are cached.
-    for &t in &grid(k, config.grid_points) {
-        for &i1 in &grid(t.min(max_mem), config.grid_points) {
+    for &t in &grid(k, grid_points) {
+        for &i1 in &grid(t.min(max_mem), grid_points) {
             search.consider(i1, t - i1);
         }
     }
@@ -292,7 +292,7 @@ pub fn plan_nocap(
     // around the incumbent (clamped to the line's ends, where the corner
     // plans sit) at a stride that shrinks `ZOOM`-fold down to unit
     // resolution; the lines repeat until none improves the incumbent.
-    let step = |max: usize| max.div_ceil(config.grid_points.max(2) - 1).max(1);
+    let step = |max: usize| max.div_ceil(grid_points.max(2) - 1).max(1);
     for _ in 0..FINE_ROUNDS {
         let before = search.best;
         for line in [Line::Swap, Line::Mem, Line::Disk] {
@@ -353,8 +353,7 @@ pub fn plan_nocap(
     if i2 > 0 {
         let ascending_keys: Vec<u64> = ranked[i1..i1 + i2].iter().rev().map(|&(k, _)| k).collect();
         let boundaries =
-            partition_dp_range(&search.ct, k - i1 - i2, k - i1, j, search.c_r, &config.dp)
-                .boundaries;
+            partition_dp_range(&search.ct, k - i1 - i2, k - i1, j, search.c_r).boundaries;
         let mut start = 0usize;
         for end in boundaries {
             disk_partitions.push(ascending_keys[start..end].to_vec());
@@ -566,13 +565,10 @@ mod tests {
         // its estimated cost across the regimes — in particular on the
         // knife edges the coarse grid alone steps over.
         let mcvs = zipf_mcvs(400, 8_000, 64_000);
-        let exhaustive = PlannerConfig {
-            grid_points: 1_000,
-            ..PlannerConfig::default()
-        };
+        let config = PlannerConfig::default();
         for budget in [8usize, 12, 17, 24, 34, 48, 68, 96, 200] {
             let s = spec(budget);
-            let best = plan_nocap(&mcvs, 8_000, 64_000, &s, &exhaustive);
+            let best = plan_on_grid(&mcvs, 8_000, 64_000, &s, &config, 1_000);
             let plan = plan_nocap(&mcvs, 8_000, 64_000, &s, &PlannerConfig::default());
             assert!(plan.fits_budget(&s) && best.fits_budget(&s));
             assert!(

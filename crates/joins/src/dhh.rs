@@ -193,10 +193,11 @@ impl DhhJoin {
         let spec = &self.spec;
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
         let fixed_pages = spec.hash_table_pages(skew_keys.len());
+        let staged = r.num_records().saturating_sub(skew_keys.len());
         let quotas = staging_quotas(
-            r.num_records().saturating_sub(skew_keys.len()),
+            staged,
             spec,
-            staging_budget(spec, fixed_pages)?,
+            staging_budget(spec, fixed_pages, staged)?,
             StagingRouter::PlainHash {
                 parts: spec.m_dhh(r.num_records()),
             },
@@ -255,7 +256,7 @@ mod tests {
     use crate::naive::naive_join_count;
     use crate::testutil::{build_workload, mcvs};
     use nocap_par::ParallelStager;
-    use nocap_storage::{IoStats, Record, SimDevice};
+    use nocap_storage::{IoStats, RecordRef, SimDevice};
 
     /// Plain DHH without any skew optimization: no memory for skew keys.
     const NO_SKEW: DhhConfig = DhhConfig {
@@ -397,9 +398,9 @@ mod tests {
             let stager = ParallelStager::new(device.clone(), spec.r_layout, spec, caps.caps());
             let mut stage = stager.worker_stage();
             for &k in keys {
-                let rec = Record::with_fill(k, 120, 0);
+                let rec = RecordRef::new(k, &[0; 120]);
                 let p = (hash_key(k) % parts as u64) as usize;
-                stager.insert(&mut stage, p, rec.as_record_ref()).unwrap();
+                stager.insert(&mut stage, p, rec).unwrap();
                 assert!(
                     stager.pages_in_use() <= budget,
                     "staged pages + spill buffers exceeded the budget"

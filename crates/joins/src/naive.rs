@@ -1,7 +1,7 @@
 //! In-memory reference join used as the correctness oracle in tests.
 //!
-//! Reads both relations fully into memory and counts matching pairs with a
-//! hash map. It ignores the memory budget entirely and is therefore *not* a
+//! Counts R's keys into a hash map page by page, then streams S's pages
+//! past it. It ignores the memory budget entirely and is therefore *not* a
 //! storage-based join — it exists so every other executor can be checked
 //! against an implementation whose correctness is obvious.
 
@@ -12,13 +12,17 @@ use nocap_storage::Relation;
 /// Number of output tuples of `r ⋈ s` on the join key.
 pub fn naive_join_count(r: &Relation, s: &Relation) -> nocap_storage::Result<u64> {
     let mut r_counts: HashMap<u64, u64> = HashMap::new();
-    for rec in r.scan() {
-        *r_counts.entry(rec?.key()).or_insert(0) += 1;
+    let mut scan = r.scan();
+    while let Some(page) = scan.next_page()? {
+        for rec in page.record_refs() {
+            *r_counts.entry(rec.key()).or_insert(0) += 1;
+        }
     }
     let mut output = 0u64;
-    for rec in s.scan() {
-        if let Some(&c) = r_counts.get(&rec?.key()) {
-            output += c;
+    let mut scan = s.scan();
+    while let Some(page) = scan.next_page()? {
+        for rec in page.record_refs() {
+            output += r_counts.get(&rec.key()).copied().unwrap_or(0);
         }
     }
     Ok(output)
@@ -27,7 +31,7 @@ pub fn naive_join_count(r: &Relation, s: &Relation) -> nocap_storage::Result<u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
+    use nocap_storage::{RecordLayout, RecordRef, Relation, SimDevice};
 
     fn relation(keys: &[u64]) -> Relation {
         let dev = SimDevice::new_ref();
@@ -35,7 +39,7 @@ mod tests {
             dev,
             RecordLayout::new(8),
             4096,
-            keys.iter().map(|&k| Record::with_fill(k, 8, 0)),
+            keys.iter().map(|&k| RecordRef::new(k, &[0; 8])),
         )
         .unwrap()
     }

@@ -64,7 +64,7 @@ impl NestedBlockJoin {
         let _io_trace = obs.attach_io(&device);
         // The streaming input page and the output page; the chunk table
         // takes the rest of the budget.
-        staging_budget(&self.spec, 0)?;
+        staging_budget(&self.spec, 0, 0)?;
 
         let timer = obs.run_timer();
         let base = device.stats();

@@ -337,7 +337,7 @@ mod tests {
     use crate::testutil::build_workload;
     use nocap_storage::device::DeviceRef;
     use nocap_storage::hash::mix64;
-    use nocap_storage::{Record, SimDevice};
+    use nocap_storage::{RecordRef, SimDevice};
     use std::sync::Arc;
 
     #[test]
@@ -473,10 +473,10 @@ mod tests {
                 .map(|(i, key)| (mix64(i as u64), key))
                 .collect();
             shuffled.sort_unstable();
-            let payload = spec.r_layout.payload_bytes();
+            let payload = vec![1; spec.r_layout.payload_bytes()];
             let records = shuffled
                 .into_iter()
-                .map(|(_, key)| Record::with_fill(key, payload, 1));
+                .map(|(_, key)| RecordRef::new(key, &payload));
             Relation::bulk_load(dev.clone(), spec.r_layout, spec.page_size, records).unwrap()
         };
         let r = load(

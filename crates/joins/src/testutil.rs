@@ -15,7 +15,7 @@
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_storage::device::DeviceRef;
 use nocap_storage::hash::mix64;
-use nocap_storage::{Record, Relation};
+use nocap_storage::{RecordRef, Relation};
 
 /// Asserts that an executor at every thread count in `threads` reproduces
 /// its sequential entry point (the same body at one worker) **exactly** —
@@ -60,12 +60,12 @@ pub fn build_workload(
     n_r: u64,
     counts: impl Fn(u64) -> u64,
 ) -> (Relation, Relation) {
-    let payload = spec.r_layout.payload_bytes();
+    let r_payload = vec![1; spec.r_layout.payload_bytes()];
     let r = Relation::bulk_load(
         device.clone(),
         spec.r_layout,
         spec.page_size,
-        (0..n_r).map(|k| Record::with_fill(k, payload, 1)),
+        (0..n_r).map(|k| RecordRef::new(k, &r_payload)),
     )
     .unwrap();
     let mut s_keys: Vec<u64> = Vec::new();
@@ -75,13 +75,14 @@ pub fn build_workload(
         }
     }
     s_keys.sort_by_key(|&tagged| mix64(tagged));
+    let s_payload = vec![2; spec.s_layout.payload_bytes()];
     let s = Relation::bulk_load(
         device,
         spec.s_layout,
         spec.page_size,
         s_keys
             .iter()
-            .map(|&tagged| Record::with_fill(tagged & 0xFFFF_FFFF, payload, 2)),
+            .map(|&tagged| RecordRef::new(tagged & 0xFFFF_FFFF, &s_payload)),
     )
     .unwrap();
     (r, s)

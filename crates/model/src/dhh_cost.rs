@@ -133,7 +133,8 @@ impl StagingQuotas {
     }
 
     /// Every partition's staging quota in pages, by partition id. The
-    /// quotas sum to the budget and none is below one page.
+    /// quotas sum to the budget and none is below one page, except under a
+    /// budget of 0, whose one partition gets a quota of 0.
     pub fn caps(&self) -> Vec<usize> {
         self.runs()
             .flat_map(|run| std::iter::repeat_n(run.cap, run.partitions))
@@ -163,16 +164,18 @@ impl StagingQuotas {
             let held = records + RESIDENT_SLACK_SIGMAS * records.sqrt();
             spec.hash_table_pages(held.ceil() as usize).max(1)
         });
-        // Every partition needs a page; a resident one `quota − 1` more.
-        let mut spare = budget.saturating_sub(parts);
+        // Every partition needs a page; a resident one `quota − 1` more. A
+        // budget of 0 has no page for its one partition: none is resident.
         let (mut resident, mut reserved) = (0, 0);
-        for ((count, _), quota) in sizes.into_iter().zip(quota) {
-            let affordable = spare.checked_div(quota - 1).map_or(count, |n| n.min(count));
-            resident += affordable;
-            reserved += affordable * quota;
-            spare -= affordable * (quota - 1);
-            if affordable < count {
-                break;
+        if let Some(mut spare) = budget.checked_sub(parts) {
+            for ((count, _), quota) in sizes.into_iter().zip(quota) {
+                let affordable = spare.checked_div(quota - 1).map_or(count, |n| n.min(count));
+                resident += affordable;
+                reserved += affordable * quota;
+                spare -= affordable * (quota - 1);
+                if affordable < count {
+                    break;
+                }
             }
         }
         // What the resident quotas leave is shared evenly by the other
@@ -193,7 +196,7 @@ impl StagingQuotas {
             } else {
                 0
             };
-            (own + shared).max(1)
+            own + shared
         };
         let mut bounds = [0, sizes[0].0, resident, sharers.start + extra, parts];
         bounds.sort_unstable();
@@ -215,8 +218,9 @@ impl StagingQuotas {
 /// `budget` staging pages: how many partitions `router` spreads the keys
 /// over, and each partition's resident-first quota (see the module docs).
 ///
-/// The partition count never exceeds `budget − 1`, so that every partition
-/// can own a page of the budget next to the partitioner's own.
+/// The partition count never exceeds `budget − 1` (or 1, under a budget of
+/// at most two pages), so that every partition can own a page of the
+/// budget next to the partitioner's own.
 pub fn staging_quotas(
     n_keys: usize,
     spec: &JoinSpec,
@@ -365,7 +369,7 @@ mod tests {
         let s = spec(128);
         let rh = RoundedHashParams::default();
         for n_keys in [0usize, 40, 700, 5_000, 90_000] {
-            for budget in [2usize, 9, 64, 300, 1_500] {
+            for budget in [0usize, 1, 2, 9, 64, 300, 1_500] {
                 for router in [
                     StagingRouter::RoundedHash(&rh),
                     StagingRouter::PlainHash { parts: 20 },
@@ -375,9 +379,9 @@ mod tests {
                     let caps = q.caps();
                     let label = format!("{n_keys} keys, {budget} pages, {router:?}");
                     assert_eq!(caps.len(), q.num_partitions(), "{label}");
-                    assert!(caps.len() < budget, "{label}");
+                    assert!(caps.len() < budget.max(2), "{label}");
                     assert_eq!(caps.iter().sum::<usize>(), budget, "{label}");
-                    assert!(caps.iter().all(|&cap| cap >= 1), "{label}");
+                    assert!(caps.iter().all(|&cap| cap >= budget.min(1)), "{label}");
                 }
             }
         }

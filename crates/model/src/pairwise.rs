@@ -211,7 +211,7 @@ pub fn smart_partition_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocap_storage::{IoKind, Record, RecordLayout, RelationWriter, SimDevice};
+    use nocap_storage::{IoKind, RecordLayout, RecordRef, RelationWriter, SimDevice};
 
     fn make_partition(
         device: nocap_storage::device::DeviceRef,
@@ -220,8 +220,9 @@ mod tests {
     ) -> Relation {
         let mut w =
             RelationWriter::new(device, RecordLayout::new(payload), 4096, IoKind::RandWrite);
+        let zeros = vec![0; payload];
         for &k in keys {
-            w.push(&Record::with_fill(k, payload, 0)).unwrap();
+            w.push_ref(RecordRef::new(k, &zeros)).unwrap();
         }
         w.finish().unwrap()
     }

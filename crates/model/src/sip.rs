@@ -33,7 +33,7 @@ impl Default for ProbeBloom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocap_storage::{BloomFilter, JoinHashTable, Record, RecordLayout};
+    use nocap_storage::{BloomFilter, JoinHashTable, RecordLayout, RecordRef};
 
     #[test]
     fn built_filter_has_no_false_negatives_over_the_table() {
@@ -42,7 +42,7 @@ mod tests {
         let mut table = JoinHashTable::new(RecordLayout::new(8), 4096, 1.02);
         let keys: Vec<u64> = (0..3_000u64).map(|k| k * 3).collect();
         for &k in &keys {
-            table.insert(Record::new(k, k.to_le_bytes().to_vec()));
+            table.insert_ref(RecordRef::new(k, &k.to_le_bytes()));
         }
         table.seal();
         let pages = ProbeBloom::default().pages;

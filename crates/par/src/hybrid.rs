@@ -149,18 +149,20 @@ pub struct HybridPlan<F> {
 /// streams the input, one buffers the join output) and `fixed_pages` are
 /// set aside — the budget a plan's [`quotas`](HybridPlan::quotas) are
 /// sized on. Fails with
-/// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) when the spec
-/// cannot hold the streaming pages, before any geometry is derived from a
-/// budget no join can run under.
-pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize) -> Result<usize> {
-    let beside_io = spec
-        .buffer_pages
-        .checked_sub(2)
-        .ok_or(StorageError::OutOfMemory {
-            requested: 2,
-            available: spec.buffer_pages,
-        })?;
-    Ok(beside_io.saturating_sub(fixed_pages))
+/// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) before any
+/// geometry is derived from a budget no join can run under: when the spec
+/// cannot hold the streaming pages, or when no page is left for staging
+/// while the plan stages `staged_records` > 0 R records.
+pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize, staged_records: usize) -> Result<usize> {
+    let out_of_memory = |requested| StorageError::OutOfMemory {
+        requested,
+        available: spec.buffer_pages,
+    };
+    let beside_io = spec.buffer_pages.checked_sub(2).ok_or(out_of_memory(2))?;
+    match beside_io.saturating_sub(fixed_pages) {
+        0 if staged_records > 0 => Err(out_of_memory(2 + fixed_pages + 1)),
+        budget => Ok(budget),
+    }
 }
 
 /// Executes `r ⋈ s` under `plan` on `threads` workers (`0` runs as one, see
@@ -196,7 +198,7 @@ where
     let _io_trace = obs.attach_io(&device);
     // The quotas were sized on the staging budget; this only refuses a
     // budget without room for the two streaming pages, before any I/O.
-    staging_budget(spec, plan.fixed_pages)?;
+    staging_budget(spec, plan.fixed_pages, 0)?;
 
     let timer = obs.run_timer();
     let base_stats = device.stats();
@@ -331,7 +333,7 @@ where
 mod tests {
     use super::*;
     use nocap_storage::hash::mix64;
-    use nocap_storage::{Record, RecordLayout, SimDevice};
+    use nocap_storage::{RecordLayout, RecordRef, SimDevice};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     const N_R: u64 = 2_000;
@@ -341,8 +343,8 @@ mod tests {
     fn relations(spec: &JoinSpec, extra: u64) -> (Relation, Relation) {
         let device = SimDevice::new_ref();
         let load = |layout: RecordLayout, keys: &mut dyn Iterator<Item = u64>| {
-            let payload = layout.payload_bytes();
-            let records = keys.map(|k| Record::with_fill(k, payload, 0));
+            let payload = vec![0; layout.payload_bytes()];
+            let records = keys.map(|k| RecordRef::new(k, &payload));
             Relation::bulk_load(device.clone(), layout, spec.page_size, records).unwrap()
         };
         let r = load(spec.r_layout, &mut (0..N_R));

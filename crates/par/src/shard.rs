@@ -69,7 +69,7 @@ mod tests {
     use super::*;
     use crate::pool::ordered_tasks;
     use nocap_obs::{Obs, Phase};
-    use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
+    use nocap_storage::{RecordLayout, RecordRef, Relation, SimDevice};
 
     fn layout() -> RecordLayout {
         RecordLayout::new(8)
@@ -101,7 +101,7 @@ mod tests {
             SimDevice::new_ref(),
             layout(),
             PAGE_SIZE,
-            (0..(pages * B) as u64).map(|k| Record::with_fill(k, 8, 0)),
+            (0..(pages * B) as u64).map(|k| RecordRef::new(k, &[0; 8])),
         )
         .unwrap()
     }

@@ -212,7 +212,7 @@ mod tests {
     use crate::pool::ordered_tasks;
     use nocap_model::{staging_quotas, StagingRouter};
     use nocap_obs::{Obs, Phase};
-    use nocap_storage::{FaultKind, FaultSpec, Record, SimDevice, TracedDevice};
+    use nocap_storage::{FaultKind, FaultSpec, RecordRef, SimDevice, TracedDevice};
 
     fn spec() -> JoinSpec {
         JoinSpec::paper_synthetic(128, 16)
@@ -242,8 +242,8 @@ mod tests {
                 let lo = (w * shard).min(keys.len());
                 let hi = ((w + 1) * shard).min(keys.len());
                 for &k in &keys[lo..hi] {
-                    let rec = Record::with_fill(k, 120, 0);
-                    stager.insert(stage, (k % parts as u64) as usize, rec.as_record_ref())?;
+                    let rec = RecordRef::new(k, &[0; 120]);
+                    stager.insert(stage, (k % parts as u64) as usize, rec)?;
                     assert!(stager.pages_in_use() < budget + threads, "quota blown");
                 }
                 Ok(())
@@ -398,8 +398,8 @@ mod tests {
             || stager.worker_stage(),
             |stage, w| {
                 for k in 0..2_000u64 {
-                    let rec = Record::with_fill(k * 3 + w as u64, 120, 0);
-                    stager.insert(stage, (k % 4) as usize, rec.as_record_ref())?;
+                    let rec = RecordRef::new(k * 3 + w as u64, &[0; 120]);
+                    stager.insert(stage, (k % 4) as usize, rec)?;
                 }
                 Ok(())
             },

@@ -13,8 +13,8 @@
 //! There is one kind of collector: every component is either an
 //! order-insensitive, exactly mergeable function of the observed key
 //! multiset (stream length, key range, histogram) or carries
-//! merge-preserved error bounds (SpaceSaving), so a relation scan, a
-//! generator's key stream and the shards of
+//! merge-preserved error bounds (SpaceSaving), so a relation scan, keys
+//! fed one at a time to [`StatsCollector::observe`] and the shards of
 //! [`StatsCollector::collect_parallel`] all run the same body.
 //!
 //! The produced [`StatsSummary`] is the planner-facing artifact: top-k
@@ -173,26 +173,6 @@ impl StatsCollector {
             for rec in page.record_refs() {
                 self.observe(rec.key());
             }
-        }
-        Ok(())
-    }
-
-    /// Consumes a fallible key stream (the `stream_keys` hook of
-    /// `nocap-workload` generators produces exactly this shape).
-    ///
-    /// A generator's stream and a page scan of the loaded relation present
-    /// the same key **multiset**, possibly in different orders. In the
-    /// exact regime (distinct keys within `mcv_counters`) the order cannot
-    /// matter — every component is a function of the multiset — so
-    /// `consume_keys` and [`consume`](Self::consume) produce equal
-    /// summaries; only an overflowing SpaceSaving sketch is arrival-order
-    /// sensitive, and its counts keep their error bounds either way.
-    pub fn consume_keys<I>(&mut self, keys: I) -> Result<()>
-    where
-        I: IntoIterator<Item = Result<u64>>,
-    {
-        for key in keys {
-            self.observe(key?);
         }
         Ok(())
     }
@@ -445,7 +425,7 @@ impl StatsSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nocap_storage::{Record, RecordLayout, Relation, SimDevice, StorageError};
+    use nocap_storage::{RecordLayout, RecordRef, Relation, SimDevice, StorageError};
 
     fn skewed_relation(device: nocap_storage::device::DeviceRef, n_keys: u64) -> Relation {
         // Key k appears (n_keys / (k+1)).max(1) times, round-robin order.
@@ -460,7 +440,7 @@ mod tests {
             device,
             RecordLayout::new(24),
             4096,
-            keys.into_iter().map(|k| Record::with_fill(k, 24, 0)),
+            keys.into_iter().map(|k| RecordRef::new(k, &[0; 24])),
         )
         .unwrap()
     }
@@ -579,7 +559,7 @@ mod tests {
             device,
             RecordLayout::new(24),
             4096,
-            keys.into_iter().map(|k| Record::with_fill(k, 24, 0)),
+            keys.into_iter().map(|k| RecordRef::new(k, &[0; 24])),
         )
         .unwrap();
         let mut collector = StatsCollector::new(StatsConfig {
@@ -755,7 +735,7 @@ mod tests {
             device.clone(),
             RecordLayout::new(24),
             4096,
-            std::iter::empty::<Record>(),
+            std::iter::empty(),
         )
         .unwrap();
         let summary = StatsCollector::collect_parallel(StatsConfig::default(), &empty, 4).unwrap();
@@ -767,7 +747,7 @@ mod tests {
             device,
             RecordLayout::new(24),
             4096,
-            (0..10u64).map(|k| Record::with_fill(k, 24, 0)),
+            (0..10u64).map(|k| RecordRef::new(k, &[0; 24])),
         )
         .unwrap();
         assert_eq!(StatsCollector::shard_count(&tiny), 1);
@@ -778,15 +758,17 @@ mod tests {
     }
 
     #[test]
-    fn consume_keys_matches_consume_scan() {
+    fn consume_observes_every_key_in_scan_order() {
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 250);
         let mut by_scan = StatsCollector::new(StatsConfig::default());
         by_scan.consume(rel.scan()).unwrap();
         let mut by_keys = StatsCollector::new(StatsConfig::default());
-        by_keys
-            .consume_keys(rel.scan().map(|r| r.map(|rec| rec.key())))
-            .unwrap();
+        let mut scan = rel.scan();
+        while let Some(page) = scan.next_page().unwrap() {
+            page.record_refs()
+                .for_each(|rec| by_keys.observe(rec.key()));
+        }
         assert_eq!(by_scan.finish(), by_keys.finish());
     }
 

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use nocap_stats::{StatsCollector, StatsConfig};
-//! use nocap_storage::{Record, RecordLayout, Relation, SimDevice};
+//! use nocap_storage::{RecordLayout, RecordRef, Relation, SimDevice};
 //!
 //! // A skewed stream: key 0 appears 500 times, keys 1..100 once each.
 //! let device = SimDevice::new_ref();
@@ -40,7 +40,7 @@
 //!     device,
 //!     RecordLayout::new(24),
 //!     4096,
-//!     keys.map(|k| Record::with_fill(k, 24, 0)),
+//!     keys.map(|k| RecordRef::new(k, &[0; 24])),
 //! )
 //! .unwrap();
 //!

@@ -1022,18 +1022,18 @@ impl BlockDevice for FileDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Record, RecordLayout};
+    use crate::record::{RecordLayout, RecordRef};
 
     fn page_with(keys: &[u64]) -> Page {
         let mut p = Page::empty(256, RecordLayout::new(8));
         for &k in keys {
-            assert!(p.push(&Record::with_fill(k, 8, 0)).unwrap());
+            assert!(p.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
         }
         p
     }
 
     fn keys_of(p: &Page) -> Vec<u64> {
-        p.records().map(|r| r.key()).collect()
+        p.record_refs().map(|r| r.key()).collect()
     }
 
     /// A device holding one flushed file of `pages` single-record pages

@@ -252,12 +252,12 @@ impl BlockDevice for SimDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Record, RecordLayout};
+    use crate::record::{RecordLayout, RecordRef};
 
     fn page_with(keys: &[u64]) -> Page {
         let mut p = Page::empty(256, RecordLayout::new(8));
         for &k in keys {
-            assert!(p.push(&Record::with_fill(k, 8, 0)).unwrap());
+            assert!(p.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
         }
         p
     }
@@ -271,7 +271,7 @@ mod tests {
             .unwrap();
         assert_eq!(idx, 0);
         let p = dev.read_page(f, 0, IoKind::SeqRead).unwrap();
-        let keys: Vec<u64> = p.records().map(|r| r.key()).collect();
+        let keys: Vec<u64> = p.record_refs().map(|r| r.key()).collect();
         assert_eq!(keys, vec![1, 2, 3]);
         assert_eq!(dev.file_pages(f).unwrap(), 1);
     }
@@ -348,10 +348,13 @@ mod tests {
         assert_eq!(dev.stats().total(), 0, "the failed read is not counted");
         // A reader's reference outlives the device's copy; the other pages
         // are untouched, and discarding again changes nothing.
-        assert_eq!(held.records().map(|r| r.key()).collect::<Vec<_>>(), [1]);
+        assert_eq!(held.record_refs().map(|r| r.key()).collect::<Vec<_>>(), [1]);
         for k in [0, 2] {
             let p = dev.read_page(f, k, IoKind::RandRead).unwrap();
-            assert_eq!(p.records().map(|r| r.key()).collect::<Vec<_>>(), [k as u64]);
+            assert_eq!(
+                p.record_refs().map(|r| r.key()).collect::<Vec<_>>(),
+                [k as u64]
+            );
         }
         dev.discard_page(f, 1).unwrap();
         assert_eq!(dev.resident_pages(), 2);
@@ -366,7 +369,7 @@ mod tests {
         // Taking a page reads and discards it in one step; a second take
         // fails uncounted.
         let p = dev.take_page(f, 2, IoKind::RandRead).unwrap();
-        assert_eq!(p.records().map(|r| r.key()).collect::<Vec<_>>(), [2]);
+        assert_eq!(p.record_refs().map(|r| r.key()).collect::<Vec<_>>(), [2]);
         assert_eq!(dev.resident_pages(), 1);
         let reads = dev.stats().rand_reads;
         assert!(matches!(
@@ -402,7 +405,7 @@ mod tests {
                     let own = dev.create_file();
                     for i in 0..16 {
                         let p = dev.read_page(shared, i, IoKind::SeqRead).unwrap();
-                        assert_eq!(p.records().count(), 1);
+                        assert_eq!(p.record_refs().count(), 1);
                         dev.append_page(own, &page_with(&[t as u64]), IoKind::RandWrite)
                             .unwrap();
                     }

@@ -37,7 +37,7 @@
 //! [`contains`](JoinHashTable::contains),
 //! [`num_keys`](JoinHashTable::num_keys)) requires a sealed table and
 //! panics otherwise; an insert after a seal drops the index until the next
-//! seal. This replaces the former `HashMap<u64, Vec<Record>>` (SipHash + a
+//! seal. This replaces the former `HashMap` of owned records (SipHash + a
 //! `Vec` per key + a `Box<[u8]>` per record), whose allocations dominated
 //! build-side CPU once I/O was overlapped.
 //!
@@ -48,7 +48,7 @@
 
 use crate::hash::fib_bucket;
 use crate::page::records_per_page;
-use crate::record::{Record, RecordLayout, RecordRef};
+use crate::record::{RecordLayout, RecordRef};
 use crate::simd;
 
 /// Parts-per-million scale used to carry the fudge factor in integers.
@@ -110,13 +110,7 @@ impl JoinHashTable {
         }
     }
 
-    /// Inserts an owned record (API-edge convenience; the hot paths use
-    /// [`insert_ref`](Self::insert_ref)).
-    pub fn insert(&mut self, record: Record) {
-        self.insert_ref(record.as_record_ref());
-    }
-
-    /// Inserts a borrowed record: a key push and a payload `memcpy` into the
+    /// Inserts a record: a key push and a payload `memcpy` into the
     /// arena — no allocation beyond amortized arena growth.
     pub fn insert_ref(&mut self, record: RecordRef<'_>) {
         debug_assert_eq!(
@@ -343,9 +337,9 @@ mod tests {
     #[test]
     fn insert_and_probe() {
         let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
-        ht.insert(Record::with_fill(1, 24, 0xA));
-        ht.insert(Record::with_fill(1, 24, 0xB));
-        ht.insert(Record::with_fill(2, 24, 0xC));
+        ht.insert_ref(RecordRef::new(1, &[0xA; 24]));
+        ht.insert_ref(RecordRef::new(1, &[0xB; 24]));
+        ht.insert_ref(RecordRef::new(2, &[0xC; 24]));
         ht.seal();
         assert_eq!(ht.probe(1).count(), 2);
         assert_eq!(ht.probe_count(1), 2);
@@ -360,9 +354,9 @@ mod tests {
     #[test]
     fn probe_returns_the_right_payloads() {
         let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
-        ht.insert(Record::with_fill(1, 24, 0xA));
-        ht.insert(Record::with_fill(1, 24, 0xB));
-        ht.insert(Record::with_fill(2, 24, 0xC));
+        ht.insert_ref(RecordRef::new(1, &[0xA; 24]));
+        ht.insert_ref(RecordRef::new(1, &[0xB; 24]));
+        ht.insert_ref(RecordRef::new(2, &[0xC; 24]));
         ht.seal();
         let mut fills: Vec<u8> = ht.probe(1).map(|r| r.payload()[0]).collect();
         fills.sort_unstable();
@@ -376,12 +370,12 @@ mod tests {
         // seal sizes its directory for the new contents.
         let mut ht = JoinHashTable::new(RecordLayout::new(8), 4096, 1.02);
         for k in 0..10u64 {
-            ht.insert(Record::new(k, k.to_le_bytes().to_vec()));
+            ht.insert_ref(RecordRef::new(k, &k.to_le_bytes()));
         }
         ht.seal();
         assert_eq!(ht.num_keys(), 10);
         for k in 10..10_000u64 {
-            ht.insert(Record::new(k, k.to_le_bytes().to_vec()));
+            ht.insert_ref(RecordRef::new(k, &k.to_le_bytes()));
         }
         ht.seal();
         assert_eq!(ht.num_records(), 10_000);
@@ -400,7 +394,7 @@ mod tests {
         // 4096 / 32 = 128 records fit raw in one page, but with F = 1.5 only
         // ~85 do.
         for k in 0..128u64 {
-            ht.insert(Record::with_fill(k, 24, 0));
+            ht.insert_ref(RecordRef::new(k, &[0; 24]));
         }
         assert_eq!(ht.pages_required(), 2);
         assert_eq!(JoinHashTable::pages_for(128, layout(), 4096, 1.0), 1);
@@ -482,7 +476,7 @@ mod tests {
     fn iter_returns_everything_in_insertion_order() {
         let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
         for k in (0..10u64).rev() {
-            ht.insert(Record::with_fill(k, 24, 0));
+            ht.insert_ref(RecordRef::new(k, &[0; 24]));
         }
         let keys: Vec<u64> = ht.iter().map(|r| r.key()).collect();
         assert_eq!(keys, (0..10).rev().collect::<Vec<u64>>());
@@ -506,9 +500,9 @@ mod tests {
         // Heavy duplication: key k appears (k % 5) + 1 times.
         for k in 0..2_000u64 {
             for copy in 0..(k % 5) + 1 {
-                let payload = (k * 10 + copy).to_le_bytes().to_vec();
-                ht.insert(Record::new(k, payload.clone()));
-                reference.entry(k).or_default().push(payload);
+                let payload = (k * 10 + copy).to_le_bytes();
+                ht.insert_ref(RecordRef::new(k, &payload));
+                reference.entry(k).or_default().push(payload.to_vec());
             }
         }
         ht.seal();
@@ -532,7 +526,7 @@ mod tests {
     #[should_panic(expected = "before seal()")]
     fn probing_an_unsealed_table_panics() {
         let mut ht = JoinHashTable::new(layout(), 4096, 1.02);
-        ht.insert(Record::with_fill(7, 24, 1));
+        ht.insert_ref(RecordRef::new(7, &[1; 24]));
         let _ = ht.probe_count(7);
     }
 
@@ -542,7 +536,7 @@ mod tests {
         ht.seal(); // Sealing an empty table is fine.
         assert!(ht.packed.is_some());
         assert_eq!(ht.probe_count(7), 0);
-        ht.insert(Record::with_fill(7, 24, 1));
+        ht.insert_ref(RecordRef::new(7, &[1; 24]));
         assert!(ht.packed.is_none(), "an insert must drop the packed index");
         ht.seal();
         ht.seal();
@@ -556,7 +550,7 @@ mod tests {
     fn sealed_probe_yields_bucket_runs_with_correct_records() {
         let mut ht = JoinHashTable::new(RecordLayout::new(8), 4096, 1.02);
         for k in 0..10_000u64 {
-            ht.insert(Record::new(k, k.to_le_bytes().to_vec()));
+            ht.insert_ref(RecordRef::new(k, &k.to_le_bytes()));
         }
         ht.seal();
         for k in (0..10_000u64).step_by(997) {

@@ -107,7 +107,7 @@ pub use hash_table::{JoinHashTable, ProbeIter};
 pub use iostats::{AtomicIoStats, DeviceProfile, IoKind, IoStats};
 pub use page::{Page, DEFAULT_PAGE_SIZE};
 pub use radix::RadixRouter;
-pub use record::{Record, RecordBatch, RecordLayout, RecordRef};
+pub use record::{RecordBatch, RecordLayout, RecordRef};
 pub use relation::{Relation, RelationScan, RelationWriter};
 pub use sort::{merge_runs, run_chunks, sort_chunk, LoserTree, RunSlice, SortScratch, SortedRun};
 pub use spill::{LocalPages, SpillSet};

@@ -18,7 +18,7 @@
 
 use std::ops::Range;
 
-use crate::record::{Record, RecordLayout, RecordRef};
+use crate::record::{RecordLayout, RecordRef};
 use crate::{Result, StorageError};
 
 /// Default page size used throughout the reproduction (matches the paper).
@@ -113,18 +113,12 @@ impl Page {
         self.record_count() == 0
     }
 
-    /// Appends a record to the page.
+    /// Appends a record to the page: one length check, one key store, one
+    /// payload `memcpy`, no allocation.
     ///
     /// Returns `Ok(false)` (without modifying the page) if the page is full,
     /// `Ok(true)` on success, and an error if the record's serialized size
     /// does not match the page's record size.
-    pub fn push(&mut self, record: &Record) -> Result<bool> {
-        self.push_ref(record.as_record_ref())
-    }
-
-    /// Appends a borrowed record to the page — the zero-copy twin of
-    /// [`push`](Self::push): one length check, one key store, one payload
-    /// `memcpy`, no allocation.
     pub fn push_ref(&mut self, record: RecordRef<'_>) -> Result<bool> {
         let rec_size = self.record_size();
         if record.serialized_len() != rec_size {
@@ -146,12 +140,6 @@ impl Page {
         Ok(true)
     }
 
-    /// Reads the record at slot `idx` into an owned [`Record`] (allocates;
-    /// API-edge use only — hot paths use [`get_ref`](Self::get_ref)).
-    pub fn get(&self, idx: usize) -> Result<Record> {
-        Ok(self.get_ref(idx)?.to_record())
-    }
-
     /// Borrows the record at slot `idx` straight out of the page buffer.
     pub fn get_ref(&self, idx: usize) -> Result<RecordRef<'_>> {
         let count = self.record_count();
@@ -166,14 +154,8 @@ impl Page {
         RecordRef::parse(&self.data[offset..offset + rec_size])
     }
 
-    /// Iterates over all records stored in the page as owned [`Record`]s
-    /// (allocates per record; API-edge use only).
-    pub fn records(&self) -> impl Iterator<Item = Record> + '_ {
-        self.record_refs().map(|r| r.to_record())
-    }
-
     /// Iterates over all records as borrowed views into the page buffer —
-    /// the zero-copy scan primitive every hot loop is built on. The header
+    /// the scan primitive every reader is built on. The header
     /// is decoded once for the whole page, not once per record.
     pub fn record_refs(&self) -> impl Iterator<Item = RecordRef<'_>> {
         let rec_size = self.record_size();
@@ -227,6 +209,11 @@ mod tests {
         RecordLayout::new(24)
     }
 
+    /// A record of `layout()` whose payload is 24 copies of `fill`.
+    fn rec(key: u64, fill: &[u8; 24]) -> RecordRef<'_> {
+        RecordRef::new(key, fill)
+    }
+
     #[test]
     fn empty_page_has_no_records() {
         let p = Page::empty(256, layout());
@@ -240,31 +227,31 @@ mod tests {
     #[test]
     fn push_and_get_roundtrip() {
         let mut p = Page::empty(256, layout());
-        let r1 = Record::with_fill(42, 24, 0xAB);
-        let r2 = Record::with_fill(7, 24, 0xCD);
-        assert!(p.push(&r1).unwrap());
-        assert!(p.push(&r2).unwrap());
+        let r1 = rec(42, &[0xAB; 24]);
+        let r2 = rec(7, &[0xCD; 24]);
+        assert!(p.push_ref(r1).unwrap());
+        assert!(p.push_ref(r2).unwrap());
         assert_eq!(p.record_count(), 2);
-        assert_eq!(p.get(0).unwrap(), r1);
-        assert_eq!(p.get(1).unwrap(), r2);
+        assert_eq!(p.get_ref(0).unwrap(), r1);
+        assert_eq!(p.get_ref(1).unwrap(), r2);
     }
 
     #[test]
     fn push_returns_false_when_full() {
         let mut p = Page::empty(PAGE_HEADER_BYTES + 2 * 32, layout());
         assert_eq!(p.capacity(), 2);
-        assert!(p.push(&Record::with_fill(1, 24, 0)).unwrap());
-        assert!(p.push(&Record::with_fill(2, 24, 0)).unwrap());
-        assert!(!p.push(&Record::with_fill(3, 24, 0)).unwrap());
+        assert!(p.push_ref(rec(1, &[0; 24])).unwrap());
+        assert!(p.push_ref(rec(2, &[0; 24])).unwrap());
+        assert!(!p.push_ref(rec(3, &[0; 24])).unwrap());
         assert_eq!(p.record_count(), 2);
     }
 
     #[test]
     fn push_rejects_wrong_record_size() {
         let mut p = Page::empty(256, layout());
-        let wrong = Record::with_fill(1, 8, 0);
+        let wrong = RecordRef::new(1, &[0; 8]);
         assert!(matches!(
-            p.push(&wrong),
+            p.push_ref(wrong),
             Err(StorageError::RecordTooLarge { .. })
         ));
     }
@@ -273,7 +260,7 @@ mod tests {
     fn get_out_of_bounds_is_error() {
         let p = Page::empty(256, layout());
         assert!(matches!(
-            p.get(0),
+            p.get_ref(0),
             Err(StorageError::PageOutOfBounds { .. })
         ));
     }
@@ -281,10 +268,10 @@ mod tests {
     #[test]
     fn from_bytes_roundtrip() {
         let mut p = Page::empty(128, layout());
-        p.push(&Record::with_fill(9, 24, 1)).unwrap();
+        p.push_ref(rec(9, &[1; 24])).unwrap();
         let restored = Page::from_bytes(p.as_bytes().to_vec()).unwrap();
         assert_eq!(restored, p);
-        assert_eq!(restored.get(0).unwrap().key(), 9);
+        assert_eq!(restored.get_ref(0).unwrap().key(), 9);
     }
 
     #[test]
@@ -306,7 +293,7 @@ mod tests {
     fn keys_decode_a_slot_range_like_the_record_views() {
         let mut p = Page::empty(256, layout());
         for key in [5, u64::MAX, 0, 9, 3] {
-            p.push(&Record::with_fill(key, 24, 0xEE)).unwrap();
+            p.push_ref(rec(key, &[0xEE; 24])).unwrap();
         }
         let all: Vec<u64> = p.record_refs().map(|r| r.key()).collect();
         assert_eq!(p.keys(0..5).collect::<Vec<_>>(), all);
@@ -319,7 +306,7 @@ mod tests {
     #[should_panic(expected = "slots past the records")]
     fn keys_past_the_records_panic() {
         let mut p = Page::empty(256, layout());
-        p.push(&Record::with_fill(1, 24, 0)).unwrap();
+        p.push_ref(rec(1, &[0; 24])).unwrap();
         let _ = p.keys(0..2);
     }
 
@@ -330,40 +317,39 @@ mod tests {
     }
 
     #[test]
-    fn ref_push_and_get_match_the_owned_path() {
-        let mut owned = Page::empty(256, layout());
-        let mut borrowed = Page::empty(256, layout());
-        let r1 = Record::with_fill(42, 24, 0xAB);
-        let r2 = Record::with_fill(7, 24, 0xCD);
-        assert!(owned.push(&r1).unwrap() && owned.push(&r2).unwrap());
-        assert!(borrowed.push_ref(r1.as_record_ref()).unwrap());
-        assert!(borrowed.push_ref(r2.as_record_ref()).unwrap());
-        assert_eq!(owned, borrowed);
-        let views: Vec<_> = borrowed.record_refs().collect();
-        assert_eq!(views.len(), 2);
-        assert_eq!(views[0].key(), 42);
-        assert_eq!(views[1].key(), 7);
-        // The views alias the page buffer.
-        let base = borrowed.as_bytes().as_ptr() as usize;
-        let p0 = views[0].payload().as_ptr() as usize;
-        assert!(p0 > base && p0 < base + borrowed.size());
-        assert_eq!(borrowed.get_ref(1).unwrap().to_record(), r2);
+    fn push_ref_rejects_wrong_record_size() {
+        // Wider than the slot, where `push_rejects_wrong_record_size` is
+        // narrower: neither is written.
+        let mut p = Page::empty(256, layout());
+        assert!(matches!(
+            p.push_ref(RecordRef::new(1, &[0; 32])),
+            Err(StorageError::RecordTooLarge {
+                record_bytes: 40,
+                page_capacity: 32
+            })
+        ));
+        assert!(p.is_empty());
     }
 
     #[test]
-    fn push_ref_rejects_wrong_record_size() {
+    fn record_views_alias_the_page_buffer() {
         let mut p = Page::empty(256, layout());
-        let wrong = Record::with_fill(1, 8, 0);
-        assert!(matches!(
-            p.push_ref(wrong.as_record_ref()),
-            Err(StorageError::RecordTooLarge { .. })
-        ));
+        assert!(p.push_ref(rec(42, &[0xAB; 24])).unwrap());
+        assert!(p.push_ref(rec(7, &[0xCD; 24])).unwrap());
+        let views: Vec<_> = p.record_refs().collect();
+        assert_eq!(views.len(), 2);
+        assert_eq!(views[0].key(), 42);
+        assert_eq!(views[1].key(), 7);
+        let base = p.as_bytes().as_ptr() as usize;
+        let p0 = views[0].payload().as_ptr() as usize;
+        assert!(p0 > base && p0 < base + p.size());
+        assert_eq!(p.get_ref(1).unwrap(), views[1]);
     }
 
     #[test]
     fn clear_resets_count_but_keeps_record_size() {
         let mut p = Page::empty(256, layout());
-        p.push(&Record::with_fill(1, 24, 0)).unwrap();
+        p.push_ref(rec(1, &[0; 24])).unwrap();
         p.clear();
         assert!(p.is_empty());
         assert_eq!(p.record_size(), 32);

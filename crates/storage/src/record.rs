@@ -6,21 +6,17 @@
 //! per-page record counts (`b_R`, `b_S`) and the fudge-factor-inflated
 //! in-memory footprint.
 //!
-//! Two record representations coexist:
+//! Two record representations exist:
 //!
-//! * [`Record`] — an **owned** record (heap-allocated payload). Lives at API
-//!   edges only: workload generators, test fixtures, the reference join and
-//!   diagnostic `read_all` helpers, where records genuinely change hands.
 //! * [`RecordRef`] — a **borrowed** view: the decoded `u64` key plus a byte
-//!   slice pointing straight into the page buffer it was read from. This is
-//!   what the hot paths (partition routing, build, probe) move around, so
-//!   partitioning a page is hash-then-memcpy with zero per-record
-//!   allocations.
-//!
-//! [`RecordBatch`] is the ownership boundary between the two: a columnar
-//! arena (key array + contiguous payload bytes) that stores records durably
-//! without a per-record allocation. Staged spill partitions use it to hold
-//! records that outlive their source page.
+//!   slice pointing straight into the buffer it was read from (a page, a
+//!   hash-table arena, a generator's payload). Every reader and writer
+//!   moves these, so partitioning a page is hash-then-memcpy with zero
+//!   per-record allocations.
+//! * [`RecordBatch`] — the ownership boundary: a columnar arena, a key
+//!   array and contiguous payload bytes, that stores records durably
+//!   without a per-record allocation. Staged spill partitions use it to
+//!   hold records that outlive their source page.
 
 use crate::{Result, StorageError};
 
@@ -50,79 +46,13 @@ impl RecordLayout {
     }
 }
 
-/// A single record: a `u64` join key plus an opaque payload.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Record {
-    key: u64,
-    payload: Box<[u8]>,
-}
-
-impl Record {
-    /// Creates a record from a key and payload bytes.
-    pub fn new(key: u64, payload: Vec<u8>) -> Self {
-        Record {
-            key,
-            payload: payload.into_boxed_slice(),
-        }
-    }
-
-    /// Creates a record whose payload is `payload_bytes` copies of `fill`.
-    ///
-    /// Handy for workload generators and tests where the payload content is
-    /// irrelevant but its size matters for the I/O accounting.
-    pub fn with_fill(key: u64, payload_bytes: usize, fill: u8) -> Self {
-        Record::new(key, vec![fill; payload_bytes])
-    }
-
-    /// The join key.
-    pub fn key(&self) -> u64 {
-        self.key
-    }
-
-    /// The payload bytes.
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
-    /// Serialized size of this record in bytes.
-    pub fn serialized_len(&self) -> usize {
-        RecordLayout::KEY_BYTES + self.payload.len()
-    }
-
-    /// The layout this record conforms to.
-    pub fn layout(&self) -> RecordLayout {
-        RecordLayout::new(self.payload.len())
-    }
-
-    /// Writes the record into `dst`, which must be exactly
-    /// [`serialized_len`](Self::serialized_len) bytes long.
-    pub fn write_to(&self, dst: &mut [u8]) {
-        debug_assert_eq!(dst.len(), self.serialized_len());
-        dst[..8].copy_from_slice(&self.key.to_le_bytes());
-        dst[8..].copy_from_slice(&self.payload);
-    }
-
-    /// Reads a record back from `src` (the full fixed-width slot).
-    pub fn read_from(src: &[u8]) -> Result<Self> {
-        Ok(RecordRef::parse(src)?.to_record())
-    }
-
-    /// A borrowed view of this record.
-    pub fn as_record_ref(&self) -> RecordRef<'_> {
-        RecordRef {
-            key: self.key,
-            payload: &self.payload,
-        }
-    }
-}
-
 /// A borrowed record: the decoded join key plus a payload slice pointing
 /// into the buffer (usually a page) the record was read from.
 ///
 /// This is the currency of every hot loop — scans, partition routing, hash
 /// -table build and probe all move `RecordRef`s, so no allocation happens
-/// per record. Use [`to_record`](Self::to_record) (or a
-/// [`RecordBatch`]) only where the record must outlive its source buffer.
+/// per record. A [`RecordBatch`] holds records that must outlive their
+/// source buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecordRef<'a> {
     key: u64,
@@ -170,25 +100,12 @@ impl<'a> RecordRef<'a> {
         RecordLayout::KEY_BYTES + self.payload.len()
     }
 
-    /// The layout this record conforms to.
-    pub fn layout(&self) -> RecordLayout {
-        RecordLayout::new(self.payload.len())
-    }
-
     /// Writes the record into `dst`, which must be exactly
     /// [`serialized_len`](Self::serialized_len) bytes long.
     pub fn write_to(&self, dst: &mut [u8]) {
         debug_assert_eq!(dst.len(), self.serialized_len());
         dst[..8].copy_from_slice(&self.key.to_le_bytes());
         dst[8..].copy_from_slice(self.payload);
-    }
-
-    /// Copies the view into an owned [`Record`] (allocates).
-    pub fn to_record(&self) -> Record {
-        Record {
-            key: self.key,
-            payload: self.payload.to_vec().into_boxed_slice(),
-        }
     }
 }
 
@@ -284,51 +201,35 @@ mod tests {
 
     #[test]
     fn record_roundtrip() {
-        let r = Record::new(0xDEADBEEF, vec![1, 2, 3, 4]);
+        let r = RecordRef::new(0xDEADBEEF, &[1, 2, 3, 4]);
         let mut buf = vec![0u8; r.serialized_len()];
         r.write_to(&mut buf);
-        let back = Record::read_from(&buf).unwrap();
+        // The slot is the little-endian key followed by the payload.
+        assert_eq!(buf, [0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0, 1, 2, 3, 4]);
+        let back = RecordRef::parse(&buf).unwrap();
         assert_eq!(back, r);
         assert_eq!(back.key(), 0xDEADBEEF);
         assert_eq!(back.payload(), &[1, 2, 3, 4]);
     }
 
     #[test]
-    fn with_fill_payload_size() {
-        let r = Record::with_fill(1, 120, 0x7F);
-        assert_eq!(r.serialized_len(), 128);
-        assert!(r.payload().iter().all(|&b| b == 0x7F));
-        assert_eq!(r.layout(), RecordLayout::new(120));
-    }
-
-    #[test]
-    fn read_from_too_short_is_error() {
-        assert!(Record::read_from(&[0u8; 4]).is_err());
-    }
-
-    #[test]
     fn empty_payload_is_allowed() {
-        let r = Record::new(5, vec![]);
+        let r = RecordRef::new(5, &[]);
         assert_eq!(r.serialized_len(), 8);
         let mut buf = vec![0u8; 8];
         r.write_to(&mut buf);
-        assert_eq!(Record::read_from(&buf).unwrap(), r);
+        assert_eq!(RecordRef::parse(&buf).unwrap(), r);
     }
 
     #[test]
     fn record_ref_parses_without_copying() {
-        let r = Record::new(77, vec![9, 8, 7]);
-        let mut buf = vec![0u8; r.serialized_len()];
-        r.write_to(&mut buf);
+        let buf = [77, 0, 0, 0, 0, 0, 0, 0, 9, 8, 7];
         let view = RecordRef::parse(&buf).unwrap();
         assert_eq!(view.key(), 77);
         assert_eq!(view.payload(), &[9, 8, 7]);
         assert_eq!(view.serialized_len(), 11);
-        assert_eq!(view.layout(), RecordLayout::new(3));
         // The payload slice aliases the source buffer — zero copies.
         assert!(std::ptr::eq(view.payload().as_ptr(), buf[8..].as_ptr()));
-        assert_eq!(view.to_record(), r);
-        assert_eq!(r.as_record_ref(), view);
     }
 
     #[test]

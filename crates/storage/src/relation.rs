@@ -23,7 +23,7 @@ use std::sync::Arc;
 use crate::device::{DeviceRef, FileId};
 use crate::iostats::IoKind;
 use crate::page::{records_per_page, Page};
-use crate::record::{Record, RecordLayout, RecordRef};
+use crate::record::{RecordLayout, RecordRef};
 use crate::Result;
 
 /// The device file of one relation, deleted when its last handle drops.
@@ -86,24 +86,24 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// Bulk-loads a relation from an iterator of records, one sequential
-    /// write per page.
+    /// Bulk-loads a relation from borrowed records through one
+    /// [`RelationWriter`], one sequential write per page and no allocation
+    /// per record.
     ///
     /// All records must conform to `layout`; pages are filled densely so the
     /// resulting page count is `⌈n / b⌉` where `b` is the per-page record
-    /// capacity. A load that fails part-way deletes what it wrote.
-    pub fn bulk_load<I>(
+    /// capacity. A record of another width fails the load with
+    /// [`StorageError::RecordTooLarge`](crate::StorageError::RecordTooLarge).
+    /// A load that fails part-way deletes what it wrote.
+    pub fn bulk_load<'a>(
         device: DeviceRef,
         layout: RecordLayout,
         page_size: usize,
-        records: I,
-    ) -> Result<Relation>
-    where
-        I: IntoIterator<Item = Record>,
-    {
+        records: impl IntoIterator<Item = RecordRef<'a>>,
+    ) -> Result<Relation> {
         let mut writer = RelationWriter::new(device, layout, page_size, IoKind::SeqWrite);
         for r in records {
-            writer.push(&r)?;
+            writer.push_ref(r)?;
         }
         writer.finish()
     }
@@ -167,8 +167,6 @@ impl Relation {
             kind: IoKind::SeqRead,
             next_page: pages.start.min(end),
             end_page: end,
-            current: None,
-            current_pos: 0,
         }
     }
 
@@ -191,12 +189,6 @@ impl Relation {
     /// discards it ([`BlockDevice::take_page`](crate::BlockDevice::take_page)).
     pub(crate) fn take_page(&self, index: usize, kind: IoKind) -> Result<Arc<Page>> {
         self.device().take_page(self.file(), index, kind)
-    }
-
-    /// Reads every record into memory (test/diagnostic helper; still counts
-    /// the sequential reads).
-    pub fn read_all(&self) -> Result<Vec<Record>> {
-        self.scan().collect()
     }
 
     /// Deletes the relation's file from the device now, whatever other
@@ -263,14 +255,9 @@ impl RelationWriter {
         }
     }
 
-    /// Appends a record, flushing the output buffer to the device if full.
-    pub fn push(&mut self, record: &Record) -> Result<()> {
-        self.push_ref(record.as_record_ref())
-    }
-
-    /// Appends a borrowed record (no allocation), flushing the output buffer
-    /// to the device if full. This is the partition-routing hot path: one
-    /// key store plus one payload `memcpy` into the buffer page.
+    /// Appends a record (no allocation), flushing the output buffer to the
+    /// device if full. This is the partition-routing hot path: one key
+    /// store plus one payload `memcpy` into the buffer page.
     pub fn push_ref(&mut self, record: RecordRef<'_>) -> Result<()> {
         let page = self
             .page
@@ -324,29 +311,16 @@ impl RelationWriter {
     }
 }
 
-/// Record iterator over a stored relation (page-at-a-time reads, one I/O of
-/// the scan's kind per page).
+/// A page cursor over a stored relation: one I/O of the scan's kind per
+/// page, each page read exactly once.
 ///
-/// Two consumption modes share the same I/O accounting (each page read
-/// exactly once):
-///
-/// * [`next_page`](Self::next_page) — the **zero-copy** mode: hands back
-///   each page so the caller iterates [`Page::record_refs`] without any
-///   per-record allocation. Every hot executor loop uses this.
-/// * the [`Iterator`] impl — the **owned** mode yielding `Result<Record>`
-///   (one allocation per record); kept for API edges such as
-///   [`Relation::read_all`], the reference join (`naive_join_count`) and a
-///   workload's key stream (`stream_keys`).
-///
-/// The two modes may be interleaved: the iterator simply drains whatever
-/// page [`next_page`](Self::next_page) would return next.
+/// [`next_page`](Self::next_page) hands back each page; iterate it with
+/// [`Page::record_refs`] for the zero-copy record view.
 pub struct RelationScan {
     relation: Relation,
     kind: IoKind,
     next_page: usize,
     end_page: usize,
-    current: Option<Arc<Page>>,
-    current_pos: usize,
 }
 
 impl RelationScan {
@@ -362,51 +336,27 @@ impl RelationScan {
         self.next_page += 1;
         Ok(Some(page))
     }
-
-    fn load_next_page(&mut self) -> Result<bool> {
-        match self.next_page()? {
-            Some(page) => {
-                self.current = Some(page);
-                self.current_pos = 0;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-}
-
-impl Iterator for RelationScan {
-    type Item = Result<Record>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(page) = &self.current {
-                if self.current_pos < page.record_count() {
-                    let rec = page.get(self.current_pos);
-                    self.current_pos += 1;
-                    return Some(rec);
-                }
-            }
-            match self.load_next_page() {
-                Ok(true) => continue,
-                Ok(false) => return None,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::device::{BlockDevice, SimDevice};
     use crate::iostats::IoStats;
     use std::sync::atomic::AtomicUsize;
 
-    fn records(n: usize, payload: usize) -> Vec<Record> {
-        (0..n as u64)
-            .map(|k| Record::with_fill(k, payload, 1))
-            .collect()
+    /// Records `0..n` of `layout()`, every payload byte 1.
+    fn records(n: usize) -> impl Iterator<Item = RecordRef<'static>> {
+        (0..n as u64).map(|k| RecordRef::new(k, &[1; 8]))
+    }
+
+    /// The keys a scan reads, in scan order.
+    pub(crate) fn keys(mut scan: RelationScan) -> Vec<u64> {
+        let mut keys = Vec::new();
+        while let Some(page) = scan.next_page().unwrap() {
+            keys.extend(page.record_refs().map(|rec| rec.key()));
+        }
+        keys
     }
 
     fn layout() -> RecordLayout {
@@ -415,21 +365,26 @@ mod tests {
 
     /// 128-byte pages hold 7 records of 16 bytes (4-byte header).
     fn small(dev: &DeviceRef, n: usize) -> Relation {
-        Relation::bulk_load(dev.clone(), layout(), 128, records(n, 8)).unwrap()
+        Relation::bulk_load(dev.clone(), layout(), 128, records(n)).unwrap()
     }
 
     #[test]
     fn bulk_load_page_count_matches_formula() {
         let dev = SimDevice::new_ref();
-        let rel = Relation::bulk_load(dev.clone(), RecordLayout::new(24), 4096, records(1000, 24))
-            .unwrap();
+        let rel = Relation::bulk_load(
+            dev.clone(),
+            RecordLayout::new(24),
+            4096,
+            (0..1000).map(|k| RecordRef::new(k, &[1; 24])),
+        )
+        .unwrap();
         assert_eq!(rel.num_pages(), 1000usize.div_ceil(rel.records_per_page()));
         assert_eq!(rel.num_records(), 1000);
         // The spill path's writer: ⌈10 / 4⌉ pages of 4 records.
         let page_size = 4 + 4 * 16;
         let mut w = RelationWriter::new(dev, layout(), page_size, IoKind::RandWrite);
-        for r in records(10, 8) {
-            w.push(&r).unwrap();
+        for r in records(10) {
+            w.push_ref(r).unwrap();
         }
         assert_eq!(w.finish().unwrap().num_pages(), 3);
     }
@@ -439,21 +394,14 @@ mod tests {
         let dev = SimDevice::new_ref();
         let loaded = small(&dev, 100);
         let mut w = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        for r in records(100, 8) {
-            w.push_ref(r.as_record_ref()).unwrap();
+        for r in records(100) {
+            w.push_ref(r).unwrap();
         }
         let spilled = w.finish().unwrap();
         for rel in [loaded, spilled] {
             assert_eq!(rel.num_records(), 100);
-            let owned: Vec<u64> = rel.scan().map(|r| r.unwrap().key()).collect();
-            assert_eq!(owned, (0..100).collect::<Vec<u64>>());
             dev.reset_stats();
-            let mut keys = Vec::new();
-            let mut scan = rel.scan();
-            while let Some(page) = scan.next_page().unwrap() {
-                keys.extend(page.record_refs().map(|rec| rec.key()));
-            }
-            assert_eq!(keys, owned);
+            assert_eq!(keys(rel.scan()), (0..100).collect::<Vec<u64>>());
             assert_eq!(dev.stats().seq_reads as usize, rel.num_pages());
             assert_eq!(dev.stats().writes(), 0);
         }
@@ -464,8 +412,8 @@ mod tests {
         for kind in [IoKind::SeqWrite, IoKind::RandWrite] {
             let dev = SimDevice::new_ref();
             let mut w = RelationWriter::new(dev.clone(), layout(), 128, kind);
-            for r in records(64, 8) {
-                w.push(&r).unwrap();
+            for r in records(64) {
+                w.push_ref(r).unwrap();
             }
             let n = w.finish().unwrap().num_pages() as u64;
             let io = dev.stats();
@@ -487,11 +435,11 @@ mod tests {
         let dev = SimDevice::new_ref();
         let rel = small(&dev, 64);
         dev.reset_stats();
-        assert_eq!(rel.read_all().unwrap().len(), 64);
+        assert_eq!(keys(rel.scan()).len(), 64);
         assert_eq!(dev.stats().seq_reads as usize, rel.num_pages());
         assert_eq!(dev.stats().total(), dev.stats().seq_reads);
         dev.reset_stats();
-        assert_eq!(rel.read(IoKind::RandRead).count(), 64);
+        assert_eq!(keys(rel.read(IoKind::RandRead)).len(), 64);
         assert_eq!(dev.stats().rand_reads as usize, rel.num_pages());
         assert_eq!(dev.stats().total(), dev.stats().rand_reads);
     }
@@ -502,25 +450,17 @@ mod tests {
         let rel = small(&dev, 50);
         let per_page = rel.records_per_page();
         dev.reset_stats();
-        let keys: Vec<u64> = rel.scan_range(1..3).map(|r| r.unwrap().key()).collect();
-        assert_eq!(dev.stats().seq_reads, 2);
         let expected: Vec<u64> = (per_page as u64..3 * per_page as u64).collect();
-        assert_eq!(keys, expected);
+        assert_eq!(keys(rel.scan_range(1..3)), expected);
+        assert_eq!(dev.stats().seq_reads, 2);
         // Out-of-range ends clamp instead of erroring.
-        let tail: Vec<u64> = rel
-            .scan_range(rel.num_pages() - 1..rel.num_pages() + 10)
-            .map(|r| r.unwrap().key())
-            .collect();
+        let tail = keys(rel.scan_range(rel.num_pages() - 1..rel.num_pages() + 10));
         assert_eq!(*tail.last().unwrap(), 49);
         // Sharded ranges together visit every record exactly once.
         let n = rel.num_pages();
         let mid = n / 2;
-        let mut all: Vec<u64> = rel
-            .scan_range(0..mid)
-            .chain(rel.scan_range(mid..n))
-            .map(|r| r.unwrap().key())
-            .collect();
-        all.sort_unstable();
+        let mut all = keys(rel.scan_range(0..mid));
+        all.extend(keys(rel.scan_range(mid..n)));
         assert_eq!(all, (0..50).collect::<Vec<u64>>());
     }
 
@@ -535,8 +475,28 @@ mod tests {
         for rel in [loaded, written] {
             assert!(rel.is_empty());
             assert_eq!((rel.num_pages(), rel.num_records()), (0, 0));
-            assert_eq!(rel.read_all().unwrap().len(), 0);
+            assert!(keys(rel.scan()).is_empty());
         }
+    }
+
+    #[test]
+    fn a_failed_bulk_load_deletes_what_it_wrote() {
+        let sim = Arc::new(SimDevice::new());
+        let dev: DeviceRef = sim.clone();
+        let kept = small(&dev, 20);
+        assert_eq!(sim.live_files(), 1);
+        // Five full pages go out before the 16-byte record arrives.
+        let wide = RecordRef::new(99, &[0; 16]);
+        let err = Relation::bulk_load(dev.clone(), layout(), 128, records(40).chain([wide]));
+        assert!(matches!(
+            err,
+            Err(crate::StorageError::RecordTooLarge {
+                record_bytes: 24,
+                page_capacity: 16
+            })
+        ));
+        assert!(sim.stats().seq_writes as usize > kept.num_pages());
+        assert_eq!(sim.live_files(), 1, "the failed load's file is gone");
     }
 
     #[test]
@@ -612,8 +572,8 @@ mod tests {
         assert_eq!(deletes(), 3);
         // An unfinished writer deletes its file.
         let mut writer = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
-        for r in records(20, 8) {
-            writer.push(&r).unwrap();
+        for r in records(20) {
+            writer.push_ref(r).unwrap();
         }
         drop(writer);
         assert_eq!((device.sim.live_files(), deletes()), (0, 4));
@@ -633,12 +593,12 @@ mod tests {
         let page_size = 4 + 4 * 16;
         let mut w = RelationWriter::new(dev, layout(), page_size, IoKind::RandWrite);
         let mut full = Page::empty(page_size, layout());
-        for k in 0..4u64 {
-            assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
+        for r in records(4) {
+            assert!(full.push_ref(r).unwrap());
         }
         w.append_full_page(&full).unwrap();
         assert!(w.page.is_none(), "whole pages need no buffer");
-        w.push(&Record::with_fill(9, 8, 0)).unwrap();
+        w.push_ref(RecordRef::new(9, &[0; 8])).unwrap();
         assert!(w.page.is_some());
         let rel = w.finish().unwrap();
         assert_eq!((rel.num_records(), rel.num_pages()), (5, 2));

@@ -698,7 +698,7 @@ mod tests {
     use super::*;
     use crate::device::{BlockDevice, FileId, SimDevice};
     use crate::iostats::IoStats;
-    use crate::record::{Record, RecordLayout};
+    use crate::record::{RecordLayout, RecordRef};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn build_relation(dev: DeviceRef, keys: &[u64]) -> Relation {
@@ -706,7 +706,7 @@ mod tests {
             dev,
             RecordLayout::new(8),
             crate::page::DEFAULT_PAGE_SIZE,
-            keys.iter().map(|&k| Record::with_fill(k, 8, 0)),
+            keys.iter().map(|&k| RecordRef::new(k, &[0; 8])),
         )
         .unwrap()
     }
@@ -719,7 +719,7 @@ mod tests {
     }
 
     fn keys_of(run: &Relation) -> Vec<u64> {
-        run.scan().map(|r| r.unwrap().key()).collect()
+        crate::relation::tests::keys(run.scan())
     }
 
     /// One cascade level's groups of up to `fan_in` runs, in run order.
@@ -784,9 +784,7 @@ mod tests {
     fn write_run(dev: &DeviceRef, keys: &[u64]) -> SortedRun {
         let mut writer = RunWriter::new(dev.clone(), RecordLayout::new(8), SMALL_PAGE, keys.len());
         for &k in keys {
-            writer
-                .push(Record::with_fill(k, 8, 0).as_record_ref())
-                .unwrap();
+            writer.push(RecordRef::new(k, &[0; 8])).unwrap();
         }
         writer.finish().unwrap()
     }
@@ -871,7 +869,7 @@ mod tests {
                 IoKind::RandWrite,
             );
             for &k in keys {
-                w.push(&Record::with_fill(k, 8, ri as u8)).unwrap();
+                w.push_ref(RecordRef::new(k, &[ri as u8; 8])).unwrap();
             }
             runs.push(w.finish().unwrap());
         }
@@ -970,27 +968,26 @@ mod tests {
         // the pre-arena sorter used.
         let dev = SimDevice::new_ref();
         let keys: Vec<u64> = (0..500u64).map(|i| i % 7).collect();
+        let tags: Vec<[u8; 8]> = (0..keys.len() as u64).map(u64::to_le_bytes).collect();
         let rel = Relation::bulk_load(
             dev.clone(),
             RecordLayout::new(8),
             128,
             keys.iter()
-                .enumerate()
-                .map(|(i, &k)| Record::new(k, (i as u64).to_le_bytes().to_vec())),
+                .zip(&tags)
+                .map(|(&k, tag)| RecordRef::new(k, tag)),
         )
         .unwrap();
         let mut scratch = SortScratch::new();
         let run = sort_chunk(&rel, 0..rel.num_pages(), &mut scratch).unwrap();
-        let got: Vec<(u64, u64)> = run
-            .relation()
-            .scan()
-            .map(|r| {
-                let r = r.unwrap();
-                let mut tag = [0u8; 8];
-                tag.copy_from_slice(r.payload());
+        let mut got: Vec<(u64, u64)> = Vec::new();
+        let mut scan = run.relation().scan();
+        while let Some(page) = scan.next_page().unwrap() {
+            got.extend(page.record_refs().map(|r| {
+                let tag = r.payload().try_into().unwrap();
                 (r.key(), u64::from_le_bytes(tag))
-            })
-            .collect();
+            }));
+        }
         let mut expected: Vec<(u64, u64)> = keys
             .iter()
             .enumerate()
@@ -1009,7 +1006,7 @@ mod tests {
             dev.clone(),
             RecordLayout::new(24),
             256,
-            shuffled(100).iter().map(|&k| Record::with_fill(k, 24, 3)),
+            shuffled(100).iter().map(|&k| RecordRef::new(k, &[3; 24])),
         )
         .unwrap();
         let mut scratch = SortScratch::new();
@@ -1037,7 +1034,7 @@ mod tests {
         for fill in [1u8, 2] {
             let mut w = RelationWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite);
             for k in [5u64, 5, 7, 9] {
-                w.push(&Record::with_fill(k, 8, fill)).unwrap();
+                w.push_ref(RecordRef::new(k, &[fill; 8])).unwrap();
             }
             runs.push(w.finish().unwrap());
         }
@@ -1103,7 +1100,7 @@ mod tests {
             .unwrap();
         let mut w = RelationWriter::new(dev.clone(), layout, 128, IoKind::SeqWrite);
         for k in 0..10u64 {
-            w.push(&Record::with_fill(k, 8, 0)).unwrap();
+            w.push_ref(RecordRef::new(k, &[0; 8])).unwrap();
         }
         let full = w.finish().unwrap();
         let runs = vec![empty, full];
@@ -1124,7 +1121,7 @@ mod tests {
             SMALL_PAGE,
             shuffled(997)
                 .iter()
-                .map(|&k| Record::with_fill(k / 3, 8, 0)),
+                .map(|&k| RecordRef::new(k / 3, &[0; 8])),
         )
         .unwrap();
         let mut scratch = SortScratch::new();

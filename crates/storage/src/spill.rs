@@ -181,7 +181,8 @@ mod tests {
 
     use super::*;
     use crate::device::{BlockDevice, SimDevice};
-    use crate::record::Record;
+    use crate::record::RecordRef;
+    use crate::relation::tests::keys;
     use crate::traced::{FaultKind, FaultSpec, TracedDevice};
 
     fn layout() -> RecordLayout {
@@ -195,11 +196,11 @@ mod tests {
         let mut w = RelationWriter::new(dev.clone(), layout(), page_size, IoKind::RandWrite);
         let mut full = Page::empty(page_size, layout());
         for k in 100..104u64 {
-            assert!(full.push(&Record::with_fill(k, 8, 0)).unwrap());
+            assert!(full.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
         }
-        w.push(&Record::with_fill(1, 8, 0)).unwrap();
+        w.push_ref(RecordRef::new(1, &[0; 8])).unwrap();
         w.append_full_page(&full).unwrap();
-        w.push(&Record::with_fill(2, 8, 0)).unwrap();
+        w.push_ref(RecordRef::new(2, &[0; 8])).unwrap();
         assert_eq!(
             dev.stats().rand_writes,
             1,
@@ -208,8 +209,7 @@ mod tests {
         let rel = w.finish().unwrap();
         assert_eq!((rel.num_records(), rel.num_pages()), (6, 2));
         assert_eq!(dev.stats().rand_writes, 2);
-        let keys: Vec<u64> = rel.scan().map(|r| r.unwrap().key()).collect();
-        assert_eq!(keys, vec![100, 101, 102, 103, 1, 2]);
+        assert_eq!(keys(rel.scan()), vec![100, 101, 102, 103, 1, 2]);
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
         let dev = SimDevice::new_ref();
         let mut w = RelationWriter::new(dev, layout(), 128, IoKind::RandWrite);
         let mut partial = Page::empty(128, layout());
-        partial.push(&Record::with_fill(1, 8, 0)).unwrap();
+        partial.push_ref(RecordRef::new(1, &[0; 8])).unwrap();
         let _ = w.append_full_page(&partial);
     }
 
@@ -229,28 +229,15 @@ mod tests {
         {
             let mut w = RelationWriter::new(dev.clone(), layout(), 128, IoKind::RandWrite);
             for k in 0..64u64 {
-                w.push(&Record::with_fill(k, 8, 0)).unwrap();
+                w.push_ref(RecordRef::new(k, &[0; 8])).unwrap();
             }
             assert_eq!(sim.live_files(), 1);
         }
         assert_eq!(sim.live_files(), 0, "unfinished writer must clean up");
         assert_eq!(sim.resident_pages(), 0);
-        // A bulk load that fails after flushing pages (a record of the
-        // wrong width) drops its sequential writer the same way.
-        let bad = Record::with_fill(64, 16, 0);
-        let loaded = Relation::bulk_load(
-            dev.clone(),
-            layout(),
-            128,
-            (0..64u64).map(|k| Record::with_fill(k, 8, 0)).chain([bad]),
-        );
-        assert!(loaded.is_err());
-        assert!(dev.stats().seq_writes > 0, "pages had been flushed");
-        assert_eq!(sim.live_files(), 0, "a failed bulk load must clean up");
-        assert_eq!(sim.resident_pages(), 0);
         // A finished writer hands ownership to the relation instead.
         let mut w = RelationWriter::new(dev, layout(), 128, IoKind::RandWrite);
-        w.push(&Record::with_fill(1, 8, 0)).unwrap();
+        w.push_ref(RecordRef::new(1, &[0; 8])).unwrap();
         let rel = w.finish().unwrap();
         assert_eq!(sim.live_files(), 1);
         rel.delete().unwrap();
@@ -266,12 +253,7 @@ mod tests {
     }
 
     fn sorted_keys(partition: &Relation) -> Vec<u64> {
-        let mut keys: Vec<u64> = partition
-            .read_all()
-            .unwrap()
-            .iter()
-            .map(Record::key)
-            .collect();
+        let mut keys = keys(partition.scan());
         keys.sort_unstable();
         keys
     }
@@ -289,7 +271,7 @@ mod tests {
                 RelationWriter::new(dev.clone(), layout(), PAGE_SIZE, IoKind::RandWrite);
             for (w, &count) in split.iter().enumerate() {
                 for i in 0..count {
-                    writer.push(&Record::with_fill(key(w, i), 8, 0)).unwrap();
+                    writer.push_ref(RecordRef::new(key(w, i), &[0; 8])).unwrap();
                 }
             }
             let before_finish = dev.stats().rand_writes;
@@ -305,8 +287,8 @@ mod tests {
             .map(|(w, &count)| {
                 let mut local = set.local();
                 for i in 0..count {
-                    let rec = Record::with_fill(key(w, i), 8, 0);
-                    set.push(&mut local, 0, rec.as_record_ref()).unwrap();
+                    let rec = RecordRef::new(key(w, i), &[0; 8]);
+                    set.push(&mut local, 0, rec).unwrap();
                 }
                 local
             })
@@ -377,8 +359,8 @@ mod tests {
                     scope.spawn(move || {
                         let mut local = set.local();
                         for i in 0..per_worker {
-                            let rec = Record::with_fill((t * 1000 + i) as u64, 8, 0);
-                            set.push(&mut local, 0, rec.as_record_ref()).unwrap();
+                            let rec = RecordRef::new((t * 1000 + i) as u64, &[0; 8]);
+                            set.push(&mut local, 0, rec).unwrap();
                         }
                         local
                     })
@@ -401,9 +383,8 @@ mod tests {
         let set = spill_set(dev.clone(), 4);
         let mut local = set.local();
         for k in 0..100u64 {
-            let rec = Record::with_fill(k, 8, 0);
-            set.push(&mut local, (k % 4) as usize, rec.as_record_ref())
-                .unwrap();
+            let rec = RecordRef::new(k, &[0; 8]);
+            set.push(&mut local, (k % 4) as usize, rec).unwrap();
         }
         set.merge([local]).unwrap();
         let partitions = set.finish().unwrap();
@@ -425,8 +406,8 @@ mod tests {
             .map(|w| {
                 let mut local = set.local();
                 for k in 0..(w * 6 + 1) as u64 {
-                    let rec = Record::with_fill(k, 8, 0);
-                    set.push(&mut local, w * 2, rec.as_record_ref()).unwrap();
+                    let rec = RecordRef::new(k, &[0; 8]);
+                    set.push(&mut local, w * 2, rec).unwrap();
                 }
                 local
             })
@@ -459,8 +440,8 @@ mod tests {
                     scope.spawn(move || {
                         let mut local = set.local();
                         for k in 0..200u64 {
-                            let rec = Record::with_fill(k + w, 8, 0);
-                            set.push(&mut local, (k % 3) as usize, rec.as_record_ref())?;
+                            let rec = RecordRef::new(k + w, &[0; 8]);
+                            set.push(&mut local, (k % 3) as usize, rec)?;
                         }
                         Ok(local)
                     })

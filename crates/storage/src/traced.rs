@@ -670,13 +670,13 @@ impl BlockDevice for TracedDevice {
 mod tests {
     use super::*;
     use crate::device::SimDevice;
-    use crate::record::{Record, RecordLayout};
+    use crate::record::{RecordLayout, RecordRef};
     use std::sync::Mutex;
 
     fn page_with(keys: &[u64]) -> Page {
         let mut p = Page::empty(256, RecordLayout::new(8));
         for &k in keys {
-            assert!(p.push(&Record::with_fill(k, 8, 0)).unwrap());
+            assert!(p.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
         }
         p
     }
@@ -741,7 +741,7 @@ mod tests {
         dev.append_page(f, &page_with(&[1, 2]), IoKind::RandWrite)
             .unwrap();
         let p = dev.read_page(f, 0, IoKind::SeqRead).unwrap();
-        assert_eq!(p.records().count(), 2);
+        assert_eq!(p.record_refs().count(), 2);
         let s = dev.stats();
         assert_eq!(s.rand_writes, 1);
         assert_eq!(s.seq_reads, 1);
@@ -894,7 +894,7 @@ mod tests {
         dev.append_page(f, &page_with(&[1, 2]), IoKind::RandWrite)
             .unwrap();
         let p = dev.read_page(f, 0, IoKind::SeqRead).unwrap();
-        assert_eq!(p.records().count(), 2);
+        assert_eq!(p.record_refs().count(), 2);
         assert_eq!(dev.fault_stats(), FaultStats::default());
         assert_eq!(dev.stats().total(), 2);
     }
@@ -1035,7 +1035,7 @@ mod tests {
             .unwrap();
         assert!(sum_of(&dev, f, idx).is_some());
         let p = dev.read_page(f, idx, IoKind::SeqRead).unwrap();
-        assert_eq!(p.records().count(), 2);
+        assert_eq!(p.record_refs().count(), 2);
         assert_eq!(dev.retry_stats(), RetryStats::default());
         assert_eq!(dev.stats().total(), 2, "wrapper adds no modeled I/O");
     }
@@ -1089,7 +1089,7 @@ mod tests {
         dev.append_page(f, &page_with(&[5]), IoKind::RandWrite)
             .unwrap();
         let p = dev.read_page(f, 0, IoKind::SeqRead).unwrap();
-        assert_eq!(p.records().count(), 1);
+        assert_eq!(p.record_refs().count(), 1);
         let rs = dev.retry_stats();
         assert_eq!(rs.append_retries, 2);
         assert_eq!(rs.read_retries, 2);

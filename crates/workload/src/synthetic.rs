@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use nocap_model::CorrelationTable;
 use nocap_storage::device::DeviceRef;
-use nocap_storage::{IoKind, RecordLayout, RecordRef, Relation, RelationWriter, DEFAULT_PAGE_SIZE};
+use nocap_storage::{RecordLayout, RecordRef, Relation, DEFAULT_PAGE_SIZE};
 
 use crate::mcv::extract_mcvs;
 use crate::zipf::ZipfSampler;
@@ -83,15 +83,6 @@ impl GeneratedWorkload {
         self.r.layout()
     }
 
-    /// Streams the fact relation's join keys in storage order — the hook a
-    /// streaming statistics collector consumes (`nocap-stats`'s
-    /// `StatsCollector::consume_keys` takes exactly this shape). Each page
-    /// costs one sequential read on the workload's device, so statistics
-    /// collection is visible in the I/O trace like any other scan.
-    pub fn stream_keys(&self) -> impl Iterator<Item = nocap_storage::Result<u64>> {
-        self.s.scan().map(|r| r.map(|rec| rec.key()))
-    }
-
     /// The exact join output cardinality, derived from the correlation
     /// table (every S record matches exactly one R key in this PK–FK
     /// setting). Lets tests and benches verify a join's output without
@@ -124,9 +115,9 @@ pub fn correlation_counts(config: &SyntheticConfig) -> Vec<u64> {
 /// `counts[i]` is the number of S records whose foreign key is `i`. R gets
 /// one record per key; S's records are shuffled so that hot keys are not
 /// physically clustered. Every R payload is filled with byte 1 and every S
-/// payload with byte 2; each relation is written through one sequential
-/// [`RelationWriter`], one page write per page, with every record borrowing
-/// one shared payload buffer, so generation allocates nothing per record.
+/// payload with byte 2; each relation is one [`Relation::bulk_load`], one
+/// page write per page, with every record borrowing one shared payload
+/// buffer, so generation allocates nothing per record.
 pub fn materialize(
     device: DeviceRef,
     counts: &[u64],
@@ -136,7 +127,9 @@ pub fn materialize(
 ) -> nocap_storage::Result<GeneratedWorkload> {
     let payload = record_bytes.saturating_sub(RecordLayout::KEY_BYTES);
     let layout = RecordLayout::new(payload);
-    let r = write_relation(&device, layout, 0..counts.len() as u64, 1)?;
+    let r_payload = vec![1; payload];
+    let r_records = (0..counts.len() as u64).map(|key| RecordRef::new(key, &r_payload));
+    let r = Relation::bulk_load(device.clone(), layout, DEFAULT_PAGE_SIZE, r_records)?;
 
     let mut s_keys: Vec<u64> = Vec::with_capacity(counts.iter().sum::<u64>() as usize);
     for (key, &count) in counts.iter().enumerate() {
@@ -144,28 +137,13 @@ pub fn materialize(
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
     s_keys.shuffle(&mut rng);
-    let s = write_relation(&device, layout, s_keys, 2)?;
+    let s_payload = vec![2; payload];
+    let s_records = s_keys.iter().map(|&key| RecordRef::new(key, &s_payload));
+    let s = Relation::bulk_load(device, layout, DEFAULT_PAGE_SIZE, s_records)?;
 
     let ct = CorrelationTable::from_counts(counts.iter().copied());
     let mcvs = extract_mcvs(&ct, mcv_count);
     Ok(GeneratedWorkload { r, s, ct, mcvs })
-}
-
-/// Writes one record per key, every payload byte `fill`, one sequential
-/// write per page.
-fn write_relation(
-    device: &DeviceRef,
-    layout: RecordLayout,
-    keys: impl IntoIterator<Item = u64>,
-    fill: u8,
-) -> nocap_storage::Result<Relation> {
-    let payload = vec![fill; layout.payload_bytes()];
-    let mut writer =
-        RelationWriter::new(device.clone(), layout, DEFAULT_PAGE_SIZE, IoKind::SeqWrite);
-    for key in keys {
-        writer.push_ref(RecordRef::new(key, &payload))?;
-    }
-    writer.finish()
 }
 
 /// Generates the §5.1 synthetic workload.
@@ -232,12 +210,14 @@ mod tests {
         // Spot-check: the number of S records carrying the hottest key equals
         // that key's CT entry.
         let (hot_key, hot_count) = wl.mcvs[0];
-        let actual =
-            wl.s.read_all()
-                .unwrap()
-                .iter()
+        let mut actual = 0;
+        let mut scan = wl.s.scan();
+        while let Some(page) = scan.next_page().unwrap() {
+            actual += page
+                .record_refs()
                 .filter(|rec| rec.key() == hot_key)
                 .count() as u64;
+        }
         assert_eq!(actual, hot_count);
     }
 

@@ -35,9 +35,7 @@ fn main() {
     let mut collector =
         StatsCollector::new(StatsConfig::for_budget_pages(stats_pages, spec.page_size));
     device.reset_stats();
-    collector
-        .consume_keys(workload.stream_keys())
-        .expect("stats scan");
+    collector.consume(workload.s.scan()).expect("stats scan");
     let scan_ios = device.stats().reads();
     let summary = collector.finish();
     println!(

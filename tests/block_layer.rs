@@ -33,7 +33,7 @@ use nocap_suite::obs::{IoAudit, Obs};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, DeviceProfile, FaultKind, FaultSpec, FileDevice, FileDeviceBuilder, IoKind, Page,
-    Record, RecordLayout, Result, RetryPolicy, SimDevice, SyncPolicy, TracedDevice,
+    RecordLayout, RecordRef, Result, RetryPolicy, SimDevice, SyncPolicy, TracedDevice,
 };
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
@@ -129,7 +129,7 @@ impl Join {
 fn page_with(keys: &[u64]) -> Page {
     let mut p = Page::empty(256, RecordLayout::new(8));
     for &k in keys {
-        assert!(p.push(&Record::with_fill(k, 8, 0)).unwrap());
+        assert!(p.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
     }
     p
 }
@@ -270,7 +270,7 @@ fn write_behind_tail_is_flushed_on_every_exit_path() {
         let page = device
             .read_page(f, k as usize, IoKind::RandRead)
             .expect("buffered read");
-        assert_eq!(page.records().map(|r| r.key()).collect::<Vec<_>>(), [k]);
+        assert_eq!(page.record_refs().map(|r| r.key()).collect::<Vec<_>>(), [k]);
     }
     device.flush_file(f).expect("flush_file");
     assert_eq!(on_disk(), 3 * 256, "flush_file destages the whole tail");
@@ -406,7 +406,7 @@ fn checked_device_retries_a_real_torn_block_flush_to_success() {
             .read_page(f, k as usize, IoKind::SeqRead)
             .expect("read back");
         assert_eq!(
-            page.records().map(|r| r.key()).collect::<Vec<_>>(),
+            page.record_refs().map(|r| r.key()).collect::<Vec<_>>(),
             [k],
             "page {k} lost or corrupted across the torn flush"
         );

@@ -27,8 +27,8 @@ use nocap_suite::nocap::{NocapConfig, NocapJoin};
 use nocap_suite::par::page_morsels;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind, Page, Record, RecordLayout,
-    Result, RetryPolicy, SimDevice, StorageError, TracedDevice,
+    BlockDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind, Page, RecordLayout,
+    RecordRef, Result, RetryPolicy, SimDevice, StorageError, TracedDevice,
 };
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
@@ -545,7 +545,7 @@ fn file_device_on_disk_bit_flip_is_caught_and_service_restored_after_repair() {
     fn page_with(keys: &[u64]) -> Page {
         let mut p = Page::empty(256, RecordLayout::new(8));
         for &k in keys {
-            assert!(p.push(&Record::with_fill(k, 8, 0)).unwrap());
+            assert!(p.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
         }
         p
     }

@@ -19,13 +19,13 @@ use nocap_suite::par::ordered_tasks;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, FileDevice, FileId, IoEventSink, IoKind, IoMarkerKind, IoOp, IoStats, Page,
-    Record, RecordLayout, SimDevice, TracedDevice,
+    RecordLayout, RecordRef, SimDevice, TracedDevice,
 };
 
 fn page_with(keys: &[u64]) -> Page {
     let mut p = Page::empty(256, RecordLayout::new(8));
     for &k in keys {
-        assert!(p.push(&Record::with_fill(k, 8, 0)).unwrap());
+        assert!(p.push_ref(RecordRef::new(k, &[0; 8])).unwrap());
     }
     p
 }
@@ -45,7 +45,7 @@ fn write_read_sum(device: &DeviceRef, worker: usize, pages: usize) -> u64 {
     let mut sum = 0u64;
     for p in 0..pages {
         let page = device.read_page(file, p, IoKind::SeqRead).expect("read");
-        for rec in page.records() {
+        for rec in page.record_refs() {
             sum += rec.key();
         }
     }
@@ -112,7 +112,7 @@ fn file_device_shared_file_reads_race_safely() {
         for round in 0..PAGES {
             let idx = (round + w) % PAGES;
             let page = device.read_page(file, idx, IoKind::RandRead).expect("read");
-            sum += page.records().map(|r| r.key()).sum::<u64>();
+            sum += page.record_refs().map(|r| r.key()).sum::<u64>();
         }
         sum
     });
@@ -157,7 +157,7 @@ fn file_device_at_dir_survives_a_drop_reopen_cycle() {
         .append_page(file, &page_with(&[7]), IoKind::RandWrite)
         .expect("append after reopen");
     let page = device.read_page(file, 0, IoKind::RandRead).expect("read");
-    assert_eq!(page.records().map(|r| r.key()).collect::<Vec<_>>(), [7]);
+    assert_eq!(page.record_refs().map(|r| r.key()).collect::<Vec<_>>(), [7]);
     assert_ne!(
         device.backing_path(file).expect("backing path"),
         stale,

@@ -35,7 +35,7 @@ use nocap_suite::stats::{StatsCollector, StatsConfig};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
     BlockDevice, DeviceProfile, FaultKind, FaultPlan, FaultSpec, FaultStats, FileDevice, FileId,
-    IoKind, IoStats, Page, Record, Relation, Result, RetryPolicy, RetryStats, SimDevice,
+    IoKind, IoStats, Page, RecordRef, Relation, Result, RetryPolicy, RetryStats, SimDevice,
     StorageError, TracedDevice,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
@@ -283,12 +283,12 @@ fn smj_split_merge_matches_the_oracle_and_the_one_worker_io() {
     let device = SimDevice::new_ref();
     let spec = JoinSpec::paper_synthetic(128, 8);
     let load = |keys: &mut dyn Iterator<Item = u64>| {
-        let payload = spec.r_layout.payload_bytes();
+        let payload = vec![0; spec.r_layout.payload_bytes()];
         Relation::bulk_load(
             device.clone(),
             spec.r_layout,
             spec.page_size,
-            keys.map(|k| Record::with_fill(k, payload, 0)),
+            keys.map(|k| RecordRef::new(k, &payload)),
         )
         .expect("hand-built relation")
     };

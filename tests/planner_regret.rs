@@ -24,7 +24,7 @@
 use nocap_suite::joins::DhhJoin;
 use nocap_suite::model::{CorrelationTable, JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{
-    partition_dp, plan_nocap, DpOptions, NocapConfig, NocapJoin, NocapPlan, PlannerConfig,
+    partition_dp, plan_nocap, NocapConfig, NocapJoin, NocapPlan, PlannerConfig,
 };
 use nocap_suite::obs::Obs;
 use nocap_suite::storage::{IoKind, SimDevice};
@@ -51,7 +51,7 @@ fn hand_built(
         mcvs[k_mem..k_mem + k_disk].iter().rev().copied().collect();
     let counts = CorrelationTable::from_counts(coldest_first.iter().map(|&(_, count)| count));
     let mut start = 0;
-    let disk_partitions = partition_dp(&counts, m_disk, spec.c_r(), &DpOptions::default())
+    let disk_partitions = partition_dp(&counts, m_disk, spec.c_r())
         .boundaries
         .into_iter()
         .map(|end| {

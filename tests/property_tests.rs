@@ -15,10 +15,10 @@
 //! fixed seed, and failures print the case seed for replay.
 
 use nocap_suite::model::{CorrelationTable, JoinSpec, Partitioning, RoundedHashParams};
-use nocap_suite::nocap::{partition_dp, plan_nocap, DpOptions, PlannerConfig, RoundedHash};
+use nocap_suite::nocap::{partition_dp, plan_nocap, PlannerConfig, RoundedHash};
 use nocap_suite::stats::{EquiWidthHistogram, SpaceSaving};
 use nocap_suite::storage::page::PAGE_HEADER_BYTES;
-use nocap_suite::storage::{Page, Record, RecordLayout};
+use nocap_suite::storage::{Page, RecordLayout, RecordRef};
 
 /// Cases per property (proptest ran 64).
 const CASES: u64 = 64;
@@ -70,10 +70,10 @@ fn record_roundtrip_is_lossless() {
         let key = g.next_u64();
         let payload_len = g.usize_range(0, 64);
         let payload = g.bytes(payload_len);
-        let record = Record::new(key, payload.clone());
+        let record = RecordRef::new(key, &payload);
         let mut buf = vec![0u8; record.serialized_len()];
         record.write_to(&mut buf);
-        let back = Record::read_from(&buf).unwrap();
+        let back = RecordRef::parse(&buf).unwrap();
         assert_eq!(back.key(), key, "case {case}");
         assert_eq!(back.payload(), payload.as_slice(), "case {case}");
     }
@@ -89,14 +89,14 @@ fn page_roundtrip_preserves_all_records() {
         let page_size = PAGE_HEADER_BYTES + 64 * layout.record_bytes();
         let mut page = Page::empty(page_size, layout);
         for &k in &keys {
+            let payload = vec![(k % 251) as u8; payload_len];
             assert!(
-                page.push(&Record::with_fill(k, payload_len, (k % 251) as u8))
-                    .unwrap(),
+                page.push_ref(RecordRef::new(k, &payload)).unwrap(),
                 "case {case}: 64-record page must accept 50 records"
             );
         }
         let restored = Page::from_bytes(page.as_bytes().to_vec()).unwrap();
-        let restored_keys: Vec<u64> = restored.records().map(|r| r.key()).collect();
+        let restored_keys: Vec<u64> = restored.record_refs().map(|r| r.key()).collect();
         assert_eq!(restored_keys, keys, "case {case}");
     }
 }
@@ -124,7 +124,7 @@ fn dp_solution_is_no_worse_than_any_even_split() {
         let c_r = g.usize_range(1, 20);
         let ct = CorrelationTable::from_counts(counts);
         let n = ct.len();
-        let dp = partition_dp(&ct, m, c_r, &DpOptions::default());
+        let dp = partition_dp(&ct, m, c_r);
         // Compare against an even consecutive split into m partitions.
         let m_eff = m.min(n);
         let boundaries: Vec<usize> = (1..=m_eff).map(|j| j * n / m_eff).collect();
@@ -144,7 +144,7 @@ fn dp_canonical_form_satisfies_theorem_3_1() {
         let counts = g.vec_u64(10, 150, 500);
         let c_r = g.usize_range(2, 16);
         let ct = CorrelationTable::from_counts(counts);
-        let dp = partition_dp(&ct, 6, c_r, &DpOptions::default());
+        let dp = partition_dp(&ct, 6, c_r);
         let p = Partitioning::from_boundaries(&dp.boundaries, ct.len());
         assert!(p.is_consecutive(), "case {case}");
         assert!(p.is_divisible(c_r), "case {case}");

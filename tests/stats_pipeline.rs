@@ -44,7 +44,7 @@ fn collect(
     pages: usize,
 ) -> nocap_suite::stats::StatsSummary {
     let mut collector = StatsCollector::new(StatsConfig::for_budget_pages(pages, spec.page_size));
-    collector.consume_keys(wl.stream_keys()).unwrap();
+    collector.consume(wl.s.scan()).unwrap();
     collector.finish()
 }
 
@@ -356,20 +356,23 @@ fn parallel_and_sequential_collection_plan_identically() {
 
 #[test]
 fn one_collector_is_insensitive_to_order_entry_point_and_thread_count() {
-    // `consume_keys` over a generator's key stream and a page scan of the
-    // loaded relation can present the same multiset in different orders.
-    // Every component of the collector is a function of the multiset in
-    // the exact regime (distinct keys within the MCV capacity), so any
-    // record order, either entry point, any morsel processing order and
-    // sharded collection at any thread count must produce `==` summaries.
+    // Every component of the collector is a function of the key multiset
+    // in the exact regime (distinct keys within the MCV capacity), so any
+    // record order, key-by-key `observe` or a page scan, any morsel
+    // processing order and sharded collection at any thread count must
+    // produce `==` summaries.
     let wl = workload(Correlation::Zipf { alpha: 1.0 }, 800, 6_400, 13);
     let config = StatsConfig::default(); // 1024 counters >= 800 distinct keys
     let mut by_scan = StatsCollector::new(config);
     by_scan.consume(wl.s.scan()).unwrap();
     let by_scan = by_scan.finish();
 
-    // The same keys through `consume_keys`: forward, reversed, shuffled.
-    let forward: Vec<u64> = wl.stream_keys().map(|k| k.unwrap()).collect();
+    // The same keys through `observe`: forward, reversed, shuffled.
+    let mut forward: Vec<u64> = Vec::new();
+    let mut scan = wl.s.scan();
+    while let Some(page) = scan.next_page().unwrap() {
+        forward.extend(page.record_refs().map(|rec| rec.key()));
+    }
     let mut reversed = forward.clone();
     reversed.reverse();
     let mut shuffled = forward.clone();
@@ -381,7 +384,7 @@ fn one_collector_is_insensitive_to_order_entry_point_and_thread_count() {
         ("shuffled", shuffled),
     ] {
         let mut by_keys = StatsCollector::new(config);
-        by_keys.consume_keys(keys.into_iter().map(Ok)).unwrap();
+        keys.into_iter().for_each(|key| by_keys.observe(key));
         assert_eq!(
             by_keys.finish(),
             by_scan,

@@ -8,16 +8,17 @@
 //! only straight-line single-threaded NOCAP left in the repository, which
 //! makes it the independent check on quota destaging, POB routing and the
 //! phase windows of `nocap_par::hybrid_hash_join` under NOCAP's plan: records are
-//! materialized through the owned-record iterator path (`Record::read_from`
-//! per record — one heap allocation each), the in-memory build side is a
-//! `HashMap<u64, Vec<Record>>`, and the residual partitioner stages owned
-//! `Vec<Record>`s. Everything that drives the *modeled I/O* — the plan, the
+//! materialized one heap allocation each into [`OwnedRecord`], this file's
+//! model of the owned record type the engine has since retired (read
+//! through [`owned`], a per-record iterator over a scan's pages), the
+//! in-memory build side is a `HashMap<u64, Vec<OwnedRecord>>`, and the
+//! residual partitioner stages owned `Vec<OwnedRecord>`s. Everything that drives the *modeled I/O* — the plan, the
 //! quota geometry, the rounded-hash router, the spill-page accounting, the
 //! partition-wise probe — is shared, so if the zero-copy path routes even
 //! one record differently, a phase trace diverges and this suite fails.
 //!
 //! `legacy_smj_run` does the same for the external sorter: run generation
-//! through owned `Vec<Record>` chunk buffers with a stable sort, heap-based
+//! through owned `Vec<OwnedRecord>` chunk buffers with a stable sort, heap-based
 //! (`BinaryHeap<Reverse<(key, run)>>`) merge passes and a fused merge-join
 //! over peekable owned-record merges (`LegacySorter` / `merge_join_legacy`
 //! below, moved here unchanged from the retired CPU bench) — pinning the
@@ -33,6 +34,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::iter::Peekable;
+use std::sync::Arc;
 
 use nocap_suite::joins::{naive_join_count, DhhJoin, SortMergeJoin};
 use nocap_suite::model::pairwise::smart_partition_join;
@@ -40,13 +42,74 @@ use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    IoKind, IoStats, Record, RecordLayout, Relation, RelationScan, RelationWriter, Result,
+    IoKind, IoStats, Page, RecordLayout, RecordRef, Relation, RelationScan, RelationWriter, Result,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
 
+/// A record that owns its payload: one heap allocation per record, the
+/// representation the replicas below model the pre-refactor pipelines with.
+#[derive(Clone)]
+pub struct OwnedRecord {
+    key: u64,
+    payload: Box<[u8]>,
+}
+
+impl OwnedRecord {
+    fn key(&self) -> u64 {
+        self.key
+    }
+
+    fn view(&self) -> RecordRef<'_> {
+        RecordRef::new(self.key, &self.payload)
+    }
+}
+
+/// A scan's records copied one by one into [`OwnedRecord`]s, each page read
+/// once, as the retired owned scan iterator yielded them.
+struct OwnedRecords {
+    scan: RelationScan,
+    page: Option<Arc<Page>>,
+    pos: usize,
+}
+
+fn owned(scan: RelationScan) -> OwnedRecords {
+    OwnedRecords {
+        scan,
+        page: None,
+        pos: 0,
+    }
+}
+
+impl Iterator for OwnedRecords {
+    type Item = Result<OwnedRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(page) = &self.page {
+                if self.pos < page.record_count() {
+                    let rec = page.get_ref(self.pos);
+                    self.pos += 1;
+                    return Some(rec.map(|rec| OwnedRecord {
+                        key: rec.key(),
+                        payload: rec.payload().into(),
+                    }));
+                }
+            }
+            match self.scan.next_page() {
+                Ok(Some(page)) => {
+                    self.page = Some(page);
+                    self.pos = 0;
+                }
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
 /// The pre-refactor NOCAP executor: owned records everywhere, map-of-vecs
-/// build side, `Vec<Record>` staging, one `RelationWriter` per spill
+/// build side, `Vec<OwnedRecord>` staging, one `RelationWriter` per spill
 /// partition. Splits the budget as `NocapJoin::run_with_plan` does — two
 /// streaming pages, the plan's fixed pages, the rest for the residual
 /// partitions — so the residual budget and the quota geometry are
@@ -89,7 +152,7 @@ fn legacy_nocap_run(
     let num_rest = geometry.num_partitions();
 
     // ---- Phase 1: partition R (owned records, map build side) -----------
-    let mut ht_mem: HashMap<u64, Vec<Record>> = HashMap::new();
+    let mut ht_mem: HashMap<u64, Vec<OwnedRecord>> = HashMap::new();
     let mut r_disk_writers: Vec<RelationWriter> = (0..m_disk)
         .map(|_| {
             RelationWriter::new(
@@ -100,19 +163,23 @@ fn legacy_nocap_run(
             )
         })
         .collect();
-    let mut staged: Vec<Vec<Record>> = vec![Vec::new(); num_rest];
+    let mut staged: Vec<Vec<OwnedRecord>> = vec![Vec::new(); num_rest];
     let mut rest_writers: Vec<Option<RelationWriter>> = (0..num_rest).map(|_| None).collect();
     let mut pob = vec![false; num_rest];
-    for rec in r.scan() {
+    for rec in owned(r.scan()) {
         let rec = rec.unwrap();
         if mem_set.contains(&rec.key()) {
             ht_mem.entry(rec.key()).or_default().push(rec);
         } else if let Some(&pid) = disk_map.get(&rec.key()) {
-            r_disk_writers[pid].push(&rec).unwrap();
+            r_disk_writers[pid].push_ref(rec.view()).unwrap();
         } else {
             let p = geometry.rh.partition_of(rec.key());
             if pob[p] {
-                rest_writers[p].as_mut().unwrap().push(&rec).unwrap();
+                rest_writers[p]
+                    .as_mut()
+                    .unwrap()
+                    .push_ref(rec.view())
+                    .unwrap();
                 continue;
             }
             staged[p].push(rec);
@@ -125,7 +192,7 @@ fn legacy_nocap_run(
                     IoKind::RandWrite,
                 );
                 for staged_rec in staged[p].drain(..) {
-                    writer.push(&staged_rec).unwrap();
+                    writer.push_ref(staged_rec.view()).unwrap();
                 }
                 rest_writers[p] = Some(writer);
                 pob[p] = true;
@@ -171,10 +238,10 @@ fn legacy_nocap_run(
             })
         })
         .collect();
-    for rec in s.scan() {
+    for rec in owned(s.scan()) {
         let rec = rec.unwrap();
         if let Some(&pid) = disk_map.get(&rec.key()) {
-            s_disk_writers[pid].push(&rec).unwrap();
+            s_disk_writers[pid].push_ref(rec.view()).unwrap();
             continue;
         }
         if let Some(matches) = ht_mem.get(&rec.key()) {
@@ -188,7 +255,11 @@ fn legacy_nocap_run(
         }
         let part = geometry.rh.partition_of(rec.key());
         if pob[part] {
-            s_rest_writers[part].as_mut().unwrap().push(&rec).unwrap();
+            s_rest_writers[part]
+                .as_mut()
+                .unwrap()
+                .push_ref(rec.view())
+                .unwrap();
         }
     }
     let partition_io = device.stats().since(&base_stats);
@@ -223,7 +294,7 @@ fn legacy_nocap_run(
 }
 
 /// The pre-arena external sorter, reproduced faithfully: owned records are
-/// materialized per scanned record, chunks are buffered in a `Vec<Record>`
+/// materialized per scanned record, chunks are buffered in a `Vec<OwnedRecord>`
 /// and stable-sorted by key, and the multiway merge is a
 /// `BinaryHeap<Reverse<(key, run)>>` over peekable owned-record readers.
 /// Merged runs take their layout and page size from the runs they merge —
@@ -259,14 +330,14 @@ impl LegacySorter {
         Ok(runs)
     }
 
-    /// Legacy run generation: one owned `Record` allocation per scanned
-    /// record, `Vec<Record>` chunk buffer, stable by-key sort, owned pushes.
+    /// Legacy run generation: one `OwnedRecord` allocation per scanned
+    /// record, `Vec<OwnedRecord>` chunk buffer, stable by-key sort.
     pub fn generate_runs(&mut self, relation: &Relation) -> Result<Vec<Relation>> {
         let per_page = relation.records_per_page();
         let chunk_records = per_page * (self.budget_pages - 1).max(1);
         let mut runs = Vec::new();
-        let mut buffer: Vec<Record> = Vec::with_capacity(chunk_records);
-        for rec in relation.scan() {
+        let mut buffer: Vec<OwnedRecord> = Vec::with_capacity(chunk_records);
+        for rec in owned(relation.scan()) {
             buffer.push(rec?);
             if buffer.len() == chunk_records {
                 runs.push(self.write_run(relation, &mut buffer)?);
@@ -278,8 +349,8 @@ impl LegacySorter {
         Ok(runs)
     }
 
-    fn write_run(&self, relation: &Relation, buffer: &mut Vec<Record>) -> Result<Relation> {
-        buffer.sort_by_key(Record::key);
+    fn write_run(&self, relation: &Relation, buffer: &mut Vec<OwnedRecord>) -> Result<Relation> {
+        buffer.sort_by_key(OwnedRecord::key);
         let mut writer = RelationWriter::new(
             self.device.clone(),
             relation.layout(),
@@ -287,7 +358,7 @@ impl LegacySorter {
             IoKind::SeqWrite,
         );
         for rec in buffer.drain(..) {
-            writer.push(&rec)?;
+            writer.push_ref(rec.view())?;
         }
         writer.finish()
     }
@@ -325,7 +396,7 @@ impl LegacySorter {
             RelationWriter::new(self.device.clone(), layout, page_size, IoKind::SeqWrite);
         let mut merger = LegacyMergeIterator::new(&runs)?;
         while let Some(rec) = merger.next().transpose()? {
-            writer.push(&rec)?;
+            writer.push_ref(rec.view())?;
         }
         let merged = writer.finish()?;
         for run in runs {
@@ -337,9 +408,9 @@ impl LegacySorter {
 
 /// The pre-loser-tree k-way merge: a binary heap of `(key, run)` pairs over
 /// peekable owned-record relation scans, yielding one freshly allocated
-/// `Record` per merged record.
+/// `OwnedRecord` per merged record.
 pub struct LegacyMergeIterator {
-    readers: Vec<Peekable<RelationScan>>,
+    readers: Vec<Peekable<OwnedRecords>>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
 }
 
@@ -348,7 +419,7 @@ impl LegacyMergeIterator {
     pub fn new(runs: &[Relation]) -> Result<Self> {
         let mut readers: Vec<_> = runs
             .iter()
-            .map(|r| r.read(IoKind::RandRead).peekable())
+            .map(|r| owned(r.read(IoKind::RandRead)).peekable())
             .collect();
         let mut heap = BinaryHeap::new();
         for (idx, reader) in readers.iter_mut().enumerate() {
@@ -367,7 +438,7 @@ impl LegacyMergeIterator {
 }
 
 impl Iterator for LegacyMergeIterator {
-    type Item = Result<Record>;
+    type Item = Result<OwnedRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
         let Reverse((_, idx)) = self.heap.pop()?;
@@ -388,12 +459,12 @@ impl Iterator for LegacyMergeIterator {
 
 /// The pre-refactor fused merge-join loop: owned records off two
 /// [`LegacyMergeIterator`]s, with the matching S group buffered in a
-/// `Vec<Record>`. Returns the join output count.
+/// `Vec<OwnedRecord>`. Returns the join output count.
 pub fn merge_join_legacy(r_runs: &[Relation], s_runs: &[Relation]) -> Result<u64> {
     let mut r_merge = LegacyMergeIterator::new(r_runs)?.peekable();
     let mut s_merge = LegacyMergeIterator::new(s_runs)?.peekable();
     let mut output = 0u64;
-    let mut s_group: Vec<Record> = Vec::new();
+    let mut s_group: Vec<OwnedRecord> = Vec::new();
     let mut s_group_key: Option<u64> = None;
     'outer: loop {
         let r_rec = match r_merge.next() {
@@ -433,7 +504,7 @@ pub fn merge_join_legacy(r_runs: &[Relation], s_runs: &[Relation]) -> Result<u64
 }
 
 /// The pre-rewrite SMJ executor: owned-record run generation (stable
-/// `Vec<Record>` chunk sorts), heap-based merge passes, and the fused
+/// `Vec<OwnedRecord>` chunk sorts), heap-based merge passes, and the fused
 /// merge-join over peekable owned-record merge iterators. Mirrors the old
 /// `SortMergeJoin::run` line for line — including the `.max(4)` budget
 /// fallback and the size-proportional fan-in split — so output and
@@ -631,6 +702,15 @@ fn arena_sorter_matches_the_legacy_sorter_pipeline_exactly() {
     }
 }
 
+/// Every page of a scan.
+fn scan_pages(mut scan: RelationScan) -> Vec<Arc<Page>> {
+    let mut pages = Vec::new();
+    while let Some(page) = scan.next_page().expect("scan") {
+        pages.push(page);
+    }
+    pages
+}
+
 /// A key S holds and R does not. [`with_ghost_key`] heads the MCV list
 /// with it.
 const GHOST_KEY: u64 = u64::MAX - 7;
@@ -641,18 +721,18 @@ const GHOST_KEY: u64 = u64::MAX - 7;
 /// records to the in-memory table that can only miss.
 fn with_ghost_key() -> GeneratedWorkload {
     let wl = generate(&Workload::Synthetic(Correlation::Zipf { alpha: 1.1 }), 128);
-    let payload = wl.s.layout().payload_bytes();
-    let mut records = Vec::new();
-    for (i, rec) in wl.s.scan().enumerate() {
-        if i % 16 == 0 {
-            records.push(Record::with_fill(GHOST_KEY, payload, 3));
-        }
-        records.push(rec.expect("scan S"));
-    }
-    let ghosts = (records.len() - wl.s.num_records()) as u64;
+    let ghost_payload = vec![3; wl.s.layout().payload_bytes()];
+    let ghost = RecordRef::new(GHOST_KEY, &ghost_payload);
+    let pages = scan_pages(wl.s.scan());
+    let records = pages
+        .iter()
+        .flat_map(|page| page.record_refs())
+        .enumerate()
+        .flat_map(|(i, rec)| (i % 16 == 0).then_some(ghost).into_iter().chain([rec]));
     let device = wl.s.device().clone();
     let s = Relation::bulk_load(device.clone(), wl.s.layout(), wl.s.page_size(), records)
         .expect("S with the ghost key");
+    let ghosts = (s.num_records() - wl.s.num_records()) as u64;
     let mcvs = std::iter::once((GHOST_KEY, ghosts))
         .chain(wl.mcvs.iter().copied())
         .collect();
@@ -668,10 +748,9 @@ fn a_cached_s_key_that_r_lacks_is_dropped_by_every_hybrid_join() {
     // output is the oracle's, NOCAP's per-phase I/O is the reference's, and
     // every join reports the same at every thread count.
     let wl = with_ghost_key();
-    assert!(wl
-        .r
-        .scan()
-        .all(|rec| rec.expect("scan R").key() != GHOST_KEY));
+    assert!(scan_pages(wl.r.scan())
+        .iter()
+        .all(|page| page.record_refs().all(|rec| rec.key() != GHOST_KEY)));
     let expected = naive_join_count(&wl.r, &wl.s).expect("oracle");
     for budget in [32usize, 96] {
         let spec = JoinSpec::paper_synthetic(128, budget);
