@@ -32,7 +32,7 @@
 
 use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, RoundedHashParams, StagingRouter};
 use nocap_obs::Obs;
-use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
+use nocap_par::{hybrid_hash_join, HybridPlan, Route};
 use nocap_stats::StatsSummary;
 use nocap_storage::Relation;
 
@@ -158,7 +158,8 @@ impl NocapJoin {
     /// Executes the join with an explicit, pre-computed plan on `threads`
     /// worker threads — the method every other entry point ends in. The
     /// plan's cached keys, designated partitions (at quota 0) and residual
-    /// geometry become the [`HybridPlan`] of [`hybrid_hash_join`].
+    /// geometry become the [`HybridPlan`] of [`hybrid_hash_join`]; a plan
+    /// whose §4.1 pages B cannot hold fails before any I/O.
     pub fn run_with_plan(
         &self,
         r: &Relation,
@@ -168,9 +169,10 @@ impl NocapJoin {
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
         let fixed_pages = plan.fixed_memory_pages(&self.spec);
+        // The residual quotas share `m_rest`, what the fixed pages leave.
         let geometry = RestGeometry::new(
             &self.spec,
-            staging_budget(&self.spec, fixed_pages, plan.estimated_rest_keys)?,
+            self.spec.pages_left(2 + fixed_pages)?,
             plan.estimated_rest_keys,
             self.config.planner.rh_params,
         );
@@ -180,7 +182,8 @@ impl NocapJoin {
         quotas.extend(geometry.caps);
         let hybrid = HybridPlan {
             label: "NOCAP",
-            fixed_pages,
+            // Each designated partition's output page is its quota-0 entry.
+            fixed_pages: fixed_pages - m_disk,
             quotas,
             route: |key: u64| match routes.get(&key) {
                 Some(&route) => route,
@@ -377,33 +380,38 @@ pub(crate) mod tests {
         // exact, so what the run holds is the two streaming pages, the
         // plan's fixed pages and `pages_in_use`. The same plan also runs
         // at the B that leaves it one staging page, which stages every
-        // residual record, and at the B its fixed pages fill, which
-        // `staging_budget` refuses.
+        // residual record, and at the B its fixed pages fill, which the
+        // run refuses before any I/O: its residual keys have no page.
         let plan_spec = JoinSpec::paper_synthetic(128, 96);
         let mcvs: Vec<(u64, u64)> = (0..300).map(|k| (k, 8)).collect();
         let plan = plan_nocap(&mcvs, 6_000, 48_000, &plan_spec, &PlannerConfig::default());
-        let fixed_pages = plan.fixed_memory_pages(&plan_spec);
-        let fixed = 2 + fixed_pages;
+        let fixed = 2 + plan.fixed_memory_pages(&plan_spec);
         assert!(plan.estimated_rest_keys > 0);
         for staging in [plan_spec.buffer_pages - fixed, 1, 0] {
             let spec = JoinSpec {
                 buffer_pages: fixed + staging,
                 ..plan_spec
             };
-            let budget = staging_budget(&spec, fixed_pages, plan.estimated_rest_keys);
             if staging == 0 {
+                let device = SimDevice::new_ref();
+                let (r, s, _) = build_workload(device.clone(), &spec, 6_000, |_| 8);
+                device.reset_stats();
+                let run = NocapJoin::new(spec, NocapConfig::default())
+                    .run_with_plan(&r, &s, &plan, 1, &Obs::off())
+                    .map(|report| report.output_records);
                 assert_eq!(
-                    budget,
+                    run,
                     Err(StorageError::OutOfMemory {
                         requested: fixed + 1,
                         available: fixed
                     })
                 );
+                assert_eq!(device.stats(), IoStats::default());
                 continue;
             }
             let geometry = RestGeometry::new(
                 &spec,
-                budget.unwrap(),
+                spec.pages_left(fixed).unwrap(),
                 plan.estimated_rest_keys,
                 RoundedHashParams::default(),
             );

@@ -89,24 +89,21 @@ impl NocapPlan {
 
     /// Pages the plan's in-memory structures and output buffers require
     /// before the residual partitioner gets anything:
-    /// `B_HS + B_HT + B_f + m_disk` (§4.1).
+    /// `B_HS + B_HT + B_f + m_disk` (§4.1). With the two streaming pages
+    /// and `m_rest` they are the plan's declared pages, which
+    /// [`JoinSpec::pages_left`] checks against B.
     pub fn fixed_memory_pages(&self, spec: &JoinSpec) -> usize {
         spec.hash_table_pages(self.k_mem())
             + spec.hash_set_pages(self.k_mem())
             + spec.hash_map_pages(self.k_disk())
             + self.num_designated()
     }
-
-    /// Checks the §4.1 memory constraint:
-    /// `B_HS + B_HT + B_f + m_disk + m_rest ≤ B − 2`.
-    pub fn fits_budget(&self, spec: &JoinSpec) -> bool {
-        self.fixed_memory_pages(spec) + self.m_rest + 2 <= spec.buffer_pages
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nocap_storage::StorageError;
 
     fn spec() -> JoinSpec {
         JoinSpec::paper_synthetic(256, 128)
@@ -167,14 +164,22 @@ mod tests {
         let s = spec();
         let expected = s.hash_table_pages(3) + s.hash_set_pages(3) + s.hash_map_pages(3) + 2;
         assert_eq!(plan.fixed_memory_pages(&s), expected);
-        assert!(plan.fits_budget(&s));
+        assert!(s.pages_left(2 + expected + plan.m_rest).is_ok());
     }
 
     #[test]
     fn oversized_plan_fails_the_budget_check() {
         let mut plan = sample_plan();
         plan.m_rest = 10_000;
-        assert!(!plan.fits_budget(&spec()));
+        let s = spec();
+        let declared = 2 + plan.fixed_memory_pages(&s) + plan.m_rest;
+        assert_eq!(
+            s.pages_left(declared),
+            Err(StorageError::OutOfMemory {
+                requested: declared,
+                available: 128
+            })
+        );
     }
 
     #[test]

@@ -377,6 +377,13 @@ fn plan_on_grid(
 mod tests {
     use super::*;
 
+    /// The §4.1 constraint `B_HS + B_HT + B_f + m_disk + m_rest ≤ B − 2`:
+    /// the plan's declared pages pass the budget check.
+    fn fits(plan: &NocapPlan, spec: &JoinSpec) -> bool {
+        spec.pages_left(2 + plan.fixed_memory_pages(spec) + plan.m_rest)
+            .is_ok()
+    }
+
     fn spec(buffer_pages: usize) -> JoinSpec {
         JoinSpec::paper_synthetic(256, buffer_pages)
     }
@@ -419,7 +426,7 @@ mod tests {
             &s,
             &PlannerConfig::default(),
         );
-        assert!(plan.fits_budget(&s), "planner must respect B");
+        assert!(fits(&plan, &s), "planner must respect B");
         assert!(plan.m_rest > 0);
     }
 
@@ -455,12 +462,12 @@ mod tests {
         let (r, s_rel, _) = build_workload(device, &s, 20_000, |_| 8);
         let mcvs = uniform_mcvs(1_000, 8);
         let plan = plan_nocap(&mcvs, 20_000, 160_000, &s, &PlannerConfig::default());
-        assert!(plan.fits_budget(&s));
+        assert!(fits(&plan, &s));
         let pass_through = NocapPlan {
             disk_partitions: vec![(0..323).collect()],
             ..NocapPlan::passthrough(20, 20_000 - 323, 160_000 - 8 * 323)
         };
-        assert!(pass_through.fits_budget(&s));
+        assert!(fits(&pass_through, &s));
 
         let join = NocapJoin::new(s, NocapConfig::default());
         let modeled_secs = |plan: &NocapPlan| {
@@ -547,7 +554,7 @@ mod tests {
         let s = spec(18);
         let mcvs = zipf_mcvs(1_000, 20_000, 160_000);
         let plan = plan_nocap(&mcvs, 20_000, 160_000, &s, &PlannerConfig::default());
-        assert!(plan.fits_budget(&s));
+        assert!(fits(&plan, &s));
         assert!(
             plan.k_disk() > 2 * s.c_r() && plan.num_designated() >= 3,
             "K_disk = {} in {} partitions at c_R = {}",
@@ -570,7 +577,7 @@ mod tests {
             let s = spec(budget);
             let best = plan_on_grid(&mcvs, 8_000, 64_000, &s, &config, 1_000);
             let plan = plan_nocap(&mcvs, 8_000, 64_000, &s, &PlannerConfig::default());
-            assert!(plan.fits_budget(&s) && best.fits_budget(&s));
+            assert!(fits(&plan, &s) && fits(&best, &s));
             assert!(
                 plan.estimated_extra_io <= best.estimated_extra_io * 1.002,
                 "B = {budget}: {} / {} / {} / {} at {:.0}, the sweep finds {} / {} / {} / {} at {:.0}",
@@ -599,7 +606,7 @@ mod tests {
         for buffer_pages in [256usize, 4_096] {
             let s = JoinSpec::paper_synthetic(1024, buffer_pages);
             let plan = plan_nocap(&mcvs, n_r, n_s, &s, &PlannerConfig::default());
-            assert!(plan.fits_budget(&s), "B = {buffer_pages}");
+            assert!(fits(&plan, &s), "B = {buffer_pages}");
             let hottest_placed =
                 plan.mem_keys.contains(&0) || plan.disk_partitions.iter().any(|p| p.contains(&0));
             assert!(hottest_placed, "B = {buffer_pages}: key 0 left residual");

@@ -59,7 +59,7 @@ use std::collections::HashSet;
 
 use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, StagingRouter};
 use nocap_obs::Obs;
-use nocap_par::{hybrid_hash_join, staging_budget, HybridPlan, Route};
+use nocap_par::{hybrid_hash_join, HybridPlan, Route};
 use nocap_storage::hash::BuildKeyHasher;
 use nocap_storage::{JoinHashTable, Relation};
 
@@ -194,10 +194,11 @@ impl DhhJoin {
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
         let fixed_pages = spec.hash_table_pages(skew_keys.len());
         let staged = r.num_records().saturating_sub(skew_keys.len());
+        // The quotas share what the streaming pages and skew table leave.
         let quotas = staging_quotas(
             staged,
             spec,
-            staging_budget(spec, fixed_pages, staged)?,
+            spec.pages_left(2 + fixed_pages)?,
             StagingRouter::PlainHash {
                 parts: spec.m_dhh(r.num_records()),
             },

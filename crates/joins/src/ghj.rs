@@ -13,14 +13,15 @@
 //! [`HybridPlan`] for [`nocap_par::hybrid_hash_join`], the body NOCAP, DHH
 //! and Histojoin run, with nothing cached and every key routed to
 //! partition `mix64(key) mod m` of `m` quota-0 partitions — each destaged
-//! by its first R record, so nothing is ever staged. The plan's fixed
-//! structures are the `m` output pages, so with the body's two streaming
-//! pages the pool holds all `B` pages. Every partition pair goes
+//! by its first R record, so nothing is ever staged. It declares all of
+//! `B` — one input page and `m` output pages, as no table answers an S
+//! record — and B must hold a pair join too. Every partition pair goes
 //! through [`nocap_model::pairwise::smart_partition_join`], the light
 //! optimizer the other hash joins run; the passes, the thread-count
 //! invariance of output and per-phase modeled I/O, and the physical memory
 //! outside the model are documented on the body.
 
+use nocap_model::pairwise::PAIR_JOIN_PAGES;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, HybridPlan, Route};
@@ -82,10 +83,11 @@ impl GraceHashJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
-        let m = self.spec.buffer_pages.saturating_sub(1).max(1);
+        self.spec.pages_left(PAIR_JOIN_PAGES)?;
+        let m = self.spec.buffer_pages - 1;
         let plan = HybridPlan {
             label: "GHJ",
-            fixed_pages: m,
+            fixed_pages: 0,
             quotas: vec![0; m],
             route: |key: u64| Route::Partition((mix64(key) % m as u64) as usize),
         };

@@ -28,12 +28,11 @@
 //! hash joins share one partition pass and one pair join
 //! ([`nocap_model::pairwise::smart_partition_join`]).
 //!
-//! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), sizes its
-//! structures on the spec's budget of *B* pages — the hash joins through
-//! [`nocap_par::staging_budget`], which refuses a budget below the two
-//! streaming pages before any I/O — and returns a
-//! [`JoinRunReport`](nocap_model::JoinRunReport) with the measured I/O
-//! trace.
+//! Every executor takes a [`JoinSpec`](nocap_model::JoinSpec), declares
+//! the pages it holds of its budget *B* — checked once, before any I/O, by
+//! [`JoinSpec::pages_left`](nocap_model::JoinSpec::pages_left) — and
+//! returns a [`JoinRunReport`](nocap_model::JoinRunReport) with the
+//! measured I/O trace.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

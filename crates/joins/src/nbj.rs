@@ -5,15 +5,15 @@
 //! outer relation and one for the join output) and scan the outer relation
 //! once per chunk. Its I/O cost is exactly `‖R‖ + #chunks · ‖S‖`, the first
 //! row of Table 1. The chunk loop is [`nested_block_join`], the one every
-//! spilled partition pair of the hash joins runs too; this operator adds
-//! the smaller-side choice, the budget check and the report.
+//! spilled partition pair of the hash joins runs too, and it declares its
+//! pages — the two streaming pages and at least a one-page chunk — before
+//! any read; this operator adds the smaller-side choice and the report.
 
 use std::sync::Arc;
 
 use nocap_model::pairwise::nested_block_join;
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::Obs;
-use nocap_par::staging_budget;
 use nocap_storage::Relation;
 
 /// Nested Block Join executor.
@@ -62,10 +62,6 @@ impl NestedBlockJoin {
         };
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
-        // The streaming input page and the output page; the chunk table
-        // takes the rest of the budget.
-        staging_budget(&self.spec, 0, 0)?;
-
         let timer = obs.run_timer();
         let base = device.stats();
         let output = nested_block_join(inner, outer, &self.spec, obs)?;

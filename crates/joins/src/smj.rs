@@ -71,13 +71,14 @@ use nocap_storage::sort::{
 };
 use nocap_storage::{lock_unpoisoned, Relation};
 
-/// Smallest buffer budget SMJ accepts, in pages.
+/// The pages SMJ declares: the smallest buffer budget it runs in.
 ///
 /// The fused final merge splits a fan-in of `B − 1` input pages between the
 /// two relations, and each side needs at least a two-way merge:
 /// `r_share ≥ 2` and `s_share ≥ 2` (the `r_share.clamp(2, fan_in - 2)`
-/// below), so `B − 1 ≥ 4`, i.e. `B ≥ 5`. Budgets below this floor are a
-/// configuration error and panic instead of being silently inflated.
+/// below), so `B − 1 ≥ 4`, i.e. `B ≥ 5`. A smaller budget fails with
+/// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) before any
+/// I/O instead of being silently inflated.
 pub const SMJ_MIN_BUDGET_PAGES: usize = 5;
 
 /// Counts the join output of one key range of the sorted runs by driving
@@ -133,9 +134,8 @@ impl SortMergeJoin {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
-    /// join counts its I/O on, and writes every run to, `r`'s device).
+    /// Panics if `r` and `s` live on two devices (the join counts its I/O
+    /// on, and writes every run to, `r`'s device).
     pub fn run(&self, r: &Relation, s: &Relation) -> nocap_storage::Result<JoinRunReport> {
         self.run_inner(r, s, 1, &Obs::off())
     }
@@ -146,9 +146,8 @@ impl SortMergeJoin {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
-    /// join counts its I/O on, and writes every run to, `r`'s device).
+    /// Panics if `r` and `s` live on two devices (the join counts its I/O
+    /// on, and writes every run to, `r`'s device).
     pub fn run_obs(
         &self,
         r: &Relation,
@@ -169,9 +168,8 @@ impl SortMergeJoin {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
-    /// join counts its I/O on, and writes every run to, `r`'s device).
+    /// Panics if `r` and `s` live on two devices (the join counts its I/O
+    /// on, and writes every run to, `r`'s device).
     pub fn run_parallel(
         &self,
         r: &Relation,
@@ -188,9 +186,8 @@ impl SortMergeJoin {
     ///
     /// # Panics
     ///
-    /// Panics if the spec's buffer budget is below
-    /// [`SMJ_MIN_BUDGET_PAGES`], or if `r` and `s` live on two devices (the
-    /// join counts its I/O on, and writes every run to, `r`'s device).
+    /// Panics if `r` and `s` live on two devices (the join counts its I/O
+    /// on, and writes every run to, `r`'s device).
     pub fn run_parallel_obs(
         &self,
         r: &Relation,
@@ -213,18 +210,13 @@ impl SortMergeJoin {
             "R and S must live on one device"
         );
         let spec = &self.spec;
+        spec.pages_left(SMJ_MIN_BUDGET_PAGES)?;
         let device = r.device().clone();
         let _io_trace = obs.attach_io(&device);
         let timer = obs.run_timer();
         let base = device.stats();
 
         let budget = spec.buffer_pages;
-        assert!(
-            budget >= SMJ_MIN_BUDGET_PAGES,
-            "SMJ needs a budget of at least {SMJ_MIN_BUDGET_PAGES} pages \
-             (got {budget}): the fused merge fan-in B - 1 must fit a two-way \
-             merge per input"
-        );
         // Split the merge fan-in between the two inputs proportionally to
         // their sizes so that all final runs can be merged together. The
         // clamp keeps both shares ≥ 2, which the budget floor guarantees is
@@ -337,7 +329,7 @@ mod tests {
     use crate::testutil::build_workload;
     use nocap_storage::device::DeviceRef;
     use nocap_storage::hash::mix64;
-    use nocap_storage::{RecordRef, SimDevice};
+    use nocap_storage::{IoStats, RecordRef, SimDevice, StorageError};
     use std::sync::Arc;
 
     #[test]
@@ -418,12 +410,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SMJ needs a budget of at least 5 pages")]
-    fn budgets_below_the_floor_panic() {
-        let dev = SimDevice::new_ref();
+    fn budgets_below_the_floor_fail_before_any_io() {
+        let sim = Arc::new(SimDevice::new());
+        let dev = sim.clone() as DeviceRef;
         let spec = JoinSpec::paper_synthetic(128, SMJ_MIN_BUDGET_PAGES - 1);
         let (r, s) = build_workload(dev.clone(), &spec, 100, |_| 1);
-        let _ = SortMergeJoin::new(spec).run(&r, &s);
+        dev.reset_stats();
+        assert_eq!(
+            SortMergeJoin::new(spec)
+                .run_parallel(&r, &s, 2)
+                .map(|report| report.output_records),
+            Err(StorageError::OutOfMemory {
+                requested: SMJ_MIN_BUDGET_PAGES,
+                available: SMJ_MIN_BUDGET_PAGES - 1
+            })
+        );
+        assert_eq!(dev.stats(), IoStats::default());
+        assert_eq!(sim.live_files(), 2, "only R and S are on the device");
     }
 
     #[test]

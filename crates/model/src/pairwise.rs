@@ -36,30 +36,32 @@ use nocap_storage::{JoinHashTable, Page, Relation, RelationScan, SpillSet};
 use crate::classic_cost::{best_partition_join, PartitionJoinMethod};
 use crate::spec::JoinSpec;
 
+/// The pages a pair join declares: a one-page NBJ chunk and two streaming
+/// pages.
+pub const PAIR_JOIN_PAGES: usize = 3;
+
 /// Nested Block Join of `inner ⋈ outer`: loads `inner` chunk by chunk into
 /// a hash table of the budget's `B − 2` pages (one page streams the outer
 /// relation, one holds the output) and scans `outer` once per chunk — the
 /// `‖inner‖ + #chunks · ‖outer‖` reads of Table 1's first row. Each
 /// chunk's fill is a build span of `obs` and each outer pass a scan span.
 ///
-/// Returns the number of output tuples. An empty side costs no I/O. Reads are charged to the device the relations live on; the
-/// caller snapshots device stats into its report.
+/// Returns the number of output tuples; a budget below [`PAIR_JOIN_PAGES`]
+/// fails before any read. An empty side costs no I/O. Reads are charged to
+/// the device the relations live on; the caller snapshots device stats.
 pub fn nested_block_join(
     inner: &Relation,
     outer: &Relation,
     spec: &JoinSpec,
     obs: &Obs,
 ) -> nocap_storage::Result<u64> {
+    let chunk_pages = 1 + spec.pages_left(PAIR_JOIN_PAGES)?;
     if inner.is_empty() || outer.is_empty() {
         return Ok(0);
     }
-    let chunk_records = JoinHashTable::capacity_for_pages(
-        spec.buffer_pages.saturating_sub(2).max(1),
-        inner.layout(),
-        spec.page_size,
-        spec.fudge,
-    )
-    .max(1);
+    let chunk_records =
+        JoinHashTable::capacity_for_pages(chunk_pages, inner.layout(), spec.page_size, spec.fudge)
+            .max(1);
 
     let mut output = 0u64;
     let mut loader = ChunkLoader {
@@ -166,8 +168,9 @@ pub fn repartition(
 /// spilled partition pair: join with chunk-wise NBJ, or — when the estimated
 /// Table 1 cost says another partitioning pass is cheaper (the regime below
 /// `√(F·‖R‖)`) — re-partition the pair recursively first, Grace-style. Every
-/// hash join joins its spilled pairs here, at `depth = 1`; past depth 3 the
-/// pair goes to NBJ unconditionally.
+/// hash join joins its spilled pairs here, at `depth = 1`, on a budget of
+/// at least [`PAIR_JOIN_PAGES`] that it checked before any I/O; past
+/// depth 3 the pair goes to NBJ unconditionally.
 pub fn smart_partition_join(
     r_partition: &Relation,
     s_partition: &Relation,
@@ -193,9 +196,10 @@ pub fn smart_partition_join(
     if method == PartitionJoinMethod::Nbj {
         return nbj();
     }
-    // Re-partition both sides and recurse. Fail-clean: the sub-partitions
-    // are deleted when they drop, whether the nested joins succeed or not.
-    let m = spec.buffer_pages.saturating_sub(1).max(2);
+    // Re-partition both sides into a sub-partition per page beside the
+    // input page, and recurse. Fail-clean: the sub-partitions are deleted
+    // when they drop, whether the nested joins succeed or not.
+    let m = spec.pages_left(1)?;
     let seed = level_seed(depth);
     let r_sub = repartition(r_partition, spec, m, seed)?;
     let s_sub = repartition(s_partition, spec, m, seed)?;

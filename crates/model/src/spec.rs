@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | page size | 4 KB in all experiments | [`JoinSpec::page_size`] |
 //! | `b_R`, `b_S` | records per page of R / S | [`JoinSpec::b_r`], [`JoinSpec::b_s`] |
-//! | `B` | total buffer budget in pages | [`JoinSpec::buffer_pages`] |
+//! | `B` | total buffer budget in pages | [`JoinSpec::buffer_pages`], checked by [`JoinSpec::pages_left`] |
 //! | `F` | hash-table fudge factor (1.02) | [`JoinSpec::fudge`] |
 //! | `c_R` | records of R per NBJ chunk, `⌊b_R·(B−2)/F⌋` | [`JoinSpec::c_r`] |
 //! | μ, τ | write/read asymmetry | [`JoinSpec::mu`], [`JoinSpec::tau`] |
@@ -16,7 +16,7 @@
 //! of a buffer-size sweep.
 
 use nocap_storage::page::records_per_page;
-use nocap_storage::{DeviceProfile, RecordLayout};
+use nocap_storage::{DeviceProfile, RecordLayout, StorageError};
 
 /// The geometry and budget of one PK–FK join.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +59,19 @@ impl JoinSpec {
     pub fn with_buffer_pages(mut self, buffer_pages: usize) -> Self {
         self.buffer_pages = buffer_pages;
         self
+    }
+
+    /// The one budget check, made before any I/O: `B − requested` for the
+    /// pages a join declares, or [`OutOfMemory`](StorageError::OutOfMemory)
+    /// `{ requested, available: B }` when they do not fit. Never saturates.
+    pub fn pages_left(&self, requested: usize) -> nocap_storage::Result<usize> {
+        let available = self.buffer_pages;
+        available
+            .checked_sub(requested)
+            .ok_or(StorageError::OutOfMemory {
+                requested,
+                available,
+            })
     }
 
     /// Records of R per page (`b_R`).
@@ -168,6 +181,20 @@ mod tests {
         assert_eq!(spec.c_r(), 935);
         assert!((spec.mu() - 1.28).abs() < 1e-9);
         assert!((spec.tau() - 1.2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pages_left_never_saturates() {
+        let spec = JoinSpec::paper_synthetic(128, 5);
+        assert_eq!(spec.pages_left(0), Ok(5));
+        assert_eq!(spec.pages_left(5), Ok(0));
+        assert_eq!(
+            spec.pages_left(6),
+            Err(StorageError::OutOfMemory {
+                requested: 6,
+                available: 5
+            })
+        );
     }
 
     #[test]

@@ -71,15 +71,18 @@
 //! * Each spilled pair's I/O is independent of the order pairs are claimed
 //!   from the work queue.
 //!
-//! The §4.1 memory breakdown is the plan's arithmetic: two streaming
-//! pages, the plan's fixed structures, and what is left
-//! ([`staging_budget`]) split into one quota per partition, which the
-//! stager keeps to at run time by destaging a partition that outgrows its
-//! quota. A budget below the two streaming pages fails with
-//! [`OutOfMemory`](StorageError::OutOfMemory) before any I/O. Three
-//! knowing simplifications, all physical memory the model does not
-//! charge: each worker holds one transient scan-buffer page (the model
-//! charges one logical input page for the pipeline, as the paper does);
+//! The §4.1 memory breakdown is a declared plan, with one check. The
+//! partition phase holds the input page, the join-output page when a
+//! table can answer S records, the plan's fixed structures and one quota
+//! per partition — a quota-0 partition the one output page it spills
+//! through — which the stager keeps to at run time by destaging a
+//! partition that outgrows its quota. The probe phase holds one pair join,
+//! at least [`PAIR_JOIN_PAGES`]. A plan whose pages B cannot hold fails
+//! with [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) before
+//! any I/O ([`JoinSpec::pages_left`]). Three knowing simplifications, all
+//! physical memory the model does not charge: each worker holds one
+//! transient scan-buffer page (the model charges one logical input page
+//! for the pipeline, as the paper does);
 //! each worker holds one private output page per spill partition it has
 //! routed a record to — at most `threads × m` pages for `m` spill
 //! partitions, which at one worker is the `m` output-buffer pages the
@@ -104,11 +107,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use nocap_model::pairwise::smart_partition_join;
+use nocap_model::pairwise::{smart_partition_join, PAIR_JOIN_PAGES};
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_storage::{
-    into_inner_unpoisoned, lock_unpoisoned, JoinHashTable, Relation, Result, SpillSet, StorageError,
+    into_inner_unpoisoned, lock_unpoisoned, JoinHashTable, Relation, Result, SpillSet,
 };
 
 use crate::pool::ordered_tasks;
@@ -132,41 +135,24 @@ pub enum Route {
 pub struct HybridPlan<F> {
     /// The report's algorithm label.
     pub label: &'static str,
-    /// Pages the plan's fixed structures occupy next to the two streaming
-    /// pages: the cached keys' table, the routing structures, one output
-    /// page per quota-0 partition.
+    /// Pages the plan's fixed structures occupy: the cached keys' table and
+    /// the routing structures.
     pub fixed_pages: usize,
-    /// Staging quota per partition, in pages. The non-zero quotas are sized
-    /// on [`staging_budget`] for the same `fixed_pages`; a quota-0
-    /// partition is destaged by its first R record.
+    /// Staging quota per partition, in pages: the non-zero quotas share
+    /// what the streaming pages and `fixed_pages` leave of B; a quota-0
+    /// partition is destaged by its first R record and holds one output
+    /// page.
     pub quotas: Vec<usize>,
     /// The routing function both passes consult: once per R record, once
     /// per S record that misses the in-memory table.
     pub route: F,
 }
 
-/// Pages left for staging the partitions once the two streaming pages (one
-/// streams the input, one buffers the join output) and `fixed_pages` are
-/// set aside — the budget a plan's [`quotas`](HybridPlan::quotas) are
-/// sized on. Fails with
-/// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) before any
-/// geometry is derived from a budget no join can run under: when the spec
-/// cannot hold the streaming pages, or when no page is left for staging
-/// while the plan stages `staged_records` > 0 R records.
-pub fn staging_budget(spec: &JoinSpec, fixed_pages: usize, staged_records: usize) -> Result<usize> {
-    let out_of_memory = |requested| StorageError::OutOfMemory {
-        requested,
-        available: spec.buffer_pages,
-    };
-    let beside_io = spec.buffer_pages.checked_sub(2).ok_or(out_of_memory(2))?;
-    match beside_io.saturating_sub(fixed_pages) {
-        0 if staged_records > 0 => Err(out_of_memory(2 + fixed_pages + 1)),
-        budget => Ok(budget),
-    }
-}
-
 /// Executes `r ⋈ s` under `plan` on `threads` workers (`0` runs as one, see
-/// [`ordered_tasks`]); see the module docs.
+/// [`ordered_tasks`]); see the module docs. A plan whose declared pages B
+/// cannot hold fails with
+/// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) before any
+/// I/O.
 ///
 /// Main-thread phase spans around each pass, per-morsel scan spans and
 /// per-pair probe spans flow into `obs` when it records. The recorder is
@@ -196,9 +182,13 @@ where
     let route = &plan.route;
     let device = r.device().clone();
     let _io_trace = obs.attach_io(&device);
-    // The quotas were sized on the staging budget; this only refuses a
-    // budget without room for the two streaming pages, before any I/O.
-    staging_budget(spec, plan.fixed_pages, 0)?;
+    // The plan's pages, checked before any I/O: the partition phase's
+    // input page, its output page if a table can answer S records, the
+    // fixed structures and every partition's quota (a spilled partition's
+    // output page at least); then one pair join.
+    let held = plan.fixed_pages + plan.quotas.iter().map(|&q| q.max(1)).sum::<usize>();
+    let output_page = usize::from(plan.fixed_pages > 0 || plan.quotas.iter().any(|&q| q > 0));
+    spec.pages_left((1 + output_page + held).max(PAIR_JOIN_PAGES))?;
 
     let timer = obs.run_timer();
     let base_stats = device.stats();
@@ -420,7 +410,7 @@ mod tests {
         for threads in [1, 2] {
             let plan = HybridPlan {
                 label: "mixed",
-                fixed_pages: spec.hash_table_pages(200) + 4,
+                fixed_pages: spec.hash_table_pages(200),
                 quotas: vec![0, 0, 0, 0, 16, 16, 16, 16, 1, 1, 1, 1],
                 route,
             };
@@ -451,7 +441,7 @@ mod tests {
         for threads in [1, 2] {
             let plan = HybridPlan {
                 label: "quota-0",
-                fixed_pages: 3,
+                fixed_pages: 0,
                 quotas: vec![0, 0, 0],
                 route: |key: u64| match key {
                     0..100 => Route::Partition(0),

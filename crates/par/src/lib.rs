@@ -76,7 +76,7 @@ pub mod pool;
 pub mod shard;
 pub mod stage;
 
-pub use hybrid::{hybrid_hash_join, staging_budget, HybridPlan, Route};
+pub use hybrid::{hybrid_hash_join, HybridPlan, Route};
 pub use pool::ordered_tasks;
 pub use shard::{page_morsels, page_shards};
 pub use stage::{ParallelStager, StagerBuild, WorkerStage};

@@ -81,8 +81,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// Every claimed task becomes a span of the given phase tagged with its
 /// worker id and task index — the raw material of the per-worker timelines
-/// (a worker's gaps between task spans are its idle/claim time); pass
-/// `&Obs::off()` to record nothing.
+/// (a worker's gaps between task spans are its idle/claim time). A failed
+/// task's span ends after it tripped the token, so a trace shows which
+/// tasks were claimed after a failure; pass `&Obs::off()` to record
+/// nothing.
 pub fn ordered_tasks<S, T, F, I>(
     threads: usize,
     obs: &Obs,
@@ -113,17 +115,15 @@ where
                 return Ok((done, state));
             }
             let started = wobs.start();
-            match f(&mut state, task) {
-                Ok(value) => done.push((task, value)),
-                // Trip the token before this worker's state and finished
-                // results drop, so siblings stop claiming work now rather
-                // than after the teardown.
-                Err(err) => {
-                    token.cancel(&err);
-                    return Err(err);
-                }
+            let result = f(&mut state, task);
+            // Trip the token before this worker's state and finished results
+            // drop, so siblings stop claiming work now rather than after the
+            // teardown; a failed task's span therefore ends after the trip.
+            if let Err(err) = &result {
+                token.cancel(err);
             }
             wobs.record_task(phase, task, started);
+            done.push((task, result?));
         }
     };
     // Unwind safety: the tasks only share poison-tolerant structures

@@ -74,9 +74,10 @@
 //! [`DeviceRef`](device::DeviceRef) is an `Arc`. This is what lets the
 //! `nocap-par` execution engine shard partitioning scans across worker
 //! threads while the I/O trace stays exact. The *B*-page budget is not
-//! this crate's to enforce: it is the plan's arithmetic
-//! (`nocap_par::staging_budget`, `nocap_model::staging_quotas`), which the
-//! engine's staging quotas hold at run time.
+//! this crate's to enforce: each join declares its pages, one check
+//! (`nocap_model::JoinSpec::pages_left`) refuses a plan over B, and the
+//! engine's staging quotas (`nocap_model::staging_quotas`) hold the plan
+//! at run time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -144,9 +145,8 @@ pub enum StorageError {
         /// The page index.
         index: usize,
     },
-    /// The page budget *B* cannot hold what the operation needs: a join
-    /// budget below its two streaming pages, or a statistics pass whose
-    /// shard sketches exceed the pages it was given.
+    /// The page budget *B* cannot hold what the operation needs: the pages
+    /// a join declares, or a statistics pass's shard sketches.
     OutOfMemory {
         /// Pages requested.
         requested: usize,

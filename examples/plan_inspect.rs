@@ -57,7 +57,8 @@ fn main() {
             &spec,
             &PlannerConfig::default(),
         );
-        assert!(plan.fits_budget(&spec));
+        spec.pages_left(2 + plan.fixed_memory_pages(&spec) + plan.m_rest)
+            .expect("the planner's plan fits B");
         let report = NocapJoin::new(spec, NocapConfig::default())
             .run_with_plan(&wl.r, &wl.s, &plan, 1, &Obs::off())
             .expect("join");

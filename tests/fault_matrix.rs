@@ -24,10 +24,11 @@ use std::sync::Arc;
 use nocap_suite::joins::{DhhJoin, GraceHashJoin, SortMergeJoin};
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{NocapConfig, NocapJoin};
+use nocap_suite::obs::{Obs, Phase};
 use nocap_suite::par::page_morsels;
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    BlockDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind, Page, RecordLayout,
+    BlockDevice, FaultKind, FaultPlan, FaultSpec, FileDevice, IoKind, IoOp, Page, RecordLayout,
     RecordRef, Result, RetryPolicy, SimDevice, StorageError, TracedDevice,
 };
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -97,16 +98,19 @@ impl Join {
     }
 
     fn run(&self, wl: &GeneratedWorkload, threads: usize) -> Result<JoinRunReport> {
+        self.run_obs(wl, threads, &Obs::off())
+    }
+
+    fn run_obs(&self, wl: &GeneratedWorkload, threads: usize, obs: &Obs) -> Result<JoinRunReport> {
         let spec = JoinSpec::paper_synthetic(128, BUDGET_PAGES);
+        let (r, s, mcvs) = (&wl.r, &wl.s, &wl.mcvs);
         match self {
             Join::Nocap => NocapJoin::new(spec, NocapConfig::default())
-                .run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
-            Join::Dhh => DhhJoin::with_defaults(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, threads),
-            Join::Histojoin => {
-                DhhJoin::histojoin(spec).run_parallel(&wl.r, &wl.s, &wl.mcvs, threads)
-            }
-            Join::Ghj => GraceHashJoin::new(spec).run_parallel(&wl.r, &wl.s, threads),
-            Join::Smj => SortMergeJoin::new(spec).run_parallel(&wl.r, &wl.s, threads),
+                .run_parallel_obs(r, s, mcvs, threads, obs),
+            Join::Dhh => DhhJoin::with_defaults(spec).run_parallel_obs(r, s, mcvs, threads, obs),
+            Join::Histojoin => DhhJoin::histojoin(spec).run_parallel_obs(r, s, mcvs, threads, obs),
+            Join::Ghj => GraceHashJoin::new(spec).run_parallel_obs(r, s, threads, obs),
+            Join::Smj => SortMergeJoin::new(spec).run_parallel_obs(r, s, threads, obs),
         }
     }
 }
@@ -358,10 +362,15 @@ fn persistent_faults_fail_cleanly_with_zero_leaked_files_or_pages() {
 #[test]
 fn a_failed_base_read_stops_the_sibling_scans() {
     // The first read of one input's file fails, with no retry layer to
-    // absorb it. Each partition scan is a run of page-morsel tasks, and a
-    // worker polls for a sibling's failure before it claims a morsel, so
-    // after the failure at most the T − 1 morsels the siblings were already
-    // reading are read — not the rest of the relation.
+    // absorb it. Each partition scan is a run of page-morsel tasks; the
+    // failing task trips the run's cancel token, and a worker polls it
+    // before it claims a morsel, so from the trip on each sibling reads at
+    // most the one morsel it was reading or had just claimed — not the
+    // rest of the relation. The bound counts from the trip, not from the
+    // failed read: how long the failing worker takes between the two is
+    // the scheduler's choice. The trace marks the trip: the failed task's
+    // span ends after it, and it is the one scan task whose worker read
+    // nothing in it.
     let probe = generate_on(SimDevice::new_ref());
     let sides = [
         ("S", probe.s.file(), probe.s.num_pages()),
@@ -373,19 +382,9 @@ fn a_failed_base_read_stops_the_sibling_scans() {
                 let at = format!("{} at {threads} threads, {side} failing", join.name());
                 let sim = Arc::new(SimDevice::new());
                 let fault = Arc::new(TracedDevice::new(sim.clone() as DeviceRef).with_faults(
-                    vec![
-                    FaultSpec::any(FaultKind::TransientError { failures: 1 })
+                    vec![FaultSpec::any(FaultKind::TransientError { failures: 1 })
                         .reads()
-                        .on_file(file),
-                    // Counts, without delaying, every later read of the file.
-                    FaultSpec::any(FaultKind::LatencySpike {
-                        micros: 0,
-                        times: u64::MAX,
-                    })
-                    .reads()
-                    .on_file(file)
-                    .after(1),
-                ],
+                        .on_file(file)],
                 ));
                 let wl = generate_on(fault.clone() as DeviceRef);
                 assert_eq!(
@@ -394,19 +393,37 @@ fn a_failed_base_read_stops_the_sibling_scans() {
                     "generation assigns the same files on every device"
                 );
                 fault.arm();
+                let obs = Obs::recording();
                 let err = join
-                    .run(&wl, threads)
+                    .run_obs(&wl, threads, &obs)
                     .expect_err("an unretried read fault fails the join");
                 assert!(
                     matches!(&err, StorageError::Io(msg) if msg.contains("injected transient fault")),
                     "{at}: the join must return the injected error, got: {err}"
                 );
                 assert_eq!(fault.fault_stats().injected_errors, 1, "{at}");
-                let read_after = fault.fault_stats().injected_delays as usize;
+                let trace = obs.take_trace().expect("a recording run has a trace");
+                let reads = || trace.io_events.iter().filter(|e| e.op == IoOp::Read);
+                let failed: Vec<u64> = trace
+                    .spans
+                    .iter()
+                    .filter(|span| span.worker.is_some() && span.phase == Phase::Partition)
+                    .filter(|span| {
+                        !reads().any(|e| {
+                            e.worker == span.worker
+                                && (span.start_ns..=span.end_ns).contains(&e.t_ns)
+                        })
+                    })
+                    .map(|span| span.end_ns)
+                    .collect();
+                assert_eq!(failed.len(), 1, "{at}: one scan task read nothing");
+                let read_after = reads()
+                    .filter(|e| e.file == file && e.t_ns > failed[0])
+                    .count();
                 let bound = (threads - 1) * page_morsels(pages, threads)[0].len();
                 assert!(
                     read_after <= bound,
-                    "{at}: {read_after} of {pages} pages read after the failure (bound {bound})"
+                    "{at}: {read_after} of {pages} pages read after the token tripped (bound {bound})"
                 );
                 assert_eq!(sim.live_files(), 2, "{at}: spill files leaked");
             }

@@ -106,7 +106,8 @@ fn regret_case_against(correlation: Correlation, budget: usize, against_dhh: boo
     .expect("workload generation");
     let join = NocapJoin::new(spec, NocapConfig::default());
     let run = |plan: &NocapPlan| -> JoinRunReport {
-        assert!(plan.fits_budget(&spec), "{label}: {plan:?}");
+        let declared = 2 + plan.fixed_memory_pages(&spec) + plan.m_rest;
+        assert!(spec.pages_left(declared).is_ok(), "{label}: {plan:?}");
         let report = join
             .run_with_plan(&wl.r, &wl.s, plan, 1, &Obs::off())
             .expect("join");

@@ -165,7 +165,11 @@ fn planner_always_fits_the_memory_budget() {
         let n_s: u64 = mcvs.iter().map(|&(_, c)| c).sum::<u64>() + 10_000;
         let spec = JoinSpec::paper_synthetic(256, buffer_pages);
         let plan = plan_nocap(&mcvs, 50_000, n_s, &spec, &PlannerConfig::default());
-        assert!(plan.fits_budget(&spec), "case {case} (B = {buffer_pages})");
+        let declared = 2 + plan.fixed_memory_pages(&spec) + plan.m_rest;
+        assert!(
+            spec.pages_left(declared).is_ok(),
+            "case {case} (B = {buffer_pages})"
+        );
         assert!(
             plan.estimated_extra_io.is_finite() || plan.k_mem() + plan.k_disk() == 0,
             "case {case}"
