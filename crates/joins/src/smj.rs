@@ -1,9 +1,15 @@
 //! Sort-Merge Join (SMJ).
 //!
 //! Both relations are externally sorted by the join key; as in the paper,
-//! the final merge pass is fused with the join itself: sorting stops as soon
-//! as each relation's runs fit the shared merge fan-in, and a k-way merge
-//! over the runs of R and S drives the join directly. Run files are written
+//! the final merge pass is fused with the join itself: a k-way merge over
+//! the final runs of R and S drives the join directly, so the two
+//! relations' final runs together must fit its fan-in of `B − 1`. Which
+//! runs those are is planned once both relations' runs are generated, from
+//! their record counts and at no I/O: for every pair of cascade depths
+//! (levels of R, levels of S) whose final runs fit the fused merge, the
+//! plan prices the pages each cascade reads and writes, and runs the
+//! cheapest pair, ties going to fewer levels. A relation whose runs fit
+//! beside the other's is never merged early. Run files are written
 //! sequentially (τ-weighted) and the fused merge reads runs with random
 //! reads — this is why the paper observes SMJ matching GHJ's #I/Os but
 //! losing slightly on latency.
@@ -73,12 +79,12 @@ use nocap_storage::{lock_unpoisoned, Relation};
 
 /// The pages SMJ declares: the smallest buffer budget it runs in.
 ///
-/// The fused final merge splits a fan-in of `B − 1` input pages between the
-/// two relations, and each side needs at least a two-way merge:
-/// `r_share ≥ 2` and `s_share ≥ 2` (the `r_share.clamp(2, fan_in - 2)`
-/// below), so `B − 1 ≥ 4`, i.e. `B ≥ 5`. A smaller budget fails with
-/// [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory) before any
-/// I/O instead of being silently inflated.
+/// Five pages give the fused final merge a fan-in of `B − 1 = 4`: room for
+/// two runs of each relation, so the cascade plan always has a choice short
+/// of sorting both relations down to one run each. (The plan itself needs
+/// only a two-way fused merge, one final run per relation.) A smaller
+/// budget fails with [`OutOfMemory`](nocap_storage::StorageError::OutOfMemory)
+/// before any I/O instead of being silently inflated.
 pub const SMJ_MIN_BUDGET_PAGES: usize = 5;
 
 /// Counts the join output of one key range of the sorted runs by driving
@@ -216,20 +222,7 @@ impl SortMergeJoin {
         let timer = obs.run_timer();
         let base = device.stats();
 
-        let budget = spec.buffer_pages;
-        // Split the merge fan-in between the two inputs proportionally to
-        // their sizes so that all final runs can be merged together. The
-        // clamp keeps both shares ≥ 2, which the budget floor guarantees is
-        // representable.
-        let fan_in = budget - 1;
-        let total_pages = (r.num_pages() + s.num_pages()).max(1);
-        let r_share = ((fan_in * r.num_pages()) / total_pages).clamp(2, fan_in - 2);
-        let s_share = fan_in - r_share;
-        debug_assert!(s_share >= 2, "clamp above keeps a two-way S merge");
-
-        // A failure while sorting S drops R's runs, and their files with them.
-        let r_runs = sorted_runs(r, budget, r_share, threads, obs)?;
-        let s_runs = sorted_runs(s, budget, s_share, threads, obs)?;
+        let (r_runs, s_runs) = final_runs(r, s, spec.buffer_pages, threads, obs)?;
         let partition_io = device.stats().since(&base);
 
         let probe_base = device.stats();
@@ -271,37 +264,117 @@ fn fused_merge_join(
     Ok(counts.into_iter().sum())
 }
 
+/// Sorts `r` and `s` into the final runs the fused merge takes: both
+/// relations' initial runs, then the cheapest [`cascade_plan`] over them.
+/// A failure drops every run written so far, and their files with them.
+fn final_runs(
+    r: &Relation,
+    s: &Relation,
+    budget: usize,
+    threads: usize,
+    obs: &Obs,
+) -> nocap_storage::Result<(Vec<SortedRun>, Vec<SortedRun>)> {
+    let fan_in = budget - 1;
+    let r_runs = initial_runs(r, budget, threads, obs)?;
+    let s_runs = initial_runs(s, budget, threads, obs)?;
+    let (r_levels, s_levels) = cascade_plan(&r_runs, &s_runs, fan_in);
+    let _merge_span = obs.span(Phase::Merge);
+    Ok((
+        merge_levels(r_runs, r_levels, fan_in, threads, obs)?,
+        merge_levels(s_runs, s_levels, fan_in, threads, obs)?,
+    ))
+}
+
 /// Generates this relation's sorted runs with `threads` workers claiming
-/// fixed grid chunks in canonical order, then runs the merge cascade until
-/// the runs fit `share`: each level cuts its runs into groups of `B − 1`
-/// (a trailing single run passes through unmerged) and the workers claim
-/// the groups. The runs and every I/O count are the one-worker sort's at
-/// any worker count. A failed task drops every run written so far, and
-/// with it the run's file.
-fn sorted_runs(
+/// fixed grid chunks in canonical order. The runs are the one-worker
+/// sort's at any worker count; a failed task drops every run written so
+/// far, and their files with them.
+fn initial_runs(
     relation: &Relation,
     budget: usize,
-    share: usize,
     threads: usize,
     obs: &Obs,
 ) -> nocap_storage::Result<Vec<SortedRun>> {
     let chunks = run_chunks(relation.num_pages(), budget);
-    let mut runs = {
-        let _run_gen_span = obs.span(Phase::SortRunGen);
-        ordered_tasks(
-            threads,
-            obs,
-            Phase::SortRunGen,
-            chunks.len(),
-            SortScratch::new,
-            |scratch, i| sort_chunk(relation, chunks[i].clone(), scratch),
-        )?
-        .0
-    };
-    let _merge_span = obs.span(Phase::Merge);
-    let fan_in = budget - 1;
-    while runs.len() > share {
-        let through = runs.split_off(runs.len() - usize::from(runs.len() % fan_in == 1));
+    let _run_gen_span = obs.span(Phase::SortRunGen);
+    Ok(ordered_tasks(
+        threads,
+        obs,
+        Phase::SortRunGen,
+        chunks.len(),
+        SortScratch::new,
+        |scratch, i| sort_chunk(relation, chunks[i].clone(), scratch),
+    )?
+    .0)
+}
+
+/// How many of a cascade level's `runs` runs its groups of `fan_in` merge:
+/// all but a lone run after the last full group, which passes through.
+fn merged_runs(runs: usize, fan_in: usize) -> usize {
+    runs - usize::from(runs % fan_in == 1)
+}
+
+/// One relation's cascade priced level by level before any of it runs:
+/// entry `l` is the runs left and the pages read and written after `l`
+/// levels of [`merge_levels`]. A merged run holds its group's records on
+/// full pages, so this is arithmetic on the runs' record counts. It stops
+/// at one run (or none).
+fn cascade_levels(runs: &[SortedRun], fan_in: usize) -> Vec<(usize, u64)> {
+    let per_page = runs
+        .first()
+        .map_or(1, |run| run.relation().records_per_page());
+    let pages = |records: usize| records.div_ceil(per_page) as u64;
+    let mut records: Vec<usize> = runs.iter().map(SortedRun::records).collect();
+    let mut io = 0;
+    let mut levels = vec![(records.len(), io)];
+    while records.len() > 1 {
+        let cut = merged_runs(records.len(), fan_in);
+        let mut next: Vec<usize> = records[..cut]
+            .chunks(fan_in)
+            .map(|group| {
+                let merged = group.iter().sum();
+                io += group.iter().map(|&n| pages(n)).sum::<u64>() + pages(merged);
+                merged
+            })
+            .collect();
+        next.extend_from_slice(&records[cut..]);
+        records = next;
+        levels.push((records.len(), io));
+    }
+    levels
+}
+
+/// The cascade depths `(R levels, S levels)` SMJ runs over `r_runs` and
+/// `s_runs`: of the pairs whose final runs fit one fused merge of `fan_in`,
+/// the one whose cascades read and write the fewest pages
+/// ([`cascade_levels`]), ties going to fewer levels. Each relation merged
+/// down to one run always fits, since `fan_in ≥ 2`.
+fn cascade_plan(r_runs: &[SortedRun], s_runs: &[SortedRun], fan_in: usize) -> (usize, usize) {
+    let (r, s) = (
+        cascade_levels(r_runs, fan_in),
+        cascade_levels(s_runs, fan_in),
+    );
+    (0..r.len())
+        .flat_map(|i| (0..s.len()).map(move |j| (i, j)))
+        .filter(|&(i, j)| r[i].0 + s[j].0 <= fan_in)
+        .min_by_key(|&(i, j)| (r[i].1 + s[j].1, i + j, i))
+        .expect("one run of each relation fits a fan-in of two")
+}
+
+/// Runs `levels` levels of the merge cascade over `runs`: each level cuts
+/// its runs into groups of `fan_in` (a trailing single run passes through
+/// unmerged) and the workers claim the groups. The runs and every I/O count
+/// are the one-worker cascade's at any worker count; a failed group drops
+/// every run of the level, and their files with them.
+fn merge_levels(
+    mut runs: Vec<SortedRun>,
+    levels: usize,
+    fan_in: usize,
+    threads: usize,
+    obs: &Obs,
+) -> nocap_storage::Result<Vec<SortedRun>> {
+    for _ in 0..levels {
+        let through = runs.split_off(merged_runs(runs.len(), fan_in));
         // Each group merge takes its runs out of its slot by value, so its
         // input files go as soon as it returns.
         let mut level = runs.into_iter();
@@ -499,13 +572,11 @@ mod tests {
                 .collect(),
         );
         let expected = naive_join_count(&r, &s).unwrap();
-        // The final runs the fused merge cuts: B = 8 is a fan-in of 7,
-        // split 2 / 5 between R and S by size.
-        let pages = r.num_pages() + s.num_pages();
-        assert_eq!((7 * r.num_pages() / pages).clamp(2, 5), 2);
         for threads in [1, 2, 3] {
-            let r_runs = sorted_runs(&r, 8, 2, threads, &Obs::off()).unwrap();
-            let s_runs = sorted_runs(&s, 8, 5, threads, &Obs::off()).unwrap();
+            let (r_runs, s_runs) = final_runs(&r, &s, 8, threads, &Obs::off()).unwrap();
+            // B = 8 is a fan-in of 7: R's three runs fit beside the two
+            // of S's one cascade level.
+            assert_eq!((r_runs.len(), s_runs.len()), (3, 2));
             let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
             assert!(splitters.iter().all(|&k| k == HOT), "{splitters:?}");
             let output = fused_merge_join(r_runs, s_runs, threads, &Obs::off()).unwrap();
@@ -530,6 +601,103 @@ mod tests {
             assert_eq!(report.partition_io, one.partition_io, "T = {threads}");
             assert_eq!(report.probe_io, one.probe_io, "T = {threads}");
         }
+    }
+
+    /// A test-local model of one relation's sort from its record count
+    /// alone: runs of `B − 1` full pages, then levels of groups of `B − 1`
+    /// runs, a lone trailing run passing through. Entry `l` is the runs
+    /// left and the pages read and written so far after `l` levels, run
+    /// generation's writes included.
+    fn modeled_sort(records: usize, per_page: usize, budget: usize) -> Vec<(usize, u64, u64)> {
+        let fan_in = budget - 1;
+        let pages = |n: usize| n.div_ceil(per_page) as u64;
+        let chunk = fan_in * per_page;
+        let mut runs: Vec<usize> = (0..records)
+            .step_by(chunk)
+            .map(|at| chunk.min(records - at))
+            .collect();
+        let (mut reads, mut writes) = (0, runs.iter().map(|&n| pages(n)).sum());
+        let mut levels = vec![(runs.len(), reads, writes)];
+        while runs.len() > 1 {
+            let lone = if runs.len() % fan_in == 1 {
+                runs.pop()
+            } else {
+                None
+            };
+            runs = runs
+                .chunks(fan_in)
+                .map(|group| {
+                    reads += group.iter().map(|&n| pages(n)).sum::<u64>();
+                    writes += pages(group.iter().sum());
+                    group.iter().sum()
+                })
+                .collect();
+            runs.extend(lone);
+            levels.push((runs.len(), reads, writes));
+        }
+        levels
+    }
+
+    #[test]
+    fn the_cascade_merges_only_what_the_fused_merge_needs_at_every_budget() {
+        // R's 1 000 and S's 8 000 records of 512 bytes fill about 1 300
+        // pages, more than (B − 1)² at B = 32: there a fixed share of the
+        // fused merge's fan-in, split between R and S by size before any
+        // run is counted, merges R's five runs into one although they fit
+        // beside S's two.
+        let dev = SimDevice::new_ref();
+        let spec = JoinSpec::paper_synthetic(512, 5);
+        let (r, s) = build_workload(dev.clone(), &spec, 1_000, |k| 6 + k % 5);
+        let per_page = r.records_per_page();
+        for rel in [&r, &s] {
+            assert_eq!(rel.num_pages(), rel.num_records().div_ceil(per_page));
+        }
+        let expected = naive_join_count(&r, &s).unwrap();
+        let mut below_the_old_rule = Vec::new();
+        for budget in 5..=96 {
+            let fan_in = budget - 1;
+            let r_sort = modeled_sort(r.num_records(), per_page, budget);
+            let s_sort = modeled_sort(s.num_records(), per_page, budget);
+            let io = |i: usize, j: usize| {
+                let (r_reads, r_writes) = (r_sort[i].1, r_sort[i].2);
+                let (s_reads, s_writes) = (s_sort[j].1, s_sort[j].2);
+                (r_writes + s_writes, r_reads + s_reads)
+            };
+            // The cheapest pair of depths whose final runs fit one fused
+            // merge, ties going to fewer levels, then to fewer R levels.
+            let (i, j) = (0..r_sort.len())
+                .flat_map(|i| (0..s_sort.len()).map(move |j| (i, j)))
+                .filter(|&(i, j)| r_sort[i].0 + s_sort[j].0 <= fan_in)
+                .min_by_key(|&(i, j)| (io(i, j).0 + io(i, j).1, i + j, i))
+                .unwrap();
+            // The bound: each relation cascaded until its runs fit a share
+            // of the fan-in proportional to its pages, clamped to [2, B − 3].
+            let pages = r.num_pages() + s.num_pages();
+            let r_share = (fan_in * r.num_pages() / pages).clamp(2, fan_in - 2);
+            let depth = |sort: &[(usize, u64, u64)], share: usize| {
+                sort.iter().position(|level| level.0 <= share).unwrap()
+            };
+            let old = io(depth(&r_sort, r_share), depth(&s_sort, fan_in - r_share));
+            let new = io(i, j);
+            assert!(
+                new.0 <= old.0 && new.1 <= old.1,
+                "B = {budget}: {new:?} > {old:?}"
+            );
+            if new != old {
+                below_the_old_rule.push(budget);
+            }
+            for threads in [1, 2] {
+                let report = SortMergeJoin::new(spec.with_buffer_pages(budget))
+                    .run_parallel(&r, &s, threads)
+                    .unwrap();
+                let label = format!("B = {budget}, T = {threads}");
+                assert_eq!(report.output_records, expected, "{label}");
+                let part = report.partition_io;
+                assert_eq!((part.seq_writes, part.rand_reads), new, "{label}");
+                assert_eq!(part.seq_reads as usize, pages, "{label}");
+            }
+        }
+        assert!(below_the_old_rule.contains(&32), "{below_the_old_rule:?}");
     }
 
     #[test]

@@ -91,7 +91,15 @@ pub fn ghj_cost(pages_r: usize, pages_s: usize, spec: &JoinSpec) -> f64 {
 }
 
 /// Number of partially-sorted passes SMJ needs until the total run count fits
-/// a `B − 1`-way merge (`#s-passes`).
+/// a `B − 1`-way merge (`#s-passes`), as Table 1 counts them: runs of `B`
+/// pages over both relations together, each pass over both.
+///
+/// The executor (`nocap_joins::SortMergeJoin`) cuts runs of `B − 1` pages
+/// per relation and merges each relation only as many levels as its
+/// cheapest fused merge needs, so its count can differ from this one by a
+/// level either way. On the benchmark's geometry (‖R‖ = 6 667, ‖S‖ = 53 334
+/// pages) both relations take one level at B = 41, the two passes counted
+/// here; at B = 165 R takes none, one level below.
 pub fn smj_sort_passes(pages_r: usize, pages_s: usize, spec: &JoinSpec) -> usize {
     let b = spec.buffer_pages.max(3);
     // If both relations fit in memory together no external pass is needed.

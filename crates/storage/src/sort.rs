@@ -5,10 +5,10 @@
 //! `(1 + #s-passes · (1 + τ)) · (‖R‖ + ‖S‖)`: one initial read, and for every
 //! additional sort pass a sequential write (weighted by τ) plus a read of
 //! every page. Following the paper, the final merge pass is fused with the
-//! join whenever the number of runs fits the merge fan-in, so the merge
-//! cascade — levels of group merges ([`merge_runs`]) — stops as soon as
-//! `#runs ≤ fan-in` and hands the runs to a merge ([`LoserTree`]) that the
-//! join drives directly.
+//! join: the merge cascade — levels of group merges ([`merge_runs`]) — runs
+//! only until both relations' runs fit one merge's fan-in together (SMJ
+//! plans how many levels each relation takes from the run counts), and
+//! hands the runs to a merge ([`LoserTree`]) that the join drives directly.
 //!
 //! Both phases run on the arena record pipeline — no per-record heap
 //! allocation anywhere on the hot path:
@@ -26,9 +26,10 @@
 //!   one-slice case); entering a page decodes the keys of its records in
 //!   the slice into the cursor's one reused `Vec<u64>` in a single sweep,
 //!   so advancing is an index bump, not a load from a cold page. The tree
-//!   keeps every contender as a packed `u128` order key (exhausted bit,
-//!   key, slice index): a match is one integer compare, a replay `⌈log₂ k⌉`
-//!   branch-free min/max steps, and the merge order is (key, slice index).
+//!   keeps every contender as a `(key, tag)` entry — the tag is the slice
+//!   index with an exhausted bit on top — so the merge order is (key, slice
+//!   index), and a replay is `⌈log₂ k⌉` matches, each two unpredictable
+//!   selects rather than a branch.
 //!
 //! **A merge consumes its runs.** Every run page is read exactly once, so
 //! a cursor [takes](crate::BlockDevice::take_page) each page — reads it
@@ -86,6 +87,7 @@
 //! random reads ([`IoKind::RandRead`]), matching the paper's observation
 //! that SMJ's reads are ≈1.2× slower than GHJ's sequential reads.
 
+use std::hint::select_unpredictable;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -507,11 +509,15 @@ impl RunCursor {
         Ok(())
     }
 
-    /// The cursor's [order key](LoserTree) as slice `index` of its tree.
-    fn order(&self, index: usize) -> u128 {
+    /// The cursor's tournament [`Entry`] as slice `index` of its tree.
+    fn entry(&self, index: usize) -> Entry {
+        let tag = index as u32;
         match self.keys.get(self.at) {
-            Some(&key) => (u128::from(key) << 32) | index as u128,
-            None => EXHAUSTED | index as u128,
+            Some(&key) => Entry { key, tag },
+            None => Entry {
+                key: u64::MAX,
+                tag: EXHAUSTED | tag,
+            },
         }
     }
 
@@ -534,19 +540,37 @@ impl RunCursor {
     }
 }
 
-/// The exhausted bit of an order key: above every live `(key, index)`.
-const EXHAUSTED: u128 = 1 << 96;
+/// The exhausted bit of an [`Entry`]'s tag, above every slice index.
+const EXHAUSTED: u32 = 1 << 31;
+
+/// One contender of a [`LoserTree`]: a cursor's current key and its tag,
+/// the slice index. A drained cursor's entry has key `u64::MAX` and
+/// [`EXHAUSTED`] set in its tag, so the (key, tag) order is the merge order
+/// — key, then slice index, then live before exhausted at `u64::MAX`.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u64,
+    tag: u32,
+}
+
+impl Entry {
+    /// Whether `self` comes first in merge order, computed without a branch.
+    #[inline(always)]
+    fn before(self, other: Entry) -> bool {
+        (self.key < other.key) | ((self.key == other.key) & (self.tag < other.tag))
+    }
+}
 
 /// K-way merge over sorted run slices via a loser tree (tournament tree),
 /// yielding records in ascending key order with ties broken by slice index,
 /// at `⌈log₂ k⌉` comparisons per record and with no per-record allocation.
 ///
-/// Every contender is one packed `u128` **order key**: the exhausted bit
-/// (bit 96), the current key (bits 32–95) and the slice index (bits 0–31).
-/// Integer order on it is the merge order — live before exhausted, then
-/// key, then slice index — so a match is one compare, a replay is
-/// branch-free min/max steps, and the winner's key and index read straight
-/// off `tree[0]` without touching its cursor.
+/// Every contender is an entry: the current key and a 32-bit tag, the
+/// slice index with an exhausted bit on top. A match compares (key, tag)
+/// with integer operations and keeps both outcomes with
+/// [`select_unpredictable`], so a replay has no data-dependent branch to
+/// mispredict on interleaved runs, and the winner's key and index read
+/// straight off `tree[0]` without touching its cursor.
 ///
 /// Reads interleave across runs and are counted as random reads. The merge
 /// consumes its slices: each page is read once and discarded from the
@@ -558,23 +582,13 @@ const EXHAUSTED: u128 = 1 << 96;
 /// the payload bytes at all.
 pub struct LoserTree {
     cursors: Vec<RunCursor>,
-    /// `tree[0]` is the overall winner's order key; `tree[1..k]` hold the
-    /// order key of each internal tournament node's loser.
-    tree: Vec<u128>,
+    /// `tree[0]` is the overall winner's entry; `tree[1..k]` hold the
+    /// entry of each internal tournament node's loser.
+    tree: Vec<Entry>,
     /// The winner's advance is owed before the next winner is read.
     /// Deferring it lets `next_ref` hand out a borrow of the winner's page
     /// without replaying the tree first.
     pending: bool,
-    /// The runner-up's order key: the best of the losers on the current
-    /// winner's leaf-to-root path — by the classic loser-tree argument, the
-    /// second-best cursor overall. Cached by [`replay`](Self::replay)
-    /// whenever the winner's path survives a replay unswapped, it turns the
-    /// common refill case (the advanced winner still wins — long duplicate
-    /// or presorted stretches) into a single compare instead of a
-    /// `⌈log₂ k⌉`-step replay. `0`, which no advanced winner is below,
-    /// whenever the path changed and the runner-up would have to be
-    /// recomputed.
-    runner_up: u128,
 }
 
 impl LoserTree {
@@ -589,74 +603,61 @@ impl LoserTree {
             .collect::<Result<Vec<_>>>()?;
         let k = cursors.len();
         assert!(
-            k <= u32::MAX as usize,
-            "a merge indexes its slices in 32 bits"
+            k < EXHAUSTED as usize,
+            "a merge indexes its slices in 31 bits, the tag's top bit marks an exhausted slice"
         );
         // Leaves `k..2k` are the cursors; each internal node keeps its
         // loser, and `winners[1]` is the overall winner (for `k == 1` the
-        // single leaf itself).
-        let mut winners = vec![EXHAUSTED; 2 * k.max(1)];
+        // single leaf itself; for `k == 0` an exhausted placeholder).
+        let drained = Entry {
+            key: u64::MAX,
+            tag: EXHAUSTED,
+        };
+        let mut winners = vec![drained; 2 * k.max(1)];
         for (j, cursor) in cursors.iter().enumerate() {
-            winners[k + j] = cursor.order(j);
+            winners[k + j] = cursor.entry(j);
         }
-        let mut tree = vec![EXHAUSTED; k.max(1)];
+        let mut tree = vec![drained; k.max(1)];
         for node in (1..k).rev() {
             let (a, b) = (winners[2 * node], winners[2 * node + 1]);
-            winners[node] = a.min(b);
-            tree[node] = a.max(b);
+            let a_wins = a.before(b);
+            winners[node] = select_unpredictable(a_wins, a, b);
+            tree[node] = select_unpredictable(a_wins, b, a);
         }
         tree[0] = winners[1];
         Ok(LoserTree {
             cursors,
             tree,
             pending: false,
-            runner_up: 0,
         })
     }
 
     /// Replays the path from slice `j`'s leaf to the root after `j`
-    /// advanced to order key `order`, restoring the loser-tree invariant in
-    /// `⌈log₂ k⌉` branch-free steps.
-    ///
-    /// If the path stays *intact* — `j` wins every match and remains the
-    /// overall winner — no node changed, so the losers it met are exactly
-    /// the losers on the winner's path, and the best of them is the
-    /// runner-up, cached for the fast path in [`settle`](Self::settle).
-    /// Otherwise the cache is dropped: once the winner changes, the true
-    /// second-best can be a leaf not on `j`'s path at all.
-    fn replay(&mut self, j: usize, order: u128) {
-        let mut winner = order;
-        let mut best_loser = u128::MAX;
+    /// advanced to `entry`, restoring the loser-tree invariant in
+    /// `⌈log₂ k⌉` matches with no data-dependent branch, even where `j`
+    /// keeps winning: a cached runner-up that let a winning streak skip the
+    /// replay cost more in its upkeep than it saved.
+    fn replay(&mut self, j: usize, entry: Entry) {
+        let mut winner = entry;
         let mut node = (self.cursors.len() + j) / 2;
         while node >= 1 {
             let loser = self.tree[node];
-            best_loser = best_loser.min(loser);
-            self.tree[node] = loser.max(winner);
-            winner = loser.min(winner);
+            let swap = loser.before(winner);
+            self.tree[node] = select_unpredictable(swap, winner, loser);
+            winner = select_unpredictable(swap, loser, winner);
             node /= 2;
         }
         self.tree[0] = winner;
-        self.runner_up = if winner == order { best_loser } else { 0 };
     }
 
     /// Performs the advance owed from the previous `next_*` call, if any.
-    ///
-    /// Fast path: when the advanced winner's order key is below the cached
-    /// runner-up's, it still beats every other cursor, so only `tree[0]`
-    /// changes. No loser moved, which keeps the cache valid for arbitrarily
-    /// long winning streaks: duplicate-heavy keys and presorted stretches
-    /// refill in one compare per record instead of `⌈log₂ k⌉`.
     fn settle(&mut self) -> Result<()> {
         if std::mem::take(&mut self.pending) {
-            let j = self.tree[0] as u32 as usize;
+            let j = self.tree[0].tag as usize;
             let cursor = &mut self.cursors[j];
             cursor.advance()?;
-            let order = cursor.order(j);
-            if order < self.runner_up {
-                self.tree[0] = order;
-            } else {
-                self.replay(j, order);
-            }
+            let entry = cursor.entry(j);
+            self.replay(j, entry);
         }
         Ok(())
     }
@@ -665,8 +666,8 @@ impl LoserTree {
     /// `None` once every slice is exhausted.
     fn winner(&mut self) -> Result<Option<(u64, usize)>> {
         self.settle()?;
-        let order = self.tree[0];
-        Ok((order < EXHAUSTED).then_some(((order >> 32) as u64, order as u32 as usize)))
+        let Entry { key, tag } = self.tree[0];
+        Ok((tag < EXHAUSTED).then_some((key, tag as usize)))
     }
 
     /// Key of the next record without consuming it.
@@ -845,11 +846,11 @@ mod tests {
         assert!(merged.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    /// Adversarial pin of the batched refill: long duplicate streaks keep
-    /// the runner-up fast path hot, tight interleavings force the winner to
-    /// change every record (invalidating the cache), and an early-exhausting
-    /// run exercises done-cursor comparisons — the merge order must stay
-    /// exactly the canonical (key, run index) order in every regime.
+    /// Adversarial pin of the refill: long duplicate streaks keep one run
+    /// winning, tight interleavings force the winner to change every
+    /// record, and an early-exhausting run exercises done-cursor
+    /// comparisons — the merge order must stay exactly the canonical
+    /// (key, run index) order in every regime.
     #[test]
     fn loser_tree_fast_refill_preserves_the_canonical_merge_order() {
         let dev = SimDevice::new_ref();
@@ -1367,11 +1368,15 @@ mod tests {
 
     /// Seeded property test of the merge over split slices: runs with
     /// duplicates inside and across them, keys 0 and `u64::MAX`, empty
-    /// runs, and splitters that cut pages mid-way. Whatever mix of
-    /// `next_key`, `peek_key` and `next_ref` drains the ranges, the records
-    /// come out in a stable sort by (key, run index) — so `u64::MAX` never
-    /// reads as an exhausted cursor, and a boundary slice's key vector holds
-    /// exactly its record range.
+    /// runs, and splitters that cut pages mid-way. One run of every case
+    /// holds nothing but `u64::MAX`, at a random run index, and every other
+    /// case splits at `u64::MAX` too, so live `u64::MAX` keys meet
+    /// exhausted slices of lower and higher index — the boundary of the
+    /// tag's exhausted bit. Whatever mix of `next_key`, `peek_key` and
+    /// `next_ref` drains the ranges, the records come out in a stable sort
+    /// by (key, run index) — so `u64::MAX` never reads as an exhausted
+    /// cursor, and a boundary slice's key vector holds exactly its record
+    /// range.
     #[test]
     fn loser_tree_over_split_slices_is_a_stable_sort_by_key_and_run() {
         const ALPHABET: [u64; 8] = [0, 1, 2, 5, 9, 1_000, u64::MAX - 1, u64::MAX];
@@ -1386,12 +1391,17 @@ mod tests {
         };
         for case in 0..40 {
             let dev = SimDevice::new_ref();
-            let k = 1 + next(7);
+            let k = 2 + next(7);
+            let max_run = next(k);
             let mut runs = Vec::new();
             let mut expected: Vec<(u64, u32, u32)> = Vec::new();
             for run in 0..k {
                 let len = if run == case % k { 0 } else { next(30) };
-                let mut keys: Vec<u64> = (0..len).map(|_| ALPHABET[next(ALPHABET.len())]).collect();
+                let mut keys: Vec<u64> = if run == max_run {
+                    vec![u64::MAX; 1 + next(9)]
+                } else {
+                    (0..len).map(|_| ALPHABET[next(ALPHABET.len())]).collect()
+                };
                 keys.sort_unstable();
                 let mut writer = RunWriter::new(dev.clone(), RecordLayout::new(8), SMALL_PAGE, len);
                 for (pos, &key) in keys.iter().enumerate() {
@@ -1408,6 +1418,9 @@ mod tests {
                 .map(|_| ALPHABET[next(ALPHABET.len())])
                 .collect();
             splitters.extend(fence_splitters(&runs, 1 + next(4)));
+            if case % 2 == 1 {
+                splitters.push(u64::MAX);
+            }
             splitters.sort_unstable();
             let mut got = Vec::new();
             for slices in split_runs(&runs, &splitters).unwrap() {

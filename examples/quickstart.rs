@@ -1,5 +1,5 @@
 //! Quickstart: generate a small skewed PK–FK workload, run NOCAP and DHH on
-//! the same memory budget, and compare I/Os and estimated latency.
+//! the same memory budget, and compare I/Os and modeled I/O latency.
 //!
 //! ```bash
 //! cargo run --release --example quickstart
@@ -57,12 +57,12 @@ fn main() {
     );
     for report in [&nocap_report, &dhh_report] {
         println!(
-            "{:>9}: {:>8} I/Os  ({} partition, {} probe)  est. latency {:.2}s",
+            "{:>9}: {:>8} I/Os  ({} partition, {} probe)  modeled I/O latency {:.2}s",
             report.algorithm,
             report.total_ios(),
             report.partition_io.total(),
             report.probe_io.total(),
-            report.total_latency_secs(&profile),
+            report.io_latency_secs(&profile),
         );
     }
     let saved = 1.0 - nocap_report.total_ios() as f64 / dhh_report.total_ios() as f64;

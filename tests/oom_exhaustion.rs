@@ -163,7 +163,8 @@ fn executors(spec: JoinSpec, wl: &GeneratedWorkload, threads: usize) -> Vec<Swee
 
 /// The smallest budget an executor runs at: a pair join's three pages
 /// (NBJ's one-page chunk beside its two streaming pages) for the hash
-/// joins and NBJ, two two-way merges for SMJ.
+/// joins and NBJ, a four-way fused merge (two runs of each relation) for
+/// SMJ.
 fn smallest_budget(label: &str) -> usize {
     if label == "smj" {
         SMJ_MIN_BUDGET_PAGES

@@ -21,9 +21,9 @@
 //! through owned `Vec<OwnedRecord>` chunk buffers with a stable sort, heap-based
 //! (`BinaryHeap<Reverse<(key, run)>>`) merge passes and a fused merge-join
 //! over peekable owned-record merges (`LegacySorter` / `merge_join_legacy`
-//! below, moved here unchanged from the retired CPU bench) — pinning the
-//! arena sorter + loser-tree rewrite to the exact output and per-phase I/O
-//! of the pre-rewrite SMJ.
+//! below, moved here from the retired CPU bench) — pinning the arena
+//! sorter + loser-tree rewrite to the exact output and per-phase I/O of the
+//! pre-rewrite SMJ, run through the executor's cascade plan.
 //!
 //! Coverage: skewed (Zipf 1.1), uniform and JCC-H (tuned skew) workloads,
 //! each checked against `run` (one worker on the calling thread) and
@@ -315,16 +315,13 @@ impl LegacySorter {
         }
     }
 
-    /// Sorts `relation` into at most `max_final_runs` runs (run generation
-    /// plus heap-based merge passes), legacy path.
-    pub fn sort_to_runs(
+    /// Merges `runs` through `levels` heap-based merge passes, legacy path.
+    pub fn merge_passes(
         &mut self,
-        relation: &Relation,
-        max_final_runs: usize,
+        mut runs: Vec<Relation>,
+        levels: usize,
     ) -> Result<Vec<Relation>> {
-        assert!(max_final_runs >= 2, "need at least a two-way final merge");
-        let mut runs = self.generate_runs(relation)?;
-        while runs.len() > max_final_runs {
+        for _ in 0..levels {
             runs = self.merge_pass(runs)?;
         }
         Ok(runs)
@@ -503,26 +500,63 @@ pub fn merge_join_legacy(r_runs: &[Relation], s_runs: &[Relation]) -> Result<u64
     Ok(output)
 }
 
+/// SMJ's cascade plan, worked out here from the legacy runs' record
+/// counts: for each relation, the runs left and the pages read and written
+/// after each level of groups of `fan_in` runs (a lone trailing run passing
+/// through), then the cheapest pair of depths whose final runs fit one
+/// fused merge of `fan_in`, ties going to fewer levels, then to fewer R
+/// levels.
+fn cascade_plan(r_runs: &[Relation], s_runs: &[Relation], fan_in: usize) -> (usize, usize) {
+    let levels = |runs: &[Relation]| {
+        let per_page = runs.first().map_or(1, Relation::records_per_page);
+        let pages = |n: usize| n.div_ceil(per_page);
+        let mut records: Vec<usize> = runs.iter().map(Relation::num_records).collect();
+        let mut io = 0;
+        let mut levels = vec![(records.len(), io)];
+        while records.len() > 1 {
+            let lone = if records.len() % fan_in == 1 {
+                records.pop()
+            } else {
+                None
+            };
+            records = records
+                .chunks(fan_in)
+                .map(|group| {
+                    let merged = group.iter().sum();
+                    io += group.iter().map(|&n| pages(n)).sum::<usize>() + pages(merged);
+                    merged
+                })
+                .collect();
+            records.extend(lone);
+            levels.push((records.len(), io));
+        }
+        levels
+    };
+    let (r, s) = (levels(r_runs), levels(s_runs));
+    (0..r.len())
+        .flat_map(|i| (0..s.len()).map(move |j| (i, j)))
+        .filter(|&(i, j)| r[i].0 + s[j].0 <= fan_in)
+        .min_by_key(|&(i, j)| (r[i].1 + s[j].1, i + j, i))
+        .expect("one run per relation fits")
+}
+
 /// The pre-rewrite SMJ executor: owned-record run generation (stable
 /// `Vec<OwnedRecord>` chunk sorts), heap-based merge passes, and the fused
-/// merge-join over peekable owned-record merge iterators. Mirrors the old
-/// `SortMergeJoin::run` line for line — including the `.max(4)` budget
-/// fallback and the size-proportional fan-in split — so output and
-/// per-phase I/O pin the arena sorter + loser-tree rewrite exactly.
+/// merge-join over peekable owned-record merge iterators, run through the
+/// executor's cascade plan ([`cascade_plan`]) — so output and per-phase
+/// I/O pin the arena sorter + loser-tree rewrite exactly.
 fn legacy_smj_run(spec: &JoinSpec, r: &Relation, s: &Relation) -> (u64, IoStats, IoStats) {
     let device = r.device().clone();
     let base = device.stats();
 
-    let budget = spec.buffer_pages.max(4);
-    let fan_in = (budget - 1).max(4);
-    let total_pages = (r.num_pages() + s.num_pages()).max(1);
-    let r_share = ((fan_in * r.num_pages()) / total_pages).clamp(2, fan_in - 2);
-    let s_share = (fan_in - r_share).max(2);
-
+    let budget = spec.buffer_pages;
     let mut r_sorter = LegacySorter::new(device.clone(), budget);
-    let r_runs = r_sorter.sort_to_runs(r, r_share).unwrap();
     let mut s_sorter = LegacySorter::new(device.clone(), budget);
-    let s_runs = s_sorter.sort_to_runs(s, s_share).unwrap();
+    let r_runs = r_sorter.generate_runs(r).unwrap();
+    let s_runs = s_sorter.generate_runs(s).unwrap();
+    let (r_levels, s_levels) = cascade_plan(&r_runs, &s_runs, budget - 1);
+    let r_runs = r_sorter.merge_passes(r_runs, r_levels).unwrap();
+    let s_runs = s_sorter.merge_passes(s_runs, s_levels).unwrap();
     let partition_io = device.stats().since(&base);
 
     let probe_base = device.stats();
