@@ -21,9 +21,9 @@
 //!   footprint that `B` does not charge and the block layer owns;
 //! * writes the audits — per-phase tables, declarations, the
 //!   measured-vs-modeled latency table with the empirical μ/τ of the
-//!   filesystem it ran on, page-touch heatmaps — the device memory and the
-//!   sync comparison to `BENCH_io.json` (`--out <path>` to relocate; the
-//!   file is git-ignored).
+//!   filesystem it ran on — the device memory and the sync comparison to
+//!   `BENCH_io.json` (`--out <path>` to relocate; the file is
+//!   git-ignored).
 //!
 //! It prints one verdict line per audit and the path of the JSON. Pass
 //! `--quick` for a smaller workload (the CI smoke setting); any other

@@ -30,6 +30,7 @@
 //! [`StatsCollector::collect_parallel_with_budget`](nocap_stats::StatsCollector::collect_parallel_with_budget)
 //! before the join.
 
+use nocap_model::pairwise::PAIR_JOIN_PAGES;
 use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, RoundedHashParams, StagingRouter};
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, HybridPlan, Route};
@@ -140,12 +141,12 @@ impl NocapJoin {
     /// Plans and executes the join on the calling thread from a one-pass
     /// sketch summary instead of an oracle MCV list:
     /// [`run`](Self::run) with [`StatsSummary::planner_mcvs`] — raw
-    /// SpaceSaving counts on skewed streams, equi-width histogram masses on
-    /// near-uniform ones, where per-key SpaceSaving counts are noise. Hand
-    /// the same list to [`run_parallel_obs`](Self::run_parallel_obs) for
-    /// more workers or a recorder; the summary is the same artifact at
-    /// every thread count, so the plan, the output and the per-phase I/O
-    /// are too.
+    /// SpaceSaving counts on skewed streams, the flat density of the
+    /// stream's key range on near-uniform ones, where per-key SpaceSaving
+    /// counts are noise. Hand the same list to
+    /// [`run_parallel_obs`](Self::run_parallel_obs) for more workers or a
+    /// recorder; the summary is the same artifact at every thread count,
+    /// so the plan, the output and the per-phase I/O are too.
     pub fn run_with_collected_stats(
         &self,
         r: &Relation,
@@ -168,6 +169,9 @@ impl NocapJoin {
         threads: usize,
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
+        // No plan runs below a pair join's pages: refuse them as the body
+        // would, before any quota or geometry is sized.
+        self.spec.pages_left(PAIR_JOIN_PAGES)?;
         let fixed_pages = plan.fixed_memory_pages(&self.spec);
         // The residual quotas share `m_rest`, what the fixed pages leave.
         let geometry = RestGeometry::new(

@@ -50,13 +50,14 @@
 //! **Statistics.** Like NOCAP's planner, DHH reads one input besides the
 //! relations: an MCV list, the catalog's or a sketch summary's
 //! ([`StatsSummary::planner_mcvs`](nocap_stats::StatsSummary::planner_mcvs),
-//! whose histogram-backed masses on near-uniform streams keep noisy
+//! whose flat-density masses on near-uniform streams keep noisy
 //! SpaceSaving counts from tripping the 2 % trigger). `exp_stats_accuracy`
 //! hands every skew-aware algorithm the same list, so they compare on
 //! equal sketched footing.
 
 use std::collections::HashSet;
 
+use nocap_model::pairwise::PAIR_JOIN_PAGES;
 use nocap_model::{staging_quotas, JoinRunReport, JoinSpec, StagingRouter};
 use nocap_obs::Obs;
 use nocap_par::{hybrid_hash_join, HybridPlan, Route};
@@ -191,6 +192,9 @@ impl DhhJoin {
         obs: &Obs,
     ) -> nocap_storage::Result<JoinRunReport> {
         let spec = &self.spec;
+        // No plan runs below a pair join's pages: refuse them as the body
+        // would, before the quotas are sized.
+        spec.pages_left(PAIR_JOIN_PAGES)?;
         let skew_keys = self.select_skew_keys(mcvs, s.num_records() as u64);
         let fixed_pages = spec.hash_table_pages(skew_keys.len());
         let staged = r.num_records().saturating_sub(skew_keys.len());

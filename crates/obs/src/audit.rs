@@ -8,7 +8,7 @@
 //!    every access the device served.
 //!
 //! `IoAudit` replays the device-level event stream a `TracedDevice` captured
-//! into an [`ExecutionTrace`] and checks both, producing three signal
+//! into an [`ExecutionTrace`] and checks both, producing two signal
 //! classes:
 //!
 //! * **Model audit** — events between consecutive counter markers are folded
@@ -25,7 +25,6 @@
 //!   at the same or next page offset). The observed sequential fraction is
 //!   aggregated per (phase, declared kind) and obviously contradictory
 //!   declarations are flagged.
-//! * **Access-pattern emission** — a per-file page-touch heatmap (JSON).
 
 use std::collections::BTreeMap;
 
@@ -119,24 +118,6 @@ pub struct LatencyRow {
     pub predicted_us: f64,
 }
 
-/// Page-touch density of one file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileHeatmap {
-    /// The file.
-    pub file: FileId,
-    /// Highest touched page index + 1.
-    pub pages: usize,
-    /// Read accesses.
-    pub reads: u64,
-    /// Write accesses.
-    pub writes: u64,
-    /// Touch counts over up to [`HEATMAP_BUCKETS`] equal page ranges.
-    pub buckets: Vec<u64>,
-}
-
-/// Number of page-range buckets a file's heatmap is condensed into.
-pub const HEATMAP_BUCKETS: usize = 64;
-
 /// Groups with fewer accesses than this are never flagged by the
 /// declaration audit (a one-page probe has no pattern to contradict).
 const MIN_FLAG_EVENTS: usize = 4;
@@ -159,8 +140,6 @@ pub struct IoAudit {
     pub declarations: Vec<DeclarationRow>,
     /// Per-kind measured-vs-predicted latency (empty without measurement).
     pub latency: Vec<LatencyRow>,
-    /// Per-file page-touch heatmaps, by file id.
-    pub heatmaps: Vec<FileHeatmap>,
 }
 
 fn kind_idx(kind: IoKind) -> usize {
@@ -318,36 +297,6 @@ impl IoAudit {
             })
             .collect();
 
-        // --- heatmaps -----------------------------------------------------
-        let mut extents: BTreeMap<FileId, (usize, u64, u64)> = BTreeMap::new();
-        for e in events {
-            let ext = extents.entry(e.file).or_insert((0, 0, 0));
-            ext.0 = ext.0.max(e.page + 1);
-            match e.op {
-                IoOp::Read => ext.1 += 1,
-                IoOp::Append => ext.2 += 1,
-            }
-        }
-        let mut heatmaps: Vec<FileHeatmap> = extents
-            .iter()
-            .map(|(&file, &(pages, reads, writes))| FileHeatmap {
-                file,
-                pages,
-                reads,
-                writes,
-                buckets: vec![0; HEATMAP_BUCKETS.min(pages.max(1))],
-            })
-            .collect();
-        for e in events {
-            let idx = heatmaps
-                .binary_search_by_key(&e.file, |h| h.file)
-                .expect("heatmap file present");
-            let h = &mut heatmaps[idx];
-            let last = h.buckets.len() - 1;
-            let bucket = e.page * h.buckets.len() / h.pages.max(1);
-            h.buckets[bucket.min(last)] += 1;
-        }
-
         IoAudit {
             profile,
             windows,
@@ -356,7 +305,6 @@ impl IoAudit {
             phase_io,
             declarations,
             latency,
-            heatmaps,
         }
     }
 
@@ -468,27 +416,11 @@ impl IoAudit {
             ));
         }
         out.push_str(&format!(
-            "\n  ],\n  \"empirical\": {{\"mu\": {}, \"tau\": {}, \"rand_read_ratio\": {}}},\n",
+            "\n  ],\n  \"empirical\": {{\"mu\": {}, \"tau\": {}, \"rand_read_ratio\": {}}}\n}}\n",
             json_opt(self.empirical_mu()),
             json_opt(self.empirical_tau()),
             json_opt(self.empirical_rand_read_ratio())
         ));
-        out.push_str("  \"heatmaps\": [");
-        for (i, h) in self.heatmaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            out.push_str(&format!(
-                "\n    {{\"file\": {}, \"pages\": {}, \"reads\": {}, \"writes\": {}, \"buckets\": [{}]}}",
-                h.file.0,
-                h.pages,
-                h.reads,
-                h.writes,
-                buckets.join(", ")
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
         out
     }
 }
@@ -904,33 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn heatmap_buckets_cover_the_file() {
-        let mut events = Vec::new();
-        for i in 0..200 {
-            events.push(ev(
-                i,
-                None,
-                None,
-                5,
-                i as usize,
-                IoKind::SeqRead,
-                IoOp::Read,
-                None,
-            ));
-        }
-        let trace = ExecutionTrace {
-            io_events: events,
-            ..Default::default()
-        };
-        let audit = IoAudit::from_trace(&trace, DeviceProfile::osync_off());
-        assert_eq!(audit.heatmaps.len(), 1);
-        let h = &audit.heatmaps[0];
-        assert_eq!(h.pages, 200);
-        assert_eq!(h.reads, 200);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 200);
-    }
-
-    #[test]
     fn audit_json_is_well_formed() {
         let trace = ExecutionTrace {
             io_events: vec![ev(
@@ -958,7 +863,6 @@ mod tests {
             "\"declarations\"",
             "\"latency\"",
             "\"empirical\"",
-            "\"heatmaps\"",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }

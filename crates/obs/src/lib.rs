@@ -54,8 +54,7 @@ mod recorder;
 mod trace;
 
 pub use audit::{
-    DeclarationRow, FileHeatmap, IoAudit, IoWindow, LatencyRow, PhaseIoRow, SyncComparison,
-    SyncComparisonRow, HEATMAP_BUCKETS,
+    DeclarationRow, IoAudit, IoWindow, LatencyRow, PhaseIoRow, SyncComparison, SyncComparisonRow,
 };
 pub use hist::HistogramSummary;
 pub use io::{io_kind_name, IoEventRec, IoMarkerRec, IoPhaseMark};

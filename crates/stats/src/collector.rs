@@ -1,8 +1,8 @@
 //! One-pass statistics collection under a page budget.
 //!
-//! [`StatsCollector`] owns the two sketches the planner reads — SpaceSaving
-//! and the fallback histogram — and feeds every observed join key to both.
-//! Its memory is sized from a **page budget**
+//! [`StatsCollector`] owns the one sketch the planner reads — SpaceSaving —
+//! beside the exact stream length and key range, and feeds every observed
+//! join key to all three. Its memory is sized from a **page budget**
 //! ([`StatsConfig::for_budget_pages`]), and the pass a join runs,
 //! [`StatsCollector::collect_parallel_with_budget`], refuses up front to
 //! hold more shard sketches than the join's *B* pages, so collecting
@@ -12,21 +12,21 @@
 //!
 //! There is one kind of collector: every component is either an
 //! order-insensitive, exactly mergeable function of the observed key
-//! multiset (stream length, key range, histogram) or carries
-//! merge-preserved error bounds (SpaceSaving), so a relation scan, keys
-//! fed one at a time to [`StatsCollector::observe`] and the shards of
+//! multiset (stream length, key range) or carries merge-preserved error
+//! bounds (SpaceSaving), so a relation scan, keys fed one at a time to
+//! [`StatsCollector::observe`] and the shards of
 //! [`StatsCollector::collect_parallel`] all run the same body.
 //!
 //! The produced [`StatsSummary`] is the planner-facing artifact: top-k
-//! [`McvEstimate`]s with error bounds, the exact stream length, the key
-//! range and the histogram that backs the near-uniform fallback.
+//! [`McvEstimate`]s with error bounds, the exact stream length and the key
+//! range, whose flat density backs the near-uniform fallback of
+//! [`StatsSummary::planner_mcvs`].
 
 use nocap_model::McvEstimate;
 use nocap_obs::{Obs, Phase};
 use nocap_par::{ordered_tasks, page_shards};
 use nocap_storage::{Relation, RelationScan, Result, StorageError};
 
-use crate::histogram::EquiWidthHistogram;
 use crate::spacesaving::SpaceSaving;
 
 /// Sketch sizing for one collection pass.
@@ -34,47 +34,44 @@ use crate::spacesaving::SpaceSaving;
 pub struct StatsConfig {
     /// SpaceSaving counters (the top-k capacity; error ≤ N / counters).
     pub mcv_counters: usize,
-    /// Fallback histogram bucket count.
-    pub hist_buckets: usize,
 }
 
 impl Default for StatsConfig {
     fn default() -> Self {
         StatsConfig {
             mcv_counters: 1_024,
-            hist_buckets: 64,
         }
     }
 }
 
 impl StatsConfig {
-    /// Sizes the sketches to fit `bytes` bytes, split 90 % SpaceSaving (the
-    /// planner-critical sketch) and 10 % histogram. Both scale down with
-    /// the budget (no fixed floors), so the result fits any `bytes ≥ 256`;
-    /// below that the structural minimum of one-of-each-sketch applies.
-    pub fn for_budget_bytes(bytes: usize) -> Self {
-        let bytes = bytes.max(256);
+    /// Sizes SpaceSaving to fit `pages` pages of `page_size` bytes: one
+    /// counter per 64 bytes of 90 % of the budget. Budgets under 256 bytes
+    /// are sized as 256 (three counters), whose footprint
+    /// [`memory_pages`](Self::memory_pages) reports honestly.
+    pub fn for_budget_pages(pages: usize, page_size: usize) -> Self {
+        let bytes = (pages.max(1) * page_size.max(64)).max(256);
+        // Only 90 %: the counter count moves the planner's inputs, and more
+        // is not better. The whole budget (256 counters instead of 230 at
+        // four 4 KB pages) lengthens the noisy tail of the MCV list and
+        // raised the sketch-planned over catalog-planned NOCAP I/O of the
+        // Zipf, B = ½·√(F·‖R‖) workload from 1.031 to 1.071. The unspent
+        // tenth is ROADMAP item 9's to spend.
         StatsConfig {
             mcv_counters: (bytes * 9 / 10 / 64).max(1),
-            hist_buckets: (bytes / 10 / 8).clamp(1, 65_536),
         }
     }
 
-    /// Sizes the sketches to fit `pages` pages of `page_size` bytes.
-    pub fn for_budget_pages(pages: usize, page_size: usize) -> Self {
-        Self::for_budget_bytes(pages.max(1) * page_size.max(64))
-    }
-
-    /// Bytes the configured sketches occupy (the accounting the page budget
-    /// is charged by). Either sketch holds at least one entry.
+    /// Bytes the configured sketch occupies (the accounting the page budget
+    /// is charged by), at least one counter's.
     pub fn memory_bytes(&self) -> usize {
         // Per SpaceSaving counter: the counter itself (24 B), its heap and
         // slot entries (8 B) and its hash-map entry (~32 B with growth
-        // slack). Per histogram bucket: one `u64` count.
-        self.mcv_counters.max(1) * 64 + self.hist_buckets.max(1) * 8
+        // slack).
+        self.mcv_counters.max(1) * 64
     }
 
-    /// Pages the configured sketches occupy, rounded up.
+    /// Pages the configured sketch occupies, rounded up.
     pub fn memory_pages(&self, page_size: usize) -> usize {
         self.memory_bytes().div_ceil(page_size.max(64)).max(1)
     }
@@ -85,7 +82,6 @@ impl StatsConfig {
 pub struct StatsCollector {
     config: StatsConfig,
     spacesaving: SpaceSaving,
-    histogram: EquiWidthHistogram,
     n: u64,
     min_key: Option<u64>,
     max_key: Option<u64>,
@@ -95,18 +91,15 @@ impl StatsCollector {
     /// Creates a collector with explicit sketch sizing;
     /// [`StatsConfig::for_budget_pages`] sizes one for a page budget.
     ///
-    /// The histogram is anchored at key 0
-    /// ([`EquiWidthHistogram::adaptive_pinned`]), so every component the
-    /// collector produces is an order-insensitive function of the observed
-    /// key multiset *or* (for SpaceSaving beyond its exact regime) carries
-    /// merge-preserved error bounds: collectors over the parts of a stream
-    /// can be folded with [`merge`](Self::merge) in a fixed order to a
-    /// deterministic [`StatsSummary`], which is what
+    /// Every component the collector produces is an order-insensitive
+    /// function of the observed key multiset *or* (for SpaceSaving beyond
+    /// its exact regime) carries merge-preserved error bounds: collectors
+    /// over the parts of a stream can be folded with [`merge`](Self::merge)
+    /// in a fixed order to a deterministic [`StatsSummary`], which is what
     /// [`collect_parallel`](Self::collect_parallel) does with its shards.
     pub fn new(config: StatsConfig) -> Self {
         StatsCollector {
             spacesaving: SpaceSaving::new(config.mcv_counters),
-            histogram: EquiWidthHistogram::adaptive_pinned(0, config.hist_buckets),
             n: 0,
             min_key: None,
             max_key: None,
@@ -114,13 +107,12 @@ impl StatsCollector {
         }
     }
 
-    /// Merges another collector's sketches into this one, as if this
-    /// collector had also observed every key `other` observed.
+    /// Merges another collector into this one, as if this collector had
+    /// also observed every key `other` observed.
     ///
-    /// Exactness per component: the stream length, min/max key and
-    /// histogram merge **exactly** — the merged state equals a single
-    /// collector's state over the concatenated stream, for any split and
-    /// any merge order. The SpaceSaving summary merges with its error
+    /// Exactness per component: the stream length and min/max key merge
+    /// **exactly** — the merged state equals a single collector's state
+    /// over the concatenated stream, for any split and any merge order. The SpaceSaving summary merges with its error
     /// bounds preserved (Agarwal et al., "Mergeable Summaries"); it is
     /// exact while the distinct-key count stays within `mcv_counters`, and
     /// an overestimate with per-key error bounds beyond that.
@@ -133,7 +125,6 @@ impl StatsCollector {
             "can only merge collectors with identical sketch configurations"
         );
         self.spacesaving.merge(&other.spacesaving);
-        self.histogram.merge(&other.histogram);
         self.n += other.n;
         self.min_key = match (self.min_key, other.min_key) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -159,15 +150,14 @@ impl StatsCollector {
     pub fn observe(&mut self, key: u64) {
         self.n += 1;
         self.spacesaving.offer(key);
-        self.histogram.add(key);
         self.min_key = Some(self.min_key.map_or(key, |m| m.min(key)));
         self.max_key = Some(self.max_key.map_or(key, |m| m.max(key)));
     }
 
     /// Consumes an entire relation scan in one pass. This is the intended
     /// entry point: page-granular sequential reads through the zero-copy
-    /// page loop (no per-record allocation), every record's key offered to
-    /// both sketches exactly once.
+    /// page loop (no per-record allocation), every record's key observed
+    /// exactly once.
     pub fn consume(&mut self, mut scan: RelationScan) -> Result<()> {
         while let Some(page) = scan.next_page()? {
             for rec in page.record_refs() {
@@ -187,7 +177,6 @@ impl StatsCollector {
             unmonitored_ceiling: self.spacesaving.min_count(),
             min_key: self.min_key,
             max_key: self.max_key,
-            histogram: self.histogram,
         }
     }
 
@@ -197,13 +186,13 @@ impl StatsCollector {
     /// of the worker count — which is what makes
     /// [`collect_parallel`](Self::collect_parallel) produce the same
     /// summary for every thread count.
-    pub fn shard_count(rel: &Relation) -> usize {
+    fn shard_count(rel: &Relation) -> usize {
         STATS_SHARDS.min(rel.num_pages()).max(1)
     }
 
     /// Sharded statistics collection: scans `rel` with `threads` workers
-    /// (`0` runs as one, see [`ordered_tasks`]) over the fixed shard grid
-    /// of [`shard_count`](Self::shard_count) contiguous page ranges, one
+    /// (`0` runs as one, see [`ordered_tasks`]) over a fixed grid of up to
+    /// eight contiguous page ranges (fewer on a smaller relation), one
     /// collector per shard, and folds the shard sketches in canonical shard
     /// order. No recorder and no budget check; see
     /// [`collect_parallel_with_budget`](Self::collect_parallel_with_budget)
@@ -236,12 +225,12 @@ impl StatsCollector {
     /// a recorder — the pass a join runs.
     ///
     /// Every shard collector is charged `pages` pages (or its real
-    /// footprint, whichever is larger: only page sizes under ~256 bytes,
-    /// where even one-of-each sketch outgrows a page, need more), so
+    /// footprint, whichever is larger: only page sizes under 256 bytes,
+    /// where even the three-counter floor outgrows a page, need more), so
     /// deterministic sharded collection is charged at its true resident
-    /// cost — `shard_count × pages`, independent of the thread count,
+    /// cost — shards × `pages`, independent of the thread count,
     /// because the shard geometry (not the worker count) fixes how many
-    /// sketch sets exist. The charge is checked against `budget_pages`
+    /// sketches exist. The charge is checked against `budget_pages`
     /// **before the scan starts**: a pass that exceeds it fails with
     /// [`OutOfMemory`](StorageError::OutOfMemory) up front, not after half
     /// the relation was already read.
@@ -312,16 +301,16 @@ impl StatsCollector {
 /// [`StatsCollector::shard_count`]). Fixed — like the residual partition
 /// quotas of the parallel executors — because determinism requires the
 /// decomposition to depend on the data, never on the worker count.
-pub const STATS_SHARDS: usize = 8;
+const STATS_SHARDS: usize = 8;
 
 /// The planner-facing artifact of one collection pass.
 ///
 /// Equality compares exactly the retained state — the sizing, the stream
 /// length, the MCV list with its error bounds (the SpaceSaving counters in
-/// canonical order), the key range and the histogram buckets. None of it
-/// depends on internal sketch layout (heap order, counter slots), so a
-/// summary folded from shard sketches compares equal to a sequentially
-/// collected one whenever they answer every query identically. The
+/// canonical order) and the key range. None of it depends on internal
+/// sketch layout (heap order, counter slots), so a summary folded from
+/// shard sketches compares equal to a sequentially collected one whenever
+/// they answer every query identically. The
 /// differential determinism suites pin `collect_parallel`'s thread-count
 /// invariance with this.
 #[derive(Debug, Clone, PartialEq)]
@@ -335,7 +324,6 @@ pub struct StatsSummary {
     unmonitored_ceiling: u64,
     min_key: Option<u64>,
     max_key: Option<u64>,
-    histogram: EquiWidthHistogram,
 }
 
 impl StatsSummary {
@@ -357,21 +345,11 @@ impl StatsSummary {
         self.error_guarantee
     }
 
-    /// Smallest key observed, if any record was seen.
-    pub fn min_key(&self) -> Option<u64> {
-        self.min_key
-    }
-
-    /// Largest key observed, if any record was seen.
-    pub fn max_key(&self) -> Option<u64> {
-        self.max_key
-    }
-
     /// MCVs with a frequency *provably* above the unmonitored ceiling: their
     /// guaranteed (lower-bound) count exceeds the largest frequency any
     /// untracked key could have, so they are heavy hitters no matter how the
     /// sketch erred.
-    pub fn reliable_mcvs(&self) -> impl Iterator<Item = &McvEstimate> {
+    fn reliable_mcvs(&self) -> impl Iterator<Item = &McvEstimate> {
         self.mcvs
             .iter()
             .filter(|e| e.guaranteed_count() > self.unmonitored_ceiling)
@@ -385,13 +363,14 @@ impl StatsSummary {
     /// every counter's count is dominated by the `N / counters` error term,
     /// so the raw estimates overstate per-key frequency by an order of
     /// magnitude and can bait the planner into caching keys that save
-    /// nothing. The near-uniform case is detected by counting
-    /// [`reliable_mcvs`](Self::reliable_mcvs) (provable heavy hitters);
-    /// when almost none exist, the tracked keys are kept — they are real
-    /// keys of the stream — but their masses are replaced by the equi-width
-    /// histogram's per-key estimate, which is unbiased under uniformity.
-    /// This is the histogram-backed fallback the planner consumes instead
-    /// of an empty (or noise-ridden) MCV list.
+    /// nothing. The near-uniform case is detected by counting provable
+    /// heavy hitters (tracked keys whose guaranteed count beats the
+    /// largest frequency an untracked key could have); when almost none
+    /// exist, the tracked keys are kept — they are real keys of the
+    /// stream — but each one's mass becomes the flat density
+    /// `n / (max_key − min_key + 1)`, rounded and clamped to
+    /// `[1, count]`: the per-key frequency of a stream spread evenly over
+    /// its key range, read off the exact length and range.
     pub fn planner_mcvs(&self) -> Vec<(u64, u64)> {
         /// Below this many provable heavy hitters the stream is treated as
         /// near-uniform.
@@ -400,22 +379,26 @@ impl StatsSummary {
         if reliable >= MIN_RELIABLE || reliable * 2 >= self.mcvs.len() {
             return nocap_model::estimate::to_pairs(&self.mcvs);
         }
+        let density = self.flat_density();
         self.mcvs
             .iter()
-            .map(|e| {
-                let hist = self.histogram_estimate(e.key).round() as u64;
-                // Never exceed the sketch count (an upper bound on truth).
-                (e.key, hist.clamp(1, e.count.max(1)))
-            })
+            // Never exceed the sketch count (an upper bound on truth).
+            .map(|e| (e.key, density.clamp(1, e.count.max(1))))
             .collect()
     }
 
-    /// Equi-width fallback estimate for one key (uniformity within bucket).
-    pub fn histogram_estimate(&self, key: u64) -> f64 {
-        self.histogram.estimate(key)
+    /// `n / (max_key − min_key + 1)` rounded half up, in `u128` so the
+    /// full `u64` key range (2⁶⁴ keys) neither overflows nor divides by
+    /// zero; 0 for an empty stream.
+    fn flat_density(&self) -> u64 {
+        let (Some(lo), Some(hi)) = (self.min_key, self.max_key) else {
+            return 0;
+        };
+        let keys = u128::from(hi - lo) + 1;
+        ((2 * u128::from(self.n) + keys) / (2 * keys)) as u64
     }
 
-    /// Resident size of the sketches this summary was collected with, in
+    /// Resident size of the sketch this summary was collected with, in
     /// bytes: [`StatsConfig::memory_bytes`] of the collector's config.
     pub fn memory_bytes(&self) -> usize {
         self.config.memory_bytes()
@@ -453,8 +436,8 @@ mod tests {
         collector.consume(rel.scan()).unwrap();
         let summary = collector.finish();
         assert_eq!(summary.stream_len() as usize, rel.num_records());
-        assert_eq!(summary.min_key(), Some(0));
-        assert_eq!(summary.max_key(), Some(499));
+        assert_eq!(summary.min_key, Some(0));
+        assert_eq!(summary.max_key, Some(499));
     }
 
     #[test]
@@ -490,7 +473,7 @@ mod tests {
             "1 KB of sketches must fit one 1 KB page"
         );
         assert!(config.memory_bytes() <= 1024);
-        // Degenerate page size: the structural minimum (~232 B of sketches)
+        // Degenerate page size: the 256-byte floor (three counters, 192 B)
         // spans several 64-byte pages; the charge covers the real footprint
         // instead of silently exceeding the single requested page.
         let footprint = StatsConfig::for_budget_pages(1, 64).memory_pages(64);
@@ -513,10 +496,7 @@ mod tests {
         let device = SimDevice::new_ref();
         let n_keys = 400u64;
         let rel = skewed_relation(device, n_keys);
-        let mut collector = StatsCollector::new(StatsConfig {
-            mcv_counters: 64,
-            ..StatsConfig::default()
-        });
+        let mut collector = StatsCollector::new(StatsConfig { mcv_counters: 64 });
         collector.consume(rel.scan()).unwrap();
         let summary = collector.finish();
         let truth = |k: u64| (n_keys / (k + 1)).max(1);
@@ -533,10 +513,7 @@ mod tests {
     fn planner_mcvs_trusts_the_sketch_on_skewed_streams() {
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 400);
-        let mut collector = StatsCollector::new(StatsConfig {
-            mcv_counters: 64,
-            ..StatsConfig::default()
-        });
+        let mut collector = StatsCollector::new(StatsConfig { mcv_counters: 64 });
         collector.consume(rel.scan()).unwrap();
         let summary = collector.finish();
         assert!(
@@ -549,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn planner_mcvs_falls_back_to_histogram_masses_on_uniform_streams() {
+    fn planner_mcvs_falls_back_to_the_flat_density_on_uniform_streams() {
         let device = SimDevice::new_ref();
         // 4 000 distinct keys, 8 occurrences each, shuffled: far more keys
         // than counters, perfectly uniform.
@@ -562,31 +539,49 @@ mod tests {
             keys.into_iter().map(|k| RecordRef::new(k, &[0; 24])),
         )
         .unwrap();
-        let mut collector = StatsCollector::new(StatsConfig {
-            mcv_counters: 128,
-            ..StatsConfig::default()
-        });
+        let mut collector = StatsCollector::new(StatsConfig { mcv_counters: 128 });
         collector.consume(rel.scan()).unwrap();
         let summary = collector.finish();
         assert!(
             summary.reliable_mcvs().count() < 8,
             "uniform streams must not produce provable heavy hitters"
         );
-        let planner = summary.planner_mcvs();
-        assert!(!planner.is_empty(), "fallback keeps the tracked keys");
         // The raw SpaceSaving counts are dominated by the N/counters error
-        // (32000/128 = 250 vs a true frequency of 8); the histogram-backed
-        // masses must land near the truth instead.
+        // (32000/128 = 250 vs a true frequency of 8); the fallback keeps
+        // the tracked keys with the stream's flat density, 32 000 / 4 000.
         let raw_mean = summary.mcvs().iter().map(|e| e.count as f64).sum::<f64>()
             / summary.mcvs().len() as f64;
-        let fallback_mean =
-            planner.iter().map(|&(_, c)| c as f64).sum::<f64>() / planner.len() as f64;
         assert!(raw_mean > 10.0 * 8.0, "raw counts are noise-dominated");
-        assert!(
-            fallback_mean < 4.0 * 8.0,
-            "histogram masses should be near the true per-key frequency \
-             (got {fallback_mean:.1} vs truth 8)"
+        let planner = summary.planner_mcvs();
+        let tracked: Vec<u64> = summary.mcvs().iter().map(|e| e.key).collect();
+        assert_eq!(
+            planner.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
+            tracked,
+            "the fallback keeps the tracked keys"
         );
+        assert!(planner.iter().all(|&(_, mass)| mass == 8), "{planner:?}");
+    }
+
+    #[test]
+    fn the_flat_density_spans_the_full_key_range_without_overflow() {
+        // Keys 0 and u64::MAX: a range of 2^64 keys. Nine distinct
+        // keys over eight counters leave no provable heavy hitter, so the
+        // fallback runs; nine records over 2^64 keys round to 0 and the
+        // mass clamps to 1.
+        let mut collector = StatsCollector::new(StatsConfig { mcv_counters: 8 });
+        for k in [0, u64::MAX, 1, 2, 3, 4, 5, 6, 7] {
+            collector.observe(k);
+        }
+        let summary = collector.finish();
+        assert_eq!(
+            (summary.min_key, summary.max_key),
+            (Some(0), Some(u64::MAX))
+        );
+        assert_eq!(summary.reliable_mcvs().count(), 0);
+        assert_eq!(summary.flat_density(), 0);
+        let planner = summary.planner_mcvs();
+        assert_eq!(planner.len(), 8);
+        assert!(planner.iter().all(|&(_, mass)| mass == 1), "{planner:?}");
     }
 
     #[test]
@@ -603,8 +598,8 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.observed(), 100);
         let summary = a.finish();
-        assert_eq!(summary.min_key(), Some(10));
-        assert_eq!(summary.max_key(), Some(89));
+        assert_eq!(summary.min_key, Some(10));
+        assert_eq!(summary.max_key, Some(89));
         assert_eq!(summary.stream_len(), 100);
     }
 
@@ -626,10 +621,7 @@ mod tests {
     #[should_panic(expected = "identical sketch configurations")]
     fn merging_mismatched_configs_panics() {
         let mut a = StatsCollector::new(StatsConfig::default());
-        let b = StatsCollector::new(StatsConfig {
-            mcv_counters: 7,
-            ..StatsConfig::default()
-        });
+        let b = StatsCollector::new(StatsConfig { mcv_counters: 7 });
         a.merge(&b);
     }
 
@@ -661,10 +653,7 @@ mod tests {
         // every thread count anyway — the core determinism guarantee.
         let device = SimDevice::new_ref();
         let rel = skewed_relation(device, 500);
-        let config = StatsConfig {
-            mcv_counters: 32,
-            ..StatsConfig::default()
-        };
+        let config = StatsConfig { mcv_counters: 32 };
         let baseline = StatsCollector::collect_parallel(config, &rel, 1).unwrap();
         for threads in [2usize, 4, 8] {
             let parallel = StatsCollector::collect_parallel(config, &rel, threads).unwrap();
@@ -740,7 +729,7 @@ mod tests {
         .unwrap();
         let summary = StatsCollector::collect_parallel(StatsConfig::default(), &empty, 4).unwrap();
         assert_eq!(summary.stream_len(), 0);
-        assert_eq!(summary.min_key(), None);
+        assert_eq!(summary.min_key, None);
         // One page: fewer pages than STATS_SHARDS, still every thread count
         // agrees.
         let tiny = Relation::bulk_load(

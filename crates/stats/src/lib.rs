@@ -7,25 +7,26 @@
 //! those statistics from a full [`CorrelationTable`](nocap_model::ct) — an
 //! oracle that would never fit the memory budget of a real system. This
 //! crate produces the same statistics in **one streaming pass** over the
-//! fact relation with sketches sized, in pages, from a budget the caller
+//! fact relation with a sketch sized, in pages, from a budget the caller
 //! carves out of the join's *B*:
 //!
 //! * [`spacesaving`] — the SpaceSaving heavy-hitter summary (Metwally et
 //!   al.): `k` counters track the hottest keys with per-key error bounds and
 //!   the global guarantee `error ≤ N / k`. This is the planner's MCV list,
 //!   and it gets 90 % of every budget page.
-//! * [`histogram`] — an equi-width fallback histogram, the per-key masses
-//!   the planner falls back to on near-uniform streams, where every
-//!   SpaceSaving count is dominated by its error term.
-//! * [`collector`] — [`StatsCollector`]: wires both behind a single
-//!   one-pass consumer of a [`RelationScan`](nocap_storage::RelationScan)'s
-//!   pages (zero-copy: it reads keys straight from each page),
-//!   sized from a page budget, producing a [`StatsSummary`] whose
+//! * [`collector`] — [`StatsCollector`]: SpaceSaving beside the exact
+//!   stream length and key range, behind a single one-pass consumer of a
+//!   [`RelationScan`](nocap_storage::RelationScan)'s pages (zero-copy: it
+//!   reads keys straight from each page), sized from a page budget,
+//!   producing a [`StatsSummary`] whose
 //!   [`McvEstimate`](nocap_model::McvEstimate)s feed the planner directly.
+//!   On near-uniform streams, where every SpaceSaving count is dominated by
+//!   its error term, the planner's per-key masses fall back to the flat
+//!   density the exact length and range give.
 //!   [`StatsCollector::collect_parallel`] shards the pass across `nocap-par`
-//!   workers over a fixed [`STATS_SHARDS`]-way page grid and folds the
-//!   per-shard sketches in canonical order, producing a summary that is
-//!   bit-identical for every thread count.
+//!   workers over a fixed eight-way page grid and folds the per-shard
+//!   sketches in canonical order, producing a summary that is bit-identical
+//!   for every thread count.
 //!
 //! ```
 //! use nocap_stats::{StatsCollector, StatsConfig};
@@ -66,9 +67,7 @@
 #![forbid(unsafe_code)]
 
 pub mod collector;
-pub mod histogram;
 pub mod spacesaving;
 
-pub use collector::{StatsCollector, StatsConfig, StatsSummary, STATS_SHARDS};
-pub use histogram::EquiWidthHistogram;
+pub use collector::{StatsCollector, StatsConfig, StatsSummary};
 pub use spacesaving::SpaceSaving;

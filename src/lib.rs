@@ -7,10 +7,11 @@
 //! * [`storage`] — pages, simulated block devices, spill files.
 //! * [`model`] — correlation tables, join specifications, analytic cost models.
 //! * [`stats`] — bounded-memory streaming statistics (SpaceSaving top-k
-//!   and a fallback histogram behind one page-budgeted collector) that
-//!   replace the `CorrelationTable` oracle with one-pass sketch summaries.
-//! * [`obs`] — zero-cost-when-off tracing, metrics and skew profiling:
-//!   phase spans, counters, histograms and the device-level I/O audit.
+//!   beside the exact stream length and key range, in one page-budgeted
+//!   collector) that replace the `CorrelationTable` oracle with one-pass
+//!   sketch summaries.
+//! * [`obs`] — zero-cost-when-off tracing: phase spans, per-worker
+//!   timelines, device I/O events and the device-level I/O audit.
 //! * [`par`] — the multi-threaded execution engine: worker pool, sharded
 //!   spill writers and the deterministic concurrent residual stager behind
 //!   `NocapJoin::run_parallel`.

@@ -200,9 +200,8 @@ fn assert_refused_before_io(
 
 #[test]
 fn budgets_below_the_streaming_pages_fail_before_any_io() {
-    // The first declaration B cannot hold: a hash join's two streaming
-    // pages (its fixed structures are empty at these budgets), the pair
-    // join GHJ and NBJ declare, SMJ's floor.
+    // Every join refuses with its floor: the pair join's three pages that
+    // the hash joins and NBJ check first, SMJ's four-way merge.
     let (sim, wl) = generate(1_000, 8_000);
     let base_pages = wl.r.num_pages() + wl.s.num_pages();
     for budget in [0usize, 1] {
@@ -211,11 +210,7 @@ fn budgets_below_the_streaming_pages_fail_before_any_io() {
             sim.reset_stats();
             let at = format!("{label} at budget {budget}");
             let requested = assert_refused_before_io(&sim, base_pages, &at, budget, run());
-            let declared = match label {
-                "ghj" | "nbj" | "smj" => smallest_budget(label),
-                _ => 2,
-            };
-            assert_eq!(requested, declared, "{at}");
+            assert_eq!(requested, smallest_budget(label), "{at}");
         }
     }
 }
