@@ -5,14 +5,16 @@
 //! the final runs of R and S drives the join directly, so the two
 //! relations' final runs together must fit its fan-in of `B − 1`. Which
 //! runs those are is planned once both relations' runs are generated, from
-//! their record counts and at no I/O: for every pair of cascade depths
-//! (levels of R, levels of S) whose final runs fit the fused merge, the
-//! plan prices the pages each cascade reads and writes, and runs the
-//! cheapest pair, ties going to fewer levels. A relation whose runs fit
-//! beside the other's is never merged early. Run files are written
-//! sequentially (τ-weighted) and the fused merge reads runs with random
-//! reads — this is why the paper observes SMJ matching GHJ's #I/Os but
-//! losing slightly on latency.
+//! their page counts and at no I/O, by [`smj_plan`], the plan
+//! [`smj_cost`](nocap_model::smj_cost) prices too: of every split of the
+//! fan-in between R and S, the one whose cascades merge the fewest pages,
+//! each relation merged by whole levels or by a first level that merges
+//! only its smallest runs, just enough of them. A relation whose runs fit
+//! beside the other's is never merged early. Table 1's SMJ row, a whole
+//! pass over both relations per level, bounds this from above. Run files
+//! are written sequentially (τ-weighted) and the fused merge reads runs
+//! with random reads — this is why the paper observes SMJ matching GHJ's
+//! #I/Os but losing slightly on latency.
 //!
 //! The whole path runs on the arena record pipeline: run generation sorts
 //! `(key, payload-index)` pairs over a
@@ -30,11 +32,11 @@
 //!    ([`run_chunks`] — chunk `i` always covers pages
 //!    `[i·(B−1), (i+1)·(B−1))`) from an atomic cursor and sort them
 //!    independently; the runs are collected in canonical chunk order.
-//! 2. **Merge cascade.** Each level cuts its runs into groups of up to
-//!    `B − 1` and the workers claim groups the same way. A group reads
-//!    only its own runs and writes one run, which lands at its group
-//!    index, so every group's I/O and the next level's runs are those of
-//!    a one-worker cascade.
+//! 2. **Merge cascade.** The workers claim each level's planned groups,
+//!    of up to `B − 1` runs, the same way. A group reads only its own runs
+//!    and writes one run, which lands at its group index ahead of the runs
+//!    the level leaves alone, so every group's I/O and the next level's
+//!    runs are those of a one-worker cascade.
 //! 3. **Fused merge-join.** The final runs recorded the first key of each
 //!    page as they were written; `T − 1` splitter keys at page-weighted
 //!    quantiles of those fences cut the key space into `T` ranges, and
@@ -68,6 +70,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use nocap_model::classic_cost::{smj_plan, Cascade};
 use nocap_model::{JoinRunReport, JoinSpec};
 use nocap_obs::{Obs, Phase};
 use nocap_par::ordered_tasks;
@@ -265,8 +268,9 @@ fn fused_merge_join(
 }
 
 /// Sorts `r` and `s` into the final runs the fused merge takes: both
-/// relations' initial runs, then the cheapest [`cascade_plan`] over them.
-/// A failure drops every run written so far, and their files with them.
+/// relations' initial runs, then the cascades [`smj_plan`] lays out over
+/// them. A failure drops every run written so far, and their files with
+/// them.
 fn final_runs(
     r: &Relation,
     s: &Relation,
@@ -274,14 +278,16 @@ fn final_runs(
     threads: usize,
     obs: &Obs,
 ) -> nocap_storage::Result<(Vec<SortedRun>, Vec<SortedRun>)> {
-    let fan_in = budget - 1;
     let r_runs = initial_runs(r, budget, threads, obs)?;
     let s_runs = initial_runs(s, budget, threads, obs)?;
-    let (r_levels, s_levels) = cascade_plan(&r_runs, &s_runs, fan_in);
+    let pages = |runs: &[SortedRun]| -> Vec<usize> {
+        runs.iter().map(|run| run.relation().num_pages()).collect()
+    };
+    let plan = smj_plan(&pages(&r_runs), &pages(&s_runs), budget - 1);
     let _merge_span = obs.span(Phase::Merge);
     Ok((
-        merge_levels(r_runs, r_levels, fan_in, threads, obs)?,
-        merge_levels(s_runs, s_levels, fan_in, threads, obs)?,
+        merge_cascade(r_runs, &plan.r, threads, obs)?,
+        merge_cascade(s_runs, &plan.s, threads, obs)?,
     ))
 }
 
@@ -308,78 +314,31 @@ fn initial_runs(
     .0)
 }
 
-/// How many of a cascade level's `runs` runs its groups of `fan_in` merge:
-/// all but a lone run after the last full group, which passes through.
-fn merged_runs(runs: usize, fan_in: usize) -> usize {
-    runs - usize::from(runs % fan_in == 1)
-}
-
-/// One relation's cascade priced level by level before any of it runs:
-/// entry `l` is the runs left and the pages read and written after `l`
-/// levels of [`merge_levels`]. A merged run holds its group's records on
-/// full pages, so this is arithmetic on the runs' record counts. It stops
-/// at one run (or none).
-fn cascade_levels(runs: &[SortedRun], fan_in: usize) -> Vec<(usize, u64)> {
-    let per_page = runs
-        .first()
-        .map_or(1, |run| run.relation().records_per_page());
-    let pages = |records: usize| records.div_ceil(per_page) as u64;
-    let mut records: Vec<usize> = runs.iter().map(SortedRun::records).collect();
-    let mut io = 0;
-    let mut levels = vec![(records.len(), io)];
-    while records.len() > 1 {
-        let cut = merged_runs(records.len(), fan_in);
-        let mut next: Vec<usize> = records[..cut]
-            .chunks(fan_in)
-            .map(|group| {
-                let merged = group.iter().sum();
-                io += group.iter().map(|&n| pages(n)).sum::<u64>() + pages(merged);
-                merged
-            })
-            .collect();
-        next.extend_from_slice(&records[cut..]);
-        records = next;
-        levels.push((records.len(), io));
-    }
-    levels
-}
-
-/// The cascade depths `(R levels, S levels)` SMJ runs over `r_runs` and
-/// `s_runs`: of the pairs whose final runs fit one fused merge of `fan_in`,
-/// the one whose cascades read and write the fewest pages
-/// ([`cascade_levels`]), ties going to fewer levels. Each relation merged
-/// down to one run always fits, since `fan_in ≥ 2`.
-fn cascade_plan(r_runs: &[SortedRun], s_runs: &[SortedRun], fan_in: usize) -> (usize, usize) {
-    let (r, s) = (
-        cascade_levels(r_runs, fan_in),
-        cascade_levels(s_runs, fan_in),
-    );
-    (0..r.len())
-        .flat_map(|i| (0..s.len()).map(move |j| (i, j)))
-        .filter(|&(i, j)| r[i].0 + s[j].0 <= fan_in)
-        .min_by_key(|&(i, j)| (r[i].1 + s[j].1, i + j, i))
-        .expect("one run of each relation fits a fan-in of two")
-}
-
-/// Runs `levels` levels of the merge cascade over `runs`: each level cuts
-/// its runs into groups of `fan_in` (a trailing single run passes through
-/// unmerged) and the workers claim the groups. The runs and every I/O count
-/// are the one-worker cascade's at any worker count; a failed group drops
-/// every run of the level, and their files with them.
-fn merge_levels(
+/// Runs `cascade` over `runs` level by level: the workers claim a level's
+/// groups, each group's merged run lands at its group index, and the runs
+/// the level leaves alone follow in order. The runs and every I/O count are
+/// the one-worker cascade's at any worker count; a failed group drops every
+/// run of the level, and their files with them.
+fn merge_cascade(
     mut runs: Vec<SortedRun>,
-    levels: usize,
-    fan_in: usize,
+    cascade: &Cascade,
     threads: usize,
     obs: &Obs,
 ) -> nocap_storage::Result<Vec<SortedRun>> {
-    for _ in 0..levels {
-        let through = runs.split_off(merged_runs(runs.len(), fan_in));
+    for level in &cascade.levels {
+        let mut slots: Vec<Option<SortedRun>> = runs.into_iter().map(Some).collect();
         // Each group merge takes its runs out of its slot by value, so its
         // input files go as soon as it returns.
-        let mut level = runs.into_iter();
-        let groups: Vec<Mutex<Vec<SortedRun>>> = (0..level.len().div_ceil(fan_in))
-            .map(|_| Mutex::new(level.by_ref().take(fan_in).collect()))
+        let groups: Vec<Mutex<Vec<SortedRun>>> = level
+            .iter()
+            .map(|group| {
+                Mutex::new(
+                    group
+                        .iter()
+                        .map(|&i| slots[i].take().expect("a run merges in one group"))
+                        .collect(),
+                )
+            })
             .collect();
         runs = ordered_tasks(
             threads,
@@ -390,7 +349,7 @@ fn merge_levels(
             |_, g| merge_runs(std::mem::take(&mut *lock_unpoisoned(&groups[g]))),
         )?
         .0;
-        runs.extend(through);
+        runs.extend(slots.into_iter().flatten());
     }
     Ok(runs)
 }
@@ -574,9 +533,9 @@ mod tests {
         let expected = naive_join_count(&r, &s).unwrap();
         for threads in [1, 2, 3] {
             let (r_runs, s_runs) = final_runs(&r, &s, 8, threads, &Obs::off()).unwrap();
-            // B = 8 is a fan-in of 7: R's three runs fit beside the two
-            // of S's one cascade level.
-            assert_eq!((r_runs.len(), s_runs.len()), (3, 2));
+            // B = 8 is a fan-in of 7: R's three runs merge into one, and
+            // one group of S's six smallest of eleven leaves it six.
+            assert_eq!((r_runs.len(), s_runs.len()), (1, 6));
             let splitters = fence_splitters(r_runs.iter().chain(&s_runs), threads);
             assert!(splitters.iter().all(|&k| k == HOT), "{splitters:?}");
             let output = fused_merge_join(r_runs, s_runs, threads, &Obs::off()).unwrap();
@@ -603,48 +562,74 @@ mod tests {
         }
     }
 
-    /// A test-local model of one relation's sort from its record count
-    /// alone: runs of `B − 1` full pages, then levels of groups of `B − 1`
-    /// runs, a lone trailing run passing through. Entry `l` is the runs
-    /// left and the pages read and written so far after `l` levels, run
-    /// generation's writes included.
-    fn modeled_sort(records: usize, per_page: usize, budget: usize) -> Vec<(usize, u64, u64)> {
-        let fan_in = budget - 1;
-        let pages = |n: usize| n.div_ceil(per_page) as u64;
-        let chunk = fan_in * per_page;
-        let mut runs: Vec<usize> = (0..records)
-            .step_by(chunk)
-            .map(|at| chunk.min(records - at))
-            .collect();
-        let (mut reads, mut writes) = (0, runs.iter().map(|&n| pages(n)).sum());
-        let mut levels = vec![(runs.len(), reads, writes)];
+    /// A test-local model of one relation's runs from its record count
+    /// alone: `B − 1` full pages each, the last one shorter.
+    fn modeled_runs(records: usize, per_page: usize, budget: usize) -> Vec<u64> {
+        let pages = records.div_ceil(per_page) as u64;
+        let chunk = budget as u64 - 1;
+        (0..pages)
+            .step_by(chunk as usize)
+            .map(|at| chunk.min(pages - at))
+            .collect()
+    }
+
+    /// Whole levels over `runs`: groups of `fan_in` consecutive runs, a
+    /// lone trailing run passing through. Entry `l` is the runs left and
+    /// the pages merged after `l` levels, down to one run.
+    fn whole_levels(runs: &[u64], fan_in: usize) -> Vec<(usize, u64)> {
+        let mut runs = runs.to_vec();
+        let mut merged = 0;
+        let mut levels = vec![(runs.len(), merged)];
         while runs.len() > 1 {
-            let lone = if runs.len() % fan_in == 1 {
-                runs.pop()
-            } else {
-                None
-            };
+            let lone = (runs.len() % fan_in == 1).then(|| runs.pop()).flatten();
             runs = runs
                 .chunks(fan_in)
-                .map(|group| {
-                    reads += group.iter().map(|&n| pages(n)).sum::<u64>();
-                    writes += pages(group.iter().sum());
-                    group.iter().sum()
-                })
+                .map(|group| group.iter().sum())
                 .collect();
+            merged += runs.iter().sum::<u64>();
             runs.extend(lone);
-            levels.push((runs.len(), reads, writes));
+            levels.push((runs.len(), merged));
         }
         levels
+    }
+
+    /// The fewest pages merged to leave at most `target` of `runs`, by the
+    /// least number of levels: whole levels throughout, or a first level
+    /// that merges the fewest smallest runs after which whole levels
+    /// suffice.
+    fn least_merged(runs: &[u64], target: usize, fan_in: usize) -> Option<u64> {
+        let n = runs.len();
+        if n <= target {
+            return Some(0);
+        }
+        if target == 0 {
+            return None;
+        }
+        let whole = whole_levels(runs, fan_in);
+        let depth = whole.iter().position(|level| level.0 <= target).unwrap();
+        let room = target * fan_in.pow(depth as u32 - 1);
+        let k = (2..=n)
+            .find(|&k| n - k + k.div_ceil(fan_in) <= room)
+            .unwrap();
+        let mut sorted = runs.to_vec();
+        sorted.sort_unstable();
+        let mut next: Vec<u64> = sorted[..k]
+            .chunks(fan_in)
+            .map(|group| group.iter().sum())
+            .collect();
+        let first: u64 = next.iter().sum();
+        next.extend_from_slice(&sorted[k..]);
+        let partial = first + whole_levels(&next, fan_in)[depth - 1].1;
+        Some(partial.min(whole[depth].1))
     }
 
     #[test]
     fn the_cascade_merges_only_what_the_fused_merge_needs_at_every_budget() {
         // R's 1 000 and S's 8 000 records of 512 bytes fill about 1 300
-        // pages, more than (B − 1)² at B = 32: there a fixed share of the
-        // fused merge's fan-in, split between R and S by size before any
-        // run is counted, merges R's five runs into one although they fit
-        // beside S's two.
+        // pages, more than (B − 1)² at B = 32: there whole levels merge
+        // all of S's runs into two, although R's five runs and S's 37 are
+        // only eleven over the fan-in of 31, which one group of S's twelve
+        // smallest runs sheds.
         let dev = SimDevice::new_ref();
         let spec = JoinSpec::paper_synthetic(512, 5);
         let (r, s) = build_workload(dev.clone(), &spec, 1_000, |k| 6 + k % 5);
@@ -652,39 +637,36 @@ mod tests {
         for rel in [&r, &s] {
             assert_eq!(rel.num_pages(), rel.num_records().div_ceil(per_page));
         }
+        let pages = (r.num_pages() + s.num_pages()) as u64;
         let expected = naive_join_count(&r, &s).unwrap();
-        let mut below_the_old_rule = Vec::new();
+        let mut below_whole_levels = Vec::new();
         for budget in 5..=96 {
             let fan_in = budget - 1;
-            let r_sort = modeled_sort(r.num_records(), per_page, budget);
-            let s_sort = modeled_sort(s.num_records(), per_page, budget);
-            let io = |i: usize, j: usize| {
-                let (r_reads, r_writes) = (r_sort[i].1, r_sort[i].2);
-                let (s_reads, s_writes) = (s_sort[j].1, s_sort[j].2);
-                (r_writes + s_writes, r_reads + s_reads)
-            };
-            // The cheapest pair of depths whose final runs fit one fused
-            // merge, ties going to fewer levels, then to fewer R levels.
-            let (i, j) = (0..r_sort.len())
-                .flat_map(|i| (0..s_sort.len()).map(move |j| (i, j)))
-                .filter(|&(i, j)| r_sort[i].0 + s_sort[j].0 <= fan_in)
-                .min_by_key(|&(i, j)| (io(i, j).0 + io(i, j).1, i + j, i))
+            let r_runs = modeled_runs(r.num_records(), per_page, budget);
+            let s_runs = modeled_runs(s.num_records(), per_page, budget);
+            // The cheapest split of the fused merge's fan-in.
+            let merged = (0..=fan_in)
+                .filter_map(|t| {
+                    Some(
+                        least_merged(&r_runs, t, fan_in)?
+                            + least_merged(&s_runs, fan_in - t, fan_in)?,
+                    )
+                })
+                .min()
                 .unwrap();
-            // The bound: each relation cascaded until its runs fit a share
-            // of the fan-in proportional to its pages, clamped to [2, B − 3].
-            let pages = r.num_pages() + s.num_pages();
-            let r_share = (fan_in * r.num_pages() / pages).clamp(2, fan_in - 2);
-            let depth = |sort: &[(usize, u64, u64)], share: usize| {
-                sort.iter().position(|level| level.0 <= share).unwrap()
-            };
-            let old = io(depth(&r_sort, r_share), depth(&s_sort, fan_in - r_share));
-            let new = io(i, j);
-            assert!(
-                new.0 <= old.0 && new.1 <= old.1,
-                "B = {budget}: {new:?} > {old:?}"
-            );
-            if new != old {
-                below_the_old_rule.push(budget);
+            // The bound: the cheapest pair of whole-level depths whose
+            // runs fit.
+            let (r_whole, s_whole) = (whole_levels(&r_runs, fan_in), whole_levels(&s_runs, fan_in));
+            let bound = r_whole
+                .iter()
+                .flat_map(|a| s_whole.iter().map(move |b| (a, b)))
+                .filter(|(a, b)| a.0 + b.0 <= fan_in)
+                .map(|(a, b)| a.1 + b.1)
+                .min()
+                .unwrap();
+            assert!(merged <= bound, "B = {budget}: {merged} > {bound}");
+            if merged < bound {
+                below_whole_levels.push(budget);
             }
             for threads in [1, 2] {
                 let report = SortMergeJoin::new(spec.with_buffer_pages(budget))
@@ -693,11 +675,15 @@ mod tests {
                 let label = format!("B = {budget}, T = {threads}");
                 assert_eq!(report.output_records, expected, "{label}");
                 let part = report.partition_io;
-                assert_eq!((part.seq_writes, part.rand_reads), new, "{label}");
-                assert_eq!(part.seq_reads as usize, pages, "{label}");
+                assert_eq!(
+                    (part.seq_writes, part.rand_reads),
+                    (pages + merged, merged),
+                    "{label}"
+                );
+                assert_eq!(part.seq_reads, pages, "{label}");
             }
         }
-        assert!(below_the_old_rule.contains(&32), "{below_the_old_rule:?}");
+        assert!(below_whole_levels.contains(&32), "{below_whole_levels:?}");
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! | NBJ  | `‖R‖ + #chunks · ‖S‖` |
 //! | GHJ  | `(1 + #pa-runs · (1 + μ)) · (‖R‖ + ‖S‖)` |
 //! | SMJ  | `(1 + #s-passes · (1 + τ)) · (‖R‖ + ‖S‖)` |
+//!
+//! SMJ's row prices whole merge passes over both relations, an upper bound
+//! on its executor's cascade: [`smj_cost`] prices the plan the executor
+//! runs ([`smj_plan`]), which merges only the runs the fused merge-join's
+//! fan-in must shed.
+
+use nocap_storage::sort::run_chunks;
 
 use crate::spec::JoinSpec;
 
@@ -90,39 +97,163 @@ pub fn ghj_cost(pages_r: usize, pages_s: usize, spec: &JoinSpec) -> f64 {
     (1.0 + passes * (1.0 + spec.mu())) * (pages_r + pages_s) as f64
 }
 
-/// Number of partially-sorted passes SMJ needs until the total run count fits
-/// a `B − 1`-way merge (`#s-passes`), as Table 1 counts them: runs of `B`
-/// pages over both relations together, each pass over both.
-///
-/// The executor (`nocap_joins::SortMergeJoin`) cuts runs of `B − 1` pages
-/// per relation and merges each relation only as many levels as its
-/// cheapest fused merge needs, so its count can differ from this one by a
-/// level either way. On the benchmark's geometry (‖R‖ = 6 667, ‖S‖ = 53 334
-/// pages) both relations take one level at B = 41, the two passes counted
-/// here; at B = 165 R takes none, one level below.
-pub fn smj_sort_passes(pages_r: usize, pages_s: usize, spec: &JoinSpec) -> usize {
-    let b = spec.buffer_pages.max(3);
-    // If both relations fit in memory together no external pass is needed.
-    if pages_r + pages_s <= b {
-        return 0;
-    }
-    let runs_r = pages_r.div_ceil(b).max(1);
-    let runs_s = pages_s.div_ceil(b).max(1);
-    let mut runs = runs_r + runs_s;
-    // Run generation is the first pass that writes data out.
-    let mut passes = 1usize;
-    let fan_in = (b - 1).max(2);
-    while runs > fan_in && passes < 64 {
-        runs = runs.div_ceil(fan_in);
-        passes += 1;
-    }
-    passes
+/// One relation's merge cascade, as [`smj_plan`] lays it out: entry `l`
+/// lists level `l`'s groups, each the indices of the runs it merges among
+/// that level's runs. On the next level a level's merged runs come first,
+/// in group order, and the runs it left alone follow in their order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Cascade {
+    /// Level by level, the groups of run indices each level merges.
+    pub levels: Vec<Vec<Vec<usize>>>,
+    /// The pages the cascade merges, each read once and written once.
+    merged_pages: usize,
 }
 
-/// Normalized I/O cost of SMJ (Table 1, row 3).
+impl Cascade {
+    /// How many group merges the cascade runs.
+    fn groups(&self) -> usize {
+        self.levels.iter().map(Vec::len).sum()
+    }
+}
+
+/// SMJ's merge plan: the cascades that bring R's and S's runs down to the
+/// fused merge's fan-in together ([`smj_plan`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SmjPlan {
+    /// R's cascade.
+    pub r: Cascade,
+    /// S's cascade.
+    pub s: Cascade,
+}
+
+impl SmjPlan {
+    /// The pages both cascades merge.
+    pub(crate) fn merged_pages(&self) -> usize {
+        self.r.merged_pages + self.s.merged_pages
+    }
+}
+
+/// Plans SMJ's merge cascade from the page counts of R's and S's sorted
+/// runs, at no I/O: the fewest merged pages that leave at most `fan_in`
+/// runs of the two relations together, the inputs of the fused merge-join.
+///
+/// Every split `t_R + t_S = fan_in` of those inputs is tried, and each
+/// relation is brought to its share by the cheaper of two cascades of the
+/// same, least depth:
+/// - whole levels, each merging its runs in groups of `fan_in`, a lone
+///   trailing run passing through;
+/// - a first level that merges only the smallest runs, just enough of them
+///   in groups of at most `fan_in` that whole levels finish the job (Knuth,
+///   *TAOCP* Vol. 3 §5.4.9).
+///
+/// A merged run holds its inputs' pages, which is exact when only a run's
+/// last page is partly filled, as with runs cut from a full-paged input.
+/// Ties go to fewer group merges, then to fewer of R's. The plan depends on
+/// the page counts and `fan_in` alone.
+///
+/// # Panics
+///
+/// Panics if `fan_in < 2`.
+pub fn smj_plan(r_runs: &[usize], s_runs: &[usize], fan_in: usize) -> SmjPlan {
+    assert!(fan_in >= 2, "a merge needs a fan-in of two");
+    (0..=fan_in)
+        .filter_map(|r_share| {
+            Some(SmjPlan {
+                r: cheapest_cascade(r_runs, r_share, fan_in)?,
+                s: cheapest_cascade(s_runs, fan_in - r_share, fan_in)?,
+            })
+        })
+        .min_by_key(|plan| {
+            let r_groups = plan.r.groups();
+            (plan.merged_pages(), r_groups + plan.s.groups(), r_groups)
+        })
+        .expect("each relation merged to one run fits a fan-in of two")
+}
+
+/// The cheaper cascade (fewer merged pages, then fewer groups) that leaves
+/// at most `target` of `runs`: whole levels, or a first level that merges
+/// just enough of the smallest runs that as many whole levels as before
+/// finish the job. `None` if runs are left and `target` is zero.
+fn cheapest_cascade(runs: &[usize], target: usize, fan_in: usize) -> Option<Cascade> {
+    if runs.len() <= target {
+        return Some(Cascade::default());
+    }
+    if target == 0 {
+        return None;
+    }
+    let whole = cascade(runs, whole_level(runs.len(), fan_in), target, fan_in);
+    // The whole levels after the first take `target · fan_in^(depth − 1)`
+    // runs down to `target`; the first sheds the rest, each group of `g`
+    // runs shedding `g − 1`.
+    let room = target * fan_in.pow(whole.levels.len() as u32 - 1);
+    let shed = runs.len() - room;
+    let mut smallest: Vec<usize> = (0..runs.len()).collect();
+    smallest.sort_by_key(|&i| (runs[i], i));
+    smallest.truncate(shed + shed.div_ceil(fan_in - 1));
+    let first = smallest.chunks(fan_in).map(<[usize]>::to_vec).collect();
+    let partial = cascade(runs, first, target, fan_in);
+    Some(
+        [whole, partial]
+            .into_iter()
+            .min_by_key(|cascade| (cascade.merged_pages, cascade.groups()))
+            .expect("two candidates"),
+    )
+}
+
+/// Prices `first` as the first level over `runs` and whole levels after it
+/// until at most `target` runs are left.
+fn cascade(runs: &[usize], first: Vec<Vec<usize>>, target: usize, fan_in: usize) -> Cascade {
+    let mut pages = runs.to_vec();
+    let mut plan = Cascade::default();
+    let mut level = first;
+    loop {
+        let mut left: Vec<Option<usize>> = pages.into_iter().map(Some).collect();
+        pages = level
+            .iter()
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|&i| left[i].take().expect("a run merges in one group"))
+                    .sum()
+            })
+            .collect();
+        plan.merged_pages += pages.iter().sum::<usize>();
+        pages.extend(left.into_iter().flatten());
+        plan.levels.push(level);
+        if pages.len() <= target {
+            return plan;
+        }
+        level = whole_level(pages.len(), fan_in);
+    }
+}
+
+/// A whole level over `runs` runs: groups of `fan_in` consecutive runs, a
+/// lone trailing run passing through.
+fn whole_level(runs: usize, fan_in: usize) -> Vec<Vec<usize>> {
+    let merged: Vec<usize> = (0..runs - usize::from(runs % fan_in == 1)).collect();
+    merged.chunks(fan_in).map(<[usize]>::to_vec).collect()
+}
+
+/// Normalized I/O cost of SMJ as its executor runs it: both relations are
+/// read once and written once as runs of `B − 1` pages ([`run_chunks`],
+/// `B ≥ 3`), the cascade of [`smj_plan`] reads and writes the pages it
+/// merges, and the fused merge-join reads every final run page once. Runs
+/// are written sequentially (τ).
+///
+/// Table 1's `(1 + #s-passes · (1 + τ)) · (‖R‖ + ‖S‖)` charges a whole
+/// pass over both relations for every level, the price of merging whole
+/// levels; this charges only the pages the plan merges.
 pub fn smj_cost(pages_r: usize, pages_s: usize, spec: &JoinSpec) -> f64 {
-    let passes = smj_sort_passes(pages_r, pages_s, spec) as f64;
-    (1.0 + passes * (1.0 + spec.tau())) * (pages_r + pages_s) as f64
+    let budget = spec.buffer_pages.max(3);
+    let grid = |pages: usize| -> Vec<usize> {
+        run_chunks(pages, budget)
+            .iter()
+            .map(ExactSizeIterator::len)
+            .collect()
+    };
+    let merged = smj_plan(&grid(pages_r), &grid(pages_s), budget - 1).merged_pages();
+    let tau = spec.tau();
+    (2.0 + tau) * (pages_r + pages_s) as f64 + (1.0 + tau) * merged as f64
 }
 
 /// The light optimizer: chunk-wise NBJ or Grace-style recursion for joining
@@ -263,19 +394,100 @@ mod tests {
 
     #[test]
     fn smj_zero_passes_when_everything_fits() {
+        // 300 + 600 pages are 1 + 1 runs of at most 999 pages: no merge
+        // level, so each page is read, written as a run and read again.
         let s = spec(1000);
-        assert_eq!(smj_sort_passes(300, 600, &s), 0);
-        assert!((smj_cost(300, 600, &s) - 900.0).abs() < 1e-9);
+        assert_eq!(smj_plan(&[300], &[600], 999), SmjPlan::default());
+        assert!((smj_cost(300, 600, &s) - (2.0 + s.tau()) * 900.0).abs() < 1e-9);
     }
 
     #[test]
     fn smj_one_pass_for_moderate_inputs() {
         let s = spec(320);
-        // runs: ⌈250000/320⌉ + ⌈2000000/320⌉ = 782 + 6250 = 7032 > 319
-        // → needs a second (merge) pass.
-        assert_eq!(smj_sort_passes(250_000, 2_000_000, &s), 2);
-        // Small inputs: runs fit the fan-in after generation.
-        assert_eq!(smj_sort_passes(10_000, 20_000, &s), 1);
+        let grid = |pages: usize| vec![319; pages / 319];
+        // 31 + 62 runs fit the fan-in of 319: no merge level.
+        assert_eq!(
+            smj_plan(&grid(10_000), &grid(20_000), 319).merged_pages(),
+            0
+        );
+        // 783 + 6 269 runs do not: one level, merging most runs, brings
+        // them down, under Table 1's two whole passes.
+        let plan = smj_plan(&grid(250_000), &grid(2_000_000), 319);
+        assert_eq!((plan.r.levels.len(), plan.s.levels.len()), (1, 1));
+        assert!(plan.merged_pages() > 2_000_000);
+        let two_passes = (1.0 + 2.0 * (1.0 + s.tau())) * 2_250_000.0;
+        assert!(smj_cost(250_000, 2_000_000, &s) < two_passes);
+    }
+
+    #[test]
+    fn smj_plan_merges_only_the_smallest_runs_the_fused_merge_must_shed() {
+        // The benchmark's B = 165: R's 41 runs and S's 326, of 164 pages
+        // each but the last. Whole levels merge all 53 334 of S's pages;
+        // the plan merges R into one run and S's 164 smallest into
+        // another, leaving 1 + 163 runs for the fused merge.
+        let mut r = vec![164; 40];
+        r.push(107);
+        let mut s = vec![164; 325];
+        s.push(34);
+        let plan = smj_plan(&r, &s, 164);
+        assert_eq!(plan.r.levels, vec![vec![(0..41).collect::<Vec<_>>()]]);
+        let smallest: Vec<usize> = std::iter::once(325).chain(0..163).collect();
+        assert_eq!(plan.s.levels, vec![vec![smallest]]);
+        assert_eq!(plan.merged_pages(), 6_667 + 163 * 164 + 34);
+        assert!(plan.merged_pages() <= 33_620);
+    }
+
+    #[test]
+    fn smj_plan_never_merges_more_than_whole_levels() {
+        // The bound: the cheapest pair of whole-level depths whose runs
+        // fit, each level merging groups of `fan_in` consecutive runs and
+        // passing a lone trailing run through.
+        let whole = |runs: &[usize], fan_in: usize| {
+            let mut pages = runs.to_vec();
+            let mut merged = 0;
+            let mut levels = vec![(pages.len(), merged)];
+            while pages.len() > 1 {
+                let lone = (pages.len() % fan_in == 1).then(|| pages.pop()).flatten();
+                pages = pages.chunks(fan_in).map(|g| g.iter().sum()).collect();
+                merged += pages.iter().sum::<usize>();
+                pages.extend(lone);
+                levels.push((pages.len(), merged));
+            }
+            levels
+        };
+        let mut below = 0;
+        for fan_in in [2, 3, 4, 7, 31, 40, 164] {
+            for (n_r, n_s) in [(1, 9), (3, 11), (8, 90), (41, 326), (167, 1_334)] {
+                let grid = |n: usize| {
+                    let mut runs = vec![fan_in; n - 1];
+                    runs.push(1 + n % fan_in);
+                    runs
+                };
+                let (r, s) = (grid(n_r), grid(n_s));
+                let (r_levels, s_levels) = (whole(&r, fan_in), whole(&s, fan_in));
+                let bound = r_levels
+                    .iter()
+                    .flat_map(|a| s_levels.iter().map(move |b| (a, b)))
+                    .filter(|(a, b)| a.0 + b.0 <= fan_in)
+                    .map(|(a, b)| a.1 + b.1)
+                    .min()
+                    .unwrap();
+                let plan = smj_plan(&r, &s, fan_in);
+                let label = format!("fan-in {fan_in}, {n_r} + {n_s} runs");
+                assert!(plan.merged_pages() <= bound, "{label}");
+                below += usize::from(plan.merged_pages() < bound);
+                // Every group merges 2..=fan_in runs, and the runs left fit
+                // the fused merge.
+                let left = |runs: &[usize], cascade: &Cascade| {
+                    cascade.levels.iter().fold(runs.len(), |n, level| {
+                        assert!(level.iter().all(|g| (2..=fan_in).contains(&g.len())));
+                        n - level.iter().map(|g| g.len() - 1).sum::<usize>()
+                    })
+                };
+                assert!(left(&r, &plan.r) + left(&s, &plan.s) <= fan_in, "{label}");
+            }
+        }
+        assert!(below > 0);
     }
 
     #[test]
@@ -284,11 +496,12 @@ mod tests {
         let (r, sp) = (250_000, 2_000_000);
         let ghj = ghj_cost(r, sp, &s);
         let smj = smj_cost(r, sp, &s);
-        // Same number of passes over both relations; GHJ pays μ per written
-        // page while SMJ pays τ < μ, so SMJ's normalized I/O is slightly lower
-        // (the paper observes their #I/Os are nearly the same, with latency
-        // separating them through random reads).
-        assert_eq!(ghj_partition_passes(r, &s), smj_sort_passes(r, sp, &s));
+        // Two passes over both relations each (SMJ's second merges nearly
+        // every run); GHJ pays μ per written page while SMJ pays τ < μ, so
+        // SMJ's normalized I/O is slightly lower (the paper observes their
+        // #I/Os are nearly the same, with latency separating them through
+        // random reads).
+        assert_eq!(ghj_partition_passes(r, &s), 2);
         assert!((ghj - smj).abs() / ghj < 0.05);
         assert!(ghj > smj);
     }

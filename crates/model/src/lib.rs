@@ -15,7 +15,8 @@
 //!   of §3.1.3, and checkers for two of the three properties of Theorem
 //!   3.1 (consecutive and divisible; the DP prunes by the third, weak
 //!   ordering).
-//! * [`classic_cost`] — the Table 1 estimators for NBJ, GHJ and SMJ, plus
+//! * [`classic_cost`] — the Table 1 estimators for NBJ, GHJ and SMJ, SMJ's
+//!   merge-cascade planner (run by its executor, priced by `smj_cost`), and
 //!   the "light optimizer" that picks NBJ or Grace-style recursion for each
 //!   partition-wise join — run by the executors, priced by the planner.
 //! * [`hash_cost`] — [`RoundedHashParams`]: when rounded hash (§4.2)
@@ -25,11 +26,11 @@
 //!   resident-first staging quotas of a hybrid hash build (NOCAP's residual
 //!   partitioner and DHH both run it), and `g_DHH`: the estimated extra I/O
 //!   of handing the residual (non-MCV) keys to that partitioner with a
-//!   given budget. The quotas sum to the staging budget they are handed
-//!   (floored at one page), so with the plan's fixed pages and the two
-//!   streaming pages they restate the §4.1 memory identity: *B* is
-//!   enforced by this arithmetic and by the run-time stager that keeps to
-//!   the quotas, not by an accountant.
+//!   given budget. The quotas sum to the staging budget they are handed,
+//!   so with the plan's fixed pages and the two streaming pages they
+//!   restate the §4.1 memory identity: *B* is enforced by this arithmetic
+//!   and by the run-time stager that keeps to the quotas, not by an
+//!   accountant.
 //!
 //! Costs in this crate are *estimates* expressed in normalized page I/Os
 //! (one sequential page read = 1). The executors in `nocap` and

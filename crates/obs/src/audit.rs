@@ -85,7 +85,7 @@ impl PhaseIoRow {
     }
 
     /// measured / predicted latency ratio, when both sides exist.
-    pub fn model_error(&self) -> Option<f64> {
+    fn model_error(&self) -> Option<f64> {
         Some(self.measured()? / self.predicted_us).filter(|_| self.predicted_us > 0.0)
     }
 }
@@ -330,17 +330,17 @@ impl IoAudit {
     }
 
     /// Empirical μ (measured rand-write / seq-read mean latency).
-    pub fn empirical_mu(&self) -> Option<f64> {
+    fn empirical_mu(&self) -> Option<f64> {
         Some(self.mean_of(IoKind::RandWrite)? / self.mean_of(IoKind::SeqRead)?)
     }
 
     /// Empirical τ (measured seq-write / seq-read mean latency).
-    pub fn empirical_tau(&self) -> Option<f64> {
+    fn empirical_tau(&self) -> Option<f64> {
         Some(self.mean_of(IoKind::SeqWrite)? / self.mean_of(IoKind::SeqRead)?)
     }
 
     /// Empirical rand-read / seq-read mean latency ratio.
-    pub fn empirical_rand_read_ratio(&self) -> Option<f64> {
+    fn empirical_rand_read_ratio(&self) -> Option<f64> {
         Some(self.mean_of(IoKind::RandRead)? / self.mean_of(IoKind::SeqRead)?)
     }
 
@@ -456,12 +456,12 @@ pub struct SyncComparisonRow {
 
 impl SyncComparisonRow {
     /// Measured on/off slowdown for this kind.
-    pub fn measured_ratio(&self) -> f64 {
+    fn measured_ratio(&self) -> f64 {
         self.on_mean_us / self.off_mean_us
     }
 
     /// The profiles' predicted on/off slowdown for this kind.
-    pub fn predicted_ratio(&self) -> f64 {
+    fn predicted_ratio(&self) -> f64 {
         self.on_predicted_us / self.off_predicted_us
     }
 }

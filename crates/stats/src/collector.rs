@@ -136,16 +136,6 @@ impl StatsCollector {
         };
     }
 
-    /// The sketch sizing in effect.
-    pub fn config(&self) -> &StatsConfig {
-        &self.config
-    }
-
-    /// Keys observed so far.
-    pub fn observed(&self) -> u64 {
-        self.n
-    }
-
     /// Observes one join key.
     pub fn observe(&mut self, key: u64) {
         self.n += 1;
@@ -596,7 +586,6 @@ mod tests {
             b.observe(k);
         }
         a.merge(&b);
-        assert_eq!(a.observed(), 100);
         let summary = a.finish();
         assert_eq!(summary.min_key, Some(10));
         assert_eq!(summary.max_key, Some(89));

@@ -128,27 +128,34 @@ type GoldenRow = (&'static str, &'static str, usize, u64, [u64; 4], [u64; 4]);
 /// non-empty S partition, here every one of the `B − 1` — move from
 /// partition `rand_writes` to probe `rand_writes` (written `recorded − k`
 /// and `k` below). Every other counter and every total equals the recorded
-/// row. The three B = 8 `smj` rows were recorded at commit 21dc606, whose
-/// cascade merged its groups one after another and whose fused merge ran
-/// on one thread, from its `run`: there R's 28 runs cascade to 4 and then 1
-/// and S's 222 runs to 32 and then 5, so each relation takes two levels of
-/// several groups — three full writes and two full re-reads. B = 96 merges
-/// nothing, and B = 32 merges S only: R's 7 runs fit the fused merge beside
-/// the 2 that S's 50 cascade to, so only S's 1 549 pages are re-read and
-/// re-written. The three B = 32 rows were re-recorded when SMJ began to
-/// plan its cascade from the run counts; splitting the fan-in between R and
-/// S by size had merged R's runs into one as well (partition `rand_reads`
-/// 1743, `seq_writes` 3486). Until the cascade stopped reading page 0 of a
-/// run to learn its layout, every `smj` row of B = 32 and B = 8 also
-/// carried one geometry probe per level and relation (partition
-/// `rand_reads` 1745 and 3490); a run now carries its layout, so they read
-/// the re-reads alone.
+/// row. The three B = 8 `smj` rows were first recorded at commit 21dc606,
+/// whose cascade merged its groups one after another and whose fused merge
+/// ran on one thread, from its `run`. B = 96 merges nothing. The three
+/// B = 32 rows were re-recorded when SMJ began to plan its cascade from the
+/// run counts (a size-proportional split of the fan-in between R and S had
+/// merged R's runs as well: partition `rand_reads` 1743, `seq_writes`
+/// 3486). The six B = 32 and B = 8 rows were re-recorded when a relation's
+/// first level began to merge only its smallest runs, just enough of them
+/// (`nocap_model::classic_cost::smj_plan`):
+/// - at B = 32, one group of S's 27 smallest runs (836 pages) leaves R's 7
+///   and S's 24 for the fused merge, where whole levels merged all 50 of
+///   S's runs into 2 (1 549 pages);
+/// - at B = 8, R's 28 runs go to 7 (its 25 smallest in four groups) and
+///   then 1, and S's 222 to 42 (its 210 smallest in 30 groups) and then 6,
+///   so each relation still takes two levels of several groups, where
+///   whole levels took R 28 → 4 → 1 and S 222 → 32 → 5 (partition
+///   `rand_reads` 3486, `seq_writes` 5229).
+///
+/// Until the cascade stopped reading page 0 of a run to learn its layout,
+/// every `smj` row of B = 32 and B = 8 also carried one geometry probe per
+/// level and relation; a run now carries its layout, so they read the
+/// re-reads alone.
 #[rustfmt::skip]
 const GOLDEN: [GoldenRow; 33] = [
     ("nocap", "zipf_1.1",   32, 48000, [1743,    0,    0,  532], [ 539,    0, 0,  7]),
     ("dhh",   "zipf_1.1",   32, 48000, [1743,    0,    0, 1741], [1761,    0, 0, 20]),
     ("ghj",   "zipf_1.1",   32, 48000, [1743,    0,    0, 1776 - 31], [1776,    0, 0, 31]),
-    ("smj",   "zipf_1.1",   32, 48000, [1743, 1549, 3292,    0], [   0, 1743, 0,  0]),
+    ("smj",   "zipf_1.1",   32, 48000, [1743,  836, 2579,    0], [   0, 1743, 0,  0]),
     ("nocap", "zipf_1.1",   96, 48000, [1743,    0,    0,  360], [ 362,    0, 0,  2]),
     ("dhh",   "zipf_1.1",   96, 48000, [1743,    0,    0,  628], [ 642,    0, 0, 14]),
     ("ghj",   "zipf_1.1",   96, 48000, [1743,    0,    0, 1838 - 95], [1838,    0, 0, 95]),
@@ -156,7 +163,7 @@ const GOLDEN: [GoldenRow; 33] = [
     ("nocap", "uniform",    32, 48000, [1743,    0,    0, 1615], [1628,    0, 0, 13]),
     ("dhh",   "uniform",    32, 48000, [1743,    0,    0, 1742], [1762,    0, 0, 20]),
     ("ghj",   "uniform",    32, 48000, [1743,    0,    0, 1773 - 31], [1773,    0, 0, 31]),
-    ("smj",   "uniform",    32, 48000, [1743, 1549, 3292,    0], [   0, 1743, 0,  0]),
+    ("smj",   "uniform",    32, 48000, [1743,  836, 2579,    0], [   0, 1743, 0,  0]),
     ("nocap", "uniform",    96, 48000, [1743,    0,    0, 1105], [1107,    0, 0,  2]),
     ("dhh",   "uniform",    96, 48000, [1743,    0,    0, 1201], [1215,    0, 0, 14]),
     ("ghj",   "uniform",    96, 48000, [1743,    0,    0, 1832 - 95], [1832,    0, 0, 95]),
@@ -164,7 +171,7 @@ const GOLDEN: [GoldenRow; 33] = [
     ("nocap", "jcch_tuned", 32, 48000, [1743,    0,    0,  770], [ 777,    0, 0,  7]),
     ("dhh",   "jcch_tuned", 32, 48000, [1743,    0,    0, 1744], [1764,    0, 0, 20]),
     ("ghj",   "jcch_tuned", 32, 48000, [1743,    0,    0, 1773 - 31], [1773,    0, 0, 31]),
-    ("smj",   "jcch_tuned", 32, 48000, [1743, 1549, 3292,    0], [   0, 1743, 0,  0]),
+    ("smj",   "jcch_tuned", 32, 48000, [1743,  836, 2579,    0], [   0, 1743, 0,  0]),
     ("nocap", "jcch_tuned", 96, 48000, [1743,    0,    0,  515], [ 517,    0, 0,  2]),
     ("dhh",   "jcch_tuned", 96, 48000, [1743,    0,    0,  981], [ 995,    0, 0, 14]),
     ("ghj",   "jcch_tuned", 96, 48000, [1743,    0,    0, 1833 - 95], [1833,    0, 0, 95]),
@@ -175,9 +182,9 @@ const GOLDEN: [GoldenRow; 33] = [
     ("histojoin", "uniform",    96, 48000, [1743, 0, 0, 1201], [1215, 0, 0, 14]),
     ("histojoin", "jcch_tuned", 32, 48000, [1743, 0, 0, 1744], [1764, 0, 0, 20]),
     ("histojoin", "jcch_tuned", 96, 48000, [1743, 0, 0,  981], [ 995, 0, 0, 14]),
-    ("smj",   "zipf_1.1",    8, 48000, [1743, 3486, 5229,    0], [   0, 1743, 0,  0]),
-    ("smj",   "uniform",     8, 48000, [1743, 3486, 5229,    0], [   0, 1743, 0,  0]),
-    ("smj",   "jcch_tuned",  8, 48000, [1743, 3486, 5229,    0], [   0, 1743, 0,  0]),
+    ("smj",   "zipf_1.1",    8, 48000, [1743, 3381, 5124,    0], [   0, 1743, 0,  0]),
+    ("smj",   "uniform",     8, 48000, [1743, 3381, 5124,    0], [   0, 1743, 0,  0]),
+    ("smj",   "jcch_tuned",  8, 48000, [1743, 3381, 5124,    0], [   0, 1743, 0,  0]),
 ];
 
 /// Checks `run` (`None`) and `run_parallel(n)` (`Some(n)`) of one algorithm

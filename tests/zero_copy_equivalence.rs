@@ -37,12 +37,13 @@ use std::iter::Peekable;
 use std::sync::Arc;
 
 use nocap_suite::joins::{naive_join_count, DhhJoin, SortMergeJoin};
+use nocap_suite::model::classic_cost::{smj_plan, Cascade};
 use nocap_suite::model::pairwise::smart_partition_join;
 use nocap_suite::model::{JoinRunReport, JoinSpec};
 use nocap_suite::nocap::{plan_nocap, NocapConfig, NocapJoin, RestGeometry};
 use nocap_suite::storage::device::DeviceRef;
 use nocap_suite::storage::{
-    IoKind, IoStats, Page, RecordLayout, RecordRef, Relation, RelationScan, RelationWriter, Result,
+    IoKind, IoStats, Page, RecordRef, Relation, RelationScan, RelationWriter, Result,
 };
 use nocap_suite::workload::jcch::{self, JcchConfig, JcchSkew};
 use nocap_suite::workload::{synthetic, Correlation, GeneratedWorkload, SyntheticConfig};
@@ -315,14 +316,27 @@ impl LegacySorter {
         }
     }
 
-    /// Merges `runs` through `levels` heap-based merge passes, legacy path.
+    /// Merges `runs` through `cascade`'s levels with heap-based group
+    /// merges, legacy path: each level's merged runs first, in group order,
+    /// then the runs it leaves alone.
     pub fn merge_passes(
         &mut self,
         mut runs: Vec<Relation>,
-        levels: usize,
+        cascade: &Cascade,
     ) -> Result<Vec<Relation>> {
-        for _ in 0..levels {
-            runs = self.merge_pass(runs)?;
+        for level in &cascade.levels {
+            let mut slots: Vec<Option<Relation>> = runs.into_iter().map(Some).collect();
+            runs = level
+                .iter()
+                .map(|group| {
+                    let group = group
+                        .iter()
+                        .map(|&i| slots[i].take().expect("a run merges in one group"))
+                        .collect();
+                    self.merge_group(group)
+                })
+                .collect::<Result<_>>()?;
+            runs.extend(slots.into_iter().flatten());
         }
         Ok(runs)
     }
@@ -360,35 +374,8 @@ impl LegacySorter {
         writer.finish()
     }
 
-    fn merge_pass(&mut self, runs: Vec<Relation>) -> Result<Vec<Relation>> {
-        let fan_in = (self.budget_pages - 1).max(2);
-        let mut next_level = Vec::new();
-        let mut group = Vec::new();
-        if runs.iter().all(Relation::is_empty) {
-            return Ok(runs);
-        }
+    fn merge_group(&self, runs: Vec<Relation>) -> Result<Relation> {
         let (layout, page_size) = (runs[0].layout(), runs[0].page_size());
-
-        for run in runs {
-            group.push(run);
-            if group.len() == fan_in {
-                next_level.push(self.merge_group(std::mem::take(&mut group), layout, page_size)?);
-            }
-        }
-        if group.len() == 1 {
-            next_level.push(group.pop().expect("single leftover run"));
-        } else if !group.is_empty() {
-            next_level.push(self.merge_group(group, layout, page_size)?);
-        }
-        Ok(next_level)
-    }
-
-    fn merge_group(
-        &self,
-        runs: Vec<Relation>,
-        layout: RecordLayout,
-        page_size: usize,
-    ) -> Result<Relation> {
         let mut writer =
             RelationWriter::new(self.device.clone(), layout, page_size, IoKind::SeqWrite);
         let mut merger = LegacyMergeIterator::new(&runs)?;
@@ -500,51 +487,12 @@ pub fn merge_join_legacy(r_runs: &[Relation], s_runs: &[Relation]) -> Result<u64
     Ok(output)
 }
 
-/// SMJ's cascade plan, worked out here from the legacy runs' record
-/// counts: for each relation, the runs left and the pages read and written
-/// after each level of groups of `fan_in` runs (a lone trailing run passing
-/// through), then the cheapest pair of depths whose final runs fit one
-/// fused merge of `fan_in`, ties going to fewer levels, then to fewer R
-/// levels.
-fn cascade_plan(r_runs: &[Relation], s_runs: &[Relation], fan_in: usize) -> (usize, usize) {
-    let levels = |runs: &[Relation]| {
-        let per_page = runs.first().map_or(1, Relation::records_per_page);
-        let pages = |n: usize| n.div_ceil(per_page);
-        let mut records: Vec<usize> = runs.iter().map(Relation::num_records).collect();
-        let mut io = 0;
-        let mut levels = vec![(records.len(), io)];
-        while records.len() > 1 {
-            let lone = if records.len() % fan_in == 1 {
-                records.pop()
-            } else {
-                None
-            };
-            records = records
-                .chunks(fan_in)
-                .map(|group| {
-                    let merged = group.iter().sum();
-                    io += group.iter().map(|&n| pages(n)).sum::<usize>() + pages(merged);
-                    merged
-                })
-                .collect();
-            records.extend(lone);
-            levels.push((records.len(), io));
-        }
-        levels
-    };
-    let (r, s) = (levels(r_runs), levels(s_runs));
-    (0..r.len())
-        .flat_map(|i| (0..s.len()).map(move |j| (i, j)))
-        .filter(|&(i, j)| r[i].0 + s[j].0 <= fan_in)
-        .min_by_key(|&(i, j)| (r[i].1 + s[j].1, i + j, i))
-        .expect("one run per relation fits")
-}
-
 /// The pre-rewrite SMJ executor: owned-record run generation (stable
 /// `Vec<OwnedRecord>` chunk sorts), heap-based merge passes, and the fused
 /// merge-join over peekable owned-record merge iterators, run through the
-/// executor's cascade plan ([`cascade_plan`]) — so output and per-phase
-/// I/O pin the arena sorter + loser-tree rewrite exactly.
+/// executor's cascade plan ([`smj_plan`], from the legacy runs' page
+/// counts) — so output and per-phase I/O pin the arena sorter + loser-tree
+/// rewrite exactly.
 fn legacy_smj_run(spec: &JoinSpec, r: &Relation, s: &Relation) -> (u64, IoStats, IoStats) {
     let device = r.device().clone();
     let base = device.stats();
@@ -554,9 +502,11 @@ fn legacy_smj_run(spec: &JoinSpec, r: &Relation, s: &Relation) -> (u64, IoStats,
     let mut s_sorter = LegacySorter::new(device.clone(), budget);
     let r_runs = r_sorter.generate_runs(r).unwrap();
     let s_runs = s_sorter.generate_runs(s).unwrap();
-    let (r_levels, s_levels) = cascade_plan(&r_runs, &s_runs, budget - 1);
-    let r_runs = r_sorter.merge_passes(r_runs, r_levels).unwrap();
-    let s_runs = s_sorter.merge_passes(s_runs, s_levels).unwrap();
+    let pages =
+        |runs: &[Relation]| -> Vec<usize> { runs.iter().map(Relation::num_pages).collect() };
+    let plan = smj_plan(&pages(&r_runs), &pages(&s_runs), budget - 1);
+    let r_runs = r_sorter.merge_passes(r_runs, &plan.r).unwrap();
+    let s_runs = s_sorter.merge_passes(s_runs, &plan.s).unwrap();
     let partition_io = device.stats().since(&base);
 
     let probe_base = device.stats();
